@@ -82,12 +82,10 @@ let analyze_cmd =
     Printf.printf "mutated:        %s\n" (String.concat ", " rs.Analyzer.mutated);
     Printf.printf "consulted:      %s\n" (String.concat ", " rs.Analyzer.consulted);
     print_endline "members:";
-    Array.iteri
-      (fun i m ->
-        if m then
-          Printf.printf "  Q%-5d %s\n" (i + 1)
-            (Log.entry (Engine.log eng) (i + 1)).Log.sql)
-      rs.Analyzer.members;
+    List.iter
+      (fun i ->
+        Printf.printf "  Q%-5d %s\n" i (Log.entry (Engine.log eng) i).Log.sql)
+      rs.Analyzer.member_indexes;
     if explain then begin
       print_endline "provenance:";
       let _, lines = Analyzer.explain_report analyzer target in
@@ -96,7 +94,7 @@ let analyze_cmd =
     (match dot with
     | Some out_path ->
         let oc = open_out out_path in
-        output_string oc (Analyzer.to_dot analyzer ~members:rs.Analyzer.members);
+        output_string oc (Analyzer.to_dot analyzer ~members:rs.Analyzer.member_indexes);
         close_out oc;
         Printf.printf "conflict graph written to %s\n" out_path
     | None -> ());

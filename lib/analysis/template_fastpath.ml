@@ -17,9 +17,9 @@ type t = {
   set : T.set;
   matrix : M.t;
   assign : assigned option array;
-  by_tid : (int, int list) Hashtbl.t;  (* ascending entry indexes *)
+  by_tid : (int, int list) Hashtbl.t;  (* entry indexes, newest first *)
   mutable by_gval : (string, int list) Hashtbl.t;
-      (* "tid|table|canonical value" -> ascending entry indexes *)
+      (* "tid|table|canonical value" -> entry indexes, newest first *)
   unmatched : int list;  (* ascending *)
   n : int;
   mutable generation : int;
@@ -70,9 +70,6 @@ let rebuild_gvals fp anl =
             (fun (table, cv) -> push by_gval (gkey a.tid table cv) (j + 1))
             a.gvals)
     fp.assign;
-  Hashtbl.iter
-    (fun k l -> Hashtbl.replace by_gval k (List.rev l))
-    (Hashtbl.copy by_gval);
   fp.by_gval <- by_gval;
   fp.generation <- Analyzer.row_merge_generation anl
 
@@ -93,7 +90,7 @@ let prepare ?log ~set ~matrix anl =
   let assign = Array.make n None in
   let by_tid = Hashtbl.create 64 in
   let unmatched = ref [] in
-  for i = n downto 1 do
+  for i = 1 to n do
     let inf = Analyzer.info anl i in
     match
       if !has_ddl then None else T.match_entry set inf.Analyzer.stmt
@@ -114,7 +111,7 @@ let prepare ?log ~set ~matrix anl =
       assign;
       by_tid;
       by_gval = Hashtbl.create 256;
-      unmatched = !unmatched;
+      unmatched = List.rev !unmatched;
       n;
       generation = min_int;
     }
@@ -136,7 +133,7 @@ let dyn_conflict (a : Rwset.rw) (b : Rwset.rw) =
 (* The asking side of one candidate request: a matched template instance
    (seed or member), or nothing — then candidates come from a dynamic
    scan over the per-statement sets. *)
-let make_col_joins fp anl ~refined ~(seed : assigned list option) ~live =
+let make_col_joins fp anl ~refined ~(seed : assigned list option) ~tau ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
   let scan ~min_idx ~offer key fetch =
     let entries =
@@ -154,7 +151,9 @@ let make_col_joins fp anl ~refined ~(seed : assigned list option) ~live =
     in
     Hashtbl.replace cache key kept
   in
-  let bucket tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
+  let bucket tbl key =
+    Analyzer.since tau (Option.value (Hashtbl.find_opt tbl key) ~default:[])
+  in
   let first = ref true in
   fun ~min_idx (rw : Rwset.rw) (_rows : Uv_retroactive.Rowset.entry_rows) ->
     let acc = ref [] in
@@ -186,9 +185,9 @@ let make_col_joins fp anl ~refined ~(seed : assigned list option) ~live =
         (M.pairs_for fp.matrix a.tid)
     in
     let offer_dynamic () =
-      for j = 1 to fp.n do
+      for j = max tau (min_idx + 1) to fp.n do
         if
-          live j && j > min_idx
+          live j
           && dyn_conflict rw (Analyzer.info anl j).Analyzer.rw
         then offer j
       done
@@ -293,52 +292,53 @@ let exec_dependency_edges ?(refined = true) fp anl ~members =
     in
     go 0 lst
   in
-  for i = 1 to fp.n do
-    if i <= Array.length members && members.(i - 1) then begin
-      (match fp.assign.(i - 1) with
-      | Some a ->
-          List.iter
-            (fun (bid, (p : M.pair)) ->
-              if refined && p.M.prunable then
-                List.iter
-                  (fun tbl ->
-                    match List.assoc_opt tbl a.gvals with
-                    | Some cv ->
-                        scan_recent i
-                          (Option.value
-                             (Hashtbl.find_opt recent_gval (gkey bid tbl cv))
-                             ~default:[])
-                    | None ->
-                        scan_recent i
-                          (Option.value
-                             (Hashtbl.find_opt recent_tid bid)
-                             ~default:[]))
-                  p.M.guard_tables
-              else
-                scan_recent i
-                  (Option.value (Hashtbl.find_opt recent_tid bid) ~default:[]))
-            (M.pairs_for fp.matrix a.tid);
-          (* matched vs unmatched predecessors: dynamic check *)
-          let my_rw = (Analyzer.info anl i).Analyzer.rw in
-          scan_recent i
-            (List.filter
-               (fun j ->
-                 dyn_conflict my_rw (Analyzer.info anl j).Analyzer.rw)
-               !recent_unmatched);
-          List.iter
-            (fun (tbl, cv) -> push recent_gval (gkey a.tid tbl cv) i)
-            a.gvals;
-          push recent_tid a.tid i
-      | None ->
-          let my_rw = (Analyzer.info anl i).Analyzer.rw in
-          scan_recent i
-            (List.filter
-               (fun j ->
-                 dyn_conflict my_rw (Analyzer.info anl j).Analyzer.rw)
-               !recent_all);
-          recent_unmatched := i :: !recent_unmatched);
-      recent_all := i :: !recent_all
-    end
-  done;
+  List.iter
+    (fun i ->
+      if i <= fp.n then begin
+        (match fp.assign.(i - 1) with
+        | Some a ->
+            List.iter
+              (fun (bid, (p : M.pair)) ->
+                if refined && p.M.prunable then
+                  List.iter
+                    (fun tbl ->
+                      match List.assoc_opt tbl a.gvals with
+                      | Some cv ->
+                          scan_recent i
+                            (Option.value
+                               (Hashtbl.find_opt recent_gval (gkey bid tbl cv))
+                               ~default:[])
+                      | None ->
+                          scan_recent i
+                            (Option.value
+                               (Hashtbl.find_opt recent_tid bid)
+                               ~default:[]))
+                    p.M.guard_tables
+                else
+                  scan_recent i
+                    (Option.value (Hashtbl.find_opt recent_tid bid) ~default:[]))
+              (M.pairs_for fp.matrix a.tid);
+            (* matched vs unmatched predecessors: dynamic check *)
+            let my_rw = (Analyzer.info anl i).Analyzer.rw in
+            scan_recent i
+              (List.filter
+                 (fun j ->
+                   dyn_conflict my_rw (Analyzer.info anl j).Analyzer.rw)
+                 !recent_unmatched);
+            List.iter
+              (fun (tbl, cv) -> push recent_gval (gkey a.tid tbl cv) i)
+              a.gvals;
+            push recent_tid a.tid i
+        | None ->
+            let my_rw = (Analyzer.info anl i).Analyzer.rw in
+            scan_recent i
+              (List.filter
+                 (fun j ->
+                   dyn_conflict my_rw (Analyzer.info anl j).Analyzer.rw)
+                 !recent_all);
+            recent_unmatched := i :: !recent_unmatched);
+        recent_all := i :: !recent_all
+      end)
+    members;
   let ww = Analyzer.write_write_table_edges anl ~members in
   List.sort_uniq compare (List.rev_append !edges ww)

@@ -59,7 +59,7 @@ val exec_dependency_edges :
   ?refined:bool ->
   t ->
   Uv_retroactive.Analyzer.t ->
-  members:bool array ->
+  members:int list ->
   (int * int) list
 (** Matrix-backed ordering edges over 𝕀 for the replay scheduler: each
     member scans the most recent members of every conflicting template

@@ -163,7 +163,29 @@ let map f t =
 
 let nondet_count e = List.length e.nondet
 
-let truncate t n = if n < t.len then t.len <- max 0 n
+(* Drop the backing array rather than reuse it: a {!prefix} captured
+   before the truncation still shares the old array, and an append into
+   it here would overwrite an entry the prefix can still read. *)
+let truncate t n =
+  if n < t.len then begin
+    let n = max 0 n in
+    t.items <- (if n = 0 then [||] else Array.sub t.items 0 n);
+    t.len <- n
+  end
+
+(* Appends only write past [len] (or into a fresh array on growth) and
+   [truncate] replaces the array, so the first [len] slots of a captured
+   array are never written again. *)
+type prefix = { p_items : entry array; p_len : int }
+
+let prefix t = { p_items = t.items; p_len = t.len }
+
+let prefix_length p = p.p_len
+
+let prefix_entry p i =
+  if i < 1 || i > p.p_len then
+    invalid_arg "Log.prefix_entry: index out of range";
+  p.p_items.(i - 1)
 
 (* A MySQL statement-format binlog event: 19-byte common header, 13-byte
    query-event post-header, and ~40 bytes of status variables, database

@@ -107,7 +107,21 @@ val nondet_count : entry -> int
     check against each statement's syntactic draw sites. *)
 
 val truncate : t -> int -> unit
-(** [truncate log n] keeps the first [n] entries. *)
+(** [truncate log n] keeps the first [n] entries. A shrinking truncation
+    moves the log to a fresh backing array, so {!prefix}es captured
+    earlier stay intact. *)
+
+type prefix
+(** A read-only view of a log's first [length] entries at capture time. *)
+
+val prefix : t -> prefix
+(** O(1): shares the log's backing array. Later appends and truncations
+    of the log never change what the prefix reads. *)
+
+val prefix_length : prefix -> int
+
+val prefix_entry : prefix -> int -> entry
+(** 1-based, like {!entry}. *)
 
 val binlog_bytes : entry -> int
 (** Size this entry would occupy in a MySQL-style statement binlog

@@ -92,14 +92,14 @@ type t = {
   groups : (string, int list) Hashtbl.t; (* app_txn tag -> entry indexes *)
   mutable indexed_generation : int;
       (* Rowset merge generation the value buckets were keyed under *)
-  mutable joinable_cache : bool array option;
-      (* per-entry "has a column-wise write" — shared by every ungrouped
-         closure run so replay-set cost stays off the history length *)
+  mutable joinable : bool array;
+      (* per-entry "has a column-wise write", grown by [extend] so no
+         closure run pays for it *)
   mutable cell_index : cell_index option;
   mutable scratch_members : int array; (* epoch-stamped; 0 = never *)
   mutable scratch_excluded : int array;
   mutable closure_epoch : int;
-  mutable dep_edges_cache : (bool array * (int * int) list) option;
+  mutable dep_edges_cache : (int list * (int * int) list) option;
       (* last [dependency_edges] result keyed by its member set: every
          run of one what-if target asks for the same edges (replay
          scheduling, then the cost model), and repeated what-ifs over an
@@ -155,7 +155,8 @@ let tindex_for row_index table =
       ti
 
 (* Index one entry. All buckets are kept in descending index order so
-   appending a later entry is a cons; consumers reverse at fetch time.
+   appending a later entry is a cons; closures fetch the entries at or
+   after τ with [since].
    Row values are canonicalised with the merge state as of this entry;
    [rekey_row_index] folds stale keys forward when later entries merge
    two RI values. *)
@@ -261,7 +262,7 @@ let create ?(config = Rowset.default_config) ?base source =
     row_index = Hashtbl.create 64;
     groups = Hashtbl.create 256;
     indexed_generation = Rowset.merge_generation row_state;
-    joinable_cache = None;
+    joinable = [||];
     cell_index = None;
     scratch_members = [||];
     scratch_excluded = [||];
@@ -294,8 +295,13 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
             in
             batch := inf :: !batch;
             index_info t inf));
-    t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
-    t.joinable_cache <- None;
+    let fresh = Array.of_list (List.rev !batch) in
+    t.infos <- Array.append t.infos fresh;
+    t.joinable <-
+      Array.append t.joinable
+        (Array.map
+           (fun inf -> not (Rwset.Colset.is_empty inf.rw.Rwset.w))
+           fresh);
     t.dep_edges_cache <- None;
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
         let gen = Rowset.merge_generation t.row_state in
@@ -331,15 +337,12 @@ let schema_view_at t upto =
   sv
 
 let target_rw t (target : target) =
-  let sv = schema_view_at t target.tau in
-  let row_probe = Rowset.create t.config in
-  (* Use a throwaway row state seeded with the analysed alias/merge maps:
-     extraction must see aliases learned before τ. We reuse the final
-     state — a superset, which can only widen the target's sets. *)
-  ignore row_probe;
+  (* a new statement's sets are taken against the schema as of τ; the
+     row state is the analysed head's — a superset of the aliases
+     learned before τ, which can only widen the target's sets *)
   let sets_of stmt =
-    ( Rwset.of_stmt sv stmt,
-      Rowset.of_entry t.row_state sv stmt [] )
+    let sv = schema_view_at t target.tau in
+    (Rwset.of_stmt sv stmt, Rowset.of_entry t.row_state sv stmt [])
   in
   let old_sets () =
     if target.tau >= 1 && target.tau <= Array.length t.infos then
@@ -357,6 +360,7 @@ let target_rw t (target : target) =
 
 type replay_set = {
   members : bool array;
+  member_indexes : int list;
   member_count : int;
   mutated : string list;
   consulted : string list;
@@ -373,10 +377,20 @@ type replay_set = {
    member's sets, return candidate indexes past [min_idx] that may
    conflict with it. [min_idx] doubles as the member's identity — the
    seed is the single call made before the worklist drains, members call
-   with their own index. *)
+   with their own index. A generator is built per closure run from τ and
+   [live]; nothing below τ is ever live, so bucket fetches stop there. *)
 type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
 
-(* Generic worklist closure. [make_joins ~live] builds a candidate
+(* The entries [>= tau] of a newest-first bucket, oldest first, in front
+   of [onto]: what [List.rev_append] of the whole bucket would give once
+   the entries below τ are dropped, in O(entries >= tau). *)
+let rec since_onto onto tau = function
+  | i :: rest when i >= tau -> since_onto (i :: onto) tau rest
+  | _ -> onto
+
+let since tau bucket = since_onto [] tau bucket
+
+(* Generic worklist closure. [make_joins ~tau ~live] builds a candidate
    generator; candidates for which [live] is false (already joined,
    excluded, before τ, or never joinable) may be skipped and pruned from
    the generator's internal state, so buckets shrink as the closure
@@ -384,28 +398,16 @@ type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
    (read-only queries, Prop E.7) unless they belong to a transaction
    group: a grouped read is an application-level data flow into the rest
    of its transaction (Table A's BEGIN TRANSACTION union rule). *)
-let ungrouped_joinable t =
-  match t.joinable_cache with
-  | Some a when Array.length a = Array.length t.infos -> a
-  | _ ->
-      let a =
-        Array.map
-          (fun inf -> not (Rwset.Colset.is_empty inf.rw.Rwset.w))
-          t.infos
-      in
-      t.joinable_cache <- Some a;
-      a
-
 let compute_closure ?via ?(obs = Uv_obs.Trace.disabled) t ~tau ~exclude
     ~seed_rw ~seed_rows ~make_joins ~joinable ~expand =
   let n = Array.length t.infos in
   let members = Array.make n false in
   let joined = ref [] in
-  let excluded = Array.make (n + 2) false in
-  List.iter (fun i -> if i >= 1 && i <= n then excluded.(i) <- true) exclude;
+  (* [exclude] is the target's transaction group: a handful of entries *)
   let live i =
-    i >= tau && i <= n && (not excluded.(i)) && joinable.(i - 1)
-    && not members.(i - 1)
+    i >= tau && i <= n && joinable.(i - 1)
+    && (not members.(i - 1))
+    && not (List.mem i exclude)
   in
   (* provenance: [via] records, for each joined entry, which member's sets
      pulled it in (0 = the retroactive target itself) — negative when it
@@ -431,7 +433,7 @@ let compute_closure ?via ?(obs = Uv_obs.Trace.disabled) t ~tau ~exclude
         (expand i)
     end
   in
-  let joins_of = make_joins ~live in
+  let joins_of = make_joins ~tau ~live in
   (* seed from the target's sets (pseudo-member just before τ) *)
   List.iter (join 0) (joins_of ~min_idx:(tau - 1) seed_rw seed_rows);
   let iters = ref 0 in
@@ -468,7 +470,7 @@ let scan_pruned cache ~live ~min_idx ~offer key fetch =
 (* Column-wise candidates conflicting with (rw): later readers of written
    columns, later writers of read columns, later writers of written
    columns. *)
-let col_joins t ~live =
+let col_joins t ~tau ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
   fun ~min_idx (rw : Rwset.rw) (_rows : Rowset.entry_rows) ->
     let acc = ref [] in
@@ -479,7 +481,7 @@ let col_joins t ~live =
         (fun () ->
           match Hashtbl.find_opt tbl c with
           | None -> []
-          | Some b -> List.rev !b)
+          | Some b -> since tau !b)
     in
     Rwset.Colset.iter
       (fun c ->
@@ -532,6 +534,25 @@ let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
       | _ -> false)
     shared
 
+(* The row-wise pair conflict: a schema-key conflict (wildcard rows per
+   Table B), or some table whose row sets overlap multi-dimensionally. *)
+let row_conflict t (rw : Rwset.rw) rows (inf : info) =
+  let inter a b = not (Rwset.Colset.is_empty (Rwset.Colset.inter a b)) in
+  let schema_conflict =
+    let sk s = Rwset.Colset.filter is_schema_key s in
+    inter (sk rw.Rwset.w) (sk inf.rw.Rwset.r)
+    || inter (sk rw.Rwset.r) (sk inf.rw.Rwset.w)
+    || inter (sk rw.Rwset.w) (sk inf.rw.Rwset.w)
+  in
+  schema_conflict
+  || List.exists
+       (fun (table, access) ->
+         match List.assoc_opt table inf.rows with
+         | None -> false
+         | Some their ->
+             Rowset.overlaps t.row_state table access `Any_conflict their)
+       rows
+
 (* Row-wise candidates: value-indexed over each table's first dimension,
    verified with the full multi-dimensional overlap; plus schema-key
    ([_S.*]) conflicts, which are wildcard rows per Table B. With
@@ -539,7 +560,7 @@ let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
    pair conflict, whose closure is a subset of the [Cell] intersection
    and whose cost is bounded by the value buckets actually touched, not
    the history. *)
-let rowwise_joins ~require_col t ~live =
+let rowwise_joins ~require_col t ~tau ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
   fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
     let acc = ref [] in
@@ -552,7 +573,7 @@ let rowwise_joins ~require_col t ~live =
         scan (kind ^ c) (fun () ->
             match Hashtbl.find_opt tbl c with
             | None -> []
-            | Some b -> List.rev !b)
+            | Some b -> since tau !b)
     in
     Rwset.Colset.iter
       (fun c ->
@@ -567,26 +588,22 @@ let rowwise_joins ~require_col t ~live =
         | None -> ()
         | Some ti ->
             if Array.length access > 0 then begin
-              let dim0 =
-                match List.assoc_opt table t.config.Rowset.ri_columns with
-                | Some (d :: _) -> d
-                | _ -> "#0"
-              in
+              let dim0 = dim0_of t.config table in
               let candidates_of rs kind (any_bucket : int list)
                   (val_buckets : (string, int list ref) Hashtbl.t) =
                 let any_key = "A" ^ kind ^ table in
                 match rs with
                 | Rowset.Any ->
-                    scan any_key (fun () -> List.rev any_bucket);
+                    scan any_key (fun () -> since tau any_bucket);
                     (* all value buckets of this table, flattened once *)
                     scan
                       ("*" ^ kind ^ table)
                       (fun () ->
                         Hashtbl.fold
-                          (fun _ b acc -> List.rev_append !b acc)
+                          (fun _ b acc -> since_onto acc tau !b)
                           val_buckets [])
                 | Rowset.Vals s ->
-                    scan any_key (fun () -> List.rev any_bucket);
+                    scan any_key (fun () -> since tau any_bucket);
                     Rowset.Vset.iter
                       (fun v ->
                         let cv = Rowset.canonical t.row_state table dim0 v in
@@ -594,7 +611,7 @@ let rowwise_joins ~require_col t ~live =
                           ("V" ^ kind ^ table ^ "|" ^ cv)
                           (fun () ->
                             match Hashtbl.find_opt val_buckets cv with
-                            | Some b -> List.rev !b
+                            | Some b -> since tau !b
                             | None -> []))
                       s
               in
@@ -606,35 +623,14 @@ let rowwise_joins ~require_col t ~live =
             end)
       rows;
     (* verify candidates with the full multi-dimensional predicate *)
+    let verify = if require_col then cell_pair_conflict else row_conflict in
     List.filter
-      (fun i ->
-        let inf = t.infos.(i - 1) in
-        if require_col then cell_pair_conflict t rw rows inf
-        else
-          let inter a b =
-            not (Rwset.Colset.is_empty (Rwset.Colset.inter a b))
-          in
-          (* either a schema-key conflict... *)
-          let schema_conflict =
-            let sk s = Rwset.Colset.filter is_schema_key s in
-            inter (sk rw.Rwset.w) (sk inf.rw.Rwset.r)
-            || inter (sk rw.Rwset.r) (sk inf.rw.Rwset.w)
-            || inter (sk rw.Rwset.w) (sk inf.rw.Rwset.w)
-          in
-          schema_conflict
-          || List.exists
-               (fun (table, access) ->
-                 match List.assoc_opt table inf.rows with
-                 | None -> false
-                 | Some their ->
-                     Rowset.overlaps t.row_state table access `Any_conflict
-                       their)
-               rows)
+      (fun i -> verify t rw rows t.infos.(i - 1))
       (List.sort_uniq compare !acc)
 
-let row_joins t ~live = rowwise_joins ~require_col:false t ~live
+let row_joins t ~tau ~live = rowwise_joins ~require_col:false t ~tau ~live
 
-let cell_joins t ~live = rowwise_joins ~require_col:true t ~live
+let cell_joins t ~tau ~live = rowwise_joins ~require_col:true t ~tau ~live
 
 
 let group_expand t i =
@@ -642,9 +638,7 @@ let group_expand t i =
   | None -> []
   | Some tag -> Option.value (Hashtbl.find_opt t.groups tag) ~default:[]
 
-let count_members m = Array.fold_left (fun a b -> if b then a + 1 else a) 0 m
-
-let classify ?joined t ~members (target : target) seed_rw =
+let classify t ~joined seed_rw =
   let add_tables_of rwsets =
     let real_of s =
       Rwset.Colset.fold
@@ -666,10 +660,7 @@ let classify ?joined t ~members (target : target) seed_rw =
     read := add_tables_of rw.Rwset.r @ !read
   in
   take seed_rw;
-  (match joined with
-  | Some js -> List.iter (fun i -> take t.infos.(i - 1).rw) js
-  | None -> Array.iteri (fun i inf -> if members.(i) then take inf.rw) t.infos);
-  ignore target;
+  List.iter (fun i -> take t.infos.(i - 1).rw) joined;
   let mutated = List.sort_uniq compare !written in
   let consulted =
     List.filter (fun x -> not (List.mem x mutated)) (List.sort_uniq compare !read)
@@ -727,7 +718,7 @@ let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
        granularity, has a group mate. The write-only part is shared
        across closure runs; the group part stays per-run (grouped
        analysis is not on the per-question hot path). *)
-    let base = ungrouped_joinable t in
+    let base = t.joinable in
     if grouped then
       Array.init (Array.length t.infos) (fun j ->
           base.(j) || expand t (j + 1) <> [])
@@ -750,27 +741,30 @@ let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
     match mode with
     | Col_only ->
         let m, j = col_members () in
-        (m, Some j, List.length j, -1)
+        (m, j, List.length j, -1)
     | Row_only ->
         let m, j = row_members () in
-        (m, Some j, -1, List.length j)
+        (m, j, -1, List.length j)
     | Cell ->
-        let mc, _ = col_members () in
-        let mr, _ = row_members () in
-        let m = Array.map2 ( && ) mc mr in
-        (m, None, count_members mc, count_members mr)
+        (* Theorem E.20: the row closure's joins that the column closure
+           also reached; the column closure's array is narrowed in place *)
+        let mc, jc = col_members () in
+        let mr, jr = row_members () in
+        List.iter (fun i -> if not mr.(i - 1) then mc.(i - 1) <- false) jc;
+        let j = List.filter (fun i -> mc.(i - 1)) jr in
+        (mc, j, List.length jc, List.length jr)
     | Joint ->
         let m, j =
           Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.cell" (fun () ->
               run ?via:via_row (cell_joins t))
         in
-        (m, Some j, -1, -1)
+        (m, j, -1, -1)
   in
-  let mutated, consulted = classify ?joined t ~members target seed_rw in
+  let mutated, consulted = classify t ~joined seed_rw in
   {
     members;
-    member_count =
-      (match joined with Some j -> List.length j | None -> count_members members);
+    member_indexes = List.sort Int.compare joined;
+    member_count = List.length joined;
     mutated;
     consulted;
     col_only_count = col_count;
@@ -898,7 +892,7 @@ let replay_members_joint t (target : target) =
       if target.tau >= 1 && target.tau <= n then
         excluded.(target.tau - 1) <- epoch
   | Add _ -> ());
-  let joinable = ungrouped_joinable t in
+  let joinable = t.joinable in
   let tau = target.tau in
   let live i =
     i >= tau && i <= n
@@ -914,7 +908,7 @@ let replay_members_joint t (target : target) =
   let fetch tbl key () =
     match Hashtbl.find_opt tbl key with
     | None -> []
-    | Some b -> List.rev !b
+    | Some b -> since tau !b
   in
   (* candidates cell-conflicting with (rw, rows), past [min_idx] — the
      same forward-only contract as [joins_fn] *)
@@ -990,17 +984,10 @@ let replay_members_joint t (target : target) =
   done;
   List.sort compare !joined
 
-let members_list (rs : replay_set) =
-  let acc = ref [] in
-  for i = Array.length rs.members downto 1 do
-    if rs.members.(i - 1) then acc := i :: !acc
-  done;
-  !acc
-
 let replay_members ?(mode = Joint) t target =
   match mode with
   | Joint -> replay_members_joint t target
-  | m -> members_list (replay_set ~mode:m t target)
+  | m -> (replay_set ~mode:m t target).member_indexes
 
 let canonical_row_value t ~table v =
   Rowset.canonical t.row_state table (dim0_of t.config table)
@@ -1193,64 +1180,62 @@ let dependency_edges_uncached t ~members =
     | None -> c
   in
   let tokens_for inf table ~write = entry_row_tokens t inf table ~write in
-  Array.iter
-    (fun inf ->
-      if members.(inf.index - 1) then begin
-        let i = inf.index in
-        let consider key ~i_writes =
-          match Hashtbl.find_opt buckets key with
-          | None -> ()
-          | Some accs ->
-              (* a write orders after every reader back to (and including)
-                 the previous writer; a read orders after the previous
-                 writer only — intermediate readers are no conflict *)
-              let rec scan k = function
-                | [] -> ()
-                | (j, _) :: rest when j = i -> scan k rest
-                | (j, j_wrote) :: rest ->
-                    if k >= scan_limit then edges := (i, j) :: !edges
-                    else if i_writes then begin
-                      edges := (i, j) :: !edges;
-                      if not j_wrote then scan (k + 1) rest
-                    end
-                    else if j_wrote then edges := (i, j) :: !edges
-                    else scan (k + 1) rest
-              in
-              scan 0 !accs
-        in
-        let touch c ~write =
-          let table = table_of_col c in
-          let toks = tokens_for inf table ~write in
-          List.iter
-            (fun v ->
-              (* conflict with same-value and wildcard buckets; a wildcard
-                 access conflicts with every bucket of the column *)
-              (if v = "*" then
-                 match Hashtbl.find_opt tokens_of_col c with
-                 | Some all -> List.iter (fun v' -> consider (c, v') ~i_writes:write) !all
-                 | None -> ()
-               else begin
-                 consider (c, v) ~i_writes:write;
-                 consider (c, "*") ~i_writes:write
-               end);
-              let b = bucket (c, v) in
-              b := (i, write) :: (if List.length !b > 2 * scan_limit then
-                                    List.filteri (fun k _ -> k < scan_limit) !b
-                                  else !b))
-            toks
-        in
-        Rwset.Colset.iter (fun c -> touch c ~write:false) inf.rw.Rwset.r;
-        Rwset.Colset.iter (fun c -> touch c ~write:true) inf.rw.Rwset.w
-      end)
-    t.infos;
+  List.iter
+    (fun i ->
+      let inf = t.infos.(i - 1) in
+      let consider key ~i_writes =
+        match Hashtbl.find_opt buckets key with
+        | None -> ()
+        | Some accs ->
+            (* a write orders after every reader back to (and including)
+               the previous writer; a read orders after the previous
+               writer only — intermediate readers are no conflict *)
+            let rec scan k = function
+              | [] -> ()
+              | (j, _) :: rest when j = i -> scan k rest
+              | (j, j_wrote) :: rest ->
+                  if k >= scan_limit then edges := (i, j) :: !edges
+                  else if i_writes then begin
+                    edges := (i, j) :: !edges;
+                    if not j_wrote then scan (k + 1) rest
+                  end
+                  else if j_wrote then edges := (i, j) :: !edges
+                  else scan (k + 1) rest
+            in
+            scan 0 !accs
+      in
+      let touch c ~write =
+        let table = table_of_col c in
+        let toks = tokens_for inf table ~write in
+        List.iter
+          (fun v ->
+            (* conflict with same-value and wildcard buckets; a wildcard
+               access conflicts with every bucket of the column *)
+            (if v = "*" then
+               match Hashtbl.find_opt tokens_of_col c with
+               | Some all -> List.iter (fun v' -> consider (c, v') ~i_writes:write) !all
+               | None -> ()
+             else begin
+               consider (c, v) ~i_writes:write;
+               consider (c, "*") ~i_writes:write
+             end);
+            let b = bucket (c, v) in
+            b := (i, write) :: (if List.length !b > 2 * scan_limit then
+                                  List.filteri (fun k _ -> k < scan_limit) !b
+                                else !b))
+          toks
+      in
+      Rwset.Colset.iter (fun c -> touch c ~write:false) inf.rw.Rwset.r;
+      Rwset.Colset.iter (fun c -> touch c ~write:true) inf.rw.Rwset.w)
+    members;
   List.sort_uniq compare !edges
 
 let dependency_edges t ~members =
   match t.dep_edges_cache with
-  | Some (m, e) when m = members -> e
+  | Some (m, e) when List.equal Int.equal m members -> e
   | _ ->
       let e = dependency_edges_uncached t ~members in
-      t.dep_edges_cache <- Some (Array.copy members, e);
+      t.dep_edges_cache <- Some (members, e);
       e
 
 (* Write-write edges between members writing overlapping rows of one
@@ -1287,51 +1272,49 @@ let write_write_table_edges t ~members =
       rw.Rwset.w []
     |> List.sort_uniq compare
   in
-  Array.iter
-    (fun inf ->
-      if members.(inf.index - 1) then begin
-        let i = inf.index in
-        List.iter
-          (fun table ->
-            let toks = entry_row_tokens t inf table ~write:true in
-            let edge_to j = if j <> i then edges := (i, j) :: !edges in
-            List.iter
-              (fun v ->
-                if v = "*" then (
-                  match Hashtbl.find_opt toks_of_table table with
-                  | Some all ->
-                      List.iter
-                        (fun v' ->
-                          Option.iter edge_to
-                            (Hashtbl.find_opt last_writer (table, v')))
-                        !all
-                  | None -> ())
-                else begin
-                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, v));
-                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, "*"))
-                end)
-              toks;
-            List.iter
-              (fun v ->
-                if v = "*" then begin
-                  (* a wildcard write is now the last writer of every row *)
-                  (match Hashtbl.find_opt toks_of_table table with
-                  | Some all ->
-                      List.iter
-                        (fun v' -> Hashtbl.replace last_writer (table, v') i)
-                        !all
-                  | None -> ());
-                  note_tok table "*";
-                  Hashtbl.replace last_writer (table, "*") i
-                end
-                else begin
-                  note_tok table v;
-                  Hashtbl.replace last_writer (table, v) i
-                end)
-              toks)
-          (write_tables inf.rw)
-      end)
-    t.infos;
+  List.iter
+    (fun i ->
+      let inf = t.infos.(i - 1) in
+      List.iter
+        (fun table ->
+          let toks = entry_row_tokens t inf table ~write:true in
+          let edge_to j = if j <> i then edges := (i, j) :: !edges in
+          List.iter
+            (fun v ->
+              if v = "*" then (
+                match Hashtbl.find_opt toks_of_table table with
+                | Some all ->
+                    List.iter
+                      (fun v' ->
+                        Option.iter edge_to
+                          (Hashtbl.find_opt last_writer (table, v')))
+                      !all
+                | None -> ())
+              else begin
+                Option.iter edge_to (Hashtbl.find_opt last_writer (table, v));
+                Option.iter edge_to (Hashtbl.find_opt last_writer (table, "*"))
+              end)
+            toks;
+          List.iter
+            (fun v ->
+              if v = "*" then begin
+                (* a wildcard write is now the last writer of every row *)
+                (match Hashtbl.find_opt toks_of_table table with
+                | Some all ->
+                    List.iter
+                      (fun v' -> Hashtbl.replace last_writer (table, v') i)
+                      !all
+                | None -> ());
+                note_tok table "*";
+                Hashtbl.replace last_writer (table, "*") i
+              end
+              else begin
+                note_tok table v;
+                Hashtbl.replace last_writer (table, v) i
+              end)
+            toks)
+        (write_tables inf.rw))
+    members;
   List.sort_uniq compare !edges
 
 let exec_dependency_edges t ~members =
@@ -1341,20 +1324,18 @@ let exec_dependency_edges t ~members =
 let to_dot t ~members =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph replay {\n  rankdir=BT;\n  node [shape=box, fontsize=10];\n";
-  Array.iteri
-    (fun i inf ->
-      if members.(i) then begin
-        let label =
-          let sql = Uv_sql.Printer.stmt_compact inf.stmt in
-          let sql =
-            if String.length sql > 48 then String.sub sql 0 45 ^ "..." else sql
-          in
-          String.concat "\\\"" (String.split_on_char '"' sql)
+  List.iter
+    (fun i ->
+      let label =
+        let sql = Uv_sql.Printer.stmt_compact t.infos.(i - 1).stmt in
+        let sql =
+          if String.length sql > 48 then String.sub sql 0 45 ^ "..." else sql
         in
-        Buffer.add_string buf
-          (Printf.sprintf "  q%d [label=\"Q%d: %s\"];\n" (i + 1) (i + 1) label)
-      end)
-    t.infos;
+        String.concat "\\\"" (String.split_on_char '"' sql)
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "  q%d [label=\"Q%d: %s\"];\n" i i label))
+    members;
   List.iter
     (fun (later, earlier) ->
       Buffer.add_string buf (Printf.sprintf "  q%d -> q%d;\n" later earlier))

@@ -124,6 +124,7 @@ val target_rw : t -> target -> Rwset.rw * Rowset.entry_rows
 
 type replay_set = {
   members : bool array;  (** [members.(i-1)] — is entry [i] in 𝕀 *)
+  member_indexes : int list;  (** the members' commit indexes, ascending *)
   member_count : int;
   mutated : string list;  (** tables written by 𝕀 ∪ {target} *)
   consulted : string list;  (** tables read but not written *)
@@ -134,7 +135,9 @@ type replay_set = {
 val replay_set : ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
 (** Compute 𝕀 for a target. [obs] records one [closure.col]/[closure.row]
     span per closure run and counts worklist pops in
-    [analyze.closure_iters]. *)
+    [analyze.closure_iters]. Apart from one [length t]-long membership
+    array per closure, the cost follows the replay set and the index
+    buckets' entries at or after τ, not the history length. *)
 
 val replay_set_grouped :
   ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
@@ -161,19 +164,31 @@ type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
     is safe (candidates are re-filtered for liveness and joinability);
     omission is not. *)
 
+val since : int -> int list -> int list
+(** [since tau bucket]: the indexes [>= tau] of a newest-first index
+    bucket, oldest first, in O(indexes >= tau) — how a {!joins_fn} fetches
+    a bucket without touching the history before τ. *)
+
 val replay_set_via :
   ?obs:Uv_obs.Trace.t ->
   ?mode:mode ->
   t ->
-  col_joins:(live:(int -> bool) -> joins_fn) ->
+  col_joins:(tau:int -> live:(int -> bool) -> joins_fn) ->
   target ->
   replay_set
 (** [replay_set] with the column-wise candidate generator replaced by an
-    external one — the template-matrix fast-path. [col_joins ~live] is
-    invoked once per column-closure run; candidates for which [live] is
-    false may be skipped. The row-wise closure stays on the built-in
-    per-statement path, so [`Cell] intersects the caller's column closure
-    with the oracle row closure. *)
+    external one — the template-matrix fast-path. [col_joins ~tau ~live]
+    is invoked once per column-closure run; candidates for which [live]
+    is false may be skipped, and no entry below [tau] is ever live, so a
+    generator need not look at them. The row-wise closure stays on the
+    built-in per-statement path, so [`Cell] intersects the caller's
+    column closure with the oracle row closure. *)
+
+val row_conflict : t -> Rwset.rw -> Rowset.entry_rows -> info -> bool
+(** The row-wise closure's pair predicate: does an entry with these sets
+    conflict row-wise with [info] (a shared schema key, or overlapping
+    rows of some table under the current RI merge state)? The closure
+    applies it to the candidates its value buckets offer. *)
 
 val canonical_row_value : t -> table:string -> Value.t -> string
 (** Canonical first-dimension RI token for a value of [table] under the
@@ -184,7 +199,7 @@ val row_merge_generation : t -> int
 (** Generation counter of the RI alias/merge state; external value-keyed
     caches must be rebuilt when it changes. *)
 
-val write_write_table_edges : t -> members:bool array -> (int * int) list
+val write_write_table_edges : t -> members:int list -> (int * int) list
 (** The row-level write-write ordering edges that [exec_dependency_edges]
     adds on top of [dependency_edges]: any two members writing
     overlapping rows of one table, even through disjoint columns. *)
@@ -220,11 +235,12 @@ val explain_report :
 (** Human-readable provenance, one line per member:
     ["#12 UPDATE <- columns {stock.qty} with #7; rows {stock=42} with #7"]. *)
 
-val dependency_edges : t -> members:bool array -> (int * int) list
-(** Conflict edges (n, m) with m < n among 𝕀 members, for the replay
+val dependency_edges : t -> members:int list -> (int * int) list
+(** Conflict edges (n, m) with m < n among 𝕀 members (ascending commit
+    indexes, as in {!replay_set.member_indexes}), for the replay
     scheduler: n must run after m. *)
 
-val exec_dependency_edges : t -> members:bool array -> (int * int) list
+val exec_dependency_edges : t -> members:int list -> (int * int) list
 (** [dependency_edges] strengthened for *real* parallel execution:
     additionally orders any two members that write overlapping rows of
     one table, even through disjoint columns — whole-row storage updates
@@ -234,7 +250,7 @@ val exec_dependency_edges : t -> members:bool array -> (int * int) list
 val tables_of_rw : Rwset.rw -> string list
 (** Real tables (not [_S] objects) appearing in a column set. *)
 
-val to_dot : t -> members:bool array -> string
+val to_dot : t -> members:int list -> string
 (** Graphviz rendering of the replay conflict graph over 𝕀 (Figure 6
     style): nodes are member statements, edges point from each statement
     to the earlier ones it must replay after. *)

@@ -36,7 +36,7 @@ let branch ?name ?config t (target : Analyzer.target) =
   Uv_db.Catalog.copy_tables_into out.Whatif.temp_catalog ~into:child_cat
     out.Whatif.replay.Analyzer.mutated;
   let child_eng =
-    Uv_db.Engine.of_catalog ~log:(Uv_db.Log.copy out.Whatif.new_log) child_cat
+    Uv_db.Engine.of_catalog ~log:(Whatif.new_log out) child_cat
   in
   let child_name =
     match name with

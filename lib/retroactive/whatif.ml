@@ -64,6 +64,21 @@ type config = Config.t
 
 let default_config = Config.default
 
+(* What the merged history is built from, captured at question time in
+   O(replay set). The history prefix shares the log's backing array and
+   the rest is immutable, so an outcome stays safe to read from any
+   domain. *)
+type merge = {
+  history : Uv_db.Log.prefix;
+  tau : int;
+  op : Analyzer.op;
+  op_entry : Uv_db.Log.entry option;  (* the retroactive op's own entry *)
+  members : (int * Uv_db.Log.entry option) list;
+      (* ascending, each with its re-executed entry; [None] when the
+         replay produced none *)
+  hash_jumped : bool;
+}
+
 type outcome = {
   replay : Analyzer.replay_set;
   replayed : int;
@@ -83,7 +98,7 @@ type outcome = {
   degraded : bool;
   retries : int;
   temp_catalog : Uv_db.Catalog.t;
-  new_log : Uv_db.Log.t;
+  merge : merge;
   rollback_strategy : string;
   plans_used : int;
 }
@@ -92,11 +107,6 @@ let fault_message (inj : Uv_fault.Fault.injection) =
   Printf.sprintf "injected %s at %s (key %d, hit %d)"
     (Uv_fault.Fault.kind_name inj.Uv_fault.Fault.kind)
     inj.Uv_fault.Fault.site inj.Uv_fault.Fault.key inj.Uv_fault.Fault.hit
-
-let member_indexes (rs : Analyzer.replay_set) =
-  let out = ref [] in
-  Array.iteri (fun i b -> if b then out := (i + 1) :: !out) rs.Analyzer.members;
-  List.rev !out
 
 let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
 
@@ -287,7 +297,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         else Analyzer.replay_set ~obs ~mode:config.Config.mode analyzer target)
   in
   let analysis_ms = List.assoc "analyze" !phases in
-  let members = member_indexes rs in
+  let members = rs.Analyzer.member_indexes in
   (* 2. temporary database: mutated + consulted tables *)
   let affected = List.sort_uniq compare (rs.Analyzer.mutated @ rs.Analyzer.consulted) in
   let temp_cat =
@@ -429,7 +439,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
             }
       | Analyzer.Remove -> None
     in
-    let exec_edges = Analyzer.exec_dependency_edges analyzer ~members:rs.Analyzer.members in
+    let exec_edges = Analyzer.exec_dependency_edges analyzer ~members in
     let res =
       Wave_exec.execute ~obs ~fault ~should_abort:deadline_hit
         ~workers:config.Config.workers ~rtt_ms:rtt ~catalog:temp_cat ~head
@@ -536,9 +546,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
           op_weight
           +. List.fold_left (fun acc i -> acc +. weight i) 0.0 replayed_members
         in
-        let edges =
-          Analyzer.dependency_edges analyzer ~members:rs.Analyzer.members
-        in
+        let edges = Analyzer.dependency_edges analyzer ~members in
         let simulated_parallel_ms =
           op_weight
           +. Scheduler.makespan ~entries:replayed_members ~edges ~weight
@@ -563,41 +571,18 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         (serial_cost_ms, simulated_parallel_ms, changed))
   in
   let real_ms = Uv_util.Clock.now_ms () -. t0 in
-  (* merged new-universe log: original entries for non-members, replayed
-     entries for members, the retroactive operation at tau; reindexed *)
-  let new_log =
+  (* the merged history is built on demand ([new_log]); here only what it
+     is built from is captured *)
+  let merge =
     phase "merge-log" @@ fun () ->
-    let merged = Uv_db.Log.create () in
-    let push e =
-      Uv_db.Log.append merged
-        { e with Uv_db.Log.index = Uv_db.Log.length merged + 1 }
-    in
-    let op_entry = Hashtbl.find_opt entry_of 0 in
-    for i = 1 to Uv_db.Log.length log do
-      if i = target.Analyzer.tau then begin
-        (match (target.Analyzer.op, op_entry) with
-        | (Analyzer.Add _ | Analyzer.Change _), Some e -> push e
-        | _ -> ());
-        match target.Analyzer.op with
-        | Analyzer.Add _ -> push (Uv_db.Log.entry log i)
-        | Analyzer.Remove | Analyzer.Change _ -> ()
-      end
-      else if rs.Analyzer.members.(i - 1) then begin
-        (* only successful replays produced an entry; an aborted
-           transaction is correctly absent from the new history, and past
-           a hash-hit the original entry re-derives itself *)
-        match Hashtbl.find_opt entry_of i with
-        | Some e -> push e
-        | None -> if !hash_jump_at <> None then push (Uv_db.Log.entry log i)
-      end
-      else push (Uv_db.Log.entry log i)
-    done;
-    (* an addition past the end of the history *)
-    if target.Analyzer.tau > Uv_db.Log.length log then (
-      match (target.Analyzer.op, op_entry) with
-      | Analyzer.Add _, Some e -> push e
-      | _ -> ());
-    merged
+    {
+      history = Uv_db.Log.prefix log;
+      tau = target.Analyzer.tau;
+      op = target.Analyzer.op;
+      op_entry = Hashtbl.find_opt entry_of 0;
+      members = List.map (fun i -> (i, Hashtbl.find_opt entry_of i)) members;
+      hash_jumped = !hash_jump_at <> None;
+    }
   in
   {
     replay = rs;
@@ -618,10 +603,54 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     degraded = !degraded;
     retries = !retries;
     temp_catalog = temp_cat;
-    new_log;
+    merge;
     rollback_strategy;
     plans_used;
   }
+
+(* The new universe's history: original entries for non-members, replayed
+   entries for members, the retroactive operation at τ; reindexed. *)
+let new_log outcome =
+  let m = outcome.merge in
+  let history_len = Uv_db.Log.prefix_length m.history in
+  let original i = Uv_db.Log.prefix_entry m.history i in
+  let merged = Uv_db.Log.create () in
+  let push e =
+    Uv_db.Log.append merged
+      { e with Uv_db.Log.index = Uv_db.Log.length merged + 1 }
+  in
+  let members = ref m.members in
+  for i = 1 to history_len do
+    let replayed =
+      match !members with
+      | (j, e) :: rest when j = i ->
+          members := rest;
+          Some e
+      | _ -> None
+    in
+    if i = m.tau then begin
+      (match (m.op, m.op_entry) with
+      | (Analyzer.Add _ | Analyzer.Change _), Some e -> push e
+      | _ -> ());
+      match m.op with
+      | Analyzer.Add _ -> push (original i)
+      | Analyzer.Remove | Analyzer.Change _ -> ()
+    end
+    else
+      match replayed with
+      | None -> push (original i)
+      | Some (Some e) -> push e
+      (* only successful replays produced an entry; an aborted
+         transaction is correctly absent from the new history, and past
+         a hash-hit the original entry re-derives itself *)
+      | Some None -> if m.hash_jumped then push (original i)
+  done;
+  (* an addition past the end of the history *)
+  if m.tau > history_len then (
+    match (m.op, m.op_entry) with
+    | Analyzer.Add _, Some e -> push e
+    | _ -> ());
+  merged
 
 let guarded cur_phase f =
   try Ok (f ()) with

@@ -113,6 +113,12 @@ type config = Config.t
 val default_config : config
 (** [Config.default]. *)
 
+type merge
+(** What {!new_log} builds the new universe's history from, captured by
+    the run's [merge-log] phase in O(replay set): the original history as
+    of the question (an O(1) {!Uv_db.Log.prefix}), τ, the operation, and
+    the replayed members' re-executed entries. Immutable. *)
+
 type outcome = {
   replay : Analyzer.replay_set;
   replayed : int;  (** entries actually re-executed *)
@@ -139,7 +145,9 @@ type outcome = {
       (** wall-time breakdown of the run in execution order —
           [analyze], [snapshot], [hash-jump], [rollback], [replay],
           [cost-model], [merge-log] — populated even with observability
-          disabled (a handful of clock reads per run) *)
+          disabled (a handful of clock reads per run). [merge-log] times
+          only the capture of {!merge}; the merged history itself is
+          built by {!new_log}, outside the run. *)
   final_db_hash : int64;  (** hash of the temporary universe *)
   changed : bool;  (** false when the Hash-jumper proved no effect *)
   degraded : bool;
@@ -149,15 +157,7 @@ type outcome = {
       (** transient faults absorbed without affecting the outcome:
           statement re-executions and wave redispatches *)
   temp_catalog : Uv_db.Catalog.t;  (** the new universe *)
-  new_log : Uv_db.Log.t;
-      (** the new universe's committed history: non-members keep their
-          original entries, replayed members contribute their re-executed
-          entries, and the retroactive operation sits at τ. This is what
-          makes scenarios branchable (§6 "Managing Many what-if
-          Scenarios"): a further what-if can analyse this log. The
-          parallel executor restamps member [written_hashes] in commit
-          order, so the log is bit-identical at every worker count —
-          and identical to what serial replay produces. *)
+  merge : merge;  (** what {!new_log} is built from *)
   rollback_strategy : string;
       (** how the rollback phase reached the pre-τ state: ["undo"] —
           selective inverse operations newest-first; ["checkpoint"] —
@@ -178,7 +178,7 @@ val run :
 (** The analyzer must have been built over the engine's current log
     (Ultraverse derives R/W sets asynchronously during regular service;
     analysis construction is therefore not part of what-if latency).
-    [final_db_hash] and [new_log] are invariant under [workers].
+    [final_db_hash] and {!new_log} are invariant under [workers].
 
     Returns [Error] instead of raising when the run aborts: the deadline
     expired, an injected fault persisted after retry and degradation, or
@@ -197,6 +197,21 @@ val run_exn :
 (** Exception-style variant of {!run} for callers that configure neither
     deadlines nor fault injection: exceptions propagate raw (an abort
     surfaces as {!Abort}). *)
+
+val new_log : outcome -> Uv_db.Log.t
+(** The new universe's committed history: non-members keep their
+    original entries, replayed members contribute their re-executed
+    entries, and the retroactive operation sits at τ. This is what makes
+    scenarios branchable (§6 "Managing Many what-if Scenarios"): a
+    further what-if can analyse this log. The parallel executor restamps
+    member [written_hashes] in commit order, so the log is bit-identical
+    at every worker count — and identical to what serial replay
+    produces.
+
+    Built on demand in O(history) from the outcome's {!merge}; each call
+    returns a fresh log the caller owns. The result is the same whenever
+    it is called: the engine's log may have grown, been truncated and
+    grown again since the run. Callable from any domain. *)
 
 val commit : Uv_db.Engine.t -> outcome -> unit
 (** Database-update phase: copy the outcome's mutated tables into the

@@ -34,14 +34,11 @@ let run ?(workers = 8) ?(rtt_ms = 1.0) ~analyzer ~runtime eng ~target_tag =
   (* the target's own entries must be rolled back and NOT replayed *)
   let target_set = Hashtbl.create 16 in
   List.iter (fun i -> Hashtbl.replace target_set i ()) target_entries;
-  let members =
-    Array.mapi
-      (fun i m -> m && not (Hashtbl.mem target_set (i + 1)))
-      rs.Analyzer.members
+  let member_entries =
+    List.filter
+      (fun i -> not (Hashtbl.mem target_set i))
+      rs.Analyzer.member_indexes
   in
-  let member_list = ref [] in
-  Array.iteri (fun i m -> if m then member_list := (i + 1) :: !member_list) members;
-  let member_entries = List.rev !member_list in
   (* member transactions, by tag, in first-entry order *)
   let tag_set = Hashtbl.create 1024 in
   let member_tags = ref [] in
@@ -107,7 +104,7 @@ let run ?(workers = 8) ?(rtt_ms = 1.0) ~analyzer ~runtime eng ~target_tag =
   let per_stmt =
     (real_ms -. analysis_ms) /. float_of_int (max 1 replayed_entries)
   in
-  let edges = Analyzer.dependency_edges analyzer ~members in
+  let edges = Analyzer.dependency_edges analyzer ~members:member_entries in
   let parallel_cost_ms =
     analysis_ms
     +. Scheduler.makespan ~entries:member_entries ~edges

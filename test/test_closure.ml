@@ -1,0 +1,422 @@
+(* Replay-set closure against a pairwise reference, and the cost of a warm
+   what-if against the history length.
+
+   The reference closure below shares nothing with the analyzer's bucket
+   indexes: every later live entry is offered as a candidate and kept
+   when the pair-conflict predicate holds. The analyzer must agree with
+   it on members, counts and touched tables in every mode, at τ spread
+   over the whole history, for removals, additions and changes. *)
+
+open Uv_db
+open Uv_retroactive
+module W = Uv_workloads.Workload
+module R = Uv_transpiler.Runtime
+module Colset = Rwset.Colset
+
+let check = Alcotest.check
+
+let build (w : W.t) ~mode ~n =
+  let eng, rt = W.setup ~mode w in
+  let base = Engine.snapshot eng in
+  let prng = Uv_util.Prng.create 4242 in
+  let calls = w.W.target_call :: w.W.generate prng ~scale:1 ~n ~dep_rate:0.3 in
+  ignore (W.run_history rt ~mode calls);
+  (eng, base)
+
+let writes (inf : Analyzer.info) = not (Colset.is_empty inf.Analyzer.rw.Rwset.w)
+
+(* τ at every k-th writer, the first and the last included; each τ is
+   asked as a removal, as an addition of another writer's statement and
+   as a change to that statement *)
+let targets anl =
+  let writers =
+    List.filter
+      (fun i -> writes (Analyzer.info anl i))
+      (List.init (Analyzer.length anl) (fun i -> i + 1))
+    |> Array.of_list
+  in
+  let m = Array.length writers in
+  let k = max 1 (m / 8) in
+  let picks =
+    List.sort_uniq compare
+      ((m - 1) :: List.filter (fun p -> p mod k = 0) (List.init m Fun.id))
+  in
+  List.concat_map
+    (fun p ->
+      let tau = writers.(p) in
+      let other =
+        (Analyzer.info anl writers.((p + (m / 2) + 1) mod m)).Analyzer.stmt
+      in
+      [
+        { Analyzer.tau; op = Analyzer.Remove };
+        { Analyzer.tau; op = Analyzer.Add other };
+        { Analyzer.tau; op = Analyzer.Change other };
+      ])
+    picks
+
+let target_name (t : Analyzer.target) =
+  Printf.sprintf "%s@%d"
+    (match t.Analyzer.op with
+    | Analyzer.Remove -> "remove"
+    | Analyzer.Add _ -> "add"
+    | Analyzer.Change _ -> "change")
+    t.Analyzer.tau
+
+(* ------------------------------------------------------------------ *)
+(* The pairwise reference                                               *)
+(* ------------------------------------------------------------------ *)
+
+let meets a b = not (Colset.is_empty (Colset.inter a b))
+
+let col_conflict (a : Rwset.rw) (b : Rwset.rw) =
+  meets a.Rwset.w b.Rwset.r || meets a.Rwset.w b.Rwset.w
+  || meets a.Rwset.r b.Rwset.w
+
+type kind = Col | Row
+
+let conflict anl kind ((rw : Rwset.rw), rows) j =
+  let inf = Analyzer.info anl j in
+  match kind with
+  | Col -> col_conflict rw inf.Analyzer.rw
+  | Row -> Analyzer.row_conflict anl rw rows inf
+
+(* entries sharing each application transaction tag, ascending *)
+let groups anl =
+  let g = Hashtbl.create 64 in
+  for i = Analyzer.length anl downto 1 do
+    match (Analyzer.info anl i).Analyzer.app_txn with
+    | Some tag ->
+        Hashtbl.replace g tag
+          (i :: Option.value (Hashtbl.find_opt g tag) ~default:[])
+    | None -> ()
+  done;
+  fun i ->
+    match (Analyzer.info anl i).Analyzer.app_txn with
+    | Some tag -> Hashtbl.find g tag
+    | None -> []
+
+(* The closure's inputs: the target's sets (unioned over its transaction
+   at group granularity, a removed statement's reads dropped) and the
+   entries kept out of the replay set. *)
+let seed_of anl ~grouped ~group_of (target : Analyzer.target) =
+  let n = Analyzer.length anl in
+  let tau = target.Analyzer.tau in
+  let group =
+    if grouped && tau >= 1 && tau <= n && group_of tau <> [] then group_of tau
+    else [ tau ]
+  in
+  let rw, rows = Analyzer.target_rw anl target in
+  let rw, rows =
+    if not grouped then (rw, rows)
+    else
+      List.fold_left
+        (fun (rw, rows) i ->
+          let inf = Analyzer.info anl i in
+          ( Rwset.union rw inf.Analyzer.rw,
+            Rowset.merge_rows rows inf.Analyzer.rows ))
+        (rw, rows) group
+  in
+  match target.Analyzer.op with
+  | Analyzer.Remove ->
+      let rows =
+        List.map
+          (fun (table, access) ->
+            ( table,
+              Array.map
+                (fun (d : Rowset.dim_access) ->
+                  { d with Rowset.dr = Rowset.Vals Rowset.Vset.empty })
+                access ))
+          rows
+      in
+      (({ rw with Rwset.r = Colset.empty }, rows), group)
+  | Analyzer.Change _ -> ((rw, rows), group)
+  | Analyzer.Add _ -> ((rw, rows), [])
+
+(* Every live entry after the asking one is a candidate; the pair
+   predicate decides. Returns the members, ascending. *)
+let reference_closure anl ~kind ~grouped ~group_of (target : Analyzer.target)
+    =
+  let n = Analyzer.length anl in
+  let seed, exclude = seed_of anl ~grouped ~group_of target in
+  let mem = Array.make (n + 1) false in
+  let live j =
+    j >= target.Analyzer.tau && j <= n
+    && (writes (Analyzer.info anl j) || (grouped && group_of j <> []))
+    && (not mem.(j))
+    && not (List.mem j exclude)
+  in
+  let queue = Queue.create () in
+  let add j =
+    if live j then begin
+      mem.(j) <- true;
+      Queue.push j queue
+    end
+  in
+  let join j =
+    if live j then begin
+      add j;
+      if grouped then List.iter add (group_of j)
+    end
+  in
+  let offer_after min_idx sets =
+    for j = min_idx + 1 to n do
+      if live j && conflict anl kind sets j then join j
+    done
+  in
+  offer_after (target.Analyzer.tau - 1) seed;
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    let inf = Analyzer.info anl i in
+    offer_after i (inf.Analyzer.rw, inf.Analyzer.rows)
+  done;
+  List.filter (fun i -> mem.(i)) (List.init n (fun i -> i + 1))
+
+let tables_of s =
+  Colset.fold
+    (fun key acc ->
+      if String.length key > 3 && String.sub key 0 3 = "_S." then
+        String.sub key 3 (String.length key - 3) :: acc
+      else
+        match String.index_opt key '.' with
+        | Some i -> String.sub key 0 i :: acc
+        | None -> acc)
+    s []
+
+let reference anl ~mode ~grouped ~group_of target =
+  let closure kind = reference_closure anl ~kind ~grouped ~group_of target in
+  let members, col_count, row_count =
+    match mode with
+    | Analyzer.Col_only ->
+        let c = closure Col in
+        (c, List.length c, -1)
+    | Analyzer.Row_only ->
+        let r = closure Row in
+        (r, -1, List.length r)
+    | Analyzer.Cell | Analyzer.Joint ->
+        let c = closure Col and r = closure Row in
+        (List.filter (fun i -> List.mem i c) r, List.length c, List.length r)
+  in
+  let (seed_rw : Rwset.rw), _ = fst (seed_of anl ~grouped ~group_of target) in
+  let rws =
+    seed_rw :: List.map (fun i -> (Analyzer.info anl i).Analyzer.rw) members
+  in
+  let mutated =
+    List.sort_uniq compare (List.concat_map (fun rw -> tables_of rw.Rwset.w) rws)
+  in
+  let consulted =
+    List.sort_uniq compare (List.concat_map (fun rw -> tables_of rw.Rwset.r) rws)
+    |> List.filter (fun t -> not (List.mem t mutated))
+  in
+  (members, col_count, row_count, mutated, consulted)
+
+let check_against_reference ~label anl ~mode ~grouped ~group_of target
+    (rs : Analyzer.replay_set) =
+  let members, col_count, row_count, mutated, consulted =
+    reference anl ~mode ~grouped ~group_of target
+  in
+  let ints = Alcotest.(list int) and strs = Alcotest.(list string) in
+  check ints (label ^ " members") members rs.Analyzer.member_indexes;
+  check ints (label ^ " member array")
+    members
+    (List.filter
+       (fun i -> rs.Analyzer.members.(i - 1))
+       (List.init (Array.length rs.Analyzer.members) (fun i -> i + 1)));
+  check Alcotest.int (label ^ " member_count") (List.length members)
+    rs.Analyzer.member_count;
+  check Alcotest.int (label ^ " col_only_count") col_count
+    rs.Analyzer.col_only_count;
+  check Alcotest.int (label ^ " row_only_count") row_count
+    rs.Analyzer.row_only_count;
+  check strs (label ^ " mutated") mutated rs.Analyzer.mutated;
+  check strs (label ^ " consulted") consulted rs.Analyzer.consulted
+
+(* Each provenance parent must be the target or an earlier member of the
+   same closure that conflicts with the member (or, at group
+   granularity, a group mate). *)
+let check_provenance ~label anl ~grouped ~group_of target prov =
+  let valid kind closure i = function
+    | None -> false
+    | Some 0 ->
+        conflict anl kind (fst (seed_of anl ~grouped ~group_of target)) i
+    | Some v when v < 0 ->
+        grouped && List.mem (-v) closure && List.mem i (group_of (-v))
+    | Some v ->
+        v < i && List.mem v closure
+        && conflict anl kind
+             (let inf = Analyzer.info anl v in
+              (inf.Analyzer.rw, inf.Analyzer.rows))
+             i
+  in
+  let col = reference_closure anl ~kind:Col ~grouped ~group_of target in
+  let row = reference_closure anl ~kind:Row ~grouped ~group_of target in
+  Array.iteri
+    (fun j p ->
+      match p with
+      | None -> ()
+      | Some (p : Analyzer.provenance) ->
+          let i = j + 1 in
+          if not (valid Col col i p.Analyzer.p_col_via) then
+            Alcotest.failf "%s: #%d has no column-wise parent" label i;
+          if not (valid Row row i p.Analyzer.p_row_via) then
+            Alcotest.failf "%s: #%d has no row-wise parent" label i)
+    prov
+
+(* Two analysed histories per workload, shared by the tests below: raw
+   statements (several entries per application transaction, so grouping
+   matters) and transpiled calls (one entry each, larger replay sets). *)
+let fixtures =
+  lazy
+    (List.concat_map
+       (fun (w : W.t) ->
+         List.map
+           (fun (mode, mode_name) ->
+             let eng, base = build w ~mode ~n:60 in
+             ( w.W.name ^ " " ^ mode_name,
+               Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng) ))
+           [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
+       (W.all ()))
+
+let test_reference name () =
+  let anl = List.assoc name (Lazy.force fixtures) in
+  let group_of = groups anl in
+  List.iter
+    (fun target ->
+      let label = Printf.sprintf "%s %s" name (target_name target) in
+      List.iter
+        (fun (mode, mode_name) ->
+          check_against_reference
+            ~label:(label ^ " " ^ mode_name)
+            anl ~mode ~grouped:false ~group_of target
+            (Analyzer.replay_set ~mode anl target))
+        [
+          (Analyzer.Col_only, "col-only");
+          (Analyzer.Row_only, "row-only");
+          (Analyzer.Cell, "cell");
+        ];
+      check_against_reference ~label:(label ^ " grouped") anl
+        ~mode:Analyzer.Cell ~grouped:true ~group_of target
+        (Analyzer.replay_set_grouped anl target);
+      List.iter
+        (fun grouped ->
+          let rs, prov = Analyzer.replay_set_explained ~grouped anl target in
+          let label = label ^ if grouped then " grouped" else "" in
+          check Alcotest.int (label ^ " explained == replay set")
+            rs.Analyzer.member_count
+            (Array.fold_left (fun a p -> if p = None then a else a + 1) 0 prov);
+          check_provenance ~label anl ~grouped ~group_of target prov)
+        [ false; true ])
+    (targets anl)
+
+(* Digest of every parent [replay_set_explained] records on the fixtures,
+   taken before the closure started its bucket scans at τ: the parents
+   follow candidate order, which must not have moved. *)
+let expected_provenance_digest = "302c8348db59be9fb03fdab6f7ee320f"
+
+let provenance_digest () =
+  let buf = Buffer.create 65536 in
+  let via = function None -> "-" | Some v -> string_of_int v in
+  List.iter
+    (fun (name, anl) ->
+      List.iter
+        (fun target ->
+          List.iter
+            (fun grouped ->
+              let _, prov = Analyzer.replay_set_explained ~grouped anl target in
+              Buffer.add_string buf
+                (Printf.sprintf "%s %s %b:" name (target_name target) grouped);
+              Array.iteri
+                (fun j p ->
+                  match p with
+                  | None -> ()
+                  | Some (p : Analyzer.provenance) ->
+                      Buffer.add_string buf
+                        (Printf.sprintf " %d<%s,%s" (j + 1)
+                           (via p.Analyzer.p_col_via)
+                           (via p.Analyzer.p_row_via)))
+                prov;
+              Buffer.add_char buf '\n')
+            [ false; true ])
+        (targets anl))
+    (Lazy.force fixtures);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_provenance_digest () =
+  check Alcotest.string "provenance unchanged" expected_provenance_digest
+    (provenance_digest ())
+
+(* ------------------------------------------------------------------ *)
+(* A warm question's cost does not follow the history length            *)
+(* ------------------------------------------------------------------ *)
+
+let run e sql = ignore (Engine.exec_sql e sql)
+
+(* τ and its dependents write table [a]; the padding writes only [b], so
+   both histories have the same replay set *)
+let padded_history ~pad =
+  let e = Engine.create () in
+  run e "CREATE TABLE a (id INT PRIMARY KEY, v INT)";
+  run e "CREATE TABLE b (id INT PRIMARY KEY, v INT)";
+  for i = 1 to 4 do
+    run e (Printf.sprintf "INSERT INTO a VALUES (%d, 0)" i)
+  done;
+  run e "INSERT INTO b VALUES (1, 0)";
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  for i = 1 to 8 do
+    run e
+      (Printf.sprintf "UPDATE a SET v = v + %d WHERE id = %d" i (1 + (i mod 2)))
+  done;
+  for i = 1 to pad do
+    run e (Printf.sprintf "UPDATE b SET v = %d WHERE id = 1" i)
+  done;
+  (e, base)
+
+let minor_words_of_question ~pad =
+  let e, base = padded_history ~pad in
+  let svc =
+    Whatif.Service.create ~config:(Whatif.Config.make ~workers:1 ()) ~base e
+  in
+  let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
+  let ask () =
+    match Whatif.Service.run svc target with
+    | Ok r -> r.Whatif.Service.outcome
+    | Error err -> Alcotest.fail (Whatif.Error.to_string err)
+  in
+  let warm = ask () in
+  let before = Gc.minor_words () in
+  let out = ask () in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(list int) "same replay set as the warm-up"
+    warm.Whatif.replay.Analyzer.member_indexes
+    out.Whatif.replay.Analyzer.member_indexes;
+  (out.Whatif.replay.Analyzer.member_indexes, words)
+
+let test_cost_flat_in_history () =
+  let n = 1000 in
+  let small_members, small = minor_words_of_question ~pad:n in
+  let large_members, large = minor_words_of_question ~pad:(4 * n) in
+  check Alcotest.(list int) "padding leaves the replay set alone" small_members
+    large_members;
+  if large > 1.25 *. small then
+    Alcotest.failf
+      "a warm question allocated %.0f minor words over a %d-entry history \
+       but %.0f over a %d-entry one"
+      small (n + 8) large ((4 * n) + 8)
+
+let () =
+  Alcotest.run "closure"
+    [
+      ( "reference",
+        List.map
+          (fun (name, _) -> Alcotest.test_case name `Quick (test_reference name))
+          (Lazy.force fixtures)
+        @ [
+            Alcotest.test_case "provenance digest" `Quick
+              test_provenance_digest;
+          ] );
+      ( "question cost",
+        [
+          Alcotest.test_case "flat in history length" `Quick
+            test_cost_flat_in_history;
+        ] );
+    ]

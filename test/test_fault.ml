@@ -505,7 +505,7 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
   let pristine_log = log_digest (Engine.log eng) in
   let baseline = Whatif.run_exn ~analyzer eng target in
   let want_hash = baseline.Whatif.final_db_hash in
-  let want_log = log_digest baseline.Whatif.new_log in
+  let want_log = log_digest (Whatif.new_log baseline) in
   let oks = ref 0 and aborts = ref 0 in
   for seed = 1 to seeds do
     let fault =
@@ -526,7 +526,7 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
         check Alcotest.string
           (Printf.sprintf "%s seed %d: log == fault-free run" w.W.name seed)
           want_log
-          (log_digest out.Whatif.new_log)
+          (log_digest (Whatif.new_log out))
     | Error err ->
         incr aborts;
         check Alcotest.bool

@@ -53,7 +53,7 @@ let test_workers_invariant (w : W.t) () =
     true
     (serial.Whatif.measured_parallel_ms = None);
   let want_hash = serial.Whatif.final_db_hash in
-  let want_log = log_digest serial.Whatif.new_log in
+  let want_log = log_digest (Whatif.new_log serial) in
   List.iter
     (fun workers ->
       let out = run_with (Whatif.Config.make ~workers ()) in
@@ -67,8 +67,50 @@ let test_workers_invariant (w : W.t) () =
       check Alcotest.string
         (Printf.sprintf "%s: workers=%d new log == serial" w.W.name workers)
         want_log
-        (log_digest out.Whatif.new_log))
+        (log_digest (Whatif.new_log out)))
     [ 1; 2; 4; 8 ]
+
+(* ------------------------------------------------------------------ *)
+(* The merged history outlives later changes to the engine's log        *)
+(* ------------------------------------------------------------------ *)
+
+(* An outcome captures the history by sharing the log's backing array;
+   neither appends nor a truncation followed by fresh appends may change
+   the merged history it builds later. *)
+let test_merged_log_after_truncation () =
+  let e = Engine.create () in
+  run e "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)";
+  for i = 1 to 4 do
+    run e (Printf.sprintf "INSERT INTO acct VALUES (%d, 100)" i)
+  done;
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  for i = 1 to 6 do
+    run e
+      (Printf.sprintf "UPDATE acct SET bal = bal + %d WHERE id = %d" i
+         (1 + (i mod 2)))
+  done;
+  let svc = Whatif.Service.create ~base e in
+  let out =
+    match Whatif.Service.run svc { Analyzer.tau = 1; op = Analyzer.Remove } with
+    | Ok r -> r.Whatif.Service.outcome
+    | Error err -> Alcotest.fail (Whatif.Error.to_string err)
+  in
+  let want = log_digest (Whatif.new_log out) in
+  check Alcotest.bool "the question replayed something" true
+    (out.Whatif.replay.Analyzer.member_count > 0);
+  ignore
+    (Whatif.Service.ingest_sql svc
+       "UPDATE acct SET bal = bal - 1 WHERE id = 3; UPDATE acct SET bal = \
+        bal - 2 WHERE id = 4;");
+  Engine.reset_log e;
+  for i = 1 to 6 do
+    run e
+      (Printf.sprintf "UPDATE acct SET bal = bal * 2 WHERE id = %d"
+         (1 + (i mod 4)))
+  done;
+  check Alcotest.string "merged history as of the question" want
+    (log_digest (Whatif.new_log out))
 
 (* ------------------------------------------------------------------ *)
 (* Structural (trigger-firing) statements serialize inside their wave   *)
@@ -107,8 +149,8 @@ let test_trigger_wave_serializes () =
   check Alcotest.int64 "trigger cascades produce the serial state"
     serial.Whatif.final_db_hash par.Whatif.final_db_hash;
   check Alcotest.string "trigger cascades produce the serial log"
-    (log_digest serial.Whatif.new_log)
-    (log_digest par.Whatif.new_log);
+    (log_digest (Whatif.new_log serial))
+    (log_digest (Whatif.new_log par));
   (* the oracle value: removing UPDATE #1 leaves 7 trigger firings *)
   let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog e)) in
   Whatif.commit merged par;
@@ -216,6 +258,11 @@ let () =
   Alcotest.run "uv_parallel"
     (List.map workload_cases (W.all ())
     @ [
+        ( "merged history",
+          [
+            Alcotest.test_case "survives append and truncation" `Quick
+              test_merged_log_after_truncation;
+          ] );
         ( "structural",
           [
             Alcotest.test_case "trigger wave serializes" `Quick

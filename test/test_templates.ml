@@ -156,7 +156,7 @@ let test_fast_edges_sound (w : W.t) () =
   for _ = 1 to 3 do
     let target = random_target prng log in
     let rs = Analyzer.replay_set anl target in
-    let members = rs.Analyzer.members in
+    let members = rs.Analyzer.member_indexes in
     let oracle_edges = Analyzer.exec_dependency_edges anl ~members in
     let fast_edges = F.exec_dependency_edges fast anl ~members in
     List.iter
