@@ -16,6 +16,11 @@ let keywords =
   [ "function"; "var"; "let"; "const"; "if"; "else"; "while"; "for"; "return";
     "break"; "continue"; "true"; "false"; "null"; "undefined"; "typeof"; "new" ]
 
+let is_keyword =
+  let tbl = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace tbl k ()) keywords;
+  Hashtbl.mem tbl
+
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
 
@@ -142,7 +147,7 @@ let rec tokenize_from src pos stop_at_brace =
             let start = !pos in
             while !pos < n && is_ident_char src.[!pos] do incr pos done;
             let s = String.sub src start (!pos - start) in
-            if List.mem s keywords then emit (Tkw s) else emit (Tident s)
+            if is_keyword s then emit (Tkw s) else emit (Tident s)
         | '{' ->
             incr depth;
             emit (Tpunct "{");
@@ -164,7 +169,10 @@ let rec tokenize_from src pos stop_at_brace =
               emit (Top three);
               pos := !pos + 3
             end
-            else if List.mem two [ "=="; "!="; "<="; ">="; "&&"; "||"; "+="; "-=" ]
+            else if
+              match two with
+              | "==" | "!=" | "<=" | ">=" | "&&" | "||" | "+=" | "-=" -> true
+              | _ -> false
             then begin
               emit (Top two);
               pos := !pos + 2

@@ -27,24 +27,32 @@ let escape s =
     s;
   Buffer.contents buf
 
-let unescape s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '\\' ->
-        if !i + 1 >= n then corrupt "dangling escape";
-        (match s.[!i + 1] with
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | c -> corrupt "unknown escape \\%c" c);
-        incr i
-    | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  Buffer.contents buf
+(* Unescape the [len] bytes of [s] at [off]; an escape-free range is one
+   substring. *)
+let unescape_sub s off len =
+  let stop = off + len in
+  let rec plain i = i >= stop || (s.[i] <> '\\' && plain (i + 1)) in
+  if plain off then String.sub s off len
+  else begin
+    let buf = Buffer.create len in
+    let i = ref off in
+    while !i < stop do
+      (match s.[!i] with
+      | '\\' ->
+          if !i + 1 >= stop then corrupt "dangling escape";
+          (match s.[!i + 1] with
+          | '\\' -> Buffer.add_char buf '\\'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | c -> corrupt "unknown escape \\%c" c);
+          incr i
+      | c -> Buffer.add_char buf c);
+      incr i
+    done;
+    Buffer.contents buf
+  end
+
+let unescape s = unescape_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                             *)
@@ -99,11 +107,13 @@ type diagnosis = {
 (* Single forward pass with byte offsets. A record counts only once its
    whole block — Q line through E, checksum verified on v2 — parses; the
    scan stops at the first damaged record, keeping the valid prefix
-   (replaying past a damaged record would silently reorder history). *)
+   (replaying past a damaged record would silently reorder history).
+   Lines are worked on in place: a payload is copied once, as the value
+   it decodes to, and the body checksum runs over the text itself. *)
 let salvage text =
   let n = String.length text in
   let pos = ref 0 in
-  (* next non-empty line and the offset it starts at; skips blank lines *)
+  (* next non-empty line as (offset, length); skips blank lines *)
   let rec next_line () =
     if !pos >= n then None
     else begin
@@ -114,8 +124,7 @@ let salvage text =
         | None -> n
       in
       pos := (if nl < n then nl + 1 else n);
-      if nl = start then next_line ()
-      else Some (String.sub text start (nl - start), start)
+      if nl = start then next_line () else Some (start, nl - start)
     end
   in
   let fail_at off reason version records =
@@ -128,7 +137,8 @@ let salvage text =
         reason = Some reason;
       } )
   in
-  match next_line () with
+  let header = Option.map (fun (off, len) -> (String.sub text off len, off)) in
+  match header (next_line ()) with
   | None -> fail_at 0 "empty file" 0 []
   | Some (h, off) when h <> header_v1 && h <> header_v2 ->
       fail_at off
@@ -139,60 +149,59 @@ let salvage text =
       let records = ref [] in
       let outcome = ref None in
       (* parse one record starting at the current position; returns
-         [Ok ()] appending to [records], or [Error reason]. *)
+         [()] appending to [records], or raises [Corrupt reason]. *)
+      let line off len = String.sub text off len in
+      let payload off len =
+        if len < 2 then corrupt "short line %S" (line off len)
+        else unescape_sub text (off + 2) (len - 2)
+      in
+      (* parse one record starting at the current position; returns
+         [()] appending to [records], or raises [Corrupt reason]. *)
       let parse_record first_line =
-        let body = Buffer.create 128 in
+        (* CRC-32 of the body: each Q/N/A line with its newline *)
+        let body_crc = ref 0 in
+        let add_to_body off len =
+          body_crc :=
+            Uv_util.Crc32.update (Uv_util.Crc32.update_sub !body_crc text off len) "\n"
+        in
         let sql = ref None and nondet = ref [] and tag = ref None in
         let crc_ok = ref (version = 1) in
-        let rec step (line, _off) =
-          let payload () =
-            if String.length line < 2 then corrupt "short line %S" line
-            else unescape (String.sub line 2 (String.length line - 2))
-          in
-          let raw_payload () =
-            if String.length line < 2 then corrupt "short line %S" line
-            else String.sub line 2 (String.length line - 2)
-          in
-          let continue_ () =
-            match next_line () with
-            | None -> corrupt "truncated final record"
-            | Some l -> step l
-          in
-          match line.[0] with
+        let rec step (off, len) =
+          match text.[off] with
           | 'Q' ->
-              if !sql <> None then corrupt "Q line inside an open record";
-              sql := Some (payload ());
-              Buffer.add_string body (line ^ "\n");
+              if Option.is_some !sql then corrupt "Q line inside an open record";
+              sql := Some (payload off len);
+              add_to_body off len;
               continue_ ()
           | 'N' ->
-              if !sql = None then corrupt "N line outside a record";
+              if Option.is_none !sql then corrupt "N line outside a record";
               let v =
-                try Uv_sql.Value.deserialize (payload ())
+                try Uv_sql.Value.deserialize (payload off len)
                 with Failure m -> corrupt "bad value: %s" m
               in
               nondet := v :: !nondet;
-              Buffer.add_string body (line ^ "\n");
+              add_to_body off len;
               continue_ ()
           | 'A' ->
-              if !sql = None then corrupt "A line outside a record";
-              tag := Some (payload ());
-              Buffer.add_string body (line ^ "\n");
+              if Option.is_none !sql then corrupt "A line outside a record";
+              tag := Some (payload off len);
+              add_to_body off len;
               continue_ ()
           | 'C' ->
-              if !sql = None then corrupt "C line outside a record";
+              if Option.is_none !sql then corrupt "C line outside a record";
               if version = 1 then corrupt "checksum line in a v1 log";
-              (match Uv_util.Crc32.of_hex (raw_payload ()) with
-              | None -> corrupt "malformed checksum %S" line
+              if len < 2 then corrupt "short line %S" (line off len);
+              (match Uv_util.Crc32.of_hex (line (off + 2) (len - 2)) with
+              | None -> corrupt "malformed checksum %S" (line off len)
               | Some c ->
-                  let actual = Uv_util.Crc32.digest (Buffer.contents body) in
-                  if c <> actual then
+                  if c <> !body_crc then
                     corrupt "checksum mismatch (stored %s, computed %s)"
                       (Uv_util.Crc32.to_hex c)
-                      (Uv_util.Crc32.to_hex actual);
+                      (Uv_util.Crc32.to_hex !body_crc);
                   crc_ok := true);
               continue_ ()
           | 'E' ->
-              if !sql = None then corrupt "record end without a Q line";
+              if Option.is_none !sql then corrupt "record end without a Q line";
               if not !crc_ok then corrupt "record without a checksum";
               records :=
                 {
@@ -202,6 +211,10 @@ let salvage text =
                 }
                 :: !records
           | c -> corrupt "unknown line tag %C" c
+        and continue_ () =
+          match next_line () with
+          | None -> corrupt "truncated final record"
+          | Some l -> step l
         in
         step first_line
       in

@@ -221,7 +221,7 @@ let parse_manifest path text =
             | None -> fail off (Printf.sprintf "malformed trailer %S" l)
             | Some c ->
                 let actual =
-                  Uv_util.Crc32.digest (String.sub text 0 line_start)
+                  Uv_util.Crc32.update_sub 0 text 0 line_start
                 in
                 if c <> actual then
                   fail off

@@ -19,9 +19,11 @@ exception Lex_error of string * int
 (** Message and byte position. *)
 
 val keywords : string list
-(** The reserved-word list. *)
+(** The reserved-word list, sorted and duplicate-free. Classifying a
+    word against it is one hashed lookup of the word's uppercased
+    spelling. *)
 
-val tokenize : string -> token list
+val tokenize : string -> token array
 (** Whole-input tokenization, ending with [Eof]. *)
 
 val show_token : token -> string

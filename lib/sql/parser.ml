@@ -15,9 +15,17 @@ let fail st msg =
   in
   raise (Parse_error (Printf.sprintf "%s (at %s)" msg tok))
 
-let peek st = st.toks.(min st.pos (Array.length st.toks - 1))
-let peek2 st = st.toks.(min (st.pos + 1) (Array.length st.toks - 1))
+(* the token at [st.pos + k], or the final [Eof] past the end *)
+let peek_at st k =
+  let i = st.pos + k and last = Array.length st.toks - 1 in
+  st.toks.(if i < last then i else last)
+
+let peek st = peek_at st 0
+let peek2 st = peek_at st 1
 let advance st = st.pos <- st.pos + 1
+let at_eof st = match peek st with Lexer.Eof -> true | _ -> false
+let is_kw kw = function Lexer.Keyword k -> String.equal k kw | _ -> false
+let is_punct p = function Lexer.Punct q -> String.equal p q | _ -> false
 
 let next st =
   let t = peek st in
@@ -143,7 +151,7 @@ and parse_cmp st =
       expect_kw st "AND";
       let hi = parse_additive st in
       Between (lhs, lo, hi)
-  | Lexer.Keyword "NOT" when peek2 st = Lexer.Keyword "IN" ->
+  | Lexer.Keyword "NOT" when is_kw "IN" (peek2 st) ->
       advance st;
       advance st;
       expect_punct st "(";
@@ -204,13 +212,13 @@ and parse_primary st =
   | Lexer.Keyword "SELECT" ->
       st.pos <- st.pos - 1;
       Subselect (parse_select st)
-  | Lexer.Keyword "IF" when peek st = Lexer.Punct "(" ->
+  | Lexer.Keyword "IF" when is_punct "(" (peek st) ->
       (* IF(cond, a, b) function form *)
       advance st;
       let args = parse_expr_list st in
       expect_punct st ")";
       Fun_call ("IF", args)
-  | Lexer.Keyword "REPLACE" when peek st = Lexer.Punct "(" ->
+  | Lexer.Keyword "REPLACE" when is_punct "(" (peek st) ->
       advance st;
       let args = parse_expr_list st in
       expect_punct st ")";
@@ -240,7 +248,7 @@ and parse_name st name =
         | _ -> false)
         && accept_kw st "DISTINCT"
       in
-      let args = if peek st = Lexer.Punct ")" then [] else parse_expr_list st in
+      let args = if is_punct ")" (peek st) then [] else parse_expr_list st in
       expect_punct st ")";
       Fun_call ((if distinct then uname ^ ".D" else uname), args)
   | Lexer.Punct "." ->
@@ -299,7 +307,11 @@ and parse_select_item st =
         (* bare alias: SELECT a b FROM ... — not supported; keep simple *)
         Item (e, None)
 
-and parse_select st =
+and parse_select st = fst (parse_select_into st ~into:false)
+
+(* SELECT [DISTINCT] items [INTO vars] clauses...; the INTO list is only
+   recognised inside procedure bodies ([~into:true]). *)
+and parse_select_into st ~into =
   expect_kw st "SELECT";
   let distinct = accept_kw st "DISTINCT" in
   let items = ref [ parse_select_item st ] in
@@ -307,7 +319,16 @@ and parse_select st =
     items := parse_select_item st :: !items
   done;
   let items = List.rev !items in
-  (* INTO handled by the caller (procedure bodies) via [parse_into_opt]. *)
+  let vars =
+    if into && accept_kw st "INTO" then begin
+      let vars = ref [ ident st ] in
+      while accept_punct st "," do
+        vars := ident st :: !vars
+      done;
+      Some (List.rev !vars)
+    end
+    else None
+  in
   let from =
     if accept_kw st "FROM" then begin
       let t = ident st in
@@ -331,7 +352,8 @@ and parse_select st =
       if accept_kw st "AS" then Some (ident st)
       else
         match peek st with
-        | Lexer.Ident a when a <> "" && peek2 st = Lexer.Keyword "ON" ->
+        (* the procedure-body form also takes an empty `` name *)
+        | Lexer.Ident a when (into || a <> "") && is_kw "ON" (peek2 st) ->
             advance st;
             Some a
         | _ -> None
@@ -388,18 +410,19 @@ and parse_select st =
       else (Some first, None)
     else (None, None)
   in
-  {
-    sel_distinct = distinct;
-    sel_items = items;
-    sel_from = from;
-    sel_joins = List.rev !joins;
-    sel_where = where;
-    sel_group_by = group_by;
-    sel_having = having;
-    sel_order_by = order_by;
-    sel_limit = limit;
-    sel_offset = offset;
-  }
+  ( {
+      sel_distinct = distinct;
+      sel_items = items;
+      sel_from = from;
+      sel_joins = List.rev !joins;
+      sel_where = where;
+      sel_group_by = group_by;
+      sel_having = having;
+      sel_order_by = order_by;
+      sel_limit = limit;
+      sel_offset = offset;
+    },
+    vars )
 
 and is_clause_start st =
   match peek st with
@@ -496,7 +519,7 @@ let rec parse_pstmts st ~until =
   let body = ref [] in
   let stop () =
     match peek st with
-    | Lexer.Keyword k -> List.mem k until
+    | Lexer.Keyword k -> List.exists (String.equal k) until
     | Lexer.Eof -> true
     | _ -> false
   in
@@ -529,8 +552,7 @@ and parse_pstmt st =
       expect_op st "=";
       P_set (v, parse_or st)
   | Lexer.Keyword "SELECT" ->
-      let s = parse_select_with_into st in
-      (match s with
+      (match parse_select_into st ~into:true with
       | sel, Some vars -> P_select_into (sel, vars)
       | sel, None -> P_stmt (Select sel))
   | Lexer.Keyword "IF" ->
@@ -577,124 +599,6 @@ and parse_pstmt st =
           fail st "expected SQLSTATE string")
   | _ -> P_stmt (parse_stmt_inner st)
 
-and parse_select_with_into st =
-  (* SELECT items [INTO vars] rest... — we parse items manually to catch
-     INTO, then delegate to parse_select for the tail by re-entering it. *)
-  expect_kw st "SELECT";
-  let distinct = accept_kw st "DISTINCT" in
-  let items = ref [ parse_select_item st ] in
-  while accept_punct st "," do
-    items := parse_select_item st :: !items
-  done;
-  let items = List.rev !items in
-  let into =
-    if accept_kw st "INTO" then begin
-      let vars = ref [ ident st ] in
-      while accept_punct st "," do
-        vars := ident st :: !vars
-      done;
-      Some (List.rev !vars)
-    end
-    else None
-  in
-  (* Reparse the remaining clauses by faking a SELECT head. *)
-  let tail = parse_select_tail st items in
-  ({ tail with sel_distinct = distinct }, into)
-
-and parse_select_tail st items =
-  let from =
-    if accept_kw st "FROM" then begin
-      let t = ident st in
-      let alias =
-        if accept_kw st "AS" then Some (ident st)
-        else
-          match peek st with
-          | Lexer.Ident a when not (is_clause_start st) ->
-              advance st;
-              Some a
-          | _ -> None
-      in
-      Some (t, alias)
-    end
-    else None
-  in
-  let joins = ref [] in
-  while accept_kw st "JOIN" do
-    let t = ident st in
-    let alias =
-      if accept_kw st "AS" then Some (ident st)
-      else
-        match peek st with
-        | Lexer.Ident a when peek2 st = Lexer.Keyword "ON" ->
-            advance st;
-            Some a
-        | _ -> None
-    in
-    expect_kw st "ON";
-    let on = parse_or st in
-    joins := { join_table = t; join_alias = alias; join_on = on } :: !joins
-  done;
-  let where = if accept_kw st "WHERE" then Some (parse_or st) else None in
-  let group_by =
-    if accept_kw st "GROUP" then begin
-      expect_kw st "BY";
-      parse_expr_list st
-    end
-    else []
-  in
-  let having = if accept_kw st "HAVING" then Some (parse_or st) else None in
-  let order_by =
-    if accept_kw st "ORDER" then begin
-      expect_kw st "BY";
-      let one () =
-        let e = parse_or st in
-        let dir =
-          if accept_kw st "DESC" then Desc
-          else begin
-            ignore (accept_kw st "ASC");
-            Asc
-          end
-        in
-        (e, dir)
-      in
-      let acc = ref [ one () ] in
-      while accept_punct st "," do
-        acc := one () :: !acc
-      done;
-      List.rev !acc
-    end
-    else []
-  in
-  let limit, offset =
-    if accept_kw st "LIMIT" then
-      let int_lit what =
-        match next st with
-        | Lexer.Int_lit i -> i
-        | _ ->
-            st.pos <- st.pos - 1;
-            fail st ("expected integer after " ^ what)
-      in
-      let first = int_lit "LIMIT" in
-      if accept_kw st "OFFSET" then (Some first, Some (int_lit "OFFSET"))
-      else if accept_punct st "," then
-        (* MySQL LIMIT offset, count *)
-        (Some (int_lit "LIMIT"), Some first)
-      else (Some first, None)
-    else (None, None)
-  in
-  {
-    sel_distinct = false;
-    sel_items = items;
-    sel_from = from;
-    sel_joins = List.rev !joins;
-    sel_where = where;
-    sel_group_by = group_by;
-    sel_having = having;
-    sel_order_by = order_by;
-    sel_limit = limit;
-    sel_offset = offset;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Statements                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -707,7 +611,7 @@ and parse_stmt_inner st =
       expect_kw st "INTO";
       let table = ident st in
       let columns =
-        if peek st = Lexer.Punct "(" then begin
+        if is_punct "(" (peek st) then begin
           advance st;
           let cols = ref [ ident st ] in
           while accept_punct st "," do
@@ -718,7 +622,7 @@ and parse_stmt_inner st =
         end
         else None
       in
-      if peek st = Lexer.Keyword "SELECT" then
+      if is_kw "SELECT" (peek st) then
         Insert_select { table; columns; query = parse_select st }
       else begin
         expect_kw st "VALUES";
@@ -763,7 +667,7 @@ and parse_stmt_inner st =
       let name = ident st in
       let args =
         if accept_punct st "(" then begin
-          let a = if peek st = Lexer.Punct ")" then [] else parse_expr_list st in
+          let a = if is_punct ")" (peek st) then [] else parse_expr_list st in
           expect_punct st ")";
           a
         end
@@ -809,7 +713,7 @@ and parse_stmt_inner st =
       ignore (accept_punct st ";");
       let stmts = ref [] in
       while not (accept_kw st "COMMIT") do
-        if peek st = Lexer.Eof then fail st "unterminated transaction";
+        if at_eof st then fail st "unterminated transaction";
         stmts := parse_stmt_inner st :: !stmts;
         ignore (accept_punct st ";")
       done;
@@ -845,7 +749,7 @@ and parse_create st =
           | Tc_primary pk ->
               List.map
                 (fun (col : Schema.column) ->
-                  if List.mem col.Schema.col_name pk then
+                  if List.exists (String.equal col.Schema.col_name) pk then
                     { col with Schema.primary_key = true }
                   else col)
                 cols
@@ -888,7 +792,7 @@ and parse_create st =
     let name = ident st in
     expect_punct st "(";
     let params = ref [] in
-    if peek st <> Lexer.Punct ")" then begin
+    if not (is_punct ")" (peek st)) then begin
       let one () =
         ignore (accept_kw st "IN" || accept_kw st "OUT" || accept_kw st "INOUT");
         let p = strict_ident st in
@@ -978,19 +882,19 @@ let make_state src =
     with Lexer.Lex_error (msg, pos) ->
       raise (Parse_error (Printf.sprintf "lex error at %d: %s" pos msg))
   in
-  { toks = Array.of_list toks; pos = 0; scope = [] }
+  { toks; pos = 0; scope = [] }
 
 let parse_stmt src =
   let st = make_state src in
   let s = parse_stmt_inner st in
   ignore (accept_punct st ";");
-  if peek st <> Lexer.Eof then fail st "trailing tokens after statement";
+  if not (at_eof st) then fail st "trailing tokens after statement";
   s
 
 let parse_script src =
   let st = make_state src in
   let stmts = ref [] in
-  while peek st <> Lexer.Eof do
+  while not (at_eof st) do
     stmts := parse_stmt_inner st :: !stmts;
     ignore (accept_punct st ";")
   done;
@@ -999,5 +903,5 @@ let parse_script src =
 let parse_expr src =
   let st = make_state src in
   let e = parse_or st in
-  if peek st <> Lexer.Eof then fail st "trailing tokens after expression";
+  if not (at_eof st) then fail st "trailing tokens after expression";
   e

@@ -12,6 +12,11 @@ val update : int -> string -> int
 (** [update crc s] extends a running digest: [digest (a ^ b)] equals
     [update (digest a) b]. *)
 
+val update_sub : int -> string -> int -> int -> int
+(** [update_sub crc s off len] is [update crc (String.sub s off len)]
+    without the copy.
+    @raise Invalid_argument if [off, len] is not a range of [s]. *)
+
 val to_hex : int -> string
 (** 8 lowercase hex digits, zero-padded. *)
 

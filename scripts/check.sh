@@ -60,6 +60,16 @@ columnar_smoke() {
 }
 step "columnar smoke: typed columns == boxed model" columnar_smoke
 
+# the SQL front end against its references: token streams equal to a
+# linear-scan keyword classifier's on every workload statement and on
+# single-byte mutations, the print/parse fixpoint, and parse outcomes
+# (ASTs and Parse_error messages) equal to the recorded ones
+sql_front_end_smoke() {
+  dune exec test/test_sql.exe -- test lexer &&
+    dune exec test/test_sql.exe -- test parser
+}
+step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
+
 step "bench smoke: parallel replay determinism" \
   dune exec bench/main.exe -- --smoke
 

@@ -552,6 +552,112 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
     (!oks > !aborts)
 
 (* ------------------------------------------------------------------ *)
+(* Decode verdicts: CRC-32 and salvage on damaged records               *)
+(* ------------------------------------------------------------------ *)
+
+let test_crc32_known_answers () =
+  let hex s = Uv_util.Crc32.(to_hex (digest s)) in
+  check Alcotest.string "check value" "cbf43926" (hex "123456789");
+  check Alcotest.string "empty string" "00000000" (hex "");
+  check Alcotest.string "update continues a digest" "cbf43926"
+    Uv_util.Crc32.(to_hex (update (digest "1234") "56789"));
+  check Alcotest.string "range of a longer string" "cbf43926"
+    Uv_util.Crc32.(to_hex (update_sub 0 "xx123456789yy" 2 9));
+  List.iter
+    (fun (off, len) ->
+      match Uv_util.Crc32.update_sub 0 "abc" off len with
+      | _ -> Alcotest.failf "range (%d, %d) of a 3-byte string accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, 4); (3, 1); (2, -1) ]
+
+let prop_crc32_range =
+  QCheck.Test.make ~count:500 ~name:"range CRC == digest of the substring"
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      let crc0 = Uv_util.Crc32.digest "seed" in
+      Uv_util.Crc32.update_sub 0 s off len
+      = Uv_util.Crc32.digest (String.sub s off len)
+      && Uv_util.Crc32.update_sub crc0 s off len
+         = Uv_util.Crc32.update crc0 (String.sub s off len))
+
+(* Damaged variants of the nasty history's ULOGv2 text, each with the
+   salvage verdict (records kept, cut offset, reason) that the
+   line-copying decoder gave. The in-place decoder must give the same:
+   blank lines are skipped (so one inside a record leaves its checksum
+   intact), and a damaged line costs its whole record. *)
+let decode_cases text =
+  let n = String.length text in
+  let starts tag =
+    (* offsets of the lines that start with [tag], in order *)
+    let rec go off acc =
+      if off >= n then List.rev acc
+      else
+        let nl = Option.value (String.index_from_opt text off '\n') ~default:n in
+        go (nl + 1) (if nl > off && text.[off] = tag then off :: acc else acc)
+    in
+    go 0 []
+  in
+  let line_end off = String.index_from text off '\n' in
+  let insert off s = String.sub text 0 off ^ s ^ String.sub text off (n - off) in
+  let q2 = List.nth (starts 'Q') 1 in
+  let n1 = List.hd (starts 'N') in
+  let c1 = List.hd (starts 'C') in
+  let c_last = List.hd (List.rev (starts 'C')) in
+  let flip off =
+    let b = Bytes.of_string text in
+    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 1));
+    Bytes.to_string b
+  in
+  [
+    ("blank line after a Q line", insert (line_end q2 + 1) "\n");
+    ("blank lines before a C line", insert c1 "\n\n");
+    ("blank line between records", insert q2 "\n");
+    ("flipped byte in an N line", flip (n1 + 3));
+    ("flipped tag of an N line", flip n1);
+    ("C line missing two hex digits",
+     String.sub text 0 (line_end c1 - 2) ^ String.sub text (line_end c1) (n - line_end c1));
+    ("file cut inside the last C line", String.sub text 0 (c_last + 5));
+    ("file cut after the last C line", String.sub text 0 (line_end c_last + 1));
+  ]
+
+let expected_decode_verdicts =
+  [
+    ("blank line after a Q line", 5, None, None);
+    ("blank lines before a C line", 5, None, None);
+    ("blank line between records", 5, None, None);
+    ( "flipped byte in an N line", 1, Some 88,
+      Some "checksum mismatch (stored fec23ad6, computed e7d90b97)" );
+    ("flipped tag of an N line", 1, Some 88, Some "unknown line tag 'O'");
+    ( "C line missing two hex digits", 0, Some 7,
+      Some "malformed checksum \"C 9fa856\"" );
+    ( "file cut inside the last C line", 4, Some 317,
+      Some "malformed checksum \"C 30f\"" );
+    ("file cut after the last C line", 4, Some 317, Some "truncated final record");
+  ]
+
+let test_decode_verdicts () =
+  let e = Engine.create () in
+  nasty_history e;
+  let text = Log_io.print (Log_io.records_of_log (Engine.log e)) in
+  let got =
+    List.map
+      (fun (name, damaged) ->
+        let records, d = Log_io.salvage damaged in
+        check Alcotest.int (name ^ ": diagnosis counts the records")
+          (List.length records) d.Log_io.valid_records;
+        (name, d.Log_io.valid_records, d.Log_io.cut_at, d.Log_io.reason))
+      (decode_cases text)
+  in
+  check
+    Alcotest.(list (pair string (triple int (option int) (option string))))
+    "salvage verdicts"
+    (List.map (fun (n, k, c, r) -> (n, (k, c, r))) expected_decode_verdicts)
+    (List.map (fun (n, k, c, r) -> (n, (k, c, r))) got)
+
+(* ------------------------------------------------------------------ *)
 (* Escape/unescape properties                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -603,6 +709,10 @@ let () =
            Alcotest.test_case "truncate at every byte" `Slow
              test_truncate_every_byte;
            Alcotest.test_case "bit flip detected" `Quick test_bitflip_detected;
+           Alcotest.test_case "crc32 known answers" `Quick
+             test_crc32_known_answers;
+           Alcotest.test_case "decode verdicts == recorded" `Quick
+             test_decode_verdicts;
            Alcotest.test_case "v1 still parses" `Quick test_v1_still_parses;
            Alcotest.test_case "torn save keeps old file" `Quick
              test_torn_save_keeps_old_file;
@@ -630,6 +740,7 @@ let () =
              prop_escape_roundtrip;
              prop_escape_single_line;
              prop_salvage_never_raises;
+             prop_crc32_range;
            ] );
      ]
     @ List.map

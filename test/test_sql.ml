@@ -108,33 +108,33 @@ let test_ty_of_name () =
 
 let test_lexer_basics () =
   let toks = Lexer.tokenize "SELECT a, 'x''y' FROM t1 WHERE n >= 2.5 -- c" in
-  check Alcotest.int "token count" 11 (List.length toks)
+  check Alcotest.int "token count" 11 (Array.length toks)
 
 let test_lexer_string_escape () =
   match Lexer.tokenize "'it''s'" with
-  | [ Lexer.Str_lit s; Lexer.Eof ] -> check Alcotest.string "unescaped" "it's" s
+  | [| Lexer.Str_lit s; Lexer.Eof |] -> check Alcotest.string "unescaped" "it's" s
   | _ -> Alcotest.fail "expected one string literal"
 
 let test_lexer_comments () =
   match Lexer.tokenize "/* block */ SELECT -- line\n 1" with
-  | [ Lexer.Keyword "SELECT"; Lexer.Int_lit 1; Lexer.Eof ] -> ()
+  | [| Lexer.Keyword "SELECT"; Lexer.Int_lit 1; Lexer.Eof |] -> ()
   | _ -> Alcotest.fail "comments should be skipped"
 
 let test_lexer_operators () =
   match Lexer.tokenize "a != b <> c <= d" with
-  | [ Lexer.Ident "a"; Lexer.Op "<>"; Lexer.Ident "b"; Lexer.Op "<>";
-      Lexer.Ident "c"; Lexer.Op "<="; Lexer.Ident "d"; Lexer.Eof ] ->
+  | [| Lexer.Ident "a"; Lexer.Op "<>"; Lexer.Ident "b"; Lexer.Op "<>";
+       Lexer.Ident "c"; Lexer.Op "<="; Lexer.Ident "d"; Lexer.Eof |] ->
       ()
   | _ -> Alcotest.fail "operator normalisation"
 
 let test_lexer_at_var () =
   match Lexer.tokenize "@foo" with
-  | [ Lexer.At_var "foo"; Lexer.Eof ] -> ()
+  | [| Lexer.At_var "foo"; Lexer.Eof |] -> ()
   | _ -> Alcotest.fail "@var"
 
 let test_lexer_backquote () =
   match Lexer.tokenize "`select`" with
-  | [ Lexer.Ident "select"; Lexer.Eof ] -> ()
+  | [| Lexer.Ident "select"; Lexer.Eof |] -> ()
   | _ -> Alcotest.fail "backquoted identifier is never a keyword"
 
 let test_lexer_error_position () =
@@ -394,6 +394,336 @@ let test_printer_compact () =
   Alcotest.(check bool) "single line" false (String.contains compact '\n')
 
 (* ------------------------------------------------------------------ *)
+(* Front-end differential                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference tokenizer: the lexer as it was when every word was
+   classified by a linear [List.mem] of its uppercased spelling over
+   [Lexer.keywords]. It lives only here, as the oracle the constant-time
+   keyword table and the array-building lexer are checked against. *)
+module Ref_lexer = struct
+  open Lexer
+
+  let is_keyword s = List.mem (String.uppercase_ascii s) Lexer.keywords
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+  let is_digit c = c >= '0' && c <= '9'
+
+  let tokenize src =
+    let n = String.length src in
+    let pos = ref 0 in
+    let peek k = if !pos + k < n then Some src.[!pos + k] else None in
+    let tokens = ref [] in
+    let emit t = tokens := t :: !tokens in
+    let rec skip_ws () =
+      if !pos < n then
+        match src.[!pos] with
+        | ' ' | '\t' | '\n' | '\r' ->
+            incr pos;
+            skip_ws ()
+        | '-' when peek 1 = Some '-' ->
+            while !pos < n && src.[!pos] <> '\n' do incr pos done;
+            skip_ws ()
+        | '/' when peek 1 = Some '*' ->
+            pos := !pos + 2;
+            let rec close () =
+              if !pos + 1 >= n then raise (Lex_error ("unterminated comment", !pos))
+              else if src.[!pos] = '*' && src.[!pos + 1] = '/' then pos := !pos + 2
+              else begin incr pos; close () end
+            in
+            close ();
+            skip_ws ()
+        | _ -> ()
+    in
+    let read_string () =
+      let buf = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then raise (Lex_error ("unterminated string", !pos));
+        match src.[!pos] with
+        | '\'' when peek 1 = Some '\'' ->
+            Buffer.add_char buf '\'';
+            pos := !pos + 2;
+            go ()
+        | '\'' -> incr pos
+        | '\\' when peek 1 <> None ->
+            (match peek 1 with
+            | Some 'n' -> Buffer.add_char buf '\n'
+            | Some 't' -> Buffer.add_char buf '\t'
+            | Some c -> Buffer.add_char buf c
+            | None -> ());
+            pos := !pos + 2;
+            go ()
+        | c ->
+            Buffer.add_char buf c;
+            incr pos;
+            go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    let read_number () =
+      let start = !pos in
+      while !pos < n && is_digit src.[!pos] do incr pos done;
+      let is_float =
+        !pos < n && src.[!pos] = '.' && (match peek 1 with Some c -> is_digit c | None -> false)
+      in
+      if is_float then begin
+        incr pos;
+        while !pos < n && is_digit src.[!pos] do incr pos done;
+        Float_lit (float_of_string (String.sub src start (!pos - start)))
+      end
+      else Int_lit (int_of_string (String.sub src start (!pos - start)))
+    in
+    let read_ident () =
+      let start = !pos in
+      while !pos < n && is_ident_char src.[!pos] do incr pos done;
+      let s = String.sub src start (!pos - start) in
+      if is_keyword s then Keyword (String.uppercase_ascii s) else Ident s
+    in
+    let rec loop () =
+      skip_ws ();
+      if !pos >= n then emit Eof
+      else begin
+        (match src.[!pos] with
+        | '\'' ->
+            incr pos;
+            emit (Str_lit (read_string ()))
+        | '`' ->
+            incr pos;
+            let start = !pos in
+            while !pos < n && src.[!pos] <> '`' do incr pos done;
+            if !pos >= n then raise (Lex_error ("unterminated `identifier`", !pos));
+            emit (Ident (String.sub src start (!pos - start)));
+            incr pos
+        | '@' ->
+            incr pos;
+            let start = !pos in
+            while !pos < n && is_ident_char src.[!pos] do incr pos done;
+            if !pos = start then raise (Lex_error ("bare '@'", !pos));
+            emit (At_var (String.sub src start (!pos - start)))
+        | c when is_digit c -> emit (read_number ())
+        | c when is_ident_start c -> emit (read_ident ())
+        | '(' | ')' | ',' | ';' | '.' | ':' ->
+            emit (Punct (String.make 1 src.[!pos]));
+            incr pos
+        | '<' when peek 1 = Some '>' ->
+            emit (Op "<>");
+            pos := !pos + 2
+        | '<' when peek 1 = Some '=' ->
+            emit (Op "<=");
+            pos := !pos + 2
+        | '>' when peek 1 = Some '=' ->
+            emit (Op ">=");
+            pos := !pos + 2
+        | '!' when peek 1 = Some '=' ->
+            emit (Op "<>");
+            pos := !pos + 2
+        | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' ->
+            emit (Op (String.make 1 src.[!pos]));
+            incr pos
+        | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !pos)));
+        if !tokens <> [] && List.hd !tokens <> Eof then loop ()
+      end
+    in
+    loop ();
+    List.rev !tokens
+end
+
+(* Tokens, or the lexer's error, or any other exception it let escape. *)
+let lex_outcome tokenize src =
+  match tokenize src with
+  | toks -> Ok toks
+  | exception Lexer.Lex_error (msg, pos) -> Error (Printf.sprintf "Lex_error %d: %s" pos msg)
+  | exception e -> Error (Printexc.to_string e)
+
+let check_lexes_like_reference src =
+  let show = function
+    | Ok toks -> String.concat " | " (List.map Lexer.show_token toks)
+    | Error e -> e
+  in
+  let got = lex_outcome (fun s -> Array.to_list (Lexer.tokenize s)) src
+  and want = lex_outcome Ref_lexer.tokenize src in
+  if got <> want then
+    Alcotest.failf "tokens differ on %S:\n  got  %s\n  want %s" src (show got) (show want)
+
+(* Every statement text the five workloads produce — the Raw histories'
+   SQL, the transpiled histories' CALLs and the printed procedures they
+   call, and each schema script — plus the bundled example histories. *)
+let history_dir =
+  List.find_opt Sys.file_exists [ "../examples/histories"; "examples/histories" ]
+
+let front_end_corpus =
+  lazy
+    (let module W = Uv_workloads.Workload in
+     let module R = Uv_transpiler.Runtime in
+     let workload_texts (w : W.t) =
+       w.W.schema_sql
+       :: List.concat_map
+            (fun mode ->
+              let eng, rt = W.setup ~mode w in
+              let procedures =
+                match mode with
+                | R.Raw -> []
+                | R.Transpiled ->
+                    List.map
+                      (fun (tr : Uv_transpiler.Transpile.t) ->
+                        Printer.stmt tr.Uv_transpiler.Transpile.procedure)
+                      (R.transpile_install rt)
+              in
+              let prng = Uv_util.Prng.create 4242 in
+              ignore (W.run_history rt ~mode (w.W.generate prng ~scale:1 ~n:40 ~dep_rate:0.3));
+              procedures
+              @ List.map
+                  (fun (e : Uv_db.Log.entry) -> e.Uv_db.Log.sql)
+                  (Uv_db.Log.entries (Uv_db.Engine.log eng)))
+            [ R.Raw; R.Transpiled ]
+     in
+     let examples =
+       match history_dir with
+       | None -> Alcotest.fail "examples/histories not found"
+       | Some dir ->
+           Sys.readdir dir |> Array.to_list
+           |> List.filter (fun f -> Filename.check_suffix f ".sql")
+           |> List.sort compare
+           |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+     in
+     List.concat_map workload_texts (Uv_workloads.Workload.all ()) @ examples)
+
+let test_lexer_differential () =
+  let corpus = Lazy.force front_end_corpus in
+  if List.length corpus < 500 then
+    Alcotest.failf "corpus too small: %d texts" (List.length corpus);
+  List.iter check_lexes_like_reference (corpus @ roundtrip_cases)
+
+let test_lexer_keyword_case () =
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | [| Lexer.Keyword "SELECT"; Lexer.Eof |] -> ()
+      | _ -> Alcotest.failf "%S should lex as keyword SELECT" src)
+    [ "select"; "SeLeCt"; "SELECT" ];
+  (* every keyword in upper, lower and capitalised spelling; near misses
+     stay identifiers *)
+  List.iter
+    (fun k ->
+      List.iter
+        (fun spelling ->
+          match Lexer.tokenize spelling with
+          | [| Lexer.Keyword k'; Lexer.Eof |] when String.equal k k' -> ()
+          | _ -> Alcotest.failf "%S should lex as keyword %s" spelling k)
+        [ k; String.lowercase_ascii k; String.capitalize_ascii (String.lowercase_ascii k) ];
+      List.iter
+        (fun near ->
+          match Lexer.tokenize near with
+          | [| Lexer.Ident s; Lexer.Eof |] when String.equal s near -> ()
+          | _ -> Alcotest.failf "%S should lex as an identifier" near)
+        [ k ^ "_"; "x" ^ k; String.lowercase_ascii k ^ "1" ])
+    Lexer.keywords;
+  (* backquoted names never become keywords *)
+  List.iter
+    (fun k ->
+      match Lexer.tokenize ("`" ^ k ^ "`") with
+      | [| Lexer.Ident s; Lexer.Eof |] when String.equal s k -> ()
+      | _ -> Alcotest.failf "`%s` should stay an identifier" k)
+    ("select" :: Lexer.keywords);
+  check Alcotest.(list string) "keyword list is sorted and duplicate-free"
+    (List.sort_uniq compare Lexer.keywords) Lexer.keywords
+
+(* Near-miss statements: each base with one byte replaced, at every
+   position. The lexer's verdict (tokens, or error and position) must be
+   the reference's; the parser's outcome must be the recorded one. *)
+let mutation_bases =
+  [
+    "SELECT a, SUM(b) FROM t WHERE a IN (1, 2) GROUP BY a HAVING COUNT(*) > 1 ORDER BY a DESC LIMIT 3";
+    "INSERT INTO t (a, `b`) VALUES (-1, 'it''s', 2.5, @v, NULL) -- c";
+    "CREATE PROCEDURE p(IN x INT) BEGIN DECLARE n INT; SELECT COUNT(*) INTO n FROM t WHERE k = x; IF n > 0 THEN UPDATE t SET v = v + 1 WHERE k = x; ELSE SIGNAL SQLSTATE '45000'; END IF; END";
+  ]
+
+let mutations ?(bytes = List.init 256 Char.chr) f =
+  List.iter
+    (fun base ->
+      for pos = 0 to String.length base - 1 do
+        List.iter
+          (fun c ->
+            let b = Bytes.of_string base in
+            Bytes.set b pos c;
+            f (Bytes.to_string b))
+          bytes
+      done)
+    mutation_bases
+
+(* one byte of every class the lexer tells apart: each punctuation and
+   operator byte it knows, quotes and escapes, comment starters,
+   whitespace, a letter, digit and underscore, and bytes it rejects *)
+let lexer_bytes =
+  List.of_seq (String.to_seq " !\"#$%&'()*+,-./07:;<=>?@aZe_`\\|\000\t\n\r\255")
+
+let test_lexer_error_positions () =
+  mutations ~bytes:lexer_bytes check_lexes_like_reference
+
+let test_parse_print_fixpoint () =
+  List.iter
+    (fun src ->
+      match Parser.parse_script src with
+      | exception Parser.Parse_error m -> Alcotest.failf "%S does not parse: %s" src m
+      | stmts ->
+          List.iter
+            (fun a ->
+              let printed = Printer.stmt a in
+              match parse printed with
+              | exception Parser.Parse_error m ->
+                  Alcotest.failf "reparse of %S failed: %s" printed m
+              | b ->
+                  if a <> b then Alcotest.failf "round-trip changed the AST of %S" printed;
+                  if not (String.equal (Printer.stmt b) printed) then
+                    Alcotest.failf "printing is not a fixpoint for %S" printed)
+            stmts)
+    (Lazy.force front_end_corpus)
+
+let test_keyword_named_columns () =
+  (match parse "INSERT INTO t (date, key, row) VALUES (1, 2, 3)" with
+  | Ast.Insert { columns = Some [ "DATE"; "KEY"; "ROW" ]; _ } -> ()
+  | _ -> Alcotest.fail "keyword-named columns go through ident, uppercased");
+  (match parse "SELECT t.date, t.key FROM t" with
+  | Ast.Select { Ast.sel_items = [ Ast.Item (Ast.Col (Some "t", "DATE"), None); Ast.Item (Ast.Col (Some "t", "KEY"), None) ]; _ } -> ()
+  | _ -> Alcotest.fail "qualified keyword-named columns");
+  match parse "SELECT `row`, `select` FROM `from`" with
+  | Ast.Select
+      {
+        Ast.sel_items = [ Ast.Item (Ast.Col (None, "row"), None); Ast.Item (Ast.Col (None, "select"), None) ];
+        sel_from = Some ("from", None);
+        _;
+      } ->
+      ()
+  | _ -> Alcotest.fail "backquoted names stay identifiers"
+
+(* Every mutated statement's parse outcome — the AST, or the Parse_error
+   message — digested in order. The digest was recorded from the parser
+   as it stood before the keyword table, token array and match-based
+   token tests, so any change in an AST or in an error message's wording
+   or token shows here. *)
+let parse_outcome src =
+  match Parser.parse_stmt src with
+  | ast -> "ok " ^ Marshal.to_string ast [ Marshal.No_sharing ]
+  | exception Parser.Parse_error m -> "error " ^ m
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let test_parse_errors_reference () =
+  let ctx = Buffer.create (1 lsl 20) in
+  let counts = Hashtbl.create 3 in
+  mutations (fun src ->
+      let o = parse_outcome src in
+      let kind = String.sub o 0 (String.index o ' ') in
+      Hashtbl.replace counts kind (1 + Option.value (Hashtbl.find_opt counts kind) ~default:0);
+      Buffer.add_string ctx o;
+      Buffer.add_char ctx '\000');
+  let count k = Option.value (Hashtbl.find_opt counts k) ~default:0 in
+  check Alcotest.(triple int int int) "ok / error / raised" (8054, 79754, 0)
+    (count "ok", count "error", count "raised");
+  check Alcotest.string "outcome digest" "8ab8a8f2ba287f20317f26d9dbffc4d9"
+    (Digest.to_hex (Digest.string (Buffer.contents ctx)))
+
+(* ------------------------------------------------------------------ *)
 (* Schema helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,6 +775,11 @@ let () =
           Alcotest.test_case "at-var" `Quick test_lexer_at_var;
           Alcotest.test_case "backquote" `Quick test_lexer_backquote;
           Alcotest.test_case "error position" `Quick test_lexer_error_position;
+          Alcotest.test_case "keyword case table" `Quick test_lexer_keyword_case;
+          Alcotest.test_case "workload corpus == reference" `Quick
+            test_lexer_differential;
+          Alcotest.test_case "mutated errors == reference" `Quick
+            test_lexer_error_positions;
         ] );
       ( "parser",
         [
@@ -462,6 +797,12 @@ let () =
           Alcotest.test_case "in/between" `Quick test_parse_in_between;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "script" `Quick test_parse_script;
+          Alcotest.test_case "keyword-named columns" `Quick
+            test_keyword_named_columns;
+          Alcotest.test_case "workload corpus print fixpoint" `Quick
+            test_parse_print_fixpoint;
+          Alcotest.test_case "mutated outcomes == recorded" `Quick
+            test_parse_errors_reference;
         ] );
       ( "printer",
         [
