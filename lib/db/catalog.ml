@@ -260,5 +260,10 @@ let restore t ~from =
 let db_hash t =
   tables t |> List.map (fun (_, tbl) -> Storage.hash tbl) |> Uv_util.Table_hash.combine
 
+let tables_hash t names =
+  List.sort_uniq compare names
+  |> List.filter_map (fun name -> Option.map Storage.hash (table t name))
+  |> Uv_util.Table_hash.combine
+
 let memory_bytes t =
   List.fold_left (fun acc (_, tbl) -> acc + Storage.memory_bytes tbl) 1024 (tables t)

@@ -91,4 +91,8 @@ val restore : t -> from:t -> unit
 val db_hash : t -> int64
 (** Combined hash over all tables in name order. *)
 
+val tables_hash : t -> string list -> int64
+(** [db_hash (snapshot_tables t names)] without copying: the listed
+    tables that exist, combined in name order. *)
+
 val memory_bytes : t -> int

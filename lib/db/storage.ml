@@ -2,6 +2,18 @@ open Uv_sql
 
 type rowid = int
 
+module Cow = Uv_util.Cow
+module Rowid_map = Cow.Int_map
+module Key_map = Cow.String_map
+
+(* Slots per page of every per-slot array and of the string pool. A
+   literal here rather than a value imported from [Cow]: the scan path
+   shifts and masks by it per cell, and a constant from another module
+   is a memory load in builds without cross-module inlining. *)
+let page_bits = 6
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
 (* Cell tags: each live slot of a column carries one byte naming the
    dynamic kind of the stored value. Bools are folded into the tag so
    they occupy no payload; texts store a string-pool id. *)
@@ -13,21 +25,38 @@ let tag_text = '\004'
 let tag_true = '\005'
 let tag_false = '\006'
 
-(* One typed column chunk: a tag byte per slot plus unboxed payload
+(* One page of a column: a tag byte per slot plus unboxed payload
    arrays. [ints] holds Int payloads and string-pool ids; [floats] is
-   allocated lazily on the first Float stored in the column. *)
-type col = {
-  mutable tags : Bytes.t;
-  mutable ints : int array;
-  mutable floats : float array; (* [||] until the column sees a float *)
+   allocated on the first Float stored in the page. *)
+type cells = {
+  tags : Bytes.t;
+  ints : int array;
+  mutable floats : float array; (* [||] until the page sees a float *)
 }
+
+let fresh_cells () =
+  { tags = Bytes.make page_size tag_free;
+    ints = Array.make page_size 0; floats = [||] }
+
+let dup_cells p =
+  { tags = Bytes.copy p.tags; ints = Array.copy p.ints;
+    floats = (if Array.length p.floats = 0 then [||] else Array.copy p.floats) }
+
+(* A posting set is private to the table generation that created it:
+   a table writes in place only into postings carrying its current
+   [gen], and copies any other before its first write to that key. *)
+type posting = { p_gen : int; p_ids : (rowid, unit) Hashtbl.t }
+
+(* What an unindexed key maps to: generation 0 is never a table's, so
+   the first add copies this (empty) set rather than writing into it. *)
+let no_posting = { p_gen = 0; p_ids = Hashtbl.create 1 }
 
 type t = {
   (* Guards every access during parallel replay (Wave_exec): the wave
      layering keeps conflicting statements in different waves, but
      same-wave statements may still touch disjoint rows of one table,
-     and the slot arrays are not domain-safe even for disjoint slots
-     (growth reallocates). The lock is the writer-priority [Rwlock]
+     and the slot pages are not domain-safe even for disjoint slots
+     (writes may copy a page). The lock is the writer-priority [Rwlock]
      variant, so a mutation queued behind a stream of concurrent scans
      is admitted as soon as the already-running read sections drain.
      Writer priority makes nested read acquisition a deadlock, so scan
@@ -36,25 +65,26 @@ type t = {
      matching rows before mutating or running subqueries. *)
   lock : Uv_util.Rwlock.t;
   mutable schema : Schema.table;
-  (* columnar body: slot-indexed struct-of-arrays *)
-  mutable cols : col array; (* length >= widest row ever stored *)
-  mutable widths : int array; (* per-slot row width; -1 = dead slot *)
-  mutable rowids : int array; (* per-slot rowid; valid while live *)
-  mutable cap : int; (* slot capacity of every per-slot array *)
+  (* Copy-on-write ownership: every page, map bucket page and posting
+     set below is written in place only while it is private to [gen].
+     [copy] moves the source to a fresh generation and gives the copy
+     another, so neither owns what they now share and each write copies
+     just the page (or posting) it lands in. *)
+  mutable gen : int;
+  (* columnar body: slot-indexed, paged struct-of-arrays *)
+  mutable cols : cells Cow.t array; (* length >= widest row ever stored *)
+  mutable widths : int array Cow.t; (* per-slot row width; -1 = dead slot *)
+  mutable rowids : int array Cow.t; (* per-slot rowid, kept after death *)
   mutable hi : int; (* slots handed out (dead ones included) *)
   mutable live : int;
-  mutable slots : (rowid, int) Hashtbl.t;
+  mutable slots : int Rowid_map.t; (* live rowid -> slot; -1 if absent *)
   (* interned string pool (append-only) *)
-  mutable pool : string array;
+  mutable pool : string array Cow.t;
   mutable pool_len : int;
-  mutable pool_ids : (string, int) Hashtbl.t;
-  (* ascending-rowid scan order: slots in rowid order while inserts stay
-     monotone; an out-of-order insert (undo re-insert, pinned replay
-     ranges) marks it dirty and scans sort locally instead *)
-  mutable order : int array;
-  mutable order_len : int;
-  mutable order_last : rowid;
-  mutable order_dirty : bool;
+  mutable pool_ids : int Key_map.t; (* string -> pool id; -1 if absent *)
+  (* every slot, live or dead, in ascending rowid order: scans walk it
+     and skip dead entries *)
+  mutable order : int array Cow.t;
   mutable next_rowid : rowid;
   mutable next_auto : int;
   (* incremental table hash (§4.5), split into the base value and a
@@ -65,21 +95,16 @@ type t = {
   mutable hash_base : int64;
   mutable pending : int64;
   mutable indexes : index list;
-  (* copy-on-write: [copy] shares every array above and marks both sides
-     shared; the first mutation on either side deep-copies its own view
-     ([unshare]) before writing. Snapshots that are never written — most
-     checkpoint rungs, the untouched tables of a what-if snapshot — stay
-     O(1). *)
-  mutable shared : bool;
 }
 
 (* A hash index: postings are per-value rowid sets, so adding and
-   removing a row is O(1) amortized. The column offset is resolved once
-   — at index build and on schema changes — instead of per mutated row. *)
+   removing a row is O(1) amortized once the posting is private. The
+   column offset is resolved once — at index build and on schema
+   changes — instead of per mutated row. *)
 and index = {
   ix_col : string;
   mutable ix_offset : int option; (* None: column absent from the schema *)
-  ix_postings : (string, (rowid, unit) Hashtbl.t) Hashtbl.t;
+  ix_postings : posting Key_map.t;
 }
 
 let locked t f = Uv_util.Rwlock.write t.lock f
@@ -93,46 +118,39 @@ let schema_offset (schema : Schema.table) col =
   in
   find 0 schema.Schema.tbl_columns
 
-let make_index schema col =
+let make_index ~gen schema col =
   { ix_col = col; ix_offset = schema_offset schema col;
-    ix_postings = Hashtbl.create 64 }
-
-let fresh_col cap =
-  { tags = Bytes.make cap tag_free; ints = Array.make (max cap 1) 0;
-    floats = [||] }
+    ix_postings = Key_map.create ~gen no_posting }
 
 let create schema =
+  let gen = Cow.fresh_gen () in
   let t =
     {
       lock = Uv_util.Rwlock.create ~writer_priority:true ();
       schema;
+      gen;
       cols =
         Array.init (List.length schema.Schema.tbl_columns) (fun _ ->
-            fresh_col 0);
-      widths = [||];
-      rowids = [||];
-      cap = 0;
+            Cow.create dup_cells);
+      widths = Cow.create Array.copy;
+      rowids = Cow.create Array.copy;
       hi = 0;
       live = 0;
-      slots = Hashtbl.create 64;
-      pool = [||];
+      slots = Rowid_map.create ~gen (-1);
+      pool = Cow.create Array.copy;
       pool_len = 0;
-      pool_ids = Hashtbl.create 64;
-      order = [||];
-      order_len = 0;
-      order_last = min_int;
-      order_dirty = false;
+      pool_ids = Key_map.create ~gen (-1);
+      order = Cow.create Array.copy;
       next_rowid = 1;
       next_auto = 1;
       hash_base = 0L;
       pending = 0L;
       indexes = [];
-      shared = false;
     }
   in
   (* primary-key and UNIQUE columns get an index out of the box *)
   List.iter
-    (fun c -> t.indexes <- make_index schema c :: t.indexes)
+    (fun c -> t.indexes <- make_index ~gen schema c :: t.indexes)
     (Schema.primary_key_columns schema @ Schema.unique_columns schema);
   t
 
@@ -153,63 +171,27 @@ let next_rowid t = reading t (fun () -> t.next_rowid)
 (* Copy-on-write                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let copy_index ix =
-  let postings = Hashtbl.create (max 16 (Hashtbl.length ix.ix_postings)) in
-  Hashtbl.iter
-    (fun k set -> Hashtbl.replace postings k (Hashtbl.copy set))
-    ix.ix_postings;
-  { ix_col = ix.ix_col; ix_offset = ix.ix_offset; ix_postings = postings }
-
-(* Deep-copy every shared array before the first mutation after a
-   [copy]. Runs under the write lock; the other side of the share keeps
-   reading the original arrays, which nothing mutates afterwards. *)
-let unshare t =
-  if t.shared then begin
-    t.cols <-
-      Array.map
-        (fun c ->
-          {
-            tags = Bytes.copy c.tags;
-            ints = Array.copy c.ints;
-            floats = (if Array.length c.floats = 0 then [||] else Array.copy c.floats);
-          })
-        t.cols;
-    t.widths <- Array.copy t.widths;
-    t.rowids <- Array.copy t.rowids;
-    t.slots <- Hashtbl.copy t.slots;
-    t.pool <- Array.copy t.pool;
-    t.pool_ids <- Hashtbl.copy t.pool_ids;
-    t.order <- Array.copy t.order;
-    t.indexes <- List.map copy_index t.indexes;
-    t.shared <- false
-  end
-
+(* O(columns + pages): both sides keep every page, bucket page and
+   posting, and neither owns any of them afterwards. The source changes
+   generation, so this takes its write lock. *)
 let copy t =
-  reading t (fun () ->
-      t.shared <- true;
+  locked t (fun () ->
+      t.gen <- Cow.fresh_gen ();
       {
+        t with
         lock = Uv_util.Rwlock.create ~writer_priority:true ();
-        schema = t.schema;
-        cols = t.cols;
-        widths = t.widths;
-        rowids = t.rowids;
-        cap = t.cap;
-        hi = t.hi;
-        live = t.live;
-        slots = t.slots;
-        pool = t.pool;
-        pool_len = t.pool_len;
-        pool_ids = t.pool_ids;
-        order = t.order;
-        order_len = t.order_len;
-        order_last = t.order_last;
-        order_dirty = t.order_dirty;
-        next_rowid = t.next_rowid;
-        next_auto = t.next_auto;
-        hash_base = t.hash_base;
-        pending = t.pending;
-        indexes = t.indexes;
-        shared = true;
+        gen = Cow.fresh_gen ();
+        cols = Array.map Cow.share t.cols;
+        widths = Cow.share t.widths;
+        rowids = Cow.share t.rowids;
+        slots = Rowid_map.share t.slots;
+        pool = Cow.share t.pool;
+        pool_ids = Key_map.share t.pool_ids;
+        order = Cow.share t.order;
+        indexes =
+          List.map
+            (fun ix -> { ix with ix_postings = Key_map.share ix.ix_postings })
+            t.indexes;
       })
 
 (* ------------------------------------------------------------------ *)
@@ -253,38 +235,51 @@ let index_key v =
       | Some f -> num f
       | None -> "T" ^ s)
 
-let posting_add ix k id =
-  let set =
-    match Hashtbl.find_opt ix.ix_postings k with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 4 in
-        Hashtbl.replace ix.ix_postings k s;
-        s
-  in
-  Hashtbl.replace set id ()
+let posting_add t ix k id =
+  let p = Key_map.find ix.ix_postings k in
+  if p.p_gen = t.gen then Hashtbl.replace p.p_ids id ()
+  else begin
+    let ids = Hashtbl.copy p.p_ids in
+    Hashtbl.replace ids id ();
+    Key_map.replace ix.ix_postings ~gen:t.gen k { p_gen = t.gen; p_ids = ids }
+  end
+
+let posting_remove t ix k id =
+  let p = Key_map.find ix.ix_postings k in
+  if Hashtbl.mem p.p_ids id then
+    if Hashtbl.length p.p_ids = 1 then Key_map.remove ix.ix_postings ~gen:t.gen k
+    else if p.p_gen = t.gen then Hashtbl.remove p.p_ids id
+    else begin
+      let ids = Hashtbl.copy p.p_ids in
+      Hashtbl.remove ids id;
+      Key_map.replace ix.ix_postings ~gen:t.gen k { p_gen = t.gen; p_ids = ids }
+    end
+
+let row_key ix row =
+  match ix.ix_offset with
+  | Some ci when ci < Array.length row -> Some (index_key row.(ci))
+  | _ -> None
 
 let index_add t row id =
   List.iter
-    (fun ix ->
-      match ix.ix_offset with
-      | Some ci when ci < Array.length row ->
-          posting_add ix (index_key row.(ci)) id
-      | _ -> ())
+    (fun ix -> Option.iter (fun k -> posting_add t ix k id) (row_key ix row))
     t.indexes
 
 let index_remove t row id =
   List.iter
+    (fun ix -> Option.iter (fun k -> posting_remove t ix k id) (row_key ix row))
+    t.indexes
+
+(* Move [id] from its [before] keys to its [after] keys, leaving the
+   postings of unchanged keys untouched. *)
+let index_move t before after id =
+  List.iter
     (fun ix ->
-      match ix.ix_offset with
-      | Some ci when ci < Array.length row -> (
-          let k = index_key row.(ci) in
-          match Hashtbl.find_opt ix.ix_postings k with
-          | None -> ()
-          | Some set ->
-              Hashtbl.remove set id;
-              if Hashtbl.length set = 0 then Hashtbl.remove ix.ix_postings k)
-      | _ -> ())
+      match (row_key ix before, row_key ix after) with
+      | Some k, Some k' when String.equal k k' -> ()
+      | kb, ka ->
+          Option.iter (fun k -> posting_remove t ix k id) kb;
+          Option.iter (fun k -> posting_add t ix k id) ka)
     t.indexes
 
 (* ------------------------------------------------------------------ *)
@@ -309,148 +304,189 @@ let neg_delta d = Uv_util.Table_hash.sub_mod 0L d
 (* Slot plumbing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let grow_slots t =
-  let ncap = max 64 (t.cap * 2) in
-  let widths = Array.make ncap (-1) in
-  Array.blit t.widths 0 widths 0 t.hi;
-  t.widths <- widths;
-  let rowids = Array.make ncap 0 in
-  Array.blit t.rowids 0 rowids 0 t.hi;
-  t.rowids <- rowids;
-  Array.iter
-    (fun c ->
-      let tags = Bytes.make ncap tag_free in
-      Bytes.blit c.tags 0 tags 0 t.hi;
-      c.tags <- tags;
-      let ints = Array.make ncap 0 in
-      Array.blit c.ints 0 ints 0 (min t.hi (Array.length c.ints));
-      c.ints <- ints;
-      if Array.length c.floats > 0 then begin
-        let floats = Array.make ncap 0.0 in
-        Array.blit c.floats 0 floats 0 t.hi;
-        c.floats <- floats
-      end)
-    t.cols;
-  t.cap <- ncap
+(* Paged int arrays (widths, rowids, order): reads index the page spine
+   directly ([paged] takes a spine a scan has read once), writes go
+   through [Cow.writable] and skip unchanged entries so they never copy
+   a page for nothing. *)
+let paged (pages : int array array) i =
+  Array.unsafe_get (Array.unsafe_get pages (i lsr page_bits)) (i land page_mask)
+
+let get_int (a : int array Cow.t) i = paged a.Cow.pages i
+
+let set_int t (a : int array Cow.t) i v =
+  if get_int a i <> v then
+    (Cow.writable a ~gen:t.gen (i lsr page_bits)).(i land page_mask) <- v
+
+let width_at t s = get_int t.widths s
+let rowid_at t s = get_int t.rowids s
+
+let cells_at t c s =
+  Array.unsafe_get t.cols.(c).Cow.pages (s lsr page_bits)
+
+let pool_at t id =
+  Array.unsafe_get
+    (Array.unsafe_get t.pool.Cow.pages (id lsr page_bits))
+    (id land page_mask)
+
+let cap t = Cow.length t.widths lsl page_bits
 
 let ensure_width t w =
   if w > Array.length t.cols then begin
-    let extra = Array.init (w - Array.length t.cols) (fun _ -> fresh_col t.cap) in
+    let pages = Cow.length t.widths in
+    let extra =
+      Array.init (w - Array.length t.cols) (fun _ ->
+          Cow.init ~gen:t.gen pages dup_cells (fun _ -> fresh_cells ()))
+    in
     t.cols <- Array.append t.cols extra
   end
 
+let new_slot t id =
+  if t.hi >= cap t then begin
+    Cow.push t.widths ~gen:t.gen (Array.make page_size (-1));
+    Cow.push t.rowids ~gen:t.gen (Array.make page_size 0);
+    Array.iter (fun c -> Cow.push c ~gen:t.gen (fresh_cells ())) t.cols
+  end;
+  let s = t.hi in
+  t.hi <- s + 1;
+  set_int t t.rowids s id;
+  s
+
 let intern t s =
-  match Hashtbl.find_opt t.pool_ids s with
-  | Some i -> i
-  | None ->
-      if t.pool_len >= Array.length t.pool then begin
-        let ncap = max 64 (Array.length t.pool * 2) in
-        let pool = Array.make ncap "" in
-        Array.blit t.pool 0 pool 0 t.pool_len;
-        t.pool <- pool
-      end;
-      let i = t.pool_len in
-      t.pool.(i) <- s;
-      t.pool_len <- i + 1;
-      Hashtbl.replace t.pool_ids s i;
-      i
+  let id = Key_map.find t.pool_ids s in
+  if id >= 0 then id
+  else begin
+    let id = t.pool_len in
+    if id lsr page_bits = Cow.length t.pool then
+      Cow.push t.pool ~gen:t.gen (Array.make page_size "");
+    (Cow.writable t.pool ~gen:t.gen (id lsr page_bits)).(id land page_mask) <- s;
+    t.pool_len <- id + 1;
+    Key_map.replace t.pool_ids ~gen:t.gen s id;
+    id
+  end
+
+(* Does the cell already hold exactly [v]? Floats compare by bits so
+   -0.0 and NaN payloads are rewritten faithfully. *)
+let holds t pg o v =
+  let tag = Bytes.unsafe_get pg.tags o in
+  match v with
+  | Value.Null -> tag = tag_null
+  | Value.Int i -> tag = tag_int && pg.ints.(o) = i
+  | Value.Float f ->
+      tag = tag_float
+      && Int64.equal (Int64.bits_of_float pg.floats.(o)) (Int64.bits_of_float f)
+  | Value.Text str -> tag = tag_text && String.equal (pool_at t pg.ints.(o)) str
+  | Value.Bool b -> tag = if b then tag_true else tag_false
 
 let set_cell t c s v =
-  let col = t.cols.(c) in
-  match v with
-  | Value.Null -> Bytes.unsafe_set col.tags s tag_null
-  | Value.Int i ->
-      Bytes.unsafe_set col.tags s tag_int;
-      Array.unsafe_set col.ints s i
-  | Value.Float f ->
-      if Array.length col.floats = 0 then col.floats <- Array.make t.cap 0.0;
-      Bytes.unsafe_set col.tags s tag_float;
-      Array.unsafe_set col.floats s f
-  | Value.Text str ->
-      Bytes.unsafe_set col.tags s tag_text;
-      Array.unsafe_set col.ints s (intern t str)
-  | Value.Bool b -> Bytes.unsafe_set col.tags s (if b then tag_true else tag_false)
+  let o = s land page_mask in
+  if not (holds t (cells_at t c s) o v) then begin
+    let pg = Cow.writable t.cols.(c) ~gen:t.gen (s lsr page_bits) in
+    match v with
+    | Value.Null -> Bytes.unsafe_set pg.tags o tag_null
+    | Value.Int i ->
+        Bytes.unsafe_set pg.tags o tag_int;
+        pg.ints.(o) <- i
+    | Value.Float f ->
+        if Array.length pg.floats = 0 then
+          pg.floats <- Array.make page_size 0.0;
+        Bytes.unsafe_set pg.tags o tag_float;
+        pg.floats.(o) <- f
+    | Value.Text str ->
+        Bytes.unsafe_set pg.tags o tag_text;
+        pg.ints.(o) <- intern t str
+    | Value.Bool b -> Bytes.unsafe_set pg.tags o (if b then tag_true else tag_false)
+  end
+
+let write_cells t s row =
+  let w = Array.length row in
+  ensure_width t w;
+  set_int t t.widths s w;
+  for c = 0 to w - 1 do
+    set_cell t c s row.(c)
+  done
 
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
 
 let get_cell t c s =
-  let col = Array.unsafe_get t.cols c in
-  match Bytes.unsafe_get col.tags s with
+  let pg = cells_at t c s in
+  let o = s land page_mask in
+  match Bytes.unsafe_get pg.tags o with
   | '\001' -> Value.Null
-  | '\002' -> Value.Int (Array.unsafe_get col.ints s)
-  | '\003' -> Value.Float (Array.unsafe_get col.floats s)
-  | '\004' -> Value.Text (Array.unsafe_get t.pool (Array.unsafe_get col.ints s))
+  | '\002' -> Value.Int (Array.unsafe_get pg.ints o)
+  | '\003' -> Value.Float (Array.unsafe_get pg.floats o)
+  | '\004' -> Value.Text (pool_at t (Array.unsafe_get pg.ints o))
   | '\005' -> vtrue
   | '\006' -> vfalse
   | _ -> invalid_arg "Storage: dead cell"
 
 let materialize t s =
-  let w = t.widths.(s) in
+  let w = width_at t s in
   Array.init w (fun c -> get_cell t c s)
 
-let push_order t s id =
-  if t.order_len >= Array.length t.order then begin
-    let ncap = max 64 (Array.length t.order * 2) in
-    let order = Array.make ncap 0 in
-    Array.blit t.order 0 order 0 t.order_len;
-    t.order <- order
-  end;
-  t.order.(t.order_len) <- s;
-  t.order_len <- t.order_len + 1;
-  t.order_last <- id
+(* ------------------------------------------------------------------ *)
+(* Scan order                                                           *)
+(* ------------------------------------------------------------------ *)
 
-(* Live slots in ascending rowid order. While the append-order cache is
-   clean it is returned directly (entries of dead slots are skipped by
-   the caller); after an out-of-order insert scans sort a local array. *)
-let ordered_slots t =
-  if not t.order_dirty then (t.order, t.order_len)
-  else begin
-    let arr = Array.make (max 1 t.live) 0 in
-    let k = ref 0 in
-    for s = 0 to t.hi - 1 do
-      if Array.unsafe_get t.widths s >= 0 then begin
-        arr.(!k) <- s;
-        incr k
-      end
-    done;
-    let a = if !k = Array.length arr then arr else Array.sub arr 0 !k in
-    Array.sort (fun s1 s2 -> compare t.rowids.(s1) t.rowids.(s2)) a;
-    (a, !k)
+let order_len t = t.hi (* one entry per slot *)
+let order_at t k = get_int t.order k
+
+(* First position in the order whose slot's rowid is >= [id]. *)
+let order_search t id =
+  let lo = ref 0 and hi = ref (order_len t) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if rowid_at t (order_at t mid) < id then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Record the new slot [s] (already counted in [hi]) at position [k]:
+   entries from [k] on shift up by one, so an append costs O(1) and an
+   out-of-order insert O(entries after it). *)
+let order_insert t k s =
+  let last = order_len t - 1 in
+  if last lsr page_bits = Cow.length t.order then
+    Cow.push t.order ~gen:t.gen (Array.make page_size 0);
+  for j = last downto k + 1 do
+    set_int t t.order j (order_at t (j - 1))
+  done;
+  set_int t t.order k s
+
+(* Slot for inserting [id], which has no live slot: a dead slot that
+   held [id] is revived in place — the undo of a delete — otherwise a
+   new slot goes to its sorted position in the order. *)
+let slot_for_insert t id =
+  let n = order_len t in
+  if n = 0 || id > rowid_at t (order_at t (n - 1)) then begin
+    let s = new_slot t id in
+    order_insert t n s;
+    s
   end
-
-let kill_slot t s =
-  t.widths.(s) <- -1;
-  t.live <- t.live - 1
+  else
+    let k = order_search t id in
+    if k < n && rowid_at t (order_at t k) = id then order_at t k
+    else begin
+      let s = new_slot t id in
+      order_insert t k s;
+      s
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Mutations                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let insert_unlocked t id row =
-  unshare t;
-  (* replacing an existing rowid keeps the historical Hashtbl.replace
-     semantics: the old image vanishes from scans but stays in the hash
-     and indexes (only undo re-insertion can hit this, on images the
-     hash already accounts for) *)
-  (match Hashtbl.find_opt t.slots id with
-  | Some s -> kill_slot t s
-  | None -> ());
-  let w = Array.length row in
-  ensure_width t w;
-  if t.hi >= t.cap then grow_slots t;
-  let s = t.hi in
-  t.hi <- t.hi + 1;
-  t.widths.(s) <- w;
-  t.rowids.(s) <- id;
-  for c = 0 to w - 1 do
-    set_cell t c s row.(c)
-  done;
-  Hashtbl.replace t.slots id s;
-  t.live <- t.live + 1;
-  if not t.order_dirty then
-    if t.order_len = 0 || id > t.order_last then push_order t s id
-    else t.order_dirty <- true;
+  (* replacing an existing rowid keeps the historical semantics: the old
+     image vanishes from scans but stays in the hash and indexes (only
+     undo re-insertion can hit this, on images the hash already
+     accounts for) *)
+  (match Rowid_map.find t.slots id with
+  | -1 ->
+      let s = slot_for_insert t id in
+      write_cells t s row;
+      Rowid_map.replace t.slots ~gen:t.gen id s;
+      t.live <- t.live + 1
+  | s -> write_cells t s row);
   if id >= t.next_rowid then t.next_rowid <- id + 1;
   t.pending <- Uv_util.Table_hash.add_mod t.pending (row_delta t row);
   index_add t row id
@@ -465,47 +501,50 @@ let insert_with_rowid t id row = locked t (fun () -> insert_unlocked t id row)
 
 let insert_at t id row =
   locked t (fun () ->
-      if Hashtbl.mem t.slots id then
+      if Rowid_map.mem t.slots id then
         invalid_arg "Storage.insert_at: rowid already in use";
       insert_unlocked t id row;
       id)
 
-let delete_unlocked t id =
-  match Hashtbl.find_opt t.slots id with
-  | None -> raise Not_found
-  | Some s ->
-      unshare t;
-      let row = materialize t s in
-      Hashtbl.remove t.slots id;
-      kill_slot t s;
+let live_slot t id =
+  let s = Rowid_map.find t.slots id in
+  if s < 0 then raise Not_found else s
+
+(* Remove live [id]; returns its image. The caller folds the hash. *)
+let remove_row t id =
+  let s = live_slot t id in
+  let row = materialize t s in
+  Rowid_map.remove t.slots ~gen:t.gen id;
+  set_int t t.widths s (-1);
+  t.live <- t.live - 1;
+  index_remove t row id;
+  row
+
+(* Rewrite live [id] with [row]; returns the before-image. The caller
+   folds the hash. *)
+let replace_row t id row =
+  let s = live_slot t id in
+  let before = materialize t s in
+  write_cells t s row;
+  index_move t before row id;
+  before
+
+let replaced_delta t before row =
+  Uv_util.Table_hash.add_mod (neg_delta (row_delta t before)) (row_delta t row)
+
+let delete t id =
+  locked t (fun () ->
+      let row = remove_row t id in
       t.pending <-
         Uv_util.Table_hash.add_mod t.pending (neg_delta (row_delta t row));
-      index_remove t row id;
-      row
+      row)
 
-let delete t id = locked t (fun () -> delete_unlocked t id)
-
-let update_unlocked t id row =
-  match Hashtbl.find_opt t.slots id with
-  | None -> raise Not_found
-  | Some s ->
-      unshare t;
-      let before = materialize t s in
-      let w = Array.length row in
-      ensure_width t w;
-      t.widths.(s) <- w;
-      for c = 0 to w - 1 do
-        set_cell t c s row.(c)
-      done;
+let update t id row =
+  locked t (fun () ->
+      let before = replace_row t id row in
       t.pending <-
-        Uv_util.Table_hash.add_mod
-          (Uv_util.Table_hash.add_mod t.pending (neg_delta (row_delta t before)))
-          (row_delta t row);
-      index_remove t before id;
-      index_add t row id;
-      before
-
-let update t id row = locked t (fun () -> update_unlocked t id row)
+        Uv_util.Table_hash.add_mod t.pending (replaced_delta t before row);
+      before)
 
 (* Whole-statement batches: one lock acquisition and one hash-chain
    update for all rows a statement touches, instead of per-row locking.
@@ -513,29 +552,13 @@ let update t id row = locked t (fun () -> update_unlocked t id row)
    applied to [pending] once. *)
 let update_many t rows =
   locked t (fun () ->
-      unshare t;
       let delta = ref 0L in
       let before =
         List.rev_map
           (fun (id, row) ->
-            match Hashtbl.find_opt t.slots id with
-            | None -> raise Not_found
-            | Some s ->
-                let old = materialize t s in
-                let w = Array.length row in
-                ensure_width t w;
-                t.widths.(s) <- w;
-                for c = 0 to w - 1 do
-                  set_cell t c s row.(c)
-                done;
-                delta :=
-                  Uv_util.Table_hash.add_mod
-                    (Uv_util.Table_hash.add_mod !delta
-                       (neg_delta (row_delta t old)))
-                    (row_delta t row);
-                index_remove t old id;
-                index_add t row id;
-                (id, old))
+            let old = replace_row t id row in
+            delta := Uv_util.Table_hash.add_mod !delta (replaced_delta t old row);
+            (id, old))
           rows
       in
       t.pending <- Uv_util.Table_hash.add_mod t.pending !delta;
@@ -543,21 +566,14 @@ let update_many t rows =
 
 let delete_many t ids =
   locked t (fun () ->
-      unshare t;
       let delta = ref 0L in
       let removed =
         List.rev_map
           (fun id ->
-            match Hashtbl.find_opt t.slots id with
-            | None -> raise Not_found
-            | Some s ->
-                let row = materialize t s in
-                Hashtbl.remove t.slots id;
-                kill_slot t s;
-                delta :=
-                  Uv_util.Table_hash.add_mod !delta (neg_delta (row_delta t row));
-                index_remove t row id;
-                (id, row))
+            let row = remove_row t id in
+            delta :=
+              Uv_util.Table_hash.add_mod !delta (neg_delta (row_delta t row));
+            (id, row))
           ids
       in
       t.pending <- Uv_util.Table_hash.add_mod t.pending !delta;
@@ -569,39 +585,25 @@ let delete_many t ids =
 
 let get t id =
   reading t (fun () ->
-      match Hashtbl.find_opt t.slots id with
-      | None -> None
-      | Some s -> Some (materialize t s))
+      match Rowid_map.find t.slots id with
+      | -1 -> None
+      | s -> Some (materialize t s))
 
-(* iter/fold materialize each live row and run the callback under the
-   shared read side, in slot (insertion) order. Callbacks must be pure
-   row functions: under the writer-priority lock a callback that
-   re-entered this table's lock could deadlock against a queued writer. *)
-let iter t f =
-  reading t (fun () ->
-      for s = 0 to t.hi - 1 do
-        if Array.unsafe_get t.widths s >= 0 then f t.rowids.(s) (materialize t s)
-      done)
-
+(* fold/iter materialize each live row in ascending rowid order under
+   the shared read side. Callbacks must be pure row functions: under the
+   writer-priority lock a callback that re-entered this table's lock
+   could deadlock against a queued writer. *)
 let fold t ~init ~f =
   reading t (fun () ->
+      let order = t.order.Cow.pages and widths = t.widths.Cow.pages in
       let acc = ref init in
-      for s = 0 to t.hi - 1 do
-        if Array.unsafe_get t.widths s >= 0 then
-          acc := f !acc t.rowids.(s) (materialize t s)
+      for k = 0 to order_len t - 1 do
+        let s = paged order k in
+        if paged widths s >= 0 then acc := f !acc (rowid_at t s) (materialize t s)
       done;
       !acc)
 
-let to_rows t =
-  reading t (fun () ->
-      let slots, n = ordered_slots t in
-      let out = ref [] in
-      for k = n - 1 downto 0 do
-        let s = Array.unsafe_get slots k in
-        if Array.unsafe_get t.widths s >= 0 then
-          out := (t.rowids.(s), materialize t s) :: !out
-      done;
-      !out)
+let iter t f = fold t ~init:() ~f:(fun () id row -> f id row)
 
 (* ------------------------------------------------------------------ *)
 (* Typed column access                                                  *)
@@ -610,43 +612,59 @@ let to_rows t =
 module Col = struct
   type table = t
 
-  type cur = { tbl : table; mutable slot : int }
+  (* [spines] caches each column's page spine and [width] the current
+     row's width, both fixed while the scan holds the read lock, so a
+     cell read costs one load more than a flat column: the page. *)
+  type cur = {
+    tbl : table;
+    spines : cells array array;
+    mutable slot : int;
+    mutable width : int;
+  }
 
-  let rowid cur = cur.tbl.rowids.(cur.slot)
+  let cursor t =
+    { tbl = t; spines = Array.map (fun c -> c.Cow.pages) t.cols; slot = 0;
+      width = 0 }
 
-  let width cur = cur.tbl.widths.(cur.slot)
+  let seek cur s w =
+    cur.slot <- s;
+    cur.width <- w
+
+  let cur_cells cur c = Array.unsafe_get cur.spines.(c) (cur.slot lsr page_bits)
+
+  let rowid cur = rowid_at cur.tbl cur.slot
+
+  let width cur = cur.width
 
   let value cur c =
-    if c >= cur.tbl.widths.(cur.slot) then
-      invalid_arg "index out of bounds"
+    if c >= cur.width then invalid_arg "index out of bounds"
     else get_cell cur.tbl c cur.slot
 
   let is_null cur c =
-    c >= cur.tbl.widths.(cur.slot)
-    || Bytes.unsafe_get cur.tbl.cols.(c).tags cur.slot = tag_null
+    c >= cur.width
+    || Bytes.unsafe_get (cur_cells cur c).tags (cur.slot land page_mask)
+       = tag_null
 
   (* Cell-vs-literal comparison mirroring [Value.compare_sql] without
      materializing the cell for the common same-kind cases. Callers
      handle NULL on either side first. *)
   let cmp_lit cur c lit =
-    let tbl = cur.tbl in
-    let col = tbl.cols.(c) in
-    let s = cur.slot in
-    match (Bytes.unsafe_get col.tags s, lit) with
-    | '\002', Value.Int j -> compare (Array.unsafe_get col.ints s) j
-    | '\003', Value.Float j -> compare (Array.unsafe_get col.floats s) j
+    let pg = cur_cells cur c in
+    let o = cur.slot land page_mask in
+    match (Bytes.unsafe_get pg.tags o, lit) with
+    | '\002', Value.Int j -> compare (Array.unsafe_get pg.ints o) j
+    | '\003', Value.Float j -> compare (Array.unsafe_get pg.floats o) j
     | _ -> Value.compare_sql (value cur c) lit
 
   let equal_lit cur c lit =
-    let tbl = cur.tbl in
-    let col = tbl.cols.(c) in
-    let s = cur.slot in
-    match (Bytes.unsafe_get col.tags s, lit) with
-    | '\002', Value.Int j -> Array.unsafe_get col.ints s = j
+    let pg = cur_cells cur c in
+    let o = cur.slot land page_mask in
+    match (Bytes.unsafe_get pg.tags o, lit) with
+    | '\002', Value.Int j -> Array.unsafe_get pg.ints o = j
     (* [compare], not [=]: compare_sql equates nan with nan *)
-    | '\003', Value.Float j -> compare (Array.unsafe_get col.floats s) j = 0
+    | '\003', Value.Float j -> compare (Array.unsafe_get pg.floats o) j = 0
     | '\004', Value.Text str ->
-        let cs = Array.unsafe_get tbl.pool (Array.unsafe_get col.ints s) in
+        let cs = pool_at cur.tbl (Array.unsafe_get pg.ints o) in
         String.equal cs str || Value.compare_sql (Value.Text cs) lit = 0
     | _ -> Value.compare_sql (value cur c) lit = 0
 
@@ -654,84 +672,82 @@ module Col = struct
      kind, [None] otherwise (including NULL and out-of-range). *)
   let read_tagged t id c f =
     reading t (fun () ->
-        match Hashtbl.find_opt t.slots id with
-        | None -> None
-        | Some s -> if c >= t.widths.(s) then None else f s)
+        match Rowid_map.find t.slots id with
+        | -1 -> None
+        | s ->
+            if c >= width_at t s then None
+            else
+              let pg = cells_at t c s in
+              f pg (s land page_mask) (Bytes.get pg.tags (s land page_mask)))
 
   let read_int t id c =
-    read_tagged t id c (fun s ->
-        let col = t.cols.(c) in
-        if Bytes.get col.tags s = tag_int then Some col.ints.(s) else None)
+    read_tagged t id c (fun pg o tag ->
+        if tag = tag_int then Some pg.ints.(o) else None)
 
   let read_float t id c =
-    read_tagged t id c (fun s ->
-        let col = t.cols.(c) in
-        if Bytes.get col.tags s = tag_float then Some col.floats.(s) else None)
+    read_tagged t id c (fun pg o tag ->
+        if tag = tag_float then Some pg.floats.(o) else None)
 
   let read_text t id c =
-    read_tagged t id c (fun s ->
-        let col = t.cols.(c) in
-        if Bytes.get col.tags s = tag_text then Some t.pool.(col.ints.(s))
-        else None)
+    read_tagged t id c (fun pg o tag ->
+        if tag = tag_text then Some (pool_at t pg.ints.(o)) else None)
 
   let read_bool t id c =
-    read_tagged t id c (fun s ->
-        match Bytes.get t.cols.(c).tags s with
-        | '\005' -> Some true
-        | '\006' -> Some false
-        | _ -> None)
+    read_tagged t id c (fun _ _ tag ->
+        match tag with '\005' -> Some true | '\006' -> Some false | _ -> None)
 
   (* Typed writer: rewrite one cell, keeping hash and indexes exact. *)
   let write t id c v =
     locked t (fun () ->
-        match Hashtbl.find_opt t.slots id with
-        | None -> raise Not_found
-        | Some s ->
-            if c >= t.widths.(s) then invalid_arg "Storage.Col.write: column";
-            unshare t;
-            let before = materialize t s in
-            let row = Array.copy before in
-            row.(c) <- v;
-            set_cell t c s v;
-            t.pending <-
-              Uv_util.Table_hash.add_mod
-                (Uv_util.Table_hash.add_mod t.pending
-                   (neg_delta (row_delta t before)))
-                (row_delta t row);
-            index_remove t before id;
-            index_add t row id)
+        let s = live_slot t id in
+        if c >= width_at t s then invalid_arg "Storage.Col.write: column";
+        let before = materialize t s in
+        let row = Array.copy before in
+        row.(c) <- v;
+        set_cell t c s v;
+        t.pending <-
+          Uv_util.Table_hash.add_mod t.pending (replaced_delta t before row);
+        index_move t before row id)
 
   (* Filtered scan: runs [pred] over every live slot in ascending rowid
      order and materializes only the matches. [pred] must be a pure row
      predicate — no storage re-entry (the read lock is held). *)
-  let select t pred =
-    reading t (fun () ->
-        let slots, n = ordered_slots t in
-        let cur = { tbl = t; slot = 0 } in
-        let out = ref [] in
-        for k = n - 1 downto 0 do
-          let s = Array.unsafe_get slots k in
-          if Array.unsafe_get t.widths s >= 0 then begin
-            cur.slot <- s;
-            if pred cur then out := (t.rowids.(s), materialize t s) :: !out
-          end
-        done;
-        !out)
+  let select_unlocked t pred =
+    let order = t.order.Cow.pages and widths = t.widths.Cow.pages in
+    let cur = cursor t in
+    let out = ref [] in
+    let n = order_len t in
+    for p = (n - 1) asr page_bits downto 0 do
+      let slots = Array.unsafe_get order p in
+      for o = min page_mask (n - 1 - (p lsl page_bits)) downto 0 do
+        let s = Array.unsafe_get slots o in
+        let w = paged widths s in
+        if w >= 0 then begin
+          seek cur s w;
+          if pred cur then out := (rowid_at t s, materialize t s) :: !out
+        end
+      done
+    done;
+    !out
+
+  let select t pred = reading t (fun () -> select_unlocked t pred)
 
   (* Same, over an explicit candidate rowid list (an index probe). The
      candidates are visited in the order given; unknown rowids skip. *)
   let select_ids t ids pred =
     reading t (fun () ->
-        let cur = { tbl = t; slot = 0 } in
+        let cur = cursor t in
         List.filter_map
           (fun id ->
-            match Hashtbl.find_opt t.slots id with
-            | None -> None
-            | Some s ->
-                cur.slot <- s;
+            match Rowid_map.find t.slots id with
+            | -1 -> None
+            | s ->
+                seek cur s (width_at t s);
                 if pred cur then Some (id, materialize t s) else None)
           ids)
 end
+
+let to_rows t = Col.select t (fun _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Schema changes                                                       *)
@@ -739,13 +755,10 @@ end
 
 let set_schema t schema remap =
   locked t @@ fun () ->
-  unshare t;
   let updates =
-    let acc = ref [] in
-    for s = t.hi - 1 downto 0 do
-      if t.widths.(s) >= 0 then acc := (t.rowids.(s), remap (materialize t s)) :: !acc
-    done;
-    !acc
+    List.map
+      (fun (id, row) -> (id, remap row))
+      (Col.select_unlocked t (fun _ -> true))
   in
   t.schema <- schema;
   (* drop indexes on columns that no longer exist, rebuild the rest
@@ -754,20 +767,17 @@ let set_schema t schema remap =
   let kept =
     List.filter (fun ix -> schema_offset schema ix.ix_col <> None) t.indexes
   in
-  t.indexes <- List.map (fun ix -> make_index schema ix.ix_col) kept;
+  t.indexes <- List.map (fun ix -> make_index ~gen:t.gen schema ix.ix_col) kept;
   (* rebuild the columnar body from the remapped images *)
   t.cols <-
-    Array.init (List.length schema.Schema.tbl_columns) (fun _ -> fresh_col 0);
-  t.widths <- [||];
-  t.rowids <- [||];
-  t.cap <- 0;
+    Array.init (List.length schema.Schema.tbl_columns) (fun _ ->
+        Cow.create dup_cells);
+  t.widths <- Cow.create Array.copy;
+  t.rowids <- Cow.create Array.copy;
   t.hi <- 0;
   t.live <- 0;
-  t.slots <- Hashtbl.create 64;
-  t.order <- [||];
-  t.order_len <- 0;
-  t.order_last <- min_int;
-  t.order_dirty <- false;
+  t.slots <- Rowid_map.create ~gen:t.gen (-1);
+  t.order <- Cow.create Array.copy;
   t.hash_base <- 0L;
   t.pending <- 0L;
   let next = t.next_rowid in
@@ -778,8 +788,7 @@ let create_value_index t col =
   locked t @@ fun () ->
   if not (List.exists (fun ix -> String.equal ix.ix_col col) t.indexes)
   then begin
-    unshare t;
-    let ix = make_index t.schema col in
+    let ix = make_index ~gen:t.gen t.schema col in
     t.indexes <- ix :: t.indexes;
     (* populate only the new index: re-adding rows through [index_add]
        would duplicate their entries in every pre-existing index *)
@@ -787,8 +796,9 @@ let create_value_index t col =
     | None -> ()
     | Some ci ->
         for s = 0 to t.hi - 1 do
-          if t.widths.(s) >= 0 && ci < t.widths.(s) then
-            posting_add ix (index_key (get_cell t ci s)) t.rowids.(s)
+          let w = width_at t s in
+          if w >= 0 && ci < w then
+            posting_add t ix (index_key (get_cell t ci s)) (rowid_at t s)
         done
   end
 
@@ -796,11 +806,9 @@ let indexed_lookup t col v =
   reading t (fun () ->
       match List.find_opt (fun ix -> String.equal ix.ix_col col) t.indexes with
       | None -> None
-      | Some ix -> (
-          match Hashtbl.find_opt ix.ix_postings (index_key v) with
-          | None -> Some []
-          | Some set ->
-              Some (Hashtbl.fold (fun id () acc -> id :: acc) set [])))
+      | Some ix ->
+          let p = Key_map.find ix.ix_postings (index_key v) in
+          Some (Hashtbl.fold (fun id () acc -> id :: acc) p.p_ids []))
 
 let indexed_columns t =
   reading t (fun () -> List.map (fun ix -> ix.ix_col) t.indexes)
@@ -816,20 +824,25 @@ let column_index t col =
 let memory_bytes t =
   reading t (fun () ->
       let word = Sys.word_size / 8 in
-      let per_col acc (c : col) =
-        acc + Bytes.length c.tags
-        + (word * Array.length c.ints)
-        + (word * Array.length c.floats)
+      let per_col acc (c : cells Cow.t) =
+        let b = ref acc in
+        for p = 0 to Cow.length c - 1 do
+          let pg = c.Cow.pages.(p) in
+          b :=
+            !b + Bytes.length pg.tags
+            + (word * (Array.length pg.ints + Array.length pg.floats))
+        done;
+        !b
       in
       let pool_bytes =
         let b = ref 0 in
         for i = 0 to t.pool_len - 1 do
-          b := !b + String.length t.pool.(i) + (3 * word)
+          b := !b + String.length (pool_at t i) + (3 * word)
         done;
         !b
       in
       256
       + Array.fold_left per_col 0 t.cols
-      + (word * (Array.length t.widths + Array.length t.rowids))
-      + (word * 4 * Hashtbl.length t.slots)
+      + (word * 3 * cap t)
+      + (word * 4 * Rowid_map.count t.slots)
       + pool_bytes)

@@ -3,21 +3,25 @@
     Each table is a struct-of-arrays: one typed column chunk per schema
     column (a tag byte per slot plus unboxed [int array] / [float array]
     payloads and an interned string pool), a validity array marking live
-    slots, and a rowid-to-slot map. [Value.t] is materialized only at
-    this API boundary — scans and compiled WHERE predicates read the
-    typed columns directly through {!Col}. Every mutation keeps the
-    table's incremental hash (§4.5) in sync — inserts add the row
-    digest, deletes subtract it, updates do both — and the batched entry
-    points ({!update_many}, {!delete_many}, {!Col.write}) fold one
-    hash-chain delta per statement instead of per row, so reading the
-    hash is O(1) at any commit point.
+    slots, and a rowid-to-slot map. Every per-slot array, the string
+    pool and the bucket arrays of the hash maps (rowid -> slot, string
+    -> pool id, index key -> posting) are split into fixed-size
+    copy-on-write pages ({!Uv_util.Cow}), which is what makes {!copy}
+    cheap and a copy's writes proportional to what they touch. [Value.t]
+    is materialized only at this API boundary — scans and compiled WHERE
+    predicates read the typed columns directly through {!Col}. Every
+    mutation keeps the table's incremental hash (§4.5) in sync — inserts
+    add the row digest, deletes subtract it, updates do both — and the
+    batched entry points ({!update_many}, {!delete_many}, {!Col.write})
+    fold one hash-chain delta per statement instead of per row, so
+    reading the hash is O(1) at any commit point.
 
     Thread safety: every operation holds an internal per-table
     readers-writer lock in its writer-priority variant — reads (scans,
-    lookups, hash) share it, mutations are exclusive, and a queued
-    writer blocks new reader admissions so scan streams cannot starve
-    it. Statements touching disjoint tables, or disjoint rows of one
-    table as scheduled by the wave executor, may run on concurrent
+    lookups, hash) share it, mutations and {!copy} are exclusive, and a
+    queued writer blocks new reader admissions so scan streams cannot
+    starve it. Statements touching disjoint tables, or disjoint rows of
+    one table as scheduled by the wave executor, may run on concurrent
     domains. Under writer priority, nested read acquisition can
     deadlock, so the callbacks of [iter]/[fold] and the predicates of
     {!Col.select} must be pure row functions that never re-enter this
@@ -63,7 +67,9 @@ val insert : t -> Value.t array -> rowid
 (** Insert a row (already coerced and padded to schema width). *)
 
 val insert_with_rowid : t -> rowid -> Value.t array -> unit
-(** Re-insert a row under a known rowid (undo of a delete). *)
+(** Re-insert a row under a known rowid (undo of a delete). The dead
+    slot the delete left is revived in place, so the scan order needs
+    no change. *)
 
 val insert_at : t -> rowid -> Value.t array -> rowid
 (** Insert under an explicit fresh rowid, raising [Invalid_argument] if
@@ -98,19 +104,25 @@ val delete_many : t -> rowid list -> (rowid * Value.t array) list
 
 val get : t -> rowid -> Value.t array option
 
-val iter : t -> (rowid -> Value.t array -> unit) -> unit
-
-val fold : t -> init:'a -> f:('a -> rowid -> Value.t array -> 'a) -> 'a
-
 val to_rows : t -> (rowid * Value.t array) list
 (** Rows in ascending rowid order (deterministic iteration). *)
 
+val iter : t -> (rowid -> Value.t array -> unit) -> unit
+(** Live rows in ascending rowid order, like {!to_rows}. *)
+
+val fold : t -> init:'a -> f:('a -> rowid -> Value.t array -> 'a) -> 'a
+(** Live rows in ascending rowid order, like {!to_rows}. *)
+
 val copy : t -> t
-(** Snapshot copy. Implemented copy-on-write: the column chunks, string
-    pool and indexes are shared until either side next mutates, so
-    snapshotting a table that is never written afterwards — most
-    checkpoint rungs — is O(1). Both sides remain fully independent
-    [t] values. *)
+(** Snapshot copy, copy-on-write at page granularity. Costs
+    O(columns + pages): each side gets its own page spines over the
+    same pages, and neither side owns a shared page afterwards — the
+    source moves to a fresh ownership generation, which is why [copy]
+    takes the source's write lock. The first write to a page on either
+    side copies that page, the first write to an index key copies that
+    key's posting set, and later writes to them are in place, so a
+    write costs O(rows and keys it touches), never O(table). Both sides
+    remain fully independent [t] values. *)
 
 val set_schema : t -> Schema.table -> (Value.t array -> Value.t array) -> unit
 (** [set_schema t schema remap] rewrites every row through [remap]

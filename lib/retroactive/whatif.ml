@@ -559,9 +559,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
               (not
                  (Int64.equal
                     (Uv_db.Catalog.db_hash temp_cat)
-                    (Uv_db.Catalog.db_hash
-                       (Uv_db.Catalog.snapshot_tables
-                          (Uv_db.Engine.catalog eng) affected))))
+                    (Uv_db.Catalog.tables_hash (Uv_db.Engine.catalog eng)
+                       affected)))
               || not
                    (String.equal
                       (Uv_db.Catalog.objects_signature temp_cat)

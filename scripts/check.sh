@@ -51,14 +51,17 @@ template_lint() {
 }
 step "template lint gate: five workloads" template_lint
 
-# the typed-column store vs the boxed model it replaced: the qcheck
-# property drives random insert/update/delete/cell-write interleavings
-# through both and requires identical Value.t reads, agreeing typed
-# readers and identical incremental table hashes
-columnar_smoke() {
+# the paged copy-on-write column store vs the boxed model it replaced:
+# the qcheck property drives random inserts (plain and at pinned
+# rowids), updates, deletes, cell writes, undo re-inserts and copies of
+# copies through both, and requires identical Value.t reads, agreeing
+# typed readers and index probes, ascending-rowid scans on every side
+# and identical incremental table hashes; the allocation guard requires
+# the first writes to a copy to cost the same at 1 000 and 16 000 rows
+storage_smoke() {
   dune exec test/test_db.exe -- test storage
 }
-step "columnar smoke: typed columns == boxed model" columnar_smoke
+step "storage smoke: copy isolation, undo re-inserts, scan order, first-write allocation" storage_smoke
 
 # the SQL front end against its references: token streams equal to a
 # linear-scan keyword classifier's on every workload statement and on

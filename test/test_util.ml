@@ -799,6 +799,70 @@ let test_queue_wait_idle_no_lost_wakeup () =
   done;
   Q.shutdown q
 
+(* ------------------------------------------------------------------ *)
+(* Cow                                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Copy-on-write maps against a Hashtbl model per side: random replaces
+   and removes (keys from a small range, so probe runs collide, wrap and
+   shift back on delete, and maps grow past several bucket pages)
+   interleaved with shares. A share moves the
+   source to a fresh generation and gives the new side another, as
+   [Storage.copy] does, so every side must keep exactly its own
+   bindings however the bucket pages are shared. *)
+let prop_cow_map_matches_model =
+  let module M = Uv_util.Cow.Int_map in
+  let key = QCheck.Gen.int_range (-20) 380 in
+  let side = QCheck.Gen.small_nat in
+  let op =
+    QCheck.Gen.frequency
+      [
+        (30, QCheck.Gen.map3 (fun j k v -> `Replace (j, k, v)) side key QCheck.Gen.nat);
+        (15, QCheck.Gen.map2 (fun j k -> `Remove (j, k)) side key);
+        (1, QCheck.Gen.map (fun j -> `Share j) side);
+      ]
+  in
+  QCheck.Test.make ~name:"Cow.Int_map matches a Hashtbl per shared side"
+    ~count:200
+    (QCheck.make
+       ~print:(fun l -> Printf.sprintf "%d ops" (List.length l))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 1000) op))
+    (fun ops ->
+      let fresh () =
+        let gen = Uv_util.Cow.fresh_gen () in
+        (ref gen, M.create ~gen (-1), Hashtbl.create 16)
+      in
+      let sides = ref [| fresh () |] in
+      let pick j = !sides.(j mod Array.length !sides) in
+      List.iter
+        (function
+          | `Replace (j, k, v) ->
+              let gen, m, model = pick j in
+              M.replace m ~gen:!gen k v;
+              Hashtbl.replace model k v
+          | `Remove (j, k) ->
+              let gen, m, model = pick j in
+              M.remove m ~gen:!gen k;
+              Hashtbl.remove model k
+          | `Share j ->
+              if Array.length !sides < 6 then begin
+                let gen, m, model = pick j in
+                gen := Uv_util.Cow.fresh_gen ();
+                sides :=
+                  Array.append !sides
+                    [| (ref (Uv_util.Cow.fresh_gen ()), M.share m, Hashtbl.copy model) |]
+              end)
+        ops;
+      Array.for_all
+        (fun (_, m, model) ->
+          M.count m = Hashtbl.length model
+          && List.for_all
+               (fun k ->
+                 let want = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+                 M.find m k = want && M.mem m k = Hashtbl.mem model k)
+               (List.init 401 (fun i -> i - 20)))
+        !sides)
+
 let () =
   Alcotest.run "uv_util"
     [
@@ -890,6 +954,7 @@ let () =
           Alcotest.test_case "interrupted syscalls" `Quick
             test_frame_interrupted_syscalls;
         ] );
+      ("cow", [ qtest prop_cow_map_matches_model ]);
       ( "domain_pool.queue",
         [
           Alcotest.test_case "no lost tasks" `Quick test_queue_no_lost_tasks;
