@@ -78,6 +78,29 @@ let source_of_fun ~length fetch =
         done);
   }
 
+(* A growable ascending list of entry indexes: [ids.(0 .. len - 1)]. *)
+type posting = { mutable ids : int array; mutable len : int }
+
+(* Per-question closure scratch, reused across questions. [mark] is
+   epoch-stamped per entry: [epoch] for a member of the current column
+   closure, [-epoch] for an entry kept out of it; [opened]/[from] stamp
+   each posting with the epoch a cursor was opened on it and the lowest
+   index it was opened after. Cursor [k] yields
+   [cur_ids.(k).(cur_pos.(k) .. cur_stop.(k) - 1)], each of which
+   conflicts column-wise with [cur_opener.(k)] (0 = the target); [heap]
+   holds the live cursors as packed [(next index, k)] keys. *)
+type scratch = {
+  mutable mark : int array;
+  mutable opened : int array;
+  mutable from : int array;
+  mutable epoch : int;
+  mutable cur_ids : int array array;
+  mutable cur_pos : int array;
+  mutable cur_stop : int array;
+  mutable cur_opener : int array;
+  mutable heap : int array;
+}
+
 type t = {
   mutable infos : info array;
   config : Rowset.config;
@@ -86,8 +109,12 @@ type t = {
   source : source;
   base : Uv_db.Catalog.t option;
   base_hashes : (string * int64) list;
-  readers_by_col : (string, int list ref) Hashtbl.t; (* descending indexes *)
-  writers_by_col : (string, int list ref) Hashtbl.t;
+  col_ids : (string, int) Hashtbl.t; (* interned Rwset column keys *)
+  mutable postings : posting array;
+      (* column [c]'s joinable readers at [2c], its writers at [2c + 1] *)
+  mutable entry_cols : int array array;
+      (* per entry: [| nw; nw written column ids; the read column ids |],
+         or [||] for an entry that never joins *)
   row_index : (string, tindex) Hashtbl.t;
   groups : (string, int list) Hashtbl.t; (* app_txn tag -> entry indexes *)
   mutable indexed_generation : int;
@@ -96,9 +123,9 @@ type t = {
       (* per-entry "has a column-wise write", grown by [extend] so no
          closure run pays for it *)
   mutable cell_index : cell_index option;
-  mutable scratch_members : int array; (* epoch-stamped; 0 = never *)
-  mutable scratch_excluded : int array;
-  mutable closure_epoch : int;
+  scratch : scratch option Atomic.t;
+      (* taken by one closure at a time: concurrent questions (the
+         service runs them under a shared read lock) build their own *)
   mutable dep_edges_cache : (int list * (int * int) list) option;
       (* last [dependency_edges] result keyed by its member set: every
          run of one what-if target asks for the same edges (replay
@@ -111,7 +138,7 @@ let length t = Array.length t.infos
 
 let info t i = t.infos.(i - 1)
 
-let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
+let is_schema_key k = String.length k > 3 && String.starts_with ~prefix:"_S." k
 
 let tables_of_rw (rw : Rwset.rw) =
   let of_set s =
@@ -154,9 +181,65 @@ let tindex_for row_index table =
       Hashtbl.replace row_index table ti;
       ti
 
-(* Index one entry. All buckets are kept in descending index order so
-   appending a later entry is a cons; closures fetch the entries at or
-   after τ with [since].
+(* filler for unused slots of [t.postings]; never pushed to *)
+let no_posting = { ids = [||]; len = 0 }
+
+let posting_push p i =
+  if p.len = Array.length p.ids then begin
+    let ids = Array.make (max 16 (2 * p.len)) 0 in
+    Array.blit p.ids 0 ids 0 p.len;
+    p.ids <- ids
+  end;
+  p.ids.(p.len) <- i;
+  p.len <- p.len + 1
+
+(* The first position of [p] holding an index [>= i]. *)
+let posting_lower_bound p i =
+  let lo = ref 0 and hi = ref p.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if p.ids.(mid) < i then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The posting's indexes [>= tau], ascending. *)
+let posting_since p tau =
+  let acc = ref [] in
+  for k = p.len - 1 downto posting_lower_bound p tau do
+    acc := p.ids.(k) :: !acc
+  done;
+  !acc
+
+let intern t c =
+  match Hashtbl.find t.col_ids c with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length t.col_ids in
+      Hashtbl.replace t.col_ids c id;
+      if 2 * id = Array.length t.postings then begin
+        let grown = Array.make (max 64 (4 * id)) no_posting in
+        Array.blit t.postings 0 grown 0 (2 * id);
+        t.postings <- grown
+      end;
+      t.postings.((2 * id) + 1) <- { ids = [||]; len = 0 };
+      t.postings.(2 * id) <- { ids = [||]; len = 0 };
+      id
+
+(* The postings of one column key, if any entry touches it. *)
+let readers_of t c =
+  Option.map (fun id -> t.postings.(2 * id)) (Hashtbl.find_opt t.col_ids c)
+
+let writers_of t c =
+  Option.map (fun id -> t.postings.((2 * id) + 1)) (Hashtbl.find_opt t.col_ids c)
+
+(* Index one entry and return its [entry_cols] row. Column postings are
+   ascending, so indexing a later entry appends. A reader posting holds
+   only entries that can ever join a closure — they write, or carry an
+   application transaction tag — and that do not also write the column:
+   whoever scans a column's readers scans its writers too, so listing an
+   entry in both would only visit it twice. Row-value buckets are kept
+   in descending index order so appending is a cons; closures fetch the
+   entries at or after τ with [since].
    Row values are canonicalised with the merge state as of this entry;
    [rekey_row_index] folds stale keys forward when later entries merge
    two RI values. *)
@@ -166,8 +249,31 @@ let index_info t inf =
     let b = bucket tbl c in
     b := i :: !b
   in
-  Rwset.Colset.iter (fun c -> push t.readers_by_col c) inf.rw.Rwset.r;
-  Rwset.Colset.iter (fun c -> push t.writers_by_col c) inf.rw.Rwset.w;
+  let r = inf.rw.Rwset.r and w = inf.rw.Rwset.w in
+  let nw = Rwset.Colset.cardinal w in
+  let cols =
+    if nw = 0 && inf.app_txn = None then [||]
+    else begin
+      let cols = Array.make (1 + nw + Rwset.Colset.cardinal r) nw in
+      let k = ref 1 in
+      Rwset.Colset.iter
+        (fun c ->
+          let id = intern t c in
+          cols.(!k) <- id;
+          incr k;
+          posting_push t.postings.((2 * id) + 1) i)
+        w;
+      let rec written id j = j <= nw && (cols.(j) = id || written id (j + 1)) in
+      Rwset.Colset.iter
+        (fun c ->
+          let id = intern t c in
+          cols.(!k) <- id;
+          incr k;
+          if not (written id 1) then posting_push t.postings.(2 * id) i)
+        r;
+      cols
+    end
+  in
   List.iter
     (fun (table, access) ->
       let ti = tindex_for t.row_index table in
@@ -191,11 +297,12 @@ let index_info t inf =
               s
       end)
     inf.rows;
-  match inf.app_txn with
+  (match inf.app_txn with
   | Some tag ->
       Hashtbl.replace t.groups tag
         (i :: Option.value (Hashtbl.find_opt t.groups tag) ~default:[])
-  | None -> ()
+  | None -> ());
+  cols
 
 (* Merge two strictly-descending index lists, deduplicating. *)
 let merge_desc a b =
@@ -257,16 +364,15 @@ let create ?(config = Rowset.default_config) ?base source =
     source;
     base;
     base_hashes;
-    readers_by_col = Hashtbl.create 256;
-    writers_by_col = Hashtbl.create 256;
+    col_ids = Hashtbl.create 256;
+    postings = [||];
+    entry_cols = [||];
     row_index = Hashtbl.create 64;
     groups = Hashtbl.create 256;
     indexed_generation = Rowset.merge_generation row_state;
     joinable = [||];
     cell_index = None;
-    scratch_members = [||];
-    scratch_excluded = [||];
-    closure_epoch = 0;
+    scratch = Atomic.make None;
     dep_edges_cache = None;
   }
 
@@ -275,7 +381,7 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
   let from = Array.length t.infos + 1 in
   if n < from then 0
   else begin
-    let batch = ref [] in
+    let batch = ref [] and cols = ref [] in
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
         t.source.src_iter from n (fun e ->
             let rw = Rwset.of_stmt t.sv e.Uv_db.Log.stmt in
@@ -294,9 +400,10 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
               }
             in
             batch := inf :: !batch;
-            index_info t inf));
+            cols := index_info t inf :: !cols));
     let fresh = Array.of_list (List.rev !batch) in
     t.infos <- Array.append t.infos fresh;
+    t.entry_cols <- Array.append t.entry_cols (Array.of_list (List.rev !cols));
     t.joinable <-
       Array.append t.joinable
         (Array.map
@@ -467,29 +574,193 @@ let scan_pruned cache ~live ~min_idx ~offer key fetch =
   in
   Hashtbl.replace cache key kept
 
-(* Column-wise candidates conflicting with (rw): later readers of written
-   columns, later writers of read columns, later writers of written
-   columns. *)
-let col_joins t ~tau ~live =
-  let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
-  fun ~min_idx (rw : Rwset.rw) (_rows : Rowset.entry_rows) ->
-    let acc = ref [] in
-    let offer i = acc := i :: !acc in
-    let scan kind tbl c =
-      scan_pruned cache ~live ~min_idx ~offer
-        (kind ^ c)
-        (fun () ->
-          match Hashtbl.find_opt tbl c with
-          | None -> []
-          | Some b -> since tau !b)
-    in
-    Rwset.Colset.iter
-      (fun c ->
-        scan "r|" t.readers_by_col c;
-        scan "w|" t.writers_by_col c)
-      rw.Rwset.w;
-    Rwset.Colset.iter (fun c -> scan "w|" t.writers_by_col c) rw.Rwset.r;
-    !acc
+(* Run [f] with the analyzer's closure scratch, grown to the analysed
+   history and advanced to a fresh epoch. A concurrent question finds
+   the slot empty and builds its own; the scratch goes back when [f]
+   returns (one lost to an exception is rebuilt by the next question). *)
+let with_scratch t f =
+  let s =
+    match Atomic.exchange t.scratch None with
+    | Some s -> s
+    | None ->
+        {
+          mark = [||];
+          opened = [||];
+          from = [||];
+          epoch = 0;
+          cur_ids = [||];
+          cur_pos = [||];
+          cur_stop = [||];
+          cur_opener = [||];
+          heap = [||];
+        }
+  in
+  let n = Array.length t.infos and np = 2 * Hashtbl.length t.col_ids in
+  if Array.length s.mark < n then s.mark <- Array.make (max n 64) 0;
+  if Array.length s.opened < np then begin
+    s.opened <- Array.make (max np 64) 0;
+    s.from <- Array.make (max np 64) 0
+  end;
+  s.epoch <- s.epoch + 1;
+  let r = f s in
+  Atomic.set t.scratch (Some s);
+  r
+
+(* Heap keys pack a cursor's next index above its cursor number, so
+   keys compare as plain ints and equal indexes order by cursor number —
+   the order the cursors were opened in. *)
+let cursor_bits = 24
+
+let cursor_mask = (1 lsl cursor_bits) - 1
+
+let rec sift_up h k =
+  if k > 0 then begin
+    let parent = (k - 1) / 2 in
+    let x = h.(k) in
+    if x < h.(parent) then begin
+      h.(k) <- h.(parent);
+      h.(parent) <- x;
+      sift_up h parent
+    end
+  end
+
+let rec sift_down h len k =
+  let l = (2 * k) + 1 in
+  if l < len then begin
+    let m = if l + 1 < len && h.(l + 1) < h.(l) then l + 1 else l in
+    let x = h.(k) in
+    if h.(m) < x then begin
+      h.(k) <- h.(m);
+      h.(m) <- x;
+      sift_down h len m
+    end
+  end
+
+let grow a len fill =
+  let b = Array.make (max 16 (2 * len)) fill in
+  Array.blit a 0 b 0 len;
+  b
+
+(* The column-wise closure as one ascending sweep over column postings.
+   A member (or the seed, just before τ) taints its columns: a written
+   column opens cursors on its readers and writers, a read column on its
+   writers, each starting just past the member. A posting is opened once
+   per question unless a member below its opening point taints it —
+   only a group mate joining out of order does, and a second cursor from
+   there is sound because every cursor entry conflicts with the member
+   that opened it. The heap merges the cursors into ascending index
+   order; a live candidate joins. So the cost is the postings of
+   tainted columns after their taint time, and ungrouped members join in
+   ascending order.
+   Provenance: each member's parent is the smallest cursor opener that
+   yields it — the earliest member (or the target, 0) it conflicts with
+   column-wise — or, failing any, the group mate it joined with. Returns
+   the members in join order; [s.mark] stamps them with [s.epoch]. *)
+let col_sweep ?via ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
+    ~joinable ~expand =
+  let n = Array.length t.infos in
+  let epoch = s.epoch and mark = s.mark in
+  List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
+  let live i =
+    i >= tau && i <= n
+    && joinable.(i - 1)
+    &&
+    let m = mark.(i - 1) in
+    m <> epoch && m <> -epoch
+  in
+  let len = ref 0 and cursors = ref 0 in
+  (* open posting [p] for entries past [after] *)
+  let open_posting p ~opener ~after =
+    if s.opened.(p) <> epoch || s.from.(p) > after then begin
+      s.opened.(p) <- epoch;
+      s.from.(p) <- after;
+      let post = t.postings.(p) in
+      let pos = posting_lower_bound post (after + 1) in
+      if pos < post.len then begin
+        let k = !cursors in
+        if k > cursor_mask then failwith "Analyzer: too many closure cursors";
+        if k = Array.length s.cur_pos then begin
+          s.cur_ids <- grow s.cur_ids k [||];
+          s.cur_pos <- grow s.cur_pos k 0;
+          s.cur_stop <- grow s.cur_stop k 0;
+          s.cur_opener <- grow s.cur_opener k 0
+        end;
+        s.cur_ids.(k) <- post.ids;
+        s.cur_pos.(k) <- pos;
+        s.cur_stop.(k) <- post.len;
+        s.cur_opener.(k) <- opener;
+        incr cursors;
+        if !len = Array.length s.heap then s.heap <- grow s.heap !len 0;
+        s.heap.(!len) <- (post.ids.(pos) lsl cursor_bits) lor k;
+        incr len;
+        sift_up s.heap (!len - 1)
+      end
+    end
+  in
+  (* [cols] in the [entry_cols] layout *)
+  let taint ~opener ~after cols =
+    let nw = cols.(0) in
+    for k = 1 to Array.length cols - 1 do
+      let c = cols.(k) in
+      if k <= nw then open_posting (2 * c) ~opener ~after;
+      open_posting ((2 * c) + 1) ~opener ~after
+    done
+  in
+  let record i src = match via with Some a -> a.(i - 1) <- src | None -> () in
+  let joined = ref [] in
+  let add src i =
+    mark.(i - 1) <- epoch;
+    joined := i :: !joined;
+    record i src;
+    taint ~opener:i ~after:i t.entry_cols.(i - 1)
+  in
+  let join src i =
+    add src i;
+    List.iter (fun g -> if live g then add (-i) g) (expand i)
+  in
+  (* the seed: a pseudo-member just before τ; a column no entry touches
+     has no posting to open *)
+  let ids_of cols =
+    Rwset.Colset.fold
+      (fun c acc ->
+        match Hashtbl.find_opt t.col_ids c with
+        | Some id -> id :: acc
+        | None -> acc)
+      cols []
+  in
+  let seed_writes = ids_of seed_rw.Rwset.w in
+  taint ~opener:0 ~after:(tau - 1)
+    (Array.of_list
+       ((List.length seed_writes :: seed_writes) @ ids_of seed_rw.Rwset.r));
+  let visits = ref 0 in
+  while !len > 0 do
+    let top = s.heap.(0) in
+    let i = top lsr cursor_bits and k = top land cursor_mask in
+    let o = s.cur_opener.(k) in
+    incr visits;
+    let pos = s.cur_pos.(k) + 1 in
+    if pos = s.cur_stop.(k) then begin
+      decr len;
+      s.heap.(0) <- s.heap.(!len)
+    end
+    else begin
+      s.cur_pos.(k) <- pos;
+      s.heap.(0) <- (s.cur_ids.(k).(pos) lsl cursor_bits) lor k
+    end;
+    sift_down s.heap !len 0;
+    if live i then join o i
+    else
+      match via with
+      | Some a when mark.(i - 1) = epoch ->
+          (* already a member: keep the smallest opener, which beats a
+             group-mate parent *)
+          let p = a.(i - 1) in
+          if p < 0 || o < p then a.(i - 1) <- o
+      | _ -> ()
+  done;
+  Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
+  Uv_obs.Trace.incr obs ~by:!visits "analyze.closure_col_visits";
+  !joined
 
 let table_of_col c =
   match String.index_opt c '.' with
@@ -568,19 +839,19 @@ let rowwise_joins ~require_col t ~tau ~live =
     let scan key fetch = scan_pruned cache ~live ~min_idx ~offer key fetch in
     (* _S pseudo-rows: wildcard, so any column-level _S conflict is a row
        conflict too *)
-    let scan_schema kind tbl c =
+    let scan_schema kind postings_of c =
       if is_schema_key c then
         scan (kind ^ c) (fun () ->
-            match Hashtbl.find_opt tbl c with
+            match postings_of t c with
             | None -> []
-            | Some b -> since tau !b)
+            | Some p -> posting_since p tau)
     in
     Rwset.Colset.iter
       (fun c ->
-        scan_schema "Sr|" t.readers_by_col c;
-        scan_schema "Sw|" t.writers_by_col c)
+        scan_schema "Sr|" readers_of c;
+        scan_schema "Sw|" writers_of c)
       rw.Rwset.w;
-    Rwset.Colset.iter (fun c -> scan_schema "Sw|" t.writers_by_col c) rw.Rwset.r;
+    Rwset.Colset.iter (fun c -> scan_schema "Sw|" writers_of c) rw.Rwset.r;
     (* table rows *)
     List.iter
       (fun (table, access) ->
@@ -626,7 +897,7 @@ let rowwise_joins ~require_col t ~tau ~live =
     let verify = if require_col then cell_pair_conflict else row_conflict in
     List.filter
       (fun i -> verify t rw rows t.infos.(i - 1))
-      (List.sort_uniq compare !acc)
+      (List.sort_uniq Int.compare !acc)
 
 let row_joins t ~tau ~live = rowwise_joins ~require_col:false t ~tau ~live
 
@@ -728,10 +999,20 @@ let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
     compute_closure ?via ~obs t ~tau:target.tau ~exclude ~seed_rw ~seed_rows
       ~make_joins ~joinable ~expand:(expand t)
   in
+  with_scratch t @@ fun s ->
+  (* the column closure's members, and a membership test for them *)
   let col_members () =
     Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.col" (fun () ->
-        run ?via:via_col
-          (match cj_override with Some f -> f | None -> col_joins t))
+        match cj_override with
+        | Some f ->
+            let m, j = run ?via:via_col f in
+            ((fun i -> m.(i - 1)), j)
+        | None ->
+            let j =
+              col_sweep ?via:via_col ~obs t s ~tau:target.tau ~exclude ~seed_rw
+                ~joinable ~expand:(expand t)
+            in
+            ((fun i -> s.mark.(i - 1) = s.epoch), j))
   in
   let row_members () =
     Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.row" (fun () ->
@@ -740,19 +1021,21 @@ let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
   let members, joined, col_count, row_count =
     match mode with
     | Col_only ->
-        let m, j = col_members () in
+        let _, j = col_members () in
+        let m = Array.make (Array.length t.infos) false in
+        List.iter (fun i -> m.(i - 1) <- true) j;
         (m, j, List.length j, -1)
     | Row_only ->
         let m, j = row_members () in
         (m, j, -1, List.length j)
     | Cell ->
         (* Theorem E.20: the row closure's joins that the column closure
-           also reached; the column closure's array is narrowed in place *)
-        let mc, jc = col_members () in
+           also reached; the row closure's array is narrowed in place *)
+        let in_col, jc = col_members () in
         let mr, jr = row_members () in
-        List.iter (fun i -> if not mr.(i - 1) then mc.(i - 1) <- false) jc;
-        let j = List.filter (fun i -> mc.(i - 1)) jr in
-        (mc, j, List.length jc, List.length jr)
+        List.iter (fun i -> if not (in_col i) then mr.(i - 1) <- false) jr;
+        let j = List.filter (fun i -> mr.(i - 1)) jr in
+        (mr, j, List.length jc, List.length jr)
     | Joint ->
         let m, j =
           Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.cell" (fun () ->
@@ -869,18 +1152,13 @@ let cell_index_of t =
       ci
 
 (* Joint-mode replay-set membership without the O(history) arrays:
-   epoch-stamped scratch (allocated once per analyzer, reused across
-   questions) plus cell-index candidate generation. Returns the member
-   indexes, ascending. Single closure at a time per analyzer. *)
+   the analyzer's epoch-stamped scratch ([with_scratch]) plus
+   cell-index candidate generation. Returns the member indexes,
+   ascending. *)
 let replay_members_joint t (target : target) =
+  with_scratch t @@ fun s ->
   let n = Array.length t.infos in
-  if Array.length t.scratch_members < n then begin
-    t.scratch_members <- Array.make (max n 64) 0;
-    t.scratch_excluded <- Array.make (max n 64) 0
-  end;
-  t.closure_epoch <- t.closure_epoch + 1;
-  let epoch = t.closure_epoch in
-  let members = t.scratch_members and excluded = t.scratch_excluded in
+  let epoch = s.epoch and members = s.mark in
   let seed_rw, seed_rows = target_rw t target in
   let seed_rw, seed_rows =
     match target.op with
@@ -890,15 +1168,16 @@ let replay_members_joint t (target : target) =
   (match target.op with
   | Remove | Change _ ->
       if target.tau >= 1 && target.tau <= n then
-        excluded.(target.tau - 1) <- epoch
+        members.(target.tau - 1) <- -epoch
   | Add _ -> ());
   let joinable = t.joinable in
   let tau = target.tau in
   let live i =
     i >= tau && i <= n
-    && excluded.(i - 1) <> epoch
     && joinable.(i - 1)
-    && members.(i - 1) <> epoch
+    &&
+    let m = members.(i - 1) in
+    m <> epoch && m <> -epoch
   in
   let ci = cell_index_of t in
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -909,6 +1188,9 @@ let replay_members_joint t (target : target) =
     match Hashtbl.find_opt tbl key with
     | None -> []
     | Some b -> since tau !b
+  in
+  let fetch_posting postings_of c () =
+    match postings_of t c with None -> [] | Some p -> posting_since p tau
   in
   (* candidates cell-conflicting with (rw, rows), past [min_idx] — the
      same forward-only contract as [joins_fn] *)
@@ -951,8 +1233,8 @@ let replay_members_joint t (target : target) =
     Rwset.Colset.iter
       (fun c ->
         if is_schema_key c then begin
-          scan ("Sr|" ^ c) (fetch t.readers_by_col c);
-          scan ("Sw|" ^ c) (fetch t.writers_by_col c)
+          scan ("Sr|" ^ c) (fetch_posting readers_of c);
+          scan ("Sw|" ^ c) (fetch_posting writers_of c)
         end
         else begin
           let acc = access_of c `W in
@@ -962,7 +1244,7 @@ let replay_members_joint t (target : target) =
       rw.Rwset.w;
     Rwset.Colset.iter
       (fun c ->
-        if is_schema_key c then scan ("Sw|" ^ c) (fetch t.writers_by_col c)
+        if is_schema_key c then scan ("Sw|" ^ c) (fetch_posting writers_of c)
         else scan_family ci.cw_val ci.cw_any ci.cw_all "w|" c (access_of c `R))
       rw.Rwset.r;
     List.filter
@@ -982,7 +1264,7 @@ let replay_members_joint t (target : target) =
     let inf = t.infos.(i - 1) in
     List.iter join (candidates ~min_idx:i inf.rw inf.rows)
   done;
-  List.sort compare !joined
+  List.sort Int.compare !joined
 
 let replay_members ?(mode = Joint) t target =
   match mode with

@@ -134,10 +134,18 @@ type replay_set = {
 
 val replay_set : ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
 (** Compute 𝕀 for a target. [obs] records one [closure.col]/[closure.row]
-    span per closure run and counts worklist pops in
-    [analyze.closure_iters]. Apart from one [length t]-long membership
-    array per closure, the cost follows the replay set and the index
-    buckets' entries at or after τ, not the history length. *)
+    span per closure run, counts the members each closure processes in
+    [analyze.closure_iters] and the column postings the column closure
+    visits in [analyze.closure_col_visits].
+
+    Cost: the column-wise closure is one ascending sweep whose cost is
+    O(postings of tainted columns after their taint time) — each column
+    a member (or the target) reads or writes opens its writers' (and, if
+    written, its readers') posting once, just past that member, and
+    every posting entry from there on is visited once. The row-wise
+    closure costs the replay set and the row-value buckets' entries at
+    or after τ. Apart from one [length t]-long membership array per
+    question, neither follows the history length. *)
 
 val replay_set_grouped :
   ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
@@ -206,20 +214,29 @@ val write_write_table_edges : t -> members:int list -> (int * int) list
 
 type provenance = {
   p_col_via : int option;
-      (** parent in the column-wise closure: [Some 0] — pulled in directly
-          by the target's own sets; [Some v], [v > 0] — by entry [v]'s
-          sets; [Some (-v)] — joined as a transaction-group mate of entry
-          [v] (grouped mode only) *)
-  p_row_via : int option;  (** ditto for the row-wise closure *)
+      (** parent in the column-wise closure: [Some 0] — the member
+          conflicts column-wise with the target's own sets; [Some v],
+          [v > 0] — otherwise, entry [v] is the earliest member it
+          conflicts with column-wise; [Some (-v)] — it conflicts with
+          neither and joined as a transaction-group mate of entry [v]
+          (grouped mode only) *)
+  p_row_via : int option;
+      (** parent in the row-wise closure: the first member whose
+          candidates offered it ([0], [v] and [-v] as above) *)
 }
 
 val replay_set_explained :
   ?mode:mode -> ?grouped:bool -> t -> target -> replay_set * provenance option array
 (** The replay set plus, for each log entry (0-based array of length
-    [length t]), why it joined — [None] for non-members. Because the
-    cell-wise set is the intersection of two independently computed
-    closures (Theorem E.20), a member carries up to two parents; either
-    may itself be outside the final intersection. *)
+    [length t]), why it joined — [None] for non-members. The parents are
+    recorded by the closures that compute the replay set; there is no
+    second pass. Because the cell-wise set is the intersection of two
+    independently computed closures (Theorem E.20), a member carries up
+    to two parents; either may itself be outside the final
+    intersection. The column-wise parent is exact — the smallest valid
+    one, with the target before every member and any conflicting member
+    before a group mate — so it does not depend on the order the
+    closure visits candidates in. *)
 
 val conflict_columns : t -> int -> int -> string list
 (** Columns through which entries [i] and [j] conflict (W∩R ∪ R∩W ∪ W∩W

@@ -73,6 +73,15 @@ sql_front_end_smoke() {
 }
 step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 
+# the replay-set closure against a pairwise reference that shares no
+# index with the analyzer: members, counts and touched tables in every
+# mode and at transaction granularity, exact column-wise parents, a
+# hand-built history (an out-of-order group mate, a column no entry
+# has, a schema-key conflict), and column postings visited per warm
+# question equal at 1 008 and 4 008 history entries
+step "closure smoke: replay sets and provenance == pairwise reference" \
+  dune exec test/test_closure.exe
+
 step "bench smoke: parallel replay determinism" \
   dune exec bench/main.exe -- --smoke
 

@@ -230,14 +230,17 @@ let check_against_reference ~label anl ~mode ~grouped ~group_of target
   check strs (label ^ " mutated") mutated rs.Analyzer.mutated;
   check strs (label ^ " consulted") consulted rs.Analyzer.consulted
 
-(* Each provenance parent must be the target or an earlier member of the
+(* Each row-wise parent must be the target or an earlier member of the
    same closure that conflicts with the member (or, at group
-   granularity, a group mate). *)
+   granularity, a group mate). The column-wise parent is exact: the
+   smallest valid conflict parent (0 = the target, then members in index
+   order); a group mate's parent only when the member conflicts with
+   neither the target nor an earlier member. *)
 let check_provenance ~label anl ~grouped ~group_of target prov =
+  let seed = fst (seed_of anl ~grouped ~group_of target) in
   let valid kind closure i = function
     | None -> false
-    | Some 0 ->
-        conflict anl kind (fst (seed_of anl ~grouped ~group_of target)) i
+    | Some 0 -> conflict anl kind seed i
     | Some v when v < 0 ->
         grouped && List.mem (-v) closure && List.mem i (group_of (-v))
     | Some v ->
@@ -249,14 +252,24 @@ let check_provenance ~label anl ~grouped ~group_of target prov =
   in
   let col = reference_closure anl ~kind:Col ~grouped ~group_of target in
   let row = reference_closure anl ~kind:Row ~grouped ~group_of target in
+  let col_parent i =
+    List.find_opt (fun v -> valid Col col i (Some v)) (0 :: col)
+  in
+  let via = function None -> "none" | Some v -> string_of_int v in
   Array.iteri
     (fun j p ->
       match p with
       | None -> ()
       | Some (p : Analyzer.provenance) ->
           let i = j + 1 in
-          if not (valid Col col i p.Analyzer.p_col_via) then
-            Alcotest.failf "%s: #%d has no column-wise parent" label i;
+          (match col_parent i with
+          | Some v when p.Analyzer.p_col_via <> Some v ->
+              Alcotest.failf "%s: #%d has column-wise parent %s, expected %d"
+                label i (via p.Analyzer.p_col_via) v
+          | Some _ -> ()
+          | None ->
+              if not (valid Col col i p.Analyzer.p_col_via) then
+                Alcotest.failf "%s: #%d has no column-wise parent" label i);
           if not (valid Row row i p.Analyzer.p_row_via) then
             Alcotest.failf "%s: #%d has no row-wise parent" label i)
     prov
@@ -307,10 +320,11 @@ let test_reference name () =
         [ false; true ])
     (targets anl)
 
-(* Digest of every parent [replay_set_explained] records on the fixtures,
-   taken before the closure started its bucket scans at τ: the parents
-   follow candidate order, which must not have moved. *)
-let expected_provenance_digest = "302c8348db59be9fb03fdab6f7ee320f"
+(* Digest of every parent [replay_set_explained] records on the fixtures.
+   Row-wise parents follow the row closure's candidate order; column-wise
+   parents are the earliest conflicting member (checked exactly above).
+   Neither may move unnoticed. *)
+let expected_provenance_digest = "95395c201af8ffd535395fb723158dae"
 
 let provenance_digest () =
   let buf = Buffer.create 65536 in
@@ -344,11 +358,113 @@ let test_provenance_digest () =
   check Alcotest.string "provenance unchanged" expected_provenance_digest
     (provenance_digest ())
 
+let run ?app_txn e sql = ignore (Engine.exec_sql ?app_txn e sql)
+
+(* ------------------------------------------------------------------ *)
+(* Hand-built cases the fixtures may miss                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Tables [t] and [u]; no entry touches [u] or the column [t.c]:
+   - #2 and #5 form transaction T. At group granularity #5 joins (it
+     writes [t.a] like the target #1) and pulls in #2, which sits before
+     it; #4 already opened the [t.b] postings, so #2 reopens them from
+     its own index and reaches #3, which nothing else reaches. #6's
+     earliest column-wise parent is then #2, not #4.
+   - #7 writes the schema key [_S.t] that every later statement on [t]
+     reads. *)
+let hand_built () =
+  let e = Engine.create () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c INT)";
+  run e "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+  run e "INSERT INTO t VALUES (1, 0, 0, 0)";
+  run e "INSERT INTO t VALUES (2, 0, 0, 0)";
+  run e "INSERT INTO u VALUES (1, 0)";
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  List.iter
+    (fun (app_txn, sql) -> run ?app_txn e sql)
+    [
+      (None, "UPDATE t SET a = 1 WHERE id = 1");
+      (Some "T", "UPDATE t SET b = 5 WHERE id = 1");
+      (None, "UPDATE t SET b = b + 1 WHERE id = 1");
+      (None, "UPDATE t SET b = a WHERE id = 1");
+      (Some "T", "UPDATE t SET a = a + 1 WHERE id = 1");
+      (None, "UPDATE t SET b = 0 WHERE id = 1");
+      (None, "ALTER TABLE t ADD COLUMN d INT");
+      (None, "UPDATE t SET d = 1 WHERE id = 2");
+      (None, "SELECT a, d FROM t WHERE id = 1");
+      (None, "UPDATE t SET a = a + 1 WHERE id = 2");
+    ];
+  Analyzer.analyze ~base (Engine.log e)
+
+let test_hand_built () =
+  let anl = hand_built () in
+  let group_of = groups anl in
+  let stmt = Uv_sql.Parser.parse_stmt in
+  let fresh_col = stmt "UPDATE t SET c = 9 WHERE id = 1" in
+  let fresh_table = stmt "UPDATE u SET w = 1 WHERE id = 1" in
+  let targets =
+    List.init (Analyzer.length anl) (fun i ->
+        { Analyzer.tau = i + 1; op = Analyzer.Remove })
+    @ List.concat_map
+        (fun tau ->
+          [
+            { Analyzer.tau; op = Analyzer.Add fresh_table };
+            { Analyzer.tau; op = Analyzer.Add fresh_col };
+            { Analyzer.tau; op = Analyzer.Change fresh_col };
+          ])
+        [ 1; 5; 9 ]
+  in
+  List.iter
+    (fun target ->
+      let label = "hand-built " ^ target_name target in
+      List.iter
+        (fun (mode, mode_name) ->
+          check_against_reference
+            ~label:(label ^ " " ^ mode_name)
+            anl ~mode ~grouped:false ~group_of target
+            (Analyzer.replay_set ~mode anl target);
+          check_against_reference
+            ~label:(label ^ " grouped " ^ mode_name)
+            anl ~mode ~grouped:true ~group_of target
+            (Analyzer.replay_set_grouped ~mode anl target))
+        [ (Analyzer.Col_only, "col-only"); (Analyzer.Cell, "cell") ];
+      List.iter
+        (fun grouped ->
+          let _, prov = Analyzer.replay_set_explained ~grouped anl target in
+          check_provenance
+            ~label:(label ^ if grouped then " grouped" else "")
+            anl ~grouped ~group_of target prov)
+        [ false; true ])
+    targets;
+  (* the cases above really arise *)
+  let col_via i =
+    let _, prov =
+      Analyzer.replay_set_explained ~mode:Analyzer.Col_only ~grouped:true anl
+        { Analyzer.tau = 1; op = Analyzer.Remove }
+    in
+    Option.bind prov.(i - 1) (fun p -> p.Analyzer.p_col_via)
+  in
+  check Alcotest.(option int) "#2 joins as #5's mate" (Some (-5)) (col_via 2);
+  check Alcotest.(option int) "#3 through the reopened cursor" (Some 2)
+    (col_via 3);
+  check Alcotest.(option int) "#6's earliest parent" (Some 2) (col_via 6);
+  let add_fresh =
+    Analyzer.replay_set anl { Analyzer.tau = 1; op = Analyzer.Add fresh_table }
+  in
+  check Alcotest.int "a column no entry has reaches nothing" 0
+    add_fresh.Analyzer.member_count;
+  let schema =
+    Analyzer.replay_set ~mode:Analyzer.Cell anl
+      { Analyzer.tau = 7; op = Analyzer.Remove }
+  in
+  check
+    Alcotest.(list int)
+    "the schema change's readers replay" [ 8; 10 ] schema.Analyzer.member_indexes
+
 (* ------------------------------------------------------------------ *)
 (* A warm question's cost does not follow the history length            *)
 (* ------------------------------------------------------------------ *)
-
-let run e sql = ignore (Engine.exec_sql e sql)
 
 (* τ and its dependents write table [a]; the padding writes only [b], so
    both histories have the same replay set *)
@@ -371,10 +487,12 @@ let padded_history ~pad =
   done;
   (e, base)
 
-let minor_words_of_question ~pad =
+(* A service over [padded_history ~pad] that has answered τ = 1 once:
+   the warm-up's outcome and a function asking it again. *)
+let warm_service ?obs ~pad () =
   let e, base = padded_history ~pad in
   let svc =
-    Whatif.Service.create ~config:(Whatif.Config.make ~workers:1 ()) ~base e
+    Whatif.Service.create ~config:(Whatif.Config.make ~workers:1 ?obs ()) ~base e
   in
   let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
   let ask () =
@@ -382,7 +500,10 @@ let minor_words_of_question ~pad =
     | Ok r -> r.Whatif.Service.outcome
     | Error err -> Alcotest.fail (Whatif.Error.to_string err)
   in
-  let warm = ask () in
+  (ask (), ask)
+
+let minor_words_of_question ~pad =
+  let warm, ask = warm_service ~pad () in
   let before = Gc.minor_words () in
   let out = ask () in
   let words = Gc.minor_words () -. before in
@@ -390,6 +511,21 @@ let minor_words_of_question ~pad =
     warm.Whatif.replay.Analyzer.member_indexes
     out.Whatif.replay.Analyzer.member_indexes;
   (out.Whatif.replay.Analyzer.member_indexes, words)
+
+(* postings the column sweep visits for one warm question *)
+let col_visits_of_question ~pad =
+  let obs = Uv_obs.Trace.create () in
+  let _, ask = warm_service ~obs ~pad () in
+  let before = Uv_obs.Trace.counter_value obs "analyze.closure_col_visits" in
+  ignore (ask ());
+  Uv_obs.Trace.counter_value obs "analyze.closure_col_visits" - before
+
+let test_col_visits_flat_in_history () =
+  let small = col_visits_of_question ~pad:1000 in
+  let large = col_visits_of_question ~pad:4000 in
+  if small = 0 then Alcotest.fail "the column sweep visited nothing";
+  check Alcotest.int "column postings visited, 1 008 vs 4 008 entries" small
+    large
 
 let test_cost_flat_in_history () =
   let n = 1000 in
@@ -413,10 +549,13 @@ let () =
         @ [
             Alcotest.test_case "provenance digest" `Quick
               test_provenance_digest;
+            Alcotest.test_case "hand-built history" `Quick test_hand_built;
           ] );
       ( "question cost",
         [
           Alcotest.test_case "flat in history length" `Quick
             test_cost_flat_in_history;
+          Alcotest.test_case "column visits flat in history length" `Quick
+            test_col_visits_flat_in_history;
         ] );
     ]
