@@ -258,87 +258,3 @@ let replay_set ?obs ?(refined = true) ?mode fp anl target =
   Analyzer.replay_set_via ?obs ?mode anl
     ~col_joins:(make_col_joins fp anl ~refined ~seed)
     target
-
-(* ------------------------------------------------------------------ *)
-(* Conflict-DAG edge construction                                       *)
-(* ------------------------------------------------------------------ *)
-
-let scan_limit = 64
-
-(* Matrix-backed ordering edges over 𝕀: each member scans the most
-   recent members of every conflicting template (per guard-value bucket
-   when the pair is prunable), newest first, edge per scanned
-   predecessor; at the cap one conservative edge to the next predecessor
-   closes the chain, mirroring the oracle's bucket cap. Unmatched
-   members order dynamically against recent members on both sides. The
-   row-level write-write table edges of the oracle are unioned in — two
-   templates can write disjoint columns of one row. *)
-let exec_dependency_edges ?(refined = true) fp anl ~members =
-  refresh fp anl;
-  let recent_tid : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let recent_gval : (string, int list) Hashtbl.t = Hashtbl.create 256 in
-  let recent_all = ref [] in
-  let recent_unmatched = ref [] in
-  let edges = ref [] in
-  let scan_recent i lst =
-    let rec go k = function
-      | [] -> ()
-      | j :: rest ->
-          if k >= scan_limit then edges := (i, j) :: !edges
-          else begin
-            edges := (i, j) :: !edges;
-            go (k + 1) rest
-          end
-    in
-    go 0 lst
-  in
-  List.iter
-    (fun i ->
-      if i <= fp.n then begin
-        (match fp.assign.(i - 1) with
-        | Some a ->
-            List.iter
-              (fun (bid, (p : M.pair)) ->
-                if refined && p.M.prunable then
-                  List.iter
-                    (fun tbl ->
-                      match List.assoc_opt tbl a.gvals with
-                      | Some cv ->
-                          scan_recent i
-                            (Option.value
-                               (Hashtbl.find_opt recent_gval (gkey bid tbl cv))
-                               ~default:[])
-                      | None ->
-                          scan_recent i
-                            (Option.value
-                               (Hashtbl.find_opt recent_tid bid)
-                               ~default:[]))
-                    p.M.guard_tables
-                else
-                  scan_recent i
-                    (Option.value (Hashtbl.find_opt recent_tid bid) ~default:[]))
-              (M.pairs_for fp.matrix a.tid);
-            (* matched vs unmatched predecessors: dynamic check *)
-            let my_rw = (Analyzer.info anl i).Analyzer.rw in
-            scan_recent i
-              (List.filter
-                 (fun j ->
-                   dyn_conflict my_rw (Analyzer.info anl j).Analyzer.rw)
-                 !recent_unmatched);
-            List.iter
-              (fun (tbl, cv) -> push recent_gval (gkey a.tid tbl cv) i)
-              a.gvals;
-            push recent_tid a.tid i
-        | None ->
-            let my_rw = (Analyzer.info anl i).Analyzer.rw in
-            scan_recent i
-              (List.filter
-                 (fun j ->
-                   dyn_conflict my_rw (Analyzer.info anl j).Analyzer.rw)
-                 !recent_all);
-            recent_unmatched := i :: !recent_unmatched);
-        recent_all := i :: !recent_all
-      end)
-    members;
-  let ww = Analyzer.write_write_table_edges anl ~members in
-  List.sort_uniq compare (List.rev_append !edges ww)

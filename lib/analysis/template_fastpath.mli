@@ -1,5 +1,4 @@
-(** The template-matrix fast-path for replay-set closure and conflict-DAG
-    construction.
+(** The template-matrix fast-path for replay-set closure.
 
     [prepare] matches every log entry against the extracted template set
     once, stamps the matched template ids onto the log entries, and
@@ -54,20 +53,6 @@ val replay_set :
   Uv_retroactive.Analyzer.target ->
   Uv_retroactive.Analyzer.replay_set
 (** Matrix-backed replay set. [refined] defaults to [true]. *)
-
-val exec_dependency_edges :
-  ?refined:bool ->
-  t ->
-  Uv_retroactive.Analyzer.t ->
-  members:int list ->
-  (int * int) list
-(** Matrix-backed ordering edges over 𝕀 for the replay scheduler: each
-    member scans the most recent members of every conflicting template
-    (per guard-value bucket when prunable), newest first, with the same
-    bucket cap and conservative chain-closing edge as the oracle;
-    unmatched members order dynamically. The oracle's row-level
-    write-write table edges are unioned in. The result is a valid
-    superset ordering: every oracle edge's endpoints stay reachable. *)
 
 val unmatched : t -> int list
 (** Entries (ascending) no template matched — the UVA014 feed. *)

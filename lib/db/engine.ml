@@ -1538,10 +1538,9 @@ type plan_action =
 type plan = {
   plan_table : string;
   plan_schema : Schema.table; (* the physical record captured at prepare *)
-  plan_where : compiled_expr option;
   plan_cur_where : cur_expr option;
-      (* the same predicate compiled against a column cursor: victims are
-         filtered on the typed columns and only matches materialize *)
+      (* the WHERE predicate compiled against a column cursor: victims
+         are filtered on the typed columns and only matches materialize *)
   plan_probe : (string * Value.t) option; (* [col = literal] conjunct *)
   plan_batchable : bool;
       (* true when the assigns touch no PRIMARY KEY or UNIQUE column, so
@@ -1658,7 +1657,6 @@ let prepare cat (stmt : Ast.stmt) : plan option =
               {
                 plan_table = table;
                 plan_schema = sch;
-                plan_where = Option.map (compile_expr sch table) where;
                 plan_cur_where =
                   Option.map (compile_cur ~vars:no_vars sch table) where;
                 plan_probe = Option.bind where (probe_of table);

@@ -250,30 +250,6 @@ let parse text =
   | None -> records
 
 (* ------------------------------------------------------------------ *)
-(* Files                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let save ?(fault = Uv_fault.Fault.disabled) ?fsync log ~path =
-  let data = print (records_of_log log) in
-  match
-    Uv_fault.Fault.check fault Uv_fault.Fault.Site.log_save
-      [ Uv_fault.Fault.Torn_write ]
-  with
-  | Some inj ->
-      (* the crash happens mid-write of the temp file: a prefix lands
-         there, the rename never runs, the previous good file survives *)
-      let keep =
-        int_of_float (float_of_int (String.length data) *. inj.Uv_fault.Fault.arg)
-      in
-      Uv_util.Safe_io.write_file (path ^ ".tmp") (String.sub data 0 keep);
-      raise (Uv_fault.Fault.Injected inj)
-  | None -> Uv_util.Safe_io.atomic_write ?fsync ~path data
-
-let load ~path = parse (Uv_util.Safe_io.read_file path)
-
-let load_salvage ~path = salvage (Uv_util.Safe_io.read_file path)
-
-(* ------------------------------------------------------------------ *)
 (* Replay                                                               *)
 (* ------------------------------------------------------------------ *)
 

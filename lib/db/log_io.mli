@@ -26,9 +26,9 @@
     before it is replayed. {!parse} still accepts the checksum-free
     ULOGv1 header for logs written by earlier versions.
 
-    {!save} is crash-consistent: the rendered log is written to
-    [path ^ ".tmp"], fsynced and renamed over [path], so an interrupted
-    save can never destroy the previous good file. *)
+    Files in this format are written and read by [Log_store]'s
+    single-file helpers ([save_log_file], [load_log_file],
+    [salvage_log_file]) and its segments. *)
 
 type record = {
   r_sql : string;  (** statement text, parseable by {!Uv_sql.Parser} *)
@@ -38,7 +38,7 @@ type record = {
 }
 
 exception Corrupt of string
-(** Raised by {!parse} and {!load} on a malformed or truncated file. *)
+(** Raised by {!parse} on malformed or truncated input. *)
 
 type diagnosis = {
   version : int;  (** 1 or 2; [0] when even the header is unreadable *)
@@ -66,28 +66,6 @@ val salvage : string -> record list * diagnosis
     and, on v2, its checksum matches) plus a diagnosis of the first
     damage found. Recovery deliberately stops at the first bad record —
     replaying records past a hole would silently reorder history. *)
-
-val save : ?fault:Uv_fault.Fault.t -> ?fsync:bool -> Log.t -> path:string -> unit
-[@@ocaml.alert deprecated "use Log_store.save_log_file (or a Log_store directory)"]
-(** [save log ~path] writes the log's durable projection to [path]
-    atomically (temp file + fsync + rename; [fsync] defaults to [true]).
-    [fault] probes {!Uv_fault.Fault.Site.log_save} with [Torn_write]:
-    an injected tear writes a prefix to the temp file, skips the rename
-    — leaving any previous file at [path] intact — and raises
-    [Uv_fault.Fault.Injected].
-    @deprecated the file-granular persistence entry points moved to the
-    unified [Log_store] surface; this shim will be removed. *)
-
-val load : path:string -> record list
-[@@ocaml.alert deprecated "use Log_store.load_log_file"]
-(** Read a file written by {!save}.
-    @raise Corrupt on bad input.
-    @deprecated use [Log_store.load_log_file] (typed [Store_error]). *)
-
-val load_salvage : path:string -> record list * diagnosis
-[@@ocaml.alert deprecated "use Log_store.salvage_log_file"]
-(** {!salvage} over a file's bytes; never raises on bad content.
-    @deprecated use [Log_store.salvage_log_file]. *)
 
 val replay : Engine.t -> record list -> int list
 (** Re-execute the records in order against [engine], forcing each

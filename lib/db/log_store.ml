@@ -91,7 +91,7 @@ let read_file_or_error path =
   try Uv_util.Safe_io.read_file path
   with Sys_error m -> io_error path m
 
-(* Torn-write-aware atomic write, the [Log_io.save] contract: an
+(* Torn-write-aware atomic write (temp file, fsync, rename): an
    injected tear leaves only a prefix in the temp file, skips the
    rename (previous good file intact) and raises [Injected]. *)
 let guarded_write ~fault ?fsync ~site ~key ~path data =

@@ -102,9 +102,9 @@ val open_ :
     only the manifest resident. [fault] probes
     {!Uv_fault.Fault.Site.log_save} with [Torn_write] on every file the
     store writes (stream key = the segment's sequence number; [0] for
-    the manifest), matching the [Log_io.save] contract: the tear leaves
-    a prefix in the temp file, skips the rename and raises
-    [Uv_fault.Fault.Injected].
+    the manifest), the same atomic-write contract as {!save_log_file}:
+    the tear leaves a prefix in the temp file, skips the rename and
+    raises [Uv_fault.Fault.Injected].
     @raise Error on an unreadable or corrupt manifest. *)
 
 val sync : t -> unit
@@ -267,10 +267,11 @@ val read_dump : t -> Engine.t -> bool
 
 (** {2 Single-file helpers}
 
-    The legacy one-file formats under the unified error type — the
-    non-deprecated homes of [Log_io.save]/[load]/[load_salvage],
+    The one-file formats under the unified error type: the ULOG log
+    file ({!Log_io} bytes), and the non-deprecated homes of
     [Dump.save]/[load] and [Dump.save_checkpoints]/[load_checkpoints].
-    Same bytes, same fault sites, same atomic-write protocol. *)
+    Same bytes, same fault sites, same atomic-write protocol (temp
+    file, fsync, rename). *)
 
 val is_store : string -> bool
 (** Does the path name a store directory (existing directory that is
@@ -279,6 +280,9 @@ val is_store : string -> bool
 
 val save_log_file :
   ?fault:Uv_fault.Fault.t -> ?fsync:bool -> Log.t -> path:string -> unit
+(** Write the log's durable projection to [path] atomically. [fault]
+    probes {!Uv_fault.Fault.Site.log_save} with [Torn_write]: a tear
+    leaves any previous file at [path] intact. *)
 
 val load_log_file : path:string -> Log_io.record list
 (** @raise Error ([Corrupt_segment] with [segment = 0] and the

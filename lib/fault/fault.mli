@@ -90,8 +90,8 @@ module Site : sig
       committed ([Stmt_fail]) — exercises the full journal rollback. *)
 
   val log_save : string
-  (** Probed by [Log_io.save] ([Torn_write]): the temp file receives
-      only a prefix and the rename is skipped. *)
+  (** Probed by every [Log_store] file write ([Torn_write]): the temp
+      file receives only a prefix and the rename is skipped. *)
 
   val dump_save : string
   (** Probed by [Dump.save] ([Torn_write]). *)

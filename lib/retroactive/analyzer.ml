@@ -115,6 +115,12 @@ type t = {
   mutable entry_cols : int array array;
       (* per entry: [| nw; nw written column ids; the read column ids |],
          or [||] for an entry that never joins *)
+  table_ids : (string, int) Hashtbl.t; (* interned [table_of_col] names *)
+  mutable table_names : string array; (* table id -> name *)
+  mutable col_table : int array; (* column id -> its table's id *)
+  mutable col_row_keyed : bool array;
+      (* column id -> a real column ("table.col", not a schema key):
+         writes to it take part in the row-level write-write rule *)
   row_index : (string, tindex) Hashtbl.t;
   groups : (string, int list) Hashtbl.t; (* app_txn tag -> entry indexes *)
   mutable indexed_generation : int;
@@ -126,12 +132,6 @@ type t = {
   scratch : scratch option Atomic.t;
       (* taken by one closure at a time: concurrent questions (the
          service runs them under a shared read lock) build their own *)
-  mutable dep_edges_cache : (int list * (int * int) list) option;
-      (* last [dependency_edges] result keyed by its member set: every
-         run of one what-if target asks for the same edges (replay
-         scheduling, then the cost model), and repeated what-ifs over an
-         unchanged history hit it too. The pair is immutable, so a racy
-         publish is harmless — a loser just recomputes. *)
 }
 
 let length t = Array.length t.infos
@@ -139,6 +139,16 @@ let length t = Array.length t.infos
 let info t i = t.infos.(i - 1)
 
 let is_schema_key k = String.length k > 3 && String.starts_with ~prefix:"_S." k
+
+let table_of_col c =
+  match String.index_opt c '.' with
+  | Some i -> String.sub c 0 i
+  | None -> c
+
+let grow a len fill =
+  let b = Array.make (max 16 (2 * len)) fill in
+  Array.blit a 0 b 0 len;
+  b
 
 let tables_of_rw (rw : Rwset.rw) =
   let of_set s =
@@ -223,6 +233,24 @@ let intern t c =
       end;
       t.postings.((2 * id) + 1) <- { ids = [||]; len = 0 };
       t.postings.(2 * id) <- { ids = [||]; len = 0 };
+      if id = Array.length t.col_table then begin
+        t.col_table <- grow t.col_table id 0;
+        t.col_row_keyed <- grow t.col_row_keyed id false
+      end;
+      let table = table_of_col c in
+      let tid =
+        match Hashtbl.find_opt t.table_ids table with
+        | Some tid -> tid
+        | None ->
+            let tid = Hashtbl.length t.table_ids in
+            Hashtbl.replace t.table_ids table tid;
+            if tid = Array.length t.table_names then
+              t.table_names <- grow t.table_names tid "";
+            t.table_names.(tid) <- table;
+            tid
+      in
+      t.col_table.(id) <- tid;
+      t.col_row_keyed.(id) <- String.contains c '.' && not (is_schema_key c);
       id
 
 (* The postings of one column key, if any entry touches it. *)
@@ -367,13 +395,16 @@ let create ?(config = Rowset.default_config) ?base source =
     col_ids = Hashtbl.create 256;
     postings = [||];
     entry_cols = [||];
+    table_ids = Hashtbl.create 16;
+    table_names = [||];
+    col_table = [||];
+    col_row_keyed = [||];
     row_index = Hashtbl.create 64;
     groups = Hashtbl.create 256;
     indexed_generation = Rowset.merge_generation row_state;
     joinable = [||];
     cell_index = None;
     scratch = Atomic.make None;
-    dep_edges_cache = None;
   }
 
 let extend ?(obs = Uv_obs.Trace.disabled) t =
@@ -409,7 +440,6 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
         (Array.map
            (fun inf -> not (Rwset.Colset.is_empty inf.rw.Rwset.w))
            fresh);
-    t.dep_edges_cache <- None;
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
         let gen = Rowset.merge_generation t.row_state in
         if gen <> t.indexed_generation then begin
@@ -636,11 +666,6 @@ let rec sift_down h len k =
     end
   end
 
-let grow a len fill =
-  let b = Array.make (max 16 (2 * len)) fill in
-  Array.blit a 0 b 0 len;
-  b
-
 (* The column-wise closure as one ascending sweep over column postings.
    A member (or the seed, just before τ) taints its columns: a written
    column opens cursors on its readers and writers, a read column on its
@@ -761,11 +786,6 @@ let col_sweep ?via ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
   Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
   Uv_obs.Trace.incr obs ~by:!visits "analyze.closure_col_visits";
   !joined
-
-let table_of_col c =
-  match String.index_opt c '.' with
-  | Some i -> String.sub c 0 i
-  | None -> c
 
 (* The joint (cell-wise) pair conflict: the two entries share a column
    (direction-aware) whose table's rows overlap — i.e., they touch a
@@ -1400,208 +1420,203 @@ let explain_report ?mode ?grouped t (target : target) =
   (rs, List.rev !lines)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler edges                                                      *)
+(* The replay DAG                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* value tokens of an entry for one table, over the first RI dimension:
-   concrete canonicalized values, or ["*"] for a wildcard access *)
-let entry_row_tokens t (inf : info) table ~write =
-  match List.assoc_opt table inf.rows with
-  | Some access when Array.length access > 0 -> (
-      let rs = if write then access.(0).Rowset.dw else access.(0).Rowset.dr in
-      match rs with
-      | Rowset.Any -> [ "*" ]
-      | Rowset.Vals s ->
-          if Rowset.Vset.is_empty s then []
-          else
-            let dim0 =
-              match List.assoc_opt table t.config.Rowset.ri_columns with
-              | Some (d :: _) -> d
-              | _ -> "#0"
-            in
-            Rowset.Vset.fold
-              (fun v acc -> Rowset.canonical t.row_state table dim0 v :: acc)
-              s [])
-  | _ -> [ "*" ]
+module Itbl = Hashtbl.Make (Int)
 
-let dependency_edges_uncached t ~members =
-  (* Conflict edges at cell granularity: accesses are bucketed by
-     (column, first-RI-dimension value), so row-disjoint chains stay
-     parallel (the source of TPC-C's and SEATS' replay parallelism,
-     §4.4). A wildcard access uses the per-column "*" bucket, which
-     conflicts with every value bucket of that column. *)
-  let edges = ref [] in
-  (* (column, value-token) -> recent accessors, most recent first *)
-  let buckets : (string * string, (int * bool) list ref) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  (* column -> all value tokens seen (for wildcard scans) *)
-  let tokens_of_col : (string, string list ref) Hashtbl.t = Hashtbl.create 256 in
-  let bucket key =
-    match Hashtbl.find_opt buckets key with
-    | Some b -> b
+(* Accessors scanned per (column, token) before a closing edge. *)
+let scan_limit = 64
+
+(* Entry [i]'s row in the [entry_cols] layout. An entry that never joins
+   a closure has none: it only reads, and a column that no indexed entry
+   interned has no writer, so reading it orders nothing. *)
+let cols_of t i =
+  let row = t.entry_cols.(i - 1) in
+  if Array.length row > 0 then row
+  else
+    Array.of_list
+      (0
+      :: Rwset.Colset.fold
+           (fun c acc ->
+             match Hashtbl.find_opt t.col_ids c with
+             | Some id -> id :: acc
+             | None -> acc)
+           t.infos.(i - 1).rw.Rwset.r [])
+
+(* One ascending pass over the members. Per column, accesses are
+   bucketed by first-RI-dimension token ("*" for any row, id 0), so
+   row-disjoint chains stay parallel (the source of TPC-C's and SEATS'
+   replay parallelism, §4.4). Tokens are interned per call, never into
+   the analyzer: questions run concurrently under a shared read lock. *)
+let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
+  Uv_obs.Trace.with_span obs ~cat:"analyze" "cluster" @@ fun () ->
+  let nodes = Array.of_list members in
+  let n = Array.length nodes in
+  let ncols = Hashtbl.length t.col_ids in
+  let ntables = Hashtbl.length t.table_ids in
+  let tok_ids = Hashtbl.create 64 in
+  Hashtbl.replace tok_ids "*" 0;
+  let tok_of s =
+    match Hashtbl.find_opt tok_ids s with
+    | Some id -> id
     | None ->
-        let b = ref [] in
-        Hashtbl.replace buckets key b;
-        let c, v = key in
-        let toks =
-          match Hashtbl.find_opt tokens_of_col c with
-          | Some l -> l
+        let id = Hashtbl.length tok_ids in
+        Hashtbl.replace tok_ids s id;
+        id
+  in
+  (* a member's tokens for one (table, side), canonicalised once; two
+     values aliasing one root stay two tokens, as each is one access *)
+  let tok_stamp = Array.make (2 * ntables) (-1) in
+  let tok_memo = Array.make (2 * ntables) [||] in
+  let tokens p (inf : info) tid ~write =
+    let slot = (2 * tid) + Bool.to_int write in
+    if tok_stamp.(slot) <> p then begin
+      tok_stamp.(slot) <- p;
+      let table = t.table_names.(tid) in
+      tok_memo.(slot) <-
+        (match List.assoc_opt table inf.rows with
+        | Some access when Array.length access > 0 -> (
+            match
+              if write then access.(0).Rowset.dw else access.(0).Rowset.dr
+            with
+            | Rowset.Any -> [| 0 |]
+            | Rowset.Vals s ->
+                let dim0 = dim0_of t.config table in
+                Array.of_list
+                  (Rowset.Vset.fold
+                     (fun v acc ->
+                       tok_of (Rowset.canonical t.row_state table dim0 v) :: acc)
+                     s []))
+        | _ -> [| 0 |])
+    end;
+    tok_memo.(slot)
+  in
+  (* the current member's distinct predecessors *)
+  let seen = Array.make n (-1) in
+  let out = ref (Array.make 16 0) and nout = ref 0 in
+  let emit p q =
+    if seen.(q) <> p then begin
+      seen.(q) <- p;
+      if !nout = Array.length !out then out := grow !out !nout 0;
+      !out.(!nout) <- q;
+      incr nout
+    end
+  in
+  (* Cell rule. A bucket lists its accessors in push order as
+     [(position lsl 1) lor wrote]. A write orders after every accessor
+     back to, and including, the previous writer; a read after the
+     previous writer only. Past [scan_limit] accessors one closing edge
+     stands in for the rest (wave layering is transitive). *)
+  let cells : posting Itbl.t = Itbl.create 256 in
+  let col_cells = Array.make ncols [] in
+  let rec scan p b ~write k pos =
+    if pos >= 0 then begin
+      let e = b.ids.(pos) in
+      let q = e lsr 1 and q_wrote = e land 1 = 1 in
+      if q = p then scan p b ~write k (pos - 1)
+      else if k >= scan_limit then emit p q
+      else if write then begin
+        emit p q;
+        if not q_wrote then scan p b ~write (k + 1) (pos - 1)
+      end
+      else if q_wrote then emit p q
+      else scan p b ~write (k + 1) (pos - 1)
+    end
+  in
+  let consider p b ~write = scan p b ~write 0 (b.len - 1) in
+  let touch p inf c ~write =
+    Array.iter
+      (fun v ->
+        let key = (v * ncols) + c in
+        let own = Itbl.find_opt cells key in
+        (* a wildcard meets every bucket of the column; a value its own
+           bucket and the wildcard one (key [c]) *)
+        if v = 0 then List.iter (fun b -> consider p b ~write) col_cells.(c)
+        else begin
+          Option.iter (fun b -> consider p b ~write) own;
+          Option.iter (fun b -> consider p b ~write) (Itbl.find_opt cells c)
+        end;
+        let b =
+          match own with
+          | Some b -> b
           | None ->
-              let l = ref [] in
-              Hashtbl.replace tokens_of_col c l;
-              l
+              let b = { ids = [||]; len = 0 } in
+              Itbl.replace cells key b;
+              col_cells.(c) <- b :: col_cells.(c);
+              b
         in
-        if not (List.mem v !toks) then toks := v :: !toks;
-        b
+        (* keep a long bucket to its newest [scan_limit] accessors *)
+        if b.len > 2 * scan_limit then begin
+          Array.blit b.ids (b.len - scan_limit) b.ids 0 scan_limit;
+          b.len <- scan_limit
+        end;
+        posting_push b ((p lsl 1) lor Bool.to_int write))
+      (tokens p inf t.col_table.(c) ~write)
   in
-  let scan_limit = 64 in
-  let table_of_col c =
-    match String.index_opt c '.' with
-    | Some i -> String.sub c 0 i
-    | None -> c
-  in
-  let tokens_for inf table ~write = entry_row_tokens t inf table ~write in
-  List.iter
-    (fun i ->
-      let inf = t.infos.(i - 1) in
-      let consider key ~i_writes =
-        match Hashtbl.find_opt buckets key with
-        | None -> ()
-        | Some accs ->
-            (* a write orders after every reader back to (and including)
-               the previous writer; a read orders after the previous
-               writer only — intermediate readers are no conflict *)
-            let rec scan k = function
-              | [] -> ()
-              | (j, _) :: rest when j = i -> scan k rest
-              | (j, j_wrote) :: rest ->
-                  if k >= scan_limit then edges := (i, j) :: !edges
-                  else if i_writes then begin
-                    edges := (i, j) :: !edges;
-                    if not j_wrote then scan (k + 1) rest
-                  end
-                  else if j_wrote then edges := (i, j) :: !edges
-                  else scan (k + 1) rest
-            in
-            scan 0 !accs
-      in
-      let touch c ~write =
-        let table = table_of_col c in
-        let toks = tokens_for inf table ~write in
-        List.iter
-          (fun v ->
-            (* conflict with same-value and wildcard buckets; a wildcard
-               access conflicts with every bucket of the column *)
-            (if v = "*" then
-               match Hashtbl.find_opt tokens_of_col c with
-               | Some all -> List.iter (fun v' -> consider (c, v') ~i_writes:write) !all
-               | None -> ()
-             else begin
-               consider (c, v) ~i_writes:write;
-               consider (c, "*") ~i_writes:write
-             end);
-            let b = bucket (c, v) in
-            b := (i, write) :: (if List.length !b > 2 * scan_limit then
-                                  List.filteri (fun k _ -> k < scan_limit) !b
-                                else !b))
-          toks
-      in
-      Rwset.Colset.iter (fun c -> touch c ~write:false) inf.rw.Rwset.r;
-      Rwset.Colset.iter (fun c -> touch c ~write:true) inf.rw.Rwset.w)
-    members;
-  List.sort_uniq compare !edges
-
-let dependency_edges t ~members =
-  match t.dep_edges_cache with
-  | Some (m, e) when List.equal Int.equal m members -> e
-  | _ ->
-      let e = dependency_edges_uncached t ~members in
-      t.dep_edges_cache <- Some (members, e);
-      e
-
-(* Write-write edges between members writing overlapping rows of one
-   table, regardless of which columns they assign. [dependency_edges]
-   works per column, so two updates hitting *different columns of the
-   same row* are invisible to it — harmless for the simulated makespan,
-   but fatal for real parallel execution, where [Storage.update]
-   replaces the whole row array and the later commit must see the
-   earlier one's cells. Chains collapse to last-writer edges; wave
-   layering restores transitivity. *)
-let write_write_table_edges t ~members =
-  let edges = ref [] in
-  let last_writer : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
-  let toks_of_table : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  let note_tok table v =
-    let l =
-      match Hashtbl.find_opt toks_of_table table with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.replace toks_of_table table l;
-          l
+  (* Row-level write-write rule, per (table, token) whatever the columns:
+     [Storage.update] replaces whole rows, so two members writing
+     different columns of one row must keep commit order when run in
+     parallel. Chains collapse to last-writer edges. *)
+  let last_writer = Itbl.create 64 in
+  let table_toks = Array.make ntables [] in
+  let ww_stamp = Array.make ntables (-1) in
+  let write_rows p inf tid =
+    let edge_to v =
+      match Itbl.find_opt last_writer ((v * ntables) + tid) with
+      | Some q when q <> p -> emit p q
+      | _ -> ()
     in
-    if not (List.mem v !l) then l := v :: !l
+    let set v =
+      let key = (v * ntables) + tid in
+      if not (Itbl.mem last_writer key) then
+        table_toks.(tid) <- v :: table_toks.(tid);
+      Itbl.replace last_writer key p
+    in
+    let toks = tokens p inf tid ~write:true in
+    Array.iter
+      (fun v ->
+        if v = 0 then List.iter edge_to table_toks.(tid)
+        else begin
+          edge_to v;
+          edge_to 0
+        end)
+      toks;
+    (* a wildcard write becomes the last writer of every row *)
+    Array.iter
+      (fun v ->
+        if v = 0 then List.iter set table_toks.(tid);
+        set v)
+      toks
   in
-  let write_tables (rw : Rwset.rw) =
-    Rwset.Colset.fold
-      (fun key acc ->
-        if is_schema_key key then acc
-        else
-          match String.index_opt key '.' with
-          | Some i -> String.sub key 0 i :: acc
-          | None -> acc)
-      rw.Rwset.w []
-    |> List.sort_uniq compare
-  in
-  List.iter
-    (fun i ->
-      let inf = t.infos.(i - 1) in
-      List.iter
-        (fun table ->
-          let toks = entry_row_tokens t inf table ~write:true in
-          let edge_to j = if j <> i then edges := (i, j) :: !edges in
-          List.iter
-            (fun v ->
-              if v = "*" then (
-                match Hashtbl.find_opt toks_of_table table with
-                | Some all ->
-                    List.iter
-                      (fun v' ->
-                        Option.iter edge_to
-                          (Hashtbl.find_opt last_writer (table, v')))
-                      !all
-                | None -> ())
-              else begin
-                Option.iter edge_to (Hashtbl.find_opt last_writer (table, v));
-                Option.iter edge_to (Hashtbl.find_opt last_writer (table, "*"))
-              end)
-            toks;
-          List.iter
-            (fun v ->
-              if v = "*" then begin
-                (* a wildcard write is now the last writer of every row *)
-                (match Hashtbl.find_opt toks_of_table table with
-                | Some all ->
-                    List.iter
-                      (fun v' -> Hashtbl.replace last_writer (table, v') i)
-                      !all
-                | None -> ());
-                note_tok table "*";
-                Hashtbl.replace last_writer (table, "*") i
-              end
-              else begin
-                note_tok table v;
-                Hashtbl.replace last_writer (table, v) i
-              end)
-            toks)
-        (write_tables inf.rw))
-    members;
-  List.sort_uniq compare !edges
-
-let exec_dependency_edges t ~members =
-  List.sort_uniq compare
-    (dependency_edges t ~members @ write_write_table_edges t ~members)
+  let preds = Array.make n [||] in
+  for p = 0 to n - 1 do
+    let i = nodes.(p) in
+    let inf = t.infos.(i - 1) in
+    let cols = cols_of t i in
+    let nw = cols.(0) in
+    nout := 0;
+    (* reads before writes, so a member reading and writing one cell
+       pushes its read first *)
+    for k = nw + 1 to Array.length cols - 1 do
+      touch p inf cols.(k) ~write:false
+    done;
+    for k = 1 to nw do
+      touch p inf cols.(k) ~write:true
+    done;
+    for k = 1 to nw do
+      let c = cols.(k) in
+      let tid = t.col_table.(c) in
+      if t.col_row_keyed.(c) && ww_stamp.(tid) <> p then begin
+        ww_stamp.(tid) <- p;
+        write_rows p inf tid
+      end
+    done;
+    preds.(p) <- Array.sub !out 0 !nout
+  done;
+  let dag = Conflict_dag.of_preds ~nodes preds in
+  Uv_obs.Trace.incr obs ~by:(Conflict_dag.edge_count dag) "replay.edges";
+  dag
 
 let to_dot t ~members =
   let buf = Buffer.create 1024 in
@@ -1621,6 +1636,6 @@ let to_dot t ~members =
   List.iter
     (fun (later, earlier) ->
       Buffer.add_string buf (Printf.sprintf "  q%d -> q%d;\n" later earlier))
-    (dependency_edges t ~members);
+    (Conflict_dag.edges (replay_dag t ~members));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

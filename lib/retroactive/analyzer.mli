@@ -207,11 +207,6 @@ val row_merge_generation : t -> int
 (** Generation counter of the RI alias/merge state; external value-keyed
     caches must be rebuilt when it changes. *)
 
-val write_write_table_edges : t -> members:int list -> (int * int) list
-(** The row-level write-write ordering edges that [exec_dependency_edges]
-    adds on top of [dependency_edges]: any two members writing
-    overlapping rows of one table, even through disjoint columns. *)
-
 type provenance = {
   p_col_via : int option;
       (** parent in the column-wise closure: [Some 0] — the member
@@ -252,22 +247,39 @@ val explain_report :
 (** Human-readable provenance, one line per member:
     ["#12 UPDATE <- columns {stock.qty} with #7; rows {stock=42} with #7"]. *)
 
-val dependency_edges : t -> members:int list -> (int * int) list
-(** Conflict edges (n, m) with m < n among 𝕀 members (ascending commit
-    indexes, as in {!replay_set.member_indexes}), for the replay
-    scheduler: n must run after m. *)
+val replay_dag :
+  ?obs:Uv_obs.Trace.t -> t -> members:int list -> Conflict_dag.t
+(** The replay conflict DAG over [members] (ascending commit indexes, as
+    in {!replay_set.member_indexes}): the one DAG a question schedules,
+    executes ([Wave_exec]) and costs (the what-if cost model) by. One
+    ascending pass over the members emits an edge [(n, m)], [m < n],
+    whenever [n] must replay after [m]:
 
-val exec_dependency_edges : t -> members:int list -> (int * int) list
-(** [dependency_edges] strengthened for *real* parallel execution:
-    additionally orders any two members that write overlapping rows of
-    one table, even through disjoint columns — whole-row storage updates
-    make such writes physically conflicting although the cell-wise model
-    keeps them independent. Superset of [dependency_edges]. *)
+    - {b cell rule}, per (column, first-RI-dimension token) accessed: a
+      member that writes the key orders after each earlier accessor back
+      to, and including, the previous writer; a member that reads it,
+      after the previous writer only. A wildcard access (the token ["*"]:
+      an [Any] row set, a table without row sets, a schema key) meets
+      every token of the column, and a concrete token meets ["*"]. At the
+      64th accessor scanned one closing edge stands in for the older
+      ones, and a key's accessor list is cut to its newest 64 once it
+      holds more than 128 — wave layering is transitive;
+    - {b row rule}, per (table, token) written, whatever the columns: a
+      write orders after the key's last writer, with ["*"] as above.
+      [Uv_db.Storage.update] replaces whole rows, so two members writing
+      different columns of one row must keep commit order when replayed
+      in parallel.
+
+    Tokens are the entries' RI values canonicalised under the current
+    merge state, interned per call; the analyzer is not mutated, so
+    concurrent questions may call this under a shared read lock.
+    [obs] gets a [cluster] span over the whole pass and the DAG build,
+    and the [replay.edges] counter, bumped by the distinct edges. *)
 
 val tables_of_rw : Rwset.rw -> string list
 (** Real tables (not [_S] objects) appearing in a column set. *)
 
 val to_dot : t -> members:int list -> string
-(** Graphviz rendering of the replay conflict graph over 𝕀 (Figure 6
-    style): nodes are member statements, edges point from each statement
-    to the earlier ones it must replay after. *)
+(** Graphviz rendering of {!replay_dag} over 𝕀 (Figure 6 style): nodes
+    are member statements, edges point from each statement to the
+    earlier ones it must replay after. *)

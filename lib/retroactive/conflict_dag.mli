@@ -1,36 +1,45 @@
-(** The replay conflict DAG (§4.4), shared by every scheduler.
+(** The replay conflict DAG (§4.4).
 
-    Both conflict-edge producers in the system — [Analyzer.dependency_edges]
-    over committed log entries and [Cc_schedule]'s pairwise planner over
-    un-committed statements — speak the same language: nodes are integer
-    ids and an edge [(later, earlier)] means [later] must execute after
-    [earlier]. This module is the single home for the two derived views:
+    Nodes are integer ids in ascending order (commit order), and an edge
+    [(later, earlier)] means [later] must execute after [earlier]. Every
+    edge points backwards, so ascending node order is a topological
+    order: both derived views below are one forward scan.
 
-    - {b wave layering} — longest-path levels; every node lands one wave
-      after the latest of its dependencies, so the entries of one wave are
-      mutually conflict-free and may execute simultaneously;
-    - {b makespan} — greedy list scheduling with a bounded worker count
-      (the simulated parallel replay cost).
+    - {b wave layering}: longest-path levels. Every node lands one wave
+      after the latest of its dependencies, so the entries of one wave
+      are mutually conflict-free and may execute simultaneously
+      ([Wave_exec] runs them on real domains);
+    - {b makespan}: greedy list scheduling with a bounded worker count,
+      the what-if cost model's simulated parallel replay time.
 
-    [Scheduler] (simulated replay cost) and [Cc_schedule] (concurrency-
-    control planner) are thin wrappers; [Wave_exec] drives real domains
-    over the wave layering. *)
+    A what-if question's DAG comes from [Analyzer.replay_dag]; the wave
+    executor and the cost model read that same value. [Cc_schedule]
+    builds one from its pairwise planner over uncommitted statements. *)
 
 type edge = int * int
 (** [(later, earlier)]: [later] conflicts with, and must run after,
-    [earlier]. Both endpoints are node ids; edges mentioning unknown ids
-    are ignored by {!build}. *)
+    [earlier]. Both endpoints are node ids. *)
 
 type t
 
 val build : nodes:int list -> edges:edge list -> t
-(** [nodes] in ascending order (commit order); every edge must point
-    backwards ([earlier < later]). Duplicated edges are deduplicated. *)
+(** [nodes] strictly ascending. Duplicated edges are deduplicated.
+    Raises [Invalid_argument] if the nodes are not ascending, or an edge
+    names an id that is not a node or does not point backwards
+    ([earlier < later]). *)
 
-val node_count : t -> int
+val of_preds : nodes:int array -> int array array -> t
+(** The same DAG over dense positions, one row per node: [preds.(p)]
+    lists the positions (indexes into [nodes]) node [p] must run after,
+    in any order and possibly repeated. Raises [Invalid_argument] on a
+    row count other than the node count, and under {!build}'s
+    conditions, with a position outside [\[0, p)] as the bad edge. *)
 
 val edge_count : t -> int
-(** Distinct in-range edges. *)
+(** Distinct edges. *)
+
+val edges : t -> edge list
+(** Every distinct edge as node ids, ascending by [(later, earlier)]. *)
 
 val waves : t -> int list list
 (** Longest-path layering: wave [k] holds every node whose deepest
@@ -40,9 +49,9 @@ val waves : t -> int list list
 
 val wave_count : t -> int
 
-val parallelism : t -> float
-(** [node_count / wave_count]; [1.0] for an empty DAG. *)
-
 val makespan : t -> weight:(int -> float) -> workers:int -> float
 (** Greedy list-scheduling makespan over [workers] lanes, with [weight]
-    giving each node's cost in milliseconds. *)
+    giving each node's cost in milliseconds, nodes taken in ascending
+    order onto the earliest free lane. With [workers] at least the node
+    count this is the critical-path length; with one worker, the serial
+    sum. [0.0] for an empty DAG. *)

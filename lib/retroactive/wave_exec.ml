@@ -48,7 +48,9 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
     (* the span is opened on the executing domain, so parallel replay
        renders as one trace lane per domain *)
     let sp =
-      Uv_obs.Trace.start obs ~cat:"replay" (Printf.sprintf "Q%d" it.idx)
+      (* with tracing off [start] ignores the name: build none *)
+      Uv_obs.Trace.start obs ~cat:"replay"
+        (if Uv_obs.Trace.enabled obs then Printf.sprintf "Q%d" it.idx else "")
     in
     Fun.protect ~finally:(fun () -> Uv_obs.Trace.finish obs sp) @@ fun () ->
     let t0 = Uv_util.Clock.now_ms () in
@@ -105,7 +107,7 @@ let delta_of storage ops =
 
 let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     ?(should_abort = fun () -> false) ~workers ~rtt_ms ~catalog ~head ~items
-    ~edges () =
+    ~dag () =
   let t0 = Uv_util.Clock.now_ms () in
   let traced = Uv_obs.Trace.enabled obs in
   let durations = Hashtbl.create 64 in
@@ -171,9 +173,11 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
   Fun.protect ~finally:(fun () -> Uv_util.Domain_pool.shutdown pool)
   @@ fun () ->
   let wave_span n_items =
-    Uv_obs.Trace.start obs ~cat:"replay"
-      ~args:[ ("items", Uv_obs.Json.Int n_items) ]
-      (Printf.sprintf "wave.%d" !subwaves)
+    if traced then
+      Uv_obs.Trace.start obs ~cat:"replay"
+        ~args:[ ("items", Uv_obs.Json.Int n_items) ]
+        (Printf.sprintf "wave.%d" !subwaves)
+    else Uv_obs.Trace.start obs ""
   in
   (* wave boundary: honour the deadline and probe for a domain found
      dead between waves (degrades the rest of the replay to the caller
@@ -274,10 +278,6 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
         Uv_obs.Trace.finish obs sp
   in
   (match head with Some h -> run_batch [ h ] | None -> ());
-  let dag =
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "cluster" (fun () ->
-        Conflict_dag.build ~nodes:(List.map (fun it -> it.idx) items) ~edges)
-  in
   let by_idx = Hashtbl.create 64 in
   List.iter (fun it -> Hashtbl.replace by_idx it.idx it) items;
   List.iter

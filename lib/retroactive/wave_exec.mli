@@ -1,11 +1,12 @@
 (** Real parallel replay: waves of the conflict DAG on OCaml 5 domains.
 
-    Where {!Scheduler} *simulates* the parallel replay cost, this module
-    executes it. The replay set's conflict DAG ({!Conflict_dag}, over
-    [Analyzer.exec_dependency_edges]) is layered into waves; the entries
-    of one wave are mutually conflict-free and run concurrently on a
-    fixed {!Uv_util.Domain_pool}, each on a lightweight engine sharing
-    the temporary universe's catalog by reference. Per-table locking in
+    The what-if cost model simulates the parallel replay cost on the
+    replay set's conflict DAG ([Analyzer.replay_dag]); this module
+    executes the same DAG. The entries of one wave
+    ({!Conflict_dag.waves}) are mutually conflict-free and run
+    concurrently on a fixed {!Uv_util.Domain_pool}, each on a
+    lightweight engine sharing the temporary universe's catalog by
+    reference. Per-table locking in
     [Uv_db.Storage] serializes physical access; statements marked
     {e structural} (trigger-cascade writers — DDL never reaches this
     module, the driver falls back to serial replay for it) run alone
@@ -67,17 +68,16 @@ val execute :
   catalog:Uv_db.Catalog.t ->
   head:item option ->
   items:item list ->
-  edges:(int * int) list ->
+  dag:Conflict_dag.t ->
   unit ->
   t
-(** [execute ~workers ~rtt_ms ~catalog ~head ~items ~edges ()] replays
+(** [execute ~workers ~rtt_ms ~catalog ~head ~items ~dag ()] replays
     [head] (the retroactive operation) exclusively first, then [items]
-    (ascending [idx]) wave by wave. [edges] are [(later, earlier)]
-    conflicts among the items' indexes; items must not contain DDL.
-    The catalog is mutated in place.
+    wave by wave. [dag]'s nodes are exactly the items' indexes; items
+    must not contain DDL. The catalog is mutated in place.
 
-    [obs] records a [cluster] span around DAG construction, one
-    [wave.N] span per executed batch, a [QIDX] span per replayed
+    [obs] records one [wave.N] span per executed batch, a [QIDX] span
+    per replayed
     statement on the domain that ran it (one trace lane per domain),
     the [replay.queue_wait_ms] histogram (dispatch-to-start latency per
     item) and [replay.utilization] (busy lane-time fraction per parallel

@@ -371,6 +371,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   let exec_waves = ref 0 in
   let retries = ref 0 in
   let degraded = ref false in
+  (* the DAG the wave executor ran, which the cost model then reuses *)
+  let replay_dag = ref None in
   (* compiled plans from the session cache, one lookup per member *)
   let member_plans = List.map (fun i -> (i, plan_for i)) members in
   let plans_used =
@@ -439,11 +441,12 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
             }
       | Analyzer.Remove -> None
     in
-    let exec_edges = Analyzer.exec_dependency_edges analyzer ~members in
+    let dag = Analyzer.replay_dag ~obs analyzer ~members in
+    replay_dag := Some dag;
     let res =
       Wave_exec.execute ~obs ~fault ~should_abort:deadline_hit
         ~workers:config.Config.workers ~rtt_ms:rtt ~catalog:temp_cat ~head
-        ~items ~edges:exec_edges ()
+        ~items ~dag ()
     in
     Hashtbl.iter (fun k v -> Hashtbl.replace weights k v) res.Wave_exec.durations;
     Hashtbl.iter (fun k v -> Hashtbl.replace entry_of k v) res.Wave_exec.entries;
@@ -546,11 +549,14 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
           op_weight
           +. List.fold_left (fun acc i -> acc +. weight i) 0.0 replayed_members
         in
-        let edges = Analyzer.dependency_edges analyzer ~members in
+        let dag =
+          match !replay_dag with
+          | Some dag -> dag
+          | None -> Analyzer.replay_dag ~obs analyzer ~members:replayed_members
+        in
         let simulated_parallel_ms =
           op_weight
-          +. Scheduler.makespan ~entries:replayed_members ~edges ~weight
-               ~workers:config.Config.workers
+          +. Conflict_dag.makespan dag ~weight ~workers:config.Config.workers
         in
         let changed =
           match !hash_jump_at with

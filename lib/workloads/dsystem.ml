@@ -104,10 +104,10 @@ let run ?(workers = 8) ?(rtt_ms = 1.0) ~analyzer ~runtime eng ~target_tag =
   let per_stmt =
     (real_ms -. analysis_ms) /. float_of_int (max 1 replayed_entries)
   in
-  let edges = Analyzer.dependency_edges analyzer ~members:member_entries in
   let parallel_cost_ms =
     analysis_ms
-    +. Scheduler.makespan ~entries:member_entries ~edges
+    +. Conflict_dag.makespan
+         (Analyzer.replay_dag analyzer ~members:member_entries)
          ~weight:(fun _ -> per_stmt +. rtt_ms)
          ~workers
   in

@@ -82,6 +82,15 @@ step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 step "closure smoke: replay sets and provenance == pairwise reference" \
   dune exec test/test_closure.exe
 
+# the replay DAG against the string-keyed edge builders it replaced:
+# edge sets and wave layouts on the five workloads (cell and grouped
+# replay sets, and every entry) and on a hand-built history with
+# wildcard reads and writes, a schema key, two aliasing RI values, the
+# 64-accessor cap, accessor-list truncation and the row-level
+# write-write rule
+step "replay DAG smoke: edges and waves == reference builder" \
+  dune exec test/test_parallel.exe -- test "replay DAG"
+
 step "bench smoke: parallel replay determinism" \
   dune exec bench/main.exe -- --smoke
 

@@ -520,6 +520,20 @@ let col_visits_of_question ~pad =
   ignore (ask ());
   Uv_obs.Trace.counter_value obs "analyze.closure_col_visits" - before
 
+(* replay-DAG edges one warm question builds *)
+let edges_of_question ~pad =
+  let obs = Uv_obs.Trace.create () in
+  let _, ask = warm_service ~obs ~pad () in
+  let before = Uv_obs.Trace.counter_value obs "replay.edges" in
+  ignore (ask ());
+  Uv_obs.Trace.counter_value obs "replay.edges" - before
+
+let test_edges_flat_in_history () =
+  let small = edges_of_question ~pad:1000 in
+  let large = edges_of_question ~pad:4000 in
+  if small = 0 then Alcotest.fail "the replay DAG had no edge";
+  check Alcotest.int "replay-DAG edges, 1 008 vs 4 008 entries" small large
+
 let test_col_visits_flat_in_history () =
   let small = col_visits_of_question ~pad:1000 in
   let large = col_visits_of_question ~pad:4000 in
@@ -557,5 +571,7 @@ let () =
             test_cost_flat_in_history;
           Alcotest.test_case "column visits flat in history length" `Quick
             test_col_visits_flat_in_history;
+          Alcotest.test_case "replay edges flat in history length" `Quick
+            test_edges_flat_in_history;
         ] );
     ]

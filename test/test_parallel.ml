@@ -1,7 +1,8 @@
 (* Determinism and correctness of the real parallel replay executor
    (Wave_exec): at every worker count the what-if outcome must be
    bit-identical — same final database hash, same new-universe log —
-   and identical to what the serial path produces. *)
+   and identical to what the serial path produces. The replay DAG it
+   runs is checked edge for edge against a reference builder. *)
 
 open Uv_db
 open Uv_retroactive
@@ -235,17 +236,341 @@ let test_waves_empty_and_chain () =
     [ [ 10 ]; [ 20 ]; [ 30 ] ]
     (Conflict_dag.waves chain)
 
-let test_makespan_matches_scheduler () =
-  let entries = [ 1; 2; 3; 4; 5 ] in
-  let edges = [ (3, 1); (4, 2); (5, 3); (5, 4) ] in
-  let weight i = float_of_int i *. 1.5 in
-  let direct =
-    Conflict_dag.makespan
-      (Conflict_dag.build ~nodes:entries ~edges)
-      ~weight ~workers:2
+(* The list scheduler [Conflict_dag] replaced: a DFS topological order
+   over dependency lists, then the same greedy lanes. Makespans must stay
+   bit-identical for the same edges. *)
+let reference_makespan ~n ~edges ~weights ~workers =
+  let deps = Array.make n [] in
+  List.iter (fun (l, e) -> deps.(l) <- e :: deps.(l)) edges;
+  let deps = Array.map (List.sort_uniq compare) deps in
+  let state = Array.make n 0 and order = ref [] in
+  let rec visit i =
+    if state.(i) = 0 then begin
+      state.(i) <- 1;
+      List.iter visit deps.(i);
+      state.(i) <- 2;
+      order := i :: !order
+    end
   in
-  let via_wrapper = Scheduler.makespan ~entries ~edges ~weight ~workers:2 in
-  check (Alcotest.float 1e-9) "Scheduler is a thin wrapper" direct via_wrapper
+  for i = 0 to n - 1 do
+    visit i
+  done;
+  let order = List.rev !order in
+  let finish = Array.make n 0.0 in
+  List.iter
+    (fun i ->
+      let ready = List.fold_left (fun acc d -> Float.max acc finish.(d)) 0.0 deps.(i) in
+      finish.(i) <- ready +. weights.(i))
+    order;
+  if workers >= n then Array.fold_left Float.max 0.0 finish
+  else begin
+    let lanes = Array.make (max workers 1) 0.0 in
+    let sched = Array.make n 0.0 in
+    List.iter
+      (fun i ->
+        let ready = List.fold_left (fun acc d -> Float.max acc sched.(d)) 0.0 deps.(i) in
+        let best = ref 0 in
+        for l = 1 to Array.length lanes - 1 do
+          if lanes.(l) < lanes.(!best) then best := l
+        done;
+        let fin = Float.max ready lanes.(!best) +. weights.(i) in
+        lanes.(!best) <- fin;
+        sched.(i) <- fin)
+      order;
+    Array.fold_left Float.max 0.0 lanes
+  end
+
+let test_makespan_parity () =
+  let prng = Uv_util.Prng.create 99 in
+  for _ = 1 to 200 do
+    let n = 1 + Uv_util.Prng.int prng 30 in
+    let edges =
+      List.concat
+        (List.init n (fun l ->
+             List.init (Uv_util.Prng.int prng 4) (fun _ ->
+                 if l = 0 then None else Some (l, Uv_util.Prng.int prng l))
+             |> List.filter_map Fun.id))
+    in
+    let weights =
+      Array.init n (fun _ -> 0.1 +. float_of_int (Uv_util.Prng.int prng 1000) /. 7.0)
+    in
+    let dag = Conflict_dag.build ~nodes:(List.init n Fun.id) ~edges in
+    List.iter
+      (fun workers ->
+        let want = reference_makespan ~n ~edges ~weights ~workers in
+        let got = Conflict_dag.makespan dag ~weight:(fun i -> weights.(i)) ~workers in
+        if not (Float.equal want got) then
+          Alcotest.failf "n=%d workers=%d: makespan %h, reference %h" n workers
+            got want)
+      [ 1; 2; 3; 8; max_int ]
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Replay DAG == the string-keyed edge builders it replaced             *)
+(* ------------------------------------------------------------------ *)
+
+(* The two builders [Analyzer.replay_dag] replaced, as they were but for
+   reading the analyzer through its interface: the cell rule over
+   (column, canonical value) buckets and the row-level write-write rule.
+   Their sorted union is the reference edge set. *)
+module Reference = struct
+  let is_schema_key k = String.length k > 3 && String.starts_with ~prefix:"_S." k
+
+  let entry_row_tokens anl (inf : Analyzer.info) table ~write =
+    match List.assoc_opt table inf.Analyzer.rows with
+    | Some access when Array.length access > 0 -> (
+        let rs = if write then access.(0).Rowset.dw else access.(0).Rowset.dr in
+        match rs with
+        | Rowset.Any -> [ "*" ]
+        | Rowset.Vals s ->
+            Rowset.Vset.fold
+              (fun v acc ->
+                Analyzer.canonical_row_value anl ~table
+                  (Uv_sql.Value.deserialize v)
+                :: acc)
+              s [])
+    | _ -> [ "*" ]
+
+  let dependency_edges anl ~members =
+    let edges = ref [] in
+    let buckets : (string * string, (int * bool) list ref) Hashtbl.t =
+      Hashtbl.create 1024
+    in
+    let tokens_of_col : (string, string list ref) Hashtbl.t = Hashtbl.create 256 in
+    let bucket key =
+      match Hashtbl.find_opt buckets key with
+      | Some b -> b
+      | None ->
+          let b = ref [] in
+          Hashtbl.replace buckets key b;
+          let c, v = key in
+          let toks =
+            match Hashtbl.find_opt tokens_of_col c with
+            | Some l -> l
+            | None ->
+                let l = ref [] in
+                Hashtbl.replace tokens_of_col c l;
+                l
+          in
+          if not (List.mem v !toks) then toks := v :: !toks;
+          b
+    in
+    let scan_limit = 64 in
+    let table_of_col c =
+      match String.index_opt c '.' with Some i -> String.sub c 0 i | None -> c
+    in
+    List.iter
+      (fun i ->
+        let inf = Analyzer.info anl i in
+        let consider key ~i_writes =
+          match Hashtbl.find_opt buckets key with
+          | None -> ()
+          | Some accs ->
+              let rec scan k = function
+                | [] -> ()
+                | (j, _) :: rest when j = i -> scan k rest
+                | (j, j_wrote) :: rest ->
+                    if k >= scan_limit then edges := (i, j) :: !edges
+                    else if i_writes then begin
+                      edges := (i, j) :: !edges;
+                      if not j_wrote then scan (k + 1) rest
+                    end
+                    else if j_wrote then edges := (i, j) :: !edges
+                    else scan (k + 1) rest
+              in
+              scan 0 !accs
+        in
+        let touch c ~write =
+          let toks = entry_row_tokens anl inf (table_of_col c) ~write in
+          List.iter
+            (fun v ->
+              (if v = "*" then
+                 match Hashtbl.find_opt tokens_of_col c with
+                 | Some all -> List.iter (fun v' -> consider (c, v') ~i_writes:write) !all
+                 | None -> ()
+               else begin
+                 consider (c, v) ~i_writes:write;
+                 consider (c, "*") ~i_writes:write
+               end);
+              let b = bucket (c, v) in
+              b :=
+                (i, write)
+                :: (if List.length !b > 2 * scan_limit then
+                      List.filteri (fun k _ -> k < scan_limit) !b
+                    else !b))
+            toks
+        in
+        Rwset.Colset.iter (fun c -> touch c ~write:false) inf.Analyzer.rw.Rwset.r;
+        Rwset.Colset.iter (fun c -> touch c ~write:true) inf.Analyzer.rw.Rwset.w)
+      members;
+    List.sort_uniq compare !edges
+
+  let write_write_table_edges anl ~members =
+    let edges = ref [] in
+    let last_writer : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
+    let toks_of_table : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
+    let note_tok table v =
+      let l =
+        match Hashtbl.find_opt toks_of_table table with
+        | Some l -> l
+        | None ->
+            let l = ref [] in
+            Hashtbl.replace toks_of_table table l;
+            l
+      in
+      if not (List.mem v !l) then l := v :: !l
+    in
+    let write_tables (rw : Rwset.rw) =
+      Rwset.Colset.fold
+        (fun key acc ->
+          if is_schema_key key then acc
+          else
+            match String.index_opt key '.' with
+            | Some i -> String.sub key 0 i :: acc
+            | None -> acc)
+        rw.Rwset.w []
+      |> List.sort_uniq compare
+    in
+    List.iter
+      (fun i ->
+        let inf = Analyzer.info anl i in
+        List.iter
+          (fun table ->
+            let toks = entry_row_tokens anl inf table ~write:true in
+            let edge_to j = if j <> i then edges := (i, j) :: !edges in
+            List.iter
+              (fun v ->
+                if v = "*" then (
+                  match Hashtbl.find_opt toks_of_table table with
+                  | Some all ->
+                      List.iter
+                        (fun v' ->
+                          Option.iter edge_to (Hashtbl.find_opt last_writer (table, v')))
+                        !all
+                  | None -> ())
+                else begin
+                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, v));
+                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, "*"))
+                end)
+              toks;
+            List.iter
+              (fun v ->
+                if v = "*" then begin
+                  (match Hashtbl.find_opt toks_of_table table with
+                  | Some all ->
+                      List.iter (fun v' -> Hashtbl.replace last_writer (table, v') i) !all
+                  | None -> ());
+                  note_tok table "*";
+                  Hashtbl.replace last_writer (table, "*") i
+                end
+                else begin
+                  note_tok table v;
+                  Hashtbl.replace last_writer (table, v) i
+                end)
+              toks)
+          (write_tables inf.Analyzer.rw))
+      members;
+    List.sort_uniq compare !edges
+
+  let edges anl ~members =
+    List.sort_uniq compare
+      (dependency_edges anl ~members @ write_write_table_edges anl ~members)
+end
+
+let check_replay_dag ~label anl members =
+  let want = Reference.edges anl ~members in
+  let dag = Analyzer.replay_dag anl ~members in
+  check Alcotest.(list (pair int int)) (label ^ ": edges") want (Conflict_dag.edges dag);
+  check
+    Alcotest.(list (list int))
+    (label ^ ": waves")
+    (Conflict_dag.waves (Conflict_dag.build ~nodes:members ~edges:want))
+    (Conflict_dag.waves dag)
+
+let test_replay_dag_workload (w : W.t) () =
+  let eng, base = build w ~n:60 ~dep_rate:0.3 in
+  let log = Engine.log eng in
+  let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
+  let n = Analyzer.length anl in
+  let prng = Uv_util.Prng.create 1616 in
+  for k = 1 to 6 do
+    (* early targets for wide replay sets, then anywhere *)
+    let tau = 1 + Uv_util.Prng.int prng (if k <= 3 then max 1 (n / 8) else n) in
+    let target = { Analyzer.tau; op = Analyzer.Remove } in
+    List.iter
+      (fun (name, rs) ->
+        check_replay_dag
+          ~label:(Printf.sprintf "%s tau=%d %s" w.W.name tau name)
+          anl rs.Analyzer.member_indexes)
+      [
+        ("cell", Analyzer.replay_set ~mode:Analyzer.Cell anl target);
+        ("grouped cell", Analyzer.replay_set_grouped ~mode:Analyzer.Cell anl target);
+      ]
+  done;
+  (* the whole history, read-only entries included *)
+  check_replay_dag ~label:(w.W.name ^ " every entry") anl (List.init n (fun i -> i + 1))
+
+(* Every rule on purpose. Table [t] keys rows by [id]; values 2 and 9
+   alias once #132 rewrites 2 to 9, so #129 reads and writes row 2 twice
+   over. #1-#128 read (t.v, 2), so #129's second read push meets a
+   bucket of 129 and cuts it to the newest 64 accessors, itself
+   included, before its writes scan it; #133-#272 read row 2 again and
+   #273 writes it past the 64-accessor cap. The rest: two writers of
+   disjoint columns of one row (#130, #131: the write-write rule alone
+   orders them), a wildcard write and read, and a schema change with a
+   later reader of the schema key. *)
+let hand_built_dag_history () =
+  let e = Engine.create () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)";
+  List.iter
+    (fun id -> run e (Printf.sprintf "INSERT INTO t VALUES (%d, 0, 0)" id))
+    [ 2; 3; 4 ];
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  let readers k =
+    for _ = 1 to k do
+      run e "SELECT v FROM t WHERE id = 2"
+    done
+  in
+  readers 128;
+  run e "UPDATE t SET v = v + 1 WHERE id IN (2, 9)";
+  run e "UPDATE t SET v = 7 WHERE id = 3";
+  run e "UPDATE t SET w = 8 WHERE id = 3";
+  run e "UPDATE t SET id = 9 WHERE id = 2";
+  readers 140;
+  List.iter (run e)
+    [
+      "UPDATE t SET v = 0 WHERE id = 2";
+      "UPDATE t SET w = 5";
+      "SELECT SUM(v) FROM t";
+      "UPDATE t SET w = 6 WHERE id = 4";
+      "ALTER TABLE t ADD COLUMN x INT";
+      "UPDATE t SET x = 1 WHERE id = 3";
+      "SELECT x FROM t WHERE id = 4";
+    ];
+  let config = { Rowset.ri_columns = [ ("t", [ "id" ]) ]; ri_aliases = [] } in
+  Analyzer.analyze ~config ~base (Engine.log e)
+
+let test_replay_dag_hand_built () =
+  let anl = hand_built_dag_history () in
+  let n = Analyzer.length anl in
+  check Alcotest.int "history length" 279 n;
+  let canon v = Analyzer.canonical_row_value anl ~table:"t" (Uv_sql.Value.Int v) in
+  check Alcotest.string "2 and 9 alias" (canon 2) (canon 9);
+  let all = List.init n (fun i -> i + 1) in
+  check_replay_dag ~label:"hand-built, every entry" anl all;
+  check_replay_dag ~label:"hand-built, writers only" anl
+    (List.filter
+       (fun i ->
+         not (Rwset.Colset.is_empty (Analyzer.info anl i).Analyzer.rw.Rwset.w))
+       all);
+  (* the cases above really arise *)
+  let edges = Conflict_dag.edges (Analyzer.replay_dag anl ~members:all) in
+  let preds i = List.filter_map (fun (l, e) -> if l = i then Some e else None) edges in
+  check Alcotest.bool "disjoint columns of one row ordered" true
+    (List.mem (131, 130) edges);
+  check Alcotest.bool "the capped writer's closing edge" true
+    (List.length (preds 273) > 64 && List.length (preds 273) < 140)
 
 let workload_cases (w : W.t) =
   ( "determinism: " ^ w.W.name,
@@ -280,7 +605,16 @@ let () =
             Alcotest.test_case "wave layering" `Quick test_waves_layering;
             Alcotest.test_case "empty & chain" `Quick
               test_waves_empty_and_chain;
-            Alcotest.test_case "makespan parity" `Quick
-              test_makespan_matches_scheduler;
+            Alcotest.test_case "makespan parity" `Quick test_makespan_parity;
           ] );
+        ( "replay DAG",
+          List.map
+            (fun (w : W.t) ->
+              Alcotest.test_case (w.W.name ^ " == reference builder") `Quick
+                (test_replay_dag_workload w))
+            (W.all ())
+          @ [
+              Alcotest.test_case "hand-built history == reference builder"
+                `Quick test_replay_dag_hand_built;
+            ] );
       ])

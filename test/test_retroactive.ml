@@ -569,24 +569,18 @@ let test_hash_at_timeline () =
   check Alcotest.int64 "before any write" 0L (Hash_jumper.hash_at j ~table:"t" ~index:1)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler                                                            *)
+(* Replay scheduling: the conflict DAG's makespan and edges             *)
 (* ------------------------------------------------------------------ *)
 
 let test_scheduler_independent_parallel () =
-  let entries = [ 1; 2; 3; 4 ] in
-  let ms =
-    Scheduler.makespan ~entries ~edges:[] ~weight:(fun _ -> 1.0) ~workers:4
-  in
-  check (Alcotest.float 1e-9) "fully parallel" 1.0 ms;
-  let serial =
-    Scheduler.makespan ~entries ~edges:[] ~weight:(fun _ -> 1.0) ~workers:1
-  in
-  check (Alcotest.float 1e-9) "serial" 4.0 serial
+  let dag = Conflict_dag.build ~nodes:[ 1; 2; 3; 4 ] ~edges:[] in
+  let ms workers = Conflict_dag.makespan dag ~weight:(fun _ -> 1.0) ~workers in
+  check (Alcotest.float 1e-9) "fully parallel" 1.0 (ms 4);
+  check (Alcotest.float 1e-9) "serial" 4.0 (ms 1)
 
 let test_scheduler_conflict_chain () =
-  let entries = [ 1; 2; 3 ] in
-  let edges = [ (2, 1); (3, 2) ] in
-  let ms = Scheduler.makespan ~entries ~edges ~weight:(fun _ -> 1.0) ~workers:8 in
+  let dag = Conflict_dag.build ~nodes:[ 1; 2; 3 ] ~edges:[ (2, 1); (3, 2) ] in
+  let ms = Conflict_dag.makespan dag ~weight:(fun _ -> 1.0) ~workers:8 in
   check (Alcotest.float 1e-9) "chain serialises" 3.0 ms
 
 let test_dependency_edges_row_refined () =
@@ -600,7 +594,7 @@ let test_dependency_edges_row_refined () =
   run e "UPDATE t SET v = 3 WHERE id = 1";
   let analyzer = Analyzer.analyze (Engine.log e) in
   let members = [ 2; 3; 4; 5; 6 ] in
-  let edges = Analyzer.dependency_edges analyzer ~members in
+  let edges = Conflict_dag.edges (Analyzer.replay_dag analyzer ~members) in
   Alcotest.(check bool) "same-row updates ordered" true (List.mem (6, 4) edges);
   Alcotest.(check bool) "different-row updates unordered" true
     (not (List.mem (5, 4) edges))

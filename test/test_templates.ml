@@ -123,51 +123,6 @@ let test_fastpath_oracle (w : W.t) () =
   done
 
 (* -------------------------------------------------------------- *)
-(* fast conflict-DAG edges: oracle order reachable                 *)
-(* -------------------------------------------------------------- *)
-
-(* every oracle edge (n, m) — n replays after m — must stay enforced in
-   the fast DAG, directly or transitively (the fast edge list differs in
-   shape: per-template buckets instead of per-column buckets) *)
-let reachable edges n m =
-  let succ = Hashtbl.create 64 in
-  List.iter
-    (fun (a, b) ->
-      Hashtbl.replace succ a (b :: Option.value (Hashtbl.find_opt succ a) ~default:[]))
-    edges;
-  let seen = Hashtbl.create 64 in
-  let rec go x =
-    x = m
-    || (not (Hashtbl.mem seen x))
-       && begin
-            Hashtbl.replace seen x ();
-            List.exists go (Option.value (Hashtbl.find_opt succ x) ~default:[])
-          end
-  in
-  go n
-
-let test_fast_edges_sound (w : W.t) () =
-  let eng, base = build w ~n:60 ~dep_rate:0.3 in
-  let log = Engine.log eng in
-  let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
-  let set, matrix = artifacts w in
-  let fast = F.prepare ~log ~set ~matrix anl in
-  let prng = Uv_util.Prng.create 11 in
-  for _ = 1 to 3 do
-    let target = random_target prng log in
-    let rs = Analyzer.replay_set anl target in
-    let members = rs.Analyzer.member_indexes in
-    let oracle_edges = Analyzer.exec_dependency_edges anl ~members in
-    let fast_edges = F.exec_dependency_edges fast anl ~members in
-    List.iter
-      (fun (n, m) ->
-        if not (reachable fast_edges n m) then
-          Alcotest.failf "%s: oracle edge (%d, %d) unreachable in fast DAG"
-            w.W.name n m)
-      oracle_edges
-  done
-
-(* -------------------------------------------------------------- *)
 (* template lint passes on synthetic sources                       *)
 (* -------------------------------------------------------------- *)
 
@@ -228,7 +183,6 @@ let workload_cases (w : W.t) =
       Alcotest.test_case "matrix sound (UVA014/UVA015)" `Quick
         (test_matrix_sound w);
       Alcotest.test_case "fast path = oracle" `Slow (test_fastpath_oracle w);
-      Alcotest.test_case "fast edges sound" `Quick (test_fast_edges_sound w);
     ] )
 
 let () =

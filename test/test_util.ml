@@ -137,54 +137,58 @@ let test_hash_combine_order_sensitive () =
   Alcotest.(check bool) "order matters across tables" false (Int64.equal a b)
 
 (* ------------------------------------------------------------------ *)
-(* Dag                                                                  *)
+(* Conflict_dag: the replay DAG's graph laws                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_dag_topological () =
-  let g = Dag.create 4 in
-  (* 3 -> 2 -> 1 -> 0 : node points to its dependency *)
-  Dag.add_edge g 3 2;
-  Dag.add_edge g 2 1;
-  Dag.add_edge g 1 0;
-  check Alcotest.(list int) "chain order" [ 0; 1; 2; 3 ] (Dag.topological_order g)
+module Cdag = Uv_retroactive.Conflict_dag
 
-let test_dag_reachability () =
-  let g = Dag.create 5 in
-  Dag.add_edge g 0 1;
-  Dag.add_edge g 1 2;
-  Dag.add_edge g 3 4;
-  let seen = Dag.reachable_from g [ 0 ] in
-  check
-    Alcotest.(list bool)
-    "reach 0->1->2" [ true; true; true; false; false ]
-    (Array.to_list seen)
+let chain_dag n =
+  Cdag.build ~nodes:(List.init n Fun.id)
+    ~edges:(List.init (n - 1) (fun i -> (i + 1, i)))
+
+let test_dag_topological () =
+  (* a diamond plus a chain: concatenated waves run every node after its
+     dependencies *)
+  let edges = [ (1, 0); (2, 0); (3, 1); (3, 2); (5, 4) ] in
+  let dag = Cdag.build ~nodes:[ 0; 1; 2; 3; 4; 5 ] ~edges in
+  let order = List.concat (Cdag.waves dag) in
+  let rec index x k = function
+    | [] -> Alcotest.failf "node %d missing from the waves" x
+    | y :: rest -> if y = x then k else index x (k + 1) rest
+  in
+  List.iter
+    (fun (l, e) ->
+      if index e 0 order >= index l 0 order then
+        Alcotest.failf "%d does not precede %d" e l)
+    edges;
+  check Alcotest.(list int) "chain order" [ 0; 1; 2; 3 ]
+    (List.concat (Cdag.waves (chain_dag 4)))
 
 let test_dag_dedup_edges () =
-  let g = Dag.create 2 in
-  Dag.add_edge g 1 0;
-  Dag.add_edge g 1 0;
-  Dag.add_edge g 1 0;
-  check Alcotest.int "deduplicated" 1 (Dag.edge_count g);
-  check Alcotest.(list int) "single successor" [ 0 ] (Dag.successors g 1)
+  let dag = Cdag.build ~nodes:[ 0; 1 ] ~edges:[ (1, 0); (1, 0); (1, 0) ] in
+  check Alcotest.int "deduplicated" 1 (Cdag.edge_count dag);
+  check Alcotest.(list (pair int int)) "single edge" [ (1, 0) ] (Cdag.edges dag);
+  let dag =
+    Cdag.of_preds ~nodes:[| 5; 7; 9 |] [| [||]; [| 0; 0 |]; [| 1; 0; 1 |] |]
+  in
+  check
+    Alcotest.(list (pair int int))
+    "positions map to ids, sorted and distinct"
+    [ (7, 5); (9, 5); (9, 7) ]
+    (Cdag.edges dag)
 
 let test_dag_makespan_serial_chain () =
-  let g = Dag.create 3 in
-  Dag.add_edge g 1 0;
-  Dag.add_edge g 2 1;
   let w = [| 1.0; 2.0; 3.0 |] in
   check (Alcotest.float 1e-9) "chain = sum" 6.0
-    (Dag.critical_path_makespan g ~weights:w ~workers:8)
+    (Cdag.makespan (chain_dag 3) ~weight:(fun i -> w.(i)) ~workers:8)
 
 let test_dag_makespan_parallel () =
-  let g = Dag.create 4 in
   (* four independent unit tasks *)
-  let w = [| 1.0; 1.0; 1.0; 1.0 |] in
-  check (Alcotest.float 1e-9) "infinite workers" 1.0
-    (Dag.critical_path_makespan g ~weights:w ~workers:8);
-  check (Alcotest.float 1e-9) "two workers" 2.0
-    (Dag.critical_path_makespan g ~weights:w ~workers:2);
-  check (Alcotest.float 1e-9) "serial" 4.0
-    (Dag.critical_path_makespan g ~weights:w ~workers:1)
+  let dag = Cdag.build ~nodes:[ 0; 1; 2; 3 ] ~edges:[] in
+  let ms workers = Cdag.makespan dag ~weight:(fun _ -> 1.0) ~workers in
+  check (Alcotest.float 1e-9) "infinite workers" 1.0 (ms 8);
+  check (Alcotest.float 1e-9) "two workers" 2.0 (ms 2);
+  check (Alcotest.float 1e-9) "serial" 4.0 (ms 1)
 
 let prop_makespan_bounds =
   (* makespan is between critical path (many workers) and serial sum *)
@@ -192,23 +196,37 @@ let prop_makespan_bounds =
     QCheck.(pair (int_range 1 20) (int_range 1 4))
     (fun (n, workers) ->
       let prng = Prng.create (n * 31) in
-      let g = Dag.create n in
-      for i = 1 to n - 1 do
-        if Prng.bool prng then Dag.add_edge g i (Prng.int prng i)
-      done;
-      let weights = Array.init n (fun i -> 1.0 +. float_of_int (i mod 3)) in
-      let serial = Array.fold_left ( +. ) 0.0 weights in
-      let cp = Dag.critical_path_makespan g ~weights ~workers:max_int in
-      let m = Dag.critical_path_makespan g ~weights ~workers in
+      let edges =
+        List.filter_map
+          (fun i ->
+            if i > 0 && Prng.bool prng then Some (i, Prng.int prng i) else None)
+          (List.init n Fun.id)
+      in
+      let dag = Cdag.build ~nodes:(List.init n Fun.id) ~edges in
+      let weight i = 1.0 +. float_of_int (i mod 3) in
+      let serial =
+        List.fold_left (fun acc i -> acc +. weight i) 0.0 (List.init n Fun.id)
+      in
+      let cp = Cdag.makespan dag ~weight ~workers:max_int in
+      let m = Cdag.makespan dag ~weight ~workers in
       m >= cp -. 1e-9 && m <= serial +. 1e-9)
 
+(* Every edge points backwards, so no cycle can be built: a forward edge,
+   a self edge or an unknown endpoint is refused. *)
 let test_dag_cycle_detected () =
-  let g = Dag.create 2 in
-  Dag.add_edge g 0 1;
-  Dag.add_edge g 1 0;
-  Alcotest.check_raises "cycle raises"
-    (Invalid_argument "Dag.topological_order: cycle") (fun () ->
-      ignore (Dag.topological_order g))
+  let refused label f =
+    match f () with
+    | (_ : Cdag.t) -> Alcotest.failf "%s accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refused "a forward edge" (fun () ->
+      Cdag.build ~nodes:[ 0; 1 ] ~edges:[ (1, 0); (0, 1) ]);
+  refused "a self edge" (fun () -> Cdag.build ~nodes:[ 0; 1 ] ~edges:[ (1, 1) ]);
+  refused "an unknown endpoint" (fun () ->
+      Cdag.build ~nodes:[ 0; 1 ] ~edges:[ (1, 7) ]);
+  refused "descending nodes" (fun () -> Cdag.build ~nodes:[ 1; 0 ] ~edges:[]);
+  refused "a position past its node" (fun () ->
+      Cdag.of_preds ~nodes:[| 0; 1 |] [| [| 1 |]; [||] |])
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                                *)
@@ -892,10 +910,11 @@ let () =
       ( "dag",
         [
           Alcotest.test_case "topological order" `Quick test_dag_topological;
-          Alcotest.test_case "reachability" `Quick test_dag_reachability;
           Alcotest.test_case "edge dedup" `Quick test_dag_dedup_edges;
-          Alcotest.test_case "makespan chain" `Quick test_dag_makespan_serial_chain;
-          Alcotest.test_case "makespan parallel" `Quick test_dag_makespan_parallel;
+          Alcotest.test_case "makespan chain" `Quick
+            test_dag_makespan_serial_chain;
+          Alcotest.test_case "makespan parallel" `Quick
+            test_dag_makespan_parallel;
           Alcotest.test_case "cycle detection" `Quick test_dag_cycle_detected;
           qtest prop_makespan_bounds;
         ] );
