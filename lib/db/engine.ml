@@ -10,9 +10,10 @@ type result = {
   columns : string list;
   rows : Value.t array list;
   rows_written : int;
+  hash_deltas : (string * int64) list;
 }
 
-let empty_result = { columns = []; rows = []; rows_written = 0 }
+let empty_result = { columns = []; rows = []; rows_written = 0; hash_deltas = [] }
 
 type t = {
   cat : Catalog.t;
@@ -30,7 +31,9 @@ type t = {
   mutable journal : Log.undo list;
   mutable nondet_in : Value.t list;
   mutable nondet_out : Value.t list; (* reversed *)
-  mutable written : string list; (* table names, most recent first *)
+  mutable written : (string * Uv_util.Table_hash.t) list;
+      (* tables with row writes, most recent first, each with the hash
+         delta the statement's mutations applied to it *)
   mutable rows_written : int;
   mutable trigger_depth : int;
   (* parallel replay pins each statement's inserts to a private rowid
@@ -120,36 +123,44 @@ let memory_bytes t = Catalog.memory_bytes t.cat
 (* Journalled storage mutations                                         *)
 (* ------------------------------------------------------------------ *)
 
-let mark_written t name =
-  match t.written with
-  | hd :: _ when String.equal hd name -> ()
-  | _ -> if not (List.mem name t.written) then t.written <- name :: t.written
+(* Mark [name] written by the current statement; returns the table's
+   hash-delta accumulator, which the storage mutation then feeds. *)
+let written_delta t name =
+  let rec find = function
+    | [] ->
+        let d = Uv_util.Table_hash.create () in
+        t.written <- (name, d) :: t.written;
+        d
+    | (n, d) :: rest -> if String.equal n name then d else find rest
+  in
+  find t.written
 
 let j_insert t tbl row =
+  let name = Storage.name tbl in
+  let delta = written_delta t name in
   let id =
     match t.rowid_alloc with
     | Some (base, k) ->
         let id = base + !k in
         incr k;
-        Storage.insert_at tbl id row
-    | None -> Storage.insert tbl row
+        Storage.insert_at ~delta tbl id row
+    | None -> Storage.insert ~delta tbl row
   in
-  t.journal <- Log.U_row_insert (Storage.name tbl, id, Array.copy row) :: t.journal;
-  mark_written t (Storage.name tbl);
+  t.journal <- Log.U_row_insert (name, id, Array.copy row) :: t.journal;
   t.rows_written <- t.rows_written + 1;
   id
 
 let j_delete t tbl id =
-  let row = Storage.delete tbl id in
-  t.journal <- Log.U_row_delete (Storage.name tbl, id, row) :: t.journal;
-  mark_written t (Storage.name tbl);
+  let name = Storage.name tbl in
+  let row = Storage.delete ~delta:(written_delta t name) tbl id in
+  t.journal <- Log.U_row_delete (name, id, row) :: t.journal;
   t.rows_written <- t.rows_written + 1;
   row
 
 let j_update t tbl id row =
-  let before = Storage.update tbl id row in
-  t.journal <- Log.U_row_update (Storage.name tbl, id, before, Array.copy row) :: t.journal;
-  mark_written t (Storage.name tbl);
+  let name = Storage.name tbl in
+  let before = Storage.update ~delta:(written_delta t name) tbl id row in
+  t.journal <- Log.U_row_update (name, id, before, Array.copy row) :: t.journal;
   t.rows_written <- t.rows_written + 1;
   before
 
@@ -802,7 +813,7 @@ and select_project t env (s : select) sources rows : result =
     | None -> output_rows
     | Some n -> List.filteri (fun i _ -> i < n) output_rows
   in
-  { columns; rows = output_rows; rows_written = 0 }
+  { columns; rows = output_rows; rows_written = 0; hash_deltas = [] }
 
 and sort_keyed obs keyed =
   let dirs = List.map snd obs in
@@ -1219,14 +1230,15 @@ and update_rows t env table_name assigns where : int =
               (rid, fresh))
             victims
         in
-        let before = Storage.update_many tbl updates in
+        let before =
+          Storage.update_many ~delta:(written_delta t name) tbl updates
+        in
         List.iter2
           (fun (rid, fresh) (_, old) ->
             t.journal <-
               Log.U_row_update (name, rid, old, Array.copy fresh) :: t.journal;
             t.rows_written <- t.rows_written + 1)
-          updates before;
-        mark_written t name
+          updates before
       end
       else
         List.iter
@@ -1251,13 +1263,15 @@ and delete_rows t env table_name where : int =
   | _ ->
       if Catalog.triggers_for t.cat name Ev_delete = [] then begin
         (* one storage batch and one hash-chain update per statement *)
-        let removed = Storage.delete_many tbl (List.map fst victims) in
+        let removed =
+          Storage.delete_many ~delta:(written_delta t name) tbl
+            (List.map fst victims)
+        in
         List.iter
           (fun (rid, row) ->
             t.journal <- Log.U_row_delete (name, rid, row) :: t.journal;
             t.rows_written <- t.rows_written + 1)
-          removed;
-        mark_written t name
+          removed
       end
       else
         List.iter
@@ -1744,16 +1758,17 @@ let try_plan t (p : plan) : result option =
                   (rid, fresh))
                 victims
             in
-            let before = Storage.update_many st updates in
             let name = Storage.name st in
+            let before =
+              Storage.update_many ~delta:(written_delta t name) st updates
+            in
             List.iter2
               (fun (rid, fresh) (_, old) ->
                 t.journal <-
                   Log.U_row_update (name, rid, old, Array.copy fresh)
                   :: t.journal;
                 t.rows_written <- t.rows_written + 1)
-              updates before;
-            mark_written t name
+              updates before
         | P_update assigns, _ ->
             List.iter
               (fun (rid, row) ->
@@ -1765,14 +1780,16 @@ let try_plan t (p : plan) : result option =
                 ignore (j_update t st rid fresh))
               victims
         | P_delete, _ ->
-            let removed = Storage.delete_many st (List.map fst victims) in
             let name = Storage.name st in
+            let removed =
+              Storage.delete_many ~delta:(written_delta t name) st
+                (List.map fst victims)
+            in
             List.iter
               (fun (rid, row) ->
                 t.journal <- Log.U_row_delete (name, rid, row) :: t.journal;
                 t.rows_written <- t.rows_written + 1)
-              removed;
-            mark_written t name);
+              removed);
         Some { empty_result with rows_written = List.length victims }
       end
 
@@ -1788,16 +1805,20 @@ let begin_statement ?rowid_base t nondet =
   t.rows_written <- 0;
   t.rowid_alloc <- Option.map (fun b -> (b, ref 0)) rowid_base
 
+(* The entry's statement text: the caller's copy of the rendering when it
+   passed one (replay reuses the logged text), otherwise rendered here. *)
+let stmt_text ?sql stmt =
+  match sql with Some s -> s | None -> Printer.stmt_compact stmt
+
 (* Statement text attached to Sql_error so chaos-run failures are
    diagnosable from the message alone; long statements are clipped. *)
-let error_context t stmt =
-  let sql = Printer.stmt_compact stmt in
+let error_context t sql =
   let sql =
     if String.length sql > 160 then String.sub sql 0 157 ^ "..." else sql
   in
   Printf.sprintf " [at log index %d: %s]" (Log.length t.log + 1) sql
 
-let exec ?app_txn ?(nondet = []) ?rowid_base ?plan t stmt =
+let exec ?app_txn ?(nondet = []) ?rowid_base ?plan ?sql t stmt =
   begin_statement ?rowid_base t nondet;
   Uv_util.Clock.charge_rtt t.clock ();
   (* pre-statement state: an injected (infrastructure) fault restores all
@@ -1838,13 +1859,13 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?plan t stmt =
         Uv_obs.Trace.incr t.obs "db.log_appends"
       end;
       let written_hashes =
-        List.rev_map (fun name -> (name, table_hash t name)) t.written
+        List.rev_map (fun (name, _) -> (name, table_hash t name)) t.written
       in
       let entry =
         {
           Log.index = Log.length t.log + 1;
           stmt;
-          sql = Printer.stmt_compact stmt;
+          sql = stmt_text ?sql stmt;
           nondet = List.rev t.nondet_out;
           rows_written = t.rows_written;
           written_hashes;
@@ -1868,7 +1889,14 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?plan t stmt =
               Checkpoint.record ladder t.cat entry.Log.index;
               if traced then Uv_obs.Trace.incr t.obs "db.checkpoints")
       | _ -> ());
-      { r with rows_written = t.rows_written }
+      {
+        r with
+        rows_written = t.rows_written;
+        hash_deltas =
+          List.rev_map
+            (fun (name, d) -> (name, Uv_util.Table_hash.value d))
+            t.written;
+      }
   | exception exn ->
       (* statement atomicity on *every* failure path: roll the journal
          back whatever escaped, not just SQL-level errors *)
@@ -1885,7 +1913,8 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?plan t stmt =
         Uv_obs.Trace.incr t.obs "db.rollbacks"
       end;
       (match exn with
-      | Sql_error msg -> raise (Sql_error (msg ^ error_context t stmt))
+      | Sql_error msg ->
+          raise (Sql_error (msg ^ error_context t (stmt_text ?sql stmt)))
       | _ -> raise exn)
 
 let exec_sql ?app_txn ?nondet t sql = exec ?app_txn ?nondet t (Parser.parse_stmt sql)

@@ -36,6 +36,12 @@ type result = {
   columns : string list;
   rows : Value.t array list;
   rows_written : int;
+  hash_deltas : (string * int64) list;
+      (** set by {!exec}: for each table the statement wrote rows of, in
+          first-write order (the order of the entry's [written_hashes]),
+          the hash delta its row mutations applied — the sum of the row
+          digests it added minus those it removed, modulo
+          {!Uv_util.Table_hash.modulus}. Empty elsewhere. *)
 }
 
 val empty_result : result
@@ -102,6 +108,7 @@ val exec :
   ?nondet:Value.t list ->
   ?rowid_base:int ->
   ?plan:plan ->
+  ?sql:string ->
   t ->
   Ast.stmt ->
   result
@@ -116,7 +123,10 @@ val exec :
     deterministic at every worker count. [~plan] must be a plan
     {!prepare}d from this very statement (the what-if session caches
     plans keyed by log-entry identity); a plan that no longer binds is
-    ignored in favour of the interpreter. *)
+    ignored in favour of the interpreter. [~sql] must be
+    [Printer.stmt_compact] of the statement: replay passes the text of
+    the log entry it re-executes, so the new entry's [sql] is not
+    rendered again. *)
 
 val exec_sql : ?app_txn:string -> ?nondet:Value.t list -> t -> string -> result
 (** [exec] after parsing. *)

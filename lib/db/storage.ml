@@ -286,19 +286,100 @@ let index_move t before after id =
 (* Hashing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let serialize_row t row =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf t.schema.Schema.tbl_name;
-  Array.iter
-    (fun v ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf (Value.serialize v))
-    row;
-  Buffer.contents buf
+(* A row's digest is FNV-1a over its canonical bytes: the table name,
+   then for each cell a ['|'] and its [Value.serialize] form. The bytes
+   are streamed into a scratch buffer, integers and text lengths written
+   in place, rather than built as a string. One buffer per domain:
+   parallel replay mutates tables from several domains at once, and the
+   program runs no systhreads that could interleave on one domain. *)
+type scratch = { mutable buf : Bytes.t; mutable len : int }
 
-let row_delta t row = Uv_util.Table_hash.row_digest (serialize_row t row)
+let scratch_key = Domain.DLS.new_key (fun () -> { buf = Bytes.create 256; len = 0 })
+
+let reserve sc n =
+  if sc.len + n > Bytes.length sc.buf then begin
+    let b = Bytes.create (max (2 * Bytes.length sc.buf) (sc.len + n)) in
+    Bytes.blit sc.buf 0 b 0 sc.len;
+    sc.buf <- b
+  end
+
+(* Unchecked writes at the cursor: each cell reserves room for all of
+   its bytes first. *)
+let put_char sc c =
+  Bytes.unsafe_set sc.buf sc.len c;
+  sc.len <- sc.len + 1
+
+let put_string sc str =
+  let n = String.length str in
+  Bytes.unsafe_blit_string str 0 sc.buf sc.len n;
+  sc.len <- sc.len + n
+
+(* The digits [string_of_int] prints, at most 20 bytes on 64-bit.
+   Digits are taken from the non-positive side, so [min_int] needs no
+   negation. *)
+let put_int sc i =
+  if i < 0 then put_char sc '-';
+  let neg = if i < 0 then i else -i in
+  let digits = ref 1 and q = ref (neg / 10) in
+  while !q <> 0 do
+    incr digits;
+    q := !q / 10
+  done;
+  let q = ref neg in
+  for k = sc.len + !digits - 1 downto sc.len do
+    Bytes.unsafe_set sc.buf k (Char.unsafe_chr (48 - (!q mod 10)));
+    q := !q / 10
+  done;
+  sc.len <- sc.len + !digits
+
+(* ['|'] and the cell's [Value.serialize] form. *)
+let put_cell sc v =
+  match v with
+  | Value.Null ->
+      reserve sc 2;
+      put_char sc '|';
+      put_char sc 'N'
+  | Value.Int i ->
+      reserve sc 22;
+      put_char sc '|';
+      put_char sc 'I';
+      put_int sc i
+  | Value.Float _ ->
+      let str = Value.serialize v in
+      reserve sc (1 + String.length str);
+      put_char sc '|';
+      put_string sc str
+  | Value.Bool b ->
+      reserve sc 3;
+      put_char sc '|';
+      put_char sc 'B';
+      put_char sc (if b then '1' else '0')
+  | Value.Text str ->
+      reserve sc (String.length str + 23);
+      put_char sc '|';
+      put_char sc 'T';
+      put_int sc (String.length str);
+      put_char sc ':';
+      put_string sc str
+
+let row_digest t row =
+  let sc = Domain.DLS.get scratch_key in
+  let name = t.schema.Schema.tbl_name in
+  sc.len <- 0;
+  reserve sc (String.length name);
+  put_string sc name;
+  for c = 0 to Array.length row - 1 do
+    put_cell sc (Array.unsafe_get row c)
+  done;
+  Uv_util.Table_hash.digest_bytes sc.buf sc.len
 
 let neg_delta d = Uv_util.Table_hash.sub_mod 0L d
+
+(* Fold one mutation's hash delta into the table's [pending] and into the
+   caller's accumulator, when it passed one. *)
+let fold_delta t acc d =
+  t.pending <- Uv_util.Table_hash.add_mod t.pending d;
+  match acc with Some a -> Uv_util.Table_hash.add_digest a d | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Slot plumbing                                                        *)
@@ -475,7 +556,7 @@ let slot_for_insert t id =
 (* Mutations                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let insert_unlocked t id row =
+let insert_unlocked ?delta t id row =
   (* replacing an existing rowid keeps the historical semantics: the old
      image vanishes from scans but stays in the hash and indexes (only
      undo re-insertion can hit this, on images the hash already
@@ -488,22 +569,23 @@ let insert_unlocked t id row =
       t.live <- t.live + 1
   | s -> write_cells t s row);
   if id >= t.next_rowid then t.next_rowid <- id + 1;
-  t.pending <- Uv_util.Table_hash.add_mod t.pending (row_delta t row);
+  fold_delta t delta (row_digest t row);
   index_add t row id
 
-let insert t row =
+let insert ?delta t row =
   locked t (fun () ->
       let id = t.next_rowid in
-      insert_unlocked t id row;
+      insert_unlocked ?delta t id row;
       id)
 
-let insert_with_rowid t id row = locked t (fun () -> insert_unlocked t id row)
+let insert_with_rowid ?delta t id row =
+  locked t (fun () -> insert_unlocked ?delta t id row)
 
-let insert_at t id row =
+let insert_at ?delta t id row =
   locked t (fun () ->
       if Rowid_map.mem t.slots id then
         invalid_arg "Storage.insert_at: rowid already in use";
-      insert_unlocked t id row;
+      insert_unlocked ?delta t id row;
       id)
 
 let live_slot t id =
@@ -530,53 +612,50 @@ let replace_row t id row =
   before
 
 let replaced_delta t before row =
-  Uv_util.Table_hash.add_mod (neg_delta (row_delta t before)) (row_delta t row)
+  Uv_util.Table_hash.add_mod (neg_delta (row_digest t before)) (row_digest t row)
 
-let delete t id =
+let delete ?delta t id =
   locked t (fun () ->
       let row = remove_row t id in
-      t.pending <-
-        Uv_util.Table_hash.add_mod t.pending (neg_delta (row_delta t row));
+      fold_delta t delta (neg_delta (row_digest t row));
       row)
 
-let update t id row =
+let update ?delta t id row =
   locked t (fun () ->
       let before = replace_row t id row in
-      t.pending <-
-        Uv_util.Table_hash.add_mod t.pending (replaced_delta t before row);
+      fold_delta t delta (replaced_delta t before row);
       before)
 
 (* Whole-statement batches: one lock acquisition and one hash-chain
    update for all rows a statement touches, instead of per-row locking.
    The per-row digests are folded into a statement-local accumulator and
    applied to [pending] once. *)
-let update_many t rows =
+let update_many ?delta t rows =
   locked t (fun () ->
-      let delta = ref 0L in
+      let d = ref 0L in
       let before =
         List.rev_map
           (fun (id, row) ->
             let old = replace_row t id row in
-            delta := Uv_util.Table_hash.add_mod !delta (replaced_delta t old row);
+            d := Uv_util.Table_hash.add_mod !d (replaced_delta t old row);
             (id, old))
           rows
       in
-      t.pending <- Uv_util.Table_hash.add_mod t.pending !delta;
+      fold_delta t delta !d;
       List.rev before)
 
-let delete_many t ids =
+let delete_many ?delta t ids =
   locked t (fun () ->
-      let delta = ref 0L in
+      let d = ref 0L in
       let removed =
         List.rev_map
           (fun id ->
             let row = remove_row t id in
-            delta :=
-              Uv_util.Table_hash.add_mod !delta (neg_delta (row_delta t row));
+            d := Uv_util.Table_hash.add_mod !d (neg_delta (row_digest t row));
             (id, row))
           ids
       in
-      t.pending <- Uv_util.Table_hash.add_mod t.pending !delta;
+      fold_delta t delta !d;
       List.rev removed)
 
 (* ------------------------------------------------------------------ *)
@@ -697,7 +776,7 @@ module Col = struct
         match tag with '\005' -> Some true | '\006' -> Some false | _ -> None)
 
   (* Typed writer: rewrite one cell, keeping hash and indexes exact. *)
-  let write t id c v =
+  let write ?delta t id c v =
     locked t (fun () ->
         let s = live_slot t id in
         if c >= width_at t s then invalid_arg "Storage.Col.write: column";
@@ -705,8 +784,7 @@ module Col = struct
         let row = Array.copy before in
         row.(c) <- v;
         set_cell t c s v;
-        t.pending <-
-          Uv_util.Table_hash.add_mod t.pending (replaced_delta t before row);
+        fold_delta t delta (replaced_delta t before row);
         index_move t before row id)
 
   (* Filtered scan: runs [pred] over every live slot in ascending rowid

@@ -14,7 +14,14 @@
     add the row digest, deletes subtract it, updates do both — and the
     batched entry points ({!update_many}, {!delete_many}, {!Col.write})
     fold one hash-chain delta per statement instead of per row, so
-    reading the hash is O(1) at any commit point.
+    reading the hash is O(1) at any commit point. A row's digest is
+    {!Uv_util.Table_hash.row_digest} of its canonical bytes — the table
+    name, then for each cell ['|'] and its {!Value.serialize} form —
+    streamed into a per-domain scratch buffer, never built as a string.
+    Every mutator also folds the delta it applied into an optional
+    caller-owned [?delta] accumulator, which is how the engine reports
+    each statement's per-table hash delta without re-reading its row
+    images.
 
     Thread safety: every operation holds an internal per-table
     readers-writer lock in its writer-priority variant — reads (scans,
@@ -63,15 +70,18 @@ val set_auto_value : t -> int -> unit
     must restore the pre-statement counter so a retried statement draws
     the same fresh keys. *)
 
-val insert : t -> Value.t array -> rowid
-(** Insert a row (already coerced and padded to schema width). *)
+val insert : ?delta:Uv_util.Table_hash.t -> t -> Value.t array -> rowid
+(** Insert a row (already coerced and padded to schema width). [delta],
+    here and on every mutator below, receives the hash delta the call
+    applied to the table (the row digests it added and subtracted). *)
 
-val insert_with_rowid : t -> rowid -> Value.t array -> unit
+val insert_with_rowid :
+  ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array -> unit
 (** Re-insert a row under a known rowid (undo of a delete). The dead
     slot the delete left is revived in place, so the scan order needs
     no change. *)
 
-val insert_at : t -> rowid -> Value.t array -> rowid
+val insert_at : ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array -> rowid
 (** Insert under an explicit fresh rowid, raising [Invalid_argument] if
     the rowid is taken. Parallel replay pins each statement to a private
     rowid range so allocation is deterministic at every worker count. *)
@@ -84,20 +94,26 @@ val set_rowid_floor : t -> rowid -> unit
     this to pin the allocator to the value plain undo would have left,
     so replayed inserts draw identical rowids under either strategy. *)
 
-val delete : t -> rowid -> Value.t array
+val delete : ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array
 (** Remove a row; returns the removed image. Raises [Not_found]. *)
 
-val update : t -> rowid -> Value.t array -> Value.t array
+val update :
+  ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array -> Value.t array
 (** Replace a row; returns the before-image. Raises [Not_found]. *)
 
-val update_many : t -> (rowid * Value.t array) list -> (rowid * Value.t array) list
+val update_many :
+  ?delta:Uv_util.Table_hash.t ->
+  t ->
+  (rowid * Value.t array) list ->
+  (rowid * Value.t array) list
 (** Replace a batch of rows under one lock acquisition and one
     hash-chain update (per-statement batching): returns the
     before-images in input order. Raises [Not_found] on the first
     missing rowid, leaving earlier replacements applied — callers batch
     only rowids they have just observed under the same statement. *)
 
-val delete_many : t -> rowid list -> (rowid * Value.t array) list
+val delete_many :
+  ?delta:Uv_util.Table_hash.t -> t -> rowid list -> (rowid * Value.t array) list
 (** Remove a batch of rows under one lock acquisition and one hash-chain
     update: returns the removed images in input order. Same [Not_found]
     contract as {!update_many}. *)
@@ -148,9 +164,6 @@ val indexed_lookup : t -> string -> Value.t -> rowid list option
     sort it. *)
 
 val indexed_columns : t -> string list
-
-val serialize_row : t -> Value.t array -> string
-(** Canonical row serialization used for hashing. *)
 
 val memory_bytes : t -> int
 (** Rough live size, for the RAM-overhead benches. *)
@@ -206,7 +219,7 @@ module Col : sig
       dynamic kind, [None] otherwise (including NULL, a missing rowid,
       or a column beyond the stored width). *)
 
-  val write : table -> rowid -> int -> Value.t -> unit
+  val write : ?delta:Uv_util.Table_hash.t -> table -> rowid -> int -> Value.t -> unit
   (** Rewrite one cell in place, maintaining the table hash and the
       indexes. Raises [Not_found] on a missing rowid and
       [Invalid_argument] on a column beyond the stored width. *)

@@ -1,6 +1,7 @@
 type item = {
   idx : int;
   stmt : Uv_sql.Ast.stmt;
+  sql : string; (* the re-executed entry's logged text *)
   nondet : Uv_sql.Value.t list;
   app_txn : string option;
   sim_time : int;
@@ -54,19 +55,19 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
     in
     Fun.protect ~finally:(fun () -> Uv_obs.Trace.finish obs sp) @@ fun () ->
     let t0 = Uv_util.Clock.now_ms () in
-    let ok =
+    let res =
       try
-        ignore
+        Some
           (Uv_db.Engine.exec ?app_txn:it.app_txn ~nondet:it.nondet
-             ~rowid_base:it.rowid_base ?plan:it.plan eng it.stmt);
-        true
-      with Uv_db.Engine.Sql_error _ | Uv_db.Engine.Signal_raised _ -> false
+             ~rowid_base:it.rowid_base ?plan:it.plan ~sql:it.sql eng it.stmt)
+      with Uv_db.Engine.Sql_error _ | Uv_db.Engine.Signal_raised _ -> None
     in
     let d = Uv_util.Clock.now_ms () -. t0 in
     let entry =
-      if ok && Uv_db.Log.length (Uv_db.Engine.log eng) >= 1 then
-        Some (Uv_db.Log.entry (Uv_db.Engine.log eng) 1)
-      else None
+      match res with
+      | Some r when Uv_db.Log.length (Uv_db.Engine.log eng) >= 1 ->
+          Some (Uv_db.Log.entry (Uv_db.Engine.log eng) 1, r.Uv_db.Engine.hash_deltas)
+      | _ -> None
     in
     (d, entry)
   in
@@ -75,44 +76,16 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
     on_retry ();
     attempt ()
 
-(* Row operations of one entry on one table, in execution order. *)
-let row_ops_for table undo =
-  List.filter
-    (function
-      | Uv_db.Log.U_row_insert (t, _, _)
-      | Uv_db.Log.U_row_delete (t, _, _)
-      | Uv_db.Log.U_row_update (t, _, _, _) ->
-          String.equal t table
-      | _ -> false)
-    (List.rev undo)
-
-(* Exact hash delta of one statement on one table, from its journal:
-   every operation carries the row images it needs, inserts included. *)
-let delta_of storage ops =
-  let th = Uv_util.Table_hash.create () in
-  let arr = Array.of_list ops in
-  let n = Array.length arr in
-  for k = 0 to n - 1 do
-    match arr.(k) with
-    | Uv_db.Log.U_row_update (_, _, before, after) ->
-        Uv_util.Table_hash.remove_row th (Uv_db.Storage.serialize_row storage before);
-        Uv_util.Table_hash.add_row th (Uv_db.Storage.serialize_row storage after)
-    | Uv_db.Log.U_row_delete (_, _, row) ->
-        Uv_util.Table_hash.remove_row th (Uv_db.Storage.serialize_row storage row)
-    | Uv_db.Log.U_row_insert (_, _, image) ->
-        Uv_util.Table_hash.add_row th (Uv_db.Storage.serialize_row storage image)
-    | _ -> ()
-  done;
-  Uv_util.Table_hash.value th
-
 let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     ?(should_abort = fun () -> false) ~workers ~rtt_ms ~catalog ~head ~items
     ~dag () =
   let t0 = Uv_util.Clock.now_ms () in
   let traced = Uv_obs.Trace.enabled obs in
   let durations = Hashtbl.create 64 in
-  let raw : (int, Uv_db.Log.entry) Hashtbl.t = Hashtbl.create 64 in
-  let deltas : (int * string, int64) Hashtbl.t = Hashtbl.create 64 in
+  (* idx -> re-executed entry: raw until the restamp below rewrites it *)
+  let entries : (int, Uv_db.Log.entry) Hashtbl.t = Hashtbl.create 64 in
+  (* idx -> the engine-reported per-table hash deltas of the statement *)
+  let deltas : (int, (string * int64) list) Hashtbl.t = Hashtbl.create 64 in
   let failed = ref 0 in
   let subwaves = ref 0 in
   (* stmt-level retries happen on pool domains; batch-level retries on
@@ -126,29 +99,13 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     List.map (fun (name, st) -> (name, Uv_db.Storage.hash st))
       (Uv_db.Catalog.tables catalog)
   in
-  let finish_item it (d, entry_opt) =
+  let finish_item it (d, result) =
     Hashtbl.replace durations it.idx d;
-    match entry_opt with
-    | Some e -> Hashtbl.replace raw it.idx e
+    match result with
+    | Some (e, ds) ->
+        Hashtbl.replace entries it.idx e;
+        Hashtbl.replace deltas it.idx ds
     | None -> incr failed
-  in
-  (* Deltas are taken at the end of the wave that ran the items — before
-     any later wave can rewrite the rows the journals refer to. *)
-  let compute_deltas its =
-    List.iter
-      (fun it ->
-        match Hashtbl.find_opt raw it.idx with
-        | None -> ()
-        | Some e ->
-            List.iter
-              (fun (tname, _) ->
-                match Uv_db.Catalog.table catalog tname with
-                | None -> ()
-                | Some st ->
-                    Hashtbl.replace deltas (it.idx, tname)
-                      (delta_of st (row_ops_for tname e.Uv_db.Log.undo)))
-              e.Uv_db.Log.written_hashes)
-      its
   in
   (* the per-item closure the pool runs; [allow_crash] is off on the
      caller lane (degraded serial finish), whose "domain" cannot die *)
@@ -203,7 +160,6 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
         wave_boundary ();
         let sp = wave_span 1 in
         finish_item it (item_fn ~allow_crash:false it);
-        compute_deltas batch;
         Uv_obs.Trace.finish obs sp
     | _ ->
         incr subwaves;
@@ -274,7 +230,6 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
             | Some r -> finish_item it r
             | None -> incr failed)
           arr;
-        compute_deltas batch;
         Uv_obs.Trace.finish obs sp
   in
   (match head with Some h -> run_batch [ h ] | None -> ());
@@ -300,36 +255,34 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
         wave;
       flush ())
     (Conflict_dag.waves dag);
-  (* Restamp written_hashes in global commit order so each entry logs the
-     hash its table had right after it committed — bit-identical to a
-     serial replay, and therefore safe for the Hash-jumper to consume on
-     branched universes. *)
+  (* Restamp written_hashes in global commit order — the head, then the
+     items, which ascend — so each entry logs the hash its table had
+     right after it committed: bit-identical to a serial replay, and
+     therefore safe for the Hash-jumper to consume on branched
+     universes. *)
   let running = Hashtbl.create 16 in
   List.iter (fun (n, h) -> Hashtbl.replace running n h) base;
-  let stamped = Hashtbl.create 64 in
-  let all_idxs =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) raw [])
+  let restamp it =
+    match Hashtbl.find_opt entries it.idx with
+    | None -> ()
+    | Some e ->
+        (* the deltas name the entry's written tables, in its order *)
+        let wh =
+          List.map
+            (fun (n, d) ->
+              let cur = Option.value (Hashtbl.find_opt running n) ~default:0L in
+              let v = Uv_util.Table_hash.add_mod cur d in
+              Hashtbl.replace running n v;
+              (n, v))
+            (Hashtbl.find deltas it.idx)
+        in
+        Hashtbl.replace entries it.idx { e with Uv_db.Log.written_hashes = wh }
   in
-  List.iter
-    (fun idx ->
-      let e = Hashtbl.find raw idx in
-      let wh =
-        List.map
-          (fun (n, h) ->
-            match Hashtbl.find_opt deltas (idx, n) with
-            | None -> (n, h)
-            | Some d ->
-                let cur = Option.value (Hashtbl.find_opt running n) ~default:0L in
-                let v = Uv_util.Table_hash.add_mod cur d in
-                Hashtbl.replace running n v;
-                (n, v))
-          e.Uv_db.Log.written_hashes
-      in
-      Hashtbl.replace stamped idx { e with Uv_db.Log.written_hashes = wh })
-    all_idxs;
+  Option.iter restamp head;
+  List.iter restamp items;
   {
     durations;
-    entries = stamped;
+    entries;
     failed = !failed;
     wave_count = !subwaves;
     measured_ms = Uv_util.Clock.now_ms () -. t0;

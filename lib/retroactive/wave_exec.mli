@@ -18,7 +18,9 @@
     - each statement draws rowids from a private range ([rowid_base]),
       so physical row placement does not depend on scheduling;
     - each entry's logged [written_hashes] are reconstructed after the
-      run from per-statement hash deltas accumulated in commit order —
+      run from the per-table hash deltas the engine reports for each
+      statement ([hash_deltas] of {!Uv_db.Engine.exec}: the digests its
+      own row mutations folded), accumulated in commit order —
       bit-identical to what serial replay would have logged;
     - the additive table hash (§4.5) is order-independent, so the final
       universe hash is invariant under intra-wave scheduling. *)
@@ -26,6 +28,9 @@
 type item = {
   idx : int;  (** commit index; the retroactive operation itself is 0 *)
   stmt : Uv_sql.Ast.stmt;
+  sql : string;
+      (** [Printer.stmt_compact stmt], logged on the new entry: the text
+          of the log entry being re-executed, so replay renders nothing *)
   nondet : Uv_sql.Value.t list;  (** recorded draws, forced on replay *)
   app_txn : string option;
   sim_time : int;  (** logical clock to install before execution *)
@@ -74,7 +79,8 @@ val execute :
 (** [execute ~workers ~rtt_ms ~catalog ~head ~items ~dag ()] replays
     [head] (the retroactive operation) exclusively first, then [items]
     wave by wave. [dag]'s nodes are exactly the items' indexes; items
-    must not contain DDL. The catalog is mutated in place.
+    ascend by [idx] and must not contain DDL. The catalog is mutated in
+    place.
 
     [obs] records one [wave.N] span per executed batch, a [QIDX] span
     per replayed

@@ -413,6 +413,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
           {
             Wave_exec.idx = i;
             stmt = entry.Uv_db.Log.stmt;
+            sql = entry.Uv_db.Log.sql;
             nondet = entry.Uv_db.Log.nondet;
             app_txn = entry.Uv_db.Log.app_txn;
             sim_time = 1_700_000_000 + i;
@@ -432,6 +433,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
             {
               Wave_exec.idx = 0;
               stmt = s;
+              sql = Uv_sql.Printer.stmt_compact s;
               nondet = [];
               app_txn = None;
               sim_time = 1_700_000_000 + target.Analyzer.tau;
@@ -460,7 +462,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   else begin
     let temp_eng = Uv_db.Engine.of_catalog ~rtt_ms:rtt ~obs ~fault temp_cat in
     let temp_log = Uv_db.Engine.log temp_eng in
-    let exec_timed ?app_txn ?nondet ?plan idx stmt =
+    let exec_timed ?app_txn ?nondet ?plan ?sql idx stmt =
       check_deadline ();
       let s = Uv_util.Clock.now_ms () in
       let len0 = Uv_db.Log.length temp_log in
@@ -469,7 +471,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
          exactly; a second injection aborts the run *)
       let rec attempt again =
         try
-          ignore (Uv_db.Engine.exec ?app_txn ?nondet ?plan temp_eng stmt);
+          ignore (Uv_db.Engine.exec ?app_txn ?nondet ?plan ?sql temp_eng stmt);
           if Uv_db.Log.length temp_log > len0 then
             Hashtbl.replace entry_of idx (Uv_db.Log.entry temp_log (len0 + 1))
         with
@@ -505,7 +507,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
            let entry = Uv_db.Log.entry log i in
            Uv_db.Engine.set_sim_time temp_eng (1_700_000_000 + i);
            exec_timed ~nondet:entry.Uv_db.Log.nondet
-             ?app_txn:entry.Uv_db.Log.app_txn ?plan i entry.Uv_db.Log.stmt;
+             ?app_txn:entry.Uv_db.Log.app_txn ?plan ~sql:entry.Uv_db.Log.sql i
+             entry.Uv_db.Log.stmt;
            incr replayed;
            match jumper with
            | Some exp ->
@@ -533,6 +536,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         Uv_db.Catalog.copy_objects_into (Uv_db.Engine.catalog eng) ~into:temp_cat
     | None -> ()
   end);
+  (* the replayed statements' own execution time: the replay phase less
+     this is its overhead (engine set-up, wave dispatch, restamping) *)
+  if Uv_obs.Trace.enabled obs then
+    Uv_obs.Trace.observe obs "replay.exec_ms"
+      (Hashtbl.fold (fun _ d acc -> acc +. d) weights 0.0);
   (* 5. cost model *)
   let serial_cost_ms, simulated_parallel_ms, changed =
     phase "cost-model" (fun () ->

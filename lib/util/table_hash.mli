@@ -26,7 +26,16 @@ val value : t -> int64
 (** Current hash value, in [[0, p)]. *)
 
 val row_digest : string -> int64
-(** Digest of one serialized row, in [[0, p)]. Exposed for tests. *)
+(** Digest of one serialized row, in [[0, p)]. *)
+
+val digest_bytes : Bytes.t -> int -> int64
+(** [digest_bytes b len] is [row_digest] of the first [len] bytes of
+    [b], without copying them out. Raises [Invalid_argument] when [len]
+    is outside [[0, Bytes.length b]]. *)
+
+val add_digest : t -> int64 -> unit
+(** Fold a digest (or a signed delta of digests, in [[0, p)]) into the
+    hash. *)
 
 val add_row : t -> string -> unit
 (** Fold an inserted row (serialized) into the hash. *)

@@ -63,6 +63,14 @@ storage_smoke() {
 }
 step "storage smoke: copy isolation, undo re-inserts, scan order, first-write allocation" storage_smoke
 
+# the streamed row digest against the string it replaced: a qcheck
+# property over integer extremes, float specials, empty and arbitrary-
+# byte texts, NULLs, bools and rows wider than the scratch buffer, and
+# the five workloads' table hashes (after the seeded history and after a
+# what-if on it) equal to values recorded before digests were streamed
+step "row digest smoke: streamed digest == serialized reference, golden table hashes" \
+  dune exec test/test_db.exe -- test "row digest"
+
 # the SQL front end against its references: token streams equal to a
 # linear-scan keyword classifier's on every workload statement and on
 # single-byte mutations, the print/parse fixpoint, and parse outcomes

@@ -69,6 +69,19 @@ let test_storage_copy_isolated () =
   check Alcotest.int "copy unchanged" 1 (Storage.row_count c);
   check Alcotest.int "original grew" 2 (Storage.row_count t)
 
+(* The canonical row bytes the table hash digests, built as a string:
+   the reference for the digests [Storage] streams without building
+   them. *)
+let serialize_row name row =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf name;
+  Array.iter
+    (fun v ->
+      Buffer.add_char buf '|';
+      Buffer.add_string buf (Value.serialize v))
+    row;
+  Buffer.contents buf
+
 (* Property: the typed-column store is observationally identical to the
    legacy boxed representation it replaced. The model IS that
    representation — a rowid -> Value.t array Hashtbl plus a
@@ -170,12 +183,12 @@ let prop_columnar_matches_boxed_model =
          let add m id r =
            Hashtbl.replace m.rows id (Array.copy r);
            m.grave <- List.filter (fun (g, _) -> g <> id) m.grave;
-           Uv_util.Table_hash.add_row m.mh (Storage.serialize_row m.st r)
+           Uv_util.Table_hash.add_row m.mh (serialize_row (Storage.name m.st) r)
          in
          let drop m id =
            let r = Hashtbl.find m.rows id in
            Hashtbl.remove m.rows id;
-           Uv_util.Table_hash.remove_row m.mh (Storage.serialize_row m.st r);
+           Uv_util.Table_hash.remove_row m.mh (serialize_row (Storage.name m.st) r);
            r
          in
          let nth m k =
@@ -1262,6 +1275,134 @@ let prop_group_by_sums =
          in
          got = expected))
 
+(* ------------------------------------------------------------------ *)
+(* Row digests                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Property: the digest [Storage] streams for a row — reported to the
+   inserting caller's accumulator and folded into the table hash —
+   equals [Table_hash.row_digest] of the same bytes built as a string by
+   [serialize_row] above. The values reach every branch of the streamed
+   format: integer extremes and signs, float specials, empty and
+   300-byte texts of arbitrary bytes, NULL and bools, and rows far wider
+   than the scratch buffer's initial 256 bytes. *)
+let prop_streamed_digest_matches_serialized =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (1, return Value.Null);
+        (1, map (fun b -> Value.Bool b) bool);
+        ( 3,
+          map
+            (fun i -> Value.Int i)
+            (oneof
+               [
+                 oneofl [ min_int; max_int; 0; -1; 1; -10; 10; min_int + 1 ];
+                 int;
+                 int_range (-1000) 1000;
+               ]) );
+        ( 2,
+          map
+            (fun f -> Value.Float f)
+            (oneof
+               [
+                 oneofl
+                   [ nan; -0.; 0.; infinity; neg_infinity; 1e300; -1.5; 1e-310 ];
+                 float;
+               ]) );
+        ( 3,
+          map
+            (fun s -> Value.Text s)
+            (oneof
+               [
+                 return "";
+                 string_size ~gen:char (return 300);
+                 string_size ~gen:char (int_range 0 40);
+               ]) );
+      ]
+  in
+  let row = array_size (int_range 0 48) value in
+  let name = oneofl [ "t"; "accounts"; String.make 300 'n' ] in
+  let print (n, r) =
+    Printf.sprintf "%s: [%s]" n
+      (String.concat "; " (Array.to_list (Array.map Value.serialize r)))
+  in
+  QCheck.Test.make ~count:500 ~name:"streamed digest == serialized reference"
+    (QCheck.make ~print (pair name row))
+    (fun (n, r) ->
+      let st = Storage.create (Schema.table n [ Schema.column "a" Value.Tint ]) in
+      let want = Uv_util.Table_hash.row_digest (serialize_row n r) in
+      let acc = Uv_util.Table_hash.create () in
+      ignore (Storage.insert ~delta:acc st r);
+      Int64.equal (Uv_util.Table_hash.value acc) want
+      && Int64.equal (Storage.hash st) want)
+  |> qtest
+
+(* The five workloads' seeded histories, raw and transpiled: the whole
+   database hash after the history, and the final universe hash of
+   removing its first entry (serial replay: rollback undo plus replayed
+   mutations). The values were recorded before row digests were
+   streamed; every other hash test compares two paths sharing one
+   digest, so a drift both paths made alike would pass them. *)
+let golden_table_hashes =
+  [
+    ("TPC-C", "raw", 0xbf2a2acb5d99d64L, 0x613727c8d0095f8L);
+    ("TPC-C", "transpiled", 0xbf2a2acb5d99d64L, 0x193af72241d1a578L);
+    ("TATP", "raw", 0x1b20a60dc40bd9b6L, 0x5c1e04e80d3c76bL);
+    ("TATP", "transpiled", 0x1b20a60dc40bd9b6L, 0x5c1e04e80d3c76bL);
+    ("Epinions", "raw", 0xf2781b2753c2368L, 0x671d6e1762f38aL);
+    ("Epinions", "transpiled", 0xf2781b2753c2368L, 0x671d6e1762f38aL);
+    ("SEATS", "raw", 0x194eff1da867cb1L, 0x7L);
+    ("SEATS", "transpiled", 0x194eff1da867cb1L, 0x1fefedb59fc969e8L);
+    ("AStore", "raw", 0x74567b7f715f5daL, 0x1fbfd79fb147043L);
+    ("AStore", "transpiled", 0x74567b7f715f5daL, 0x1020cae44ff8af06L);
+  ]
+
+(* Every cell kind and sign, recorded alongside: [min_int], -0., NULLs,
+   bools, an empty text and texts holding the format's own separators. *)
+let golden_mixed_script =
+  "CREATE TABLE m (id INT PRIMARY KEY, i INT, f FLOAT, s TEXT, b BOOL);\
+   INSERT INTO m VALUES (1, -4611686018427387903 - 1, -0.0, '', TRUE);\
+   INSERT INTO m VALUES (2, 4611686018427387903, 123456789.125, \
+   'caf\xc3\xa9|x:1', FALSE);\
+   INSERT INTO m VALUES (3, -17, NULL, NULL, NULL);\
+   INSERT INTO m VALUES (4, 0, -2.25, 'T3:abc', TRUE);\
+   UPDATE m SET i = i - 1000 WHERE id >= 3;\
+   DELETE FROM m WHERE id = 2;"
+
+let test_golden_table_hashes () =
+  let e = fresh () in
+  ignore (Engine.exec_script e golden_mixed_script);
+  check Alcotest.int64 "mixed cells: db hash" 0x180c5828dca406efL
+    (Engine.db_hash e);
+  let module W = Uv_workloads.Workload in
+  let module R = Uv_transpiler.Runtime in
+  let module A = Uv_retroactive.Analyzer in
+  let module Whatif = Uv_retroactive.Whatif in
+  List.iter
+    (fun (wname, mname, want_db, want_final) ->
+      let w = W.by_name wname in
+      let mode = if mname = "raw" then R.Raw else R.Transpiled in
+      let eng, rt = W.setup ~mode w in
+      let base = Engine.snapshot eng in
+      let prng = Uv_util.Prng.create 4242 in
+      let calls =
+        w.W.target_call :: w.W.generate prng ~scale:1 ~n:60 ~dep_rate:0.3
+      in
+      ignore (W.run_history rt ~mode calls);
+      let label = wname ^ " " ^ mname in
+      check Alcotest.int64 (label ^ ": db hash") want_db (Engine.db_hash eng);
+      let analyzer = A.analyze ~config:w.W.ri_config ~base (Engine.log eng) in
+      let out =
+        Whatif.run_exn
+          ~config:(Whatif.Config.make ~parallel_exec:false ())
+          ~analyzer eng { A.tau = 1; op = A.Remove }
+      in
+      check Alcotest.int64 (label ^ ": what-if final hash") want_final
+        out.Whatif.final_db_hash)
+    golden_table_hashes
+
 let () =
   Alcotest.run "uv_db"
     [
@@ -1275,6 +1416,12 @@ let () =
           prop_columnar_matches_boxed_model;
           Alcotest.test_case "first write on a copy is flat in table size"
             `Quick test_storage_first_write_flat;
+        ] );
+      ( "row digest",
+        [
+          prop_streamed_digest_matches_serialized;
+          Alcotest.test_case "golden table hashes" `Quick
+            test_golden_table_hashes;
         ] );
       ( "dml",
         [

@@ -572,6 +572,182 @@ let test_replay_dag_hand_built () =
   check Alcotest.bool "the capped writer's closing edge" true
     (List.length (preds 273) > 64 && List.length (preds 273) < 140)
 
+(* ------------------------------------------------------------------ *)
+(* Engine-reported hash deltas == the journal-derived reference          *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference the wave executor used before the engine reported
+   deltas: re-serialize the row images of one statement's journal on
+   one table and fold their digests. *)
+let serialize_row name row =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf name;
+  Array.iter
+    (fun v ->
+      Buffer.add_char buf '|';
+      Buffer.add_string buf (Uv_sql.Value.serialize v))
+    row;
+  Buffer.contents buf
+
+let delta_of table undo =
+  let th = Uv_util.Table_hash.create () in
+  List.iter
+    (function
+      | Log.U_row_update (t, _, before, after) when String.equal t table ->
+          Uv_util.Table_hash.remove_row th (serialize_row t before);
+          Uv_util.Table_hash.add_row th (serialize_row t after)
+      | Log.U_row_delete (t, _, row) when String.equal t table ->
+          Uv_util.Table_hash.remove_row th (serialize_row t row)
+      | Log.U_row_insert (t, _, image) when String.equal t table ->
+          Uv_util.Table_hash.add_row th (serialize_row t image)
+      | _ -> ())
+    (List.rev undo);
+  Uv_util.Table_hash.value th
+
+type delta_coverage = {
+  mutable stmts : int;
+  mutable planned : int;
+  mutable multi_row : int;
+  mutable multi_table : int;
+}
+
+let no_coverage () = { stmts = 0; planned = 0; multi_row = 0; multi_table = 0 }
+
+(* Re-execute every entry of [log] in commit order over a copy of [base],
+   the way [Wave_exec] runs a replayed statement: a fresh engine over the
+   shared catalog, the recorded draws, a private rowid range, the logged
+   text and a compiled plan whenever one prepares. Each statement's
+   reported deltas must name exactly the tables of its [written_hashes],
+   equal the journal reference, and equal the change of each table's
+   hash across the statement. *)
+let check_engine_deltas ~label cov base log =
+  let cat = Catalog.snapshot base in
+  let stride = 1 lsl 20 in
+  Log.iter log (fun e ->
+      let i = e.Log.index in
+      let before name =
+        Option.map Storage.hash (Catalog.table cat name)
+        |> Option.value ~default:0L
+      in
+      let names_before =
+        List.map (fun (n, _) -> (n, before n)) (Catalog.tables cat)
+      in
+      let plan = Engine.prepare cat e.Log.stmt in
+      let eng = Engine.of_catalog ~seed:i cat in
+      Engine.set_sim_time eng (1_700_000_000 + i);
+      match
+        Engine.exec ?app_txn:e.Log.app_txn ~nondet:e.Log.nondet
+          ~rowid_base:((i + 1) * stride) ?plan ~sql:e.Log.sql eng e.Log.stmt
+      with
+      | exception (Engine.Sql_error _ | Engine.Signal_raised _) -> ()
+      | r ->
+          let got = Log.entry (Engine.log eng) 1 in
+          let where = Printf.sprintf "%s #%d %s" label i e.Log.sql in
+          cov.stmts <- cov.stmts + 1;
+          if plan <> None then cov.planned <- cov.planned + 1;
+          if r.Engine.rows_written > 1 then cov.multi_row <- cov.multi_row + 1;
+          if List.length r.Engine.hash_deltas > 1 then
+            cov.multi_table <- cov.multi_table + 1;
+          check
+            Alcotest.(list string)
+            (where ^ ": delta tables")
+            (List.map fst got.Log.written_hashes)
+            (List.map fst r.Engine.hash_deltas);
+          List.iter
+            (fun (n, d) ->
+              check Alcotest.int64 (where ^ ": delta of " ^ n)
+                (delta_of n got.Log.undo) d;
+              let h0 = Option.value (List.assoc_opt n names_before) ~default:0L in
+              check Alcotest.int64 (where ^ ": hash change of " ^ n)
+                (Uv_util.Table_hash.sub_mod (before n) h0) d)
+            r.Engine.hash_deltas)
+
+let test_engine_deltas_workload (w : W.t) () =
+  let cov = no_coverage () in
+  List.iter
+    (fun (mname, mode) ->
+      let eng, rt = W.setup ~mode w in
+      let base = Engine.snapshot eng in
+      let prng = Uv_util.Prng.create 4242 in
+      let calls = w.W.target_call :: w.W.generate prng ~scale:1 ~n:60 ~dep_rate:0.3 in
+      ignore (W.run_history rt ~mode calls);
+      check_engine_deltas ~label:(w.W.name ^ " " ^ mname) cov base (Engine.log eng))
+    [ ("raw", R.Raw); ("transpiled", R.Transpiled) ];
+  check Alcotest.bool (w.W.name ^ ": statements replayed") true (cov.stmts > 60)
+
+(* Trigger-firing statements (deltas on the cascaded table), batched
+   multi-row updates and deletes, plans and pinned-rowid inserts. *)
+let test_engine_deltas_hand_built () =
+  let e = Engine.create () in
+  run e "CREATE TABLE acct (id INT PRIMARY KEY, bal INT, note TEXT)";
+  run e "CREATE TABLE audit (id INT PRIMARY KEY, n INT)";
+  run e
+    "CREATE TRIGGER taud AFTER UPDATE ON acct FOR EACH ROW BEGIN UPDATE \
+     audit SET n = n + 1 WHERE id = 1; END";
+  run e "CREATE TABLE plain (id INT PRIMARY KEY, v INT, f FLOAT)";
+  run e "INSERT INTO audit VALUES (1, 0)";
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  for i = 1 to 6 do
+    run e (Printf.sprintf "INSERT INTO acct VALUES (%d, %d, 'n%d')" i (100 * i) i);
+    run e (Printf.sprintf "INSERT INTO plain VALUES (%d, %d, %d.5)" i (-i) i)
+  done;
+  List.iter (run e)
+    [
+      "UPDATE acct SET bal = bal + 1 WHERE id <= 3";
+      "UPDATE plain SET v = v * 2 WHERE id > 2";
+      "UPDATE plain SET f = -0.0 WHERE id = 1";
+      "DELETE FROM plain WHERE id >= 5";
+      "DELETE FROM acct WHERE id = 6";
+      "UPDATE plain SET v = 0 WHERE id = 99";
+      "INSERT INTO plain VALUES (7, 7, NULL)";
+    ];
+  let cov = no_coverage () in
+  check_engine_deltas ~label:"hand-built" cov base (Engine.log e);
+  check Alcotest.int "every statement replayed" 19 cov.stmts;
+  check Alcotest.bool "trigger cascades" true (cov.multi_table > 0);
+  check Alcotest.bool "plans used" true (cov.planned > 0);
+  check Alcotest.bool "multi-row batches" true (cov.multi_row > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Replay reuses the logged text: it must be the statement's rendering  *)
+(* ------------------------------------------------------------------ *)
+
+(* Replayed entries log the [sql] of the entry they re-execute instead of
+   rendering the statement again; that is bitwise-identical only because
+   every logged entry satisfies [stmt_compact stmt = sql], in memory and
+   after a Log_store round trip (which re-parses [stmt] from [sql]). *)
+let test_logged_sql_is_rendering (w : W.t) () =
+  List.iter
+    (fun (mname, mode) ->
+      let eng, rt = W.setup ~mode w in
+      let prng = Uv_util.Prng.create 4242 in
+      let calls = w.W.target_call :: w.W.generate prng ~scale:1 ~n:60 ~dep_rate:0.3 in
+      ignore (W.run_history rt ~mode calls);
+      let log = Engine.log eng in
+      let label = w.W.name ^ " " ^ mname in
+      let check_entry where (e : Log.entry) =
+        check Alcotest.string
+          (Printf.sprintf "%s %s #%d" label where e.Log.index)
+          e.Log.sql
+          (Uv_sql.Printer.stmt_compact e.Log.stmt)
+      in
+      Log.iter log (check_entry "in memory");
+      let path = Filename.temp_file "uv_sql_reuse" ".ulog" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Log_store.save_log_file log ~path;
+          let records = Log_store.load_log_file ~path in
+          check Alcotest.int (label ^ ": records") (Log.length log)
+            (List.length records);
+          List.iteri
+            (fun k r ->
+              check_entry "after a round trip"
+                (Log_store.entry_of_record ~index:(k + 1) r))
+            records))
+    [ ("raw", R.Raw); ("transpiled", R.Transpiled) ]
+
 let workload_cases (w : W.t) =
   ( "determinism: " ^ w.W.name,
     [
@@ -607,6 +783,22 @@ let () =
               test_waves_empty_and_chain;
             Alcotest.test_case "makespan parity" `Quick test_makespan_parity;
           ] );
+        ( "engine deltas",
+          List.map
+            (fun (w : W.t) ->
+              Alcotest.test_case (w.W.name ^ " == journal reference") `Quick
+                (test_engine_deltas_workload w))
+            (W.all ())
+          @ [
+              Alcotest.test_case "hand-built history == journal reference"
+                `Quick test_engine_deltas_hand_built;
+            ] );
+        ( "logged SQL",
+          List.map
+            (fun (w : W.t) ->
+              Alcotest.test_case (w.W.name ^ ": stmt_compact stmt = sql") `Quick
+                (test_logged_sql_is_rendering w))
+            (W.all ()) );
         ( "replay DAG",
           List.map
             (fun (w : W.t) ->
