@@ -390,7 +390,7 @@ let bench_t7d () =
       let replay_entries =
         Log.to_array (Engine.log b.S.eng)
         |> Array.to_list
-        |> List.filter (fun e -> rs.Analyzer.members.(e.Log.index - 1))
+        |> List.filter (fun e -> List.mem e.Log.index rs.Analyzer.member_indexes)
         |> Array.of_list
       in
       let idx = ref 0 in
@@ -753,13 +753,13 @@ let bench_whatif_repeat () =
               ~analyzer eng_cold target)
       in
       let session workers =
-        Whatif.Service.open_session @@ Whatif.Service.create
+        Whatif.Service.create
           ~config:(Whatif.Config.make ~workers ~checkpoint_every:32 ())
           ~rowset:w.W.ri_config ~base:base_warm eng_warm
       in
       let run_session s =
-        match Whatif.Session.run s target with
-        | Ok o -> o
+        match Whatif.Service.run s target with
+        | Ok r -> r.Whatif.Service.outcome
         | Error e -> failwith (Whatif.Error.to_string e)
       in
       let s1 = session 1 in
@@ -1137,8 +1137,8 @@ let bench_template_analysis () =
              by the history length *)
           let cap = 32 in
           let closure_size i =
-            let rs = Analyzer.replay_set anl { Analyzer.tau = i; op = Analyzer.Remove } in
-            Array.fold_left (fun a b -> if b then a + 1 else a) 0 rs.Analyzer.members
+            (Analyzer.replay_set anl { Analyzer.tau = i; op = Analyzer.Remove })
+              .Analyzer.member_count
           in
           let rec scan i fallback =
             if i > n || i > 80 then Option.value fallback ~default:1
@@ -1167,7 +1167,7 @@ let bench_template_analysis () =
         in
         let oracle, oracle_ms = best (fun () -> Analyzer.replay_set anl target) in
         let fp, fast_ms = best (fun () -> F.replay_set fast anl target) in
-        if oracle.Analyzer.members <> fp.Analyzer.members then
+        if oracle.Analyzer.member_indexes <> fp.Analyzer.member_indexes then
           failwith (w.W.name ^ ": matrix-backed replay set diverged");
         (Log.length log, oracle.Analyzer.member_count, oracle_ms, fast_ms)
       in
@@ -1359,9 +1359,9 @@ let bench_history_scale () =
     let target =
       let n = Log_store.length store_r in
       let closure_size i =
-        List.length
-          (Analyzer.replay_members anl
-             { Analyzer.tau = i; op = Analyzer.Remove })
+        (Analyzer.replay_set ~mode:Analyzer.Joint anl
+           { Analyzer.tau = i; op = Analyzer.Remove })
+          .Analyzer.member_count
       in
       let rec scan i fallback =
         if i > n || i > 80 then Option.value fallback ~default:1
@@ -1382,7 +1382,9 @@ let bench_history_scale () =
        closure, whose work is bounded by the row-value buckets it
        touches, not the history *)
     let joint, closure_ms =
-      best (fun () -> Analyzer.replay_members anl target)
+      best (fun () ->
+          (Analyzer.replay_set ~mode:Analyzer.Joint anl target)
+            .Analyzer.member_indexes)
     in
     let member_count = List.length joint in
     Printf.printf "  [%s] n=%d tau=%d joint=%d/%.4fms analysis=%.1fms\n%!"
@@ -1392,7 +1394,7 @@ let bench_history_scale () =
     let cell = Analyzer.replay_set anl target in
     List.iter
       (fun i ->
-        if not cell.Analyzer.members.(i - 1) then
+        if not (List.mem i cell.Analyzer.member_indexes) then
           failwith
             (Printf.sprintf "%s: joint member %d outside the Cell closure"
                label i))

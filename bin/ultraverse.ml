@@ -88,7 +88,7 @@ let analyze_cmd =
       rs.Analyzer.member_indexes;
     if explain then begin
       print_endline "provenance:";
-      let _, lines = Analyzer.explain_report analyzer target in
+      let lines = Analyzer.explain_report analyzer target rs in
       List.iter (fun l -> print_endline ("  " ^ l)) lines
     end;
     (match dot with
@@ -119,19 +119,19 @@ let analyze_cmd =
 (* whatif                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let cache_json (s : Whatif.Session.stats) =
+let cache_json (s : Whatif.Service.stats) =
   let module J = Uv_obs.Json in
   J.Obj
     [
-      ("runs", J.Int s.Whatif.Session.runs);
-      ("analyzer_builds", J.Int s.Whatif.Session.analyzer_builds);
-      ("analyzer_extends", J.Int s.Whatif.Session.analyzer_extends);
-      ("analyzed_entries", J.Int s.Whatif.Session.analyzed_entries);
-      ("plan_cache_size", J.Int s.Whatif.Session.plan_cache_size);
-      ("plans_compiled", J.Int s.Whatif.Session.plans_compiled);
-      ("plan_cache_hits", J.Int s.Whatif.Session.plan_cache_hits);
-      ("checkpoint_rungs", J.Int s.Whatif.Session.checkpoint_rungs);
-      ("checkpoint_every", J.Int s.Whatif.Session.checkpoint_every);
+      ("runs", J.Int s.Whatif.Service.runs);
+      ("analyzer_builds", J.Int s.Whatif.Service.analyzer_builds);
+      ("analyzer_extends", J.Int s.Whatif.Service.analyzer_extends);
+      ("analyzed_entries", J.Int s.Whatif.Service.analyzed_entries);
+      ("plan_cache_size", J.Int s.Whatif.Service.plan_cache_size);
+      ("plans_compiled", J.Int s.Whatif.Service.plans_compiled);
+      ("plan_cache_hits", J.Int s.Whatif.Service.plan_cache_hits);
+      ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
+      ("checkpoint_every", J.Int s.Whatif.Service.checkpoint_every);
     ]
 
 let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
@@ -200,11 +200,14 @@ let whatif_cmd =
       Whatif.Config.make ~hash_jumper ~workers ~parallel_exec:(not serial)
         ?deadline_ms:deadline ~obs ~checkpoint_every ~plans:(not no_plans) ()
     in
-    (* a session so the analyzer, plan cache and checkpoint ladder amortize
-       across --repeat runs of the same question *)
-    let session = Whatif.Service.open_session @@ Whatif.Service.create ~config eng in
+    (* a service so the analyzer, plan cache and checkpoint ladder
+       amortize across --repeat runs of the same question *)
+    let svc = Whatif.Service.create ~config eng in
+    let ask () =
+      Result.map (fun r -> r.Whatif.Service.outcome) (Whatif.Service.run svc target)
+    in
     let repeat = max 1 repeat in
-    let result = ref (Whatif.Session.run session target) in
+    let result = ref (ask ()) in
     for k = 2 to repeat do
       (match !result with
       | Ok out ->
@@ -213,7 +216,7 @@ let whatif_cmd =
               (k - 1) repeat out.Whatif.real_ms out.Whatif.rollback_strategy
               out.Whatif.plans_used
       | Error _ -> ());
-      result := Whatif.Session.run session target
+      result := ask ()
     done;
     let result = !result in
     (match trace with
@@ -237,7 +240,7 @@ let whatif_cmd =
       print_endline
         (Uv_obs.Report.to_string ~schema:"uv.whatif/1"
            (whatif_payload ~path ~tau ~op
-              ~cache:(cache_json (Whatif.Session.stats session))
+              ~cache:(cache_json (Whatif.Service.stats svc))
               out))
     else begin
       Printf.printf "replayed %d of %d statements (%d rolled back) in %.2f ms\n"
@@ -246,11 +249,11 @@ let whatif_cmd =
         out.Whatif.undone out.Whatif.real_ms;
       Printf.printf "rollback strategy %s; %d member(s) ran a compiled plan\n"
         out.Whatif.rollback_strategy out.Whatif.plans_used;
-      (let st = Whatif.Session.stats session in
-       if st.Whatif.Session.checkpoint_rungs > 0 then
+      (let st = Whatif.Service.stats svc in
+       if st.Whatif.Service.checkpoint_rungs > 0 then
          Printf.printf "checkpoint ladder: %d rung(s), stride %d\n"
-           st.Whatif.Session.checkpoint_rungs
-           st.Whatif.Session.checkpoint_every);
+           st.Whatif.Service.checkpoint_rungs
+           st.Whatif.Service.checkpoint_every);
       Printf.printf "serial cost %.2f ms, simulated parallel (%d workers) %.2f ms\n"
         out.Whatif.serial_cost_ms out.Whatif.workers
         out.Whatif.simulated_parallel_ms;
@@ -313,7 +316,7 @@ let whatif_cmd =
     Arg.(value & opt int 1
          & info [ "repeat" ] ~docv:"N"
              ~doc:"ask the same what-if question N times through one cached \
-                   session; later runs reuse the analyzer and compiled \
+                   service; later runs reuse the analyzer and compiled \
                    statement plans (cache statistics land in the JSON \
                    report)")
   in

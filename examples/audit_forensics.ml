@@ -80,7 +80,8 @@ let () =
   section "audit: blast radius of statement 7 (the salary edit)";
   let analyzer = Analyzer.analyze (Engine.log audit) in
   let target = { Analyzer.tau = 7; op = Analyzer.Remove } in
-  let rs, lines = Analyzer.explain_report analyzer target in
+  let rs = Analyzer.replay_set analyzer target in
+  let lines = Analyzer.explain_report analyzer target rs in
   Printf.printf "%d of %d later statements are tainted:\n"
     rs.Analyzer.member_count
     (Log.length (Engine.log audit) - 7);

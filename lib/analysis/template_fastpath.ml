@@ -255,6 +255,6 @@ let replay_set ?obs ?(refined = true) ?mode fp anl target =
     refined && match mode with None | Some Analyzer.Cell -> true | Some _ -> false
   in
   let seed = seed_spec fp anl target in
-  Analyzer.replay_set_via ?obs ?mode anl
+  Analyzer.replay_set ?obs ?mode
     ~col_joins:(make_col_joins fp anl ~refined ~seed)
-    target
+    anl target

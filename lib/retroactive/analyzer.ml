@@ -22,22 +22,26 @@ type tindex = {
   by_val_w : (string, int list ref) Hashtbl.t;
 }
 
-(* Cell-level conflict index: buckets keyed by (column, canonical dim0
-   row value). Everything in here is joinable — writers by definition,
-   readers only when they also write — so a closure scanning a bucket
-   either joins what it finds or prunes it for good, and the per-question
-   cost is bounded by the buckets touched rather than the history. Built
-   lazily for [replay_members], rebuilt when the RI merge generation or
-   the analysed length moves. *)
+(* Joint's candidate index. Every entry that can join a closure files
+   each row-keyed column it touches, in the slot [postings] uses (its
+   readers at [2c], its writers at [2c + 1]), under the first-RI-dimension
+   values of its table's combined [dr ∪ dw]: a cell conflict only needs
+   some pair of the two accesses' rows to meet, whatever the columns'
+   direction. A wildcard, zero-dimension or odd-dimension access files
+   as [Rows_any]; [Rows_all] holds every entry filed in the slot.
+   Buckets are newest-first. Built at the first Joint question, kept up
+   to date by [extend], dropped when an RI merge moves the canonical
+   values. *)
+type cell_key =
+  | Rows_any
+  | Rows_all
+  | Rows_val of string (* a canonical first-dimension value *)
+  | Posting (* a schema key's posting: keys a closure's pruned copy only *)
+
 type cell_index = {
-  ci_generation : int;
-  ci_n : int;
-  cw_val : (string, int list ref) Hashtbl.t; (* "col|val" -> writers, desc *)
-  cw_any : (string, int list ref) Hashtbl.t; (* "col" -> wildcard-row writers *)
-  cw_all : (string, int list ref) Hashtbl.t; (* "col" -> every writer *)
-  cr_val : (string, int list ref) Hashtbl.t; (* ditto, joinable readers *)
-  cr_any : (string, int list ref) Hashtbl.t;
-  cr_all : (string, int list ref) Hashtbl.t;
+  ci_generation : int;  (* Rowset merge generation of the values *)
+  mutable ci_n : int;  (* entries [1 .. ci_n] are filed *)
+  ci_buckets : (int * cell_key, int list ref) Hashtbl.t;
 }
 
 (* Where entries come from: a pull interface so analysis never needs a
@@ -81,9 +85,12 @@ let source_of_fun ~length fetch =
 (* A growable ascending list of entry indexes: [ids.(0 .. len - 1)]. *)
 type posting = { mutable ids : int array; mutable len : int }
 
-(* Per-question closure scratch, reused across questions. [mark] is
-   epoch-stamped per entry: [epoch] for a member of the current column
-   closure, [-epoch] for an entry kept out of it; [opened]/[from] stamp
+(* Per-question closure scratch, reused across questions. [mark] and
+   [rmark] are epoch-stamped per entry, for the column-wise and the
+   row-wise (or Joint) closure: [epoch] for a member of the current
+   closure, [-epoch] for an entry kept out of it. [via_col]/[via_row]
+   hold a member's parent in that closure, read only for entries whose
+   mark is the current epoch. [opened]/[from] stamp
    each posting with the epoch a cursor was opened on it and the lowest
    index it was opened after. Cursor [k] yields
    [cur_ids.(k).(cur_pos.(k) .. cur_stop.(k) - 1)], each of which
@@ -91,6 +98,9 @@ type posting = { mutable ids : int array; mutable len : int }
    holds the live cursors as packed [(next index, k)] keys. *)
 type scratch = {
   mutable mark : int array;
+  mutable rmark : int array;
+  mutable via_col : int array;
+  mutable via_row : int array;
   mutable opened : int array;
   mutable from : int array;
   mutable epoch : int;
@@ -128,6 +138,9 @@ type t = {
   mutable joinable : bool array;
       (* per-entry "has a column-wise write", grown by [extend] so no
          closure run pays for it *)
+  mutable group_joinable : bool array;
+      (* per entry: writes, or has an [app_txn] tag — who may join at
+         transaction granularity *)
   mutable cell_index : cell_index option;
   scratch : scratch option Atomic.t;
       (* taken by one closure at a time: concurrent questions (the
@@ -368,6 +381,58 @@ let rekey_row_index t =
       rekey_buckets t table dim0 ti.by_val_w)
     t.row_index
 
+(* The first-RI-dimension rows through which an access to [table] meets
+   other accesses' rows: [`No_rows] when the entry has none of the
+   table's rows (no cell conflict runs through it), [`Any] when it may
+   meet every row — a wildcard, or a zero-dimension or odd-dimension
+   access, which [Rowset.overlaps] treats as overlapping — else the
+   canonical values of [dr ∪ dw]. *)
+let cell_rows t table rows =
+  match List.assoc_opt table rows with
+  | None -> `No_rows
+  | Some access -> (
+      let dims =
+        match List.assoc_opt table t.config.Rowset.ri_columns with
+        | Some ds -> List.length ds
+        | None -> 1
+      in
+      if Array.length access = 0 || Array.length access <> dims then `Any
+      else
+        match (access.(0).Rowset.dr, access.(0).Rowset.dw) with
+        | Rowset.Any, _ | _, Rowset.Any -> `Any
+        | Rowset.Vals r, Rowset.Vals w ->
+            let dim0 = dim0_of t.config table in
+            `Vals
+              (Rowset.Vset.fold
+                 (fun v acc -> Rowset.canonical t.row_state table dim0 v :: acc)
+                 (Rowset.Vset.union r w) []))
+
+(* File entry [i] in the cell index, through its [entry_cols] row: the
+   same entries and slots as the column postings. *)
+let file_cells t ci i =
+  let cols = t.entry_cols.(i - 1) in
+  let rows = t.infos.(i - 1).rows in
+  let push key =
+    let b = bucket ci.ci_buckets key in
+    b := i :: !b
+  in
+  let nw = if Array.length cols = 0 then 0 else cols.(0) in
+  let rec written c j = j <= nw && (cols.(j) = c || written c (j + 1)) in
+  for k = 1 to Array.length cols - 1 do
+    let c = cols.(k) in
+    if t.col_row_keyed.(c) && (k <= nw || not (written c 1)) then begin
+      let slot = if k <= nw then (2 * c) + 1 else 2 * c in
+      match cell_rows t t.table_names.(t.col_table.(c)) rows with
+      | `No_rows -> ()
+      | `Any ->
+          push (slot, Rows_any);
+          push (slot, Rows_all)
+      | `Vals vs ->
+          List.iter (fun cv -> push (slot, Rows_val cv)) vs;
+          push (slot, Rows_all)
+    end
+  done
+
 let create ?(config = Rowset.default_config) ?base source =
   let sv =
     match base with
@@ -403,6 +468,7 @@ let create ?(config = Rowset.default_config) ?base source =
     groups = Hashtbl.create 256;
     indexed_generation = Rowset.merge_generation row_state;
     joinable = [||];
+    group_joinable = [||];
     cell_index = None;
     scratch = Atomic.make None;
   }
@@ -440,12 +506,26 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
         (Array.map
            (fun inf -> not (Rwset.Colset.is_empty inf.rw.Rwset.w))
            fresh);
+    t.group_joinable <-
+      Array.append t.group_joinable
+        (Array.map
+           (fun inf ->
+             inf.app_txn <> None || not (Rwset.Colset.is_empty inf.rw.Rwset.w))
+           fresh);
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
         let gen = Rowset.merge_generation t.row_state in
         if gen <> t.indexed_generation then begin
           rekey_row_index t;
           t.indexed_generation <- gen
-        end);
+        end;
+        match t.cell_index with
+        | Some ci when ci.ci_generation = gen ->
+            for i = ci.ci_n + 1 to n do
+              file_cells t ci i
+            done;
+            ci.ci_n <- n
+        | Some _ -> t.cell_index <- None
+        | None -> ());
     n - from + 1
   end
 
@@ -495,27 +575,35 @@ let target_rw t (target : target) =
       let rw_old, rows_old = old_sets () in
       (Rwset.union rw_new rw_old, Rowset.merge_rows rows_new rows_old)
 
+type provenance = {
+  p_col_via : int option;
+      (* parent in the column-wise closure: Some 0 = the target's own
+         sets; Some v = entry v's sets; Some (-v) = joined as a
+         transaction-group mate of entry v *)
+  p_row_via : int option; (* ditto, row-wise (or Joint) closure *)
+}
+
 type replay_set = {
-  members : bool array;
   member_indexes : int list;
   member_count : int;
   mutated : string list;
   consulted : string list;
   col_only_count : int;
   row_only_count : int;
+  provenance : provenance list;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Closure computation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Candidate generator contract shared by the built-in per-statement
-   bucket scans and external fast-paths (the template matrix): given a
-   member's sets, return candidate indexes past [min_idx] that may
-   conflict with it. [min_idx] doubles as the member's identity — the
-   seed is the single call made before the worklist drains, members call
-   with their own index. A generator is built per closure run from τ and
-   [live]; nothing below τ is ever live, so bucket fetches stop there. *)
+(* Candidate generator contract shared by the built-in bucket scans and
+   external fast-paths (the template matrix): given a member's sets,
+   return candidate indexes past [min_idx] that may conflict with it.
+   [min_idx] doubles as the member's identity — the seed is the single
+   call made before the worklist drains, members call with their own
+   index. A generator is built per closure run from τ and [live];
+   nothing below τ is ever live, so bucket fetches stop there. *)
 type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
 
 (* The entries [>= tau] of a newest-first bucket, oldest first, in front
@@ -527,61 +615,96 @@ let rec since_onto onto tau = function
 
 let since tau bucket = since_onto [] tau bucket
 
-(* Generic worklist closure. [make_joins ~tau ~live] builds a candidate
+(* Run [f] with the analyzer's closure scratch, grown to the analysed
+   history and advanced to a fresh epoch. A concurrent question finds
+   the slot empty and builds its own; the scratch goes back when [f]
+   returns (one lost to an exception is rebuilt by the next question).
+   Per-entry arrays start at the analysed length and then grow
+   geometrically, so a growing history reallocates them O(log n) times,
+   not once per question. *)
+let with_scratch t f =
+  let s =
+    match Atomic.exchange t.scratch None with
+    | Some s -> s
+    | None ->
+        {
+          mark = [||];
+          rmark = [||];
+          via_col = [||];
+          via_row = [||];
+          opened = [||];
+          from = [||];
+          epoch = 0;
+          cur_ids = [||];
+          cur_pos = [||];
+          cur_stop = [||];
+          cur_opener = [||];
+          heap = [||];
+        }
+  in
+  let n = Array.length t.infos and np = 2 * Hashtbl.length t.col_ids in
+  if Array.length s.mark < n then begin
+    let size = max 64 (if s.mark = [||] then n else 2 * n) in
+    s.mark <- Array.make size 0;
+    s.rmark <- Array.make size 0;
+    s.via_col <- Array.make size 0;
+    s.via_row <- Array.make size 0
+  end;
+  if Array.length s.opened < np then begin
+    s.opened <- Array.make (max np 64) 0;
+    s.from <- Array.make (max np 64) 0
+  end;
+  s.epoch <- s.epoch + 1;
+  let r = f s in
+  Atomic.set t.scratch (Some s);
+  r
+
+(* The worklist closure (row-wise, Joint, and a column-wise generator
+   handed in from outside). [joins ~tau ~live] builds the candidate
    generator; candidates for which [live] is false (already joined,
-   excluded, before τ, or never joinable) may be skipped and pruned from
-   the generator's internal state, so buckets shrink as the closure
-   grows. Candidates with an empty column-wise write set never join
-   (read-only queries, Prop E.7) unless they belong to a transaction
-   group: a grouped read is an application-level data flow into the rest
-   of its transaction (Table A's BEGIN TRANSACTION union rule). *)
-let compute_closure ?via ?(obs = Uv_obs.Trace.disabled) t ~tau ~exclude
-    ~seed_rw ~seed_rows ~make_joins ~joinable ~expand =
-  let n = Array.length t.infos in
-  let members = Array.make n false in
-  let joined = ref [] in
-  (* [exclude] is the target's transaction group: a handful of entries *)
+   excluded, before τ, or never joinable) may be skipped and pruned
+   from the generator's state, so buckets shrink as the closure grows.
+   [joinable] is the analyzer's per-entry array for the granularity:
+   read-only queries never join (Prop E.7) unless they belong to a
+   transaction group, whose read is an application-level data flow into
+   the rest of its transaction (Table A's BEGIN TRANSACTION union rule).
+   Membership is stamped into [mark] with [s.epoch] and each member's
+   parent into [via] (0 = the target, [-v] = a group mate of [v]).
+   Returns the members in join order. *)
+let worklist ?(obs = Uv_obs.Trace.disabled) t s ~mark ~via ~tau ~exclude
+    ~seed_rw ~seed_rows ~joins ~joinable ~expand =
+  let n = Array.length t.infos and epoch = s.epoch in
+  List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live i =
-    i >= tau && i <= n && joinable.(i - 1)
-    && (not members.(i - 1))
-    && not (List.mem i exclude)
+    i >= tau && i <= n
+    && joinable.(i - 1)
+    &&
+    let m = mark.(i - 1) in
+    m <> epoch && m <> -epoch
   in
-  (* provenance: [via] records, for each joined entry, which member's sets
-     pulled it in (0 = the retroactive target itself) — negative when it
-     joined as a transaction-group mate of that member *)
-  let record i src =
-    match via with Some a -> a.(i - 1) <- src | None -> ()
+  let queue = Queue.create () and joined = ref [] in
+  let add src i =
+    mark.(i - 1) <- epoch;
+    via.(i - 1) <- src;
+    joined := i :: !joined;
+    Queue.push i queue
   in
-  let queue = Queue.create () in
   let join src i =
     if live i then begin
-      members.(i - 1) <- true;
-      joined := i :: !joined;
-      record i src;
-      Queue.push i queue;
-      List.iter
-        (fun g ->
-          if live g then begin
-            members.(g - 1) <- true;
-            joined := g :: !joined;
-            record g (-i);
-            Queue.push g queue
-          end)
-        (expand i)
+      add src i;
+      List.iter (fun g -> if live g then add (-i) g) (expand i)
     end
   in
-  let joins_of = make_joins ~tau ~live in
+  let joins_of = joins ~tau ~live in
   (* seed from the target's sets (pseudo-member just before τ) *)
   List.iter (join 0) (joins_of ~min_idx:(tau - 1) seed_rw seed_rows);
-  let iters = ref 0 in
   while not (Queue.is_empty queue) do
-    incr iters;
     let i = Queue.pop queue in
     let inf = t.infos.(i - 1) in
     List.iter (join i) (joins_of ~min_idx:i inf.rw inf.rows)
   done;
-  Uv_obs.Trace.incr obs ~by:!iters "analyze.closure_iters";
-  (members, !joined)
+  Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
+  !joined
 
 (* Shared pruning cache for one closure run: each bucket is copied on
    first use and re-filtered on every scan, dropping entries that can
@@ -604,37 +727,12 @@ let scan_pruned cache ~live ~min_idx ~offer key fetch =
   in
   Hashtbl.replace cache key kept
 
-(* Run [f] with the analyzer's closure scratch, grown to the analysed
-   history and advanced to a fresh epoch. A concurrent question finds
-   the slot empty and builds its own; the scratch goes back when [f]
-   returns (one lost to an exception is rebuilt by the next question). *)
-let with_scratch t f =
-  let s =
-    match Atomic.exchange t.scratch None with
-    | Some s -> s
-    | None ->
-        {
-          mark = [||];
-          opened = [||];
-          from = [||];
-          epoch = 0;
-          cur_ids = [||];
-          cur_pos = [||];
-          cur_stop = [||];
-          cur_opener = [||];
-          heap = [||];
-        }
-  in
-  let n = Array.length t.infos and np = 2 * Hashtbl.length t.col_ids in
-  if Array.length s.mark < n then s.mark <- Array.make (max n 64) 0;
-  if Array.length s.opened < np then begin
-    s.opened <- Array.make (max np 64) 0;
-    s.from <- Array.make (max np 64) 0
-  end;
-  s.epoch <- s.epoch + 1;
-  let r = f s in
-  Atomic.set t.scratch (Some s);
-  r
+(* A generator's offers, deduplicated and ascending, counted into
+   [visits] and kept when [verify] accepts the pair. *)
+let verified ~visits offers verify =
+  let candidates = List.sort_uniq Int.compare offers in
+  visits := !visits + List.length candidates;
+  List.filter verify candidates
 
 (* Heap keys pack a cursor's next index above its cursor number, so
    keys compare as plain ints and equal indexes order by cursor number —
@@ -677,14 +775,15 @@ let rec sift_down h len k =
    order; a live candidate joins. So the cost is the postings of
    tainted columns after their taint time, and ungrouped members join in
    ascending order.
-   Provenance: each member's parent is the smallest cursor opener that
-   yields it — the earliest member (or the target, 0) it conflicts with
-   column-wise — or, failing any, the group mate it joined with. Returns
-   the members in join order; [s.mark] stamps them with [s.epoch]. *)
-let col_sweep ?via ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
+   Provenance: each member's parent ([s.via_col]) is the smallest cursor
+   opener that yields it — the earliest member (or the target, 0) it
+   conflicts with column-wise — or, failing any, the group mate it
+   joined with. Returns the members in join order; [s.mark] stamps them
+   with [s.epoch]. *)
+let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
     ~joinable ~expand =
   let n = Array.length t.infos in
-  let epoch = s.epoch and mark = s.mark in
+  let epoch = s.epoch and mark = s.mark and via = s.via_col in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live i =
     i >= tau && i <= n
@@ -731,12 +830,11 @@ let col_sweep ?via ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
       open_posting ((2 * c) + 1) ~opener ~after
     done
   in
-  let record i src = match via with Some a -> a.(i - 1) <- src | None -> () in
   let joined = ref [] in
   let add src i =
     mark.(i - 1) <- epoch;
     joined := i :: !joined;
-    record i src;
+    via.(i - 1) <- src;
     taint ~opener:i ~after:i t.entry_cols.(i - 1)
   in
   let join src i =
@@ -774,14 +872,12 @@ let col_sweep ?via ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
     end;
     sift_down s.heap !len 0;
     if live i then join o i
-    else
-      match via with
-      | Some a when mark.(i - 1) = epoch ->
-          (* already a member: keep the smallest opener, which beats a
-             group-mate parent *)
-          let p = a.(i - 1) in
-          if p < 0 || o < p then a.(i - 1) <- o
-      | _ -> ()
+    else if mark.(i - 1) = epoch then begin
+      (* already a member: keep the smallest opener, which beats a
+         group-mate parent *)
+      let p = via.(i - 1) in
+      if p < 0 || o < p then via.(i - 1) <- o
+    end
   done;
   Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
   Uv_obs.Trace.incr obs ~by:!visits "analyze.closure_col_visits";
@@ -790,9 +886,8 @@ let col_sweep ?via ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
 (* The joint (cell-wise) pair conflict: the two entries share a column
    (direction-aware) whose table's rows overlap — i.e., they touch a
    common cell, up to the first-dimension approximation that
-   [Rowset.overlaps] verifies multi-dimensionally. A side missing the
-   row entry for a shared column's table degrades to a conflict
-   (conservative). Schema-key overlap is a wildcard conflict as ever. *)
+   [Rowset.overlaps] verifies multi-dimensionally. Schema-key overlap is
+   a wildcard conflict as ever. *)
 let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
   let inter a b = Rwset.Colset.inter a b in
   let nonempty s = not (Rwset.Colset.is_empty s) in
@@ -846,12 +941,8 @@ let row_conflict t (rw : Rwset.rw) rows (inf : info) =
 
 (* Row-wise candidates: value-indexed over each table's first dimension,
    verified with the full multi-dimensional overlap; plus schema-key
-   ([_S.*]) conflicts, which are wildcard rows per Table B. With
-   [require_col] the verification instead demands the joint cell-wise
-   pair conflict, whose closure is a subset of the [Cell] intersection
-   and whose cost is bounded by the value buckets actually touched, not
-   the history. *)
-let rowwise_joins ~require_col t ~tau ~live =
+   ([_S.*]) conflicts, which are wildcard rows per Table B. *)
+let row_joins t ~visits ~tau ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
   fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
     let acc = ref [] in
@@ -913,16 +1004,80 @@ let rowwise_joins ~require_col t ~tau ~live =
               candidates_of access.(0).Rowset.dr "w|" ti.any_w ti.by_val_w
             end)
       rows;
-    (* verify candidates with the full multi-dimensional predicate *)
-    let verify = if require_col then cell_pair_conflict else row_conflict in
-    List.filter
-      (fun i -> verify t rw rows t.infos.(i - 1))
-      (List.sort_uniq Int.compare !acc)
+    verified ~visits !acc (fun i -> row_conflict t rw rows t.infos.(i - 1))
 
-let row_joins t ~tau ~live = rowwise_joins ~require_col:false t ~tau ~live
+(* The cell index, filed up to the analysed length under the current
+   merge generation: built here at the first Joint question (concurrent
+   first questions may each build one; the last published wins), then
+   kept up to date by [extend]. *)
+let cell_index_of t =
+  let gen = Rowset.merge_generation t.row_state in
+  match t.cell_index with
+  | Some ci when ci.ci_generation = gen && ci.ci_n = Array.length t.infos -> ci
+  | _ ->
+      let ci =
+        {
+          ci_generation = gen;
+          ci_n = Array.length t.infos;
+          ci_buckets = Hashtbl.create 1024;
+        }
+      in
+      for i = 1 to ci.ci_n do
+        file_cells t ci i
+      done;
+      t.cell_index <- Some ci;
+      ci
 
-let cell_joins t ~tau ~live = rowwise_joins ~require_col:true t ~tau ~live
-
+(* Joint candidates from the cell index: for each row-keyed column the
+   asker writes, the readers and writers filed under the rows it may
+   meet; for each it reads, the writers. Every pair [cell_pair_conflict]
+   accepts is offered: both sides file a column under its table's
+   [dr ∪ dw] values, a wildcard asker scans every filed entry, and any
+   asker scans the wildcard bucket. Schema keys scan their postings. *)
+let cell_index_joins t ci ~visits ~tau ~live =
+  let cache : (int * cell_key, int list) Hashtbl.t = Hashtbl.create 64 in
+  fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
+    let acc = ref [] in
+    let offer i = acc := i :: !acc in
+    let scan key =
+      scan_pruned cache ~live ~min_idx ~offer key (fun () ->
+          match key with
+          | slot, Posting -> posting_since t.postings.(slot) tau
+          | _ -> (
+              match Hashtbl.find_opt ci.ci_buckets key with
+              | Some b -> since tau !b
+              | None -> []))
+    in
+    (* the asker's rows per table, computed once per call *)
+    let asked = ref [] in
+    let rows_of tid =
+      match List.assoc_opt tid !asked with
+      | Some r -> r
+      | None ->
+          let r = cell_rows t t.table_names.(tid) rows in
+          asked := (tid, r) :: !asked;
+          r
+    in
+    let scan_slot c slot =
+      if t.col_row_keyed.(c) then
+        match rows_of t.col_table.(c) with
+        | `No_rows -> ()
+        | `Any -> scan (slot, Rows_all)
+        | `Vals vs ->
+            scan (slot, Rows_any);
+            List.iter (fun cv -> scan (slot, Rows_val cv)) vs
+      else scan (slot, Posting)
+    in
+    let each cols f =
+      Rwset.Colset.iter
+        (fun c -> Option.iter f (Hashtbl.find_opt t.col_ids c))
+        cols
+    in
+    each rw.Rwset.w (fun c ->
+        scan_slot c (2 * c);
+        scan_slot c ((2 * c) + 1));
+    each rw.Rwset.r (fun c -> scan_slot c ((2 * c) + 1));
+    verified ~visits !acc (fun i -> cell_pair_conflict t rw rows t.infos.(i - 1))
 
 let group_expand t i =
   match t.infos.(i - 1).app_txn with
@@ -978,13 +1133,15 @@ let target_group_indexes t tau =
     | None -> [ tau ]
   else [ tau ]
 
-let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
-    ~expand ?col_joins:cj_override ?(mode = Cell) t (target : target) =
+let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
+    ?col_joins t (target : target) =
   let seed_rw, seed_rows = target_rw t target in
   (* at transaction granularity the retroactive target is the whole
      application-level transaction: seed with the union of its entries'
      sets, and keep all of them out of the replay set *)
-  let group_indexes = if grouped then target_group_indexes t target.tau else [ target.tau ] in
+  let group_indexes =
+    if grouped then target_group_indexes t target.tau else [ target.tau ]
+  in
   let seed_rw, seed_rows =
     if grouped then
       List.fold_left
@@ -1004,292 +1161,71 @@ let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
     | Remove -> strip_removed_reads (seed_rw, seed_rows)
     | Add _ | Change _ -> (seed_rw, seed_rows)
   in
-  let joinable =
-    (* an entry is joinable when it writes — or, at transaction
-       granularity, has a group mate. The write-only part is shared
-       across closure runs; the group part stays per-run (grouped
-       analysis is not on the per-question hot path). *)
-    let base = t.joinable in
-    if grouped then
-      Array.init (Array.length t.infos) (fun j ->
-          base.(j) || expand t (j + 1) <> [])
-    else base
-  in
-  let run ?via make_joins =
-    compute_closure ?via ~obs t ~tau:target.tau ~exclude ~seed_rw ~seed_rows
-      ~make_joins ~joinable ~expand:(expand t)
-  in
+  let joinable = if grouped then t.group_joinable else t.joinable in
+  let expand = if grouped then group_expand t else fun _ -> [] in
+  let tau = target.tau in
   with_scratch t @@ fun s ->
-  (* the column closure's members, and a membership test for them *)
+  let run ~mark ~via joins =
+    worklist ~obs t s ~mark ~via ~tau ~exclude ~seed_rw ~seed_rows ~joins
+      ~joinable ~expand
+  in
+  let span name f = Uv_obs.Trace.with_span obs ~cat:"analyze" name f in
   let col_members () =
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.col" (fun () ->
-        match cj_override with
-        | Some f ->
-            let m, j = run ?via:via_col f in
-            ((fun i -> m.(i - 1)), j)
-        | None ->
-            let j =
-              col_sweep ?via:via_col ~obs t s ~tau:target.tau ~exclude ~seed_rw
-                ~joinable ~expand:(expand t)
-            in
-            ((fun i -> s.mark.(i - 1) = s.epoch), j))
+    span "closure.col" (fun () ->
+        match col_joins with
+        | Some joins -> run ~mark:s.mark ~via:s.via_col joins
+        | None -> col_sweep ~obs t s ~tau ~exclude ~seed_rw ~joinable ~expand)
   in
-  let row_members () =
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.row" (fun () ->
-        run ?via:via_row (row_joins t))
+  (* the row-wise closure, or Joint's over the cell conflict *)
+  let row_members name joins =
+    span name (fun () ->
+        let visits = ref 0 in
+        let joined = run ~mark:s.rmark ~via:s.via_row (joins ~visits) in
+        Uv_obs.Trace.incr obs ~by:!visits "analyze.closure_row_visits";
+        joined)
   in
-  let members, joined, col_count, row_count =
+  let joined, col_count, row_count =
     match mode with
     | Col_only ->
-        let _, j = col_members () in
-        let m = Array.make (Array.length t.infos) false in
-        List.iter (fun i -> m.(i - 1) <- true) j;
-        (m, j, List.length j, -1)
+        let j = col_members () in
+        (j, List.length j, -1)
     | Row_only ->
-        let m, j = row_members () in
-        (m, j, -1, List.length j)
+        let j = row_members "closure.row" (row_joins t) in
+        (j, -1, List.length j)
     | Cell ->
         (* Theorem E.20: the row closure's joins that the column closure
-           also reached; the row closure's array is narrowed in place *)
-        let in_col, jc = col_members () in
-        let mr, jr = row_members () in
-        List.iter (fun i -> if not (in_col i) then mr.(i - 1) <- false) jr;
-        let j = List.filter (fun i -> mr.(i - 1)) jr in
-        (mr, j, List.length jc, List.length jr)
+           also reached *)
+        let jc = col_members () in
+        let jr = row_members "closure.row" (row_joins t) in
+        ( List.filter (fun i -> s.mark.(i - 1) = s.epoch) jr,
+          List.length jc,
+          List.length jr )
     | Joint ->
-        let m, j =
-          Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.cell" (fun () ->
-              run ?via:via_row (cell_joins t))
-        in
-        (m, j, -1, -1)
+        let ci = cell_index_of t in
+        (row_members "closure.cell" (cell_index_joins t ci), -1, -1)
+  in
+  let member_indexes = List.sort Int.compare joined in
+  let parent ran via i = if ran then Some via.(i - 1) else None in
+  let has_col = mode = Col_only || mode = Cell and has_row = mode <> Col_only in
+  let provenance =
+    List.map
+      (fun i ->
+        {
+          p_col_via = parent has_col s.via_col i;
+          p_row_via = parent has_row s.via_row i;
+        })
+      member_indexes
   in
   let mutated, consulted = classify t ~joined seed_rw in
   {
-    members;
-    member_indexes = List.sort Int.compare joined;
+    member_indexes;
     member_count = List.length joined;
     mutated;
     consulted;
     col_only_count = col_count;
     row_only_count = row_count;
+    provenance;
   }
-
-let replay_set ?obs ?mode t target =
-  replay_set_gen ?obs ~grouped:false ~expand:(fun _ _ -> []) ?mode t target
-
-let replay_set_grouped ?obs ?mode t target =
-  replay_set_gen ?obs ~grouped:true ~expand:group_expand ?mode t target
-
-(* Ungrouped replay set with the column-wise candidate generator replaced
-   by an external one (the template fast-path). The row-wise closure and
-   everything else stay on the built-in path, so Cell mode intersects the
-   caller's column closure with the oracle row closure. *)
-let replay_set_via ?obs ?mode t ~col_joins target =
-  replay_set_gen ?obs ~grouped:false
-    ~expand:(fun _ _ -> [])
-    ~col_joins ?mode t target
-
-(* ------------------------------------------------------------------ *)
-(* Lean replay-set computation over the cell index                      *)
-(* ------------------------------------------------------------------ *)
-
-let build_cell_index t =
-  let ci =
-    {
-      ci_generation = Rowset.merge_generation t.row_state;
-      ci_n = Array.length t.infos;
-      cw_val = Hashtbl.create 1024;
-      cw_any = Hashtbl.create 64;
-      cw_all = Hashtbl.create 64;
-      cr_val = Hashtbl.create 1024;
-      cr_any = Hashtbl.create 64;
-      cr_all = Hashtbl.create 64;
-    }
-  in
-  let push tbl key i =
-    let b = bucket tbl key in
-    b := i :: !b
-  in
-  Array.iter
-    (fun inf ->
-      let i = inf.index in
-      (* one column's cells: the column crossed with its table's dim0
-         access. A column whose table has no row entry touches no cell
-         (unreachable through the row-wise closure, matching
-         [cell_pair_conflict]); empty row sets touch no cell either. *)
-      let file v_tbl a_tbl all_tbl c rs =
-        match rs with
-        | None -> ()
-        | Some Rowset.Any ->
-            push a_tbl c i;
-            push all_tbl c i
-        | Some (Rowset.Vals s) ->
-            if not (Rowset.Vset.is_empty s) then begin
-              let table = table_of_col c in
-              let dim0 = dim0_of t.config table in
-              Rowset.Vset.iter
-                (fun v ->
-                  let cv = Rowset.canonical t.row_state table dim0 v in
-                  push v_tbl (c ^ "|" ^ cv) i)
-                s;
-              push all_tbl c i
-            end
-      in
-      let access_of c side =
-        match List.assoc_opt (table_of_col c) inf.rows with
-        | Some access when Array.length access > 0 ->
-            Some
-              (match side with
-              | `W -> access.(0).Rowset.dw
-              | `R -> access.(0).Rowset.dr)
-        | _ -> None
-      in
-      Rwset.Colset.iter
-        (fun c ->
-          if not (is_schema_key c) then
-            file ci.cw_val ci.cw_any ci.cw_all c (access_of c `W))
-        inf.rw.Rwset.w;
-      (* read-only entries never join an ungrouped closure: keep them out
-         of the index so scans stay proportional to joinable work *)
-      if not (Rwset.Colset.is_empty inf.rw.Rwset.w) then
-        Rwset.Colset.iter
-          (fun c ->
-            if not (is_schema_key c) then
-              file ci.cr_val ci.cr_any ci.cr_all c (access_of c `R))
-          inf.rw.Rwset.r)
-    t.infos;
-  ci
-
-let cell_index_of t =
-  match t.cell_index with
-  | Some ci
-    when ci.ci_generation = Rowset.merge_generation t.row_state
-         && ci.ci_n = Array.length t.infos ->
-      ci
-  | _ ->
-      let ci = build_cell_index t in
-      t.cell_index <- Some ci;
-      ci
-
-(* Joint-mode replay-set membership without the O(history) arrays:
-   the analyzer's epoch-stamped scratch ([with_scratch]) plus
-   cell-index candidate generation. Returns the member indexes,
-   ascending. *)
-let replay_members_joint t (target : target) =
-  with_scratch t @@ fun s ->
-  let n = Array.length t.infos in
-  let epoch = s.epoch and members = s.mark in
-  let seed_rw, seed_rows = target_rw t target in
-  let seed_rw, seed_rows =
-    match target.op with
-    | Remove -> strip_removed_reads (seed_rw, seed_rows)
-    | Add _ | Change _ -> (seed_rw, seed_rows)
-  in
-  (match target.op with
-  | Remove | Change _ ->
-      if target.tau >= 1 && target.tau <= n then
-        members.(target.tau - 1) <- -epoch
-  | Add _ -> ());
-  let joinable = t.joinable in
-  let tau = target.tau in
-  let live i =
-    i >= tau && i <= n
-    && joinable.(i - 1)
-    &&
-    let m = members.(i - 1) in
-    m <> epoch && m <> -epoch
-  in
-  let ci = cell_index_of t in
-  let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
-  let joined = ref [] in
-  let queue = Queue.create () in
-  let offers = ref [] in
-  let fetch tbl key () =
-    match Hashtbl.find_opt tbl key with
-    | None -> []
-    | Some b -> since tau !b
-  in
-  let fetch_posting postings_of c () =
-    match postings_of t c with None -> [] | Some p -> posting_since p tau
-  in
-  (* candidates cell-conflicting with (rw, rows), past [min_idx] — the
-     same forward-only contract as [joins_fn] *)
-  let candidates ~min_idx (rw : Rwset.rw) rows =
-    offers := [];
-    let scan key fetch =
-      scan_pruned cache ~live ~min_idx
-        ~offer:(fun i -> offers := i :: !offers)
-        key fetch
-    in
-    let scan_family v_tbl a_tbl all_tbl tag c rs =
-      match rs with
-      | None -> ()
-      | Some Rowset.Any ->
-          (* wildcard rows conflict with every row of the column *)
-          scan ("A" ^ tag ^ c) (fetch all_tbl c)
-      | Some (Rowset.Vals s) ->
-          if not (Rowset.Vset.is_empty s) then begin
-            scan ("N" ^ tag ^ c) (fetch a_tbl c);
-            let table = table_of_col c in
-            let dim0 = dim0_of t.config table in
-            Rowset.Vset.iter
-              (fun v ->
-                let cv = Rowset.canonical t.row_state table dim0 v in
-                scan
-                  ("V" ^ tag ^ c ^ "|" ^ cv)
-                  (fetch v_tbl (c ^ "|" ^ cv)))
-              s
-          end
-    in
-    let access_of c side =
-      match List.assoc_opt (table_of_col c) rows with
-      | Some access when Array.length access > 0 ->
-          Some
-            (match side with
-            | `W -> access.(0).Rowset.dw
-            | `R -> access.(0).Rowset.dr)
-      | _ -> None
-    in
-    Rwset.Colset.iter
-      (fun c ->
-        if is_schema_key c then begin
-          scan ("Sr|" ^ c) (fetch_posting readers_of c);
-          scan ("Sw|" ^ c) (fetch_posting writers_of c)
-        end
-        else begin
-          let acc = access_of c `W in
-          scan_family ci.cr_val ci.cr_any ci.cr_all "r|" c acc;
-          scan_family ci.cw_val ci.cw_any ci.cw_all "w|" c acc
-        end)
-      rw.Rwset.w;
-    Rwset.Colset.iter
-      (fun c ->
-        if is_schema_key c then scan ("Sw|" ^ c) (fetch_posting writers_of c)
-        else scan_family ci.cw_val ci.cw_any ci.cw_all "w|" c (access_of c `R))
-      rw.Rwset.r;
-    List.filter
-      (fun i -> cell_pair_conflict t rw rows t.infos.(i - 1))
-      (List.sort_uniq compare !offers)
-  in
-  let join i =
-    if live i then begin
-      members.(i - 1) <- epoch;
-      joined := i :: !joined;
-      Queue.push i queue
-    end
-  in
-  List.iter join (candidates ~min_idx:(tau - 1) seed_rw seed_rows);
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    let inf = t.infos.(i - 1) in
-    List.iter join (candidates ~min_idx:i inf.rw inf.rows)
-  done;
-  List.sort Int.compare !joined
-
-let replay_members ?(mode = Joint) t target =
-  match mode with
-  | Joint -> replay_members_joint t target
-  | m -> (replay_set ~mode:m t target).member_indexes
 
 let canonical_row_value t ~table v =
   Rowset.canonical t.row_state table (dim0_of t.config table)
@@ -1300,35 +1236,6 @@ let row_merge_generation t = Rowset.merge_generation t.row_state
 (* ------------------------------------------------------------------ *)
 (* Provenance: why did each member join?                                *)
 (* ------------------------------------------------------------------ *)
-
-type provenance = {
-  p_col_via : int option;
-      (* parent in the column-wise closure: Some 0 = the target's own
-         sets; Some v = entry v's sets; Some (-v) = joined as a
-         transaction-group mate of entry v *)
-  p_row_via : int option; (* ditto, row-wise closure *)
-}
-
-let replay_set_explained ?mode ?(grouped = false) t (target : target) =
-  let n = Array.length t.infos in
-  let via_col = Array.make n min_int and via_row = Array.make n min_int in
-  let rs =
-    if grouped then
-      replay_set_gen ~via_col ~via_row ~grouped:true ~expand:group_expand ?mode
-        t target
-    else
-      replay_set_gen ~via_col ~via_row ~grouped:false
-        ~expand:(fun _ _ -> [])
-        ?mode t target
-  in
-  let decode a j = if a.(j) = min_int then None else Some a.(j) in
-  let prov =
-    Array.init n (fun j ->
-        if rs.members.(j) then
-          Some { p_col_via = decode via_col j; p_row_via = decode via_row j }
-        else None)
-  in
-  (rs, prov)
 
 let shared_columns (a : Rwset.rw) (b : Rwset.rw) =
   let inter x y = Rwset.Colset.elements (Rwset.Colset.inter x y) in
@@ -1366,58 +1273,52 @@ let conflict_columns t i j = shared_columns t.infos.(i - 1).rw t.infos.(j - 1).r
 let conflict_tables t i j =
   shared_tables t t.infos.(i - 1).rows t.infos.(j - 1).rows
 
-let explain_report ?mode ?grouped t (target : target) =
-  let rs, prov = replay_set_explained ?mode ?grouped t target in
+let explain_report t (target : target) rs =
   let seed_rw, seed_rows = target_rw t target in
   let rw_of v = if v = 0 then seed_rw else t.infos.(v - 1).rw in
   let rows_of v = if v = 0 then seed_rows else t.infos.(v - 1).rows in
   let name v = if v = 0 then "the target" else Printf.sprintf "#%d" v in
-  let lines = ref [] in
-  Array.iteri
-    (fun j p ->
-      match p with
-      | None -> ()
-      | Some p ->
-          let i = j + 1 in
-          let inf = t.infos.(j) in
-          let describe = function
-            | None -> []
-            | Some v when v < 0 ->
-                [ Printf.sprintf "group-mate of #%d" (-v) ]
-            | Some v ->
-                let cols = shared_columns (rw_of v) inf.rw in
-                let tabs = shared_tables t (rows_of v) inf.rows in
-                let col_part =
-                  if cols = [] then []
-                  else
-                    [ Printf.sprintf "columns {%s} with %s"
-                        (String.concat ", " cols) (name v) ]
-                in
-                let row_part =
-                  if tabs = [] then []
-                  else
-                    [ Printf.sprintf "rows {%s} with %s"
-                        (String.concat ", "
-                           (List.map
-                              (fun (tbl, vs) ->
-                                if vs = [] then tbl
-                                else tbl ^ "=" ^ String.concat "|" vs)
-                              tabs))
-                        (name v) ]
-                in
-                col_part @ row_part
-          in
-          let reasons =
-            List.sort_uniq compare (describe p.p_col_via @ describe p.p_row_via)
-          in
-          let reasons = if reasons = [] then [ "seeded" ] else reasons in
-          lines :=
-            Printf.sprintf "#%d %s <- %s" i
-              (Uv_sql.Ast.stmt_kind inf.stmt)
-              (String.concat "; " reasons)
-            :: !lines)
-    prov;
-  (rs, List.rev !lines)
+  List.map2
+    (fun i p ->
+      let inf = t.infos.(i - 1) in
+      let describe = function
+        | None -> []
+        | Some v when v < 0 -> [ Printf.sprintf "group-mate of #%d" (-v) ]
+        | Some v ->
+            let cols = shared_columns (rw_of v) inf.rw in
+            let tabs = shared_tables t (rows_of v) inf.rows in
+            let col_part =
+              if cols = [] then []
+              else
+                [
+                  Printf.sprintf "columns {%s} with %s"
+                    (String.concat ", " cols) (name v);
+                ]
+            in
+            let row_part =
+              if tabs = [] then []
+              else
+                [
+                  Printf.sprintf "rows {%s} with %s"
+                    (String.concat ", "
+                       (List.map
+                          (fun (tbl, vs) ->
+                            if vs = [] then tbl
+                            else tbl ^ "=" ^ String.concat "|" vs)
+                          tabs))
+                    (name v);
+                ]
+            in
+            col_part @ row_part
+      in
+      let reasons =
+        List.sort_uniq compare (describe p.p_col_via @ describe p.p_row_via)
+      in
+      let reasons = if reasons = [] then [ "seeded" ] else reasons in
+      Printf.sprintf "#%d %s <- %s" i
+        (Uv_sql.Ast.stmt_kind inf.stmt)
+        (String.concat "; " reasons))
+    rs.member_indexes rs.provenance
 
 (* ------------------------------------------------------------------ *)
 (* The replay DAG                                                       *)

@@ -4,7 +4,8 @@
     Given a committed-statement log, [analyze] derives each entry's
     column-wise and row-wise sets (maintaining the evolving schema view and
     RI alias/merge state in commit order). A what-if request is a
-    {!target}; {!replay_set} computes the set 𝕀 of entries that must be
+    {!target}; {!replay_set} — the one replay-set entry point, for every
+    mode and granularity — computes the set 𝕀 of entries that must be
     rolled back and replayed, as the closure of conflict with the target:
 
     - an entry joins 𝕀 if it reads something a member (or the target)
@@ -18,7 +19,9 @@
 
     Read-only entries (empty write set) never join 𝕀 (Prop E.7).
     [`Cell] mode intersects the column-wise and row-wise closures
-    (Theorem E.20): 𝕀 = 𝕀c ∩ 𝕀r. *)
+    (Theorem E.20): 𝕀 = 𝕀c ∩ 𝕀r. Each member carries its provenance —
+    the closure parents that pulled it in — recorded by the same closures
+    that compute 𝕀. *)
 
 open Uv_sql
 
@@ -36,10 +39,10 @@ type mode = Col_only | Row_only | Cell | Joint
     row-wise with {e each other}. Joint ⊆ Cell (every joint conflict is a
     conflict in both constituent closures), and joint ⊇ the true
     dependency closure (a shared cell implies shared columns and shared
-    rows), so it is sound and at least as tight. Its cost is bounded by
-    the row-value buckets actually touched rather than the history
-    length, which is what lets replay-set computation stay flat while
-    the log grows — the history-scale bench gates on this. [Cell]
+    rows), so it is sound and at least as tight. Its candidates come
+    from a cell index (column × first-RI-dimension value), so its cost
+    is bounded by the cells the replay set touches rather than the
+    history length — the history-scale bench gates on this. [Cell]
     remains the default for bit-for-bit continuity of existing
     replay-set counts. *)
 
@@ -122,46 +125,38 @@ val target_rw : t -> target -> Rwset.rw * Rowset.entry_rows
 (** Combined sets of the retroactive target (for [Change], the union of
     the old and new statements' sets). *)
 
+type provenance = {
+  p_col_via : int option;
+      (** parent in the column-wise closure: [Some 0] — the member
+          conflicts column-wise with the target's own sets; [Some v],
+          [v > 0] — otherwise, entry [v] is the earliest member it
+          conflicts with column-wise; [Some (-v)] — it conflicts with
+          neither and joined as a transaction-group mate of entry [v]
+          (grouped only). [None] in modes without a column closure
+          ([Row_only], [Joint]). *)
+  p_row_via : int option;
+      (** parent in the row-wise closure ([Joint]: the cell-conflict
+          closure): the first member whose candidates offered it ([0],
+          [v] and [-v] as above). [None] in [Col_only]. *)
+}
+(** Why a member joined. Because the cell-wise set is the intersection
+    of two independently computed closures (Theorem E.20), a member
+    carries up to two parents; either may itself be outside the final
+    intersection. The column-wise parent is exact — the smallest valid
+    one, with the target before every member and any conflicting member
+    before a group mate — so it does not depend on the order the closure
+    visits candidates in. *)
+
 type replay_set = {
-  members : bool array;  (** [members.(i-1)] — is entry [i] in 𝕀 *)
   member_indexes : int list;  (** the members' commit indexes, ascending *)
   member_count : int;
   mutated : string list;  (** tables written by 𝕀 ∪ {target} *)
   consulted : string list;  (** tables read but not written *)
   col_only_count : int;  (** |𝕀c| — for the ablation bench *)
   row_only_count : int;  (** |𝕀r| *)
+  provenance : provenance list;
+      (** one per member, in [member_indexes] order *)
 }
-
-val replay_set : ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
-(** Compute 𝕀 for a target. [obs] records one [closure.col]/[closure.row]
-    span per closure run, counts the members each closure processes in
-    [analyze.closure_iters] and the column postings the column closure
-    visits in [analyze.closure_col_visits].
-
-    Cost: the column-wise closure is one ascending sweep whose cost is
-    O(postings of tainted columns after their taint time) — each column
-    a member (or the target) reads or writes opens its writers' (and, if
-    written, its readers') posting once, just past that member, and
-    every posting entry from there on is visited once. The row-wise
-    closure costs the replay set and the row-value buckets' entries at
-    or after τ. Apart from one [length t]-long membership array per
-    question, neither follows the history length. *)
-
-val replay_set_grouped :
-  ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
-(** Transaction-granularity variant used by the non-transpiled (D)
-    system: entries sharing an [app_txn] tag join or stay out of 𝕀 as a
-    unit, and set propagation runs over the per-transaction unions. *)
-
-val replay_members : ?mode:mode -> t -> target -> int list
-(** The replay-set members as a sorted list of 1-based commit indexes.
-    For [Joint] (the default here) this runs a lean closure that never
-    materializes [length t]-sized arrays: candidates come from
-    cell-granular value buckets and membership scratch is epoch-stamped,
-    so the cost of answering a what-if question scales with the replay
-    set and the buckets it touches, not with the history length. Agrees
-    exactly with [members_of (replay_set ~mode)] for every mode; other
-    modes delegate to {!replay_set}. *)
 
 type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
 (** Candidate generator used by the closure worklist: given a member's
@@ -177,20 +172,49 @@ val since : int -> int list -> int list
     bucket, oldest first, in O(indexes >= tau) — how a {!joins_fn} fetches
     a bucket without touching the history before τ. *)
 
-val replay_set_via :
+val replay_set :
   ?obs:Uv_obs.Trace.t ->
   ?mode:mode ->
+  ?grouped:bool ->
+  ?col_joins:(tau:int -> live:(int -> bool) -> joins_fn) ->
   t ->
-  col_joins:(tau:int -> live:(int -> bool) -> joins_fn) ->
   target ->
   replay_set
-(** [replay_set] with the column-wise candidate generator replaced by an
-    external one — the template-matrix fast-path. [col_joins ~tau ~live]
-    is invoked once per column-closure run; candidates for which [live]
-    is false may be skipped, and no entry below [tau] is ever live, so a
-    generator need not look at them. The row-wise closure stays on the
-    built-in per-statement path, so [`Cell] intersects the caller's
-    column closure with the oracle row closure. *)
+(** Compute 𝕀 for a target, with each member's provenance. [mode]
+    defaults to [Cell].
+
+    [grouped] (default [false]) is the transaction granularity of the
+    non-transpiled (D) system: the target is its whole [app_txn] group,
+    entries sharing a tag join or stay out of 𝕀 as a unit, and a tagged
+    read-only entry may join with its group.
+
+    [col_joins] replaces the column-wise closure's built-in sweep with an
+    external candidate generator — the template-matrix fast-path.
+    [col_joins ~tau ~live] is invoked once per question; candidates for
+    which [live] is false may be skipped, and no entry below [tau] is
+    ever live, so a generator need not look at them. The row-wise
+    closure stays built in, so [`Cell] intersects the caller's column
+    closure with the row closure.
+
+    [obs] records one [closure.col]/[closure.row] ([closure.cell] for
+    [Joint]) span per closure run, counts the members each closure
+    processes in [analyze.closure_iters], the column postings the column
+    sweep visits in [analyze.closure_col_visits], and the candidates the
+    row-wise or Joint generator offers (deduplicated per asking member,
+    before the pair predicate) in [analyze.closure_row_visits].
+
+    Cost: the column-wise closure is one ascending sweep whose cost is
+    O(postings of tainted columns after their taint time) — each column
+    a member (or the target) reads or writes opens its writers' (and, if
+    written, its readers') posting once, just past that member, and
+    every posting entry from there on is visited once. The row-wise
+    closure costs the replay set and the row-value buckets' entries at
+    or after τ; Joint's, the cell buckets' entries at or after τ.
+    Membership and parents live in per-analyzer scratch arrays stamped
+    per question, grown only when the history outgrows them, so a
+    question allocates and clears nothing of the history's length.
+    Joint's cell index is built at the first Joint question and kept up
+    to date by {!extend}. *)
 
 val row_conflict : t -> Rwset.rw -> Rowset.entry_rows -> info -> bool
 (** The row-wise closure's pair predicate: does an entry with these sets
@@ -207,32 +231,6 @@ val row_merge_generation : t -> int
 (** Generation counter of the RI alias/merge state; external value-keyed
     caches must be rebuilt when it changes. *)
 
-type provenance = {
-  p_col_via : int option;
-      (** parent in the column-wise closure: [Some 0] — the member
-          conflicts column-wise with the target's own sets; [Some v],
-          [v > 0] — otherwise, entry [v] is the earliest member it
-          conflicts with column-wise; [Some (-v)] — it conflicts with
-          neither and joined as a transaction-group mate of entry [v]
-          (grouped mode only) *)
-  p_row_via : int option;
-      (** parent in the row-wise closure: the first member whose
-          candidates offered it ([0], [v] and [-v] as above) *)
-}
-
-val replay_set_explained :
-  ?mode:mode -> ?grouped:bool -> t -> target -> replay_set * provenance option array
-(** The replay set plus, for each log entry (0-based array of length
-    [length t]), why it joined — [None] for non-members. The parents are
-    recorded by the closures that compute the replay set; there is no
-    second pass. Because the cell-wise set is the intersection of two
-    independently computed closures (Theorem E.20), a member carries up
-    to two parents; either may itself be outside the final
-    intersection. The column-wise parent is exact — the smallest valid
-    one, with the target before every member and any conflicting member
-    before a group mate — so it does not depend on the order the
-    closure visits candidates in. *)
-
 val conflict_columns : t -> int -> int -> string list
 (** Columns through which entries [i] and [j] conflict (W∩R ∪ R∩W ∪ W∩W
     of their column-wise sets). Empty if they don't. *)
@@ -242,10 +240,11 @@ val conflict_tables : t -> int -> int -> (string * string list) list
     with the shared first-dimension RI values (["*"] when either side is
     a wildcard). *)
 
-val explain_report :
-  ?mode:mode -> ?grouped:bool -> t -> target -> replay_set * string list
-(** Human-readable provenance, one line per member:
-    ["#12 UPDATE <- columns {stock.qty} with #7; rows {stock=42} with #7"]. *)
+val explain_report : t -> target -> replay_set -> string list
+(** Human-readable provenance of a replay set computed for [target], one
+    line per member in [member_indexes] order:
+    ["#12 UPDATE <- columns {stock.qty} with #7; rows {stock=42} with #7"].
+    Renders the set's recorded [provenance]; it does not run a closure. *)
 
 val replay_dag :
   ?obs:Uv_obs.Trace.t -> t -> members:int list -> Conflict_dag.t

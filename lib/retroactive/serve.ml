@@ -240,7 +240,6 @@ let stats_json t =
             ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
             ("ingested", J.Int s.Whatif.Service.ingested);
             ("publishes", J.Int s.Whatif.Service.publishes);
-            ("sessions", J.Int s.Whatif.Service.sessions);
           ] );
     ]
 

@@ -291,10 +291,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   (* 1. replay-set computation *)
   let rs =
     phase "analyze" (fun () ->
-        if config.Config.grouped then
-          Analyzer.replay_set_grouped ~obs ~mode:config.Config.mode analyzer
-            target
-        else Analyzer.replay_set ~obs ~mode:config.Config.mode analyzer target)
+        Analyzer.replay_set ~obs ~mode:config.Config.mode
+          ~grouped:config.Config.grouped analyzer target)
   in
   let analysis_ms = List.assoc "analyze" !phases in
   let members = rs.Analyzer.member_indexes in
@@ -373,7 +371,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   let degraded = ref false in
   (* the DAG the wave executor ran, which the cost model then reuses *)
   let replay_dag = ref None in
-  (* compiled plans from the session cache, one lookup per member *)
+  (* compiled plans from the service's cache, one lookup per member *)
   let member_plans = List.map (fun i -> (i, plan_for i)) members in
   let plans_used =
     List.length (List.filter (fun (_, p) -> Option.is_some p) member_plans)
@@ -699,7 +697,7 @@ let guarded cur_phase f =
 
 module Imap = Map.Make (Int)
 
-module Service_impl = struct
+module Service = struct
   (* One immutable view of every analysis cache, published as a unit:
      readers obtain the whole set with a single atomic load and can
      never observe a half-swapped cache (analyzer from one history
@@ -734,7 +732,6 @@ module Service_impl = struct
     checkpoint_every : int;
     ingested : int;
     publishes : int;
-    sessions : int;
   }
 
   (* [t] is defined after [stats] on purpose: the two share field names
@@ -748,7 +745,7 @@ module Service_impl = struct
     state : snapshot Atomic.t;
     pinned : bool;
         (* one-shot wrapper mode: trust the caller's prebuilt analyzer
-           and never refresh (the sessionless [Whatif.run] contract) *)
+           and never refresh (the one-shot [Whatif.run] contract) *)
     runs : int Atomic.t;
     analyzer_builds : int Atomic.t;
     analyzer_extends : int Atomic.t;
@@ -756,7 +753,6 @@ module Service_impl = struct
     plan_cache_hits : int Atomic.t;
     ingested : int Atomic.t;
     publishes : int Atomic.t;
-    sessions : int Atomic.t;
   }
 
   let make_t ~config ~rowset ~base ~pinned ~state eng =
@@ -781,7 +777,6 @@ module Service_impl = struct
       plan_cache_hits = Atomic.make 0;
       ingested = Atomic.make 0;
       publishes = Atomic.make 0;
-      sessions = Atomic.make 0;
     }
 
   let create ?(config = Config.default) ?rowset ?base eng =
@@ -793,7 +788,7 @@ module Service_impl = struct
         ~every:(Config.checkpoint_every config);
     make_t ~config ~rowset ~base ~pinned:false ~state:empty_snapshot eng
 
-  (* Internal: the sessionless [Whatif.run]/[run_exn] path. The given
+  (* Internal: the one-shot [Whatif.run]/[run_exn] path. The given
      analyzer is trusted as covering the engine's current log, exactly
      as the historical contract stated. *)
   let of_analyzer ~config ~analyzer eng =
@@ -917,8 +912,7 @@ module Service_impl = struct
   (* Run [f] over a snapshot that is current w.r.t. the engine's head,
      holding the read side of the lock for the whole evaluation so no
      ingest can extend the analyzer mid-run. The pull-refresh retry loop
-     keeps Session's original semantics: a what-if issued after the log
-     grew sees the grown history. *)
+     means a what-if issued after the log grew sees the grown history. *)
   let rec run_fresh t f =
     match
       Uv_util.Rwlock.read t.lock (fun () ->
@@ -976,18 +970,17 @@ module Service_impl = struct
       checkpoint_every = every;
       ingested = Atomic.get t.ingested;
       publishes = Atomic.get t.publishes;
-      sessions = Atomic.get t.sessions;
     }
 end
 
 let run_exn ?(config = Config.default) ~analyzer eng target =
-  let svc = Service_impl.of_analyzer ~config ~analyzer eng in
-  (Service_impl.run_unguarded svc target).Service_impl.outcome
+  let svc = Service.of_analyzer ~config ~analyzer eng in
+  (Service.run_unguarded svc target).Service.outcome
 
 let run ?(config = Config.default) ~analyzer eng target =
-  let svc = Service_impl.of_analyzer ~config ~analyzer eng in
-  match Service_impl.run svc target with
-  | Ok r -> Ok r.Service_impl.outcome
+  let svc = Service.of_analyzer ~config ~analyzer eng in
+  match Service.run svc target with
+  | Ok r -> Ok r.Service.outcome
   | Error e -> Error e
 
 let commit eng outcome =
@@ -1005,58 +998,3 @@ let query_new_universe outcome sel =
   let eng = Uv_db.Engine.of_catalog outcome.temp_catalog in
   Uv_db.Engine.query eng sel
 
-(* ------------------------------------------------------------------ *)
-(* Sessions: the single-owner view over a Service                       *)
-(* ------------------------------------------------------------------ *)
-
-module Session = struct
-  type stats = {
-    runs : int;
-    analyzer_builds : int;
-    analyzer_extends : int;
-    analyzed_entries : int;
-    plan_cache_size : int;
-    plans_compiled : int;
-    plan_cache_hits : int;
-    checkpoint_rungs : int;
-    checkpoint_every : int;
-  }
-
-  (* A session is now just a handle on a service: same caches, same
-     refresh policy, minus the service-wide counters. *)
-  type t = Service_impl.t
-
-  let create ?config ?rowset ?base eng =
-    Service_impl.create ?config ?rowset ?base eng
-
-  let engine = Service_impl.engine
-  let config = Service_impl.config
-  let invalidate = Service_impl.invalidate
-
-  let run t target =
-    match Service_impl.run t target with
-    | Ok r -> Ok r.Service_impl.outcome
-    | Error e -> Error e
-
-  let stats t =
-    let s = Service_impl.stats t in
-    {
-      runs = s.Service_impl.runs;
-      analyzer_builds = s.Service_impl.analyzer_builds;
-      analyzer_extends = s.Service_impl.analyzer_extends;
-      analyzed_entries = s.Service_impl.analyzed_entries;
-      plan_cache_size = s.Service_impl.plan_cache_size;
-      plans_compiled = s.Service_impl.plans_compiled;
-      plan_cache_hits = s.Service_impl.plan_cache_hits;
-      checkpoint_rungs = s.Service_impl.checkpoint_rungs;
-      checkpoint_every = s.Service_impl.checkpoint_every;
-    }
-end
-
-module Service = struct
-  include Service_impl
-
-  let open_session t =
-    Atomic.incr t.sessions;
-    t
-end

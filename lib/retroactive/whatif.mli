@@ -58,10 +58,10 @@ module Config : sig
       [fault = Uv_fault.Fault.disabled] — a fault-injection plan
       ({!Uv_fault.Fault}) threaded into the temporary engines, the wave
       executor and the domain pool; [checkpoint_every = 0] — when
-      positive, a {!Session} attaches a checkpoint ladder to the engine
+      positive, a {!Service} attaches a checkpoint ladder to the engine
       snapshotting the catalog every that many commits, and the rollback
       phase may jump to the nearest rung instead of undoing the whole
-      member tail; [plans = true] — let a {!Session} compile and cache
+      member tail; [plans = true] — let a {!Service} compile and cache
       statement plans for replayed members (caches only ever amortize:
       outcomes are bitwise-identical with both knobs off). *)
 
@@ -165,8 +165,8 @@ type outcome = {
           oldest member and redid the non-member tail from journal
           images (only when an attached ladder made that cheaper) *)
   plans_used : int;
-      (** members replayed through a compiled plan from the session's
-          cache (0 outside a {!Session} or with [Config.plans] off) *)
+      (** members replayed through a compiled plan from the service's
+          cache (0 outside a {!Service} or with [Config.plans] off) *)
 }
 
 val run :
@@ -223,9 +223,12 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
 (** Run a read-only query against the outcome's temporary database —
     the "what would X have been" question the analysis exists to answer. *)
 
-(** A what-if session caches analysis work across runs over the same
-    engine, making the second and later questions O(Δ) instead of
-    O(history):
+(** A thread-safe what-if service over one shared, growing history —
+    the long-lived core behind [ultraverse serve], [whatif --repeat] and
+    any caller asking more than one question of one engine.
+
+    It caches analysis work across runs, making the second and later
+    questions O(Δ) instead of O(history):
 
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows (DML only); a shrunk log, a catalog epoch change or new
@@ -237,81 +240,20 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
     - with [Config.checkpoint_every > 0] the engine records periodic
       catalog snapshots that let the rollback phase jump near τ.
 
-    Everything cached is an accelerator, never a semantic input: a
-    session's outcomes (final hash, new log) are bitwise-identical to
-    sessionless runs at every worker count.
-
-    Since the Session→Service split a session is a thin handle over a
-    {!Service} — same caches, same refresh policy — and the supported
-    constructor is {!Service.open_session}. *)
-module Session : sig
-  type t
-
-  type stats = {
-    runs : int;
-    analyzer_builds : int;  (** full history scans *)
-    analyzer_extends : int;  (** incremental O(Δ) refreshes *)
-    analyzed_entries : int;  (** log length the analyzer covers *)
-    plan_cache_size : int;  (** entries with a cached compile decision *)
-    plans_compiled : int;  (** statements that yielded a plan *)
-    plan_cache_hits : int;  (** lookups served without recompiling *)
-    checkpoint_rungs : int;  (** live rungs on the engine's ladder *)
-    checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
-  }
-
-  val create :
-    ?config:config ->
-    ?rowset:Rowset.config ->
-    ?base:Uv_db.Catalog.t ->
-    Uv_db.Engine.t ->
-    t
-  [@@ocaml.alert deprecated "use Whatif.Service.open_session"]
-  (** Attach a session to an engine. When the config asks for
-      checkpoints and the engine has no ladder yet, one is enabled —
-      rungs accumulate as the application commits from here on.
-      [rowset] and [base] are handed to every {!Analyzer.analyze} the
-      session performs (the workload's RI configuration and the catalog
-      the history grew from) — pass the same values a sessionless caller
-      would give [analyze], or the replay sets will differ.
-
-      @deprecated Construct a {!Service} and call
-      {!Service.open_session} instead; this shorthand remains for
-      single-owner scripts only. *)
-
-  val engine : t -> Uv_db.Engine.t
-  val config : t -> config
-
-  val run : t -> Analyzer.target -> (outcome, Error.t) result
-  (** {!Whatif.run} with the session's caches: refreshes the analyzer
-      (extend or rebuild as needed), then drives the what-if with cached
-      plans. *)
-
-  val invalidate : t -> unit
-  (** Drop every cache; the next {!run} rebuilds from the live engine
-      ([ultraverse recover --force] style full recompute). *)
-
-  val stats : t -> stats
-end
-
-(** A thread-safe what-if service over one shared, growing history —
-    the long-lived core behind [ultraverse serve] and every
-    single-owner {!Session}.
-
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently
-    ask what-if questions through sessions opened with
-    {!Service.open_session} (shared). Internally the analyzer,
-    compiled-plan cache and checkpoint ladder live in an immutable
-    {e snapshot} republished atomically after every ingest: a reader
-    obtains the whole cache set with one atomic load and can never
-    observe a half-swapped state (analyzer from one history length,
-    plans from another). A readers-writer lock serializes ingest
-    against in-flight runs, because [Analyzer.extend] updates the
-    analyzer inside the current snapshot in place.
+    ask what-if questions through {!Service.run} (shared). Internally the
+    analyzer, compiled-plan cache and checkpoint ladder live in an
+    immutable {e snapshot} republished atomically after every ingest: a
+    reader obtains the whole cache set with one atomic load and can
+    never observe a half-swapped state (analyzer from one history length,
+    plans from another). A readers-writer lock serializes ingest against
+    in-flight runs, because [Analyzer.extend] updates the analyzer inside
+    the current snapshot in place.
 
     Everything cached is an accelerator, never a semantic input: a
     service's outcomes (final hash, new log) are bitwise-identical to
-    sessionless {!run}s at every worker count and under any
+    one-shot {!run}s at every worker count and under any
     interleaving of ingest and queries. *)
 module Service : sig
   type t
@@ -336,7 +278,6 @@ module Service : sig
     checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
     ingested : int;  (** statements applied through {!ingest} *)
     publishes : int;  (** snapshot swaps *)
-    sessions : int;  (** handles opened with {!open_session} *)
   }
 
   val create :
@@ -348,7 +289,7 @@ module Service : sig
   (** Attach a service to an engine. When the config asks for
       checkpoints and the engine has no ladder yet, one is enabled.
       [rowset] and [base] are handed to every analyzer build — pass the
-      same values a sessionless caller would give [Analyzer.analyze],
+      same values a one-shot caller would give [Analyzer.analyze],
       or the replay sets will differ. The engine must not be mutated
       behind the service's back once serving starts: route committed
       traffic through {!ingest}. *)
@@ -391,11 +332,6 @@ module Service : sig
       Safe to call from any domain concurrently. [config] overrides the
       service's default per request — the serve daemon uses it to
       enforce a per-request [deadline_ms] budget. *)
-
-  val open_session : t -> Session.t
-  (** Open a what-if handle on the shared service — the supported way
-      to obtain a {!Session}. Handles are cheap (the caches live in the
-      service) and safe to use from different domains concurrently. *)
 
   val stats : t -> stats
 end

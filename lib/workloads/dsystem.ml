@@ -27,7 +27,7 @@ let run ?(workers = 8) ?(rtt_ms = 1.0) ~analyzer ~runtime eng ~target_tag =
   let tau = match target_entries with i :: _ -> i | [] -> 1 in
   (* transaction-granular replay set *)
   let rs =
-    Analyzer.replay_set_grouped ~mode:Analyzer.Cell analyzer
+    Analyzer.replay_set ~mode:Analyzer.Cell ~grouped:true analyzer
       { Analyzer.tau; op = Analyzer.Remove }
   in
   let analysis_ms = Uv_util.Clock.now_ms () -. t0 in

@@ -82,12 +82,16 @@ sql_front_end_smoke() {
 step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 
 # the replay-set closure against a pairwise reference that shares no
-# index with the analyzer: members, counts and touched tables in every
-# mode and at transaction granularity, exact column-wise parents, a
-# hand-built history (an out-of-order group mate, a column no entry
-# has, a schema-key conflict), and column postings visited per warm
-# question equal at 1 008 and 4 008 history entries
-step "closure smoke: replay sets and provenance == pairwise reference" \
+# index with the analyzer: members, counts, touched tables and parents
+# in all four modes (Joint against a closure over the pairwise cell
+# conflict, and inside Cell), grouped and not; a hand-built history (an
+# out-of-order group mate, a column no entry has, a schema-key
+# conflict, wildcard-dimension rows, a row read meeting another's row
+# write); and per warm question, equal at 1 008 and 4 008 history
+# entries: column postings visited, row-wise and Joint candidates
+# offered, and the words allocated straight into the major heap (Cell
+# through the service, Joint and grouped directly)
+step "closure smoke: replay sets and provenance == pairwise reference (Joint too), allocation flat in history" \
   dune exec test/test_closure.exe
 
 # the replay DAG against the string-keyed edge builders it replaced:
@@ -103,7 +107,7 @@ step "bench smoke: parallel replay determinism" \
   dune exec bench/main.exe -- --smoke
 
 # caching must never change the answer: the same what-if runs once with
-# every cache disabled and then repeatedly through a session (plan
+# every cache disabled and then repeatedly through one service (plan
 # cache + incremental analyzer + checkpoint ladder); the final universe
 # hashes must be bitwise-identical
 cache_smoke() {

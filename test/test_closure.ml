@@ -2,10 +2,13 @@
    what-if against the history length.
 
    The reference closure below shares nothing with the analyzer's bucket
-   indexes: every later live entry is offered as a candidate and kept
-   when the pair-conflict predicate holds. The analyzer must agree with
-   it on members, counts and touched tables in every mode, at τ spread
-   over the whole history, for removals, additions and changes. *)
+   and cell indexes: every later live entry is offered as a candidate and
+   kept when the pair-conflict predicate holds — column-wise, row-wise,
+   or (for Joint) the cell conflict, computed here from the column sets
+   and the one-table row predicate. The analyzer must agree with it on
+   members, counts, touched tables and parents in every mode, grouped and
+   not, at τ spread over the whole history, for removals, additions and
+   changes. *)
 
 open Uv_db
 open Uv_retroactive
@@ -72,13 +75,44 @@ let col_conflict (a : Rwset.rw) (b : Rwset.rw) =
   meets a.Rwset.w b.Rwset.r || meets a.Rwset.w b.Rwset.w
   || meets a.Rwset.r b.Rwset.w
 
-type kind = Col | Row
+let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
+
+(* The cell conflict, from the column sets and the one-table row
+   predicate: a shared schema key, or a column the two share
+   (direction-aware) whose table's row sets overlap. A table missing
+   from either side's rows carries no cell conflict. *)
+let cell_conflict anl ((rw : Rwset.rw), rows) (inf : Analyzer.info) =
+  let shared dir_a dir_b = Colset.inter dir_a dir_b in
+  let all =
+    Colset.union
+      (shared rw.Rwset.w inf.Analyzer.rw.Rwset.r)
+      (Colset.union
+         (shared rw.Rwset.w inf.Analyzer.rw.Rwset.w)
+         (shared rw.Rwset.r inf.Analyzer.rw.Rwset.w))
+  in
+  Colset.exists
+    (fun c ->
+      is_schema_key c
+      ||
+      let table = String.sub c 0 (String.index c '.') in
+      match
+        (List.assoc_opt table rows, List.assoc_opt table inf.Analyzer.rows)
+      with
+      | Some mine, Some theirs ->
+          Analyzer.row_conflict anl Rwset.empty
+            [ (table, mine) ]
+            { inf with Analyzer.rows = [ (table, theirs) ] }
+      | _ -> false)
+    all
+
+type kind = Col | Row | Cell_pair
 
 let conflict anl kind ((rw : Rwset.rw), rows) j =
   let inf = Analyzer.info anl j in
   match kind with
   | Col -> col_conflict rw inf.Analyzer.rw
   | Row -> Analyzer.row_conflict anl rw rows inf
+  | Cell_pair -> cell_conflict anl (rw, rows) inf
 
 (* entries sharing each application transaction tag, ascending *)
 let groups anl =
@@ -174,16 +208,25 @@ let reference_closure anl ~kind ~grouped ~group_of (target : Analyzer.target)
 let tables_of s =
   Colset.fold
     (fun key acc ->
-      if String.length key > 3 && String.sub key 0 3 = "_S." then
-        String.sub key 3 (String.length key - 3) :: acc
+      if is_schema_key key then String.sub key 3 (String.length key - 3) :: acc
       else
         match String.index_opt key '.' with
         | Some i -> String.sub key 0 i :: acc
         | None -> acc)
     s []
 
-let reference anl ~mode ~grouped ~group_of target =
-  let closure kind = reference_closure anl ~kind ~grouped ~group_of target in
+(* One question's reference closures, each computed at most once. *)
+let reference_closures anl ~grouped ~group_of target =
+  let memo = Hashtbl.create 3 in
+  fun kind ->
+    match Hashtbl.find_opt memo kind with
+    | Some c -> c
+    | None ->
+        let c = reference_closure anl ~kind ~grouped ~group_of target in
+        Hashtbl.replace memo kind c;
+        c
+
+let reference anl ~mode ~grouped ~group_of ~closure target =
   let members, col_count, row_count =
     match mode with
     | Analyzer.Col_only ->
@@ -192,9 +235,10 @@ let reference anl ~mode ~grouped ~group_of target =
     | Analyzer.Row_only ->
         let r = closure Row in
         (r, -1, List.length r)
-    | Analyzer.Cell | Analyzer.Joint ->
+    | Analyzer.Cell ->
         let c = closure Col and r = closure Row in
         (List.filter (fun i -> List.mem i c) r, List.length c, List.length r)
+    | Analyzer.Joint -> (closure Cell_pair, -1, -1)
   in
   let (seed_rw : Rwset.rw), _ = fst (seed_of anl ~grouped ~group_of target) in
   let rws =
@@ -209,20 +253,18 @@ let reference anl ~mode ~grouped ~group_of target =
   in
   (members, col_count, row_count, mutated, consulted)
 
-let check_against_reference ~label anl ~mode ~grouped ~group_of target
+let check_against_reference ~label anl ~mode ~grouped ~group_of ~closure target
     (rs : Analyzer.replay_set) =
   let members, col_count, row_count, mutated, consulted =
-    reference anl ~mode ~grouped ~group_of target
+    reference anl ~mode ~grouped ~group_of ~closure target
   in
   let ints = Alcotest.(list int) and strs = Alcotest.(list string) in
   check ints (label ^ " members") members rs.Analyzer.member_indexes;
-  check ints (label ^ " member array")
-    members
-    (List.filter
-       (fun i -> rs.Analyzer.members.(i - 1))
-       (List.init (Array.length rs.Analyzer.members) (fun i -> i + 1)));
   check Alcotest.int (label ^ " member_count") (List.length members)
     rs.Analyzer.member_count;
+  check Alcotest.int (label ^ " one provenance per member")
+    (List.length members)
+    (List.length rs.Analyzer.provenance);
   check Alcotest.int (label ^ " col_only_count") col_count
     rs.Analyzer.col_only_count;
   check Alcotest.int (label ^ " row_only_count") row_count
@@ -230,49 +272,90 @@ let check_against_reference ~label anl ~mode ~grouped ~group_of target
   check strs (label ^ " mutated") mutated rs.Analyzer.mutated;
   check strs (label ^ " consulted") consulted rs.Analyzer.consulted
 
-(* Each row-wise parent must be the target or an earlier member of the
-   same closure that conflicts with the member (or, at group
-   granularity, a group mate). The column-wise parent is exact: the
-   smallest valid conflict parent (0 = the target, then members in index
-   order); a group mate's parent only when the member conflicts with
-   neither the target nor an earlier member. *)
-let check_provenance ~label anl ~grouped ~group_of target prov =
+(* Each row-wise parent (Joint: the cell-conflict closure's) must be the
+   target or an earlier member of the same closure that conflicts with
+   the member (or, at group granularity, a group mate). The column-wise
+   parent is exact: the smallest valid conflict parent (0 = the target,
+   then members in index order); a group mate's parent only when the
+   member conflicts with neither the target nor an earlier member. A
+   mode without a closure records no parent for it. *)
+let check_provenance ~label anl ~mode ~grouped ~group_of ~closure target
+    (rs : Analyzer.replay_set) =
   let seed = fst (seed_of anl ~grouped ~group_of target) in
-  let valid kind closure i = function
+  let valid kind i = function
     | None -> false
     | Some 0 -> conflict anl kind seed i
     | Some v when v < 0 ->
-        grouped && List.mem (-v) closure && List.mem i (group_of (-v))
+        grouped && List.mem (-v) (closure kind) && List.mem i (group_of (-v))
     | Some v ->
-        v < i && List.mem v closure
+        v < i
+        && List.mem v (closure kind)
         && conflict anl kind
              (let inf = Analyzer.info anl v in
               (inf.Analyzer.rw, inf.Analyzer.rows))
              i
   in
-  let col = reference_closure anl ~kind:Col ~grouped ~group_of target in
-  let row = reference_closure anl ~kind:Row ~grouped ~group_of target in
-  let col_parent i =
-    List.find_opt (fun v -> valid Col col i (Some v)) (0 :: col)
-  in
+  let col_parent i = List.find_opt (fun v -> valid Col i (Some v)) (0 :: closure Col) in
   let via = function None -> "none" | Some v -> string_of_int v in
-  Array.iteri
-    (fun j p ->
-      match p with
-      | None -> ()
-      | Some (p : Analyzer.provenance) ->
-          let i = j + 1 in
-          (match col_parent i with
-          | Some v when p.Analyzer.p_col_via <> Some v ->
-              Alcotest.failf "%s: #%d has column-wise parent %s, expected %d"
-                label i (via p.Analyzer.p_col_via) v
-          | Some _ -> ()
-          | None ->
-              if not (valid Col col i p.Analyzer.p_col_via) then
-                Alcotest.failf "%s: #%d has no column-wise parent" label i);
-          if not (valid Row row i p.Analyzer.p_row_via) then
-            Alcotest.failf "%s: #%d has no row-wise parent" label i)
-    prov
+  let has_col = mode = Analyzer.Col_only || mode = Analyzer.Cell in
+  let row_kind = if mode = Analyzer.Joint then Cell_pair else Row in
+  List.iter2
+    (fun i (p : Analyzer.provenance) ->
+      (if not has_col then begin
+         if p.Analyzer.p_col_via <> None then
+           Alcotest.failf "%s: #%d has a column-wise parent" label i
+       end
+       else
+         match col_parent i with
+         | Some v when p.Analyzer.p_col_via <> Some v ->
+             Alcotest.failf "%s: #%d has column-wise parent %s, expected %d"
+               label i (via p.Analyzer.p_col_via) v
+         | Some _ -> ()
+         | None ->
+             if not (valid Col i p.Analyzer.p_col_via) then
+               Alcotest.failf "%s: #%d has no column-wise parent" label i);
+      if mode = Analyzer.Col_only then begin
+        if p.Analyzer.p_row_via <> None then
+          Alcotest.failf "%s: #%d has a row-wise parent" label i
+      end
+      else if not (valid row_kind i p.Analyzer.p_row_via) then
+        Alcotest.failf "%s: #%d has no row-wise parent" label i)
+    rs.Analyzer.member_indexes rs.Analyzer.provenance
+
+let modes =
+  [
+    (Analyzer.Col_only, "col-only");
+    (Analyzer.Row_only, "row-only");
+    (Analyzer.Cell, "cell");
+    (Analyzer.Joint, "joint");
+  ]
+
+(* One question in every mode, grouped and not: members, counts, touched
+   tables and parents equal the reference's, and Joint ⊆ Cell. *)
+let check_question ~label anl ~group_of target =
+  List.iter
+    (fun grouped ->
+      let label = label ^ if grouped then " grouped" else "" in
+      let closure = reference_closures anl ~grouped ~group_of target in
+      let sets =
+        List.map
+          (fun (mode, mode_name) ->
+            let label = label ^ " " ^ mode_name in
+            let rs = Analyzer.replay_set ~mode ~grouped anl target in
+            check_against_reference ~label anl ~mode ~grouped ~group_of
+              ~closure target rs;
+            check_provenance ~label anl ~mode ~grouped ~group_of ~closure
+              target rs;
+            (mode, rs.Analyzer.member_indexes))
+          modes
+      in
+      let cell = List.assoc Analyzer.Cell sets in
+      List.iter
+        (fun i ->
+          if not (List.mem i cell) then
+            Alcotest.failf "%s: joint member #%d is outside Cell" label i)
+        (List.assoc Analyzer.Joint sets))
+    [ false; true ]
 
 (* Two analysed histories per workload, shared by the tests below: raw
    statements (several entries per application transaction, so grouping
@@ -294,33 +377,12 @@ let test_reference name () =
   let group_of = groups anl in
   List.iter
     (fun target ->
-      let label = Printf.sprintf "%s %s" name (target_name target) in
-      List.iter
-        (fun (mode, mode_name) ->
-          check_against_reference
-            ~label:(label ^ " " ^ mode_name)
-            anl ~mode ~grouped:false ~group_of target
-            (Analyzer.replay_set ~mode anl target))
-        [
-          (Analyzer.Col_only, "col-only");
-          (Analyzer.Row_only, "row-only");
-          (Analyzer.Cell, "cell");
-        ];
-      check_against_reference ~label:(label ^ " grouped") anl
-        ~mode:Analyzer.Cell ~grouped:true ~group_of target
-        (Analyzer.replay_set_grouped anl target);
-      List.iter
-        (fun grouped ->
-          let rs, prov = Analyzer.replay_set_explained ~grouped anl target in
-          let label = label ^ if grouped then " grouped" else "" in
-          check Alcotest.int (label ^ " explained == replay set")
-            rs.Analyzer.member_count
-            (Array.fold_left (fun a p -> if p = None then a else a + 1) 0 prov);
-          check_provenance ~label anl ~grouped ~group_of target prov)
-        [ false; true ])
+      check_question
+        ~label:(Printf.sprintf "%s %s" name (target_name target))
+        anl ~group_of target)
     (targets anl)
 
-(* Digest of every parent [replay_set_explained] records on the fixtures.
+(* Digest of every parent a Cell [replay_set] records on the fixtures.
    Row-wise parents follow the row closure's candidate order; column-wise
    parents are the earliest conflicting member (checked exactly above).
    Neither may move unnoticed. *)
@@ -335,19 +397,15 @@ let provenance_digest () =
         (fun target ->
           List.iter
             (fun grouped ->
-              let _, prov = Analyzer.replay_set_explained ~grouped anl target in
+              let rs = Analyzer.replay_set ~grouped anl target in
               Buffer.add_string buf
                 (Printf.sprintf "%s %s %b:" name (target_name target) grouped);
-              Array.iteri
-                (fun j p ->
-                  match p with
-                  | None -> ()
-                  | Some (p : Analyzer.provenance) ->
-                      Buffer.add_string buf
-                        (Printf.sprintf " %d<%s,%s" (j + 1)
-                           (via p.Analyzer.p_col_via)
-                           (via p.Analyzer.p_row_via)))
-                prov;
+              List.iter2
+                (fun i (p : Analyzer.provenance) ->
+                  Buffer.add_string buf
+                    (Printf.sprintf " %d<%s,%s" i (via p.Analyzer.p_col_via)
+                       (via p.Analyzer.p_row_via)))
+                rs.Analyzer.member_indexes rs.Analyzer.provenance;
               Buffer.add_char buf '\n')
             [ false; true ])
         (targets anl))
@@ -357,6 +415,43 @@ let provenance_digest () =
 let test_provenance_digest () =
   check Alcotest.string "provenance unchanged" expected_provenance_digest
     (provenance_digest ())
+
+(* Joint's cell index is built at the first Joint question and then
+   kept up to date by [extend]: an analyzer grown from half of each
+   fixture's history answers like one built on the whole. *)
+let test_joint_after_extend () =
+  List.iter
+    (fun (name, (w : W.t), mode) ->
+      let eng, base = build w ~mode ~n:60 in
+      let log = Engine.log eng in
+      let full = Log.length log in
+      let len = ref (full / 2) in
+      let grown =
+        Analyzer.of_source ~config:w.W.ri_config ~base
+          (Analyzer.source_of_fun ~length:(fun () -> !len) (Log.entry log))
+      in
+      let joint anl target =
+        (Analyzer.replay_set ~mode:Analyzer.Joint anl target)
+          .Analyzer.member_indexes
+      in
+      ignore (joint grown { Analyzer.tau = 1; op = Analyzer.Remove });
+      len := full;
+      ignore (Analyzer.extend grown : int);
+      let fresh = Analyzer.analyze ~config:w.W.ri_config ~base log in
+      List.iter
+        (fun target ->
+          check
+            Alcotest.(list int)
+            (Printf.sprintf "%s %s joint" name (target_name target))
+            (joint fresh target) (joint grown target))
+        (targets fresh))
+    (List.concat_map
+       (fun (w : W.t) ->
+         [
+           (w.W.name ^ " raw", w, R.Raw);
+           (w.W.name ^ " transpiled", w, R.Transpiled);
+         ])
+       (W.all ()))
 
 let run ?app_txn e sql = ignore (Engine.exec_sql ?app_txn e sql)
 
@@ -371,14 +466,29 @@ let run ?app_txn e sql = ignore (Engine.exec_sql ?app_txn e sql)
      its own index and reaches #3, which nothing else reaches. #6's
      earliest column-wise parent is then #2, not #4.
    - #7 writes the schema key [_S.t] that every later statement on [t]
-     reads. *)
+     reads.
+   Row shapes for the Joint cell index, on tables of their own:
+   - [z] is configured with no RI column, so its accesses carry one
+     wildcard dimension against a configured count of zero (#11, #12);
+   - #13 calls [mv], which reads [p] row 2 and writes [p.a] of row 1:
+     its row sets are r={1,2}, w={1}, so it cell-conflicts with #15,
+     which writes [p.a] of row 2;
+   - #16 and #17 form transaction U; #16 only reads. *)
 let hand_built () =
   let e = Engine.create () in
   run e "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c INT)";
   run e "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+  run e "CREATE TABLE z (k INT, v INT)";
+  run e "CREATE TABLE p (id INT PRIMARY KEY, a INT, b INT)";
+  run e
+    "CREATE PROCEDURE mv() BEGIN DECLARE x INT; SELECT b INTO x FROM p WHERE \
+     id = 2; UPDATE p SET a = x WHERE id = 1; END";
   run e "INSERT INTO t VALUES (1, 0, 0, 0)";
   run e "INSERT INTO t VALUES (2, 0, 0, 0)";
   run e "INSERT INTO u VALUES (1, 0)";
+  run e "INSERT INTO z VALUES (1, 0)";
+  run e "INSERT INTO p VALUES (1, 0, 0)";
+  run e "INSERT INTO p VALUES (2, 0, 0)";
   let base = Engine.snapshot e in
   Engine.reset_log e;
   List.iter
@@ -394,8 +504,18 @@ let hand_built () =
       (None, "UPDATE t SET d = 1 WHERE id = 2");
       (None, "SELECT a, d FROM t WHERE id = 1");
       (None, "UPDATE t SET a = a + 1 WHERE id = 2");
+      (None, "UPDATE z SET v = 1 WHERE k = 1");
+      (None, "UPDATE z SET v = v + 1 WHERE k = 2");
+      (None, "CALL mv()");
+      (None, "UPDATE p SET b = 5 WHERE id = 2");
+      (None, "UPDATE p SET a = 7 WHERE id = 2");
+      (Some "U", "SELECT b FROM p WHERE id = 1");
+      (Some "U", "UPDATE z SET v = 0 WHERE k = 3");
     ];
-  Analyzer.analyze ~base (Engine.log e)
+  let config =
+    { Rowset.default_config with Rowset.ri_columns = [ ("z", []) ] }
+  in
+  Analyzer.analyze ~config ~base (Engine.log e)
 
 let test_hand_built () =
   let anl = hand_built () in
@@ -403,6 +523,7 @@ let test_hand_built () =
   let stmt = Uv_sql.Parser.parse_stmt in
   let fresh_col = stmt "UPDATE t SET c = 9 WHERE id = 1" in
   let fresh_table = stmt "UPDATE u SET w = 1 WHERE id = 1" in
+  let p_row1 = stmt "UPDATE p SET b = 9 WHERE id = 1" in
   let targets =
     List.init (Analyzer.length anl) (fun i ->
         { Analyzer.tau = i + 1; op = Analyzer.Remove })
@@ -414,36 +535,29 @@ let test_hand_built () =
             { Analyzer.tau; op = Analyzer.Change fresh_col };
           ])
         [ 1; 5; 9 ]
+    @ List.concat_map
+        (fun tau ->
+          [
+            { Analyzer.tau; op = Analyzer.Add p_row1 };
+            { Analyzer.tau; op = Analyzer.Change p_row1 };
+          ])
+        [ 1; 11; 13; 16 ]
   in
   List.iter
     (fun target ->
-      let label = "hand-built " ^ target_name target in
-      List.iter
-        (fun (mode, mode_name) ->
-          check_against_reference
-            ~label:(label ^ " " ^ mode_name)
-            anl ~mode ~grouped:false ~group_of target
-            (Analyzer.replay_set ~mode anl target);
-          check_against_reference
-            ~label:(label ^ " grouped " ^ mode_name)
-            anl ~mode ~grouped:true ~group_of target
-            (Analyzer.replay_set_grouped ~mode anl target))
-        [ (Analyzer.Col_only, "col-only"); (Analyzer.Cell, "cell") ];
-      List.iter
-        (fun grouped ->
-          let _, prov = Analyzer.replay_set_explained ~grouped anl target in
-          check_provenance
-            ~label:(label ^ if grouped then " grouped" else "")
-            anl ~grouped ~group_of target prov)
-        [ false; true ])
+      check_question ~label:("hand-built " ^ target_name target) anl ~group_of
+        target)
     targets;
   (* the cases above really arise *)
   let col_via i =
-    let _, prov =
-      Analyzer.replay_set_explained ~mode:Analyzer.Col_only ~grouped:true anl
+    let rs =
+      Analyzer.replay_set ~mode:Analyzer.Col_only ~grouped:true anl
         { Analyzer.tau = 1; op = Analyzer.Remove }
     in
-    Option.bind prov.(i - 1) (fun p -> p.Analyzer.p_col_via)
+    Option.bind
+      (List.assoc_opt i
+         (List.combine rs.Analyzer.member_indexes rs.Analyzer.provenance))
+      (fun p -> p.Analyzer.p_col_via)
   in
   check Alcotest.(option int) "#2 joins as #5's mate" (Some (-5)) (col_via 2);
   check Alcotest.(option int) "#3 through the reopened cursor" (Some 2)
@@ -460,7 +574,24 @@ let test_hand_built () =
   in
   check
     Alcotest.(list int)
-    "the schema change's readers replay" [ 8; 10 ] schema.Analyzer.member_indexes
+    "the schema change's readers replay" [ 8; 10 ] schema.Analyzer.member_indexes;
+  let joint ?(grouped = false) tau op =
+    (Analyzer.replay_set ~mode:Analyzer.Joint ~grouped anl
+       { Analyzer.tau; op })
+      .Analyzer.member_indexes
+  in
+  (* #15 meets #13 only through #13's read of row 2 *)
+  check
+    Alcotest.(list int)
+    "a row read meets another's row write" [ 13; 14; 15 ]
+    (joint 13 (Analyzer.Add p_row1));
+  check
+    Alcotest.(list int)
+    "a read-only group member joins with its mate" [ 13; 14; 15; 16; 17 ]
+    (joint ~grouped:true 13 (Analyzer.Add p_row1));
+  check
+    Alcotest.(list int)
+    "wildcard-dimension rows meet" [ 12; 17 ] (joint 11 Analyzer.Remove)
 
 (* ------------------------------------------------------------------ *)
 (* A warm question's cost does not follow the history length            *)
@@ -502,15 +633,38 @@ let warm_service ?obs ~pad () =
   in
   (ask (), ask)
 
-let minor_words_of_question ~pad =
-  let warm, ask = warm_service ~pad () in
-  let before = Gc.minor_words () in
-  let out = ask () in
-  let words = Gc.minor_words () -. before in
-  check Alcotest.(list int) "same replay set as the warm-up"
-    warm.Whatif.replay.Analyzer.member_indexes
-    out.Whatif.replay.Analyzer.member_indexes;
-  (out.Whatif.replay.Analyzer.member_indexes, words)
+(* Words [f] allocates: in the minor heap, and straight into the major
+   heap — where every block over 256 words goes, so a history-length
+   array shows only in the second count. *)
+let words_of f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0, major1 -. promoted1 -. (major0 -. promoted0))
+
+(* Ask a warm question of a padded history: (members, minor words,
+   direct major words). *)
+let question_words ~pad = function
+  | `Service ->
+      let warm, ask = warm_service ~pad () in
+      let members, minor, major =
+        words_of (fun () -> (ask ()).Whatif.replay.Analyzer.member_indexes)
+      in
+      check Alcotest.(list int) "same replay set as the warm-up"
+        warm.Whatif.replay.Analyzer.member_indexes members;
+      (members, minor, major)
+  | `Direct (mode, grouped) ->
+      let e, base = padded_history ~pad in
+      let anl = Analyzer.analyze ~base (Engine.log e) in
+      let ask () =
+        (Analyzer.replay_set ~mode ~grouped anl
+           { Analyzer.tau = 1; op = Analyzer.Remove })
+          .Analyzer.member_indexes
+      in
+      let warm = ask () in
+      let members, minor, major = words_of ask in
+      check Alcotest.(list int) "same replay set as the warm-up" warm members;
+      (members, minor, major)
 
 (* postings the column sweep visits for one warm question *)
 let col_visits_of_question ~pad =
@@ -541,17 +695,64 @@ let test_col_visits_flat_in_history () =
   check Alcotest.int "column postings visited, 1 008 vs 4 008 entries" small
     large
 
+(* Candidates the row-wise (or Joint) generator offers one warm question. *)
+let row_visits_of_question ~pad ~mode =
+  let obs = Uv_obs.Trace.create () in
+  let e, base = padded_history ~pad in
+  let anl = Analyzer.analyze ~base (Engine.log e) in
+  let ask () =
+    ignore
+      (Analyzer.replay_set ~obs ~mode anl
+         { Analyzer.tau = 1; op = Analyzer.Remove })
+  in
+  ask ();
+  let before = Uv_obs.Trace.counter_value obs "analyze.closure_row_visits" in
+  ask ();
+  Uv_obs.Trace.counter_value obs "analyze.closure_row_visits" - before
+
+let test_row_visits_flat_in_history () =
+  List.iter
+    (fun (mode, name) ->
+      let small = row_visits_of_question ~pad:1000 ~mode in
+      let large = row_visits_of_question ~pad:4000 ~mode in
+      if small = 0 then Alcotest.failf "the %s closure offered nothing" name;
+      check Alcotest.int
+        (name ^ " candidates offered, 1 008 vs 4 008 entries")
+        small large)
+    [ (Analyzer.Cell, "row-wise"); (Analyzer.Joint, "Joint") ]
+
+(* Minor words may vary a little between runs (the Service's phases
+   allocate timestamps, the trace its records); direct major words come
+   only from large blocks and must not move at all. *)
 let test_cost_flat_in_history () =
   let n = 1000 in
-  let small_members, small = minor_words_of_question ~pad:n in
-  let large_members, large = minor_words_of_question ~pad:(4 * n) in
-  check Alcotest.(list int) "padding leaves the replay set alone" small_members
-    large_members;
-  if large > 1.25 *. small then
-    Alcotest.failf
-      "a warm question allocated %.0f minor words over a %d-entry history \
-       but %.0f over a %d-entry one"
-      small (n + 8) large ((4 * n) + 8)
+  List.iter
+    (fun (question, name) ->
+      let small_members, small_minor, small_major =
+        question_words ~pad:n question
+      in
+      let large_members, large_minor, large_major =
+        question_words ~pad:(4 * n) question
+      in
+      check Alcotest.(list int)
+        (name ^ ": padding leaves the replay set alone")
+        small_members large_members;
+      if large_minor > 1.25 *. small_minor then
+        Alcotest.failf
+          "%s: a warm question allocated %.0f minor words over a %d-entry \
+           history but %.0f over a %d-entry one"
+          name small_minor (n + 8) large_minor ((4 * n) + 8);
+      if large_major > small_major then
+        Alcotest.failf
+          "%s: a warm question allocated %.0f words straight into the major \
+           heap over a %d-entry history but %.0f over a %d-entry one"
+          name small_major (n + 8) large_major ((4 * n) + 8))
+    [
+      (`Service, "Cell through the service");
+      (`Direct (Analyzer.Joint, false), "Joint");
+      (`Direct (Analyzer.Cell, true), "grouped Cell");
+      (`Direct (Analyzer.Joint, true), "grouped Joint");
+    ]
 
 let () =
   Alcotest.run "closure"
@@ -564,6 +765,8 @@ let () =
             Alcotest.test_case "provenance digest" `Quick
               test_provenance_digest;
             Alcotest.test_case "hand-built history" `Quick test_hand_built;
+            Alcotest.test_case "Joint index kept by extend" `Quick
+              test_joint_after_extend;
           ] );
       ( "question cost",
         [
@@ -573,5 +776,7 @@ let () =
             test_col_visits_flat_in_history;
           Alcotest.test_case "replay edges flat in history length" `Quick
             test_edges_flat_in_history;
+          Alcotest.test_case "row visits flat in history length" `Quick
+            test_row_visits_flat_in_history;
         ] );
     ]

@@ -183,7 +183,7 @@ let test_ddl_member_falls_back () =
       { Analyzer.tau = 1; op = Analyzer.Remove }
   in
   check Alcotest.bool "DDL joined the replay set" true
-    out.Whatif.replay.Analyzer.members.(1);
+    (List.mem 2 out.Whatif.replay.Analyzer.member_indexes);
   check Alcotest.bool "mid-history DDL forces the serial path" true
     (out.Whatif.measured_parallel_ms = None)
 
@@ -504,7 +504,7 @@ let test_replay_dag_workload (w : W.t) () =
           anl rs.Analyzer.member_indexes)
       [
         ("cell", Analyzer.replay_set ~mode:Analyzer.Cell anl target);
-        ("grouped cell", Analyzer.replay_set_grouped ~mode:Analyzer.Cell anl target);
+        ("grouped cell", Analyzer.replay_set ~mode:Analyzer.Cell ~grouped:true anl target);
       ]
   done;
   (* the whole history, read-only entries included *)

@@ -227,9 +227,9 @@ let test_rowwise_table2_independence () =
   let analyzer = Analyzer.analyze (Engine.log e) in
   (* remove Q2 (Alice's signup): Q4 depends, Q3/Q5 (Bob) do not *)
   let rs = Analyzer.replay_set analyzer { Analyzer.tau = 2; op = Analyzer.Remove } in
-  Alcotest.(check bool) "alice's update replays" true rs.Analyzer.members.(3);
-  Alcotest.(check bool) "bob's insert skipped" false rs.Analyzer.members.(2);
-  Alcotest.(check bool) "bob's update skipped" false rs.Analyzer.members.(4);
+  Alcotest.(check bool) "alice's update replays" true (List.mem 4 rs.Analyzer.member_indexes);
+  Alcotest.(check bool) "bob's insert skipped" false (List.mem 3 rs.Analyzer.member_indexes);
+  Alcotest.(check bool) "bob's update skipped" false (List.mem 5 rs.Analyzer.member_indexes);
   (* column-only would replay both updates (same email column) *)
   Alcotest.(check bool) "column-only over-approximates" true
     (rs.Analyzer.col_only_count > rs.Analyzer.member_count)
@@ -251,10 +251,10 @@ let test_rowwise_alias () =
   let analyzer = Analyzer.analyze ~config (Engine.log e) in
   (* removing Alice's insert must NOT pull in the Bob-targeted delete *)
   let rs = Analyzer.replay_set analyzer { Analyzer.tau = 2; op = Analyzer.Remove } in
-  Alcotest.(check bool) "alias delete skipped" false rs.Analyzer.members.(3);
+  Alcotest.(check bool) "alias delete skipped" false (List.mem 4 rs.Analyzer.member_indexes);
   (* removing Bob's insert must pull it in *)
   let rs2 = Analyzer.replay_set analyzer { Analyzer.tau = 3; op = Analyzer.Remove } in
-  Alcotest.(check bool) "alias delete replays" true rs2.Analyzer.members.(3)
+  Alcotest.(check bool) "alias delete replays" true (List.mem 4 rs2.Analyzer.member_indexes)
 
 let test_rowwise_merged_ri_values () =
   (* §4.3 merging: UPDATE rewrites the RI value; both ids refer to the
@@ -266,7 +266,7 @@ let test_rowwise_merged_ri_values () =
   run e "UPDATE t SET v = 99 WHERE id = 2"; (* Q4 touches the same row *)
   let analyzer = Analyzer.analyze (Engine.log e) in
   let rs = Analyzer.replay_set analyzer { Analyzer.tau = 2; op = Analyzer.Remove } in
-  Alcotest.(check bool) "post-merge access replays" true rs.Analyzer.members.(3)
+  Alcotest.(check bool) "post-merge access replays" true (List.mem 4 rs.Analyzer.member_indexes)
 
 let test_rowwise_wildcard_where () =
   (* no RI constraint in WHERE -> wildcard -> conflicts with everything *)
@@ -277,7 +277,7 @@ let test_rowwise_wildcard_where () =
   run e "UPDATE t SET v = 0 WHERE v > 5"; (* wildcard row access *)
   let analyzer = Analyzer.analyze (Engine.log e) in
   let rs = Analyzer.replay_set analyzer { Analyzer.tau = 2; op = Analyzer.Remove } in
-  Alcotest.(check bool) "wildcard update replays" true rs.Analyzer.members.(3)
+  Alcotest.(check bool) "wildcard update replays" true (List.mem 4 rs.Analyzer.member_indexes)
 
 let test_ddl_dependency () =
   (* retroactively removing a CREATE PROCEDURE pulls in its CALLs via _S *)
@@ -289,7 +289,7 @@ let test_ddl_dependency () =
   let analyzer = Analyzer.analyze (Engine.log e) in
   let rs = Analyzer.replay_set analyzer { Analyzer.tau = 2; op = Analyzer.Remove } in
   Alcotest.(check bool) "call depends on create procedure" true
-    rs.Analyzer.members.(2)
+    (List.mem 3 rs.Analyzer.member_indexes)
 
 let test_read_only_never_joins () =
   let e = Engine.create () in
@@ -300,8 +300,8 @@ let test_read_only_never_joins () =
   let analyzer = Analyzer.analyze (Engine.log e) in
   let rs = Analyzer.replay_set analyzer { Analyzer.tau = 2; op = Analyzer.Remove } in
   Alcotest.(check bool) "standalone SELECT not in replay set" false
-    rs.Analyzer.members.(2);
-  Alcotest.(check bool) "later writer joins" true rs.Analyzer.members.(3)
+    (List.mem 3 rs.Analyzer.member_indexes);
+  Alcotest.(check bool) "later writer joins" true (List.mem 4 rs.Analyzer.member_indexes)
 
 (* direct Table B extraction checks *)
 let extract_rows ?(config = Rowset.default_config) ~schema sql =
@@ -413,12 +413,12 @@ let test_figure6_remove_address () =
   let e = build_figure6 () in
   let analyzer = Analyzer.analyze (Engine.log e) in
   let out = Whatif.run_exn ~analyzer e { Analyzer.tau = 7; op = Analyzer.Remove } in
-  let m = out.Whatif.replay.Analyzer.members in
-  Alcotest.(check bool) "Q8 (Alice order) replays" true m.(7);
-  Alcotest.(check bool) "Q11 (stats) replays" true m.(10);
-  Alcotest.(check bool) "Q9 (Bob signup) skipped" false m.(8);
-  Alcotest.(check bool) "Q10 (Bob order attempt) skipped" false m.(9);
-  Alcotest.(check bool) "Q12/Q13 (emails) skipped" true (not m.(11) && not m.(12));
+  let m i = List.mem i out.Whatif.replay.Analyzer.member_indexes in
+  Alcotest.(check bool) "Q8 (Alice order) replays" true (m 8);
+  Alcotest.(check bool) "Q11 (stats) replays" true (m 11);
+  Alcotest.(check bool) "Q9 (Bob signup) skipped" false (m 9);
+  Alcotest.(check bool) "Q10 (Bob order attempt) skipped" false (m 10);
+  Alcotest.(check bool) "Q12/Q13 (emails) skipped" true (not (m 12) && not (m 13));
   let truth = oracle_replay e ~skip:7 in
   check table_testable "final state equals oracle" (all_hashes truth)
     (all_hashes (merged_universe e out));
@@ -840,8 +840,8 @@ let test_whatif_insert_select_dependency () =
   let analyzer = Analyzer.analyze (Engine.log e) in
   let target = { Analyzer.tau = 4; op = Analyzer.Remove } in
   let rs = Analyzer.replay_set analyzer target in
-  Alcotest.(check bool) "insert-select is tainted" true rs.Analyzer.members.(5);
-  Alcotest.(check bool) "independent raise is not" false rs.Analyzer.members.(4);
+  Alcotest.(check bool) "insert-select is tainted" true (List.mem 6 rs.Analyzer.member_indexes);
+  Alcotest.(check bool) "independent raise is not" false (List.mem 5 rs.Analyzer.member_indexes);
   let out = Whatif.run_exn ~analyzer e target in
   let truth = oracle_replay e ~skip:4 in
   check table_testable "equals full-replay oracle" (all_hashes truth)
@@ -916,25 +916,27 @@ let test_explain_provenance () =
   let e = build_figure6 () in
   let analyzer = Analyzer.analyze (Engine.log e) in
   let target = { Analyzer.tau = 7; op = Analyzer.Remove } in
-  let rs, prov = Analyzer.replay_set_explained analyzer target in
-  (* same membership as the plain API *)
-  let rs' = Analyzer.replay_set analyzer target in
-  Alcotest.(check (array bool)) "same members" rs'.Analyzer.members rs.Analyzer.members;
-  (* non-members carry no provenance, members carry some *)
-  Array.iteri
-    (fun j p ->
-      Alcotest.(check bool)
-        (Printf.sprintf "provenance presence for %d" (j + 1))
-        rs.Analyzer.members.(j) (p <> None))
-    prov;
+  let rs = Analyzer.replay_set analyzer target in
+  (* one provenance record per member, both closures' parents present *)
+  Alcotest.(check int) "one provenance per member" rs.Analyzer.member_count
+    (List.length rs.Analyzer.provenance);
+  List.iter
+    (fun (p : Analyzer.provenance) ->
+      Alcotest.(check bool) "cell members carry both parents" true
+        (p.Analyzer.p_col_via <> None && p.Analyzer.p_row_via <> None))
+    rs.Analyzer.provenance;
+  let prov i =
+    List.assoc_opt i
+      (List.combine rs.Analyzer.member_indexes rs.Analyzer.provenance)
+  in
   (* Q8 (Alice's order) was pulled in directly by the removed Address row *)
-  (match prov.(7) with
+  (match prov 8 with
   | Some p ->
       Alcotest.(check bool) "order joined via the target" true
         (p.Analyzer.p_col_via = Some 0 || p.Analyzer.p_row_via = Some 0)
   | None -> Alcotest.fail "order must be a member");
   (* Q11 (stats) was pulled in by Q8's Orders write *)
-  (match prov.(10) with
+  (match prov 11 with
   | Some p ->
       Alcotest.(check bool) "stats joined via the order" true
         (p.Analyzer.p_col_via = Some 8 || p.Analyzer.p_row_via = Some 8)
@@ -951,8 +953,8 @@ let test_explain_provenance () =
     "emails are row-disjoint" []
     (Analyzer.conflict_tables analyzer 12 13);
   (* report: one line per member, mentioning the direct seed *)
-  let rs2, lines = Analyzer.explain_report analyzer target in
-  Alcotest.(check int) "one line per member" rs2.Analyzer.member_count
+  let lines = Analyzer.explain_report analyzer target rs in
+  Alcotest.(check int) "one line per member" rs.Analyzer.member_count
     (List.length lines);
   let contains hay needle =
     let hn = String.length hay and nn = String.length needle in
@@ -1141,7 +1143,7 @@ let prop_cc_plan_equals_serial =
       Int64.equal h_plan h_serial)
 
 (* ------------------------------------------------------------------ *)
-(* Session caches: incremental analyzer, plan cache, checkpoint ladder  *)
+(* Service caches: incremental analyzer, plan cache, checkpoint ladder  *)
 (* ------------------------------------------------------------------ *)
 
 let session_base () =
@@ -1166,8 +1168,8 @@ let session_grow ?(hot = false) e k =
 let remove1 = { Analyzer.tau = 1; op = Analyzer.Remove }
 
 let ok_run s target =
-  match Whatif.Session.run s target with
-  | Ok o -> o
+  match Whatif.Service.run s target with
+  | Ok r -> r.Whatif.Service.outcome
   | Error e ->
       Alcotest.failf "session run aborted: %s" (Whatif.Error.to_string e)
 
@@ -1178,7 +1180,7 @@ let fresh_run ?config e base target =
 let test_session_extend_matches_fresh () =
   let e, base = session_base () in
   session_grow e 10;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   ignore (ok_run s remove1);
   session_grow e 10;
   let o2 = ok_run s remove1 in
@@ -1186,18 +1188,18 @@ let test_session_extend_matches_fresh () =
   check Alcotest.int64 "extended analyzer, same universe"
     o3.Whatif.final_db_hash o2.Whatif.final_db_hash;
   check Alcotest.int "same replay set" o3.Whatif.replayed o2.Whatif.replayed;
-  let st = Whatif.Session.stats s in
-  check Alcotest.int "one full build" 1 st.Whatif.Session.analyzer_builds;
+  let st = Whatif.Service.stats s in
+  check Alcotest.int "one full build" 1 st.Whatif.Service.analyzer_builds;
   check Alcotest.bool "the growth was an extend" true
-    (st.Whatif.Session.analyzer_extends >= 1);
+    (st.Whatif.Service.analyzer_extends >= 1);
   check Alcotest.int "covers the whole log"
     (Log.length (Engine.log e))
-    st.Whatif.Session.analyzed_entries
+    st.Whatif.Service.analyzed_entries
 
 let test_session_ddl_rebuilds () =
   let e, base = session_base () in
   session_grow e 6;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   ignore (ok_run s remove1);
   run e "CREATE TABLE audit (k INT PRIMARY KEY)";
   run e "INSERT INTO audit VALUES (1)";
@@ -1206,14 +1208,14 @@ let test_session_ddl_rebuilds () =
   let o' = fresh_run e base remove1 in
   check Alcotest.int64 "DDL-rebuilt session matches fresh"
     o'.Whatif.final_db_hash o.Whatif.final_db_hash;
-  let st = Whatif.Session.stats s in
+  let st = Whatif.Service.stats s in
   check Alcotest.int "mid-history DDL forced a rebuild" 2
-    st.Whatif.Session.analyzer_builds
+    st.Whatif.Service.analyzer_builds
 
 let test_session_truncation_rebuilds () =
   let e, base = session_base () in
   session_grow e 8;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   ignore (ok_run s remove1);
   (* the history is rewritten in place: a shorter log must force a full
      recompute, never an extend over a stale prefix *)
@@ -1223,31 +1225,31 @@ let test_session_truncation_rebuilds () =
   let o' = fresh_run e base remove1 in
   check Alcotest.int64 "rebuilt after truncation"
     o'.Whatif.final_db_hash o.Whatif.final_db_hash;
-  let st = Whatif.Session.stats s in
+  let st = Whatif.Service.stats s in
   check Alcotest.int "truncation forced a rebuild" 2
-    st.Whatif.Session.analyzer_builds;
+    st.Whatif.Service.analyzer_builds;
   check Alcotest.int "covers only the new log" 5
-    st.Whatif.Session.analyzed_entries
+    st.Whatif.Service.analyzed_entries
 
 let test_session_plans_and_invalidate () =
   let e, base = session_base () in
   session_grow ~hot:true e 12;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   let o1 = ok_run s remove1 in
   let o2 = ok_run s remove1 in
   check Alcotest.int64 "repeat run identical" o1.Whatif.final_db_hash
     o2.Whatif.final_db_hash;
   check Alcotest.bool "members replayed through plans" true
     (o2.Whatif.plans_used > 0);
-  let st = Whatif.Session.stats s in
+  let st = Whatif.Service.stats s in
   check Alcotest.bool "second run hit the plan cache" true
-    (st.Whatif.Session.plan_cache_hits > 0);
+    (st.Whatif.Service.plan_cache_hits > 0);
   check Alcotest.bool "plans compiled" true
-    (st.Whatif.Session.plans_compiled > 0);
+    (st.Whatif.Service.plans_compiled > 0);
   (* the plan cache is an accelerator, not a semantic input *)
   let off =
     let s_off =
-      Whatif.Service.open_session @@ Whatif.Service.create
+      Whatif.Service.create
         ~config:(Whatif.Config.make ~plans:false ())
         ~base e
     in
@@ -1257,17 +1259,17 @@ let test_session_plans_and_invalidate () =
     off.Whatif.plans_used;
   check Alcotest.int64 "identical with plans off" o1.Whatif.final_db_hash
     off.Whatif.final_db_hash;
-  Whatif.Session.invalidate s;
-  let st0 = Whatif.Session.stats s in
+  Whatif.Service.invalidate s;
+  let st0 = Whatif.Service.stats s in
   check Alcotest.int "invalidate drops the plan cache" 0
-    st0.Whatif.Session.plan_cache_size;
+    st0.Whatif.Service.plan_cache_size;
   check Alcotest.int "invalidate drops the analyzer" 0
-    st0.Whatif.Session.analyzed_entries;
+    st0.Whatif.Service.analyzed_entries;
   let o3 = ok_run s remove1 in
   check Alcotest.int64 "forced recompute reproduces" o1.Whatif.final_db_hash
     o3.Whatif.final_db_hash;
   check Alcotest.int "recompute was a fresh build" 2
-    (Whatif.Session.stats s).Whatif.Session.analyzer_builds
+    (Whatif.Service.stats s).Whatif.Service.analyzer_builds
 
 let test_session_checkpoint_jump_matches_undo () =
   let history e =
@@ -1279,7 +1281,7 @@ let test_session_checkpoint_jump_matches_undo () =
      as the history commits *)
   let e1, base1 = session_base () in
   let s =
-    Whatif.Service.open_session @@ Whatif.Service.create
+    Whatif.Service.create
       ~config:(Whatif.Config.make ~checkpoint_every:8 ())
       ~base:base1 e1
   in
@@ -1297,7 +1299,7 @@ let test_session_checkpoint_jump_matches_undo () =
   check Alcotest.int64 "identical universes" o_undo.Whatif.final_db_hash
     o_jump.Whatif.final_db_hash;
   check Alcotest.bool "the ladder recorded rungs" true
-    ((Whatif.Session.stats s).Whatif.Session.checkpoint_rungs > 0);
+    ((Whatif.Service.stats s).Whatif.Service.checkpoint_rungs > 0);
   let again = ok_run s target in
   check Alcotest.int64 "jump reproduces across runs"
     o_jump.Whatif.final_db_hash again.Whatif.final_db_hash
@@ -1403,15 +1405,14 @@ let test_service_sessions_share_caches () =
   let e, base = session_base () in
   session_grow ~hot:true e 12;
   let svc = Whatif.Service.create ~config:svc_config ~base e in
-  let s1 = Whatif.Service.open_session svc in
-  let s2 = Whatif.Service.open_session svc in
-  let o1 = ok_run s1 remove1 in
-  let o2 = ok_run s2 remove1 in
-  check Alcotest.int64 "handles agree" o1.Whatif.final_db_hash
+  (* two callers, each from its own domain, over the one service *)
+  let ask () = Domain.spawn (fun () -> ok_run svc remove1) in
+  let d1 = ask () and d2 = ask () in
+  let o1 = Domain.join d1 and o2 = Domain.join d2 in
+  check Alcotest.int64 "callers agree" o1.Whatif.final_db_hash
     o2.Whatif.final_db_hash;
   let st = Whatif.Service.stats svc in
   check Alcotest.int "one shared analyzer build" 1 st.Whatif.Service.analyzer_builds;
-  check Alcotest.int "both handles counted" 2 st.Whatif.Service.sessions;
   Alcotest.(check bool) "second run hit the shared plan cache" true
     (st.Whatif.Service.plan_cache_hits > 0)
 

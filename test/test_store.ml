@@ -456,7 +456,7 @@ let test_truncate_unlinks_orphans_after_manifest () =
 (* The joint replay-set path over a streamed store                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_replay_members_joint () =
+let test_joint_over_store () =
   let w = W.by_name "astore" in
   let eng, rt = W.setup ~mode:R.Raw w in
   let base = Engine.snapshot eng in
@@ -466,30 +466,27 @@ let test_replay_members_joint () =
   with_store_dir @@ fun dir ->
   fill_store dir ~cap:16 eng;
   let store = Log_store.open_ dir in
-  let anl =
+  let streamed =
     Analyzer.of_source ~config:w.W.ri_config ~base
       (Analyzer.source_of_store store)
   in
-  let members_of (rs : Analyzer.replay_set) =
-    let acc = ref [] in
-    Array.iteri (fun i m -> if m then acc := (i + 1) :: !acc) rs.Analyzer.members;
-    List.rev !acc
-  in
+  let logged = Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng) in
   for tau = 1 to 12 do
     let target = { Analyzer.tau; op = Analyzer.Remove } in
-    let lean = Analyzer.replay_members anl target in
-    let oracle = Analyzer.replay_set ~mode:Analyzer.Joint anl target in
+    let joint anl = Analyzer.replay_set ~mode:Analyzer.Joint anl target in
+    let from_store = joint streamed in
     check
       Alcotest.(list int)
-      (Printf.sprintf "tau %d: lean joint = oracle joint" tau)
-      (members_of oracle) lean;
-    let cell = Analyzer.replay_set anl target in
+      (Printf.sprintf "tau %d: store-sourced joint = log-sourced joint" tau)
+      (joint logged).Analyzer.member_indexes from_store.Analyzer.member_indexes;
+    let cell = Analyzer.replay_set streamed target in
     List.iter
       (fun i ->
         check Alcotest.bool
           (Printf.sprintf "tau %d: joint member %d inside Cell" tau i)
-          true cell.Analyzer.members.(i - 1))
-      lean
+          true
+          (List.mem i cell.Analyzer.member_indexes))
+      from_store.Analyzer.member_indexes
   done;
   Log_store.close store
 
@@ -525,6 +522,6 @@ let () =
       ( "analysis",
         [
           Alcotest.test_case "joint replay members over a store" `Quick
-            test_replay_members_joint;
+            test_joint_over_store;
         ] );
     ]

@@ -80,11 +80,6 @@ let test_matrix_sound (w : W.t) () =
 (* fast path = per-statement oracle on randomized scenarios        *)
 (* -------------------------------------------------------------- *)
 
-let members_list (rs : Analyzer.replay_set) =
-  let out = ref [] in
-  Array.iteri (fun i m -> if m then out := (i + 1) :: !out) rs.Analyzer.members;
-  List.rev !out
-
 let random_target prng log =
   let n = Log.length log in
   let tau = 1 + Uv_util.Prng.int prng n in
@@ -119,7 +114,8 @@ let test_fastpath_oracle (w : W.t) () =
         | Analyzer.Change _ -> "change")
         (match mode with Analyzer.Cell -> "cell" | _ -> "col")
     in
-    check Alcotest.(list int) label (members_list oracle) (members_list fp)
+    check Alcotest.(list int) label oracle.Analyzer.member_indexes
+      fp.Analyzer.member_indexes
   done
 
 (* -------------------------------------------------------------- *)
