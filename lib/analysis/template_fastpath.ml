@@ -135,22 +135,7 @@ let dyn_conflict (a : Rwset.rw) (b : Rwset.rw) =
    scan over the per-statement sets. *)
 let make_col_joins fp anl ~refined ~(seed : assigned list option) ~tau ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
-  let scan ~min_idx ~offer key fetch =
-    let entries =
-      match Hashtbl.find_opt cache key with Some l -> l | None -> fetch ()
-    in
-    let kept =
-      List.filter
-        (fun i ->
-          if live i then begin
-            if i > min_idx then offer i;
-            true
-          end
-          else false)
-        entries
-    in
-    Hashtbl.replace cache key kept
-  in
+  let scan = Analyzer.scan_pruned cache ~live in
   let bucket tbl key =
     Analyzer.since tau (Option.value (Hashtbl.find_opt tbl key) ~default:[])
   in

@@ -101,30 +101,10 @@ let to_sql cat =
     tables;
   Buffer.contents buf
 
-let save ?(fault = Uv_fault.Fault.disabled) ?fsync cat ~path =
-  let data = to_sql cat in
-  match
-    Uv_fault.Fault.check fault Uv_fault.Fault.Site.dump_save
-      [ Uv_fault.Fault.Torn_write ]
-  with
-  | Some inj ->
-      let keep =
-        int_of_float (float_of_int (String.length data) *. inj.Uv_fault.Fault.arg)
-      in
-      Uv_util.Safe_io.write_file (path ^ ".tmp") (String.sub data 0 keep);
-      raise (Uv_fault.Fault.Injected inj)
-  | None -> Uv_util.Safe_io.atomic_write ?fsync ~path data
-
 let restore eng script =
   List.iter
     (fun stmt -> ignore (Engine.exec eng stmt))
     (Parser.parse_script script)
-
-let load eng ~path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> restore eng (really_input_string ic (in_channel_length ic)))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint-ladder persistence (UCKPv1)                               *)
@@ -156,20 +136,6 @@ let print_checkpoints ladder =
       Buffer.add_char buf '\n')
     rungs;
   Buffer.contents buf
-
-let save_checkpoints ?(fault = Uv_fault.Fault.disabled) ?fsync ladder ~path =
-  let data = print_checkpoints ladder in
-  match
-    Uv_fault.Fault.check fault Uv_fault.Fault.Site.checkpoint_save
-      [ Uv_fault.Fault.Torn_write ]
-  with
-  | Some inj ->
-      let keep =
-        int_of_float (float_of_int (String.length data) *. inj.Uv_fault.Fault.arg)
-      in
-      Uv_util.Safe_io.write_file (path ^ ".tmp") (String.sub data 0 keep);
-      raise (Uv_fault.Fault.Injected inj)
-  | None -> Uv_util.Safe_io.atomic_write ?fsync ~path data
 
 let parse_checkpoints data =
   let len = String.length data in
@@ -218,10 +184,3 @@ let parse_checkpoints data =
     rungs := (at, Engine.catalog eng) :: !rungs
   done;
   List.rev !rungs
-
-let load_checkpoints ~path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      parse_checkpoints (really_input_string ic (in_channel_length ic)))

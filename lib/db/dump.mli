@@ -19,26 +19,11 @@
 val to_sql : Catalog.t -> string
 (** Render the catalog as an executable SQL script. *)
 
-val save : ?fault:Uv_fault.Fault.t -> ?fsync:bool -> Catalog.t -> path:string -> unit
-[@@ocaml.alert deprecated "use Log_store.save_dump_file (or Log_store.write_dump)"]
-(** [save cat ~path] writes {!to_sql} to a file atomically (temp file +
-    fsync + rename; [fsync] defaults to [true]), so an interrupted save
-    never destroys the previous checkpoint. [fault] probes
-    {!Uv_fault.Fault.Site.dump_save} with [Torn_write], mirroring
-    the log-save contract.
-    @deprecated the file-granular persistence entry points moved to the
-    unified [Log_store] surface; this shim will be removed. *)
-
 val restore : Engine.t -> string -> unit
 (** Execute a dump script against an engine (normally a fresh one).
     @raise Engine.Sql_error if a statement fails. *)
 
-val load : Engine.t -> path:string -> unit
-[@@ocaml.alert deprecated "use Log_store.load_dump_file (or Log_store.read_dump)"]
-(** Read a file written by {!save} and {!restore} it.
-    @deprecated use [Log_store.load_dump_file] (typed [Store_error]). *)
-
-(** {2 Checkpoint-ladder persistence}
+(** {2 Checkpoint-ladder format}
 
     The UCKPv1 format stores each rung as a length-delimited {!to_sql}
     script guarded by a CRC-32, so a torn write is detected before any
@@ -51,31 +36,13 @@ val load : Engine.t -> path:string -> unit
     v} *)
 
 exception Corrupt of string
-(** Raised by {!load_checkpoints} on a malformed, truncated or
-    checksum-failing file. *)
+(** Raised by {!parse_checkpoints} on a malformed, truncated or
+    checksum-failing document. *)
 
 val print_checkpoints : Checkpoint.t -> string
 (** Render a ladder in the UCKPv1 format, rungs ascending. *)
-
-val save_checkpoints :
-  ?fault:Uv_fault.Fault.t -> ?fsync:bool -> Checkpoint.t -> path:string -> unit
-[@@ocaml.alert
-  deprecated "use Log_store.save_checkpoints_file (or Log_store.write_checkpoints)"]
-(** Atomic write (temp + fsync + rename) of {!print_checkpoints}.
-    [fault] probes {!Uv_fault.Fault.Site.checkpoint_save} with
-    [Torn_write], mirroring {!save}: the tear leaves only a temp-file
-    prefix and any previous file at [path] intact.
-    @deprecated use [Log_store.save_checkpoints_file]. *)
 
 val parse_checkpoints : string -> (int * Catalog.t) list
 (** Decode a UCKPv1 document as (commit index, catalog) rungs,
     ascending. Each rung's payload is checksum-verified and then
     executed on a fresh engine. @raise Corrupt on bad input. *)
-
-val load_checkpoints : path:string -> (int * Catalog.t) list
-[@@ocaml.alert
-  deprecated "use Log_store.load_checkpoints_file (or Log_store.read_checkpoints)"]
-(** Read a UCKPv1 file back via {!parse_checkpoints}.
-    @raise Corrupt on bad input.
-    @deprecated use [Log_store.load_checkpoints_file] (typed
-    [Store_error]). *)

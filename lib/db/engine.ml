@@ -67,27 +67,8 @@ let of_catalog ?(seed = 42) ?(rtt_ms = 1.0) ?(enforce_fk = false)
     checkpoints = None;
   }
 
-let create ?(seed = 42) ?(rtt_ms = 1.0) ?(enforce_fk = false)
-    ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled) () =
-  {
-    cat = Catalog.create ();
-    log = Log.create ();
-    clock = Uv_util.Clock.create ~rtt_ms ();
-    prng = Uv_util.Prng.create seed;
-    enforce_fk;
-    obs;
-    fault;
-    sim_time = 1_700_000_000;
-    last_insert_id = Value.Null;
-    journal = [];
-    nondet_in = [];
-    nondet_out = [];
-    written = [];
-    rows_written = 0;
-    trigger_depth = 0;
-    rowid_alloc = None;
-    checkpoints = None;
-  }
+let create ?seed ?rtt_ms ?enforce_fk ?obs ?fault () =
+  of_catalog ?seed ?rtt_ms ?enforce_fk ?obs ?fault (Catalog.create ())
 
 let catalog t = t.cat
 let log t = t.log
@@ -887,9 +868,7 @@ and eval_agg t env members rep e : Value.t =
               List.fold_left (fun a v -> if Value.compare_sql v a > 0 then v else a) hd tl)
       | _ -> sql_error "malformed aggregate %s" name)
   | Binop (op, a, b) ->
-      let env' = with_bindings env (rep @ env.bindings) in
       let va = eval_agg t env members rep a and vb = eval_agg t env members rep b in
-      ignore env';
       (match op with
       | Add -> Value.add va vb
       | Sub -> Value.sub va vb
@@ -1296,10 +1275,7 @@ and run_pstmts t env ~label body : result =
        (fun p ->
          match run_pstmt t env ~label p with
          | `Result r -> last := r
-         | `Leave l -> (
-             match label with
-             | Some lbl when String.equal l lbl -> raise Leave_block
-             | _ -> raise Leave_block (* leaving any enclosing label ends us *)))
+         | `Leave _ -> raise Leave_block (* leaving any label ends the body *))
        body
    with Leave_block -> ());
   !last
@@ -1360,10 +1336,7 @@ and run_block t env ~label body :
     | p :: rest -> (
         match run_pstmt t env ~label p with
         | `Result r -> go r rest
-        | `Leave l -> (
-            match label with
-            | Some lbl when String.equal l lbl -> `Leave l
-            | _ -> `Leave l))
+        | `Leave _ as l -> l)
   in
   go empty_result body
 

@@ -268,10 +268,10 @@ val read_dump : t -> Engine.t -> bool
 (** {2 Single-file helpers}
 
     The one-file formats under the unified error type: the ULOG log
-    file ({!Log_io} bytes), and the non-deprecated homes of
-    [Dump.save]/[load] and [Dump.save_checkpoints]/[load_checkpoints].
-    Same bytes, same fault sites, same atomic-write protocol (temp
-    file, fsync, rename). *)
+    file ({!Log_io} bytes), a {!Dump.to_sql} script and a UCKPv1
+    checkpoint ladder. Same bytes as the store's attached files, same
+    fault sites, same atomic-write protocol (temp file, fsync,
+    rename). *)
 
 val is_store : string -> bool
 (** Does the path name a store directory (existing directory that is

@@ -14,32 +14,23 @@ type info = {
   app_txn : string option;
 }
 
-(* Per-table row-value index over the first RI dimension. *)
-type tindex = {
-  mutable any_r : int list;
-  mutable any_w : int list;
-  by_val_r : (string, int list ref) Hashtbl.t;
-  by_val_w : (string, int list ref) Hashtbl.t;
-}
-
 (* Joint's candidate index. Every entry that can join a closure files
    each row-keyed column it touches, in the slot [postings] uses (its
-   readers at [2c], its writers at [2c + 1]), under the first-RI-dimension
-   values of its table's combined [dr ∪ dw]: a cell conflict only needs
+   readers at [2c], its writers at [2c + 1]), under the row keys of its
+   table's combined [dr ∪ dw]: a cell conflict only needs
    some pair of the two accesses' rows to meet, whatever the columns'
    direction. A wildcard, zero-dimension or odd-dimension access files
    as [Rows_any]; [Rows_all] holds every entry filed in the slot.
    Buckets are newest-first. Built at the first Joint question, kept up
-   to date by [extend], dropped when an RI merge moves the canonical
-   values. *)
+   to date by [extend], dropped when an RI merge re-derives the row
+   keys. *)
 type cell_key =
   | Rows_any
   | Rows_all
-  | Rows_val of string (* a canonical first-dimension value *)
+  | Rows_val of int (* a row key *)
   | Posting (* a schema key's posting: keys a closure's pruned copy only *)
 
 type cell_index = {
-  ci_generation : int;  (* Rowset merge generation of the values *)
   mutable ci_n : int;  (* entries [1 .. ci_n] are filed *)
   ci_buckets : (int * cell_key, int list ref) Hashtbl.t;
 }
@@ -82,8 +73,17 @@ let source_of_fun ~length fetch =
         done);
   }
 
-(* A growable ascending list of entry indexes: [ids.(0 .. len - 1)]. *)
+(* A growable int list, [ids.(0 .. len - 1)]: in every index, ascending
+   entry indexes. *)
 type posting = { mutable ids : int array; mutable len : int }
+
+(* One table's row keys: a row key stands for a (table, canonical
+   first-RI-dimension value) pair; key 0 is the wildcard, any row. *)
+type table_rows = {
+  dim0 : string; (* the first RI dimension *)
+  key_of : (string, int) Hashtbl.t; (* canonical value -> row key *)
+  wild : posting array; (* wildcard readers at 0, writers at 1 *)
+}
 
 (* Per-question closure scratch, reused across questions. [mark] and
    [rmark] are epoch-stamped per entry, for the column-wise and the
@@ -131,16 +131,17 @@ type t = {
   mutable col_row_keyed : bool array;
       (* column id -> a real column ("table.col", not a schema key):
          writes to it take part in the row-level write-write rule *)
-  row_index : (string, tindex) Hashtbl.t;
+  mutable table_rows : table_rows array; (* table id -> its row keys *)
+  mutable row_postings : posting array;
+      (* row key [k]'s joinable readers at [2k], its writers at [2k + 1] *)
+  mutable row_keys : int; (* row keys handed out, the wildcard included *)
+  mutable entry_rows : int array array;
+      (* per entry: a run [| header; nr read keys; nw written keys |] per
+         table whose access has a first dimension (see [row_runs]) *)
+  mutable keyed_generation : int;
+      (* Rowset merge generation the row keys were derived under *)
+  runs_buf : posting; (* [extend]'s buffer for [row_runs] *)
   groups : (string, int list) Hashtbl.t; (* app_txn tag -> entry indexes *)
-  mutable indexed_generation : int;
-      (* Rowset merge generation the value buckets were keyed under *)
-  mutable joinable : bool array;
-      (* per-entry "has a column-wise write", grown by [extend] so no
-         closure run pays for it *)
-  mutable group_joinable : bool array;
-      (* per entry: writes, or has an [app_txn] tag — who may join at
-         transaction granularity *)
   mutable cell_index : cell_index option;
   scratch : scratch option Atomic.t;
       (* taken by one closure at a time: concurrent questions (the
@@ -159,7 +160,7 @@ let table_of_col c =
   | None -> c
 
 let grow a len fill =
-  let b = Array.make (max 16 (2 * len)) fill in
+  let b = Array.make (max 4 (2 * len)) fill in
   Array.blit a 0 b 0 len;
   b
 
@@ -181,38 +182,11 @@ let dim0_of (config : Rowset.config) table =
   | Some (d :: _) -> d
   | _ -> "#0"
 
-let bucket tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some b -> b
-  | None ->
-      let b = ref [] in
-      Hashtbl.replace tbl key b;
-      b
-
-let tindex_for row_index table =
-  match Hashtbl.find_opt row_index table with
-  | Some ti -> ti
-  | None ->
-      let ti =
-        {
-          any_r = [];
-          any_w = [];
-          by_val_r = Hashtbl.create 64;
-          by_val_w = Hashtbl.create 64;
-        }
-      in
-      Hashtbl.replace row_index table ti;
-      ti
-
 (* filler for unused slots of [t.postings]; never pushed to *)
 let no_posting = { ids = [||]; len = 0 }
 
 let posting_push p i =
-  if p.len = Array.length p.ids then begin
-    let ids = Array.make (max 16 (2 * p.len)) 0 in
-    Array.blit p.ids 0 ids 0 p.len;
-    p.ids <- ids
-  end;
+  if p.len = Array.length p.ids then p.ids <- grow p.ids p.len 0;
   p.ids.(p.len) <- i;
   p.len <- p.len + 1
 
@@ -225,13 +199,38 @@ let posting_lower_bound p i =
   done;
   !lo
 
-(* The posting's indexes [>= tau], ascending. *)
-let posting_since p tau =
-  let acc = ref [] in
+(* The posting's indexes [>= tau], ascending, in front of [onto]. *)
+let posting_onto onto p tau =
+  let acc = ref onto in
   for k = p.len - 1 downto posting_lower_bound p tau do
     acc := p.ids.(k) :: !acc
   done;
   !acc
+
+let posting_since p tau = posting_onto [] p tau
+
+let fresh_posting () = { ids = [||]; len = 0 }
+
+let fresh_table_rows dim0 =
+  {
+    dim0;
+    key_of = Hashtbl.create 16;
+    wild = [| fresh_posting (); fresh_posting () |];
+  }
+
+let intern_table t table =
+  match Hashtbl.find_opt t.table_ids table with
+  | Some tid -> tid
+  | None ->
+      let tid = Hashtbl.length t.table_ids in
+      Hashtbl.replace t.table_ids table tid;
+      if tid = Array.length t.table_names then begin
+        t.table_names <- grow t.table_names tid "";
+        t.table_rows <- grow t.table_rows tid (fresh_table_rows "")
+      end;
+      t.table_names.(tid) <- table;
+      t.table_rows.(tid) <- fresh_table_rows (dim0_of t.config table);
+      tid
 
 let intern t c =
   match Hashtbl.find t.col_ids c with
@@ -239,57 +238,42 @@ let intern t c =
   | exception Not_found ->
       let id = Hashtbl.length t.col_ids in
       Hashtbl.replace t.col_ids c id;
-      if 2 * id = Array.length t.postings then begin
-        let grown = Array.make (max 64 (4 * id)) no_posting in
-        Array.blit t.postings 0 grown 0 (2 * id);
-        t.postings <- grown
-      end;
-      t.postings.((2 * id) + 1) <- { ids = [||]; len = 0 };
-      t.postings.(2 * id) <- { ids = [||]; len = 0 };
+      if 2 * id = Array.length t.postings then
+        t.postings <- grow t.postings (2 * id) no_posting;
+      t.postings.((2 * id) + 1) <- fresh_posting ();
+      t.postings.(2 * id) <- fresh_posting ();
       if id = Array.length t.col_table then begin
         t.col_table <- grow t.col_table id 0;
         t.col_row_keyed <- grow t.col_row_keyed id false
       end;
-      let table = table_of_col c in
-      let tid =
-        match Hashtbl.find_opt t.table_ids table with
-        | Some tid -> tid
-        | None ->
-            let tid = Hashtbl.length t.table_ids in
-            Hashtbl.replace t.table_ids table tid;
-            if tid = Array.length t.table_names then
-              t.table_names <- grow t.table_names tid "";
-            t.table_names.(tid) <- table;
-            tid
-      in
-      t.col_table.(id) <- tid;
+      t.col_table.(id) <- intern_table t (table_of_col c);
       t.col_row_keyed.(id) <- String.contains c '.' && not (is_schema_key c);
       id
 
-(* The postings of one column key, if any entry touches it. *)
-let readers_of t c =
-  Option.map (fun id -> t.postings.(2 * id)) (Hashtbl.find_opt t.col_ids c)
+(* The row key of a canonical value of table [tid], interned. *)
+let intern_row t tid cv =
+  let tr = t.table_rows.(tid) in
+  match Hashtbl.find_opt tr.key_of cv with
+  | Some k -> k
+  | None ->
+      let k = t.row_keys in
+      t.row_keys <- k + 1;
+      Hashtbl.replace tr.key_of cv k;
+      if 2 * k >= Array.length t.row_postings then
+        t.row_postings <-
+          grow t.row_postings (Array.length t.row_postings) no_posting;
+      t.row_postings.(2 * k) <- fresh_posting ();
+      t.row_postings.((2 * k) + 1) <- fresh_posting ();
+      k
 
-let writers_of t c =
-  Option.map (fun id -> t.postings.((2 * id) + 1)) (Hashtbl.find_opt t.col_ids c)
-
-(* Index one entry and return its [entry_cols] row. Column postings are
-   ascending, so indexing a later entry appends. A reader posting holds
-   only entries that can ever join a closure — they write, or carry an
-   application transaction tag — and that do not also write the column:
-   whoever scans a column's readers scans its writers too, so listing an
-   entry in both would only visit it twice. Row-value buckets are kept
-   in descending index order so appending is a cons; closures fetch the
-   entries at or after τ with [since].
-   Row values are canonicalised with the merge state as of this entry;
-   [rekey_row_index] folds stale keys forward when later entries merge
-   two RI values. *)
+(* Index one entry's columns and return its [entry_cols] row. Column
+   postings are ascending, so indexing a later entry appends. A reader
+   posting holds only entries that can ever join a closure — they write,
+   or carry an application transaction tag — and that do not also write
+   the column: whoever scans a column's readers scans its writers too,
+   so listing an entry in both would only visit it twice. *)
 let index_info t inf =
   let i = inf.index in
-  let push tbl c =
-    let b = bucket tbl c in
-    b := i :: !b
-  in
   let r = inf.rw.Rwset.r and w = inf.rw.Rwset.w in
   let nw = Rwset.Colset.cardinal w in
   let cols =
@@ -315,29 +299,6 @@ let index_info t inf =
       cols
     end
   in
-  List.iter
-    (fun (table, access) ->
-      let ti = tindex_for t.row_index table in
-      if Array.length access > 0 then begin
-        let dim0 = dim0_of t.config table in
-        (match access.(0).Rowset.dr with
-        | Rowset.Any -> ti.any_r <- i :: ti.any_r
-        | Rowset.Vals s ->
-            Rowset.Vset.iter
-              (fun v ->
-                let cv = Rowset.canonical t.row_state table dim0 v in
-                push ti.by_val_r cv)
-              s);
-        match access.(0).Rowset.dw with
-        | Rowset.Any -> ti.any_w <- i :: ti.any_w
-        | Rowset.Vals s ->
-            Rowset.Vset.iter
-              (fun v ->
-                let cv = Rowset.canonical t.row_state table dim0 v in
-                push ti.by_val_w cv)
-              s
-      end)
-    inf.rows;
   (match inf.app_txn with
   | Some tag ->
       Hashtbl.replace t.groups tag
@@ -345,52 +306,110 @@ let index_info t inf =
   | None -> ());
   cols
 
-(* Merge two strictly-descending index lists, deduplicating. *)
-let merge_desc a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: xs, y :: ys ->
-        if x = y then go (x :: acc) xs ys
-        else if x > y then go (x :: acc) xs b
-        else go (y :: acc) a ys
-  in
-  go [] a b
+(* A run's header packs its table id above its read and written key
+   counts. *)
+let count_bits = 21
 
-(* An RI merge learned by a later entry changes the canonical form of
-   previously indexed values: fold every value bucket forward to its
-   current root, merging buckets that now share one. Equivalent to the
-   full rebuild's final-state canonicalisation because canonicalising a
-   past root under the current state reaches the current root. *)
-let rekey_buckets t table dim0 (h : (string, int list ref) Hashtbl.t) =
-  let moved = Hashtbl.fold (fun v b acc -> (v, b) :: acc) h [] in
-  Hashtbl.reset h;
+let count_mask = (1 lsl count_bits) - 1
+
+(* Push one side's row keys onto [b]: the single key 0 for a wildcard,
+   else one key per first-dimension value, canonicalised under the
+   current merge state — two values merged into one root give its key
+   twice, as each is one access. Returns their count. *)
+let push_keys t b ~key tid = function
+  | Rowset.Any ->
+      posting_push b 0;
+      1
+  | Rowset.Vals s ->
+      let from = b.len and table = t.table_names.(tid) in
+      let dim0 = t.table_rows.(tid).dim0 in
+      Rowset.Vset.iter
+        (fun v ->
+          let k = key tid (Rowset.canonical t.row_state table dim0 v) in
+          if k >= 0 then posting_push b k)
+        s;
+      if b.len - from > count_mask then
+        failwith "Analyzer: too many row values in one access";
+      b.len - from
+
+(* Row sets as row-key runs, built in [b]: [| header; nr read keys; nw
+   written keys |] per table whose access has a first dimension.
+   [table_id] and [key] intern ([-1] when a lookup finds nothing: such a
+   table or value has no posting, so it meets nothing indexed). *)
+let row_runs t b ~table_id ~key rows =
+  b.len <- 0;
   List.iter
-    (fun (v, b) ->
-      let cv = Rowset.canonical t.row_state table dim0 v in
-      match Hashtbl.find_opt h cv with
-      | Some b' -> b' := merge_desc !b' !b
-      | None -> Hashtbl.replace h cv b)
-    moved
+    (fun (table, access) ->
+      let tid = table_id table in
+      if tid >= 0 && Array.length access > 0 then begin
+        let run = b.len in
+        posting_push b 0;
+        let nr = push_keys t b ~key tid access.(0).Rowset.dr in
+        let nw = push_keys t b ~key tid access.(0).Rowset.dw in
+        b.ids.(run) <- (((tid lsl count_bits) lor nr) lsl count_bits) lor nw
+      end)
+    rows;
+  Array.sub b.ids 0 b.len
 
-let rekey_row_index t =
-  Hashtbl.iter
-    (fun table ti ->
-      let dim0 = dim0_of t.config table in
-      rekey_buckets t table dim0 ti.by_val_r;
-      rekey_buckets t table dim0 ti.by_val_w)
-    t.row_index
+(* [f tid p nr nw] per run of [runs]: the run at [p] holds its [nr] read
+   keys from [p + 1], then its [nw] written keys. *)
+let iter_runs runs f =
+  let p = ref 0 in
+  while !p < Array.length runs do
+    let h = runs.(!p) in
+    let nr = (h lsr count_bits) land count_mask and nw = h land count_mask in
+    f (h lsr (2 * count_bits)) !p nr nw;
+    p := !p + 1 + nr + nw
+  done
 
-(* The first-RI-dimension rows through which an access to [table] meets
-   other accesses' rows: [`No_rows] when the entry has none of the
+(* Key entry [i]'s rows into [entry_rows] and, if it can ever join a
+   closure, post it under each key (a wildcard side under its table's
+   wildcard posting). Postings are ascending, so a later entry appends. *)
+let key_rows t i =
+  let runs =
+    row_runs t t.runs_buf ~table_id:(intern_table t) ~key:(intern_row t)
+      t.infos.(i - 1).rows
+  in
+  t.entry_rows.(i - 1) <- runs;
+  if Array.length t.entry_cols.(i - 1) > 0 then
+    iter_runs runs (fun tid p nr nw ->
+        let post side first n =
+          if n = 1 && runs.(first) = 0 then
+            posting_push t.table_rows.(tid).wild.(side) i
+          else
+            for j = first to first + n - 1 do
+              let b = t.row_postings.((2 * runs.(j)) + side) in
+              if b.len = 0 || b.ids.(b.len - 1) <> i then posting_push b i
+            done
+        in
+        post 0 (p + 1) nr;
+        post 1 (p + 1 + nr) nw)
+
+(* Re-derive every row key under merge generation [gen], after an RI
+   merge moved canonical values; the cell index goes with the old keys. *)
+let rekey_rows t gen =
+  for tid = 0 to Hashtbl.length t.table_ids - 1 do
+    t.table_rows.(tid) <- fresh_table_rows t.table_rows.(tid).dim0
+  done;
+  t.row_postings <- [||];
+  t.row_keys <- 1;
+  for i = 1 to Array.length t.infos do
+    key_rows t i
+  done;
+  t.keyed_generation <- gen;
+  t.cell_index <- None
+
+(* The first-RI-dimension rows through which an access to table [tid]
+   meets other accesses' rows: [`No_rows] when [rows] has none of the
    table's rows (no cell conflict runs through it), [`Any] when it may
    meet every row — a wildcard, or a zero-dimension or odd-dimension
-   access, which [Rowset.overlaps] treats as overlapping — else the
-   canonical values of [dr ∪ dw]. *)
-let cell_rows t table rows =
+   access, which [Rowset.overlaps] treats as overlapping — else the row
+   keys of [dr ∪ dw], read from the same sets' [runs]. *)
+let cell_rows t rows runs tid =
+  let table = t.table_names.(tid) in
   match List.assoc_opt table rows with
   | None -> `No_rows
-  | Some access -> (
+  | Some access ->
       let dims =
         match List.assoc_opt table t.config.Rowset.ri_columns with
         | Some ds -> List.length ds
@@ -398,23 +417,19 @@ let cell_rows t table rows =
       in
       if Array.length access = 0 || Array.length access <> dims then `Any
       else
-        match (access.(0).Rowset.dr, access.(0).Rowset.dw) with
-        | Rowset.Any, _ | _, Rowset.Any -> `Any
-        | Rowset.Vals r, Rowset.Vals w ->
-            let dim0 = dim0_of t.config table in
-            `Vals
-              (Rowset.Vset.fold
-                 (fun v acc -> Rowset.canonical t.row_state table dim0 v :: acc)
-                 (Rowset.Vset.union r w) []))
+        let keys = ref [||] in
+        iter_runs runs (fun tid' p nr nw ->
+            if tid' = tid then keys := Array.sub runs (p + 1) (nr + nw));
+        if Array.mem 0 !keys then `Any else `Vals !keys
 
-(* File entry [i] in the cell index, through its [entry_cols] row: the
-   same entries and slots as the column postings. *)
-let file_cells t ci i =
-  let cols = t.entry_cols.(i - 1) in
-  let rows = t.infos.(i - 1).rows in
+(* File entry [i], keyed [runs], in the cell index through its
+   [entry_cols] row: the same entries and slots as the column postings. *)
+let file_cells t ci i runs =
+  let cols = t.entry_cols.(i - 1) and rows = t.infos.(i - 1).rows in
   let push key =
-    let b = bucket ci.ci_buckets key in
-    b := i :: !b
+    match Hashtbl.find_opt ci.ci_buckets key with
+    | None -> Hashtbl.replace ci.ci_buckets key (ref [ i ])
+    | Some b -> ( match !b with j :: _ when j = i -> () | l -> b := i :: l)
   in
   let nw = if Array.length cols = 0 then 0 else cols.(0) in
   let rec written c j = j <= nw && (cols.(j) = c || written c (j + 1)) in
@@ -422,13 +437,13 @@ let file_cells t ci i =
     let c = cols.(k) in
     if t.col_row_keyed.(c) && (k <= nw || not (written c 1)) then begin
       let slot = if k <= nw then (2 * c) + 1 else 2 * c in
-      match cell_rows t t.table_names.(t.col_table.(c)) rows with
+      match cell_rows t rows runs t.col_table.(c) with
       | `No_rows -> ()
       | `Any ->
           push (slot, Rows_any);
           push (slot, Rows_all)
-      | `Vals vs ->
-          List.iter (fun cv -> push (slot, Rows_val cv)) vs;
+      | `Vals keys ->
+          Array.iter (fun k -> push (slot, Rows_val k)) keys;
           push (slot, Rows_all)
     end
   done
@@ -464,11 +479,13 @@ let create ?(config = Rowset.default_config) ?base source =
     table_names = [||];
     col_table = [||];
     col_row_keyed = [||];
-    row_index = Hashtbl.create 64;
+    table_rows = [||];
+    row_postings = [||];
+    row_keys = 1;
+    entry_rows = [||];
+    keyed_generation = Rowset.merge_generation row_state;
+    runs_buf = fresh_posting ();
     groups = Hashtbl.create 256;
-    indexed_generation = Rowset.merge_generation row_state;
-    joinable = [||];
-    group_joinable = [||];
     cell_index = None;
     scratch = Atomic.make None;
   }
@@ -498,34 +515,24 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
             in
             batch := inf :: !batch;
             cols := index_info t inf :: !cols));
-    let fresh = Array.of_list (List.rev !batch) in
-    t.infos <- Array.append t.infos fresh;
+    t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
     t.entry_cols <- Array.append t.entry_cols (Array.of_list (List.rev !cols));
-    t.joinable <-
-      Array.append t.joinable
-        (Array.map
-           (fun inf -> not (Rwset.Colset.is_empty inf.rw.Rwset.w))
-           fresh);
-    t.group_joinable <-
-      Array.append t.group_joinable
-        (Array.map
-           (fun inf ->
-             inf.app_txn <> None || not (Rwset.Colset.is_empty inf.rw.Rwset.w))
-           fresh);
+    t.entry_rows <- Array.append t.entry_rows (Array.make (n - from + 1) [||]);
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
+        (* row keys are derived under the merge state after the batch *)
         let gen = Rowset.merge_generation t.row_state in
-        if gen <> t.indexed_generation then begin
-          rekey_row_index t;
-          t.indexed_generation <- gen
-        end;
-        match t.cell_index with
-        | Some ci when ci.ci_generation = gen ->
+        if gen <> t.keyed_generation then rekey_rows t gen
+        else
+          for i = from to n do
+            key_rows t i
+          done;
+        Option.iter
+          (fun ci ->
             for i = ci.ci_n + 1 to n do
-              file_cells t ci i
+              file_cells t ci i t.entry_rows.(i - 1)
             done;
-            ci.ci_n <- n
-        | Some _ -> t.cell_index <- None
-        | None -> ());
+            ci.ci_n <- n)
+          t.cell_index);
     n - from + 1
   end
 
@@ -597,7 +604,7 @@ type replay_set = {
 (* Closure computation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Candidate generator contract shared by the built-in bucket scans and
+(* Candidate generator contract shared by the built-in posting scans and
    external fast-paths (the template matrix): given a member's sets,
    return candidate indexes past [min_idx] that may conflict with it.
    [min_idx] doubles as the member's identity — the seed is the single
@@ -606,14 +613,15 @@ type replay_set = {
    nothing below τ is ever live, so bucket fetches stop there. *)
 type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
 
-(* The entries [>= tau] of a newest-first bucket, oldest first, in front
-   of [onto]: what [List.rev_append] of the whole bucket would give once
-   the entries below τ are dropped, in O(entries >= tau). *)
-let rec since_onto onto tau = function
-  | i :: rest when i >= tau -> since_onto (i :: onto) tau rest
-  | _ -> onto
-
-let since tau bucket = since_onto [] tau bucket
+(* The entries [>= tau] of a newest-first bucket, oldest first: what
+   [List.rev] of the whole bucket would give once the entries below τ
+   are dropped, in O(entries >= tau). *)
+let since tau bucket =
+  let rec go acc = function
+    | i :: rest when i >= tau -> go (i :: acc) rest
+    | _ -> acc
+  in
+  go [] bucket
 
 (* Run [f] with the analyzer's closure scratch, grown to the analysed
    history and advanced to a fresh epoch. A concurrent question finds
@@ -659,29 +667,35 @@ let with_scratch t f =
   Atomic.set t.scratch (Some s);
   r
 
+(* Can entry [i] still join a closure stamping [mark] with [epoch]: at or
+   after τ, neither a member nor kept out, and joinable at the
+   granularity? Read-only queries never join (Prop E.7) unless they
+   belong to a transaction group, whose read is an application-level
+   data flow into the rest of its transaction (Table A's BEGIN
+   TRANSACTION union rule); [entry_cols] is empty for the entries that
+   can join neither way, and its first cell counts the writes. *)
+let live_in t ~grouped ~tau ~mark ~epoch i =
+  i >= tau
+  && i <= Array.length t.infos
+  && (let c = t.entry_cols.(i - 1) in
+      Array.length c > 0 && (grouped || c.(0) > 0))
+  &&
+  let m = mark.(i - 1) in
+  m <> epoch && m <> -epoch
+
 (* The worklist closure (row-wise, Joint, and a column-wise generator
    handed in from outside). [joins ~tau ~live] builds the candidate
    generator; candidates for which [live] is false (already joined,
    excluded, before τ, or never joinable) may be skipped and pruned
    from the generator's state, so buckets shrink as the closure grows.
-   [joinable] is the analyzer's per-entry array for the granularity:
-   read-only queries never join (Prop E.7) unless they belong to a
-   transaction group, whose read is an application-level data flow into
-   the rest of its transaction (Table A's BEGIN TRANSACTION union rule).
    Membership is stamped into [mark] with [s.epoch] and each member's
    parent into [via] (0 = the target, [-v] = a group mate of [v]).
    Returns the members in join order. *)
 let worklist ?(obs = Uv_obs.Trace.disabled) t s ~mark ~via ~tau ~exclude
-    ~seed_rw ~seed_rows ~joins ~joinable ~expand =
+    ~seed_rw ~seed_rows ~joins ~grouped ~expand =
   let n = Array.length t.infos and epoch = s.epoch in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
-  let live i =
-    i >= tau && i <= n
-    && joinable.(i - 1)
-    &&
-    let m = mark.(i - 1) in
-    m <> epoch && m <> -epoch
-  in
+  let live = live_in t ~grouped ~tau ~mark ~epoch in
   let queue = Queue.create () and joined = ref [] in
   let add src i =
     mark.(i - 1) <- epoch;
@@ -781,17 +795,11 @@ let rec sift_down h len k =
    joined with. Returns the members in join order; [s.mark] stamps them
    with [s.epoch]. *)
 let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
-    ~joinable ~expand =
+    ~grouped ~expand =
   let n = Array.length t.infos in
   let epoch = s.epoch and mark = s.mark and via = s.via_col in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
-  let live i =
-    i >= tau && i <= n
-    && joinable.(i - 1)
-    &&
-    let m = mark.(i - 1) in
-    m <> epoch && m <> -epoch
-  in
+  let live = live_in t ~grouped ~tau ~mark ~epoch in
   let len = ref 0 and cursors = ref 0 in
   (* open posting [p] for entries past [after] *)
   let open_posting p ~opener ~after =
@@ -883,6 +891,16 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
   Uv_obs.Trace.incr obs ~by:!visits "analyze.closure_col_visits";
   !joined
 
+(* A schema key ([_S.*]) one side writes and the other reads or writes:
+   a conflict over wildcard rows (Table B) for both pair predicates. *)
+let schema_conflict (rw : Rwset.rw) (inf : info) =
+  let meets a b =
+    Rwset.Colset.exists (fun c -> is_schema_key c && Rwset.Colset.mem c b) a
+  in
+  meets rw.Rwset.w inf.rw.Rwset.r
+  || meets rw.Rwset.r inf.rw.Rwset.w
+  || meets rw.Rwset.w inf.rw.Rwset.w
+
 (* The joint (cell-wise) pair conflict: the two entries share a column
    (direction-aware) whose table's rows overlap — i.e., they touch a
    common cell, up to the first-dimension approximation that
@@ -890,14 +908,7 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
    a wildcard conflict as ever. *)
 let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
   let inter a b = Rwset.Colset.inter a b in
-  let nonempty s = not (Rwset.Colset.is_empty s) in
-  let schema_conflict =
-    let sk s = Rwset.Colset.filter is_schema_key s in
-    nonempty (inter (sk rw.Rwset.w) (sk inf.rw.Rwset.r))
-    || nonempty (inter (sk rw.Rwset.r) (sk inf.rw.Rwset.w))
-    || nonempty (inter (sk rw.Rwset.w) (sk inf.rw.Rwset.w))
-  in
-  schema_conflict
+  schema_conflict rw inf
   ||
   let shared =
     Rwset.Colset.union
@@ -923,14 +934,7 @@ let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
 (* The row-wise pair conflict: a schema-key conflict (wildcard rows per
    Table B), or some table whose row sets overlap multi-dimensionally. *)
 let row_conflict t (rw : Rwset.rw) rows (inf : info) =
-  let inter a b = not (Rwset.Colset.is_empty (Rwset.Colset.inter a b)) in
-  let schema_conflict =
-    let sk s = Rwset.Colset.filter is_schema_key s in
-    inter (sk rw.Rwset.w) (sk inf.rw.Rwset.r)
-    || inter (sk rw.Rwset.r) (sk inf.rw.Rwset.w)
-    || inter (sk rw.Rwset.w) (sk inf.rw.Rwset.w)
-  in
-  schema_conflict
+  schema_conflict rw inf
   || List.exists
        (fun (table, access) ->
          match List.assoc_opt table inf.rows with
@@ -939,94 +943,114 @@ let row_conflict t (rw : Rwset.rw) rows (inf : info) =
              Rowset.overlaps t.row_state table access `Any_conflict their)
        rows
 
-(* Row-wise candidates: value-indexed over each table's first dimension,
-   verified with the full multi-dimensional overlap; plus schema-key
-   ([_S.*]) conflicts, which are wildcard rows per Table B. *)
+(* Row keys at question time. A target that rewrites an RI value merges
+   at question time ([target_rw]); until [extend]'s next batch re-derives
+   the keys, a question keys rows under the current state itself, as the
+   string-keyed indexes did, and leaves the analyzer as it is. *)
+let keys_current t = Rowset.merge_generation t.row_state = t.keyed_generation
+
+(* [rows] keyed under the current merge state by lookup: a value without
+   a row key has no posting, so it is dropped — or, given [local], takes
+   a key of this call's own, past the analyzer's. *)
+let keyed_now ?local t rows =
+  let find tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:(-1) in
+  let key tid cv =
+    match (find t.table_rows.(tid).key_of cv, local) with
+    | -1, Some l ->
+        if not (Hashtbl.mem l (tid, cv)) then
+          Hashtbl.replace l (tid, cv) (t.row_keys + Hashtbl.length l);
+        Hashtbl.find l (tid, cv)
+    | k, _ -> k
+  in
+  row_runs t (fresh_posting ()) ~table_id:(find t.table_ids) ~key rows
+
+(* An asker's row keys: a member's ([joins_fn]: at or past τ) are read,
+   the seed's looked up — every asker's after a question-time merge. *)
+let asker_runs t ~tau =
+  let current = keys_current t in
+  fun ~min_idx rows ->
+    if current && min_idx >= tau then t.entry_rows.(min_idx - 1)
+    else keyed_now t rows
+
+(* Row-wise candidates: the row-key postings of each table's first
+   dimension, verified with the full multi-dimensional overlap; plus
+   schema-key ([_S.*]) conflicts, which are wildcard rows per Table B.
+   The pruning cache keys a posting by its slot times 4 plus its kind:
+   0 a column posting, 1 a row key's, 2 a table's wildcard posting, 3
+   every posting of a table's side, flattened. *)
 let row_joins t ~visits ~tau ~live =
-  let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
+  let cache : (int, int list) Hashtbl.t = Hashtbl.create 256 in
+  let runs_of = asker_runs t ~tau in
   fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
     let acc = ref [] in
     let offer i = acc := i :: !acc in
-    let scan key fetch = scan_pruned cache ~live ~min_idx ~offer key fetch in
+    let scan kind slot fetch =
+      scan_pruned cache ~live ~min_idx ~offer ((4 * slot) + kind) fetch
+    in
     (* _S pseudo-rows: wildcard, so any column-level _S conflict is a row
        conflict too *)
-    let scan_schema kind postings_of c =
+    let scan_schema side c =
       if is_schema_key c then
-        scan (kind ^ c) (fun () ->
-            match postings_of t c with
-            | None -> []
-            | Some p -> posting_since p tau)
+        Option.iter
+          (fun id ->
+            let slot = (2 * id) + side in
+            scan 0 slot (fun () -> posting_since t.postings.(slot) tau))
+          (Hashtbl.find_opt t.col_ids c)
     in
     Rwset.Colset.iter
       (fun c ->
-        scan_schema "Sr|" readers_of c;
-        scan_schema "Sw|" writers_of c)
+        scan_schema 0 c;
+        scan_schema 1 c)
       rw.Rwset.w;
-    Rwset.Colset.iter (fun c -> scan_schema "Sw|" writers_of c) rw.Rwset.r;
-    (* table rows *)
-    List.iter
-      (fun (table, access) ->
-        match Hashtbl.find_opt t.row_index table with
-        | None -> ()
-        | Some ti ->
-            if Array.length access > 0 then begin
-              let dim0 = dim0_of t.config table in
-              let candidates_of rs kind (any_bucket : int list)
-                  (val_buckets : (string, int list ref) Hashtbl.t) =
-                let any_key = "A" ^ kind ^ table in
-                match rs with
-                | Rowset.Any ->
-                    scan any_key (fun () -> since tau any_bucket);
-                    (* all value buckets of this table, flattened once *)
-                    scan
-                      ("*" ^ kind ^ table)
-                      (fun () ->
-                        Hashtbl.fold
-                          (fun _ b acc -> since_onto acc tau !b)
-                          val_buckets [])
-                | Rowset.Vals s ->
-                    scan any_key (fun () -> since tau any_bucket);
-                    Rowset.Vset.iter
-                      (fun v ->
-                        let cv = Rowset.canonical t.row_state table dim0 v in
-                        scan
-                          ("V" ^ kind ^ table ^ "|" ^ cv)
-                          (fun () ->
-                            match Hashtbl.find_opt val_buckets cv with
-                            | Some b -> since tau !b
-                            | None -> []))
-                      s
-              in
-              (* my writes vs their reads and writes *)
-              candidates_of access.(0).Rowset.dw "r|" ti.any_r ti.by_val_r;
-              candidates_of access.(0).Rowset.dw "w|" ti.any_w ti.by_val_w;
-              (* my reads vs their writes *)
-              candidates_of access.(0).Rowset.dr "w|" ti.any_w ti.by_val_w
-            end)
-      rows;
+    Rwset.Colset.iter (scan_schema 1) rw.Rwset.r;
+    (* table rows: [n] keys from [runs.(first)] against the other side's
+       postings ([side]: 0 readers, 1 writers) *)
+    let runs = runs_of ~min_idx rows in
+    let candidates tid first n side =
+      let tr = t.table_rows.(tid) and ws = (2 * tid) + side in
+      scan 2 ws (fun () -> posting_since tr.wild.(side) tau);
+      if n = 1 && runs.(first) = 0 then
+        scan 3 ws (fun () ->
+            Hashtbl.fold
+              (fun _ k acc -> posting_onto acc t.row_postings.((2 * k) + side) tau)
+              tr.key_of [])
+      else
+        for j = first to first + n - 1 do
+          let slot = (2 * runs.(j)) + side in
+          scan 1 slot (fun () -> posting_since t.row_postings.(slot) tau)
+        done
+    in
+    iter_runs runs (fun tid p nr nw ->
+        (* my writes vs their reads and writes, my reads vs their writes *)
+        candidates tid (p + 1 + nr) nw 0;
+        candidates tid (p + 1 + nr) nw 1;
+        candidates tid (p + 1) nr 1);
     verified ~visits !acc (fun i -> row_conflict t rw rows t.infos.(i - 1))
 
-(* The cell index, filed up to the analysed length under the current
-   merge generation: built here at the first Joint question (concurrent
-   first questions may each build one; the last published wins), then
-   kept up to date by [extend]. *)
-let cell_index_of t =
-  let gen = Rowset.merge_generation t.row_state in
-  match t.cell_index with
-  | Some ci when ci.ci_generation = gen && ci.ci_n = Array.length t.infos -> ci
-  | _ ->
-      let ci =
-        {
-          ci_generation = gen;
-          ci_n = Array.length t.infos;
-          ci_buckets = Hashtbl.create 1024;
-        }
-      in
-      for i = 1 to ci.ci_n do
-        file_cells t ci i
-      done;
-      t.cell_index <- Some ci;
-      ci
+(* The cell index and its askers' row keys. Under current keys it is
+   filed up to the analysed length: built here at the first Joint
+   question (concurrent first questions may each build one; the last
+   published wins), then kept up to date by [extend]. After a
+   question-time merge a question files its own. *)
+let cell_index_of t ~tau =
+  let filed runs =
+    let ci =
+      { ci_n = Array.length t.infos; ci_buckets = Hashtbl.create 1024 }
+    in
+    for i = 1 to ci.ci_n do
+      file_cells t ci i (runs i)
+    done;
+    ci
+  in
+  if keys_current t then begin
+    if Option.is_none t.cell_index then
+      t.cell_index <- Some (filed (fun i -> t.entry_rows.(i - 1)));
+    (Option.get t.cell_index, asker_runs t ~tau)
+  end
+  else
+    let local = Hashtbl.create 64 in
+    let runs rows = keyed_now ~local t rows in
+    (filed (fun i -> runs t.infos.(i - 1).rows), fun ~min_idx:_ -> runs)
 
 (* Joint candidates from the cell index: for each row-keyed column the
    asker writes, the readers and writers filed under the rows it may
@@ -1034,7 +1058,7 @@ let cell_index_of t =
    accepts is offered: both sides file a column under its table's
    [dr ∪ dw] values, a wildcard asker scans every filed entry, and any
    asker scans the wildcard bucket. Schema keys scan their postings. *)
-let cell_index_joins t ci ~visits ~tau ~live =
+let cell_index_joins t (ci, runs_of) ~visits ~tau ~live =
   let cache : (int * cell_key, int list) Hashtbl.t = Hashtbl.create 64 in
   fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
     let acc = ref [] in
@@ -1049,12 +1073,13 @@ let cell_index_joins t ci ~visits ~tau ~live =
               | None -> []))
     in
     (* the asker's rows per table, computed once per call *)
+    let runs = runs_of ~min_idx rows in
     let asked = ref [] in
     let rows_of tid =
       match List.assoc_opt tid !asked with
       | Some r -> r
       | None ->
-          let r = cell_rows t t.table_names.(tid) rows in
+          let r = cell_rows t rows runs tid in
           asked := (tid, r) :: !asked;
           r
     in
@@ -1063,9 +1088,9 @@ let cell_index_joins t ci ~visits ~tau ~live =
         match rows_of t.col_table.(c) with
         | `No_rows -> ()
         | `Any -> scan (slot, Rows_all)
-        | `Vals vs ->
+        | `Vals keys ->
             scan (slot, Rows_any);
-            List.iter (fun cv -> scan (slot, Rows_val cv)) vs
+            Array.iter (fun k -> scan (slot, Rows_val k)) keys
       else scan (slot, Posting)
     in
     let each cols f =
@@ -1161,20 +1186,19 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
     | Remove -> strip_removed_reads (seed_rw, seed_rows)
     | Add _ | Change _ -> (seed_rw, seed_rows)
   in
-  let joinable = if grouped then t.group_joinable else t.joinable in
   let expand = if grouped then group_expand t else fun _ -> [] in
   let tau = target.tau in
   with_scratch t @@ fun s ->
   let run ~mark ~via joins =
     worklist ~obs t s ~mark ~via ~tau ~exclude ~seed_rw ~seed_rows ~joins
-      ~joinable ~expand
+      ~grouped ~expand
   in
   let span name f = Uv_obs.Trace.with_span obs ~cat:"analyze" name f in
   let col_members () =
     span "closure.col" (fun () ->
         match col_joins with
         | Some joins -> run ~mark:s.mark ~via:s.via_col joins
-        | None -> col_sweep ~obs t s ~tau ~exclude ~seed_rw ~joinable ~expand)
+        | None -> col_sweep ~obs t s ~tau ~exclude ~seed_rw ~grouped ~expand)
   in
   (* the row-wise closure, or Joint's over the cell conflict *)
   let row_members name joins =
@@ -1201,7 +1225,7 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
           List.length jc,
           List.length jr )
     | Joint ->
-        let ci = cell_index_of t in
+        let ci = cell_index_of t ~tau in
         (row_members "closure.cell" (cell_index_joins t ci), -1, -1)
   in
   let member_indexes = List.sort Int.compare joined in
@@ -1326,7 +1350,7 @@ let explain_report t (target : target) rs =
 
 module Itbl = Hashtbl.Make (Int)
 
-(* Accessors scanned per (column, token) before a closing edge. *)
+(* Accessors scanned per (column, row key) before a closing edge. *)
 let scan_limit = 64
 
 (* Entry [i]'s row in the [entry_cols] layout. An entry that never joins
@@ -1346,52 +1370,35 @@ let cols_of t i =
            t.infos.(i - 1).rw.Rwset.r [])
 
 (* One ascending pass over the members. Per column, accesses are
-   bucketed by first-RI-dimension token ("*" for any row, id 0), so
-   row-disjoint chains stay parallel (the source of TPC-C's and SEATS'
-   replay parallelism, §4.4). Tokens are interned per call, never into
-   the analyzer: questions run concurrently under a shared read lock. *)
+   bucketed by the members' row keys (0 for any row: a wildcard, or a
+   table without a run), so row-disjoint chains stay parallel (the
+   source of TPC-C's and SEATS' replay parallelism, §4.4). *)
 let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
   Uv_obs.Trace.with_span obs ~cat:"analyze" "cluster" @@ fun () ->
   let nodes = Array.of_list members in
   let n = Array.length nodes in
   let ncols = Hashtbl.length t.col_ids in
   let ntables = Hashtbl.length t.table_ids in
-  let tok_ids = Hashtbl.create 64 in
-  Hashtbl.replace tok_ids "*" 0;
-  let tok_of s =
-    match Hashtbl.find_opt tok_ids s with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length tok_ids in
-        Hashtbl.replace tok_ids s id;
-        id
+  (* member [p]'s row keys, re-derived after a question-time merge *)
+  let runs_of =
+    if keys_current t then fun p -> t.entry_rows.(nodes.(p) - 1)
+    else
+      let local = Hashtbl.create 64 in
+      Array.get
+        (Array.map (fun i -> keyed_now ~local t t.infos.(i - 1).rows) nodes)
   in
-  (* a member's tokens for one (table, side), canonicalised once; two
-     values aliasing one root stay two tokens, as each is one access *)
-  let tok_stamp = Array.make (2 * ntables) (-1) in
-  let tok_memo = Array.make (2 * ntables) [||] in
-  let tokens p (inf : info) tid ~write =
-    let slot = (2 * tid) + Bool.to_int write in
-    if tok_stamp.(slot) <> p then begin
-      tok_stamp.(slot) <- p;
-      let table = t.table_names.(tid) in
-      tok_memo.(slot) <-
-        (match List.assoc_opt table inf.rows with
-        | Some access when Array.length access > 0 -> (
-            match
-              if write then access.(0).Rowset.dw else access.(0).Rowset.dr
-            with
-            | Rowset.Any -> [| 0 |]
-            | Rowset.Vals s ->
-                let dim0 = dim0_of t.config table in
-                Array.of_list
-                  (Rowset.Vset.fold
-                     (fun v acc ->
-                       tok_of (Rowset.canonical t.row_state table dim0 v) :: acc)
-                     s []))
-        | _ -> [| 0 |])
-    end;
-    tok_memo.(slot)
+  (* apply [f] to member [p]'s keys for one (table, side), 0 if none *)
+  let iter_keys p tid ~write f =
+    let runs = runs_of p and found = ref false in
+    iter_runs runs (fun tid' at nr nw ->
+        if tid' = tid then begin
+          found := true;
+          let first = if write then at + 1 + nr else at + 1 in
+          for j = first to first + (if write then nw else nr) - 1 do
+            f runs.(j)
+          done
+        end);
+    if not !found then f 0
   in
   (* the current member's distinct predecessors *)
   let seen = Array.make n (-1) in
@@ -1426,9 +1433,8 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
     end
   in
   let consider p b ~write = scan p b ~write 0 (b.len - 1) in
-  let touch p inf c ~write =
-    Array.iter
-      (fun v ->
+  let touch p c ~write =
+    iter_keys p t.col_table.(c) ~write (fun v ->
         let key = (v * ncols) + c in
         let own = Itbl.find_opt cells key in
         (* a wildcard meets every bucket of the column; a value its own
@@ -1453,16 +1459,15 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
           b.len <- scan_limit
         end;
         posting_push b ((p lsl 1) lor Bool.to_int write))
-      (tokens p inf t.col_table.(c) ~write)
   in
-  (* Row-level write-write rule, per (table, token) whatever the columns:
+  (* Row-level write-write rule, per (table, row key) whatever the columns:
      [Storage.update] replaces whole rows, so two members writing
      different columns of one row must keep commit order when run in
      parallel. Chains collapse to last-writer edges. *)
   let last_writer = Itbl.create 64 in
-  let table_toks = Array.make ntables [] in
+  let written_keys = Array.make ntables [] in
   let ww_stamp = Array.make ntables (-1) in
-  let write_rows p inf tid =
+  let write_rows p tid =
     let edge_to v =
       match Itbl.find_opt last_writer ((v * ntables) + tid) with
       | Some q when q <> p -> emit p q
@@ -1471,46 +1476,40 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
     let set v =
       let key = (v * ntables) + tid in
       if not (Itbl.mem last_writer key) then
-        table_toks.(tid) <- v :: table_toks.(tid);
+        written_keys.(tid) <- v :: written_keys.(tid);
       Itbl.replace last_writer key p
     in
-    let toks = tokens p inf tid ~write:true in
-    Array.iter
-      (fun v ->
-        if v = 0 then List.iter edge_to table_toks.(tid)
+    iter_keys p tid ~write:true (fun v ->
+        if v = 0 then List.iter edge_to written_keys.(tid)
         else begin
           edge_to v;
           edge_to 0
-        end)
-      toks;
+        end);
     (* a wildcard write becomes the last writer of every row *)
-    Array.iter
-      (fun v ->
-        if v = 0 then List.iter set table_toks.(tid);
+    iter_keys p tid ~write:true (fun v ->
+        if v = 0 then List.iter set written_keys.(tid);
         set v)
-      toks
   in
   let preds = Array.make n [||] in
   for p = 0 to n - 1 do
     let i = nodes.(p) in
-    let inf = t.infos.(i - 1) in
     let cols = cols_of t i in
     let nw = cols.(0) in
     nout := 0;
     (* reads before writes, so a member reading and writing one cell
        pushes its read first *)
     for k = nw + 1 to Array.length cols - 1 do
-      touch p inf cols.(k) ~write:false
+      touch p cols.(k) ~write:false
     done;
     for k = 1 to nw do
-      touch p inf cols.(k) ~write:true
+      touch p cols.(k) ~write:true
     done;
     for k = 1 to nw do
       let c = cols.(k) in
       let tid = t.col_table.(c) in
       if t.col_row_keyed.(c) && ww_stamp.(tid) <> p then begin
         ww_stamp.(tid) <- p;
-        write_rows p inf tid
+        write_rows p tid
       end
     done;
     preds.(p) <- Array.sub !out 0 !nout

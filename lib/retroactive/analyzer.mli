@@ -102,8 +102,12 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     (or last extended) into the per-entry sets and value indexes,
     without re-scanning the analysed prefix; returns the number of new
     entries. Equivalent to a fresh [of_source] of the grown history: the evolving
-    schema view and RI merge state are carried in the analyzer, and an
-    RI merge learned by a new entry re-keys the affected value buckets.
+    schema view and RI merge state are carried in the analyzer. Row
+    keys — each (table, canonical first-RI-dimension value) interned
+    once as an int, with per-key reader and writer postings — are
+    derived for the new entries under the merge state after the batch;
+    an RI merge learned by a new entry re-derives every entry's keys
+    (and drops Joint's cell index, rebuilt at the next Joint question).
     Only sound while the analysed prefix is intact — a truncated log or
     a history rewritten in place requires a fresh [analyze] (the what-if
     session enforces this, treating DDL among the new entries as a
@@ -123,7 +127,13 @@ val schema_view_at : t -> int -> Schema_view.t
 
 val target_rw : t -> target -> Rwset.rw * Rowset.entry_rows
 (** Combined sets of the retroactive target (for [Change], the union of
-    the old and new statements' sets). *)
+    the old and new statements' sets). A new statement's row sets are
+    taken on the analyzer's RI state, so one that rewrites an RI value
+    merges it there. Until the next {!extend} batch re-derives the row
+    keys, questions key rows under the current state themselves:
+    {!replay_set}'s row closure looks its askers up in the keys
+    {!extend} built, Joint files a cell index of its own, and
+    {!replay_dag} keys its members per call. *)
 
 type provenance = {
   p_col_via : int option;
@@ -172,6 +182,21 @@ val since : int -> int list -> int list
     bucket, oldest first, in O(indexes >= tau) — how a {!joins_fn} fetches
     a bucket without touching the history before τ. *)
 
+val scan_pruned :
+  ('k, int list) Hashtbl.t ->
+  live:(int -> bool) ->
+  min_idx:int ->
+  offer:(int -> unit) ->
+  'k ->
+  (unit -> int list) ->
+  unit
+(** [scan_pruned cache ~live ~min_idx ~offer key fetch]: one scan of a
+    {!joins_fn}'s candidate list [key], pruned as the closure grows. The
+    first scan of [key] takes its entries from [fetch ()]; every scan
+    offers the live entries past [min_idx] and keeps in [cache] only the
+    live ones ([live] only ever turns false), so each list shrinks as
+    members join. *)
+
 val replay_set :
   ?obs:Uv_obs.Trace.t ->
   ?mode:mode ->
@@ -208,24 +233,25 @@ val replay_set :
     a member (or the target) reads or writes opens its writers' (and, if
     written, its readers') posting once, just past that member, and
     every posting entry from there on is visited once. The row-wise
-    closure costs the replay set and the row-value buckets' entries at
+    closure costs the replay set and the row-key postings' entries at
     or after τ; Joint's, the cell buckets' entries at or after τ.
     Membership and parents live in per-analyzer scratch arrays stamped
     per question, grown only when the history outgrows them, so a
     question allocates and clears nothing of the history's length.
     Joint's cell index is built at the first Joint question and kept up
-    to date by {!extend}. *)
+    to date by {!extend} (after a question-time merge, see {!target_rw},
+    each Joint question files its own). *)
 
 val row_conflict : t -> Rwset.rw -> Rowset.entry_rows -> info -> bool
 (** The row-wise closure's pair predicate: does an entry with these sets
     conflict row-wise with [info] (a shared schema key, or overlapping
     rows of some table under the current RI merge state)? The closure
-    applies it to the candidates its value buckets offer. *)
+    applies it to the candidates its row-key postings offer. *)
 
 val canonical_row_value : t -> table:string -> Value.t -> string
-(** Canonical first-dimension RI token for a value of [table] under the
-    analyzer's current alias/merge state — the key the row index buckets
-    by. Stable until {!row_merge_generation} changes. *)
+(** Canonical first-dimension RI value of [table]'s [v] under the
+    analyzer's current alias/merge state — what the analyzer's row keys
+    stand for. Stable until {!row_merge_generation} changes. *)
 
 val row_merge_generation : t -> int
 (** Generation counter of the RI alias/merge state; external value-keyed
@@ -254,23 +280,25 @@ val replay_dag :
     ascending pass over the members emits an edge [(n, m)], [m < n],
     whenever [n] must replay after [m]:
 
-    - {b cell rule}, per (column, first-RI-dimension token) accessed: a
-      member that writes the key orders after each earlier accessor back
-      to, and including, the previous writer; a member that reads it,
-      after the previous writer only. A wildcard access (the token ["*"]:
-      an [Any] row set, a table without row sets, a schema key) meets
-      every token of the column, and a concrete token meets ["*"]. At the
-      64th accessor scanned one closing edge stands in for the older
-      ones, and a key's accessor list is cut to its newest 64 once it
-      holds more than 128 — wave layering is transitive;
-    - {b row rule}, per (table, token) written, whatever the columns: a
-      write orders after the key's last writer, with ["*"] as above.
+    - {b cell rule}, per (column, row key) accessed: a member that
+      writes the key orders after each earlier accessor back to, and
+      including, the previous writer; a member that reads it, after the
+      previous writer only. A wildcard access (row key 0: an [Any] row
+      set, a table without row sets, a schema key) meets every key of
+      the column, and a concrete key meets 0. At the 64th accessor
+      scanned one closing edge stands in for the older ones, and a key's
+      accessor list is cut to its newest 64 once it holds more than 128
+      — wave layering is transitive;
+    - {b row rule}, per (table, row key) written, whatever the columns:
+      a write orders after the key's last writer, with 0 as above.
       [Uv_db.Storage.update] replaces whole rows, so two members writing
       different columns of one row must keep commit order when replayed
       in parallel.
 
-    Tokens are the entries' RI values canonicalised under the current
-    merge state, interned per call; the analyzer is not mutated, so
+    Row keys are interned by {!extend}: the members' first-RI-dimension
+    values canonicalised under the merge state of the last extension,
+    one key per value (two values merged into one root give its key
+    twice, as each is one access). The analyzer is not mutated, so
     concurrent questions may call this under a shared read lock.
     [obs] gets a [cluster] span over the whole pass and the DAG build,
     and the [replay.edges] counter, bumped by the distinct edges. *)

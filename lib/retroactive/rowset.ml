@@ -23,8 +23,8 @@ type t = {
   alias_map : (string * string * string, string) Hashtbl.t;
   (* union-find parent map: (table, dim_col, value) -> value *)
   merge_parent : (string * string * string, string) Hashtbl.t;
-  (* bumped per new union-find link; the incremental analyzer re-keys
-     its value-bucket indexes only when this moved *)
+  (* bumped per new union-find link; the incremental analyzer re-derives
+     its row keys only when this moved *)
   mutable merge_generation : int;
 }
 
@@ -58,7 +58,9 @@ let rec find_root t table dim v =
   | Some p when String.equal p v -> v
   | Some p -> find_root t table dim p
 
-let canonical t table dim v = find_root t table dim v
+(* no merge yet (the common case): every value is its own root *)
+let canonical t table dim v =
+  if Hashtbl.length t.merge_parent = 0 then v else find_root t table dim v
 
 let merge_values t table dim v1 v2 =
   let r1 = find_root t table dim v1 and r2 = find_root t table dim v2 in

@@ -72,10 +72,8 @@ val canonical : t -> string -> string -> string -> string
 
 val merge_generation : t -> int
 (** Monotone counter of union-find links added by [of_entry]. The
-    incremental analyzer re-canonicalises its value-bucket indexes only
-    when this moved since they were built; merge roots are write-once
-    (only current roots gain parents), so untouched buckets stay
-    correct. *)
+    incremental analyzer re-derives its row keys only when this moved
+    since they were derived. *)
 
 val overlaps : t -> string -> taccess -> [ `W_then_R | `Any_conflict ] ->
   taccess -> bool

@@ -87,16 +87,23 @@ step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 # conflict, and inside Cell), grouped and not; a hand-built history (an
 # out-of-order group mate, a column no entry has, a schema-key
 # conflict, wildcard-dimension rows, a row read meeting another's row
-# write); and per warm question, equal at 1 008 and 4 008 history
-# entries: column postings visited, row-wise and Joint candidates
-# offered, and the words allocated straight into the major heap (Cell
-# through the service, Joint and grouped directly)
-step "closure smoke: replay sets and provenance == pairwise reference (Joint too), allocation flat in history" \
+# write); an analyzer extended across RI merges (UPDATEs rewriting RI
+# values the prefix was keyed under) answering like a fresh one and the
+# reference in every mode: members, parents, candidates offered, replay
+# DAG edges and waves; a target rewriting an RI value, merged at
+# question time (Joint == the pairwise reference, the replay DAG == the
+# string-keyed reference); and per warm question, equal at 1 008 and 4 008
+# history entries: column postings visited, row-wise and Joint
+# candidates offered, and the words allocated straight into the major
+# heap (Cell through the service, Joint and grouped directly)
+step "closure smoke: replay sets and provenance == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge, allocation flat in history" \
   dune exec test/test_closure.exe
 
-# the replay DAG against the string-keyed edge builders it replaced:
-# edge sets and wave layouts on the five workloads (cell and grouped
-# replay sets, and every entry) and on a hand-built history with
+# the replay DAG, which reads the analyzer's int row keys, against the
+# string-keyed edge builders it replaced (the reference still keys its
+# buckets by canonical value strings, so it shares no key space with
+# the analyzer): edge sets and wave layouts on the five workloads (cell
+# and grouped replay sets, and every entry) and on a hand-built history with
 # wildcard reads and writes, a schema key, two aliasing RI values, the
 # 64-accessor cap, accessor-list truncation and the row-level
 # write-write rule

@@ -455,6 +455,213 @@ let test_joint_after_extend () =
 
 let run ?app_txn e sql = ignore (Engine.exec_sql ?app_txn e sql)
 
+(* [extend] across an RI merge: the first [split] entries merge nothing;
+   after them, UPDATEs rewrite [t]'s RI values (1 ~ 7 ~ 4, then 2 ~ 8 ~
+   5 ~ 6) and later entries reach the old rows under the new values.
+   Rows 7 and 8 do not exist, but the prefix already accessed them, so
+   the merges move values the prefix was keyed under. An analyzer built
+   on the prefix — its Joint cell index already built — and then
+   extended must answer every question like a fresh one (members,
+   parents, row-wise and Joint candidates offered, and the replay DAG's
+   edges and waves) and like the pairwise reference. *)
+let test_extend_across_merge () =
+  let e = Engine.create () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
+  run e "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+  for i = 1 to 3 do
+    run e (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" i)
+  done;
+  run e "INSERT INTO u VALUES (1, 0)";
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  let prefix =
+    [
+      (None, "UPDATE t SET v = 1 WHERE id = 1");
+      (Some "A", "UPDATE t SET v = v + 1 WHERE id = 2");
+      (None, "UPDATE t SET v = 2 WHERE id = 7");
+      (None, "UPDATE u SET w = 1 WHERE id = 1");
+      (Some "A", "UPDATE t SET v = v + 1 WHERE id = 8");
+      (None, "UPDATE t SET v = v * 3 WHERE id IN (7, 8)");
+      (None, "UPDATE t SET v = 5 WHERE id = 3");
+    ]
+  in
+  let suffix =
+    [
+      (None, "UPDATE t SET id = 7 WHERE id = 1");
+      (Some "B", "UPDATE t SET id = 8 WHERE id = 2");
+      (None, "UPDATE t SET id = 4 WHERE id = 7");
+      (None, "UPDATE t SET v = v + 1 WHERE id = 4");
+      (Some "B", "UPDATE t SET id = 5 WHERE id = 8");
+      (Some "B", "SELECT v FROM t WHERE id = 5");
+      (None, "UPDATE t SET v = v * 2 WHERE id = 1");
+      (None, "UPDATE t SET id = 6 WHERE id = 5");
+      (None, "UPDATE t SET v = 0 WHERE id = 2");
+      (None, "UPDATE u SET w = 3 WHERE id = 1");
+      (None, "UPDATE t SET v = 7 WHERE id = 6");
+      (None, "UPDATE t SET v = 1 WHERE v > 3");
+      (None, "UPDATE t SET v = v + 1 WHERE id IN (3, 4)");
+    ]
+  in
+  List.iter (fun (app_txn, sql) -> run ?app_txn e sql) (prefix @ suffix);
+  let log = Engine.log e in
+  let split = List.length prefix and full = Log.length log in
+  (* merges are canonicalised under configured RI columns only *)
+  let config =
+    { Rowset.default_config with Rowset.ri_columns = [ ("t", [ "id" ]) ] }
+  in
+  let len = ref split in
+  let grown =
+    Analyzer.of_source ~config ~base
+      (Analyzer.source_of_fun ~length:(fun () -> !len) (Log.entry log))
+  in
+  check Alcotest.int "the prefix merges nothing" 0
+    (Analyzer.row_merge_generation grown);
+  ignore
+    (Analyzer.replay_set ~mode:Analyzer.Joint grown
+       { Analyzer.tau = 1; op = Analyzer.Remove });
+  len := full;
+  ignore (Analyzer.extend grown : int);
+  let fresh = Analyzer.analyze ~config ~base log in
+  if Analyzer.row_merge_generation grown < 4 then
+    Alcotest.fail "the suffix merged no RI values";
+  check Alcotest.int "merge generations" (Analyzer.row_merge_generation fresh)
+    (Analyzer.row_merge_generation grown);
+  let stmt = Uv_sql.Parser.parse_stmt in
+  let row4 = stmt "UPDATE t SET v = 9 WHERE id = 4" in
+  let targets =
+    List.init full (fun i -> { Analyzer.tau = i + 1; op = Analyzer.Remove })
+    @ List.concat_map
+        (fun tau ->
+          [
+            { Analyzer.tau; op = Analyzer.Add row4 };
+            { Analyzer.tau; op = Analyzer.Change row4 };
+          ])
+        [ 1; split + 1; split + 3; full ]
+  in
+  let answer anl ~mode ~grouped target =
+    let obs = Uv_obs.Trace.create () in
+    let rs = Analyzer.replay_set ~obs ~mode ~grouped anl target in
+    let via = function None -> "-" | Some v -> string_of_int v in
+    let parents =
+      List.map
+        (fun (p : Analyzer.provenance) ->
+          via p.Analyzer.p_col_via ^ "," ^ via p.Analyzer.p_row_via)
+        rs.Analyzer.provenance
+    in
+    let dag = Analyzer.replay_dag anl ~members:rs.Analyzer.member_indexes in
+    ( rs.Analyzer.member_indexes,
+      parents,
+      Uv_obs.Trace.counter_value obs "analyze.closure_row_visits",
+      Conflict_dag.edges dag,
+      Conflict_dag.waves dag )
+  in
+  let edges = Alcotest.(list (pair int int)) in
+  let group_of = groups grown in
+  List.iter
+    (fun target ->
+      check_question ~label:("merged " ^ target_name target) grown ~group_of
+        target;
+      List.iter
+        (fun ((mode, mode_name), grouped) ->
+          let label =
+            Printf.sprintf "%s %s%s" (target_name target) mode_name
+              (if grouped then " grouped" else "")
+          in
+          let m1, p1, v1, e1, w1 = answer fresh ~mode ~grouped target in
+          let m2, p2, v2, e2, w2 = answer grown ~mode ~grouped target in
+          check Alcotest.(list int) (label ^ ": members") m1 m2;
+          check Alcotest.(list string) (label ^ ": parents") p1 p2;
+          check Alcotest.int (label ^ ": row candidates offered") v1 v2;
+          check edges (label ^ ": DAG edges") e1 e2;
+          check Alcotest.(list (list int)) (label ^ ": DAG waves") w1 w2)
+        (List.concat_map (fun m -> [ (m, false); (m, true) ]) modes))
+    targets;
+  let all = List.init full (fun i -> i + 1) in
+  let dag anl = Analyzer.replay_dag anl ~members:all in
+  check edges "every entry's DAG edges"
+    (Conflict_dag.edges (dag fresh))
+    (Conflict_dag.edges (dag grown))
+
+(* A target that rewrites an RI value merges at question time: Add or
+   Change [UPDATE t SET id = 2 WHERE id = 3] makes rows 2 and 3 one row
+   for the rest of the analysis, though the history itself merges
+   nothing and [extend] keyed it without the merge. Joint and the replay
+   DAG must see 2 and 3 as one row: Joint's answers equal the pairwise
+   reference and the DAG the string-keyed reference, which both
+   canonicalise under the merge state at the call. (The row-wise
+   closure keeps scanning the postings [extend] built until the next
+   batch re-derives them, so Row and Cell are not held to the pairwise
+   reference here.) *)
+let test_question_time_merge () =
+  let e = Engine.create () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)";
+  run e "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+  List.iter
+    (fun id -> run e (Printf.sprintf "INSERT INTO t VALUES (%d, 0, 0)" id))
+    [ 2; 3; 4 ];
+  run e "INSERT INTO u VALUES (1, 0)";
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  List.iter
+    (fun (app_txn, sql) -> run ?app_txn e sql)
+    [
+      (None, "UPDATE t SET v = 1 WHERE id = 2");
+      (Some "A", "UPDATE t SET v = v + 1 WHERE id = 3");
+      (None, "SELECT v FROM t WHERE id = 2");
+      (Some "A", "UPDATE u SET w = 1 WHERE id = 1");
+      (None, "UPDATE t SET w = 4 WHERE id = 3");
+      (None, "UPDATE t SET w = 5 WHERE id = 2");
+      (None, "UPDATE t SET v = v * 2 WHERE id = 4");
+      (None, "SELECT w FROM t WHERE id = 3");
+      (None, "UPDATE t SET v = 0 WHERE id = 2");
+    ];
+  let config =
+    { Rowset.default_config with Rowset.ri_columns = [ ("t", [ "id" ]) ] }
+  in
+  let anl = Analyzer.analyze ~config ~base (Engine.log e) in
+  let n = Analyzer.length anl in
+  check Alcotest.int "the history merges nothing" 0
+    (Analyzer.row_merge_generation anl);
+  let group_of = groups anl in
+  let rekey = Uv_sql.Parser.parse_stmt "UPDATE t SET id = 2 WHERE id = 3" in
+  let targets =
+    List.concat_map
+      (fun tau ->
+        [
+          { Analyzer.tau; op = Analyzer.Add rekey };
+          { Analyzer.tau; op = Analyzer.Change rekey };
+        ])
+      [ 1; 2; 5 ]
+  in
+  List.iter
+    (fun target ->
+      ignore (Analyzer.target_rw anl target);
+      if Analyzer.row_merge_generation anl = 0 then
+        Alcotest.fail "the target merged no RI values";
+      List.iter
+        (fun grouped ->
+          let label =
+            target_name target ^ if grouped then " grouped" else ""
+          in
+          let closure = reference_closures anl ~grouped ~group_of target in
+          let joint =
+            Analyzer.replay_set ~mode:Analyzer.Joint ~grouped anl target
+          in
+          check_against_reference ~label:(label ^ " joint") anl
+            ~mode:Analyzer.Joint ~grouped ~group_of ~closure target joint;
+          check_provenance ~label:(label ^ " joint") anl ~mode:Analyzer.Joint
+            ~grouped ~group_of ~closure target joint;
+          List.iter
+            (fun mode ->
+              let rs = Analyzer.replay_set ~mode ~grouped anl target in
+              Dag_reference.check ~label:(label ^ " DAG") anl
+                rs.Analyzer.member_indexes)
+            [ Analyzer.Cell; Analyzer.Joint ])
+        [ false; true ])
+    targets;
+  Dag_reference.check ~label:"every entry's DAG" anl
+    (List.init n (fun i -> i + 1))
+
 (* ------------------------------------------------------------------ *)
 (* Hand-built cases the fixtures may miss                               *)
 (* ------------------------------------------------------------------ *)
@@ -767,6 +974,10 @@ let () =
             Alcotest.test_case "hand-built history" `Quick test_hand_built;
             Alcotest.test_case "Joint index kept by extend" `Quick
               test_joint_after_extend;
+            Alcotest.test_case "extend across an RI merge" `Quick
+              test_extend_across_merge;
+            Alcotest.test_case "question-time RI merge" `Quick
+              test_question_time_merge;
           ] );
       ( "question cost",
         [

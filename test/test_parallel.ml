@@ -309,184 +309,6 @@ let test_makespan_parity () =
 (* Replay DAG == the string-keyed edge builders it replaced             *)
 (* ------------------------------------------------------------------ *)
 
-(* The two builders [Analyzer.replay_dag] replaced, as they were but for
-   reading the analyzer through its interface: the cell rule over
-   (column, canonical value) buckets and the row-level write-write rule.
-   Their sorted union is the reference edge set. *)
-module Reference = struct
-  let is_schema_key k = String.length k > 3 && String.starts_with ~prefix:"_S." k
-
-  let entry_row_tokens anl (inf : Analyzer.info) table ~write =
-    match List.assoc_opt table inf.Analyzer.rows with
-    | Some access when Array.length access > 0 -> (
-        let rs = if write then access.(0).Rowset.dw else access.(0).Rowset.dr in
-        match rs with
-        | Rowset.Any -> [ "*" ]
-        | Rowset.Vals s ->
-            Rowset.Vset.fold
-              (fun v acc ->
-                Analyzer.canonical_row_value anl ~table
-                  (Uv_sql.Value.deserialize v)
-                :: acc)
-              s [])
-    | _ -> [ "*" ]
-
-  let dependency_edges anl ~members =
-    let edges = ref [] in
-    let buckets : (string * string, (int * bool) list ref) Hashtbl.t =
-      Hashtbl.create 1024
-    in
-    let tokens_of_col : (string, string list ref) Hashtbl.t = Hashtbl.create 256 in
-    let bucket key =
-      match Hashtbl.find_opt buckets key with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.replace buckets key b;
-          let c, v = key in
-          let toks =
-            match Hashtbl.find_opt tokens_of_col c with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace tokens_of_col c l;
-                l
-          in
-          if not (List.mem v !toks) then toks := v :: !toks;
-          b
-    in
-    let scan_limit = 64 in
-    let table_of_col c =
-      match String.index_opt c '.' with Some i -> String.sub c 0 i | None -> c
-    in
-    List.iter
-      (fun i ->
-        let inf = Analyzer.info anl i in
-        let consider key ~i_writes =
-          match Hashtbl.find_opt buckets key with
-          | None -> ()
-          | Some accs ->
-              let rec scan k = function
-                | [] -> ()
-                | (j, _) :: rest when j = i -> scan k rest
-                | (j, j_wrote) :: rest ->
-                    if k >= scan_limit then edges := (i, j) :: !edges
-                    else if i_writes then begin
-                      edges := (i, j) :: !edges;
-                      if not j_wrote then scan (k + 1) rest
-                    end
-                    else if j_wrote then edges := (i, j) :: !edges
-                    else scan (k + 1) rest
-              in
-              scan 0 !accs
-        in
-        let touch c ~write =
-          let toks = entry_row_tokens anl inf (table_of_col c) ~write in
-          List.iter
-            (fun v ->
-              (if v = "*" then
-                 match Hashtbl.find_opt tokens_of_col c with
-                 | Some all -> List.iter (fun v' -> consider (c, v') ~i_writes:write) !all
-                 | None -> ()
-               else begin
-                 consider (c, v) ~i_writes:write;
-                 consider (c, "*") ~i_writes:write
-               end);
-              let b = bucket (c, v) in
-              b :=
-                (i, write)
-                :: (if List.length !b > 2 * scan_limit then
-                      List.filteri (fun k _ -> k < scan_limit) !b
-                    else !b))
-            toks
-        in
-        Rwset.Colset.iter (fun c -> touch c ~write:false) inf.Analyzer.rw.Rwset.r;
-        Rwset.Colset.iter (fun c -> touch c ~write:true) inf.Analyzer.rw.Rwset.w)
-      members;
-    List.sort_uniq compare !edges
-
-  let write_write_table_edges anl ~members =
-    let edges = ref [] in
-    let last_writer : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
-    let toks_of_table : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-    let note_tok table v =
-      let l =
-        match Hashtbl.find_opt toks_of_table table with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace toks_of_table table l;
-            l
-      in
-      if not (List.mem v !l) then l := v :: !l
-    in
-    let write_tables (rw : Rwset.rw) =
-      Rwset.Colset.fold
-        (fun key acc ->
-          if is_schema_key key then acc
-          else
-            match String.index_opt key '.' with
-            | Some i -> String.sub key 0 i :: acc
-            | None -> acc)
-        rw.Rwset.w []
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun i ->
-        let inf = Analyzer.info anl i in
-        List.iter
-          (fun table ->
-            let toks = entry_row_tokens anl inf table ~write:true in
-            let edge_to j = if j <> i then edges := (i, j) :: !edges in
-            List.iter
-              (fun v ->
-                if v = "*" then (
-                  match Hashtbl.find_opt toks_of_table table with
-                  | Some all ->
-                      List.iter
-                        (fun v' ->
-                          Option.iter edge_to (Hashtbl.find_opt last_writer (table, v')))
-                        !all
-                  | None -> ())
-                else begin
-                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, v));
-                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, "*"))
-                end)
-              toks;
-            List.iter
-              (fun v ->
-                if v = "*" then begin
-                  (match Hashtbl.find_opt toks_of_table table with
-                  | Some all ->
-                      List.iter (fun v' -> Hashtbl.replace last_writer (table, v') i) !all
-                  | None -> ());
-                  note_tok table "*";
-                  Hashtbl.replace last_writer (table, "*") i
-                end
-                else begin
-                  note_tok table v;
-                  Hashtbl.replace last_writer (table, v) i
-                end)
-              toks)
-          (write_tables inf.Analyzer.rw))
-      members;
-    List.sort_uniq compare !edges
-
-  let edges anl ~members =
-    List.sort_uniq compare
-      (dependency_edges anl ~members @ write_write_table_edges anl ~members)
-end
-
-let check_replay_dag ~label anl members =
-  let want = Reference.edges anl ~members in
-  let dag = Analyzer.replay_dag anl ~members in
-  check Alcotest.(list (pair int int)) (label ^ ": edges") want (Conflict_dag.edges dag);
-  check
-    Alcotest.(list (list int))
-    (label ^ ": waves")
-    (Conflict_dag.waves (Conflict_dag.build ~nodes:members ~edges:want))
-    (Conflict_dag.waves dag)
-
 let test_replay_dag_workload (w : W.t) () =
   let eng, base = build w ~n:60 ~dep_rate:0.3 in
   let log = Engine.log eng in
@@ -499,7 +321,7 @@ let test_replay_dag_workload (w : W.t) () =
     let target = { Analyzer.tau; op = Analyzer.Remove } in
     List.iter
       (fun (name, rs) ->
-        check_replay_dag
+        Dag_reference.check
           ~label:(Printf.sprintf "%s tau=%d %s" w.W.name tau name)
           anl rs.Analyzer.member_indexes)
       [
@@ -508,7 +330,7 @@ let test_replay_dag_workload (w : W.t) () =
       ]
   done;
   (* the whole history, read-only entries included *)
-  check_replay_dag ~label:(w.W.name ^ " every entry") anl (List.init n (fun i -> i + 1))
+  Dag_reference.check ~label:(w.W.name ^ " every entry") anl (List.init n (fun i -> i + 1))
 
 (* Every rule on purpose. Table [t] keys rows by [id]; values 2 and 9
    alias once #132 rewrites 2 to 9, so #129 reads and writes row 2 twice
@@ -558,8 +380,8 @@ let test_replay_dag_hand_built () =
   let canon v = Analyzer.canonical_row_value anl ~table:"t" (Uv_sql.Value.Int v) in
   check Alcotest.string "2 and 9 alias" (canon 2) (canon 9);
   let all = List.init n (fun i -> i + 1) in
-  check_replay_dag ~label:"hand-built, every entry" anl all;
-  check_replay_dag ~label:"hand-built, writers only" anl
+  Dag_reference.check ~label:"hand-built, every entry" anl all;
+  Dag_reference.check ~label:"hand-built, writers only" anl
     (List.filter
        (fun i ->
          not (Rwset.Colset.is_empty (Analyzer.info anl i).Analyzer.rw.Rwset.w))
