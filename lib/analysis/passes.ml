@@ -2,6 +2,7 @@ open Uv_sql
 open Ast
 module Schema_view = Uv_retroactive.Schema_view
 module Rwset = Uv_retroactive.Rwset
+module Analyzer = Uv_retroactive.Analyzer
 module Log = Uv_db.Log
 module D = Diagnostic
 
@@ -193,19 +194,6 @@ let rec contains_dml = function
   | Insert _ | Insert_select _ | Update _ | Delete _ | Call _ -> true
   | _ -> false
 
-let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
-
-let write_tables (rw : Rwset.rw) =
-  Rwset.Colset.fold
-    (fun key acc ->
-      if is_schema_key key then acc
-      else
-        match String.index_opt key '.' with
-        | Some i -> String.sub key 0 i :: acc
-        | None -> acc)
-    rw.Rwset.w []
-  |> List.sort_uniq compare
-
 let cluster ~seen_dml ctx =
   let stmt = ctx.entry.Log.stmt in
   let ddl =
@@ -221,7 +209,7 @@ let cluster ~seen_dml ctx =
       ]
     else []
   in
-  let wt = write_tables ctx.rw in
+  let wt = Analyzer.write_tables ctx.rw in
   let multi =
     if List.length wt >= 2 then
       [
@@ -291,7 +279,7 @@ type dead_state = {
 
 let dead_create () = { lw = Hashtbl.create 128; lr = Hashtbl.create 128 }
 
-let is_real_col k = (not (is_schema_key k)) && String.contains k '.'
+let is_real_col k = (not (Analyzer.is_schema_key k)) && String.contains k '.'
 
 let dead_record st ctx =
   Rwset.Colset.iter

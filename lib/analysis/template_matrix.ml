@@ -239,9 +239,6 @@ let template_guards ~sv ~config (tpl : T.template) =
 (* Matrix build                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let is_schema_key c =
-  String.length c > 3 && String.sub c 0 3 = "_S."
-
 let table_of_col c =
   match String.index_opt c '.' with
   | Some i -> Some (String.sub c 0 i)
@@ -271,7 +268,7 @@ let build ~config set =
             let ga = Hashtbl.find guards a.T.id
             and gb = Hashtbl.find guards b.T.id in
             let col_guarded c =
-              (not (is_schema_key c))
+              (not (Uv_retroactive.Analyzer.is_schema_key c))
               &&
               match table_of_col c with
               | None -> false

@@ -111,6 +111,12 @@ type scratch = {
   mutable heap : int array;
 }
 
+(* One statement shape's column-wise sets under the schema generation
+   the memo holds, and its [entry_cols] row, interned at the first entry
+   of the shape that needs one ([||] until then). Neither is ever
+   written after that, so every entry of the shape shares both. *)
+type shape_sets = { s_rw : Rwset.rw; mutable s_cols : int array }
+
 type t = {
   mutable infos : info array;
   config : Rowset.config;
@@ -142,6 +148,10 @@ type t = {
       (* Rowset merge generation the row keys were derived under *)
   runs_buf : posting; (* [extend]'s buffer for [row_runs] *)
   groups : (string, int list) Hashtbl.t; (* app_txn tag -> entry indexes *)
+  shapes : shape_sets Shape.Tbl.t;
+      (* [extend]'s memo: statement shape -> its sets under [sv] at
+         generation [shapes_generation] *)
+  mutable shapes_generation : int;
   mutable cell_index : cell_index option;
   scratch : scratch option Atomic.t;
       (* taken by one closure at a time: concurrent questions (the
@@ -164,18 +174,19 @@ let grow a len fill =
   Array.blit a 0 b 0 len;
   b
 
+(* The real tables of a column set's qualified columns, onto [acc]. *)
+let real_tables s acc =
+  Rwset.Colset.fold
+    (fun key acc ->
+      if is_schema_key key || not (String.contains key '.') then acc
+      else table_of_col key :: acc)
+    s acc
+
 let tables_of_rw (rw : Rwset.rw) =
-  let of_set s =
-    Rwset.Colset.fold
-      (fun key acc ->
-        if is_schema_key key then acc
-        else
-          match String.index_opt key '.' with
-          | Some i -> String.sub key 0 i :: acc
-          | None -> acc)
-      s []
-  in
-  List.sort_uniq compare (of_set rw.Rwset.r @ of_set rw.Rwset.w)
+  List.sort_uniq compare (real_tables rw.Rwset.r (real_tables rw.Rwset.w []))
+
+let write_tables (rw : Rwset.rw) =
+  List.sort_uniq compare (real_tables rw.Rwset.w [])
 
 let dim0_of (config : Rowset.config) table =
   match List.assoc_opt table config.Rowset.ri_columns with
@@ -266,36 +277,42 @@ let intern_row t tid cv =
       t.row_postings.((2 * k) + 1) <- fresh_posting ();
       k
 
-(* Index one entry's columns and return its [entry_cols] row. Column
-   postings are ascending, so indexing a later entry appends. A reader
-   posting holds only entries that can ever join a closure — they write,
-   or carry an application transaction tag — and that do not also write
-   the column: whoever scans a column's readers scans its writers too,
-   so listing an entry in both would only visit it twice. *)
-let index_info t inf =
+(* The [entry_cols] row of column sets [rw]: [| nw; the nw written
+   column ids; the read column ids |], interned writes first. *)
+let cols_row t (rw : Rwset.rw) =
+  let nw = Rwset.Colset.cardinal rw.Rwset.w in
+  let cols = Array.make (1 + nw + Rwset.Colset.cardinal rw.Rwset.r) nw in
+  let k = ref 1 in
+  let put c =
+    cols.(!k) <- intern t c;
+    incr k
+  in
+  Rwset.Colset.iter put rw.Rwset.w;
+  Rwset.Colset.iter put rw.Rwset.r;
+  cols
+
+(* Index one entry's columns and return its [entry_cols] row, the one
+   its shape [sh] holds (interned at the first entry of the shape that
+   needs one). Column postings are ascending, so indexing a later entry
+   appends. A reader posting holds only entries that can ever join a
+   closure — they write, or carry an application transaction tag — and
+   that do not also write the column: whoever scans a column's readers
+   scans its writers too, so listing an entry in both would only visit
+   it twice. *)
+let index_info t inf sh =
   let i = inf.index in
-  let r = inf.rw.Rwset.r and w = inf.rw.Rwset.w in
-  let nw = Rwset.Colset.cardinal w in
   let cols =
-    if nw = 0 && inf.app_txn = None then [||]
+    if Rwset.Colset.is_empty inf.rw.Rwset.w && inf.app_txn = None then [||]
     else begin
-      let cols = Array.make (1 + nw + Rwset.Colset.cardinal r) nw in
-      let k = ref 1 in
-      Rwset.Colset.iter
-        (fun c ->
-          let id = intern t c in
-          cols.(!k) <- id;
-          incr k;
-          posting_push t.postings.((2 * id) + 1) i)
-        w;
+      if sh.s_cols = [||] then sh.s_cols <- cols_row t sh.s_rw;
+      let cols = sh.s_cols in
+      let nw = cols.(0) in
       let rec written id j = j <= nw && (cols.(j) = id || written id (j + 1)) in
-      Rwset.Colset.iter
-        (fun c ->
-          let id = intern t c in
-          cols.(!k) <- id;
-          incr k;
-          if not (written id 1) then posting_push t.postings.(2 * id) i)
-        r;
+      for k = 1 to Array.length cols - 1 do
+        let id = cols.(k) in
+        if k <= nw then posting_push t.postings.((2 * id) + 1) i
+        else if not (written id 1) then posting_push t.postings.(2 * id) i
+      done;
       cols
     end
   in
@@ -486,35 +503,55 @@ let create ?(config = Rowset.default_config) ?base source =
     keyed_generation = Rowset.merge_generation row_state;
     runs_buf = fresh_posting ();
     groups = Hashtbl.create 256;
+    shapes = Shape.Tbl.create 64;
+    shapes_generation = Schema_view.generation sv;
     cell_index = None;
     scratch = Atomic.make None;
   }
+
+(* The sets of [stmt]'s shape under the schema view as it stands: a
+   memo hit, or derived (counted in [derived]) and memoised. A schema
+   change empties the memo. *)
+let shape_sets t ~derived stmt =
+  let gen = Schema_view.generation t.sv in
+  if gen <> t.shapes_generation then begin
+    Shape.Tbl.reset t.shapes;
+    t.shapes_generation <- gen
+  end;
+  match Shape.Tbl.find_opt t.shapes stmt with
+  | Some sh -> sh
+  | None ->
+      incr derived;
+      let sh = { s_rw = Rwset.of_stmt t.sv stmt; s_cols = [||] } in
+      Shape.Tbl.replace t.shapes stmt sh;
+      sh
 
 let extend ?(obs = Uv_obs.Trace.disabled) t =
   let n = t.source.src_length () in
   let from = Array.length t.infos + 1 in
   if n < from then 0
   else begin
-    let batch = ref [] and cols = ref [] in
+    let batch = ref [] and cols = ref [] and derived = ref 0 in
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
         t.source.src_iter from n (fun e ->
-            let rw = Rwset.of_stmt t.sv e.Uv_db.Log.stmt in
+            let stmt = e.Uv_db.Log.stmt in
+            let sh = shape_sets t ~derived stmt in
             let rows =
-              Rowset.of_entry t.row_state t.sv e.Uv_db.Log.stmt
-                e.Uv_db.Log.nondet
+              Rowset.of_entry t.row_state t.sv stmt e.Uv_db.Log.nondet
             in
-            Schema_view.apply t.sv e.Uv_db.Log.stmt;
+            Schema_view.apply t.sv stmt;
             let inf =
               {
                 index = e.Uv_db.Log.index;
-                stmt = e.Uv_db.Log.stmt;
-                rw;
+                stmt;
+                rw = sh.s_rw;
                 rows;
                 app_txn = e.Uv_db.Log.app_txn;
               }
             in
             batch := inf :: !batch;
-            cols := index_info t inf :: !cols));
+            cols := index_info t inf sh :: !cols);
+        Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations");
     t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
     t.entry_cols <- Array.append t.entry_cols (Array.of_list (List.rev !cols));
     t.entry_rows <- Array.append t.entry_rows (Array.make (n - from + 1) [||]);
@@ -1117,10 +1154,8 @@ let classify t ~joined seed_rw =
           if is_schema_key key then
             (* mutated schema object: the object itself must be restored *)
             String.sub key 3 (String.length key - 3) :: acc
-          else
-            match String.index_opt key '.' with
-            | Some i -> String.sub key 0 i :: acc
-            | None -> acc)
+          else if String.contains key '.' then table_of_col key :: acc
+          else acc)
         s []
     in
     real_of rwsets

@@ -87,7 +87,8 @@ val of_source :
     used by replay-set computation. [base] is the catalog state at the
     start of the history (the checkpoint the history grows from); it
     seeds the schema view and the Hash-jumper's initial table hashes.
-    [obs] records [analyze.rwsets]/[analyze.index] spans. *)
+    [obs] records [analyze.rwsets]/[analyze.index] spans and the
+    [analyze.rw_derivations] counter (see {!extend}). *)
 
 val analyze :
   ?config:Rowset.config ->
@@ -108,6 +109,19 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     derived for the new entries under the merge state after the batch;
     an RI merge learned by a new entry re-derives every entry's keys
     (and drops Joint's cell index, rebuilt at the next Joint question).
+
+    Column-wise sets are derived once per statement shape
+    ({!Uv_sql.Shape}: the statement with its literals erased) and
+    schema generation ({!Schema_view.generation}), in a memo the
+    analyzer keeps across batches: every later entry of the shape
+    shares the shape's [rw] and interned column row, and only posts
+    itself under the row's columns. A schema change empties the memo.
+    Row sets are not memoised: [Rowset.of_entry] runs on every entry,
+    since it reads values and learns RI aliases and merges from them.
+    [obs]'s [analyze.rw_derivations] counter gets the [Rwset.of_stmt]
+    calls made — one per distinct (generation, shape) the batch meets
+    first. Questions ({!target_rw}) never read or write the memo.
+
     Only sound while the analysed prefix is intact — a truncated log or
     a history rewritten in place requires a fresh [analyze] (the what-if
     session enforces this, treating DDL among the new entries as a
@@ -303,8 +317,14 @@ val replay_dag :
     [obs] gets a [cluster] span over the whole pass and the DAG build,
     and the [replay.edges] counter, bumped by the distinct edges. *)
 
+val is_schema_key : string -> bool
+(** A virtual schema-monitoring column (["_S.name"], see {!Rwset}). *)
+
 val tables_of_rw : Rwset.rw -> string list
-(** Real tables (not [_S] objects) appearing in a column set. *)
+(** Real tables (not [_S] objects) appearing in a column set, sorted. *)
+
+val write_tables : Rwset.rw -> string list
+(** Real tables whose columns the write set holds, sorted. *)
 
 val to_dot : t -> members:int list -> string
 (** Graphviz rendering of {!replay_dag} over 𝕀 (Figure 6 style): nodes

@@ -4,13 +4,11 @@ type plan = {
   statements : int;
 }
 
-let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
-
 (* cell-wise conflict: column-level overlap refined by row-level overlap;
    _S schema keys behave as wildcard rows (Table B) *)
 let conflicts row_state (a_rw : Rwset.rw) a_rows (b_rw : Rwset.rw) b_rows =
   let inter x y = not (Rwset.Colset.is_empty (Rwset.Colset.inter x y)) in
-  let sk s = Rwset.Colset.filter is_schema_key s in
+  let sk s = Rwset.Colset.filter Analyzer.is_schema_key s in
   let col_conflict =
     inter a_rw.Rwset.w b_rw.Rwset.r
     || inter a_rw.Rwset.r b_rw.Rwset.w

@@ -6,6 +6,7 @@ type t = {
   views : (string, Ast.select) Hashtbl.t;
   procs : (string, Uv_db.Catalog.procedure) Hashtbl.t;
   trigs : (string, Uv_db.Catalog.trigger) Hashtbl.t;
+  mutable generation : int; (* bumped by every [apply] that may change the view *)
 }
 
 let create () =
@@ -14,6 +15,7 @@ let create () =
     views = Hashtbl.create 8;
     procs = Hashtbl.create 8;
     trigs = Hashtbl.create 8;
+    generation = 0;
   }
 
 let of_catalog cat =
@@ -46,20 +48,25 @@ let of_catalog cat =
     (Uv_db.Catalog.tables cat);
   t
 
-let rec apply t (s : stmt) =
+(* Apply [s]'s schema effects; [false] when they cannot change the view. *)
+let rec changes t (s : stmt) =
   match s with
   | Create_table { name; columns; _ } ->
-      Hashtbl.replace t.tables name (Schema.table name columns)
-  | Drop_table { name; _ } -> Hashtbl.remove t.tables name
-  | Truncate_table _ -> ()
+      Hashtbl.replace t.tables name (Schema.table name columns);
+      true
+  | Drop_table { name; _ } ->
+      Hashtbl.remove t.tables name;
+      true
+  | Truncate_table _ -> false
   | Alter_table (name, action) -> (
       match Hashtbl.find_opt t.tables name with
-      | None -> ()
+      | None -> false
       | Some sch -> (
           match action with
           | Add_column c ->
               Hashtbl.replace t.tables name
-                { sch with Schema.tbl_columns = sch.Schema.tbl_columns @ [ c ] }
+                { sch with Schema.tbl_columns = sch.Schema.tbl_columns @ [ c ] };
+              true
           | Drop_column cname ->
               Hashtbl.replace t.tables name
                 {
@@ -69,15 +76,21 @@ let rec apply t (s : stmt) =
                       (fun (c : Schema.column) ->
                         not (String.equal c.Schema.col_name cname))
                       sch.Schema.tbl_columns;
-                }
+                };
+              true
           | Rename_table n2 ->
               Hashtbl.remove t.tables name;
-              Hashtbl.replace t.tables n2 { sch with Schema.tbl_name = n2 }
+              Hashtbl.replace t.tables n2 { sch with Schema.tbl_name = n2 };
+              true
           | Set_auto_increment _ ->
               (* counter pin: no schema shape change *)
-              ()))
-  | Create_view { name; query; _ } -> Hashtbl.replace t.views name query
-  | Drop_view name -> Hashtbl.remove t.views name
+              false))
+  | Create_view { name; query; _ } ->
+      Hashtbl.replace t.views name query;
+      true
+  | Drop_view name ->
+      Hashtbl.remove t.views name;
+      true
   | Create_procedure { name; params; label; body } ->
       Hashtbl.replace t.procs name
         {
@@ -85,8 +98,11 @@ let rec apply t (s : stmt) =
           proc_params = params;
           proc_label = label;
           proc_body = body;
-        }
-  | Drop_procedure name -> Hashtbl.remove t.procs name
+        };
+      true
+  | Drop_procedure name ->
+      Hashtbl.remove t.procs name;
+      true
   | Create_trigger { name; timing; event; table; body } ->
       Hashtbl.replace t.trigs name
         {
@@ -95,12 +111,20 @@ let rec apply t (s : stmt) =
           trig_event = event;
           trig_table = table;
           trig_body = body;
-        }
-  | Drop_trigger name -> Hashtbl.remove t.trigs name
-  | Transaction stmts -> List.iter (apply t) stmts
+        };
+      true
+  | Drop_trigger name ->
+      Hashtbl.remove t.trigs name;
+      true
+  | Transaction stmts ->
+      List.fold_left (fun changed s -> changes t s || changed) false stmts
   | Create_index _ | Drop_index _ | Select _ | Insert _ | Insert_select _ | Update _ | Delete _
   | Call _ ->
-      ()
+      false
+
+let apply t s = if changes t s then t.generation <- t.generation + 1
+
+let generation t = t.generation
 
 let build ?base iter =
   let t = match base with Some cat -> of_catalog cat | None -> create () in
@@ -156,4 +180,5 @@ let copy t =
     views = Hashtbl.copy t.views;
     procs = Hashtbl.copy t.procs;
     trigs = Hashtbl.copy t.trigs;
+    generation = t.generation;
   }

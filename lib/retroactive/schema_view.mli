@@ -21,6 +21,12 @@ val apply : t -> Ast.stmt -> unit
 (** Apply the schema effects of a statement (non-DDL statements are
     no-ops, except INSERT bumping nothing — data is never tracked). *)
 
+val generation : t -> int
+(** Bumped by every {!apply} of a statement that creates, drops, alters
+    or replaces a table, view, procedure or trigger, DDL nested in a
+    [Transaction] included. Anything derived from the view alone (the
+    analyzer's per-shape column sets) stays valid while it holds. *)
+
 val build : ?base:Uv_db.Catalog.t -> ((Ast.stmt -> unit) -> unit) -> t
 (** Fold-style constructor: [build iter] seeds a view from [base] (or
     empty) and hands [iter] an apply function to feed statements in

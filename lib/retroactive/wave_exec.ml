@@ -260,26 +260,27 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
      right after it committed: bit-identical to a serial replay, and
      therefore safe for the Hash-jumper to consume on branched
      universes. *)
-  let running = Hashtbl.create 16 in
-  List.iter (fun (n, h) -> Hashtbl.replace running n h) base;
-  let restamp it =
-    match Hashtbl.find_opt entries it.idx with
-    | None -> ()
-    | Some e ->
-        (* the deltas name the entry's written tables, in its order *)
-        let wh =
-          List.map
-            (fun (n, d) ->
-              let cur = Option.value (Hashtbl.find_opt running n) ~default:0L in
-              let v = Uv_util.Table_hash.add_mod cur d in
-              Hashtbl.replace running n v;
-              (n, v))
-            (Hashtbl.find deltas it.idx)
-        in
-        Hashtbl.replace entries it.idx { e with Uv_db.Log.written_hashes = wh }
-  in
-  Option.iter restamp head;
-  List.iter restamp items;
+  Uv_obs.Trace.with_span obs ~cat:"replay" "replay.restamp" (fun () ->
+    let running = Hashtbl.create 16 in
+    List.iter (fun (n, h) -> Hashtbl.replace running n h) base;
+    let restamp it =
+      match Hashtbl.find_opt entries it.idx with
+      | None -> ()
+      | Some e ->
+          (* the deltas name the entry's written tables, in its order *)
+          let wh =
+            List.map
+              (fun (n, d) ->
+                let cur = Option.value (Hashtbl.find_opt running n) ~default:0L in
+                let v = Uv_util.Table_hash.add_mod cur d in
+                Hashtbl.replace running n v;
+                (n, v))
+              (Hashtbl.find deltas it.idx)
+          in
+          Hashtbl.replace entries it.idx { e with Uv_db.Log.written_hashes = wh }
+    in
+    Option.iter restamp head;
+    List.iter restamp items);
   {
     durations;
     entries;

@@ -108,19 +108,6 @@ let fault_message (inj : Uv_fault.Fault.injection) =
     (Uv_fault.Fault.kind_name inj.Uv_fault.Fault.kind)
     inj.Uv_fault.Fault.site inj.Uv_fault.Fault.key inj.Uv_fault.Fault.hit
 
-let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
-
-let write_tables (rw : Rwset.rw) =
-  Rwset.Colset.fold
-    (fun key acc ->
-      if is_schema_key key then acc
-      else
-        match String.index_opt key '.' with
-        | Some i -> String.sub key 0 i :: acc
-        | None -> acc)
-    rw.Rwset.w []
-  |> List.sort_uniq compare
-
 (* Serial fallback conditions (see DESIGN.md §parallel replay executor):
    the wave executor handles DML only. DDL members (or a DDL target)
    mutate the schema mid-replay, and the Hash-jumper needs commit-prefix
@@ -135,7 +122,7 @@ let parallel_eligible (config : Config.t) ~analyzer target members =
        (fun i ->
          let inf = Analyzer.info analyzer i in
          (not (Uv_sql.Ast.is_ddl inf.Analyzer.stmt))
-         && not (Rwset.Colset.exists is_schema_key inf.Analyzer.rw.Rwset.w))
+         && not (Rwset.Colset.exists Analyzer.is_schema_key inf.Analyzer.rw.Rwset.w))
        members
 
 (* Checkpoint-jumping rollback (strategy B): instead of undoing every
@@ -404,6 +391,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         (Uv_db.Catalog.tables temp_cat)
     in
     let items =
+      Uv_obs.Trace.with_span obs ~cat:"replay" "replay.items" @@ fun () ->
       List.map
         (fun (i, plan) ->
           let entry = Uv_db.Log.entry log i in
@@ -419,7 +407,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
             structural =
               List.exists
                 (fun t -> List.mem t structural_tables)
-                (write_tables inf.Analyzer.rw);
+                (Analyzer.write_tables inf.Analyzer.rw);
             plan;
           })
         member_plans

@@ -99,6 +99,20 @@ step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 step "closure smoke: replay sets and provenance == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge, allocation flat in history" \
   dune exec test/test_closure.exe
 
+# the analyzer's per-shape memo against direct derivation: every
+# entry's column sets on the five workloads (raw and transpiled, with
+# the schema script and the transpiled procedures, analysed in one
+# batch and in three) equal Rwset.of_stmt on a schema view the test
+# advances itself; a hand-built history uses a shape again right after
+# ADD COLUMN, CREATE TRIGGER, CREATE OR REPLACE VIEW, DROP PROCEDURE and
+# CREATE PROCEDURE (and after DDL inside a transaction), with replay
+# sets == the pairwise reference; single-literal mutations (NULL
+# included) share one derivation; analyze.rw_derivations equals the
+# distinct (schema generation, shape) pairs and is the same at 1 008
+# and 4 008 history entries
+step "shape memo smoke: memoized column sets == direct derivation, DDL between uses, derivations flat in history" \
+  dune exec test/test_closure.exe -- test "shape memo"
+
 # the replay DAG, which reads the analyzer's int row keys, against the
 # string-keyed edge builders it replaced (the reference still keys its
 # buckets by canonical value strings, so it shares no key space with
