@@ -1124,7 +1124,7 @@ let bench_template_analysis () =
         ignore (W.run_history rt ~mode:R.Raw calls);
         let log = Engine.log eng in
         let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
-        let fast = F.prepare ~log ~set ~matrix anl in
+        let fast = F.prepare ~set ~matrix anl in
         (* target a hot-entity write with a bounded removal closure: the
            paper's scenario is a replay set that stays small while the
            history grows, so skip reads (their removal depends on

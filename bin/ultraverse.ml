@@ -454,7 +454,7 @@ let lint_cmd =
                 in
                 let set, matrix = template_artifacts w in
                 let fast =
-                  Uv_analysis.Template_fastpath.prepare ~log ~set ~matrix anl
+                  Uv_analysis.Template_fastpath.prepare ~set ~matrix anl
                 in
                 let ctx =
                   {

@@ -77,7 +77,7 @@ let refresh fp anl =
   if Analyzer.row_merge_generation anl <> fp.generation then
     rebuild_gvals fp anl
 
-let prepare ?log ~set ~matrix anl =
+let prepare ~set ~matrix anl =
   let n = Analyzer.length anl in
   (* DDL anywhere in the history invalidates the statically computed
      template sets for entries after it; degrade the whole history to
@@ -97,11 +97,7 @@ let prepare ?log ~set ~matrix anl =
     with
     | Some (tpl, binding) ->
         assign.(i - 1) <- Some { tid = tpl.T.id; binding; gvals = [] };
-        push by_tid tpl.T.id i;
-        (match log with
-        | Some l when i <= Log.length l ->
-            Log.set_template_id (Log.entry l i) (Some tpl.T.id)
-        | _ -> ())
+        push by_tid tpl.T.id i
     | None -> unmatched := i :: !unmatched
   done;
   let fp =

@@ -34,13 +34,11 @@
 type t
 
 val prepare :
-  ?log:Uv_db.Log.t ->
   set:Template_extract.set ->
   matrix:Template_matrix.t ->
   Uv_retroactive.Analyzer.t ->
   t
-(** Match every analyzed entry, stamp [log] entries' [template_id] when
-    the log is supplied, and build the buckets. Guard values are
+(** Match every analyzed entry and build the buckets. Guard values are
     canonicalized through the analyzer's RI merge state; the buckets
     refresh automatically if the merge generation moves. *)
 

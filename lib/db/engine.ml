@@ -1844,7 +1844,6 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?plan ?sql t stmt =
           written_hashes;
           undo = t.journal;
           app_txn;
-          template_id = None;
         }
       in
       Log.append t.log entry;

@@ -20,10 +20,7 @@ type entry = {
   written_hashes : (string * int64) list;
   undo : undo list;
   app_txn : string option;
-  mutable template_id : int option;
 }
-
-let set_template_id e tid = e.template_id <- tid
 
 let apply_undo cat undos =
   List.iter

@@ -49,14 +49,7 @@ type entry = {
           binlog-row-format before-images that make selective rollback
           (§4.4 rollback option (i)) possible *)
   app_txn : string option;  (** application-level transaction name *)
-  mutable template_id : int option;
-      (** id of the static query template this statement matched, stamped
-          by the template fast-path after matching (like [undo], never
-          persisted — a fresh load starts unstamped) *)
 }
-
-val set_template_id : entry -> int option -> unit
-(** Stamp (or clear) the entry's matched template id. *)
 
 val apply_undo : Catalog.t -> undo list -> unit
 (** Apply one entry's inverse operations (already ordered most recent

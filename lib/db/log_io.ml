@@ -191,7 +191,7 @@ let salvage text =
               if Option.is_none !sql then corrupt "C line outside a record";
               if version = 1 then corrupt "checksum line in a v1 log";
               if len < 2 then corrupt "short line %S" (line off len);
-              (match Uv_util.Crc32.of_hex (line (off + 2) (len - 2)) with
+              (match Uv_util.Crc32.of_hex_sub text (off + 2) (len - 2) with
               | None -> corrupt "malformed checksum %S" (line off len)
               | Some c ->
                   if c <> !body_crc then

@@ -365,7 +365,7 @@ let seg_records t (i : iseg) =
       let bytes = read_file_or_error path in
       t.resident_peak <- max t.resident_peak (String.length bytes);
       let records, diag = Log_io.salvage bytes in
-      let crc = Uv_util.Crc32.(to_hex (digest bytes)) in
+      let crc = Uv_util.Crc32.digest bytes in
       let expected = seg_count i in
       (match i.valid with
       | Some v ->
@@ -375,11 +375,11 @@ let seg_records t (i : iseg) =
               (Printf.sprintf "salvaged prefix shrank to %d record(s), want %d"
                  (List.length records) v)
       | None -> (
-          if not (String.equal crc i.s.seg_crc) then
+          if Uv_util.Crc32.of_hex i.s.seg_crc <> Some crc then
             corrupt_segment ~seq:i.s.seg_seq ~path
               ~offset:(Option.value diag.Log_io.cut_at ~default:0)
               (Printf.sprintf "segment checksum mismatch (stored %s, computed %s)"
-                 i.s.seg_crc crc);
+                 i.s.seg_crc (Uv_util.Crc32.to_hex crc));
           match diag.Log_io.cut_at with
           | Some off ->
               corrupt_segment ~seq:i.s.seg_seq ~path ~offset:off
@@ -625,17 +625,16 @@ let close t =
 (* Entries and replay                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let entry_of_record ~index (r : Log_io.record) : Log.entry =
+let entry_of_record ~memo ~index (r : Log_io.record) : Log.entry =
   {
     Log.index;
-    stmt = Uv_sql.Parser.parse_stmt r.Log_io.r_sql;
+    stmt = Uv_sql.Stmt_memo.parse memo r.Log_io.r_sql;
     sql = r.Log_io.r_sql;
     nondet = r.Log_io.r_nondet;
     rows_written = 0;
     written_hashes = [];
     undo = [];
     app_txn = r.Log_io.r_app_txn;
-    template_id = None;
   }
 
 let replay ?(align_checkpoints = true) t eng =

@@ -183,11 +183,13 @@ val records : t -> Log_io.record list
 (** Materialise everything — legacy-compat and tests only; defeats the
     memory bound by design. *)
 
-val entry_of_record : index:int -> Log_io.record -> Log.entry
+val entry_of_record :
+  memo:Uv_sql.Stmt_memo.t -> index:int -> Log_io.record -> Log.entry
 (** Lift a durable record back into a log entry: the statement is
-    re-parsed; volatile fields (undo images, written hashes, row
-    counts, template id) start empty, exactly as after a fresh
-    {!Log_io.replay}. *)
+    re-parsed through [memo] (the same AST {!Uv_sql.Parser.parse_stmt}
+    gives, parsed in full once per statement shape); volatile fields
+    (undo images, written hashes, row counts) start empty, exactly as
+    after a fresh {!Log_io.replay}. *)
 
 val replay : ?align_checkpoints:bool -> t -> Engine.t -> int list
 (** Stream-replay the whole store into an engine (one segment

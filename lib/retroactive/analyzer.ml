@@ -55,12 +55,13 @@ let source_of_log log =
   }
 
 let source_of_store store =
+  let memo = Uv_sql.Stmt_memo.create () in
   {
     src_length = (fun () -> Uv_db.Log_store.length store);
     src_iter =
       (fun lo hi f ->
         Uv_db.Log_store.iter_range store ~lo ~hi (fun index r ->
-            f (Uv_db.Log_store.entry_of_record ~index r)));
+            f (Uv_db.Log_store.entry_of_record ~memo ~index r)));
   }
 
 let source_of_fun ~length fetch =

@@ -72,7 +72,9 @@ val source_of_log : Uv_db.Log.t -> source
 val source_of_store : Uv_db.Log_store.t -> source
 (** Streams via {!Uv_db.Log_store.iter_range}/[entry_of_record]: peak
     resident log memory during analysis is one segment plus the
-    manifest. *)
+    manifest. Each call makes one {!Uv_sql.Stmt_memo}, so the source
+    parses each statement shape in full once and builds every other
+    record's statement from its bytes. *)
 
 val source_of_fun : length:(unit -> int) -> (int -> Uv_db.Log.entry) -> source
 (** A source from a random-access fetch function. *)

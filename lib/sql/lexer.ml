@@ -97,6 +97,85 @@ let op_of = function
   | '/' -> Op "/"
   | _ -> Op "%"
 
+(* ---- literal rules, shared by [tokenize] and [scan] ---- *)
+
+let rec digits_stop src n i =
+  if i < n && is_digit (String.unsafe_get src i) then digits_stop src n (i + 1) else i
+
+let rec ident_stop src n i =
+  if i < n && is_ident_char (String.unsafe_get src i) then ident_stop src n (i + 1)
+  else i
+
+(* The end of the number whose first digit is at [i]: its digits, then a
+   fraction when a '.' is followed by a digit. *)
+let number_stop src n i =
+  let j = digits_stop src n i in
+  if j + 1 < n && String.unsafe_get src j = '.' && is_digit (String.unsafe_get src (j + 1))
+  then digits_stop src n (j + 2)
+  else j
+
+(* a number is a float exactly when its integer digits stop short of its end *)
+let is_float src start stop = digits_stop src stop start < stop
+
+(* [int_of_string] on a run of decimal digits, without the copy: the same
+   value, and the same [Failure] above [max_int]. *)
+let int_of_digits src start stop =
+  let rec go i acc =
+    if i = stop then acc
+    else
+      let d = Char.code (String.unsafe_get src i) - 48 in
+      if acc > (max_int - d) / 10 then failwith "int_of_string" else go (i + 1) ((acc * 10) + d)
+  in
+  go start 0
+
+let number_token src start stop =
+  if is_float src start stop then Float_lit (float_of_string (String.sub src start (stop - start)))
+  else Int_lit (int_of_digits src start stop)
+
+(* The end of the string literal whose body starts at [i] (just past the
+   opening quote): one past its closing quote, or [-1] when it is
+   unterminated. A doubled quote and a backslash with the byte after it
+   stay inside the body. *)
+let rec string_stop src n i =
+  if i >= n then -1
+  else
+    match String.unsafe_get src i with
+    | '\'' when i + 1 < n && String.unsafe_get src (i + 1) = '\'' -> string_stop src n (i + 2)
+    | '\'' -> i + 1
+    | '\\' when i + 1 < n -> string_stop src n (i + 2)
+    | _ -> string_stop src n (i + 1)
+
+(* The value of the string body [start, stop) that [string_stop] bounded:
+   a doubled quote is one quote, [\n] and [\t] are newline and tab, and a
+   backslash keeps any other byte as it is. A body with no escape is one
+   substring. *)
+let string_body src start stop =
+  let rec plain i =
+    i >= stop
+    || match String.unsafe_get src i with '\'' | '\\' -> false | _ -> plain (i + 1)
+  in
+  if plain start then String.sub src start (stop - start)
+  else begin
+    let buf = Buffer.create (stop - start) in
+    let i = ref start in
+    while !i < stop do
+      match String.unsafe_get src !i with
+      | '\'' ->
+          Buffer.add_char buf '\'';
+          i := !i + 2
+      | '\\' ->
+          (match String.unsafe_get src (!i + 1) with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | c -> Buffer.add_char buf c);
+          i := !i + 2
+      | c ->
+          Buffer.add_char buf c;
+          incr i
+    done;
+    Buffer.contents buf
+  end
+
 let tokenize src =
   let n = String.length src in
   let pos = ref 0 in
@@ -134,61 +213,9 @@ let tokenize src =
           skip_ws ()
       | _ -> ()
   in
-  let read_string_escaped () =
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Lex_error ("unterminated string", !pos));
-      match src.[!pos] with
-      | '\'' when at 1 = '\'' ->
-          Buffer.add_char buf '\'';
-          pos := !pos + 2;
-          go ()
-      | '\'' -> incr pos
-      | '\\' when !pos + 1 < n ->
-          (match src.[!pos + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | c -> Buffer.add_char buf c);
-          pos := !pos + 2;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let read_string () =
-    (* opening quote consumed by caller; a literal with no escape before
-       its closing quote is one substring *)
-    let start = !pos in
-    let rec plain i =
-      if i >= n then read_string_escaped ()
-      else
-        match src.[i] with
-        | '\'' when i + 1 < n && src.[i + 1] = '\'' -> read_string_escaped ()
-        | '\'' ->
-            pos := i + 1;
-            String.sub src start (i - start)
-        | '\\' -> read_string_escaped ()
-        | _ -> plain (i + 1)
-    in
-    plain start
-  in
-  let read_number () =
-    let start = !pos in
-    while !pos < n && is_digit src.[!pos] do incr pos done;
-    if !pos < n && src.[!pos] = '.' && is_digit (at 1) then begin
-      incr pos;
-      while !pos < n && is_digit src.[!pos] do incr pos done;
-      Float_lit (float_of_string (String.sub src start (!pos - start)))
-    end
-    else Int_lit (int_of_string (String.sub src start (!pos - start)))
-  in
   let read_ident () =
     let start = !pos in
-    while !pos < n && is_ident_char src.[!pos] do incr pos done;
+    pos := ident_stop src n start;
     match keyword_at src start (!pos - start) with
     | Eof -> Ident (String.sub src start (!pos - start))
     | kw -> kw
@@ -203,8 +230,10 @@ let tokenize src =
     else
       match src.[!pos] with
       | '\'' ->
-          incr pos;
-          emit (Str_lit (read_string ()))
+          let stop = string_stop src n (!pos + 1) in
+          if stop < 0 then raise (Lex_error ("unterminated string", n));
+          emit (Str_lit (string_body src (!pos + 1) (stop - 1)));
+          pos := stop
       | '`' ->
           (* backquoted identifier, never a keyword *)
           incr pos;
@@ -216,10 +245,13 @@ let tokenize src =
       | '@' ->
           incr pos;
           let start = !pos in
-          while !pos < n && is_ident_char src.[!pos] do incr pos done;
+          pos := ident_stop src n start;
           if !pos = start then raise (Lex_error ("bare '@'", !pos));
           emit (At_var (String.sub src start (!pos - start)))
-      | c when is_digit c -> emit (read_number ())
+      | c when is_digit c ->
+          let start = !pos in
+          pos := number_stop src n start;
+          emit (number_token src start !pos)
       | c when is_ident_start c -> emit (read_ident ())
       | ('(' | ')' | ',' | ';' | '.' | ':') as c ->
           emit (punct_of c);
@@ -242,6 +274,104 @@ let tokenize src =
       | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !pos))
   done;
   Array.sub !toks 0 !count
+
+(* ---- literal scan: the shape of a statement from its bytes ---- *)
+
+type literal = Lit_int | Lit_float | Lit_str
+
+let kind_code = function Lit_int -> 0 | Lit_float -> 1 | Lit_str -> 2
+let kind_of_code = function 0 -> Lit_int | 1 -> Lit_float | _ -> Lit_str
+
+type scan = {
+  mutable count : int;
+  mutable spans : int array;  (* literal [k]: start, stop, kind code at [3k] *)
+  mutable key : int;
+}
+
+let scanner () = { count = 0; spans = Array.make 48 0; key = 0 }
+
+let snapshot sc = { sc with spans = Array.sub sc.spans 0 (3 * sc.count) }
+
+let literals sc = sc.count
+
+let check sc k = if k < 0 || k >= sc.count then invalid_arg "Lexer: no such literal"
+
+let literal_start sc k = check sc k; sc.spans.(3 * k)
+let literal_stop sc k = check sc k; sc.spans.((3 * k) + 1)
+let literal_kind sc k = check sc k; kind_of_code sc.spans.((3 * k) + 2)
+let key sc = sc.key
+
+let literal_token sc src k =
+  let start = literal_start sc k and stop = literal_stop sc k in
+  match literal_kind sc k with
+  | Lit_str -> Str_lit (string_body src (start + 1) (stop - 1))
+  | Lit_int | Lit_float -> number_token src start stop
+
+let hash_bytes h src i j =
+  let h = ref h in
+  for k = i to j - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get src k)
+  done;
+  !h
+
+let scan sc src =
+  let n = String.length src in
+  sc.count <- 0;
+  let h = ref 0 and gap = ref 0 in
+  let literal start stop kind =
+    let code = kind_code kind in
+    h := (hash_bytes !h src !gap start * 31) + 256 + code;
+    gap := stop;
+    if 3 * (sc.count + 1) > Array.length sc.spans then begin
+      let bigger = Array.make (2 * Array.length sc.spans) 0 in
+      Array.blit sc.spans 0 bigger 0 (3 * sc.count);
+      sc.spans <- bigger
+    end;
+    let at = 3 * sc.count in
+    sc.spans.(at) <- start;
+    sc.spans.(at + 1) <- stop;
+    sc.spans.(at + 2) <- code;
+    sc.count <- sc.count + 1
+  in
+  let next_is i c = i + 1 < n && String.unsafe_get src (i + 1) = c in
+  (* each case steps over one token as [tokenize] would; [false] where
+     [tokenize] would skip a comment or raise *)
+  let rec go i =
+    if i >= n then true
+    else
+      match String.unsafe_get src i with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
+      | '-' when next_is i '-' -> false
+      | '/' when next_is i '*' -> false
+      | '\'' ->
+          let stop = string_stop src n (i + 1) in
+          stop >= 0
+          && begin
+               literal i stop Lit_str;
+               go stop
+             end
+      | '`' -> (
+          match String.index_from_opt src (i + 1) '`' with
+          | Some j -> go (j + 1)
+          | None -> false)
+      | '@' ->
+          let j = ident_stop src n (i + 1) in
+          j > i + 1 && go j
+      | c when is_digit c ->
+          let stop = number_stop src n i in
+          literal i stop (if is_float src i stop then Lit_float else Lit_int);
+          go stop
+      | c when is_ident_start c -> go (ident_stop src n (i + 1))
+      | '(' | ')' | ',' | ';' | '.' | ':' | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' ->
+          go (i + 1)
+      | '!' when next_is i '=' -> go (i + 2)
+      | _ -> false
+  in
+  go 0
+  && begin
+       sc.key <- hash_bytes !h src !gap n land max_int;
+       true
+     end
 
 let show_token = function
   | Ident s -> "identifier " ^ s

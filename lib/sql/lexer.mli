@@ -26,4 +26,57 @@ val keywords : string list
 val tokenize : string -> token array
 (** Whole-input tokenization, ending with [Eof]. *)
 
+(** {2 Literal scan}
+
+    One pass over a statement's bytes that finds its literal tokens
+    without building any token: the byte shape a statement memo keys
+    on. It steps over every token by the rules [tokenize] uses (the
+    same character classes, the same string and number rules), records
+    each integer, float and string literal's byte span, and hashes the
+    bytes outside the spans together with the literals' kinds. Two
+    statements whose bytes outside their literal spans are equal, and
+    whose literals have the same kinds, lex to the same tokens except
+    for the literals' values. *)
+
+type literal = Lit_int | Lit_float | Lit_str
+
+type scan
+(** A reusable scan buffer: the last accepted statement's literal spans
+    and key. *)
+
+val scanner : unit -> scan
+
+val scan : scan -> string -> bool
+(** [scan sc src] scans [src] into [sc]. It declines ([false]) wherever
+    it cannot vouch for agreeing with [tokenize]: on a comment, and on
+    any input [tokenize] rejects with [Lex_error]. After a [false] the
+    contents of [sc] are unspecified. An integer literal above
+    [max_int] is accepted here; {!literal_token} then raises the
+    [Failure] that [tokenize] raises. *)
+
+val key : scan -> int
+(** Non-negative hash of the bytes outside the literal spans and of the
+    literals' kinds. Equal shapes hash equal; the converse needs a byte
+    comparison. *)
+
+val literals : scan -> int
+(** Literal tokens found, in source order. *)
+
+val literal_start : scan -> int -> int
+(** Byte offset of literal [k] (from 0), its opening quote included for
+    a string. @raise Invalid_argument when there is no literal [k]. *)
+
+val literal_stop : scan -> int -> int
+(** One past literal [k]'s last byte, its closing quote included. *)
+
+val literal_kind : scan -> int -> literal
+
+val literal_token : scan -> string -> int -> token
+(** [literal_token sc src k] is the [Int_lit], [Float_lit] or [Str_lit]
+    token [tokenize src] produces for literal [k].
+    @raise Failure ["int_of_string"] on an integer above [max_int]. *)
+
+val snapshot : scan -> scan
+(** An independent copy, unaffected by later scans. *)
+
 val show_token : token -> string

@@ -6,6 +6,10 @@ type state = {
   toks : Lexer.token array;
   mutable pos : int;
   mutable scope : string list; (* procedure params + DECLAREd locals *)
+  recording : bool;
+  mutable fed : (int * expr * bool) list;
+      (* when [recording]: each [Lit] a literal token fed, as (token
+         index, node, negated), latest first *)
 }
 
 let fail st msg =
@@ -76,6 +80,20 @@ let strict_ident st =
   | _ -> fail st "expected identifier"
 
 let in_scope st name = List.exists (String.equal name) st.scope
+
+(* The [Lit] of the literal token just consumed. *)
+let literal st v =
+  let e = Lit v in
+  if st.recording then st.fed <- (st.pos - 1, e, false) :: st.fed;
+  e
+
+(* [folded] stands for the literal [e] under a unary minus: the token
+   that fed [e] now feeds [folded], negated once more. *)
+let negate st e folded =
+  if st.recording then
+    st.fed <-
+      List.map (fun ((tok, e', neg) as f) -> if e' == e then (tok, folded, not neg) else f) st.fed;
+  folded
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                                *)
@@ -189,16 +207,16 @@ and parse_unary st =
   if accept_op st "-" then
     match parse_unary st with
     (* fold negative literals so printing round-trips *)
-    | Lit (Value.Int i) -> Lit (Value.Int (-i))
-    | Lit (Value.Float f) -> Lit (Value.Float (-.f))
+    | Lit (Value.Int i) as e -> negate st e (Lit (Value.Int (-i)))
+    | Lit (Value.Float f) as e -> negate st e (Lit (Value.Float (-.f)))
     | e -> Unop (Neg, e)
   else parse_primary st
 
 and parse_primary st =
   match next st with
-  | Lexer.Int_lit i -> Lit (Value.Int i)
-  | Lexer.Float_lit f -> Lit (Value.Float f)
-  | Lexer.Str_lit s -> Lit (Value.Text s)
+  | Lexer.Int_lit i -> literal st (Value.Int i)
+  | Lexer.Float_lit f -> literal st (Value.Float f)
+  | Lexer.Str_lit s -> literal st (Value.Text s)
   | Lexer.At_var v -> Var v
   | Lexer.Keyword "NULL" -> Lit Value.Null
   | Lexer.Keyword "TRUE" -> Lit (Value.Bool true)
@@ -876,20 +894,38 @@ and parse_drop st =
 (* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let make_state src =
+let make_state ?(recording = false) src =
   let toks =
     try Lexer.tokenize src
     with Lexer.Lex_error (msg, pos) ->
       raise (Parse_error (Printf.sprintf "lex error at %d: %s" pos msg))
   in
-  { toks; pos = 0; scope = [] }
+  { toks; pos = 0; scope = []; recording; fed = [] }
 
-let parse_stmt src =
-  let st = make_state src in
+let parse_one st =
   let s = parse_stmt_inner st in
   ignore (accept_punct st ";");
   if not (at_eof st) then fail st "trailing tokens after statement";
   s
+
+let parse_stmt src = parse_one (make_state src)
+
+type hole = { literal : int; node : expr; negated : bool }
+
+let parse_template src =
+  let st = make_state ~recording:true src in
+  let s = parse_one st in
+  (* a token's index among the literal tokens *)
+  let ordinal = Array.make (Array.length st.toks) (-1) in
+  let k = ref 0 in
+  Array.iteri
+    (fun i -> function
+      | Lexer.Int_lit _ | Lexer.Float_lit _ | Lexer.Str_lit _ ->
+          ordinal.(i) <- !k;
+          incr k
+      | _ -> ())
+    st.toks;
+  (s, List.rev_map (fun (tok, node, negated) -> { literal = ordinal.(tok); node; negated }) st.fed)
 
 let parse_script src =
   let st = make_state src in

@@ -1,5 +1,10 @@
 (** CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
 
+    The kernel reads eight bytes per step through eight 256-entry
+    tables built once at module initialisation (slicing-by-8), and
+    finishes a tail shorter than eight bytes one byte at a time. Its
+    values are bit-identical to the classic one-table bytewise loop.
+
     Used by the durable log format (ULOGv2) to detect torn or corrupted
     records. The digest is returned as a non-negative OCaml [int] in
     [0, 2^32); [to_hex] renders the canonical 8-digit lowercase form. *)
@@ -23,3 +28,7 @@ val to_hex : int -> string
 val of_hex : string -> int option
 (** Inverse of {!to_hex}; [None] unless the input is exactly 8 hex
     digits. *)
+
+val of_hex_sub : string -> int -> int -> int option
+(** [of_hex_sub s off len] is [of_hex (String.sub s off len)] without
+    the copy; [None] when [off, len] is not a range of [s]. *)

@@ -81,6 +81,23 @@ sql_front_end_smoke() {
 }
 step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 
+# the statement memo against the full parser: memo outcomes (ASTs,
+# Parse_error messages, other exceptions) equal Parser.parse_stmt on the
+# workload corpus and on every single-byte mutation of the mutation
+# bases, each fed to a memo that already holds its base's template; the
+# literal scan's tokens equal tokenize's; LIMIT, SQLSTATE,
+# AUTO_INCREMENT and hash-colliding texts never share a template; full
+# parses equal the distinct shapes and stay flat on a 4x history. Then
+# the slicing-by-8 CRC-32 kernel against the bytewise reference: every
+# offset and length 0-64, chained updates, the 123456789 check value and
+# golden digests recorded from the bytewise kernel
+front_end_memo_smoke() {
+  dune exec test/test_sql.exe -- test memo &&
+    dune exec test/test_util.exe -- test crc32
+}
+step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and near-miss mutations; CRC-32 kernel == bytewise reference" \
+  front_end_memo_smoke
+
 # the replay-set closure against a pairwise reference that shares no
 # index with the analyzer: members, counts, touched tables and parents
 # in all four modes (Joint against a closure over the pairwise cell

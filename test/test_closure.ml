@@ -1032,7 +1032,6 @@ let entry_of_stmt ?app_txn ?(nondet = []) index stmt =
     written_hashes = [];
     undo = [];
     app_txn;
-    template_id = None;
   }
 
 (* Analyse [entries] in [batches] [extend] calls, counting derivations. *)

@@ -563,10 +563,11 @@ let test_logged_sql_is_rendering (w : W.t) () =
           let records = Log_store.load_log_file ~path in
           check Alcotest.int (label ^ ": records") (Log.length log)
             (List.length records);
+          let memo = Uv_sql.Stmt_memo.create () in
           List.iteri
             (fun k r ->
               check_entry "after a round trip"
-                (Log_store.entry_of_record ~index:(k + 1) r))
+                (Log_store.entry_of_record ~memo ~index:(k + 1) r))
             records))
     [ ("raw", R.Raw); ("transpiled", R.Transpiled) ]
 

@@ -552,6 +552,26 @@ let check_lexes_like_reference src =
 let history_dir =
   List.find_opt Sys.file_exists [ "../examples/histories"; "examples/histories" ]
 
+(* A workload's seeded history of [n] transactions: the printed
+   procedures it installs (transpiled mode only) and its log's statement
+   texts. *)
+let workload_history (w : Uv_workloads.Workload.t) mode ~n =
+  let module W = Uv_workloads.Workload in
+  let module R = Uv_transpiler.Runtime in
+  let eng, rt = W.setup ~mode w in
+  let procedures =
+    match mode with
+    | R.Raw -> []
+    | R.Transpiled ->
+        List.map
+          (fun (tr : Uv_transpiler.Transpile.t) -> Printer.stmt tr.Uv_transpiler.Transpile.procedure)
+          (R.transpile_install rt)
+  in
+  let prng = Uv_util.Prng.create 4242 in
+  ignore (W.run_history rt ~mode (w.W.generate prng ~scale:1 ~n ~dep_rate:0.3));
+  ( procedures,
+    List.map (fun (e : Uv_db.Log.entry) -> e.Uv_db.Log.sql) (Uv_db.Log.entries (Uv_db.Engine.log eng)) )
+
 let front_end_corpus =
   lazy
     (let module W = Uv_workloads.Workload in
@@ -560,22 +580,8 @@ let front_end_corpus =
        w.W.schema_sql
        :: List.concat_map
             (fun mode ->
-              let eng, rt = W.setup ~mode w in
-              let procedures =
-                match mode with
-                | R.Raw -> []
-                | R.Transpiled ->
-                    List.map
-                      (fun (tr : Uv_transpiler.Transpile.t) ->
-                        Printer.stmt tr.Uv_transpiler.Transpile.procedure)
-                      (R.transpile_install rt)
-              in
-              let prng = Uv_util.Prng.create 4242 in
-              ignore (W.run_history rt ~mode (w.W.generate prng ~scale:1 ~n:40 ~dep_rate:0.3));
-              procedures
-              @ List.map
-                  (fun (e : Uv_db.Log.entry) -> e.Uv_db.Log.sql)
-                  (Uv_db.Log.entries (Uv_db.Engine.log eng)))
+              let procedures, texts = workload_history w mode ~n:40 in
+              procedures @ texts)
             [ R.Raw; R.Transpiled ]
      in
      let examples =
@@ -724,6 +730,254 @@ let test_parse_errors_reference () =
     (Digest.to_hex (Digest.string (Buffer.contents ctx)))
 
 (* ------------------------------------------------------------------ *)
+(* Front-end memo                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let outcome parse src =
+  match parse src with
+  | ast -> "ok " ^ Marshal.to_string ast [ Marshal.No_sharing ]
+  | exception Parser.Parse_error m -> "error " ^ m
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let check_memo_parse memo src =
+  let want = outcome Parser.parse_stmt src and got = outcome (Stmt_memo.parse memo) src in
+  if not (String.equal got want) then
+    Alcotest.failf "memo outcome differs from parse_stmt on %S:\n  got  %s\n  want %s" src
+      (String.escaped got) (String.escaped want)
+
+(* Twice over the corpus through one memo: the second pass builds every
+   parsing statement from a template. *)
+let test_memo_corpus () =
+  let memo = Stmt_memo.create () in
+  let corpus = Lazy.force front_end_corpus @ roundtrip_cases in
+  List.iter (check_memo_parse memo) corpus;
+  let after_first = Stmt_memo.full_parses memo in
+  List.iter (check_memo_parse memo) corpus;
+  let errors =
+    List.length (List.filter (fun src -> String.sub (outcome Parser.parse_stmt src) 0 3 <> "ok ") corpus)
+  in
+  check Alcotest.int "the second pass parses in full only what fails to parse" (after_first + errors)
+    (Stmt_memo.full_parses memo)
+
+(* Every single-byte mutation, through a memo that parsed its base first
+   (and keeps the templates of the mutations before it), so a mutation
+   that keeps the shape takes the template path. *)
+let test_memo_mutations () =
+  List.iter
+    (fun base ->
+      let memo = Stmt_memo.create () in
+      check_memo_parse memo base;
+      for pos = 0 to String.length base - 1 do
+        for c = 0 to 255 do
+          let b = Bytes.of_string base in
+          Bytes.set b pos (Char.chr c);
+          check_memo_parse memo (Bytes.to_string b)
+        done
+      done)
+    mutation_bases
+
+(* The scan's literals are [tokenize]'s literal tokens, in order; it
+   declines only on comments and where [tokenize] fails. *)
+let check_scan_like_tokenize sc src =
+  let lexed = lex_outcome (fun s -> Array.to_list (Lexer.tokenize s)) src in
+  if Lexer.scan sc src then begin
+    let want =
+      match lexed with
+      | Ok toks ->
+          Ok
+            (List.filter
+               (function Lexer.Int_lit _ | Lexer.Float_lit _ | Lexer.Str_lit _ -> true | _ -> false)
+               toks)
+      | Error e -> Error e
+    in
+    let got =
+      lex_outcome
+        (fun s -> List.init (Lexer.literals sc) (fun k -> Lexer.literal_token sc s k))
+        src
+    in
+    if got <> want then Alcotest.failf "scan literals differ from tokenize on %S" src;
+    let prev = ref 0 in
+    for k = 0 to Lexer.literals sc - 1 do
+      let start = Lexer.literal_start sc k and stop = Lexer.literal_stop sc k in
+      let first_ok =
+        match (Lexer.literal_kind sc k, src.[start]) with
+        | Lexer.Lit_str, '\'' -> src.[stop - 1] = '\''
+        | (Lexer.Lit_int | Lexer.Lit_float), '0' .. '9' -> true
+        | _ -> false
+      in
+      if start < !prev || stop <= start || not first_ok then
+        Alcotest.failf "bad span %d [%d, %d) on %S" k start stop src;
+      prev := stop
+    done
+  end
+  else
+    match lexed with
+    | Error _ -> ()
+    | Ok _ ->
+        let has sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length src && (String.sub src i n = sub || go (i + 1)) in
+          go 0
+        in
+        if not (has "--" || has "/*") then Alcotest.failf "scan declined a clean statement %S" src
+
+let test_scan_spans () =
+  let sc = Lexer.scanner () in
+  List.iter (check_scan_like_tokenize sc) (Lazy.force front_end_corpus @ roundtrip_cases);
+  mutations (check_scan_like_tokenize sc)
+
+(* Statements of one skeleton with generated literals: integers up to
+   and past [max_int], folded minus signs (also through parentheses),
+   floats, and strings with doubled quotes, backslash escapes and empty
+   bodies. The first statement makes the template; the second, with the
+   same kinds in the same places, must take it and equal parse_stmt. *)
+let gen_literal_pair =
+  let open QCheck.Gen in
+  let int_text =
+    oneof
+      [
+        map string_of_int small_nat;
+        return (string_of_int max_int);
+        return "4611686018427387904" (* max_int + 1 *);
+        return "000017";
+      ]
+  in
+  let float_text = map2 (fun a b -> Printf.sprintf "%d.%d" a b) small_nat small_nat in
+  let str_text =
+    map
+      (fun parts -> "'" ^ String.concat "" parts ^ "'")
+      (list_size (0 -- 4) (oneofl [ "a"; "''"; "\\\\"; "\\n"; "\\t"; "\\'"; " "; "x y" ]))
+  in
+  let number text =
+    map3
+      (fun (pre, post) a b -> (pre ^ a ^ post, pre ^ b ^ post))
+      (oneofl [ ("", ""); ("-", ""); ("- -", ""); ("-(", ")"); ("- ", "") ])
+      text text
+  in
+  oneof [ number int_text; number float_text; map2 (fun a b -> (a, b)) str_text str_text ]
+
+let prop_memo_literals =
+  QCheck.Test.make ~name:"generated literals == parse_stmt" ~count:500
+    QCheck.(make Gen.(list_repeat 3 gen_literal_pair))
+    (fun lits ->
+      let render pick =
+        match List.map pick lits with
+        | [ a; b; c ] ->
+            Printf.sprintf "SELECT a, %s FROM t WHERE b = %s AND c IN (x, %s) LIMIT 2" a b c
+        | _ -> assert false
+      in
+      let first = render fst and second = render snd in
+      let memo = Stmt_memo.create () in
+      check_memo_parse memo first;
+      check_memo_parse memo second;
+      (* one full parse when both parse; a statement that fails to parse
+         or convert is parsed in full on its own *)
+      let ok src = String.sub (outcome Parser.parse_stmt src) 0 3 = "ok " in
+      Stmt_memo.full_parses memo = if ok first && ok second then 1 else 2)
+
+let test_memo_fixed_literals () =
+  let shares a b =
+    let memo = Stmt_memo.create () in
+    check_memo_parse memo a;
+    check_memo_parse memo b;
+    Stmt_memo.full_parses memo = 1
+  in
+  List.iter
+    (fun (a, b) -> if shares a b then Alcotest.failf "%S and %S share a template" a b)
+    [
+      ("SELECT a FROM t LIMIT 3", "SELECT a FROM t LIMIT 4");
+      ("SELECT a FROM t LIMIT 3 OFFSET 1", "SELECT a FROM t LIMIT 3 OFFSET 2");
+      ( "CREATE PROCEDURE p() BEGIN SIGNAL SQLSTATE '45000'; END",
+        "CREATE PROCEDURE p() BEGIN SIGNAL SQLSTATE '45001'; END" );
+      ("ALTER TABLE t AUTO_INCREMENT = 5", "ALTER TABLE t AUTO_INCREMENT = 6");
+      ("CREATE TABLE t (a VARCHAR(8))", "CREATE TABLE t (a VARCHAR(9))");
+      ("SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b = 'x'");
+      ("SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b = 1.5");
+      ("SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b =  1");
+      ("SELECT a FROM t WHERE b = 1", "select a FROM t WHERE b = 1");
+    ];
+  (* "Ab" and "BC" hash alike (65 * 31 + 98 = 66 * 31 + 67): only the byte
+     comparison keeps these apart, before, between and after literals *)
+  let sc = Lexer.scanner () in
+  let key src =
+    if not (Lexer.scan sc src) then Alcotest.failf "scan declined %S" src;
+    Lexer.key sc
+  in
+  List.iter
+    (fun (a, b) ->
+      check Alcotest.int (Printf.sprintf "%S and %S collide" a b) (key a) (key b);
+      if shares a b then Alcotest.failf "%S and %S share a template" a b)
+    [
+      ("SELECT Ab FROM t WHERE x = 1", "SELECT BC FROM t WHERE x = 1");
+      ("SELECT a FROM t WHERE x = 1 AND Ab = 'y'", "SELECT a FROM t WHERE x = 1 AND BC = 'y'");
+      ("SELECT a FROM t WHERE x = 1 AND Ab", "SELECT a FROM t WHERE x = 1 AND BC");
+    ];
+  List.iter
+    (fun (a, b) -> if not (shares a b) then Alcotest.failf "%S and %S should share a template" a b)
+    [
+      ("SELECT a FROM t WHERE b = 1 LIMIT 3", "SELECT a FROM t WHERE b = 2 LIMIT 3");
+      ("INSERT INTO t VALUES (-1, 'x', 2.5)", "INSERT INTO t VALUES (-7, 'it''s', 0.0)");
+      ("CREATE TABLE t (a INT DEFAULT 5)", "CREATE TABLE t (a INT DEFAULT 6)");
+      ( "CREATE PROCEDURE p(x INT) BEGIN IF x > 1 THEN UPDATE t SET v = -2 WHERE k = x; END IF; END",
+        "CREATE PROCEDURE p(x INT) BEGIN IF x > 9 THEN UPDATE t SET v = -3 WHERE k = x; END IF; END" );
+    ]
+
+let history_texts w mode ~n = snd (workload_history w mode ~n)
+
+(* Distinct shapes by the definition: a statement's bytes with every
+   literal that fed a [Lit] replaced by its kind, the scan supplying the
+   spans and the parser the holes. *)
+let distinct_shapes texts =
+  let sc = Lexer.scanner () in
+  let keys = Hashtbl.create 64 in
+  List.iter
+    (fun src ->
+      if not (Lexer.scan sc src) then Alcotest.failf "scan declined %S" src;
+      let _, holes = Parser.parse_template src in
+      let buf = Buffer.create 128 and prev = ref 0 in
+      for k = 0 to Lexer.literals sc - 1 do
+        let start = Lexer.literal_start sc k and stop = Lexer.literal_stop sc k in
+        if List.exists (fun (h : Parser.hole) -> h.Parser.literal = k) holes then begin
+          Buffer.add_substring buf src !prev (start - !prev);
+          Buffer.add_string buf
+            (match Lexer.literal_kind sc k with
+            | Lexer.Lit_int -> "\000i"
+            | Lexer.Lit_float -> "\000f"
+            | Lexer.Lit_str -> "\000s");
+          prev := stop
+        end
+      done;
+      Buffer.add_substring buf src !prev (String.length src - !prev);
+      Hashtbl.replace keys (Buffer.contents buf) ())
+    texts;
+  Hashtbl.length keys
+
+let test_memo_full_parse_count () =
+  let module R = Uv_transpiler.Runtime in
+  List.iter
+    (fun (w : Uv_workloads.Workload.t) ->
+      List.iter
+        (fun (mode, label) ->
+          let name = w.Uv_workloads.Workload.name ^ " " ^ label in
+          let texts = history_texts w mode ~n:40 in
+          let count texts =
+            let memo = Stmt_memo.create () in
+            List.iter (check_memo_parse memo) texts;
+            Stmt_memo.full_parses memo
+          in
+          let shapes = distinct_shapes texts in
+          check Alcotest.int (name ^ ": full parses == distinct shapes") shapes (count texts);
+          check Alcotest.int (name ^ ": the history four times over") shapes
+            (count (List.concat [ texts; texts; texts; texts ]));
+          let longer = history_texts w mode ~n:160 in
+          check Alcotest.int (name ^ ": a 4x longer history") (distinct_shapes longer) (count longer);
+          if distinct_shapes longer <> shapes then
+            Alcotest.failf "%s: %d shapes at 40 transactions, %d at 160" name shapes
+              (distinct_shapes longer))
+        [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
+    (Uv_workloads.Workload.all ())
+
+(* ------------------------------------------------------------------ *)
 (* Schema helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -803,6 +1057,19 @@ let () =
             test_parse_print_fixpoint;
           Alcotest.test_case "mutated outcomes == recorded" `Quick
             test_parse_errors_reference;
+        ] );
+      (* the front-end memo; a group name longer than "printer" would
+         widen the report's name column and truncate older test names *)
+      ( "memo",
+        [
+          Alcotest.test_case "corpus == parse_stmt" `Quick test_memo_corpus;
+          Alcotest.test_case "mutations after base == parse_stmt" `Quick
+            test_memo_mutations;
+          Alcotest.test_case "scan literals == tokenize" `Quick test_scan_spans;
+          qtest prop_memo_literals;
+          Alcotest.test_case "fixed literals split templates" `Quick test_memo_fixed_literals;
+          Alcotest.test_case "full parses == shapes, flat" `Quick
+            test_memo_full_parse_count;
         ] );
       ( "printer",
         [

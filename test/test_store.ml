@@ -189,9 +189,10 @@ let test_roundtrip_matches_single_file () =
     (Log_store.records store = from_file);
   let replay_records records =
     let e2 = Engine.create () in
+    let memo = Uv_sql.Stmt_memo.create () in
     List.iteri
       (fun i r ->
-        let entry = Log_store.entry_of_record ~index:(i + 1) r in
+        let entry = Log_store.entry_of_record ~memo ~index:(i + 1) r in
         try
           ignore
             (Engine.exec ~nondet:entry.Log.nondet ?app_txn:entry.Log.app_txn

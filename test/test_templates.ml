@@ -59,7 +59,7 @@ let test_matrix_sound (w : W.t) () =
   let log = Engine.log eng in
   let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
   let set, matrix = artifacts w in
-  let fast = F.prepare ~log ~set ~matrix anl in
+  let fast = F.prepare ~set ~matrix anl in
   let ctx =
     { L.tset = set; tmatrix = matrix; tfast = fast; tsource = None }
   in
@@ -98,7 +98,7 @@ let test_fastpath_oracle (w : W.t) () =
   let log = Engine.log eng in
   let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
   let set, matrix = artifacts w in
-  let fast = F.prepare ~log ~set ~matrix anl in
+  let fast = F.prepare ~set ~matrix anl in
   let prng = Uv_util.Prng.create 7 in
   for k = 1 to scenarios_per_workload do
     let target = random_target prng log in

@@ -881,9 +881,100 @@ let prop_cow_map_matches_model =
                (List.init 401 (fun i -> i - 20)))
         !sides)
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The classic one-table loop, a byte at a time: the reference the
+   slicing-by-8 kernel must equal bit for bit. *)
+let crc_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun crc s off len ->
+    let c = ref (crc lxor 0xffffffff) in
+    for i = off to off + len - 1 do
+      c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+    done;
+    !c lxor 0xffffffff
+
+let crc_gen n = String.init n (fun i -> Char.chr (((i * 7919) + (i * i * 31) + (i lsr 3)) land 0xff))
+
+let test_crc_golden () =
+  let hex = Printf.sprintf "0x%08x" in
+  check Alcotest.string "CRC32(\"123456789\")" "0xcbf43926"
+    (hex (Uv_util.Crc32.digest "123456789"));
+  (* recorded from the bytewise kernel before it was replaced *)
+  List.iter
+    (fun (name, s, want) -> check Alcotest.string name want (hex (Uv_util.Crc32.digest s)))
+    [
+      ("empty", "", "0x00000000");
+      ("a", "a", "0xe8b7be43");
+      ("abc", "abc", "0x352441c2");
+      ("fox", "The quick brown fox jumps over the lazy dog", "0x414fa339");
+      ("gen 7", crc_gen 7, "0xde97801c");
+      ("gen 8", crc_gen 8, "0x9803dd4c");
+      ("gen 9", crc_gen 9, "0xf2f569e3");
+      ("gen 63", crc_gen 63, "0xc4276565");
+      ("gen 1000", crc_gen 1000, "0x459caac6");
+      ("gen 65536", crc_gen 65536, "0x08c86867");
+    ];
+  check Alcotest.string "chained update_sub and update" "0x367bf606"
+    (hex
+       Uv_util.Crc32.(
+         update (update_sub (digest "ULOGv2\n") (crc_gen 100) 3 50) "Q tail\n"))
+
+(* every length 0-64 at every offset of a random string, from a random
+   running value *)
+let test_crc_every_offset () =
+  let prng = Uv_util.Prng.create 3232 in
+  let s = String.init 96 (fun _ -> Char.chr (Uv_util.Prng.int prng 256)) in
+  for len = 0 to 64 do
+    for off = 0 to String.length s - len do
+      let seed = Uv_util.Prng.int prng 0x40000000 in
+      let got = Uv_util.Crc32.update_sub seed s off len
+      and want = crc_reference seed s off len in
+      if got <> want then
+        Alcotest.failf "off %d len %d: kernel %08x, bytewise %08x" off len got want
+    done
+  done
+
+let prop_crc_chained =
+  QCheck.Test.make ~name:"chained == bytewise" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 8) (string_of_size Gen.(0 -- 40)))
+    (fun parts ->
+      let whole = String.concat "" parts in
+      List.fold_left Uv_util.Crc32.update 0 parts
+      = crc_reference 0 whole 0 (String.length whole)
+      && Uv_util.Crc32.digest whole = crc_reference 0 whole 0 (String.length whole))
+
+let test_crc_hex () =
+  let module C = Uv_util.Crc32 in
+  check Alcotest.(option int) "of_hex" (Some 0xcbf43926) (C.of_hex "CBF43926");
+  check Alcotest.(option int) "of_hex_sub in place" (Some 0xcbf43926)
+    (C.of_hex_sub "C cbf43926\n" 2 8);
+  List.iter
+    (fun (s, off, len) ->
+      check Alcotest.(option int) (Printf.sprintf "%S %d %d" s off len) None (C.of_hex_sub s off len))
+    [ ("cbf4392", 0, 7); ("cbf439260", 0, 9); ("cbf4392g", 0, 8); ("0xcbf439", 0, 8);
+      ("cbf43926", 1, 8); ("cbf43926", -1, 8); ("+bf43926", 0, 8) ];
+  check Alcotest.string "round trip" "00000000" (C.to_hex (Option.get (C.of_hex "00000000")))
+
 let () =
   Alcotest.run "uv_util"
     [
+      ( "crc32",
+        [
+          Alcotest.test_case "check value, golden digests" `Quick test_crc_golden;
+          Alcotest.test_case "every offset, len 0-64" `Quick test_crc_every_offset;
+          qtest prop_crc_chained;
+          Alcotest.test_case "hex in place" `Quick test_crc_hex;
+        ] );
       ( "prng",
         [
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
