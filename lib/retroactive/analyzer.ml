@@ -112,11 +112,16 @@ type scratch = {
   mutable heap : int array;
 }
 
-(* One statement shape's column-wise sets under the schema generation
-   the memo holds, and its [entry_cols] row, interned at the first entry
-   of the shape that needs one ([||] until then). Neither is ever
-   written after that, so every entry of the shape shares both. *)
-type shape_sets = { s_rw : Rwset.rw; mutable s_cols : int array }
+(* One statement shape's column-wise sets and row-set plan under the
+   schema generation the memo holds, and its [entry_cols] row, interned
+   at the first entry of the shape that needs one ([||] until then).
+   None is ever written after that, so every entry of the shape shares
+   them. *)
+type shape_sets = {
+  s_rw : Rwset.rw;
+  s_plan : Rowset.plan;
+  mutable s_cols : int array;
+}
 
 type t = {
   mutable infos : info array;
@@ -510,9 +515,9 @@ let create ?(config = Rowset.default_config) ?base source =
     scratch = Atomic.make None;
   }
 
-(* The sets of [stmt]'s shape under the schema view as it stands: a
-   memo hit, or derived (counted in [derived]) and memoised. A schema
-   change empties the memo. *)
+(* The sets and row-set plan of [stmt]'s shape under the schema view as
+   it stands: a memo hit, or derived (counted in [derived]) and
+   memoised. A schema change empties the memo. *)
 let shape_sets t ~derived stmt =
   let gen = Schema_view.generation t.sv in
   if gen <> t.shapes_generation then begin
@@ -523,7 +528,13 @@ let shape_sets t ~derived stmt =
   | Some sh -> sh
   | None ->
       incr derived;
-      let sh = { s_rw = Rwset.of_stmt t.sv stmt; s_cols = [||] } in
+      let sh =
+        {
+          s_rw = Rwset.of_stmt t.sv stmt;
+          s_plan = Rowset.plan t.row_state t.sv stmt;
+          s_cols = [||];
+        }
+      in
       Shape.Tbl.replace t.shapes stmt sh;
       sh
 
@@ -532,14 +543,14 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
   let from = Array.length t.infos + 1 in
   if n < from then 0
   else begin
-    let batch = ref [] and cols = ref [] and derived = ref 0 in
+    let batch = ref [] and cols = ref [] in
+    let derived = ref 0 and interpreted = ref 0 in
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
         t.source.src_iter from n (fun e ->
             let stmt = e.Uv_db.Log.stmt in
             let sh = shape_sets t ~derived stmt in
-            let rows =
-              Rowset.of_entry t.row_state t.sv stmt e.Uv_db.Log.nondet
-            in
+            if Rowset.interpreted sh.s_plan then incr interpreted;
+            let rows = Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet in
             Schema_view.apply t.sv stmt;
             let inf =
               {
@@ -552,7 +563,8 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
             in
             batch := inf :: !batch;
             cols := index_info t inf sh :: !cols);
-        Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations");
+        Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations";
+        Uv_obs.Trace.incr obs ~by:!interpreted "analyze.rows_interpreted");
     t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
     t.entry_cols <- Array.append t.entry_cols (Array.of_list (List.rev !cols));
     t.entry_rows <- Array.append t.entry_rows (Array.make (n - from + 1) [||]);
@@ -1292,6 +1304,7 @@ let canonical_row_value t ~table v =
     (Value.serialize v)
 
 let row_merge_generation t = Rowset.merge_generation t.row_state
+let row_state t = t.row_state
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: why did each member join?                                *)

@@ -90,7 +90,9 @@ val of_source :
     start of the history (the checkpoint the history grows from); it
     seeds the schema view and the Hash-jumper's initial table hashes.
     [obs] records [analyze.rwsets]/[analyze.index] spans and the
-    [analyze.rw_derivations] counter (see {!extend}). *)
+    [analyze.rw_derivations] and [analyze.rows_interpreted] counters
+    (see {!extend}). A store-sourced and a log-sourced build take the
+    same path: both derive per statement shape from the entries' ASTs. *)
 
 val analyze :
   ?config:Rowset.config ->
@@ -112,17 +114,20 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     an RI merge learned by a new entry re-derives every entry's keys
     (and drops Joint's cell index, rebuilt at the next Joint question).
 
-    Column-wise sets are derived once per statement shape
-    ({!Uv_sql.Shape}: the statement with its literals erased) and
+    Column-wise sets and row-set plans are derived once per statement
+    shape ({!Uv_sql.Shape}: the statement with its literals erased) and
     schema generation ({!Schema_view.generation}), in a memo the
     analyzer keeps across batches: every later entry of the shape
     shares the shape's [rw] and interned column row, and only posts
-    itself under the row's columns. A schema change empties the memo.
-    Row sets are not memoised: [Rowset.of_entry] runs on every entry,
-    since it reads values and learns RI aliases and merges from them.
-    [obs]'s [analyze.rw_derivations] counter gets the [Rwset.of_stmt]
-    calls made — one per distinct (generation, shape) the batch meets
-    first. Questions ({!target_rw}) never read or write the memo.
+    itself under the row's columns. Its row sets come from
+    [Rowset.run] of the shape's {!Rowset.plan}, which reads the entry's
+    own literals and learns RI aliases and merges from them in commit
+    order, as the interpreter would. A schema change empties the memo,
+    plans included. [obs]'s [analyze.rw_derivations] counter gets the
+    [Rwset.of_stmt] calls made — one per distinct (generation, shape)
+    the batch meets first — and [analyze.rows_interpreted] the entries
+    whose plan stages no part of the statement ({!Rowset.interpreted}).
+    Questions ({!target_rw}) never read or write the memo.
 
     Only sound while the analysed prefix is intact — a truncated log or
     a history rewritten in place requires a fresh [analyze] (the what-if
@@ -272,6 +277,11 @@ val canonical_row_value : t -> table:string -> Value.t -> string
 val row_merge_generation : t -> int
 (** Generation counter of the RI alias/merge state; external value-keyed
     caches must be rebuilt when it changes. *)
+
+val row_state : t -> Rowset.t
+(** The RI alias and merge state the analysed entries' row sets were
+    derived under, as it stands at the analysed head. For inspection:
+    feeding it statements changes what later batches derive. *)
 
 val conflict_columns : t -> int -> int -> string list
 (** Columns through which entries [i] and [j] conflict (W∩R ∪ R∩W ∪ W∩W

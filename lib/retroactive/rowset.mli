@@ -60,11 +60,41 @@ val ri_dims : t -> Schema_view.t -> string -> string list
 val merge_rows : entry_rows -> entry_rows -> entry_rows
 (** Per-table, per-dimension union of two accesses. *)
 
+type plan
+(** The shape-dependent half of one statement's row-set extraction. *)
+
+val plan : t -> Schema_view.t -> Ast.stmt -> plan
+(** [plan t sv stmt] decides everything that depends only on [stmt]'s
+    shape ({!Uv_sql.Shape}), the schema view [sv] and [t]'s RI config:
+    the write table of DML through an updatable view, the triggers it
+    fires (the write table's), the RI dimensions and alias columns of
+    each table, which WHERE conjunct and which side of [=] pins each of
+    them, the INSERT column bindings, the AUTO_INCREMENT column and each
+    VALUES row's draw count, and which assignments rewrite an RI or alias
+    column. Procedure and trigger bodies, subqueries, joins and
+    [INSERT … SELECT] are not staged: the plan runs the interpreter on
+    the entry's own subtree for them, so they stay exact by construction.
+
+    A plan belongs to one shape under one schema: it holds while
+    {!Schema_view.generation} of [sv] does not move, and only for [t]. It
+    reads nothing of [t]'s alias or merge state when it is built. *)
+
+val run : plan -> Ast.stmt -> Value.t list -> entry_rows
+(** [run p stmt nondet]: the row-wise access of [stmt], which must have
+    [p]'s shape ([Invalid_argument] otherwise). The [Value.t list] is the
+    entry's recorded non-determinism (AUTO_INCREMENT keys are recovered
+    from it). It reads only [stmt]'s literals and [nondet], then looks
+    aliases up and learns aliases and merges into the plan's state
+    exactly as the interpreter does, so entries must be run in commit
+    order. *)
+
+val interpreted : plan -> bool
+(** No part of the statement is staged: the whole of it goes through the
+    interpreter ([CALL], [INSERT … SELECT], a SELECT with joins, or a
+    transaction of only those). *)
+
 val of_entry : t -> Schema_view.t -> Ast.stmt -> Value.t list -> entry_rows
-(** Row-wise access of one statement. The [Value.t list] is the entry's
-    recorded non-determinism (AUTO_INCREMENT keys are recovered from it).
-    This *also* updates alias and merge state, so entries must be fed in
-    commit order. *)
+(** [run (plan t sv stmt) stmt nondet]. *)
 
 val canonical : t -> string -> string -> string -> string
 (** [canonical t table dim v] resolves a serialized value through the
@@ -74,6 +104,13 @@ val merge_generation : t -> int
 (** Monotone counter of union-find links added by [of_entry]. The
     incremental analyzer re-derives its row keys only when this moved
     since they were derived. *)
+
+val aliases : t -> ((string * string * string) * string) list
+(** The alias map, sorted: [((table, alias_col, alias value), RI value)],
+    values serialized. *)
+
+val merge_parents : t -> ((string * string * string) * string) list
+(** The union-find links, sorted: [((table, dim, value), parent)]. *)
 
 val overlaps : t -> string -> taccess -> [ `W_then_R | `Any_conflict ] ->
   taccess -> bool

@@ -126,8 +126,16 @@ step "closure smoke: replay sets and provenance == pairwise reference (Joint too
 # sets == the pairwise reference; single-literal mutations (NULL
 # included) share one derivation; analyze.rw_derivations equals the
 # distinct (schema generation, shape) pairs and is the same at 1 008
-# and 4 008 history entries
-step "shape memo smoke: memoized column sets == direct derivation, DDL between uses, derivations flat in history" \
+# and 4 008 history entries. Row sets from the per-shape plans equal
+# the interpreter in test/rowset_reference.ml, run in commit order on
+# the test's own state, after every batch: every entry's rows, the
+# alias map, the merge parents and the merge generation, on the same
+# histories (the hand-built one also moves a primary key, drops and adds
+# columns under an INSERT without a column list, adds an INSERT trigger,
+# replaces a view under a DELETE, and teaches aliases and merges) and on
+# generated single-table DML (a qcheck property that shrinks);
+# analyze.rows_interpreted is 0 on the raw workloads
+step "shape memo smoke: memoized column sets == direct derivation, planned row sets == rowset_reference, DDL between uses, derivations flat in history" \
   dune exec test/test_closure.exe -- test "shape memo"
 
 # the replay DAG, which reads the analyzer's int row keys, against the

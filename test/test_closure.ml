@@ -1034,18 +1034,110 @@ let entry_of_stmt ?app_txn ?(nondet = []) index stmt =
     app_txn;
   }
 
-(* Analyse [entries] in [batches] [extend] calls, counting derivations. *)
-let memo_analyze ?config ?base ?(batches = 1) entries =
+let riset_equal (a : Rowset.riset) (b : Rowset.riset) =
+  match (a, b) with
+  | Rowset.Any, Rowset.Any -> true
+  | Rowset.Vals x, Rowset.Vals y -> Rowset.Vset.equal x y
+  | _ -> false
+
+(* Equal row sets: the same tables in the same list order, per dimension
+   equal read and write sets. *)
+let rows_equal (a : Rowset.entry_rows) (b : Rowset.entry_rows) =
+  List.equal
+    (fun (ta, xa) (tb, xb) ->
+      String.equal ta tb
+      && Array.length xa = Array.length xb
+      && Array.for_all2
+           (fun (da : Rowset.dim_access) (db : Rowset.dim_access) ->
+             riset_equal da.Rowset.dr db.Rowset.dr
+             && riset_equal da.Rowset.dw db.Rowset.dw)
+           xa xb)
+    a b
+
+let pp_rows rows =
+  String.concat " | "
+    (List.map
+       (fun (table, access) ->
+         Format.asprintf "%s: %a" table Rowset.pp_access access)
+       rows)
+
+let pp_links links =
+  String.concat "; "
+    (List.map (fun ((table, col, v), p) -> Printf.sprintf "%s.%s %s -> %s" table col v p) links)
+
+(* The interpreter of [Rowset_reference], run beside an analyzer in
+   commit order on a schema view and row state of the test's own. Each
+   call checks the entries analysed since the last one: their row sets,
+   then the alias map, the merge parents and the merge generation. It
+   returns the first difference. *)
+let rows_checker ~label ?(config = Rowset.default_config) ?base entries =
+  let sv =
+    match base with
+    | Some cat -> Schema_view.of_catalog cat
+    | None -> Schema_view.create ()
+  in
+  let st = Rowset_reference.create config in
+  Option.iter (Rowset_reference.seed_aliases st) base;
+  let next = ref 1 in
+  fun anl ->
+    let rec entries_from i =
+      if i > Analyzer.length anl then None
+      else begin
+        let inf = Analyzer.info anl i in
+        let stmt = inf.Analyzer.stmt in
+        let expected =
+          Rowset_reference.of_entry st sv stmt entries.(i - 1).Log.nondet
+        in
+        Schema_view.apply sv stmt;
+        if rows_equal expected inf.Analyzer.rows then entries_from (i + 1)
+        else
+          Some
+            (Printf.sprintf "%s: #%d %s: planned rows %s, reference %s" label i
+               (Uv_sql.Printer.stmt_compact stmt)
+               (pp_rows inf.Analyzer.rows) (pp_rows expected))
+      end
+    in
+    let first = entries_from !next in
+    next := Analyzer.length anl + 1;
+    let state = Analyzer.row_state anl in
+    let at = Printf.sprintf "%s, after #%d" label (Analyzer.length anl) in
+    let differ what mine theirs =
+      if mine = theirs then None
+      else Some (Printf.sprintf "%s: %s %s, reference %s" at what mine theirs)
+    in
+    List.find_map Fun.id
+      [
+        first;
+        differ "alias map"
+          (pp_links (Rowset.aliases state))
+          (pp_links (Rowset_reference.aliases st));
+        differ "merge parents"
+          (pp_links (Rowset.merge_parents state))
+          (pp_links (Rowset_reference.merge_parents st));
+        differ "merge generation"
+          (string_of_int (Rowset.merge_generation state))
+          (string_of_int (Rowset_reference.merge_generation st));
+      ]
+
+(* Analyse [entries] in [batches] [extend] calls, checking row sets
+   against the reference after every batch ([on_mismatch] gets the first
+   difference); returns the analyzer and the derivations made. *)
+let memo_analyze ?(label = "memo") ?config ?base ?(batches = 1)
+    ?(obs = Uv_obs.Trace.create ()) ?(on_mismatch = fun msg -> Alcotest.fail msg)
+    entries =
   let n = Array.length entries in
-  let obs = Uv_obs.Trace.create () in
+  let check_rows = rows_checker ~label ?config ?base entries in
+  let check_rows anl = Option.iter on_mismatch (check_rows anl) in
   let len = ref (n / batches) in
   let anl =
     Analyzer.of_source ?config ?base ~obs
       (Analyzer.source_of_fun ~length:(fun () -> !len) (fun i -> entries.(i - 1)))
   in
+  check_rows anl;
   for b = 2 to batches do
     len := if b = batches then n else b * n / batches;
-    ignore (Analyzer.extend ~obs anl : int)
+    ignore (Analyzer.extend ~obs anl : int);
+    check_rows anl
   done;
   (anl, Uv_obs.Trace.counter_value obs "analyze.rw_derivations")
 
@@ -1080,43 +1172,43 @@ let check_direct ~label ?base anl =
    schema script, the transpiled procedures and the seeded calls' log.
    Built in one batch and in three, the memo agrees with direct
    derivation and derives once per (generation, shape). *)
+let workload_entries (w : W.t) mode =
+  let eng, rt = W.setup ~mode w in
+  let procedures =
+    match mode with
+    | R.Raw -> []
+    | R.Transpiled ->
+        List.map
+          (fun (tr : Uv_transpiler.Transpile.t) ->
+            tr.Uv_transpiler.Transpile.procedure)
+          (R.transpile_install rt)
+  in
+  let prng = Uv_util.Prng.create 4242 in
+  ignore
+    (W.run_history rt ~mode (w.W.generate prng ~scale:1 ~n:40 ~dep_rate:0.3));
+  let ddl = Uv_sql.Parser.parse_script w.W.schema_sql @ procedures in
+  let logged = Log.entries (Engine.log eng) in
+  Array.of_list
+    (List.mapi (fun i st -> entry_of_stmt (i + 1) st) ddl
+    @ List.mapi
+        (fun i (e : Log.entry) ->
+          entry_of_stmt ?app_txn:e.Log.app_txn ~nondet:e.Log.nondet
+            (List.length ddl + i + 1)
+            e.Log.stmt)
+        logged)
+
 let test_memo_workloads () =
   List.iter
     (fun (w : W.t) ->
       List.iter
         (fun (mode, mode_name) ->
           let label = w.W.name ^ " " ^ mode_name in
-          let eng, rt = W.setup ~mode w in
-          let procedures =
-            match mode with
-            | R.Raw -> []
-            | R.Transpiled ->
-                List.map
-                  (fun (tr : Uv_transpiler.Transpile.t) ->
-                    tr.Uv_transpiler.Transpile.procedure)
-                  (R.transpile_install rt)
-          in
-          let prng = Uv_util.Prng.create 4242 in
-          ignore
-            (W.run_history rt ~mode
-               (w.W.generate prng ~scale:1 ~n:40 ~dep_rate:0.3));
-          let ddl = Uv_sql.Parser.parse_script w.W.schema_sql @ procedures in
-          let logged = Log.entries (Engine.log eng) in
-          let entries =
-            Array.of_list
-              (List.mapi (fun i st -> entry_of_stmt (i + 1) st) ddl
-              @ List.mapi
-                  (fun i (e : Log.entry) ->
-                    entry_of_stmt ?app_txn:e.Log.app_txn ~nondet:e.Log.nondet
-                      (List.length ddl + i + 1)
-                      e.Log.stmt)
-                  logged)
-          in
+          let entries = workload_entries w mode in
           List.iter
             (fun batches ->
               let label = Printf.sprintf "%s, %d batch(es)" label batches in
               let anl, derived =
-                memo_analyze ~config:w.W.ri_config ~batches entries
+                memo_analyze ~label ~config:w.W.ri_config ~batches entries
               in
               let pairs = check_direct ~label anl in
               check Alcotest.int (label ^ ": derivations") pairs derived;
@@ -1131,8 +1223,22 @@ let test_memo_workloads () =
    moves its sets, with nothing else in between: a new column (DELETE
    and SELECT * over the table), a trigger on the table (UPDATE, twice
    after it), a replaced view (a SELECT through it), and a procedure
-   dropped and then re-created (CALL). The statements are analysed, not
-   executed, so the CALL of the dropped procedure stays in. *)
+   dropped and then re-created (CALL). Then the same for row-set plans,
+   under [ddl_config]'s alias column [u.w] for [u.id]: a primary key
+   that moves to another column (#19, #22), columns dropped and added
+   under an INSERT without a column list (#24, #26, #28), an INSERT
+   trigger on a table an INSERT shape writes (#29, #31), a view replaced
+   under a DELETE through it (#38, #40), and alias-teaching INSERTs and
+   UPDATEs, an RI-merging UPDATE and literals on the left of [=] in
+   between. #36 looks up another alias value through #32's shape; #41
+   updates through the view and fires [t]'s trigger. #42 to #55 use
+   each of the parts a plan leaves to the interpreter twice: subqueries
+   in VALUES, WHERE and the projection, a join, an INSERT … SELECT and a
+   transaction. The statements are analysed, not executed, so the CALL of
+   the dropped procedure stays in. *)
+let ddl_config =
+  { Rowset.default_config with Rowset.ri_aliases = [ ("u", "w", "id") ] }
+
 let ddl_history () =
   let e = Engine.create () in
   run e "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
@@ -1160,6 +1266,45 @@ let ddl_history () =
       "CALL p(2)";
       "CREATE PROCEDURE p(x INT) BEGIN UPDATE u SET w = x WHERE id = 1; END";
       "CALL p(3)";
+      "CREATE TABLE k (a INT PRIMARY KEY, b INT)";
+      "UPDATE k SET b = 1 WHERE a = 1 AND b = 2";
+      "DROP TABLE k";
+      "CREATE TABLE k (a INT, b INT PRIMARY KEY)";
+      "UPDATE k SET b = 3 WHERE a = 3 AND b = 4";
+      "CREATE TABLE m (x INT, id INT PRIMARY KEY)";
+      "INSERT INTO m VALUES (1, 2)";
+      "ALTER TABLE m DROP COLUMN x";
+      "INSERT INTO m VALUES (3, 4)";
+      "ALTER TABLE m ADD COLUMN x INT";
+      "INSERT INTO m VALUES (5, 6)";
+      "INSERT INTO u VALUES (7, 70)";
+      "CREATE TRIGGER tu AFTER INSERT ON u FOR EACH ROW BEGIN INSERT INTO t \
+       (id, v) VALUES (70, 0); END";
+      "INSERT INTO u VALUES (8, 80)";
+      "SELECT * FROM u WHERE w = 70";
+      "UPDATE u SET w = 71, id = 7 WHERE id = 7";
+      "SELECT * FROM u WHERE 71 = w";
+      "UPDATE u SET id = 9 WHERE id = 8";
+      "SELECT * FROM u WHERE w = 80";
+      "SELECT * FROM u WHERE 80 = w OR id = 9";
+      "DELETE FROM vw WHERE id = 4";
+      "CREATE OR REPLACE VIEW vw AS SELECT id, v FROM t";
+      "DELETE FROM vw WHERE id = 5";
+      "UPDATE vw SET v = 6 WHERE 6 = id";
+      "INSERT INTO u VALUES ((SELECT id FROM t WHERE id = 3), (SELECT w FROM u WHERE id = 1))";
+      "UPDATE t SET v = 1 WHERE id = 2 AND v = (SELECT w FROM u WHERE id = 7)";
+      "DELETE FROM u WHERE id = (SELECT id FROM t WHERE v = 3)";
+      "SELECT (SELECT w FROM u WHERE id = 1), v FROM t WHERE id = 4 AND EXISTS (SELECT id FROM u WHERE id = 9)";
+      "SELECT t.v FROM t JOIN u ON t.id = u.id WHERE t.id = 5";
+      "INSERT INTO u SELECT id, v FROM t WHERE id = 6";
+      "BEGIN; INSERT INTO u VALUES (13, 130); UPDATE t SET v = 0 WHERE id = 13; COMMIT";
+      "INSERT INTO u VALUES ((SELECT id FROM t WHERE id = 4), (SELECT w FROM u WHERE id = 8))";
+      "UPDATE t SET v = 2 WHERE id = 3 AND v = (SELECT w FROM u WHERE id = 8)";
+      "DELETE FROM u WHERE id = (SELECT id FROM t WHERE v = 4)";
+      "SELECT (SELECT w FROM u WHERE id = 2), v FROM t WHERE id = 5 AND EXISTS (SELECT id FROM u WHERE id = 8)";
+      "SELECT t.v FROM t JOIN u ON t.id = u.id WHERE t.id = 6";
+      "INSERT INTO u SELECT id, v FROM t WHERE id = 7";
+      "BEGIN; INSERT INTO u VALUES (14, 140); UPDATE t SET v = 1 WHERE id = 14; COMMIT";
     ]
   in
   ( Array.of_list
@@ -1188,7 +1333,15 @@ let literal_variants =
 
 let test_memo_ddl () =
   let entries, base = ddl_history () in
-  let anl, derived = memo_analyze ~base entries in
+  List.iter
+    (fun batches ->
+      ignore
+        (memo_analyze ~label:(Printf.sprintf "DDL history, %d batch(es)" batches)
+           ~config:ddl_config ~base ~batches entries))
+    [ 3; 7 ];
+  let anl, derived =
+    memo_analyze ~label:"DDL history" ~config:ddl_config ~base entries
+  in
   let pairs = check_direct ~label:"DDL history" ~base anl in
   check Alcotest.int "derivations" pairs derived;
   let rw i = (Analyzer.info anl i).Analyzer.rw in
@@ -1204,6 +1357,22 @@ let test_memo_ddl () =
       (10, 12, "CREATE OR REPLACE VIEW");
       (13, 15, "DROP PROCEDURE");
       (15, 17, "CREATE PROCEDURE");
+      (29, 31, "CREATE TRIGGER (INSERT)");
+      (38, 40, "CREATE OR REPLACE VIEW (DELETE)");
+    ];
+  (* the row sets move across the same kinds of change *)
+  let rows i = (Analyzer.info anl i).Analyzer.rows in
+  List.iter
+    (fun (before, after, what) ->
+      if rows_equal (rows before) (rows after) then
+        Alcotest.failf "#%d and #%d: same rows across %s: %s" before after what
+          (pp_rows (rows after)))
+    [
+      (19, 22, "a primary-key change");
+      (24, 26, "DROP COLUMN");
+      (26, 28, "ADD COLUMN");
+      (29, 31, "CREATE TRIGGER");
+      (38, 40, "CREATE OR REPLACE VIEW");
     ];
   check Alcotest.bool "#9 shares #8's sets" true (rw 8 == rw 9);
   let group_of = groups anl in
@@ -1306,6 +1475,214 @@ let test_memo_literals () =
     (List.init (Analyzer.length anl) (fun i ->
          { Analyzer.tau = i + 1; op = Analyzer.Remove }))
 
+(* [analyze.rows_interpreted] counts the entries no part of whose
+   statement a plan stages. Raw histories stage every entry; in a
+   transpiled one, each CALL goes through the interpreter whole, and
+   nothing else does. *)
+let test_memo_interpreted () =
+  let interpreted (w : W.t) mode mode_name =
+    let entries = workload_entries w mode in
+    let obs = Uv_obs.Trace.create () in
+    ignore
+      (memo_analyze ~label:(w.W.name ^ " " ^ mode_name) ~config:w.W.ri_config
+         ~obs entries);
+    let calls =
+      Array.fold_left
+        (fun n (e : Log.entry) ->
+          match e.Log.stmt with Uv_sql.Ast.Call _ -> n + 1 | _ -> n)
+        0 entries
+    in
+    (Uv_obs.Trace.counter_value obs "analyze.rows_interpreted", calls)
+  in
+  List.iter
+    (fun (w : W.t) ->
+      check Alcotest.int (w.W.name ^ " raw") 0
+        (fst (interpreted w R.Raw "raw")))
+    (W.all ());
+  let w = List.hd (W.all ()) in
+  let transpiled, calls = interpreted w R.Transpiled "transpiled" in
+  check Alcotest.int (w.W.name ^ " transpiled: its CALLs") calls transpiled;
+  check Alcotest.int (w.W.name ^ " transpiled") 40 transpiled
+
+(* Generated single-table DML against the reference, with shrinking. A
+   case is a few statement skeletons over [acct] (an AUTO_INCREMENT key
+   with the alias column [email]) and [pt] (two RI dimensions), each
+   drawn at least twice with different literals, so every later draw
+   runs the memoised plan; the draws are shuffled, and a failing case
+   shrinks by dropping entries. *)
+type piece = S of string | H (* a literal slot *)
+
+let gen_literal =
+  QCheck.Gen.(
+    oneof
+      [
+        return "NULL";
+        map string_of_int (int_range 0 4);
+        map string_of_int (int_range (-3) (-1));
+        oneofl [ "0.5"; "2.5"; "-1.5" ];
+        oneofl [ "'e1'"; "'e2'"; "'3'" ];
+        oneofl [ "TRUE"; "FALSE" ];
+      ])
+
+let gen_skeleton =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (4, return [ H ]);
+        (1, return [ S "-("; H; S ")" ]);
+        (1, oneofl [ [ S "("; H; S " + "; H; S ")" ]; [ S "("; H; S " * "; H; S ")" ] ]);
+      ]
+  in
+  let atom cols =
+    oneofl cols >>= fun c ->
+    oneof
+      [
+        map (fun v -> [ S c; S " = " ] @ v) value;
+        map (fun v -> v @ [ S " = "; S c ]) value;
+        return [ S c; S " IN ("; H; S ", "; H; S ")" ];
+        return [ S c; S " BETWEEN "; H; S " AND "; H ];
+        return [ S c; S " > "; H ];
+      ]
+  in
+  let rec where cols depth =
+    if depth = 0 then atom cols
+    else
+      frequency
+        [
+          (2, atom cols);
+          ( 1,
+            map3
+              (fun a op b -> [ S "(" ] @ a @ [ S op ] @ b @ [ S ")" ])
+              (where cols (depth - 1))
+              (oneofl [ " AND "; " OR " ])
+              (where cols (depth - 1)) );
+        ]
+  in
+  let opt_where cols =
+    frequency [ (1, return []); (4, map (fun w -> S " WHERE " :: w) (where cols 2)) ]
+  in
+  let row n = S "(" :: List.concat (List.init n (fun i -> if i = 0 then [ H ] else [ S ", "; H ])) @ [ S ")" ] in
+  let values n rows =
+    S " VALUES "
+    :: List.concat (List.init rows (fun i -> if i = 0 then row n else S ", " :: row n))
+  in
+  oneofl [ ("acct", [ "id"; "email"; "bal" ]); ("pt", [ "a"; "b"; "v" ]) ]
+  >>= fun (table, cols) ->
+  oneof
+    [
+      map (fun w -> [ S ("SELECT * FROM " ^ table) ] @ w) (opt_where cols);
+      map (fun w -> [ S ("DELETE FROM " ^ table) ] @ w) (opt_where cols);
+      ( shuffle_l cols >>= fun cs ->
+        int_range 1 2 >>= fun k ->
+        list_repeat k value >>= fun vs ->
+        let assigns =
+          List.concat
+            (List.mapi
+               (fun i (c, v) -> (if i = 0 then [] else [ S ", " ]) @ (S (c ^ " = ") :: v))
+               (List.combine (List.filteri (fun i _ -> i < k) cs) vs))
+        in
+        map (fun w -> [ S ("UPDATE " ^ table ^ " SET ") ] @ assigns @ w) (opt_where cols) );
+      ( oneofl [ None; Some (List.tl cols); Some cols; Some (List.rev cols) ]
+      >>= fun list ->
+        int_range 1 3 >>= fun rows ->
+        let n = match list with Some cs -> List.length cs | None -> List.length cols in
+        let head =
+          match list with
+          | Some cs -> Printf.sprintf "INSERT INTO %s (%s)" table (String.concat ", " cs)
+          | None -> "INSERT INTO " ^ table
+        in
+        return (S head :: values n rows) );
+    ]
+
+let render skeleton lits =
+  let buf = Buffer.create 64 in
+  let lits = ref lits in
+  List.iter
+    (function
+      | S s -> Buffer.add_string buf s
+      | H -> (
+          match !lits with
+          | l :: rest ->
+              Buffer.add_string buf l;
+              lits := rest
+          | [] -> Buffer.add_string buf "NULL"))
+    skeleton;
+  Buffer.contents buf
+
+(* A case: (SQL, recorded draws) per entry. *)
+let gen_plan_case =
+  let open QCheck.Gen in
+  let holes sk = List.length (List.filter (( = ) H) sk) in
+  let draws = map (List.map (fun i -> Uv_sql.Value.Int i)) (list_size (int_range 0 3) (int_range 1 5)) in
+  (* a later draw equal to the first gets another first literal *)
+  let distinct = function
+    | [] -> []
+    | (first, nondet) :: rest ->
+        (first, nondet)
+        :: List.map
+             (fun (lits, nondet) ->
+               match lits with
+               | l :: more when lits = first ->
+                   ((if l = "NULL" then "0" else "NULL") :: more, nondet)
+               | _ -> (lits, nondet))
+             rest
+  in
+  list_size (int_range 1 5) gen_skeleton >>= fun skeletons ->
+  flatten_l
+    (List.map
+       (fun sk ->
+         int_range 2 3 >>= fun k ->
+         list_repeat k (pair (list_repeat (holes sk) gen_literal) draws)
+         >|= fun case ->
+         List.map (fun (lits, nondet) -> (render sk lits, nondet)) (distinct case))
+       skeletons)
+  >>= fun draws -> shuffle_l (List.concat draws)
+
+let plan_schema () =
+  let e = Engine.create () in
+  run e
+    "CREATE TABLE acct (id INT PRIMARY KEY AUTO_INCREMENT, email VARCHAR(16), \
+     bal INT)";
+  run e "CREATE TABLE pt (a INT, b INT, v INT)";
+  run e "INSERT INTO acct VALUES (1, 'e1', 0)";
+  Engine.snapshot e
+
+let plan_config =
+  {
+    Rowset.ri_columns = [ ("pt", [ "a"; "b" ]) ];
+    ri_aliases = [ ("acct", "email", "id") ];
+  }
+
+let prop_plan_equals_reference =
+  let print case =
+    String.concat "\n"
+      (List.mapi
+         (fun i (sql, nondet) ->
+           Printf.sprintf "#%d %s  draws [%s]" (i + 1) sql
+             (String.concat "; " (List.map Uv_sql.Value.to_string nondet)))
+         case)
+  in
+  QCheck.Test.make ~name:"plan == reference (generated DML)" ~count:300
+    (QCheck.make ~print ~shrink:QCheck.Shrink.list gen_plan_case)
+    (fun case ->
+      let base = plan_schema () in
+      let entries =
+        Array.of_list
+          (List.mapi
+             (fun i (sql, nondet) ->
+               entry_of_stmt ~nondet (i + 1) (Uv_sql.Parser.parse_stmt sql))
+             case)
+      in
+      List.iter
+        (fun batches ->
+          ignore
+            (memo_analyze ~config:plan_config ~base ~batches
+               ~on_mismatch:(fun msg -> QCheck.Test.fail_report msg)
+               entries))
+        [ 1; 2 ];
+      true)
+
 (* Padding a history with one more shape costs no derivation. *)
 let test_memo_flat_in_history () =
   let derivations ~pad =
@@ -1359,5 +1736,8 @@ let () =
             test_memo_literals;
           Alcotest.test_case "derivations flat in history length" `Quick
             test_memo_flat_in_history;
+          Alcotest.test_case "interpreted row sets counted" `Quick
+            test_memo_interpreted;
+          QCheck_alcotest.to_alcotest prop_plan_equals_reference;
         ] );
     ]

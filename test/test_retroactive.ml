@@ -429,6 +429,54 @@ let test_figure6_remove_address () =
   check Alcotest.int "stats reflect no orders" 0
     (qint merged "SELECT total FROM Stats WHERE day = 1")
 
+(* An UPDATE through an updatable view fires its base table's triggers,
+   in the engine and so in the row sets: removing #7 reaches #8 through
+   the trigger's write to [u]. The rows through the view are the rows
+   through the table. *)
+let view_trigger_history ~target =
+  let e = Engine.create () in
+  List.iter (run e)
+    [
+      "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
+      "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+      "INSERT INTO t VALUES (2, 0)";
+      "INSERT INTO u VALUES (1, 10)";
+      "CREATE VIEW vw AS SELECT id, v FROM t";
+      "CREATE TRIGGER tr AFTER UPDATE ON t FOR EACH ROW BEGIN UPDATE u SET w \
+       = w + 1 WHERE id = 1; END";
+      Printf.sprintf "UPDATE %s SET v = 5 WHERE id = 2" target;
+      "UPDATE u SET w = w * 2 WHERE id = 1";
+    ];
+  e
+
+let test_view_dml_fires_base_triggers () =
+  let rows_at7 target =
+    let e = view_trigger_history ~target in
+    let analyzer = Analyzer.analyze (Engine.log e) in
+    String.concat " | "
+      (List.map
+         (fun (table, access) ->
+           Format.asprintf "%s: %a" table Rowset.pp_access access)
+         (Analyzer.info analyzer 7).Analyzer.rows)
+  in
+  check Alcotest.string "rows through the view == through the table"
+    (rows_at7 "t") (rows_at7 "vw");
+  let e = view_trigger_history ~target:"vw" in
+  let analyzer = Analyzer.analyze (Engine.log e) in
+  let truth = oracle_replay e ~skip:7 in
+  List.iter
+    (fun (mode, name) ->
+      let config = Whatif.Config.make ~mode () in
+      let out =
+        Whatif.run_exn ~config ~analyzer e { Analyzer.tau = 7; op = Analyzer.Remove }
+      in
+      check Alcotest.(list int) (name ^ ": members") [ 8 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check table_testable (name ^ ": final state equals oracle")
+        (all_hashes truth)
+        (all_hashes (merged_universe e out)))
+    [ (Analyzer.Cell, "Cell"); (Analyzer.Row_only, "Row_only"); (Analyzer.Joint, "Joint") ]
+
 let test_figure6_add_address_for_bob () =
   let e = build_figure6 () in
   let analyzer = Analyzer.analyze (Engine.log e) in
@@ -1492,6 +1540,8 @@ let () =
           Alcotest.test_case "explain provenance" `Quick test_explain_provenance;
           Alcotest.test_case "insert-select dependency" `Quick
             test_whatif_insert_select_dependency;
+          Alcotest.test_case "view DML fires base triggers" `Quick
+            test_view_dml_fires_base_triggers;
         ] );
       ( "hash-jumper",
         [
