@@ -67,7 +67,8 @@ val plan : t -> Schema_view.t -> Ast.stmt -> plan
 (** [plan t sv stmt] decides everything that depends only on [stmt]'s
     shape ({!Uv_sql.Shape}), the schema view [sv] and [t]'s RI config:
     the write table of DML through an updatable view, the triggers it
-    fires (the write table's), the RI dimensions and alias columns of
+    fires (the write table's, at top level and inside a transaction
+    alike), the RI dimensions and alias columns of
     each table, which WHERE conjunct and which side of [=] pins each of
     them, the INSERT column bindings, the AUTO_INCREMENT column and each
     VALUES row's draw count, and which assignments rewrite an RI or alias

@@ -118,7 +118,7 @@ let config_with_deadline base deadline_ms =
   let module C = Whatif.Config in
   C.make ~mode:(C.mode base) ~workers:(C.workers base)
     ~hash_jumper:(C.hash_jumper base) ~grouped:(C.grouped base)
-    ~parallel_exec:(C.parallel_exec base) ~obs:(C.obs base) ?deadline_ms
+    ~obs:(C.obs base) ?deadline_ms
     ~fault:(C.fault base) ~checkpoint_every:(C.checkpoint_every base)
     ~plans:(C.plans base) ()
 

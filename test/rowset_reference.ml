@@ -491,8 +491,12 @@ let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
            with Invalid_argument _ -> ());
           pstmts_rows t env' sv proc.Uv_db.Catalog.proc_body nondet)
   | Transaction stmts ->
+      (* each DML statement fires its write table's triggers, as at top
+         level *)
       List.fold_left
-        (fun acc s -> merge_rows acc (stmt_rows t env sv s nondet))
+        (fun acc s ->
+          merge_rows acc
+            (merge_rows (stmt_rows t env sv s nondet) (fired_rows t sv s nondet)))
         [] stmts
   | Create_table { name; _ }
   | Drop_table { name; _ }

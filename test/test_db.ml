@@ -1396,7 +1396,7 @@ let test_golden_table_hashes () =
       let analyzer = A.analyze ~config:w.W.ri_config ~base (Engine.log eng) in
       let out =
         Whatif.run_exn
-          ~config:(Whatif.Config.make ~parallel_exec:false ())
+          ~config:(Whatif.Config.make ~workers:1 ())
           ~analyzer eng { A.tau = 1; op = A.Remove }
       in
       check Alcotest.int64 (label ^ ": what-if final hash") want_final

@@ -511,10 +511,10 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
     let fault =
       F.seeded ~stmt_fail:0.03 ~worker_crash:0.05 ~slow:0.02 ~seed ()
     in
-    (* a quarter of the schedules also exercise the serial replay path *)
+    (* a quarter of the schedules also exercise the commit-order schedule *)
     let config =
       if seed mod 4 = 0 then
-        Whatif.Config.make ~parallel_exec:false ~fault ()
+        Whatif.Config.make ~workers:1 ~fault ()
       else Whatif.Config.make ~workers:4 ~fault ()
     in
     (match Whatif.run ~config ~analyzer eng target with

@@ -477,6 +477,43 @@ let test_view_dml_fires_base_triggers () =
         (all_hashes (merged_universe e out)))
     [ (Analyzer.Cell, "Cell"); (Analyzer.Row_only, "Row_only"); (Analyzer.Joint, "Joint") ]
 
+(* DML inside a transaction fires its write table's triggers, in the
+   engine and so in the row sets: removing #6 reaches the transaction at
+   #7 through its UPDATE's trigger write to [audit]. Without BEGIN …
+   COMMIT the same UPDATE is reached in every mode. *)
+let test_transaction_dml_fires_triggers () =
+  let e = Engine.create () in
+  List.iter (run e)
+    [
+      "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)";
+      "CREATE TABLE audit (id INT PRIMARY KEY, n INT)";
+      "CREATE TRIGGER ta AFTER UPDATE ON acct FOR EACH ROW BEGIN UPDATE \
+       audit SET n = n + 1 WHERE id = 1; END";
+      "INSERT INTO audit VALUES (1, 0)";
+      "INSERT INTO acct VALUES (2, 100)";
+      "UPDATE audit SET n = n + 10 WHERE id = 1";
+      "BEGIN; UPDATE acct SET bal = bal + 1 WHERE id = 2; COMMIT";
+    ];
+  let analyzer = Analyzer.analyze (Engine.log e) in
+  let truth = oracle_replay e ~skip:6 in
+  List.iter
+    (fun (mode, name) ->
+      let config = Whatif.Config.make ~mode () in
+      let out =
+        Whatif.run_exn ~config ~analyzer e { Analyzer.tau = 6; op = Analyzer.Remove }
+      in
+      check Alcotest.(list int) (name ^ ": members") [ 7 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check table_testable (name ^ ": final state equals oracle")
+        (all_hashes truth)
+        (all_hashes (merged_universe e out)))
+    [
+      (Analyzer.Cell, "Cell");
+      (Analyzer.Row_only, "Row_only");
+      (Analyzer.Col_only, "Col_only");
+      (Analyzer.Joint, "Joint");
+    ]
+
 let test_figure6_add_address_for_bob () =
   let e = build_figure6 () in
   let analyzer = Analyzer.analyze (Engine.log e) in
@@ -1542,6 +1579,8 @@ let () =
             test_whatif_insert_select_dependency;
           Alcotest.test_case "view DML fires base triggers" `Quick
             test_view_dml_fires_base_triggers;
+          Alcotest.test_case "transaction DML fires triggers" `Quick
+            test_transaction_dml_fires_triggers;
         ] );
       ( "hash-jumper",
         [
