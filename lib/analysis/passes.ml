@@ -19,7 +19,8 @@ type entry_ctx = {
 
 let is_nondet_fun name =
   match String.uppercase_ascii name with
-  | "RAND" | "NOW" | "CURTIME" | "CURRENT_TIMESTAMP" | "UNIX_TIMESTAMP" ->
+  | "RAND" | "NOW" | "CURTIME" | "CURRENT_TIMESTAMP" | "UNIX_TIMESTAMP"
+  | "LAST_INSERT_ID" ->
       true
   | _ -> false
 

@@ -17,11 +17,12 @@ type entry_ctx = {
 
 val nondet : entry_ctx -> Diagnostic.t list
 (** [UVA001]. Statically counts the entry's non-deterministic draw sites
-    (RAND/NOW-family calls, AUTO_INCREMENT fills) and compares with the
-    recorded draws. Fewer recorded values than *guaranteed* sites is an
-    error (replay diverges); a writing entry with zero recorded values
-    but branch-dependent sites (procedure bodies, trigger chains) is an
-    info — staleness the static analysis cannot rule out. *)
+    (RAND/NOW-family and LAST_INSERT_ID calls, AUTO_INCREMENT fills) and
+    compares with the recorded draws. Fewer recorded values than
+    *guaranteed* sites is an error (replay diverges); a writing entry
+    with zero recorded values but branch-dependent sites (procedure
+    bodies, trigger chains) is an info — staleness the static analysis
+    cannot rule out. *)
 
 val soundness : entry_ctx -> Diagnostic.t list
 (** [UVA002]. Diffs {!Coarse_rw.of_stmt} against the precise sets: any

@@ -538,7 +538,7 @@ and eval_fun t env name args =
   | "RAND", 0 -> draw t (fun () -> Value.Float (Uv_util.Prng.float t.prng 1.0))
   | ("NOW" | "CURTIME" | "CURRENT_TIMESTAMP" | "UNIX_TIMESTAMP"), 0 ->
       draw t (fun () -> Value.Int t.sim_time)
-  | "LAST_INSERT_ID", 0 -> t.last_insert_id
+  | "LAST_INSERT_ID", 0 -> draw t (fun () -> t.last_insert_id)
   | ( ( "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" | "COUNT.D" | "SUM.D"
       | "AVG.D" | "MIN.D" | "MAX.D" ),
       _ ) ->

@@ -114,10 +114,10 @@ val exec :
   result
 (** Execute one top-level client statement: charges one round trip,
     appends a log entry on success. [~nondet] forces recorded values for
-    RAND()/NOW()/AUTO_INCREMENT draws in order (retroactive replay);
-    draws beyond the list fall back to fresh values (retroactively *added*
-    queries, §4.4). [~app_txn] tags the entry with the application-level
-    transaction that issued it. [~rowid_base] pins the statement's row
+    RAND()/NOW()/LAST_INSERT_ID()/AUTO_INCREMENT draws in order
+    (retroactive replay); draws beyond the list fall back to fresh values
+    (retroactively *added* queries, §4.4). [~app_txn] tags the entry with
+    the application-level transaction that issued it. [~rowid_base] pins the statement's row
     inserts to rowids [base], [base + 1], ... — the wave executor gives
     each replayed statement a private range so physical row placement is
     deterministic at every worker count. [~plan] must be a plan

@@ -15,10 +15,10 @@ type info = {
 }
 
 (* Joint's candidate index. Every entry that can join a closure files
-   each row-keyed column it touches, in the slot [postings] uses (its
-   readers at [2c], its writers at [2c + 1]), under the row keys of its
-   table's combined [dr ∪ dw]: a cell conflict only needs
-   some pair of the two accesses' rows to meet, whatever the columns'
+   each row-keyed column it touches, as a reader at slot [2c] (unless it
+   also writes the column) or a writer at [2c + 1], under the row keys
+   of its table's combined [dr ∪ dw]: a cell conflict only needs some
+   pair of the two accesses' rows to meet, whatever the columns'
    direction. A wildcard, zero-dimension or odd-dimension access files
    as [Rows_any]; [Rows_all] holds every entry filed in the slot.
    Buckets are newest-first. Built at the first Joint question, kept up
@@ -28,7 +28,9 @@ type cell_key =
   | Rows_any
   | Rows_all
   | Rows_val of int (* a row key *)
-  | Posting (* a schema key's posting: keys a closure's pruned copy only *)
+  | Posting
+      (* the postings of a column slot's shapes ([col_shapes]): keys a
+         closure's pruned copy only *)
 
 type cell_index = {
   mutable ci_n : int;  (* entries [1 .. ci_n] are filed *)
@@ -91,9 +93,10 @@ type table_rows = {
    row-wise (or Joint) closure: [epoch] for a member of the current
    closure, [-epoch] for an entry kept out of it. [via_col]/[via_row]
    hold a member's parent in that closure, read only for entries whose
-   mark is the current epoch. [opened]/[from] stamp
-   each posting with the epoch a cursor was opened on it and the lowest
-   index it was opened after. Cursor [k] yields
+   mark is the current epoch. [opened]/[from] stamp each column slot of
+   [col_shapes] with the epoch it was tainted on and the lowest index it
+   was tainted after; [sh_opened]/[sh_from] stamp each shape id the same
+   way for the cursors opened on its posting. Cursor [k] yields
    [cur_ids.(k).(cur_pos.(k) .. cur_stop.(k) - 1)], each of which
    conflicts column-wise with [cur_opener.(k)] (0 = the target); [heap]
    holds the live cursors as packed [(next index, k)] keys. *)
@@ -104,6 +107,8 @@ type scratch = {
   mutable via_row : int array;
   mutable opened : int array;
   mutable from : int array;
+  mutable sh_opened : int array;
+  mutable sh_from : int array;
   mutable epoch : int;
   mutable cur_ids : int array array;
   mutable cur_pos : int array;
@@ -113,14 +118,17 @@ type scratch = {
 }
 
 (* One statement shape's column-wise sets and row-set plan under the
-   schema generation the memo holds, and its [entry_cols] row, interned
-   at the first entry of the shape that needs one ([||] until then).
-   None is ever written after that, so every entry of the shape shares
-   them. *)
+   schema generation the memo holds, and its [entry_cols] row and id,
+   given at the first entry of the shape that can join a closure ([||]
+   and [-1] until then). None is ever written after that, so every entry
+   of the shape shares them. [s_entries] lists the shape's joinable
+   entries, ascending. *)
 type shape_sets = {
   s_rw : Rwset.rw;
   s_plan : Rowset.plan;
   mutable s_cols : int array;
+  mutable s_id : int;
+  s_entries : posting;
 }
 
 type t = {
@@ -132,8 +140,10 @@ type t = {
   base : Uv_db.Catalog.t option;
   base_hashes : (string * int64) list;
   col_ids : (string, int) Hashtbl.t; (* interned Rwset column keys *)
-  mutable postings : posting array;
-      (* column [c]'s joinable readers at [2c], its writers at [2c + 1] *)
+  mutable shape_count : int; (* shape ids handed out, every generation's *)
+  mutable col_shapes : shape_sets list array;
+      (* column [c]'s shapes, newest first: every shape touching it at
+         [2c], the shapes writing it at [2c + 1] *)
   mutable entry_cols : int array array;
       (* per entry: [| nw; nw written column ids; the read column ids |],
          or [||] for an entry that never joins *)
@@ -199,7 +209,7 @@ let dim0_of (config : Rowset.config) table =
   | Some (d :: _) -> d
   | _ -> "#0"
 
-(* filler for unused slots of [t.postings]; never pushed to *)
+(* filler for unused slots of [t.row_postings]; never pushed to *)
 let no_posting = { ids = [||]; len = 0 }
 
 let posting_push p i =
@@ -255,10 +265,8 @@ let intern t c =
   | exception Not_found ->
       let id = Hashtbl.length t.col_ids in
       Hashtbl.replace t.col_ids c id;
-      if 2 * id = Array.length t.postings then
-        t.postings <- grow t.postings (2 * id) no_posting;
-      t.postings.((2 * id) + 1) <- fresh_posting ();
-      t.postings.(2 * id) <- fresh_posting ();
+      if 2 * id = Array.length t.col_shapes then
+        t.col_shapes <- grow t.col_shapes (2 * id) [];
       if id = Array.length t.col_table then begin
         t.col_table <- grow t.col_table id 0;
         t.col_row_keyed <- grow t.col_row_keyed id false
@@ -297,29 +305,35 @@ let cols_row t (rw : Rwset.rw) =
   Rwset.Colset.iter put rw.Rwset.r;
   cols
 
-(* Index one entry's columns and return its [entry_cols] row, the one
-   its shape [sh] holds (interned at the first entry of the shape that
-   needs one). Column postings are ascending, so indexing a later entry
-   appends. A reader posting holds only entries that can ever join a
-   closure — they write, or carry an application transaction tag — and
-   that do not also write the column: whoever scans a column's readers
-   scans its writers too, so listing an entry in both would only visit
-   it twice. *)
+(* Intern shape [sh]'s [entry_cols] row, give it the next shape id and
+   list it in [col_shapes] under each column it touches. *)
+let register_shape t sh =
+  let cols = cols_row t sh.s_rw in
+  sh.s_cols <- cols;
+  sh.s_id <- t.shape_count;
+  t.shape_count <- t.shape_count + 1;
+  let file slot =
+    match t.col_shapes.(slot) with
+    | last :: _ when last == sh -> ()
+    | l -> t.col_shapes.(slot) <- sh :: l
+  in
+  for k = 1 to Array.length cols - 1 do
+    file (2 * cols.(k));
+    if k <= cols.(0) then file ((2 * cols.(k)) + 1)
+  done
+
+(* Index one entry and return its [entry_cols] row, the one its shape
+   [sh] holds. Only entries that can ever join a closure — they write, or
+   carry an application transaction tag — are indexed: once, on their
+   shape's posting, which is ascending, so a later entry appends. *)
 let index_info t inf sh =
   let i = inf.index in
   let cols =
     if Rwset.Colset.is_empty inf.rw.Rwset.w && inf.app_txn = None then [||]
     else begin
-      if sh.s_cols = [||] then sh.s_cols <- cols_row t sh.s_rw;
-      let cols = sh.s_cols in
-      let nw = cols.(0) in
-      let rec written id j = j <= nw && (cols.(j) = id || written id (j + 1)) in
-      for k = 1 to Array.length cols - 1 do
-        let id = cols.(k) in
-        if k <= nw then posting_push t.postings.((2 * id) + 1) i
-        else if not (written id 1) then posting_push t.postings.(2 * id) i
-      done;
-      cols
+      if sh.s_cols = [||] then register_shape t sh;
+      posting_push sh.s_entries i;
+      sh.s_cols
     end
   in
   (match inf.app_txn with
@@ -446,7 +460,7 @@ let cell_rows t rows runs tid =
         if Array.mem 0 !keys then `Any else `Vals !keys
 
 (* File entry [i], keyed [runs], in the cell index through its
-   [entry_cols] row: the same entries and slots as the column postings. *)
+   [entry_cols] row: a column it also writes only as a writer. *)
 let file_cells t ci i runs =
   let cols = t.entry_cols.(i - 1) and rows = t.infos.(i - 1).rows in
   let push key =
@@ -496,7 +510,8 @@ let create ?(config = Rowset.default_config) ?base source =
     base;
     base_hashes;
     col_ids = Hashtbl.create 256;
-    postings = [||];
+    shape_count = 0;
+    col_shapes = [||];
     entry_cols = [||];
     table_ids = Hashtbl.create 16;
     table_names = [||];
@@ -533,6 +548,8 @@ let shape_sets t ~derived stmt =
           s_rw = Rwset.of_stmt t.sv stmt;
           s_plan = Rowset.plan t.row_state t.sv stmt;
           s_cols = [||];
+          s_id = -1;
+          s_entries = fresh_posting ();
         }
       in
       Shape.Tbl.replace t.shapes stmt sh;
@@ -692,6 +709,8 @@ let with_scratch t f =
           via_row = [||];
           opened = [||];
           from = [||];
+          sh_opened = [||];
+          sh_from = [||];
           epoch = 0;
           cur_ids = [||];
           cur_pos = [||];
@@ -711,6 +730,10 @@ let with_scratch t f =
   if Array.length s.opened < np then begin
     s.opened <- Array.make (max np 64) 0;
     s.from <- Array.make (max np 64) 0
+  end;
+  if Array.length s.sh_opened < t.shape_count then begin
+    s.sh_opened <- Array.make (max t.shape_count 64) 0;
+    s.sh_from <- Array.make (max t.shape_count 64) 0
   end;
   s.epoch <- s.epoch + 1;
   let r = f s in
@@ -828,17 +851,21 @@ let rec sift_down h len k =
     end
   end
 
-(* The column-wise closure as one ascending sweep over column postings.
-   A member (or the seed, just before τ) taints its columns: a written
-   column opens cursors on its readers and writers, a read column on its
-   writers, each starting just past the member. A posting is opened once
-   per question unless a member below its opening point taints it —
-   only a group mate joining out of order does, and a second cursor from
-   there is sound because every cursor entry conflicts with the member
-   that opened it. The heap merges the cursors into ascending index
-   order; a live candidate joins. So the cost is the postings of
-   tainted columns after their taint time, and ungrouped members join in
-   ascending order.
+(* The column-wise closure as one ascending sweep over shape postings.
+   Every entry of a shape shares its columns, so column-wise conflict is
+   a relation between shapes. A member (or the seed, just before τ)
+   taints its columns: a written column opens a cursor on every shape
+   that touches it, a read column on every shape that writes it, each
+   starting just past the member; read-only shapes only open when
+   [grouped], as only then can their entries join. A column slot is
+   tainted, and a shape opened, once per question unless a member below
+   its opening point reaches it again — only a group mate joining out of
+   order does, and a second cursor from there is sound because every
+   cursor entry conflicts with the member that opened it. The heap
+   merges the cursors into ascending index order; a live candidate
+   joins. So an ungrouped question visits each entry at most once, and
+   every visit joins but those to the excluded target group: O(|C|)
+   shape-posting entries, and ungrouped members join in ascending order.
    Provenance: each member's parent ([s.via_col]) is the smallest cursor
    opener that yields it — the earliest member (or the target, 0) it
    conflicts with column-wise — or, failing any, the group mate it
@@ -851,12 +878,16 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live = live_in t ~grouped ~tau ~mark ~epoch in
   let len = ref 0 and cursors = ref 0 in
-  (* open posting [p] for entries past [after] *)
-  let open_posting p ~opener ~after =
-    if s.opened.(p) <> epoch || s.from.(p) > after then begin
-      s.opened.(p) <- epoch;
-      s.from.(p) <- after;
-      let post = t.postings.(p) in
+  (* open a cursor on shape [sh]'s posting for entries past [after] *)
+  let open_shape ~opener ~after sh =
+    let id = sh.s_id in
+    if
+      (grouped || sh.s_cols.(0) > 0)
+      && (s.sh_opened.(id) <> epoch || s.sh_from.(id) > after)
+    then begin
+      s.sh_opened.(id) <- epoch;
+      s.sh_from.(id) <- after;
+      let post = sh.s_entries in
       let pos = posting_lower_bound post (after + 1) in
       if pos < post.len then begin
         let k = !cursors in
@@ -879,13 +910,17 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
       end
     end
   in
-  (* [cols] in the [entry_cols] layout *)
+  (* taint [cols], in the [entry_cols] layout: slot [2c] of a written
+     column, [2c + 1] of a read one *)
   let taint ~opener ~after cols =
     let nw = cols.(0) in
     for k = 1 to Array.length cols - 1 do
-      let c = cols.(k) in
-      if k <= nw then open_posting (2 * c) ~opener ~after;
-      open_posting ((2 * c) + 1) ~opener ~after
+      let slot = if k <= nw then 2 * cols.(k) else (2 * cols.(k)) + 1 in
+      if s.opened.(slot) <> epoch || s.from.(slot) > after then begin
+        s.opened.(slot) <- epoch;
+        s.from.(slot) <- after;
+        List.iter (open_shape ~opener ~after) t.col_shapes.(slot)
+      end
     done
   in
   let joined = ref [] in
@@ -900,7 +935,7 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
     List.iter (fun g -> if live g then add (-i) g) (expand i)
   in
   (* the seed: a pseudo-member just before τ; a column no entry touches
-     has no posting to open *)
+     has no shape to open *)
   let ids_of cols =
     Rwset.Colset.fold
       (fun c acc ->
@@ -1022,12 +1057,18 @@ let asker_runs t ~tau =
     if current && min_idx >= tau then t.entry_rows.(min_idx - 1)
     else keyed_now t rows
 
+(* The entries [>= tau] of the shapes listed at [col_shapes] slot [slot]. *)
+let slot_since t slot tau =
+  List.fold_left
+    (fun acc sh -> posting_onto acc sh.s_entries tau)
+    [] t.col_shapes.(slot)
+
 (* Row-wise candidates: the row-key postings of each table's first
    dimension, verified with the full multi-dimensional overlap; plus
    schema-key ([_S.*]) conflicts, which are wildcard rows per Table B.
    The pruning cache keys a posting by its slot times 4 plus its kind:
-   0 a column posting, 1 a row key's, 2 a table's wildcard posting, 3
-   every posting of a table's side, flattened. *)
+   0 a column slot's shape postings, 1 a row key's, 2 a table's wildcard
+   posting, 3 every posting of a table's side, flattened. *)
 let row_joins t ~visits ~tau ~live =
   let cache : (int, int list) Hashtbl.t = Hashtbl.create 256 in
   let runs_of = asker_runs t ~tau in
@@ -1038,20 +1079,17 @@ let row_joins t ~visits ~tau ~live =
       scan_pruned cache ~live ~min_idx ~offer ((4 * slot) + kind) fetch
     in
     (* _S pseudo-rows: wildcard, so any column-level _S conflict is a row
-       conflict too *)
+       conflict too: a written key meets every shape touching it, a read
+       one the shapes writing it *)
     let scan_schema side c =
       if is_schema_key c then
         Option.iter
           (fun id ->
             let slot = (2 * id) + side in
-            scan 0 slot (fun () -> posting_since t.postings.(slot) tau))
+            scan 0 slot (fun () -> slot_since t slot tau))
           (Hashtbl.find_opt t.col_ids c)
     in
-    Rwset.Colset.iter
-      (fun c ->
-        scan_schema 0 c;
-        scan_schema 1 c)
-      rw.Rwset.w;
+    Rwset.Colset.iter (scan_schema 0) rw.Rwset.w;
     Rwset.Colset.iter (scan_schema 1) rw.Rwset.r;
     (* table rows: [n] keys from [runs.(first)] against the other side's
        postings ([side]: 0 readers, 1 writers) *)
@@ -1107,7 +1145,8 @@ let cell_index_of t ~tau =
    meet; for each it reads, the writers. Every pair [cell_pair_conflict]
    accepts is offered: both sides file a column under its table's
    [dr ∪ dw] values, a wildcard asker scans every filed entry, and any
-   asker scans the wildcard bucket. Schema keys scan their postings. *)
+   asker scans the wildcard bucket. Other columns scan their shapes'
+   postings. *)
 let cell_index_joins t (ci, runs_of) ~visits ~tau ~live =
   let cache : (int * cell_key, int list) Hashtbl.t = Hashtbl.create 64 in
   fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
@@ -1116,7 +1155,7 @@ let cell_index_joins t (ci, runs_of) ~visits ~tau ~live =
     let scan key =
       scan_pruned cache ~live ~min_idx ~offer key (fun () ->
           match key with
-          | slot, Posting -> posting_since t.postings.(slot) tau
+          | slot, Posting -> slot_since t slot tau
           | _ -> (
               match Hashtbl.find_opt ci.ci_buckets key with
               | Some b -> since tau !b

@@ -118,8 +118,11 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     shape ({!Uv_sql.Shape}: the statement with its literals erased) and
     schema generation ({!Schema_view.generation}), in a memo the
     analyzer keeps across batches: every later entry of the shape
-    shares the shape's [rw] and interned column row, and only posts
-    itself under the row's columns. Its row sets come from
+    shares the shape's [rw] and interned column row, and, if it can join
+    a closure, only appends itself to the shape's posting. The shape
+    gets an id at its first such entry and is listed under each column
+    it touches, so a shape used again after a schema change is a new
+    shape with a posting of its own. Its row sets come from
     [Rowset.run] of the shape's {!Rowset.plan}, which reads the entry's
     own literals and learns RI aliases and merges from them in commit
     order, as the interpreter would. A schema change empties the memo,
@@ -244,18 +247,21 @@ val replay_set :
 
     [obs] records one [closure.col]/[closure.row] ([closure.cell] for
     [Joint]) span per closure run, counts the members each closure
-    processes in [analyze.closure_iters], the column postings the column
-    sweep visits in [analyze.closure_col_visits], and the candidates the
-    row-wise or Joint generator offers (deduplicated per asking member,
-    before the pair predicate) in [analyze.closure_row_visits].
+    processes in [analyze.closure_iters], the shape-posting entries the
+    column sweep visits in [analyze.closure_col_visits], and the
+    candidates the row-wise or Joint generator offers (deduplicated per
+    asking member, before the pair predicate) in
+    [analyze.closure_row_visits].
 
-    Cost: the column-wise closure is one ascending sweep whose cost is
-    O(postings of tainted columns after their taint time) — each column
-    a member (or the target) reads or writes opens its writers' (and, if
-    written, its readers') posting once, just past that member, and
-    every posting entry from there on is visited once. The row-wise
-    closure costs the replay set and the row-key postings' entries at
-    or after τ; Joint's, the cell buckets' entries at or after τ.
+    Cost: the column-wise closure is one ascending sweep over statement
+    shapes, O(|C|) shape-posting entries: each column a member (or the
+    target) writes opens a cursor on every shape touching it, and each
+    column it reads on every shape writing it, once per question and
+    just past that member, so an ungrouped question visits each entry at
+    most once and every visit joins but those to the excluded target
+    group. The row-wise closure costs the replay set and the row-key
+    postings' entries at or after τ; Joint's, the cell buckets' entries
+    at or after τ.
     Membership and parents live in per-analyzer scratch arrays stamped
     per question, grown only when the history outgrows them, so a
     question allocates and clears nothing of the history's length.

@@ -270,12 +270,15 @@ let constrain_dims t env sv table where : riset array =
 (* Non-determinism bookkeeping for INSERT                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Count the RAND()/NOW()-style draws an expression performs so we can
-   line up the AUTO_INCREMENT draw within the entry's recorded list. *)
+(* Count the RAND()/NOW()/LAST_INSERT_ID()-style draws an expression
+   performs so we can line up the AUTO_INCREMENT draw within the entry's
+   recorded list. *)
 let rec count_draws (e : expr) =
   match e with
-  | Fun_call (("RAND" | "NOW" | "CURTIME" | "CURRENT_TIMESTAMP" | "UNIX_TIMESTAMP"), _)
-    ->
+  | Fun_call
+      ( ( "RAND" | "NOW" | "CURTIME" | "CURRENT_TIMESTAMP" | "UNIX_TIMESTAMP"
+        | "LAST_INSERT_ID" ),
+        _ ) ->
       1
   | Fun_call (_, args) -> List.fold_left (fun a x -> a + count_draws x) 0 args
   | Binop (_, a, b) -> count_draws a + count_draws b

@@ -109,11 +109,16 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # reference in every mode: members, parents, candidates offered, replay
 # DAG edges and waves; a target rewriting an RI value, merged at
 # question time (Joint == the pairwise reference, the replay DAG == the
-# string-keyed reference); and per warm question, equal at 1 008 and 4 008
-# history entries: column postings visited, row-wise and Joint
-# candidates offered, and the words allocated straight into the major
-# heap (Cell through the service, Joint and grouped directly)
-step "closure smoke: replay sets and provenance == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge, allocation flat in history" \
+# string-keyed reference); per warm question, equal at 1 008 and 4 008
+# history entries: shape-posting entries the column sweep visits,
+# row-wise and Joint candidates offered, and the words allocated
+# straight into the major heap (Cell through the service, Joint and
+# grouped directly); per ungrouped Col_only and Cell question on the
+# padded history and the fixtures, column visits at most the members
+# plus the excluded target; and analyzers extended across DDL in 3 and
+# 7 batches, whose shapes are registered again after each schema
+# generation bump, == the pairwise reference in every mode
+step "closure smoke: replay sets and provenance == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge, allocation flat in history, column visits <= members plus excluded, extend across DDL == reference" \
   dune exec test/test_closure.exe
 
 # the analyzer's per-shape memo against direct derivation: every

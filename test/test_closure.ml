@@ -926,6 +926,38 @@ let test_col_visits_flat_in_history () =
   check Alcotest.int "column postings visited, 1 008 vs 4 008 entries" small
     large
 
+(* The column sweep opens one cursor per shape, once per ungrouped
+   question, so every entry it visits joins but the excluded target:
+   one question's visits are at most its column closure's members plus
+   the target group it keeps out ([τ] for a removal or a change, nothing
+   for an addition). Asked in Col_only and Cell on the padded history
+   and on the fixtures, at every reference τ. *)
+let test_col_visits_join () =
+  let visits_bounded label anl =
+    List.iter
+      (fun target ->
+        List.iter
+          (fun (mode, mode_name) ->
+            let obs = Uv_obs.Trace.create () in
+            let rs = Analyzer.replay_set ~obs ~mode anl target in
+            let visits =
+              Uv_obs.Trace.counter_value obs "analyze.closure_col_visits"
+            in
+            let excluded =
+              match target.Analyzer.op with Analyzer.Add _ -> 0 | _ -> 1
+            in
+            if visits > rs.Analyzer.col_only_count + excluded then
+              Alcotest.failf
+                "%s %s %s: %d column visits for %d members and %d excluded"
+                label (target_name target) mode_name visits
+                rs.Analyzer.col_only_count excluded)
+          [ (Analyzer.Col_only, "col-only"); (Analyzer.Cell, "cell") ])
+      (targets anl)
+  in
+  let e, base = padded_history ~pad:1000 in
+  visits_bounded "padded" (Analyzer.analyze ~base (Engine.log e));
+  List.iter (fun (name, anl) -> visits_bounded name anl) (Lazy.force fixtures)
+
 (* Candidates the row-wise (or Joint) generator offers one warm question. *)
 let row_visits_of_question ~pad ~mode =
   let obs = Uv_obs.Trace.create () in
@@ -1354,12 +1386,14 @@ let literal_variants =
 
 let test_memo_ddl () =
   let entries, base = ddl_history () in
-  List.iter
-    (fun batches ->
-      ignore
-        (memo_analyze ~label:(Printf.sprintf "DDL history, %d batch(es)" batches)
-           ~config:ddl_config ~base ~batches entries))
-    [ 3; 7 ];
+  let extended =
+    List.map
+      (fun batches ->
+        let label = Printf.sprintf "DDL history, %d batches," batches in
+        ( label,
+          fst (memo_analyze ~label ~config:ddl_config ~base ~batches entries) ))
+      [ 3; 7 ]
+  in
   let anl, derived =
     memo_analyze ~label:"DDL history" ~config:ddl_config ~base entries
   in
@@ -1396,7 +1430,6 @@ let test_memo_ddl () =
       (38, 40, "CREATE OR REPLACE VIEW");
     ];
   check Alcotest.bool "#9 shares #8's sets" true (rw 8 == rw 9);
-  let group_of = groups anl in
   let stmt = Uv_sql.Parser.parse_stmt in
   let targets =
     List.init (Analyzer.length anl) (fun i ->
@@ -1409,11 +1442,17 @@ let test_memo_ddl () =
           ])
         [ 1; 6; 11; 17 ]
   in
+  (* the analyzers [extend] grew across schema generations, whose shapes
+     were registered again after each bump, too *)
   List.iter
-    (fun target ->
-      check_question ~label:("DDL history " ^ target_name target) anl ~group_of
-        target)
-    targets
+    (fun (label, anl) ->
+      let group_of = groups anl in
+      List.iter
+        (fun target ->
+          check_question ~label:(label ^ " " ^ target_name target) anl
+            ~group_of target)
+        targets)
+    (("DDL history", anl) :: extended)
 
 (* DDL nested in a transaction moves the schema generation like DDL on
    its own; a transaction of DML does not. *)
@@ -1741,6 +1780,8 @@ let () =
             test_cost_flat_in_history;
           Alcotest.test_case "column visits flat in history length" `Quick
             test_col_visits_flat_in_history;
+          Alcotest.test_case "column visits: members plus excluded" `Quick
+            test_col_visits_join;
           Alcotest.test_case "replay edges flat in history length" `Quick
             test_edges_flat_in_history;
           Alcotest.test_case "row visits flat in history length" `Quick

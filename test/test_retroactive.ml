@@ -829,6 +829,42 @@ let prop_add_change_oracle =
       let truth = oracle_with_op e tau op in
       all_hashes truth = all_hashes (merged_universe e out))
 
+(* A read of LAST_INSERT_ID() is a recorded draw. The member at #5 reads
+   it and replays on an engine of its own, where no earlier insert set
+   it, yet it must see the value the history saw, as the full-replay
+   oracle does; the read lines up before the entry's own AUTO_INCREMENT
+   draw, which keys its row. *)
+let test_last_insert_id_replays_recorded () =
+  let e = Engine.create () in
+  List.iter (run e)
+    [
+      "CREATE TABLE p (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
+      "CREATE TABLE c (id INT PRIMARY KEY AUTO_INCREMENT, pid INT)";
+      "INSERT INTO p VALUES (5, 0)";
+      "INSERT INTO p (v) VALUES (1)";
+      "INSERT INTO c (pid) VALUES (LAST_INSERT_ID())";
+      "UPDATE c SET pid = pid + 100 WHERE id = 1";
+    ];
+  let analyzer = Analyzer.analyze (Engine.log e) in
+  let tau = 5 in
+  let op =
+    Analyzer.Add (Parser.parse_stmt "UPDATE c SET pid = 0 WHERE id = 1")
+  in
+  let truth = oracle_with_op e tau op in
+  check Alcotest.int "the oracle carries the read" 106
+    (qint truth "SELECT pid FROM c WHERE id = 1");
+  List.iter
+    (fun workers ->
+      let label = Printf.sprintf "workers %d" workers in
+      let config = Whatif.Config.make ~workers () in
+      let out = Whatif.run_exn ~config ~analyzer e { Analyzer.tau; op } in
+      check Alcotest.(list int) (label ^ ": members") [ 5; 6 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check table_testable (label ^ ": final state equals oracle")
+        (all_hashes truth)
+        (all_hashes (merged_universe e out)))
+    [ 1; 2 ]
+
 (* row-only mode is likewise sound on its own (Theorem E.20's two
    independent over-approximations) *)
 let prop_rowonly_oracle =
@@ -1581,6 +1617,8 @@ let () =
             test_view_dml_fires_base_triggers;
           Alcotest.test_case "transaction DML fires triggers" `Quick
             test_transaction_dml_fires_triggers;
+          Alcotest.test_case "LAST_INSERT_ID replays as recorded" `Quick
+            test_last_insert_id_replays_recorded;
         ] );
       ( "hash-jumper",
         [
