@@ -561,12 +561,11 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
   if n < from then 0
   else begin
     let batch = ref [] and cols = ref [] in
-    let derived = ref 0 and interpreted = ref 0 in
+    let derived = ref 0 in
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
         t.source.src_iter from n (fun e ->
             let stmt = e.Uv_db.Log.stmt in
             let sh = shape_sets t ~derived stmt in
-            if Rowset.interpreted sh.s_plan then incr interpreted;
             let rows = Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet in
             Schema_view.apply t.sv stmt;
             let inf =
@@ -580,8 +579,7 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
             in
             batch := inf :: !batch;
             cols := index_info t inf sh :: !cols);
-        Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations";
-        Uv_obs.Trace.incr obs ~by:!interpreted "analyze.rows_interpreted");
+        Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations");
     t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
     t.entry_cols <- Array.append t.entry_cols (Array.of_list (List.rev !cols));
     t.entry_rows <- Array.append t.entry_rows (Array.make (n - from + 1) [||]);

@@ -90,8 +90,7 @@ val of_source :
     start of the history (the checkpoint the history grows from); it
     seeds the schema view and the Hash-jumper's initial table hashes.
     [obs] records [analyze.rwsets]/[analyze.index] spans and the
-    [analyze.rw_derivations] and [analyze.rows_interpreted] counters
-    (see {!extend}). A store-sourced and a log-sourced build take the
+    [analyze.rw_derivations] counter (see {!extend}). A store-sourced and a log-sourced build take the
     same path: both derive per statement shape from the entries' ASTs. *)
 
 val analyze :
@@ -125,11 +124,12 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     shape with a posting of its own. Its row sets come from
     [Rowset.run] of the shape's {!Rowset.plan}, which reads the entry's
     own literals and learns RI aliases and merges from them in commit
-    order, as the interpreter would. A schema change empties the memo,
-    plans included. [obs]'s [analyze.rw_derivations] counter gets the
-    [Rwset.of_stmt] calls made — one per distinct (generation, shape)
-    the batch meets first — and [analyze.rows_interpreted] the entries
-    whose plan stages no part of the statement ({!Rowset.interpreted}).
+    order. The plan of a CALL or of a DML statement that fires triggers
+    holds the plans of the bodies it runs, so the memo and the schema
+    generation (which CREATE/DROP PROCEDURE or TRIGGER bump) cover them
+    too. A schema change empties the memo, plans included. [obs]'s
+    [analyze.rw_derivations] counter gets the [Rwset.of_stmt] calls made
+    — one per distinct (generation, shape) the batch meets first.
     Questions ({!target_rw}) never read or write the memo.
 
     Only sound while the analysed prefix is intact — a truncated log or

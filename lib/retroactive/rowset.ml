@@ -153,11 +153,6 @@ let merge_rows (a : entry_rows) (b : entry_rows) : entry_rows =
 (* Partial evaluation of expressions                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Variables map to [Some v] when their value is statically determined
-   (bound from literal CALL arguments or literal SETs), [None] when
-   unknown (database reads, non-determinism). *)
-type penv = (string, Value.t option) Hashtbl.t
-
 let peval_unop op v =
   match op with
   | Neg -> Value.sub (Value.Int 0) v
@@ -188,84 +183,6 @@ let peval_concat parts =
             (List.map (fun p -> Value.to_string (Option.get p)) parts)))
   else None
 
-let rec peval (env : penv) (e : expr) : Value.t option =
-  match e with
-  | Lit v -> Some v
-  | Var name -> ( match Hashtbl.find_opt env name with Some v -> v | None -> None)
-  | Col _ -> None
-  | Unop (op, a) -> Option.map (peval_unop op) (peval env a)
-  | Binop (op, a, b) -> (
-      match (peval env a, peval env b) with
-      | Some va, Some vb -> Some (peval_binop op va vb)
-      | _ -> None)
-  | Fun_call ("CONCAT", args) -> peval_concat (List.map (peval env) args)
-  | Fun_call ("IF", [ c; a; b ]) -> (
-      match peval env c with
-      | Some cv -> if Value.to_bool cv then peval env a else peval env b
-      | None -> None)
-  | Fun_call _ | Subselect _ | Exists _ -> None
-  | In_list _ | Between _ | Is_null _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* WHERE-clause constraint extraction                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Does [e] name column [name] of [table] (unqualified, or qualified by
-   the table's own name)? *)
-let is_col table name = function
-  | Col (None, c) -> String.equal c name
-  | Col (Some q, c) -> String.equal q table && String.equal c name
-  | _ -> false
-
-(* Extract the riset a WHERE clause pins for dimension [dim] of [table],
-   considering alias columns. Unqualified column names are assumed to
-   refer to [table] (single-table DML). *)
-let rec where_constraint t env table dim (e : expr) : riset =
-  let is_col = is_col table in
-  match e with
-  | Binop (Eq, lhs, rhs) -> (
-      let sides = [ (lhs, rhs); (rhs, lhs) ] in
-      let try_side (a, b) =
-        if is_col dim a then
-          match peval env b with Some v -> Some (value_set v) | None -> Some Any
-        else
-          match
-            List.find_opt (fun (acol, rcol) -> String.equal rcol dim && is_col acol a)
-              (aliases_for t table)
-          with
-          | Some (acol, _) -> (
-              match peval env b with
-              | Some v -> Some (alias_lookup t table acol v)
-              | None -> Some Any)
-          | None -> None
-      in
-      match List.find_map try_side sides with
-      | Some rs -> rs
-      | None -> Any)
-  | In_list (c, items) when is_col dim c ->
-      let vals = List.map (peval env) items in
-      if List.for_all Option.is_some vals then
-        Vals (Vset.of_list (List.map (fun v -> Value.serialize (Option.get v)) vals))
-      else Any
-  | Binop (And, a, b) ->
-      rs_inter (where_constraint t env table dim a) (where_constraint t env table dim b)
-  | Binop (Or, a, b) ->
-      rs_union (where_constraint t env table dim a) (where_constraint t env table dim b)
-  | _ -> Any
-
-let constrain_dims t env sv table where : riset array =
-  let dims = ri_dims t sv table in
-  match dims with
-  | [] -> [| Any |]
-  | _ ->
-      Array.of_list
-        (List.map
-           (fun dim ->
-             match where with
-             | None -> Any
-             | Some w -> where_constraint t env table dim w)
-           dims)
-
 (* ------------------------------------------------------------------ *)
 (* Non-determinism bookkeeping for INSERT                               *)
 (* ------------------------------------------------------------------ *)
@@ -288,438 +205,160 @@ let rec count_draws (e : expr) =
   | Is_null (a, _) -> count_draws a
   | Lit _ | Col _ | Var _ | Subselect _ | Exists _ -> 0
 
+(* The write whose triggers a statement fires: its table and event *)
 let dml_event = function
-  | Insert { table; _ } -> Some (table, Ev_insert)
+  | Insert { table; _ } | Insert_select { table; _ } -> Some (table, Ev_insert)
   | Update { table; _ } -> Some (table, Ev_update)
   | Delete { table; _ } -> Some (table, Ev_delete)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Per-statement extraction                                             *)
-(* ------------------------------------------------------------------ *)
-
-let read_only_dims t sv table where env : taccess =
-  let cs = constrain_dims t env sv table where in
-  Array.map (fun rs -> { dr = rs; dw = Vals Vset.empty }) cs
-
-let rw_dims t sv table where env : taccess =
-  let cs = constrain_dims t env sv table where in
-  Array.map (fun rs -> { dr = rs; dw = rs }) cs
-
-let any_access t sv table : taccess =
-  let dims = ri_dims t sv table in
-  let n = max 1 (List.length dims) in
-  Array.init n (fun _ -> { dr = Any; dw = Any })
-
-let select_rows t env sv (s : select) : entry_rows =
-  let sources =
-    (match s.sel_from with Some (tbl, _) -> [ tbl ] | None -> [])
-    @ List.map (fun j -> j.join_table) s.sel_joins
-  in
-  List.fold_left
-    (fun acc table ->
-      if Schema_view.is_view sv table then
-        (* view reads degrade to Any on underlying table *)
-        match Schema_view.view sv table with
-        | Some q -> (
-            match q.sel_from with
-            | Some (parent, _) ->
-                merge_rows acc
-                  [ (parent, read_only_dims t sv parent q.sel_where env) ]
-            | None -> acc)
-        | None -> acc
-      else
-        (* every source table reads under the one WHERE *)
-        merge_rows acc [ (table, read_only_dims t sv table s.sel_where env) ])
-    [] sources
-
-(* Learn alias mappings and extract the written RI values of an INSERT. *)
-let insert_rows t env sv table columns values nondet : entry_rows =
-  let real_table = write_table sv table in
-  let dims = ri_dims t sv real_table in
-  let cols =
-    match columns with
-    | Some cs -> Some cs
-    | None -> Schema_view.table_columns sv real_table
-  in
-  let auto_col = Schema_view.auto_increment_column sv real_table in
-  let nondet = ref nondet in
-  let take_nondet n =
-    (* drop n leading draws, return the next one *)
-    let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: r -> drop (k - 1) r in
-    let rest = drop n !nondet in
-    match rest with
-    | v :: r ->
-        nondet := r;
-        Some v
-    | [] ->
-        nondet := [];
-        None
-  in
-  let per_dim_written = Array.make (max 1 (List.length dims)) (Vals Vset.empty) in
-  let learned = ref [] in
-  List.iter
-    (fun row_exprs ->
-      let draws_in_row = List.fold_left (fun a e -> a + count_draws e) 0 row_exprs in
-      (* column -> evaluated value (when static) *)
-      let bindings =
-        match cols with
-        | None -> []
-        | Some cs ->
-            let rec zip cs es acc =
-              match (cs, es) with
-              | c :: cr, e :: er -> zip cr er ((c, peval env e) :: acc)
-              | _ -> List.rev acc
-            in
-            zip cs row_exprs []
-      in
-      (* AUTO_INCREMENT value comes from the recorded draws when the
-         column was not given explicitly. *)
-      let bindings =
-        match auto_col with
-        | Some ac when List.assoc_opt ac bindings = None -> (
-            match take_nondet draws_in_row with
-            | Some v -> (ac, Some v) :: bindings
-            | None -> (ac, None) :: bindings)
-        | _ ->
-            ignore (take_nondet draws_in_row);
-            bindings
-      in
-      (* record written RI values per dimension *)
-      List.iteri
-        (fun i dim ->
-          let v = Option.join (List.assoc_opt dim bindings) in
-          per_dim_written.(i) <-
-            (match (per_dim_written.(i), v) with
-            | Any, _ | _, None -> Any
-            | Vals s, Some v -> Vals (Vset.add (Value.serialize v) s)))
-        dims;
-      (* learn alias mappings when both sides are known *)
-      List.iter
-        (fun (acol, rcol) ->
-          match
-            (Option.join (List.assoc_opt acol bindings),
-             Option.join (List.assoc_opt rcol bindings))
-          with
-          | Some av, Some rv ->
-              learned := (acol, Value.serialize av, Value.serialize rv) :: !learned
-          | _ -> ())
-        (aliases_for t real_table))
-    values;
-  List.iter
-    (fun (acol, av, rv) -> Hashtbl.replace t.alias_map (real_table, acol, av) rv)
-    !learned;
-  let access =
-    if dims = [] then any_access t sv real_table
-    else Array.map (fun w -> { dr = Vals Vset.empty; dw = w }) per_dim_written
-  in
-  [ (real_table, access) ]
-
-let update_rows_access t env sv table assigns where : entry_rows =
-  let real_table = write_table sv table in
-  let dims = ri_dims t sv real_table in
-  let access = rw_dims t sv real_table where env in
-  (* RI value rewritten by the assignment: merge old/new (§4.3). *)
-  List.iteri
-    (fun i dim ->
-      match List.assoc_opt dim assigns with
-      | None -> ()
-      | Some e -> (
-          let new_v = peval env e in
-          let old_rs = access.(i).dr in
-          (match (new_v, old_rs) with
-          | Some nv, Vals olds when Vset.cardinal olds = 1 ->
-              merge_values t real_table dim (Vset.choose olds) (Value.serialize nv)
-          | _ -> ());
-          (* the write now also covers the new value *)
-          access.(i) <-
-            {
-              access.(i) with
-              dw =
-                (match (new_v, access.(i).dw) with
-                | Some nv, Vals s -> Vals (Vset.add (Value.serialize nv) s)
-                | _ -> Any);
-            }))
-    dims;
-  (* alias columns updated: refresh alias map when determinable *)
-  List.iter
-    (fun (acol, rcol) ->
-      match List.assoc_opt acol assigns with
-      | None -> ()
-      | Some e -> (
-          match
-            (peval env e,
-             match List.assoc_opt rcol assigns with
-             | Some re -> peval env re
-             | None -> None)
-          with
-          | Some av, Some rv ->
-              Hashtbl.replace t.alias_map
-                (real_table, acol, Value.serialize av)
-                (Value.serialize rv)
-          | _ -> ()))
-    (aliases_for t real_table);
-  [ (real_table, access) ]
-
-let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
-  match s with
-  | Select sel ->
-      (* subqueries in the projection, WHERE or HAVING read other tables *)
-      let base = select_rows t env sv sel in
-      let exprs =
-        (match sel.sel_where with Some w -> [ w ] | None -> [])
-        @ (match sel.sel_having with Some h -> [ h ] | None -> [])
-        @ List.filter_map
-            (function Item (e, _) -> Some e | Star -> None)
-            sel.sel_items
-      in
-      List.fold_left
-        (fun acc e -> merge_rows acc (expr_subquery_rows t env sv e))
-        base exprs
-  | Insert_select { table; query; _ } ->
-      (* written RI values are data-dependent: wildcard write on the real
-         table; reads come from the source query (plus insert triggers) *)
-      let real_table = write_table sv table in
-      let dims = ri_dims t sv real_table in
-      let n = max 1 (List.length dims) in
-      let write_any =
-        Array.init n (fun _ -> { dr = Vals Vset.empty; dw = Any })
-      in
-      merge_rows
-        (merge_rows [ (real_table, write_any) ] (select_rows t env sv query))
-        (trigger_rows t sv (Schema_view.triggers_for sv real_table Ev_insert) nondet)
-  | Insert { table; columns; values } ->
-      let base = insert_rows t env sv table columns values nondet in
-      (* subqueries inside VALUES read other tables *)
-      let sub =
-        List.fold_left
-          (fun acc row ->
-            List.fold_left
-              (fun acc e -> merge_rows acc (expr_subquery_rows t env sv e))
-              acc row)
-          [] values
-      in
-      merge_rows base sub
-  | Update { table; assigns; where } ->
-      let base = update_rows_access t env sv table assigns where in
-      merge_rows base (where_subquery_rows t env sv where)
-  | Delete { table; where } ->
-      let real_table = write_table sv table in
-      merge_rows
-        [ (real_table, rw_dims t sv real_table where env) ]
-        (where_subquery_rows t env sv where)
-  | Call (name, args) -> (
-      match Schema_view.procedure sv name with
-      | None -> []
-      | Some proc ->
-          let env' : penv = Hashtbl.create 8 in
-          (try
-             List.iter2
-               (fun (pname, _) a -> Hashtbl.replace env' pname (peval env a))
-               proc.Uv_db.Catalog.proc_params args
-           with Invalid_argument _ -> ());
-          pstmts_rows t env' sv proc.Uv_db.Catalog.proc_body nondet)
-  | Transaction stmts ->
-      (* each DML statement fires its write table's triggers, as at top
-         level *)
-      List.fold_left
-        (fun acc s ->
-          merge_rows acc
-            (merge_rows (stmt_rows t env sv s nondet) (fired_rows t sv s nondet)))
-        [] stmts
-  | Create_table { name; _ }
-  | Drop_table { name; _ }
-  | Truncate_table name
-  | Alter_table (name, _) ->
-      [ (name, any_access t sv name) ]
-  | Create_view _ | Drop_view _ | Create_index _ | Drop_index _
-  | Create_procedure _ | Drop_procedure _ | Create_trigger _ | Drop_trigger _ ->
-      []
-
-and expr_subquery_rows t env sv (e : expr) : entry_rows =
-  let rec walk (e : expr) acc =
-    match e with
-    | Subselect s | Exists s -> merge_rows acc (select_rows t env sv s)
-    | Binop (_, a, b) -> walk b (walk a acc)
-    | Unop (_, a) -> walk a acc
-    | Fun_call (_, args) -> List.fold_left (fun acc a -> walk a acc) acc args
-    | In_list (a, items) -> List.fold_left (fun acc x -> walk x acc) (walk a acc) items
-    | Between (a, b, c) -> walk c (walk b (walk a acc))
-    | Is_null (a, _) -> walk a acc
-    | Lit _ | Col _ | Var _ -> acc
-  in
-  walk e []
-
-and where_subquery_rows t env sv where : entry_rows =
-  match where with None -> [] | Some w -> expr_subquery_rows t env sv w
-
-and pstmts_rows t (env : penv) sv body nondet : entry_rows =
-  List.fold_left (fun acc p -> merge_rows acc (pstmt_rows t env sv p nondet)) [] body
-
-and pstmt_rows t (env : penv) sv (p : pstmt) nondet : entry_rows =
-  match p with
-  | P_stmt s ->
-      (* triggers fired by nested DML: approximate with Any on the tables
-         the trigger bodies touch *)
-      let base = stmt_rows t env sv s nondet in
-      merge_rows base (fired_rows t sv s nondet)
-  | P_declare (v, _, init) ->
-      Hashtbl.replace env v (Option.bind init (peval env));
-      []
-  | P_set (v, e) ->
-      Hashtbl.replace env v (peval env e);
-      []
-  | P_select_into (s, vars) ->
-      (* database read: results are unknown at analysis time *)
-      List.iter (fun v -> Hashtbl.replace env v None) vars;
-      select_rows t env sv s
-  | P_if (branches, else_body) ->
-      (* both arms, with variable states merged pessimistically *)
-      let arms =
-        List.map (fun (_, body) -> body) branches @ [ else_body ]
-      in
-      let results =
-        List.map
-          (fun body ->
-            let env_copy = Hashtbl.copy env in
-            let rows = pstmts_rows t env_copy sv body nondet in
-            (env_copy, rows))
-          arms
-      in
-      (* merge variable environments: differing values become unknown *)
-      let all_keys =
-        List.concat_map
-          (fun (e, _) -> Hashtbl.fold (fun k _ acc -> k :: acc) e [])
-          results
-        |> List.sort_uniq compare
-      in
-      List.iter
-        (fun k ->
-          let vals =
-            List.map
-              (fun (e, _) -> match Hashtbl.find_opt e k with Some v -> v | None -> None)
-              results
-          in
-          let merged =
-            match vals with
-            | [] -> None
-            | v :: rest -> if List.for_all (fun x -> x = v) rest then v else None
-          in
-          Hashtbl.replace env k merged)
-        all_keys;
-      List.fold_left (fun acc (_, rows) -> merge_rows acc rows) [] results
-  | P_while (_, body) ->
-      (* loop: assigned variables are unknown across iterations *)
-      let assigned = ref [] in
-      let rec scan ps =
-        List.iter
-          (fun p ->
-            match p with
-            | P_set (v, _) | P_declare (v, _, _) -> assigned := v :: !assigned
-            | P_select_into (_, vars) -> assigned := vars @ !assigned
-            | P_if (bs, eb) ->
-                List.iter (fun (_, b) -> scan b) bs;
-                scan eb
-            | P_while (_, b) -> scan b
-            | _ -> ())
-          ps
-      in
-      scan body;
-      List.iter (fun v -> Hashtbl.replace env v None) !assigned;
-      pstmts_rows t env sv body nondet
-  | P_leave _ | P_signal _ -> []
-
-(* The rows the bodies of triggers [trigs] touch, each body interpreted
-   under an environment of its own. *)
-and trigger_rows t sv trigs nondet : entry_rows =
-  List.fold_left
-    (fun acc (trig : Uv_db.Catalog.trigger) ->
-      let env : penv = Hashtbl.create 4 in
-      merge_rows acc (pstmts_rows t env sv trig.Uv_db.Catalog.trig_body nondet))
-    [] trigs
-
-(* The triggers a DML statement fires: its write table's, for its event. *)
-and fired_rows t sv (s : stmt) nondet : entry_rows =
-  match dml_event s with
-  | Some (table, event) ->
-      trigger_rows t sv
-        (Schema_view.triggers_for sv (write_table sv table) event)
-        nondet
-  | None -> []
-
-(* ------------------------------------------------------------------ *)
 (* Plans: the shape's half of the extraction, once per shape            *)
 (* ------------------------------------------------------------------ *)
 
-(* [plan] makes every decision of [stmt_rows] that reads only the
-   statement's structure, the schema view and the RI config; [run] reads
-   the entry's literals and does the rest, in the interpreter's order.
-   The closures below are built on the shape's first statement and are
-   handed the entry's node at the position they were built for: each
-   destructures it to reach the literals it needs, so that path is the
-   only thing they know of the statement. A top-level statement is
-   evaluated under the empty environment, where [peval] reads only
-   literals. *)
+(* [plan] makes every decision that reads only the statement's
+   structure, the schema view and the RI config; running the plan reads
+   the entry's literals and does the rest. The closures below are built
+   on the shape's first statement and are handed the entry's node at the
+   position they were built for: each destructures it to reach the
+   literals it needs, so that path is the only thing they know of the
+   statement.
 
-type plan = { interpreted : bool; run : stmt -> Value.t list -> entry_rows }
+   The body of a procedure or trigger is planned once, inside the plan
+   of the CALL or DML statement that runs it, and its closures are
+   handed the body's own nodes. A body's variables live in an
+   environment, one slot each: [Some v] when the value is known from the
+   call's literals or literal SETs, [None] when it is not (database
+   reads, non-determinism). A top-level statement has no variable in
+   scope and runs under the empty environment. *)
+
+type env = Value.t option array
+
+let no_env : env = [||]
+
+(* A body's variable slots, numbered while the body is planned *)
+type scope = (string, int) Hashtbl.t
+
+let slot (scope : scope) name =
+  match Hashtbl.find_opt scope name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length scope in
+      Hashtbl.add scope name i;
+      i
+
+type plan = stmt -> env -> Value.t list -> entry_rows
+
+(* What planning reads: the RI state, the schema view, the variables in
+   scope ([None] at top level) and the triggers whose bodies are being
+   expanded. *)
+type cx = { t : t; sv : Schema_view.t; scope : scope option; active : string list }
 
 let not_of_shape () =
   invalid_arg "Rowset.run: the statement is not of the plan's shape"
 
-(* [peval] under the empty environment, compiled: [None] when the value
-   is unknown whatever the literals. *)
-let rec value_path (e : expr) : (expr -> Value.t option) option =
+(* The value of [e], compiled: [None] when it is unknown whatever the
+   literals and variables. *)
+let rec value_path scope (e : expr) : (expr -> env -> Value.t option) option =
   match e with
-  | Lit _ -> Some (function Lit v -> Some v | _ -> not_of_shape ())
+  | Lit _ -> Some (fun e _ -> match e with Lit v -> Some v | _ -> not_of_shape ())
+  | Var name ->
+      Option.map
+        (fun scope ->
+          let i = slot scope name in
+          fun _ (env : env) -> env.(i))
+        scope
   | Unop (op, a) ->
       Option.map
-        (fun ga -> function
-          | Unop (_, a) -> Option.map (peval_unop op) (ga a)
+        (fun ga e env ->
+          match e with
+          | Unop (_, a) -> Option.map (peval_unop op) (ga a env)
           | _ -> not_of_shape ())
-        (value_path a)
+        (value_path scope a)
   | Binop (op, a, b) -> (
-      match (value_path a, value_path b) with
+      match (value_path scope a, value_path scope b) with
       | Some ga, Some gb ->
           Some
-            (function
-            | Binop (_, a, b) -> (
-                match (ga a, gb b) with
-                | Some va, Some vb -> Some (peval_binop op va vb)
-                | _ -> None)
-            | _ -> not_of_shape ())
+            (fun e env ->
+              match e with
+              | Binop (_, a, b) -> (
+                  match (ga a env, gb b env) with
+                  | Some va, Some vb -> Some (peval_binop op va vb)
+                  | _ -> None)
+              | _ -> not_of_shape ())
       | _ -> None)
   | Fun_call ("CONCAT", args) ->
-      let gs = List.map value_path args in
+      let gs = List.map (value_path scope) args in
       if List.for_all Option.is_some gs then
         let gs = List.map Option.get gs in
         Some
-          (function
-          | Fun_call (_, args) -> peval_concat (List.map2 (fun g a -> g a) gs args)
-          | _ -> not_of_shape ())
+          (fun e env ->
+            match e with
+            | Fun_call (_, args) ->
+                peval_concat (List.map2 (fun g a -> g a env) gs args)
+            | _ -> not_of_shape ())
       else None
   | Fun_call ("IF", [ c; a; b ]) -> (
-      let arm g x = match g with Some g -> g x | None -> None in
-      match (value_path c, value_path a, value_path b) with
+      let arm g x env = match g with Some g -> g x env | None -> None in
+      match (value_path scope c, value_path scope a, value_path scope b) with
       | None, _, _ | _, None, None -> None
       | Some gc, ga, gb ->
           Some
-            (function
-            | Fun_call (_, [ c; a; b ]) -> (
-                match gc c with
-                | Some cv -> if Value.to_bool cv then arm ga a else arm gb b
-                | None -> None)
-            | _ -> not_of_shape ()))
-  | Var _ | Col _ | Fun_call _ | Subselect _ | Exists _ | In_list _ | Between _
+            (fun e env ->
+              match e with
+              | Fun_call (_, [ c; a; b ]) -> (
+                  match gc c env with
+                  | Some cv -> if Value.to_bool cv then arm ga a env else arm gb b env
+                  | None -> None)
+              | _ -> not_of_shape ()))
+  | Col _ | Fun_call _ | Subselect _ | Exists _ | In_list _ | Between _
   | Is_null _ ->
       None
 
-(* [where_constraint] for one dimension, compiled: [None] when it is
-   [Any] whatever the literals. For [=], the side naming the dimension
-   (or an alias column of it) is found here, so the literal is read from
-   the other side; an alias is looked up at run time, in the alias map
-   as it stands then. *)
-let rec where_pin t table dim (e : expr) : (expr -> riset) option =
-  let is_col = is_col table in
+(* Does [e] name column [name] of the one table a statement reads or
+   writes: unqualified, or qualified by the table's own name? *)
+let is_col table name = function
+  | Col (None, c) -> String.equal c name
+  | Col (Some q, c) -> String.equal q table && String.equal c name
+  | _ -> false
+
+let first_source p sources =
+  let rec go i = function
+    | [] -> None
+    | s :: rest -> if p s then Some i else go (i + 1) rest
+  in
+  go 0 sources
+
+(* Does [e] name column [name] of source [k] of a join? As the engine
+   binds them, an unqualified column belongs to the first source, FROM
+   then joins, that has it, and a qualified one to the first source it
+   prefixes (by alias, else by name). A view, or a table the schema does
+   not know, may have any column. *)
+let join_col sv sources k name = function
+  | Col (None, c) ->
+      String.equal c name
+      && first_source
+           (fun (table, _) ->
+             match Schema_view.table_columns sv table with
+             | Some cols -> List.mem c cols
+             | None -> true)
+           sources
+         = Some k
+  | Col (Some q, c) ->
+      String.equal c name
+      && first_source
+           (fun (table, alias) -> String.equal q (Option.value alias ~default:table))
+           sources
+         = Some k
+  | _ -> false
+
+(* The rows of [table] that [e] pins on dimension [dim], compiled:
+   [None] when they are [Any] whatever the literals. AND intersects, OR
+   unions, and anything else degrades to [Any]. For [=], the side naming
+   the dimension (or an alias column of it) is found here, so the value
+   is read from the other side; an alias is looked up at run time, in the
+   alias map as it stands then. *)
+let rec where_pin cx ~is_col table dim (e : expr) : (expr -> env -> riset) option =
   match e with
   | Binop (Eq, lhs, rhs) -> (
       (* [Some None]: the dimension itself; [Some (Some acol)]: an alias *)
@@ -730,7 +369,7 @@ let rec where_pin t table dim (e : expr) : (expr -> riset) option =
             (fun (acol, rcol) ->
               if String.equal rcol dim && is_col acol a then Some (Some acol)
               else None)
-            (aliases_for t table)
+            (aliases_for cx.t table)
       in
       let pin ~right alias other =
         Option.map
@@ -738,116 +377,175 @@ let rec where_pin t table dim (e : expr) : (expr -> riset) option =
             let of_value =
               match alias with
               | None -> value_set
-              | Some acol -> alias_lookup t table acol
+              | Some acol -> alias_lookup cx.t table acol
             in
-            function
-            | Binop (_, l, r) -> (
-                match g (if right then r else l) with
-                | Some v -> of_value v
-                | None -> Any)
-            | _ -> not_of_shape ())
-          (value_path other)
+            fun e env ->
+              match e with
+              | Binop (_, l, r) -> (
+                  match g (if right then r else l) env with
+                  | Some v -> of_value v
+                  | None -> Any)
+              | _ -> not_of_shape ())
+          (value_path cx.scope other)
       in
       match (names lhs, names rhs) with
       | Some alias, _ -> pin ~right:true alias rhs
       | None, Some alias -> pin ~right:false alias lhs
       | None, None -> None)
   | In_list (c, items) when is_col dim c ->
-      let gs = List.map value_path items in
+      let gs = List.map (value_path cx.scope) items in
       if List.for_all Option.is_some gs then
         let gs = List.map Option.get gs in
         Some
-          (function
-          | In_list (_, items) ->
-              let vals = List.map2 (fun g e -> g e) gs items in
-              if List.for_all Option.is_some vals then
-                Vals
-                  (Vset.of_list
-                     (List.map (fun v -> Value.serialize (Option.get v)) vals))
-              else Any
-          | _ -> not_of_shape ())
+          (fun e env ->
+            match e with
+            | In_list (_, items) ->
+                let vals = List.map2 (fun g e -> g e env) gs items in
+                if List.for_all Option.is_some vals then
+                  Vals
+                    (Vset.of_list
+                       (List.map (fun v -> Value.serialize (Option.get v)) vals))
+                else Any
+            | _ -> not_of_shape ())
       else None
   | Binop (And, a, b) -> (
       (* [Any] is [rs_inter]'s identity *)
-      match (where_pin t table dim a, where_pin t table dim b) with
+      match (where_pin cx ~is_col table dim a, where_pin cx ~is_col table dim b) with
       | None, None -> None
       | Some pa, None ->
-          Some (function Binop (_, a, _) -> pa a | _ -> not_of_shape ())
+          Some (fun e env -> match e with Binop (_, a, _) -> pa a env | _ -> not_of_shape ())
       | None, Some pb ->
-          Some (function Binop (_, _, b) -> pb b | _ -> not_of_shape ())
+          Some (fun e env -> match e with Binop (_, _, b) -> pb b env | _ -> not_of_shape ())
       | Some pa, Some pb ->
           Some
-            (function
-            | Binop (_, a, b) -> rs_inter (pa a) (pb b)
-            | _ -> not_of_shape ()))
+            (fun e env ->
+              match e with
+              | Binop (_, a, b) -> rs_inter (pa a env) (pb b env)
+              | _ -> not_of_shape ()))
   | Binop (Or, a, b) -> (
       (* [Any] absorbs [rs_union] *)
-      match (where_pin t table dim a, where_pin t table dim b) with
+      match (where_pin cx ~is_col table dim a, where_pin cx ~is_col table dim b) with
       | Some pa, Some pb ->
           Some
-            (function
-            | Binop (_, a, b) -> rs_union (pa a) (pb b)
-            | _ -> not_of_shape ())
+            (fun e env ->
+              match e with
+              | Binop (_, a, b) -> rs_union (pa a env) (pb b env)
+              | _ -> not_of_shape ())
       | _ -> None)
   | _ -> None
 
-(* [constrain_dims], compiled: one pin per RI dimension of [table]. *)
-let dim_pins t sv table where =
-  match ri_dims t sv table with
+(* One pin per RI dimension of [table] *)
+let dim_pins cx ~is_col table where =
+  match ri_dims cx.t cx.sv table with
   | [] -> [| None |]
   | dims ->
       Array.of_list
-        (List.map (fun dim -> Option.bind where (where_pin t table dim)) dims)
+        (List.map (fun dim -> Option.bind where (where_pin cx ~is_col table dim)) dims)
 
 let no_rows = Vals Vset.empty
 
 (* The pinned rows of the entry's [where], one access per dimension. *)
-let pinned pins where access : taccess =
-  Array.map
-    (function
-      | None -> access Any
-      | Some pin -> (
-          match where with Some w -> access (pin w) | None -> not_of_shape ()))
-    pins
+let pinned pins where env access : taccess =
+  let rows = Array.make (Array.length pins) (access Any) in
+  for i = 0 to Array.length pins - 1 do
+    match pins.(i) with
+    | None -> ()
+    | Some pin -> (
+        match where with
+        | Some w -> rows.(i) <- access (pin w env)
+        | None -> not_of_shape ())
+  done;
+  rows
 
 let read_only rs = { dr = rs; dw = no_rows }
 let read_write rs = { dr = rs; dw = rs }
 
-let has_subquery e =
-  Visit.fold_expr
-    (fun found -> function Subselect _ | Exists _ -> true | _ -> found)
-    false e
+(* The rows a SELECT's sources read, its subqueries aside: a table's
+   under the SELECT's WHERE, a view's base table's under the view's own
+   WHERE. In a join each column pins only the source it names. *)
+let select_plan cx (s : select) : select -> env -> entry_rows =
+  let sources =
+    Option.to_list s.sel_from
+    @ List.map (fun j -> (j.join_table, j.join_alias)) s.sel_joins
+  in
+  let read k (table, _) =
+    match Schema_view.view cx.sv table with
+    | Some { sel_from = Some (parent, _); sel_where = w; _ } ->
+        let pins = dim_pins cx ~is_col:(is_col parent) parent w in
+        Some (fun _ env -> (parent, pinned pins w env read_only))
+    | Some _ -> None
+    | None ->
+        let is_col =
+          match sources with [ _ ] -> is_col table | _ -> join_col cx.sv sources k
+        in
+        let pins = dim_pins cx ~is_col table s.sel_where in
+        Some (fun (sel : select) env -> (table, pinned pins sel.sel_where env read_only))
+  in
+  match List.filter_map Fun.id (List.mapi read sources) with
+  | [] -> fun _ _ -> []
+  | [ read ] -> fun sel env -> [ read sel env ]
+  | reads ->
+      fun sel env ->
+        List.fold_left (fun acc read -> merge_rows acc [ read sel env ]) [] reads
 
-(* [base], then [sub base s]: the rows the subqueries of the entry [s]
-   read, interpreted on its own subtrees and merged in as [stmt_rows]
-   merges them. [base] alone when the shape has no subquery in
-   [shape_exprs]. *)
-let with_subqueries shape_exprs base sub =
-  if List.exists has_subquery shape_exprs then fun s nondet ->
-    sub (base s nondet) s
-  else base
+(* [step p e env acc] for each planned [p] and its expression [e] of the
+   entry, in turn; [None] when no expression has a plan. *)
+let fold_plans plans step =
+  if List.for_all Option.is_none plans then None
+  else
+    Some
+      (fun es env acc ->
+        List.fold_left2
+          (fun acc p e -> match p with Some p -> step p e env acc | None -> acc)
+          acc plans es)
 
-(* [expr_subquery_rows] of each expression in turn, merged onto [acc] *)
-let subquery_rows t sv acc exprs =
-  let env : penv = Hashtbl.create 4 in
-  List.fold_left (fun acc e -> merge_rows acc (expr_subquery_rows t env sv e)) acc exprs
+(* The rows the subqueries in [e] read, merged onto [acc] in the order a
+   left-to-right walk meets them; [None] when [e] has none. *)
+let rec walk_plan cx (e : expr) : (expr -> env -> entry_rows -> entry_rows) option =
+  let walk_all es children =
+    Option.map
+      (fun walk e env acc -> walk (children e) env acc)
+      (fold_plans (List.map (walk_plan cx) es) (fun w e env acc -> w e env acc))
+  in
+  match e with
+  | Subselect s | Exists s ->
+      let rows = select_plan cx s in
+      Some
+        (fun e env acc ->
+          match e with
+          | Subselect s | Exists s -> merge_rows acc (rows s env)
+          | _ -> not_of_shape ())
+  | Binop (_, a, b) ->
+      walk_all [ a; b ] (function Binop (_, a, b) -> [ a; b ] | _ -> not_of_shape ())
+  | Unop (_, a) | Is_null (a, _) ->
+      walk_all [ a ] (function Unop (_, a) | Is_null (a, _) -> [ a ] | _ -> not_of_shape ())
+  | Fun_call (_, args) ->
+      walk_all args (function Fun_call (_, args) -> args | _ -> not_of_shape ())
+  | In_list (a, items) ->
+      walk_all (a :: items) (function
+        | In_list (a, items) -> a :: items
+        | _ -> not_of_shape ())
+  | Between (a, b, c) ->
+      walk_all [ a; b; c ] (function
+        | Between (a, b, c) -> [ a; b; c ]
+        | _ -> not_of_shape ())
+  | Lit _ | Col _ | Var _ -> None
 
-(* The whole statement through the interpreter. *)
-let interpret t sv =
-  {
-    interpreted = true;
-    run = (fun s nondet -> stmt_rows t (Hashtbl.create 4) sv s nondet);
-  }
-
-let staged run = { interpreted = false; run }
+(* Each expression's subquery rows, merged in turn onto the rows so far;
+   [None] when none of [es] has a subquery. *)
+let subqueries cx es =
+  fold_plans (List.map (walk_plan cx) es) (fun w e env acc ->
+      merge_rows acc (w e env []))
 
 (* Where each RI dimension's or alias column's value comes from in one
    VALUES row of an INSERT. *)
-type source = Unbound | Drawn | At of int * (expr -> Value.t option)
+type source = Unbound | Drawn | At of int * (expr -> env -> Value.t option)
 
-(* [insert_rows], planned: per VALUES row, its draw count and where each
-   dimension and declared alias pair reads its value. *)
-let insert_plan t sv table columns values =
+(* The rows an INSERT writes: per VALUES row, its draw count and where
+   each dimension and declared alias pair reads its value. Aliases are
+   learned when both sides are known. *)
+let insert_plan cx table columns values =
+  let t = cx.t and sv = cx.sv in
   let real_table = write_table sv table in
   let dims = ri_dims t sv real_table in
   let cols =
@@ -876,7 +574,7 @@ let insert_plan t sv table columns values =
       else
         match List.find_opt (fun (c, _, _) -> String.equal c col) bound with
         | Some (_, i, e) -> (
-            match value_path e with Some g -> At (i, g) | None -> Unbound)
+            match value_path cx.scope e with Some g -> At (i, g) | None -> Unbound)
         | None -> Unbound
     in
     ( draws,
@@ -890,7 +588,7 @@ let insert_plan t sv table columns values =
   in
   let rows = List.map row_plan values in
   let ndims = max 1 (List.length dims) in
-  fun (values : expr list list) nondet ->
+  fun (values : expr list list) env nondet ->
     let nondet = ref nondet in
     let per_dim_written = Array.make ndims no_rows in
     let learned = ref [] in
@@ -912,7 +610,7 @@ let insert_plan t sv table columns values =
         let value = function
           | Unbound -> None
           | Drawn -> draw
-          | At (i, g) -> g (List.nth row i)
+          | At (i, g) -> g (List.nth row i) env
         in
         Array.iteri
           (fun i src ->
@@ -938,12 +636,14 @@ let insert_plan t sv table columns values =
     in
     [ (real_table, access) ]
 
-(* [update_rows_access], planned: the pins of the WHERE, and which
-   assignments rewrite an RI dimension or a declared alias pair. *)
-let update_plan t sv table assigns where =
-  let real_table = write_table sv table in
-  let dims = ri_dims t sv real_table in
-  let pins = dim_pins t sv real_table where in
+(* The rows an UPDATE reads and writes: the pins of its WHERE, and which
+   assignments rewrite an RI dimension (merging the old value with the
+   new, §4.3) or a declared alias pair. *)
+let update_plan cx table assigns where =
+  let t = cx.t in
+  let real_table = write_table cx.sv table in
+  let dims = ri_dims t cx.sv real_table in
+  let pins = dim_pins cx ~is_col:(is_col real_table) real_table where in
   let assigned col =
     let rec find i = function
       | (c, e) :: rest -> if String.equal c col then Some (i, e) else find (i + 1) rest
@@ -953,7 +653,7 @@ let update_plan t sv table assigns where =
   in
   let path_of col =
     Option.bind (assigned col) (fun (i, e) ->
-        Option.map (fun g -> (i, g)) (value_path e))
+        Option.map (fun g -> (i, g)) (value_path cx.scope e))
   in
   (* the assigned dimensions, each with the path to its new value
      ([None]: unknown whatever the literals) *)
@@ -971,9 +671,9 @@ let update_plan t sv table assigns where =
         | _ -> None)
       (aliases_for t real_table)
   in
-  fun (assigns : (string * expr) list) where ->
-    let access = pinned pins where read_write in
-    let value (i, g) = g (snd (List.nth assigns i)) in
+  fun (assigns : (string * expr) list) where env ->
+    let access = pinned pins where env read_write in
+    let value (i, g) = g (snd (List.nth assigns i)) env in
     List.iter
       (fun (i, dim, path) ->
         let new_v = Option.bind path value in
@@ -1001,119 +701,235 @@ let update_plan t sv table assigns where =
       alias_rewrites;
     [ (real_table, access) ]
 
-let where_exprs = function Some w -> [ w ] | None -> []
+let select_exprs (sel : select) =
+  Option.to_list sel.sel_where
+  @ Option.to_list sel.sel_having
+  @ List.filter_map (function Item (e, _) -> Some e | Star -> None) sel.sel_items
 
-(* DML fires its write table's triggers, whose bodies are interpreted
-   on every run: they learn and read the row state *)
-let fire_triggers t sv stmt p =
-  match dml_event stmt with
-  | None -> p
-  | Some (table, event) -> (
-      match Schema_view.triggers_for sv (write_table sv table) event with
-      | [] -> p
-      | trigs ->
-          {
-            p with
-            run =
-              (fun s nondet ->
-                let base = p.run s nondet in
-                merge_rows base (trigger_rows t sv trigs nondet));
-          })
-
-(* [stmt_rows] under the empty environment, planned. A statement fires
-   its triggers in [fire_triggers], at top level and inside a
-   transaction alike. *)
-let rec stmt_plan t sv (s : stmt) : plan =
-  let where_subquery base where =
-    merge_rows base (where_subquery_rows t (Hashtbl.create 4) sv where)
-  in
+(* A statement's rows, the triggers it fires aside. *)
+let rec stmt_plan cx (s : stmt) : plan =
+  let t = cx.t and sv = cx.sv in
   match s with
-  | Select { sel_joins = _ :: _; _ } | Insert_select _ | Call _ -> interpret t sv
-  | Select sel ->
-      let base =
-        match sel.sel_from with
-        | None -> fun _ -> []
-        | Some (table, _) -> (
-            match Schema_view.view sv table with
-            | Some { sel_from = Some (parent, _); sel_where = w; _ } ->
-                (* a read through a view reads its base table's rows
-                   under the view's own WHERE *)
-                let pins = dim_pins t sv parent w in
-                fun _ -> [ (parent, pinned pins w read_only) ]
-            | Some _ -> fun _ -> []
-            | None ->
-                let pins = dim_pins t sv table sel.sel_where in
-                fun (sel : select) -> [ (table, pinned pins sel.sel_where read_only) ])
-      in
-      let exprs (sel : select) =
-        where_exprs sel.sel_where
-        @ where_exprs sel.sel_having
-        @ List.filter_map
-            (function Item (e, _) -> Some e | Star -> None)
-            sel.sel_items
-      in
-      let of_select f = function Select sel -> f sel | _ -> not_of_shape () in
-      staged
-        (with_subqueries (exprs sel)
-           (fun s _ -> of_select base s)
-           (fun base s -> subquery_rows t sv base (of_select exprs s)))
-  | Insert { table; columns; values } ->
-      let rows = insert_plan t sv table columns values in
+  | Select sel -> (
+      let rows = select_plan cx sel in
+      let of_select = function Select sel -> sel | _ -> not_of_shape () in
+      match subqueries cx (select_exprs sel) with
+      | None -> fun s env _ -> rows (of_select s) env
+      | Some sub ->
+          fun s env _ ->
+            let sel = of_select s in
+            let base = rows sel env in
+            sub (select_exprs sel) env base)
+  | Insert_select { table; query; _ } ->
+      (* the written RI values are data-dependent: a wildcard write on
+         the real table, and the query's reads *)
+      let real_table = write_table sv table in
+      let n = max 1 (List.length (ri_dims t sv real_table)) in
+      let rows = select_plan cx query in
+      fun s env _ ->
+        (match s with
+        | Insert_select { query; _ } ->
+            let write_any = Array.make n { dr = no_rows; dw = Any } in
+            merge_rows [ (real_table, write_any) ] (rows query env)
+        | _ -> not_of_shape ())
+  | Insert { table; columns; values } -> (
+      let rows = insert_plan cx table columns values in
       let values_of = function Insert i -> i.values | _ -> not_of_shape () in
-      staged
-        (with_subqueries (List.concat values)
-           (fun s nondet -> rows (values_of s) nondet)
-           (fun base s ->
-             merge_rows base (subquery_rows t sv [] (List.concat (values_of s)))))
+      match subqueries cx (List.concat values) with
+      | None -> fun s env nondet -> rows (values_of s) env nondet
+      | Some sub ->
+          fun s env nondet ->
+            let values = values_of s in
+            let base = rows values env nondet in
+            merge_rows base (sub (List.concat values) env []))
   | Update { table; assigns; where } ->
-      let rows = update_plan t sv table assigns where in
-      let where_of = function Update u -> u.where | _ -> not_of_shape () in
-      staged
-        (with_subqueries (where_exprs where)
-           (fun s _ ->
-             match s with
-             | Update u -> rows u.assigns u.where
-             | _ -> not_of_shape ())
-           (fun base s -> where_subquery base (where_of s)))
+      let rows = update_plan cx table assigns where in
+      let sub = subqueries cx (Option.to_list where) in
+      fun s env _ ->
+        (match s with
+        | Update u -> (
+            let base = rows u.assigns u.where env in
+            match sub with
+            | None -> base
+            | Some sub -> sub (Option.to_list u.where) env base)
+        | _ -> not_of_shape ())
   | Delete { table; where } ->
       let real_table = write_table sv table in
-      let pins = dim_pins t sv real_table where in
-      let where_of = function Delete d -> d.where | _ -> not_of_shape () in
-      staged
-        (with_subqueries (where_exprs where)
-           (fun s _ -> [ (real_table, pinned pins (where_of s) read_write) ])
-           (fun base s -> where_subquery base (where_of s)))
+      let pins = dim_pins cx ~is_col:(is_col real_table) real_table where in
+      let sub = subqueries cx (Option.to_list where) in
+      fun s env _ ->
+        (match s with
+        | Delete d -> (
+            let base = [ (real_table, pinned pins d.where env read_write) ] in
+            match sub with
+            | None -> base
+            | Some sub -> sub (Option.to_list d.where) env base)
+        | _ -> not_of_shape ())
+  | Call (name, args) -> (
+      match Schema_view.procedure sv name with
+      | None -> fun _ _ _ -> []
+      | Some proc ->
+          let scope = Hashtbl.create 8 in
+          (* each parameter with the path to its argument's value, as far
+             as both lists go *)
+          let rec binds params args =
+            match (params, args) with
+            | (p, _) :: ps, a :: rest ->
+                let i = slot scope p in
+                (i, value_path cx.scope a) :: binds ps rest
+            | _ -> []
+          in
+          let binds = binds proc.Uv_db.Catalog.proc_params args in
+          let body = body_plan cx scope proc.Uv_db.Catalog.proc_body in
+          fun s env nondet ->
+            (match s with
+            | Call (_, args) ->
+                let callee = Array.make (Hashtbl.length scope) None in
+                let rec bind binds args =
+                  match (binds, args) with
+                  | (i, path) :: binds, a :: rest ->
+                      callee.(i) <- (match path with Some g -> g a env | None -> None);
+                      bind binds rest
+                  | _ -> ()
+                in
+                bind binds args;
+                body callee nondet
+            | _ -> not_of_shape ()))
   | Transaction stmts ->
-      let plans =
-        List.map (fun s -> fire_triggers t sv s (stmt_plan t sv s)) stmts
-      in
-      {
-        interpreted =
-          (not (List.is_empty plans))
-          && List.for_all (fun p -> p.interpreted) plans;
-        run =
-          (fun s nondet ->
-            match s with
-            | Transaction stmts ->
-                List.fold_left2
-                  (fun acc p s -> merge_rows acc (p.run s nondet))
-                  [] plans stmts
-            | _ -> not_of_shape ());
-      }
+      (* each statement fires its write table's triggers, as at top level *)
+      let plans = List.map (fired_plan cx) stmts in
+      fun s env nondet ->
+        (match s with
+        | Transaction stmts ->
+            List.fold_left2
+              (fun acc p s -> merge_rows acc (p s env nondet))
+              [] plans stmts
+        | _ -> not_of_shape ())
   | Create_table { name; _ }
   | Drop_table { name; _ }
   | Truncate_table name
   | Alter_table (name, _) ->
       let n = max 1 (List.length (ri_dims t sv name)) in
-      staged (fun _ _ -> [ (name, Array.make n { dr = Any; dw = Any }) ])
+      fun _ _ _ -> [ (name, Array.make n { dr = Any; dw = Any }) ]
   | Create_view _ | Drop_view _ | Create_index _ | Drop_index _
   | Create_procedure _ | Drop_procedure _ | Create_trigger _ | Drop_trigger _ ->
-      staged (fun _ _ -> [])
+      fun _ _ _ -> []
 
-let plan t sv stmt = fire_triggers t sv stmt (stmt_plan t sv stmt)
+(* A statement's rows, then the rows of the triggers it fires: its write
+   table's, for its event. *)
+and fired_plan cx s : plan =
+  let rows = stmt_plan cx s in
+  match
+    Option.bind (dml_event s) (fun (table, event) ->
+        triggers_plan cx (write_table cx.sv table) event)
+  with
+  | None -> rows
+  | Some fire ->
+      fun s env nondet ->
+        let base = rows s env nondet in
+        merge_rows base (fire nondet)
 
-let run p stmt nondet = p.run stmt nondet
-let interpreted p = p.interpreted
+(* The bodies of the triggers a write on [table] fires, merged in turn,
+   each under an environment of its own; [None] when there are none. A
+   trigger whose body is being expanded adds nothing new when it fires
+   again, so it is not expanded again. *)
+and triggers_plan cx table event =
+  let bodies =
+    List.filter_map
+      (fun (trig : Uv_db.Catalog.trigger) ->
+        let name = trig.Uv_db.Catalog.trig_name in
+        if List.mem name cx.active then None
+        else
+          let scope = Hashtbl.create 4 in
+          let body =
+            body_plan { cx with active = name :: cx.active } scope
+              trig.Uv_db.Catalog.trig_body
+          in
+          Some (fun nondet -> body (Array.make (Hashtbl.length scope) None) nondet))
+      (Schema_view.triggers_for cx.sv table event)
+  in
+  match bodies with
+  | [] -> None
+  | _ ->
+      Some
+        (fun nondet ->
+          List.fold_left (fun acc body -> merge_rows acc (body nondet)) [] bodies)
+
+and body_plan cx scope body : env -> Value.t list -> entry_rows =
+  let cx = { cx with scope = Some scope } in
+  let steps = List.map (pstmt_plan cx scope) body in
+  fun env nondet ->
+    List.fold_left (fun acc step -> merge_rows acc (step env nondet)) [] steps
+
+and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
+  let set v init =
+    let i = slot scope v in
+    let value =
+      Option.bind init (fun e -> Option.map (fun g -> g e) (value_path cx.scope e))
+    in
+    fun (env : env) _ ->
+      env.(i) <- (match value with Some g -> g env | None -> None);
+      []
+  in
+  match p with
+  | P_stmt s ->
+      let rows = fired_plan cx s in
+      fun env nondet -> rows s env nondet
+  | P_declare (v, _, init) -> set v init
+  | P_set (v, e) -> set v (Some e)
+  | P_select_into (s, vars) ->
+      (* a database read: the variables' values are unknown *)
+      let slots = List.map (slot scope) vars in
+      let rows = select_plan cx s in
+      fun env _ ->
+        List.iter (fun i -> env.(i) <- None) slots;
+        rows s env
+  | P_if (branches, else_body) ->
+      (* both arms, each on a copy of the environment; a variable the
+         arms leave with differing values becomes unknown *)
+      let arms =
+        List.map (fun (_, body) -> body_plan cx scope body) branches
+        @ [ body_plan cx scope else_body ]
+      in
+      fun env nondet ->
+        let results =
+          List.map
+            (fun arm ->
+              let arm_env = Array.copy env in
+              (arm_env, arm arm_env nondet))
+            arms
+        in
+        (match results with
+        | [] -> ()
+        | (first, _) :: rest ->
+            Array.iteri
+              (fun i v ->
+                env.(i) <-
+                  (if List.for_all (fun (e, _) -> e.(i) = v) rest then v else None))
+              first);
+        List.fold_left (fun acc (_, rows) -> merge_rows acc rows) [] results
+  | P_while (_, body) ->
+      (* a loop: the variables it assigns are unknown across iterations *)
+      let rec assigned ps =
+        List.concat_map
+          (function
+            | P_set (v, _) | P_declare (v, _, _) -> [ v ]
+            | P_select_into (_, vars) -> vars
+            | P_if (bs, eb) -> List.concat_map (fun (_, b) -> assigned b) bs @ assigned eb
+            | P_while (_, b) -> assigned b
+            | P_stmt _ | P_leave _ | P_signal _ -> [])
+          ps
+      in
+      let slots = List.map (slot scope) (assigned body) in
+      let body = body_plan cx scope body in
+      fun env nondet ->
+        List.iter (fun i -> env.(i) <- None) slots;
+        body env nondet
+  | P_leave _ | P_signal _ -> fun _ _ -> []
+
+let plan t sv stmt = fired_plan { t; sv; scope = None; active = [] } stmt
+
+let run (p : plan) stmt nondet = p stmt no_env nondet
 let of_entry t sv stmt nondet = run (plan t sv stmt) stmt nondet
 
 (* ------------------------------------------------------------------ *)
@@ -1124,12 +940,6 @@ let overlaps t table (earlier : taccess) kind (later : taccess) =
   let dims_e = Array.length earlier and dims_l = Array.length later in
   if dims_e <> dims_l then true (* shape mismatch: be conservative *)
   else begin
-    let dims =
-      (* dimension column names for canonicalisation; we only have the
-         index here, so use positional pseudo-names *)
-      Array.init dims_e (fun i -> "#" ^ string_of_int i)
-    in
-    ignore dims;
     let dim_names =
       match List.assoc_opt table t.config.ri_columns with
       | Some ds when List.length ds = dims_e -> Array.of_list ds

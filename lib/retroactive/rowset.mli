@@ -6,14 +6,15 @@
     the same table overlap iff *every* dimension overlaps (multi-dimensional
     AND semantics); [Any] overlaps everything.
 
-    The extractor:
-    - pulls equality / IN constraints on RI columns out of WHERE clauses
-      (AND intersects, OR unions, anything else degrades to [Any]);
-    - resolves alias-column constraints through the alias map learned from
-      INSERTs (§4.3 "Alias RI Column");
-    - canonicalises values through the merge map maintained when an UPDATE
-      rewrites an RI value (§4.3 "Merging RI values");
-    - partially evaluates CALL/TRANSACTION bodies, binding procedure
+    The extractor is one staged computation ({!plan}, then {!run}):
+    - it pulls equality / IN constraints on RI columns out of WHERE
+      clauses (AND intersects, OR unions, anything else degrades to
+      [Any]); in a join, each column pins only the source it names;
+    - it resolves alias-column constraints through the alias map learned
+      from INSERTs (§4.3 "Alias RI Column");
+    - it canonicalises values through the merge map maintained when an
+      UPDATE rewrites an RI value (§4.3 "Merging RI values");
+    - it partially evaluates CALL and trigger bodies, binding procedure
       parameters to the call's literal arguments and treating database
       reads (SELECT INTO) as unknown — unknown RI expressions degrade to
       [Any], matching the paper's "concretized at retroactive time or
@@ -67,14 +68,22 @@ val plan : t -> Schema_view.t -> Ast.stmt -> plan
 (** [plan t sv stmt] decides everything that depends only on [stmt]'s
     shape ({!Uv_sql.Shape}), the schema view [sv] and [t]'s RI config:
     the write table of DML through an updatable view, the triggers it
-    fires (the write table's, at top level and inside a transaction
-    alike), the RI dimensions and alias columns of
-    each table, which WHERE conjunct and which side of [=] pins each of
-    them, the INSERT column bindings, the AUTO_INCREMENT column and each
-    VALUES row's draw count, and which assignments rewrite an RI or alias
-    column. Procedure and trigger bodies, subqueries, joins and
-    [INSERT … SELECT] are not staged: the plan runs the interpreter on
-    the entry's own subtree for them, so they stay exact by construction.
+    fires (the write table's, at top level, inside a transaction and
+    inside a body alike), the RI dimensions and alias columns of each
+    table, which WHERE conjunct and which side of [=] pins each of them
+    (in a join, which source each column names), the INSERT column
+    bindings, the AUTO_INCREMENT column and each VALUES row's draw
+    count, and which assignments rewrite an RI or alias column.
+
+    The same holds inside what a statement runs: the body of a CALLed
+    procedure and of every trigger a write fires are planned once, here,
+    under an environment of the body's variables; subqueries, joins and
+    [INSERT … SELECT] are planned as reads of their tables. In a body,
+    [DECLARE]/[SET] record a variable's value when it is known, a
+    [SELECT … INTO] makes its variables unknown, [IF] plans every arm and
+    makes unknown a variable the arms leave with differing values, and
+    [WHILE] makes unknown every variable its body assigns. A trigger
+    already being expanded is not expanded again when it fires itself.
 
     A plan belongs to one shape under one schema: it holds while
     {!Schema_view.generation} of [sv] does not move, and only for [t]. It
@@ -85,14 +94,8 @@ val run : plan -> Ast.stmt -> Value.t list -> entry_rows
     [p]'s shape ([Invalid_argument] otherwise). The [Value.t list] is the
     entry's recorded non-determinism (AUTO_INCREMENT keys are recovered
     from it). It reads only [stmt]'s literals and [nondet], then looks
-    aliases up and learns aliases and merges into the plan's state
-    exactly as the interpreter does, so entries must be run in commit
-    order. *)
-
-val interpreted : plan -> bool
-(** No part of the statement is staged: the whole of it goes through the
-    interpreter ([CALL], [INSERT … SELECT], a SELECT with joins, or a
-    transaction of only those). *)
+    aliases up and learns aliases and merges into [t]'s state, so
+    entries must be run in commit order. *)
 
 val of_entry : t -> Schema_view.t -> Ast.stmt -> Value.t list -> entry_rows
 (** [run (plan t sv stmt) stmt nondet]. *)

@@ -151,17 +151,22 @@ let all_columns_of sv table =
   | Some cols -> Colset.of_list (List.map (Schema.qualified table) cols)
   | None -> Colset.empty
 
-(* Trigger bodies fired by a write on [table]. *)
-let rec trigger_rw sv table event =
+(* Trigger bodies fired by a write on [table]. [active] names the
+   triggers whose bodies are being expanded: one of them firing again
+   adds nothing new, so it is not expanded again (a trigger that fires
+   itself terminates). *)
+let rec trigger_rw active sv table event =
   List.fold_left
     (fun acc (trig : Uv_db.Catalog.trigger) ->
-      let body_rw = pstmts_rw sv trig.Uv_db.Catalog.trig_body in
-      let acc = union acc body_rw in
-      add_r (schema_key trig.Uv_db.Catalog.trig_name) acc)
+      let name = trig.Uv_db.Catalog.trig_name in
+      if List.mem name active then acc
+      else
+        let body_rw = pstmts_rw (name :: active) sv trig.Uv_db.Catalog.trig_body in
+        add_r (schema_key name) (union acc body_rw))
     empty
     (Schema_view.triggers_for sv table event)
 
-and stmt_rw sv (s : stmt) : rw =
+and stmt_rw active sv (s : stmt) : rw =
   match s with
   | Create_table { name; columns; _ } ->
       let fk_reads =
@@ -247,7 +252,7 @@ and stmt_rw sv (s : stmt) : rw =
           w = Colset.union w view_extra;
         }
       in
-      union base (trigger_rw sv real Ev_insert)
+      union base (trigger_rw active sv real Ev_insert)
   | Insert_select { table; columns = _; query } ->
       (* like INSERT, but the row values are the query's reads *)
       let real, view_extra = write_target sv table in
@@ -273,7 +278,7 @@ and stmt_rw sv (s : stmt) : rw =
           w = Colset.union w view_extra;
         }
       in
-      union base (trigger_rw sv real Ev_insert)
+      union base (trigger_rw active sv real Ev_insert)
   | Update { table; assigns; where } ->
       let real, view_extra = write_target sv table in
       let sources = [ (real, real) ] in
@@ -306,7 +311,7 @@ and stmt_rw sv (s : stmt) : rw =
           w = List.fold_left Colset.union written [ fk_writes; view_extra ];
         }
       in
-      union base (trigger_rw sv real Ev_update)
+      union base (trigger_rw active sv real Ev_update)
   | Delete { table; where } ->
       let real, view_extra = write_target sv table in
       let sources = [ (real, real) ] in
@@ -332,7 +337,7 @@ and stmt_rw sv (s : stmt) : rw =
           w = List.fold_left Colset.union written [ fk_writes; view_extra ];
         }
       in
-      union base (trigger_rw sv real Ev_delete)
+      union base (trigger_rw active sv real Ev_delete)
   | Call (name, args) ->
       let arg_reads =
         List.fold_left
@@ -341,19 +346,19 @@ and stmt_rw sv (s : stmt) : rw =
       in
       let body =
         match Schema_view.procedure sv name with
-        | Some proc -> pstmts_rw sv proc.Uv_db.Catalog.proc_body
+        | Some proc -> pstmts_rw active sv proc.Uv_db.Catalog.proc_body
         | None -> empty
       in
       add_r (schema_key name) (union { r = arg_reads; w = Colset.empty } body)
   | Transaction stmts ->
-      List.fold_left (fun acc s -> union acc (stmt_rw sv s)) empty stmts
+      List.fold_left (fun acc s -> union acc (stmt_rw active sv s)) empty stmts
 
-and pstmts_rw sv body =
-  List.fold_left (fun acc p -> union acc (pstmt_rw sv p)) empty body
+and pstmts_rw active sv body =
+  List.fold_left (fun acc p -> union acc (pstmt_rw active sv p)) empty body
 
-and pstmt_rw sv (p : pstmt) : rw =
+and pstmt_rw active sv (p : pstmt) : rw =
   match p with
-  | P_stmt s -> stmt_rw sv s
+  | P_stmt s -> stmt_rw active sv s
   | P_declare (_, _, Some e) -> { r = expr_reads sv [] e; w = Colset.empty }
   | P_declare (_, _, None) -> empty
   | P_set (_, e) -> { r = expr_reads sv [] e; w = Colset.empty }
@@ -364,15 +369,15 @@ and pstmt_rw sv (p : pstmt) : rw =
         List.fold_left
           (fun acc (cond, body) ->
             union acc
-              (union { r = expr_reads sv [] cond; w = Colset.empty } (pstmts_rw sv body)))
+              (union { r = expr_reads sv [] cond; w = Colset.empty } (pstmts_rw active sv body)))
           empty branches
       in
-      union arms (pstmts_rw sv else_body)
+      union arms (pstmts_rw active sv else_body)
   | P_while (cond, body) ->
-      union { r = expr_reads sv [] cond; w = Colset.empty } (pstmts_rw sv body)
+      union { r = expr_reads sv [] cond; w = Colset.empty } (pstmts_rw active sv body)
   | P_leave _ | P_signal _ -> empty
 
-let of_stmt sv s = stmt_rw sv s
+let of_stmt sv s = stmt_rw [] sv s
 
 let of_select sv s = select_reads sv s
 

@@ -124,7 +124,7 @@ step "closure smoke: replay sets and provenance == pairwise reference (Joint too
 # the analyzer's per-shape memo against direct derivation: every
 # entry's column sets on the five workloads (raw and transpiled, with
 # the schema script and the transpiled procedures, analysed in one
-# batch and in three) equal Rwset.of_stmt on a schema view the test
+# batch, in three and in seven) equal Rwset.of_stmt on a schema view the test
 # advances itself; a hand-built history uses a shape again right after
 # ADD COLUMN, CREATE TRIGGER, CREATE OR REPLACE VIEW, DROP PROCEDURE and
 # CREATE PROCEDURE (and after DDL inside a transaction), with replay
@@ -138,9 +138,13 @@ step "closure smoke: replay sets and provenance == pairwise reference (Joint too
 # histories (the hand-built one also moves a primary key, drops and adds
 # columns under an INSERT without a column list, adds an INSERT trigger,
 # replaces a view under a DELETE, and teaches aliases and merges) and on
-# generated single-table DML (a qcheck property that shrinks);
-# analyze.rows_interpreted is 0 on the raw workloads
-step "shape memo smoke: memoized column sets == direct derivation, planned row sets == rowset_reference, DDL between uses, derivations flat in history" \
+# generated statements (a qcheck property that shrinks): single-table
+# DML, CALLs of procedures whose bodies DECLARE, SET, branch (IF),
+# loop (WHILE) and SELECT … INTO, a nested CALL, INSERTs and UPDATEs
+# that fire triggers (one of which fires itself), subqueries in WHERE,
+# VALUES and the projection, two-table joins with qualified and
+# unqualified columns, INSERT … SELECT and a transaction
+step "shape memo smoke: memoized column sets == direct derivation, planned row sets == rowset_reference (generated CALL, trigger, subquery and join cases too), DDL between uses, derivations flat in history" \
   dune exec test/test_closure.exe -- test "shape memo"
 
 # the replay DAG, which reads the analyzer's int row keys, against the

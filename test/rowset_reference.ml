@@ -1,10 +1,15 @@
-(* Row-set extraction as one interpreter over the whole statement, kept
-   as the reference [Rowset.plan]/[Rowset.run] are checked against: a
-   copy of the extractor from before it was split into a per-shape plan
-   and a per-entry run, with the fix that DML through an updatable view
-   fires its base table's triggers. It keeps its own alias map and merge
-   parents, so a test feeds it the analysed statements in commit order on
-   a state of its own and compares rows and state with the analyzer's. *)
+(* Row-set extraction as one interpreter over the whole statement: the
+   only interpreter of it, kept as the reference [Rowset.plan]/
+   [Rowset.run] are checked against. It walks each entry's statement
+   whole, procedure and trigger bodies, subqueries and joins included,
+   as the library did before it staged the extraction into a per-shape
+   plan and a per-entry run; since then it took the fixes that DML
+   through an updatable view fires its base table's triggers, that a
+   column in a join pins only the source it names, and that a trigger
+   firing itself is expanded once. It keeps its own alias map and merge
+   parents, so a test feeds it the analysed statements in commit order
+   on a state of its own and compares rows and state with the
+   analyzer's. *)
 
 open Uv_sql
 open Ast
@@ -187,15 +192,44 @@ let rec peval (env : penv) (e : expr) : Value.t option =
 (* WHERE-clause constraint extraction                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Extract the riset a WHERE clause pins for dimension [dim] of [table],
-   considering alias columns. Unqualified column names are assumed to
-   refer to [table] (single-table DML). *)
-let rec where_constraint t env table dim (e : expr) : riset =
-  let is_col name = function
-    | Col (None, c) -> String.equal c name
-    | Col (Some q, c) -> String.equal q table && String.equal c name
-    | _ -> false
+(* Does [e] name column [name] of the one table a statement reads or
+   writes: unqualified, or qualified by the table's own name? *)
+let is_col table name = function
+  | Col (None, c) -> String.equal c name
+  | Col (Some q, c) -> String.equal q table && String.equal c name
+  | _ -> false
+
+(* Does [e] name column [name] of source [k] of a join? An unqualified
+   column belongs to the first source, FROM then joins, that has it, a
+   qualified one to the first source it prefixes (by alias, else by
+   name), as the engine binds them. A view, or a table the schema does
+   not know, may have any column. *)
+let join_col sv sources k name e =
+  let first p =
+    let rec go i = function
+      | [] -> None
+      | s :: rest -> if p s then Some i else go (i + 1) rest
+    in
+    go 0 sources
   in
+  match e with
+  | Col (None, c) ->
+      String.equal c name
+      && first (fun (table, _) ->
+             match Schema_view.table_columns sv table with
+             | Some cols -> List.mem c cols
+             | None -> true)
+         = Some k
+  | Col (Some q, c) ->
+      String.equal c name
+      && first (fun (table, alias) -> String.equal q (Option.value alias ~default:table))
+         = Some k
+  | _ -> false
+
+(* Extract the riset a WHERE clause pins for dimension [dim] of [table],
+   considering alias columns; [is_col] tells which columns are
+   [table]'s. *)
+let rec where_constraint t env ~is_col table dim (e : expr) : riset =
   match e with
   | Binop (Eq, lhs, rhs) -> (
       let sides = [ (lhs, rhs); (rhs, lhs) ] in
@@ -222,12 +256,16 @@ let rec where_constraint t env table dim (e : expr) : riset =
         Vals (Vset.of_list (List.map (fun v -> Value.serialize (Option.get v)) vals))
       else Any
   | Binop (And, a, b) ->
-      rs_inter (where_constraint t env table dim a) (where_constraint t env table dim b)
+      rs_inter
+        (where_constraint t env ~is_col table dim a)
+        (where_constraint t env ~is_col table dim b)
   | Binop (Or, a, b) ->
-      rs_union (where_constraint t env table dim a) (where_constraint t env table dim b)
+      rs_union
+        (where_constraint t env ~is_col table dim a)
+        (where_constraint t env ~is_col table dim b)
   | _ -> Any
 
-let constrain_dims t env sv table where : riset array =
+let constrain_dims ?(is_col = is_col) t env sv table where : riset array =
   let dims = ri_dims t sv table in
   match dims with
   | [] -> [| Any |]
@@ -237,7 +275,7 @@ let constrain_dims t env sv table where : riset array =
            (fun dim ->
              match where with
              | None -> Any
-             | Some w -> where_constraint t env table dim w)
+             | Some w -> where_constraint t env ~is_col:(is_col table) table dim w)
            dims)
 
 (* ------------------------------------------------------------------ *)
@@ -263,7 +301,7 @@ let rec count_draws (e : expr) =
   | Lit _ | Col _ | Var _ | Subselect _ | Exists _ -> 0
 
 let dml_event = function
-  | Insert { table; _ } -> Some (table, Ev_insert)
+  | Insert { table; _ } | Insert_select { table; _ } -> Some (table, Ev_insert)
   | Update { table; _ } -> Some (table, Ev_update)
   | Delete { table; _ } -> Some (table, Ev_delete)
   | _ -> None
@@ -272,8 +310,8 @@ let dml_event = function
 (* Per-statement extraction                                             *)
 (* ------------------------------------------------------------------ *)
 
-let read_only_dims t sv table where env : taccess =
-  let cs = constrain_dims t env sv table where in
+let read_only_dims ?is_col t sv table where env : taccess =
+  let cs = constrain_dims ?is_col t env sv table where in
   Array.map (fun rs -> { dr = rs; dw = Vals Vset.empty }) cs
 
 let rw_dims t sv table where env : taccess =
@@ -287,11 +325,15 @@ let any_access t sv table : taccess =
 
 let select_rows t env sv (s : select) : entry_rows =
   let sources =
-    (match s.sel_from with Some (tbl, _) -> [ tbl ] | None -> [])
-    @ List.map (fun j -> j.join_table) s.sel_joins
+    Option.to_list s.sel_from
+    @ List.map (fun j -> (j.join_table, j.join_alias)) s.sel_joins
+  in
+  (* in a join, each column pins only the source it names *)
+  let is_col k =
+    match sources with [ _ ] -> None | _ -> Some (fun _ -> join_col sv sources k)
   in
   List.fold_left
-    (fun acc table ->
+    (fun acc (k, (table, _)) ->
       if Schema_view.is_view sv table then
         (* view reads degrade to Any on underlying table *)
         match Schema_view.view sv table with
@@ -303,9 +345,9 @@ let select_rows t env sv (s : select) : entry_rows =
             | None -> acc)
         | None -> acc
       else
-        (* every source table reads under the one WHERE *)
-        merge_rows acc [ (table, read_only_dims t sv table s.sel_where env) ])
-    [] sources
+        merge_rows acc
+          [ (table, read_only_dims ?is_col:(is_col k) t sv table s.sel_where env) ])
+    [] (List.mapi (fun k src -> (k, src)) sources)
 
 (* Learn alias mappings and extract the written RI values of an INSERT. *)
 let insert_rows t env sv table columns values nondet : entry_rows =
@@ -435,6 +477,9 @@ let update_rows_access t env sv table assigns where : entry_rows =
     (aliases_for t real_table);
   [ (real_table, access) ]
 
+(* The triggers whose bodies are being expanded *)
+let expanding : string list ref = ref []
+
 let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
   match s with
   | Select sel ->
@@ -452,16 +497,14 @@ let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
         base exprs
   | Insert_select { table; query; _ } ->
       (* written RI values are data-dependent: wildcard write on the real
-         table; reads come from the source query (plus insert triggers) *)
+         table; reads come from the source query *)
       let real_table = write_table sv table in
       let dims = ri_dims t sv real_table in
       let n = max 1 (List.length dims) in
       let write_any =
         Array.init n (fun _ -> { dr = Vals Vset.empty; dw = Any })
       in
-      merge_rows
-        (merge_rows [ (real_table, write_any) ] (select_rows t env sv query))
-        (trigger_rows t sv real_table Ev_insert nondet)
+      merge_rows [ (real_table, write_any) ] (select_rows t env sv query)
   | Insert { table; columns; values } ->
       let base = insert_rows t env sv table columns values nondet in
       (* subqueries inside VALUES read other tables *)
@@ -496,11 +539,7 @@ let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
   | Transaction stmts ->
       (* each DML statement fires its write table's triggers, as at top
          level *)
-      List.fold_left
-        (fun acc s ->
-          merge_rows acc
-            (merge_rows (stmt_rows t env sv s nondet) (fired_rows t sv s nondet)))
-        [] stmts
+      List.fold_left (fun acc s -> merge_rows acc (fired_rows t env sv s nondet)) [] stmts
   | Create_table { name; _ }
   | Drop_table { name; _ }
   | Truncate_table name
@@ -532,11 +571,7 @@ and pstmts_rows t (env : penv) sv body nondet : entry_rows =
 
 and pstmt_rows t (env : penv) sv (p : pstmt) nondet : entry_rows =
   match p with
-  | P_stmt s ->
-      (* triggers fired by nested DML: approximate with Any on the tables
-         the trigger bodies touch *)
-      let base = stmt_rows t env sv s nondet in
-      merge_rows base (fired_rows t sv s nondet)
+  | P_stmt s -> fired_rows t env sv s nondet
   | P_declare (v, _, init) ->
       Hashtbl.replace env v (Option.bind init (peval env));
       []
@@ -603,21 +638,35 @@ and pstmt_rows t (env : penv) sv (p : pstmt) nondet : entry_rows =
       pstmts_rows t env sv body nondet
   | P_leave _ | P_signal _ -> []
 
+(* Each trigger body under an environment of its own. A trigger whose
+   body is being expanded adds nothing new when it fires again, so it is
+   not expanded again. *)
 and trigger_rows t sv table event nondet : entry_rows =
   List.fold_left
     (fun acc (trig : Uv_db.Catalog.trigger) ->
-      let env : penv = Hashtbl.create 4 in
-      merge_rows acc (pstmts_rows t env sv trig.Uv_db.Catalog.trig_body nondet))
+      let name = trig.Uv_db.Catalog.trig_name and outer = !expanding in
+      if List.mem name outer then acc
+      else begin
+        expanding := name :: outer;
+        let env : penv = Hashtbl.create 4 in
+        let rows =
+          Fun.protect
+            ~finally:(fun () -> expanding := outer)
+            (fun () -> pstmts_rows t env sv trig.Uv_db.Catalog.trig_body nondet)
+        in
+        merge_rows acc rows
+      end)
     []
     (Schema_view.triggers_for sv table event)
 
-(* The triggers a DML statement fires: its write table's, for its event. *)
-and fired_rows t sv (s : stmt) nondet : entry_rows =
+(* A statement's rows, then those of the triggers it fires: its write
+   table's, for its event. *)
+and fired_rows t env sv (s : stmt) nondet : entry_rows =
+  let base = stmt_rows t env sv s nondet in
   match dml_event s with
-  | Some (table, event) -> trigger_rows t sv (write_table sv table) event nondet
-  | None -> []
+  | Some (table, event) ->
+      merge_rows base (trigger_rows t sv (write_table sv table) event nondet)
+  | None -> base
 
-let of_entry t sv stmt nondet =
-  let env : penv = Hashtbl.create 4 in
-  merge_rows (stmt_rows t env sv stmt nondet) (fired_rows t sv stmt nondet)
+let of_entry t sv stmt nondet = fired_rows t (Hashtbl.create 4) sv stmt nondet
 

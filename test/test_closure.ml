@@ -1221,8 +1221,9 @@ let check_direct ~label ?base anl =
 
 (* The five workloads, raw and transpiled, as whole histories: the
    schema script, the transpiled procedures and the seeded calls' log.
-   Built in one batch and in three, the memo agrees with direct
-   derivation and derives once per (generation, shape). *)
+   Built in one batch, in three and in seven, the memo agrees with
+   direct derivation and derives once per (generation, shape), and the
+   row sets, the transpiled CALLs' included, equal the reference's. *)
 let workload_entries (w : W.t) mode =
   let eng, rt = W.setup ~mode w in
   let procedures =
@@ -1266,7 +1267,7 @@ let test_memo_workloads () =
               if derived >= Array.length entries then
                 Alcotest.failf "%s: %d derivations for %d entries" label
                   derived (Array.length entries))
-            [ 1; 3 ])
+            [ 1; 3; 7 ])
         [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
     (W.all ())
 
@@ -1535,41 +1536,19 @@ let test_memo_literals () =
     (List.init (Analyzer.length anl) (fun i ->
          { Analyzer.tau = i + 1; op = Analyzer.Remove }))
 
-(* [analyze.rows_interpreted] counts the entries no part of whose
-   statement a plan stages. Raw histories stage every entry; in a
-   transpiled one, each CALL goes through the interpreter whole, and
-   nothing else does. *)
-let test_memo_interpreted () =
-  let interpreted (w : W.t) mode mode_name =
-    let entries = workload_entries w mode in
-    let obs = Uv_obs.Trace.create () in
-    ignore
-      (memo_analyze ~label:(w.W.name ^ " " ^ mode_name) ~config:w.W.ri_config
-         ~obs entries);
-    let calls =
-      Array.fold_left
-        (fun n (e : Log.entry) ->
-          match e.Log.stmt with Uv_sql.Ast.Call _ -> n + 1 | _ -> n)
-        0 entries
-    in
-    (Uv_obs.Trace.counter_value obs "analyze.rows_interpreted", calls)
-  in
-  List.iter
-    (fun (w : W.t) ->
-      check Alcotest.int (w.W.name ^ " raw") 0
-        (fst (interpreted w R.Raw "raw")))
-    (W.all ());
-  let w = List.hd (W.all ()) in
-  let transpiled, calls = interpreted w R.Transpiled "transpiled" in
-  check Alcotest.int (w.W.name ^ " transpiled: its CALLs") calls transpiled;
-  check Alcotest.int (w.W.name ^ " transpiled") 40 transpiled
-
-(* Generated single-table DML against the reference, with shrinking. A
-   case is a few statement skeletons over [acct] (an AUTO_INCREMENT key
-   with the alias column [email]) and [pt] (two RI dimensions), each
-   drawn at least twice with different literals, so every later draw
-   runs the memoised plan; the draws are shuffled, and a failing case
-   shrinks by dropping entries. *)
+(* Generated statements against the reference, with shrinking. A case
+   is a few statement skeletons, each drawn at least twice with different
+   literals, so every later draw runs the memoised plan; the draws are
+   shuffled, and a failing case shrinks by dropping entries. The
+   skeletons are single-table DML over [acct] (an AUTO_INCREMENT key
+   with the alias column [email]) and [pt] (two RI dimensions), and
+   [extra_skeletons]: CALLs of [plan_schema]'s procedures, whose bodies
+   DECLARE, SET, branch, loop and SELECT … INTO, a nested CALL and a
+   CALL short of an argument among them; subqueries in WHERE, VALUES
+   and the projection; two-table joins with qualified, aliased and
+   unqualified columns; INSERT … SELECT; and a transaction. INSERTs into
+   [acct] and UPDATEs of [pt] fire triggers, and [hist]'s INSERT trigger
+   fires itself. *)
 type piece = S of string | H (* a literal slot *)
 
 let gen_literal =
@@ -1583,6 +1562,37 @@ let gen_literal =
         oneofl [ "'e1'"; "'e2'"; "'3'" ];
         oneofl [ "TRUE"; "FALSE" ];
       ])
+
+let extra_skeletons =
+  [
+    [ S "CALL pa("; H; S ", "; H; S ")" ];
+    [ S "CALL pa("; H; S ")" ];
+    [ S "CALL pb("; H; S ", "; H; S ")" ];
+    [ S "CALL pc("; H; S ")" ];
+    [ S "SELECT * FROM pt WHERE a = (SELECT bal FROM acct WHERE id = "; H;
+      S ") AND b = "; H ];
+    [ S "SELECT a, (SELECT n FROM hist WHERE id = "; H; S ") FROM pt WHERE b = ";
+      H; S " AND EXISTS (SELECT id FROM acct WHERE email = "; H; S ")" ];
+    [ S "UPDATE acct SET bal = "; H; S " WHERE id = "; H;
+      S " AND bal > (SELECT v FROM pt WHERE a = "; H; S ")" ];
+    [ S "INSERT INTO pt VALUES ("; H; S ", (SELECT id FROM acct WHERE email = ";
+      H; S "), "; H; S ")" ];
+    [ S "DELETE FROM pt WHERE a IN ("; H; S ", "; H;
+      S ") OR v = (SELECT bal FROM acct WHERE email = "; H; S ")" ];
+    [ S "SELECT * FROM acct JOIN pt ON acct.id = pt.a WHERE id = "; H;
+      S " AND b = "; H ];
+    [ S "SELECT x.v FROM pt x JOIN acct y ON x.a = y.id WHERE x.a = "; H;
+      S " AND y.email = "; H ];
+    [ S "SELECT * FROM pt JOIN acct ON pt.a = acct.id WHERE (a = "; H;
+      S " OR id = "; H; S ") AND pt.b = "; H ];
+    [ S "SELECT * FROM pt JOIN hist ON pt.a = hist.id WHERE id = "; H;
+      S " AND a = "; H; S " AND hist.n = "; H ];
+    [ S "INSERT INTO pt SELECT id, bal, "; H; S " FROM acct WHERE email = "; H ];
+    [ S "INSERT INTO acct (email, bal) SELECT 'e9', v FROM pt JOIN hist ON \
+         pt.a = hist.id WHERE id = "; H; S " AND a = "; H ];
+    [ S "BEGIN; UPDATE pt SET v = "; H; S " WHERE a = "; H; S " AND b = "; H;
+      S "; CALL pb("; H; S ", 2); COMMIT" ];
+  ]
 
 let gen_skeleton =
   let open QCheck.Gen in
@@ -1627,33 +1637,36 @@ let gen_skeleton =
     S " VALUES "
     :: List.concat (List.init rows (fun i -> if i = 0 then row n else S ", " :: row n))
   in
-  oneofl [ ("acct", [ "id"; "email"; "bal" ]); ("pt", [ "a"; "b"; "v" ]) ]
-  >>= fun (table, cols) ->
-  oneof
-    [
-      map (fun w -> [ S ("SELECT * FROM " ^ table) ] @ w) (opt_where cols);
-      map (fun w -> [ S ("DELETE FROM " ^ table) ] @ w) (opt_where cols);
-      ( shuffle_l cols >>= fun cs ->
-        int_range 1 2 >>= fun k ->
-        list_repeat k value >>= fun vs ->
-        let assigns =
-          List.concat
-            (List.mapi
-               (fun i (c, v) -> (if i = 0 then [] else [ S ", " ]) @ (S (c ^ " = ") :: v))
-               (List.combine (List.filteri (fun i _ -> i < k) cs) vs))
-        in
-        map (fun w -> [ S ("UPDATE " ^ table ^ " SET ") ] @ assigns @ w) (opt_where cols) );
-      ( oneofl [ None; Some (List.tl cols); Some cols; Some (List.rev cols) ]
-      >>= fun list ->
-        int_range 1 3 >>= fun rows ->
-        let n = match list with Some cs -> List.length cs | None -> List.length cols in
-        let head =
-          match list with
-          | Some cs -> Printf.sprintf "INSERT INTO %s (%s)" table (String.concat ", " cs)
-          | None -> "INSERT INTO " ^ table
-        in
-        return (S head :: values n rows) );
-    ]
+  let single_table =
+    oneofl [ ("acct", [ "id"; "email"; "bal" ]); ("pt", [ "a"; "b"; "v" ]) ]
+    >>= fun (table, cols) ->
+    oneof
+      [
+        map (fun w -> [ S ("SELECT * FROM " ^ table) ] @ w) (opt_where cols);
+        map (fun w -> [ S ("DELETE FROM " ^ table) ] @ w) (opt_where cols);
+        ( shuffle_l cols >>= fun cs ->
+          int_range 1 2 >>= fun k ->
+          list_repeat k value >>= fun vs ->
+          let assigns =
+            List.concat
+              (List.mapi
+                 (fun i (c, v) -> (if i = 0 then [] else [ S ", " ]) @ (S (c ^ " = ") :: v))
+                 (List.combine (List.filteri (fun i _ -> i < k) cs) vs))
+          in
+          map (fun w -> [ S ("UPDATE " ^ table ^ " SET ") ] @ assigns @ w) (opt_where cols) );
+        ( oneofl [ None; Some (List.tl cols); Some cols; Some (List.rev cols) ]
+        >>= fun list ->
+          int_range 1 3 >>= fun rows ->
+          let n = match list with Some cs -> List.length cs | None -> List.length cols in
+          let head =
+            match list with
+            | Some cs -> Printf.sprintf "INSERT INTO %s (%s)" table (String.concat ", " cs)
+            | None -> "INSERT INTO " ^ table
+          in
+          return (S head :: values n rows) );
+      ]
+  in
+  frequency [ (3, single_table); (2, oneofl extra_skeletons) ]
 
 let render skeleton lits =
   let buf = Buffer.create 64 in
@@ -1705,7 +1718,32 @@ let plan_schema () =
     "CREATE TABLE acct (id INT PRIMARY KEY AUTO_INCREMENT, email VARCHAR(16), \
      bal INT)";
   run e "CREATE TABLE pt (a INT, b INT, v INT)";
+  run e "CREATE TABLE hist (id INT PRIMARY KEY, n INT)";
   run e "INSERT INTO acct VALUES (1, 'e1', 0)";
+  List.iter (run e)
+    [
+      "CREATE TRIGGER acct_ins AFTER INSERT ON acct FOR EACH ROW BEGIN INSERT \
+       INTO hist VALUES (NEW.id, 0); UPDATE pt SET v = v + 1 WHERE a = 1 AND b \
+       = 2; END";
+      "CREATE TRIGGER hist_ins AFTER INSERT ON hist FOR EACH ROW BEGIN IF NEW.n \
+       < 1 THEN INSERT INTO hist VALUES (NEW.id + 1, NEW.n + 1); END IF; END";
+      "CREATE TRIGGER pt_upd AFTER UPDATE ON pt FOR EACH ROW BEGIN DECLARE k \
+       INT DEFAULT 2; IF NEW.v > 0 THEN SET k = 3; END IF; UPDATE hist SET n = \
+       n + 1 WHERE id = k; DELETE FROM acct WHERE email = 'e2'; END";
+      "CREATE PROCEDURE pa(x INT, y INT) BEGIN DECLARE k INT DEFAULT x; \
+       DECLARE m INT; IF y > 2 THEN SET m = x + 1; ELSEIF y < 0 THEN SET m = \
+       x; ELSE SET m = x + 1; END IF; UPDATE pt SET v = y WHERE a = k AND b = \
+       m; SELECT bal INTO k FROM acct WHERE id = x; DELETE FROM pt WHERE a = \
+       k OR b = y; END";
+      "CREATE PROCEDURE pb(e VARCHAR(16), n INT) BEGIN DECLARE i INT DEFAULT \
+       0; WHILE i < n DO INSERT INTO pt VALUES (i, n, 0); SET i = i + 1; END \
+       WHILE; UPDATE acct SET bal = n WHERE email = e; INSERT INTO acct \
+       (email, bal) VALUES (e, n); IF n > 1 THEN SET i = 7; ELSE SET i = 7; \
+       END IF; SELECT * FROM pt WHERE a = i AND b = n; END";
+      "CREATE PROCEDURE pc(x INT) BEGIN CALL pa(x, 3); SELECT v INTO x FROM \
+       pt JOIN acct ON pt.a = acct.id WHERE id = x; UPDATE hist SET n = x \
+       WHERE id = 1; END";
+    ];
   Engine.snapshot e
 
 let plan_config =
@@ -1798,8 +1836,6 @@ let () =
             test_memo_literals;
           Alcotest.test_case "derivations flat in history length" `Quick
             test_memo_flat_in_history;
-          Alcotest.test_case "interpreted row sets counted" `Quick
-            test_memo_interpreted;
           QCheck_alcotest.to_alcotest prop_plan_equals_reference;
         ] );
     ]

@@ -865,6 +865,98 @@ let test_last_insert_id_replays_recorded () =
         (all_hashes (merged_universe e out)))
     [ 1; 2 ]
 
+(* In a join, an unqualified WHERE column pins only the source the
+   engine binds it to: the first, FROM then joins, with that column. In
+   [WHERE id = 1] below [id] is [a.id], so [b]'s rows are read unpinned
+   and removing #6's write to [b] reaches the read at #7, whether the
+   join is an INSERT … SELECT or a SELECT … INTO inside a CALL. *)
+let test_join_column_pins_its_source () =
+  let schema =
+    [
+      "CREATE TABLE a (id INT PRIMARY KEY, bid INT)";
+      "CREATE TABLE b (id INT PRIMARY KEY, v INT)";
+      "CREATE TABLE c (v INT)";
+    ]
+  and rows =
+    [
+      "INSERT INTO a VALUES (1, 7)";
+      "INSERT INTO b VALUES (7, 5)";
+      "UPDATE b SET v = 9 WHERE id = 7";
+    ]
+  in
+  List.iter
+    (fun (label, setup, read) ->
+      let e = Engine.create () in
+      List.iter (run e) (schema @ setup @ rows @ [ read ]);
+      let tau = List.length schema + List.length setup + List.length rows in
+      let analyzer = Analyzer.analyze (Engine.log e) in
+      let truth = oracle_replay e ~skip:tau in
+      check Alcotest.int (label ^ ": the oracle reads the old value") 5
+        (qint truth "SELECT v FROM c");
+      List.iter
+        (fun (mode, name) ->
+          let label = label ^ ", " ^ name in
+          let config = Whatif.Config.make ~mode () in
+          let out =
+            Whatif.run_exn ~config ~analyzer e { Analyzer.tau; op = Analyzer.Remove }
+          in
+          check Alcotest.(list int) (label ^ ": members") [ tau + 1 ]
+            out.Whatif.replay.Analyzer.member_indexes;
+          check table_testable (label ^ ": final state equals oracle")
+            (all_hashes truth)
+            (all_hashes (merged_universe e out)))
+        [
+          (Analyzer.Cell, "Cell");
+          (Analyzer.Row_only, "Row_only");
+          (Analyzer.Col_only, "Col_only");
+          (Analyzer.Joint, "Joint");
+        ])
+    [
+      ( "INSERT … SELECT",
+        [],
+        "INSERT INTO c (v) SELECT b.v FROM a JOIN b ON a.bid = b.id WHERE id = 1" );
+      ( "SELECT … INTO in a CALL",
+        [
+          "CREATE PROCEDURE p() BEGIN DECLARE x INT; SELECT b.v INTO x FROM a \
+           JOIN b ON a.bid = b.id WHERE id = 1; INSERT INTO c (v) VALUES (x); END";
+        ],
+        "CALL p()" );
+    ]
+
+(* A trigger that fires itself: the engine stops when the body's IF
+   fails, at three rows. The analysis expands the body once and returns,
+   and removing the INSERT equals the oracle. *)
+let test_self_firing_trigger () =
+  let e = Engine.create () in
+  List.iter (run e)
+    [
+      "CREATE TABLE t (v INT)";
+      "CREATE TRIGGER tg AFTER INSERT ON t FOR EACH ROW BEGIN IF NEW.v < 3 \
+       THEN INSERT INTO t VALUES (NEW.v + 1); END IF; END";
+      "INSERT INTO t VALUES (1)";
+      "INSERT INTO t VALUES (5)";
+    ];
+  check Alcotest.int "the engine stops at the IF" 4 (qint e "SELECT COUNT(*) FROM t");
+  let analyzer = Analyzer.analyze (Engine.log e) in
+  check Alcotest.bool "the INSERT writes t" true
+    (List.mem_assoc "t" (Analyzer.info analyzer 3).Analyzer.rows);
+  let truth = oracle_replay e ~skip:3 in
+  List.iter
+    (fun (mode, name) ->
+      let config = Whatif.Config.make ~mode () in
+      let out =
+        Whatif.run_exn ~config ~analyzer e { Analyzer.tau = 3; op = Analyzer.Remove }
+      in
+      check table_testable (name ^ ": final state equals oracle")
+        (all_hashes truth)
+        (all_hashes (merged_universe e out)))
+    [
+      (Analyzer.Cell, "Cell");
+      (Analyzer.Row_only, "Row_only");
+      (Analyzer.Col_only, "Col_only");
+      (Analyzer.Joint, "Joint");
+    ]
+
 (* row-only mode is likewise sound on its own (Theorem E.20's two
    independent over-approximations) *)
 let prop_rowonly_oracle =
@@ -1619,6 +1711,10 @@ let () =
             test_transaction_dml_fires_triggers;
           Alcotest.test_case "LAST_INSERT_ID replays as recorded" `Quick
             test_last_insert_id_replays_recorded;
+          Alcotest.test_case "a join column pins its own source" `Quick
+            test_join_column_pins_its_source;
+          Alcotest.test_case "a trigger that fires itself" `Quick
+            test_self_firing_trigger;
         ] );
       ( "hash-jumper",
         [
