@@ -57,19 +57,26 @@ let rec real_target sv name =
       | None -> name)
   | None -> name
 
-let rec trigger_coarse sv table event =
+(* [active] names the triggers and procedures whose bodies are being
+   expanded: expanding one again adds no name, so a trigger that fires
+   itself or a procedure that calls itself is expanded once. *)
+let rec trigger_coarse active sv table event =
   List.fold_left
     (fun acc (trig : Uv_db.Catalog.trigger) ->
-      let acc = union acc (reads [ trig.Uv_db.Catalog.trig_name ]) in
-      union acc (pstmts_coarse sv trig.Uv_db.Catalog.trig_body))
+      let name = trig.Uv_db.Catalog.trig_name in
+      let acc = union acc (reads [ name ]) in
+      if List.mem (`Trigger name) active then acc
+      else
+        union acc
+          (pstmts_coarse (`Trigger name :: active) sv trig.Uv_db.Catalog.trig_body))
     empty
     (Schema_view.triggers_for sv table event)
 
-and write_stmt sv table event inner_reads =
+and write_stmt active sv table event inner_reads =
   let base = union (writes [ table ]) (reads inner_reads) in
-  union base (trigger_coarse sv (real_target sv table) event)
+  union base (trigger_coarse active sv (real_target sv table) event)
 
-and of_stmt sv (s : stmt) : t =
+and stmt_coarse active sv (s : stmt) : t =
   match s with
   | Create_table { name; columns; _ } ->
       let fk =
@@ -101,7 +108,7 @@ and of_stmt sv (s : stmt) : t =
   | Drop_trigger name -> both name
   | Select sel -> reads (select_sources sel)
   | Insert { table; values; _ } ->
-      write_stmt sv table Ev_insert (exprs_sources (List.concat values))
+      write_stmt active sv table Ev_insert (exprs_sources (List.concat values))
   | Insert_select { table; query; _ } ->
       (* the copied-from sources are reads; a view source additionally
          reads the real table behind it, which the precise analysis
@@ -115,45 +122,48 @@ and of_stmt sv (s : stmt) : t =
               if r <> s then Some r else None)
             srcs
       in
-      write_stmt sv table Ev_insert srcs
+      write_stmt active sv table Ev_insert srcs
   | Update { table; assigns; where } ->
       let inner =
         exprs_sources (List.map snd assigns @ Option.to_list where)
       in
-      write_stmt sv table Ev_update inner
+      write_stmt active sv table Ev_update inner
   | Delete { table; where } ->
-      write_stmt sv table Ev_delete (exprs_sources (Option.to_list where))
+      write_stmt active sv table Ev_delete (exprs_sources (Option.to_list where))
   | Call (name, args) ->
       let body =
         match Schema_view.procedure sv name with
-        | Some proc -> pstmts_coarse sv proc.Uv_db.Catalog.proc_body
-        | None -> empty
+        | Some proc when not (List.mem (`Proc name) active) ->
+            pstmts_coarse (`Proc name :: active) sv proc.Uv_db.Catalog.proc_body
+        | Some _ | None -> empty
       in
       union (reads (name :: exprs_sources args)) body
   | Transaction stmts ->
-      List.fold_left (fun acc s -> union acc (of_stmt sv s)) empty stmts
+      List.fold_left (fun acc s -> union acc (stmt_coarse active sv s)) empty stmts
 
-and pstmts_coarse sv body =
-  List.fold_left (fun acc p -> union acc (pstmt_coarse sv p)) empty body
+and pstmts_coarse active sv body =
+  List.fold_left (fun acc p -> union acc (pstmt_coarse active sv p)) empty body
 
-and pstmt_coarse sv (p : pstmt) : t =
+and pstmt_coarse active sv (p : pstmt) : t =
   match p with
-  | P_stmt s -> of_stmt sv s
+  | P_stmt s -> stmt_coarse active sv s
   | P_select_into (s, _) -> reads (select_sources s)
   | P_if (branches, else_body) ->
       let arms =
         List.fold_left
           (fun acc (cond, body) ->
             union acc
-              (union (reads (exprs_sources [ cond ])) (pstmts_coarse sv body)))
+              (union (reads (exprs_sources [ cond ])) (pstmts_coarse active sv body)))
           empty branches
       in
-      union arms (pstmts_coarse sv else_body)
+      union arms (pstmts_coarse active sv else_body)
   | P_while (cond, body) ->
-      union (reads (exprs_sources [ cond ])) (pstmts_coarse sv body)
+      union (reads (exprs_sources [ cond ])) (pstmts_coarse active sv body)
   | P_declare _ | P_set _ ->
       reads (exprs_sources (Visit.pstmt_exprs p))
   | P_leave _ | P_signal _ -> empty
+
+let of_stmt sv s = stmt_coarse [] sv s
 
 (* ------------------------------------------------------------------ *)
 (* Coverage check                                                       *)

@@ -90,8 +90,11 @@ let rec definite_draws sv (s : stmt) =
 
 (* Execution-reachable draw sites, branch- and data-dependent ones
    included: nested query blocks, CALL-expanded procedure bodies, fired
-   trigger bodies. Bodies merely being *defined* do not execute. *)
-let rec potential_draws sv (s : stmt) =
+   trigger bodies. Bodies merely being *defined* do not execute. A body
+   already being expanded ([active]) is not expanded again: its sites
+   are counted once, which is all a test for any site needs, and a
+   trigger that fires itself or a procedure that calls itself ends. *)
+let rec potential_draws active sv (s : stmt) =
   let base = List.fold_left deep_expr_sites 0 (Visit.stmt_exprs s) in
   let base = List.fold_left deep_select_sites base (Visit.stmt_selects s) in
   let base =
@@ -107,31 +110,41 @@ let rec potential_draws sv (s : stmt) =
         | None -> base)
     | Call (name, _) -> (
         match Schema_view.procedure sv name with
-        | Some proc -> base + pstmts_potential sv proc.Uv_db.Catalog.proc_body
-        | None -> base)
+        | Some proc when not (List.mem (`Proc name) active) ->
+            base
+            + pstmts_potential (`Proc name :: active) sv
+                proc.Uv_db.Catalog.proc_body
+        | Some _ | None -> base)
     | Transaction stmts ->
-        List.fold_left (fun n x -> n + potential_draws sv x) base stmts
+        List.fold_left (fun n x -> n + potential_draws active sv x) base stmts
     | _ -> base
   in
   match s with
   | Insert { table; _ } | Insert_select { table; _ } ->
-      base + triggers_potential sv table Ev_insert
-  | Update { table; _ } -> base + triggers_potential sv table Ev_update
-  | Delete { table; _ } -> base + triggers_potential sv table Ev_delete
+      base + triggers_potential active sv table Ev_insert
+  | Update { table; _ } -> base + triggers_potential active sv table Ev_update
+  | Delete { table; _ } -> base + triggers_potential active sv table Ev_delete
   | _ -> base
 
-and pstmts_potential sv body =
+and pstmts_potential active sv body =
   Visit.fold_pstmts
     (fun n p ->
       let n = List.fold_left deep_expr_sites n (Visit.pstmt_exprs p) in
       let n = List.fold_left deep_select_sites n (Visit.pstmt_selects p) in
-      List.fold_left (fun n s -> n + potential_draws sv s) n (Visit.pstmt_stmts p))
+      List.fold_left
+        (fun n s -> n + potential_draws active sv s)
+        n (Visit.pstmt_stmts p))
     0 body
 
-and triggers_potential sv table event =
+and triggers_potential active sv table event =
   List.fold_left
     (fun n (tr : Uv_db.Catalog.trigger) ->
-      n + pstmts_potential sv tr.Uv_db.Catalog.trig_body)
+      let name = tr.Uv_db.Catalog.trig_name in
+      if List.mem (`Trigger name) active then n
+      else
+        n
+        + pstmts_potential (`Trigger name :: active) sv
+            tr.Uv_db.Catalog.trig_body)
     0
     (Schema_view.triggers_for sv (Coarse_rw.real_target sv table) event)
 
@@ -153,7 +166,7 @@ let nondet ctx =
     else if
       recorded = 0
       && ctx.entry.Log.rows_written > 0
-      && potential_draws ctx.sv stmt > 0
+      && potential_draws [] ctx.sv stmt > 0
     then
       [
         D.make ~index:ctx.index ~code:"UVA001" ~severity:D.Info ~pass:"nondet"

@@ -169,17 +169,19 @@ type provenance = {
           (grouped only). [None] in modes without a column closure
           ([Row_only], [Joint]). *)
   p_row_via : int option;
-      (** parent in the row-wise closure ([Joint]: the cell-conflict
-          closure): the first member whose candidates offered it ([0],
-          [v] and [-v] as above). [None] in [Col_only]. *)
+      (** parent in the row-wise closure, exact like [p_col_via] ([0],
+          [v] and [-v] as above, for the row-wise pair predicate
+          {!row_conflict}). In [Joint], the cell-conflict closure's
+          parent: the first member whose candidates offered it. [None]
+          in [Col_only]. *)
 }
 (** Why a member joined. Because the cell-wise set is the intersection
     of two independently computed closures (Theorem E.20), a member
     carries up to two parents; either may itself be outside the final
-    intersection. The column-wise parent is exact — the smallest valid
-    one, with the target before every member and any conflicting member
-    before a group mate — so it does not depend on the order the closure
-    visits candidates in. *)
+    intersection. The column-wise and row-wise parents are exact — the
+    smallest valid one, with the target before every member and any
+    conflicting member before a group mate — so they do not depend on
+    the order the closure visits candidates in. *)
 
 type replay_set = {
   member_indexes : int list;  (** the members' commit indexes, ascending *)
@@ -193,7 +195,10 @@ type replay_set = {
 }
 
 type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
-(** Candidate generator used by the closure worklist: given a member's
+(** Candidate generator used by the closure worklist, which runs Joint's
+    cell-conflict closure and a column-wise closure handed in as
+    [col_joins] (the row-wise and the built-in column-wise closures are
+    sweeps): given a member's
     sets, return candidate indexes past [min_idx] that may conflict with
     it. The first call (and only the first) carries the target's seed
     sets; every later call is a joined member calling with its own index
@@ -247,11 +252,11 @@ val replay_set :
 
     [obs] records one [closure.col]/[closure.row] ([closure.cell] for
     [Joint]) span per closure run, counts the members each closure
-    processes in [analyze.closure_iters], the shape-posting entries the
-    column sweep visits in [analyze.closure_col_visits], and the
-    candidates the row-wise or Joint generator offers (deduplicated per
-    asking member, before the pair predicate) in
-    [analyze.closure_row_visits].
+    processes in [analyze.closure_iters], the posting entries the column
+    and the row sweep pop in [analyze.closure_col_visits] and
+    [analyze.closure_row_visits], and, for [Joint], the candidates its
+    generator offers (deduplicated per asking member, before the pair
+    predicate) in [analyze.closure_row_visits].
 
     Cost: the column-wise closure is one ascending sweep over statement
     shapes, O(|C|) shape-posting entries: each column a member (or the
@@ -259,9 +264,13 @@ val replay_set :
     column it reads on every shape writing it, once per question and
     just past that member, so an ungrouped question visits each entry at
     most once and every visit joins but those to the excluded target
-    group. The row-wise closure costs the replay set and the row-key
-    postings' entries at or after τ; Joint's, the cell buckets' entries
-    at or after τ.
+    group. The row-wise closure is one ascending sweep over the row-key
+    postings at or after τ, on the same cursor heap: under current keys
+    a key match decides a conflict on a one-dimension table, and
+    {!row_conflict} verifies one on a multi-dimension table, against the
+    members that opened the posting in ascending order, up to the first
+    that conflicts. Joint's closure costs the cell buckets' entries at
+    or after τ.
     Membership and parents live in per-analyzer scratch arrays stamped
     per question, grown only when the history outgrows them, so a
     question allocates and clears nothing of the history's length.
@@ -272,8 +281,8 @@ val replay_set :
 val row_conflict : t -> Rwset.rw -> Rowset.entry_rows -> info -> bool
 (** The row-wise closure's pair predicate: does an entry with these sets
     conflict row-wise with [info] (a shared schema key, or overlapping
-    rows of some table under the current RI merge state)? The closure
-    applies it to the candidates its row-key postings offer. *)
+    rows of some table under the current RI merge state)? The row sweep
+    applies it where a row-key match does not decide the conflict. *)
 
 val canonical_row_value : t -> table:string -> Value.t -> string
 (** Canonical first-dimension RI value of [table]'s [v] under the

@@ -123,14 +123,18 @@ let alias_lookup t table acol v =
 
 let rs_is_empty = function Any -> false | Vals s -> Vset.is_empty s
 
-let rs_canon t table dim = function
-  | Any -> Any
-  | Vals s -> Vals (Vset.map (fun v -> canonical t table dim v) s)
-
-let rs_overlap t table dim a b =
-  match (rs_canon t table dim a, rs_canon t table dim b) with
+(* Canonicalising keeps a set empty or not, so only two value sets
+   need it, and only once some value was merged; [dim_name i] names
+   their dimension. *)
+let rs_overlap t table dim_name i a b =
+  match (a, b) with
   | Any, x | x, Any -> not (rs_is_empty x)
-  | Vals x, Vals y -> not (Vset.is_empty (Vset.inter x y))
+  | Vals x, Vals y ->
+      if Hashtbl.length t.merge_parent = 0 then not (Vset.disjoint x y)
+      else
+        let dim = dim_name i in
+        let canon s = Vset.map (fun v -> canonical t table dim v) s in
+        not (Vset.disjoint (canon x) (canon y))
 
 
 let merge_dim a b = { dr = rs_union a.dr b.dr; dw = rs_union a.dw b.dw }
@@ -250,9 +254,14 @@ let slot (scope : scope) name =
 type plan = stmt -> env -> Value.t list -> entry_rows
 
 (* What planning reads: the RI state, the schema view, the variables in
-   scope ([None] at top level) and the triggers whose bodies are being
-   expanded. *)
-type cx = { t : t; sv : Schema_view.t; scope : scope option; active : string list }
+   scope ([None] at top level) and the triggers and procedures whose
+   bodies are being expanded. *)
+type cx = {
+  t : t;
+  sv : Schema_view.t;
+  scope : scope option;
+  active : [ `Trigger of string | `Proc of string ] list;
+}
 
 let not_of_shape () =
   invalid_arg "Rowset.run: the statement is not of the plan's shape"
@@ -499,9 +508,22 @@ let fold_plans plans step =
           (fun acc p e -> match p with Some p -> step p e env acc | None -> acc)
           acc plans es)
 
+let select_exprs (sel : select) =
+  Option.to_list sel.sel_where
+  @ Option.to_list sel.sel_having
+  @ List.filter_map (function Item (e, _) -> Some e | Star -> None) sel.sel_items
+
+(* The rows a SELECT reads: its sources', then those of the subqueries
+   in its WHERE, HAVING and projection, nested ones included. *)
+let rec select_reads cx (s : select) : select -> env -> entry_rows =
+  let rows = select_plan cx s in
+  match subqueries cx (select_exprs s) with
+  | None -> rows
+  | Some sub -> fun sel env -> sub (select_exprs sel) env (rows sel env)
+
 (* The rows the subqueries in [e] read, merged onto [acc] in the order a
    left-to-right walk meets them; [None] when [e] has none. *)
-let rec walk_plan cx (e : expr) : (expr -> env -> entry_rows -> entry_rows) option =
+and walk_plan cx (e : expr) : (expr -> env -> entry_rows -> entry_rows) option =
   let walk_all es children =
     Option.map
       (fun walk e env acc -> walk (children e) env acc)
@@ -509,7 +531,7 @@ let rec walk_plan cx (e : expr) : (expr -> env -> entry_rows -> entry_rows) opti
   in
   match e with
   | Subselect s | Exists s ->
-      let rows = select_plan cx s in
+      let rows = select_reads cx s in
       Some
         (fun e env acc ->
           match e with
@@ -533,7 +555,7 @@ let rec walk_plan cx (e : expr) : (expr -> env -> entry_rows -> entry_rows) opti
 
 (* Each expression's subquery rows, merged in turn onto the rows so far;
    [None] when none of [es] has a subquery. *)
-let subqueries cx es =
+and subqueries cx es =
   fold_plans (List.map (walk_plan cx) es) (fun w e env acc ->
       merge_rows acc (w e env []))
 
@@ -701,31 +723,37 @@ let update_plan cx table assigns where =
       alias_rewrites;
     [ (real_table, access) ]
 
-let select_exprs (sel : select) =
-  Option.to_list sel.sel_where
-  @ Option.to_list sel.sel_having
-  @ List.filter_map (function Item (e, _) -> Some e | Star -> None) sel.sel_items
+(* A CALL of a procedure whose body is being expanded reads and writes
+   any row of every table the procedure's column sets name: its rows
+   would depend on values only the recursion knows, and expanding it
+   again would not end. *)
+let recursion_rows t sv call =
+  let rw = Rwset.of_stmt sv call in
+  Rwset.Colset.fold
+    (fun c acc ->
+      match String.index_opt c '.' with
+      | Some i when not (String.starts_with ~prefix:"_S." c) -> String.sub c 0 i :: acc
+      | _ -> acc)
+    (Rwset.Colset.union rw.Rwset.r rw.Rwset.w)
+    []
+  |> List.sort_uniq String.compare
+  |> List.map (fun table ->
+         (table, Array.make (max 1 (List.length (ri_dims t sv table))) { dr = Any; dw = Any }))
 
 (* A statement's rows, the triggers it fires aside. *)
 let rec stmt_plan cx (s : stmt) : plan =
   let t = cx.t and sv = cx.sv in
   match s with
-  | Select sel -> (
-      let rows = select_plan cx sel in
-      let of_select = function Select sel -> sel | _ -> not_of_shape () in
-      match subqueries cx (select_exprs sel) with
-      | None -> fun s env _ -> rows (of_select s) env
-      | Some sub ->
-          fun s env _ ->
-            let sel = of_select s in
-            let base = rows sel env in
-            sub (select_exprs sel) env base)
+  | Select sel ->
+      let rows = select_reads cx sel in
+      fun s env _ ->
+        (match s with Select sel -> rows sel env | _ -> not_of_shape ())
   | Insert_select { table; query; _ } ->
       (* the written RI values are data-dependent: a wildcard write on
          the real table, and the query's reads *)
       let real_table = write_table sv table in
       let n = max 1 (List.length (ri_dims t sv real_table)) in
-      let rows = select_plan cx query in
+      let rows = select_reads cx query in
       fun s env _ ->
         (match s with
         | Insert_select { query; _ } ->
@@ -743,15 +771,17 @@ let rec stmt_plan cx (s : stmt) : plan =
             let base = rows values env nondet in
             merge_rows base (sub (List.concat values) env []))
   | Update { table; assigns; where } ->
+      (* the assigned values' subqueries read, then the WHERE's *)
       let rows = update_plan cx table assigns where in
-      let sub = subqueries cx (Option.to_list where) in
+      let exprs assigns where = List.map snd assigns @ Option.to_list where in
+      let sub = subqueries cx (exprs assigns where) in
       fun s env _ ->
         (match s with
         | Update u -> (
             let base = rows u.assigns u.where env in
             match sub with
             | None -> base
-            | Some sub -> sub (Option.to_list u.where) env base)
+            | Some sub -> sub (exprs u.assigns u.where) env base)
         | _ -> not_of_shape ())
   | Delete { table; where } ->
       let real_table = write_table sv table in
@@ -766,34 +796,24 @@ let rec stmt_plan cx (s : stmt) : plan =
             | Some sub -> sub (Option.to_list d.where) env base)
         | _ -> not_of_shape ())
   | Call (name, args) -> (
-      match Schema_view.procedure sv name with
-      | None -> fun _ _ _ -> []
-      | Some proc ->
-          let scope = Hashtbl.create 8 in
-          (* each parameter with the path to its argument's value, as far
-             as both lists go *)
-          let rec binds params args =
-            match (params, args) with
-            | (p, _) :: ps, a :: rest ->
-                let i = slot scope p in
-                (i, value_path cx.scope a) :: binds ps rest
-            | _ -> []
-          in
-          let binds = binds proc.Uv_db.Catalog.proc_params args in
-          let body = body_plan cx scope proc.Uv_db.Catalog.proc_body in
+      let body =
+        match Schema_view.procedure sv name with
+        | None -> fun _ _ _ -> []
+        | Some _ when List.mem (`Proc name) cx.active ->
+            let rows = recursion_rows t sv s in
+            fun _ _ _ -> rows
+        | Some proc ->
+            call_plan { cx with active = `Proc name :: cx.active } proc args
+      in
+      (* the arguments' subqueries read too, before the body runs *)
+      match subqueries cx args with
+      | None -> body
+      | Some sub ->
           fun s env nondet ->
             (match s with
             | Call (_, args) ->
-                let callee = Array.make (Hashtbl.length scope) None in
-                let rec bind binds args =
-                  match (binds, args) with
-                  | (i, path) :: binds, a :: rest ->
-                      callee.(i) <- (match path with Some g -> g a env | None -> None);
-                      bind binds rest
-                  | _ -> ()
-                in
-                bind binds args;
-                body callee nondet
+                let read = sub args env [] in
+                merge_rows (body s env nondet) read
             | _ -> not_of_shape ()))
   | Transaction stmts ->
       (* each statement fires its write table's triggers, as at top level *)
@@ -814,6 +834,36 @@ let rec stmt_plan cx (s : stmt) : plan =
   | Create_view _ | Drop_view _ | Create_index _ | Drop_index _
   | Create_procedure _ | Drop_procedure _ | Create_trigger _ | Drop_trigger _ ->
       fun _ _ _ -> []
+
+(* A CALL of [proc] whose body is not being expanded: the body under an
+   environment binding each parameter to its argument's value. *)
+and call_plan cx (proc : Uv_db.Catalog.procedure) args : plan =
+  let scope = Hashtbl.create 8 in
+  (* each parameter with the path to its argument's value, as far
+     as both lists go *)
+  let rec binds params args =
+    match (params, args) with
+    | (p, _) :: ps, a :: rest ->
+        let i = slot scope p in
+        (i, value_path cx.scope a) :: binds ps rest
+    | _ -> []
+  in
+  let binds = binds proc.Uv_db.Catalog.proc_params args in
+  let body = body_plan cx scope proc.Uv_db.Catalog.proc_body in
+  fun s env nondet ->
+    (match s with
+    | Call (_, args) ->
+        let callee = Array.make (Hashtbl.length scope) None in
+        let rec bind binds args =
+          match (binds, args) with
+          | (i, path) :: binds, a :: rest ->
+              callee.(i) <- (match path with Some g -> g a env | None -> None);
+              bind binds rest
+          | _ -> ()
+        in
+        bind binds args;
+        body callee nondet
+    | _ -> not_of_shape ())
 
 (* A statement's rows, then the rows of the triggers it fires: its write
    table's, for its event. *)
@@ -838,11 +888,11 @@ and triggers_plan cx table event =
     List.filter_map
       (fun (trig : Uv_db.Catalog.trigger) ->
         let name = trig.Uv_db.Catalog.trig_name in
-        if List.mem name cx.active then None
+        if List.mem (`Trigger name) cx.active then None
         else
           let scope = Hashtbl.create 4 in
           let body =
-            body_plan { cx with active = name :: cx.active } scope
+            body_plan { cx with active = `Trigger name :: cx.active } scope
               trig.Uv_db.Catalog.trig_body
           in
           Some (fun nondet -> body (Array.make (Hashtbl.length scope) None) nondet))
@@ -862,14 +912,36 @@ and body_plan cx scope body : env -> Value.t list -> entry_rows =
     List.fold_left (fun acc step -> merge_rows acc (step env nondet)) [] steps
 
 and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
+  (* a control step's rows, then those the subqueries of its conditions
+     [es] read, under the environment before the step *)
+  let reading es step =
+    match subqueries cx es with
+    | None -> step
+    | Some sub ->
+        fun env nondet ->
+          let read = sub es env [] in
+          merge_rows (step env nondet) read
+  in
+  (* an assignment reads the rows its value's subqueries read *)
   let set v init =
     let i = slot scope v in
     let value =
       Option.bind init (fun e -> Option.map (fun g -> g e) (value_path cx.scope e))
     in
-    fun (env : env) _ ->
-      env.(i) <- (match value with Some g -> g env | None -> None);
-      []
+    let assign (env : env) =
+      env.(i) <- (match value with Some g -> g env | None -> None)
+    in
+    let es = Option.to_list init in
+    match subqueries cx es with
+    | None ->
+        fun env _ ->
+          assign env;
+          []
+    | Some sub ->
+        fun env _ ->
+          let read = sub es env [] in
+          assign env;
+          read
   in
   match p with
   | P_stmt s ->
@@ -880,7 +952,7 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
   | P_select_into (s, vars) ->
       (* a database read: the variables' values are unknown *)
       let slots = List.map (slot scope) vars in
-      let rows = select_plan cx s in
+      let rows = select_reads cx s in
       fun env _ ->
         List.iter (fun i -> env.(i) <- None) slots;
         rows s env
@@ -891,7 +963,7 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
         List.map (fun (_, body) -> body_plan cx scope body) branches
         @ [ body_plan cx scope else_body ]
       in
-      fun env nondet ->
+      reading (List.map fst branches) @@ fun env nondet ->
         let results =
           List.map
             (fun arm ->
@@ -908,8 +980,9 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
                   (if List.for_all (fun (e, _) -> e.(i) = v) rest then v else None))
               first);
         List.fold_left (fun acc (_, rows) -> merge_rows acc rows) [] results
-  | P_while (_, body) ->
-      (* a loop: the variables it assigns are unknown across iterations *)
+  | P_while (cond, body) ->
+      (* a loop: the variables it assigns are unknown across iterations,
+         the condition's included *)
       let rec assigned ps =
         List.concat_map
           (function
@@ -921,7 +994,7 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
           ps
       in
       let slots = List.map (slot scope) (assigned body) in
-      let body = body_plan cx scope body in
+      let body = reading [ cond ] (body_plan cx scope body) in
       fun env nondet ->
         List.iter (fun i -> env.(i) <- None) slots;
         body env nondet
@@ -937,28 +1010,24 @@ let of_entry t sv stmt nondet = run (plan t sv stmt) stmt nondet
 (* ------------------------------------------------------------------ *)
 
 let overlaps t table (earlier : taccess) kind (later : taccess) =
-  let dims_e = Array.length earlier and dims_l = Array.length later in
-  if dims_e <> dims_l then true (* shape mismatch: be conservative *)
+  let dims = Array.length earlier in
+  if dims <> Array.length later then true (* shape mismatch: be conservative *)
   else begin
-    let dim_names =
+    let dim_name i =
       match List.assoc_opt table t.config.ri_columns with
-      | Some ds when List.length ds = dims_e -> Array.of_list ds
-      | _ -> Array.init dims_e (fun i -> "#" ^ string_of_int i)
+      | Some ds when List.length ds = dims -> List.nth ds i
+      | _ -> "#" ^ string_of_int i
     in
-    let pair_overlap a b =
-      let ok = ref true in
-      Array.iteri
-        (fun i dim ->
-          if !ok && not (rs_overlap t table dim (a i) (b i)) then ok := false)
-        dim_names;
-      !ok
+    (* every dimension of [a]'s side of [earlier] meets [b]'s of [later] *)
+    let rec pair a b i =
+      i >= dims
+      || rs_overlap t table dim_name i (a earlier.(i)) (b later.(i))
+         && pair a b (i + 1)
     in
+    let dr d = d.dr and dw d = d.dw in
     match kind with
-    | `W_then_R -> pair_overlap (fun i -> earlier.(i).dw) (fun i -> later.(i).dr)
-    | `Any_conflict ->
-        pair_overlap (fun i -> earlier.(i).dw) (fun i -> later.(i).dr)
-        || pair_overlap (fun i -> earlier.(i).dr) (fun i -> later.(i).dw)
-        || pair_overlap (fun i -> earlier.(i).dw) (fun i -> later.(i).dw)
+    | `W_then_R -> pair dw dr 0
+    | `Any_conflict -> pair dw dr 0 || pair dr dw 0 || pair dw dw 0
   end
 
 let pp_riset fmt = function

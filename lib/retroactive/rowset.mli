@@ -78,12 +78,17 @@ val plan : t -> Schema_view.t -> Ast.stmt -> plan
     The same holds inside what a statement runs: the body of a CALLed
     procedure and of every trigger a write fires are planned once, here,
     under an environment of the body's variables; subqueries, joins and
-    [INSERT … SELECT] are planned as reads of their tables. In a body,
-    [DECLARE]/[SET] record a variable's value when it is known, a
-    [SELECT … INTO] makes its variables unknown, [IF] plans every arm and
-    makes unknown a variable the arms leave with differing values, and
-    [WHILE] makes unknown every variable its body assigns. A trigger
-    already being expanded is not expanded again when it fires itself.
+    [INSERT … SELECT] are planned as reads of their tables, a subquery
+    wherever it sits (WHERE, HAVING, projection, VALUES, assigned
+    values, [CALL] arguments, [DECLARE]/[SET] values, [IF]/[WHILE]
+    conditions, another subquery). In a body, [DECLARE]/[SET] record a
+    variable's value when it is known, a [SELECT … INTO] makes its
+    variables unknown, [IF] plans every arm and makes unknown a variable
+    the arms leave with differing values, and [WHILE] makes unknown
+    every variable its body assigns. A trigger already being expanded is
+    not expanded again when it fires itself, nor a procedure when it
+    calls itself (directly or through another): that [CALL] reads and
+    writes any row of every table the procedure's column sets name.
 
     A plan belongs to one shape under one schema: it holds while
     {!Schema_view.generation} of [sv] does not move, and only for [t]. It

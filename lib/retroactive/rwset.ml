@@ -152,16 +152,19 @@ let all_columns_of sv table =
   | None -> Colset.empty
 
 (* Trigger bodies fired by a write on [table]. [active] names the
-   triggers whose bodies are being expanded: one of them firing again
-   adds nothing new, so it is not expanded again (a trigger that fires
-   itself terminates). *)
+   triggers and procedures whose bodies are being expanded: one of them
+   firing or called again adds nothing new, so it is not expanded again
+   (a trigger that fires itself, or a procedure that calls itself,
+   terminates). *)
 let rec trigger_rw active sv table event =
   List.fold_left
     (fun acc (trig : Uv_db.Catalog.trigger) ->
       let name = trig.Uv_db.Catalog.trig_name in
-      if List.mem name active then acc
+      if List.mem (`Trigger name) active then acc
       else
-        let body_rw = pstmts_rw (name :: active) sv trig.Uv_db.Catalog.trig_body in
+        let body_rw =
+          pstmts_rw (`Trigger name :: active) sv trig.Uv_db.Catalog.trig_body
+        in
         add_r (schema_key name) (union acc body_rw))
     empty
     (Schema_view.triggers_for sv table event)
@@ -346,8 +349,9 @@ and stmt_rw active sv (s : stmt) : rw =
       in
       let body =
         match Schema_view.procedure sv name with
-        | Some proc -> pstmts_rw active sv proc.Uv_db.Catalog.proc_body
-        | None -> empty
+        | Some proc when not (List.mem (`Proc name) active) ->
+            pstmts_rw (`Proc name :: active) sv proc.Uv_db.Catalog.proc_body
+        | Some _ | None -> empty
       in
       add_r (schema_key name) (union { r = arg_reads; w = Colset.empty } body)
   | Transaction stmts ->

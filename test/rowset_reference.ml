@@ -477,24 +477,30 @@ let update_rows_access t env sv table assigns where : entry_rows =
     (aliases_for t real_table);
   [ (real_table, access) ]
 
-(* The triggers whose bodies are being expanded *)
-let expanding : string list ref = ref []
+(* The triggers and procedures whose bodies are being expanded *)
+let expanding : [ `Trigger of string | `Proc of string ] list ref = ref []
+
+(* A CALL of a procedure being expanded: any row of every table the
+   procedure's column sets name, read and written. *)
+let recursive_call_rows t sv call : entry_rows =
+  let rw = Rwset.of_stmt sv call in
+  let names = Rwset.Colset.elements (Rwset.Colset.union rw.Rwset.r rw.Rwset.w) in
+  let tables =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun c ->
+           if String.length c > 3 && String.sub c 0 3 = "_S." then None
+           else
+             match String.index_opt c '.' with
+             | Some i -> Some (String.sub c 0 i)
+             | None -> None)
+         names)
+  in
+  List.map (fun table -> (table, any_access t sv table)) tables
 
 let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
   match s with
-  | Select sel ->
-      (* subqueries in the projection, WHERE or HAVING read other tables *)
-      let base = select_rows t env sv sel in
-      let exprs =
-        (match sel.sel_where with Some w -> [ w ] | None -> [])
-        @ (match sel.sel_having with Some h -> [ h ] | None -> [])
-        @ List.filter_map
-            (function Item (e, _) -> Some e | Star -> None)
-            sel.sel_items
-      in
-      List.fold_left
-        (fun acc e -> merge_rows acc (expr_subquery_rows t env sv e))
-        base exprs
+  | Select sel -> select_reads t env sv sel
   | Insert_select { table; query; _ } ->
       (* written RI values are data-dependent: wildcard write on the real
          table; reads come from the source query *)
@@ -504,7 +510,7 @@ let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
       let write_any =
         Array.init n (fun _ -> { dr = Vals Vset.empty; dw = Any })
       in
-      merge_rows [ (real_table, write_any) ] (select_rows t env sv query)
+      merge_rows [ (real_table, write_any) ] (select_reads t env sv query)
   | Insert { table; columns; values } ->
       let base = insert_rows t env sv table columns values nondet in
       (* subqueries inside VALUES read other tables *)
@@ -518,24 +524,36 @@ let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
       in
       merge_rows base sub
   | Update { table; assigns; where } ->
+      (* the assigned values' subqueries read, then the WHERE's *)
       let base = update_rows_access t env sv table assigns where in
-      merge_rows base (where_subquery_rows t env sv where)
+      exprs_subquery_rows t env sv base (List.map snd assigns @ Option.to_list where)
   | Delete { table; where } ->
       let real_table = write_table sv table in
       merge_rows
         [ (real_table, rw_dims t sv real_table where env) ]
         (where_subquery_rows t env sv where)
-  | Call (name, args) -> (
-      match Schema_view.procedure sv name with
-      | None -> []
-      | Some proc ->
-          let env' : penv = Hashtbl.create 8 in
-          (try
-             List.iter2
-               (fun (pname, _) a -> Hashtbl.replace env' pname (peval env a))
-               proc.Uv_db.Catalog.proc_params args
-           with Invalid_argument _ -> ());
-          pstmts_rows t env' sv proc.Uv_db.Catalog.proc_body nondet)
+  | Call (name, args) ->
+      (* the arguments' subqueries read too, before the body runs *)
+      let read = exprs_subquery_rows t env sv [] args in
+      let body =
+        match Schema_view.procedure sv name with
+        | None -> []
+        | Some _ when List.mem (`Proc name) !expanding ->
+            recursive_call_rows t sv s
+        | Some proc ->
+            let env' : penv = Hashtbl.create 8 in
+            (try
+               List.iter2
+                 (fun (pname, _) a -> Hashtbl.replace env' pname (peval env a))
+                 proc.Uv_db.Catalog.proc_params args
+             with Invalid_argument _ -> ());
+            let outer = !expanding in
+            expanding := `Proc name :: outer;
+            Fun.protect
+              ~finally:(fun () -> expanding := outer)
+              (fun () -> pstmts_rows t env' sv proc.Uv_db.Catalog.proc_body nondet)
+      in
+      merge_rows body read
   | Transaction stmts ->
       (* each DML statement fires its write table's triggers, as at top
          level *)
@@ -549,10 +567,22 @@ let rec stmt_rows t env sv (s : stmt) nondet : entry_rows =
   | Create_procedure _ | Drop_procedure _ | Create_trigger _ | Drop_trigger _ ->
       []
 
+(* A SELECT's rows: its sources', then its subqueries' (nested ones
+   included) in its WHERE, HAVING and projection. *)
+and select_reads t env sv (sel : select) : entry_rows =
+  exprs_subquery_rows t env sv (select_rows t env sv sel)
+    (Option.to_list sel.sel_where
+    @ Option.to_list sel.sel_having
+    @ List.filter_map (function Item (e, _) -> Some e | Star -> None) sel.sel_items)
+
+(* [acc], then each expression's subquery rows merged in turn *)
+and exprs_subquery_rows t env sv acc es =
+  List.fold_left (fun acc e -> merge_rows acc (expr_subquery_rows t env sv e)) acc es
+
 and expr_subquery_rows t env sv (e : expr) : entry_rows =
   let rec walk (e : expr) acc =
     match e with
-    | Subselect s | Exists s -> merge_rows acc (select_rows t env sv s)
+    | Subselect s | Exists s -> merge_rows acc (select_reads t env sv s)
     | Binop (_, a, b) -> walk b (walk a acc)
     | Unop (_, a) -> walk a acc
     | Fun_call (_, args) -> List.fold_left (fun acc a -> walk a acc) acc args
@@ -573,17 +603,22 @@ and pstmt_rows t (env : penv) sv (p : pstmt) nondet : entry_rows =
   match p with
   | P_stmt s -> fired_rows t env sv s nondet
   | P_declare (v, _, init) ->
+      (* the value's subqueries read, before the variable is set *)
+      let read = exprs_subquery_rows t env sv [] (Option.to_list init) in
       Hashtbl.replace env v (Option.bind init (peval env));
-      []
+      read
   | P_set (v, e) ->
+      let read = exprs_subquery_rows t env sv [] [ e ] in
       Hashtbl.replace env v (peval env e);
-      []
+      read
   | P_select_into (s, vars) ->
       (* database read: results are unknown at analysis time *)
       List.iter (fun v -> Hashtbl.replace env v None) vars;
-      select_rows t env sv s
+      select_reads t env sv s
   | P_if (branches, else_body) ->
-      (* both arms, with variable states merged pessimistically *)
+      (* the conditions' subqueries read first; then both arms, with
+         variable states merged pessimistically *)
+      let read = exprs_subquery_rows t env sv [] (List.map fst branches) in
       let arms =
         List.map (fun (_, body) -> body) branches @ [ else_body ]
       in
@@ -616,8 +651,10 @@ and pstmt_rows t (env : penv) sv (p : pstmt) nondet : entry_rows =
           in
           Hashtbl.replace env k merged)
         all_keys;
-      List.fold_left (fun acc (_, rows) -> merge_rows acc rows) [] results
-  | P_while (_, body) ->
+      merge_rows
+        (List.fold_left (fun acc (_, rows) -> merge_rows acc rows) [] results)
+        read
+  | P_while (cond, body) ->
       (* loop: assigned variables are unknown across iterations *)
       let assigned = ref [] in
       let rec scan ps =
@@ -635,7 +672,9 @@ and pstmt_rows t (env : penv) sv (p : pstmt) nondet : entry_rows =
       in
       scan body;
       List.iter (fun v -> Hashtbl.replace env v None) !assigned;
-      pstmts_rows t env sv body nondet
+      (* the condition's subqueries read under the loop's unknowns *)
+      let read = exprs_subquery_rows t env sv [] [ cond ] in
+      merge_rows (pstmts_rows t env sv body nondet) read
   | P_leave _ | P_signal _ -> []
 
 (* Each trigger body under an environment of its own. A trigger whose
@@ -645,9 +684,9 @@ and trigger_rows t sv table event nondet : entry_rows =
   List.fold_left
     (fun acc (trig : Uv_db.Catalog.trigger) ->
       let name = trig.Uv_db.Catalog.trig_name and outer = !expanding in
-      if List.mem name outer then acc
+      if List.mem (`Trigger name) outer then acc
       else begin
-        expanding := name :: outer;
+        expanding := `Trigger name :: outer;
         let env : penv = Hashtbl.create 4 in
         let rows =
           Fun.protect
