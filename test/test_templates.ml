@@ -171,6 +171,38 @@ let test_coarse_insert_select_view () =
        (fun (o, side) -> (o, match side with `Read -> "r" | `Write -> "w"))
        (Uv_analysis.Coarse_rw.uncovered rw coarse))
 
+(* -------------------------------------------------------------- *)
+(* a procedure that calls itself builds a matrix                    *)
+(* -------------------------------------------------------------- *)
+
+let test_recursive_procedure_matrix () =
+  let schema =
+    "CREATE TABLE t (id INT PRIMARY KEY, v INT);\n\
+     CREATE TABLE u (id INT PRIMARY KEY, w INT);\n\
+     CREATE PROCEDURE p(IN x INT) BEGIN IF x > 0 THEN INSERT INTO t VALUES \
+     (x, x); CALL p(x - 1); END IF; END;\n\
+     CREATE PROCEDURE q(IN x INT) BEGIN IF x > 0 THEN UPDATE u SET w = x \
+     WHERE id = x; CALL r(x - 1); END IF; END;\n\
+     CREATE PROCEDURE r(IN x INT) BEGIN CALL q(x); END;"
+  in
+  let source =
+    {js|
+function self(n) { SQL_exec(`CALL p(${n})`); }
+function mutual(n) { SQL_exec(`CALL q(${n})`); }
+|js}
+  in
+  let set = T.extract ~schema ~source () in
+  let config = Rowset.default_config in
+  let matrix = M.build ~config set in
+  let guarded name =
+    match List.find_opt (fun tpl -> tpl.T.txn = name) (T.templates set) with
+    | None -> Alcotest.failf "no template in %s" name
+    | Some tpl -> List.map fst (M.guards matrix tpl.T.id)
+  in
+  (* the inner calls reach rows the outer call's parameter does not name *)
+  check Alcotest.(list string) "self: t unguarded" [] (guarded "self");
+  check Alcotest.(list string) "mutual: u unguarded" [] (guarded "mutual")
+
 let workload_cases (w : W.t) =
   ( "templates:" ^ w.W.name,
     [
@@ -191,5 +223,7 @@ let () =
               test_dynamic_sql_detection;
             Alcotest.test_case "coarse INSERT..SELECT view source" `Quick
               test_coarse_insert_select_view;
+            Alcotest.test_case "recursive procedure matrix" `Quick
+              test_recursive_procedure_matrix;
           ] );
       ])
