@@ -126,14 +126,45 @@ let dyn_conflict (a : Rwset.rw) (b : Rwset.rw) =
   || overlap a.Rwset.r b.Rwset.w
   || overlap a.Rwset.w b.Rwset.w
 
+(* The entries [>= tau] of a newest-first bucket, oldest first: what
+   [List.rev] of the whole bucket would give once the entries below τ
+   are dropped, in O(entries >= tau). *)
+let since tau bucket =
+  let rec go acc = function
+    | i :: rest when i >= tau -> go (i :: acc) rest
+    | _ -> acc
+  in
+  go [] bucket
+
+(* Shared pruning cache for one closure run: each bucket is copied on
+   first use and re-filtered on every scan, dropping entries that can
+   never join again ([live] is monotone towards false). Offered
+   candidates are the live entries past [min_idx]; live entries at or
+   before [min_idx] are kept for members seeded with a lower bound. *)
+let scan_pruned cache ~live ~min_idx ~offer key fetch =
+  let entries =
+    match Hashtbl.find_opt cache key with Some l -> l | None -> fetch ()
+  in
+  let kept =
+    List.filter
+      (fun i ->
+        if live i then begin
+          if i > min_idx then offer i;
+          true
+        end
+        else false)
+      entries
+  in
+  Hashtbl.replace cache key kept
+
 (* The asking side of one candidate request: a matched template instance
    (seed or member), or nothing — then candidates come from a dynamic
    scan over the per-statement sets. *)
 let make_col_joins fp anl ~refined ~(seed : assigned list option) ~tau ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
-  let scan = Analyzer.scan_pruned cache ~live in
+  let scan = scan_pruned cache ~live in
   let bucket tbl key =
-    Analyzer.since tau (Option.value (Hashtbl.find_opt tbl key) ~default:[])
+    since tau (Option.value (Hashtbl.find_opt tbl key) ~default:[])
   in
   let first = ref true in
   fun ~min_idx (rw : Rwset.rw) (_rows : Uv_retroactive.Rowset.entry_rows) ->
