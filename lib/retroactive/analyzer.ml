@@ -119,6 +119,7 @@ type scratch = {
   mutable n_cur : int;
   mutable heap : int array;
   mutable n_heap : int;
+  cells : Conflict_dag.Cells.t; (* the replay DAG's ([replay_dag]) *)
 }
 
 (* One statement shape's column-wise sets and row-set plan under the
@@ -752,6 +753,7 @@ let with_scratch t f =
           n_cur = 0;
           heap = [||];
           n_heap = 0;
+          cells = Conflict_dag.Cells.create ();
         }
   in
   let n = Array.length t.infos and np = 2 * Hashtbl.length t.col_ids in
@@ -1608,11 +1610,6 @@ let explain_report t (target : target) rs =
 (* The replay DAG                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Itbl = Hashtbl.Make (Int)
-
-(* Accessors scanned per (column, row key) before a closing edge. *)
-let scan_limit = 64
-
 (* Entry [i]'s row in the [entry_cols] layout. An entry that never joins
    a closure has none: it only reads, and a column that no indexed entry
    interned has no writer, so reading it orders nothing. *)
@@ -1629,153 +1626,79 @@ let cols_of t i =
              | None -> acc)
            t.infos.(i - 1).rw.Rwset.r [])
 
-(* One ascending pass over the members. Per column, accesses are
-   bucketed by the members' row keys (0 for any row: a wildcard, or a
-   table without a run), so row-disjoint chains stay parallel (the
-   source of TPC-C's and SEATS' replay parallelism, §4.4). *)
+(* Member [p]'s accesses to cell group [group] on table [tid]: its row
+   keys of that side in [runs], or key 0 without a run for [tid]. A loop
+   of its own, as [iter_runs]'s closure would allocate per access. *)
+let rec dag_access cells p runs tid ~group ~write at found =
+  if at < Array.length runs then begin
+    let h = runs.(at) in
+    let nr = (h lsr count_bits) land count_mask and nw = h land count_mask in
+    let mine = h lsr (2 * count_bits) = tid in
+    if mine then begin
+      let first = if write then at + 1 + nr else at + 1 in
+      for j = first to first + (if write then nw else nr) - 1 do
+        Conflict_dag.Cells.access cells p ~write ~group ~key:runs.(j)
+      done
+    end;
+    dag_access cells p runs tid ~group ~write (at + 1 + nr + nw) (found || mine)
+  end
+  else if not found then Conflict_dag.Cells.access cells p ~write ~group ~key:0
+
+(* The first written column [cols.(k ..)] of [cols] (an [entry_cols]
+   row) that is a real column of table [tid]; there is one. *)
+let rec first_keyed t cols tid k =
+  if t.col_row_keyed.(cols.(k)) && t.col_table.(cols.(k)) = tid then k
+  else first_keyed t cols tid (k + 1)
+
+(* One ascending pass over the members on last-writer cells. The cell
+   rule's groups are the columns, keyed by the members' row keys (0 for
+   any row: a wildcard, or a table without a run), so row-disjoint
+   chains stay parallel (the source of TPC-C's and SEATS' replay
+   parallelism, §4.4). The row-level write-write rule's are the tables,
+   written by every member writing a real column, whatever the columns:
+   [Storage.update] replaces whole rows, so two members writing
+   different columns of one row must keep commit order when run in
+   parallel. *)
 let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
   Uv_obs.Trace.with_span obs ~cat:"analyze" "cluster" @@ fun () ->
+  with_scratch t @@ fun s ->
   let nodes = Array.of_list members in
   let n = Array.length nodes in
   let ncols = Hashtbl.length t.col_ids in
-  let ntables = Hashtbl.length t.table_ids in
   (* member [p]'s row keys, re-derived after a question-time merge *)
-  let runs_of =
-    if keys_current t then fun p -> t.entry_rows.(nodes.(p) - 1)
-    else
-      let local = Hashtbl.create 64 in
-      Array.get
-        (Array.map (fun i -> keyed_now ~local t t.infos.(i - 1).rows) nodes)
+  let local = Hashtbl.create 0 in
+  let runs =
+    if keys_current t then Array.map (fun i -> t.entry_rows.(i - 1)) nodes
+    else Array.map (fun i -> keyed_now ~local t t.infos.(i - 1).rows) nodes
   in
-  (* apply [f] to member [p]'s keys for one (table, side), 0 if none *)
-  let iter_keys p tid ~write f =
-    let runs = runs_of p and found = ref false in
-    iter_runs runs (fun tid' at nr nw ->
-        if tid' = tid then begin
-          found := true;
-          let first = if write then at + 1 + nr else at + 1 in
-          for j = first to first + (if write then nw else nr) - 1 do
-            f runs.(j)
-          done
-        end);
-    if not !found then f 0
+  let cells = s.cells in
+  Conflict_dag.Cells.start cells ~nodes:n
+    ~groups:(ncols + Hashtbl.length t.table_ids)
+    ~keys:(t.row_keys + Hashtbl.length local);
+  let preds =
+    Array.mapi
+      (fun p i ->
+        let cols = cols_of t i and runs = runs.(p) in
+        let nw = cols.(0) in
+        for k = nw + 1 to Array.length cols - 1 do
+          let c = cols.(k) in
+          dag_access cells p runs t.col_table.(c) ~group:c ~write:false 0 false
+        done;
+        for k = 1 to nw do
+          let c = cols.(k) in
+          let tid = t.col_table.(c) in
+          dag_access cells p runs tid ~group:c ~write:true 0 false;
+          (* the row rule, once per table *)
+          if t.col_row_keyed.(c) && first_keyed t cols tid 1 = k then
+            dag_access cells p runs tid ~group:(ncols + tid) ~write:true 0 false
+        done;
+        Conflict_dag.Cells.take cells)
+      nodes
   in
-  (* the current member's distinct predecessors *)
-  let seen = Array.make n (-1) in
-  let out = ref (Array.make 16 0) and nout = ref 0 in
-  let emit p q =
-    if seen.(q) <> p then begin
-      seen.(q) <- p;
-      if !nout = Array.length !out then out := grow !out !nout 0;
-      !out.(!nout) <- q;
-      incr nout
-    end
-  in
-  (* Cell rule. A bucket lists its accessors in push order as
-     [(position lsl 1) lor wrote]. A write orders after every accessor
-     back to, and including, the previous writer; a read after the
-     previous writer only. Past [scan_limit] accessors one closing edge
-     stands in for the rest (wave layering is transitive). *)
-  let cells : posting Itbl.t = Itbl.create 256 in
-  let col_cells = Array.make ncols [] in
-  let rec scan p b ~write k pos =
-    if pos >= 0 then begin
-      let e = b.ids.(pos) in
-      let q = e lsr 1 and q_wrote = e land 1 = 1 in
-      if q = p then scan p b ~write k (pos - 1)
-      else if k >= scan_limit then emit p q
-      else if write then begin
-        emit p q;
-        if not q_wrote then scan p b ~write (k + 1) (pos - 1)
-      end
-      else if q_wrote then emit p q
-      else scan p b ~write (k + 1) (pos - 1)
-    end
-  in
-  let consider p b ~write = scan p b ~write 0 (b.len - 1) in
-  let touch p c ~write =
-    iter_keys p t.col_table.(c) ~write (fun v ->
-        let key = (v * ncols) + c in
-        let own = Itbl.find_opt cells key in
-        (* a wildcard meets every bucket of the column; a value its own
-           bucket and the wildcard one (key [c]) *)
-        if v = 0 then List.iter (fun b -> consider p b ~write) col_cells.(c)
-        else begin
-          Option.iter (fun b -> consider p b ~write) own;
-          Option.iter (fun b -> consider p b ~write) (Itbl.find_opt cells c)
-        end;
-        let b =
-          match own with
-          | Some b -> b
-          | None ->
-              let b = { ids = [||]; len = 0 } in
-              Itbl.replace cells key b;
-              col_cells.(c) <- b :: col_cells.(c);
-              b
-        in
-        (* keep a long bucket to its newest [scan_limit] accessors *)
-        if b.len > 2 * scan_limit then begin
-          Array.blit b.ids (b.len - scan_limit) b.ids 0 scan_limit;
-          b.len <- scan_limit
-        end;
-        posting_push b ((p lsl 1) lor Bool.to_int write))
-  in
-  (* Row-level write-write rule, per (table, row key) whatever the columns:
-     [Storage.update] replaces whole rows, so two members writing
-     different columns of one row must keep commit order when run in
-     parallel. Chains collapse to last-writer edges. *)
-  let last_writer = Itbl.create 64 in
-  let written_keys = Array.make ntables [] in
-  let ww_stamp = Array.make ntables (-1) in
-  let write_rows p tid =
-    let edge_to v =
-      match Itbl.find_opt last_writer ((v * ntables) + tid) with
-      | Some q when q <> p -> emit p q
-      | _ -> ()
-    in
-    let set v =
-      let key = (v * ntables) + tid in
-      if not (Itbl.mem last_writer key) then
-        written_keys.(tid) <- v :: written_keys.(tid);
-      Itbl.replace last_writer key p
-    in
-    iter_keys p tid ~write:true (fun v ->
-        if v = 0 then List.iter edge_to written_keys.(tid)
-        else begin
-          edge_to v;
-          edge_to 0
-        end);
-    (* a wildcard write becomes the last writer of every row *)
-    iter_keys p tid ~write:true (fun v ->
-        if v = 0 then List.iter set written_keys.(tid);
-        set v)
-  in
-  let preds = Array.make n [||] in
-  for p = 0 to n - 1 do
-    let i = nodes.(p) in
-    let cols = cols_of t i in
-    let nw = cols.(0) in
-    nout := 0;
-    (* reads before writes, so a member reading and writing one cell
-       pushes its read first *)
-    for k = nw + 1 to Array.length cols - 1 do
-      touch p cols.(k) ~write:false
-    done;
-    for k = 1 to nw do
-      touch p cols.(k) ~write:true
-    done;
-    for k = 1 to nw do
-      let c = cols.(k) in
-      let tid = t.col_table.(c) in
-      if t.col_row_keyed.(c) && ww_stamp.(tid) <> p then begin
-        ww_stamp.(tid) <- p;
-        write_rows p tid
-      end
-    done;
-    preds.(p) <- Array.sub !out 0 !nout
-  done;
   let dag = Conflict_dag.of_preds ~nodes preds in
   Uv_obs.Trace.incr obs ~by:(Conflict_dag.edge_count dag) "replay.edges";
+  Uv_obs.Trace.incr obs ~by:(Conflict_dag.Cells.visits cells)
+    "replay.cell_visits";
   dag
 
 let to_dot t ~members =

@@ -297,15 +297,15 @@ val replay_dag :
     ascending pass over the members emits an edge [(n, m)], [m < n],
     whenever [n] must replay after [m]:
 
-    - {b cell rule}, per (column, row key) accessed: a member that
-      writes the key orders after each earlier accessor back to, and
-      including, the previous writer; a member that reads it, after the
-      previous writer only. A wildcard access (row key 0: an [Any] row
-      set, a table without row sets, a schema key) meets every key of
-      the column, and a concrete key meets 0. At the 64th accessor
-      scanned one closing edge stands in for the older ones, and a key's
-      accessor list is cut to its newest 64 once it holds more than 128
-      — wave layering is transitive;
+    - {b cell rule}, per (column, row key) accessed, on
+      {!Conflict_dag.Cells}: each cell keeps its last writer and the
+      readers since. A member that reads the key orders after the last
+      writer, one edge; a member that writes it, after the last writer
+      and each reader since, and becomes the last writer. A wildcard
+      access (row key 0: an [Any] row set, a table without row sets, a
+      schema key) meets every key of the column, and a concrete key
+      meets 0: a wildcard write becomes the last writer of every key of
+      its column. No reader is ordered after another;
     - {b row rule}, per (table, row key) written, whatever the columns:
       a write orders after the key's last writer, with 0 as above.
       [Uv_db.Storage.update] replaces whole rows, so two members writing
@@ -315,10 +315,16 @@ val replay_dag :
     Row keys are interned by {!extend}: the members' first-RI-dimension
     values canonicalised under the merge state of the last extension,
     one key per value (two values merged into one root give its key
-    twice, as each is one access). The analyzer is not mutated, so
-    concurrent questions may call this under a shared read lock.
-    [obs] gets a [cluster] span over the whole pass and the DAG build,
-    and the [replay.edges] counter, bumped by the distinct edges. *)
+    twice, as each is one access); after a question-time merge the call
+    keys its members itself. The cells live in the analyzer's
+    per-question scratch, reused from one question to the next; the
+    analyzer is not mutated, and a concurrent question (under the
+    service's shared read lock) builds scratch of its own. [obs] gets a
+    [cluster] span over the whole pass and the DAG build, the
+    [replay.edges] counter, bumped by the distinct edges, and
+    [replay.cell_visits], by the cell states and listed accessors the
+    pass visits: one per access, one per writer or reader a write (or a
+    wildcard read) walks. *)
 
 val is_schema_key : string -> bool
 (** A virtual schema-monitoring column (["_S.name"], see {!Rwset}). *)

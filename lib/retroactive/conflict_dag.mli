@@ -31,9 +31,49 @@ val build : nodes:int list -> edges:edge list -> t
 val of_preds : nodes:int array -> int array array -> t
 (** The same DAG over dense positions, one row per node: [preds.(p)]
     lists the positions (indexes into [nodes]) node [p] must run after,
-    in any order and possibly repeated. Raises [Invalid_argument] on a
-    row count other than the node count, and under {!build}'s
-    conditions, with a position outside [\[0, p)] as the bad edge. *)
+    in any order and possibly repeated. Each row is sorted in place and
+    kept when it holds no repeat. Raises [Invalid_argument] on a row
+    count other than the node count, and under {!build}'s conditions,
+    with a position outside [\[0, p)] as the bad edge. *)
+
+(** Last-writer cells: the rows of {!of_preds} from the positions' cell
+    accesses, in one ascending pass. A cell is a (group, key) pair; key
+    0 is the group's wildcard, which overlaps every key of the group.
+    Each cell keeps only its last writer and the readers since it:
+    - a read orders after the last writer: a key's latest write or its
+      group's latest wildcard write, whichever came later; a wildcard
+      read after the latter and each key's last writer since it;
+    - a write orders after the last writer and every overlapping reader
+      since it, then stands as the last writer; a wildcard write does
+      so for every key of its group, whose cells start over.
+    Earlier accessors are ordered through the writers, so an access
+    costs one cell lookup plus the readers it orders after, and no
+    reader is ordered after another.
+
+    The state is reused from one {!Cells.start} to the next; one value
+    serves one pass at a time. *)
+module Cells : sig
+  type t
+
+  val create : unit -> t
+
+  val start : t -> nodes:int -> groups:int -> keys:int -> unit
+  (** Begin a pass over positions [0 .. nodes - 1], on groups
+      [0 .. groups - 1] and keys [0 .. keys - 1]. *)
+
+  val access : t -> int -> write:bool -> group:int -> key:int -> unit
+  (** [access t p ~write ~group ~key]: position [p] reads or writes the
+      cell. A position's accesses come after every earlier position's
+      {!take}. *)
+
+  val take : t -> int array
+  (** The distinct positions the current position orders after, from
+      its accesses since the last [take]. *)
+
+  val visits : t -> int
+  (** Cell states and listed accessors visited since {!start}: one per
+      access, one per writer or reader an access walks. *)
+end
 
 val edge_count : t -> int
 (** Distinct edges. *)

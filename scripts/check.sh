@@ -130,9 +130,15 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # first-dimension key with several second keys): Row_only, Cell and
 # Joint members, counts and exact parents == the pairwise reference,
 # grouped and not, shrinking a failure to a minimal
-# history, and one fixed such history where a group mate joins behind
-# the row sweep and reaches a candidate the sweep decided before it
-step "closure smoke: replay sets and exact provenance of the column and row sweeps == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge == reference in every mode, allocation flat in history, Joint pops flat on a hot row, column visits <= members plus excluded, extend across DDL == reference, generated row-closure property, group mate behind the row sweep" \
+# history; on the same generated histories, the replay DAG over every
+# entry and over each target's grouped Cell replay set orders every
+# conflicting pair and nothing else, and equals the last-writer
+# reference; one fixed such history where a group mate joins behind
+# the row sweep and reaches a candidate the sweep decided before it;
+# and the replay DAG of one hot read-only key (10, then 1 000 readers
+# and a write): cell visits and minor words grow with the accesses, not
+# 64 steps a read, and stay put behind ten times the history
+step "closure smoke: replay sets and exact provenance of the column and row sweeps == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge == reference in every mode, allocation flat in history, Joint pops flat on a hot row, column visits <= members plus excluded, extend across DDL == reference, generated row-closure and replay-DAG ordering properties, group mate behind the row sweep, replay DAG cell visits linear on a hot key" \
   dune exec test/test_closure.exe
 
 # the analyzer's per-shape memo against direct derivation: every
@@ -164,15 +170,20 @@ step "closure smoke: replay sets and exact provenance of the column and row swee
 step "shape memo smoke: memoized column sets == direct derivation, planned row sets == rowset_reference (generated CALL, trigger, subquery and join cases too), DDL between uses, derivations flat in history" \
   dune exec test/test_closure.exe -- test "shape memo"
 
-# the replay DAG, which reads the analyzer's int row keys, against the
-# string-keyed edge builders it replaced (the reference still keys its
-# buckets by canonical value strings, so it shares no key space with
-# the analyzer): edge sets and wave layouts on the five workloads (cell
-# and grouped replay sets, and every entry) and on a hand-built history with
-# wildcard reads and writes, a schema key, two aliasing RI values, the
-# 64-accessor cap, accessor-list truncation and the row-level
+# the replay DAG, which reads the analyzer's int row keys, against a
+# string-keyed reference of its last-writer rule that recomputes each
+# member's edges from every earlier member's accesses (it keys rows by
+# canonical value strings, so it shares no key space with the
+# analyzer), and against a check that does not depend on the rule:
+# every pair of members sharing a (column, row) cell one of them
+# writes, or both writing one (table, row), is joined by a DAG path,
+# and every edge is such a pair. Edge sets and wave layouts on the five
+# workloads (cell and grouped replay sets, and every entry) and on a
+# hand-built history with wildcard reads and writes, a schema key, two
+# aliasing RI values, a write after 140 readers of one row (ordered
+# after each of them, and no reader after another) and the row-level
 # write-write rule
-step "replay DAG smoke: edges and waves == reference builder" \
+step "replay DAG smoke: edges and waves == last-writer reference, every conflicting pair ordered, every edge a conflict" \
   dune exec test/test_parallel.exe -- test "replay DAG"
 
 # the one replay executor, both schedules: the five workloads' what-if
@@ -377,8 +388,9 @@ store_smoke() {
 step "store smoke: segmented save, damaged chunk, salvage" store_smoke
 
 # the history-scale gate in miniature: the segmented store streams a
-# grown history while per-question replay-set cost stays flat (the full
-# 100k-transaction run is the CI BENCH_8 job)
+# grown history while the replay-set closure's row-sweep pops per member
+# stay flat, < 1.25x (the full 100k-transaction run is the CI BENCH_8
+# job)
 step "bench smoke: history scale (quick)" \
   dune exec bench/main.exe -- --quick --only history-scale
 
