@@ -162,6 +162,7 @@ let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
       ("retries", J.Int out.Whatif.retries);
       ("rollback_strategy", J.Str out.Whatif.rollback_strategy);
       ("plans_used", J.Int out.Whatif.plans_used);
+      ("redone", J.Int out.Whatif.redone);
       ("cache", cache);
       ("aborted", J.Null);
       ("final_db_hash", J.Str (Printf.sprintf "%Lx" out.Whatif.final_db_hash));
@@ -248,6 +249,8 @@ let whatif_cmd =
         out.Whatif.undone out.Whatif.real_ms;
       Printf.printf "rollback strategy %s; %d member(s) ran a compiled plan\n"
         out.Whatif.rollback_strategy out.Whatif.plans_used;
+      Printf.printf "redone %d of %d members\n"
+        out.Whatif.redone out.Whatif.replayed;
       (let st = Whatif.Service.stats svc in
        if st.Whatif.Service.checkpoint_rungs > 0 then
          Printf.printf "checkpoint ladder: %d rung(s), stride %d\n"

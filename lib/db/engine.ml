@@ -11,9 +11,11 @@ type result = {
   rows : Value.t array list;
   rows_written : int;
   hash_deltas : (string * int64) list;
+  plan_used : bool;
 }
 
-let empty_result = { columns = []; rows = []; rows_written = 0; hash_deltas = [] }
+let empty_result =
+  { columns = []; rows = []; rows_written = 0; hash_deltas = []; plan_used = false }
 
 type t = {
   cat : Catalog.t;
@@ -794,7 +796,7 @@ and select_project t env (s : select) sources rows : result =
     | None -> output_rows
     | Some n -> List.filteri (fun i _ -> i < n) output_rows
   in
-  { columns; rows = output_rows; rows_written = 0; hash_deltas = [] }
+  { empty_result with columns; rows = output_rows }
 
 and sort_keyed obs keyed =
   let dirs = List.map snd obs in
@@ -1629,6 +1631,37 @@ let rec probe_of tname (w : expr) =
       Some (col, v)
   | _ -> None
 
+(* The [col = literal] conjunct rules a row out at the cost of one cell
+   comparison, so the rest of [w] is compiled only for the rows it
+   lets through. *)
+let row_filter (sch : Schema.table) (w : expr) =
+  let tname = sch.Schema.tbl_name in
+  let probe =
+    Option.bind (probe_of tname w) (fun (col, v) ->
+        let rec find i = function
+          | [] -> None
+          | (c : Schema.column) :: rest ->
+              if String.equal c.Schema.col_name col then Some (i, v)
+              else find (i + 1) rest
+        in
+        find 0 sch.Schema.tbl_columns)
+  in
+  let full =
+    lazy (try Some (compile_expr sch tname w) with Not_compilable -> None)
+  in
+  fun row ->
+    (match probe with
+    | Some (i, v) -> i < Array.length row && Value.equal_sql row.(i) v
+    | None -> true)
+    &&
+    match Lazy.force full with
+    | Some ce -> (
+        (* a row the evaluation fails on is one it may select *)
+        try Value.to_bool (ce row)
+        with Sql_error _ | Invalid_argument _ | Failure _ | Division_by_zero ->
+          true)
+    | None -> true
+
 let prepare cat (stmt : Ast.stmt) : plan option =
   let no_vars : (string, Value.t) Hashtbl.t = Hashtbl.create 1 in
   let build table where ~batchable
@@ -1811,7 +1844,7 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?plan ?sql t stmt =
         match Option.bind plan (try_plan t) with
         | Some r ->
             if traced then Uv_obs.Trace.incr t.obs "db.plan_hits";
-            r
+            { r with plan_used = true }
         | None ->
             if Option.is_some plan && traced then
               Uv_obs.Trace.incr t.obs "db.plan_binds_failed";

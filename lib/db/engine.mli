@@ -42,6 +42,10 @@ type result = {
           the hash delta its row mutations applied — the sum of the row
           digests it added minus those it removed, modulo
           {!Uv_util.Table_hash.modulus}. Empty elsewhere. *)
+  plan_used : bool;
+      (** set by {!exec}: the statement ran the [~plan] it was given (the
+          plan bound); false when it had none or fell back to the
+          interpreter *)
 }
 
 val empty_result : result
@@ -102,6 +106,14 @@ val prepare : Catalog.t -> Ast.stmt -> plan option
     items). [None] for everything else — other statement forms, view
     targets, triggered tables, or expressions that could draw
     non-determinism or read other tables. *)
+
+val row_filter : Schema.table -> Ast.expr -> Value.t array -> bool
+(** [row_filter schema w row]: may a statement whose WHERE clause over
+    [schema]'s rows is [w] select [row]? False only where {!exec}'s
+    evaluation of [w] on that row image is not true: an AND-reachable
+    [column = literal] conjunct does not hold, or the whole of [w], in
+    {!prepare}'s pure subset, evaluates to false or NULL. [w] must not
+    read other rows (no subqueries). *)
 
 val exec :
   ?app_txn:string ->

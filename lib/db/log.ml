@@ -74,50 +74,112 @@ let apply_undo cat undos =
           | None -> ()))
     undos
 
+type redone = {
+  redo_undo : undo list;
+  redo_rows : int;
+  redo_deltas : (string * int64) list;
+}
+
 (* Re-derive an entry's forward effect from its journal: the row images
    carried for rollback determine the redo exactly, so a statement can be
-   reenacted without re-executing its SQL. The checkpoint-jumping
-   rollback replays non-member entries this way from the nearest
-   snapshot. AUTO_INCREMENT journal records carry only the pre-statement
-   counter, so they are skipped here; the caller pins counters afterwards
-   (the rollback strategies must agree bit-for-bit). Tables absent from
-   the catalog are skipped like in [apply_undo]; DDL records cannot be
-   redone from their before-images and raise. *)
-let apply_redo cat undos =
+   reenacted without re-executing its SQL. Two callers share it:
+
+   - checkpoint-jumping rollback redoes non-member entries from the
+     nearest snapshot. A non-member shares no cell with a member (the
+     closure's W-W rule), so the cells its update left unchanged hold
+     their historical value there, and writing only the changed cells is
+     exact. AUTO_INCREMENT counters are pinned by that caller afterwards;
+   - member redo ([Redo]) reenacts a replay-set member whose reads meet
+     no changed cell. There a cell the statement assigned may have been
+     changed by the replay, so each [assigned] column takes its
+     after-image even when history left it unchanged (a blind write).
+     It passes the journal with rowids already translated and ordered as
+     the statement's own execution would visit them.
+
+   Each row record reads its before-image from [cat], so the fresh
+   journal is the one executing the statement over [cat] would have
+   logged, and the per-table hash deltas are those its mutations applied.
+   An AUTO_INCREMENT record journals the current counter, and the insert
+   after it raises the counter past its key, as [Engine]'s insert does.
+   Tables absent from the catalog are skipped like in [apply_undo]; DDL
+   records cannot be redone from their before-images and raise. *)
+let apply_redo ?(assigned = []) cat undos =
+  let journal = ref [] and rows = ref 0 and written = ref [] in
+  let delta name =
+    match List.assoc_opt name !written with
+    | Some d -> d
+    | None ->
+        let d = Uv_util.Table_hash.create () in
+        written := (name, d) :: !written;
+        d
+  in
+  let logged u =
+    journal := u :: !journal;
+    incr rows
+  in
+  let auto_pending = ref None in
   List.iter
     (fun u ->
       match u with
       | U_row_insert (table, rowid, row) -> (
           match Catalog.table cat table with
-          | Some tbl -> Storage.insert_with_rowid tbl rowid row
+          | Some tbl ->
+              (if !auto_pending = Some table then
+                 match Schema.auto_increment_column (Storage.schema tbl) with
+                 | Some c -> (
+                     match Storage.column_index tbl c with
+                     | Some i when i < Array.length row && not (Value.is_null row.(i))
+                       ->
+                         Storage.bump_auto_value tbl (Value.to_int row.(i))
+                     | _ -> ())
+                 | None -> ());
+              auto_pending := None;
+              Storage.insert_with_rowid ~delta:(delta table) tbl rowid row;
+              logged (U_row_insert (table, rowid, row))
           | None -> ())
       | U_row_delete (table, rowid, _) -> (
           match Catalog.table cat table with
           | Some tbl -> (
-              try ignore (Storage.delete tbl rowid) with Not_found -> ())
+              match Storage.delete ~delta:(delta table) tbl rowid with
+              | row -> logged (U_row_delete (table, rowid, row))
+              | exception Not_found -> ())
           | None -> ())
       | U_row_update (table, rowid, before, after) -> (
           match Catalog.table cat table with
           | Some tbl -> (
-              match Storage.get tbl rowid with
-              | None -> ()
-              | Some current ->
-                  let n = Array.length current in
-                  let fresh = Array.copy current in
-                  for i = 0 to n - 1 do
-                    if
-                      i < Array.length before
-                      && i < Array.length after
-                      && not (Value.equal before.(i) after.(i))
-                    then fresh.(i) <- after.(i)
-                  done;
-                  ignore (Storage.update tbl rowid fresh))
+              let redo current =
+                let fresh = Array.copy current in
+                for i = 0 to Array.length fresh - 1 do
+                  if
+                    i < Array.length before
+                    && i < Array.length after
+                    && ((not (Value.equal before.(i) after.(i)))
+                       || List.mem i assigned)
+                  then fresh.(i) <- after.(i)
+                done;
+                fresh
+              in
+              match Storage.patch ~delta:(delta table) tbl rowid redo with
+              | old, fresh -> logged (U_row_update (table, rowid, old, fresh))
+              | exception Not_found -> ())
           | None -> ())
-      | U_auto_value _ -> ()
+      | U_auto_value (table, _) -> (
+          match Catalog.table cat table with
+          | Some tbl ->
+              journal :=
+                U_auto_value (table, Storage.next_auto_value tbl) :: !journal;
+              auto_pending := Some table
+          | None -> ())
       | U_table_def _ | U_view_def _ | U_proc_def _ | U_trigger_def _
       | U_index_def _ ->
           invalid_arg "Log.apply_redo: DDL entries cannot be redone")
-    (List.rev undos)
+    (List.rev undos);
+  {
+    redo_undo = !journal;
+    redo_rows = !rows;
+    redo_deltas =
+      List.rev_map (fun (n, d) -> (n, Uv_util.Table_hash.value d)) !written;
+  }
 
 type t = { mutable items : entry array; mutable len : int }
 

@@ -56,13 +56,35 @@ val apply_undo : Catalog.t -> undo list -> unit
     first) against a catalog. Entries must be undone in reverse commit
     order. *)
 
-val apply_redo : Catalog.t -> undo list -> unit
+type redone = {
+  redo_undo : undo list;
+      (** the fresh journal, most recent first, before-images read from
+          the catalog the entry was redone over *)
+  redo_rows : int;  (** row records, as [rows_written] counts them *)
+  redo_deltas : (string * int64) list;
+      (** per table written, in first-write order, the hash delta the
+          redo applied (like [Engine.result.hash_deltas]) *)
+}
+
+val apply_redo : ?assigned:int list -> Catalog.t -> undo list -> redone
 (** Reenact one entry's forward row effect from its journal images
-    (insert the inserted rows, delete the deleted ones, merge each
-    update's changed cells to its after-image). Entries must be redone
-    in commit order. AUTO_INCREMENT records are skipped — the caller
-    pins counters afterwards. Tables absent from the catalog are
-    skipped.
+    (insert the inserted rows, delete the deleted ones, write each
+    update's after-image to the cells it changed and to every column
+    position in [assigned], default none). Entries must be redone in
+    commit order. An AUTO_INCREMENT record journals the table's current
+    counter and the next insert into the table raises the counter past
+    the inserted key, as executing the insert does. Tables absent from
+    the catalog, missing rows and already-deleted rows are skipped.
+
+    [assigned] matters for a statement whose cells may have been changed
+    since history (what-if member redo): an UPDATE that wrote a value
+    equal to the one it found journalled its column as unchanged, yet
+    redone over a changed cell it must write it. Without [assigned] only
+    the changed cells are written, which is exact for an entry outside
+    the replay set (checkpoint-jumping rollback): such an entry shares no
+    cell with a member — a write to a member's cell would have pulled it
+    into the set through the write-write rule — so its unchanged cells
+    already hold the values history had.
     @raise Invalid_argument on DDL records, which carry before-images
     only. *)
 

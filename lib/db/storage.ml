@@ -626,6 +626,16 @@ let update ?delta t id row =
       fold_delta t delta (replaced_delta t before row);
       before)
 
+let patch ?delta t id f =
+  locked t (fun () ->
+      let s = live_slot t id in
+      let before = materialize t s in
+      let row = f before in
+      write_cells t s row;
+      index_move t before row id;
+      fold_delta t delta (replaced_delta t before row);
+      (before, row))
+
 (* Whole-statement batches: one lock acquisition and one hash-chain
    update for all rows a statement touches, instead of per-row locking.
    The per-row digests are folded into a statement-local accumulator and
@@ -667,6 +677,8 @@ let get t id =
       match Rowid_map.find t.slots id with
       | -1 -> None
       | s -> Some (materialize t s))
+
+let mem t id = reading t (fun () -> Rowid_map.find t.slots id <> -1)
 
 (* fold/iter materialize each live row in ascending rowid order under
    the shared read side. Callbacks must be pure row functions: under the

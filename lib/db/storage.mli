@@ -101,6 +101,16 @@ val update :
   ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array -> Value.t array
 (** Replace a row; returns the before-image. Raises [Not_found]. *)
 
+val patch :
+  ?delta:Uv_util.Table_hash.t ->
+  t ->
+  rowid ->
+  (Value.t array -> Value.t array) ->
+  Value.t array * Value.t array
+(** [patch t id f] replaces row [id] with [f] of its current image, under
+    one lock acquisition and one materialization; returns the before and
+    after images. [f] must not touch the table. Raises [Not_found]. *)
+
 val update_many :
   ?delta:Uv_util.Table_hash.t ->
   t ->
@@ -119,6 +129,9 @@ val delete_many :
     contract as {!update_many}. *)
 
 val get : t -> rowid -> Value.t array option
+
+val mem : t -> rowid -> bool
+(** [get t id <> None] without materializing the row. *)
 
 val to_rows : t -> (rowid * Value.t array) list
 (** Rows in ascending rowid order (deterministic iteration). *)

@@ -136,6 +136,15 @@ type shape_sets = {
   s_entries : posting;
 }
 
+type row_cells = {
+  tid : int;
+  column : int -> int;
+  dim0 : int;
+  pk : int list;
+  uniques : int list;
+  key : Uv_sql.Value.t array -> int;
+}
+
 type t = {
   mutable infos : info array;
   config : Rowset.config;
@@ -187,6 +196,9 @@ type t = {
   scratch : scratch option Atomic.t;
       (* taken by one closure at a time: concurrent questions (the
          service runs them under a shared read lock) build their own *)
+  cells_memo : (Uv_sql.Schema.table * row_cells) list Atomic.t;
+      (* [row_cells] by schema record, shared by concurrent questions;
+         emptied by [extend], which may intern new columns *)
 }
 
 let length t = Array.length t.infos
@@ -571,6 +583,7 @@ let create ?(config = Rowset.default_config) ?base source =
     shapes = Shape.Tbl.create 64;
     shapes_generation = Schema_view.generation sv;
     scratch = Atomic.make None;
+    cells_memo = Atomic.make [];
   }
 
 (* The sets and row-set plan of [stmt]'s shape under the schema view as
@@ -634,6 +647,7 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
           for i = from to n do
             key_rows t i
           done);
+    Atomic.set t.cells_memo [];
     n - from + 1
   end
 
@@ -1070,6 +1084,8 @@ let row_conflict t (rw : Rwset.rw) rows (inf : info) =
 let writes_schema t cols =
   let rec go k = k <= cols.(0) && (t.col_schema.(cols.(k)) || go (k + 1)) in
   Array.length cols > 0 && go 1
+
+let writes_schema_key t i = writes_schema t t.entry_cols.(i - 1)
 
 (* Do the [entry_cols] rows [a] and [b] share a real column of table
    [tid], one of them writing it? *)
@@ -1700,6 +1716,122 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
   Uv_obs.Trace.incr obs ~by:(Conflict_dag.Cells.visits cells)
     "replay.cell_visits";
   dag
+
+(* ------------------------------------------------------------------ *)
+(* Cells for member redo                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [f c key] per row key of one side of table [tid]'s run in [runs], or
+   [f c 0] without a run for [tid] (as [dag_access] keys them); true as
+   soon as [f] is. *)
+let side_keys_exist runs tid ~write f c =
+  let found = ref false and hit = ref false and at = ref 0 in
+  while (not !hit) && !at < Array.length runs do
+    let h = runs.(!at) in
+    let nr = (h lsr count_bits) land count_mask and nw = h land count_mask in
+    if h lsr (2 * count_bits) = tid then begin
+      found := true;
+      let first = if write then !at + 1 + nr else !at + 1 in
+      let last = first + (if write then nw else nr) - 1 in
+      let j = ref first in
+      while (not !hit) && !j <= last do
+        hit := f c runs.(!j);
+        incr j
+      done
+    end;
+    at := !at + 1 + nr + nw
+  done;
+  !hit || ((not !found) && f c 0)
+
+let exists_cell ?(column = fun _ -> true) t i ~write f =
+  let cols = cols_of t i and runs = t.entry_rows.(i - 1) in
+  let nw = cols.(0) in
+  let hi = if write then nw else Array.length cols - 1 in
+  let hit = ref false and k = ref (if write then 1 else nw + 1) in
+  while (not !hit) && !k <= hi do
+    let c = cols.(!k) in
+    if t.col_row_keyed.(c) && column c then
+      hit := side_keys_exist runs t.col_table.(c) ~write f c;
+    incr k
+  done;
+  !hit
+
+let column_count t = Hashtbl.length t.col_ids
+let table_count t = Hashtbl.length t.table_ids
+
+let table_id t table =
+  Option.value (Hashtbl.find_opt t.table_ids table) ~default:(-1)
+
+let column_table t c = t.col_table.(c)
+
+let describe_row_cells t (sch : Uv_sql.Schema.table) =
+  let table = sch.Uv_sql.Schema.tbl_name in
+  let names = Uv_sql.Schema.column_names sch in
+  (* column ids are looked up on first use: most questions name a few
+     columns of a table. Concurrent questions may fill one slot twice,
+     with the same value. *)
+  let ids = Array.make (List.length names) (-2) and names_a = Array.of_list names in
+  let column p =
+    if p < 0 || p >= Array.length ids then -1
+    else begin
+      if ids.(p) = -2 then
+        ids.(p) <-
+          (match
+             Hashtbl.find_opt t.col_ids (Uv_sql.Schema.qualified table names_a.(p))
+           with
+          | Some id when t.col_row_keyed.(id) -> id
+          | _ -> -1);
+      ids.(p)
+    end
+  in
+  let position c =
+    let rec find p = function
+      | [] -> -1
+      | n :: rest -> if String.equal n c then p else find (p + 1) rest
+    in
+    find 0 names
+  in
+  let positions cs = List.filter (fun p -> p >= 0) (List.map position cs) in
+  let dim0 =
+    match Rowset.ri_dims t.row_state t.sv table with
+    | d :: _ -> position d
+    | [] -> -1
+  in
+  let tid = table_id t table in
+  let key =
+    if tid >= 0 && dim0 >= 0 then begin
+      let tr = t.table_rows.(tid) in
+      fun row ->
+        if dim0 >= Array.length row then 0
+        else
+          Option.value ~default:(-1)
+            (Hashtbl.find_opt tr.key_of
+               (Rowset.canonical t.row_state table tr.dim0
+                  (Uv_sql.Value.serialize row.(dim0))))
+    end
+    else fun _ -> 0
+  in
+  {
+    tid;
+    column;
+    dim0;
+    pk = positions (Uv_sql.Schema.primary_key_columns sch);
+    uniques = positions (Uv_sql.Schema.unique_columns sch);
+    key;
+  }
+
+let row_cells t sch =
+  match List.assq_opt sch (Atomic.get t.cells_memo) with
+  | Some rc -> rc
+  | None ->
+      let rc = describe_row_cells t sch in
+      let rec remember () =
+        let l = Atomic.get t.cells_memo in
+        if not (Atomic.compare_and_set t.cells_memo l ((sch, rc) :: l)) then
+          remember ()
+      in
+      remember ();
+      rc
 
 let to_dot t ~members =
   let buf = Buffer.create 1024 in

@@ -326,6 +326,59 @@ val replay_dag :
     pass visits: one per access, one per writer or reader a write (or a
     wildcard read) walks. *)
 
+val keys_current : t -> bool
+(** The row keys are current: no question-time merge ({!target_rw})
+    moved the RI state since the last {!extend} keyed the entries. *)
+
+val exists_cell :
+  ?column:(int -> bool) -> t -> int -> write:bool -> (int -> int -> bool) -> bool
+(** [exists_cell t i ~write f]: does [f column key] hold for some cell
+    entry [i] reads ([write] false) or writes, among the columns
+    [column] (default all) admits? The cells are those
+    {!replay_dag} orders by: each real column of the side's column set
+    (as an interned column id) with each of the side's row keys on the
+    column's table, or key 0 — any row — when the entry has no row run
+    for that table (a wildcard side is key 0 too). Schema keys are left
+    out. Only meaningful while {!keys_current} holds. *)
+
+val column_count : t -> int
+(** Column ids handed out: every id {!exists_cell} and {!row_cells} give
+    is below it. *)
+
+val table_count : t -> int
+(** Table ids handed out: every id {!table_id} and {!column_table} give
+    is below it. *)
+
+val table_id : t -> string -> int
+(** The table's id, or -1 when no analysed entry names a column of it. *)
+
+val column_table : t -> int -> int
+(** The id of a column's table. *)
+
+type row_cells = {
+  tid : int;  (** the table's {!table_id} *)
+  column : int -> int;
+      (** schema column position -> its interned column id, or -1 for a
+          column no analysed entry names *)
+  dim0 : int;  (** position of the table's first RI dimension, or -1 *)
+  pk : int list;  (** positions of the PRIMARY KEY columns *)
+  uniques : int list;  (** positions of the (one-column) UNIQUE columns *)
+  key : Uv_sql.Value.t array -> int;
+      (** the row key of a row image, as {!exists_cell} keys the
+          entries' accesses: its first-dimension value canonicalised and
+          interned; 0 (any row) for a table without a first dimension,
+          -1 for a value no entry names (only a key-0 access meets it) *)
+}
+
+val row_cells : t -> Uv_sql.Schema.table -> row_cells
+(** How rows of a table map onto {!exists_cell}'s cells. Memoized by the
+    schema record until the next {!extend}; safe to call from concurrent
+    questions. *)
+
+val writes_schema_key : t -> int -> bool
+(** Does entry [i] write a schema key (DDL, or DML that changes a
+    schema object's state)? *)
+
 val is_schema_key : string -> bool
 (** A virtual schema-monitoring column (["_S.name"], see {!Rwset}). *)
 

@@ -137,6 +137,7 @@ let whatif_result (r : Whatif.Service.reply) =
       ("changed", J.Bool o.Whatif.changed);
       ("rollback_strategy", J.Str o.Whatif.rollback_strategy);
       ("plans_used", J.Int o.Whatif.plans_used);
+      ("redone", J.Int o.Whatif.redone);
       ("final_db_hash", J.Str (Printf.sprintf "%Lx" o.Whatif.final_db_hash));
     ]
 

@@ -97,6 +97,7 @@ type outcome = {
   merge : merge;
   rollback_strategy : string;
   plans_used : int;
+  redone : int;
 }
 
 let fault_message (inj : Uv_fault.Fault.injection) =
@@ -104,20 +105,16 @@ let fault_message (inj : Uv_fault.Fault.injection) =
     (Uv_fault.Fault.kind_name inj.Uv_fault.Fault.kind)
     inj.Uv_fault.Fault.site inj.Uv_fault.Fault.key inj.Uv_fault.Fault.hit
 
-(* The replay DAG's waves run DML only: DDL members (or a DDL target)
-   mutate the schema mid-replay, and the Hash-jumper's prefix check needs
-   commit order. Those questions replay in commit order (see DESIGN.md
-   §parallel replay executor). *)
-let waves_fit (config : Config.t) ~analyzer target members =
-  (not config.Config.hash_jumper)
-  && (match target.Analyzer.op with
-     | Analyzer.Add s | Analyzer.Change s -> not (Uv_sql.Ast.is_ddl s)
-     | Analyzer.Remove -> true)
+(* No DDL among the members and the added or changed statement: the
+   schema holds still through the replay. *)
+let dml_only ~analyzer target members =
+  (match target.Analyzer.op with
+  | Analyzer.Add s | Analyzer.Change s -> not (Uv_sql.Ast.is_ddl s)
+  | Analyzer.Remove -> true)
   && List.for_all
        (fun i ->
-         let inf = Analyzer.info analyzer i in
-         (not (Uv_sql.Ast.is_ddl inf.Analyzer.stmt))
-         && not (Rwset.Colset.exists Analyzer.is_schema_key inf.Analyzer.rw.Rwset.w))
+         (not (Uv_sql.Ast.is_ddl (Analyzer.info analyzer i).Analyzer.stmt))
+         && not (Analyzer.writes_schema_key analyzer i))
        members
 
 (* Checkpoint-jumping rollback (strategy B): instead of undoing every
@@ -147,8 +144,22 @@ let checkpoint_rollback ladder log temp_cat undo_list =
       | None -> false
       | Some (c, rung_cat) ->
           let n = Uv_db.Log.length log in
-          let undone = Array.make (n + 1) false in
-          List.iter (fun i -> if i <= n then undone.(i) <- true) undo_list;
+          (* [undo_list] is newest first: walk it oldest first alongside
+             each pass over (c, n], so the rung path costs O(n - c) *)
+          let ascending = List.rev undo_list in
+          let walk f =
+            let rest = ref ascending in
+            for i = c + 1 to n do
+              let undone =
+                match !rest with
+                | j :: tl when j = i ->
+                    rest := tl;
+                    true
+                | _ -> false
+              in
+              f i undone
+            done
+          in
           let row_only =
             List.for_all (function
               | Uv_db.Log.U_row_insert _ | Uv_db.Log.U_row_delete _
@@ -158,13 +169,12 @@ let checkpoint_rollback ladder log temp_cat undo_list =
           in
           let ok = ref true in
           let redo_cost = ref 0 and undo_cost = ref 0 in
-          for i = c + 1 to n do
-            let e = Uv_db.Log.entry log i in
-            if not (row_only e.Uv_db.Log.undo) then ok := false
-            else if undone.(i) then
-              undo_cost := !undo_cost + List.length e.Uv_db.Log.undo
-            else redo_cost := !redo_cost + List.length e.Uv_db.Log.undo
-          done;
+          walk (fun i undone ->
+              let e = Uv_db.Log.entry log i in
+              if not (row_only e.Uv_db.Log.undo) then ok := false
+              else if undone then
+                undo_cost := !undo_cost + List.length e.Uv_db.Log.undo
+              else redo_cost := !redo_cost + List.length e.Uv_db.Log.undo);
           let temp_tables = Uv_db.Catalog.tables temp_cat in
           if !ok then
             ok :=
@@ -194,11 +204,12 @@ let checkpoint_rollback ladder log temp_cat undo_list =
                       (Uv_db.Storage.copy rung_tbl)
                 | None -> ())
               temp_tables;
-            for i = c + 1 to n do
-              if not undone.(i) then
-                Uv_db.Log.apply_redo temp_cat
-                  (Uv_db.Log.entry log i).Uv_db.Log.undo
-            done;
+            walk (fun i undone ->
+                if not undone then
+                  ignore
+                    (Uv_db.Log.apply_redo temp_cat
+                       (Uv_db.Log.entry log i).Uv_db.Log.undo
+                      : Uv_db.Log.redone));
             List.iter
               (fun (name, live_tbl) ->
                 match Uv_db.Catalog.table temp_cat name with
@@ -336,12 +347,27 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   let hash_jump_at = ref None in
   (* compiled plans from the service's cache, one lookup per member *)
   let member_plans = List.map (fun i -> (i, plan_for i)) members in
-  let plans_used =
-    List.length (List.filter (fun (_, p) -> Option.is_some p) member_plans)
+  (* members are redone from their journals when the schema holds still
+     and the row keys are current; the removed or changed target must be
+     DML too, as its journal seeds the dirty set *)
+  let tau_entry =
+    match target.Analyzer.op with
+    | (Analyzer.Remove | Analyzer.Change _)
+      when target.Analyzer.tau >= 1
+           && target.Analyzer.tau <= Uv_db.Log.length log ->
+        Some (Uv_db.Log.entry log target.Analyzer.tau)
+    | _ -> None
   in
-  if plans_used > 0 then
-    Uv_obs.Trace.incr obs ~by:plans_used "whatif.plans_used";
-  let dag, res =
+  let dml = dml_only ~analyzer target members in
+  let redo_fits =
+    members <> []
+    && Analyzer.keys_current analyzer
+    && dml
+    && Option.fold ~none:true
+         ~some:(fun e -> not (Uv_sql.Ast.is_ddl e.Uv_db.Log.stmt))
+         tau_entry
+  in
+  let dag, res, redo =
     phase "replay" @@ fun () ->
     let stride = 1 lsl 20 in
     let r0 =
@@ -384,8 +410,12 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
                 (fun t -> List.mem t structural_tables)
                 (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
             plan;
+            journal = (if redo_fits then Some entry.Uv_db.Log.undo else None);
           })
         member_plans
+    in
+    let tau_journal =
+      match tau_entry with Some e -> e.Uv_db.Log.undo | None -> []
     in
     let head =
       match target.Analyzer.op with
@@ -401,8 +431,23 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
               rowid_base = r0;
               structural = true;
               plan = None;
+              journal = (if redo_fits then Some tau_journal else None);
             }
       | Analyzer.Remove -> None
+    in
+    let redo =
+      if not redo_fits then None
+      else begin
+        let r =
+          Redo.create analyzer temp_cat
+            (List.filter_map
+               (fun (it : Wave_exec.item) ->
+                 Option.map (fun j -> (it.Wave_exec.rowid_base, j)) it.Wave_exec.journal)
+               (Option.to_list head @ items))
+        in
+        if head = None then Redo.seed r tau_journal;
+        Some r
+      end
     in
     (* the Hash-jumper's prefix check after every replayed member *)
     let stop_after =
@@ -422,7 +467,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
             hit
     in
     let dag, schedule =
-      if waves_fit config ~analyzer target members then
+      (* The replay DAG's waves run DML only: DDL members (or a DDL
+         target) mutate the schema mid-replay, and the Hash-jumper's
+         prefix check needs commit order. Those questions replay in
+         commit order (see DESIGN.md §parallel replay executor). *)
+      if dml && not config.Config.hash_jumper then
         let dag = Analyzer.replay_dag ~obs analyzer ~members in
         (Some dag, Wave_exec.Waves { dag; workers = config.Config.workers })
       else (None, Wave_exec.Commit_order { stop_after })
@@ -430,7 +479,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     let res =
       (* a statement fault that survives its one retry ends the run *)
       try
-        Wave_exec.execute ~obs ~fault ~check:check_deadline ~schedule
+        Wave_exec.execute ~obs ~fault ~check:check_deadline ?redo ~schedule
           ~rtt_ms:rtt ~catalog:temp_cat ~head ~items ()
       with Uv_fault.Fault.Injected inj ->
         raise
@@ -450,8 +499,21 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         affected;
       Uv_db.Catalog.copy_objects_into (Uv_db.Engine.catalog eng) ~into:temp_cat
     end;
-    (dag, res)
+    (dag, res, redo)
   in
+  let plans_used = res.Wave_exec.plans_bound in
+  if plans_used > 0 then
+    Uv_obs.Trace.incr obs ~by:plans_used "whatif.plans_used";
+  if Uv_obs.Trace.enabled obs then begin
+    (* every question counts, so each counter is present, 0 included *)
+    let count name by = Uv_obs.Trace.incr obs ~by name in
+    count "replay.redone" res.Wave_exec.redone;
+    count "replay.executed" res.Wave_exec.executed;
+    let stat f = Option.fold ~none:0 ~some:(fun r -> f (Redo.stats r)) redo in
+    count "replay.redo_fallbacks" (stat (fun s -> s.Redo.fallbacks));
+    count "replay.dirty_cells" (stat (fun s -> s.Redo.dirty_cells));
+    count "replay.dirty_emptied" (stat (fun s -> Bool.to_int s.Redo.dirty_emptied))
+  end;
   let weights = res.Wave_exec.durations in
   (* successful replays by commit index; the retroactive op is 0 *)
   let entry_of = res.Wave_exec.entries in
@@ -543,6 +605,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     merge;
     rollback_strategy;
     plans_used;
+    redone = res.Wave_exec.redone;
   }
 
 (* The new universe's history: original entries for non-members, replayed

@@ -163,8 +163,12 @@ type outcome = {
           oldest member and redid the non-member tail from journal
           images (only when an attached ladder made that cheaper) *)
   plans_used : int;
-      (** members replayed through a compiled plan from the service's
-          cache (0 outside a {!Service} or with [Config.plans] off) *)
+      (** members executed through a compiled plan from the service's
+          cache that bound at execution (0 outside a {!Service} or with
+          [Config.plans] off; a redone member binds none) *)
+  redone : int;
+      (** members redone from their historical journal instead of
+          executed ({!Redo}); [replayed - redone] members executed *)
 }
 
 val run :

@@ -198,6 +198,18 @@ step "replay DAG smoke: edges and waves == last-writer reference, every conflict
 step "replay executor smoke: commit order == DAG waves at workers 1/2/4/8, Hash-jumper and DDL members, retry-then-abort" \
   dune exec test/test_parallel.exe -- test 'determinism|commit order'
 
+# member redo: on the five workloads' plain-SQL histories, generated
+# removals, no-op changes and re-added statements leave, redone from
+# journals, the tables, final hash and every member's entry (journal
+# rowids and images, restamped hashes) that executing every member
+# leaves, at workers 1/2/4/8; hand-built cases: a blind write of an
+# undone cell, an INSERT whose UNIQUE value an executed member now
+# holds, a FOREIGN KEY parent the target inserted, wildcard reads and
+# writes, rowid translation for rows executed members inserted, and
+# the existence guard
+step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, rowid translation" \
+  dune exec test/test_parallel.exe -- test redo
+
 # the exec-parallel experiment at quick sizes times the DAG's waves at
 # 1, 2, 4 and 8 workers and hard-fails if the final universe hash at 4
 # or 8 workers differs from 1 worker's; whatif-repeat hard-fails if a
