@@ -197,9 +197,12 @@ let run_numeric_pair (w : W.t) ~n ~dep_rate =
             (* full-replay semantics: undo everything back to tau, then
                re-execute the tail *)
             let log = Engine.log eng in
-            for i = Log.length log downto tau do
-              Log.apply_undo (Engine.catalog replay_eng) (Log.entry log i).Log.undo
-            done;
+            ignore
+              (Log.undo_entries (Engine.catalog replay_eng)
+                 (List.init
+                    (Log.length log - tau + 1)
+                    (fun k -> (Log.entry log (Log.length log - k)).Log.undo))
+                : Log.undo_stats);
             for i = tau + 1 to Log.length log do
               let e = Log.entry log i in
               try ignore (Engine.exec ~nondet:e.Log.nondet replay_eng e.Log.stmt)

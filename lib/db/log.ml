@@ -22,57 +22,209 @@ type entry = {
   app_txn : string option;
 }
 
-let apply_undo cat undos =
-  List.iter
-    (fun u ->
-      match u with
-      | U_row_insert (table, rowid, _) -> (
-          match Catalog.table cat table with
-          | Some tbl -> ( try ignore (Storage.delete tbl rowid) with Not_found -> ())
-          | None -> ())
-      | U_row_delete (table, rowid, row) -> (
-          match Catalog.table cat table with
-          | Some tbl -> Storage.insert_with_rowid tbl rowid row
-          | None -> ())
-      | U_row_update (table, rowid, before, after) -> (
-          match Catalog.table cat table with
-          | Some tbl -> (
-              match Storage.get tbl rowid with
-              | None -> ()
-              | Some current ->
-                  let n = Array.length current in
-                  let fresh = Array.copy current in
-                  for i = 0 to n - 1 do
-                    if
-                      i < Array.length before
-                      && i < Array.length after
-                      && not (Value.equal before.(i) after.(i))
-                    then fresh.(i) <- before.(i)
-                  done;
-                  ignore (Storage.update tbl rowid fresh))
-          | None -> ())
-      | U_table_def (name, prior) -> (
-          Catalog.remove_table cat name;
-          match prior with
-          | Some tbl -> Catalog.add_table cat (Storage.copy tbl)
-          | None -> ())
-      | U_view_def (name, prior) -> (
-          Catalog.remove_view cat name;
-          match prior with Some v -> Catalog.add_view cat name v | None -> ())
-      | U_proc_def (name, prior) -> (
-          Catalog.remove_procedure cat name;
-          match prior with Some p -> Catalog.add_procedure cat p | None -> ())
-      | U_trigger_def (name, prior) -> (
-          Catalog.remove_trigger cat name;
-          match prior with Some tr -> Catalog.add_trigger cat tr | None -> ())
-      | U_index_def (name, prior) -> (
-          Catalog.remove_index cat name;
-          match prior with Some i -> Catalog.add_index cat name i | None -> ())
-      | U_auto_value (table, v) -> (
-          match Catalog.table cat table with
-          | Some tbl -> Storage.set_auto_value tbl v
-          | None -> ()))
-    undos
+(* A DDL record's inverse, applied as is: the fold below flushes its
+   pending rows first and forgets its table handles after. *)
+let apply_ddl cat = function
+  | U_table_def (name, prior) -> (
+      Catalog.remove_table cat name;
+      match prior with
+      | Some tbl -> Catalog.add_table cat (Storage.copy tbl)
+      | None -> ())
+  | U_view_def (name, prior) -> (
+      Catalog.remove_view cat name;
+      match prior with Some v -> Catalog.add_view cat name v | None -> ())
+  | U_proc_def (name, prior) -> (
+      Catalog.remove_procedure cat name;
+      match prior with Some p -> Catalog.add_procedure cat p | None -> ())
+  | U_trigger_def (name, prior) -> (
+      Catalog.remove_trigger cat name;
+      match prior with Some tr -> Catalog.add_trigger cat tr | None -> ())
+  | U_index_def (name, prior) -> (
+      Catalog.remove_index cat name;
+      match prior with Some i -> Catalog.add_index cat name i | None -> ())
+  | U_row_insert _ | U_row_delete _ | U_row_update _ | U_auto_value _ -> ()
+
+type undo_stats = { undo_records : int; rows_restored : int }
+
+(* One row during the fold: the image the storage holds ([None]:
+   absent) and the one the records walked so far leave. [owned] marks
+   [now] as the fold's own copy, patched in place; [exact] marks a row
+   written through record by record (see [undo_entries]). *)
+type pending_row = {
+  mutable stored : Value.t array option;
+  mutable now : Value.t array option;
+  mutable owned : bool;
+  mutable exact : bool;
+}
+
+type pending_table = {
+  name : string;
+  tbl : Storage.t;
+  rows : (int, pending_row) Hashtbl.t;
+  mutable floor : int;  (* [next_rowid] as the re-inserts raise it *)
+  mutable auto : int option;  (* the oldest AUTO_INCREMENT record so far *)
+}
+
+(* Bitwise, like the storage's own cell comparison: a row is written
+   back unless every cell would be stored unchanged. *)
+let same_cell a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_image a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a == b || (Array.length a = Array.length b && Array.for_all2 same_cell a b)
+  | _ -> false
+
+(* Newest-first selective undo leaves each changed cell at the
+   before-image of the oldest undone write to it, each row's existence
+   at its oldest undone insert or delete, and each table's counter at
+   its oldest undone AUTO_INCREMENT record. So the records fold, newest
+   first, over a pure per-row state, and each table is written once
+   with only the rows whose final image differs from the stored one.
+   The hash is a sum of row digests and a row's index postings follow
+   its image, so writing first-to-final equals walking every
+   intermediate image.
+
+   Two records are applied as they come instead. A DDL record may
+   replace table handles: every pending row is written first and the
+   handles are read again after it. A re-insert over a row live in the
+   folded state keeps the replaced image in the hash and its keys in
+   the indexes ([Storage.insert_with_rowid]): the row is written, the
+   record applied as is, and the row's later records in the call are
+   written through one by one, since a stale posting is dropped by
+   whichever later image of the row passes through its key. Stale
+   postings from before the call are not known here: the fold is exact
+   when the tables start without any, which holds for logged entries,
+   whose rowids are never reused while the row is live. *)
+let undo_entries cat journals =
+  let records = ref 0 and restored = ref 0 in
+  let pending : (string, pending_table) Hashtbl.t = Hashtbl.create 8 in
+  (* (table, rowid) of every re-insert over a live row so far: its stale
+     postings outlive a DDL barrier's flush *)
+  let exact_rows = ref [] in
+  (* runs of records on one table are the common case *)
+  let last = ref None in
+  let table name =
+    match !last with
+    | Some p as hit when String.equal p.name name -> hit
+    | _ ->
+        let found =
+          match Hashtbl.find_opt pending name with
+          | Some _ as p -> p
+          | None -> (
+              match Catalog.table cat name with
+              | None -> None
+              | Some tbl ->
+                  let p =
+                    { name; tbl; rows = Hashtbl.create 16; floor = 0; auto = None }
+                  in
+                  Hashtbl.add pending name p;
+                  Some p)
+        in
+        if Option.is_some found then last := found;
+        found
+  in
+  let row p rowid =
+    match Hashtbl.find_opt p.rows rowid with
+    | Some r -> r
+    | None ->
+        let img = Storage.get p.tbl rowid in
+        let exact = !exact_rows <> [] && List.mem (p.name, rowid) !exact_rows in
+        let r = { stored = img; now = img; owned = false; exact } in
+        Hashtbl.add p.rows rowid r;
+        r
+  in
+  let write p changes =
+    if changes <> [] then begin
+      Storage.restore_many p.tbl changes;
+      restored := !restored + List.length changes
+    end
+  in
+  (* write one row now; [stored] and [now] share the image afterwards,
+     so the next patch copies it *)
+  let sync p rowid r =
+    if not (same_image r.stored r.now) then write p [ (rowid, r.now) ];
+    r.stored <- r.now;
+    r.owned <- false
+  in
+  let flush () =
+    Hashtbl.iter
+      (fun _ p ->
+        write p
+          (Hashtbl.fold
+             (fun id r acc ->
+               if same_image r.stored r.now then acc else (id, r.now) :: acc)
+             p.rows []);
+        if p.floor > 0 then Storage.set_rowid_floor p.tbl p.floor;
+        Option.iter (Storage.set_auto_value p.tbl) p.auto)
+      pending;
+    Hashtbl.reset pending;
+    last := None
+  in
+  let on_row name rowid f =
+    match table name with
+    | None -> ()
+    | Some p ->
+        let r = row p rowid in
+        f p r;
+        if r.exact then sync p rowid r
+  in
+  let undo u =
+    incr records;
+    match u with
+    | U_row_insert (name, rowid, _) -> on_row name rowid (fun _ r -> r.now <- None)
+    | U_row_delete (name, rowid, image) ->
+        on_row name rowid (fun p r ->
+            (match r.now with
+            | None ->
+                r.now <- Some image;
+                r.owned <- false
+            | Some _ ->
+                sync p rowid r;
+                Storage.insert_with_rowid p.tbl rowid image;
+                incr restored;
+                r.stored <- Some image;
+                r.now <- Some image;
+                if not r.exact then exact_rows := (p.name, rowid) :: !exact_rows;
+                r.exact <- true);
+            p.floor <- max p.floor (rowid + 1))
+    | U_row_update (name, rowid, before, after) ->
+        on_row name rowid (fun _ r ->
+            match r.now with
+            | None -> ()
+            | Some img ->
+                let img =
+                  if r.owned then img
+                  else begin
+                    let c = Array.copy img in
+                    r.now <- Some c;
+                    r.owned <- true;
+                    c
+                  end
+                in
+                for i = 0 to Array.length img - 1 do
+                  if
+                    i < Array.length before
+                    && i < Array.length after
+                    && not (Value.equal before.(i) after.(i))
+                  then img.(i) <- before.(i)
+                done)
+    | U_auto_value (name, v) -> Option.iter (fun p -> p.auto <- Some v) (table name)
+    | U_table_def _ | U_view_def _ | U_proc_def _ | U_trigger_def _
+    | U_index_def _ ->
+        flush ();
+        apply_ddl cat u
+  in
+  List.iter (List.iter undo) journals;
+  flush ();
+  { undo_records = !records; rows_restored = !restored }
+
+let apply_undo cat undos = ignore (undo_entries cat [ undos ] : undo_stats)
 
 type redone = {
   redo_undo : undo list;
@@ -101,7 +253,7 @@ type redone = {
    logged, and the per-table hash deltas are those its mutations applied.
    An AUTO_INCREMENT record journals the current counter, and the insert
    after it raises the counter past its key, as [Engine]'s insert does.
-   Tables absent from the catalog are skipped like in [apply_undo]; DDL
+   Tables absent from the catalog are skipped like in [undo_entries]; DDL
    records cannot be redone from their before-images and raise. *)
 let apply_redo ?(assigned = []) cat undos =
   let journal = ref [] and rows = ref 0 and written = ref [] in

@@ -51,10 +51,39 @@ type entry = {
   app_txn : string option;  (** application-level transaction name *)
 }
 
+type undo_stats = {
+  undo_records : int;  (** records walked, DDL included *)
+  rows_restored : int;
+      (** rows written: those whose final image differs from the one
+          first read, and each re-insert over a live row *)
+}
+
+val undo_entries : Catalog.t -> undo list list -> undo_stats
+(** Undo a set of entries against a catalog: [journals] holds their
+    inverse operations, the entries newest first and each journal most
+    recent first, as newest-first selective rollback applies them.
+
+    The records are folded, not applied one by one. Undoing newest
+    first leaves each cell an update changed (before <> after) at the
+    before-image of the oldest undone update to it, each row's presence
+    at its oldest undone insert or delete (absent, or that delete's
+    image), and each table's AUTO_INCREMENT counter at its oldest undone
+    record. The fold walks the records over a per-row state first read
+    from the catalog, then writes each table once
+    ({!Storage.restore_many}): only the rows whose final image differs
+    from the first one read. The table hash, row digests, scan order,
+    index postings, [next_rowid] and counters come out as applying every
+    record would leave them. A DDL record is applied as it comes, after
+    the rows pending before it are written; so is a re-insert over a row
+    that is live in the folded state, which {!Storage.insert_with_rowid}
+    resolves by keeping the replaced image in the hash and indexes, and
+    that row's later records are then written one by one. Such a stale
+    index posting left before the call is not seen, so the equality
+    holds for tables without one, as logged entries keep them. Tables
+    absent from the catalog are skipped. *)
+
 val apply_undo : Catalog.t -> undo list -> unit
-(** Apply one entry's inverse operations (already ordered most recent
-    first) against a catalog. Entries must be undone in reverse commit
-    order. *)
+(** [undo_entries] of one entry's journal (statement rollback). *)
 
 type redone = {
   redo_undo : undo list;

@@ -556,19 +556,25 @@ let slot_for_insert t id =
 (* Mutations                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Make [id], which has no live slot, live with [row]. The caller folds
+   the hash and adds the index keys. *)
+let add_row t id row =
+  let s = slot_for_insert t id in
+  write_cells t s row;
+  Rowid_map.replace t.slots ~gen:t.gen id s;
+  t.live <- t.live + 1;
+  if id >= t.next_rowid then t.next_rowid <- id + 1
+
 let insert_unlocked ?delta t id row =
   (* replacing an existing rowid keeps the historical semantics: the old
      image vanishes from scans but stays in the hash and indexes (only
      undo re-insertion can hit this, on images the hash already
      accounts for) *)
   (match Rowid_map.find t.slots id with
-  | -1 ->
-      let s = slot_for_insert t id in
+  | -1 -> add_row t id row
+  | s ->
       write_cells t s row;
-      Rowid_map.replace t.slots ~gen:t.gen id s;
-      t.live <- t.live + 1
-  | s -> write_cells t s row);
-  if id >= t.next_rowid then t.next_rowid <- id + 1;
+      if id >= t.next_rowid then t.next_rowid <- id + 1);
   fold_delta t delta (row_digest t row);
   index_add t row id
 
@@ -667,6 +673,23 @@ let delete_many ?delta t ids =
       in
       fold_delta t delta !d;
       List.rev removed)
+
+let restore_many ?delta t rows =
+  locked t (fun () ->
+      let d = ref 0L in
+      let add x = d := Uv_util.Table_hash.add_mod !d x in
+      List.iter
+        (fun (id, image) ->
+          let live = Rowid_map.find t.slots id >= 0 in
+          match image with
+          | None -> if live then add (neg_delta (row_digest t (remove_row t id)))
+          | Some row when live -> add (replaced_delta t (replace_row t id row) row)
+          | Some row ->
+              add_row t id row;
+              index_add t row id;
+              add (row_digest t row))
+        rows;
+      fold_delta t delta !d)
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                                *)

@@ -128,6 +128,16 @@ val delete_many :
     update: returns the removed images in input order. Same [Not_found]
     contract as {!update_many}. *)
 
+val restore_many :
+  ?delta:Uv_util.Table_hash.t -> t -> (rowid * Value.t array option) list -> unit
+(** Bring each listed rowid to the given image, [None] meaning absent,
+    under one lock acquisition and one hash-chain update: a live row is
+    rewritten or removed, an absent one inserted at its rowid (reviving
+    the dead slot a delete left, and raising [next_rowid] like
+    {!insert_with_rowid}); an absent rowid listed as [None] is left as
+    it is. The folded rollback ({!Log.undo_entries}) writes each table
+    through it once. *)
+
 val get : t -> rowid -> Value.t array option
 
 val mem : t -> rowid -> bool

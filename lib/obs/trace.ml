@@ -61,7 +61,7 @@ let start t ?(cat = "uv") ?(args = []) name =
         { sp_name = name; sp_cat = cat; sp_tid = tid (); sp_start = Uv_util.Clock.now_ms ();
           sp_args = args }
 
-let finish t span =
+let finish t ?(args = []) span =
   match (t, span) with
   | Off, _ | _, No_span -> ()
   | On st, Open sp ->
@@ -74,7 +74,7 @@ let finish t span =
           ev_start = sp.sp_start;
           ev_dur = Float.max 0.0 (now -. sp.sp_start);
           ev_instant = false;
-          ev_args = sp.sp_args;
+          ev_args = sp.sp_args @ args;
         }
       in
       locked st (fun () -> st.events <- ev :: st.events)

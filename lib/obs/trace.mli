@@ -41,8 +41,10 @@ val start : t -> ?cat:string -> ?args:(string * Json.t) list -> string -> span
     ["uv"]) becomes the Chrome event category; [args] are attached
     key/values. *)
 
-val finish : t -> span -> unit
-(** Close and record a span. Closing a span twice records it twice; don't. *)
+val finish : t -> ?args:(string * Json.t) list -> span -> unit
+(** Close and record a span; [args] are appended to the ones it was
+    opened with (values known only at its end). Closing a span twice
+    records it twice; don't. *)
 
 val with_span : t -> ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f ()] inside a span, finishing it even when

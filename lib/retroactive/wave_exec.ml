@@ -28,6 +28,10 @@ type t = {
   plans_bound : int;
 }
 
+(* A table's AUTO_INCREMENT counter as the restamp walks the replayed
+   entries in commit order, and the position of the column it fills. *)
+type auto_counter = { mutable next : int; offset : int }
+
 (* One statement's run: its time, its entry and hash deltas (none when
    it failed), and how it ran. *)
 type ran = {
@@ -223,10 +227,25 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     let degraded = ref false in
     (* table hashes at replay start: the base the commit-order restamping
        accumulates from *)
+    let tables = Uv_db.Catalog.tables catalog in
     let base =
-      List.map (fun (name, st) -> (name, Uv_db.Storage.hash st))
-        (Uv_db.Catalog.tables catalog)
+      List.map (fun (name, st) -> (name, Uv_db.Storage.hash st)) tables
     in
+    (* and the AUTO_INCREMENT counters, with each counted column's
+       position: the base the counter records are restamped from *)
+    let autos = Hashtbl.create 8 in
+    List.iter
+      (fun (name, st) ->
+        match
+          Option.bind
+            (Uv_sql.Schema.auto_increment_column (Uv_db.Storage.schema st))
+            (Uv_db.Storage.column_index st)
+        with
+        | Some offset ->
+            Hashtbl.replace autos name
+              { next = Uv_db.Storage.next_auto_value st; offset }
+        | None -> ())
+      tables;
     (* the per-item closure the pool runs; [allow_crash] is off on the
        caller lane (degraded finish), whose "domain" cannot die *)
     let item_fn ~allow_crash ?redo it =
@@ -383,10 +402,42 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
        items, which ascend — so each entry logs the hash its table had
        right after it committed: bit-identical to the commit-order
        schedule, and therefore safe for the Hash-jumper to consume on
-       branched universes. *)
+       branched universes. AUTO_INCREMENT records are restamped the same
+       way: a statement journals the counter the inserts before it left,
+       which in a wave are whichever ran first. In commit order each
+       record takes the running counter, and an insert of key v raises
+       it to v + 1, as the engine's insert and [Log.apply_redo] do. *)
     Uv_obs.Trace.with_span obs ~cat:"replay" "replay.restamp" (fun () ->
       let running = Hashtbl.create 16 in
       List.iter (fun (n, h) -> Hashtbl.replace running n h) base;
+      (* oldest record first, as the recursion returns; the journal is
+         shared where no counter record changes. An insert into a table
+         with a counter journals a counter record in the same entry, so
+         an entry without one raises no counter. *)
+      let rec restamp_auto undo =
+        match undo with
+        | [] -> []
+        | u :: older ->
+            let older' = restamp_auto older in
+            let u' =
+              match u with
+              | Uv_db.Log.U_auto_value (n, v) -> (
+                  match Hashtbl.find_opt autos n with
+                  | Some a when a.next <> v -> Uv_db.Log.U_auto_value (n, a.next)
+                  | _ -> u)
+              | Uv_db.Log.U_row_insert (n, _, row) ->
+                  (match Hashtbl.find_opt autos n with
+                  | Some a
+                    when a.offset < Array.length row
+                         && not (Uv_sql.Value.is_null row.(a.offset)) ->
+                      let v = Uv_sql.Value.to_int row.(a.offset) in
+                      if v >= a.next then a.next <- v + 1
+                  | _ -> ());
+                  u
+              | _ -> u
+            in
+            if u' == u && older' == older then undo else u' :: older'
+      in
       let restamp it =
         match Hashtbl.find_opt entries it.idx with
         | None -> ()
@@ -401,7 +452,18 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
                   (n, v))
                 (Hashtbl.find deltas it.idx)
             in
-            Hashtbl.replace entries it.idx { e with Uv_db.Log.written_hashes = wh }
+            Hashtbl.replace entries it.idx
+              {
+                e with
+                Uv_db.Log.written_hashes = wh;
+                undo =
+                  (if
+                     List.exists
+                       (function Uv_db.Log.U_auto_value _ -> true | _ -> false)
+                       e.Uv_db.Log.undo
+                   then restamp_auto e.Uv_db.Log.undo
+                   else e.Uv_db.Log.undo);
+              }
       in
       Option.iter restamp head;
       List.iter restamp items);

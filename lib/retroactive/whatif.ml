@@ -265,11 +265,24 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   (* phase breakdown is measured on the plain clock even with observability
      off — it is a handful of timestamps per run and feeds the outcome *)
   let phases = ref [] in
-  let phase ?args name f =
+  let phase ?args ?end_args name f =
     cur_phase := name;
     check_deadline ();
     let s = Uv_util.Clock.now_ms () in
-    let r = Uv_obs.Trace.with_span obs ~cat:"phase" ?args name f in
+    let r =
+      match end_args with
+      | Some end_args when Uv_obs.Trace.enabled obs ->
+          (* args known only once the phase is done join the span *)
+          let sp = Uv_obs.Trace.start obs ~cat:"phase" ?args name in
+          let fin = ref [] in
+          Fun.protect
+            ~finally:(fun () -> Uv_obs.Trace.finish obs ~args:!fin sp)
+            (fun () ->
+              let r = f () in
+              fin := end_args r;
+              r)
+      | _ -> Uv_obs.Trace.with_span obs ~cat:"phase" ?args name f
+    in
     phases := (name, Uv_util.Clock.now_ms () -. s) :: !phases;
     r
   in
@@ -312,11 +325,16 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         else None)
   in
   (* 3. rollback: undo members (and the removed/changed target) newest
-     first — or, when the engine carries a checkpoint ladder that makes
-     it cheaper, jump the affected tables to a rung below the oldest
-     member and redo the non-members forward *)
-  let undone, rollback_strategy =
-    phase "rollback" (fun () ->
+     first, folded into one restore per row ([Log.undo_entries]) — or,
+     when the engine carries a checkpoint ladder that makes it cheaper,
+     jump the affected tables to a rung below the oldest member and redo
+     the non-members forward *)
+  let undone, rollback_strategy, undo_stats =
+    phase "rollback"
+      ~end_args:(fun (_, _, st) ->
+        [ ("records", Uv_obs.Json.Int st.Uv_db.Log.undo_records);
+          ("rows", Uv_obs.Json.Int st.Uv_db.Log.rows_restored) ])
+      (fun () ->
         let undo_list =
           let tgt =
             match target.Analyzer.op with
@@ -334,14 +352,16 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
               checkpoint_rollback ladder log temp_cat undo_list
           | _ -> false
         in
-        if jumped then Uv_obs.Trace.incr obs "whatif.checkpoint_jumps"
-        else
-          List.iter
-            (fun i ->
-              let entry = Uv_db.Log.entry log i in
-              Uv_db.Log.apply_undo temp_cat entry.Uv_db.Log.undo)
-            undo_list;
-        (List.length undo_list, if jumped then "checkpoint" else "undo"))
+        let stats =
+          if jumped then begin
+            Uv_obs.Trace.incr obs "whatif.checkpoint_jumps";
+            { Uv_db.Log.undo_records = 0; rows_restored = 0 }
+          end
+          else
+            Uv_db.Log.undo_entries temp_cat
+              (List.map (fun i -> (Uv_db.Log.entry log i).Uv_db.Log.undo) undo_list)
+        in
+        (List.length undo_list, (if jumped then "checkpoint" else "undo"), stats))
   in
   (* 4. replay forward, in commit order or over the replay DAG's waves *)
   let hash_jump_at = ref None in
@@ -507,6 +527,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   if Uv_obs.Trace.enabled obs then begin
     (* every question counts, so each counter is present, 0 included *)
     let count name by = Uv_obs.Trace.incr obs ~by name in
+    count "rollback.undo_records" undo_stats.Uv_db.Log.undo_records;
+    count "rollback.rows_restored" undo_stats.Uv_db.Log.rows_restored;
     count "replay.redone" res.Wave_exec.redone;
     count "replay.executed" res.Wave_exec.executed;
     let stat f = Option.fold ~none:0 ~some:(fun r -> f (Redo.stats r)) redo in

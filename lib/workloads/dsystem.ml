@@ -58,9 +58,10 @@ let run ?(workers = 8) ?(rtt_ms = 1.0) ~analyzer ~runtime eng ~target_tag =
   let undo_list =
     List.sort_uniq compare (target_entries @ member_entries) |> List.rev
   in
-  List.iter
-    (fun i -> Log.apply_undo temp_cat (Log.entry log i).Log.undo)
-    undo_list;
+  ignore
+    (Log.undo_entries temp_cat
+       (List.map (fun i -> (Log.entry log i).Log.undo) undo_list)
+      : Log.undo_stats);
   (* replay: re-invoke the member application functions against the
      temporary database with their recorded inputs and draws *)
   let temp_eng = Engine.of_catalog ~rtt_ms temp_cat in

@@ -71,6 +71,20 @@ step "storage smoke: copy isolation, undo re-inserts, scan order, first-write al
 step "row digest smoke: streamed digest == serialized reference, golden table hashes" \
   dune exec test/test_db.exe -- test "row digest"
 
+# the folded rollback against the per-record undo it replaced
+# (test/undo_reference.ml): a qcheck property over generated journals
+# (updates, deletes and re-inserts of absent and live rows, images
+# narrower and wider than the schema, counter and DDL records between
+# them) and the five workloads' histories undone with τ's replay set,
+# grouped and not, and with random sets of later writers, plus hand-built
+# cases (one row updated on many columns, insert-update-delete, delete
+# then re-insert, a DDL record between row records, a re-insert over a
+# live row); both paths must leave equal table hashes, row digests, scan
+# order (rowids and images), PRIMARY KEY/UNIQUE index probes,
+# AUTO_INCREMENT counters and next rowids
+step "rollback fold smoke: folded undo == newest-first reference (hash, digests, scan order, indexes, counters)" \
+  dune exec test/test_db.exe -- test "undo fold"
+
 # the SQL front end against its references: token streams equal to a
 # linear-scan keyword classifier's on every workload statement and on
 # single-byte mutations, the print/parse fixpoint, and parse outcomes

@@ -1403,9 +1403,363 @@ let test_golden_table_hashes () =
         out.Whatif.final_db_hash)
     golden_table_hashes
 
+(* ------------------------------------------------------------------ *)
+(* Folded rollback                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module W = Uv_workloads.Workload
+
+(* Values the indexes are probed with after a rollback: per table and
+   indexed column, every value the column holds in [cats] and every
+   value a journal image carries at that column's position. *)
+let probe_values cats journals =
+  let seen = Hashtbl.create 64 in
+  let add name col v =
+    let k = (name, col, Value.serialize v) in
+    if not (Hashtbl.mem seen k) then Hashtbl.replace seen k v
+  in
+  let images name =
+    List.concat_map
+      (List.concat_map (function
+        | (Log.U_row_insert (t, _, img) | Log.U_row_delete (t, _, img))
+          when t = name ->
+            [ img ]
+        | Log.U_row_update (t, _, b, a) when t = name -> [ b; a ]
+        | _ -> []))
+      journals
+  in
+  List.iter
+    (fun cat ->
+      List.iter
+        (fun (name, tbl) ->
+          let imgs = images name in
+          List.iter
+            (fun col ->
+              match Storage.column_index tbl col with
+              | None -> ()
+              | Some o ->
+                  let at row = if o < Array.length row then add name col row.(o) in
+                  Storage.iter tbl (fun _ row -> at row);
+                  List.iter at imgs)
+            (Storage.indexed_columns tbl))
+        (Catalog.tables cat))
+    cats;
+  fun name col ->
+    Hashtbl.fold
+      (fun (n, c, key) v acc -> if n = name && c = col then (key, v) :: acc else acc)
+      seen []
+    |> List.sort compare |> List.map snd
+
+(* Everything a rollback leaves that replay can read, as text: per table
+   its hash, AUTO_INCREMENT counter and [next_rowid], every live row in
+   scan order with its digest, and the rowids each indexed column's
+   index returns for every probe (sorted: postings are sets); then the
+   catalog's named indexes and views. *)
+let rollback_state ~probes cat =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, tbl) ->
+      Printf.bprintf buf "table %s hash=%Lx auto=%d next_rowid=%d\n" name
+        (Storage.hash tbl) (Storage.next_auto_value tbl) (Storage.next_rowid tbl);
+      Storage.iter tbl (fun id row ->
+          let bytes = serialize_row name row in
+          Printf.bprintf buf "  %d %s %Lx\n" id bytes
+            (Uv_util.Table_hash.row_digest bytes));
+      List.iter
+        (fun col ->
+          List.iter
+            (fun v ->
+              match Storage.indexed_lookup tbl col v with
+              | None -> ()
+              | Some ids ->
+                  Printf.bprintf buf "  %s=%s -> %s\n" col (Value.serialize v)
+                    (String.concat ","
+                       (List.map string_of_int (List.sort compare ids))))
+            (probes name col))
+        (List.sort compare (Storage.indexed_columns tbl)))
+    (List.sort (fun (a, _) (b, _) -> compare a b) (Catalog.tables cat));
+  Printf.bprintf buf "indexes %s\n"
+    (String.concat "," (List.sort compare (List.map fst (Catalog.indexes cat))));
+  Buffer.contents buf
+
+(* Undo [journals] (newest entry first) on two copies of [base]: folded
+   and per record. Returns both states and the fold's counts. *)
+let fold_vs_reference base journals =
+  let folded = Catalog.snapshot base and reference = Catalog.snapshot base in
+  let stats = Log.undo_entries folded journals in
+  Undo_reference.undo_entries reference journals;
+  let probes = probe_values [ folded; reference ] journals in
+  (rollback_state ~probes reference, rollback_state ~probes folded, stats)
+
+let check_fold label base journals =
+  let want, got, stats = fold_vs_reference base journals in
+  check Alcotest.string (label ^ ": folded == per-record reference") want got;
+  stats
+
+let image_text img =
+  String.concat "," (Array.to_list (Array.map Value.serialize img))
+
+let undo_text = function
+  | Log.U_row_insert (t, r, img) -> Printf.sprintf "+%s@%d(%s)" t r (image_text img)
+  | Log.U_row_delete (t, r, img) -> Printf.sprintf "-%s@%d(%s)" t r (image_text img)
+  | Log.U_row_update (t, r, b, a) ->
+      Printf.sprintf "~%s@%d(%s)->(%s)" t r (image_text b) (image_text a)
+  | Log.U_auto_value (t, v) -> Printf.sprintf "auto %s=%d" t v
+  | Log.U_table_def (t, p) ->
+      Printf.sprintf "table %s%s" t (if p = None then " (none)" else "")
+  | Log.U_index_def (n, _) -> "index " ^ n
+  | Log.U_view_def (n, _) -> "view " ^ n
+  | Log.U_proc_def (n, _) -> "proc " ^ n
+  | Log.U_trigger_def (n, _) -> "trigger " ^ n
+
+(* Two tables, one with an AUTO_INCREMENT primary key and a UNIQUE
+   column; the generated records also name a table that does not exist. *)
+let fold_base () =
+  let e = fresh () in
+  run e
+    "CREATE TABLE a (id INT PRIMARY KEY AUTO_INCREMENT, u INT UNIQUE, v INT, \
+     s VARCHAR(8))";
+  run e "CREATE TABLE b (k INT PRIMARY KEY, w INT)";
+  for i = 1 to 6 do
+    run e
+      (Printf.sprintf "INSERT INTO a (u, v, s) VALUES (%d, %d, 's%d')" i (i mod 3) i)
+  done;
+  for i = 1 to 4 do
+    run e (Printf.sprintf "INSERT INTO b VALUES (%d, %d)" i (i * 10))
+  done;
+  Engine.catalog e
+
+(* Generated journals: row records over few rowids and few values (Int 1
+   and Float 1.0 both, so SQL-equal keys share a posting), images now and
+   then narrower or wider than the schema, records that contradict the
+   state (updates and deletes of absent rows, re-inserts over live
+   ones), counter records and DDL records between them. *)
+let prop_undo_fold =
+  let base = fold_base () in
+  let prior_a = Catalog.table base "a" in
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (4, map (fun i -> Value.Int i) (int_range 0 3));
+        (1, return Value.Null);
+        (1, map (fun i -> Value.Float (float_of_int i)) (int_range 0 2));
+        (1, oneofl [ Value.Text "x"; Value.Text "y" ]) ]
+  in
+  let table = frequencyl [ (4, "a"); (3, "b"); (1, "zz") ] in
+  let width t =
+    let w = if t = "b" then 2 else 4 in
+    frequency [ (6, return w); (1, int_range (w - 1) (w + 1)) ]
+  in
+  let image t = width t >>= fun w -> array_repeat w value in
+  let row_record =
+    table >>= fun t ->
+    int_range 1 9 >>= fun r ->
+    frequency
+      [ (3, map (fun img -> Log.U_row_insert (t, r, img)) (image t));
+        (3, map (fun img -> Log.U_row_delete (t, r, img)) (image t));
+        ( 6,
+          width t >>= fun w ->
+          map2
+            (fun b a -> Log.U_row_update (t, r, b, a))
+            (array_repeat w value) (array_repeat w value) ) ]
+  in
+  let record =
+    frequency
+      [ (16, row_record);
+        (2, map2 (fun t v -> Log.U_auto_value (t, v)) table (int_range 1 20));
+        ( 1,
+          oneofl
+            [ Log.U_table_def ("a", prior_a);
+              Log.U_table_def ("b", None);
+              Log.U_index_def ("ix", None);
+              Log.U_view_def ("v", None) ] ) ]
+  in
+  let journals = list_size (int_range 1 6) (list_size (int_range 0 8) record) in
+  let print js =
+    String.concat " || " (List.map (fun j -> String.concat "; " (List.map undo_text j)) js)
+  in
+  qtest
+    (QCheck.Test.make ~count:500 ~name:"generated journals: folded == per-record"
+       (QCheck.make ~print
+          ~shrink:QCheck.Shrink.(list ~shrink:list)
+          journals)
+       (fun js ->
+         let want, got, _ = fold_vs_reference base js in
+         want = got
+         || QCheck.Test.fail_reportf "reference:\n%s\nfolded:\n%s" want got))
+
+(* The five workloads' plain-SQL histories: τ a seeded writer, undone
+   with its replay set (grouped and not) or with a random set of later
+   writers. *)
+let test_undo_fold_workloads () =
+  List.iter
+    (fun (w : W.t) ->
+      let eng, rt = W.setup ~mode:Uv_transpiler.Runtime.Raw w in
+      let base = Engine.snapshot eng in
+      let prng = Uv_util.Prng.create 4242 in
+      let calls = w.W.target_call :: w.W.generate prng ~scale:1 ~n:60 ~dep_rate:0.3 in
+      ignore (W.run_history rt ~mode:Uv_transpiler.Runtime.Raw calls);
+      let log = Engine.log eng in
+      let analyzer =
+        Uv_retroactive.Analyzer.analyze ~config:w.W.ri_config ~base log
+      in
+      let writers =
+        Array.of_list
+          (List.filter
+             (fun i -> (Log.entry log i).Log.undo <> [])
+             (List.init (Log.length log) (fun k -> k + 1)))
+      in
+      let journals set =
+        List.map
+          (fun i -> (Log.entry log i).Log.undo)
+          (List.rev (List.sort_uniq compare set))
+      in
+      let folded_rows = ref 0 and records = ref 0 in
+      let prop =
+        QCheck.Test.make ~count:12 ~name:(w.W.name ^ ": folded == per-record")
+          QCheck.(triple (int_bound (Array.length writers - 1)) bool int)
+          (fun (pick, grouped, seed) ->
+            let tau = writers.(pick) in
+            let rs =
+              Uv_retroactive.Analyzer.replay_set ~grouped analyzer
+                { Uv_retroactive.Analyzer.tau; op = Uv_retroactive.Analyzer.Remove }
+            in
+            let p = Uv_util.Prng.create seed in
+            let random =
+              List.filter
+                (fun i -> i > tau && Uv_util.Prng.int p 2 = 0)
+                (Array.to_list writers)
+            in
+            List.iter
+              (fun (what, set) ->
+                let label =
+                  Printf.sprintf "%s tau=%d grouped=%b %s" w.W.name tau grouped what
+                in
+                let st =
+                  check_fold label (Engine.catalog eng) (journals (tau :: set))
+                in
+                folded_rows := !folded_rows + st.Log.rows_restored;
+                records := !records + st.Log.undo_records)
+              [ ("replay set", rs.Uv_retroactive.Analyzer.member_indexes);
+                ("random set", random) ];
+            true)
+      in
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 32 |]) prop;
+      check Alcotest.bool (w.W.name ^ ": records were undone") true (!records > 0);
+      check Alcotest.bool
+        (w.W.name ^ ": rows written <= records")
+        true
+        (!folded_rows <= !records))
+    (W.all ())
+
+let fold_table () =
+  let e = fresh () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c VARCHAR(8))";
+  run e "INSERT INTO t VALUES (1, 0, 0, 'x'), (2, 0, 0, 'x'), (3, 0, 0, 'x')";
+  Engine.reset_log e;
+  e
+
+let history_journals e indexes =
+  List.map (fun i -> (Log.entry (Engine.log e) i).Log.undo) indexes
+
+let row_of e id =
+  Option.map image_text
+    (Option.bind (Catalog.table (Engine.catalog e) "t") (fun t -> Storage.get t id))
+
+(* One row updated many times on different columns: undoing #4, #3 and
+   #1 but not #2 leaves #2's [b] and every other cell at its oldest
+   undone before-image, written once. *)
+let test_undo_fold_one_row () =
+  let e = fold_table () in
+  run e "UPDATE t SET a = 1 WHERE id = 1";
+  run e "UPDATE t SET b = 2 WHERE id = 1";
+  run e "UPDATE t SET a = 3, c = 'y' WHERE id = 1";
+  run e "UPDATE t SET b = 4 WHERE id = 1";
+  let snap = Catalog.snapshot (Engine.catalog e) in
+  let st = check_fold "one row" snap (history_journals e [ 4; 3; 1 ]) in
+  check Alcotest.int "records" 3 st.Log.undo_records;
+  check Alcotest.int "one row written" 1 st.Log.rows_restored;
+  ignore (Log.undo_entries (Engine.catalog e) (history_journals e [ 4; 3; 1 ]));
+  check Alcotest.(option string) "row" (Some "I1,I0,I2,T1:x") (row_of e 1)
+
+(* Insert, update, then delete inside the undone set: the row ends
+   absent as it began, so nothing is written; the re-insert the
+   per-record path passes through still raises [next_rowid] alike. *)
+let test_undo_fold_insert_update_delete () =
+  let e = fold_table () in
+  run e "INSERT INTO t VALUES (9, 1, 1, 'z')";
+  run e "UPDATE t SET a = 5 WHERE id = 9";
+  run e "DELETE FROM t WHERE id = 9";
+  let snap = Catalog.snapshot (Engine.catalog e) in
+  let st = check_fold "insert/update/delete" snap (history_journals e [ 3; 2; 1 ]) in
+  check Alcotest.int "nothing written" 0 st.Log.rows_restored
+
+(* Delete, then re-insert the same key under a fresh rowid: the old
+   rowid comes back in its scan position and the new one goes. *)
+let test_undo_fold_delete_reinsert () =
+  let e = fold_table () in
+  run e "DELETE FROM t WHERE id = 2";
+  run e "INSERT INTO t VALUES (2, 7, 7, 'w')";
+  let snap = Catalog.snapshot (Engine.catalog e) in
+  let st = check_fold "delete/re-insert" snap (history_journals e [ 2; 1 ]) in
+  check Alcotest.int "two rows written" 2 st.Log.rows_restored;
+  ignore (Log.undo_entries (Engine.catalog e) (history_journals e [ 2; 1 ]));
+  check Alcotest.(option string) "old row back" (Some "I2,I0,I0,T1:x") (row_of e 2)
+
+(* A DDL record between row records: the rows pending before it are
+   written first, and the records after it see the restored table. *)
+let test_undo_fold_ddl_barrier () =
+  let e = fold_table () in
+  run e "UPDATE t SET a = 5 WHERE id = 1";
+  run e "ALTER TABLE t ADD COLUMN d INT";
+  run e "UPDATE t SET a = 6, d = 1 WHERE id = 1";
+  run e "UPDATE t SET b = 8 WHERE id = 3";
+  let snap = Catalog.snapshot (Engine.catalog e) in
+  ignore (check_fold "ddl between rows" snap (history_journals e [ 4; 3; 2; 1 ]));
+  ignore (check_fold "ddl, later rows kept" snap (history_journals e [ 4; 2 ]));
+  ignore (check_fold "ddl, earlier rows only" snap (history_journals e [ 3; 1 ]))
+
+(* A re-insert over a row live in the folded state: the storage keeps
+   the replaced image in the hash and the indexes, and the fold
+   reproduces that, before and after other records on the row. *)
+let test_undo_fold_live_reinsert () =
+  let e = fold_table () in
+  let snap = Catalog.snapshot (Engine.catalog e) in
+  let rowid_of id =
+    match Catalog.table snap "t" with
+    | Some t -> (
+        match Storage.indexed_lookup t "id" (Value.Int id) with
+        | Some [ r ] -> r
+        | _ -> Alcotest.fail "no such row")
+    | None -> Alcotest.fail "no table"
+  in
+  let r = rowid_of 1 in
+  let row a b c = [| Value.Int 1; Value.Int a; Value.Int b; Value.Text c |] in
+  let st =
+    check_fold "re-insert over a live row" snap
+      [ [ Log.U_row_update ("t", r, row 0 0 "x", row 4 0 "x") ];
+        [ Log.U_row_delete ("t", r, row 1 2 "q") ];
+        [ Log.U_row_update ("t", r, row 9 9 "x", row 1 9 "x");
+          Log.U_row_delete ("t", rowid_of 3, row 3 3 "r") ] ]
+  in
+  check Alcotest.int "records" 4 st.Log.undo_records
+
 let () =
   Alcotest.run "uv_db"
     [
+      ( "undo fold",
+        [
+          Alcotest.test_case "one row, many columns" `Quick test_undo_fold_one_row;
+          Alcotest.test_case "insert, update, delete" `Quick
+            test_undo_fold_insert_update_delete;
+          Alcotest.test_case "delete, re-insert" `Quick test_undo_fold_delete_reinsert;
+          Alcotest.test_case "DDL between row records" `Quick test_undo_fold_ddl_barrier;
+          Alcotest.test_case "re-insert over a live row" `Quick
+            test_undo_fold_live_reinsert;
+          prop_undo_fold;
+          Alcotest.test_case "five workloads: replay sets and random sets" `Quick
+            test_undo_fold_workloads;
+        ] );
       ( "storage",
         [
           Alcotest.test_case "roundtrip" `Quick test_storage_roundtrip;

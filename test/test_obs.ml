@@ -430,6 +430,34 @@ let test_whatif_traced () =
     (Trace.counter_value obs "analyze.closure_iters" > 0);
   Alcotest.(check bool) "statement execs counted" true
     (Trace.counter_value obs "db.log_appends" > 0);
+  (* the rollback phase span carries the counts its counters add up *)
+  let rollback_args =
+    match Json.member "traceEvents" (parse_ok (Trace.chrome_string obs)) with
+    | Some (Json.List evs) ->
+        List.filter_map
+          (fun e ->
+            match Json.member "name" e with
+            | Some (Json.Str "rollback") -> Json.member "args" e
+            | _ -> None)
+          evs
+    | _ -> []
+  in
+  let arg k =
+    match rollback_args with
+    | [ a ] -> Option.get (Option.bind (Json.member k a) Json.to_float)
+    | _ -> Alcotest.fail "one rollback span with args"
+  in
+  check Alcotest.int "undo records: span == counter"
+    (Trace.counter_value obs "rollback.undo_records")
+    (int_of_float (arg "records"));
+  check Alcotest.int "rows restored: span == counter"
+    (Trace.counter_value obs "rollback.rows_restored")
+    (int_of_float (arg "rows"));
+  Alcotest.(check bool) "undo records counted" true
+    (Trace.counter_value obs "rollback.undo_records" > 0);
+  Alcotest.(check bool) "rows restored <= undo records" true
+    (Trace.counter_value obs "rollback.rows_restored"
+    <= Trace.counter_value obs "rollback.undo_records");
   (* the metrics report round-trips through the envelope *)
   let s = Report.to_string ~schema:"uv.metrics/1" (Trace.metrics_payload obs) in
   match Report.parse ~expect:"uv.metrics/1" s with

@@ -29,6 +29,22 @@ let log_digest log =
   Log.iter log (fun e -> Buffer.add_string buf (entry_line e));
   Buffer.contents buf
 
+(* An entry's AUTO_INCREMENT records: the counters undoing it restores.
+   A replayed entry's must not depend on the schedule. *)
+let auto_line (e : Log.entry) =
+  Printf.sprintf "%d auto %s\n" e.Log.index
+    (String.concat ","
+       (List.filter_map
+          (function
+            | Log.U_auto_value (t, v) -> Some (Printf.sprintf "%s=%d" t v)
+            | _ -> None)
+          e.Log.undo))
+
+let auto_digest log =
+  let buf = Buffer.create 4096 in
+  Log.iter log (fun e -> Buffer.add_string buf (auto_line e));
+  Buffer.contents buf
+
 let build ?(mode = R.Transpiled) (w : W.t) ~n ~dep_rate =
   let eng, rt = W.setup ~mode w in
   let base = Engine.snapshot eng in
@@ -75,6 +91,7 @@ let test_workers_invariant (w : W.t) () =
     (table_hashes (Engine.catalog merged));
   let want_hash = one.Whatif.final_db_hash in
   let want_log = log_digest (Whatif.new_log one) in
+  let want_auto = auto_digest (Whatif.new_log one) in
   List.iter
     (fun workers ->
       let out = run_with (Whatif.Config.make ~workers ()) in
@@ -88,7 +105,11 @@ let test_workers_invariant (w : W.t) () =
       check Alcotest.string
         (Printf.sprintf "%s: workers=%d new log == workers=1" w.W.name workers)
         want_log
-        (log_digest (Whatif.new_log out)))
+        (log_digest (Whatif.new_log out));
+      check Alcotest.string
+        (Printf.sprintf "%s: workers=%d counters == workers=1" w.W.name workers)
+        want_auto
+        (auto_digest (Whatif.new_log out)))
     [ 1; 2; 4; 8 ]
 
 (* [Whatif]'s replay items for [members] over [catalog] (its temporary
@@ -159,7 +180,7 @@ let test_schedules_agree (w : W.t) () =
         (List.map
            (fun i ->
              match Hashtbl.find_opt res.Wave_exec.entries i with
-             | Some e -> entry_line e
+             | Some e -> entry_line e ^ auto_line e
              | None -> Printf.sprintf "%d failed\n" i)
            members)
     in
@@ -945,20 +966,13 @@ let undo_line = function
   | Log.U_auto_value (t, v) -> Printf.sprintf "auto %s=%d" t v
   | _ -> "ddl"
 
-(* An entry down to its journal's rowids and images, its index aside
-   (the merged history renumbers). On more than one lane, the counter an
-   AUTO_INCREMENT record journals depends on which other inserts into the
-   table the wave ran first, executed or redone alike: [exact_auto]
-   false leaves its value out. *)
-let redo_line ~exact_auto (e : Log.entry) =
+(* An entry down to its journal's rowids, images and AUTO_INCREMENT
+   counters, its index aside (the merged history renumbers). *)
+let redo_line (e : Log.entry) =
   let line = entry_line { e with Log.index = 0 } in
-  let undo = function
-    | Log.U_auto_value (t, _) when not exact_auto -> "auto " ^ t
-    | u -> undo_line u
-  in
   String.sub line 0 (String.length line - 1)
   ^ " | "
-  ^ String.concat "; " (List.map undo e.Log.undo)
+  ^ String.concat "; " (List.map undo_line e.Log.undo)
   ^ "\n"
 
 (* The question [out] answered, replayed again with every member
@@ -979,9 +993,12 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
     | Analyzer.Add _ -> members
     | Analyzer.Remove | Analyzer.Change _ -> target.Analyzer.tau :: members
   in
-  List.iter
-    (fun i -> Log.apply_undo cat (Log.entry log i).Log.undo)
-    (List.rev (List.sort_uniq compare undone));
+  ignore
+    (Log.undo_entries cat
+       (List.map
+          (fun i -> (Log.entry log i).Log.undo)
+          (List.rev (List.sort_uniq compare undone)))
+      : Log.undo_stats);
   let r0, items = replay_items ~analyzer ~catalog:cat log members in
   let head =
     match target.Analyzer.op with
@@ -1008,7 +1025,7 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
       ~rtt_ms:0.0 ~catalog:cat ~head ~items ()
   in
   let buf = Buffer.create 4096 in
-  let push e = Buffer.add_string buf (redo_line ~exact_auto:(workers = 1) e) in
+  let push e = Buffer.add_string buf (redo_line e) in
   let replayed i = Hashtbl.find_opt res.Wave_exec.entries i in
   for i = 1 to Log.length log do
     if i = target.Analyzer.tau then begin
@@ -1025,10 +1042,12 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
   (table_hashes cat, Catalog.db_hash cat, Buffer.contents buf)
 
 (* Ask [target] at each worker count; the redo path must leave the
-   tables, the final hash and every member's entry (journal rowids and
-   images, restamped hashes) that executing every member leaves. Returns
-   the outcomes. *)
+   tables, the final hash and every member's entry (journal rowids,
+   images and counters, restamped hashes) that executing every member
+   leaves, and the merged history must be the same at every worker
+   count. Returns the outcomes. *)
 let check_redo ?mode ~label eng analyzer target workers =
+  let first = ref None in
   List.map
     (fun workers ->
       let where = Printf.sprintf "%s, workers=%d" label workers in
@@ -1047,8 +1066,13 @@ let check_redo ?mode ~label eng analyzer target workers =
         out.Whatif.final_db_hash;
       let got = Buffer.create 4096 in
       Log.iter (Whatif.new_log out) (fun e ->
-          Buffer.add_string got (redo_line ~exact_auto:(workers = 1) e));
+          Buffer.add_string got (redo_line e));
       check Alcotest.string (where ^ ": entries") merged (Buffer.contents got);
+      (match !first with
+      | None -> first := Some merged
+      | Some want ->
+          check Alcotest.string (where ^ ": entries == first worker count")
+            want merged);
       out)
     workers
 

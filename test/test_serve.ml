@@ -18,7 +18,7 @@ let check = Alcotest.check
    requests, not inside a replay *)
 let svc_config = Whatif.Config.make ~workers:1 ()
 
-let build_service n =
+let build_service ?obs n =
   let e = Engine.create () in
   ignore
     (Engine.exec_sql e "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)");
@@ -32,7 +32,12 @@ let build_service n =
          (Printf.sprintf "UPDATE acct SET bal = bal + %d WHERE id = %d" i
             (1 + (i mod 4))))
   done;
-  let svc = Whatif.Service.create ~config:svc_config e in
+  let config =
+    match obs with
+    | Some obs -> Whatif.Config.make ~workers:1 ~obs ()
+    | None -> svc_config
+  in
+  let svc = Whatif.Service.create ~config e in
   Whatif.Service.publish svc;
   svc
 
@@ -41,10 +46,12 @@ let fresh_sock () =
   Sys.remove p;
   p
 
-let with_server ?(config = Serve.default_config) ?(history = 40) f =
-  let svc = build_service history in
+(* [obs], when given, is shared by the service's what-if runs and the
+   daemon, as [ultraverse serve] shares it *)
+let with_server ?(config = Serve.default_config) ?(history = 40) ?obs f =
+  let svc = build_service ?obs history in
   let addr = Serve.Unix_sock (fresh_sock ()) in
-  let srv = Serve.start ~config svc addr in
+  let srv = Serve.start ~config ?obs svc addr in
   Fun.protect ~finally:(fun () -> Serve.stop srv) (fun () -> f srv addr svc)
 
 let expect_result = function
@@ -61,7 +68,7 @@ let member_exn k j =
 (* ------------------------------------------------------------------ *)
 
 let test_roundtrip_and_hash_identity () =
-  with_server (fun _srv addr svc ->
+  with_server ~obs:(Uv_obs.Trace.create ()) (fun _srv addr svc ->
       let c = Serve.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close c)
@@ -90,7 +97,13 @@ let test_roundtrip_and_hash_identity () =
             | _ -> false);
           let metrics = expect_result (Serve.Client.metrics c) in
           check Alcotest.bool "metrics payload is an object" true
-            (match metrics with J.Obj _ -> true | _ -> false)))
+            (match metrics with J.Obj _ -> true | _ -> false);
+          let counters = member_exn "counters" metrics in
+          List.iter
+            (fun name ->
+              check Alcotest.bool (name ^ " counted") true
+                (match member_exn name counters with J.Int _ -> true | _ -> false))
+            [ "rollback.undo_records"; "rollback.rows_restored" ]))
 
 (* raw pipelined connection: the blocking client can't over-run the
    admission queue, so speak frames directly *)
