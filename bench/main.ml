@@ -710,10 +710,10 @@ let bench_whatif_repeat () =
   let t =
     G.create
       ~title:
-        "Repeated what-if: session caches (incremental analyzer + plan cache \
-         + checkpoint ladder) cold vs warm"
+        "Repeated what-if: session caches (incremental analyzer + \
+         checkpoint ladder) cold vs warm"
       ~header:
-        [ "Bench"; "history"; "cold"; "warm"; "speedup"; "rollback"; "plans";
+        [ "Bench"; "history"; "cold"; "warm"; "speedup"; "rollback"; "redone";
           "hash" ]
   in
   let two_x = ref 0 in
@@ -724,8 +724,8 @@ let bench_whatif_repeat () =
          during regular service for the warm session. Checkpointing is
          observation-only, so the two logs — and therefore the two
          universes every run below produces — are identical. *)
-      (* raw mode: the log holds plain SQL statements, the granularity at
-         which plans compile (a transpiled history logs procedure calls) *)
+      (* raw mode: the log holds plain SQL statements (a transpiled
+         history logs procedure calls) *)
       let build_hist cp =
         let eng, rt = W.setup ~mode:R.Raw w in
         let base = Engine.snapshot eng in
@@ -749,7 +749,7 @@ let bench_whatif_repeat () =
                 (Engine.log eng_cold)
             in
             Whatif.run_exn
-              ~config:(Whatif.Config.make ~workers ~plans:false ())
+              ~config:(Whatif.Config.make ~workers ())
               ~analyzer eng_cold target)
       in
       let session workers =
@@ -800,7 +800,7 @@ let bench_whatif_repeat () =
           fmt !warm_ms;
           G.fmt_speedup speedup;
           !warm_out.Whatif.rollback_strategy;
-          string_of_int !warm_out.Whatif.plans_used;
+          string_of_int !warm_out.Whatif.redone;
           "ok";
         ];
       repeat_results :=
@@ -815,7 +815,7 @@ let bench_whatif_repeat () =
                 ("speedup", Uv_obs.Json.Float speedup);
                 ( "rollback_strategy",
                   Uv_obs.Json.Str !warm_out.Whatif.rollback_strategy );
-                ("plans_used", Uv_obs.Json.Int !warm_out.Whatif.plans_used);
+                ("redone", Uv_obs.Json.Int !warm_out.Whatif.redone);
                 ("hash_identical", Uv_obs.Json.Bool hash_ok);
               ];
           ])

@@ -117,15 +117,6 @@ let segment_scope =
     & info [ "segment" ] ~docv:"SEQ"
         ~doc:"scope the check to one chunk file of a segmented store")
 
-let no_plans =
-  Arg.(
-    value
-    & flag
-    & info [ "no-plans" ]
-        ~doc:
-          "disable the compiled-statement-plan cache (outcomes are identical \
-           either way; this exists for benchmarking)")
-
 (* ---------- serve endpoint ---------- *)
 
 let socket =

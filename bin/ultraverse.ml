@@ -127,9 +127,6 @@ let cache_json (s : Whatif.Service.stats) =
       ("analyzer_builds", J.Int s.Whatif.Service.analyzer_builds);
       ("analyzer_extends", J.Int s.Whatif.Service.analyzer_extends);
       ("analyzed_entries", J.Int s.Whatif.Service.analyzed_entries);
-      ("plan_cache_size", J.Int s.Whatif.Service.plan_cache_size);
-      ("plans_compiled", J.Int s.Whatif.Service.plans_compiled);
-      ("plan_cache_hits", J.Int s.Whatif.Service.plan_cache_hits);
       ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
       ("checkpoint_every", J.Int s.Whatif.Service.checkpoint_every);
     ]
@@ -161,7 +158,6 @@ let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
       ("degraded", J.Bool out.Whatif.degraded);
       ("retries", J.Int out.Whatif.retries);
       ("rollback_strategy", J.Str out.Whatif.rollback_strategy);
-      ("plans_used", J.Int out.Whatif.plans_used);
       ("redone", J.Int out.Whatif.redone);
       ("cache", cache);
       ("aborted", J.Null);
@@ -190,7 +186,7 @@ let whatif_abort_payload ~path ~tau ~op (e : Whatif.Error.t) =
 
 let whatif_cmd =
   let run path tau op stmt_text hash_jumper workers deadline json query
-      trace metrics checkpoint_every repeat no_plans =
+      trace metrics checkpoint_every repeat =
     let obs =
       if trace <> None || metrics then Uv_obs.Trace.create ()
       else Uv_obs.Trace.disabled
@@ -198,10 +194,10 @@ let whatif_cmd =
     let eng = load_history ~checkpoint_every path in
     let target = { Analyzer.tau; op = parse_op op stmt_text } in
     let config =
-      Whatif.Config.make ~hash_jumper ~workers ?deadline_ms:deadline ~obs ~checkpoint_every ~plans:(not no_plans) ()
+      Whatif.Config.make ~hash_jumper ~workers ?deadline_ms:deadline ~obs ~checkpoint_every ()
     in
-    (* a service so the analyzer, plan cache and checkpoint ladder
-       amortize across --repeat runs of the same question *)
+    (* a service so the analyzer and checkpoint ladder amortize across
+       --repeat runs of the same question *)
     let svc = Whatif.Service.create ~config eng in
     let ask () =
       Result.map (fun r -> r.Whatif.Service.outcome) (Whatif.Service.run svc target)
@@ -212,9 +208,9 @@ let whatif_cmd =
       (match !result with
       | Ok out ->
           if not json then
-            Printf.printf "run %d/%d: %.2f ms (rollback: %s, plans: %d)\n"
+            Printf.printf "run %d/%d: %.2f ms (rollback: %s, redone: %d)\n"
               (k - 1) repeat out.Whatif.real_ms out.Whatif.rollback_strategy
-              out.Whatif.plans_used
+              out.Whatif.redone
       | Error _ -> ());
       result := ask ()
     done;
@@ -247,8 +243,7 @@ let whatif_cmd =
         out.Whatif.replayed
         (Log.length (Engine.log eng))
         out.Whatif.undone out.Whatif.real_ms;
-      Printf.printf "rollback strategy %s; %d member(s) ran a compiled plan\n"
-        out.Whatif.rollback_strategy out.Whatif.plans_used;
+      Printf.printf "rollback strategy %s\n" out.Whatif.rollback_strategy;
       Printf.printf "redone %d of %d members\n"
         out.Whatif.redone out.Whatif.replayed;
       (let st = Whatif.Service.stats svc in
@@ -313,16 +308,15 @@ let whatif_cmd =
     Arg.(value & opt int 1
          & info [ "repeat" ] ~docv:"N"
              ~doc:"ask the same what-if question N times through one cached \
-                   service; later runs reuse the analyzer and compiled \
-                   statement plans (cache statistics land in the JSON \
-                   report)")
+                   service; later runs reuse the analyzer (cache statistics \
+                   land in the JSON report)")
   in
   Cmd.v
     (Cmd.info "whatif" ~doc:"run a retroactive operation on a history")
     Term.(const run $ Cli_args.history_pos $ Cli_args.tau $ Cli_args.op
           $ Cli_args.stmt_text $ hash_jumper $ Cli_args.workers
           $ Cli_args.deadline $ Cli_args.json $ Cli_args.query $ trace
-          $ metrics $ Cli_args.checkpoint_every $ repeat $ Cli_args.no_plans)
+          $ metrics $ Cli_args.checkpoint_every $ repeat)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                 *)
@@ -671,8 +665,7 @@ let templates_cmd =
 
 let serve_cmd =
   let run path socket host port store_dir sync_every sync_ms pool_workers
-      replay_workers queue_capacity max_clients deadline checkpoint_every
-      no_plans json =
+      replay_workers queue_capacity max_clients deadline checkpoint_every json =
     match Cli_args.addr_of ~socket ~host ~port with
     | Error msg ->
         prerr_endline msg;
@@ -727,8 +720,7 @@ let serve_cmd =
               Some dur
         in
         let config =
-          Whatif.Config.make ~workers:replay_workers ~obs ~checkpoint_every
-            ~plans:(not no_plans) ()
+          Whatif.Config.make ~workers:replay_workers ~obs ~checkpoint_every ()
         in
         let service = Whatif.Service.create ~config eng in
         (* analyze the loaded history up front so the first client
@@ -843,7 +835,7 @@ let serve_cmd =
           $ Cli_args.tcp_host $ Cli_args.tcp_port $ store_dir $ sync_every
           $ sync_ms $ pool_workers $ replay_workers $ queue_capacity
           $ max_clients $ Cli_args.deadline $ Cli_args.checkpoint_every
-          $ Cli_args.no_plans $ Cli_args.json)
+          $ Cli_args.json)
 
 let client_cmd =
   let module J = Uv_obs.Json in

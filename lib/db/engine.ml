@@ -11,11 +11,9 @@ type result = {
   rows : Value.t array list;
   rows_written : int;
   hash_deltas : (string * int64) list;
-  plan_used : bool;
 }
 
-let empty_result =
-  { columns = []; rows = []; rows_written = 0; hash_deltas = []; plan_used = false }
+let empty_result = { columns = []; rows = []; rows_written = 0; hash_deltas = [] }
 
 type t = {
   cat : Catalog.t;
@@ -1503,40 +1501,10 @@ and exec_stmt t env (s : stmt) : result =
       empty_result
 
 (* ------------------------------------------------------------------ *)
-(* Compiled statement plans                                             *)
+(* Row filters                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A plan freezes the name-resolution and AST-walking work of a
-   trigger-free UPDATE/DELETE on a base table: column offsets are
-   resolved once, the WHERE predicate and SET list become closures over
-   the row array, and an equality on an indexed column is noted for an
-   index probe. Plans hold no [Storage.t] handle — what-if replay runs
-   against fresh temporary catalogs, so the plan re-binds its table by
-   name at execution and validates with a physical-equality check on the
-   schema record ([Storage.copy] shares it; DDL replaces it). An invalid
-   bind falls back to the interpreter, which is always sound. Plans are
-   immutable after [prepare], so they are shared read-only across replay
-   domains. *)
-
 type compiled_expr = Value.t array -> Value.t
-
-type plan_action =
-  | P_update of (int * Value.ty * compiled_expr) list
-  | P_delete
-
-type plan = {
-  plan_table : string;
-  plan_schema : Schema.table; (* the physical record captured at prepare *)
-  plan_cur_where : cur_expr option;
-      (* the WHERE predicate compiled against a column cursor: victims
-         are filtered on the typed columns and only matches materialize *)
-  plan_probe : (string * Value.t) option; (* [col = literal] conjunct *)
-  plan_batchable : bool;
-      (* true when the assigns touch no PRIMARY KEY or UNIQUE column, so
-         the per-victim constraint checks are state-independent and the
-         row writes can go through one [Storage.update_many] batch *)
-  plan_action : plan_action;
-}
 
 (* The compilable expression subset: column refs, literals, arithmetic,
    comparisons and short-circuit AND/OR, plus the other pure forms
@@ -1662,143 +1630,6 @@ let row_filter (sch : Schema.table) (w : expr) =
           true)
     | None -> true
 
-let prepare cat (stmt : Ast.stmt) : plan option =
-  let no_vars : (string, Value.t) Hashtbl.t = Hashtbl.create 1 in
-  let build table where ~batchable
-      (mk : Storage.t -> Schema.table -> plan_action) event =
-    match Catalog.table cat table with
-    | None -> None (* view or unknown target: interpreter handles it *)
-    | Some st ->
-        if Catalog.triggers_for cat table event <> [] then None
-        else
-          let sch = Storage.schema st in
-          try
-            Some
-              {
-                plan_table = table;
-                plan_schema = sch;
-                plan_cur_where =
-                  Option.map (compile_cur ~vars:no_vars sch table) where;
-                plan_probe = Option.bind where (probe_of table);
-                plan_batchable = batchable sch;
-                plan_action = mk st sch;
-              }
-          with Not_compilable -> None
-  in
-  match stmt with
-  | Update { table; assigns; where } ->
-      (* batchable when no PRIMARY KEY / UNIQUE column is assigned: the
-         constraint checks are then independent of the other victims'
-         writes, and compiled assigns are pure row functions already *)
-      build table where
-        ~batchable:(fun sch ->
-          let keyed =
-            Schema.primary_key_columns sch @ Schema.unique_columns sch
-          in
-          List.for_all
-            (fun (cname, _) -> not (List.exists (String.equal cname) keyed))
-            assigns)
-        (fun st sch ->
-          P_update
-            (List.map
-               (fun (cname, e) ->
-                 match Storage.column_index st cname with
-                 | Some i ->
-                     let col = List.nth sch.Schema.tbl_columns i in
-                     (i, col.Schema.col_ty, compile_expr sch table e)
-                 | None -> raise Not_compilable)
-               assigns))
-        Ev_update
-  | Delete { table; where } ->
-      build table where ~batchable:(fun _ -> true) (fun _ _ -> P_delete)
-        Ev_delete
-  | _ -> None
-
-(* Run a plan, or decline ([None]) when it no longer binds: table gone,
-   schema record replaced by DDL, or a trigger appeared since [prepare].
-   Victim collection and mutation order reproduce the interpreter's
-   exactly (ascending rowid), and all journalling goes through the same
-   [j_update]/[j_delete], so the log entry and undo images are
-   indistinguishable from an interpreted run. *)
-let try_plan t (p : plan) : result option =
-  match Catalog.table t.cat p.plan_table with
-  | None -> None
-  | Some st ->
-      let event =
-        match p.plan_action with P_update _ -> Ev_update | P_delete -> Ev_delete
-      in
-      if
-        Storage.schema st != p.plan_schema
-        || Catalog.triggers_for t.cat p.plan_table event <> []
-      then None
-      else begin
-        let victims =
-          match p.plan_cur_where with
-          | Some cw -> (
-              (* filter on the typed columns; only matches materialize *)
-              let pred cur = Value.to_bool (cw cur) in
-              match p.plan_probe with
-              | Some (_, Value.Null) -> [] (* col = NULL matches no row *)
-              | Some (col, v) -> (
-                  match Storage.indexed_lookup st col v with
-                  | Some ids ->
-                      Storage.Col.select_ids st (List.sort compare ids) pred
-                  | None -> Storage.Col.select st pred)
-              | None -> Storage.Col.select st pred)
-          | None -> Storage.to_rows st (* no WHERE: every row is a victim *)
-        in
-        (match (p.plan_action, victims) with
-        | _, [] -> ()
-        | P_update assigns, _ when p.plan_batchable ->
-            (* per-statement batch: one lock acquisition, one hash-chain
-               update; constraint checks against the pre-statement state
-               are equivalent because no keyed column is assigned *)
-            let updates =
-              List.map
-                (fun (rid, row) ->
-                  let fresh = Array.copy row in
-                  List.iter
-                    (fun (i, ty, ce) -> fresh.(i) <- Value.coerce ty (ce row))
-                    assigns;
-                  check_row_constraints t st (Some rid) fresh;
-                  (rid, fresh))
-                victims
-            in
-            let name = Storage.name st in
-            let before =
-              Storage.update_many ~delta:(written_delta t name) st updates
-            in
-            List.iter2
-              (fun (rid, fresh) (_, old) ->
-                t.journal <-
-                  Log.U_row_update (name, rid, old, Array.copy fresh)
-                  :: t.journal;
-                t.rows_written <- t.rows_written + 1)
-              updates before
-        | P_update assigns, _ ->
-            List.iter
-              (fun (rid, row) ->
-                let fresh = Array.copy row in
-                List.iter
-                  (fun (i, ty, ce) -> fresh.(i) <- Value.coerce ty (ce row))
-                  assigns;
-                check_row_constraints t st (Some rid) fresh;
-                ignore (j_update t st rid fresh))
-              victims
-        | P_delete, _ ->
-            let name = Storage.name st in
-            let removed =
-              Storage.delete_many ~delta:(written_delta t name) st
-                (List.map fst victims)
-            in
-            List.iter
-              (fun (rid, row) ->
-                t.journal <- Log.U_row_delete (name, rid, row) :: t.journal;
-                t.rows_written <- t.rows_written + 1)
-              removed);
-        Some { empty_result with rows_written = List.length victims }
-      end
-
 (* ------------------------------------------------------------------ *)
 (* Top-level entry points                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1824,7 +1655,7 @@ let error_context t sql =
   in
   Printf.sprintf " [at log index %d: %s]" (Log.length t.log + 1) sql
 
-let exec ?app_txn ?(nondet = []) ?rowid_base ?plan ?sql t stmt =
+let exec ?app_txn ?(nondet = []) ?rowid_base ?sql t stmt =
   begin_statement ?rowid_base t nondet;
   Uv_util.Clock.charge_rtt t.clock ();
   (* pre-statement state: an injected (infrastructure) fault restores all
@@ -1840,15 +1671,7 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?plan ?sql t stmt =
     Uv_fault.Fault.fire ~key:t.sim_time t.fault Uv_fault.Fault.Site.engine_exec
       [ Uv_fault.Fault.Stmt_fail ];
     let r =
-      try
-        match Option.bind plan (try_plan t) with
-        | Some r ->
-            if traced then Uv_obs.Trace.incr t.obs "db.plan_hits";
-            { r with plan_used = true }
-        | None ->
-            if Option.is_some plan && traced then
-              Uv_obs.Trace.incr t.obs "db.plan_binds_failed";
-            exec_stmt t (empty_env ()) stmt
+      try exec_stmt t (empty_env ()) stmt
       with Failure msg -> sql_error "%s" msg
     in
     (* the statement executed; a fault here models a crash before its log

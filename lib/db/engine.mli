@@ -42,10 +42,6 @@ type result = {
           the hash delta its row mutations applied — the sum of the row
           digests it added minus those it removed, modulo
           {!Uv_util.Table_hash.modulus}. Empty elsewhere. *)
-  plan_used : bool;
-      (** set by {!exec}: the statement ran the [~plan] it was given (the
-          plan bound); false when it had none or fell back to the
-          interpreter *)
 }
 
 val empty_result : result
@@ -89,37 +85,21 @@ val catalog : t -> Catalog.t
 val log : t -> Log.t
 val clock : t -> Uv_util.Clock.t
 
-type plan
-(** A compiled statement plan: column offsets resolved, WHERE predicate
-    and SET list compiled to closures over the row array, index-probe
-    opportunity noted. Immutable after {!prepare}, so safe to share
-    read-only across replay domains. A plan holds no table handle — it
-    re-binds by name at execution and self-validates (physical equality
-    of the schema record, absence of triggers), falling back to the
-    interpreter when stale, so executing with a plan is always
-    observationally identical to executing without one. *)
-
-val prepare : Catalog.t -> Ast.stmt -> plan option
-(** Compile a trigger-free UPDATE or DELETE on a base table whose WHERE
-    and SET expressions stay within the pure subset (columns, literals,
-    arithmetic, comparisons, AND/OR, NOT, IS NULL, BETWEEN, IN over pure
-    items). [None] for everything else — other statement forms, view
-    targets, triggered tables, or expressions that could draw
-    non-determinism or read other tables. *)
-
 val row_filter : Schema.table -> Ast.expr -> Value.t array -> bool
 (** [row_filter schema w row]: may a statement whose WHERE clause over
     [schema]'s rows is [w] select [row]? False only where {!exec}'s
     evaluation of [w] on that row image is not true: an AND-reachable
-    [column = literal] conjunct does not hold, or the whole of [w], in
-    {!prepare}'s pure subset, evaluates to false or NULL. [w] must not
-    read other rows (no subqueries). *)
+    [column = literal] conjunct does not hold, or the whole of [w]
+    evaluates to false or NULL. The whole of [w] is tested only when it
+    stays within the pure subset (columns of [schema], literals,
+    arithmetic, comparisons, AND/OR, NOT, IS NULL, BETWEEN, IN over pure
+    items); otherwise only the conjunct is. [w] must not read other rows
+    (no subqueries). *)
 
 val exec :
   ?app_txn:string ->
   ?nondet:Value.t list ->
   ?rowid_base:int ->
-  ?plan:plan ->
   ?sql:string ->
   t ->
   Ast.stmt ->
@@ -132,10 +112,7 @@ val exec :
     the application-level transaction that issued it. [~rowid_base] pins the statement's row
     inserts to rowids [base], [base + 1], ... — the wave executor gives
     each replayed statement a private range so physical row placement is
-    deterministic at every worker count. [~plan] must be a plan
-    {!prepare}d from this very statement (the what-if session caches
-    plans keyed by log-entry identity); a plan that no longer binds is
-    ignored in favour of the interpreter. [~sql] must be
+    deterministic at every worker count. [~sql] must be
     [Printer.stmt_compact] of the statement: replay passes the text of
     the log entry it re-executes, so the new entry's [sql] is not
     rendered again. *)

@@ -48,13 +48,11 @@ type undo_stats = { undo_records : int; rows_restored : int }
 
 (* One row during the fold: the image the storage holds ([None]:
    absent) and the one the records walked so far leave. [owned] marks
-   [now] as the fold's own copy, patched in place; [exact] marks a row
-   written through record by record (see [undo_entries]). *)
+   [now] as the fold's own copy, patched in place. *)
 type pending_row = {
-  mutable stored : Value.t array option;
+  stored : Value.t array option;
   mutable now : Value.t array option;
   mutable owned : bool;
-  mutable exact : bool;
 }
 
 type pending_table = {
@@ -90,23 +88,15 @@ let same_image a b =
    its image, so writing first-to-final equals walking every
    intermediate image.
 
-   Two records are applied as they come instead. A DDL record may
-   replace table handles: every pending row is written first and the
-   handles are read again after it. A re-insert over a row live in the
-   folded state keeps the replaced image in the hash and its keys in
-   the indexes ([Storage.insert_with_rowid]): the row is written, the
-   record applied as is, and the row's later records in the call are
-   written through one by one, since a stale posting is dropped by
-   whichever later image of the row passes through its key. Stale
-   postings from before the call are not known here: the fold is exact
-   when the tables start without any, which holds for logged entries,
-   whose rowids are never reused while the row is live. *)
+   A re-insert over a row live in the folded state replaces it, as
+   [Storage.insert_with_rowid] does, so it folds like any other.
+
+   A DDL record is applied as it comes instead. It may replace table
+   handles: every pending row is written first and the handles are read
+   again after it. *)
 let undo_entries cat journals =
   let records = ref 0 and restored = ref 0 in
   let pending : (string, pending_table) Hashtbl.t = Hashtbl.create 8 in
-  (* (table, rowid) of every re-insert over a live row so far: its stale
-     postings outlive a DDL barrier's flush *)
-  let exact_rows = ref [] in
   (* runs of records on one table are the common case *)
   let last = ref None in
   let table name =
@@ -134,8 +124,7 @@ let undo_entries cat journals =
     | Some r -> r
     | None ->
         let img = Storage.get p.tbl rowid in
-        let exact = !exact_rows <> [] && List.mem (p.name, rowid) !exact_rows in
-        let r = { stored = img; now = img; owned = false; exact } in
+        let r = { stored = img; now = img; owned = false } in
         Hashtbl.add p.rows rowid r;
         r
   in
@@ -144,13 +133,6 @@ let undo_entries cat journals =
       Storage.restore_many p.tbl changes;
       restored := !restored + List.length changes
     end
-  in
-  (* write one row now; [stored] and [now] share the image afterwards,
-     so the next patch copies it *)
-  let sync p rowid r =
-    if not (same_image r.stored r.now) then write p [ (rowid, r.now) ];
-    r.stored <- r.now;
-    r.owned <- false
   in
   let flush () =
     Hashtbl.iter
@@ -169,10 +151,7 @@ let undo_entries cat journals =
   let on_row name rowid f =
     match table name with
     | None -> ()
-    | Some p ->
-        let r = row p rowid in
-        f p r;
-        if r.exact then sync p rowid r
+    | Some p -> f p (row p rowid)
   in
   let undo u =
     incr records;
@@ -180,18 +159,8 @@ let undo_entries cat journals =
     | U_row_insert (name, rowid, _) -> on_row name rowid (fun _ r -> r.now <- None)
     | U_row_delete (name, rowid, image) ->
         on_row name rowid (fun p r ->
-            (match r.now with
-            | None ->
-                r.now <- Some image;
-                r.owned <- false
-            | Some _ ->
-                sync p rowid r;
-                Storage.insert_with_rowid p.tbl rowid image;
-                incr restored;
-                r.stored <- Some image;
-                r.now <- Some image;
-                if not r.exact then exact_rows := (p.name, rowid) :: !exact_rows;
-                r.exact <- true);
+            r.now <- Some image;
+            r.owned <- false;
             p.floor <- max p.floor (rowid + 1))
     | U_row_update (name, rowid, before, after) ->
         on_row name rowid (fun _ r ->

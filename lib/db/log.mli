@@ -55,7 +55,7 @@ type undo_stats = {
   undo_records : int;  (** records walked, DDL included *)
   rows_restored : int;
       (** rows written: those whose final image differs from the one
-          first read, and each re-insert over a live row *)
+          first read *)
 }
 
 val undo_entries : Catalog.t -> undo list list -> undo_stats
@@ -73,14 +73,10 @@ val undo_entries : Catalog.t -> undo list list -> undo_stats
     ({!Storage.restore_many}): only the rows whose final image differs
     from the first one read. The table hash, row digests, scan order,
     index postings, [next_rowid] and counters come out as applying every
-    record would leave them. A DDL record is applied as it comes, after
-    the rows pending before it are written; so is a re-insert over a row
-    that is live in the folded state, which {!Storage.insert_with_rowid}
-    resolves by keeping the replaced image in the hash and indexes, and
-    that row's later records are then written one by one. Such a stale
-    index posting left before the call is not seen, so the equality
-    holds for tables without one, as logged entries keep them. Tables
-    absent from the catalog are skipped. *)
+    record would leave them; a re-insert over a row that is live in the
+    folded state replaces it, as {!Storage.insert_with_rowid} does. A
+    DDL record is applied as it comes, after the rows pending before it
+    are written. Tables absent from the catalog are skipped. *)
 
 val apply_undo : Catalog.t -> undo list -> unit
 (** [undo_entries] of one entry's journal (statement rollback). *)

@@ -565,35 +565,6 @@ let add_row t id row =
   t.live <- t.live + 1;
   if id >= t.next_rowid then t.next_rowid <- id + 1
 
-let insert_unlocked ?delta t id row =
-  (* replacing an existing rowid keeps the historical semantics: the old
-     image vanishes from scans but stays in the hash and indexes (only
-     undo re-insertion can hit this, on images the hash already
-     accounts for) *)
-  (match Rowid_map.find t.slots id with
-  | -1 -> add_row t id row
-  | s ->
-      write_cells t s row;
-      if id >= t.next_rowid then t.next_rowid <- id + 1);
-  fold_delta t delta (row_digest t row);
-  index_add t row id
-
-let insert ?delta t row =
-  locked t (fun () ->
-      let id = t.next_rowid in
-      insert_unlocked ?delta t id row;
-      id)
-
-let insert_with_rowid ?delta t id row =
-  locked t (fun () -> insert_unlocked ?delta t id row)
-
-let insert_at ?delta t id row =
-  locked t (fun () ->
-      if Rowid_map.mem t.slots id then
-        invalid_arg "Storage.insert_at: rowid already in use";
-      insert_unlocked ?delta t id row;
-      id)
-
 let live_slot t id =
   let s = Rowid_map.find t.slots id in
   if s < 0 then raise Not_found else s
@@ -619,6 +590,32 @@ let replace_row t id row =
 
 let replaced_delta t before row =
   Uv_util.Table_hash.add_mod (neg_delta (row_digest t before)) (row_digest t row)
+
+let insert_unlocked ?delta t id row =
+  (* over a live rowid the row is replaced, as in [restore_many] *)
+  if Rowid_map.find t.slots id >= 0 then
+    fold_delta t delta (replaced_delta t (replace_row t id row) row)
+  else begin
+    add_row t id row;
+    fold_delta t delta (row_digest t row);
+    index_add t row id
+  end
+
+let insert ?delta t row =
+  locked t (fun () ->
+      let id = t.next_rowid in
+      insert_unlocked ?delta t id row;
+      id)
+
+let insert_with_rowid ?delta t id row =
+  locked t (fun () -> insert_unlocked ?delta t id row)
+
+let insert_at ?delta t id row =
+  locked t (fun () ->
+      if Rowid_map.mem t.slots id then
+        invalid_arg "Storage.insert_at: rowid already in use";
+      insert_unlocked ?delta t id row;
+      id)
 
 let delete ?delta t id =
   locked t (fun () ->

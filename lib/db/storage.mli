@@ -79,7 +79,8 @@ val insert_with_rowid :
   ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array -> unit
 (** Re-insert a row under a known rowid (undo of a delete). The dead
     slot the delete left is revived in place, so the scan order needs
-    no change. *)
+    no change. Over a live rowid the row is replaced: the old image
+    leaves the hash and the indexes, as in {!restore_many}. *)
 
 val insert_at : ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array -> rowid
 (** Insert under an explicit fresh rowid, raising [Invalid_argument] if

@@ -119,8 +119,7 @@ let config_with_deadline base deadline_ms =
   C.make ~mode:(C.mode base) ~workers:(C.workers base)
     ~hash_jumper:(C.hash_jumper base) ~grouped:(C.grouped base)
     ~obs:(C.obs base) ?deadline_ms
-    ~fault:(C.fault base) ~checkpoint_every:(C.checkpoint_every base)
-    ~plans:(C.plans base) ()
+    ~fault:(C.fault base) ~checkpoint_every:(C.checkpoint_every base) ()
 
 let whatif_result (r : Whatif.Service.reply) =
   let o = r.Whatif.Service.outcome in
@@ -136,6 +135,8 @@ let whatif_result (r : Whatif.Service.reply) =
       ("waves", J.Int o.Whatif.exec_waves);
       ("changed", J.Bool o.Whatif.changed);
       ("rollback_strategy", J.Str o.Whatif.rollback_strategy);
+      (* inert, always 0; removed by the next benchmark change (ROADMAP
+         item 1) *)
       ("plans_used", J.Int o.Whatif.plans_used);
       ("redone", J.Int o.Whatif.redone);
       ("final_db_hash", J.Str (Printf.sprintf "%Lx" o.Whatif.final_db_hash));
@@ -235,9 +236,6 @@ let stats_json t =
             ("analyzer_builds", J.Int s.Whatif.Service.analyzer_builds);
             ("analyzer_extends", J.Int s.Whatif.Service.analyzer_extends);
             ("analyzed_entries", J.Int s.Whatif.Service.analyzed_entries);
-            ("plan_cache_size", J.Int s.Whatif.Service.plan_cache_size);
-            ("plans_compiled", J.Int s.Whatif.Service.plans_compiled);
-            ("plan_cache_hits", J.Int s.Whatif.Service.plan_cache_hits);
             ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
             ("ingested", J.Int s.Whatif.Service.ingested);
             ("publishes", J.Int s.Whatif.Service.publishes);

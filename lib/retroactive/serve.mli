@@ -80,8 +80,11 @@ val start :
   addr ->
   t
 (** Bind, listen, and spawn the accept loop. [obs] (default: a fresh
-    live collector) receives [serve.*] counters and everything the
-    what-if runs record; the [metrics] endpoint scrapes it. [durable]
+    live collector) receives the [serve.*] counters; the [metrics]
+    endpoint scrapes it. The what-if runs record into the service's own
+    collector, its [Config.obs], not into [obs]: the [metrics] endpoint
+    sees them only when the two are one collector, as the
+    [ultraverse serve] CLI passes them. [durable]
     (freshly attached, {e not} yet started — [start] binds it to the
     service's ingest path and {!stop} closes it) makes ingest
     acknowledgments crash-safe. [SIGPIPE] is ignored process-wide on

@@ -7,9 +7,6 @@ type item = {
   sim_time : int;
   rowid_base : int;
   structural : bool;
-  plan : Uv_db.Engine.plan option;
-      (* compiled plan from the session cache; immutable, shared
-         read-only across domains, self-validating at bind time *)
   journal : Uv_db.Log.undo list option;
       (* the statement's historical journal: what member redo reenacts
          and settles against *)
@@ -25,7 +22,6 @@ type t = {
   degraded : bool;
   redone : int;
   executed : int;
-  plans_bound : int;
 }
 
 (* A table's AUTO_INCREMENT counter as the restamp walks the replayed
@@ -38,7 +34,6 @@ type ran = {
   ms : float;
   out : (Uv_db.Log.entry * (string * int64) list) option;
   redone : bool;
-  bound : bool;  (* executed through its compiled plan *)
 }
 
 (* One replayed statement runs on its own lightweight engine sharing the
@@ -109,7 +104,6 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
             ms = 0.0;
             out = Some (entry, r.Uv_db.Log.redo_deltas);
             redone = true;
-            bound = false;
           })
   | None -> (
       let attempt () =
@@ -121,7 +115,7 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
         timed (fun () ->
             match
               Uv_db.Engine.exec ?app_txn:it.app_txn ~nondet:it.nondet
-                ~rowid_base:it.rowid_base ?plan:it.plan ~sql:it.sql eng it.stmt
+                ~rowid_base:it.rowid_base ~sql:it.sql eng it.stmt
             with
             | r ->
                 let out =
@@ -131,10 +125,10 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
                         r.Uv_db.Engine.hash_deltas )
                   else None
                 in
-                { ms = 0.0; out; redone = false; bound = r.Uv_db.Engine.plan_used }
+                { ms = 0.0; out; redone = false }
             | exception (Uv_db.Engine.Sql_error _ | Uv_db.Engine.Signal_raised _)
               ->
-                { ms = 0.0; out = None; redone = false; bound = false })
+                { ms = 0.0; out = None; redone = false })
       in
       try attempt ()
       with Uv_fault.Fault.Injected _ ->
@@ -179,7 +173,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
             | None -> [])
     | _ -> ()
   in
-  let redone = ref 0 and executed = ref 0 and plans_bound = ref 0 in
+  let redone = ref 0 and executed = ref 0 in
   let durations = Hashtbl.create 64 in
   (* idx -> re-executed entry: raw until the restamp below rewrites it *)
   let entries : (int, Uv_db.Log.entry) Hashtbl.t = Hashtbl.create 64 in
@@ -193,7 +187,6 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
   let finish_item it ran =
     Hashtbl.replace durations it.idx ran.ms;
     if it.idx > 0 then incr (if ran.redone then redone else executed);
-    if ran.bound then incr plans_bound;
     (match ran.out with
     | Some (e, ds) ->
         Hashtbl.replace entries it.idx e;
@@ -484,5 +477,4 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     degraded;
     redone = !redone;
     executed = !executed;
-    plans_bound = !plans_bound;
   }

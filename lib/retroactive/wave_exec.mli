@@ -40,11 +40,6 @@ type item = {
   rowid_base : int;  (** private rowid range for the statement's inserts *)
   structural : bool;
       (** run exclusively within its wave (trigger-firing writes) *)
-  plan : Uv_db.Engine.plan option;
-      (** compiled plan from the what-if session's cache, keyed by this
-          entry's identity; immutable and therefore shared read-only
-          across domains. A stale plan self-invalidates at bind time, so
-          carrying one never changes results. *)
   journal : Uv_db.Log.undo list option;
       (** the statement's historical journal ([[]] for an added
           statement): with [execute ~redo], what a clean member is
@@ -70,7 +65,6 @@ type t = {
           deaths; results are identical, parallelism was lost *)
   redone : int;  (** items (the head aside) redone from their journal *)
   executed : int;  (** items (the head aside) executed *)
-  plans_bound : int;  (** statements that ran their compiled plan *)
 }
 
 type schedule =

@@ -8,13 +8,13 @@ module Config = struct
     deadline_ms : float option;
     fault : Uv_fault.Fault.t;
     checkpoint_every : int;
-    plans : bool;
   }
 
   let make ?(mode = Analyzer.Cell) ?(workers = 8) ?(hash_jumper = false)
       ?(grouped = false) ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
       ?(fault = Uv_fault.Fault.disabled) ?(checkpoint_every = 0)
-      ?(plans = true) () =
+      ?plans:_ () =
+    (* [?plans] is inert; see whatif.mli *)
     {
       mode;
       workers = max 1 workers;
@@ -24,7 +24,6 @@ module Config = struct
       deadline_ms;
       fault;
       checkpoint_every = max 0 checkpoint_every;
-      plans;
     }
 
   let default = make ()
@@ -36,7 +35,6 @@ module Config = struct
   let deadline_ms c = c.deadline_ms
   let fault c = c.fault
   let checkpoint_every c = c.checkpoint_every
-  let plans c = c.plans
 end
 
 module Error = struct
@@ -96,7 +94,7 @@ type outcome = {
   temp_catalog : Uv_db.Catalog.t;
   merge : merge;
   rollback_strategy : string;
-  plans_used : int;
+  plans_used : int; (* always 0; see whatif.mli *)
   redone : int;
 }
 
@@ -227,8 +225,8 @@ let checkpoint_rollback ladder log temp_cat undo_list =
             true
           end)
 
-let run_inner ~(config : Config.t) ~cur_phase ~analyzer
-    ?(plan_for = fun _ -> None) eng (target : Analyzer.target) =
+let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
+    (target : Analyzer.target) =
   let obs = config.Config.obs in
   let fault = config.Config.fault in
   let log = Uv_db.Engine.log eng in
@@ -365,8 +363,6 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   in
   (* 4. replay forward, in commit order or over the replay DAG's waves *)
   let hash_jump_at = ref None in
-  (* compiled plans from the service's cache, one lookup per member *)
-  let member_plans = List.map (fun i -> (i, plan_for i)) members in
   (* members are redone from their journals when the schema holds still
      and the row keys are current; the removed or changed target must be
      DML too, as its journal seeds the dirty set *)
@@ -415,7 +411,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     let items =
       Uv_obs.Trace.with_span obs ~cat:"replay" "replay.items" @@ fun () ->
       List.map
-        (fun (i, plan) ->
+        (fun i ->
           let entry = Uv_db.Log.entry log i in
           {
             Wave_exec.idx = i;
@@ -429,10 +425,9 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
               List.exists
                 (fun t -> List.mem t structural_tables)
                 (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
-            plan;
             journal = (if redo_fits then Some entry.Uv_db.Log.undo else None);
           })
-        member_plans
+        members
     in
     let tau_journal =
       match tau_entry with Some e -> e.Uv_db.Log.undo | None -> []
@@ -450,7 +445,6 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
               sim_time = 1_700_000_000 + target.Analyzer.tau;
               rowid_base = r0;
               structural = true;
-              plan = None;
               journal = (if redo_fits then Some tau_journal else None);
             }
       | Analyzer.Remove -> None
@@ -521,9 +515,6 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     end;
     (dag, res, redo)
   in
-  let plans_used = res.Wave_exec.plans_bound in
-  if plans_used > 0 then
-    Uv_obs.Trace.incr obs ~by:plans_used "whatif.plans_used";
   if Uv_obs.Trace.enabled obs then begin
     (* every question counts, so each counter is present, 0 included *)
     let count name by = Uv_obs.Trace.incr obs ~by name in
@@ -626,7 +617,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     temp_catalog = temp_cat;
     merge;
     rollback_strategy;
-    plans_used;
+    plans_used = 0;
     redone = res.Wave_exec.redone;
   }
 
@@ -697,13 +688,11 @@ let guarded cur_phase f =
 (* Service: thread-safe what-if over one shared, growing history        *)
 (* ------------------------------------------------------------------ *)
 
-module Imap = Map.Make (Int)
-
 module Service = struct
   (* One immutable view of every analysis cache, published as a unit:
      readers obtain the whole set with a single atomic load and can
      never observe a half-swapped cache (analyzer from one history
-     length, plans from another). The atomic swap alone is not the full
+     length, epoch from another). The atomic swap alone is not the full
      concurrency argument, though — [Analyzer.extend] mutates the
      analyzer value *inside* the current snapshot in place. The
      reader/writer lock is what makes that sound: ingest/publish runs
@@ -714,11 +703,9 @@ module Service = struct
     analyzer : Analyzer.t option;
     analyzed_len : int;
     epoch : int;
-    plans : Uv_db.Engine.plan option Imap.t;
   }
 
-  let empty_snapshot =
-    { analyzer = None; analyzed_len = 0; epoch = -1; plans = Imap.empty }
+  let empty_snapshot = { analyzer = None; analyzed_len = 0; epoch = -1 }
 
   type reply = { outcome : outcome; history_len : int }
 
@@ -727,9 +714,7 @@ module Service = struct
     analyzer_builds : int;
     analyzer_extends : int;
     analyzed_entries : int;
-    plan_cache_size : int;
-    plans_compiled : int;
-    plan_cache_hits : int;
+    plan_cache_hits : int; (* always 0; see whatif.mli *)
     checkpoint_rungs : int;
     checkpoint_every : int;
     ingested : int;
@@ -751,8 +736,6 @@ module Service = struct
     runs : int Atomic.t;
     analyzer_builds : int Atomic.t;
     analyzer_extends : int Atomic.t;
-    plans_compiled : int Atomic.t;
-    plan_cache_hits : int Atomic.t;
     ingested : int Atomic.t;
     publishes : int Atomic.t;
   }
@@ -775,8 +758,6 @@ module Service = struct
       runs = Atomic.make 0;
       analyzer_builds = Atomic.make 0;
       analyzer_extends = Atomic.make 0;
-      plans_compiled = Atomic.make 0;
-      plan_cache_hits = Atomic.make 0;
       ingested = Atomic.make 0;
       publishes = Atomic.make 0;
     }
@@ -799,7 +780,6 @@ module Service = struct
         analyzer = Some analyzer;
         analyzed_len = Uv_db.Log.length (Uv_db.Engine.log eng);
         epoch = Uv_db.Catalog.epoch (Uv_db.Engine.catalog eng);
-        plans = Imap.empty;
       }
     in
     make_t ~config ~rowset:None ~base:None ~pinned:true ~state eng
@@ -821,7 +801,7 @@ module Service = struct
 
   (* Bring the published snapshot up to the engine's committed head.
      Caller must hold the write lock. New DML-only entries extend the
-     analyzer in O(Δ) and compile plans for just the delta; a shrunk
+     analyzer in O(Δ); a shrunk
      log, a catalog epoch change (DDL, restore) or DDL among the new
      entries rebuilds from scratch. *)
   let publish_locked t =
@@ -830,22 +810,6 @@ module Service = struct
     let n = Uv_db.Log.length log in
     let ep = Uv_db.Catalog.epoch (Uv_db.Engine.catalog t.eng) in
     let snap = Atomic.get t.state in
-    let compile plans lo =
-      if not (Config.plans t.config) then plans
-      else begin
-        let acc = ref plans in
-        for i = lo to n do
-          let p =
-            Uv_db.Engine.prepare
-              (Uv_db.Engine.catalog t.eng)
-              (Uv_db.Log.entry log i).Uv_db.Log.stmt
-          in
-          if Option.is_some p then Atomic.incr t.plans_compiled;
-          acc := Imap.add i p !acc
-        done;
-        !acc
-      end
-    in
     let new_ddl () =
       let rec go i =
         i <= n
@@ -862,12 +826,7 @@ module Service = struct
             Atomic.incr t.analyzer_extends;
             Uv_obs.Trace.incr obs "whatif.service.analyzer_extends"
           end;
-          {
-            analyzer = Some a;
-            analyzed_len = n;
-            epoch = ep;
-            plans = compile snap.plans (snap.analyzed_len + 1);
-          }
+          { analyzer = Some a; analyzed_len = n; epoch = ep }
       | _ ->
           let a =
             Analyzer.of_source ?config:t.rowset ?base:t.base ~obs
@@ -875,8 +834,7 @@ module Service = struct
           in
           Atomic.incr t.analyzer_builds;
           Uv_obs.Trace.incr obs "whatif.service.analyzer_builds";
-          { analyzer = Some a; analyzed_len = n; epoch = ep;
-            plans = compile Imap.empty 1 }
+          { analyzer = Some a; analyzed_len = n; epoch = ep }
     in
     Atomic.incr t.publishes;
     Atomic.set t.state fresh
@@ -902,15 +860,6 @@ module Service = struct
 
   let ingest_sql t sql = ingest t (Uv_sql.Parser.parse_script sql)
 
-  let plan_lookup t snap config i =
-    if not (Config.plans config) then None
-    else
-      match Imap.find_opt i snap.plans with
-      | Some p ->
-          Atomic.incr t.plan_cache_hits;
-          p
-      | None -> None
-
   (* Run [f] over a snapshot that is current w.r.t. the engine's head,
      holding the read side of the lock for the whole evaluation so no
      ingest can extend the analyzer mid-run. The pull-refresh retry loop
@@ -934,11 +883,7 @@ module Service = struct
       | Some a -> a
       | None -> invalid_arg "Whatif.Service.run: no published analyzer"
     in
-    let outcome =
-      run_inner ~config ~cur_phase ~analyzer
-        ~plan_for:(plan_lookup t snap config)
-        t.eng target
-    in
+    let outcome = run_inner ~config ~cur_phase ~analyzer t.eng target in
     { outcome; history_len = snap.analyzed_len }
 
   let run_unguarded ?config t target =
@@ -965,9 +910,7 @@ module Service = struct
       analyzer_builds = Atomic.get t.analyzer_builds;
       analyzer_extends = Atomic.get t.analyzer_extends;
       analyzed_entries = snap.analyzed_len;
-      plan_cache_size = Imap.cardinal snap.plans;
-      plans_compiled = Atomic.get t.plans_compiled;
-      plan_cache_hits = Atomic.get t.plan_cache_hits;
+      plan_cache_hits = 0;
       checkpoint_rungs = rungs;
       checkpoint_every = every;
       ingested = Atomic.get t.ingested;

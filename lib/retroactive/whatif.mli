@@ -60,9 +60,11 @@ module Config : sig
       positive, a {!Service} attaches a checkpoint ladder to the engine
       snapshotting the catalog every that many commits, and the rollback
       phase may jump to the nearest rung instead of undoing the whole
-      member tail; [plans = true] — let a {!Service} compile and cache
-      statement plans for replayed members (caches only ever amortize:
-      outcomes are bitwise-identical with both knobs off). *)
+      member tail (the ladder only ever amortizes: outcomes are
+      bitwise-identical with it off). [plans] is inert: it is accepted
+      and ignored, since every replayed statement that is not redone
+      runs through the interpreter. It is removed by the next benchmark
+      change (ROADMAP item 1). *)
 
   val default : t
   (** [make ()]. *)
@@ -75,7 +77,6 @@ module Config : sig
   val deadline_ms : t -> float option
   val fault : t -> Uv_fault.Fault.t
   val checkpoint_every : t -> int
-  val plans : t -> bool
 end
 
 (** Why a what-if run could not produce an outcome. *)
@@ -163,9 +164,8 @@ type outcome = {
           oldest member and redid the non-member tail from journal
           images (only when an attached ladder made that cheaper) *)
   plans_used : int;
-      (** members executed through a compiled plan from the service's
-          cache that bound at execution (0 outside a {!Service} or with
-          [Config.plans] off; a redone member binds none) *)
+      (** inert, always 0: compiled statement plans are gone. It is
+          removed by the next benchmark change (ROADMAP item 1). *)
   redone : int;
       (** members redone from their historical journal instead of
           executed ({!Redo}); [replayed - redone] members executed *)
@@ -235,21 +235,17 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows (DML only); a shrunk log, a catalog epoch change or new
       DDL rebuilds it from scratch;
-    - compiled statement plans ({!Uv_db.Engine.prepare}) are cached per
-      log index and handed to the replay hot path — plans self-validate
-      at bind time, so a stale plan silently falls back to the
-      interpreter;
     - with [Config.checkpoint_every > 0] the engine records periodic
       catalog snapshots that let the rollback phase jump near τ.
 
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently
     ask what-if questions through {!Service.run} (shared). Internally the
-    analyzer, compiled-plan cache and checkpoint ladder live in an
-    immutable {e snapshot} republished atomically after every ingest: a
-    reader obtains the whole cache set with one atomic load and can
-    never observe a half-swapped state (analyzer from one history length,
-    plans from another). A readers-writer lock serializes ingest against
+    analyzer and the history length and catalog epoch it covers live in
+    an immutable {e snapshot} republished atomically after every ingest:
+    a reader obtains the whole set with one atomic load and can never
+    observe a half-swapped state (analyzer from one history length,
+    epoch from another). A readers-writer lock serializes ingest against
     in-flight runs, because [Analyzer.extend] updates the analyzer inside
     the current snapshot in place.
 
@@ -273,9 +269,9 @@ module Service : sig
     analyzer_builds : int;  (** full history scans *)
     analyzer_extends : int;  (** incremental O(Δ) refreshes *)
     analyzed_entries : int;  (** log length the published snapshot covers *)
-    plan_cache_size : int;  (** entries with a cached compile decision *)
-    plans_compiled : int;  (** statements that yielded a plan *)
-    plan_cache_hits : int;  (** lookups served from the snapshot *)
+    plan_cache_hits : int;
+        (** inert, always 0: compiled statement plans are gone. It is
+            removed by the next benchmark change (ROADMAP item 1). *)
     checkpoint_rungs : int;  (** live rungs on the engine's ladder *)
     checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
     ingested : int;  (** statements applied through {!ingest} *)
@@ -313,8 +309,8 @@ module Service : sig
   val ingest : t -> Uv_sql.Ast.stmt list -> int * int
   (** Apply committed transactions to the shared history and republish
       the caches: [(applied, failed)]. Exclusive with every in-flight
-      run; DML-only batches refresh the snapshot in O(Δ) ([extend] plus
-      plans for just the new entries), DDL or a shrunk log rebuilds.
+      run; DML-only batches refresh the snapshot in O(Δ) ([extend]),
+      DDL or a shrunk log rebuilds.
       Statements that fail ([Sql_error]) are counted and skipped. *)
 
   val ingest_sql : t -> string -> int * int

@@ -231,15 +231,15 @@ step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE
 step "bench smoke: parallel replay determinism" \
   dune exec bench/main.exe -- --smoke
 
-# caching must never change the answer: the same what-if runs once with
-# every cache disabled and then repeatedly through one service (plan
-# cache + incremental analyzer + checkpoint ladder); the final universe
-# hashes must be bitwise-identical
+# caching must never change the answer: the same what-if runs once,
+# uncached and without a checkpoint ladder, and then repeatedly through
+# one service (incremental analyzer + checkpoint ladder); the final
+# universe hashes must be bitwise-identical
 cache_smoke() {
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   dune exec bin/ultraverse.exe -- whatif examples/histories/lint_demo.sql \
-    --tau 2 --op remove --no-plans --json > "$out/cold.json" &&
+    --tau 2 --op remove --json > "$out/cold.json" &&
   dune exec bin/ultraverse.exe -- whatif examples/histories/lint_demo.sql \
     --tau 2 --op remove --checkpoint-every 4 --repeat 3 --json \
     > "$out/warm.json" &&

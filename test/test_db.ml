@@ -1719,9 +1719,9 @@ let test_undo_fold_ddl_barrier () =
   ignore (check_fold "ddl, later rows kept" snap (history_journals e [ 4; 2 ]));
   ignore (check_fold "ddl, earlier rows only" snap (history_journals e [ 3; 1 ]))
 
-(* A re-insert over a row live in the folded state: the storage keeps
-   the replaced image in the hash and the indexes, and the fold
-   reproduces that, before and after other records on the row. *)
+(* A re-insert over a row live in the folded state replaces the row:
+   the replaced image leaves the hash and the indexes, before and after
+   other records on the row. *)
 let test_undo_fold_live_reinsert () =
   let e = fold_table () in
   let snap = Catalog.snapshot (Engine.catalog e) in
@@ -1733,16 +1733,30 @@ let test_undo_fold_live_reinsert () =
         | _ -> Alcotest.fail "no such row")
     | None -> Alcotest.fail "no table"
   in
-  let r = rowid_of 1 in
+  let r = rowid_of 1 and r3 = rowid_of 3 in
   let row a b c = [| Value.Int 1; Value.Int a; Value.Int b; Value.Text c |] in
-  let st =
-    check_fold "re-insert over a live row" snap
-      [ [ Log.U_row_update ("t", r, row 0 0 "x", row 4 0 "x") ];
-        [ Log.U_row_delete ("t", r, row 1 2 "q") ];
-        [ Log.U_row_update ("t", r, row 9 9 "x", row 1 9 "x");
-          Log.U_row_delete ("t", rowid_of 3, row 3 3 "r") ] ]
+  let journals =
+    [ [ Log.U_row_update ("t", r, row 0 0 "x", row 4 0 "x") ];
+      [ Log.U_row_delete ("t", r, row 1 2 "q") ];
+      [ Log.U_row_update ("t", r, row 9 9 "x", row 1 9 "x");
+        Log.U_row_delete ("t", r3, row 3 3 "r") ] ]
   in
-  check Alcotest.int "records" 4 st.Log.undo_records
+  let st = check_fold "re-insert over a live row" snap journals in
+  check Alcotest.int "records" 4 st.Log.undo_records;
+  (* [r3]'s image with id 3 was replaced by one with id 1 *)
+  let cat = Catalog.snapshot snap in
+  ignore (Log.undo_entries cat journals);
+  match Catalog.table cat "t" with
+  | Some t ->
+      let lookup id =
+        List.sort compare
+          (Option.value ~default:[] (Storage.indexed_lookup t "id" (Value.Int id)))
+      in
+      check Alcotest.(list int) "replaced key no longer finds the row" []
+        (lookup 3);
+      check Alcotest.(list int) "new key finds both rows"
+        (List.sort compare [ r; r3 ]) (lookup 1)
+  | None -> Alcotest.fail "no table"
 
 let () =
   Alcotest.run "uv_db"
