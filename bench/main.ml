@@ -344,7 +344,8 @@ let bench_t7c () =
       let (), exec_ms = S.time (fun () -> ignore (W.run_history rt ~mode:R.Transpiled calls)) in
       let _, analyze_ms =
         S.time (fun () ->
-            Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng))
+            Analyzer.require ~from:1
+              (Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng)))
       in
       let _, jumper_ms = S.time (fun () -> Hash_jumper.of_log (Engine.log eng)) in
       let pct x = Printf.sprintf "%.1f%%" (100.0 *. x /. exec_ms) in
@@ -1040,7 +1041,7 @@ let bench_micro () =
           let h = Uv_util.Table_hash.create () in
           Uv_util.Table_hash.add_row h "t|I1|I2|I3"));
       Test.make ~name:"analyze-500-entry-log" (Staged.stage (fun () ->
-          ignore (Analyzer.analyze log)));
+          Analyzer.require (Analyzer.analyze log) ~from:1));
       Test.make ~name:"engine-update" (Staged.stage (fun () ->
           ignore (Engine.query_sql eng "SELECT COUNT(*) FROM t WHERE v > 50")));
     ]
@@ -1349,8 +1350,12 @@ let bench_history_scale () =
     (* streamed analysis: one segment resident at a time *)
     let (anl, analysis_ms) =
       S.time (fun () ->
-          Analyzer.of_source ~config:w.W.ri_config ~base
-            (Analyzer.source_of_store store_r))
+          let anl =
+            Analyzer.of_source ~config:w.W.ri_config ~base
+              (Analyzer.source_of_store store_r)
+          in
+          Analyzer.require anl ~from:1;
+          anl)
     in
     (* the canonical question: the hot-entity target call runs first, so
        the scan settles on its earliest writing statement whose removal

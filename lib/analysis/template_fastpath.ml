@@ -78,6 +78,8 @@ let refresh fp anl =
     rebuild_gvals fp anl
 
 let prepare ~set ~matrix anl =
+  (* every entry is matched against the templates *)
+  Analyzer.require anl ~from:1;
   let n = Analyzer.length anl in
   (* DDL anywhere in the history invalidates the statically computed
      template sets for entries after it; degrade the whole history to

@@ -52,6 +52,8 @@ let template_coverage ~fast anl =
      and the disjointness refinement does not prune it in either
      direction. *)
 let matrix_soundness ~set ~matrix ~fast anl =
+  (* every entry's sets are checked *)
+  Analyzer.require anl ~from:1;
   let n = Analyzer.length anl in
   let diags = ref [] in
   let emit d = diags := d :: !diags in

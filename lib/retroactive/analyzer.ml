@@ -16,41 +16,60 @@ type info = {
 
 (* Where entries come from: a pull interface so analysis never needs a
    materialized [Log.t] — an in-memory log and a segmented on-disk
-   store are both one-segment-at-a-time folds from here. *)
+   store are both one-segment-at-a-time folds from here. An entry below
+   the pass's bound may come as [Scanned]: its shape named without its
+   statement, which [entry] builds when the pass needs it. *)
+type item =
+  | Entry of Uv_db.Log.entry
+  | Scanned of {
+      template : int;
+      shape : Ast.stmt;
+      app_txn : string option;
+      entry : unit -> Uv_db.Log.entry;
+    }
+
 type source = {
   src_length : unit -> int;
-  src_iter : int -> int -> (Uv_db.Log.entry -> unit) -> unit;
-      (* [src_iter lo hi f]: apply [f] to entries [lo..hi] in order *)
+  src_iter : int -> int -> below:int -> (item -> unit) -> unit;
+      (* [src_iter lo hi ~below f]: apply [f] to entries [lo..hi] in
+         order, those at or after [below] as [Entry] *)
 }
 
-let source_of_log log =
+let source_of_fun ~length fetch =
   {
-    src_length = (fun () -> Uv_db.Log.length log);
+    src_length = length;
     src_iter =
-      (fun lo hi f ->
+      (fun lo hi ~below:_ f ->
         for i = lo to hi do
-          f (Uv_db.Log.entry log i)
+          f (Entry (fetch i))
         done);
   }
+
+let source_of_log log =
+  source_of_fun ~length:(fun () -> Uv_db.Log.length log) (Uv_db.Log.entry log)
 
 let source_of_store store =
   let memo = Uv_sql.Stmt_memo.create () in
   {
     src_length = (fun () -> Uv_db.Log_store.length store);
     src_iter =
-      (fun lo hi f ->
+      (fun lo hi ~below f ->
         Uv_db.Log_store.iter_range store ~lo ~hi (fun index r ->
-            f (Uv_db.Log_store.entry_of_record ~memo ~index r)));
-  }
-
-let source_of_fun ~length fetch =
-  {
-    src_length = length;
-    src_iter =
-      (fun lo hi f ->
-        for i = lo to hi do
-          f (fetch i)
-        done);
+            if index >= below then
+              f (Entry (Uv_db.Log_store.entry_of_record ~memo ~index r))
+            else
+              let sql = r.Uv_db.Log_io.r_sql in
+              let template = Uv_sql.Stmt_memo.template memo sql in
+              f
+                (Scanned
+                   {
+                     template;
+                     shape =
+                       (if template >= 0 then Uv_sql.Stmt_memo.template_stmt memo template
+                        else Uv_sql.Stmt_memo.parse memo sql);
+                     app_txn = r.Uv_db.Log_io.r_app_txn;
+                     entry = (fun () -> Uv_db.Log_store.entry_of_record ~memo ~index r);
+                   })));
   }
 
 (* A growable int list, [ids.(0 .. len - 1)]: in every index, ascending
@@ -127,10 +146,13 @@ type scratch = {
    given at the first entry of the shape that can join a closure ([||]
    and [-1] until then). None is ever written after that, so every entry
    of the shape shares them. [s_entries] lists the shape's joinable
-   entries, ascending. *)
+   entries, ascending. [s_state]: an entry of the shape changes what
+   later entries derive — it may change the schema view or teach the RI
+   state an alias or a merge — so a pass runs it even below its bound. *)
 type shape_sets = {
-  s_rw : Rwset.rw;
+  s_rw : Rwset.rw Lazy.t; (* forced at the shape's first entry derived in full *)
   s_plan : Rowset.plan;
+  s_state : bool;
   mutable s_cols : int array;
   mutable s_id : int;
   s_entries : posting;
@@ -147,13 +169,25 @@ type row_cells = {
 
 type t = {
   mutable infos : info array;
+      (* per entry, sized ahead of [n]; [no_info] below [lo] *)
+  mutable n : int; (* entries covered: the source's length when last read *)
+  lo : int Atomic.t;
+      (* the lowest entry derived in full, or [max_int] before the first
+         pass: every reader of an entry below it derives again *)
+  lock : Mutex.t; (* held while a pass derives, and while Joint files splits *)
+  mutable pristine : bool; (* no pass has touched the derived state *)
+  obs : Uv_obs.Trace.t; (* [of_source]'s, for passes a reader starts *)
   config : Rowset.config;
-  row_state : Rowset.t;
-  sv : Schema_view.t; (* evolving view at the analysed head *)
+  mutable row_state : Rowset.t;
+  mutable sv : Schema_view.t; (* evolving view at the analysed head *)
+  mutable views : (int * Schema_view.t) list;
+      (* one view per earlier schema generation, newest first: [(i, v)]
+         holds before entries [i ..] up to the next generation's *)
+  mutable head_from : int; (* [sv] holds before entries [head_from ..] *)
   source : source;
   base : Uv_db.Catalog.t option;
   base_hashes : (string * int64) list;
-  col_ids : (string, int) Hashtbl.t; (* interned Rwset column keys *)
+  mutable col_ids : (string, int) Hashtbl.t; (* interned Rwset column keys *)
   mutable shape_count : int; (* shape ids handed out, every generation's *)
   mutable col_shapes : shape_sets list array;
       (* column [c]'s shapes, newest first: every shape touching it at
@@ -161,7 +195,7 @@ type t = {
   mutable entry_cols : int array array;
       (* per entry: [| nw; nw written column ids; the read column ids |],
          or [||] for an entry that never joins *)
-  table_ids : (string, int) Hashtbl.t; (* interned [table_of_col] names *)
+  mutable table_ids : (string, int) Hashtbl.t; (* interned [table_of_col] names *)
   mutable table_names : string array; (* table id -> name *)
   mutable col_table : int array; (* column id -> its table's id *)
   mutable col_row_keyed : bool array;
@@ -180,30 +214,37 @@ type t = {
   mutable split_count : int; (* splits handed out *)
   splits_filed : bool Atomic.t;
       (* the splits are filed: from the first Joint question on *)
-  split_lock : Mutex.t; (* held while a Joint question files them *)
   mutable row_keys : int; (* row keys handed out, the wildcard included *)
   mutable entry_rows : int array array;
       (* per entry: a run [| header; nr read keys; nw written keys |] per
          table whose access has a first dimension (see [row_runs]) *)
   mutable keyed_generation : int;
       (* Rowset merge generation the row keys were derived under *)
-  runs_buf : posting; (* [extend]'s buffer for [row_runs] *)
-  groups : (string, int list) Hashtbl.t; (* app_txn tag -> entry indexes *)
-  shapes : shape_sets Shape.Tbl.t;
-      (* [extend]'s memo: statement shape -> its sets under [sv] at
+  runs_buf : posting; (* the passes' buffer for [row_runs] *)
+  mutable groups : (string, int list ref) Hashtbl.t;
+      (* app_txn tag -> entry indexes, descending, below [lo] too *)
+  mutable last_group : (string * int list ref) option;
+      (* the group the last tagged entry joined: a transaction's entries
+         are mostly adjacent, so most entries skip hashing their tag *)
+  mutable shapes : shape_sets Shape.Tbl.t;
+      (* the passes' memo: statement shape -> its sets under [sv] at
          generation [shapes_generation] *)
   mutable shapes_generation : int;
+  mutable guard_ids : int array list array;
+      (* table id -> its unkeyed guards' interned column ids, as the
+         last pass left the head's schema *)
+  mutable by_template : shape_sets option array;
+      (* the memo's entries by the source's template id ([Scanned]),
+         emptied with the memo *)
   scratch : scratch option Atomic.t;
       (* taken by one closure at a time: concurrent questions (the
          service runs them under a shared read lock) build their own *)
   cells_memo : (Uv_sql.Schema.table * row_cells) list Atomic.t;
       (* [row_cells] by schema record, shared by concurrent questions;
-         emptied by [extend], which may intern new columns *)
+         emptied by every pass, which may intern new columns *)
 }
 
-let length t = Array.length t.infos
-
-let info t i = t.infos.(i - 1)
+let length t = t.n
 
 let is_schema_key k = String.length k > 3 && String.starts_with ~prefix:"_S." k
 
@@ -337,7 +378,7 @@ let cols_row t (rw : Rwset.rw) =
 (* Intern shape [sh]'s [entry_cols] row, give it the next shape id and
    list it in [col_shapes] under each column it touches. *)
 let register_shape t sh =
-  let cols = cols_row t sh.s_rw in
+  let cols = cols_row t (Lazy.force sh.s_rw) in
   sh.s_cols <- cols;
   sh.s_id <- t.shape_count;
   t.shape_count <- t.shape_count + 1;
@@ -351,26 +392,41 @@ let register_shape t sh =
     if k <= cols.(0) then file ((2 * cols.(k)) + 1)
   done
 
-(* Index one entry and return its [entry_cols] row, the one its shape
+(* Index entry [i] and return its [entry_cols] row, the one its shape
    [sh] holds. Only entries that can ever join a closure — they write, or
    carry an application transaction tag — are indexed: once, on their
    shape's posting, which is ascending, so a later entry appends. *)
-let index_info t inf sh =
-  let i = inf.index in
-  let cols =
-    if Rwset.Colset.is_empty inf.rw.Rwset.w && inf.app_txn = None then [||]
-    else begin
-      if sh.s_cols = [||] then register_shape t sh;
-      posting_push sh.s_entries i;
-      sh.s_cols
-    end
-  in
-  (match inf.app_txn with
+let index_info t i inf sh =
+  if Rwset.Colset.is_empty inf.rw.Rwset.w && inf.app_txn = None then [||]
+  else begin
+    if sh.s_cols = [||] then register_shape t sh;
+    posting_push sh.s_entries i;
+    sh.s_cols
+  end
+
+(* File entry [i] under its application transaction tag, if any. *)
+let add_group t i = function
+  | None -> ()
   | Some tag ->
-      Hashtbl.replace t.groups tag
-        (i :: Option.value (Hashtbl.find_opt t.groups tag) ~default:[])
-  | None -> ());
-  cols
+      let mates =
+        match t.last_group with
+        | Some (last, mates) when String.equal last tag -> mates
+        | _ ->
+            let mates =
+              match Hashtbl.find_opt t.groups tag with
+              | Some mates -> mates
+              | None ->
+                  let mates = ref [] in
+                  Hashtbl.add t.groups tag mates;
+                  mates
+            in
+            t.last_group <- Some (tag, mates);
+            mates
+      in
+      mates := i :: !mates
+
+(* The indexes of the group tagged [tag], descending. *)
+let group t tag = Option.fold ~none:[] ~some:( ! ) (Hashtbl.find_opt t.groups tag)
 
 (* A run's header packs its table id above its read and written key
    counts. *)
@@ -506,9 +562,9 @@ let key_rows t i =
   end;
   if Atomic.get t.splits_filed then file_splits t i
 
-(* Re-derive every row key under merge generation [gen], after an RI
-   merge moved canonical values. *)
-let rekey_rows t gen =
+(* Re-derive the row keys of entries [lo .. last] under merge generation
+   [gen], after an RI merge moved canonical values. *)
+let rekey_rows t ~lo ~last gen =
   for tid = 0 to Hashtbl.length t.table_ids - 1 do
     let tr = t.table_rows.(tid) in
     t.table_rows.(tid) <- fresh_table_rows ~dim0:tr.dim0 ~one_dim:tr.one_dim
@@ -517,26 +573,30 @@ let rekey_rows t gen =
   t.key_splits <- [||];
   t.split_count <- 0;
   t.row_keys <- 1;
-  for i = 1 to Array.length t.infos do
+  for i = lo to last do
     key_rows t i
   done;
   t.keyed_generation <- gen
 
 (* File the analysed history's splits, once, for the first Joint
-   question. Questions may run concurrently, though never beside
-   [extend]: a second Joint question waits on the lock until they are
+   question. Questions may run concurrently, though never beside a
+   pass: a second Joint question waits on the lock until they are
    filed, and Row and Cell never read them. *)
 let file_all_splits t =
   if not (Atomic.get t.splits_filed) then
-    Mutex.protect t.split_lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         if not (Atomic.get t.splits_filed) then begin
-          for i = 1 to Array.length t.infos do
+          for i = Atomic.get t.lo to t.n do
             file_splits t i
           done;
           Atomic.set t.splits_filed true
         end)
 
-let create ?(config = Rowset.default_config) ?base source =
+(* The slot of an entry not derived in full. *)
+let no_info =
+  { index = 0; stmt = Ast.Transaction []; rw = Rwset.empty; rows = []; app_txn = None }
+
+let create ~config ~obs ?base source =
   let sv =
     match base with
     | Some cat -> Schema_view.of_catalog cat
@@ -554,9 +614,16 @@ let create ?(config = Rowset.default_config) ?base source =
   Option.iter (Rowset.seed_aliases row_state) base;
   {
     infos = [||];
+    n = source.src_length ();
+    lo = Atomic.make max_int;
+    lock = Mutex.create ();
+    pristine = true;
+    obs;
     config;
     row_state;
     sv;
+    views = [];
+    head_from = 1;
     source;
     base;
     base_hashes;
@@ -574,35 +641,91 @@ let create ?(config = Rowset.default_config) ?base source =
     key_splits = [||];
     split_count = 0;
     splits_filed = Atomic.make false;
-    split_lock = Mutex.create ();
     row_keys = 1;
     entry_rows = [||];
     keyed_generation = Rowset.merge_generation row_state;
     runs_buf = fresh_posting ();
     groups = Hashtbl.create 256;
+    last_group = None;
     shapes = Shape.Tbl.create 64;
     shapes_generation = Schema_view.generation sv;
+    guard_ids = [||];
+    by_template = [||];
     scratch = Atomic.make None;
     cells_memo = Atomic.make [];
   }
 
+(* Empty every derived structure, as a fresh [create] has them. The
+   per-entry arrays are kept: a pass only lowers [lo], and every slot
+   below the old [lo] is still empty. *)
+let reset t =
+  let f = create ~config:t.config ~obs:t.obs ?base:t.base t.source in
+  t.row_state <- f.row_state;
+  t.sv <- f.sv;
+  t.views <- f.views;
+  t.head_from <- f.head_from;
+  t.col_ids <- f.col_ids;
+  t.shape_count <- f.shape_count;
+  t.col_shapes <- f.col_shapes;
+  t.table_ids <- f.table_ids;
+  t.table_names <- f.table_names;
+  t.col_table <- f.col_table;
+  t.col_row_keyed <- f.col_row_keyed;
+  t.col_schema <- f.col_schema;
+  t.table_rows <- f.table_rows;
+  t.row_postings <- f.row_postings;
+  t.key_splits <- f.key_splits;
+  t.split_count <- f.split_count;
+  Atomic.set t.splits_filed false;
+  t.row_keys <- f.row_keys;
+  t.keyed_generation <- f.keyed_generation;
+  t.groups <- f.groups;
+  t.last_group <- None;
+  t.shapes <- f.shapes;
+  t.shapes_generation <- f.shapes_generation;
+  t.guard_ids <- f.guard_ids;
+  t.by_template <- f.by_template;
+  t.pristine <- true;
+  Atomic.set t.cells_memo []
+
+(* Room for [n] entries in the per-entry arrays: exactly [n] for the
+   first pass, doubling after that, so a growing history copies them
+   O(log n) times. *)
+let reserve t n =
+  let cap = Array.length t.infos in
+  if cap < n then begin
+    let size = if cap = 0 then n else max n (2 * cap) in
+    let resize a fill =
+      let b = Array.make size fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.infos <- resize t.infos no_info;
+    t.entry_cols <- resize t.entry_cols [||];
+    t.entry_rows <- resize t.entry_rows [||]
+  end
+
 (* The sets and row-set plan of [stmt]'s shape under the schema view as
-   it stands: a memo hit, or derived (counted in [derived]) and
-   memoised. A schema change empties the memo. *)
-let shape_sets t ~derived stmt =
+   it stands: a memo hit, or planned and memoised. A schema change
+   empties the memo. The column sets are derived at the shape's first
+   entry derived in full ([shape_rw]). *)
+let shape_sets t stmt =
   let gen = Schema_view.generation t.sv in
   if gen <> t.shapes_generation then begin
     Shape.Tbl.reset t.shapes;
+    t.by_template <- [||];
     t.shapes_generation <- gen
   end;
   match Shape.Tbl.find_opt t.shapes stmt with
   | Some sh -> sh
   | None ->
-      incr derived;
+      let plan = Rowset.plan t.row_state t.sv stmt in
+      let sv = t.sv in
       let sh =
         {
-          s_rw = Rwset.of_stmt t.sv stmt;
-          s_plan = Rowset.plan t.row_state t.sv stmt;
+          s_rw = lazy (Rwset.of_stmt sv stmt);
+          s_plan = plan;
+          s_state = Schema_view.affects stmt || Rowset.teaches plan;
           s_cols = [||];
           s_id = -1;
           s_entries = fresh_posting ();
@@ -611,71 +734,229 @@ let shape_sets t ~derived stmt =
       Shape.Tbl.replace t.shapes stmt sh;
       sh
 
-let extend ?(obs = Uv_obs.Trace.disabled) t =
-  let n = t.source.src_length () in
-  let from = Array.length t.infos + 1 in
-  if n < from then 0
+(* [shape_sets] of a [Scanned] entry of template [template] (-1: none):
+   the memo's entry, found once per template. *)
+let template_sets t template shape =
+  if Schema_view.generation t.sv = t.shapes_generation
+     && template >= 0
+     && template < Array.length t.by_template
+  then
+    match t.by_template.(template) with
+    | Some sh -> sh
+    | None ->
+        let sh = shape_sets t shape in
+        t.by_template.(template) <- Some sh;
+        sh
   else begin
-    let batch = ref [] and cols = ref [] in
-    let derived = ref 0 in
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
-        t.source.src_iter from n (fun e ->
-            let stmt = e.Uv_db.Log.stmt in
-            let sh = shape_sets t ~derived stmt in
-            let rows = Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet in
-            Schema_view.apply t.sv stmt;
-            let inf =
-              {
-                index = e.Uv_db.Log.index;
-                stmt;
-                rw = sh.s_rw;
-                rows;
-                app_txn = e.Uv_db.Log.app_txn;
-              }
-            in
-            batch := inf :: !batch;
-            cols := index_info t inf sh :: !cols);
-        Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations");
-    t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
-    t.entry_cols <- Array.append t.entry_cols (Array.of_list (List.rev !cols));
-    t.entry_rows <- Array.append t.entry_rows (Array.make (n - from + 1) [||]);
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
-        (* row keys are derived under the merge state after the batch *)
-        let gen = Rowset.merge_generation t.row_state in
-        if gen <> t.keyed_generation then rekey_rows t gen
-        else
-          for i = from to n do
-            key_rows t i
-          done);
-    Atomic.set t.cells_memo [];
-    n - from + 1
+    let sh = shape_sets t shape in
+    if template >= 0 then begin
+      let size = Array.length t.by_template in
+      if template >= size then
+        t.by_template <-
+          Array.init (max (template + 1) (2 * size)) (fun k ->
+              if k < size then t.by_template.(k) else None);
+      t.by_template.(template) <- Some sh
+    end;
+    sh
+  end
+
+(* The shape's column sets, derived (counted in [derived]) at its first
+   entry derived in full, before the entry applies to the view. *)
+let shape_rw ~derived sh =
+  if not (Lazy.is_val sh.s_rw) then incr derived;
+  Lazy.force sh.s_rw
+
+(* Apply entry [i]'s statement to the head view; when it starts a new
+   schema generation, keep the view it ends. *)
+let apply_schema t i stmt =
+  if Schema_view.affects stmt then begin
+    let before = Schema_view.copy t.sv and gen = Schema_view.generation t.sv in
+    Schema_view.apply t.sv stmt;
+    if Schema_view.generation t.sv <> gen then begin
+      t.views <- (t.head_from, before) :: t.views;
+      t.head_from <- i + 1
+    end
+  end
+
+(* The PRIMARY KEY and UNIQUE guards of [table] under the head's schema
+   whose duplicates need not share the table's first RI dimension, each
+   as its columns: the engine checks them against the rows at every
+   key. A guard that holds the first dimension is keyed: two rows that
+   collide on it share a row key, where the cell rule orders them. *)
+let table_guards t table =
+  match Schema_view.table_schema t.sv table with
+  | None -> []
+  | Some sch ->
+      let dim0 = List.nth_opt (Rowset.ri_dims t.row_state t.sv table) 0 in
+      let keyed cols = Option.fold ~none:false ~some:(fun d -> List.mem d cols) dim0 in
+      let pk = Uv_sql.Schema.primary_key_columns sch in
+      List.filter
+        (fun g -> g <> [] && not (keyed g))
+        (pk :: List.map (fun c -> [ c ]) (Uv_sql.Schema.unique_columns sch))
+
+(* Every table's guards ([table_guards]) as interned column ids, for the
+   replay DAG: a column no entry names has none, and no member writes
+   it. *)
+let intern_guards t =
+  t.guard_ids <-
+    Array.init (Hashtbl.length t.table_ids) (fun tid ->
+        let table = t.table_names.(tid) in
+        List.filter_map
+          (fun cols ->
+            match
+              List.filter_map
+                (fun c -> Hashtbl.find_opt t.col_ids (Uv_sql.Schema.qualified table c))
+                cols
+            with
+            | [] -> None
+            | ids -> Some (Array.of_list ids))
+          (table_guards t table))
+
+(* One pass over entries [first .. last]: those at or after [from] are
+   derived in full (sets, rows, postings, then keys); those below only
+   advance what later entries read: the group tags, the schema view (a
+   schema-changing shape's entries) and the RI state (the entries of a
+   shape whose plan teaches aliases or merges). Only those entries need
+   their statement; a [Scanned] one builds it then. Entries [lo ..
+   from - 1] are already derived in full. *)
+let pass t ~obs ~lo ~from ~first ~last =
+  let derived = ref 0 in
+  let light i sh app_txn entry =
+    add_group t i app_txn;
+    if sh.s_state then begin
+      let e = entry () in
+      let stmt = e.Uv_db.Log.stmt in
+      if Rowset.teaches sh.s_plan then
+        ignore (Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet : Rowset.entry_rows);
+      apply_schema t i stmt
+    end
+  in
+  let full i (e : Uv_db.Log.entry) =
+    let stmt = e.Uv_db.Log.stmt and app_txn = e.Uv_db.Log.app_txn in
+    add_group t i app_txn;
+    let sh = shape_sets t stmt in
+    let rw = shape_rw ~derived sh in
+    let rows = Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet in
+    apply_schema t i stmt;
+    let inf = { index = e.Uv_db.Log.index; stmt; rw; rows; app_txn } in
+    t.infos.(i - 1) <- inf;
+    t.entry_cols.(i - 1) <- index_info t i inf sh
+  in
+  Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
+      let i = ref (first - 1) in
+      t.source.src_iter first last ~below:from (fun item ->
+          incr i;
+          match item with
+          | Entry e ->
+              if !i >= from then full !i e
+              else
+                light !i
+                  (shape_sets t e.Uv_db.Log.stmt)
+                  e.Uv_db.Log.app_txn
+                  (fun () -> e)
+          | Scanned { template; shape; app_txn; entry } ->
+              light !i (template_sets t template shape) app_txn entry);
+      Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations");
+  Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
+      (* row keys are derived under the merge state after the pass *)
+      let gen = Rowset.merge_generation t.row_state in
+      if gen <> t.keyed_generation then rekey_rows t ~lo ~last gen
+      else
+        for i = max first from to last do
+          key_rows t i
+        done);
+  intern_guards t;
+  Atomic.set t.cells_memo []
+
+(* Derive anew from the base, entries [from ..] in full. While a pass
+   runs [lo] reads [max_int], so one that raises leaves the analyzer to
+   derive again, from a state it resets. *)
+let derive t ~obs ~from =
+  Atomic.set t.lo max_int;
+  if not t.pristine then reset t;
+  t.pristine <- false;
+  reserve t t.n;
+  let lo = min from (t.n + 1) in
+  pass t ~obs ~lo ~from:lo ~first:1 ~last:t.n;
+  Atomic.set t.lo lo
+
+let require ?obs t ~from =
+  let from = max 1 from in
+  if from < Atomic.get t.lo then
+    Mutex.protect t.lock (fun () ->
+        if from < Atomic.get t.lo then
+          derive t ~obs:(Option.value obs ~default:t.obs) ~from)
+
+let derived_from t = Atomic.get t.lo
+
+(* A reader of entry [i] outside a question: below [lo], the whole
+   history is derived. *)
+let require_entry t i =
+  if i < 1 || i > t.n then invalid_arg "index out of bounds";
+  if i < Atomic.get t.lo then require t ~from:1
+
+(* A reader of the analysed head's state: some pass has run. *)
+let require_head t = if Atomic.get t.lo = max_int then require t ~from:1
+
+let info t i =
+  require_entry t i;
+  t.infos.(i - 1)
+
+let extend ?obs t =
+  Mutex.protect t.lock @@ fun () ->
+  let n = t.source.src_length () and first = t.n + 1 in
+  if n < first then 0
+  else begin
+    let lo = Atomic.get t.lo in
+    (* before the first pass there is nothing to extend: the pass reads
+       the grown history *)
+    if lo = max_int then t.n <- n
+    else begin
+      Atomic.set t.lo max_int;
+      reserve t n;
+      pass t ~obs:(Option.value obs ~default:t.obs) ~lo ~from:first ~first ~last:n;
+      t.n <- n;
+      Atomic.set t.lo lo
+    end;
+    n - first + 1
   end
 
 let of_source ?(config = Rowset.default_config) ?base
     ?(obs = Uv_obs.Trace.disabled) source =
-  let t = create ~config ?base source in
-  ignore (extend ~obs t);
-  t
+  create ~config ~obs ?base source
 
 let analyze ?config ?base ?obs log = of_source ?config ?base ?obs (source_of_log log)
 
 let base_hashes t = t.base_hashes
 
-(* Rebuilt from the analysed statements, so no log access: matches
-   [Schema_view.of_log ~upto] — entries strictly before [upto]. *)
+(* The schema view before entry [upto] executes, as the passes recorded
+   it: matches [Schema_view.of_log ~upto] — entries strictly before
+   [upto]. Shared, so read-only. *)
 let schema_view_at t upto =
-  let sv =
-    match t.base with
-    | Some cat -> Schema_view.of_catalog cat
-    | None -> Schema_view.create ()
+  let rec find = function
+    | [] -> t.sv
+    | [ (_, sv) ] -> sv (* the oldest: the base's *)
+    | (from, sv) :: older -> if from <= upto then sv else find older
   in
-  let hi = min (upto - 1) (Array.length t.infos) in
-  for i = 1 to hi do
-    Schema_view.apply sv t.infos.(i - 1).stmt
-  done;
-  sv
+  if upto >= t.head_from then t.sv else find t.views
 
-let target_rw t (target : target) =
+(* Entry [tau]'s transaction group: its mates' indexes, descending. *)
+let target_group_indexes t tau =
+  if tau >= 1 && tau <= t.n then
+    match t.infos.(tau - 1).app_txn with
+    | Some tag -> group t tag
+    | None -> [ tau ]
+  else [ tau ]
+
+(* What a question about [target] reads: entries from τ on and, grouped,
+   τ's transaction-group mates, whose sets seed it. A mate below τ is
+   found only once τ is derived, so it may take a second pass. *)
+let require_target ?obs t ~grouped (target : target) =
+  require ?obs t ~from:target.tau;
+  if grouped then
+    require ?obs t ~from:(List.fold_left min target.tau (target_group_indexes t target.tau))
+
+let target_rw_derived t (target : target) =
   (* a new statement's sets are taken against the schema as of τ; the
      row state is the analysed head's — a superset of the aliases
      learned before τ, which can only widen the target's sets *)
@@ -684,7 +965,7 @@ let target_rw t (target : target) =
     (Rwset.of_stmt sv stmt, Rowset.of_entry t.row_state sv stmt [])
   in
   let old_sets () =
-    if target.tau >= 1 && target.tau <= Array.length t.infos then
+    if target.tau >= 1 && target.tau <= t.n then
       let inf = t.infos.(target.tau - 1) in
       (inf.rw, inf.rows)
     else (Rwset.empty, [])
@@ -696,6 +977,10 @@ let target_rw t (target : target) =
       let rw_new, rows_new = sets_of stmt in
       let rw_old, rows_old = old_sets () in
       (Rwset.union rw_new rw_old, Rowset.merge_rows rows_new rows_old)
+
+let target_rw t target =
+  require_target t ~grouped:false target;
+  target_rw_derived t target
 
 type provenance = {
   p_col_via : int option;
@@ -770,7 +1055,7 @@ let with_scratch t f =
           cells = Conflict_dag.Cells.create ();
         }
   in
-  let n = Array.length t.infos and np = 2 * Hashtbl.length t.col_ids in
+  let n = t.n and np = 2 * Hashtbl.length t.col_ids in
   let nr = row_slots t + np + t.split_count in
   if Array.length s.mark < n then begin
     let size = max 64 (if s.mark = [||] then n else 2 * n) in
@@ -807,7 +1092,7 @@ let with_scratch t f =
    can join neither way, and its first cell counts the writes. *)
 let live_in t ~grouped ~tau ~mark ~epoch i =
   i >= tau
-  && i <= Array.length t.infos
+  && i <= t.n
   && (let c = t.entry_cols.(i - 1) in
       Array.length c > 0 && (grouped || c.(0) > 0))
   &&
@@ -824,7 +1109,7 @@ let live_in t ~grouped ~tau ~mark ~epoch i =
    Returns the members in join order. *)
 let worklist ?(obs = Uv_obs.Trace.disabled) t s ~mark ~via ~tau ~exclude
     ~seed_rw ~seed_rows ~joins ~grouped ~expand =
-  let n = Array.length t.infos and epoch = s.epoch in
+  let n = t.n and epoch = s.epoch in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live = live_in t ~grouped ~tau ~mark ~epoch in
   let queue = Queue.create () and joined = ref [] in
@@ -971,7 +1256,7 @@ let seed_cols t (seed_rw : Rwset.rw) =
    in join order; [s.mark] stamps them with [s.epoch]. *)
 let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
     ~grouped ~expand =
-  let n = Array.length t.infos in
+  let n = t.n in
   let epoch = s.epoch and mark = s.mark and via = s.via_col in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live = live_in t ~grouped ~tau ~mark ~epoch in
@@ -1077,6 +1362,7 @@ let rows_conflict t rows (inf : info) =
 (* The row-wise pair conflict: a schema-key conflict (wildcard rows per
    Table B), or some table whose row sets overlap multi-dimensionally. *)
 let row_conflict t (rw : Rwset.rw) rows (inf : info) =
+  require_head t;
   schema_conflict rw inf || rows_conflict t rows inf
 
 (* Does a row of the [entry_cols] layout write a schema key? Only then
@@ -1085,7 +1371,9 @@ let writes_schema t cols =
   let rec go k = k <= cols.(0) && (t.col_schema.(cols.(k)) || go (k + 1)) in
   Array.length cols > 0 && go 1
 
-let writes_schema_key t i = writes_schema t t.entry_cols.(i - 1)
+let writes_schema_key t i =
+  require_entry t i;
+  writes_schema t t.entry_cols.(i - 1)
 
 (* Do the [entry_cols] rows [a] and [b] share a real column of table
    [tid], one of them writing it? *)
@@ -1176,7 +1464,7 @@ let keyed_now ~local t rows =
    members in join order; [s.rmark] stamps them with [s.epoch]. *)
 let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
     ~seed_rows ~grouped ~expand =
-  let n = Array.length t.infos in
+  let n = t.n in
   let epoch = s.epoch and mark = s.rmark and via = s.via_row in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live = live_in t ~grouped ~tau ~mark ~epoch in
@@ -1392,7 +1680,7 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
 let group_expand t i =
   match t.infos.(i - 1).app_txn with
   | None -> []
-  | Some tag -> Option.value (Hashtbl.find_opt t.groups tag) ~default:[]
+  | Some tag -> group t tag
 
 let classify t ~joined seed_rw =
   let add_tables_of rwsets =
@@ -1439,16 +1727,10 @@ let strip_removed_reads (seed_rw, seed_rows) =
             access ))
       seed_rows )
 
-let target_group_indexes t tau =
-  if tau >= 1 && tau <= Array.length t.infos then
-    match t.infos.(tau - 1).app_txn with
-    | Some tag -> Option.value (Hashtbl.find_opt t.groups tag) ~default:[ tau ]
-    | None -> [ tau ]
-  else [ tau ]
-
 let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
     ?col_joins t (target : target) =
-  let seed_rw, seed_rows = target_rw t target in
+  require_target ~obs t ~grouped target;
+  let seed_rw, seed_rows = target_rw_derived t target in
   (* at transaction granularity the retroactive target is the whole
      application-level transaction: seed with the union of its entries'
      sets, and keep all of them out of the replay set *)
@@ -1535,11 +1817,17 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
   }
 
 let canonical_row_value t ~table v =
+  require_head t;
   Rowset.canonical t.row_state table (dim0_of t.config table)
     (Value.serialize v)
 
-let row_merge_generation t = Rowset.merge_generation t.row_state
-let row_state t = t.row_state
+let row_merge_generation t =
+  require_head t;
+  Rowset.merge_generation t.row_state
+
+let row_state t =
+  require_head t;
+  t.row_state
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: why did each member join?                                *)
@@ -1570,13 +1858,13 @@ let shared_tables t (a : Rowset.entry_rows) (b : Rowset.entry_rows) =
           else None)
     a
 
-let conflict_columns t i j = shared_columns t.infos.(i - 1).rw t.infos.(j - 1).rw
+let conflict_columns t i j = shared_columns (info t i).rw (info t j).rw
 
-let conflict_tables t i j =
-  shared_tables t t.infos.(i - 1).rows t.infos.(j - 1).rows
+let conflict_tables t i j = shared_tables t (info t i).rows (info t j).rows
 
 let explain_report t (target : target) rs =
   let seed_rw, seed_rows = target_rw t target in
+  List.iter (require_entry t) rs.member_indexes;
   let rw_of v = if v = 0 then seed_rw else t.infos.(v - 1).rw in
   let rows_of v = if v = 0 then seed_rows else t.infos.(v - 1).rows in
   let name v = if v = 0 then "the target" else Printf.sprintf "#%d" v in
@@ -1666,6 +1954,32 @@ let rec first_keyed t cols tid k =
   if t.col_row_keyed.(cols.(k)) && t.col_table.(cols.(k)) = tid then k
   else first_keyed t cols tid (k + 1)
 
+(* The table a top-level DELETE removes rows from: no guard is checked
+   there. *)
+let deleted_table t (stmt : Ast.stmt) =
+  match stmt with
+  | Ast.Delete { table; _ } -> (
+      match Schema_view.view t.sv table with
+      | Some { Ast.sel_from = Some (parent, _); _ } -> Some parent
+      | _ -> Some table)
+  | _ -> None
+
+let unkeyed_guards t i =
+  let inf = info t i in
+  let written = write_tables inf.rw in
+  List.concat_map
+    (fun table ->
+      if deleted_table t inf.stmt = Some table then []
+      else
+        List.filter_map
+          (fun g ->
+            let cols = List.map (Uv_sql.Schema.qualified table) g in
+            if List.exists (fun c -> Rwset.Colset.mem c inf.rw.Rwset.w) cols then
+              Some cols
+            else None)
+          (table_guards t table))
+    written
+
 (* One ascending pass over the members on last-writer cells. The cell
    rule's groups are the columns, keyed by the members' row keys (0 for
    any row: a wildcard, or a table without a run), so row-disjoint
@@ -1674,8 +1988,13 @@ let rec first_keyed t cols tid k =
    written by every member writing a real column, whatever the columns:
    [Storage.update] replaces whole rows, so two members writing
    different columns of one row must keep commit order when run in
-   parallel. *)
+   parallel. A member that writes a column of one of its tables'
+   unkeyed guards ([unkeyed_guards]) reads every column of the guard at
+   every key, so it keeps commit order with each member writing one of
+   them, whatever their rows: which of two colliding writes fails the
+   check depends on their order. *)
 let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
+  List.iter (require_entry t) members;
   Uv_obs.Trace.with_span obs ~cat:"analyze" "cluster" @@ fun () ->
   with_scratch t @@ fun s ->
   let nodes = Array.of_list members in
@@ -1691,6 +2010,10 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
   Conflict_dag.Cells.start cells ~nodes:n
     ~groups:(ncols + Hashtbl.length t.table_ids)
     ~keys:(t.row_keys + Hashtbl.length local);
+  let writes cols nw c =
+    let rec go k = k <= nw && (cols.(k) = c || go (k + 1)) in
+    go 1
+  in
   let preds =
     Array.mapi
       (fun p i ->
@@ -1699,6 +2022,23 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
         for k = nw + 1 to Array.length cols - 1 do
           let c = cols.(k) in
           dag_access cells p runs t.col_table.(c) ~group:c ~write:false 0 false
+        done;
+        for k = 1 to nw do
+          let c = cols.(k) in
+          let tid = t.col_table.(c) in
+          if
+            t.guard_ids.(tid) <> []
+            && t.col_row_keyed.(c)
+            && first_keyed t cols tid 1 = k
+            && deleted_table t t.infos.(i - 1).stmt <> Some t.table_names.(tid)
+          then
+            List.iter
+              (fun g ->
+                if Array.exists (writes cols nw) g then
+                  Array.iter
+                    (fun c -> Conflict_dag.Cells.access cells p ~write:false ~group:c ~key:0)
+                    g)
+              t.guard_ids.(tid)
         done;
         for k = 1 to nw do
           let c = cols.(k) in
@@ -1744,6 +2084,7 @@ let side_keys_exist runs tid ~write f c =
   !hit || ((not !found) && f c 0)
 
 let exists_cell ?(column = fun _ -> true) t i ~write f =
+  require_entry t i;
   let cols = cols_of t i and runs = t.entry_rows.(i - 1) in
   let nw = cols.(0) in
   let hi = if write then nw else Array.length cols - 1 in
@@ -1756,13 +2097,21 @@ let exists_cell ?(column = fun _ -> true) t i ~write f =
   done;
   !hit
 
-let column_count t = Hashtbl.length t.col_ids
-let table_count t = Hashtbl.length t.table_ids
+let column_count t =
+  require_head t;
+  Hashtbl.length t.col_ids
+
+let table_count t =
+  require_head t;
+  Hashtbl.length t.table_ids
 
 let table_id t table =
+  require_head t;
   Option.value (Hashtbl.find_opt t.table_ids table) ~default:(-1)
 
-let column_table t c = t.col_table.(c)
+let column_table t c =
+  require_head t;
+  t.col_table.(c)
 
 let describe_row_cells t (sch : Uv_sql.Schema.table) =
   let table = sch.Uv_sql.Schema.tbl_name in
@@ -1821,6 +2170,7 @@ let describe_row_cells t (sch : Uv_sql.Schema.table) =
   }
 
 let row_cells t sch =
+  require_head t;
   match List.assq_opt sch (Atomic.get t.cells_memo) with
   | Some rc -> rc
   | None ->
@@ -1834,6 +2184,7 @@ let row_cells t sch =
       rc
 
 let to_dot t ~members =
+  List.iter (require_entry t) members;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph replay {\n  rankdir=BT;\n  node [shape=box, fontsize=10];\n";
   List.iter

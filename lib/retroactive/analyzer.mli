@@ -1,9 +1,11 @@
 (** The query analyzer: per-entry read/write sets, the query dependency
     graph, and replay-set computation (§4.2–§4.4, §E).
 
-    Given a committed-statement log, [analyze] derives each entry's
+    Given a committed-statement log, the analyzer derives each entry's
     column-wise and row-wise sets (maintaining the evolving schema view and
-    RI alias/merge state in commit order). A what-if request is a
+    RI alias/merge state in commit order), on demand: a question derives
+    the entries from its τ on ({!require}), as rolling back and replaying
+    reads nothing before τ (§4.4). A what-if request is a
     {!target}; {!replay_set} — the one replay-set entry point, for every
     mode and granularity — computes the set 𝕀 of entries that must be
     rolled back and replayed, as the closure of conflict with the target:
@@ -59,28 +61,48 @@ type info = {
 
 type t
 
+(** An entry as a source hands it to a pass. Below the pass's bound a
+    source may hand it [Scanned]: its shape named without its statement
+    (a statement {!Uv_sql.Shape.equal} to the entry's), with [entry]
+    building the whole entry when the pass needs it. [template] numbers
+    the shape's statement among the source's ([-1]: none), so that every
+    entry [Scanned] with one template shares one [shape]. *)
+type item =
+  | Entry of Uv_db.Log.entry
+  | Scanned of {
+      template : int;
+      shape : Ast.stmt;
+      app_txn : string option;
+      entry : unit -> Uv_db.Log.entry;
+    }
+
 (** Where entries come from. The analyzer pulls its input through this
     record, so it never requires a materialized {!Uv_db.Log.t}: an
     in-memory log, a segmented {!Uv_db.Log_store} (one segment resident
     at a time) and any custom fold all analyse identically. *)
 type source = {
   src_length : unit -> int;  (** entries available right now *)
-  src_iter : int -> int -> (Uv_db.Log.entry -> unit) -> unit;
-      (** [src_iter lo hi f] applies [f] to entries with 1-based commit
-          indexes [lo..hi], in order. Called once per {!extend} batch. *)
+  src_iter : int -> int -> below:int -> (item -> unit) -> unit;
+      (** [src_iter lo hi ~below f] applies [f] to entries with 1-based
+          commit indexes [lo..hi], in order, every entry at or after
+          [below] as an [Entry]. Called once per pass. *)
 }
 
 val source_of_log : Uv_db.Log.t -> source
+(** Every entry as an [Entry]. *)
 
 val source_of_store : Uv_db.Log_store.t -> source
-(** Streams via {!Uv_db.Log_store.iter_range}/[entry_of_record]: peak
-    resident log memory during analysis is one segment plus the
-    manifest. Each call makes one {!Uv_sql.Stmt_memo}, so the source
-    parses each statement shape in full once and builds every other
-    record's statement from its bytes. *)
+(** Streams via {!Uv_db.Log_store.iter_range}: peak resident log memory
+    during a pass is one segment plus the manifest, and every segment is
+    decoded and checksum-verified. The source keeps one
+    {!Uv_sql.Stmt_memo} across its passes, so it parses each statement
+    shape in full once; an entry at or after [below] gets its statement
+    built from its bytes ([entry_of_record]), one below it only its
+    template ({!Uv_sql.Stmt_memo.template}), without an AST of its own. *)
 
 val source_of_fun : length:(unit -> int) -> (int -> Uv_db.Log.entry) -> source
-(** A source from a random-access fetch function. *)
+(** A source from a random-access fetch function; every entry an
+    [Entry]. *)
 
 val of_source :
   ?config:Rowset.config ->
@@ -88,13 +110,13 @@ val of_source :
   ?obs:Uv_obs.Trace.t ->
   source ->
   t
-(** Scan the source once, building per-entry sets and the value indexes
-    used by replay-set computation. [base] is the catalog state at the
-    start of the history (the checkpoint the history grows from); it
-    seeds the schema view and the Hash-jumper's initial table hashes.
-    [obs] records [analyze.rwsets]/[analyze.index] spans and the
-    [analyze.rw_derivations] counter (see {!extend}). A store-sourced and a log-sourced build take the
-    same path: both derive per statement shape from the entries' ASTs. *)
+(** Open an analyzer over the source's entries as of now
+    ([src_length]). It derives nothing: a question derives what it
+    reads ({!require}). [base] is the catalog state at the start of the
+    history (the checkpoint the history grows from); it seeds the
+    schema view and RI alias state of every pass and the Hash-jumper's
+    initial table hashes. [obs] gets the spans and counters of passes
+    that a reader starts without an [obs] of its own (see {!require}). *)
 
 val analyze :
   ?config:Rowset.config ->
@@ -104,16 +126,61 @@ val analyze :
   t
 (** [of_source] over [source_of_log]. *)
 
+val require : ?obs:Uv_obs.Trace.t -> t -> from:int -> unit
+(** [require t ~from]: entries [from..length t] are derived in full —
+    each entry's column-wise and row-wise sets, its shape posting, its
+    row keys and their postings, as {!extend} derives new entries. A
+    no-op when they already are ({!derived_from} [<= from]). Otherwise
+    one pass over the whole source starts again from the [base]: it
+    derives the entries at or after [from] in full, and below [from]
+    advances only what later entries depend on — the application
+    transaction groups, the schema view (entries of a shape that may
+    change it, {!Schema_view.affects}) and the RI alias and merge state
+    (entries of a shape whose row-set plan teaches, {!Rowset.teaches}).
+    Only those entries below [from] get a statement built; a store
+    source names every other one's shape from its bytes. The answers of
+    a question whose entries are derived equal those of an analyzer
+    derived from 1: closure members, provenance, counts, replay DAG.
+
+    Every question entry point ({!replay_set}, {!target_rw},
+    {!explain_report}) requires from its own bound: τ, or τ's first
+    transaction-group mate when grouped. Every other reader of an entry
+    below {!derived_from} ({!info}, {!replay_dag}, {!exists_cell} …) and
+    every reader of the head's state ({!row_state}, {!row_cells},
+    {!table_id} …) before the first pass requires from 1; readers that
+    take the whole history ([Template_lint], [Template_fastpath]) call
+    [require ~from:1] themselves.
+
+    Concurrency: a pass runs under the analyzer's lock, and a question
+    that needs an entry below {!derived_from} derives again from its own
+    bound under that lock. Questions that run concurrently must not
+    share an analyzer that may still derive: the what-if service
+    derives from 1 at publish ([Whatif.Service.publish]), under its
+    write lock, so its questions, under the read lock, never write the
+    analyzer. A pass that raises leaves nothing counted as derived, so
+    the next reader derives again. [obs] (default: [of_source]'s) gets
+    the pass's [analyze.rwsets]/[analyze.index] spans and the
+    [analyze.rw_derivations] counter. *)
+
+val derived_from : t -> int
+(** The lowest entry derived in full ([length t + 1] when none is), or
+    [max_int] before the first pass and while a pass runs. *)
+
 val extend : ?obs:Uv_obs.Trace.t -> t -> int
-(** Fold entries committed to the source since the analyzer was built
+(** Fold entries committed to the source since the analyzer was opened
     (or last extended) into the per-entry sets and value indexes,
     without re-scanning the analysed prefix; returns the number of new
-    entries. Equivalent to a fresh [of_source] of the grown history: the evolving
-    schema view and RI merge state are carried in the analyzer. Row
-    keys — each (table, canonical first-RI-dimension value) interned
-    once as an int, with per-key reader and writer postings — are
-    derived for the new entries under the merge state after the batch;
-    an RI merge learned by a new entry re-derives every entry's keys.
+    entries. New entries are derived in full (they are above
+    {!derived_from}); before the first pass, [extend] only moves the
+    length the next pass covers. Equivalent to a fresh [of_source] of
+    the grown history required from the same bound: the evolving schema
+    view and RI merge state are carried in the analyzer. Row keys — each
+    (table, canonical first-RI-dimension value) interned once as an
+    int, with per-key reader and writer postings — are derived for the
+    new entries under the merge state after the batch; an RI merge
+    learned by a new entry re-derives every derived entry's keys. The
+    per-entry arrays grow by doubling, so a growing history copies them
+    O(log n) times.
 
     Column-wise sets and row-set plans are derived once per statement
     shape ({!Uv_sql.Shape}: the statement with its literals erased) and
@@ -129,10 +196,12 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     order. The plan of a CALL or of a DML statement that fires triggers
     holds the plans of the bodies it runs, so the memo and the schema
     generation (which CREATE/DROP PROCEDURE or TRIGGER bump) cover them
-    too. A schema change empties the memo, plans included. [obs]'s
-    [analyze.rw_derivations] counter gets the [Rwset.of_stmt] calls made
-    — one per distinct (generation, shape) the batch meets first.
-    Questions ({!target_rw}) never read or write the memo.
+    too. A schema change empties the memo, plans included. Each pass
+    keeps the schema view of every generation it ends, so the view as
+    of any τ is a lookup. [obs]'s [analyze.rw_derivations] counter gets
+    the [Rwset.of_stmt] calls made — one per distinct (generation,
+    shape) the batch meets first. Questions ({!target_rw}) never read or
+    write the memo.
 
     Only sound while the analysed prefix is intact — a truncated log or
     a history rewritten in place requires a fresh [analyze] (the what-if
@@ -146,7 +215,8 @@ val base_hashes : t -> (string * int64) list
 val length : t -> int
 
 val info : t -> int -> info
-(** 1-based commit index. *)
+(** 1-based commit index. Below {!derived_from}, derives the whole
+    history first ({!require}[ ~from:1]). *)
 
 val target_rw : t -> target -> Rwset.rw * Rowset.entry_rows
 (** Combined sets of the retroactive target (for [Change], the union of
@@ -310,7 +380,12 @@ val replay_dag :
       a write orders after the key's last writer, with 0 as above.
       [Uv_db.Storage.update] replaces whole rows, so two members writing
       different columns of one row must keep commit order when replayed
-      in parallel.
+      in parallel;
+    - {b guard rule}: a member reads every column of each of its
+      {!unkeyed_guards} at key 0, as the engine's PRIMARY KEY or UNIQUE
+      check reads the rows at every key; so it keeps commit order with
+      every member writing a column of the guard, whichever member's
+      write would fail the check.
 
     Row keys are interned by {!extend}: the members' first-RI-dimension
     values canonicalised under the merge state of the last extension,
@@ -325,6 +400,15 @@ val replay_dag :
     [replay.cell_visits], by the cell states and listed accessors the
     pass visits: one per access, one per writer or reader a write (or a
     wildcard read) walks. *)
+
+val unkeyed_guards : t -> int -> string list list
+(** The uniqueness guards entry [i]'s writes are checked against at
+    every key: for each table it writes, other than the one a top-level
+    DELETE of [i] removes rows from, each PRIMARY KEY or UNIQUE guard
+    (under the analysed head's schema) that does not hold the table's
+    first RI dimension and of which [i] writes a column, as qualified
+    column names. {!replay_dag} orders [i] with every member writing a
+    column of one of them. *)
 
 val keys_current : t -> bool
 (** The row keys are current: no question-time merge ({!target_rw})

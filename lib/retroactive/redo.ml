@@ -477,38 +477,6 @@ let clean t idx stmt hist =
           (not info.triggered)
           && (is_empty t || not (reads_dirty t idx info kind stmt hist)))
 
-(* One batch's decisions. Its members share no cell, so the dirty set
-   as the earlier batches left it decides each, but a constraint check
-   that reads rows at every key (an unkeyed PRIMARY KEY or UNIQUE guard)
-   also reads what the batch's executed writers of its table write
-   beside it, unsettled: such a member executes too. Two redone members
-   write what history wrote, which held no duplicate. *)
-let clean_batch t items =
-  let clean = Array.map (fun (idx, stmt, hist) -> clean t idx stmt hist) items in
-  let writes_beside k table =
-    let found = ref false in
-    Array.iteri
-      (fun j (idx, _, _) ->
-        if j <> k && (not clean.(j))
-           && List.mem table
-                (Analyzer.write_tables (Analyzer.info t.analyzer idx).Analyzer.rw)
-        then found := true)
-      items;
-    !found
-  in
-  Array.mapi
-    (fun k (_, stmt, _) ->
-      clean.(k)
-      &&
-      match target stmt with
-      | Some (table, (Insert | Update _)) -> (
-          match table_info t table with
-          | Some info when List.exists (fun (_, keyed) -> not keyed) info.guard ->
-              not (writes_beside k table)
-          | _ -> true)
-      | _ -> true)
-    items
-
 let rowid_of = function
   | Log.U_row_insert (_, r, _) | Log.U_row_update (_, r, _, _)
   | Log.U_row_delete (_, r, _) ->

@@ -55,16 +55,6 @@ val clean : t -> int -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
       columns an UPDATE or DELETE writes meet no dirty cell at any key
       (it visits every row). *)
 
-val clean_batch :
-  t -> (int * Uv_sql.Ast.stmt * Uv_db.Log.undo list) array -> bool array
-(** {!clean} over one batch of members run together, each given as
-    [(idx, stmt, journal)]: they share no cell, so the dirty set as the
-    earlier batches left it decides each — except that a member whose
-    constraint check reads rows at every key (a PRIMARY KEY or UNIQUE
-    guard checked at every key) executes when another member of the
-    batch that executes writes its table, whose rows it would otherwise
-    not see settled. *)
-
 val prepare :
   t ->
   Uv_db.Catalog.t ->

@@ -251,7 +251,7 @@ let slot (scope : scope) name =
       Hashtbl.add scope name i;
       i
 
-type plan = stmt -> env -> Value.t list -> entry_rows
+type step = stmt -> env -> Value.t list -> entry_rows
 
 (* What planning reads: the RI state, the schema view, the variables in
    scope ([None] at top level) and the triggers and procedures whose
@@ -261,6 +261,9 @@ type cx = {
   sv : Schema_view.t;
   scope : scope option;
   active : [ `Trigger of string | `Proc of string ] list;
+  learns : bool ref;
+      (* set when a step may learn an alias or a merge: shared by every
+         copy of the statement's [cx] *)
 }
 
 let not_of_shape () =
@@ -609,6 +612,8 @@ let insert_plan cx table columns values =
         aliases )
   in
   let rows = List.map row_plan values in
+  if List.exists (fun (_, _, alias_sources) -> alias_sources <> []) rows then
+    cx.learns := true;
   let ndims = max 1 (List.length dims) in
   fun (values : expr list list) env nondet ->
     let nondet = ref nondet in
@@ -693,6 +698,8 @@ let update_plan cx table assigns where =
         | _ -> None)
       (aliases_for t real_table)
   in
+  if List.exists (fun (_, _, path) -> path <> None) rewrites || alias_rewrites <> []
+  then cx.learns := true;
   fun (assigns : (string * expr) list) where env ->
     let access = pinned pins where env read_write in
     let value (i, g) = g (snd (List.nth assigns i)) env in
@@ -741,7 +748,7 @@ let recursion_rows t sv call =
          (table, Array.make (max 1 (List.length (ri_dims t sv table))) { dr = Any; dw = Any }))
 
 (* A statement's rows, the triggers it fires aside. *)
-let rec stmt_plan cx (s : stmt) : plan =
+let rec stmt_plan cx (s : stmt) : step =
   let t = cx.t and sv = cx.sv in
   match s with
   | Select sel ->
@@ -837,7 +844,7 @@ let rec stmt_plan cx (s : stmt) : plan =
 
 (* A CALL of [proc] whose body is not being expanded: the body under an
    environment binding each parameter to its argument's value. *)
-and call_plan cx (proc : Uv_db.Catalog.procedure) args : plan =
+and call_plan cx (proc : Uv_db.Catalog.procedure) args : step =
   let scope = Hashtbl.create 8 in
   (* each parameter with the path to its argument's value, as far
      as both lists go *)
@@ -867,7 +874,7 @@ and call_plan cx (proc : Uv_db.Catalog.procedure) args : plan =
 
 (* A statement's rows, then the rows of the triggers it fires: its write
    table's, for its event. *)
-and fired_plan cx s : plan =
+and fired_plan cx s : step =
   let rows = stmt_plan cx s in
   match
     Option.bind (dml_event s) (fun (table, event) ->
@@ -1000,9 +1007,15 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
         body env nondet
   | P_leave _ | P_signal _ -> fun _ _ -> []
 
-let plan t sv stmt = fired_plan { t; sv; scope = None; active = [] } stmt
+type plan = { step : step; teaches : bool }
 
-let run (p : plan) stmt nondet = p stmt no_env nondet
+let plan t sv stmt =
+  let learns = ref false in
+  let step = fired_plan { t; sv; scope = None; active = []; learns } stmt in
+  { step; teaches = !learns }
+
+let teaches p = p.teaches
+let run p stmt nondet = p.step stmt no_env nondet
 let of_entry t sv stmt nondet = run (plan t sv stmt) stmt nondet
 
 (* ------------------------------------------------------------------ *)

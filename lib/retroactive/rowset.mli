@@ -94,6 +94,15 @@ val plan : t -> Schema_view.t -> Ast.stmt -> plan
     {!Schema_view.generation} of [sv] does not move, and only for [t]. It
     reads nothing of [t]'s alias or merge state when it is built. *)
 
+val teaches : plan -> bool
+(** May {!run} of this plan learn an alias or a merge into [t]'s state:
+    an INSERT that binds both sides of a declared alias pair, or an
+    UPDATE that assigns an RI dimension (from a value known from the
+    literals) or both sides of an alias pair, at top level, inside a
+    transaction or inside a body the statement runs. [false] means
+    running the plan leaves [t]'s alias and merge state as it is, so an
+    entry of the shape that nobody reads the rows of can be skipped. *)
+
 val run : plan -> Ast.stmt -> Value.t list -> entry_rows
 (** [run p stmt nondet]: the row-wise access of [stmt], which must have
     [p]'s shape ([Invalid_argument] otherwise). The [Value.t list] is the

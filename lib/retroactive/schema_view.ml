@@ -124,6 +124,16 @@ let rec changes t (s : stmt) =
 
 let apply t s = if changes t s then t.generation <- t.generation + 1
 
+let rec affects (s : stmt) =
+  match s with
+  | Create_table _ | Drop_table _ | Alter_table _ | Create_view _ | Drop_view _
+  | Create_procedure _ | Drop_procedure _ | Create_trigger _ | Drop_trigger _ ->
+      true
+  | Transaction stmts -> List.exists affects stmts
+  | Truncate_table _ | Create_index _ | Drop_index _ | Select _ | Insert _
+  | Insert_select _ | Update _ | Delete _ | Call _ ->
+      false
+
 let generation t = t.generation
 
 let build ?base iter =

@@ -21,6 +21,11 @@ val apply : t -> Ast.stmt -> unit
 (** Apply the schema effects of a statement (non-DDL statements are
     no-ops, except INSERT bumping nothing — data is never tracked). *)
 
+val affects : Ast.stmt -> bool
+(** May {!apply} of this statement change a view? [false] for every
+    statement whose [apply] is a no-op on every view. It reads only the
+    statement's shape ({!Uv_sql.Shape}), never a literal. *)
+
 val generation : t -> int
 (** Bumped by every {!apply} of a statement that creates, drops, alters
     or replaces a table, view, procedure or trigger, DDL nested in a

@@ -157,9 +157,9 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     match redo with
     | Some r when Array.for_all (fun it -> it.idx > 0) batch ->
         Array.map
-          (fun clean -> if clean then redo else None)
-          (Redo.clean_batch r
-             (Array.map (fun it -> (it.idx, it.stmt, Option.get it.journal)) batch))
+          (fun it ->
+            if Redo.clean r it.idx it.stmt (Option.get it.journal) then redo else None)
+          batch
     | _ -> Array.map (fun _ -> None) batch
   in
   (* on the caller lane, after the item's batch, in commit order *)

@@ -102,9 +102,10 @@ val execute :
     It is ignored unless the head and every item carry a journal. The
     decisions for a batch are taken on the caller lane before it runs,
     from the dirty set as the earlier batches left it: a wave's members
-    share no cell, so none can dirty what another reads
-    ({!Redo.clean_batch} keeps a constraint check that reads every row
-    of its table from missing the batch's other writers). After the
+    share no cell, so none can dirty what another reads (a constraint
+    check that reads every row of its table included: the replay DAG's
+    guard rule orders it with every writer of the guard's columns,
+    {!Analyzer.replay_dag}). After the
     batch, each item is settled into the set in commit order. The head
     always executes.
 

@@ -225,6 +225,20 @@ let checkpoint_rollback ladder log temp_cat undo_list =
             true
           end)
 
+(* The first entry of [tau]'s application transaction group: [tau]
+   itself when it has no tag or no mate before it. *)
+let first_mate log tau =
+  if tau < 1 || tau > Uv_db.Log.length log then tau
+  else
+    match (Uv_db.Log.entry log tau).Uv_db.Log.app_txn with
+    | None -> tau
+    | Some _ as tag ->
+        let rec go i =
+          if i >= tau || (Uv_db.Log.entry log i).Uv_db.Log.app_txn = tag then i
+          else go (i + 1)
+        in
+        go 1
+
 let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     (target : Analyzer.target) =
   let obs = config.Config.obs in
@@ -284,11 +298,14 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     phases := (name, Uv_util.Clock.now_ms () -. s) :: !phases;
     r
   in
-  (* 1. replay-set computation *)
+  (* 1. replay-set computation, on entries derived from τ (or, grouped,
+     from τ's first transaction-group mate) *)
   let rs =
     phase "analyze" (fun () ->
-        Analyzer.replay_set ~obs ~mode:config.Config.mode
-          ~grouped:config.Config.grouped analyzer target)
+        let grouped = config.Config.grouped in
+        Analyzer.require ~obs analyzer
+          ~from:(if grouped then first_mate log target.Analyzer.tau else target.Analyzer.tau);
+        Analyzer.replay_set ~obs ~mode:config.Config.mode ~grouped analyzer target)
   in
   let analysis_ms = List.assoc "analyze" !phases in
   let members = rs.Analyzer.member_indexes in
@@ -832,6 +849,9 @@ module Service = struct
             Analyzer.of_source ?config:t.rowset ?base:t.base ~obs
               (Analyzer.source_of_log log)
           in
+          (* derived from 1 here, under the write lock: the questions
+             that share it never derive *)
+          Analyzer.require ~obs a ~from:1;
           Atomic.incr t.analyzer_builds;
           Uv_obs.Trace.incr obs "whatif.service.analyzer_builds";
           { analyzer = Some a; analyzed_len = n; epoch = ep }

@@ -70,10 +70,17 @@ let rec probe s off len i =
 (* the [Keyword] token for the word at [off, off + len) of [s], or [Eof] *)
 let keyword_at s off len = probe s off len (fold_hash s off len)
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+(* character classes: bit 0 identifier start, bit 1 identifier char *)
+let classes =
+  String.init 256 (fun k ->
+      let c = Char.chr k in
+      let start = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+      let digit = c >= '0' && c <= '9' in
+      Char.chr ((if start then 1 else 0) lor if start || digit then 2 else 0))
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+let is_ident_start c = Char.code (String.unsafe_get classes (Char.code c)) land 1 <> 0
+
+let is_ident_char c = Char.code (String.unsafe_get classes (Char.code c)) land 2 <> 0
 
 let is_digit c = c >= '0' && c <= '9'
 

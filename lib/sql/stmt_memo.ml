@@ -186,19 +186,24 @@ type template = {
   slots : int array;
       (* the [k]th [Lit] node [stmt] visits: [2 * literal + negated]
          for a hole, [-1] for a literal that stays as it is *)
+  id : int;  (* its position in [by_id] *)
 }
 
 type t = {
   sc : Lexer.scan;
   shapes : (int, template list) Hashtbl.t;  (* by [Lexer.key] *)
+  mutable by_id : template array;  (* the first [templates] are made *)
+  mutable templates : int;
   mutable full_parses : int;
 }
 
-let create () = { sc = Lexer.scanner (); shapes = Hashtbl.create 64; full_parses = 0 }
+let create () =
+  { sc = Lexer.scanner (); shapes = Hashtbl.create 64; by_id = [||]; templates = 0;
+    full_parses = 0 }
 
 let full_parses m = m.full_parses
 
-let template text lits (ast, holes) =
+let template ~id text lits (ast, holes) =
   let fixed = Array.make (Lexer.literals lits) true in
   List.iter (fun (h : Parser.hole) -> fixed.(h.Parser.literal) <- false) holes;
   let slots = ref [] in
@@ -214,12 +219,17 @@ let template text lits (ast, holes) =
          e)
        ast
       : stmt);
-  { text; lits; fixed; ast; slots = Array.of_list (List.rev !slots) }
+  { text; lits; fixed; ast; slots = Array.of_list (List.rev !slots); id }
 
+(* Eight bytes at a time, then byte by byte. *)
 let rec bytes_equal a ai b bi len =
-  len = 0
-  || String.unsafe_get a ai = String.unsafe_get b bi
-     && bytes_equal a (ai + 1) b (bi + 1) (len - 1)
+  if len >= 8 then
+    String.get_int64_ne a ai = String.get_int64_ne b bi
+    && bytes_equal a (ai + 8) b (bi + 8) (len - 8)
+  else
+    len = 0
+    || String.unsafe_get a ai = String.unsafe_get b bi
+       && bytes_equal a (ai + 1) b (bi + 1) (len - 1)
 
 let range_equal a ai aj b bi bj = aj - ai = bj - bi && bytes_equal a ai b bi (aj - ai)
 
@@ -262,18 +272,63 @@ let parse_in_full m src =
   m.full_parses <- m.full_parses + 1;
   Parser.parse_stmt src
 
+(* After a scan of [src] that succeeded: the template [src] matches,
+   made from [src] (its [text] is then [src] itself) when there was
+   none. *)
+let find_template m src =
+  let key = Lexer.key m.sc in
+  let bucket = Option.value (Hashtbl.find_opt m.shapes key) ~default:[] in
+  match List.find_opt (fun tpl -> matches tpl m.sc src) bucket with
+  | Some tpl -> tpl
+  | None ->
+      m.full_parses <- m.full_parses + 1;
+      let parsed = Parser.parse_template src in
+      let tpl = template ~id:m.templates src (Lexer.snapshot m.sc) parsed in
+      Hashtbl.replace m.shapes key (tpl :: bucket);
+      if m.templates = Array.length m.by_id then
+        m.by_id <-
+          Array.init (max 16 (2 * m.templates)) (fun k ->
+              if k < m.templates then m.by_id.(k) else tpl);
+      m.by_id.(m.templates) <- tpl;
+      m.templates <- m.templates + 1;
+      tpl
+
 let parse m src =
   if not (Lexer.scan m.sc src) then parse_in_full m src
   else
-    let key = Lexer.key m.sc in
-    let bucket = Option.value (Hashtbl.find_opt m.shapes key) ~default:[] in
-    match List.find_opt (fun tpl -> matches tpl m.sc src) bucket with
-    | Some tpl -> (
-        (* only an integer above [max_int] fails to convert; the full
-           parse raises what [parse_stmt] raises on it *)
-        try instantiate tpl m.sc src with Failure _ -> parse_in_full m src)
-    | None ->
-        m.full_parses <- m.full_parses + 1;
-        let parsed = Parser.parse_template src in
-        Hashtbl.replace m.shapes key (template src (Lexer.snapshot m.sc) parsed :: bucket);
-        fst parsed
+    let tpl = find_template m src in
+    if tpl.text == src then tpl.ast
+    else
+      (* only an integer above [max_int] fails to convert; the full parse
+         raises what [parse_stmt] raises on it *)
+      try instantiate tpl m.sc src with Failure _ -> parse_in_full m src
+
+(* Digits that always convert: an integer literal fails to only when it
+   is longer. *)
+let safe_digits = String.length (string_of_int max_int) - 1
+
+(* Every hole literal of [src] converts, as [instantiate] needs. *)
+let converts tpl sc src =
+  match
+    Array.iter
+      (fun slot ->
+        let k = slot lsr 1 in
+        if
+          slot >= 0
+          && Lexer.literal_kind sc k = Lexer.Lit_int
+          && Lexer.literal_stop sc k - Lexer.literal_start sc k > safe_digits
+        then ignore (Lexer.literal_token sc src k : Lexer.token))
+      tpl.slots
+  with
+  | () -> true
+  | exception Failure _ -> false
+
+let template m src =
+  if not (Lexer.scan m.sc src) then -1
+  else
+    let tpl = find_template m src in
+    if tpl.text == src || converts tpl m.sc src then tpl.id else -1
+
+let template_stmt m id =
+  if id < 0 || id >= m.templates then invalid_arg "Stmt_memo.template_stmt";
+  m.by_id.(id).ast

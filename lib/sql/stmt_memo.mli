@@ -30,6 +30,20 @@ val create : unit -> t
 val parse : t -> string -> Ast.stmt
 (** Equal to [Parser.parse_stmt src], and raises what it raises. *)
 
+val template : t -> string -> int
+(** The id of the template [parse t src] would instantiate, named from
+    [src]'s bytes without building its AST; a template made from [src]
+    itself when the memo has none of its shape yet (parsed in full, as
+    [parse] would). [-1] where [parse] would not instantiate one: the
+    scan declines, or a hole literal fails to convert. Ids count the
+    memo's templates from 0. Raises what [parse t src] raises when it
+    makes a template. *)
+
+val template_stmt : t -> int -> Ast.stmt
+(** The statement template [id] was parsed from:
+    {!Shape.equal} to every statement of its shape, [parse t src] for
+    each [src] whose {!template} is [id] included. *)
+
 val full_parses : t -> int
 (** Statements parsed in full so far: one per shape that parsed, plus
     every statement the scan declined, that failed to parse, or whose

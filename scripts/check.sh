@@ -101,7 +101,10 @@ step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 # bases, each fed to a memo that already holds its base's template; the
 # literal scan's tokens equal tokenize's; LIMIT, SQLSTATE,
 # AUTO_INCREMENT and hash-colliding texts never share a template; full
-# parses equal the distinct shapes and stay flat on a 4x history. Then
+# parses equal the distinct shapes and stay flat on a 4x history; a
+# template named from the bytes alone, without building the statement
+# (the analyzer's path below τ), has parse_stmt's shape on the corpus and
+# on every mutation, and raises what parse_stmt raises. Then
 # the slicing-by-8 CRC-32 kernel against the bytewise reference: every
 # offset and length 0-64, chained updates, the 123456789 check value and
 # golden digests recorded from the bytewise kernel
@@ -184,14 +187,31 @@ step "closure smoke: replay sets and exact provenance of the column and row swee
 step "shape memo smoke: memoized column sets == direct derivation, planned row sets == rowset_reference (generated CALL, trigger, subquery and join cases too), DDL between uses, derivations flat in history" \
   dune exec test/test_closure.exe -- test "shape memo"
 
+# analysis from τ: analyzers opened afresh on a segmented store derive
+# sets, rows, keys and postings only from each question's bound (τ, or
+# τ's first transaction-group mate when grouped), advancing the schema
+# view, the RI alias and merge state and the groups below it. On the
+# five workloads (raw and transpiled, seeded targets in every mode,
+# grouped and not, and a removal at every τ), on a history that teaches
+# an alias and a merge and adds a column below τ, and on a question-time
+# RI merge: members, counts, exact parents and the postings both sweeps
+# pop equal an analyzer derived from 1, the replay DAG equals the
+# string-keyed reference and the full analyzer's, and a later question
+# with a lower τ derives again and answers like a fresh full analyzer;
+# a pass that fails part-way is derived again, and extending an analyzer
+# derived from τ answers like a full analyzer of the grown history
+step "from-τ analysis smoke: lazily derived analyzers == derived from 1 (members, parents, visits, replay DAG), lower τ derives again" \
+  dune exec test/test_closure.exe -- test "from tau"
+
 # the replay DAG, which reads the analyzer's int row keys, against a
 # string-keyed reference of its last-writer rule that recomputes each
 # member's edges from every earlier member's accesses (it keys rows by
 # canonical value strings, so it shares no key space with the
 # analyzer), and against a check that does not depend on the rule:
 # every pair of members sharing a (column, row) cell one of them
-# writes, or both writing one (table, row), is joined by a DAG path,
-# and every edge is such a pair. Edge sets and wave layouts on the five
+# writes, or both writing one (table, row), or one writing a column of
+# the other's unkeyed PRIMARY KEY or UNIQUE guard, is joined by a DAG
+# path, and every edge is such a pair. Edge sets and wave layouts on the five
 # workloads (cell and grouped replay sets, and every entry) and on a
 # hand-built history with wildcard reads and writes, a schema key, two
 # aliasing RI values, a write after 140 readers of one row (ordered
@@ -218,7 +238,8 @@ step "replay executor smoke: commit order == DAG waves at workers 1/2/4/8, Hash-
 # rowids and images, restamped hashes) that executing every member
 # leaves, at workers 1/2/4/8; hand-built cases: a blind write of an
 # undone cell, an INSERT whose UNIQUE value an executed member now
-# holds, a FOREIGN KEY parent the target inserted, wildcard reads and
+# holds (on one row key, and across row keys, where the replay DAG's
+# guard rule orders the two), a FOREIGN KEY parent the target inserted, wildcard reads and
 # writes, rowid translation for rows executed members inserted, and
 # the existence guard
 step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, rowid translation" \

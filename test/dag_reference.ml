@@ -39,9 +39,16 @@ let entry_row_tokens anl (inf : Analyzer.info) table ~write =
 type access = { group : string; tok : string; write : bool }
 
 (* Member [i]'s accesses: each column it reads or writes, per token of
-   that side; and each real table it writes, per written token. *)
+   that side; each column of its unkeyed uniqueness guards, read at any
+   row (the engine checks them against every row); and each real table
+   it writes, per written token. *)
 let accesses anl i =
   let inf = Analyzer.info anl i in
+  let guards =
+    List.concat_map
+      (List.map (fun c -> { group = c; tok = "*"; write = false }))
+      (Analyzer.unkeyed_guards anl i)
+  in
   let on_cols s ~write =
     Rwset.Colset.fold
       (fun c acc ->
@@ -52,6 +59,7 @@ let accesses anl i =
       s []
   in
   on_cols inf.Analyzer.rw.Rwset.r ~write:false
+  @ guards
   @ on_cols inf.Analyzer.rw.Rwset.w ~write:true
   @ List.concat_map
       (fun table ->
@@ -136,7 +144,8 @@ let edges anl ~members =
 (* ------------------------------------------------------------------ *)
 
 (* [i] and [j] must keep commit order: they share a (column, row) cell
-   that one of them writes, or both write one (table, row). Rows meet on
+   that one of them writes, or both write one (table, row), or one
+   writes a column of the other's unkeyed uniqueness guard. Rows meet on
    an equal token or a wildcard. *)
 let needs_order ai aj =
   List.exists

@@ -584,17 +584,9 @@ let test_extend_across_merge () =
     (Conflict_dag.edges (dag fresh))
     (Conflict_dag.edges (dag grown))
 
-(* A target that rewrites an RI value merges at question time: Add or
-   Change [UPDATE t SET id = 2 WHERE id = 3] makes rows 2 and 3 one row
-   for the rest of the analysis, though the history itself merges
-   nothing and [extend] keyed it without the merge. Every closure and
-   the replay DAG must see 2 and 3 as one row, though the postings
-   [extend] built keep them apart until the next batch re-derives them:
-   every mode's answers equal the pairwise reference, with exact
-   parents, and the DAG of each mode's members the string-keyed
-   reference, which both canonicalise under the merge state at the
-   call. *)
-let test_question_time_merge () =
+(* Tables [t] (RI [id]) and [u], and a history over them that merges
+   nothing; entries 2 and 4 share a transaction tag. *)
+let merge_history () =
   let e = Engine.create () in
   run e "CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)";
   run e "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
@@ -620,21 +612,37 @@ let test_question_time_merge () =
   let config =
     { Rowset.default_config with Rowset.ri_columns = [ ("t", [ "id" ]) ] }
   in
-  let anl = Analyzer.analyze ~config ~base (Engine.log e) in
+  (config, base, Engine.log e)
+
+(* The targets that merge 2 and 3 at question time. *)
+let merge_targets =
+  let rekey = Uv_sql.Parser.parse_stmt "UPDATE t SET id = 2 WHERE id = 3" in
+  List.concat_map
+    (fun tau ->
+      [
+        { Analyzer.tau; op = Analyzer.Add rekey };
+        { Analyzer.tau; op = Analyzer.Change rekey };
+      ])
+    [ 1; 2; 5 ]
+
+(* A target that rewrites an RI value merges at question time: Add or
+   Change [UPDATE t SET id = 2 WHERE id = 3] makes rows 2 and 3 one row
+   for the rest of the analysis, though the history itself merges
+   nothing and [extend] keyed it without the merge. Every closure and
+   the replay DAG must see 2 and 3 as one row, though the postings
+   [extend] built keep them apart until the next batch re-derives them:
+   every mode's answers equal the pairwise reference, with exact
+   parents, and the DAG of each mode's members the string-keyed
+   reference, which both canonicalise under the merge state at the
+   call. *)
+let test_question_time_merge () =
+  let config, base, log = merge_history () in
+  let anl = Analyzer.analyze ~config ~base log in
   let n = Analyzer.length anl in
   check Alcotest.int "the history merges nothing" 0
     (Analyzer.row_merge_generation anl);
   let group_of = groups anl in
-  let rekey = Uv_sql.Parser.parse_stmt "UPDATE t SET id = 2 WHERE id = 3" in
-  let targets =
-    List.concat_map
-      (fun tau ->
-        [
-          { Analyzer.tau; op = Analyzer.Add rekey };
-          { Analyzer.tau; op = Analyzer.Change rekey };
-        ])
-      [ 1; 2; 5 ]
-  in
+  let targets = merge_targets in
   List.iter
     (fun target ->
       ignore (Analyzer.target_rw anl target);
@@ -2137,6 +2145,317 @@ let test_memo_flat_in_history () =
   check Alcotest.int "derivations, 1 008 vs 4 008 entries" (derivations ~pad:1000)
     (derivations ~pad:4000)
 
+(* ------------------------------------------------------------------ *)
+(* Derived from τ                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [log] persisted as a segmented store, for analyzers that derive
+   lazily from it: each question opens one afresh, as a cold question
+   does. *)
+let with_store log f =
+  let dir = Filename.temp_file "uv_from_tau" "" in
+  Sys.remove dir;
+  let store = Log_store.open_ ~segment_cap:64 dir in
+  Log_store.append_log store log;
+  Log_store.close store;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* The first entry a question about [target] derives: τ, or, grouped, the
+   first mate of τ's transaction group; past the history, none. *)
+let expected_bound full ~grouped (target : Analyzer.target) =
+  let n = Analyzer.length full and tau = target.Analyzer.tau in
+  if tau > n then n + 1
+  else
+    match (Analyzer.info full tau).Analyzer.app_txn with
+    | Some _ as tag when grouped ->
+        let rec first i =
+          if (Analyzer.info full i).Analyzer.app_txn = tag then i else first (i + 1)
+        in
+        first 1
+    | _ -> tau
+
+let show_set (rs : Analyzer.replay_set) =
+  let via = function None -> "-" | Some v -> string_of_int v in
+  Printf.sprintf "members [%s] counts %d/%d/%d mutated {%s} consulted {%s} parents %s"
+    (String.concat "; " (List.map string_of_int rs.Analyzer.member_indexes))
+    rs.Analyzer.member_count rs.Analyzer.col_only_count rs.Analyzer.row_only_count
+    (String.concat ", " rs.Analyzer.mutated)
+    (String.concat ", " rs.Analyzer.consulted)
+    (String.concat " "
+       (List.map
+          (fun (p : Analyzer.provenance) ->
+            via p.Analyzer.p_col_via ^ "," ^ via p.Analyzer.p_row_via)
+          rs.Analyzer.provenance))
+
+(* One question of [lazy_anl] and of [full] (derived from 1): the same
+   replay set, parents and counts, the same postings popped by both
+   sweeps, and, on the lazy analyzer, a replay DAG equal to the
+   reference's and to the full analyzer's. *)
+let same_answer ~label ~mode ~grouped ~full lazy_anl target =
+  let ask anl =
+    let obs = Uv_obs.Trace.create () in
+    let rs = Analyzer.replay_set ~obs ~mode ~grouped anl target in
+    let visits name = Uv_obs.Trace.counter_value obs name in
+    (rs, visits "analyze.closure_row_visits", visits "analyze.closure_col_visits")
+  in
+  let want, want_rows, want_cols = ask full in
+  let got, got_rows, got_cols = ask lazy_anl in
+  check Alcotest.string (label ^ ": replay set") (show_set want) (show_set got);
+  check Alcotest.int (label ^ ": row visits") want_rows got_rows;
+  check Alcotest.int (label ^ ": column visits") want_cols got_cols;
+  let members = got.Analyzer.member_indexes in
+  Dag_reference.check ~label:(label ^ " DAG") lazy_anl members;
+  check
+    Alcotest.(list (pair int int))
+    (label ^ ": DAG == full's")
+    (Conflict_dag.edges (Analyzer.replay_dag full ~members))
+    (Conflict_dag.edges (Analyzer.replay_dag lazy_anl ~members))
+
+(* Every question of [targets], grouped and not, asked of an analyzer
+   opened afresh on the store: it derives from the question's bound
+   only, and answers like one derived from 1 in every mode. Then the
+   same analyzer answers a question with a lower τ (a Remove at
+   [lower target]), deriving again from that bound, like a fresh full
+   one. [full ()] opens an analyzer derived from 1. *)
+let check_from_tau ~label ~open_lazy ~full ~lower targets =
+  let lazily = ref 0 in
+  List.iter
+    (fun target ->
+      List.iter
+        (fun grouped ->
+          let label =
+            Printf.sprintf "%s %s%s" label (target_name target)
+              (if grouped then " grouped" else "")
+          in
+          let full_of = full in
+          let full = full () and anl = open_lazy () in
+          List.iter
+            (fun (mode, mode_name) ->
+              same_answer ~label:(label ^ " " ^ mode_name) ~mode ~grouped ~full anl
+                target)
+            modes;
+          let bound = expected_bound full ~grouped target in
+          check Alcotest.int (label ^ ": derived from") bound (Analyzer.derived_from anl);
+          if bound > 1 then incr lazily;
+          match lower target with
+          | Some tau2 ->
+              let again = { Analyzer.tau = tau2; op = Analyzer.Remove } in
+              (* a new pass starts from the base again, so a merge the
+                 first question made is gone: then compare with a fresh
+                 analyzer *)
+              let bound2 = expected_bound full ~grouped again in
+              same_answer ~label:(label ^ " then " ^ target_name again) ~mode:Analyzer.Cell
+                ~grouped
+                ~full:(if bound2 < bound then full_of () else full)
+                anl again;
+              check Alcotest.int (label ^ ": derived again from") (min bound bound2)
+                (Analyzer.derived_from anl)
+          | None -> ())
+        [ false; true ])
+    targets;
+  if !lazily = 0 then Alcotest.failf "%s: no question derived from above 1" label
+
+(* The fixtures' histories again (the same seeded calls), each asked at
+   the seeded targets, and removed at every τ. *)
+let test_from_tau_workloads () =
+  List.iter
+    (fun (w : W.t) ->
+      List.iter
+        (fun (mode, mode_name) ->
+          let label = w.W.name ^ " " ^ mode_name in
+          let eng, base = build w ~mode ~n:60 in
+          let log = Engine.log eng and config = w.W.ri_config in
+          let full () =
+            let anl = Analyzer.analyze ~config ~base log in
+            Analyzer.require anl ~from:1;
+            anl
+          in
+          with_store log @@ fun dir ->
+          let open_lazy () =
+            Analyzer.of_source ~config ~base
+              (Analyzer.source_of_store (Log_store.open_ dir))
+          in
+          let whole = full () in
+          let targets = targets whole in
+          let lower (target : Analyzer.target) =
+            let tau = target.Analyzer.tau / 2 in
+            if tau >= 1 then Some tau else None
+          in
+          check_from_tau ~label ~open_lazy ~full ~lower targets;
+          for tau = 1 to Analyzer.length whole do
+            let target = { Analyzer.tau; op = Analyzer.Remove } in
+            same_answer
+              ~label:(Printf.sprintf "%s every τ: %s" label (target_name target))
+              ~mode:Analyzer.Cell ~grouped:false ~full:whole (open_lazy ()) target
+          done)
+        [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
+    (W.all ())
+
+(* An alias and a merge taught, and a column added, below τ, and
+   transaction groups that straddle τ: the entries from τ on derive the
+   rows the alias and the merge give and the sets the added column
+   gives. Questions add and change statements that read the alias and
+   that merge at question time. *)
+let test_from_tau_teaching () =
+  let e = Engine.create () in
+  List.iter (run e)
+    [
+      "CREATE TABLE o (id INT PRIMARY KEY, code VARCHAR(8), v INT)";
+      "CREATE TABLE m (a INT, b INT, v INT)";
+      "INSERT INTO o VALUES (1, 'c1', 0)";
+      "INSERT INTO o VALUES (2, 'c2', 0)";
+      "INSERT INTO m VALUES (1, 1, 0)";
+    ];
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  List.iter
+    (fun (app_txn, sql) -> run ?app_txn e sql)
+    [
+      (None, "INSERT INTO o VALUES (7, 'c7', 0)");
+      (Some "A", "UPDATE o SET v = 1 WHERE id = 2");
+      (None, "UPDATE o SET id = 9 WHERE id = 1");
+      (Some "B", "ALTER TABLE o ADD COLUMN z INT");
+      (None, "UPDATE o SET v = v + 1 WHERE code = 'c7'");
+      (Some "A", "UPDATE o SET z = 1 WHERE id = 9");
+      (None, "UPDATE m SET v = (SELECT v FROM o WHERE id = 7) WHERE a = 1 AND b = 1");
+      (Some "B", "SELECT v FROM o WHERE id = 1");
+      (None, "UPDATE o SET v = 3 WHERE id = 1");
+      (Some "A", "UPDATE o SET v = v * 2 WHERE code = 'c7'");
+      (None, "INSERT INTO o VALUES (8, 'c8', 0, 0)");
+      (None, "UPDATE o SET z = 2 WHERE code = 'c8'");
+    ];
+  let log = Engine.log e and config = closure_config in
+  let full () =
+    let anl = Analyzer.analyze ~config ~base log in
+    Analyzer.require anl ~from:1;
+    anl
+  in
+  let whole = full () in
+  let n = Analyzer.length whole in
+  check Alcotest.bool "the history merges" true (Analyzer.row_merge_generation whole > 0);
+  let extras =
+    List.map Uv_sql.Parser.parse_stmt
+      [ "UPDATE o SET v = 5 WHERE code = 'c7'"; "UPDATE o SET id = 7 WHERE id = 2" ]
+  in
+  let targets =
+    List.concat_map
+      (fun tau ->
+        { Analyzer.tau; op = Analyzer.Remove }
+        :: List.concat_map
+             (fun s -> [ { Analyzer.tau; op = Analyzer.Add s }; { Analyzer.tau; op = Analyzer.Change s } ])
+             extras)
+      (List.init n (fun i -> i + 1))
+  in
+  with_store log @@ fun dir ->
+  let open_lazy () =
+    Analyzer.of_source ~config ~base (Analyzer.source_of_store (Log_store.open_ dir))
+  in
+  (* every entry from τ on derives what a full analyzer derives *)
+  for tau = 1 to n do
+    let anl = open_lazy () in
+    Analyzer.require anl ~from:tau;
+    for i = tau to n do
+      let a = Analyzer.info whole i and b = Analyzer.info anl i in
+      if not (rows_equal a.Analyzer.rows b.Analyzer.rows) then
+        Alcotest.failf "from %d: #%d derives rows %s, want %s" tau i (pp_rows b.Analyzer.rows)
+          (pp_rows a.Analyzer.rows);
+      if not (Colset.equal a.Analyzer.rw.Rwset.r b.Analyzer.rw.Rwset.r
+              && Colset.equal a.Analyzer.rw.Rwset.w b.Analyzer.rw.Rwset.w)
+      then Alcotest.failf "from %d: #%d derives other column sets" tau i
+    done
+  done;
+  check_from_tau ~label:"teaching" ~open_lazy ~full
+    ~lower:(fun t -> if t.Analyzer.tau > 2 then Some 2 else None)
+    targets
+
+(* The question-time merge history, from τ. *)
+let test_from_tau_merge () =
+  let config, base, log = merge_history () in
+  let full () =
+    let anl = Analyzer.analyze ~config ~base log in
+    Analyzer.require anl ~from:1;
+    anl
+  in
+  with_store log @@ fun dir ->
+  check_from_tau ~label:"question-time merge"
+    ~open_lazy:(fun () ->
+      Analyzer.of_source ~config ~base (Analyzer.source_of_store (Log_store.open_ dir)))
+    ~full
+    ~lower:(fun t -> if t.Analyzer.tau > 1 then Some 1 else None)
+    merge_targets
+
+(* A pass that raises part-way (a source that fails once, past τ) leaves
+   the analyzer to derive again: the next question derives anew
+   and answers like a full analyzer in every mode, grouped and not. *)
+let test_from_tau_failed_pass () =
+  let w = List.hd (W.all ()) in
+  let eng, base = build w ~mode:R.Raw ~n:20 in
+  let log = Engine.log eng and config = w.W.ri_config in
+  let n = Log.length log in
+  let fail_at = ref ((3 * n) / 4) in
+  let fetch i =
+    if i = !fail_at then begin
+      fail_at := 0;
+      failwith "source failed"
+    end;
+    Log.entry log i
+  in
+  let anl =
+    Analyzer.of_source ~config ~base
+      (Analyzer.source_of_fun ~length:(fun () -> n) fetch)
+  in
+  let full = Analyzer.analyze ~config ~base log in
+  Analyzer.require full ~from:1;
+  let target = { Analyzer.tau = n / 2; op = Analyzer.Remove } in
+  (match Analyzer.replay_set anl target with
+  | _ -> Alcotest.fail "the failing pass did not raise"
+  | exception Failure _ -> ());
+  check Alcotest.int "nothing counts as derived" max_int (Analyzer.derived_from anl);
+  List.iter
+    (fun grouped ->
+      List.iter
+        (fun (mode, mode_name) ->
+          same_answer
+            ~label:(Printf.sprintf "after a failed pass %s%s" mode_name
+                      (if grouped then " grouped" else ""))
+            ~mode ~grouped ~full anl target)
+        modes)
+    [ false; true ]
+
+(* [extend] on an analyzer derived from τ: the new entries are derived
+   in full, and questions from the bound on answer like a full analyzer
+   of the grown history, on every fixture workload's raw history. *)
+let test_from_tau_extend () =
+  List.iter
+    (fun (w : W.t) ->
+      let eng, base = build w ~mode:R.Raw ~n:30 in
+      let log = Engine.log eng and config = w.W.ri_config in
+      let n = Log.length log in
+      let len = ref (n / 2) in
+      let anl =
+        Analyzer.of_source ~config ~base
+          (Analyzer.source_of_fun ~length:(fun () -> !len) (Log.entry log))
+      in
+      let bound = n / 4 in
+      ignore (Analyzer.replay_set anl { Analyzer.tau = bound; op = Analyzer.Remove });
+      len := n;
+      check Alcotest.int (w.W.name ^ ": extended") (n - (n / 2)) (Analyzer.extend anl);
+      check Alcotest.int (w.W.name ^ ": still derived from") bound (Analyzer.derived_from anl);
+      let full = Analyzer.analyze ~config ~base log in
+      Analyzer.require full ~from:1;
+      for tau = bound to n do
+        if tau mod 3 = 0 then
+          same_answer
+            ~label:(Printf.sprintf "%s extended: remove@%d" w.W.name tau)
+            ~mode:Analyzer.Cell ~grouped:false ~full anl
+            { Analyzer.tau; op = Analyzer.Remove }
+      done)
+    (W.all ())
+
 let () =
   Alcotest.run "closure"
     [
@@ -2191,5 +2510,17 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_closure_equals_reference;
           QCheck_alcotest.to_alcotest prop_dag_orders;
+        ] );
+      ( "from tau",
+        [
+          Alcotest.test_case "five workloads, raw and transpiled" `Quick
+            test_from_tau_workloads;
+          Alcotest.test_case "alias, merge and DDL below τ" `Quick
+            test_from_tau_teaching;
+          Alcotest.test_case "question-time RI merge" `Quick test_from_tau_merge;
+          Alcotest.test_case "a failed pass derives again" `Quick
+            test_from_tau_failed_pass;
+          Alcotest.test_case "extend past a derived bound" `Quick
+            test_from_tau_extend;
         ] );
     ]

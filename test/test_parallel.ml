@@ -1157,10 +1157,11 @@ let test_redo_unique_guard () =
     (check_redo ~label:"UNIQUE guard" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
 (* (b') The same UNIQUE clash across row keys: #2 and #3 touch rows of
-   different first RI dimensions, so they share no cell and run in one
-   wave, and #2 is not settled when #3 is decided. #3's constraint check
-   reads every row of [acct], so with #2 executing beside it, it
-   executes too, and fails as it does executed after #2. *)
+   different first RI dimensions, so they share no cell. But #3's
+   constraint check reads [email] at every row, a guard #2 writes, so
+   the replay DAG orders #3 after #2 on every number of lanes: #3 is
+   decided once #2 is settled, its check meets the row #2 left dirty,
+   and it executes and fails as it does after #2 in commit order. *)
 let test_redo_unique_in_wave () =
   let e, analyzer =
     redo_history
@@ -1182,11 +1183,11 @@ let test_redo_unique_in_wave () =
     (fun out ->
       check Alcotest.(list int) "members" [ 2; 3 ]
         out.Whatif.replay.Analyzer.member_indexes;
-      check Alcotest.int "one wave" 1 out.Whatif.exec_waves;
-      check Alcotest.int "nothing redone" 0 out.Whatif.redone)
-    (* one lane only: on more, the two members race for 'a' whether they
-       execute or are redone, as the DAG leaves them unordered *)
-    (check_redo ~label:"UNIQUE in one wave" e analyzer (remove 1) [ 1 ])
+      check Alcotest.int "two waves" 2 out.Whatif.exec_waves;
+      check Alcotest.int "nothing redone" 0 out.Whatif.redone;
+      check Alcotest.int "the duplicate insert fails" 1
+        out.Whatif.failed_replays)
+    (check_redo ~label:"UNIQUE across keys" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
 (* (c) τ inserts the parent row a child INSERT references: the FOREIGN
    KEY's parent column is one of the child's read cells, so the child
@@ -1406,7 +1407,7 @@ let () =
           [
             Alcotest.test_case "(a) blind write" `Quick test_redo_blind_write;
             Alcotest.test_case "(b) UNIQUE guard" `Quick test_redo_unique_guard;
-            Alcotest.test_case "(b') UNIQUE guard within a wave" `Quick
+            Alcotest.test_case "(b') UNIQUE guard across row keys" `Quick
               test_redo_unique_in_wave;
             Alcotest.test_case "(c) FK parent inserted by tau" `Quick
               test_redo_fk_parent;

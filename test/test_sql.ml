@@ -776,6 +776,56 @@ let test_memo_mutations () =
       done)
     mutation_bases
 
+(* [Stmt_memo.template] names [src]'s template without building its AST:
+   its statement has [parse_stmt]'s shape, and naming raises what
+   [parse_stmt] raises when it must parse. The memo is left as [parse]
+   would leave it, so [check_memo_parse] still holds after it. *)
+let check_memo_template memo src =
+  let want = try Ok (Parser.parse_stmt src) with e -> Error (Printexc.to_string e) in
+  match Stmt_memo.template memo src with
+  | -1 -> ()
+  | id -> (
+      match want with
+      | Ok ast ->
+          if not (Shape.equal (Stmt_memo.template_stmt memo id) ast) then
+            Alcotest.failf "template %d of %S has another shape than parse_stmt's" id src
+      | Error e -> Alcotest.failf "template %d named for %S, which parse_stmt rejects: %s" id src e)
+  | exception e -> (
+      match want with
+      | Error w when String.equal w (Printexc.to_string e) -> ()
+      | _ -> Alcotest.failf "naming %S raised %s" src (Printexc.to_string e))
+
+(* Over the corpus twice (the second pass names every template from the
+   bytes alone), and over every single-byte mutation of the mutation
+   bases, each named first, then parsed through the same memo. *)
+let test_memo_templates () =
+  let memo = Stmt_memo.create () in
+  let corpus = Lazy.force front_end_corpus @ roundtrip_cases in
+  List.iter (check_memo_template memo) corpus;
+  let after_first = Stmt_memo.full_parses memo in
+  List.iter (check_memo_template memo) corpus;
+  let errors =
+    List.length (List.filter (fun src -> String.sub (outcome Parser.parse_stmt src) 0 3 <> "ok ") corpus)
+  in
+  if Stmt_memo.full_parses memo - after_first > errors then
+    Alcotest.failf "naming again parsed %d statements in full, more than the %d that fail"
+      (Stmt_memo.full_parses memo - after_first) errors;
+  List.iter (check_memo_parse memo) corpus;
+  List.iter
+    (fun base ->
+      let memo = Stmt_memo.create () in
+      check_memo_template memo base;
+      for pos = 0 to String.length base - 1 do
+        for c = 0 to 255 do
+          let b = Bytes.of_string base in
+          Bytes.set b pos (Char.chr c);
+          let src = Bytes.to_string b in
+          check_memo_template memo src;
+          check_memo_parse memo src
+        done
+      done)
+    mutation_bases
+
 (* The scan's literals are [tokenize]'s literal tokens, in order; it
    declines only on comments and where [tokenize] fails. *)
 let check_scan_like_tokenize sc src =
@@ -1070,6 +1120,8 @@ let () =
           Alcotest.test_case "fixed literals split templates" `Quick test_memo_fixed_literals;
           Alcotest.test_case "full parses == shapes, flat" `Quick
             test_memo_full_parse_count;
+          Alcotest.test_case "template names parse_stmt's shape" `Quick
+            test_memo_templates;
         ] );
       ( "printer",
         [
