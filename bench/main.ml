@@ -1081,137 +1081,6 @@ let bench_micro () =
   G.print t
 
 (* ------------------------------------------------------------------ *)
-(* Driver                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Template matrix: per-statement vs matrix-backed closure              *)
-(* ------------------------------------------------------------------ *)
-
-(* per-workload rows for the uv.bench/1 report (--json) *)
-let template_results : Uv_obs.Json.t list ref = ref []
-
-(* Closure time at n and 10n with a constant hot-entity count (dep_rate
-   scaled by 1/10), per-statement oracle vs matrix fast path. The fast
-   path must return the identical replay set (hard failure otherwise);
-   its growth factor across the 10x history is the paper's claim that
-   template-level analysis scales with the replay set, not the log. *)
-let bench_template_analysis () =
-  let module T = Uv_analysis.Template_extract in
-  let module M = Uv_analysis.Template_matrix in
-  let module F = Uv_analysis.Template_fastpath in
-  let n_small = sz 250 60 in
-  let reps = 9 in
-  let t =
-    G.create
-      ~title:
-        "Template matrix: closure time, per-statement oracle vs \
-         matrix-backed fast path (n and 10n, constant hot set)"
-      ~header:
-        [ "Bench"; "hist n"; "oracle"; "matrix"; "hist 10n"; "oracle";
-          "matrix"; "growth o"; "growth m"; "set" ]
-  in
-  List.iter
-    (fun (w : W.t) ->
-      let set = T.extract ~schema:w.W.schema_sql ~source:w.W.app_source () in
-      let matrix = M.build ~config:w.W.ri_config set in
-      let measure n dep_rate =
-        let eng, rt = W.setup ~mode:R.Raw w in
-        let base = Engine.snapshot eng in
-        let prng = Uv_util.Prng.create 92 in
-        let calls =
-          w.W.target_call :: w.W.generate prng ~scale:1 ~n ~dep_rate
-        in
-        ignore (W.run_history rt ~mode:R.Raw calls);
-        let log = Engine.log eng in
-        let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
-        let fast = F.prepare ~set ~matrix anl in
-        (* target a hot-entity write with a bounded removal closure: the
-           paper's scenario is a replay set that stays small while the
-           history grows, so skip reads (their removal depends on
-           nothing) and table-wide conflicts like append INSERTs (their
-           closure grows with the history, measuring replay, not
-           analysis); fall back to the first nonempty closure *)
-        let tau =
-          let n = Log.length log in
-          (* a constant: the hot set's size is governed by dep_rate, not
-             by the history length *)
-          let cap = 32 in
-          let closure_size i =
-            (Analyzer.replay_set anl { Analyzer.tau = i; op = Analyzer.Remove })
-              .Analyzer.member_count
-          in
-          let rec scan i fallback =
-            if i > n || i > 80 then Option.value fallback ~default:1
-            else if
-              Uv_retroactive.Rwset.Colset.is_empty
-                (Analyzer.info anl i).Analyzer.rw.Uv_retroactive.Rwset.w
-            then scan (i + 1) fallback
-            else
-              let m = closure_size i in
-              if m > 0 && m <= cap then i
-              else
-                scan (i + 1)
-                  (if fallback = None && m > 0 then Some i else fallback)
-          in
-          scan 1 None
-        in
-        let target = { Analyzer.tau; op = Analyzer.Remove } in
-        let best f =
-          let ms = ref infinity and out = ref None in
-          for _ = 1 to reps do
-            let o, m = S.time f in
-            if m < !ms then ms := m;
-            out := Some o
-          done;
-          (Option.get !out, !ms)
-        in
-        let oracle, oracle_ms = best (fun () -> Analyzer.replay_set anl target) in
-        let fp, fast_ms = best (fun () -> F.replay_set fast anl target) in
-        if oracle.Analyzer.member_indexes <> fp.Analyzer.member_indexes then
-          failwith (w.W.name ^ ": matrix-backed replay set diverged");
-        (Log.length log, oracle.Analyzer.member_count, oracle_ms, fast_ms)
-      in
-      let h1, m1, o1, f1 = measure n_small 0.2 in
-      let h10, m10, o10, f10 = measure (10 * n_small) 0.02 in
-      let growth_o = o10 /. Float.max o1 0.001
-      and growth_m = f10 /. Float.max f1 0.001 in
-      G.add_row t
-        [
-          w.W.name;
-          string_of_int h1;
-          fmt o1;
-          fmt f1;
-          string_of_int h10;
-          fmt o10;
-          fmt f10;
-          Printf.sprintf "%.1fx" growth_o;
-          Printf.sprintf "%.1fx" growth_m;
-          "equal";
-        ];
-      template_results :=
-        !template_results
-        @ [
-            Uv_obs.Json.Obj
-              [
-                ("workload", Uv_obs.Json.Str w.W.name);
-                ("history_small", Uv_obs.Json.Int h1);
-                ("history_big", Uv_obs.Json.Int h10);
-                ("members_small", Uv_obs.Json.Int m1);
-                ("members_big", Uv_obs.Json.Int m10);
-                ("oracle_ms_small", Uv_obs.Json.Float o1);
-                ("matrix_ms_small", Uv_obs.Json.Float f1);
-                ("oracle_ms_big", Uv_obs.Json.Float o10);
-                ("matrix_ms_big", Uv_obs.Json.Float f10);
-                ("oracle_growth", Uv_obs.Json.Float growth_o);
-                ("matrix_growth", Uv_obs.Json.Float growth_m);
-                ("replay_sets_equal", Uv_obs.Json.Bool true);
-              ];
-          ])
-    (workloads ());
-  G.print t
-
-(* ------------------------------------------------------------------ *)
 (* History scale: segmented store, 100x history, constant replay set    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1571,6 +1440,10 @@ let bench_history_scale () =
           ];
       ]
 
+(* ------------------------------------------------------------------ *)
+(* Driver                                                               *)
+(* ------------------------------------------------------------------ *)
+
 let experiments =
   [
     ("t4a", "Table 4(a)+(b): vs Mahif (speed and memory)", bench_t4);
@@ -1589,7 +1462,6 @@ let experiments =
     ("abl-parallel", "Ablation: replay parallelism", bench_abl_parallel);
     ("exec-parallel", "Measured parallel replay (wave executor)", bench_exec_parallel);
     ("whatif-repeat", "Repeated what-if: session caches cold vs warm", bench_whatif_repeat);
-    ("template-analysis", "Template matrix: per-statement vs matrix-backed closure", bench_template_analysis);
     ("history-scale", "Segmented store: 100x history, constant replay set", bench_history_scale);
     ("abl-hash", "Ablation: Hash-jumper overhead", bench_abl_hash);
     ("abl-index", "Ablation: hash indexes vs full scans", bench_abl_index);
@@ -1681,9 +1553,6 @@ let () =
               @ (match !repeat_results with
                 | [] -> []
                 | rows -> [ ("whatif_repeat", J.List rows) ])
-              @ (match !template_results with
-                | [] -> []
-                | rows -> [ ("template_analysis", J.List rows) ])
               @
               match !history_scale_results with
               | [] -> []

@@ -444,14 +444,13 @@ let lint_cmd =
                     ~config:w.Uv_workloads.Workload.ri_config ~base log
                 in
                 let set, matrix = template_artifacts w in
-                let fast =
-                  Uv_analysis.Template_fastpath.prepare ~set ~matrix anl
-                in
                 let ctx =
                   {
                     Uv_analysis.Lint.tset = set;
                     tmatrix = matrix;
-                    tfast = fast;
+                    tmatching =
+                      Uv_analysis.Template_lint.match_history ~set ~matrix
+                        anl;
                     tsource = Some w.Uv_workloads.Workload.app_source;
                   }
                 in

@@ -109,7 +109,7 @@ let lint_procedure ?index ~name body =
 type template_ctx = {
   tset : Template_extract.set;
   tmatrix : Template_matrix.t;
-  tfast : Template_fastpath.t;
+  tmatching : Template_lint.matching;
   tsource : string option;
 }
 
@@ -118,11 +118,11 @@ let lint_templates ?(passes = template_passes) ~ctx anl =
   let diags = ref [] in
   let emit ds = diags := List.rev_append ds !diags in
   if on Template_coverage then
-    emit (Template_lint.template_coverage ~fast:ctx.tfast anl);
+    emit (Template_lint.template_coverage ~matching:ctx.tmatching anl);
   if on Matrix_soundness then
     emit
       (Template_lint.matrix_soundness ~set:ctx.tset ~matrix:ctx.tmatrix
-         ~fast:ctx.tfast anl);
+         ~matching:ctx.tmatching anl);
   (if on Dynamic_sql then
      match ctx.tsource with
      | Some source -> emit (Template_lint.dynamic_sql ~source)

@@ -57,7 +57,7 @@ val lint_procedure :
 type template_ctx = {
   tset : Template_extract.set;
   tmatrix : Template_matrix.t;
-  tfast : Template_fastpath.t;
+  tmatching : Template_lint.matching;
   tsource : string option;  (** MiniJS sources, for [Dynamic_sql] *)
 }
 

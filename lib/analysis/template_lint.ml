@@ -4,7 +4,70 @@ module Rwset = Uv_retroactive.Rwset
 module D = Diagnostic
 module T = Template_extract
 module M = Template_matrix
-module F = Template_fastpath
+
+(* ------------------------------------------------------------------ *)
+(* Matching a history against the templates                             *)
+(* ------------------------------------------------------------------ *)
+
+type assigned = {
+  tid : int;
+  gvals : (string * string) list;  (* table -> canonical guard value *)
+}
+
+type matching = {
+  assign : assigned option array;  (* entry i at [i - 1] *)
+  unmatched : int list;  (* ascending *)
+}
+
+let guard_values m i =
+  match m.assign.(i - 1) with None -> [] | Some a -> a.gvals
+
+(* A guard on the table's first RI dimension compares in the analyzer's
+   canonical (merge-mapped) value space; an alias-column guard compares
+   raw. *)
+let canonical_guard_values anl matrix ~tid binding =
+  List.filter_map
+    (fun (table, _) ->
+      match M.guard_value matrix ~id:tid ~table binding with
+      | None -> None
+      | Some (_gcol, v) ->
+          Some
+            ( table,
+              if M.guard_on_dim0 matrix ~id:tid ~table then
+                Analyzer.canonical_row_value anl ~table v
+              else Uv_sql.Value.serialize v ))
+    (M.guards matrix tid)
+
+let match_history ~set ~matrix anl =
+  (* every entry is matched against the templates *)
+  Analyzer.require anl ~from:1;
+  let n = Analyzer.length anl in
+  (* DDL anywhere in the history invalidates the statically computed
+     template sets for entries after it: leave the whole history
+     unmatched (workload histories carry no DDL) *)
+  let has_ddl = ref false in
+  for i = 1 to n do
+    if Passes.contains_ddl (Analyzer.info anl i).Analyzer.stmt then
+      has_ddl := true
+  done;
+  let assign = Array.make n None in
+  let unmatched = ref [] in
+  for i = 1 to n do
+    match
+      if !has_ddl then None
+      else T.match_entry set (Analyzer.info anl i).Analyzer.stmt
+    with
+    | Some (tpl, binding) ->
+        let tid = tpl.T.id in
+        assign.(i - 1) <-
+          Some { tid; gvals = canonical_guard_values anl matrix ~tid binding }
+    | None -> unmatched := i :: !unmatched
+  done;
+  { assign; unmatched = List.rev !unmatched }
+
+(* ------------------------------------------------------------------ *)
+(* The passes                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let coverage_cap = 10
 
@@ -12,12 +75,12 @@ let pairwise_cap = 25
 
 (* UVA014: log entries no extracted template covers. DDL is expected to
    be uncovered (templates are application statements); everything else
-   falls back to the slower per-statement path and is worth surfacing. *)
-let template_coverage ~fast anl =
+   escapes the static template model and is worth surfacing. *)
+let template_coverage ~matching anl =
   let uncovered =
     List.filter
       (fun i -> not (Passes.contains_ddl (Analyzer.info anl i).Analyzer.stmt))
-      (F.unmatched fast)
+      matching.unmatched
   in
   let shown = List.filteri (fun k _ -> k < coverage_cap) uncovered in
   let per_entry =
@@ -51,16 +114,15 @@ let template_coverage ~fast anl =
      the matrix — the pair exists, covers the dynamic conflict columns,
      and the disjointness refinement does not prune it in either
      direction. *)
-let matrix_soundness ~set ~matrix ~fast anl =
+let matrix_soundness ~set ~matrix ~matching anl =
   (* every entry's sets are checked *)
   Analyzer.require anl ~from:1;
-  let n = Analyzer.length anl in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let matched = ref [] in
-  for i = n downto 1 do
-    match F.assignment fast i with
-    | Some (tid, _) -> matched := (i, tid) :: !matched
+  for i = Array.length matching.assign downto 1 do
+    match matching.assign.(i - 1) with
+    | Some a -> matched := (i, a.tid) :: !matched
     | None -> ()
   done;
   (* entry sets contained in the template's static sets *)
@@ -89,16 +151,16 @@ let matrix_soundness ~set ~matrix ~fast anl =
                     tid
                     (String.concat ", " (Rwset.Colset.elements miss)))))
     !matched;
-  (* pairwise: the fast path prunes candidate j for asking entry i only
-     when every conflict table's guard-value bucket excludes j — mirror
-     that predicate exactly and demand it never fires across a real
-     cell-level dependency, in either asking direction *)
+  (* pairwise: a [prunable] pair claims that entry j cannot depend on
+     entry i when, on every conflict table, i has a guard value and j
+     has none or a different one; that claim must never refute a real
+     cell-level dependency, in either direction *)
   let prunes (p : M.pair) gi gj =
     p.M.prunable && p.M.guard_tables <> []
     && List.for_all
          (fun tbl ->
            match List.assoc_opt tbl gi with
-           | None -> false (* whole-template fallback bucket: offered *)
+           | None -> false (* i is not pinned on this table *)
            | Some cv -> (
                match List.assoc_opt tbl gj with
                | Some cv' -> cv <> cv'
@@ -142,8 +204,8 @@ let matrix_soundness ~set ~matrix ~fast anl =
                             (String.concat ", " missing)
                             i j)
                      else begin
-                       let gi = F.guard_values fast i
-                       and gj = F.guard_values fast j in
+                       let gi = guard_values matching i
+                       and gj = guard_values matching j in
                        let back = M.pair matrix tid_j tid_i in
                        if
                          prunes p gi gj
@@ -171,8 +233,8 @@ let matrix_soundness ~set ~matrix ~fast anl =
 
 (* UVA016: SQL_exec receiving anything but a string or template literal
    in the MiniJS sources — dynamic SQL the extractor cannot close over,
-   so matching entries fall back to the per-statement path (UVA014 shows
-   the dynamic side of the same gap). *)
+   so its entries match no template (UVA014 shows the dynamic side of
+   the same gap). *)
 let dynamic_sql ~source =
   let program = Uv_applang.Parser.parse_program source in
   let diags = ref [] in

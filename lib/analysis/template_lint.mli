@@ -1,4 +1,5 @@
-(** The template-analysis lint passes (UVA014–UVA017).
+(** The template lint passes (UVA014–UVA017) and the template matching
+    they read.
 
     These passes close the loop on the static template machinery: the
     template set and matrix are computed without ever executing a
@@ -9,16 +10,33 @@
     Driven through {!Lint.lint_templates}; exposed individually for
     targeted tests. *)
 
+type matching
+(** Every entry of an analyzed history matched against an extracted
+    template set. *)
+
+val match_history :
+  set:Template_extract.set ->
+  matrix:Template_matrix.t ->
+  Uv_retroactive.Analyzer.t ->
+  matching
+(** Match every entry (the analyzer derives from 1 first). A history
+    with DDL anywhere is left wholly unmatched: the static template sets
+    do not hold past a schema change. Each matched entry keeps its
+    template id and its guard values, which UVA015 compares under a
+    [prunable] matrix pair: a guard on the table's first RI dimension is
+    canonicalized through the analyzer's RI merge state as of this call,
+    an alias-column guard is the serialized raw value. *)
+
 val template_coverage :
-  fast:Template_fastpath.t -> Uv_retroactive.Analyzer.t -> Diagnostic.t list
+  matching:matching -> Uv_retroactive.Analyzer.t -> Diagnostic.t list
 (** UVA014 (warning): log entries matching no extracted template (DDL
-    excepted) — they silently fall back to the per-statement path.
+    excepted) — statements the static template model does not describe.
     Capped per entry with a summary tail. *)
 
 val matrix_soundness :
   set:Template_extract.set ->
   matrix:Template_matrix.t ->
-  fast:Template_fastpath.t ->
+  matching:matching ->
   Uv_retroactive.Analyzer.t ->
   Diagnostic.t list
 (** UVA015 (error): the static matrix must over-approximate the dynamic

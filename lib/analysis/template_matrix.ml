@@ -20,7 +20,6 @@ type t = {
   config : Rowset.config;
   guards : (int, (string * guard) list) Hashtbl.t;
   pairs : (int * int, pair) Hashtbl.t;
-  by_a : (int, (int * pair) list) Hashtbl.t;
   ids : int list;
 }
 
@@ -267,11 +266,9 @@ let build ~config set =
       Hashtbl.replace guards tpl.T.id (template_guards ~sv ~config tpl))
     templates;
   let pairs = Hashtbl.create 256 in
-  let by_a = Hashtbl.create 64 in
   let inter x y = Rwset.Colset.elements (Rwset.Colset.inter x y) in
   List.iter
     (fun (a : T.template) ->
-      let acc = ref [] in
       List.iter
         (fun (b : T.template) ->
           let ww = inter a.T.rw.Rwset.w b.T.rw.Rwset.w in
@@ -295,26 +292,21 @@ let build ~config set =
             let guard_tables =
               List.sort_uniq compare (List.filter_map table_of_col cols)
             in
-            let p = { ww; wr; rw; prunable; guard_tables } in
-            Hashtbl.replace pairs (a.T.id, b.T.id) p;
-            acc := (b.T.id, p) :: !acc
+            Hashtbl.replace pairs (a.T.id, b.T.id)
+              { ww; wr; rw; prunable; guard_tables }
           end)
-        templates;
-      Hashtbl.replace by_a a.T.id (List.rev !acc))
+        templates)
     templates;
   {
     config;
     guards;
     pairs;
-    by_a;
     ids = List.map (fun (t : T.template) -> t.T.id) templates;
   }
 
 let guards t id = Option.value (Hashtbl.find_opt t.guards id) ~default:[]
 
 let pair t a b = Hashtbl.find_opt t.pairs (a, b)
-
-let pairs_for t a = Option.value (Hashtbl.find_opt t.by_a a) ~default:[]
 
 let all_pairs t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pairs []

@@ -45,10 +45,6 @@ val pair : t -> int -> int -> pair option
 (** [pair t a b] — [None] when templates [a] and [b] can never
     column-wise conflict. *)
 
-val pairs_for : t -> int -> (int * pair) list
-(** All templates conflicting with [a] in any direction, with the pair
-    entry. *)
-
 val all_pairs : t -> ((int * int) * pair) list
 (** Every nonempty pair, ordered — the CLI dump. *)
 

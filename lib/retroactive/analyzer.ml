@@ -1004,15 +1004,6 @@ type replay_set = {
 (* Closure computation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Candidate generator contract of an external column-wise closure (the
-   template matrix's fast path): given a member's sets, return candidate
-   indexes past [min_idx] that may conflict with it. [min_idx] doubles
-   as the member's identity — the seed is the single call made before
-   the worklist drains, members call with their own index. A generator
-   is built per closure run from τ and [live]; nothing below τ is ever
-   live, so bucket fetches stop there. *)
-type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
-
 (* The row sweep's slots ([row_sweep]) that precede the schema keys':
    [2k + side] for row key [k], then four per table. The splits' come
    after the schema keys'. *)
@@ -1098,43 +1089,6 @@ let live_in t ~grouped ~tau ~mark ~epoch i =
   &&
   let m = mark.(i - 1) in
   m <> epoch && m <> -epoch
-
-(* The worklist closure of a column-wise generator handed in from
-   outside ([?col_joins]). [joins ~tau ~live] builds the candidate
-   generator; candidates for which [live] is false (already joined,
-   excluded, before τ, or never joinable) may be skipped and pruned
-   from the generator's state, so buckets shrink as the closure grows.
-   Membership is stamped into [mark] with [s.epoch] and each member's
-   parent into [via] (0 = the target, [-v] = a group mate of [v]).
-   Returns the members in join order. *)
-let worklist ?(obs = Uv_obs.Trace.disabled) t s ~mark ~via ~tau ~exclude
-    ~seed_rw ~seed_rows ~joins ~grouped ~expand =
-  let n = t.n and epoch = s.epoch in
-  List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
-  let live = live_in t ~grouped ~tau ~mark ~epoch in
-  let queue = Queue.create () and joined = ref [] in
-  let add src i =
-    mark.(i - 1) <- epoch;
-    via.(i - 1) <- src;
-    joined := i :: !joined;
-    Queue.push i queue
-  in
-  let join src i =
-    if live i then begin
-      add src i;
-      List.iter (fun g -> if live g then add (-i) g) (expand i)
-    end
-  in
-  let joins_of = joins ~tau ~live in
-  (* seed from the target's sets (pseudo-member just before τ) *)
-  List.iter (join 0) (joins_of ~min_idx:(tau - 1) seed_rw seed_rows);
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    let inf = t.infos.(i - 1) in
-    List.iter (join i) (joins_of ~min_idx:i inf.rw inf.rows)
-  done;
-  Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
-  !joined
 
 (* ------------------------------------------------------------------ *)
 (* The sweeps' cursor heap                                              *)
@@ -1728,7 +1682,7 @@ let strip_removed_reads (seed_rw, seed_rows) =
       seed_rows )
 
 let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
-    ?col_joins t (target : target) =
+    t (target : target) =
   require_target ~obs t ~grouped target;
   let seed_rw, seed_rows = target_rw_derived t target in
   (* at transaction granularity the retroactive target is the whole
@@ -1763,11 +1717,7 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
   let span name f = Uv_obs.Trace.with_span obs ~cat:"analyze" name f in
   let col_members () =
     span "closure.col" (fun () ->
-        match col_joins with
-        | Some joins ->
-            worklist ~obs t s ~mark:s.mark ~via:s.via_col ~tau ~exclude
-              ~seed_rw ~seed_rows ~joins ~grouped ~expand
-        | None -> col_sweep ~obs t s ~tau ~exclude ~seed_rw ~grouped ~expand)
+        col_sweep ~obs t s ~tau ~exclude ~seed_rw ~grouped ~expand)
   in
   let sweep name pair =
     span name (fun () ->

@@ -148,8 +148,8 @@ val require : ?obs:Uv_obs.Trace.t -> t -> from:int -> unit
     below {!derived_from} ({!info}, {!replay_dag}, {!exists_cell} …) and
     every reader of the head's state ({!row_state}, {!row_cells},
     {!table_id} …) before the first pass requires from 1; readers that
-    take the whole history ([Template_lint], [Template_fastpath]) call
-    [require ~from:1] themselves.
+    take the whole history ([Template_lint]) call [require ~from:1]
+    themselves.
 
     Concurrency: a pass runs under the analyzer's lock, and a question
     that needs an entry below {!derived_from} derives again from its own
@@ -264,21 +264,10 @@ type replay_set = {
       (** one per member, in [member_indexes] order *)
 }
 
-type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
-(** Candidate generator of a column-wise closure handed in as
-    [col_joins], which the closure worklist drains (every built-in
-    closure is a sweep): given a member's sets, return candidate indexes
-    past [min_idx] that may conflict with it. The first call (and only
-    the first) carries the target's seed sets; every later call is a
-    joined member calling with its own index as [min_idx], so [min_idx]
-    identifies the member. Over-approximation is safe (candidates are
-    re-filtered for liveness and joinability); omission is not. *)
-
 val replay_set :
   ?obs:Uv_obs.Trace.t ->
   ?mode:mode ->
   ?grouped:bool ->
-  ?col_joins:(tau:int -> live:(int -> bool) -> joins_fn) ->
   t ->
   target ->
   replay_set
@@ -289,14 +278,6 @@ val replay_set :
     non-transpiled (D) system: the target is its whole [app_txn] group,
     entries sharing a tag join or stay out of 𝕀 as a unit, and a tagged
     read-only entry may join with its group.
-
-    [col_joins] replaces the column-wise closure's built-in sweep with an
-    external candidate generator — the template-matrix fast-path.
-    [col_joins ~tau ~live] is invoked once per question; candidates for
-    which [live] is false may be skipped, and no entry below [tau] is
-    ever live, so a generator need not look at them. The row-wise
-    closure stays built in, so [`Cell] intersects the caller's column
-    closure with the row closure.
 
     [obs] records one [closure.col]/[closure.row] ([closure.cell] for
     [Joint]) span per closure run, counts the members each closure

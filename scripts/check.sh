@@ -441,4 +441,12 @@ step "store smoke: segmented save, damaged chunk, salvage" store_smoke
 step "bench smoke: history scale (quick)" \
   dune exec bench/main.exe -- --quick --only history-scale
 
+# the same bound on the five workloads' own histories: one Cell removal
+# at n = 250 calls (dependency rate 0.2) and at 10n (0.02), so the hot
+# set stays put; the row sweep's pops per row-closure member grow
+# < 1.25x (the column sweep's visits, which still grow with the
+# history, are printed in the test's output, not gated)
+step "question cost: the closure's row work flat on workload histories and padded ones" \
+  dune exec test/test_closure.exe -- test "question cost"
+
 echo "CHECK OK"

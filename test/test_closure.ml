@@ -990,6 +990,70 @@ let test_row_visits_flat_in_history () =
         small large)
     [ (Analyzer.Cell, "row-wise"); (Analyzer.Joint, "Joint") ]
 
+(* One Cell removal on a workload history of [n] calls at [dep_rate]
+   (Raw mode, PRNG seed 92), at the first writer up to 80 whose removal
+   has 1–32 members (else the first with any, else entry 1): a replay
+   set that stays small while the history grows. Returns (history
+   length, τ, the replay set, row visits, column visits). *)
+let workload_question (w : W.t) ~n ~dep_rate =
+  let eng, rt = W.setup ~mode:R.Raw w in
+  let base = Engine.snapshot eng in
+  let prng = Uv_util.Prng.create 92 in
+  let calls = w.W.target_call :: w.W.generate prng ~scale:1 ~n ~dep_rate in
+  ignore (W.run_history rt ~mode:R.Raw calls);
+  let log = Engine.log eng in
+  let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
+  let len = Log.length log in
+  let removal tau = { Analyzer.tau; op = Analyzer.Remove } in
+  let rec pick i fallback =
+    if i > len || i > 80 then Option.value fallback ~default:1
+    else if not (writes (Analyzer.info anl i)) then pick (i + 1) fallback
+    else
+      let m = (Analyzer.replay_set anl (removal i)).Analyzer.member_count in
+      if m > 0 && m <= 32 then i
+      else pick (i + 1) (if fallback = None && m > 0 then Some i else fallback)
+  in
+  let tau = pick 1 None in
+  let obs = Uv_obs.Trace.create () in
+  let rs = Analyzer.replay_set ~obs ~mode:Analyzer.Cell anl (removal tau) in
+  let visits name = Uv_obs.Trace.counter_value obs name in
+  ( len,
+    tau,
+    rs,
+    visits "analyze.closure_row_visits",
+    visits "analyze.closure_col_visits" )
+
+(* The history-scale bound on the five workloads' own histories: n and
+   10n calls with the dependency rate scaled by 1/10, so the hot set
+   stays put. Row visits per row-closure member grow < 1.25x. The column
+   sweep's visits are printed, not gated: they still grow with the
+   history, the shape term a per-template column closure would remove. *)
+let test_row_visits_flat_on_workloads () =
+  List.iter
+    (fun (w : W.t) ->
+      let measure n dep_rate =
+        let len, tau, rs, rows, cols = workload_question w ~n ~dep_rate in
+        let members = rs.Analyzer.row_only_count in
+        if members <= 0 then
+          Alcotest.failf "%s n=%d: the row closure at τ=%d is empty" w.W.name
+            n tau;
+        Printf.printf
+          "%s n=%d (%d entries) tau=%d: row visits %d / row members %d, \
+           Cell members %d, column visits %d\n"
+          w.W.name n len tau rows members rs.Analyzer.member_count cols;
+        float_of_int rows /. float_of_int members
+      in
+      let small = measure 250 0.2 in
+      let big = measure 2500 0.02 in
+      let growth = big /. small in
+      Printf.printf "%s row visits per member growth %.2fx\n" w.W.name growth;
+      if growth >= 1.25 then
+        Alcotest.failf
+          "%s: row visits per row member grew %.2fx (%.2f -> %.2f) from n to \
+           10n"
+          w.W.name growth small big)
+    (W.all ())
+
 (* Joint's sweep pops on a hot row, and its members: the target and a
    chain write [a.v] of row 1, and [pad] entries between each two of
    them write only [a.w] of the same row. *)
@@ -2488,6 +2552,8 @@ let () =
             test_edges_flat_in_history;
           Alcotest.test_case "row visits flat in history length" `Quick
             test_row_visits_flat_in_history;
+          Alcotest.test_case "row visits flat on workload histories" `Quick
+            test_row_visits_flat_on_workloads;
           Alcotest.test_case "Joint visits flat on a hot row" `Quick
             test_joint_visits_hot_row;
           Alcotest.test_case "replay DAG cell visits linear on a hot key"

@@ -1,8 +1,6 @@
-(* The static template machinery: extraction determinism, matrix
-   soundness (UVA015) on every bundled workload, and the fast-path
-   oracle equalities — replay sets identical to the per-statement
-   closure on randomized scenarios, conflict-DAG edges a reachability
-   superset of the oracle's. *)
+(* The static template machinery: extraction determinism, template
+   coverage (UVA014) and matrix soundness (UVA015) on every bundled
+   workload, and the template lint passes on synthetic sources. *)
 
 open Uv_db
 open Uv_retroactive
@@ -10,7 +8,6 @@ module W = Uv_workloads.Workload
 module R = Uv_transpiler.Runtime
 module T = Uv_analysis.Template_extract
 module M = Uv_analysis.Template_matrix
-module F = Uv_analysis.Template_fastpath
 module L = Uv_analysis.Lint
 module D = Uv_analysis.Diagnostic
 
@@ -59,9 +56,13 @@ let test_matrix_sound (w : W.t) () =
   let log = Engine.log eng in
   let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
   let set, matrix = artifacts w in
-  let fast = F.prepare ~set ~matrix anl in
   let ctx =
-    { L.tset = set; tmatrix = matrix; tfast = fast; tsource = None }
+    {
+      L.tset = set;
+      tmatrix = matrix;
+      tmatching = Uv_analysis.Template_lint.match_history ~set ~matrix anl;
+      tsource = None;
+    }
   in
   let diags = L.lint_templates ~passes:[ L.Matrix_soundness ] ~ctx anl in
   check
@@ -75,48 +76,6 @@ let test_matrix_sound (w : W.t) () =
     Alcotest.(list string)
     (w.W.name ^ " UVA014 clean")
     [] (List.map D.to_string cov)
-
-(* -------------------------------------------------------------- *)
-(* fast path = per-statement oracle on randomized scenarios        *)
-(* -------------------------------------------------------------- *)
-
-let random_target prng log =
-  let n = Log.length log in
-  let tau = 1 + Uv_util.Prng.int prng n in
-  let any_stmt () =
-    (Log.entry log (1 + Uv_util.Prng.int prng n)).Log.stmt
-  in
-  match Uv_util.Prng.int prng 3 with
-  | 0 -> { Analyzer.tau; op = Analyzer.Remove }
-  | 1 -> { Analyzer.tau; op = Analyzer.Add (any_stmt ()) }
-  | _ -> { Analyzer.tau; op = Analyzer.Change (any_stmt ()) }
-
-let scenarios_per_workload = 40
-
-let test_fastpath_oracle (w : W.t) () =
-  let eng, base = build w ~n:80 ~dep_rate:0.3 in
-  let log = Engine.log eng in
-  let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
-  let set, matrix = artifacts w in
-  let fast = F.prepare ~set ~matrix anl in
-  let prng = Uv_util.Prng.create 7 in
-  for k = 1 to scenarios_per_workload do
-    let target = random_target prng log in
-    let mode = if Uv_util.Prng.bool prng then Analyzer.Cell else Analyzer.Col_only in
-    let oracle = Analyzer.replay_set ~mode anl target in
-    let fp = F.replay_set ~mode fast anl target in
-    let label =
-      Printf.sprintf "%s scenario %d (tau=%d %s, %s)" w.W.name k
-        target.Analyzer.tau
-        (match target.Analyzer.op with
-        | Analyzer.Remove -> "remove"
-        | Analyzer.Add _ -> "add"
-        | Analyzer.Change _ -> "change")
-        (match mode with Analyzer.Cell -> "cell" | _ -> "col")
-    in
-    check Alcotest.(list int) label oracle.Analyzer.member_indexes
-      fp.Analyzer.member_indexes
-  done
 
 (* -------------------------------------------------------------- *)
 (* template lint passes on synthetic sources                       *)
@@ -210,7 +169,6 @@ let workload_cases (w : W.t) =
         (test_extract_deterministic w);
       Alcotest.test_case "matrix sound (UVA014/UVA015)" `Quick
         (test_matrix_sound w);
-      Alcotest.test_case "fast path = oracle" `Slow (test_fastpath_oracle w);
     ] )
 
 let () =
