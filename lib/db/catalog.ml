@@ -23,7 +23,8 @@ type t = {
   idxs : (string, string * string list) Hashtbl.t;
   (* bumped whenever the object namespace changes (table/view/proc/
      trigger/index added, removed or renamed) — a cheap staleness check
-     for caches keyed on schema shape, e.g. compiled statement plans *)
+     for caches keyed on schema shape, e.g. the what-if session's
+     memoized analyzer *)
   mutable epoch : int;
 }
 

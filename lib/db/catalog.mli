@@ -28,8 +28,8 @@ val epoch : t -> int
 (** Monotone counter bumped on every object-namespace change (table,
     view, procedure, trigger or index added, removed or renamed) and on
     [restore]. Snapshots inherit the source's epoch. Caches keyed on
-    schema shape — the what-if session's compiled statement plans and
-    memoized analyzer — compare epochs to detect staleness cheaply. *)
+    schema shape — the what-if session's memoized analyzer — compare
+    epochs to detect staleness cheaply. *)
 
 val tables : t -> (string * Storage.t) list
 (** Name-sorted. *)

@@ -57,15 +57,44 @@ val print : record list -> string
 (** Render records in the ULOGv2 format. *)
 
 val parse : string -> record list
-(** Inverse of {!print}; also accepts ULOGv1 input.
+(** Inverse of {!print}; also accepts ULOGv1 input. {!salvage}, then
+    every record.
     @raise Corrupt on bad input. *)
 
-val salvage : string -> record list * diagnosis
-(** Best-effort parse that never raises: returns the longest valid
-    record {e prefix} (a record counts only when its whole block parses
-    and, on v2, its checksum matches) plus a diagnosis of the first
-    damage found. Recovery deliberately stops at the first bad record —
-    replaying records past a hole would silently reorder history. *)
+type decoded
+(** A decoded log text: the text itself and, per valid record, the
+    offsets of its SQL, its N lines and its A line. A record, or one of
+    its fields, is built from the offsets only when asked for. Indexes
+    are 0-based positions among the valid records. *)
+
+val salvage : string -> decoded * diagnosis
+(** The decoder. Best-effort parse that never raises: keeps the longest
+    valid record {e prefix} (a record counts only when its whole block
+    parses and, on v2, its checksum matches) plus a diagnosis of the
+    first damage found. Recovery deliberately stops at the first bad
+    record — replaying records past a hole would silently reorder
+    history. A kept record's payloads are checked as building them
+    checks them (escapes, N values), so every accessor below succeeds
+    on it. *)
+
+val length : decoded -> int
+(** Valid records ([valid_records] of the diagnosis). *)
+
+val record : decoded -> int -> record
+val records : decoded -> record list
+
+val sql : decoded -> int -> string
+(** [(record d k).r_sql], without the rest of the record. *)
+
+val app_txn : decoded -> int -> string option
+(** [(record d k).r_app_txn], without the rest of the record. *)
+
+val nondet_count : decoded -> int -> int
+(** [List.length (record d k).r_nondet], without deserialising them. *)
+
+val of_records : record array -> decoded
+(** Records already built (an unsynced tail), served by the same
+    accessors. *)
 
 val replay : Engine.t -> record list -> int list
 (** Re-execute the records in order against [engine], forcing each

@@ -65,7 +65,7 @@ type t = {
   mutable tail_count : int;
   mutable tail_min : int;  (* global index of the first tail record *)
   mutable tail_nondet : int;
-  mutable cache : (int * Log_io.record array) option;  (* seq, decoded *)
+  mutable cache : (int * Log_io.decoded) option;  (* seq, decoded *)
   mutable resident_peak : int;
   mutable manifest_len : int;
   mutable dirty : bool;
@@ -356,25 +356,26 @@ let corrupt_segment ~seq ~path ~offset reason =
     (Error (Store_error.Corrupt_segment { segment = seq; path; offset; reason }))
 
 (* Decode one segment, verifying the manifest CRC and the per-record
-   checksums; updates the resident peak and the one-segment cache. *)
-let seg_records t (i : iseg) =
+   checksums; updates the resident peak and the one-segment cache. The
+   segment's first [seg_count i] records are the ones it serves. *)
+let seg_decoded t (i : iseg) =
   match t.cache with
-  | Some (seq, arr) when seq = i.s.seg_seq -> arr
+  | Some (seq, d) when seq = i.s.seg_seq -> d
   | _ ->
       let path = Filename.concat t.t_dir i.s.seg_file in
       let bytes = read_file_or_error path in
       t.resident_peak <- max t.resident_peak (String.length bytes);
-      let records, diag = Log_io.salvage bytes in
-      let crc = Uv_util.Crc32.digest bytes in
-      let expected = seg_count i in
+      let d, diag = Log_io.salvage bytes in
+      let found = Log_io.length d in
       (match i.valid with
       | Some v ->
-          if List.length records < v then
+          if found < v then
             corrupt_segment ~seq:i.s.seg_seq ~path
               ~offset:(Option.value diag.Log_io.cut_at ~default:0)
               (Printf.sprintf "salvaged prefix shrank to %d record(s), want %d"
-                 (List.length records) v)
+                 found v)
       | None -> (
+          let crc = Uv_util.Crc32.digest bytes in
           if Uv_util.Crc32.of_hex i.s.seg_crc <> Some crc then
             corrupt_segment ~seq:i.s.seg_seq ~path
               ~offset:(Option.value diag.Log_io.cut_at ~default:0)
@@ -385,71 +386,65 @@ let seg_records t (i : iseg) =
               corrupt_segment ~seq:i.s.seg_seq ~path ~offset:off
                 (Option.value diag.Log_io.reason ~default:"unknown damage")
           | None ->
-              if List.length records <> expected then
+              let expected = seg_count i in
+              if found <> expected then
                 corrupt_segment ~seq:i.s.seg_seq ~path ~offset:0
                   (Printf.sprintf "segment holds %d record(s), manifest says %d"
-                     (List.length records) expected)));
-      let arr = Array.of_list records in
-      let arr =
-        if Array.length arr > expected then Array.sub arr 0 expected else arr
-      in
-      t.cache <- Some (i.s.seg_seq, arr);
-      arr
+                     found expected)));
+      t.cache <- Some (i.s.seg_seq, d);
+      d
 
-let tail_array t = Array.of_list (List.rev t.tail)
+let tail_decoded t = Log_io.of_records (Array.of_list (List.rev t.tail))
 
-let fold_range t ~lo ~hi ~init ~f =
+let iter_decoded t ~lo ~hi f =
   check_open t;
-  let len = length t in
-  let lo = max lo 1 and hi = min hi len in
-  let acc = ref init in
+  let lo = max lo 1 and hi = min hi (length t) in
   List.iter
     (fun i ->
       let mx = i.s.seg_min + seg_count i - 1 in
       if mx >= lo && i.s.seg_min <= hi then begin
-        let arr = seg_records t i in
-        let from = max lo i.s.seg_min and upto = min hi mx in
-        for idx = from to upto do
-          acc := f !acc idx arr.(idx - i.s.seg_min)
+        let d = seg_decoded t i in
+        for idx = max lo i.s.seg_min to min hi mx do
+          f idx d (idx - i.s.seg_min)
         done
       end)
     t.sealed;
   if t.tail_count > 0 && hi >= t.tail_min then begin
-    let arr = tail_array t in
-    let from = max lo t.tail_min in
-    for idx = from to hi do
-      acc := f !acc idx arr.(idx - t.tail_min)
+    let d = tail_decoded t in
+    for idx = max lo t.tail_min to hi do
+      f idx d (idx - t.tail_min)
     done
-  end;
+  end
+
+let fold_range t ~lo ~hi ~init ~f =
+  let acc = ref init in
+  iter_decoded t ~lo ~hi (fun idx d k -> acc := f !acc idx (Log_io.record d k));
   !acc
 
-let iter_range t ~lo ~hi f =
-  fold_range t ~lo ~hi ~init:() ~f:(fun () i r -> f i r)
+let iter_range t ~lo ~hi f = iter_decoded t ~lo ~hi (fun idx d k -> f idx (Log_io.record d k))
 
 type cursor = {
   c_store : t;
   mutable c_next : int;
   c_hi : int;
-  mutable c_arr : Log_io.record array;
-  mutable c_base : int;  (* global index of c_arr.(0); 0 = not loaded *)
+  mutable c_dec : Log_io.decoded;
+  mutable c_base : int;  (* global index of record 0 of [c_dec]; 0 = not loaded *)
+  mutable c_count : int;  (* records [c_dec] serves *)
 }
 
 let cursor ?(lo = 1) ?hi t =
   check_open t;
   let hi = match hi with Some h -> min h (length t) | None -> length t in
-  { c_store = t; c_next = max lo 1; c_hi = hi; c_arr = [||]; c_base = 0 }
+  { c_store = t; c_next = max lo 1; c_hi = hi; c_dec = Log_io.of_records [||];
+    c_base = 0; c_count = 0 }
 
 let rec next c =
   if c.c_next > c.c_hi then None
-  else if
-    c.c_base > 0
-    && c.c_next >= c.c_base
-    && c.c_next < c.c_base + Array.length c.c_arr
+  else if c.c_base > 0 && c.c_next >= c.c_base && c.c_next < c.c_base + c.c_count
   then begin
-    let r = c.c_arr.(c.c_next - c.c_base) in
     let i = c.c_next in
     c.c_next <- i + 1;
-    Some (i, r)
+    Some (i, Log_io.record c.c_dec (i - c.c_base))
   end
   else begin
     let t = c.c_store in
@@ -460,20 +455,21 @@ let rec next c =
          t.sealed
      with
     | Some s ->
-        c.c_arr <- seg_records t s;
-        c.c_base <- s.s.seg_min
+        c.c_dec <- seg_decoded t s;
+        c.c_base <- s.s.seg_min;
+        c.c_count <- seg_count s
     | None ->
         if t.tail_count > 0 && i >= t.tail_min then begin
-          c.c_arr <- tail_array t;
-          c.c_base <- t.tail_min
+          c.c_dec <- tail_decoded t;
+          c.c_base <- t.tail_min;
+          c.c_count <- t.tail_count
         end
         else begin
           (* a salvaged hole: skip forward *)
           c.c_next <- i + 1;
           c.c_base <- 0
         end);
-    if c.c_base = 0 then next c
-    else next c
+    next c
   end
 
 let records t =
@@ -491,9 +487,10 @@ let adopt_tail t =
   if t.tail_count = 0 then
     match List.rev t.sealed with
     | i :: _ when seg_count i < t.cap ->
-        let arr = seg_records t i in
-        t.tail <- List.rev (Array.to_list arr);
-        t.tail_count <- Array.length arr;
+        let d = seg_decoded t i in
+        let count = seg_count i in
+        t.tail <- List.rev (List.init count (Log_io.record d));
+        t.tail_count <- count;
         t.tail_min <- i.s.seg_min;
         t.tail_nondet <- i.s.seg_nondet;
         t.sealed <- List.filter (fun j -> j != i) t.sealed;
@@ -581,7 +578,7 @@ let truncate t n =
     (if t.tail_count > 0 && n >= t.tail_min then begin
        (* the cut lies inside the open tail *)
        let keep = n - t.tail_min + 1 in
-       let kept = Array.to_list (Array.sub (tail_array t) 0 keep) in
+       let kept = List.filteri (fun j _ -> j < keep) (List.rev t.tail) in
        t.tail <- List.rev kept;
        t.tail_count <- keep;
        t.tail_nondet <- nondet_of_records kept
@@ -598,9 +595,9 @@ let truncate t n =
        | i :: _ when i.s.seg_min + seg_count i - 1 > n ->
            (* boundary segment straddles the cut: re-open it as the
               trimmed tail so appends keep filling it *)
-           let arr = seg_records t i in
+           let d = seg_decoded t i in
            let keep_n = n - i.s.seg_min + 1 in
-           let kept = Array.to_list (Array.sub arr 0 keep_n) in
+           let kept = List.init keep_n (Log_io.record d) in
            t.sealed <- List.filter (fun j -> j != i) t.sealed;
            t.tail <- List.rev kept;
            t.tail_count <- keep_n;
@@ -625,17 +622,21 @@ let close t =
 (* Entries and replay                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let entry_of_record ~memo ~index (r : Log_io.record) : Log.entry =
-  {
-    Log.index;
-    stmt = Uv_sql.Stmt_memo.parse memo r.Log_io.r_sql;
-    sql = r.Log_io.r_sql;
-    nondet = r.Log_io.r_nondet;
-    rows_written = 0;
-    written_hashes = [];
-    undo = [];
-    app_txn = r.Log_io.r_app_txn;
-  }
+let named_entry_of_record ~memo ~index (r : Log_io.record) =
+  let template, stmt = Uv_sql.Stmt_memo.parse_named memo r.Log_io.r_sql in
+  ( template,
+    {
+      Log.index;
+      stmt;
+      sql = r.Log_io.r_sql;
+      nondet = r.Log_io.r_nondet;
+      rows_written = 0;
+      written_hashes = [];
+      undo = [];
+      app_txn = r.Log_io.r_app_txn;
+    } )
+
+let entry_of_record ~memo ~index r = snd (named_entry_of_record ~memo ~index r)
 
 let replay ?(align_checkpoints = true) t eng =
   check_open t;
@@ -694,12 +695,12 @@ let verify ?segment t =
               }
         | bytes ->
             t.resident_peak <- max t.resident_peak (String.length bytes);
-            let records, diag = Log_io.salvage bytes in
+            let d, diag = Log_io.salvage bytes in
             let crc_ok =
               String.equal Uv_util.Crc32.(to_hex (digest bytes)) i.s.seg_crc
             in
             let expected = seg_count i in
-            let found = List.length records in
+            let found = Log_io.length d in
             let diag =
               if diag.Log_io.cut_at <> None then Some diag
               else if not crc_ok then
@@ -765,15 +766,15 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
   (* Walk segments in order, one resident at a time, cutting at the
      first damage and dropping everything after it. *)
   let cut = ref None in
-  let salvage_seg ~seq ~min_idx ~expected ~crc =
+  let salvage_seg ~seq ~expected ~crc =
     let path = Filename.concat dir (seg_name seq) in
     match Uv_util.Safe_io.read_file path with
     | exception Sys_error m ->
         cut := Some (seq, 0, "cannot read segment: " ^ m);
         None
     | bytes -> (
-        let records, diag = Log_io.salvage bytes in
-        let found = List.length records in
+        let d, diag = Log_io.salvage bytes in
+        let found = Log_io.length d in
         let crc_ok =
           match crc with
           | None -> true
@@ -791,7 +792,7 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
               Some
                 (seq, off,
                  Option.value diag.Log_io.reason ~default:"unknown damage");
-            Some (found, bytes, true)
+            Some (d, bytes, true)
         | None ->
             if not crc_ok then begin
               (* The file parses cleanly but disagrees with the manifest
@@ -807,7 +808,7 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
                     0,
                     "segment/manifest checksum mismatch (longest valid \
                      record prefix kept)" );
-              if found = 0 then None else Some (found, bytes, true)
+              if found = 0 then None else Some (d, bytes, true)
             end
             else if expected <> None && Some found <> expected then begin
               cut :=
@@ -816,12 +817,9 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
                    Printf.sprintf
                      "segment holds %d record(s), manifest says %d" found
                      (Option.get expected));
-              Some (found, bytes, true)
+              Some (d, bytes, true)
             end
-            else begin
-              ignore min_idx;
-              Some (found, bytes, false)
-            end)
+            else Some (d, bytes, false))
   in
   let cap, rows =
     match manifest with
@@ -854,17 +852,15 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
            if rebuilt then None else Some (row.seg_max - row.seg_min + 1)
          in
          let crc = if rebuilt then None else Some row.seg_crc in
-         match
-           salvage_seg ~seq:row.seg_seq ~min_idx:!min_next ~expected ~crc
-         with
+         match salvage_seg ~seq:row.seg_seq ~expected ~crc with
          | None -> raise Exit
-         | Some (found, bytes, trimmed) ->
-             let nondet, _ =
+         | Some (d, bytes, trimmed) ->
+             let found = Log_io.length d in
+             let nondet =
                (* recompute from the salvaged records when rebuilding *)
                if rebuilt || trimmed then
-                 let records, _ = Log_io.salvage bytes in
-                 (nondet_of_records records, ())
-               else (row.seg_nondet, ())
+                 List.fold_left ( + ) 0 (List.init found (Log_io.nondet_count d))
+               else row.seg_nondet
              in
              let s =
                {
@@ -965,7 +961,9 @@ let save_log_file ?(fault = Uv_fault.Fault.disabled) ?fsync log ~path =
   guarded_write ~fault ?fsync ~site:Uv_fault.Fault.Site.log_save ~key:0 ~path
     (Log_io.print (Log_io.records_of_log log))
 
-let salvage_log_file ~path = Log_io.salvage (read_file_or_error path)
+let salvage_log_file ~path =
+  let d, diag = Log_io.salvage (read_file_or_error path) in
+  (Log_io.records d, diag)
 
 let load_log_file ~path =
   let records, diag = salvage_log_file ~path in

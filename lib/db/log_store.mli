@@ -170,6 +170,15 @@ val fold_range :
 
 val iter_range : t -> lo:int -> hi:int -> (int -> Log_io.record -> unit) -> unit
 
+val iter_decoded :
+  t -> lo:int -> hi:int -> (int -> Log_io.decoded -> int -> unit) -> unit
+(** [iter_range] without building the records: [f index d k] is called
+    for each global index in [[lo, hi]], in order, with the decoded
+    segment [d] that holds it as its record [k]. A reader builds only
+    the fields it needs ({!Log_io.sql}, {!Log_io.app_txn},
+    {!Log_io.record}). Every sealed segment read is checked as
+    [fold_range] checks it. @raise Error on a corrupt segment. *)
+
 type cursor
 (** A pull-based reader over a range — the streaming handle
     {!Uv_retroactive} analysis consumes. *)
@@ -190,6 +199,11 @@ val entry_of_record :
     gives, parsed in full once per statement shape); volatile fields
     (undo images, written hashes, row counts) start empty, exactly as
     after a fresh {!Log_io.replay}. *)
+
+val named_entry_of_record :
+  memo:Uv_sql.Stmt_memo.t -> index:int -> Log_io.record -> int * Log.entry
+(** {!entry_of_record}, with the id of the memo template its statement
+    was built from ({!Uv_sql.Stmt_memo.parse_named}). *)
 
 val replay : ?align_checkpoints:bool -> t -> Engine.t -> int list
 (** Stream-replay the whole store into an engine (one segment

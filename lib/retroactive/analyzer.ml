@@ -20,7 +20,7 @@ type info = {
    the pass's bound may come as [Scanned]: its shape named without its
    statement, which [entry] builds when the pass needs it. *)
 type item =
-  | Entry of Uv_db.Log.entry
+  | Entry of { template : int; entry : Uv_db.Log.entry }
   | Scanned of {
       template : int;
       shape : Ast.stmt;
@@ -41,7 +41,7 @@ let source_of_fun ~length fetch =
     src_iter =
       (fun lo hi ~below:_ f ->
         for i = lo to hi do
-          f (Entry (fetch i))
+          f (Entry { template = -1; entry = fetch i })
         done);
   }
 
@@ -54,11 +54,14 @@ let source_of_store store =
     src_length = (fun () -> Uv_db.Log_store.length store);
     src_iter =
       (fun lo hi ~below f ->
-        Uv_db.Log_store.iter_range store ~lo ~hi (fun index r ->
+        Uv_db.Log_store.iter_decoded store ~lo ~hi (fun index d k ->
             if index >= below then
-              f (Entry (Uv_db.Log_store.entry_of_record ~memo ~index r))
+              let template, entry =
+                Uv_db.Log_store.named_entry_of_record ~memo ~index (Uv_db.Log_io.record d k)
+              in
+              f (Entry { template; entry })
             else
-              let sql = r.Uv_db.Log_io.r_sql in
+              let sql = Uv_db.Log_io.sql d k in
               let template = Uv_sql.Stmt_memo.template memo sql in
               f
                 (Scanned
@@ -67,8 +70,11 @@ let source_of_store store =
                      shape =
                        (if template >= 0 then Uv_sql.Stmt_memo.template_stmt memo template
                         else Uv_sql.Stmt_memo.parse memo sql);
-                     app_txn = r.Uv_db.Log_io.r_app_txn;
-                     entry = (fun () -> Uv_db.Log_store.entry_of_record ~memo ~index r);
+                     app_txn = Uv_db.Log_io.app_txn d k;
+                     entry =
+                       (fun () ->
+                         Uv_db.Log_store.entry_of_record ~memo ~index
+                           (Uv_db.Log_io.record d k));
                    })));
   }
 
@@ -831,10 +837,10 @@ let pass t ~obs ~lo ~from ~first ~last =
       apply_schema t i stmt
     end
   in
-  let full i (e : Uv_db.Log.entry) =
+  let full i template (e : Uv_db.Log.entry) =
     let stmt = e.Uv_db.Log.stmt and app_txn = e.Uv_db.Log.app_txn in
     add_group t i app_txn;
-    let sh = shape_sets t stmt in
+    let sh = template_sets t template stmt in
     let rw = shape_rw ~derived sh in
     let rows = Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet in
     apply_schema t i stmt;
@@ -847,11 +853,11 @@ let pass t ~obs ~lo ~from ~first ~last =
       t.source.src_iter first last ~below:from (fun item ->
           incr i;
           match item with
-          | Entry e ->
-              if !i >= from then full !i e
+          | Entry { template; entry = e } ->
+              if !i >= from then full !i template e
               else
                 light !i
-                  (shape_sets t e.Uv_db.Log.stmt)
+                  (template_sets t template e.Uv_db.Log.stmt)
                   e.Uv_db.Log.app_txn
                   (fun () -> e)
           | Scanned { template; shape; app_txn; entry } ->

@@ -66,9 +66,10 @@ type t
     (a statement {!Uv_sql.Shape.equal} to the entry's), with [entry]
     building the whole entry when the pass needs it. [template] numbers
     the shape's statement among the source's ([-1]: none), so that every
-    entry [Scanned] with one template shares one [shape]. *)
+    entry handed with one template, [Entry] or [Scanned], has one shape:
+    the pass finds that shape's sets by the number. *)
 type item =
-  | Entry of Uv_db.Log.entry
+  | Entry of { template : int; entry : Uv_db.Log.entry }
   | Scanned of {
       template : int;
       shape : Ast.stmt;
@@ -89,20 +90,23 @@ type source = {
 }
 
 val source_of_log : Uv_db.Log.t -> source
-(** Every entry as an [Entry]. *)
+(** Every entry as an [Entry] with no template ([-1]). *)
 
 val source_of_store : Uv_db.Log_store.t -> source
-(** Streams via {!Uv_db.Log_store.iter_range}: peak resident log memory
-    during a pass is one segment plus the manifest, and every segment is
-    decoded and checksum-verified. The source keeps one
+(** Streams via {!Uv_db.Log_store.iter_decoded}: peak resident log
+    memory during a pass is one segment plus the manifest, and every
+    segment is decoded and checksum-verified. The source keeps one
     {!Uv_sql.Stmt_memo} across its passes, so it parses each statement
-    shape in full once; an entry at or after [below] gets its statement
-    built from its bytes ([entry_of_record]), one below it only its
-    template ({!Uv_sql.Stmt_memo.template}), without an AST of its own. *)
+    shape in full once. An entry at or after [below] gets its record
+    built and its statement built from its bytes, with its template
+    ([named_entry_of_record]). One below it gets only its SQL text and
+    application-transaction tag read from the segment and its template
+    named ({!Uv_sql.Stmt_memo.template}): no record, no AST of its own,
+    no deserialised N values. *)
 
 val source_of_fun : length:(unit -> int) -> (int -> Uv_db.Log.entry) -> source
 (** A source from a random-access fetch function; every entry an
-    [Entry]. *)
+    [Entry] with no template ([-1]). *)
 
 val of_source :
   ?config:Rowset.config ->

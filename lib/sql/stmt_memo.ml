@@ -293,15 +293,17 @@ let find_template m src =
       m.templates <- m.templates + 1;
       tpl
 
-let parse m src =
-  if not (Lexer.scan m.sc src) then parse_in_full m src
+let parse_named m src =
+  if not (Lexer.scan m.sc src) then (-1, parse_in_full m src)
   else
     let tpl = find_template m src in
-    if tpl.text == src then tpl.ast
+    if tpl.text == src then (tpl.id, tpl.ast)
     else
       (* only an integer above [max_int] fails to convert; the full parse
          raises what [parse_stmt] raises on it *)
-      try instantiate tpl m.sc src with Failure _ -> parse_in_full m src
+      try (tpl.id, instantiate tpl m.sc src) with Failure _ -> (-1, parse_in_full m src)
+
+let parse m src = snd (parse_named m src)
 
 (* Digits that always convert: an integer literal fails to only when it
    is longer. *)

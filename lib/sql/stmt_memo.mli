@@ -30,6 +30,10 @@ val create : unit -> t
 val parse : t -> string -> Ast.stmt
 (** Equal to [Parser.parse_stmt src], and raises what it raises. *)
 
+val parse_named : t -> string -> int * Ast.stmt
+(** [parse t src], with the id {!template} gives [src]: the statement
+    and the template it was built from, in one scan. *)
+
 val template : t -> string -> int
 (** The id of the template [parse t src] would instantiate, named from
     [src]'s bytes without building its AST; a template made from [src]

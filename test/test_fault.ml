@@ -202,7 +202,8 @@ let test_truncate_every_byte () =
   for i = 0 to n do
     let cut = String.sub text 0 i in
     (* salvage never raises and always returns a valid record prefix *)
-    let records, diag = Log_io.salvage cut in
+    let decoded, diag = Log_io.salvage cut in
+    let records = Log_io.records decoded in
     let k = List.length records in
     check Alcotest.int
       (Printf.sprintf "cut at %d: diagnosis counts the records" i)
@@ -245,7 +246,8 @@ let test_bitflip_detected () =
   in
   let flipped = Bytes.of_string text in
   Bytes.set flipped (q2 + 3) (Char.chr (Char.code (Bytes.get flipped (q2 + 3)) lxor 1));
-  let records, diag = Log_io.salvage (Bytes.to_string flipped) in
+  let decoded, diag = Log_io.salvage (Bytes.to_string flipped) in
+  let records = Log_io.records decoded in
   check Alcotest.bool "scan stops at the flipped record" true
     (diag.Log_io.cut_at <> None);
   check Alcotest.bool "prefix before the flip survives" true
@@ -645,7 +647,8 @@ let test_decode_verdicts () =
   let got =
     List.map
       (fun (name, damaged) ->
-        let records, d = Log_io.salvage damaged in
+        let decoded, d = Log_io.salvage damaged in
+        let records = Log_io.records decoded in
         check Alcotest.int (name ^ ": diagnosis counts the records")
           (List.length records) d.Log_io.valid_records;
         (name, d.Log_io.valid_records, d.Log_io.cut_at, d.Log_io.reason))
@@ -674,7 +677,8 @@ let prop_escape_single_line =
 let prop_salvage_never_raises =
   QCheck.Test.make ~count:500 ~name:"salvage total on arbitrary bytes"
     QCheck.string (fun s ->
-      let records, diag = Log_io.salvage s in
+      let decoded, diag = Log_io.salvage s in
+      let records = Log_io.records decoded in
       List.length records = diag.Log_io.valid_records)
 
 let () =
