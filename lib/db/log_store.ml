@@ -300,7 +300,6 @@ let dir t = t.t_dir
 let segment_cap t = t.cap
 let set_epoch t e = t.epoch <- e
 let resident_peak_bytes t = t.resident_peak
-let manifest_bytes t = t.manifest_len
 
 let seg_count i =
   match i.valid with Some v -> v | None -> i.s.seg_max - i.s.seg_min + 1

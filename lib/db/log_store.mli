@@ -218,9 +218,7 @@ val replay : ?align_checkpoints:bool -> t -> Engine.t -> int list
 
 val resident_peak_bytes : t -> int
 (** Largest segment (bytes) ever held resident by this handle — the
-    bench's "one segment" bound witness. *)
-
-val manifest_bytes : t -> int
+    streamed analysis's "one segment" bound witness. *)
 
 (** {2 Integrity: verify and salvage} *)
 

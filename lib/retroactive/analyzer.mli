@@ -47,9 +47,10 @@ type mode = Col_only | Row_only | Cell | Joint
     one-dimension table its postings are split by column set (filed at
     the first Joint question, then kept by {!extend}) and only the
     splits sharing a column with a member are opened, so it pops only
-    entries it conflicts with there, however long the history — the
-    history-scale bench gates on this. [Cell] remains the default for
-    bit-for-bit continuity of existing replay-set counts. *)
+    entries it conflicts with there, however long the history
+    ([test_closure]'s "Joint visits flat on a hot row" gates on this).
+    [Cell] remains the default for bit-for-bit continuity of existing
+    replay-set counts. *)
 
 type info = {
   index : int;

@@ -36,6 +36,7 @@ and row = {
    than 2^24). *)
 let row_key tid r = (r lsl 16) lor tid
 let tid_of_row key = key land 0xFFFF
+let rowid_of_row key = key lsr 16
 let cell c k = ((k + 1) lsl 24) lor c
 let owner_of_cell key = key land 0xFFFFFF
 
@@ -373,14 +374,36 @@ let scope_of info stmt =
       Some Uniqueness
   | _ -> None
 
+(* A dirty row's two images at the current point of the replay: the row
+   as the catalog holds it now, and that row with the columns where
+   [hist] and [cur] differ at their history values. [hist] and [cur] were
+   recorded when the row last settled; a non-member since may have
+   rewritten its clean columns on both sides. *)
+let images_now storage key r =
+  let now = Option.bind storage (fun st -> Storage.get st (rowid_of_row key)) in
+  let hist_now =
+    match (r.hist, r.cur, now) with
+    | Some h, Some c, Some n
+      when Array.length h = Array.length c && Array.length c = Array.length n ->
+        Some (Array.mapi (fun p v -> if Value.equal h.(p) c.(p) then v else h.(p)) n)
+    | h, _, _ -> h
+  in
+  (hist_now, now)
+
 (* Does the statement read a dirty row of its own table — one its WHERE
    selects on either side that appeared, vanished or moved, or whose
    differing columns it reads; or, for an INSERT, one whose key or UNIQUE
-   value equals an inserted row's on either side? *)
+   value equals an inserted row's on either side? Both sides are the
+   row's images at this point ({!images_now}). *)
 let reads_dirty_row t idx info scope hist =
+  let storage = Catalog.table t.catalog info.schema.Schema.tbl_name in
   let exists p =
     try
-      Itbl.iter (fun _ r -> if p r then raise_notrace Exit) info.dirty_rows;
+      Itbl.iter
+        (fun key r ->
+          let h, c = images_now storage key r in
+          if p r h c then raise_notrace Exit)
+        info.dirty_rows;
       false
     with Exit -> true
   in
@@ -392,8 +415,8 @@ let reads_dirty_row t idx info scope hist =
           ~column:(fun c' -> c' = c)
           (fun _ _ -> true)
       in
-      exists (fun r ->
-          (selects r.hist || selects r.cur)
+      exists (fun r h c ->
+          (selects h || selects c)
           && List.exists
                (fun m -> m land 1 = 1 || reads (owner_of_cell (m lsr 1)))
                r.marks)
@@ -417,8 +440,8 @@ let reads_dirty_row t idx info scope hist =
             | _ -> None)
           hist
       in
-      exists (fun r ->
-          List.exists (fun ins -> collides ins r.hist || collides ins r.cur) inserted)
+      exists (fun _ h c ->
+          List.exists (fun ins -> collides ins h || collides ins c) inserted)
 
 (* Does member [idx] read a dirty cell? Cells first, by their keys: a
    row of its own table is dirty for the statement only if a cell it

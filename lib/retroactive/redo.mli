@@ -45,7 +45,9 @@ val clean : t -> int -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
       its WHERE may select on either side ({!Uv_db.Engine.row_filter})
       appeared, vanished, moved key or differs in a column it reads —
       for an INSERT, no dirty row's PRIMARY KEY or UNIQUE value equals
-      an inserted row's on either side;
+      an inserted row's on either side. The sides are the row's images
+      at the member's point: the row in the catalog now, and that row
+      with the columns that differ at their history values;
     - otherwise, its read cells of its own table meet no dirty cell;
     - the PRIMARY KEY and UNIQUE columns an UPDATE assigns, or an
       INSERT without a row-decided scope writes, meet no dirty cell, at

@@ -40,24 +40,6 @@ let setup ?(seed = 1234) ?(scale = 1) ?(mode = Uv_transpiler.Runtime.Raw) w =
   Uv_db.Engine.reset_log eng;
   (eng, rt)
 
-(* Chunked generation for 100k+ histories: one Prng threads through
-   successive [generate] calls, and each chunk is handed off (executed,
-   appended to a store, …) before the next is built, so the full call
-   list is never materialized. *)
-let generate_scaled w prng ~scale ~n ~dep_rate ~chunk f =
-  if chunk <= 0 then
-    invalid_arg "Workload.generate_scaled: chunk must be positive";
-  let remaining = ref n in
-  let produced = ref 0 in
-  while !remaining > 0 do
-    let k = min chunk !remaining in
-    let calls = w.generate prng ~scale ~n:k ~dep_rate in
-    f calls;
-    produced := !produced + List.length calls;
-    remaining := !remaining - k
-  done;
-  !produced
-
 let run_history rt ~mode calls =
   List.fold_left
     (fun failures { txn; args } ->

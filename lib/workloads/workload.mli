@@ -58,23 +58,6 @@ val setup :
     application (transpiling when [mode] is [Transpiled]), and reset the
     log so subsequent transactions form the analysable history. *)
 
-val generate_scaled :
-  t ->
-  Uv_util.Prng.t ->
-  scale:int ->
-  n:int ->
-  dep_rate:float ->
-  chunk:int ->
-  (txn_call list -> unit) ->
-  int
-(** Generate [n] calls in chunks of at most [chunk], handing each chunk
-    to the consumer before the next is built — the streaming mode for
-    100k+-transaction histories, where materializing the whole call list
-    would defeat the segmented store's memory bound. One [Prng] threads
-    through every chunk, so the sequence is reproducible for a given
-    seed. Returns the number of calls produced (generators emitting
-    read/update pairs may round within a chunk). *)
-
 val run_history :
   Uv_transpiler.Runtime.t ->
   mode:Uv_transpiler.Runtime.mode ->

@@ -1,8 +1,9 @@
 #!/bin/sh
 # One-stop pre-merge check: build, full test suite, a lint pass over the
-# demo history, a traced what-if round-trip, and the measured-parallel-
-# replay smoke bench (which hard-fails if the final universe hash ever
-# diverges across worker counts). Run from the repo root: scripts/check.sh
+# demo history, a traced what-if round-trip, and named smoke steps that
+# re-run the suite's key gates on their own (replay determinism across
+# worker counts, cached == cold, the daemon, crash recovery, the store).
+# Run from the repo root: scripts/check.sh
 #
 # Fails fast: the first failing step prints "CHECK FAILED: <step>" and
 # exits 1; success ends with a single "CHECK OK" summary line.
@@ -240,17 +241,20 @@ step "replay executor smoke: commit order == DAG waves at workers 1/2/4/8, Hash-
 # undone cell, an INSERT whose UNIQUE value an executed member now
 # holds (on one row key, and across row keys, where the replay DAG's
 # guard rule orders the two), a FOREIGN KEY parent the target inserted, wildcard reads and
-# writes, rowid translation for rows executed members inserted, and
-# the existence guard
+# writes, rowid translation for rows executed members inserted, a
+# member whose WHERE reads a column a non-member rewrote on a dirty
+# row, and the existence guard
 step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, rowid translation" \
   dune exec test/test_parallel.exe -- test redo
 
-# the exec-parallel experiment at quick sizes times the DAG's waves at
-# 1, 2, 4 and 8 workers and hard-fails if the final universe hash at 4
-# or 8 workers differs from 1 worker's; whatif-repeat hard-fails if a
-# cached, warm answer differs from a cold one
-step "bench smoke: parallel replay determinism" \
-  dune exec bench/main.exe -- --smoke
+# the five workloads' what-if at workers 1/2/4/8 must end in the serial
+# run's universe hash, merged log and AUTO_INCREMENT records (and the
+# full-replay oracle), and the DAG's waves must replay the whole history
+# as commit order does; a service's cached answers (incremental
+# analyzer, checkpoint ladder every 32 commits), primed and repeated at
+# workers 1 and 4, must carry a cold analyzer's and uncached run's hash
+step "parallel replay determinism and cached == cold" \
+  dune exec test/test_parallel.exe -- test 'determinism|cached == cold'
 
 # caching must never change the answer: the same what-if runs once,
 # uncached and without a checkpoint ladder, and then repeatedly through
@@ -434,14 +438,16 @@ store_smoke() {
 }
 step "store smoke: segmented save, damaged chunk, salvage" store_smoke
 
-# the history-scale gate in miniature: the segmented store streams a
-# grown history while the replay-set closure's row-sweep pops per member
-# stay flat, < 1.25x (the full 100k-transaction run is the CI BENCH_8
-# job)
-step "bench smoke: history scale (quick)" \
-  dune exec bench/main.exe -- --quick --only history-scale
+# the segmented store under analysis: over an AStore history in eight
+# segments, analysers sourced from the store give the log-sourced Joint
+# replay sets, Joint stays inside Cell, Joint and Cell what-ifs on a
+# store-replayed engine end in one universe hash, and the streamed
+# analysis holds at most the largest segment resident
+step "store analysis: streamed replay sets, Joint == Cell hash, one segment resident" \
+  dune exec test/test_store.exe -- test analysis
 
-# the same bound on the five workloads' own histories: one Cell removal
+# the replay set's cost tracks the replay set, not the history, on the
+# five workloads' own histories: one Cell removal
 # at n = 250 calls (dependency rate 0.2) and at 10n (0.02), so the hot
 # set stays put; the row sweep's pops per row-closure member grow
 # < 1.25x (the column sweep's visits, which still grow with the

@@ -1023,8 +1023,8 @@ let workload_question (w : W.t) ~n ~dep_rate =
     visits "analyze.closure_row_visits",
     visits "analyze.closure_col_visits" )
 
-(* The history-scale bound on the five workloads' own histories: n and
-   10n calls with the dependency rate scaled by 1/10, so the hot set
+(* The replay set's cost tracks the replay set, not the history, on the
+   five workloads' own histories: n and 10n calls with the dependency rate scaled by 1/10, so the hot set
    stays put. Row visits per row-closure member grow < 1.25x. The column
    sweep's visits are printed, not gated: they still grow with the
    history, the shape term a per-template column closure would remove. *)

@@ -1279,6 +1279,49 @@ let test_redo_rowid_translation () =
         (query_ints out "SELECT id, v, w FROM t"))
     (check_redo ~label:"rowid translation" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
+(* (f) Removing τ leaves row 1 dirty in [w] with [v = 10] on both
+   sides; non-member #2 then sets [v = 67] in history and in the replay.
+   Member #3's WHERE selects row 1 on the images at its own point, not
+   on the ones τ's journal recorded, so it reads the dirty [w] and
+   executes. *)
+let test_redo_stale_where () =
+  let setup =
+    [
+      "CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)";
+      "INSERT INTO t VALUES (1, 10, 0)";
+    ]
+  in
+  let e, analyzer =
+    redo_history setup
+      [
+        "UPDATE t SET w = w + 4 WHERE v > 2";
+        "UPDATE t SET v = 67 WHERE id = 1";
+        "UPDATE t SET w = w + 2 WHERE v > 51";
+      ]
+  in
+  let base =
+    let b = Engine.create () in
+    List.iter (run b) setup;
+    Engine.snapshot b
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 3 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check Alcotest.int "the member executes" 0 out.Whatif.redone;
+      check
+        Alcotest.(list (list int))
+        "row 1" [ [ 1; 67; 2 ] ]
+        (query_ints out "SELECT id, v, w FROM t");
+      let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog e)) in
+      Whatif.commit merged out;
+      check
+        Alcotest.(list (pair string int64))
+        "universe == full-replay oracle"
+        (oracle_hashes e base ~skip:1)
+        (table_hashes (Engine.catalog merged)))
+    (check_redo ~label:"stale WHERE" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+
 (* Only plain DML on a base table without triggers is redone: a member
    that fires a trigger, a CALL or DDL executes even with nothing
    dirty. *)
@@ -1385,6 +1428,62 @@ let test_redo_generated (w : W.t) () =
   QCheck.Test.check_exn ~rand:(Random.State.make [| 5 |]) prop;
   check Alcotest.bool (w.W.name ^ ": some member was redone") true (!redone > 0)
 
+(* The session caches (incremental analyzer, checkpoint ladder) are
+   accelerators only: through a service whose engine recorded a ladder
+   every 32 commits, the first answer and two repeated ones carry the
+   final hash a cold analyzer and an uncached run give, at workers 1
+   and 4. *)
+let test_cached_equals_cold (w : W.t) () =
+  let history ~checkpoints =
+    let eng, rt = W.setup ~mode:R.Raw w in
+    let base = Engine.snapshot eng in
+    if checkpoints then Engine.enable_checkpoints eng ~every:32;
+    let prng = Uv_util.Prng.create 92 in
+    let calls =
+      w.W.target_call :: w.W.generate prng ~scale:1 ~n:150 ~dep_rate:0.3
+    in
+    ignore (W.run_history rt ~mode:R.Raw calls);
+    (eng, base)
+  in
+  let eng_cold, base_cold = history ~checkpoints:false in
+  let eng_warm, base_warm = history ~checkpoints:true in
+  let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
+  let cold workers =
+    let analyzer =
+      Analyzer.analyze ~config:w.W.ri_config ~base:base_cold
+        (Engine.log eng_cold)
+    in
+    (Whatif.run_exn ~config:(Whatif.Config.make ~workers ()) ~analyzer
+       eng_cold target)
+      .Whatif.final_db_hash
+  in
+  let want = cold 1 in
+  check Alcotest.int64 (w.W.name ^ ": cold, workers=4 == workers=1") want
+    (cold 4);
+  List.iter
+    (fun workers ->
+      let s =
+        Whatif.Service.create
+          ~config:(Whatif.Config.make ~workers ~checkpoint_every:32 ())
+          ~rowset:w.W.ri_config ~base:base_warm eng_warm
+      in
+      List.iter
+        (fun run ->
+          match Whatif.Service.run s target with
+          | Ok r ->
+              check Alcotest.int64
+                (Printf.sprintf "%s: workers=%d, %s answer == cold" w.W.name
+                   workers run)
+                want r.Whatif.Service.outcome.Whatif.final_db_hash
+          | Error e -> Alcotest.fail (Whatif.Error.to_string e))
+        [ "primed"; "repeated"; "repeated again" ];
+      let st = Whatif.Service.stats s in
+      check Alcotest.bool (w.W.name ^ ": one analyzer build") true
+        (st.Whatif.Service.analyzer_builds = 1);
+      check Alcotest.bool (w.W.name ^ ": the ladder holds rungs") true
+        (st.Whatif.Service.checkpoint_rungs > 0))
+    [ 1; 4 ]
+
 let workload_cases (w : W.t) =
   ( "determinism: " ^ w.W.name,
     [
@@ -1398,6 +1497,12 @@ let () =
   Alcotest.run "uv_parallel"
     (List.map workload_cases (W.all ())
     @ [
+        ( "cached == cold",
+          List.map
+            (fun (w : W.t) ->
+              Alcotest.test_case (w.W.name ^ ": service answers == cold run")
+                `Quick (test_cached_equals_cold w))
+            (W.all ()) );
         ( "merged history",
           [
             Alcotest.test_case "survives append and truncation" `Quick
@@ -1415,6 +1520,8 @@ let () =
               test_redo_wildcard;
             Alcotest.test_case "(e) rowid translation" `Quick
               test_redo_rowid_translation;
+            Alcotest.test_case "(f) a non-member rewrote a column the WHERE reads"
+              `Quick test_redo_stale_where;
             Alcotest.test_case "existence guard" `Quick
               test_redo_existence_guard;
             Alcotest.test_case "plain DML only" `Quick test_redo_plain_dml_only;

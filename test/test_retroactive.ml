@@ -744,6 +744,13 @@ let prop_whatif_oracle =
     QCheck.(int_range 0 100_000)
     whatif_matches_oracle
 
+(* A seed the property once drew: removing τ = 26 leaves row 1 dirty in
+   [w]; non-member #27 then rewrites its [v], which later members' WHERE
+   clauses read. *)
+let test_whatif_oracle_seed_78553 () =
+  Alcotest.(check bool) "whatif remove == full-replay oracle" true
+    (whatif_matches_oracle 78553)
+
 (* column-only mode must also be correct (row analysis only prunes) *)
 let prop_colonly_oracle =
   QCheck.Test.make ~name:"column-only whatif == oracle" ~count:30
@@ -1843,6 +1850,8 @@ let () =
       ( "oracle properties",
         [
           qtest prop_whatif_oracle;
+          Alcotest.test_case "whatif remove == oracle (seed 78553)" `Quick
+            test_whatif_oracle_seed_78553;
           qtest prop_colonly_oracle;
           qtest prop_rowonly_oracle;
           qtest prop_add_change_oracle;

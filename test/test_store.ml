@@ -687,6 +687,13 @@ let test_joint_over_store () =
       (Analyzer.source_of_store store)
   in
   let logged = Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng) in
+  (* the what-ifs run on an engine replayed from the store, through its
+     own handle, so [store]'s resident peak is the analysis's alone *)
+  let e_store = Engine.create () in
+  Engine.restore e_store base;
+  let replayed = Log_store.open_ dir in
+  ignore (Log_store.replay replayed e_store : int list);
+  Log_store.close replayed;
   for tau = 1 to 12 do
     let target = { Analyzer.tau; op = Analyzer.Remove } in
     let joint anl = Analyzer.replay_set ~mode:Analyzer.Joint anl target in
@@ -702,8 +709,30 @@ let test_joint_over_store () =
           (Printf.sprintf "tau %d: joint member %d inside Cell" tau i)
           true
           (List.mem i cell.Analyzer.member_indexes))
-      from_store.Analyzer.member_indexes
+      from_store.Analyzer.member_indexes;
+    let whatif mode =
+      (Whatif.run_exn ~config:(Whatif.Config.make ~mode ()) ~analyzer:streamed
+         e_store target)
+        .Whatif.final_db_hash
+    in
+    check Alcotest.int64
+      (Printf.sprintf "tau %d: Joint what-if hash = Cell what-if hash" tau)
+      (whatif Analyzer.Cell) (whatif Analyzer.Joint)
   done;
+  (* the streamed analysis held at most one segment resident *)
+  Analyzer.require streamed ~from:1;
+  let largest =
+    List.fold_left
+      (fun a s -> max a s.Log_store.seg_bytes)
+      0 (Log_store.segments store)
+  in
+  check Alcotest.bool "more than one segment" true
+    (List.length (Log_store.segments store) > 1);
+  check Alcotest.bool
+    (Printf.sprintf "resident peak %d <= largest segment %d"
+       (Log_store.resident_peak_bytes store) largest)
+    true
+    (Log_store.resident_peak_bytes store <= largest);
   Log_store.close store
 
 let () =
