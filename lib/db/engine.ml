@@ -416,6 +416,27 @@ let like_match pattern s =
   in
   go 0 0
 
+(* The class a DISTINCT aggregate (COUNT(DISTINCT x) and friends) keeps
+   one value of: Int 5, Float 5.0, Bool-ish 1/0 and the numeric string
+   "5" share one, as under [Value.compare_sql]. Unlike the index keys
+   ([Storage.index_key]) it never merges two distinct integers, which
+   compare unequal even where their floats coincide. *)
+let distinct_key v =
+  let num f =
+    if Float.is_integer f && Float.abs f < 1e15 then
+      "N" ^ string_of_int (int_of_float f)
+    else "N" ^ Value.hex_float f
+  in
+  match v with
+  | Value.Int i -> "N" ^ string_of_int i
+  | Value.Float f -> num f
+  | Value.Bool b -> num (if b then 1.0 else 0.0)
+  | Value.Null -> "\x00null"
+  | Value.Text s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some f -> num f
+      | None -> "T" ^ s)
+
 let rec eval t env e : Value.t =
   match e with
   | Lit v -> v
@@ -825,7 +846,7 @@ and eval_agg t env members rep e : Value.t =
         let seen = Hashtbl.create 16 in
         List.filter
           (fun v ->
-            let k = Storage.index_key v in
+            let k = distinct_key v in
             if Hashtbl.mem seen k then false
             else begin
               Hashtbl.replace seen k ();

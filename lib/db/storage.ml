@@ -4,6 +4,7 @@ type rowid = int
 
 module Cow = Uv_util.Cow
 module Rowid_map = Cow.Int_map
+module Int_map = Cow.Int_map
 module Key_map = Cow.String_map
 
 (* Slots per page of every per-slot array and of the string pool. A
@@ -42,14 +43,16 @@ let dup_cells p =
   { tags = Bytes.copy p.tags; ints = Array.copy p.ints;
     floats = (if Array.length p.floats = 0 then [||] else Array.copy p.floats) }
 
-(* A posting set is private to the table generation that created it:
-   a table writes in place only into postings carrying its current
-   [gen], and copies any other before its first write to that key. *)
-type posting = { p_gen : int; p_ids : (rowid, unit) Hashtbl.t }
-
-(* What an unindexed key maps to: generation 0 is never a table's, so
-   the first add copies this (empty) set rather than writing into it. *)
-let no_posting = { p_gen = 0; p_ids = Hashtbl.create 1 }
+(* The rowids under one index key. Most keys (every PRIMARY KEY and
+   UNIQUE value) hold one rowid, kept inline and immutable; a key that
+   gets a second rowid holds a set private to the table generation that
+   created it: a table writes in place only into sets carrying its
+   current [gen], and copies any other before its first write to that
+   key. A set left with one rowid goes back to [One]. *)
+type posting =
+  | No_posting (* what an unbound key maps to *)
+  | One of rowid
+  | Many of { p_gen : int; p_ids : (rowid, unit) Hashtbl.t }
 
 type t = {
   (* Guards every access during parallel replay (Wave_exec): the wave
@@ -97,14 +100,16 @@ type t = {
   mutable indexes : index list;
 }
 
-(* A hash index: postings are per-value rowid sets, so adding and
-   removing a row is O(1) amortized once the posting is private. The
-   column offset is resolved once — at index build and on schema
-   changes — instead of per mutated row. *)
+(* A hash index: postings are per-key rowid sets, so adding and
+   removing a row is O(1) amortized once the posting is private. A key
+   is an integer when the value's class has one ([int_key]) and a string
+   otherwise ([str_key]). The column offset is resolved once — at index
+   build and on schema changes — instead of per mutated row. *)
 and index = {
   ix_col : string;
   mutable ix_offset : int option; (* None: column absent from the schema *)
-  ix_postings : posting Key_map.t;
+  ix_ints : posting Int_map.t;
+  ix_strs : posting Key_map.t;
 }
 
 let locked t f = Uv_util.Rwlock.write t.lock f
@@ -120,7 +125,8 @@ let schema_offset (schema : Schema.table) col =
 
 let make_index ~gen schema col =
   { ix_col = col; ix_offset = schema_offset schema col;
-    ix_postings = Key_map.create ~gen no_posting }
+    ix_ints = Int_map.create ~gen No_posting;
+    ix_strs = Key_map.create ~gen No_posting }
 
 let create schema =
   let gen = Cow.fresh_gen () in
@@ -190,7 +196,9 @@ let copy t =
         order = Cow.share t.order;
         indexes =
           List.map
-            (fun ix -> { ix with ix_postings = Key_map.share ix.ix_postings })
+            (fun ix ->
+              { ix with ix_ints = Int_map.share ix.ix_ints;
+                ix_strs = Key_map.share ix.ix_strs })
             t.indexes;
       })
 
@@ -216,58 +224,135 @@ let set_rowid_floor t v =
 (* Index keys                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Index keys must respect SQL equality classes: Int 5, Float 5.0,
-   Bool-ish 1/0 and the numeric string "5" all compare equal under
-   [Value.compare_sql], so they must share a key. *)
-let index_key v =
-  let num f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      "N" ^ string_of_int (int_of_float f)
-    else "N" ^ Printf.sprintf "%h" f
-  in
-  match v with
-  | Value.Int i -> "N" ^ string_of_int i
-  | Value.Float f -> num f
-  | Value.Bool b -> num (if b then 1.0 else 0.0)
-  | Value.Null -> "\x00null"
-  | Value.Text s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f -> num f
-      | None -> "T" ^ s)
+(* Index keys must respect SQL equality classes: [Value.compare_sql]
+   compares numbers (Int, Float, Bool) as floats, and a text against a
+   number as the float it parses to, so a value's key is the class of
+   [Value.to_float]: Int 5, Float 5.0, Bool-ish 1/0 and the numeric
+   string "5" share a key, and so do Int (2^53 + 1) and Float 2^53. A
+   key is a superset of SQL equality (Int 2^53 and Int (2^53 + 1), or
+   "5" and "5.0", share one while comparing unequal), so probes are
+   filtered by their statement's predicate. Integral floats below 2^62
+   in magnitude — at most 2^62 - 512 — key by that integer, NULL by
+   [max_int], which no number reaches; every other class (other floats,
+   one key for every NaN, and texts that parse to no float) has a
+   string key. *)
+let no_int_key = min_int (* never a key of an [Int_map] *)
 
-let posting_add t ix k id =
-  let p = Key_map.find ix.ix_postings k in
-  if p.p_gen = t.gen then Hashtbl.replace p.p_ids id ()
+let float_key f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then int_of_float f else no_int_key
+
+let text_float s = float_of_string_opt (String.trim s)
+
+(* The value's integer key, or [no_int_key] when its class has a string
+   key. Ints up to 2^53 convert to floats exactly. *)
+let int_key = function
+  | Value.Int i ->
+      if i >= -0x20_0000_0000_0000 && i <= 0x20_0000_0000_0000 then i
+      else float_key (float_of_int i)
+  | Value.Float f -> float_key f
+  | Value.Bool b -> if b then 1 else 0
+  | Value.Null -> max_int
+  | Value.Text s -> ( match text_float s with Some f -> float_key f | None -> no_int_key)
+
+(* The string key of a value whose [int_key] is [no_int_key]. *)
+let str_key v =
+  let num f = if Float.is_nan f then "nan" else Value.hex_float f in
+  match v with
+  | Value.Text s -> ( match text_float s with Some f -> num f | None -> "T" ^ s)
+  | v -> num (Value.to_float v)
+
+type index_key = Int_key of int | Str_key of string
+
+let index_key v =
+  match int_key v with k when k = no_int_key -> Str_key (str_key v) | k -> Int_key k
+
+let same_key a b =
+  Value.equal a b
+  ||
+  let k = int_key a in
+  k = int_key b && (k <> no_int_key || String.equal (str_key a) (str_key b))
+
+(* [p] with [id] added; [p] itself when it already held [id] or was
+   written in place. *)
+let posting_with t p id =
+  match p with
+  | No_posting -> One id
+  | One id' when id' = id -> p
+  | One id' ->
+      let ids = Hashtbl.create 2 in
+      Hashtbl.replace ids id' ();
+      Hashtbl.replace ids id ();
+      Many { p_gen = t.gen; p_ids = ids }
+  | Many m when m.p_gen = t.gen ->
+      Hashtbl.replace m.p_ids id ();
+      p
+  | Many m ->
+      let ids = Hashtbl.copy m.p_ids in
+      Hashtbl.replace ids id ();
+      Many { p_gen = t.gen; p_ids = ids }
+
+(* [p] without [id]; [p] itself when it did not hold [id] or was
+   written in place. *)
+let posting_without t p id =
+  match p with
+  | No_posting -> p
+  | One id' -> if id' = id then No_posting else p
+  | Many m ->
+      if not (Hashtbl.mem m.p_ids id) then p
+      else if Hashtbl.length m.p_ids = 2 then
+        One (Hashtbl.fold (fun id' () acc -> if id' = id then acc else id') m.p_ids id)
+      else if m.p_gen = t.gen then begin
+        Hashtbl.remove m.p_ids id;
+        p
+      end
+      else begin
+        let ids = Hashtbl.copy m.p_ids in
+        Hashtbl.remove ids id;
+        Many { p_gen = t.gen; p_ids = ids }
+      end
+
+(* Rebind the key of [v] to [f]'s posting, writing the map only when
+   the posting changed. *)
+let update_posting t ix v f id =
+  let k = int_key v in
+  if k <> no_int_key then begin
+    let p = Int_map.find ix.ix_ints k in
+    match f t p id with
+    | p' when p' == p -> ()
+    | No_posting -> Int_map.remove ix.ix_ints ~gen:t.gen k
+    | p' -> Int_map.replace ix.ix_ints ~gen:t.gen k p'
+  end
   else begin
-    let ids = Hashtbl.copy p.p_ids in
-    Hashtbl.replace ids id ();
-    Key_map.replace ix.ix_postings ~gen:t.gen k { p_gen = t.gen; p_ids = ids }
+    let k = str_key v in
+    let p = Key_map.find ix.ix_strs k in
+    match f t p id with
+    | p' when p' == p -> ()
+    | No_posting -> Key_map.remove ix.ix_strs ~gen:t.gen k
+    | p' -> Key_map.replace ix.ix_strs ~gen:t.gen k p'
   end
 
-let posting_remove t ix k id =
-  let p = Key_map.find ix.ix_postings k in
-  if Hashtbl.mem p.p_ids id then
-    if Hashtbl.length p.p_ids = 1 then Key_map.remove ix.ix_postings ~gen:t.gen k
-    else if p.p_gen = t.gen then Hashtbl.remove p.p_ids id
-    else begin
-      let ids = Hashtbl.copy p.p_ids in
-      Hashtbl.remove ids id;
-      Key_map.replace ix.ix_postings ~gen:t.gen k { p_gen = t.gen; p_ids = ids }
-    end
+let posting_add t ix v id = update_posting t ix v posting_with id
+let posting_remove t ix v id = update_posting t ix v posting_without id
 
-let row_key ix row =
-  match ix.ix_offset with
-  | Some ci when ci < Array.length row -> Some (index_key row.(ci))
-  | _ -> None
+let find_posting ix v =
+  let k = int_key v in
+  if k <> no_int_key then Int_map.find ix.ix_ints k
+  else Key_map.find ix.ix_strs (str_key v)
 
 let index_add t row id =
   List.iter
-    (fun ix -> Option.iter (fun k -> posting_add t ix k id) (row_key ix row))
+    (fun ix ->
+      match ix.ix_offset with
+      | Some ci when ci < Array.length row -> posting_add t ix row.(ci) id
+      | _ -> ())
     t.indexes
 
 let index_remove t row id =
   List.iter
-    (fun ix -> Option.iter (fun k -> posting_remove t ix k id) (row_key ix row))
+    (fun ix ->
+      match ix.ix_offset with
+      | Some ci when ci < Array.length row -> posting_remove t ix row.(ci) id
+      | _ -> ())
     t.indexes
 
 (* Move [id] from its [before] keys to its [after] keys, leaving the
@@ -275,11 +360,14 @@ let index_remove t row id =
 let index_move t before after id =
   List.iter
     (fun ix ->
-      match (row_key ix before, row_key ix after) with
-      | Some k, Some k' when String.equal k k' -> ()
-      | kb, ka ->
-          Option.iter (fun k -> posting_remove t ix k id) kb;
-          Option.iter (fun k -> posting_add t ix k id) ka)
+      match ix.ix_offset with
+      | None -> ()
+      | Some ci ->
+          let b = ci < Array.length before and a = ci < Array.length after in
+          if not (b && a && same_key before.(ci) after.(ci)) then begin
+            if b then posting_remove t ix before.(ci) id;
+            if a then posting_add t ix after.(ci) id
+          end)
     t.indexes
 
 (* ------------------------------------------------------------------ *)
@@ -344,11 +432,11 @@ let put_cell sc v =
       put_char sc '|';
       put_char sc 'I';
       put_int sc i
-  | Value.Float _ ->
-      let str = Value.serialize v in
-      reserve sc (1 + String.length str);
+  | Value.Float f ->
+      reserve sc (2 + Value.hex_float_max);
       put_char sc '|';
-      put_string sc str
+      put_char sc 'F';
+      sc.len <- Value.write_hex_float sc.buf sc.len f
   | Value.Bool b ->
       reserve sc 3;
       put_char sc '|';
@@ -908,7 +996,7 @@ let create_value_index t col =
         for s = 0 to t.hi - 1 do
           let w = width_at t s in
           if w >= 0 && ci < w then
-            posting_add t ix (index_key (get_cell t ci s)) (rowid_at t s)
+            posting_add t ix (get_cell t ci s) (rowid_at t s)
         done
   end
 
@@ -917,8 +1005,11 @@ let indexed_lookup t col v =
       match List.find_opt (fun ix -> String.equal ix.ix_col col) t.indexes with
       | None -> None
       | Some ix ->
-          let p = Key_map.find ix.ix_postings (index_key v) in
-          Some (Hashtbl.fold (fun id () acc -> id :: acc) p.p_ids []))
+          Some
+            (match find_posting ix v with
+            | No_posting -> []
+            | One id -> [ id ]
+            | Many m -> Hashtbl.fold (fun id () acc -> id :: acc) m.p_ids []))
 
 let indexed_columns t =
   reading t (fun () -> List.map (fun ix -> ix.ix_col) t.indexes)

@@ -171,10 +171,16 @@ val set_schema : t -> Schema.table -> (Value.t array -> Value.t array) -> unit
 
 val column_index : t -> string -> int option
 
-val index_key : Uv_sql.Value.t -> string
-(** Canonical SQL-equality-class key: [Int 5], [Float 5.0] and ["5"] all
-    map to the same key. Used by the hash indexes and by DISTINCT
-    aggregate deduplication. *)
+type index_key = Int_key of int | Str_key of string
+
+val index_key : Uv_sql.Value.t -> index_key
+(** The hash indexes' key of a value: the class of {!Uv_sql.Value.to_float}
+    for numbers, bools and texts that parse as floats, and the text
+    itself for other texts, so two SQL-equal values always share a key
+    ([Int 5], [Float 5.0] and ["5"] do, and so do [Int (2^53 + 1)] and
+    [Float 2^53]). Values sharing a key need not be SQL-equal. Integral
+    floats below 2{^62} in magnitude and NULL have integer keys, every
+    NaN one string key. *)
 
 val create_value_index : t -> string -> unit
 (** Build (or rebuild) a hash index on the column; maintained by every
@@ -182,10 +188,11 @@ val create_value_index : t -> string -> unit
     at [create]. *)
 
 val indexed_lookup : t -> string -> Value.t -> rowid list option
-(** [Some rowids] holding exactly the rows whose column equals the value
-    when the column is indexed; [None] when it is not. The list order is
-    unspecified (postings are hash sets) — callers needing determinism
-    sort it. *)
+(** [Some rowids] holding exactly the rows whose column has the value's
+    {!index_key} — every row whose column SQL-equals it, and possibly
+    others — when the column is indexed; [None] when it is not. The list
+    order is unspecified (postings are hash sets) — callers needing
+    determinism sort it. *)
 
 val indexed_columns : t -> string list
 

@@ -351,18 +351,18 @@ let rec has_subquery = function
 (* How a statement reads the rows of its own table, where the row image
    alone decides it. *)
 type scope =
-  | Selected of (Value.t array -> bool)
+  | Selected of (Value.t array -> bool) Lazy.t
       (* an UPDATE or DELETE whose assigned values read no other row:
-         the rows its WHERE selects *)
+         the rows its WHERE selects, compiled when a row is first tested *)
   | Uniqueness
       (* an INSERT of values that read no table: only its PRIMARY KEY and
          UNIQUE checks read other rows *)
 
 let scope_of info stmt =
   let selected = function
-    | None -> Some (Selected (fun _ -> true))
+    | None -> Some (Selected (Lazy.from_val (fun _ -> true)))
     | Some w when has_subquery w -> None
-    | Some w -> Some (Selected (Engine.row_filter info.schema w))
+    | Some w -> Some (Selected (lazy (Engine.row_filter info.schema w)))
   in
   match stmt with
   | Ast.Update { assigns; where; _ }
@@ -407,9 +407,11 @@ let reads_dirty_row t idx info scope hist =
       false
     with Exit -> true
   in
+  Itbl.length info.dirty_rows > 0
+  &&
   match scope with
   | Selected p ->
-      let selects = function None -> false | Some img -> p img in
+      let selects = function None -> false | Some img -> Lazy.force p img in
       let reads c =
         Analyzer.exists_cell t.analyzer idx ~write:false
           ~column:(fun c' -> c' = c)

@@ -439,9 +439,10 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
             sim_time = 1_700_000_000 + i;
             rowid_base = r0 + (i * stride);
             structural =
-              List.exists
-                (fun t -> List.mem t structural_tables)
-                (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
+              structural_tables <> []
+              && List.exists
+                   (fun t -> List.mem t structural_tables)
+                   (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
             journal = (if redo_fits then Some entry.Uv_db.Log.undo else None);
           })
         members

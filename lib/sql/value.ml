@@ -164,10 +164,71 @@ let modulo a b =
       let d = to_float b in
       if d = 0.0 then Null else Float (Float.rem (to_float a) d)
 
+(* Printf's [%h] form of [f], written at [pos] into [buf], which must
+   have [hex_float_max] bytes free there; returns the end position. The
+   format is the runtime's: [-] on a set sign bit (NaN too), then [nan],
+   [infinity], or [0x], the leading digit (1 normal, 0 subnormal or
+   zero), [.] and the mantissa's nibbles without trailing zeros when it
+   has any, [p] and the signed unbiased exponent. *)
+let hex_float_max = 24
+
+let write_hex_float buf pos f =
+  let bits = Int64.bits_of_float f in
+  let exp = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  let m = Int64.to_int bits land 0xf_ffff_ffff_ffff in
+  let pos =
+    if Int64.to_int (Int64.shift_right_logical bits 63) = 1 then begin
+      Bytes.unsafe_set buf pos '-';
+      pos + 1
+    end
+    else pos
+  in
+  if exp = 0x7ff then begin
+    let s = if m = 0 then "infinity" else "nan" in
+    Bytes.unsafe_blit_string s 0 buf pos (String.length s);
+    pos + String.length s
+  end
+  else begin
+    Bytes.unsafe_set buf pos '0';
+    Bytes.unsafe_set buf (pos + 1) 'x';
+    Bytes.unsafe_set buf (pos + 2) (if exp = 0 then '0' else '1');
+    let p = ref (pos + 3) in
+    if m <> 0 then begin
+      Bytes.unsafe_set buf !p '.';
+      incr p;
+      let rest = ref m and shift = ref 48 in
+      while !rest <> 0 do
+        let d = (!rest lsr !shift) land 15 in
+        Bytes.unsafe_set buf !p
+          (Char.unsafe_chr (if d < 10 then 48 + d else 87 + d));
+        incr p;
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    let e = if exp = 0 then if m = 0 then 0 else -1022 else exp - 1023 in
+    Bytes.unsafe_set buf !p 'p';
+    Bytes.unsafe_set buf (!p + 1) (if e < 0 then '-' else '+');
+    let e = abs e in
+    let digits =
+      if e >= 1000 then 4 else if e >= 100 then 3 else if e >= 10 then 2 else 1
+    in
+    let q = ref e in
+    for k = !p + 1 + digits downto !p + 2 do
+      Bytes.unsafe_set buf k (Char.unsafe_chr (48 + (!q mod 10)));
+      q := !q / 10
+    done;
+    !p + 2 + digits
+  end
+
+let hex_float f =
+  let b = Bytes.create hex_float_max in
+  Bytes.sub_string b 0 (write_hex_float b 0 f)
+
 let serialize = function
   | Null -> "N"
   | Int i -> "I" ^ string_of_int i
-  | Float f -> "F" ^ Printf.sprintf "%h" f
+  | Float f -> "F" ^ hex_float f
   | Bool b -> if b then "B1" else "B0"
   | Text s -> "T" ^ string_of_int (String.length s) ^ ":" ^ s
 

@@ -59,6 +59,17 @@ val mul : t -> t -> t
 val div : t -> t -> t
 val modulo : t -> t -> t
 
+val hex_float_max : int
+(** The longest {!write_hex_float} output, in bytes. *)
+
+val write_hex_float : Bytes.t -> int -> float -> int
+(** [write_hex_float buf pos f] writes [Printf.sprintf "%h" f] into [buf]
+    at [pos], which needs {!hex_float_max} bytes free, and returns the
+    position after it. Allocates nothing. *)
+
+val hex_float : float -> string
+(** [Printf.sprintf "%h" f], built by {!write_hex_float}. *)
+
 val serialize : t -> string
 (** Compact, unambiguous, injective wire form used for row hashing and the
     statement log. *)

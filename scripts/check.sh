@@ -58,11 +58,18 @@ step "template lint gate: five workloads" template_lint
 # copies through both, and requires identical Value.t reads, agreeing
 # typed readers and index probes, ascending-rowid scans on every side
 # and identical incremental table hashes; the allocation guard requires
-# the first writes to a copy to cost the same at 1 000 and 16 000 rows
+# the first writes to a copy to cost the same at 1 000 and 16 000 rows.
+# The index-key cases: "index probes at numeric extremes" (10^15 probed
+# by 1e15, 2^53 + 1 by 2^53, through SELECT, UPDATE and DELETE) and the
+# coverage group's "index lookup covers every SQL-equal row" (probes at
+# ±2^53±1, the integer extremes, signed zeros and NaNs, fractions and
+# numeric texts find exactly their key's rows on both sides of a copy).
+# "hex float writer == %h" holds the digest's float writer to Printf on
+# the specials and 100 000 arbitrary bit patterns.
 storage_smoke() {
-  dune exec test/test_db.exe -- test storage
+  dune exec test/test_db.exe -- test '^(storage|coverage)$'
 }
-step "storage smoke: copy isolation, undo re-inserts, scan order, first-write allocation" storage_smoke
+step "storage smoke: copy isolation, undo re-inserts, scan order, first-write allocation, index keys, hex floats" storage_smoke
 
 # the streamed row digest against the string it replaced: a qcheck
 # property over integer extremes, float specials, empty and arbitrary-

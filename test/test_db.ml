@@ -338,7 +338,7 @@ let prop_columnar_matches_boxed_model =
                      let want =
                        List.filter_map
                          (fun (id, r) ->
-                           if String.equal (Storage.index_key r.(ci)) key then
+                           if Storage.index_key r.(ci) = key then
                              Some id
                            else None)
                          expected
@@ -1214,36 +1214,142 @@ let prop_full_undo_recovers_state =
          done;
          Int64.equal h0 (Engine.db_hash e)))
 
-(* Property: the hash index is a sound superset — every row that
-   SQL-equals the probe value is returned by the index lookup, across
-   mixed value types (Int 5, Float 5.0, "5" all share a key). *)
+(* Values whose SQL-equality classes are easy to split: integers on
+   either side of 2^53 (where Int stops converting to Float exactly),
+   10^15 against 1e15, the integer extremes, zeros and NaNs of both
+   signs, fractions, spaced and exponent texts, a text parsing to NaN,
+   a text parsing to nothing, bools and NULL. *)
+let index_key_values =
+  let b = 1 lsl 53 in
+  Value.
+    [ Int (b + 1); Int (b - 1); Int (-b - 1); Int (1 - b); Int b; Float 0x1p53;
+      Int 1_000_000_000_000_000; Float 1e15; Int max_int; Int min_int;
+      Float 0x1p62; Float (-0x1p62); Float 0.0; Float (-0.0); Int 0;
+      Float Float.nan; Float (-.Float.nan); Float 2.5; Float (-0.1);
+      Text " 5 "; Int 5; Text "1e3"; Int 1000; Text "nan"; Text "abc";
+      Bool true; Bool false; Int 1; Null ]
+
+(* Property: an index probe finds exactly the rows sharing the probe's
+   key, and among them every row that SQL-equals the probe (Int 5,
+   Float 5.0 and "5" share a key, and so do Int (2^53 + 1) and Float
+   2^53), on both sides of a copy after each side wrote its own rows. *)
 let prop_index_superset =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [ map
+            (fun i ->
+              match abs i mod 3 with
+              | 0 -> Value.Int i
+              | 1 -> Value.Float (float_of_int i)
+              | _ -> Value.Text (string_of_int i))
+            (int_range (-20) 20);
+          oneofl index_key_values ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (stored, probe) ->
+        String.concat " " (List.map Value.serialize stored)
+        ^ " probe " ^ Value.serialize probe)
+      QCheck.Gen.(pair (small_list value) value)
+  in
   qtest
-    (QCheck.Test.make ~name:"index lookup covers every SQL-equal row" ~count:150
-       QCheck.(pair (small_list (int_range (-20) 20)) (int_range (-20) 20))
-       (fun (stored, probe_i) ->
+    (QCheck.Test.make ~name:"index lookup covers every SQL-equal row" ~count:300
+       arb
+       (fun (stored, probe) ->
          let tbl =
            Storage.create
              (Schema.table "t"
                 [ Schema.column ~primary_key:true "k" Value.Tint;
                   Schema.column "pos" Value.Tint ])
          in
-         let variants i =
-           match abs i mod 3 with
-           | 0 -> Value.Int i
-           | 1 -> Value.Float (float_of_int i)
-           | _ -> Value.Text (string_of_int i)
-         in
          List.iteri
-           (fun pos i -> ignore (Storage.insert tbl [| variants i; Value.Int pos |]))
+           (fun pos v -> ignore (Storage.insert tbl [| v; Value.Int pos |]))
            stored;
-         let probe = variants probe_i in
-         match Storage.indexed_lookup tbl "k" probe with
-         | None -> false (* pk is always indexed *)
-         | Some ids ->
-             Storage.fold tbl ~init:true ~f:(fun acc id row ->
-                 acc
-                 && (not (Value.equal_sql row.(0) probe) || List.mem id ids))))
+         let copy = Storage.copy tbl in
+         (* the copy drops its first row, the source re-keys its last to
+            the probe *)
+         (match Storage.to_rows copy with
+         | (id, _) :: _ -> ignore (Storage.delete copy id)
+         | [] -> ());
+         (match List.rev (Storage.to_rows tbl) with
+         | (id, row) :: _ -> ignore (Storage.update tbl id [| probe; row.(1) |])
+         | [] -> ());
+         let agrees t =
+           match Storage.indexed_lookup t "k" probe with
+           | None -> false (* pk is always indexed *)
+           | Some ids ->
+               let scan keep =
+                 Storage.fold t ~init:[] ~f:(fun acc id row ->
+                     if keep row.(0) then id :: acc else acc)
+                 |> List.sort compare
+               in
+               let key = Storage.index_key probe in
+               let ids = List.sort compare ids in
+               ids = scan (fun v -> Storage.index_key v = key)
+               && List.filter
+                    (fun id ->
+                      match Storage.get t id with
+                      | Some row -> Value.equal_sql row.(0) probe
+                      | None -> false)
+                    ids
+                  = scan (fun v -> Value.equal_sql v probe)
+         in
+         agrees tbl && agrees copy))
+
+(* The statements of a probe that once missed: a PRIMARY KEY of 10^15
+   keyed by its digits was probed with the Float 1e15's [%h] form, and
+   Int (2^53 + 1) by its digits while Float 2^53 compares equal to it. *)
+let test_index_probe_numeric_extremes () =
+  let e = fresh () in
+  run e "CREATE TABLE t (k INT PRIMARY KEY, v INT)";
+  run e "INSERT INTO t VALUES (1000000000000000, 1)";
+  let count sql = List.length (Engine.query_sql e sql).Engine.rows in
+  check Alcotest.int "probe by 1e15" 1
+    (count "SELECT v FROM t WHERE k = 1000000000000000.0");
+  check Alcotest.int "scan by 1e15" 1
+    (count "SELECT v FROM t WHERE k + 0 = 1000000000000000.0");
+  check Alcotest.int "update by 1e15" 1
+    (Engine.exec_sql e "UPDATE t SET v = 2 WHERE k = 1000000000000000.0")
+      .Engine.rows_written;
+  check Alcotest.int "updated" 2 (qint e "SELECT v FROM t WHERE k = 1000000000000000");
+  run e "INSERT INTO t VALUES (9007199254740993, 3)";
+  check Alcotest.int "probe 2^53 + 1 by 2^53" 3
+    (qint e "SELECT v FROM t WHERE k = 9007199254740992.0");
+  check Alcotest.int "delete by 2^53" 1
+    (Engine.exec_sql e "DELETE FROM t WHERE k = 9007199254740992.0").Engine.rows_written;
+  check Alcotest.int "left" 1 (qint e "SELECT COUNT(*) FROM t")
+
+(* Property: the digest's hex-float writer prints what [%h] prints, on
+   the float specials and on arbitrary bit patterns (subnormals, NaN
+   payloads of both signs included). *)
+let prop_hex_float_matches_printf =
+  let specials =
+    [ 0.0; -0.0; 1.0; -1.0; 0.5; 1.5; 0.1; 1e15; Float.nan; -.Float.nan;
+      Float.infinity; Float.neg_infinity; Float.max_float; Float.min_float;
+      -.Float.max_float; Float.epsilon; 5e-324; -5e-324; 0x1p62; 0x1p-1022;
+      0x0.fffffffffffffp-1022 ]
+  in
+  let bits =
+    QCheck.Gen.(
+      map2
+        (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+        (int_bound 0xffff_ffff) (int_bound 0xffff_ffff))
+  in
+  let float_arb =
+    QCheck.make ~print:(Printf.sprintf "%h")
+      QCheck.Gen.(
+        oneof [ oneofl specials; map Int64.float_of_bits bits ])
+  in
+  qtest
+    (QCheck.Test.make ~name:"hex float writer == %h" ~count:100_000 float_arb
+       (fun f ->
+         let buf = Bytes.make (Value.hex_float_max + 2) '?' in
+         let stop = Value.write_hex_float buf 1 f in
+         Bytes.sub_string buf 1 (stop - 1) = Printf.sprintf "%h" f
+         && Value.hex_float f = Printf.sprintf "%h" f
+         && Bytes.get buf 0 = '?'
+         && Bytes.get buf (Value.hex_float_max + 1) = '?'))
 
 (* Property: GROUP BY aggregation equals a hand-rolled fold. *)
 let prop_group_by_sums =
@@ -1784,6 +1890,9 @@ let () =
           prop_columnar_matches_boxed_model;
           Alcotest.test_case "first write on a copy is flat in table size"
             `Quick test_storage_first_write_flat;
+          Alcotest.test_case "index probes at numeric extremes" `Quick
+            test_index_probe_numeric_extremes;
+          prop_hex_float_matches_printf;
         ] );
       ( "row digest",
         [
