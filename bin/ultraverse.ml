@@ -144,6 +144,11 @@ let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
       ("failed_replays", J.Int out.Whatif.failed_replays);
       ( "hash_jump_at",
         match out.Whatif.hash_jump_at with Some i -> J.Int i | None -> J.Null );
+      ( "stop_at",
+        match out.Whatif.stop_at with
+        | Some (ran, skipped) ->
+            J.Obj [ ("ran", J.Int ran); ("skipped", J.Int skipped) ]
+        | None -> J.Null );
       ("analysis_ms", J.Float out.Whatif.analysis_ms);
       ("real_ms", J.Float out.Whatif.real_ms);
       ("serial_cost_ms", J.Float out.Whatif.serial_cost_ms);
@@ -264,6 +269,12 @@ let whatif_cmd =
           (if out.Whatif.degraded then ", degraded to the caller lane" else "");
       (match out.Whatif.hash_jump_at with
       | Some i -> Printf.printf "hash-hit at commit %d: the change is effectless\n" i
+      | None -> ());
+      (match out.Whatif.stop_at with
+      | Some (ran, skipped) ->
+          Printf.printf
+            "stopped after %d of %d members: nothing left differs from history\n"
+            ran (ran + skipped)
       | None -> ());
       Printf.printf "alternate universe %s the original\n"
         (if out.Whatif.changed then "DIFFERS from" else "equals")

@@ -508,66 +508,85 @@ let rowid_of = function
       r
   | _ -> 0
 
-(* May run on any domain: it reads only [moved], built by [create], and
-   the analyzer. *)
-let prepare t cat stmt hist =
-  let st =
-    match target stmt with
-    | Some (table, _) -> Option.map (fun st -> (table, st)) (Catalog.table cat table)
-    | None -> None
-  in
-  let fits = ref (st <> None) in
-  let local =
-    match st with
-    | None -> []
-    | Some (table, st) ->
-        let tid = Analyzer.table_id t.analyzer table in
-        let translate h = if tid >= 0 then rowid t tid h else h in
-        (* a plain statement's rows are all of its own table *)
-        let check tb r present =
-          if not (String.equal tb table && Storage.mem st r = present) then
-            fits := false
-        in
-        List.map
-          (fun u ->
-            match u with
-            | Log.U_row_insert (tb, h, img) ->
-                let r = translate h in
-                check tb r false;
-                Log.U_row_insert (tb, r, img)
-            | Log.U_row_update (tb, h, b, a) ->
-                let r = translate h in
-                check tb r true;
-                Log.U_row_update (tb, r, b, a)
-            | Log.U_row_delete (tb, h, img) ->
-                let r = translate h in
-                check tb r true;
-                Log.U_row_delete (tb, r, img)
-            | Log.U_auto_value _ -> u
-            | _ ->
-                fits := false;
-                u)
-          hist
-  in
-  if not !fits then begin
+(* The table id is resolved here, on the caller's lane; the closure
+   reads only [moved], built by [create], so it may run on any domain,
+   and later, over a copy of the replay state. *)
+let reenactment (t : t) stmt hist =
+  let fallback () =
     Atomic.incr t.fallbacks;
     None
-  end
-  else
-    (* an UPDATE or DELETE visits its rows in ascending rowid order, and
-       its journal lists them newest first *)
-    let by_rowid =
-      List.stable_sort (fun a b -> compare (rowid_of b) (rowid_of a))
-    in
-    let journal, assigned =
-      match (stmt, st) with
-      | Ast.Update { assigns; _ }, Some (_, st) ->
-          ( by_rowid local,
-            List.filter_map (fun (c, _) -> Storage.column_index st c) assigns )
-      | Ast.Delete _, _ -> (by_rowid local, [])
-      | _ -> (local, [])
-    in
-    Some (fun () -> Log.apply_redo ~assigned cat journal)
+  in
+  match target stmt with
+  | None -> fun _ -> fallback ()
+  | Some (table, _) ->
+      let tid = Analyzer.table_id t.analyzer table in
+      let translate h = if tid >= 0 then rowid t tid h else h in
+      fun cat ->
+        match Catalog.table cat table with
+        | None -> fallback ()
+        | Some st ->
+            let fits = ref true in
+            (* a plain statement's rows are all of its own table *)
+            let check tb r present =
+              if not (String.equal tb table && Storage.mem st r = present) then
+                fits := false
+            in
+            let local =
+              List.map
+                (fun u ->
+                  match u with
+                  | Log.U_row_insert (tb, h, img) ->
+                      let r = translate h in
+                      check tb r false;
+                      Log.U_row_insert (tb, r, img)
+                  | Log.U_row_update (tb, h, b, a) ->
+                      let r = translate h in
+                      check tb r true;
+                      Log.U_row_update (tb, r, b, a)
+                  | Log.U_row_delete (tb, h, img) ->
+                      let r = translate h in
+                      check tb r true;
+                      Log.U_row_delete (tb, r, img)
+                  | Log.U_auto_value _ -> u
+                  | _ ->
+                      fits := false;
+                      u)
+                hist
+            in
+            if not !fits then fallback ()
+            else
+              (* an UPDATE or DELETE visits its rows in ascending rowid
+                 order, and its journal lists them newest first *)
+              let by_rowid =
+                List.stable_sort (fun a b -> compare (rowid_of b) (rowid_of a))
+              in
+              let journal, assigned =
+                match stmt with
+                | Ast.Update { assigns; _ } ->
+                    ( by_rowid local,
+                      List.filter_map (fun (c, _) -> Storage.column_index st c) assigns
+                    )
+                | Ast.Delete _ -> (by_rowid local, [])
+                | _ -> (local, [])
+              in
+              Some (fun () -> Log.apply_redo ~assigned cat journal)
+
+(* With the set empty, [clean] holds for such a member; its reenactment
+   moves no row to or from a translated rowid, and a redone statement
+   leaves a clean row clean. *)
+let quiet t stmt hist =
+  match target stmt with
+  | None -> false
+  | Some (table, _) -> (
+      match table_info t table with
+      | Some info when not info.triggered ->
+          List.for_all
+            (function
+              | Log.U_row_update (tb, _, _, _) | Log.U_row_delete (tb, _, _) ->
+                  String.equal tb table
+              | _ -> false)
+            hist
+      | _ -> false)
 
 let stats (t : t) =
   {

@@ -6,7 +6,7 @@
     from history at the current point of the replay. It starts with the
     target's ({!seed}, or the head's {!settle}). A plain INSERT, UPDATE or
     DELETE member whose read cells meet no dirty cell read what history
-    read, so it writes what history wrote: {!prepare} reenacts its
+    read, so it writes what history wrote: {!reenactment} reenacts its
     historical journal. Every member, redone or executed, is then
     {!settle}d: the rows where its fresh journal and its historical one
     leave different images become (or stay) dirty, and rows where they
@@ -17,8 +17,8 @@
     translates (the k-th row a statement inserts lands at
     [rowid_base + k], executed or redone). A [t] belongs to one
     question's replay. {!clean}, {!settle} and {!seed} run on the
-    caller's lane; {!prepare} and the reenactment it returns may run on
-    any domain. *)
+    caller's lane; the closure {!reenactment} builds, and the
+    reenactment that closure returns, may run on any domain. *)
 
 type t
 
@@ -57,20 +57,36 @@ val clean : t -> int -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
       columns an UPDATE or DELETE writes meet no dirty cell at any key
       (it visits every row). *)
 
-val prepare :
+val reenactment :
   t ->
-  Uv_db.Catalog.t ->
   Uv_sql.Ast.stmt ->
   Uv_db.Log.undo list ->
+  Uv_db.Catalog.t ->
   (unit -> Uv_db.Log.redone) option
-(** [prepare t catalog stmt journal]: the reenactment of a {!clean}
-    member from its historical [journal] — rowids translated, records in
-    the order its execution visits rows, the columns an UPDATE assigns
-    written even where history left them unchanged
-    ({!Uv_db.Log.apply_redo}). [None], counted as a fallback, when a
-    translated rowid is missing (update, delete) or taken (insert): the
-    member must execute. Nothing is mutated before the reenactment
-    runs. *)
+(** [reenactment t stmt journal catalog]: the reenactment of a {!clean}
+    member from its historical [journal] over [catalog] — rowids
+    translated, records in the order its execution visits rows, the
+    columns an UPDATE assigns written even where history left them
+    unchanged ({!Uv_db.Log.apply_redo}). [None], counted as a fallback,
+    when a translated rowid is missing (update, delete) or taken
+    (insert): the member must execute. Nothing is mutated before the
+    reenactment runs. The statement's table is resolved when
+    [reenactment t stmt journal] is applied; the closure it returns
+    reads nothing of the analyzer, so it stays valid after the question
+    (the analyzer may be extended or reset since). *)
+
+val is_empty : t -> bool
+(** No cell differs from history at this point of the replay. *)
+
+val quiet : t -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
+(** [quiet t stmt journal]: would the member, met with the set empty,
+    be redone and leave the set empty and every row at its rowid? True
+    for a plain INSERT, UPDATE or DELETE on a base table without
+    triggers ({!clean}'s first test) whose historical journal holds only
+    row updates and deletes of that table ({!reenactment}'s fit test, with
+    no insert): it is reenacted record for record, so each row it
+    touches takes the image it took in history, and no row appears at a
+    translated rowid. *)
 
 val settle :
   t -> redone:bool -> hist:Uv_db.Log.undo list -> fresh:Uv_db.Log.undo list -> unit
@@ -80,7 +96,7 @@ val settle :
     outside the set. *)
 
 type stats = {
-  fallbacks : int;  (** clean members {!prepare} sent to execution *)
+  fallbacks : int;  (** clean members {!reenactment} sent to execution *)
   dirty_cells : int;  (** cells that entered the set, re-entries included *)
   dirty_emptied : bool;
       (** the set emptied before the last {!settle}: cell-level

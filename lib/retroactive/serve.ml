@@ -139,6 +139,11 @@ let whatif_result (r : Whatif.Service.reply) =
          item 1) *)
       ("plans_used", J.Int o.Whatif.plans_used);
       ("redone", J.Int o.Whatif.redone);
+      ( "stop_at",
+        match o.Whatif.stop_at with
+        | Some (ran, skipped) ->
+            J.Obj [ ("ran", J.Int ran); ("skipped", J.Int skipped) ]
+        | None -> J.Null );
       ("final_db_hash", J.Str (Printf.sprintf "%Lx" o.Whatif.final_db_hash));
     ]
 

@@ -12,6 +12,23 @@ type item = {
          and settles against *)
 }
 
+(* What the exact stop left undone: the skipped members, each with its
+   reenactment, the replay state they would have run over, and what the
+   restamp needs. [complete] finishes it on a copy, so the merged history
+   pays for it and the question does not. *)
+type stop = {
+  ran : int;  (* members run *)
+  skipped : (item * (Uv_db.Catalog.t -> (unit -> Uv_db.Log.redone) option)) list;
+  at : Uv_db.Catalog.t;  (* the replay catalog at the stop, read-only *)
+  rtt_ms : float;
+  head : item option;
+  items : item list;
+  raw : (int, Uv_db.Log.entry) Hashtbl.t;  (* the run statements' entries *)
+  raw_deltas : (int, (string * int64) list) Hashtbl.t;
+  base : (string * int64) list;
+  autos : (string * int * int) list;
+}
+
 type t = {
   durations : (int, float) Hashtbl.t;
   entries : (int, Uv_db.Log.entry) Hashtbl.t;
@@ -22,6 +39,7 @@ type t = {
   degraded : bool;
   redone : int;
   executed : int;
+  stop : stop option;
 }
 
 (* A table's AUTO_INCREMENT counter as the restamp walks the replayed
@@ -49,17 +67,15 @@ type ran = {
    escapes to the caller, which aborts the run — unlike an application-
    level [Sql_error], which counts as a failed replay. *)
 let run_item ?(obs = Uv_obs.Trace.disabled)
-    ?(fault = Uv_fault.Fault.disabled) ?(on_retry = fun () -> ()) ?redo ~rtt_ms
-    catalog it =
+    ?(fault = Uv_fault.Fault.disabled) ?(on_retry = fun () -> ()) ?reenact
+    ~rtt_ms catalog it =
   let reenact =
-    match (redo, it.journal) with
-    | Some r, Some hist ->
-        let p = Redo.prepare r catalog it.stmt hist in
+    Option.bind reenact (fun prepare ->
+        let p = prepare catalog in
         if Option.is_none p then
           Uv_obs.Trace.instant obs "replay.redo_fallback"
             ~args:[ ("index", Uv_obs.Json.Int it.idx) ];
-        p
-    | _ -> None
+        p)
   in
   (* the span is opened on the executing domain, so parallel replay
      renders as one trace lane per domain; with tracing off [start]
@@ -135,9 +151,104 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
         on_retry ();
         attempt ())
 
+(* Restamp written_hashes in global commit order — the head, then the
+   items, which ascend — so each entry logs the hash its table had right
+   after it committed: bit-identical to the commit-order schedule, and
+   therefore safe for the Hash-jumper to consume on branched universes.
+   [base] holds the table hashes at replay start, [autos] each
+   AUTO_INCREMENT counter then, with the position of the column it
+   fills. AUTO_INCREMENT records are restamped the same way: a statement
+   journals the counter the inserts before it left, which in a wave are
+   whichever ran first. In commit order each record takes the running
+   counter, and an insert of key v raises it to v + 1, as the engine's
+   insert and [Log.apply_redo] do. *)
+let restamp ~base ~autos ~head ~items entries deltas =
+  let running = Hashtbl.create 16 in
+  List.iter (fun (n, h) -> Hashtbl.replace running n h) base;
+  let counters = Hashtbl.create 8 in
+  List.iter
+    (fun (n, next, offset) -> Hashtbl.replace counters n { next; offset })
+    autos;
+  (* oldest record first, as the recursion returns; the journal is
+     shared where no counter record changes. An insert into a table with
+     a counter journals a counter record in the same entry, so an entry
+     without one raises no counter. *)
+  let rec restamp_auto undo =
+    match undo with
+    | [] -> []
+    | u :: older ->
+        let older' = restamp_auto older in
+        let u' =
+          match u with
+          | Uv_db.Log.U_auto_value (n, v) -> (
+              match Hashtbl.find_opt counters n with
+              | Some a when a.next <> v -> Uv_db.Log.U_auto_value (n, a.next)
+              | _ -> u)
+          | Uv_db.Log.U_row_insert (n, _, row) ->
+              (match Hashtbl.find_opt counters n with
+              | Some a
+                when a.offset < Array.length row
+                     && not (Uv_sql.Value.is_null row.(a.offset)) ->
+                  let v = Uv_sql.Value.to_int row.(a.offset) in
+                  if v >= a.next then a.next <- v + 1
+              | _ -> ());
+              u
+          | _ -> u
+        in
+        if u' == u && older' == older then undo else u' :: older'
+  in
+  let restamp it =
+    match Hashtbl.find_opt entries it.idx with
+    | None -> ()
+    | Some e ->
+        (* the deltas name the entry's written tables, in its order *)
+        let wh =
+          List.map
+            (fun (n, d) ->
+              let cur = Option.value (Hashtbl.find_opt running n) ~default:0L in
+              let v = Uv_util.Table_hash.add_mod cur d in
+              Hashtbl.replace running n v;
+              (n, v))
+            (Hashtbl.find deltas it.idx)
+        in
+        Hashtbl.replace entries it.idx
+          {
+            e with
+            Uv_db.Log.written_hashes = wh;
+            undo =
+              (if
+                 List.exists
+                   (function Uv_db.Log.U_auto_value _ -> true | _ -> false)
+                   e.Uv_db.Log.undo
+               then restamp_auto e.Uv_db.Log.undo
+               else e.Uv_db.Log.undo);
+          }
+  in
+  Option.iter restamp head;
+  List.iter restamp items
+
+let stop_point s = (s.ran, List.length s.skipped)
+
+let complete s =
+  let catalog = Uv_db.Catalog.snapshot s.at in
+  let entries = Hashtbl.copy s.raw and deltas = Hashtbl.copy s.raw_deltas in
+  List.iter
+    (fun (it, reenact) ->
+      match (run_item ~reenact ~rtt_ms:s.rtt_ms catalog it).out with
+      | Some (e, ds) ->
+          Hashtbl.replace entries it.idx e;
+          Hashtbl.replace deltas it.idx ds
+      | None -> ())
+    s.skipped;
+  restamp ~base:s.base ~autos:s.autos ~head:s.head ~items:s.items
+    entries deltas;
+  entries
+
 type schedule =
   | Commit_order of { stop_after : int -> item -> bool }
-  | Waves of { dag : Conflict_dag.t; workers : int }
+  | Waves of { dag : Conflict_dag.t Lazy.t; workers : int }
+
+exception Stop
 
 let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     ?(check = fun () -> ()) ?redo ~schedule ~rtt_ms ~catalog ~head ~items () =
@@ -158,7 +269,10 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     | Some r when Array.for_all (fun it -> it.idx > 0) batch ->
         Array.map
           (fun it ->
-            if Redo.clean r it.idx it.stmt (Option.get it.journal) then redo else None)
+            let hist = Option.get it.journal in
+            if Redo.clean r it.idx it.stmt hist then
+              Some (Redo.reenactment r it.stmt hist)
+            else None)
           batch
     | _ -> Array.map (fun _ -> None) batch
   in
@@ -201,7 +315,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     let run it =
       check ();
       finish_item it
-        (run_item ~obs ~fault ~on_retry ?redo:(decide [| it |]).(0) ~rtt_ms
+        (run_item ~obs ~fault ~on_retry ?reenact:(decide [| it |]).(0) ~rtt_ms
            catalog it)
     in
     Option.iter run head;
@@ -212,7 +326,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
           if not (stop_after pos it) then go (pos + 1) rest
     in
     go 0 items;
-    (0, false)
+    (0, false, None)
   in
   let in_waves dag workers =
     let traced = Uv_obs.Trace.enabled obs in
@@ -226,22 +340,55 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     in
     (* and the AUTO_INCREMENT counters, with each counted column's
        position: the base the counter records are restamped from *)
-    let autos = Hashtbl.create 8 in
-    List.iter
-      (fun (name, st) ->
-        match
-          Option.bind
-            (Uv_sql.Schema.auto_increment_column (Uv_db.Storage.schema st))
-            (Uv_db.Storage.column_index st)
-        with
-        | Some offset ->
-            Hashtbl.replace autos name
-              { next = Uv_db.Storage.next_auto_value st; offset }
-        | None -> ())
-      tables;
+    let autos =
+      List.filter_map
+        (fun (name, st) ->
+          Option.map
+            (fun offset -> (name, Uv_db.Storage.next_auto_value st, offset))
+            (Option.bind
+               (Uv_sql.Schema.auto_increment_column (Uv_db.Storage.schema st))
+               (Uv_db.Storage.column_index st)))
+        tables
+    in
+    (* The exact stop (DESIGN.md §5, "Exact stop"). Before a batch of
+       members, stop when the dirty set is empty, no statement run so far
+       inserted a row, and every member left is quiet ({!Redo.quiet}):
+       each of those would be redone to its historical images and keep
+       the set empty, so the rest can only repeat history. [stoppable]
+       drops for good at the first insert. Every member ahead of
+       [pending] has run or is quiet, and quietness never changes, so
+       the cursor passes each member once. *)
+    let stoppable = ref (redo <> None) in
+    let pending = ref items in
+    let rec all_quiet r =
+      match !pending with
+      | [] -> true
+      | it :: rest ->
+          (Hashtbl.mem durations it.idx
+          || Redo.quiet r it.stmt (Option.get it.journal))
+          && begin
+               pending := rest;
+               all_quiet r
+             end
+    in
+    let stop_here () =
+      !stoppable
+      && match redo with Some r -> Redo.is_empty r && all_quiet r | None -> false
+    in
+    let finish it ran =
+      finish_item it ran;
+      match ran.out with
+      | Some (e, _)
+        when !stoppable
+             && List.exists
+                  (function Uv_db.Log.U_row_insert _ -> true | _ -> false)
+                  e.Uv_db.Log.undo ->
+          stoppable := false
+      | _ -> ()
+    in
     (* the per-item closure the pool runs; [allow_crash] is off on the
        caller lane (degraded finish), whose "domain" cannot die *)
-    let item_fn ~allow_crash ?redo it =
+    let item_fn ~allow_crash ?reenact it =
       if allow_crash then
         (match
            Uv_fault.Fault.check ~key:it.idx fault Uv_fault.Fault.Site.worker
@@ -256,7 +403,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
                 Unix.sleepf (inj.Uv_fault.Fault.arg /. 1000.0)
             | _ -> ())
         | None -> ());
-      run_item ~obs ~fault ~on_retry ?redo ~rtt_ms catalog it
+      run_item ~obs ~fault ~on_retry ?reenact ~rtt_ms catalog it
     in
     let pool = Uv_util.Domain_pool.create ~workers in
     Fun.protect ~finally:(fun () -> Uv_util.Domain_pool.shutdown pool)
@@ -291,14 +438,14 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
           incr subwaves;
           wave_boundary ();
           let sp = wave_span 1 in
-          finish_item it
-            (item_fn ~allow_crash:false ?redo:(decide [| it |]).(0) it);
+          finish it
+            (item_fn ~allow_crash:false ?reenact:(decide [| it |]).(0) it);
           Uv_obs.Trace.finish obs sp
       | _ ->
           incr subwaves;
           wave_boundary ();
           let arr = Array.of_list batch in
-          let redos = decide arr in
+          let reenacts = decide arr in
           let n = Array.length arr in
           let results = Array.make n None in
           let sp = wave_span n in
@@ -321,7 +468,8 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
                 for i = lo to hi do
                   if results.(i) = None then
                     results.(i) <-
-                      Some (item_fn ~allow_crash:true ?redo:redos.(i) arr.(i))
+                      Some
+                        (item_fn ~allow_crash:true ?reenact:reenacts.(i) arr.(i))
                 done)
           in
           (* caller-lane finish of whatever the pool left undone: exact
@@ -331,7 +479,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
               (fun i it ->
                 if results.(i) = None then
                   results.(i) <-
-                    Some (item_fn ~allow_crash:false ?redo:redos.(i) it))
+                    Some (item_fn ~allow_crash:false ?reenact:reenacts.(i) it))
               arr
           in
           if !degraded then run_direct ()
@@ -363,106 +511,79 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
           Array.iteri
             (fun i it ->
               match results.(i) with
-              | Some r -> finish_item it r
+              | Some r -> finish it r
               | None -> incr failed)
             arr;
           Uv_obs.Trace.finish obs sp
     in
+    (* a batch of members runs only where the stop does not hold *)
+    let run_members batch =
+      if batch <> [] && stop_here () then raise_notrace Stop;
+      run_batch batch
+    in
     (match head with Some h -> run_batch [ h ] | None -> ());
-    let by_idx = Hashtbl.create 64 in
-    List.iter (fun it -> Hashtbl.replace by_idx it.idx it) items;
-    List.iter
-      (fun wave ->
-        (* structural items break the wave into parallel batches and run
-           exclusively in between, preserving commit order within the wave *)
-        let batch = ref [] in
-        let flush () =
-          run_batch (List.rev !batch);
-          batch := []
-        in
+    let stopped =
+      try
+        (* a question whose replay repeats history from its first member
+           builds no DAG *)
+        if items <> [] && stop_here () then raise_notrace Stop;
+        let by_idx = Hashtbl.create 64 in
+        List.iter (fun it -> Hashtbl.replace by_idx it.idx it) items;
         List.iter
-          (fun idx ->
-            let it = Hashtbl.find by_idx idx in
-            if it.structural then begin
-              flush ();
-              run_batch [ it ]
-            end
-            else batch := it :: !batch)
-          wave;
-        flush ())
-      (Conflict_dag.waves dag);
-    (* Restamp written_hashes in global commit order — the head, then the
-       items, which ascend — so each entry logs the hash its table had
-       right after it committed: bit-identical to the commit-order
-       schedule, and therefore safe for the Hash-jumper to consume on
-       branched universes. AUTO_INCREMENT records are restamped the same
-       way: a statement journals the counter the inserts before it left,
-       which in a wave are whichever ran first. In commit order each
-       record takes the running counter, and an insert of key v raises
-       it to v + 1, as the engine's insert and [Log.apply_redo] do. *)
-    Uv_obs.Trace.with_span obs ~cat:"replay" "replay.restamp" (fun () ->
-      let running = Hashtbl.create 16 in
-      List.iter (fun (n, h) -> Hashtbl.replace running n h) base;
-      (* oldest record first, as the recursion returns; the journal is
-         shared where no counter record changes. An insert into a table
-         with a counter journals a counter record in the same entry, so
-         an entry without one raises no counter. *)
-      let rec restamp_auto undo =
-        match undo with
-        | [] -> []
-        | u :: older ->
-            let older' = restamp_auto older in
-            let u' =
-              match u with
-              | Uv_db.Log.U_auto_value (n, v) -> (
-                  match Hashtbl.find_opt autos n with
-                  | Some a when a.next <> v -> Uv_db.Log.U_auto_value (n, a.next)
-                  | _ -> u)
-              | Uv_db.Log.U_row_insert (n, _, row) ->
-                  (match Hashtbl.find_opt autos n with
-                  | Some a
-                    when a.offset < Array.length row
-                         && not (Uv_sql.Value.is_null row.(a.offset)) ->
-                      let v = Uv_sql.Value.to_int row.(a.offset) in
-                      if v >= a.next then a.next <- v + 1
-                  | _ -> ());
-                  u
-              | _ -> u
+          (fun wave ->
+            (* structural items break the wave into parallel batches and
+               run exclusively in between, preserving commit order within
+               the wave *)
+            let batch = ref [] in
+            let flush () =
+              run_members (List.rev !batch);
+              batch := []
             in
-            if u' == u && older' == older then undo else u' :: older'
-      in
-      let restamp it =
-        match Hashtbl.find_opt entries it.idx with
-        | None -> ()
-        | Some e ->
-            (* the deltas name the entry's written tables, in its order *)
-            let wh =
-              List.map
-                (fun (n, d) ->
-                  let cur = Option.value (Hashtbl.find_opt running n) ~default:0L in
-                  let v = Uv_util.Table_hash.add_mod cur d in
-                  Hashtbl.replace running n v;
-                  (n, v))
-                (Hashtbl.find deltas it.idx)
-            in
-            Hashtbl.replace entries it.idx
-              {
-                e with
-                Uv_db.Log.written_hashes = wh;
-                undo =
-                  (if
-                     List.exists
-                       (function Uv_db.Log.U_auto_value _ -> true | _ -> false)
-                       e.Uv_db.Log.undo
-                   then restamp_auto e.Uv_db.Log.undo
-                   else e.Uv_db.Log.undo);
-              }
-      in
-      Option.iter restamp head;
-      List.iter restamp items);
-    (!subwaves, !degraded)
+            List.iter
+              (fun idx ->
+                let it = Hashtbl.find by_idx idx in
+                if it.structural then begin
+                  flush ();
+                  run_members [ it ]
+                end
+                else batch := it :: !batch)
+              wave;
+            flush ())
+          (Conflict_dag.waves (Lazy.force dag));
+        false
+      with Stop -> true
+    in
+    let stop =
+      match redo with
+      | Some r when stopped ->
+          let skipped =
+            List.filter_map
+              (fun it ->
+                if Hashtbl.mem durations it.idx then None
+                else Some (it, Redo.reenactment r it.stmt (Option.get it.journal)))
+              items
+          in
+          Some
+            {
+              ran = List.length items - List.length skipped;
+              skipped;
+              at = catalog;
+              rtt_ms;
+              head;
+              items;
+              raw = entries;
+              raw_deltas = deltas;
+              base;
+              autos;
+            }
+      | _ ->
+          Uv_obs.Trace.with_span obs ~cat:"replay" "replay.restamp" (fun () ->
+              restamp ~base ~autos ~head ~items entries deltas);
+          None
+    in
+    (!subwaves, !degraded, stop)
   in
-  let wave_count, degraded =
+  let wave_count, degraded, stop =
     match schedule with
     | Commit_order { stop_after } -> in_commit_order stop_after
     | Waves { dag; workers } -> in_waves dag workers
@@ -477,4 +598,5 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     degraded;
     redone = !redone;
     executed = !executed;
+    stop;
   }

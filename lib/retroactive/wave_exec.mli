@@ -47,6 +47,10 @@ type item = {
           runs the whole replay by execution. *)
 }
 
+type stop
+(** What the exact stop left undone (see {!execute}): the skipped
+    members and the replay state they would have run over. *)
+
 type t = {
   durations : (int, float) Hashtbl.t;  (** idx -> measured ms *)
   entries : (int, Uv_db.Log.entry) Hashtbl.t;
@@ -65,15 +69,32 @@ type t = {
           deaths; results are identical, parallelism was lost *)
   redone : int;  (** items (the head aside) redone from their journal *)
   executed : int;  (** items (the head aside) executed *)
+  stop : stop option;
+      (** the replay stopped where it rejoined history; [entries] then
+          holds the run statements' entries before the restamp, and
+          {!complete} gives every entry *)
 }
+
+val stop_point : stop -> int * int
+(** (members run, members skipped). *)
+
+val complete : stop -> (int, Uv_db.Log.entry) Hashtbl.t
+(** Every replayed statement's entry (the head's at 0) as the whole
+    replay gives it, [written_hashes] restamped in commit order: the
+    skipped members are reenacted, in commit order, over a copy of the
+    replay state at the stop, through the same per-item step as the
+    replay ({!Redo.reenactment}, or execution where the journal does
+    not fit). Each call works on its own copy and returns a fresh
+    table; callable from any domain. *)
 
 type schedule =
   | Commit_order of { stop_after : int -> item -> bool }
       (** [stop_after pos it] runs after the item at list position [pos]
           (0-based) of [items]; [true] ends the replay there *)
-  | Waves of { dag : Conflict_dag.t; workers : int }
+  | Waves of { dag : Conflict_dag.t Lazy.t; workers : int }
       (** [dag]'s nodes are exactly the items' indexes; its waves run on
-          [workers] lanes *)
+          [workers] lanes. It is forced after the head, unless the replay
+          stops before its first member. *)
 
 val execute :
   ?obs:Uv_obs.Trace.t ->
@@ -108,6 +129,20 @@ val execute :
     {!Analyzer.replay_dag}). After the
     batch, each item is settled into the set in commit order. The head
     always executes.
+
+    On the DAG schedule with [redo], the replay stops before a batch of
+    members once the rest can only repeat history: the dirty set is
+    empty ({!Redo.is_empty}), no statement run so far (the head
+    included) inserted a row, and every member not yet run is
+    {!Redo.quiet}. Each of those would be redone to its historical
+    images and leave the set empty, so the replay ends there with
+    [stop] set: the catalog is left as the stop found it (the caller
+    must not mutate it afterwards; {!complete} copies it), [entries]
+    holds the run statements' entries before the restamp, and
+    [redone], [executed] and [wave_count] count what ran. Each test is
+    O(1) amortized: the insert test is a flag, and a cursor over [items]
+    passes each member once, when it has run or is quiet. A replay that
+    stops before its first member never forces [dag].
 
     [obs] records a [QIDX] span per replayed statement on the domain
     that ran it (one trace lane per domain; its [redo] arg says whether

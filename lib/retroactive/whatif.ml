@@ -71,6 +71,9 @@ type merge = {
       (* ascending, each with its re-executed entry; [None] when the
          replay produced none *)
   hash_jumped : bool;
+  stopped : Wave_exec.stop option;
+      (* the replay stopped where it rejoined history: the entries come
+         from [Wave_exec.complete] instead *)
 }
 
 type outcome = {
@@ -79,6 +82,7 @@ type outcome = {
   undone : int;
   failed_replays : int;
   hash_jump_at : int option;
+  stop_at : (int * int) option;
   real_ms : float;
   serial_cost_ms : float;
   simulated_parallel_ms : float;
@@ -400,7 +404,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
          ~some:(fun e -> not (Uv_sql.Ast.is_ddl e.Uv_db.Log.stmt))
          tau_entry
   in
-  let dag, res, redo =
+  let dag, res, redo, universe =
     phase "replay" @@ fun () ->
     let stride = 1 lsl 20 in
     let r0 =
@@ -502,9 +506,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
       (* The replay DAG's waves run DML only: DDL members (or a DDL
          target) mutate the schema mid-replay, and the Hash-jumper's
          prefix check needs commit order. Those questions replay in
-         commit order (see DESIGN.md §parallel replay executor). *)
+         commit order (see DESIGN.md §parallel replay executor). The
+         DAG is built once the head has run, unless the replay stops
+         before its first member. *)
       if dml && not config.Config.hash_jumper then
-        let dag = Analyzer.replay_dag ~obs analyzer ~members in
+        let dag = lazy (Analyzer.replay_dag ~obs analyzer ~members) in
         (Some dag, Wave_exec.Waves { dag; workers = config.Config.workers })
       else (None, Wave_exec.Commit_order { stop_after })
     in
@@ -522,17 +528,36 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
                message = fault_message inj ^ " persisted after retry";
              })
     in
-    if Option.is_some !hash_jump_at then begin
-      (* on a hash-hit the original tables are retained (§4.5): reflect
-         the original's affected tables in the temporary catalog so the
-         outcome's universe is consistent; the original timeline is
-         retained wholesale, schema objects included *)
-      Uv_db.Catalog.copy_tables_into (Uv_db.Engine.catalog eng) ~into:temp_cat
-        affected;
-      Uv_db.Catalog.copy_objects_into (Uv_db.Engine.catalog eng) ~into:temp_cat
-    end;
-    (dag, res, redo)
+    let universe =
+      if Option.is_some !hash_jump_at || Option.is_some res.Wave_exec.stop then begin
+        (* on a hash-hit or a stop the original tables are retained
+           (§4.5): the outcome's universe takes the original's affected
+           tables, the original timeline retained wholesale, schema
+           objects included. A stop leaves the replay catalog as it was,
+           for [new_log]; nothing after it moves a counter or a rowid
+           floor, so the universe keeps the replay's (rollback resets an
+           inserting τ's counter). *)
+        let u =
+          Uv_db.Catalog.snapshot_tables (Uv_db.Engine.catalog eng) affected
+        in
+        if Option.is_some res.Wave_exec.stop then
+          List.iter
+            (fun (name, st) ->
+              Option.iter
+                (fun replayed ->
+                  Uv_db.Storage.set_auto_value st
+                    (Uv_db.Storage.next_auto_value replayed);
+                  Uv_db.Storage.set_rowid_floor st
+                    (Uv_db.Storage.next_rowid replayed))
+                (Uv_db.Catalog.table temp_cat name))
+            (Uv_db.Catalog.tables u);
+        u
+      end
+      else temp_cat
+    in
+    (dag, res, redo, universe)
   in
+  let stop_at = Option.map Wave_exec.stop_point res.Wave_exec.stop in
   if Uv_obs.Trace.enabled obs then begin
     (* every question counts, so each counter is present, 0 included *)
     let count name by = Uv_obs.Trace.incr obs ~by name in
@@ -543,15 +568,21 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     let stat f = Option.fold ~none:0 ~some:(fun r -> f (Redo.stats r)) redo in
     count "replay.redo_fallbacks" (stat (fun s -> s.Redo.fallbacks));
     count "replay.dirty_cells" (stat (fun s -> s.Redo.dirty_cells));
-    count "replay.dirty_emptied" (stat (fun s -> Bool.to_int s.Redo.dirty_emptied))
+    (* a stopped replay's set emptied before the members it skipped *)
+    count "replay.dirty_emptied"
+      (stat (fun s ->
+           Bool.to_int
+             (s.Redo.dirty_emptied || (stop_at <> None && s.Redo.dirty_cells > 0))));
+    count "replay.stops" (Bool.to_int (stop_at <> None));
+    count "replay.stop_skipped" (Option.fold ~none:0 ~some:snd stop_at)
   end;
   let weights = res.Wave_exec.durations in
   (* successful replays by commit index; the retroactive op is 0 *)
   let entry_of = res.Wave_exec.entries in
   let replayed_members =
-    match !hash_jump_at with
-    | None -> members
-    | Some stop -> List.filter (fun i -> i <= stop) members
+    match (!hash_jump_at, stop_at) with
+    | None, None -> members
+    | _ -> List.filter (Hashtbl.mem weights) members
   in
   (* the replayed statements' own execution time: the replay phase less
      this is its overhead (engine set-up, wave dispatch, restamping) *)
@@ -561,10 +592,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
   (* 5. cost model *)
   let serial_cost_ms, simulated_parallel_ms, changed =
     phase "cost-model" (fun () ->
+        (* a statement that did not run weighs nothing *)
         let weight i =
-          (try Hashtbl.find weights i with Not_found -> 0.0) +. rtt
+          match Hashtbl.find_opt weights i with Some d -> d +. rtt | None -> 0.0
         in
-        let op_weight = if Hashtbl.mem weights 0 then weight 0 else 0.0 in
+        let op_weight = weight 0 in
         let serial_cost_ms =
           op_weight
           +. List.fold_left (fun acc i -> acc +. weight i) 0.0 replayed_members
@@ -576,16 +608,16 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
           else
             let dag =
               match dag with
-              | Some dag -> dag
-              | None -> Analyzer.replay_dag ~obs analyzer ~members:replayed_members
+              | Some dag when Lazy.is_val dag -> Lazy.force dag
+              | _ -> Analyzer.replay_dag ~obs analyzer ~members:replayed_members
             in
             op_weight
             +. Conflict_dag.makespan dag ~weight ~workers:config.Config.workers
         in
         let changed =
-          match !hash_jump_at with
-          | Some _ -> false
-          | None ->
+          match (!hash_jump_at, stop_at) with
+          | Some _, _ | _, Some _ -> false
+          | None, None ->
               (not
                  (Int64.equal
                     (Uv_db.Catalog.db_hash temp_cat)
@@ -611,6 +643,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
       op_entry = Hashtbl.find_opt entry_of 0;
       members = List.map (fun i -> (i, Hashtbl.find_opt entry_of i)) members;
       hash_jumped = !hash_jump_at <> None;
+      stopped = res.Wave_exec.stop;
     }
   in
   {
@@ -619,6 +652,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     undone;
     failed_replays = res.Wave_exec.failed;
     hash_jump_at = !hash_jump_at;
+    stop_at;
     real_ms;
     serial_cost_ms;
     simulated_parallel_ms;
@@ -628,11 +662,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     exec_waves = res.Wave_exec.wave_count;
     analysis_ms;
     phases = List.rev !phases;
-    final_db_hash = Uv_db.Catalog.db_hash temp_cat;
+    final_db_hash = Uv_db.Catalog.db_hash universe;
     changed;
     degraded = res.Wave_exec.degraded;
     retries = res.Wave_exec.retries;
-    temp_catalog = temp_cat;
+    temp_catalog = universe;
     merge;
     rollback_strategy;
     plans_used = 0;
@@ -643,6 +677,17 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
    entries for members, the retroactive operation at τ; reindexed. *)
 let new_log outcome =
   let m = outcome.merge in
+  let m =
+    match m.stopped with
+    | None -> m
+    | Some stop ->
+        let entries = Wave_exec.complete stop in
+        {
+          m with
+          op_entry = Hashtbl.find_opt entries 0;
+          members = List.map (fun (i, _) -> (i, Hashtbl.find_opt entries i)) m.members;
+        }
+  in
   let history_len = Uv_db.Log.prefix_length m.history in
   let original i = Uv_db.Log.prefix_entry m.history i in
   let merged = Uv_db.Log.create () in

@@ -18,6 +18,10 @@
       caller's lane otherwise;
     + optionally runs the Hash-jumper after every replayed entry and
       early-terminates on a hash-hit (it selects commit order);
+    + on the DAG's waves, stops exactly where the replay rejoins
+      history: once member redo's dirty set is empty and nothing left
+      can move a row to a new rowid, the remaining members could only
+      repeat history ([stop_at]);
     + reports three cost views: measured serial-sum time, the simulated
       makespan over the replay conflict DAG (the serial sum at one lane),
       and — when the DAG's waves ran — their measured wall time.
@@ -120,12 +124,22 @@ type merge
 
 type outcome = {
   replay : Analyzer.replay_set;
-  replayed : int;  (** entries actually re-executed *)
+  replayed : int;
+      (** members actually replayed: those after a hash-hit or skipped
+          by a stop are not counted *)
   undone : int;  (** entries rolled back *)
   failed_replays : int;
       (** replays that signalled or errored (aborted app transactions) *)
   hash_jump_at : int option;
       (** original commit index at which the Hash-jumper fired *)
+  stop_at : (int * int) option;
+      (** (members run, members skipped) when the replay stopped where it
+          rejoined history: member redo's dirty set was empty, nothing
+          replayed had inserted a row, and every member left would be
+          redone without inserting one (DESIGN.md §5, "Exact stop").
+          The universe then holds the original affected tables with the
+          replay's AUTO_INCREMENT counters, [changed] is false, and
+          {!new_log} reenacts the skipped members when it is built. *)
   real_ms : float;  (** measured wall time of the whole operation *)
   serial_cost_ms : float;
       (** sum of per-entry replay costs + one round trip each *)
@@ -148,7 +162,8 @@ type outcome = {
           only the capture of {!merge}; the merged history itself is
           built by {!new_log}, outside the run. *)
   final_db_hash : int64;  (** hash of the temporary universe *)
-  changed : bool;  (** false when the Hash-jumper proved no effect *)
+  changed : bool;
+      (** false when the Hash-jumper or the stop proved no effect *)
   degraded : bool;
       (** the parallel replay lost its worker domains and finished on the
           caller lane; results are identical, only parallelism was lost *)
@@ -211,7 +226,10 @@ val new_log : outcome -> Uv_db.Log.t
     schedule produces.
 
     Built on demand in O(history) from the outcome's {!merge}; each call
-    returns a fresh log the caller owns. The result is the same whenever
+    returns a fresh log the caller owns. After a stop ([stop_at]) it
+    first reenacts the skipped members over a copy of the replay state
+    at the stop ({!Wave_exec.complete}), so their entries and the
+    restamped hashes are the whole replay's. The result is the same whenever
     it is called: the engine's log may have grown, been truncated and
     grown again since the run. Callable from any domain. *)
 

@@ -132,9 +132,11 @@ let equal a b =
   | Null, Null -> true
   | Int x, Int y -> Int.equal x y
   | Float x, Float y ->
-      (* serialize prints %h, under which nan = nan and 0. <> -0. *)
+      (* serialize prints %h, under which 0. <> -0. and NaNs differ only
+         by sign: [nan] and [-nan] *)
       Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-      || (Float.is_nan x && Float.is_nan y)
+      || Float.is_nan x && Float.is_nan y
+         && Bool.equal (Float.sign_bit x) (Float.sign_bit y)
   | Text x, Text y -> String.equal x y
   | Bool x, Bool y -> Bool.equal x y
   | _ -> false

@@ -242,16 +242,22 @@ step "replay executor smoke: commit order == DAG waves at workers 1/2/4/8, Hash-
 
 # member redo: on the five workloads' plain-SQL histories, generated
 # removals, no-op changes and re-added statements leave, redone from
-# journals, the tables, final hash and every member's entry (journal
-# rowids and images, restamped hashes) that executing every member
-# leaves, at workers 1/2/4/8; hand-built cases: a blind write of an
-# undone cell, an INSERT whose UNIQUE value an executed member now
-# holds (on one row key, and across row keys, where the replay DAG's
-# guard rule orders the two), a FOREIGN KEY parent the target inserted, wildcard reads and
-# writes, rowid translation for rows executed members inserted, a
-# member whose WHERE reads a column a non-member rewrote on a dirty
-# row, and the existence guard
-step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, rowid translation" \
+# journals and stopped where the replay rejoins history, the tables
+# (rows at their rowids, next rowid and AUTO_INCREMENT value), final
+# hash and every member's entry (journal rowids and images, restamped
+# hashes) that executing every member leaves, at workers 1/2/4/8;
+# hand-built cases: a blind write of an undone cell, an INSERT whose
+# UNIQUE value an executed member now holds (on one row key, and across
+# row keys, where the replay DAG's guard rule orders the two), a
+# FOREIGN KEY parent the target inserted, wildcard reads and writes,
+# rowid translation for rows executed members inserted, a member whose
+# WHERE reads a column a non-member rewrote on a dirty row, the
+# existence guard; and the exact stop: before the first member of a
+# no-op removal (no replay DAG built), mid-replay with skipped members'
+# entries restamped in commit order, none after a member insert or
+# while an inserting member is left, and the replay's AUTO_INCREMENT
+# counter kept
+step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, rowid translation, exact stop" \
   dune exec test/test_parallel.exe -- test redo
 
 # the five workloads' what-if at workers 1/2/4/8 must end in the serial

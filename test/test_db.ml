@@ -710,6 +710,24 @@ let test_undo_cell_precision () =
   check Alcotest.string "independent later write preserved" "zed"
     (qstr e "SELECT name FROM users WHERE id = 1")
 
+(* A NaN's sign is part of the row digest ([Value.serialize] prints
+   [nan] and [-nan]), so undoing an update that flips it must restore
+   the table hash. *)
+let test_undo_nan_sign () =
+  let e = fresh () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, v DOUBLE)";
+  run e "INSERT INTO t VALUES (1, 'nan')";
+  let table () = Option.get (Catalog.table (Engine.catalog e) "t") in
+  let before = Storage.hash (table ()) in
+  run e "UPDATE t SET v = '-nan' WHERE id = 1";
+  let update = Log.entry (Engine.log e) (Log.length (Engine.log e)) in
+  check Alcotest.bool "the update flipped the sign" false
+    (Int64.equal before (Storage.hash (table ())));
+  Log.apply_undo (Engine.catalog e) update.Log.undo;
+  check Alcotest.int64 "hash restored" before (Storage.hash (table ()));
+  check Alcotest.bool "nan and -nan differ" false
+    (Value.equal (Value.Float Float.nan) (Value.Float (-.Float.nan)))
+
 let test_undo_ddl () =
   let e = with_users () in
   run e "DROP TABLE users";
@@ -1936,6 +1954,8 @@ let () =
           Alcotest.test_case "undo" `Quick test_undo_records;
           Alcotest.test_case "cell-precise undo" `Quick test_undo_cell_precision;
           Alcotest.test_case "ddl undo" `Quick test_undo_ddl;
+          Alcotest.test_case "undo restores a NaN's sign" `Quick
+            test_undo_nan_sign;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "tables hash == snapshot hash" `Quick
             test_tables_hash_matches_snapshot;

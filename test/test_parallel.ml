@@ -198,7 +198,7 @@ let test_schedules_agree (w : W.t) () =
   List.iter
     (fun workers ->
       let where = Printf.sprintf "%s: %d-lane waves" w.W.name workers in
-      let res, tables, logged = replay (Wave_exec.Waves { dag; workers }) in
+      let res, tables, logged = replay (Wave_exec.Waves { dag = Lazy.from_val dag; workers }) in
       if res.Wave_exec.wave_count = 0 then Alcotest.fail (where ^ " ran no wave");
       check Alcotest.int (where ^ ": failed replays") ordered.Wave_exec.failed
         res.Wave_exec.failed;
@@ -975,6 +975,21 @@ let undo_line = function
   | Log.U_auto_value (t, v) -> Printf.sprintf "auto %s=%d" t v
   | _ -> "ddl"
 
+(* Every table's rows with their rowids, and the rowid and
+   AUTO_INCREMENT counters its next insert draws from: what a universe
+   leaves to the next statement beyond its table hashes. *)
+let table_layout cat =
+  String.concat ""
+    (List.map
+       (fun (n, st) ->
+         Printf.sprintf "%s next_rowid=%d auto=%d\n%s" n (Storage.next_rowid st)
+           (Storage.next_auto_value st)
+           (String.concat ""
+              (List.map
+                 (fun (r, img) -> Printf.sprintf "  %d: %s\n" r (image img))
+                 (Storage.to_rows st))))
+       (Catalog.tables cat))
+
 (* An entry down to its journal's rowids, images and AUTO_INCREMENT
    counters, its index aside (the merged history renumbers). *)
 let redo_line (e : Log.entry) =
@@ -1029,7 +1044,7 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
   let dag = Analyzer.replay_dag analyzer ~members in
   let res =
     Wave_exec.execute
-      ~schedule:(Wave_exec.Waves { dag; workers })
+      ~schedule:(Wave_exec.Waves { dag = Lazy.from_val dag; workers })
       ~rtt_ms:0.0 ~catalog:cat ~head ~items ()
   in
   let buf = Buffer.create 4096 in
@@ -1047,13 +1062,14 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
     else if List.mem i members then Option.iter push (replayed i)
     else push (Log.entry log i)
   done;
-  (table_hashes cat, Catalog.db_hash cat, Buffer.contents buf)
+  (table_hashes cat, table_layout cat, Catalog.db_hash cat, Buffer.contents buf)
 
 (* Ask [target] at each worker count; the redo path must leave the
-   tables, the final hash and every member's entry (journal rowids,
-   images and counters, restamped hashes) that executing every member
-   leaves, and the merged history must be the same at every worker
-   count. Returns the outcomes. *)
+   tables (their rows at their rowids, and their next rowid and
+   AUTO_INCREMENT value), the final hash and every member's entry
+   (journal rowids, images and counters, restamped hashes) that
+   executing every member leaves, and the merged history must be the
+   same at every worker count. Returns the outcomes. *)
 let check_redo ?mode ~label eng analyzer target workers =
   let first = ref None in
   List.map
@@ -1063,13 +1079,15 @@ let check_redo ?mode ~label eng analyzer target workers =
         Whatif.run_exn ~config:(Whatif.Config.make ?mode ~workers ()) ~analyzer
           eng target
       in
-      let tables, db_hash, merged =
+      let tables, layout, db_hash, merged =
         execute_all eng analyzer out target ~workers
       in
       check
         Alcotest.(list (pair string int64))
         (where ^ ": tables") tables
         (table_hashes out.Whatif.temp_catalog);
+      check Alcotest.string (where ^ ": rowids and counters") layout
+        (table_layout out.Whatif.temp_catalog);
       check Alcotest.int64 (where ^ ": final hash") db_hash
         out.Whatif.final_db_hash;
       let got = Buffer.create 4096 in
@@ -1322,6 +1340,180 @@ let test_redo_stale_where () =
         (table_hashes (Engine.catalog merged)))
     (check_redo ~label:"stale WHERE" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
+(* ---- the exact stop: the replay ends where it rejoins history ---- *)
+
+let stop_at = Alcotest.(option (pair int int))
+
+(* (g) τ matches no row, so its removal changes nothing: the set is empty
+   before the first member, every member is a plain UPDATE, and the
+   replay stops there without building the replay DAG. *)
+let test_stop_noop_tau () =
+  let e, analyzer =
+    redo_history
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)";
+        "INSERT INTO t VALUES (1, 0, 0)";
+        "INSERT INTO t VALUES (2, 0, 0)";
+      ]
+      [
+        "UPDATE t SET v = 9 WHERE id = 99";
+        "UPDATE t SET v = v + 1 WHERE v < 100";
+        "UPDATE t SET w = v WHERE id = 1";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped before the first member" (Some (0, 2))
+        out.Whatif.stop_at;
+      check Alcotest.int "nothing replayed" 0 out.Whatif.replayed;
+      check Alcotest.int "no wave" 0 out.Whatif.exec_waves;
+      check Alcotest.bool "unchanged" false out.Whatif.changed)
+    (check_redo ~label:"no-op tau" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  List.iter
+    (fun workers ->
+      let obs = Uv_obs.Trace.create () in
+      ignore
+        (Whatif.run_exn ~config:(Whatif.Config.make ~workers ~obs ()) ~analyzer
+           e (remove 1)
+          : Whatif.outcome);
+      let counter name = Uv_obs.Trace.counter_value obs name in
+      let where = Printf.sprintf "workers=%d: " workers in
+      check Alcotest.int (where ^ "no replay-DAG edge") 0 (counter "replay.edges");
+      check Alcotest.int (where ^ "one stop") 1 (counter "replay.stops");
+      check Alcotest.int (where ^ "two members skipped") 2
+        (counter "replay.stop_skipped"))
+    [ 1; 2 ]
+
+(* (h) The Epinions shape: #2 rewrites the row τ changed, so the set
+   empties after it; skipped #3 writes another row of the same table, on
+   which non-member #4 later rewrites [name]. The merged history's #3 is
+   the full replay's, not history's: its before-image holds #4's [name],
+   and its [written_hashes] continue the replay's chain. In the second
+   history the first wave runs #2 and #4, which clean the two rows τ
+   changed, and #3 waits on #2: skipped #3's [written_hashes] follow
+   commit order, not the order the replay ran in. *)
+let test_stop_mid_replay () =
+  let e, analyzer =
+    redo_history
+      [
+        "CREATE TABLE useracct (u_id INT PRIMARY KEY, n INT, name VARCHAR(8))";
+        "INSERT INTO useracct VALUES (1, 0, 'a')";
+        "INSERT INTO useracct VALUES (2, 0, 'b')";
+      ]
+      [
+        "UPDATE useracct SET n = 5 WHERE u_id = 1";
+        "UPDATE useracct SET n = 7 WHERE u_id = 1";
+        "UPDATE useracct SET n = (SELECT n FROM useracct WHERE u_id = 1) WHERE \
+         u_id = 2";
+        "UPDATE useracct SET name = 'z' WHERE u_id = 2";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped after #2" (Some (1, 1)) out.Whatif.stop_at;
+      check Alcotest.int "#2 replayed" 1 out.Whatif.replayed;
+      check Alcotest.int "#2 redone" 1 out.Whatif.redone;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 7 ]; [ 2; 7 ] ]
+        (query_ints out "SELECT u_id, n FROM useracct"))
+    (check_redo ~label:"stop mid-replay" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  let e, analyzer =
+    redo_history
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY, n INT, x INT)";
+        "INSERT INTO t VALUES (1, 0, 0)";
+        "INSERT INTO t VALUES (2, 0, 0)";
+      ]
+      [
+        "UPDATE t SET n = 5 WHERE id IN (1, 2)";
+        "UPDATE t SET n = 7 WHERE id = 1";
+        "UPDATE t SET x = n WHERE id = 1";
+        "UPDATE t SET n = 9 WHERE id = 2";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3; 4 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped after #2 and #4" (Some (2, 1)) out.Whatif.stop_at)
+    (check_redo ~label:"stop out of commit order" e analyzer (remove 1)
+       [ 1; 2; 4; 8 ])
+
+(* (i) Once a replayed member has inserted a row, it sits at a translated
+   rowid, where history's does not: #3 is redone over an empty set at
+   its private rowid, and #4 updates that row through the translation.
+   The set is empty before #4, yet the replay runs on. *)
+let test_stop_after_insert () =
+  let e, analyzer =
+    redo_history
+      [ "CREATE TABLE t (id INT PRIMARY KEY, v INT)"; "INSERT INTO t VALUES (1, 0)" ]
+      [
+        "UPDATE t SET v = 1 WHERE id = 1";
+        "UPDATE t SET v = 2 WHERE id = 1";
+        "INSERT INTO t VALUES (3, (SELECT v FROM t WHERE id = 1))";
+        "UPDATE t SET v = 5 WHERE id = 3";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3; 4 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "no stop" None out.Whatif.stop_at;
+      check Alcotest.int "every member redone" 3 out.Whatif.redone;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 2 ]; [ 3; 5 ] ]
+        (query_ints out "SELECT id, v FROM t"))
+    (check_redo ~label:"member insert" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+
+(* (j) The set is empty after #2, but the member left inserts: its row
+   would land at a translated rowid, so the replay runs it. *)
+let test_stop_insert_left () =
+  let e, analyzer =
+    redo_history
+      [ "CREATE TABLE t (id INT PRIMARY KEY, v INT)"; "INSERT INTO t VALUES (1, 0)" ]
+      [
+        "UPDATE t SET v = 1 WHERE id = 1";
+        "UPDATE t SET v = 2 WHERE id = 1";
+        "INSERT INTO t VALUES (3, (SELECT v FROM t WHERE id = 1))";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check stop_at "no stop" None out.Whatif.stop_at;
+      check Alcotest.int "both members replayed" 2 out.Whatif.replayed)
+    (check_redo ~label:"insert left" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+
+(* (k) Removing τ's AUTO_INCREMENT insert resets the counter, and #2's
+   delete of τ's row then leaves nothing dirty: the replay stops before
+   #3, and the universe draws the next key where the full replay would,
+   not where history did. *)
+let test_stop_auto_increment () =
+  let e, analyzer =
+    redo_history
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
+        "INSERT INTO t (v) VALUES (0)";
+      ]
+      [
+        "INSERT INTO t (v) VALUES (5)";
+        "DELETE FROM t WHERE id = 2";
+        "UPDATE t SET v = v + 1 WHERE v < 100";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check stop_at "stopped after #2" (Some (1, 1)) out.Whatif.stop_at;
+      check Alcotest.int "the next key is τ's" 2
+        (Storage.next_auto_value
+           (Option.get (Catalog.table out.Whatif.temp_catalog "t"))))
+    (check_redo ~label:"AUTO_INCREMENT" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+
 (* Only plain DML on a base table without triggers is redone: a member
    that fires a trigger, a CALL or DDL executes even with nothing
    dirty. *)
@@ -1366,7 +1558,7 @@ let test_redo_existence_guard () =
   let r = Redo.create analyzer cat [] in
   let row = [| Uv_sql.Value.Int 5; Uv_sql.Value.Int 0 |] in
   let stmt = (Log.entry (Engine.log e) 1).Log.stmt in
-  let try_ journal = Option.is_some (Redo.prepare r cat stmt journal) in
+  let try_ journal = Option.is_some (Redo.reenactment r stmt journal cat) in
   check Alcotest.bool "an update of a missing row falls back" false
     (try_ [ Log.U_row_update ("t", 99, row, row) ]);
   check Alcotest.bool "an insert at a taken rowid falls back" false
@@ -1522,6 +1714,16 @@ let () =
               test_redo_rowid_translation;
             Alcotest.test_case "(f) a non-member rewrote a column the WHERE reads"
               `Quick test_redo_stale_where;
+            Alcotest.test_case "(g) stop before the first member" `Quick
+              test_stop_noop_tau;
+            Alcotest.test_case "(h) stop mid-replay, restamped entries" `Quick
+              test_stop_mid_replay;
+            Alcotest.test_case "(i) no stop after a member insert" `Quick
+              test_stop_after_insert;
+            Alcotest.test_case "(j) no stop while an insert is left" `Quick
+              test_stop_insert_left;
+            Alcotest.test_case "(k) stop keeps the replay's counter" `Quick
+              test_stop_auto_increment;
             Alcotest.test_case "existence guard" `Quick
               test_redo_existence_guard;
             Alcotest.test_case "plain DML only" `Quick test_redo_plain_dml_only;

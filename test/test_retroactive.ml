@@ -1363,6 +1363,77 @@ let test_new_log_replayable () =
   check Alcotest.int "one entry fewer" (Log.length (Engine.log e) - 1)
     (Log.length (Whatif.new_log out))
 
+(* A branch of a question whose replay stopped where it rejoined history
+   (#4 rewrites the row τ changed, so #5 and #7 are skipped; non-member
+   #6 rewrites the row they write), then a question on the branch, with
+   and without the Hash-jumper, which reads the branch's restamped
+   [written_hashes]. The reference re-executes every statement, so it
+   neither redoes nor stops: each universe equals the full-replay oracle
+   of its history (Definition E.1), and the branch's merged history
+   replays to the branch. The branch's entry for skipped #5 is the one
+   re-executing it there gives: its before-image holds #6's [name], and
+   its [written_hashes] the table as the replay left it, not history's
+   (where row 2's name was still 'b'). *)
+let test_branch_after_stop () =
+  let e = Engine.create () in
+  List.iter (run e)
+    [
+      "CREATE TABLE acct (id INT PRIMARY KEY, n INT, name VARCHAR(8))";
+      "INSERT INTO acct VALUES (1, 0, 'a'), (2, 0, 'b')";
+      "UPDATE acct SET n = 5 WHERE id = 1";
+      "UPDATE acct SET n = 7 WHERE id = 1";
+      "UPDATE acct SET n = (SELECT n FROM acct WHERE id = 1) WHERE id = 2";
+      "UPDATE acct SET name = 'z' WHERE id = 2";
+      "UPDATE acct SET n = n + 1 WHERE id = 2";
+    ];
+  let root = Scenario.root e in
+  let child, out = Scenario.branch root { Analyzer.tau = 3; op = Analyzer.Remove } in
+  check
+    Alcotest.(option (pair int int))
+    "stopped after #4" (Some (1, 2)) out.Whatif.stop_at;
+  check table_testable "branch == oracle"
+    (all_hashes (oracle_replay e ~skip:3))
+    (all_hashes (Scenario.engine child));
+  let skipped = Log.entry (Engine.log (Scenario.engine child)) 4 in
+  let replayed =
+    let r = Engine.create () in
+    List.iter (run r)
+      [
+        "CREATE TABLE acct (id INT PRIMARY KEY, n INT, name VARCHAR(8))";
+        "INSERT INTO acct VALUES (1, 7, 'a'), (2, 7, 'z')";
+      ];
+    Storage.hash (Option.get (Catalog.table (Engine.catalog r) "acct"))
+  in
+  check
+    Alcotest.(list (pair string int64))
+    "#5's written hash: the replay's table" [ ("acct", replayed) ]
+    skipped.Log.written_hashes;
+  check Alcotest.bool "#5's journal: the replay's images" true
+    (match skipped.Log.undo with
+    | [ Log.U_row_update ("acct", _, before, after) ] ->
+        before = [| Value.Int 2; Value.Int 0; Value.Text "z" |]
+        && after = [| Value.Int 2; Value.Int 7; Value.Text "z" |]
+    | _ -> false);
+  let rebuilt = oracle_replay (Scenario.engine child) ~skip:0 in
+  check table_testable "the branch's merged history replays to it"
+    (all_hashes (Scenario.engine child))
+    (all_hashes rebuilt);
+  (* the branch's #3 is the old #4 *)
+  let nested = oracle_replay (Scenario.engine child) ~skip:3 in
+  List.iter
+    (fun (label, config) ->
+      let grandchild, out =
+        Scenario.branch ~config child { Analyzer.tau = 3; op = Analyzer.Remove }
+      in
+      check Alcotest.bool (label ^ ": changed") true out.Whatif.changed;
+      check table_testable (label ^ ": nested branch == oracle")
+        (all_hashes nested)
+        (all_hashes (Scenario.engine grandchild)))
+    [
+      ("default", Whatif.Config.default);
+      ("hash-jumper", Whatif.Config.make ~hash_jumper:true ());
+    ]
+
 let prop_branching_isolates_parent =
   QCheck.Test.make ~name:"branching never mutates the parent universe" ~count:30
     QCheck.(int_range 0 10_000)
@@ -1864,6 +1935,8 @@ let () =
           Alcotest.test_case "branch_seq multi-target" `Quick
             test_branch_seq_multi_target;
           Alcotest.test_case "merged log replayable" `Quick test_new_log_replayable;
+          Alcotest.test_case "branch after a stopped replay" `Quick
+            test_branch_after_stop;
           qtest prop_branching_isolates_parent;
         ] );
       ( "session caches",
