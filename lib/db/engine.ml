@@ -36,12 +36,21 @@ type t = {
          delta the statement's mutations applied to it *)
   mutable rows_written : int;
   mutable trigger_depth : int;
-  (* parallel replay pins each statement's inserts to a private rowid
-     range: base + k for the k-th inserted row, identical at every
+  (* where a replayed statement's inserts land, identical at every
      worker count *)
-  mutable rowid_alloc : (int * int ref) option;
+  mutable rowid_alloc : rowid_alloc option;
   (* periodic catalog snapshots for checkpoint-jumping rollback *)
   mutable checkpoints : Checkpoint.t option;
+}
+
+(* An insert into a table takes the first rowid left in [hist] (the
+   historical journal's inserts, oldest first) that went into that
+   table, while it is free; otherwise [base + n] for the statement's
+   n-th insert. *)
+and rowid_alloc = {
+  base : int;
+  mutable n : int;
+  mutable hist : (string * int) list;
 }
 
 let of_catalog ?(seed = 42) ?(rtt_ms = 1.0) ?(enforce_fk = false)
@@ -116,14 +125,26 @@ let written_delta t name =
   in
   find t.written
 
+let rec take name = function
+  | [] -> (None, [])
+  | (n, r) :: rest when String.equal n name -> (Some r, rest)
+  | x :: rest ->
+      let r, rest = take name rest in
+      (r, x :: rest)
+
 let j_insert t tbl row =
   let name = Storage.name tbl in
   let delta = written_delta t name in
   let id =
     match t.rowid_alloc with
-    | Some (base, k) ->
-        let id = base + !k in
-        incr k;
+    | Some a ->
+        let fallback = a.base + a.n in
+        a.n <- a.n + 1;
+        let h, rest = take name a.hist in
+        a.hist <- rest;
+        let id =
+          match h with Some h when not (Storage.mem tbl h) -> h | _ -> fallback
+        in
         Storage.insert_at ~delta tbl id row
     | None -> Storage.insert ~delta tbl row
   in
@@ -416,26 +437,20 @@ let like_match pattern s =
   in
   go 0 0
 
-(* The class a DISTINCT aggregate (COUNT(DISTINCT x) and friends) keeps
-   one value of: Int 5, Float 5.0, Bool-ish 1/0 and the numeric string
-   "5" share one, as under [Value.compare_sql]. Unlike the index keys
-   ([Storage.index_key]) it never merges two distinct integers, which
-   compare unequal even where their floats coincide. *)
+(* The class a DISTINCT aggregate keeps one value of (engine.mli): an
+   integral DOUBLE that fits an int is keyed as that INT. *)
 let distinct_key v =
   let num f =
-    if Float.is_integer f && Float.abs f < 1e15 then
+    if Float.is_integer f && Float.abs f < 0x1p62 then
       "N" ^ string_of_int (int_of_float f)
     else "N" ^ Value.hex_float f
   in
   match v with
   | Value.Int i -> "N" ^ string_of_int i
   | Value.Float f -> num f
-  | Value.Bool b -> num (if b then 1.0 else 0.0)
+  | Value.Bool b -> if b then "N1" else "N0"
   | Value.Null -> "\x00null"
-  | Value.Text s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f -> num f
-      | None -> "T" ^ s)
+  | Value.Text s -> "T" ^ s
 
 let rec eval t env e : Value.t =
   match e with
@@ -1655,13 +1670,21 @@ let row_filter (sch : Schema.table) (w : expr) =
 (* Top-level entry points                                               *)
 (* ------------------------------------------------------------------ *)
 
-let begin_statement ?rowid_base t nondet =
+let begin_statement ?rowid_base ?(history = []) t nondet =
   t.journal <- [];
   t.nondet_in <- nondet;
   t.nondet_out <- [];
   t.written <- [];
   t.rows_written <- 0;
-  t.rowid_alloc <- Option.map (fun b -> (b, ref 0)) rowid_base
+  (* the journal is newest first *)
+  let hist acc = function
+    | Log.U_row_insert (n, r, _) -> (n, r) :: acc
+    | _ -> acc
+  in
+  t.rowid_alloc <-
+    Option.map
+      (fun base -> { base; n = 0; hist = List.fold_left hist [] history })
+      rowid_base
 
 (* The entry's statement text: the caller's copy of the rendering when it
    passed one (replay reuses the logged text), otherwise rendered here. *)
@@ -1676,8 +1699,8 @@ let error_context t sql =
   in
   Printf.sprintf " [at log index %d: %s]" (Log.length t.log + 1) sql
 
-let exec ?app_txn ?(nondet = []) ?rowid_base ?sql t stmt =
-  begin_statement ?rowid_base t nondet;
+let exec ?app_txn ?(nondet = []) ?rowid_base ?history ?sql t stmt =
+  begin_statement ?rowid_base ?history t nondet;
   Uv_util.Clock.charge_rtt t.clock ();
   (* pre-statement state: an injected (infrastructure) fault restores all
      of it so a retried statement reenacts exactly — an application-level

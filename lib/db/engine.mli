@@ -19,7 +19,15 @@
 
     Dialect extensions beyond MySQL's surface: [ROWCOUNT((SELECT ...))]
     evaluates the subquery and returns its row count — the transpiler
-    emits it where MySQL would need a COUNT over a derived table. *)
+    emits it where MySQL would need a COUNT over a derived table.
+
+    DISTINCT aggregates ([COUNT(DISTINCT x)] and the like) keep one value
+    per class of [=] ({!Value.equal_sql}) within one kind: numbers (INT,
+    DOUBLE, BOOL as 1/0) by value, so [10^15] and [1e15] merge while two
+    different INTs never do, even where their DOUBLE images coincide;
+    texts by their string, so ['5'] and ['5.0'] stay apart. A text never
+    merges with a number: [=] between the two compares numerically, which
+    is not transitive (['5'] = 5 = ['5.0'] yet ['5'] <> ['5.0']). *)
 
 open Uv_sql
 
@@ -100,6 +108,7 @@ val exec :
   ?app_txn:string ->
   ?nondet:Value.t list ->
   ?rowid_base:int ->
+  ?history:Log.undo list ->
   ?sql:string ->
   t ->
   Ast.stmt ->
@@ -109,10 +118,13 @@ val exec :
     RAND()/NOW()/LAST_INSERT_ID()/AUTO_INCREMENT draws in order
     (retroactive replay); draws beyond the list fall back to fresh values
     (retroactively *added* queries, §4.4). [~app_txn] tags the entry with
-    the application-level transaction that issued it. [~rowid_base] pins the statement's row
-    inserts to rowids [base], [base + 1], ... — the wave executor gives
-    each replayed statement a private range so physical row placement is
-    deterministic at every worker count. [~sql] must be
+    the application-level transaction that issued it. [~rowid_base] pins
+    the statement's row inserts, so that replay places rows the same way
+    at every worker count: the k-th insert into a table lands at the
+    k-th rowid that [~history] (the statement's historical journal,
+    default none) inserted into that table, while that rowid is free;
+    every other insert lands at [base + n], n counting the statement's
+    inserts from 0. [~sql] must be
     [Printer.stmt_compact] of the statement: replay passes the text of
     the log entry it re-executes, so the new entry's [sql] is not
     rendered again. *)

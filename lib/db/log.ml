@@ -214,8 +214,8 @@ type redone = {
      no changed cell. There a cell the statement assigned may have been
      changed by the replay, so each [assigned] column takes its
      after-image even when history left it unchanged (a blind write).
-     It passes the journal with rowids already translated and ordered as
-     the statement's own execution would visit them.
+     It passes the journal ordered as the statement's own execution
+     would visit its rows, which sit at their historical rowids.
 
    Each row record reads its before-image from [cat], so the fresh
    journal is the one executing the statement over [cat] would have
@@ -224,6 +224,18 @@ type redone = {
    after it raises the counter past its key, as [Engine]'s insert does.
    Tables absent from the catalog are skipped like in [undo_entries]; DDL
    records cannot be redone from their before-images and raise. *)
+
+(* An insert after an AUTO_INCREMENT record raises the counter past the
+   inserted key. *)
+let bump_auto tbl row =
+  match Schema.auto_increment_column (Storage.schema tbl) with
+  | Some c -> (
+      match Storage.column_index tbl c with
+      | Some i when i < Array.length row && not (Value.is_null row.(i)) ->
+          Storage.bump_auto_value tbl (Value.to_int row.(i))
+      | _ -> ())
+  | None -> ()
+
 let apply_redo ?(assigned = []) cat undos =
   let journal = ref [] and rows = ref 0 and written = ref [] in
   let delta name =
@@ -245,15 +257,7 @@ let apply_redo ?(assigned = []) cat undos =
       | U_row_insert (table, rowid, row) -> (
           match Catalog.table cat table with
           | Some tbl ->
-              (if !auto_pending = Some table then
-                 match Schema.auto_increment_column (Storage.schema tbl) with
-                 | Some c -> (
-                     match Storage.column_index tbl c with
-                     | Some i when i < Array.length row && not (Value.is_null row.(i))
-                       ->
-                         Storage.bump_auto_value tbl (Value.to_int row.(i))
-                     | _ -> ())
-                 | None -> ());
+              if !auto_pending = Some table then bump_auto tbl row;
               auto_pending := None;
               Storage.insert_with_rowid ~delta:(delta table) tbl rowid row;
               logged (U_row_insert (table, rowid, row))
@@ -301,6 +305,20 @@ let apply_redo ?(assigned = []) cat undos =
     redo_deltas =
       List.rev_map (fun (n, d) -> (n, Uv_util.Table_hash.value d)) !written;
   }
+
+(* [Engine] journals a counter record before every insert into a table
+   with an AUTO_INCREMENT column, so each such insert raises it. *)
+let redo_counters cat undos =
+  List.iter
+    (function
+      | U_row_insert (table, rowid, row) ->
+          Option.iter
+            (fun tbl ->
+              bump_auto tbl row;
+              Storage.set_rowid_floor tbl (rowid + 1))
+            (Catalog.table cat table)
+      | _ -> ())
+    undos
 
 type t = { mutable items : entry array; mutable len : int }
 

@@ -113,6 +113,13 @@ val apply_redo : ?assigned:int list -> Catalog.t -> undo list -> redone
     @raise Invalid_argument on DDL records, which carry before-images
     only. *)
 
+val redo_counters : Catalog.t -> undo list -> unit
+(** [apply_redo]'s effect on the AUTO_INCREMENT counters and rowid floors
+    alone, for a journal [Engine] wrote: each insert raises its table's
+    [next_rowid] past its rowid and its counter past its key. A stopped
+    replay's universe takes the counters the skipped entries would
+    leave. *)
+
 type t
 
 val create : unit -> t

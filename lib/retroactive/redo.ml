@@ -45,10 +45,7 @@ type t = {
   catalog : Catalog.t;
   infos : table option array;  (* by [tid]; [None]: not a base table *)
   known : bool array;  (* by [tid]: [infos] filled *)
-  moved : int Itbl.t;
-      (* [row_key tid h] -> replay rowid of the row a replayed statement
-         inserted at historical rowid [h]; read-only once built *)
-  rows : row Itbl.t;  (* [row_key tid (replay rowid)] *)
+  rows : row Itbl.t;  (* [row_key tid rowid] *)
   (* the dirty set, as counted marks: a column mark (column, key) for a
      row present on both sides under one key whose column differs, a
      row mark (table, key) — every column — for a row that appears,
@@ -71,51 +68,26 @@ type stats = { fallbacks : int; dirty_cells : int; dirty_emptied : bool }
 
 let at a i = if i >= 0 && i < Array.length a then a.(i) else 0
 
-let create analyzer catalog replayed =
-  let inserts journal =
-    List.fold_left
-      (fun n u -> match u with Log.U_row_insert _ -> n + 1 | _ -> n)
-      0 journal
-  in
-  let counts = List.map (fun (_, journal) -> inserts journal) replayed in
+let create analyzer catalog =
   let ntables = Analyzer.table_count analyzer in
-  let t =
-    {
-      analyzer;
-      catalog;
-      infos = Array.make ntables None;
-      known = Array.make ntables false;
-      moved = Itbl.create (2 * List.fold_left ( + ) 0 counts);
-      rows = Itbl.create 16;
-      cells = Itbl.create 16;
-      col_marks = Array.make (Analyzer.column_count analyzer) 0;
-      wide = Itbl.create 8;
-      tab_marks = Array.make ntables 0;
-      marked = 0;
-      settled = 0;
-      first_empty = max_int;
-      ever_dirty = false;
-      fallbacks = Atomic.make 0;
-      hist_spans = Itbl.create 8;
-      fresh_spans = Itbl.create 8;
-    }
-  in
-  (* the k-th row a statement inserts lands at [rowid_base + k], whether
-     it is executed or redone *)
-  List.iter2
-    (fun (base, journal) n ->
-      (* newest first: the first insert met is the last made *)
-      let k = ref n in
-      List.iter
-        (function
-          | Log.U_row_insert (table, h, _) ->
-              decr k;
-              let tid = Analyzer.table_id analyzer table in
-              if tid >= 0 then Itbl.replace t.moved (row_key tid h) (base + !k)
-          | _ -> ())
-        journal)
-    replayed counts;
-  t
+  {
+    analyzer;
+    catalog;
+    infos = Array.make ntables None;
+    known = Array.make ntables false;
+    rows = Itbl.create 16;
+    cells = Itbl.create 16;
+    col_marks = Array.make (Analyzer.column_count analyzer) 0;
+    wide = Itbl.create 8;
+    tab_marks = Array.make ntables 0;
+    marked = 0;
+    settled = 0;
+    first_empty = max_int;
+    ever_dirty = false;
+    fallbacks = Atomic.make 0;
+    hist_spans = Itbl.create 8;
+    fresh_spans = Itbl.create 8;
+  }
 
 let describe t tid name =
   Option.map
@@ -242,20 +214,13 @@ let set_row t key info hist cur =
     Itbl.replace info.dirty_rows key row
   end
 
-(* [h]'s replay rowid in table [tid]. *)
-let rowid t tid h =
-  if Itbl.length t.moved = 0 then h
-  else match Itbl.find_opt t.moved (row_key tid h) with Some r -> r | None -> h
-
-(* Per row of a base table a journal (newest first) touches, keyed in
-   replay rowids ([translate]: the journal is historical): its first
+(* Per row of a base table a journal (newest first) touches: its first
    before-image and its last after-image, into [h]. *)
-let spans t h ~translate journal =
+let spans t h journal =
   let note tb r before after =
     match table_info t tb with
     | None -> ()
     | Some info -> (
-        let r = if translate then rowid t info.tid r else r in
         let key = row_key info.tid r in
         match Itbl.find_opt h key with
         | None -> Itbl.replace h key (before, after)
@@ -275,7 +240,7 @@ let spans t h ~translate journal =
    outside the set is clean, so either journal's before-image is both
    sides' value. [redone]: the statement was redone, so a clean row stays
    clean and only rows already in the set change; its fresh journal names
-   the rows its historical one does, in replay rowids. *)
+   the rows its historical one does. *)
 let reconcile t ~redone ~hist ~fresh =
   let touches_dirty () =
     List.exists
@@ -290,8 +255,8 @@ let reconcile t ~redone ~hist ~fresh =
   in
   if not (redone && (Itbl.length t.rows = 0 || not (touches_dirty ()))) then begin
     let h = t.hist_spans and n = t.fresh_spans in
-    spans t h ~translate:true hist;
-    spans t n ~translate:false fresh;
+    spans t h hist;
+    spans t n fresh;
     let visit key =
       let st = Itbl.find_opt t.rows key in
       let hs = Itbl.find_opt h key and ns = Itbl.find_opt n key in
@@ -502,15 +467,8 @@ let clean t idx stmt hist =
           (not info.triggered)
           && (is_empty t || not (reads_dirty t idx info kind stmt hist)))
 
-let rowid_of = function
-  | Log.U_row_insert (_, r, _) | Log.U_row_update (_, r, _, _)
-  | Log.U_row_delete (_, r, _) ->
-      r
-  | _ -> 0
-
-(* The table id is resolved here, on the caller's lane; the closure
-   reads only [moved], built by [create], so it may run on any domain,
-   and later, over a copy of the replay state. *)
+(* The closure reads nothing of [t] but its fallback counter, so it may
+   run on any domain, and later, over a copy of the replay state. *)
 let reenactment (t : t) stmt hist =
   let fallback () =
     Atomic.incr t.fallbacks;
@@ -519,8 +477,6 @@ let reenactment (t : t) stmt hist =
   match target stmt with
   | None -> fun _ -> fallback ()
   | Some (table, _) ->
-      let tid = Analyzer.table_id t.analyzer table in
-      let translate h = if tid >= 0 then rowid t tid h else h in
       fun cat ->
         match Catalog.table cat table with
         | None -> fallback ()
@@ -531,48 +487,28 @@ let reenactment (t : t) stmt hist =
               if not (String.equal tb table && Storage.mem st r = present) then
                 fits := false
             in
-            let local =
-              List.map
-                (fun u ->
-                  match u with
-                  | Log.U_row_insert (tb, h, img) ->
-                      let r = translate h in
-                      check tb r false;
-                      Log.U_row_insert (tb, r, img)
-                  | Log.U_row_update (tb, h, b, a) ->
-                      let r = translate h in
-                      check tb r true;
-                      Log.U_row_update (tb, r, b, a)
-                  | Log.U_row_delete (tb, h, img) ->
-                      let r = translate h in
-                      check tb r true;
-                      Log.U_row_delete (tb, r, img)
-                  | Log.U_auto_value _ -> u
-                  | _ ->
-                      fits := false;
-                      u)
-                hist
-            in
+            List.iter
+              (function
+                | Log.U_row_insert (tb, r, _) -> check tb r false
+                | Log.U_row_update (tb, r, _, _) | Log.U_row_delete (tb, r, _) ->
+                    check tb r true
+                | Log.U_auto_value _ -> ()
+                | _ -> fits := false)
+              hist;
             if not !fits then fallback ()
             else
-              (* an UPDATE or DELETE visits its rows in ascending rowid
-                 order, and its journal lists them newest first *)
-              let by_rowid =
-                List.stable_sort (fun a b -> compare (rowid_of b) (rowid_of a))
-              in
-              let journal, assigned =
+              (* its journal lists its rows in the order its execution
+                 visits them here too: they sit at history's rowids *)
+              let assigned =
                 match stmt with
                 | Ast.Update { assigns; _ } ->
-                    ( by_rowid local,
-                      List.filter_map (fun (c, _) -> Storage.column_index st c) assigns
-                    )
-                | Ast.Delete _ -> (by_rowid local, [])
-                | _ -> (local, [])
+                    List.filter_map (fun (c, _) -> Storage.column_index st c) assigns
+                | _ -> []
               in
-              Some (fun () -> Log.apply_redo ~assigned cat journal)
+              Some (fun () -> Log.apply_redo ~assigned cat hist)
 
 (* With the set empty, [clean] holds for such a member; its reenactment
-   moves no row to or from a translated rowid, and a redone statement
+   writes history's images at history's rowids, and a redone statement
    leaves a clean row clean. *)
 let quiet t stmt hist =
   match target stmt with
@@ -582,7 +518,10 @@ let quiet t stmt hist =
       | Some info when not info.triggered ->
           List.for_all
             (function
-              | Log.U_row_update (tb, _, _, _) | Log.U_row_delete (tb, _, _) ->
+              | Log.U_row_insert (tb, _, _)
+              | Log.U_row_update (tb, _, _, _)
+              | Log.U_row_delete (tb, _, _)
+              | Log.U_auto_value (tb, _) ->
                   String.equal tb table
               | _ -> false)
             hist

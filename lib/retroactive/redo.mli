@@ -12,20 +12,19 @@
     leave different images become (or stay) dirty, and rows where they
     agree again become clean.
 
-    Rows inserted by a replayed statement live at its private
-    [rowid_base] in the replay, not at their historical rowids; the set
-    translates (the k-th row a statement inserts lands at
-    [rowid_base + k], executed or redone). A [t] belongs to one
-    question's replay. {!clean}, {!settle} and {!seed} run on the
-    caller's lane; the closure {!reenactment} builds, and the
+    A replayed statement's k-th insert into a table lands at the k-th
+    rowid its historical journal inserted into that table, executed or
+    redone ({!Uv_db.Engine.exec}'s [~history]), so both journals name a
+    row by one rowid; only rows beyond history's count, and an added
+    statement's, land at the statement's private [rowid_base + n]. A [t]
+    belongs to one question's replay. {!clean}, {!settle} and {!seed}
+    run on the caller's lane; the closure {!reenactment} builds, and the
     reenactment that closure returns, may run on any domain. *)
 
 type t
 
-val create : Analyzer.t -> Uv_db.Catalog.t -> (int * Uv_db.Log.undo list) list -> t
-(** [create analyzer catalog replayed] over the question's temporary
-    catalog, given [(rowid_base, historical journal)] of every statement
-    the replay runs (the members, and the head of a [Change]). The
+val create : Analyzer.t -> Uv_db.Catalog.t -> t
+(** [create analyzer catalog] over the question's temporary catalog. The
     analyzer's row keys must be current ({!Analyzer.keys_current}). *)
 
 val seed : t -> Uv_db.Log.undo list -> unit
@@ -64,29 +63,26 @@ val reenactment :
   Uv_db.Catalog.t ->
   (unit -> Uv_db.Log.redone) option
 (** [reenactment t stmt journal catalog]: the reenactment of a {!clean}
-    member from its historical [journal] over [catalog] — rowids
-    translated, records in the order its execution visits rows, the
+    member from its historical [journal] over [catalog] — at history's
+    rowids, records in the order its execution visits rows, the
     columns an UPDATE assigns written even where history left them
     unchanged ({!Uv_db.Log.apply_redo}). [None], counted as a fallback,
-    when a translated rowid is missing (update, delete) or taken
-    (insert): the member must execute. Nothing is mutated before the
-    reenactment runs. The statement's table is resolved when
-    [reenactment t stmt journal] is applied; the closure it returns
-    reads nothing of the analyzer, so it stays valid after the question
-    (the analyzer may be extended or reset since). *)
+    when a rowid is missing (update, delete) or taken (insert): the
+    member must execute. Nothing is mutated before the reenactment runs.
+    The closure reads nothing of the analyzer, so it stays valid after
+    the question (the analyzer may be extended or reset since). *)
 
 val is_empty : t -> bool
 (** No cell differs from history at this point of the replay. *)
 
 val quiet : t -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
 (** [quiet t stmt journal]: would the member, met with the set empty,
-    be redone and leave the set empty and every row at its rowid? True
-    for a plain INSERT, UPDATE or DELETE on a base table without
-    triggers ({!clean}'s first test) whose historical journal holds only
-    row updates and deletes of that table ({!reenactment}'s fit test, with
-    no insert): it is reenacted record for record, so each row it
-    touches takes the image it took in history, and no row appears at a
-    translated rowid. *)
+    be redone and leave the set empty? True for a plain INSERT, UPDATE
+    or DELETE on a base table without triggers ({!clean}'s first test)
+    whose historical journal holds only row records and AUTO_INCREMENT
+    records of that table ({!reenactment}'s fit test): it is reenacted
+    record for record, so each row it touches takes, at its historical
+    rowid, the image it took in history. *)
 
 val settle :
   t -> redone:bool -> hist:Uv_db.Log.undo list -> fresh:Uv_db.Log.undo list -> unit

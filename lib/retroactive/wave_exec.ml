@@ -7,9 +7,9 @@ type item = {
   sim_time : int;
   rowid_base : int;
   structural : bool;
-  journal : Uv_db.Log.undo list option;
-      (* the statement's historical journal: what member redo reenacts
-         and settles against *)
+  journal : Uv_db.Log.undo list;
+      (* the statement's historical journal: where its inserts land, and
+         what member redo reenacts and settles against *)
 }
 
 (* What the exact stop left undone: the skipped members, each with its
@@ -20,6 +20,9 @@ type stop = {
   ran : int;  (* members run *)
   skipped : (item * (Uv_db.Catalog.t -> (unit -> Uv_db.Log.redone) option)) list;
   at : Uv_db.Catalog.t;  (* the replay catalog at the stop, read-only *)
+  undo : (Uv_db.Catalog.t -> unit) option;
+      (* the rollback [at] still lacks; then [base] and [autos] are read
+         after it *)
   rtt_ms : float;
   head : item option;
   items : item list;
@@ -131,7 +134,8 @@ let run_item ?(obs = Uv_obs.Trace.disabled)
         timed (fun () ->
             match
               Uv_db.Engine.exec ?app_txn:it.app_txn ~nondet:it.nondet
-                ~rowid_base:it.rowid_base ~sql:it.sql eng it.stmt
+                ~rowid_base:it.rowid_base ~history:it.journal ~sql:it.sql eng
+                it.stmt
             with
             | r ->
                 let out =
@@ -227,10 +231,32 @@ let restamp ~base ~autos ~head ~items entries deltas =
   Option.iter restamp head;
   List.iter restamp items
 
+(* The table hashes and AUTO_INCREMENT counters (with each counted
+   column's position) at replay start: the base the commit-order restamp
+   accumulates from. *)
+let start_state catalog =
+  let tables = Uv_db.Catalog.tables catalog in
+  ( List.map (fun (name, st) -> (name, Uv_db.Storage.hash st)) tables,
+    List.filter_map
+      (fun (name, st) ->
+        Option.map
+          (fun offset -> (name, Uv_db.Storage.next_auto_value st, offset))
+          (Option.bind
+             (Uv_sql.Schema.auto_increment_column (Uv_db.Storage.schema st))
+             (Uv_db.Storage.column_index st)))
+      tables )
+
 let stop_point s = (s.ran, List.length s.skipped)
 
 let complete s =
   let catalog = Uv_db.Catalog.snapshot s.at in
+  let base, autos =
+    match s.undo with
+    | None -> (s.base, s.autos)
+    | Some undo ->
+        undo catalog;
+        start_state catalog
+  in
   let entries = Hashtbl.copy s.raw and deltas = Hashtbl.copy s.raw_deltas in
   List.iter
     (fun (it, reenact) ->
@@ -240,8 +266,7 @@ let complete s =
           Hashtbl.replace deltas it.idx ds
       | None -> ())
     s.skipped;
-  restamp ~base:s.base ~autos:s.autos ~head:s.head ~items:s.items
-    entries deltas;
+  restamp ~base ~autos ~head:s.head ~items:s.items entries deltas;
   entries
 
 type schedule =
@@ -251,17 +276,9 @@ type schedule =
 exception Stop
 
 let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
-    ?(check = fun () -> ()) ?redo ~schedule ~rtt_ms ~catalog ~head ~items () =
+    ?(check = fun () -> ()) ?redo ?undo ~schedule ~rtt_ms ~catalog ~head ~items
+    () =
   let t0 = Uv_util.Clock.now_ms () in
-  (* the dirty set needs every replayed statement's history to settle *)
-  let redo =
-    match redo with
-    | Some _
-      when List.for_all (fun it -> it.journal <> None) items
-           && Option.fold ~none:true ~some:(fun h -> h.journal <> None) head ->
-        redo
-    | _ -> None
-  in
   (* on the caller lane, before a batch runs; the head, not a member,
      runs alone and always executes *)
   let decide batch =
@@ -269,23 +286,22 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     | Some r when Array.for_all (fun it -> it.idx > 0) batch ->
         Array.map
           (fun it ->
-            let hist = Option.get it.journal in
-            if Redo.clean r it.idx it.stmt hist then
-              Some (Redo.reenactment r it.stmt hist)
+            if Redo.clean r it.idx it.stmt it.journal then
+              Some (Redo.reenactment r it.stmt it.journal)
             else None)
           batch
     | _ -> Array.map (fun _ -> None) batch
   in
   (* on the caller lane, after the item's batch, in commit order *)
   let settle it ran =
-    match (redo, it.journal) with
-    | Some r, Some hist ->
-        Redo.settle r ~redone:ran.redone ~hist
+    Option.iter
+      (fun r ->
+        Redo.settle r ~redone:ran.redone ~hist:it.journal
           ~fresh:
             (match ran.out with
             | Some (e, _) -> e.Uv_db.Log.undo
-            | None -> [])
-    | _ -> ()
+            | None -> []))
+      redo
   in
   let redone = ref 0 and executed = ref 0 in
   let durations = Hashtbl.create 64 in
@@ -312,6 +328,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
      its predecessors left, so its raw entry already logs its table
      hashes in commit order and needs no restamp *)
   let in_commit_order stop_after =
+    Option.iter (fun u -> u catalog) undo;
     let run it =
       check ();
       finish_item it
@@ -332,40 +349,21 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     let traced = Uv_obs.Trace.enabled obs in
     let subwaves = ref 0 in
     let degraded = ref false in
-    (* table hashes at replay start: the base the commit-order restamping
-       accumulates from *)
-    let tables = Uv_db.Catalog.tables catalog in
-    let base =
-      List.map (fun (name, st) -> (name, Uv_db.Storage.hash st)) tables
-    in
-    (* and the AUTO_INCREMENT counters, with each counted column's
-       position: the base the counter records are restamped from *)
-    let autos =
-      List.filter_map
-        (fun (name, st) ->
-          Option.map
-            (fun offset -> (name, Uv_db.Storage.next_auto_value st, offset))
-            (Option.bind
-               (Uv_sql.Schema.auto_increment_column (Uv_db.Storage.schema st))
-               (Uv_db.Storage.column_index st)))
-        tables
-    in
     (* The exact stop (DESIGN.md §5, "Exact stop"). Before a batch of
        members, stop when the dirty set is empty, no statement run so far
-       inserted a row, and every member left is quiet ({!Redo.quiet}):
-       each of those would be redone to its historical images and keep
-       the set empty, so the rest can only repeat history. [stoppable]
-       drops for good at the first insert. Every member ahead of
-       [pending] has run or is quiet, and quietness never changes, so
-       the cursor passes each member once. *)
+       inserted a row at a private rowid, and every member left is quiet
+       ({!Redo.quiet}): each of those would be redone to its historical
+       images and keep the set empty, so the rest can only repeat
+       history. [stoppable] drops for good at the first private insert.
+       Every member ahead of [pending] has run or is quiet, and quietness
+       never changes, so the cursor passes each member once. *)
     let stoppable = ref (redo <> None) in
     let pending = ref items in
     let rec all_quiet r =
       match !pending with
       | [] -> true
       | it :: rest ->
-          (Hashtbl.mem durations it.idx
-          || Redo.quiet r it.stmt (Option.get it.journal))
+          (Hashtbl.mem durations it.idx || Redo.quiet r it.stmt it.journal)
           && begin
                pending := rest;
                all_quiet r
@@ -375,13 +373,25 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
       !stoppable
       && match redo with Some r -> Redo.is_empty r && all_quiet r | None -> false
     in
+    (* [undo] is applied before anything runs, unless the replay stops
+       before its first member *)
+    let undo =
+      if head = None && items <> [] && stop_here () then undo
+      else begin
+        Option.iter (fun u -> u catalog) undo;
+        None
+      end
+    in
+    let base, autos = start_state catalog in
     let finish it ran =
       finish_item it ran;
       match ran.out with
       | Some (e, _)
         when !stoppable
              && List.exists
-                  (function Uv_db.Log.U_row_insert _ -> true | _ -> false)
+                  (function
+                    | Uv_db.Log.U_row_insert (_, r, _) -> r >= it.rowid_base
+                    | _ -> false)
                   e.Uv_db.Log.undo ->
           stoppable := false
       | _ -> ()
@@ -524,8 +534,12 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     (match head with Some h -> run_batch [ h ] | None -> ());
     let stopped =
       try
-        (* a question whose replay repeats history from its first member
-           builds no DAG *)
+        (* a question whose replay repeats history from its first member,
+           or rejoins it right after, builds no DAG: the first member has
+           no member before it, so it may run first *)
+        (match items with
+        | first :: _ :: _ when !stoppable -> run_members [ first ]
+        | _ -> ());
         if items <> [] && stop_here () then raise_notrace Stop;
         let by_idx = Hashtbl.create 64 in
         List.iter (fun it -> Hashtbl.replace by_idx it.idx it) items;
@@ -542,7 +556,8 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
             List.iter
               (fun idx ->
                 let it = Hashtbl.find by_idx idx in
-                if it.structural then begin
+                if Hashtbl.mem durations idx then () (* the first, run above *)
+                else if it.structural then begin
                   flush ();
                   run_members [ it ]
                 end
@@ -560,7 +575,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
             List.filter_map
               (fun it ->
                 if Hashtbl.mem durations it.idx then None
-                else Some (it, Redo.reenactment r it.stmt (Option.get it.journal)))
+                else Some (it, Redo.reenactment r it.stmt it.journal))
               items
           in
           Some
@@ -568,6 +583,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
               ran = List.length items - List.length skipped;
               skipped;
               at = catalog;
+              undo;
               rtt_ms;
               head;
               items;

@@ -15,9 +15,9 @@
       of their wave. Items must not contain DDL.
 
     Both schedules run an item the same way: a fresh engine whose PRNG
-    seed depends only on the commit index, the item's private rowid
-    range, its recorded draws, and one retry on an injected statement
-    fault. Determinism at every worker count:
+    seed depends only on the commit index, the item's historical insert
+    rowids and private rowid range, its recorded draws, and one retry on
+    an injected statement fault. Determinism at every worker count:
     - recorded non-determinism is forced per entry;
     - physical row placement does not depend on scheduling;
     - on the DAG schedule each entry's logged [written_hashes] are
@@ -37,14 +37,16 @@ type item = {
   nondet : Uv_sql.Value.t list;  (** recorded draws, forced on replay *)
   app_txn : string option;
   sim_time : int;  (** logical clock to install before execution *)
-  rowid_base : int;  (** private rowid range for the statement's inserts *)
+  rowid_base : int;
+      (** private rowid range for the inserts history gives no rowid *)
   structural : bool;
       (** run exclusively within its wave (trigger-firing writes) *)
-  journal : Uv_db.Log.undo list option;
+  journal : Uv_db.Log.undo list;
       (** the statement's historical journal ([[]] for an added
-          statement): with [execute ~redo], what a clean member is
-          redone from and what every item is settled against. [None]
-          runs the whole replay by execution. *)
+          statement): its inserts land at the rowids it inserted at
+          ({!Uv_db.Engine.exec}'s [~history]), and with [execute ~redo]
+          it is what a clean member is redone from and what every item
+          is settled against *)
 }
 
 type stop
@@ -94,13 +96,14 @@ type schedule =
   | Waves of { dag : Conflict_dag.t Lazy.t; workers : int }
       (** [dag]'s nodes are exactly the items' indexes; its waves run on
           [workers] lanes. It is forced after the head, unless the replay
-          stops before its first member. *)
+          stops before or right after its first member. *)
 
 val execute :
   ?obs:Uv_obs.Trace.t ->
   ?fault:Uv_fault.Fault.t ->
   ?check:(unit -> unit) ->
   ?redo:Redo.t ->
+  ?undo:(Uv_db.Catalog.t -> unit) ->
   schedule:schedule ->
   rtt_ms:float ->
   catalog:Uv_db.Catalog.t ->
@@ -113,6 +116,10 @@ val execute :
     [idx], on [schedule]. The catalog is mutated in place. In commit
     order the result has [wave_count = 0].
 
+    [undo], a rollback not yet applied to [catalog], is applied before
+    anything runs, unless the replay stops before its first member; then
+    {!complete} applies it to its copy.
+
     [check] runs before every item in commit order and at every wave
     boundary on the DAG schedule; whatever it raises stops the replay
     and escapes (the catalog is left mid-replay and must be discarded).
@@ -120,8 +127,7 @@ val execute :
     [redo] (a dirty set over [catalog], see {!Redo}) reenacts the items
     it finds clean from their journals instead of executing them, with
     the same entry, hash deltas and row mutations execution would give.
-    It is ignored unless the head and every item carry a journal. The
-    decisions for a batch are taken on the caller lane before it runs,
+    The decisions for a batch are taken on the caller lane before it runs,
     from the dirty set as the earlier batches left it: a wave's members
     share no cell, so none can dirty what another reads (a constraint
     check that reads every row of its table included: the replay DAG's
@@ -133,16 +139,18 @@ val execute :
     On the DAG schedule with [redo], the replay stops before a batch of
     members once the rest can only repeat history: the dirty set is
     empty ({!Redo.is_empty}), no statement run so far (the head
-    included) inserted a row, and every member not yet run is
-    {!Redo.quiet}. Each of those would be redone to its historical
-    images and leave the set empty, so the replay ends there with
-    [stop] set: the catalog is left as the stop found it (the caller
-    must not mutate it afterwards; {!complete} copies it), [entries]
-    holds the run statements' entries before the restamp, and
-    [redone], [executed] and [wave_count] count what ran. Each test is
-    O(1) amortized: the insert test is a flag, and a cursor over [items]
-    passes each member once, when it has run or is quiet. A replay that
-    stops before its first member never forces [dag].
+    included) inserted a row at a private rowid (at or above its
+    [rowid_base]), and every member not yet run is {!Redo.quiet}. Each
+    of those would be redone to its historical images and leave the set
+    empty, so the replay ends there with [stop] set: the catalog is left
+    as the stop found it (the caller must not mutate it afterwards;
+    {!complete} copies it), [entries] holds the run statements' entries
+    before the restamp, and [redone], [executed] and [wave_count] count
+    what ran. Each test is O(1) amortized: the private-insert test is a
+    flag, and a cursor over [items] passes each member once, when it has
+    run or is quiet. When a stop is possible the first member runs alone
+    before [dag] is forced (no member precedes it), so a replay that stops
+    before or right after its first member never forces [dag].
 
     [obs] records a [QIDX] span per replayed statement on the domain
     that ran it (one trace lane per domain; its [redo] arg says whether

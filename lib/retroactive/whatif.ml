@@ -119,6 +119,22 @@ let dml_only ~analyzer target members =
          && not (Analyzer.writes_schema_key analyzer i))
        members
 
+(* Set [cat]'s AUTO_INCREMENT counters where selective undo of
+   [undo_list] (newest first) sets them: it applies entries newest-first,
+   so the oldest undone entry's journalled pre-statement value wins. *)
+let undo_counters log cat undo_list =
+  List.iter
+    (fun i ->
+      List.iter
+        (function
+          | Uv_db.Log.U_auto_value (name, v) ->
+              Option.iter
+                (fun st -> Uv_db.Storage.set_auto_value st v)
+                (Uv_db.Catalog.table cat name)
+          | _ -> ())
+        (Uv_db.Log.entry log i).Uv_db.Log.undo)
+    undo_list
+
 (* Checkpoint-jumping rollback (strategy B): instead of undoing every
    member newest-first, jump each affected table back to the nearest
    checkpoint rung below the oldest undone entry and redo the
@@ -136,8 +152,7 @@ let dml_only ~analyzer target members =
    AUTO_INCREMENT counters are pinned to what the undo path would have
    left (the pre-statement value journalled by the oldest undone entry
    that records one; live otherwise), and the rowid allocator is raised
-   back to its live watermark so replayed inserts land in fresh slots
-   either way. *)
+   back to its live watermark, as undo leaves it. *)
 let checkpoint_rollback ladder log temp_cat undo_list =
   match List.rev undo_list with
   | [] -> false
@@ -185,19 +200,6 @@ let checkpoint_rollback ladder log temp_cat undo_list =
                 temp_tables;
           if not (!ok && !redo_cost < !undo_cost) then false
           else begin
-            (* the counter value selective undo would leave: it applies
-               entries newest-first, so the oldest undone entry's
-               journalled pre-statement value wins *)
-            let final_auto : (string, int) Hashtbl.t = Hashtbl.create 8 in
-            List.iter
-              (fun i ->
-                List.iter
-                  (function
-                    | Uv_db.Log.U_auto_value (tbl, v) ->
-                        Hashtbl.replace final_auto tbl v
-                    | _ -> ())
-                  (Uv_db.Log.entry log i).Uv_db.Log.undo)
-              undo_list;
             List.iter
               (fun (name, _) ->
                 match Uv_db.Catalog.table rung_cat name with
@@ -217,15 +219,12 @@ let checkpoint_rollback ladder log temp_cat undo_list =
                 match Uv_db.Catalog.table temp_cat name with
                 | None -> ()
                 | Some tbl ->
-                    let auto =
-                      match Hashtbl.find_opt final_auto name with
-                      | Some v -> v
-                      | None -> Uv_db.Storage.next_auto_value live_tbl
-                    in
-                    Uv_db.Storage.set_auto_value tbl auto;
+                    Uv_db.Storage.set_auto_value tbl
+                      (Uv_db.Storage.next_auto_value live_tbl);
                     Uv_db.Storage.set_rowid_floor tbl
                       (Uv_db.Storage.next_rowid live_tbl))
               temp_tables;
+            undo_counters log temp_cat undo_list;
             true
           end)
 
@@ -343,47 +342,6 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
         end
         else None)
   in
-  (* 3. rollback: undo members (and the removed/changed target) newest
-     first, folded into one restore per row ([Log.undo_entries]) — or,
-     when the engine carries a checkpoint ladder that makes it cheaper,
-     jump the affected tables to a rung below the oldest member and redo
-     the non-members forward *)
-  let undone, rollback_strategy, undo_stats =
-    phase "rollback"
-      ~end_args:(fun (_, _, st) ->
-        [ ("records", Uv_obs.Json.Int st.Uv_db.Log.undo_records);
-          ("rows", Uv_obs.Json.Int st.Uv_db.Log.rows_restored) ])
-      (fun () ->
-        let undo_list =
-          let tgt =
-            match target.Analyzer.op with
-            | Analyzer.Remove | Analyzer.Change _
-              when target.Analyzer.tau >= 1
-                   && target.Analyzer.tau <= Uv_db.Log.length log ->
-                [ target.Analyzer.tau ]
-            | _ -> []
-          in
-          List.sort_uniq compare (tgt @ members) |> List.rev
-        in
-        let jumped =
-          match Uv_db.Engine.checkpoints eng with
-          | Some ladder when undo_list <> [] ->
-              checkpoint_rollback ladder log temp_cat undo_list
-          | _ -> false
-        in
-        let stats =
-          if jumped then begin
-            Uv_obs.Trace.incr obs "whatif.checkpoint_jumps";
-            { Uv_db.Log.undo_records = 0; rows_restored = 0 }
-          end
-          else
-            Uv_db.Log.undo_entries temp_cat
-              (List.map (fun i -> (Uv_db.Log.entry log i).Uv_db.Log.undo) undo_list)
-        in
-        (List.length undo_list, (if jumped then "checkpoint" else "undo"), stats))
-  in
-  (* 4. replay forward, in commit order or over the replay DAG's waves *)
-  let hash_jump_at = ref None in
   (* members are redone from their journals when the schema holds still
      and the row keys are current; the removed or changed target must be
      DML too, as its journal seeds the dirty set *)
@@ -404,12 +362,79 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
          ~some:(fun e -> not (Uv_sql.Ast.is_ddl e.Uv_db.Log.stmt))
          tau_entry
   in
-  let dag, res, redo, universe =
+  let undo_list =
+    List.sort_uniq compare
+      (Option.fold ~none:[] ~some:(fun _ -> [ target.Analyzer.tau ]) tau_entry
+      @ members)
+    |> List.rev
+  in
+  let undo_journals =
+    List.map (fun i -> (Uv_db.Log.entry log i).Uv_db.Log.undo) undo_list
+  in
+  let tau_journal =
+    match tau_entry with Some e -> e.Uv_db.Log.undo | None -> []
+  in
+  let redo =
+    if not redo_fits then None
+    else begin
+      let r = Redo.create analyzer temp_cat in
+      if target.Analyzer.op = Analyzer.Remove then Redo.seed r tau_journal;
+      Some r
+    end
+  in
+  (* A removal whose τ left every row as it found it, with only quiet
+     members, stops before its first member (the wave schedule's exact
+     stop): nothing in the question reads the rollback's rows, so only
+     its counters are set, and the rest waits for the merged history
+     ([Wave_exec.complete]). *)
+  let deferred =
+    match redo with
+    | Some r ->
+        target.Analyzer.op = Analyzer.Remove
+        && (not config.Config.hash_jumper)
+        && Redo.is_empty r
+        && List.for_all
+             (fun i ->
+               let e = Uv_db.Log.entry log i in
+               Redo.quiet r e.Uv_db.Log.stmt e.Uv_db.Log.undo)
+             members
+    | None -> false
+  in
+  (* 3. rollback: undo members (and the removed/changed target) newest
+     first, folded into one restore per row ([Log.undo_entries]) — or,
+     when the engine carries a checkpoint ladder that makes it cheaper,
+     jump the affected tables to a rung below the oldest member and redo
+     the non-members forward *)
+  let undone, rollback_strategy, undo_stats =
+    phase "rollback"
+      ~end_args:(fun (_, _, st) ->
+        [ ("records", Uv_obs.Json.Int st.Uv_db.Log.undo_records);
+          ("rows", Uv_obs.Json.Int st.Uv_db.Log.rows_restored) ])
+      (fun () ->
+        let jumped =
+          match Uv_db.Engine.checkpoints eng with
+          | Some ladder when undo_list <> [] && not deferred ->
+              checkpoint_rollback ladder log temp_cat undo_list
+          | _ -> false
+        in
+        let stats =
+          if jumped || deferred then begin
+            if jumped then Uv_obs.Trace.incr obs "whatif.checkpoint_jumps"
+            else undo_counters log temp_cat undo_list;
+            { Uv_db.Log.undo_records = 0; rows_restored = 0 }
+          end
+          else Uv_db.Log.undo_entries temp_cat undo_journals
+        in
+        (List.length undo_list, (if jumped then "checkpoint" else "undo"), stats))
+  in
+  (* 4. replay forward, in commit order or over the replay DAG's waves *)
+  let hash_jump_at = ref None in
+  let dag, res, universe =
     phase "replay" @@ fun () ->
     let stride = 1 lsl 20 in
     let r0 =
-      (* a private rowid range per statement, above everything live —
-         including ranges a previous what-if stamped into this universe *)
+      (* a private rowid range per statement for the inserts history
+         gives no rowid, above everything live *)
       let mx =
         List.fold_left
           (fun acc (_, st) -> max acc (Uv_db.Storage.next_rowid st))
@@ -447,13 +472,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
               && List.exists
                    (fun t -> List.mem t structural_tables)
                    (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
-            journal = (if redo_fits then Some entry.Uv_db.Log.undo else None);
+            journal = entry.Uv_db.Log.undo;
           })
         members
     in
-    let tau_journal =
-      match tau_entry with Some e -> e.Uv_db.Log.undo | None -> []
-    in
+    (* a changed τ's statement takes τ's rowids *)
     let head =
       match target.Analyzer.op with
       | Analyzer.Add s | Analyzer.Change s ->
@@ -467,23 +490,9 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
               sim_time = 1_700_000_000 + target.Analyzer.tau;
               rowid_base = r0;
               structural = true;
-              journal = (if redo_fits then Some tau_journal else None);
+              journal = tau_journal;
             }
       | Analyzer.Remove -> None
-    in
-    let redo =
-      if not redo_fits then None
-      else begin
-        let r =
-          Redo.create analyzer temp_cat
-            (List.filter_map
-               (fun (it : Wave_exec.item) ->
-                 Option.map (fun j -> (it.Wave_exec.rowid_base, j)) it.Wave_exec.journal)
-               (Option.to_list head @ items))
-        in
-        if head = None then Redo.seed r tau_journal;
-        Some r
-      end
     in
     (* the Hash-jumper's prefix check after every replayed member *)
     let stop_after =
@@ -517,8 +526,16 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     let res =
       (* a statement fault that survives its one retry ends the run *)
       try
-        Wave_exec.execute ~obs ~fault ~check:check_deadline ?redo ~schedule
-          ~rtt_ms:rtt ~catalog:temp_cat ~head ~items ()
+        Wave_exec.execute ~obs ~fault ~check:check_deadline ?redo
+          ?undo:
+            (if deferred then
+               Some
+                 (fun cat ->
+                   ignore
+                     (Uv_db.Log.undo_entries cat undo_journals
+                       : Uv_db.Log.undo_stats))
+             else None)
+          ~schedule ~rtt_ms:rtt ~catalog:temp_cat ~head ~items ()
       with Uv_fault.Fault.Injected inj ->
         raise
           (Abort
@@ -534,13 +551,22 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
            (§4.5): the outcome's universe takes the original's affected
            tables, the original timeline retained wholesale, schema
            objects included. A stop leaves the replay catalog as it was,
-           for [new_log]; nothing after it moves a counter or a rowid
-           floor, so the universe keeps the replay's (rollback resets an
-           inserting τ's counter). *)
+           for [new_log]. The counters and rowid floors are the full
+           replay's: the replay's (rollback resets an inserting τ's
+           counter), raised by each skipped member's inserts as redoing
+           it would. A hit that skipped DDL keeps the original's. *)
         let u =
           Uv_db.Catalog.snapshot_tables (Uv_db.Engine.catalog eng) affected
         in
-        if Option.is_some res.Wave_exec.stop then
+        let skipped =
+          List.filter_map
+            (fun i ->
+              if Hashtbl.mem res.Wave_exec.durations i then None
+              else Some (Uv_db.Log.entry log i))
+            members
+        in
+        if List.for_all (fun e -> not (Uv_sql.Ast.is_ddl e.Uv_db.Log.stmt)) skipped
+        then begin
           List.iter
             (fun (name, st) ->
               Option.iter
@@ -551,11 +577,13 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
                     (Uv_db.Storage.next_rowid replayed))
                 (Uv_db.Catalog.table temp_cat name))
             (Uv_db.Catalog.tables u);
+          List.iter (fun e -> Uv_db.Log.redo_counters u e.Uv_db.Log.undo) skipped
+        end;
         u
       end
       else temp_cat
     in
-    (dag, res, redo, universe)
+    (dag, res, universe)
   in
   let stop_at = Option.map Wave_exec.stop_point res.Wave_exec.stop in
   if Uv_obs.Trace.enabled obs then begin

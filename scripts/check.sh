@@ -250,14 +250,16 @@ step "replay executor smoke: commit order == DAG waves at workers 1/2/4/8, Hash-
 # UNIQUE value an executed member now holds (on one row key, and across
 # row keys, where the replay DAG's guard rule orders the two), a
 # FOREIGN KEY parent the target inserted, wildcard reads and writes,
-# rowid translation for rows executed members inserted, a member whose
+# historical rowids for rows executed members inserted (past history's
+# count, the private range; a changed INSERT takes τ's rowid; scan order
+# as in the full-replay oracle), a member whose
 # WHERE reads a column a non-member rewrote on a dirty row, the
 # existence guard; and the exact stop: before the first member of a
 # no-op removal (no replay DAG built), mid-replay with skipped members'
-# entries restamped in commit order, none after a member insert or
-# while an inserting member is left, and the replay's AUTO_INCREMENT
-# counter kept
-step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, rowid translation, exact stop" \
+# entries restamped in commit order, before inserting members, and the
+# replay's AUTO_INCREMENT counter kept, raised by a skipped insert, and
+# kept on a Hash-jumper hit too
+step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, historical rowids, exact stop" \
   dune exec test/test_parallel.exe -- test redo
 
 # the five workloads' what-if at workers 1/2/4/8 must end in the serial

@@ -919,7 +919,19 @@ let test_having_and_distinct_aggregates () =
   run e "INSERT INTO sales VALUES (2, 5.0)";
   check Alcotest.int "distinct across numeric types"
     (qint e "SELECT COUNT(DISTINCT amount) FROM sales WHERE region = 2")
-    1
+    1;
+  (* the classes follow [=] within a kind (engine.mli): 10^15 and 1e15
+     are one number, the texts '5' and '5.0' two strings *)
+  run e "CREATE TABLE kinds (id INT, s VARCHAR(8))";
+  run e "INSERT INTO kinds VALUES (1, '5'), (2, '5.0')";
+  check Alcotest.int "10^15 and 1e15 are one value" 1
+    (qint e
+       "SELECT COUNT(DISTINCT CASE WHEN id = 1 THEN 1000000000000000 ELSE \
+        1000000000000000.0 END) FROM kinds");
+  check Alcotest.int "= selects one of '5' and '5.0'" 1
+    (qint e "SELECT COUNT(*) FROM kinds WHERE s = '5.0'");
+  check Alcotest.int "'5' and '5.0' are two values" 2
+    (qint e "SELECT COUNT(DISTINCT s) FROM kinds")
 
 let test_rowcount_scalar () =
   let e = fresh () in

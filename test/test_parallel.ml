@@ -61,8 +61,8 @@ let table_hashes cat =
   List.map (fun (n, t) -> (n, Storage.hash t)) (Catalog.tables cat)
 
 (* the full-replay oracle (Definition E.1): every entry but [skip]
-   re-executed over the base state *)
-let oracle_hashes eng base ~skip =
+   re-executed over the base state, on a fresh engine *)
+let oracle eng base ~skip =
   let e2 = Engine.of_catalog (Catalog.snapshot base) in
   Log.iter (Engine.log eng) (fun entry ->
       if entry.Log.index <> skip then
@@ -71,7 +71,10 @@ let oracle_hashes eng base ~skip =
             (Engine.exec ~nondet:entry.Log.nondet ?app_txn:entry.Log.app_txn e2
                entry.Log.stmt)
         with Engine.Sql_error _ | Engine.Signal_raised _ -> ());
-  table_hashes (Engine.catalog e2)
+  e2
+
+let oracle_hashes eng base ~skip =
+  table_hashes (Engine.catalog (oracle eng base ~skip))
 
 let test_workers_invariant (w : W.t) () =
   let eng, base = build w ~n:60 ~dep_rate:0.3 in
@@ -113,8 +116,9 @@ let test_workers_invariant (w : W.t) () =
     [ 1; 2; 4; 8 ]
 
 (* [Whatif]'s replay items for [members] over [catalog] (its temporary
-   universe after rollback), every one executed: no journals. Also the
-   base of their private rowid ranges, which the head of an added or
+   universe after rollback): each carries its historical journal, whose
+   insert rowids its inserts take, and a private rowid range for the
+   rest. Also the base of those ranges, which the head of an added or
    changed statement takes. *)
 let replay_items ~analyzer ~catalog log members =
   let stride = 1 lsl 20 in
@@ -153,7 +157,7 @@ let replay_items ~analyzer ~catalog log members =
             List.exists
               (fun t -> List.mem t triggered)
               (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
-          journal = None;
+          journal = e.Log.undo;
         })
       members )
 
@@ -541,7 +545,7 @@ let test_commit_order_hooks () =
           sim_time = 1_700_000_000 + k + 1;
           rowid_base = (k + 1) lsl 20;
           structural = false;
-          journal = None;
+          journal = [];
         })
   in
   let rows cat = Storage.row_count (Option.get (Catalog.table cat "t")) in
@@ -815,8 +819,8 @@ let no_coverage () = { stmts = 0; upd_del = 0; multi_row = 0; multi_table = 0 }
 
 (* Re-execute every entry of [log] in commit order over a copy of [base],
    the way [Wave_exec] runs a replayed statement: a fresh engine over the
-   shared catalog, the recorded draws, a private rowid range and the
-   logged text. Each statement's
+   shared catalog, the recorded draws, the historical insert rowids, a
+   private rowid range and the logged text. Each statement's
    reported deltas must name exactly the tables of its [written_hashes],
    equal the journal reference, and equal the change of each table's
    hash across the statement. *)
@@ -836,7 +840,8 @@ let check_engine_deltas ~label cov base log =
       Engine.set_sim_time eng (1_700_000_000 + i);
       match
         Engine.exec ?app_txn:e.Log.app_txn ~nondet:e.Log.nondet
-          ~rowid_base:((i + 1) * stride) ~sql:e.Log.sql eng e.Log.stmt
+          ~rowid_base:((i + 1) * stride) ~history:e.Log.undo ~sql:e.Log.sql eng
+          e.Log.stmt
       with
       | exception (Engine.Sql_error _ | Engine.Signal_raised _) -> ()
       | r ->
@@ -990,6 +995,9 @@ let table_layout cat =
                  (Storage.to_rows st))))
        (Catalog.tables cat))
 
+let rowids cat name =
+  List.map fst (Storage.to_rows (Option.get (Catalog.table cat name)))
+
 (* An entry down to its journal's rowids, images and AUTO_INCREMENT
    counters, its index aside (the merged history renumbers). *)
 let redo_line (e : Log.entry) =
@@ -1000,7 +1008,7 @@ let redo_line (e : Log.entry) =
   ^ "\n"
 
 (* The question [out] answered, replayed again with every member
-   executed: [Whatif]'s rollback, items and schedule, no journals. The
+   executed: [Whatif]'s rollback, items and schedule, no redo. The
    tables it leaves and the merged history [Whatif.new_log] would build
    from its entries. *)
 let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
@@ -1037,7 +1045,10 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
             sim_time = 1_700_000_000 + target.Analyzer.tau;
             rowid_base = r0;
             structural = true;
-              journal = None;
+            journal =
+              (match target.Analyzer.op with
+              | Analyzer.Change _ -> (Log.entry log target.Analyzer.tau).Log.undo
+              | _ -> []);
           }
     | Analyzer.Remove -> None
   in
@@ -1070,14 +1081,15 @@ let execute_all eng analyzer (out : Whatif.outcome) (target : Analyzer.target)
    (journal rowids, images and counters, restamped hashes) that
    executing every member leaves, and the merged history must be the
    same at every worker count. Returns the outcomes. *)
-let check_redo ?mode ~label eng analyzer target workers =
+let check_redo ?mode ?hash_jumper ~label eng analyzer target workers =
   let first = ref None in
   List.map
     (fun workers ->
       let where = Printf.sprintf "%s, workers=%d" label workers in
       let out =
-        Whatif.run_exn ~config:(Whatif.Config.make ?mode ~workers ()) ~analyzer
-          eng target
+        Whatif.run_exn
+          ~config:(Whatif.Config.make ?mode ?hash_jumper ~workers ())
+          ~analyzer eng target
       in
       let tables, layout, db_hash, merged =
         execute_all eng analyzer out target ~workers
@@ -1112,6 +1124,8 @@ let redo_history ?config setup history =
   (e, Analyzer.analyze ?config ~base (Engine.log e))
 
 let remove tau = { Analyzer.tau; op = Analyzer.Remove }
+
+let stop_at = Alcotest.(option (pair int int))
 
 let query_ints out sql =
   List.map
@@ -1266,11 +1280,11 @@ let test_redo_wildcard () =
         (query_ints out "SELECT x FROM t"))
     (check_redo ~label:"wildcard write" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
-(* (e) Executed members insert rows 2 and 3 at their private rowids; the
-   members that later update row 2 and delete row 3 read no changed
-   cell, are redone, and must find those rows through the rowid
-   translation. *)
-let test_redo_rowid_translation () =
+(* (e) Executed members insert rows 2 and 3 at their historical rowids;
+   the members that later update row 2 and delete row 3 read no changed
+   cell, are redone, and find those rows at the rowids their journals
+   name. Every row keeps the rowid history gave it. *)
+let test_redo_historical_rowids () =
   let e, analyzer =
     redo_history
       [
@@ -1294,8 +1308,128 @@ let test_redo_rowid_translation () =
       check
         Alcotest.(list (list int))
         "rows" [ [ 1; 0; 0 ]; [ 2; 0; 1 ] ]
-        (query_ints out "SELECT id, v, w FROM t"))
-    (check_redo ~label:"rowid translation" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+        (query_ints out "SELECT id, v, w FROM t");
+      check
+        Alcotest.(list int)
+        "history's rowids" (rowids (Engine.catalog e) "t")
+        (rowids out.Whatif.temp_catalog "t"))
+    (check_redo ~label:"historical rowids" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+
+(* (l) With τ's delete removed, member #2 selects three rows where
+   history selected two: its first two inserts take #2's historical
+   rowids, the third lands in #2's private range. No stop follows a
+   row at a private rowid. *)
+let test_redo_extra_insert () =
+  let e, analyzer =
+    redo_history
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
+        "CREATE TABLE s (id INT PRIMARY KEY, v INT)";
+        "INSERT INTO t VALUES (1, 0)";
+        "INSERT INTO t VALUES (2, 0)";
+        "INSERT INTO t VALUES (3, 5)";
+      ]
+      [
+        "DELETE FROM t WHERE id = 2";
+        "INSERT INTO s SELECT id, v FROM t";
+        "UPDATE s SET v = 7 WHERE id = 1";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "no stop" None out.Whatif.stop_at;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 7 ]; [ 2; 0 ]; [ 3; 5 ] ]
+        (query_ints out "SELECT id, v FROM s");
+      match rowids out.Whatif.temp_catalog "s" with
+      | [ a; b; c ] ->
+          check
+            Alcotest.(list int)
+            "#2's historical rowids" (rowids (Engine.catalog e) "s") [ a; b ];
+          check Alcotest.bool "the third in the private range" true
+            (c >= 1 lsl 20)
+      | l -> Alcotest.failf "three rows expected, got %d" (List.length l))
+    (check_redo ~label:"extra insert" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+
+(* (m) A changed INSERT takes τ's rowid. Changed to a statement that
+   inserts τ's row, it leaves nothing dirty, and the replay stops before
+   its first member; changed to another row, the member that updates it
+   executes over the head's row at τ's rowid. *)
+let test_redo_change_head () =
+  let e, analyzer =
+    redo_history
+      [ "CREATE TABLE t (id INT PRIMARY KEY, v INT)"; "INSERT INTO t VALUES (1, 0)" ]
+      [
+        "INSERT INTO t VALUES (2, 5)";
+        "UPDATE t SET v = v + 1 WHERE id = 2";
+        "INSERT INTO t VALUES (3, 0)";
+      ]
+  in
+  let change sql =
+    { Analyzer.tau = 1; op = Analyzer.Change (Uv_sql.Parser.parse_stmt sql) }
+  in
+  let history = rowids (Engine.catalog e) "t" in
+  List.iter
+    (fun out ->
+      check stop_at "stopped before the first member" (Some (0, 1))
+        out.Whatif.stop_at;
+      check Alcotest.(list int) "history's rowids" history
+        (rowids out.Whatif.temp_catalog "t"))
+    (check_redo ~label:"same row" e analyzer
+       (change "INSERT INTO t VALUES (2, 2 + 3)")
+       [ 1; 2; 4; 8 ]);
+  List.iter
+    (fun out ->
+      check stop_at "no stop" None out.Whatif.stop_at;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 0 ]; [ 2; 10 ]; [ 3; 0 ] ]
+        (query_ints out "SELECT id, v FROM t");
+      check Alcotest.(list int) "history's rowids" history
+        (rowids out.Whatif.temp_catalog "t"))
+    (check_redo ~label:"another row" e analyzer
+       (change "INSERT INTO t VALUES (2, 9)")
+       [ 1; 2; 4; 8 ])
+
+(* (n) An executed member re-inserts its row at its historical rowid,
+   below a row a later non-member inserted: a SELECT without ORDER BY
+   lists the rows in the order the full-replay oracle's fresh engine
+   does. *)
+let test_redo_scan_order () =
+  let setup =
+    [ "CREATE TABLE t (id INT PRIMARY KEY, v INT)"; "INSERT INTO t VALUES (1, 0)" ]
+  in
+  let e, analyzer =
+    redo_history setup
+      [
+        "UPDATE t SET v = 1 WHERE id = 1";
+        "INSERT INTO t VALUES (2, (SELECT v FROM t WHERE id = 1))";
+        "INSERT INTO t VALUES (3, 0)";
+      ]
+  in
+  let base =
+    let b = Engine.create () in
+    List.iter (run b) setup;
+    Engine.snapshot b
+  in
+  let want =
+    List.map
+      (fun row -> Array.to_list (Array.map Uv_sql.Value.to_int row))
+      (Engine.query_sql (oracle e base ~skip:1) "SELECT id, v FROM t").Engine.rows
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check Alcotest.int "the member executes" 0 out.Whatif.redone;
+      check
+        Alcotest.(list (list int))
+        "the oracle's order" want
+        (query_ints out "SELECT id, v FROM t"))
+    (check_redo ~label:"scan order" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
 (* (f) Removing τ leaves row 1 dirty in [w] with [v = 10] on both
    sides; non-member #2 then sets [v = 67] in history and in the replay.
@@ -1342,11 +1476,13 @@ let test_redo_stale_where () =
 
 (* ---- the exact stop: the replay ends where it rejoins history ---- *)
 
-let stop_at = Alcotest.(option (pair int int))
-
 (* (g) τ matches no row, so its removal changes nothing: the set is empty
    before the first member, every member is a plain UPDATE, and the
-   replay stops there without building the replay DAG. *)
+   replay stops there without building the replay DAG, and without
+   rolling anything back. In the second history a skipped member draws
+   a key and a later non-member raises the counter past another: the
+   universe's counter is the one rollback and replay leave (check_redo),
+   read from the journals. *)
 let test_stop_noop_tau () =
   let e, analyzer =
     redo_history
@@ -1383,12 +1519,37 @@ let test_stop_noop_tau () =
       check Alcotest.int (where ^ "no replay-DAG edge") 0 (counter "replay.edges");
       check Alcotest.int (where ^ "one stop") 1 (counter "replay.stops");
       check Alcotest.int (where ^ "two members skipped") 2
-        (counter "replay.stop_skipped"))
-    [ 1; 2 ]
+        (counter "replay.stop_skipped");
+      check Alcotest.int (where ^ "rollback deferred") 0
+        (counter "rollback.undo_records"))
+    [ 1; 2 ];
+  let e, analyzer =
+    redo_history
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
+        "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+        "INSERT INTO t (v) VALUES (0)";
+        "INSERT INTO u VALUES (1, 0)";
+      ]
+      [
+        "UPDATE u SET w = 9 WHERE id = 99";
+        "INSERT INTO t (v) VALUES ((SELECT COUNT(*) FROM u WHERE w < 100))";
+        "INSERT INTO t (v) VALUES (7)";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped before the first member" (Some (0, 1))
+        out.Whatif.stop_at)
+    (check_redo ~label:"no-op tau, inserting member" e analyzer (remove 1)
+       [ 1; 2; 4; 8 ])
 
 (* (h) The Epinions shape: #2 rewrites the row τ changed, so the set
-   empties after it; skipped #3 writes another row of the same table, on
-   which non-member #4 later rewrites [name]. The merged history's #3 is
+   empties after it, and the replay, having run only its first member,
+   builds no replay DAG; skipped #3 writes another row of the same
+   table, on which non-member #4 later rewrites [name]. The merged history's #3 is
    the full replay's, not history's: its before-image holds #4's [name],
    and its [written_hashes] continue the replay's chain. In the second
    history the first wave runs #2 and #4, which clean the two rows τ
@@ -1422,6 +1583,19 @@ let test_stop_mid_replay () =
         "rows" [ [ 1; 7 ]; [ 2; 7 ] ]
         (query_ints out "SELECT u_id, n FROM useracct"))
     (check_redo ~label:"stop mid-replay" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  List.iter
+    (fun workers ->
+      let obs = Uv_obs.Trace.create () in
+      ignore
+        (Whatif.run_exn ~config:(Whatif.Config.make ~workers ~obs ()) ~analyzer
+           e (remove 1)
+          : Whatif.outcome);
+      check Alcotest.int
+        (Printf.sprintf "workers=%d: no replay-DAG edge after the first member"
+           workers)
+        0
+        (Uv_obs.Trace.counter_value obs "replay.edges"))
+    [ 1; 2 ];
   let e, analyzer =
     redo_history
       [
@@ -1444,11 +1618,10 @@ let test_stop_mid_replay () =
     (check_redo ~label:"stop out of commit order" e analyzer (remove 1)
        [ 1; 2; 4; 8 ])
 
-(* (i) Once a replayed member has inserted a row, it sits at a translated
-   rowid, where history's does not: #3 is redone over an empty set at
-   its private rowid, and #4 updates that row through the translation.
-   The set is empty before #4, yet the replay runs on. *)
-let test_stop_after_insert () =
+(* (i) The set empties after #2. Inserting member #3 would be redone at
+   its historical rowid, where history's row sits, and #4 updates that
+   row: both are quiet, and the replay stops before them. *)
+let test_stop_before_insert () =
   let e, analyzer =
     redo_history
       [ "CREATE TABLE t (id INT PRIMARY KEY, v INT)"; "INSERT INTO t VALUES (1, 0)" ]
@@ -1463,16 +1636,16 @@ let test_stop_after_insert () =
     (fun out ->
       check Alcotest.(list int) "members" [ 2; 3; 4 ]
         out.Whatif.replay.Analyzer.member_indexes;
-      check stop_at "no stop" None out.Whatif.stop_at;
-      check Alcotest.int "every member redone" 3 out.Whatif.redone;
+      check stop_at "stopped after #2" (Some (1, 2)) out.Whatif.stop_at;
+      check Alcotest.int "#2 redone" 1 out.Whatif.redone;
       check
         Alcotest.(list (list int))
         "rows" [ [ 1; 2 ]; [ 3; 5 ] ]
         (query_ints out "SELECT id, v FROM t"))
     (check_redo ~label:"member insert" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
-(* (j) The set is empty after #2, but the member left inserts: its row
-   would land at a translated rowid, so the replay runs it. *)
+(* (j) The set is empty after #2, and the member left inserts: its row
+   would land at its historical rowid, so the replay stops before it. *)
 let test_stop_insert_left () =
   let e, analyzer =
     redo_history
@@ -1485,21 +1658,30 @@ let test_stop_insert_left () =
   in
   List.iter
     (fun out ->
-      check stop_at "no stop" None out.Whatif.stop_at;
-      check Alcotest.int "both members replayed" 2 out.Whatif.replayed)
+      check stop_at "stopped after #2" (Some (1, 1)) out.Whatif.stop_at;
+      check Alcotest.int "#2 replayed" 1 out.Whatif.replayed)
     (check_redo ~label:"insert left" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
 (* (k) Removing τ's AUTO_INCREMENT insert resets the counter, and #2's
    delete of τ's row then leaves nothing dirty: the replay stops before
    #3, and the universe draws the next key where the full replay would,
-   not where history did. *)
+   not where history did. The Hash-jumper's hit at #2 leaves the same
+   counter. In the second history a skipped member inserts with a drawn
+   key: the universe's counter is the replay's, raised past that key as
+   redoing the member would raise it (#3 counts the rows, so it joins
+   the replay set). *)
 let test_stop_auto_increment () =
+  let setup =
+    [
+      "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
+      "INSERT INTO t (v) VALUES (0)";
+    ]
+  in
+  let next_key out =
+    Storage.next_auto_value (Option.get (Catalog.table out.Whatif.temp_catalog "t"))
+  in
   let e, analyzer =
-    redo_history
-      [
-        "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
-        "INSERT INTO t (v) VALUES (0)";
-      ]
+    redo_history setup
       [
         "INSERT INTO t (v) VALUES (5)";
         "DELETE FROM t WHERE id = 2";
@@ -1509,10 +1691,30 @@ let test_stop_auto_increment () =
   List.iter
     (fun out ->
       check stop_at "stopped after #2" (Some (1, 1)) out.Whatif.stop_at;
-      check Alcotest.int "the next key is τ's" 2
-        (Storage.next_auto_value
-           (Option.get (Catalog.table out.Whatif.temp_catalog "t"))))
-    (check_redo ~label:"AUTO_INCREMENT" e analyzer (remove 1) [ 1; 2; 4; 8 ])
+      check Alcotest.int "the next key is τ's" 2 (next_key out))
+    (check_redo ~label:"AUTO_INCREMENT" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  List.iter
+    (fun out ->
+      check Alcotest.(option int) "hash-jump at #2" (Some 2)
+        out.Whatif.hash_jump_at;
+      check Alcotest.int "the next key is τ's" 2 (next_key out))
+    (check_redo ~hash_jumper:true ~label:"AUTO_INCREMENT, Hash-jumper" e
+       analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  let e, analyzer =
+    redo_history setup
+      [
+        "INSERT INTO t (v) VALUES (5)";
+        "DELETE FROM t WHERE id = 2";
+        "INSERT INTO t (v) VALUES ((SELECT COUNT(*) FROM t))";
+        "UPDATE t SET v = v + 1 WHERE v < 100";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check stop_at "stopped after #2" (Some (1, 2)) out.Whatif.stop_at;
+      check Alcotest.int "the next key follows #3's" 4 (next_key out))
+    (check_redo ~label:"skipped AUTO_INCREMENT insert" e analyzer (remove 1)
+       [ 1; 2; 4; 8 ])
 
 (* Only plain DML on a base table without triggers is redone: a member
    that fires a trigger, a CALL or DDL executes even with nothing
@@ -1539,7 +1741,7 @@ let test_redo_plain_dml_only () =
       ]
   in
   let log = Engine.log e in
-  let r = Redo.create analyzer (Catalog.snapshot (Engine.catalog e)) [] in
+  let r = Redo.create analyzer (Catalog.snapshot (Engine.catalog e)) in
   let clean i = Redo.clean r i (Log.entry log i).Log.stmt (Log.entry log i).Log.undo in
   check Alcotest.bool "a plain UPDATE is clean" true (clean 1);
   check Alcotest.bool "an UPDATE that fires a trigger executes" false (clean 2);
@@ -1555,7 +1757,7 @@ let test_redo_existence_guard () =
       [ "UPDATE t SET v = 1 WHERE id = 1" ]
   in
   let cat = Catalog.snapshot (Engine.catalog e) in
-  let r = Redo.create analyzer cat [] in
+  let r = Redo.create analyzer cat in
   let row = [| Uv_sql.Value.Int 5; Uv_sql.Value.Int 0 |] in
   let stmt = (Log.entry (Engine.log e) 1).Log.stmt in
   let try_ journal = Option.is_some (Redo.reenactment r stmt journal cat) in
@@ -1710,20 +1912,26 @@ let () =
               test_redo_fk_parent;
             Alcotest.test_case "(d) wildcard read and write" `Quick
               test_redo_wildcard;
-            Alcotest.test_case "(e) rowid translation" `Quick
-              test_redo_rowid_translation;
+            Alcotest.test_case "(e) historical rowids" `Quick
+              test_redo_historical_rowids;
             Alcotest.test_case "(f) a non-member rewrote a column the WHERE reads"
               `Quick test_redo_stale_where;
             Alcotest.test_case "(g) stop before the first member" `Quick
               test_stop_noop_tau;
             Alcotest.test_case "(h) stop mid-replay, restamped entries" `Quick
               test_stop_mid_replay;
-            Alcotest.test_case "(i) no stop after a member insert" `Quick
-              test_stop_after_insert;
-            Alcotest.test_case "(j) no stop while an insert is left" `Quick
+            Alcotest.test_case "(i) stop before a member insert" `Quick
+              test_stop_before_insert;
+            Alcotest.test_case "(j) stop while an insert is left" `Quick
               test_stop_insert_left;
             Alcotest.test_case "(k) stop keeps the replay's counter" `Quick
               test_stop_auto_increment;
+            Alcotest.test_case "(l) inserts past history's count" `Quick
+              test_redo_extra_insert;
+            Alcotest.test_case "(m) a changed INSERT takes tau's rowid" `Quick
+              test_redo_change_head;
+            Alcotest.test_case "(n) scan order of re-inserted rows" `Quick
+              test_redo_scan_order;
             Alcotest.test_case "existence guard" `Quick
               test_redo_existence_guard;
             Alcotest.test_case "plain DML only" `Quick test_redo_plain_dml_only;
