@@ -55,12 +55,81 @@ type pending_row = {
   mutable owned : bool;
 }
 
+(* One table's AUTO_INCREMENT counter as rollback walks the undone
+   entries, newest first ({!undo_counters}). [above] is the counter just
+   above the entry being walked: the live counter, then each walked
+   entry's pre-statement value (its oldest counter record). That entry
+   left the counter at [post], past its own keys; where [above] stands
+   higher, a kept entry in between drew a key, and [keep] holds the
+   counter above it. An entry that records a counter but inserts no row
+   (an [ALTER TABLE … AUTO_INCREMENT] pin) has no known [post]. *)
+type counter = {
+  auto_col : int option;  (* the AUTO_INCREMENT column's position *)
+  mutable above : int;
+  mutable keep : int;
+  mutable entry : int;  (* the journal [pre] and [post] are of, or -1 *)
+  mutable pre : int;  (* [max_int] until the entry's counter record *)
+  mutable post : int;
+  mutable inserted : bool;
+  mutable moved : bool;  (* some entry recorded a counter *)
+}
+
+let counter_of tbl =
+  {
+    auto_col =
+      Option.bind
+        (Schema.auto_increment_column (Storage.schema tbl))
+        (Storage.column_index tbl);
+    above = Storage.next_auto_value tbl;
+    keep = 0;
+    entry = -1;
+    pre = max_int;
+    post = 0;
+    inserted = false;
+    moved = false;
+  }
+
+let counter_close c =
+  if c.pre <> max_int then begin
+    if c.inserted && c.above > c.post then c.keep <- max c.keep c.above;
+    c.above <- c.pre;
+    c.moved <- true
+  end
+
+(* Move [c] to journal [j], closing the entry walked before it. *)
+let counter_enter c j =
+  if c.entry <> j then begin
+    counter_close c;
+    c.entry <- j;
+    c.pre <- max_int;
+    c.post <- 0;
+    c.inserted <- false
+  end
+
+let counter_record c j v =
+  counter_enter c j;
+  c.pre <- v;
+  c.post <- max c.post v
+
+let counter_insert c j row =
+  match c.auto_col with
+  | Some i when i < Array.length row && not (Value.is_null row.(i)) ->
+      counter_enter c j;
+      c.post <- max c.post (Value.to_int row.(i) + 1);
+      c.inserted <- true
+  | _ -> ()
+
+(* Set the counter rollback leaves, if any undone entry recorded one. *)
+let counter_final tbl c =
+  counter_close c;
+  if c.moved then Storage.set_auto_value tbl (max c.above c.keep)
+
 type pending_table = {
   name : string;
   tbl : Storage.t;
   rows : (int, pending_row) Hashtbl.t;
   mutable floor : int;  (* [next_rowid] as the re-inserts raise it *)
-  mutable auto : int option;  (* the oldest AUTO_INCREMENT record so far *)
+  counter : counter;
 }
 
 (* Bitwise, like the storage's own cell comparison: a row is written
@@ -80,8 +149,8 @@ let same_image a b =
 
 (* Newest-first selective undo leaves each changed cell at the
    before-image of the oldest undone write to it, each row's existence
-   at its oldest undone insert or delete, and each table's counter at
-   its oldest undone AUTO_INCREMENT record. So the records fold, newest
+   at its oldest undone insert or delete, and each table's counter where
+   [counter] leaves it. So the records fold, newest
    first, over a pure per-row state, and each table is written once
    with only the rows whose final image differs from the stored one.
    The hash is a sum of row digests and a row's index postings follow
@@ -111,7 +180,13 @@ let undo_entries cat journals =
               | None -> None
               | Some tbl ->
                   let p =
-                    { name; tbl; rows = Hashtbl.create 16; floor = 0; auto = None }
+                    {
+                      name;
+                      tbl;
+                      rows = Hashtbl.create 16;
+                      floor = 0;
+                      counter = counter_of tbl;
+                    }
                   in
                   Hashtbl.add pending name p;
                   Some p)
@@ -143,7 +218,7 @@ let undo_entries cat journals =
                if same_image r.stored r.now then acc else (id, r.now) :: acc)
              p.rows []);
         if p.floor > 0 then Storage.set_rowid_floor p.tbl p.floor;
-        Option.iter (Storage.set_auto_value p.tbl) p.auto)
+        counter_final p.tbl p.counter)
       pending;
     Hashtbl.reset pending;
     last := None
@@ -153,10 +228,13 @@ let undo_entries cat journals =
     | None -> ()
     | Some p -> f p (row p rowid)
   in
-  let undo u =
+  let undo j u =
     incr records;
     match u with
-    | U_row_insert (name, rowid, _) -> on_row name rowid (fun _ r -> r.now <- None)
+    | U_row_insert (name, rowid, image) ->
+        on_row name rowid (fun p r ->
+            r.now <- None;
+            counter_insert p.counter j image)
     | U_row_delete (name, rowid, image) ->
         on_row name rowid (fun p r ->
             r.now <- Some image;
@@ -183,17 +261,42 @@ let undo_entries cat journals =
                     && not (Value.equal before.(i) after.(i))
                   then img.(i) <- before.(i)
                 done)
-    | U_auto_value (name, v) -> Option.iter (fun p -> p.auto <- Some v) (table name)
+    | U_auto_value (name, v) ->
+        Option.iter (fun p -> counter_record p.counter j v) (table name)
     | U_table_def _ | U_view_def _ | U_proc_def _ | U_trigger_def _
     | U_index_def _ ->
         flush ();
         apply_ddl cat u
   in
-  List.iter (List.iter undo) journals;
+  List.iteri (fun j -> List.iter (undo j)) journals;
   flush ();
   { undo_records = !records; rows_restored = !restored }
 
 let apply_undo cat undos = ignore (undo_entries cat [ undos ] : undo_stats)
+
+let undo_counters cat journals =
+  let counters = Hashtbl.create 8 in
+  let counter name =
+    match Hashtbl.find_opt counters name with
+    | Some _ as c -> c
+    | None ->
+        Option.map
+          (fun tbl ->
+            let c = (tbl, counter_of tbl) in
+            Hashtbl.add counters name c;
+            c)
+          (Catalog.table cat name)
+  in
+  List.iteri
+    (fun j ->
+      List.iter (function
+        | U_auto_value (name, v) ->
+            Option.iter (fun (_, c) -> counter_record c j v) (counter name)
+        | U_row_insert (name, _, row) ->
+            Option.iter (fun (_, c) -> counter_insert c j row) (counter name)
+        | _ -> ()))
+    journals;
+  Hashtbl.iter (fun _ (tbl, c) -> counter_final tbl c) counters
 
 type redone = {
   redo_undo : undo list;

@@ -67,19 +67,36 @@ val undo_entries : Catalog.t -> undo list list -> undo_stats
     first leaves each cell an update changed (before <> after) at the
     before-image of the oldest undone update to it, each row's presence
     at its oldest undone insert or delete (absent, or that delete's
-    image), and each table's AUTO_INCREMENT counter at its oldest undone
-    record. The fold walks the records over a per-row state first read
-    from the catalog, then writes each table once
+    image), and each table's AUTO_INCREMENT counter where
+    {!undo_counters} sets it. The fold walks the records over a per-row
+    state first read from the catalog, then writes each table once
     ({!Storage.restore_many}): only the rows whose final image differs
     from the first one read. The table hash, row digests, scan order,
-    index postings, [next_rowid] and counters come out as applying every
-    record would leave them; a re-insert over a row that is live in the
+    index postings and [next_rowid] come out as applying every record
+    would leave them; a re-insert over a row that is live in the
     folded state replaces it, as {!Storage.insert_with_rowid} does. A
     DDL record is applied as it comes, after the rows pending before it
     are written. Tables absent from the catalog are skipped. *)
 
 val apply_undo : Catalog.t -> undo list -> unit
 (** [undo_entries] of one entry's journal (statement rollback). *)
+
+val undo_counters : Catalog.t -> undo list list -> unit
+(** Set each table's AUTO_INCREMENT counter where rolling back
+    [journals] (newest first, as {!undo_entries} takes them) leaves it,
+    and touch nothing else. [cat]'s counters must be the live ones.
+
+    The rule: the counter falls to the oldest undone entry's
+    pre-statement value, but never to or below a key that a kept entry
+    after it drew. It reads only the undone journals and the live
+    counter, not the kept entries: walking the undone entries newest
+    first, each one that inserted left the counter past its keys, so
+    where the counter just above it (the live one, or the next newer
+    undone entry's pre-statement value) stands higher, kept entries in
+    between raised it, and the counter stays there at least. A key a
+    kept entry set explicitly below the running counter moves nothing,
+    and a counter an undone [ALTER TABLE … AUTO_INCREMENT] pinned has
+    no known value after it, so neither is seen. *)
 
 type redone = {
   redo_undo : undo list;

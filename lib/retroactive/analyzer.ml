@@ -4,7 +4,7 @@ type op = Add of Ast.stmt | Remove | Change of Ast.stmt
 
 type target = { tau : int; op : op }
 
-type mode = Col_only | Row_only | Cell | Joint
+type mode = Col_only | Row_only | Cell
 
 type info = {
   index : int;
@@ -82,12 +82,6 @@ let source_of_store store =
    entry indexes. *)
 type posting = { mutable ids : int array; mutable len : int }
 
-(* One column set's share of a row slot's accesses on a one-dimension
-   table: the entries whose [entry_cols] row is [sp_cols], ascending.
-   [sp_slot] numbers it among every split of the analyzer. Only Joint
-   reads splits, so they are filed from its first question on. *)
-type split = { sp_cols : int array; sp_slot : int; sp_post : posting }
-
 (* One table's row keys: a row key stands for a (table, canonical
    first-RI-dimension value) pair; key 0 is the wildcard, any row. *)
 type table_rows = {
@@ -100,15 +94,11 @@ type table_rows = {
   all : posting array;
       (* every access, wildcard or keyed, laid out as [row_postings]:
          what a wildcard access meets *)
-  wild_splits : split list array;
-  all_splits : split list array;
-      (* on a one-dimension table, [wild] and [all] split by column set,
-         readers at [0] and writers at [1] *)
 }
 
 (* Per-question closure scratch, reused across questions. [mark] and
    [rmark] are epoch-stamped per entry, for the column-wise and the
-   row-wise (or Joint) closure: [epoch] for a member of the current
+   row-wise closure: [epoch] for a member of the current
    closure, [-epoch] for an entry kept out of it. [via_col]/[via_row]
    hold a member's parent in that closure, read only for entries whose
    mark is the current epoch. [opened]/[from] stamp each column slot of
@@ -180,7 +170,7 @@ type t = {
   lo : int Atomic.t;
       (* the lowest entry derived in full, or [max_int] before the first
          pass: every reader of an entry below it derives again *)
-  lock : Mutex.t; (* held while a pass derives, and while Joint files splits *)
+  lock : Mutex.t; (* held while a pass derives *)
   mutable pristine : bool; (* no pass has touched the derived state *)
   obs : Uv_obs.Trace.t; (* [of_source]'s, for passes a reader starts *)
   config : Rowset.config;
@@ -214,12 +204,6 @@ type t = {
          and writers at [4k + 2] among the entries that write columns,
          then the read-only entries' at [4k + 1] and [4k + 3] (which
          join only at group granularity) *)
-  mutable key_splits : split list array;
-      (* on a one-dimension table, row key [k]'s postings split by column
-         set: readers at [2k], writers at [2k + 1] *)
-  mutable split_count : int; (* splits handed out *)
-  splits_filed : bool Atomic.t;
-      (* the splits are filed: from the first Joint question on *)
   mutable row_keys : int; (* row keys handed out, the wildcard included *)
   mutable entry_rows : int array array;
       (* per entry: a run [| header; nr read keys; nw written keys |] per
@@ -310,8 +294,6 @@ let fresh_table_rows ~dim0 ~one_dim =
     key_of = Hashtbl.create 16;
     wild = Array.init 4 (fun _ -> fresh_posting ());
     all = Array.init 4 (fun _ -> fresh_posting ());
-    wild_splits = [| []; [] |];
-    all_splits = [| []; [] |];
   }
 
 let intern_table t table =
@@ -489,47 +471,12 @@ let iter_runs runs f =
     p := !p + 1 + nr + nw
   done
 
-(* File entry [i], on one-dimension tables, in its column set's split
-   of every posting [key_rows] posts it on: writes, then reads (at even
-   [at]) unless the same slot's writers' split already holds [i]. *)
-let file_splits t i =
-  while Array.length t.key_splits < 2 * t.row_keys do
-    t.key_splits <- grow t.key_splits (Array.length t.key_splits) []
-  done;
-  let cols = t.entry_cols.(i - 1) and runs = t.entry_rows.(i - 1) in
-  let held sp = posting_last sp.sp_post = i in
-  let file l at =
-    if not (at land 1 = 0 && List.exists held l.(at + 1)) then
-      match List.find_opt (fun sp -> sp.sp_cols = cols) l.(at) with
-      | Some sp -> if not (held sp) then posting_push sp.sp_post i
-      | None ->
-          let sp_slot = t.split_count and sp_post = { ids = [| i |]; len = 1 } in
-          l.(at) <- { sp_cols = cols; sp_slot; sp_post } :: l.(at);
-          t.split_count <- sp_slot + 1
-  in
-  if Array.length cols > 0 then
-    iter_runs runs (fun tid p nr nw ->
-        let tr = t.table_rows.(tid) in
-        let post side first n =
-          if n > 0 then file tr.all_splits side;
-          if n = 1 && runs.(first) = 0 then file tr.wild_splits side
-          else
-            for j = first to first + n - 1 do
-              file t.key_splits ((2 * runs.(j)) + side)
-            done
-        in
-        if tr.one_dim then begin
-          post 1 (p + 1 + nr) nw;
-          post 0 (p + 1) nr
-        end)
-
 (* Key entry [i]'s rows into [entry_rows] and, if it can ever join a
    closure, post it under each key (a wildcard side under its table's
    wildcard posting), and each non-empty side under its table's [all]:
    writes, then reads unless the same key's (or [wild]'s, [all]'s)
    writers already hold [i] — whoever meets a key's readers also meets
-   its writers. Postings are ascending, so a later entry appends. Once
-   a Joint question has asked for them, the splits are filed too. *)
+   its writers. Postings are ascending, so a later entry appends. *)
 let key_rows t i =
   let runs =
     row_runs t t.runs_buf ~table_id:(intern_table t) ~key:(intern_row t)
@@ -565,8 +512,7 @@ let key_rows t i =
         in
         post 1 (p + 1 + nr) nw;
         post 0 (p + 1) nr)
-  end;
-  if Atomic.get t.splits_filed then file_splits t i
+  end
 
 (* Re-derive the row keys of entries [lo .. last] under merge generation
    [gen], after an RI merge moved canonical values. *)
@@ -576,27 +522,11 @@ let rekey_rows t ~lo ~last gen =
     t.table_rows.(tid) <- fresh_table_rows ~dim0:tr.dim0 ~one_dim:tr.one_dim
   done;
   t.row_postings <- [||];
-  t.key_splits <- [||];
-  t.split_count <- 0;
   t.row_keys <- 1;
   for i = lo to last do
     key_rows t i
   done;
   t.keyed_generation <- gen
-
-(* File the analysed history's splits, once, for the first Joint
-   question. Questions may run concurrently, though never beside a
-   pass: a second Joint question waits on the lock until they are
-   filed, and Row and Cell never read them. *)
-let file_all_splits t =
-  if not (Atomic.get t.splits_filed) then
-    Mutex.protect t.lock (fun () ->
-        if not (Atomic.get t.splits_filed) then begin
-          for i = Atomic.get t.lo to t.n do
-            file_splits t i
-          done;
-          Atomic.set t.splits_filed true
-        end)
 
 (* The slot of an entry not derived in full. *)
 let no_info =
@@ -644,9 +574,6 @@ let create ~config ~obs ?base source =
     col_schema = [||];
     table_rows = [||];
     row_postings = [||];
-    key_splits = [||];
-    split_count = 0;
-    splits_filed = Atomic.make false;
     row_keys = 1;
     entry_rows = [||];
     keyed_generation = Rowset.merge_generation row_state;
@@ -680,9 +607,6 @@ let reset t =
   t.col_schema <- f.col_schema;
   t.table_rows <- f.table_rows;
   t.row_postings <- f.row_postings;
-  t.key_splits <- f.key_splits;
-  t.split_count <- f.split_count;
-  Atomic.set t.splits_filed false;
   t.row_keys <- f.row_keys;
   t.keyed_generation <- f.keyed_generation;
   t.groups <- f.groups;
@@ -993,7 +917,7 @@ type provenance = {
       (* parent in the column-wise closure: Some 0 = the target's own
          sets; Some v = entry v's sets; Some (-v) = joined as a
          transaction-group mate of entry v *)
-  p_row_via : int option; (* ditto, row-wise (or Joint) closure *)
+  p_row_via : int option; (* ditto, row-wise closure *)
 }
 
 type replay_set = {
@@ -1011,8 +935,7 @@ type replay_set = {
 (* ------------------------------------------------------------------ *)
 
 (* The row sweep's slots ([row_sweep]) that precede the schema keys':
-   [2k + side] for row key [k], then four per table. The splits' come
-   after the schema keys'. *)
+   [2k + side] for row key [k], then four per table. *)
 let row_slots t = (2 * t.row_keys) + (4 * Hashtbl.length t.table_ids)
 
 (* Run [f] with the analyzer's closure scratch, grown to the analysed
@@ -1053,7 +976,7 @@ let with_scratch t f =
         }
   in
   let n = t.n and np = 2 * Hashtbl.length t.col_ids in
-  let nr = row_slots t + np + t.split_count in
+  let nr = row_slots t + np in
   if Array.length s.mark < n then begin
     let size = max 64 (if s.mark = [||] then n else 2 * n) in
     s.mark <- Array.make size 0;
@@ -1274,7 +1197,7 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
   !joined
 
 (* A schema key ([_S.*]) one side writes and the other reads or writes:
-   a conflict over wildcard rows (Table B) for both pair predicates. *)
+   a conflict over wildcard rows (Table B). *)
 let schema_conflict (rw : Rwset.rw) (inf : info) =
   let meets a b =
     Rwset.Colset.exists (fun c -> is_schema_key c && Rwset.Colset.mem c b) a
@@ -1282,33 +1205,6 @@ let schema_conflict (rw : Rwset.rw) (inf : info) =
   meets rw.Rwset.w inf.rw.Rwset.r
   || meets rw.Rwset.r inf.rw.Rwset.w
   || meets rw.Rwset.w inf.rw.Rwset.w
-
-(* The columns two column sets conflict through: W∩R ∪ R∩W ∪ W∩W. *)
-let shared_columns (a : Rwset.rw) (b : Rwset.rw) =
-  let inter x y = Rwset.Colset.elements (Rwset.Colset.inter x y) in
-  List.sort_uniq compare
-    (inter a.Rwset.w b.Rwset.r @ inter a.Rwset.r b.Rwset.w
-    @ inter a.Rwset.w b.Rwset.w)
-
-(* Joint's pair conflict past [schema_conflict]: the two entries share a
-   real column (direction-aware) whose table's rows overlap — i.e., they
-   touch a common cell, up to the first-dimension approximation that
-   [Rowset.overlaps] verifies multi-dimensionally. Every such pair
-   overlaps on that table, so it is a [rows_conflict] pair too. *)
-let cells_conflict t (rw : Rwset.rw) rows (inf : info) =
-  List.exists
-    (fun c ->
-      (not (is_schema_key c))
-      &&
-      let table = table_of_col c in
-      match (List.assoc_opt table rows, List.assoc_opt table inf.rows) with
-      | Some mine, Some theirs ->
-          Rowset.overlaps t.row_state table mine `Any_conflict theirs
-      (* a table absent from an entry's row sets is unreachable through
-         the row-wise closure, so it cannot carry a cell conflict either
-         — the same convention keeps Joint inside Cell *)
-      | _ -> false)
-    (shared_columns rw inf.rw)
 
 (* Some table whose row sets overlap multi-dimensionally. *)
 let rows_conflict t rows (inf : info) =
@@ -1334,28 +1230,6 @@ let writes_schema t cols =
 let writes_schema_key t i =
   require_entry t i;
   writes_schema t t.entry_cols.(i - 1)
-
-(* Do the [entry_cols] rows [a] and [b] share a real column of table
-   [tid], one of them writing it? *)
-let shares_column t tid a b =
-  let found = ref false and k = ref 1 in
-  while (not !found) && !k < Array.length a do
-    let c = a.(!k) in
-    if t.col_table.(c) = tid && t.col_row_keyed.(c) then begin
-      let write = !k <= a.(0) and m = ref 1 in
-      while (not !found) && !m < Array.length b do
-        found := b.(!m) = c && (write || !m <= b.(0));
-        incr m
-      done
-    end;
-    incr k
-  done;
-  !found
-
-(* The pair predicate a row sweep closes over, past [schema_conflict]:
-   [rows_conflict] for the row-wise closure, [cells_conflict] for
-   Joint's. *)
-type pair = Rows | Cells
 
 (* Row keys at question time. A target that rewrites an RI value merges
    at question time ([target_rw]); until [extend]'s next batch re-derives
@@ -1384,14 +1258,12 @@ let keyed_now ~local t rows =
   in
   row_runs t (fresh_posting ()) ~table_id ~key rows
 
-(* The row-wise closure, and Joint's, as one ascending sweep over
-   row-key postings, on [col_sweep]'s cursor heap. Every [Cells] pair
-   overlaps on the table whose column it shares, so it is a [Rows] pair
-   too, and the sweep offers every candidate either predicate needs. A
-   member (or the seed, just before τ) taints slots, each from just past
-   it: per table it has rows of, its written keys meet the keys' readers
-   and writers (slots [2k] and [2k + 1], over [row_postings]) and the
-   table's wildcard readers and writers, its read keys the writers only;
+(* The row-wise closure as one ascending sweep over row-key postings,
+   on [col_sweep]'s cursor heap. A member (or the seed, just before τ)
+   taints slots, each from just past it: per table it has rows of, its
+   written keys meet the keys' readers and writers (slots [2k] and
+   [2k + 1], over [row_postings]) and the table's wildcard readers and
+   writers, its read keys the writers only;
    a wildcard side meets the table's [all] posting of that side instead.
    So does every non-empty side after a question-time merge, when the
    postings are still keyed under the older merge state and a key's
@@ -1402,27 +1274,25 @@ let keyed_now ~local t rows =
    shapes writing it.
 
    A posting hit decides the conflict on a schema key, and, under
-   current keys, on a one-dimension table: for [Rows] the rows overlap;
-   for [Cells] the slot's splits are opened in its stead, only those
-   whose column set [shares_column] with the opener's, so Joint pops
-   only the entries it conflicts with. Such a slot opens once per
-   question, its cursor tagged with its opener (again only from below
-   its opening point, as in [col_sweep]), and a live candidate joins.
+   current keys, on a one-dimension table: the rows overlap. Such a
+   slot opens once per question, its cursor tagged with its opener
+   (again only from below its opening point, as in [col_sweep]), and a
+   live candidate joins.
    Elsewhere a candidate that fails against one member may pass against
    a later one that taints the same slot. Such a slot's cursors are
    tagged with the slot, and every member that taints it joins its
    opener list; a cursor opens again only where the open ones have
    passed the member's index (a group mate joining behind the sweep). A
    candidate joins with the smallest opener on the list, below it, that
-   [schema_conflict] or [pair] accepts. The tag's low bit tells the two
-   kinds apart.
+   [schema_conflict] or [rows_conflict] accepts. The tag's low bit tells
+   the two kinds apart.
 
    Pops at one index come in opening order, and ungrouped members join
    in ascending order, so a member's parent ([s.via_row]) is the
    smallest valid one: the target (0), else the earliest member it
    conflicts with, else the group mate it joined with. Returns the
    members in join order; [s.rmark] stamps them with [s.epoch]. *)
-let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
+let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
     ~seed_rows ~grouped ~expand =
   let n = t.n in
   let epoch = s.epoch and mark = s.rmark and via = s.via_row in
@@ -1430,7 +1300,6 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
   let live = live_in t ~grouped ~tau ~mark ~epoch in
   let current = keys_current t in
   let table_slots = 2 * t.row_keys and schema_slots = row_slots t in
-  let split_slots = schema_slots + (2 * Hashtbl.length t.col_ids) in
   let seed_cols = seed_cols t seed_rw in
   s.n_cur <- 0;
   s.n_heap <- 0;
@@ -1473,31 +1342,17 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
     end
   in
   (* Open [slot] for [opener] from [after] on [posts.(at)], and on
-     [posts.(at + 1)], the read-only entries', when grouped; or, for
-     [Cells] where a hit shows the rows of table [tid] to overlap
-     ([overlaps]), the slot's splits [splits.(sat)] that share a column
-     with the opener. *)
-  let open_slot ~opener ~after ~tid ~overlaps slot posts at splits sat =
-    if overlaps && pair = Cells then begin
-      let cols = if opener = 0 then seed_cols else t.entry_cols.(opener - 1) in
-      List.iter
-        (fun sp ->
-          if
-            (grouped || sp.sp_cols.(0) > 0)
-            && shares_column t tid cols sp.sp_cols
-            && claim ~after (split_slots + sp.sp_slot)
-          then open_cursor s sp.sp_post ~after ~tag:(opener lsl 1))
-        splits.(sat)
+     [posts.(at + 1)], the read-only entries', when grouped: decided
+     where a hit shows the rows to overlap ([overlaps]), else listed. *)
+  let open_slot ~opener ~after ~overlaps slot posts at =
+    let fresh, tag =
+      if overlaps then (claim ~after slot, opener lsl 1)
+      else (claim_listed ~opener ~after slot, (slot lsl 1) lor 1)
+    in
+    if fresh then begin
+      open_cursor s posts.(at) ~after ~tag;
+      if grouped then open_cursor s posts.(at + 1) ~after ~tag
     end
-    else
-      let fresh, tag =
-        if overlaps then (claim ~after slot, opener lsl 1)
-        else (claim_listed ~opener ~after slot, (slot lsl 1) lor 1)
-      in
-      if fresh then begin
-        open_cursor s posts.(at) ~after ~tag;
-        if grouped then open_cursor s posts.(at + 1) ~after ~tag
-      end
   in
   (* the postings of side [side] (0 readers, 1 writers) of table [tid]
      that meet [count] keys from [runs.(first)] *)
@@ -1506,17 +1361,14 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
       let tr = t.table_rows.(tid) and table = table_slots + (4 * tid) in
       let overlaps = current && tr.one_dim in
       if (not current) || (count = 1 && runs.(first) = 0) then
-        open_slot ~opener ~after ~tid ~overlaps (table + 2 + side) tr.all
-          (2 * side) tr.all_splits side
+        open_slot ~opener ~after ~overlaps (table + 2 + side) tr.all (2 * side)
       else begin
-        open_slot ~opener ~after ~tid ~overlaps (table + side) tr.wild
-          (2 * side) tr.wild_splits side;
+        open_slot ~opener ~after ~overlaps (table + side) tr.wild (2 * side);
         for j = first to first + count - 1 do
           let slot = (2 * runs.(j)) + side in
           (* a question's own key has no posting *)
           if slot < table_slots then
-            open_slot ~opener ~after ~tid ~overlaps slot t.row_postings
-              (2 * slot) t.key_splits slot
+            open_slot ~opener ~after ~overlaps slot t.row_postings (2 * slot)
         done
       end
     end
@@ -1562,10 +1414,7 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~pair ~tau ~exclude ~seed_rw
         (m.rw, m.rows, writes_schema t t.entry_cols.(o - 1))
     in
     ((ws || writes_schema t t.entry_cols.(i - 1)) && schema_conflict rw inf)
-    ||
-    match pair with
-    | Rows -> rows_conflict t rows inf
-    | Cells -> cells_conflict t rw rows inf
+    || rows_conflict t rows inf
   in
   (* does opener [o] conflict with [i], the index being decided: each
      verdict once, though [o] may open several of [i]'s slots *)
@@ -1718,19 +1567,16 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
   in
   let expand = if grouped then group_expand t else fun _ -> [] in
   let tau = target.tau in
-  if mode = Joint then file_all_splits t;
   with_scratch t @@ fun s ->
   let span name f = Uv_obs.Trace.with_span obs ~cat:"analyze" name f in
   let col_members () =
     span "closure.col" (fun () ->
         col_sweep ~obs t s ~tau ~exclude ~seed_rw ~grouped ~expand)
   in
-  let sweep name pair =
-    span name (fun () ->
-        row_sweep ~obs t s ~pair ~tau ~exclude ~seed_rw ~seed_rows ~grouped
-          ~expand)
+  let row_members () =
+    span "closure.row" (fun () ->
+        row_sweep ~obs t s ~tau ~exclude ~seed_rw ~seed_rows ~grouped ~expand)
   in
-  let row_members () = sweep "closure.row" Rows in
   let joined, col_count, row_count =
     match mode with
     | Col_only ->
@@ -1747,7 +1593,6 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
         ( List.filter (fun i -> s.mark.(i - 1) = s.epoch) jr,
           List.length jc,
           List.length jr )
-    | Joint -> (sweep "closure.cell" Cells, -1, -1)
   in
   let member_indexes = List.sort Int.compare joined in
   let parent ran via i = if ran then Some via.(i - 1) else None in
@@ -1813,6 +1658,13 @@ let shared_tables t (a : Rowset.entry_rows) (b : Rowset.entry_rows) =
             Some (table, values)
           else None)
     a
+
+(* The columns two column sets conflict through: W∩R ∪ R∩W ∪ W∩W. *)
+let shared_columns (a : Rwset.rw) (b : Rwset.rw) =
+  let inter x y = Rwset.Colset.elements (Rwset.Colset.inter x y) in
+  List.sort_uniq compare
+    (inter a.Rwset.w b.Rwset.r @ inter a.Rwset.r b.Rwset.w
+    @ inter a.Rwset.w b.Rwset.w)
 
 let conflict_columns t i j = shared_columns (info t i).rw (info t j).rw
 

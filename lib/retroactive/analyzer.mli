@@ -34,23 +34,12 @@ type op =
 
 type target = { tau : int; op : op }
 
-type mode = Col_only | Row_only | Cell | Joint
-(** [Cell] intersects two independent closures (Theorem E.20); [Joint]
-    closes over the pairwise cell conflict relation instead — a member
-    pulls in an entry only when they conflict both column-wise and
-    row-wise with {e each other}. Joint ⊆ Cell (every joint conflict is a
-    conflict in both constituent closures), and joint ⊇ the true
-    dependency closure (a shared cell implies shared columns and shared
-    rows), so it is sound and at least as tight. It runs on the
-    row-wise closure's sweep with the cell pair verdict in place of
-    {!row_conflict}'s (every cell conflict is a row conflict). On a
-    one-dimension table its postings are split by column set (filed at
-    the first Joint question, then kept by {!extend}) and only the
-    splits sharing a column with a member are opened, so it pops only
-    entries it conflicts with there, however long the history
-    ([test_closure]'s "Joint visits flat on a hot row" gates on this).
-    [Cell] remains the default for bit-for-bit continuity of existing
-    replay-set counts. *)
+type mode = Col_only | Row_only | Cell
+(** Which closure {!replay_set} computes: the column-wise closure alone
+    ([Col_only]), the row-wise closure alone ([Row_only]), or their
+    intersection ([Cell], the paper's replay set, Theorem E.20: the row
+    closure's members that the column closure also reached). [Cell] is
+    the default; the other two are its constituents, each asked alone. *)
 
 type info = {
   index : int;
@@ -229,7 +218,7 @@ val target_rw : t -> target -> Rwset.rw * Rowset.entry_rows
     taken on the analyzer's RI state, so one that rewrites an RI value
     merges it there. Until the next {!extend} batch re-derives the row
     keys, the postings stay keyed under the older state, so questions
-    work around them: {!replay_set}'s row sweep (Row, Cell and Joint)
+    work around them: {!replay_set}'s row sweep ([Row_only] and [Cell])
     meets each asker's non-empty side with every access of its table on
     the other side and lets the pair predicate decide under the current
     state, and {!replay_dag} keys its members per call. *)
@@ -241,14 +230,11 @@ type provenance = {
           [v > 0] — otherwise, entry [v] is the earliest member it
           conflicts with column-wise; [Some (-v)] — it conflicts with
           neither and joined as a transaction-group mate of entry [v]
-          (grouped only). [None] in modes without a column closure
-          ([Row_only], [Joint]). *)
+          (grouped only). [None] in [Row_only]. *)
   p_row_via : int option;
       (** parent in the row-wise closure, exact like [p_col_via] ([0],
           [v] and [-v] as above, for the row-wise pair predicate
-          {!row_conflict}). In [Joint], the cell-conflict closure's
-          parent, exact in the same way for the cell pair predicate.
-          [None] in [Col_only]. *)
+          {!row_conflict}). [None] in [Col_only]. *)
 }
 (** Why a member joined. Because the cell-wise set is the intersection
     of two independently computed closures (Theorem E.20), a member
@@ -284,11 +270,11 @@ val replay_set :
     entries sharing a tag join or stay out of 𝕀 as a unit, and a tagged
     read-only entry may join with its group.
 
-    [obs] records one [closure.col]/[closure.row] ([closure.cell] for
-    [Joint]) span per closure run, counts the members each closure
-    processes in [analyze.closure_iters], and the posting entries the
-    column and the row sweep pop (Joint's included) in
-    [analyze.closure_col_visits] and [analyze.closure_row_visits].
+    [obs] records one [closure.col]/[closure.row] span per closure run,
+    counts the members each closure processes in
+    [analyze.closure_iters], and the posting entries the column and the
+    row sweep pop in [analyze.closure_col_visits] and
+    [analyze.closure_row_visits].
 
     Cost: the column-wise closure is one ascending sweep over statement
     shapes, O(|C|) shape-posting entries: each column a member (or the
@@ -302,10 +288,7 @@ val replay_set :
     {!row_conflict} verifies one on a multi-dimension table (on every
     table after a question-time merge, see {!target_rw}), against the
     members that opened the posting in ascending order, up to the first
-    that conflicts. Joint's closure is the same sweep with the cell pair
-    predicate: where a key hit already shows the rows overlap, it opens
-    only the key's splits whose column set shares a column with the
-    member's, and a hit decides; elsewhere it verifies.
+    that conflicts.
     Membership and parents live in per-analyzer scratch arrays stamped
     per question, grown only when the history outgrows them, so a
     question allocates and clears nothing of the history's length. *)

@@ -80,12 +80,3 @@ let execute eng stmts plan =
               None)
         wave)
     plan.waves
-
-let pp fmt p =
-  Format.fprintf fmt "%d statements, %d waves (parallelism %.1fx, %d conflicts)@."
-    p.statements (wave_count p) (parallelism p) p.conflict_edges;
-  List.iteri
-    (fun w ids ->
-      Format.fprintf fmt "  wave %d: %s@." w
-        (String.concat ", " (List.map string_of_int ids)))
-    p.waves

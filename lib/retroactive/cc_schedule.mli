@@ -40,5 +40,3 @@ val execute :
     order — any order is equivalent by construction). Returns results in
     execution order with their batch indexes. Failed statements are
     skipped. *)
-
-val pp : Format.formatter -> plan -> unit

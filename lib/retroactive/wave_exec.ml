@@ -356,9 +356,11 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
        images and keep the set empty, so the rest can only repeat
        history. [stoppable] drops for good at the first private insert.
        Every member ahead of [pending] has run or is quiet, and quietness
-       never changes, so the cursor passes each member once. *)
+       never changes, so the cursor passes each member once. A deferred
+       [undo] comes with the caller's verdict that every member is quiet,
+       so the cursor starts past them all. *)
     let stoppable = ref (redo <> None) in
-    let pending = ref items in
+    let pending = ref (if Option.is_none undo then items else []) in
     let rec all_quiet r =
       match !pending with
       | [] -> true

@@ -118,7 +118,9 @@ val execute :
 
     [undo], a rollback not yet applied to [catalog], is applied before
     anything runs, unless the replay stops before its first member; then
-    {!complete} applies it to its copy.
+    {!complete} applies it to its copy. A caller passes it only when it
+    has found every item quiet ({!Redo.quiet}) against [redo]: the
+    replay trusts that verdict and does not walk the items again.
 
     [check] runs before every item in commit order and at every wave
     boundary on the DAG schedule; whatever it raises stops the replay

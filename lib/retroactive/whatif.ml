@@ -119,22 +119,6 @@ let dml_only ~analyzer target members =
          && not (Analyzer.writes_schema_key analyzer i))
        members
 
-(* Set [cat]'s AUTO_INCREMENT counters where selective undo of
-   [undo_list] (newest first) sets them: it applies entries newest-first,
-   so the oldest undone entry's journalled pre-statement value wins. *)
-let undo_counters log cat undo_list =
-  List.iter
-    (fun i ->
-      List.iter
-        (function
-          | Uv_db.Log.U_auto_value (name, v) ->
-              Option.iter
-                (fun st -> Uv_db.Storage.set_auto_value st v)
-                (Uv_db.Catalog.table cat name)
-          | _ -> ())
-        (Uv_db.Log.entry log i).Uv_db.Log.undo)
-    undo_list
-
 (* Checkpoint-jumping rollback (strategy B): instead of undoing every
    member newest-first, jump each affected table back to the nearest
    checkpoint rung below the oldest undone entry and redo the
@@ -149,11 +133,10 @@ let undo_counters log cat undo_list =
    A non-member writing the same *cell* as a member would have joined
    the replay set through the W∩W rule in both closures, so per-cell
    merges commute and both strategies leave identical cell values.
-   AUTO_INCREMENT counters are pinned to what the undo path would have
-   left (the pre-statement value journalled by the oldest undone entry
-   that records one; live otherwise), and the rowid allocator is raised
+   AUTO_INCREMENT counters are set from the live ones as the undo path
+   sets them ([Log.undo_counters]), and the rowid allocator is raised
    back to its live watermark, as undo leaves it. *)
-let checkpoint_rollback ladder log temp_cat undo_list =
+let checkpoint_rollback ladder log temp_cat undo_list undo_journals =
   match List.rev undo_list with
   | [] -> false
   | oldest :: _ -> (
@@ -224,7 +207,7 @@ let checkpoint_rollback ladder log temp_cat undo_list =
                     Uv_db.Storage.set_rowid_floor tbl
                       (Uv_db.Storage.next_rowid live_tbl))
               temp_tables;
-            undo_counters log temp_cat undo_list;
+            Uv_db.Log.undo_counters temp_cat undo_journals;
             true
           end)
 
@@ -414,13 +397,13 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
         let jumped =
           match Uv_db.Engine.checkpoints eng with
           | Some ladder when undo_list <> [] && not deferred ->
-              checkpoint_rollback ladder log temp_cat undo_list
+              checkpoint_rollback ladder log temp_cat undo_list undo_journals
           | _ -> false
         in
         let stats =
           if jumped || deferred then begin
             if jumped then Uv_obs.Trace.incr obs "whatif.checkpoint_jumps"
-            else undo_counters log temp_cat undo_list;
+            else Uv_db.Log.undo_counters temp_cat undo_journals;
             { Uv_db.Log.undo_records = 0; rows_restored = 0 }
           end
           else Uv_db.Log.undo_entries temp_cat undo_journals

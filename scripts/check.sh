@@ -125,13 +125,13 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 
 # the replay-set closure against a pairwise reference that shares no
 # index with the analyzer: members, counts, touched tables and parents
-# in all four modes (Joint against a closure over the pairwise cell
-# conflict, and inside Cell), grouped and not, with the row sweep's
-# parents, Joint's included, as exact as the column sweep's (the
+# in all three modes (Col_only, Row_only and Cell), grouped and not,
+# with the row sweep's parents as exact as the column sweep's (the
 # smallest valid one); a
 # hand-built history (an out-of-order group mate, a column no entry
-# has, a schema-key conflict, wildcard-dimension rows, a row read
-# meeting another's row write); an analyzer extended across RI merges
+# has, a schema-key conflict, and, asked of Row_only and Cell,
+# wildcard-dimension rows and a row read meeting another's row write);
+# an analyzer extended across RI merges
 # (UPDATEs rewriting RI values the prefix was keyed under) answering
 # like a fresh one and the reference in every mode: members, parents,
 # row postings popped, replay DAG edges and waves; a target rewriting an
@@ -139,11 +139,12 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # reference with exact parents, each mode's replay DAG == the
 # string-keyed reference); per warm question, equal at 1 008 and
 # 4 008 history entries: shape-posting entries the column sweep visits,
-# row postings the row sweep pops (Joint's too), and the
+# row postings the row sweep pops, and the
 # words allocated straight into the major heap (Cell through the
-# service, Joint and grouped directly); Joint's row postings popped on a
-# hot row, only its members and the excluded target however many
-# column-disjoint writes to the row pad the history; per ungrouped
+# service, grouped Cell directly); a Cell question on a hot row: its
+# members, and the shape postings its column sweep visits, only its
+# members and the excluded target however many column-disjoint writes
+# to the row pad the history; per ungrouped
 # Col_only and Cell question on the padded history and the fixtures,
 # column visits at
 # most the members plus the excluded target; analyzers extended across
@@ -152,8 +153,8 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # a generated property over small histories of a one- and a
 # two-dimension table (alias column, wildcard writes, RI rewrites in
 # the history and in the question, transaction groups, one
-# first-dimension key with several second keys): Row_only, Cell and
-# Joint members, counts and exact parents == the pairwise reference,
+# first-dimension key with several second keys): Row_only and Cell
+# members, counts and exact parents == the pairwise reference,
 # grouped and not, shrinking a failure to a minimal
 # history; on the same generated histories, the replay DAG over every
 # entry and over each target's grouped Cell replay set orders every
@@ -163,7 +164,7 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # and the replay DAG of one hot read-only key (10, then 1 000 readers
 # and a write): cell visits and minor words grow with the accesses, not
 # 64 steps a read, and stay put behind ten times the history
-step "closure smoke: replay sets and exact provenance of the column and row sweeps == pairwise reference (Joint too), extend across an RI merge == fresh, question-time RI merge == reference in every mode, allocation flat in history, Joint pops flat on a hot row, column visits <= members plus excluded, extend across DDL == reference, generated row-closure and replay-DAG ordering properties, group mate behind the row sweep, replay DAG cell visits linear on a hot key" \
+step "closure smoke: replay sets and exact provenance of the column and row sweeps == pairwise reference (Col_only, Row_only, Cell), extend across an RI merge == fresh, question-time RI merge == reference in every mode, allocation flat in history, Cell column visits flat on a hot row, column visits <= members plus excluded, extend across DDL == reference, generated row-closure and replay-DAG ordering properties, group mate behind the row sweep, replay DAG cell visits linear on a hot key" \
   dune exec test/test_closure.exe
 
 # the analyzer's per-shape memo against direct derivation: every
@@ -454,11 +455,11 @@ store_smoke() {
 step "store smoke: segmented save, damaged chunk, salvage" store_smoke
 
 # the segmented store under analysis: over an AStore history in eight
-# segments, analysers sourced from the store give the log-sourced Joint
-# replay sets, Joint stays inside Cell, Joint and Cell what-ifs on a
-# store-replayed engine end in one universe hash, and the streamed
-# analysis holds at most the largest segment resident
-step "store analysis: streamed replay sets, Joint == Cell hash, one segment resident" \
+# segments, analysers sourced from the store give the log-sourced Cell
+# replay sets, the Cell what-if on a store-replayed engine ends in the
+# original engine's universe hash, and the streamed analysis holds at
+# most the largest segment resident
+step "store analysis: streamed Cell replay sets, store-replayed == original Cell hash, one segment resident" \
   dune exec test/test_store.exe -- test analysis
 
 # the replay set's cost tracks the replay set, not the history, on the

@@ -3,12 +3,10 @@
 
    The reference closure below shares nothing with the analyzer's shape
    and row-key postings: every later live entry is offered as a candidate
-   and kept when the pair-conflict predicate holds — column-wise, row-wise,
-   or (for Joint) the cell conflict, computed here from the column sets
-   and the one-table row predicate. The analyzer must agree with it on
-   members, counts, touched tables and parents in every mode, grouped and
-   not, at τ spread over the whole history, for removals, additions and
-   changes. *)
+   and kept when the pair-conflict predicate holds, column-wise or
+   row-wise. The analyzer must agree with it on members, counts, touched
+   tables and parents in every mode, grouped and not, at τ spread over
+   the whole history, for removals, additions and changes. *)
 
 open Uv_db
 open Uv_retroactive
@@ -77,42 +75,13 @@ let col_conflict (a : Rwset.rw) (b : Rwset.rw) =
 
 let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
 
-(* The cell conflict, from the column sets and the one-table row
-   predicate: a shared schema key, or a column the two share
-   (direction-aware) whose table's row sets overlap. A table missing
-   from either side's rows carries no cell conflict. *)
-let cell_conflict anl ((rw : Rwset.rw), rows) (inf : Analyzer.info) =
-  let shared dir_a dir_b = Colset.inter dir_a dir_b in
-  let all =
-    Colset.union
-      (shared rw.Rwset.w inf.Analyzer.rw.Rwset.r)
-      (Colset.union
-         (shared rw.Rwset.w inf.Analyzer.rw.Rwset.w)
-         (shared rw.Rwset.r inf.Analyzer.rw.Rwset.w))
-  in
-  Colset.exists
-    (fun c ->
-      is_schema_key c
-      ||
-      let table = String.sub c 0 (String.index c '.') in
-      match
-        (List.assoc_opt table rows, List.assoc_opt table inf.Analyzer.rows)
-      with
-      | Some mine, Some theirs ->
-          Analyzer.row_conflict anl Rwset.empty
-            [ (table, mine) ]
-            { inf with Analyzer.rows = [ (table, theirs) ] }
-      | _ -> false)
-    all
-
-type kind = Col | Row | Cell_pair
+type kind = Col | Row
 
 let conflict anl kind ((rw : Rwset.rw), rows) j =
   let inf = Analyzer.info anl j in
   match kind with
   | Col -> col_conflict rw inf.Analyzer.rw
   | Row -> Analyzer.row_conflict anl rw rows inf
-  | Cell_pair -> cell_conflict anl (rw, rows) inf
 
 (* entries sharing each application transaction tag, ascending *)
 let groups anl =
@@ -238,7 +207,6 @@ let reference anl ~mode ~grouped ~group_of ~closure target =
     | Analyzer.Cell ->
         let c = closure Col and r = closure Row in
         (List.filter (fun i -> List.mem i c) r, List.length c, List.length r)
-    | Analyzer.Joint -> (closure Cell_pair, -1, -1)
   in
   let (seed_rw : Rwset.rw), _ = fst (seed_of anl ~grouped ~group_of target) in
   let rws =
@@ -272,7 +240,7 @@ let check_against_reference ~label anl ~mode ~grouped ~group_of ~closure target
   check strs (label ^ " mutated") mutated rs.Analyzer.mutated;
   check strs (label ^ " consulted") consulted rs.Analyzer.consulted
 
-(* Column-wise, row-wise and Joint parents are exact: the smallest valid
+(* Column-wise and row-wise parents are exact: the smallest valid
    conflict parent (0 = the target, then members of the same closure in
    index order); a group mate's parent only when the member conflicts
    with neither the target nor an earlier member. A mode without a
@@ -317,7 +285,6 @@ let check_provenance ~label anl ~mode ~grouped ~group_of ~closure target
       | Analyzer.Col_only ->
           if p.Analyzer.p_row_via <> None then
             Alcotest.failf "%s: #%d has a row-wise parent" label i
-      | Analyzer.Joint -> exact Cell_pair "cell" i p.Analyzer.p_row_via
       | Analyzer.Row_only | Analyzer.Cell ->
           exact Row "row-wise" i p.Analyzer.p_row_via)
     rs.Analyzer.member_indexes rs.Analyzer.provenance
@@ -327,34 +294,24 @@ let modes =
     (Analyzer.Col_only, "col-only");
     (Analyzer.Row_only, "row-only");
     (Analyzer.Cell, "cell");
-    (Analyzer.Joint, "joint");
   ]
 
 (* One question in every mode, grouped and not: members, counts, touched
-   tables and parents equal the reference's, and Joint ⊆ Cell. *)
+   tables and parents equal the reference's. *)
 let check_question ~label anl ~group_of target =
   List.iter
     (fun grouped ->
       let label = label ^ if grouped then " grouped" else "" in
       let closure = reference_closures anl ~grouped ~group_of target in
-      let sets =
-        List.map
-          (fun (mode, mode_name) ->
-            let label = label ^ " " ^ mode_name in
-            let rs = Analyzer.replay_set ~mode ~grouped anl target in
-            check_against_reference ~label anl ~mode ~grouped ~group_of
-              ~closure target rs;
-            check_provenance ~label anl ~mode ~grouped ~group_of ~closure
-              target rs;
-            (mode, rs.Analyzer.member_indexes))
-          modes
-      in
-      let cell = List.assoc Analyzer.Cell sets in
       List.iter
-        (fun i ->
-          if not (List.mem i cell) then
-            Alcotest.failf "%s: joint member #%d is outside Cell" label i)
-        (List.assoc Analyzer.Joint sets))
+        (fun (mode, mode_name) ->
+          let label = label ^ " " ^ mode_name in
+          let rs = Analyzer.replay_set ~mode ~grouped anl target in
+          check_against_reference ~label anl ~mode ~grouped ~group_of ~closure
+            target rs;
+          check_provenance ~label anl ~mode ~grouped ~group_of ~closure target
+            rs)
+        modes)
     [ false; true ]
 
 (* Two analysed histories per workload, shared by the tests below: raw
@@ -417,44 +374,6 @@ let test_provenance_digest () =
   check Alcotest.string "provenance unchanged" expected_provenance_digest
     (provenance_digest ())
 
-(* Joint asked of an analyzer built on half of each fixture's history,
-   then asked again after [extend] grew it to the whole, answers like an
-   analyzer built on the whole: the row postings grow with [extend], and
-   the closure scratch the first question sized grows with the next. *)
-let test_joint_after_extend () =
-  List.iter
-    (fun (name, (w : W.t), mode) ->
-      let eng, base = build w ~mode ~n:60 in
-      let log = Engine.log eng in
-      let full = Log.length log in
-      let len = ref (full / 2) in
-      let grown =
-        Analyzer.of_source ~config:w.W.ri_config ~base
-          (Analyzer.source_of_fun ~length:(fun () -> !len) (Log.entry log))
-      in
-      let joint anl target =
-        (Analyzer.replay_set ~mode:Analyzer.Joint anl target)
-          .Analyzer.member_indexes
-      in
-      ignore (joint grown { Analyzer.tau = 1; op = Analyzer.Remove });
-      len := full;
-      ignore (Analyzer.extend grown : int);
-      let fresh = Analyzer.analyze ~config:w.W.ri_config ~base log in
-      List.iter
-        (fun target ->
-          check
-            Alcotest.(list int)
-            (Printf.sprintf "%s %s joint" name (target_name target))
-            (joint fresh target) (joint grown target))
-        (targets fresh))
-    (List.concat_map
-       (fun (w : W.t) ->
-         [
-           (w.W.name ^ " raw", w, R.Raw);
-           (w.W.name ^ " transpiled", w, R.Transpiled);
-         ])
-       (W.all ()))
-
 let run ?app_txn e sql = ignore (Engine.exec_sql ?app_txn e sql)
 
 (* [extend] across an RI merge: the first [split] entries merge nothing;
@@ -462,10 +381,10 @@ let run ?app_txn e sql = ignore (Engine.exec_sql ?app_txn e sql)
    5 ~ 6) and later entries reach the old rows under the new values.
    Rows 7 and 8 do not exist, but the prefix already accessed them, so
    the merges move values the prefix was keyed under. An analyzer built
-   on the prefix — and asked a Joint question there — and then extended
-   must answer every question like a fresh one (members, parents, row
-   postings popped, Joint's included, and the replay DAG's edges and
-   waves) and like the pairwise reference. *)
+   on the prefix — and asked a question there — and then extended must
+   answer every question like a fresh one (members, parents, row
+   postings popped, and the replay DAG's edges and waves) and like the
+   pairwise reference. *)
 let test_extend_across_merge () =
   let e = Engine.create () in
   run e "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
@@ -519,8 +438,7 @@ let test_extend_across_merge () =
   check Alcotest.int "the prefix merges nothing" 0
     (Analyzer.row_merge_generation grown);
   ignore
-    (Analyzer.replay_set ~mode:Analyzer.Joint grown
-       { Analyzer.tau = 1; op = Analyzer.Remove });
+    (Analyzer.replay_set grown { Analyzer.tau = 1; op = Analyzer.Remove });
   len := full;
   ignore (Analyzer.extend grown : int);
   let fresh = Analyzer.analyze ~config ~base log in
@@ -679,12 +597,12 @@ let test_question_time_merge () =
      earliest column-wise parent is then #2, not #4.
    - #7 writes the schema key [_S.t] that every later statement on [t]
      reads.
-   Row shapes for Joint's cell pair verdict, on tables of their own:
+   Row shapes for the row sweep, on tables of their own:
    - [z] is configured with no RI column, so its accesses carry one
      wildcard dimension against a configured count of zero (#11, #12);
    - #13 calls [mv], which reads [p] row 2 and writes [p.a] of row 1:
-     its row sets are r={1,2}, w={1}, so it cell-conflicts with #15,
-     which writes [p.a] of row 2;
+     its row sets are r={1,2}, w={1}, so it conflicts with #15, which
+     writes [p.a] of row 2, through its read of row 2 alone;
    - #16 and #17 form transaction U; #16 only reads. *)
 let hand_built () =
   let e = Engine.create () in
@@ -787,23 +705,29 @@ let test_hand_built () =
   check
     Alcotest.(list int)
     "the schema change's readers replay" [ 8; 10 ] schema.Analyzer.member_indexes;
-  let joint ?(grouped = false) tau op =
-    (Analyzer.replay_set ~mode:Analyzer.Joint ~grouped anl
-       { Analyzer.tau; op })
-      .Analyzer.member_indexes
+  (* each case in Row_only and Cell: the analyzer's members, the pairwise
+     reference's, and the set they must both be *)
+  let row_case label ?(grouped = false) tau op expected =
+    let target = { Analyzer.tau; op } in
+    let closure = reference_closures anl ~grouped ~group_of target in
+    List.iter
+      (fun mode ->
+        let label = label ^ " " ^ List.assoc mode modes in
+        let members, _, _, _, _ =
+          reference anl ~mode ~grouped ~group_of ~closure target
+        in
+        check Alcotest.(list int) (label ^ ", reference") expected members;
+        check Alcotest.(list int) label expected
+          (Analyzer.replay_set ~mode ~grouped anl target)
+            .Analyzer.member_indexes)
+      [ Analyzer.Row_only; Analyzer.Cell ]
   in
   (* #15 meets #13 only through #13's read of row 2 *)
-  check
-    Alcotest.(list int)
-    "a row read meets another's row write" [ 13; 14; 15 ]
-    (joint 13 (Analyzer.Add p_row1));
-  check
-    Alcotest.(list int)
-    "a read-only group member joins with its mate" [ 13; 14; 15; 16; 17 ]
-    (joint ~grouped:true 13 (Analyzer.Add p_row1));
-  check
-    Alcotest.(list int)
-    "wildcard-dimension rows meet" [ 12; 17 ] (joint 11 Analyzer.Remove)
+  row_case "a row read meets another's row write" 13 (Analyzer.Add p_row1)
+    [ 13; 14; 15 ];
+  row_case "a read-only group member joins with its mate" ~grouped:true 13
+    (Analyzer.Add p_row1) [ 13; 14; 15; 16; 17 ];
+  row_case "wildcard-dimension rows meet" 11 Analyzer.Remove [ 12; 17 ]
 
 (* ------------------------------------------------------------------ *)
 (* A warm question's cost does not follow the history length            *)
@@ -963,16 +887,14 @@ let test_col_visits_join () =
   visits_bounded "padded" (Analyzer.analyze ~base (Engine.log e));
   List.iter (fun (name, anl) -> visits_bounded name anl) (Lazy.force fixtures)
 
-(* Row visits of one warm question: postings the row sweep pops, Joint's
-   included. *)
-let row_visits_of_question ~pad ~mode =
+(* Row visits of one warm question: postings the row sweep pops. *)
+let row_visits_of_question ~pad =
   let obs = Uv_obs.Trace.create () in
   let e, base = padded_history ~pad in
   let anl = Analyzer.analyze ~base (Engine.log e) in
   let ask () =
     ignore
-      (Analyzer.replay_set ~obs ~mode anl
-         { Analyzer.tau = 1; op = Analyzer.Remove })
+      (Analyzer.replay_set ~obs anl { Analyzer.tau = 1; op = Analyzer.Remove })
   in
   ask ();
   let before = Uv_obs.Trace.counter_value obs "analyze.closure_row_visits" in
@@ -980,15 +902,10 @@ let row_visits_of_question ~pad ~mode =
   Uv_obs.Trace.counter_value obs "analyze.closure_row_visits" - before
 
 let test_row_visits_flat_in_history () =
-  List.iter
-    (fun (mode, name) ->
-      let small = row_visits_of_question ~pad:1000 ~mode in
-      let large = row_visits_of_question ~pad:4000 ~mode in
-      if small = 0 then Alcotest.failf "the %s sweep popped nothing" name;
-      check Alcotest.int
-        (name ^ " row visits, 1 008 vs 4 008 entries")
-        small large)
-    [ (Analyzer.Cell, "row-wise"); (Analyzer.Joint, "Joint") ]
+  let small = row_visits_of_question ~pad:1000 in
+  let large = row_visits_of_question ~pad:4000 in
+  if small = 0 then Alcotest.fail "the row sweep popped nothing";
+  check Alcotest.int "row visits, 1 008 vs 4 008 entries" small large
 
 (* One Cell removal on a workload history of [n] calls at [dep_rate]
    (Raw mode, PRNG seed 92), at the first writer up to 80 whose removal
@@ -1054,9 +971,9 @@ let test_row_visits_flat_on_workloads () =
           w.W.name growth small big)
     (W.all ())
 
-(* Joint's sweep pops on a hot row, and its members: the target and a
-   chain write [a.v] of row 1, and [pad] entries between each two of
-   them write only [a.w] of the same row. *)
+(* A Cell question's column visits on a hot row, and its members: the
+   target and a chain write [a.v] of row 1, and [pad] entries between
+   each two of them write only [a.w] of the same row. *)
 let hot_row_visits ~pad =
   let e = Engine.create () in
   run e "CREATE TABLE a (id INT PRIMARY KEY, v INT, w INT)";
@@ -1072,23 +989,24 @@ let hot_row_visits ~pad =
   let anl = Analyzer.analyze ~base (Engine.log e) in
   let obs = Uv_obs.Trace.create () in
   let rs =
-    Analyzer.replay_set ~obs ~mode:Analyzer.Joint anl
+    Analyzer.replay_set ~obs ~mode:Analyzer.Cell anl
       { Analyzer.tau = 1; op = Analyzer.Remove }
   in
-  ( Uv_obs.Trace.counter_value obs "analyze.closure_row_visits",
+  ( Uv_obs.Trace.counter_value obs "analyze.closure_col_visits",
     rs.Analyzer.member_count )
 
 (* Every padding entry meets the chain's row, but shares no column with
-   it: Joint pops only the chain, the excluded target included, however
-   long the padding. *)
-let test_joint_visits_hot_row () =
+   it: the column closure keeps the padding out of Cell, and its sweep
+   visits only the chain, the excluded target included, however long
+   the padding. *)
+let test_cell_visits_hot_row () =
   List.iter
     (fun pad ->
       let visits, members = hot_row_visits ~pad in
-      check Alcotest.int (Printf.sprintf "Joint members, padded %d" pad) 7
+      check Alcotest.int (Printf.sprintf "Cell members, padded %d" pad) 7
         members;
       check Alcotest.int
-        (Printf.sprintf "Joint row visits, padded %d" pad)
+        (Printf.sprintf "Cell column visits, padded %d" pad)
         8 visits)
     [ 10; 100 ]
 
@@ -1177,9 +1095,7 @@ let test_cost_flat_in_history () =
           name small_major (n + 8) large_major ((4 * n) + 8))
     [
       (`Service, "Cell through the service");
-      (`Direct (Analyzer.Joint, false), "Joint");
       (`Direct (Analyzer.Cell, true), "grouped Cell");
-      (`Direct (Analyzer.Joint, true), "grouped Joint");
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -2092,7 +2008,7 @@ let closure_case (history, extra) =
   in
   (anl, targets)
 
-(* On a generated case, Row_only, Cell and Joint members, counts,
+(* On a generated case, Row_only and Cell members, counts,
    touched tables and exact parents equal the pairwise reference,
    grouped and not, at every target. *)
 let row_closure_holds case =
@@ -2122,8 +2038,7 @@ let row_closure_holds case =
                [%s]: %s"
               label
               (members rs.Analyzer.member_indexes)
-              (members
-                 (closure (if mode = Analyzer.Joint then Cell_pair else Row)))
+              (members (closure Row))
               (String.concat "; "
                  (List.map
                     (fun (p : Analyzer.provenance) -> via p.Analyzer.p_row_via)
@@ -2133,7 +2048,7 @@ let row_closure_holds case =
            (fun grouped ->
              List.map
                (fun mode -> (grouped, mode))
-               [ Analyzer.Row_only; Analyzer.Cell; Analyzer.Joint ])
+               [ Analyzer.Row_only; Analyzer.Cell ])
            [ false; true ]))
     targets;
   true
@@ -2531,8 +2446,6 @@ let () =
             Alcotest.test_case "provenance digest" `Quick
               test_provenance_digest;
             Alcotest.test_case "hand-built history" `Quick test_hand_built;
-            Alcotest.test_case "Joint index kept by extend" `Quick
-              test_joint_after_extend;
             Alcotest.test_case "extend across an RI merge" `Quick
               test_extend_across_merge;
             Alcotest.test_case "question-time RI merge" `Quick
@@ -2554,8 +2467,8 @@ let () =
             test_row_visits_flat_in_history;
           Alcotest.test_case "row visits flat on workload histories" `Quick
             test_row_visits_flat_on_workloads;
-          Alcotest.test_case "Joint visits flat on a hot row" `Quick
-            test_joint_visits_hot_row;
+          Alcotest.test_case "Cell column visits flat on a hot row" `Quick
+            test_cell_visits_hot_row;
           Alcotest.test_case "replay DAG cell visits linear on a hot key"
             `Quick test_dag_visits_hot_key;
         ] );

@@ -1480,9 +1480,10 @@ let test_redo_stale_where () =
    before the first member, every member is a plain UPDATE, and the
    replay stops there without building the replay DAG, and without
    rolling anything back. In the second history a skipped member draws
-   a key and a later non-member raises the counter past another: the
-   universe's counter is the one rollback and replay leave (check_redo),
-   read from the journals. *)
+   a key and a later non-member draws the next: the universe's counter
+   is the one rollback and replay leave (check_redo), read from the
+   journals, and stays past the non-member's key, as the full-replay
+   oracle's does, so a branch's next insert into [t] draws a free key. *)
 let test_stop_noop_tau () =
   let e, analyzer =
     redo_history
@@ -1523,26 +1524,52 @@ let test_stop_noop_tau () =
       check Alcotest.int (where ^ "rollback deferred") 0
         (counter "rollback.undo_records"))
     [ 1; 2 ];
+  let setup =
+    [
+      "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
+      "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
+      "INSERT INTO t (v) VALUES (0)";
+      "INSERT INTO u VALUES (1, 0)";
+    ]
+  in
   let e, analyzer =
-    redo_history
-      [
-        "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
-        "CREATE TABLE u (id INT PRIMARY KEY, w INT)";
-        "INSERT INTO t (v) VALUES (0)";
-        "INSERT INTO u VALUES (1, 0)";
-      ]
+    redo_history setup
       [
         "UPDATE u SET w = 9 WHERE id = 99";
         "INSERT INTO t (v) VALUES ((SELECT COUNT(*) FROM u WHERE w < 100))";
         "INSERT INTO t (v) VALUES (7)";
       ]
   in
-  List.iter
-    (fun out ->
+  let base =
+    let b = Engine.create () in
+    List.iter (run b) setup;
+    Engine.snapshot b
+  in
+  let auto cat = Storage.next_auto_value (Option.get (Catalog.table cat "t")) in
+  let want = auto (Engine.catalog (oracle e base ~skip:1)) in
+  check Alcotest.int "the oracle's counter passes the non-member's key" 4 want;
+  List.iter2
+    (fun workers out ->
       check Alcotest.(list int) "members" [ 2 ]
         out.Whatif.replay.Analyzer.member_indexes;
       check stop_at "stopped before the first member" (Some (0, 1))
-        out.Whatif.stop_at)
+        out.Whatif.stop_at;
+      check Alcotest.int
+        (Printf.sprintf "workers=%d: counter == the oracle's" workers)
+        want (auto out.Whatif.temp_catalog);
+      let branch, _ =
+        Scenario.branch
+          ~config:(Whatif.Config.make ~workers ())
+          (Scenario.root ~base e) (remove 1)
+      in
+      match
+        Engine.exec_sql (Scenario.engine branch) "INSERT INTO t (v) VALUES (1)"
+      with
+      | _ -> ()
+      | exception Engine.Sql_error err ->
+          Alcotest.failf "workers=%d: the branch's next insert into t: %s"
+            workers err)
+    [ 1; 2; 4; 8 ]
     (check_redo ~label:"no-op tau, inserting member" e analyzer (remove 1)
        [ 1; 2; 4; 8 ])
 

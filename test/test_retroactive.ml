@@ -475,7 +475,7 @@ let test_view_dml_fires_base_triggers () =
       check table_testable (name ^ ": final state equals oracle")
         (all_hashes truth)
         (all_hashes (merged_universe e out)))
-    [ (Analyzer.Cell, "Cell"); (Analyzer.Row_only, "Row_only"); (Analyzer.Joint, "Joint") ]
+    [ (Analyzer.Cell, "Cell"); (Analyzer.Row_only, "Row_only") ]
 
 (* DML inside a transaction fires its write table's triggers, in the
    engine and so in the row sets: removing #6 reaches the transaction at
@@ -511,7 +511,6 @@ let test_transaction_dml_fires_triggers () =
       (Analyzer.Cell, "Cell");
       (Analyzer.Row_only, "Row_only");
       (Analyzer.Col_only, "Col_only");
-      (Analyzer.Joint, "Joint");
     ]
 
 let test_figure6_add_address_for_bob () =
@@ -916,8 +915,7 @@ let test_join_column_pins_its_source () =
           (Analyzer.Cell, "Cell");
           (Analyzer.Row_only, "Row_only");
           (Analyzer.Col_only, "Col_only");
-          (Analyzer.Joint, "Joint");
-        ])
+            ])
     [
       ( "INSERT … SELECT",
         [],
@@ -961,7 +959,6 @@ let test_self_firing_trigger () =
       (Analyzer.Cell, "Cell");
       (Analyzer.Row_only, "Row_only");
       (Analyzer.Col_only, "Col_only");
-      (Analyzer.Joint, "Joint");
     ]
 
 let all_modes =
@@ -969,7 +966,6 @@ let all_modes =
     (Analyzer.Cell, "Cell");
     (Analyzer.Row_only, "Row_only");
     (Analyzer.Col_only, "Col_only");
-    (Analyzer.Joint, "Joint");
   ]
 
 (* Remove [tau] from [e]'s history in every mode: the replay set is

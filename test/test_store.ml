@@ -2,7 +2,7 @@
    every truncation point, segment seals falling inside application
    transactions, checkpoint-ladder alignment with segment boundaries,
    bit-equality with the legacy single-file path, salvage of a damaged
-   prefix, and the joint replay-set path served from a streamed store. *)
+   prefix, and the Cell replay-set path served from a streamed store. *)
 
 open Uv_db
 open Uv_retroactive
@@ -669,10 +669,10 @@ let test_truncate_unlinks_orphans_after_manifest () =
   Log_store.close back
 
 (* ------------------------------------------------------------------ *)
-(* The joint replay-set path over a streamed store                      *)
+(* The Cell replay-set path over a streamed store                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_joint_over_store () =
+let test_cell_over_store () =
   let w = W.by_name "astore" in
   let eng, rt = W.setup ~mode:R.Raw w in
   let base = Engine.snapshot eng in
@@ -696,28 +696,21 @@ let test_joint_over_store () =
   Log_store.close replayed;
   for tau = 1 to 12 do
     let target = { Analyzer.tau; op = Analyzer.Remove } in
-    let joint anl = Analyzer.replay_set ~mode:Analyzer.Joint anl target in
-    let from_store = joint streamed in
+    let members anl =
+      (Analyzer.replay_set ~mode:Analyzer.Cell anl target).Analyzer.member_indexes
+    in
     check
       Alcotest.(list int)
-      (Printf.sprintf "tau %d: store-sourced joint = log-sourced joint" tau)
-      (joint logged).Analyzer.member_indexes from_store.Analyzer.member_indexes;
-    let cell = Analyzer.replay_set streamed target in
-    List.iter
-      (fun i ->
-        check Alcotest.bool
-          (Printf.sprintf "tau %d: joint member %d inside Cell" tau i)
-          true
-          (List.mem i cell.Analyzer.member_indexes))
-      from_store.Analyzer.member_indexes;
-    let whatif mode =
-      (Whatif.run_exn ~config:(Whatif.Config.make ~mode ()) ~analyzer:streamed
-         e_store target)
+      (Printf.sprintf "tau %d: store-sourced Cell = log-sourced Cell" tau)
+      (members logged) (members streamed);
+    let whatif analyzer e =
+      (Whatif.run_exn ~config:(Whatif.Config.make ~mode:Analyzer.Cell ())
+         ~analyzer e target)
         .Whatif.final_db_hash
     in
     check Alcotest.int64
-      (Printf.sprintf "tau %d: Joint what-if hash = Cell what-if hash" tau)
-      (whatif Analyzer.Cell) (whatif Analyzer.Joint)
+      (Printf.sprintf "tau %d: store-replayed Cell hash = original's" tau)
+      (whatif logged eng) (whatif streamed e_store)
   done;
   (* the streamed analysis held at most one segment resident *)
   Analyzer.require streamed ~from:1;
@@ -774,7 +767,7 @@ let () =
         ] );
       ( "analysis",
         [
-          Alcotest.test_case "joint replay members over a store" `Quick
-            test_joint_over_store;
+          Alcotest.test_case "cell replay members over a store" `Quick
+            test_cell_over_store;
         ] );
     ]

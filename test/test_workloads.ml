@@ -53,9 +53,6 @@ let test_whatif_cell (w : W.t) () =
 let test_whatif_col_only (w : W.t) () =
   ignore (whatif_vs_oracle w ~mode:R.Transpiled ~analysis_mode:Analyzer.Col_only)
 
-let test_whatif_joint (w : W.t) () =
-  ignore (whatif_vs_oracle w ~mode:R.Transpiled ~analysis_mode:Analyzer.Joint)
-
 let test_dsystem_app_oracle (w : W.t) () =
   (* the D system replays application functions; the oracle is the whole
      application rerun from the checkpoint skipping the target invocation
@@ -175,7 +172,6 @@ let workload_cases (w : W.t) =
       Alcotest.test_case "raw == transpiled" `Quick (test_modes_agree w);
       Alcotest.test_case "whatif cell == oracle" `Quick (test_whatif_cell w);
       Alcotest.test_case "whatif col-only == oracle" `Quick (test_whatif_col_only w);
-      Alcotest.test_case "whatif joint == oracle" `Quick (test_whatif_joint w);
       Alcotest.test_case "D == app-level oracle" `Quick
         (test_dsystem_app_oracle w);
       Alcotest.test_case "dep-rate knob" `Quick (test_dep_rate_monotone w);
