@@ -254,144 +254,161 @@ let mk_binder ~qualified_first prefix cols =
     else one cols_a (n - 1) (one quals_a (n - 1) [])
 
 (* ------------------------------------------------------------------ *)
-(* Cursor-compiled predicates                                           *)
+(* Compiled expressions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The scan hot path evaluated directly on the typed columns
-   ([Storage.Col]), mirroring [eval] over the same compilable subset as
-   [compile_expr] below — no per-row bindings, no boxing of cells the
-   predicate never reads, and unboxed cell-vs-literal comparisons.
-   [Var]s are frozen to their current values (a variable cannot change
-   while one statement filters rows). Anything effectful or out of scope
-   — function calls, subselects, EXISTS, other-table columns — refuses
-   compilation and the caller falls back to the interpreter, which is
-   always sound. Each case mirrors [eval] exactly; divergence here would
-   break bitwise replay identity. *)
-type cur_expr = Storage.Col.cur -> Value.t
+(* How a compiled expression reads the cells of the row it runs on. *)
+module type CELLS = sig
+  type cur
+
+  val value : cur -> int -> Value.t
+  val is_null : cur -> int -> bool
+  val cmp_lit : cur -> int -> Value.t -> int
+  val equal_lit : cur -> int -> Value.t -> bool
+end
 
 exception Not_compilable
 
-let compile_cur ~vars (sch : Schema.table) tname (e : expr) : cur_expr =
-  let offset name =
-    let rec find i = function
-      | [] -> raise Not_compilable
-      | (c : Schema.column) :: rest ->
-          if String.equal c.Schema.col_name name then i else find (i + 1) rest
+(* [eval] over a pure subset, compiled once per statement into closures
+   over one row's cells: no per-row bindings, and, on the typed columns,
+   no boxing of cells the expression never reads and unboxed
+   cell-vs-literal comparisons. [Var]s are frozen to their current
+   values (a variable cannot change while one statement filters rows).
+   Anything effectful or out of scope (function calls, subselects,
+   EXISTS, other-table columns) refuses compilation and the caller falls
+   back to the interpreter, which is always sound. Each case must give
+   [eval]'s value; divergence here would break bitwise replay identity
+   ([test_db]'s "compiled == interpreter" property checks it). *)
+module Compile (C : CELLS) = struct
+  let compile ~vars (sch : Schema.table) tname (e : expr) : C.cur -> Value.t =
+    let own_col = function
+      | Col (qual, name) when qual = None || qual = Some tname -> (
+          match Schema.column_index sch name with
+          | None -> raise Not_compilable
+          | found -> found)
+      | _ -> None
     in
-    find 0 sch.Schema.tbl_columns
-  in
-  let own_col = function
-    | Col (qual, name) when qual = None || qual = Some tname ->
-        Some (offset name)
-    | _ -> None
-  in
-  let cmp_pred = function
-    | Eq -> Some (fun c -> c = 0)
-    | Neq -> Some (fun c -> c <> 0)
-    | Lt -> Some (fun c -> c < 0)
-    | Le -> Some (fun c -> c <= 0)
-    | Gt -> Some (fun c -> c > 0)
-    | Ge -> Some (fun c -> c >= 0)
-    | _ -> None
-  in
-  let rec go e : cur_expr =
-    match e with
-    | Lit v -> fun _ -> v
-    | Var name -> (
-        match Hashtbl.find_opt vars name with
-        | Some v -> fun _ -> v
-        | None -> raise Not_compilable)
-    | Binop (And, a, b) ->
-        let ca = go a and cb = go b in
-        fun cur ->
-          if not (Value.to_bool (ca cur)) then Value.Bool false
-          else Value.Bool (Value.to_bool (cb cur))
-    | Binop (Or, a, b) ->
-        let ca = go a and cb = go b in
-        fun cur ->
-          if Value.to_bool (ca cur) then Value.Bool true
-          else Value.Bool (Value.to_bool (cb cur))
-    | Binop (Eq, l, Lit v) when own_col l <> None && not (Value.is_null v) ->
-        let i = Option.get (own_col l) in
-        fun cur ->
-          if Storage.Col.is_null cur i then Value.Null
-          else Value.Bool (Storage.Col.equal_lit cur i v)
-    | Binop (Eq, Lit v, r) when own_col r <> None && not (Value.is_null v) ->
-        let i = Option.get (own_col r) in
-        fun cur ->
-          if Storage.Col.is_null cur i then Value.Null
-          else Value.Bool (Storage.Col.equal_lit cur i v)
-    | Binop (op, l, Lit v)
-      when cmp_pred op <> None && own_col l <> None && not (Value.is_null v) ->
-        let i = Option.get (own_col l) in
-        let p = Option.get (cmp_pred op) in
-        fun cur ->
-          if Storage.Col.is_null cur i then Value.Null
-          else Value.Bool (p (Storage.Col.cmp_lit cur i v))
-    | Binop (op, Lit v, r)
-      when cmp_pred op <> None && own_col r <> None && not (Value.is_null v) ->
-        (* compare_sql is antisymmetric, so lit-vs-cell is -1 * cell-vs-lit *)
-        let i = Option.get (own_col r) in
-        let p = Option.get (cmp_pred op) in
-        fun cur ->
-          if Storage.Col.is_null cur i then Value.Null
-          else Value.Bool (p (-Storage.Col.cmp_lit cur i v))
-    | Col (qual, name) when qual = None || qual = Some tname ->
-        let i = offset name in
-        fun cur -> Storage.Col.value cur i
-    | Binop (op, a, b) ->
-        let ca = go a and cb = go b in
-        let f =
-          match op with
-          | Add -> Value.add
-          | Sub -> Value.sub
-          | Mul -> Value.mul
-          | Div -> Value.div
-          | Mod -> Value.modulo
-          | Eq -> fun x y -> cmp_value x y (fun c -> c = 0)
-          | Neq -> fun x y -> cmp_value x y (fun c -> c <> 0)
-          | Lt -> fun x y -> cmp_value x y (fun c -> c < 0)
-          | Le -> fun x y -> cmp_value x y (fun c -> c <= 0)
-          | Gt -> fun x y -> cmp_value x y (fun c -> c > 0)
-          | Ge -> fun x y -> cmp_value x y (fun c -> c >= 0)
-          | And | Or -> assert false
-        in
-        fun cur -> f (ca cur) (cb cur)
-    | Unop (Not, a) ->
-        let ca = go a in
-        fun cur -> Value.Bool (not (Value.to_bool (ca cur)))
-    | Unop (Neg, a) ->
-        let ca = go a in
-        fun cur -> Value.sub (Value.Int 0) (ca cur)
-    | Is_null (a, positive) -> (
-        match own_col a with
-        | Some i -> fun cur -> Value.Bool (Storage.Col.is_null cur i = positive)
-        | None ->
-            let ca = go a in
-            fun cur -> Value.Bool (Value.is_null (ca cur) = positive))
-    | Between (a, lo, hi) ->
-        let ca = go a and cl = go lo and ch = go hi in
-        fun cur ->
-          let v = ca cur in
-          let l = cl cur and h = ch cur in
-          if Value.is_null v || Value.is_null l || Value.is_null h then
-            Value.Null
-          else
-            Value.Bool (Value.compare_sql v l >= 0 && Value.compare_sql v h <= 0)
-    | In_list (a, items) ->
-        let ca = go a in
-        let citems = List.map go items in
-        fun cur ->
-          let v = ca cur in
-          Value.Bool (List.exists (fun ci -> Value.equal_sql v (ci cur)) citems)
-    | Col _ | Fun_call _ | Subselect _ | Exists _ -> raise Not_compilable
-  in
-  go e
+    let cmp_pred = function
+      | Eq -> Some (fun c -> c = 0)
+      | Neq -> Some (fun c -> c <> 0)
+      | Lt -> Some (fun c -> c < 0)
+      | Le -> Some (fun c -> c <= 0)
+      | Gt -> Some (fun c -> c > 0)
+      | Ge -> Some (fun c -> c >= 0)
+      | _ -> None
+    in
+    let rec go e =
+      match e with
+      | Lit v -> fun _ -> v
+      | Var name -> (
+          match Hashtbl.find_opt vars name with
+          | Some v -> fun _ -> v
+          | None -> raise Not_compilable)
+      | Binop (And, a, b) ->
+          let ca = go a and cb = go b in
+          fun cur ->
+            if not (Value.to_bool (ca cur)) then Value.Bool false
+            else Value.Bool (Value.to_bool (cb cur))
+      | Binop (Or, a, b) ->
+          let ca = go a and cb = go b in
+          fun cur ->
+            if Value.to_bool (ca cur) then Value.Bool true
+            else Value.Bool (Value.to_bool (cb cur))
+      | Binop (Eq, l, Lit v) when own_col l <> None && not (Value.is_null v) ->
+          let i = Option.get (own_col l) in
+          fun cur ->
+            if C.is_null cur i then Value.Null
+            else Value.Bool (C.equal_lit cur i v)
+      | Binop (Eq, Lit v, r) when own_col r <> None && not (Value.is_null v) ->
+          let i = Option.get (own_col r) in
+          fun cur ->
+            if C.is_null cur i then Value.Null
+            else Value.Bool (C.equal_lit cur i v)
+      | Binop (op, l, Lit v)
+        when cmp_pred op <> None && own_col l <> None && not (Value.is_null v) ->
+          let i = Option.get (own_col l) in
+          let p = Option.get (cmp_pred op) in
+          fun cur ->
+            if C.is_null cur i then Value.Null
+            else Value.Bool (p (C.cmp_lit cur i v))
+      | Binop (op, Lit v, r)
+        when cmp_pred op <> None && own_col r <> None && not (Value.is_null v) ->
+          (* compare_sql is antisymmetric, so lit-vs-cell is -1 * cell-vs-lit *)
+          let i = Option.get (own_col r) in
+          let p = Option.get (cmp_pred op) in
+          fun cur ->
+            if C.is_null cur i then Value.Null
+            else Value.Bool (p (-C.cmp_lit cur i v))
+      | Binop (op, a, b) ->
+          let ca = go a and cb = go b in
+          let f =
+            match op with
+            | Add -> Value.add
+            | Sub -> Value.sub
+            | Mul -> Value.mul
+            | Div -> Value.div
+            | Mod -> Value.modulo
+            | Eq -> fun x y -> cmp_value x y (fun c -> c = 0)
+            | Neq -> fun x y -> cmp_value x y (fun c -> c <> 0)
+            | Lt -> fun x y -> cmp_value x y (fun c -> c < 0)
+            | Le -> fun x y -> cmp_value x y (fun c -> c <= 0)
+            | Gt -> fun x y -> cmp_value x y (fun c -> c > 0)
+            | Ge -> fun x y -> cmp_value x y (fun c -> c >= 0)
+            | And | Or -> assert false
+          in
+          fun cur -> f (ca cur) (cb cur)
+      | Unop (Not, a) ->
+          let ca = go a in
+          fun cur -> Value.Bool (not (Value.to_bool (ca cur)))
+      | Unop (Neg, a) ->
+          let ca = go a in
+          fun cur -> Value.sub (Value.Int 0) (ca cur)
+      | Is_null (a, positive) -> (
+          match own_col a with
+          | Some i -> fun cur -> Value.Bool (C.is_null cur i = positive)
+          | None ->
+              let ca = go a in
+              fun cur -> Value.Bool (Value.is_null (ca cur) = positive))
+      | Between (a, lo, hi) ->
+          let ca = go a and cl = go lo and ch = go hi in
+          fun cur ->
+            let v = ca cur in
+            let l = cl cur and h = ch cur in
+            if Value.is_null v || Value.is_null l || Value.is_null h then
+              Value.Null
+            else
+              Value.Bool (Value.compare_sql v l >= 0 && Value.compare_sql v h <= 0)
+      | In_list (a, items) ->
+          let ca = go a in
+          let citems = List.map go items in
+          fun cur ->
+            let v = ca cur in
+            Value.Bool (List.exists (fun ci -> Value.equal_sql v (ci cur)) citems)
+      | Col _ as c -> (
+          match own_col c with
+          | Some i -> fun cur -> C.value cur i
+          | None -> raise Not_compilable)
+      | Fun_call _ | Subselect _ | Exists _ -> raise Not_compilable
+    in
+    go e
 
-let compile_cur_opt vars sch tname w =
-  match compile_cur ~vars sch tname w with
-  | ce -> Some ce
-  | exception Not_compilable -> None
+  let compile_opt ~vars sch tname e =
+    try Some (compile ~vars sch tname e) with Not_compilable -> None
+end
+
+(* The scan's instance, on the typed columns. *)
+module Compile_cur = Compile (Storage.Col)
+
+(* The instance over a boxed row image; a cell past the row's width
+   reads as NULL, as ALTER TABLE ADD COLUMN fills it. *)
+module Compile_row = Compile (struct
+  type cur = Value.t array
+
+  let value row i = if i < Array.length row then row.(i) else Value.Null
+  let is_null row i = Value.is_null (value row i)
+  let cmp_lit row i lit = Value.compare_sql (value row i) lit
+  let equal_lit row i lit = cmp_lit row i lit = 0
+end)
 
 (* Syntactic gate for batched mutation: an expression that cannot read
    any table (no subselects, however nested) evaluates identically
@@ -602,55 +619,22 @@ and source_rows t env (table_name : string) :
       | None -> sql_error "unknown table or view %s" table_name)
 
 and run_select t env (s : select) : result =
-  (* 1. build the joined row set; [where_done] marks that the WHERE was
-     already applied on the typed columns during the scan *)
+  (* 1. build the joined row set; [where_done] marks that the scan
+     already applied the WHERE *)
   let sources, joined, where_done =
     match s.sel_from with
     | None -> ([], [ [] ], false)
     | Some (tbl, alias) ->
         let prefix = Option.value alias ~default:tbl in
-        (* single-table scan of a base table with a cursor-compilable
-           WHERE: filter on the typed columns and materialize (and bind)
-           only the matching rows *)
-        let fast =
-          match (s.sel_joins, s.sel_where, Catalog.table t.cat tbl) with
-          | [], Some w, Some storage -> (
-              match
-                compile_cur_opt env.vars (Storage.schema storage) prefix w
-              with
-              | None -> None
-              | Some ce ->
-                  let pred cur = Value.to_bool (ce cur) in
-                  let matches =
-                    match index_probe t env storage w with
-                    | Some ids ->
-                        Storage.Col.select_ids storage
-                          (List.sort compare ids) pred
-                    | None -> Storage.Col.select storage pred
-                  in
-                  Some
-                    ( Schema.column_names (Storage.schema storage),
-                      List.map snd matches ))
-          | _ -> None
-        in
+        (* a join-free scan of a base table filters as UPDATE and DELETE
+           do, and binds only the matching rows *)
         let (cols, rows), where_done =
-          match fast with
-          | Some cr -> (cr, true)
-          | None ->
-              let cr =
-                (* equality on an indexed column: fetch candidates
-                   through the index *)
-                match (s.sel_joins, s.sel_where, Catalog.table t.cat tbl) with
-                | [], Some w, Some storage -> (
-                    match index_probe t env storage w with
-                    | Some ids ->
-                        ( Schema.column_names (Storage.schema storage),
-                          List.filter_map (fun id -> Storage.get storage id)
-                            (List.sort compare ids) )
-                    | None -> source_rows t env tbl)
-                | _ -> source_rows t env tbl
-              in
-              (cr, false)
+          match (s.sel_joins, Catalog.table t.cat tbl) with
+          | [], Some storage ->
+              ( ( Schema.column_names (Storage.schema storage),
+                  List.map snd (matching_rows ~prefix t env storage s.sel_where) ),
+                true )
+          | _ -> (source_rows t env tbl, false)
         in
         let bind = mk_binder ~qualified_first:true prefix cols in
         let base = List.map bind rows in
@@ -681,14 +665,13 @@ and run_select t env (s : select) : result =
   (* 2. WHERE *)
   let filtered =
     match s.sel_where with
-    | _ when where_done -> joined
-    | None -> joined
-    | Some w ->
+    | Some w when not where_done ->
         List.filter
           (fun b ->
             let renv = with_bindings env (b @ env.bindings) in
             Value.to_bool (eval t renv w))
           joined
+    | _ -> joined
   in
   select_project t env s sources filtered
 
@@ -1133,30 +1116,39 @@ and index_probe t env tbl (w : expr) : Storage.rowid list option =
       try_eq col e
   | _ -> None
 
-and matching_rows t env tbl where =
+(* The rows of [tbl] that [where] selects, with their rowids, in scan
+   order: an index probe narrows the candidates, then the WHERE runs
+   compiled on the typed columns, else through the interpreter. A SELECT
+   passes [prefix] (its alias or the table's name) and binds qualified
+   names first; UPDATE and DELETE bind plain names first, since a
+   backtick column named [t.c] resolves differently in the two orders. *)
+and matching_rows ?prefix t env tbl where =
   match where with
   | None -> Storage.to_rows tbl
   | Some w -> (
-      let name = Storage.name tbl in
-      match compile_cur_opt env.vars (Storage.schema tbl) name w with
+      let sch = Storage.schema tbl in
+      let qualified_first, prefix =
+        match prefix with Some p -> (true, p) | None -> (false, Storage.name tbl)
+      in
+      let compiled = Compile_cur.compile_opt ~vars:env.vars sch prefix w in
+      let ids = Option.map (List.sort compare) (index_probe t env tbl w) in
+      match compiled with
       | Some ce -> (
-          (* victims filtered on the typed columns; only matches box *)
+          (* filtered on the typed columns; only matches box *)
           let pred cur = Value.to_bool (ce cur) in
-          match index_probe t env tbl w with
-          | Some ids -> Storage.Col.select_ids tbl (List.sort compare ids) pred
+          match ids with
+          | Some ids -> Storage.Col.select_ids tbl ids pred
           | None -> Storage.Col.select tbl pred)
       | None ->
           let candidates =
-            match index_probe t env tbl w with
+            match ids with
             | Some ids ->
                 List.filter_map
-                  (fun id ->
-                    Option.map (fun row -> (id, row)) (Storage.get tbl id))
-                  (List.sort compare ids)
+                  (fun id -> Option.map (fun row -> (id, row)) (Storage.get tbl id))
+                  ids
             | None -> Storage.to_rows tbl
           in
-          let cols = Schema.column_names (Storage.schema tbl) in
-          let bind = mk_binder ~qualified_first:false name cols in
+          let bind = mk_binder ~qualified_first prefix (Schema.column_names sch) in
           List.filter
             (fun (_, row) ->
               Value.to_bool
@@ -1540,87 +1532,6 @@ and exec_stmt t env (s : stmt) : result =
 (* Row filters                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type compiled_expr = Value.t array -> Value.t
-
-(* The compilable expression subset: column refs, literals, arithmetic,
-   comparisons and short-circuit AND/OR, plus the other pure forms
-   (NOT/negate, IS NULL, BETWEEN, IN over pure items). Anything that can
-   draw non-determinism, read other tables or touch procedure variables
-   (function calls, subselects, EXISTS, Var) refuses compilation — the
-   closures must be pure functions of the row. Each case mirrors [eval]
-   exactly; divergence here would break bitwise replay identity. *)
-let compile_expr (sch : Schema.table) tname (e : expr) : compiled_expr =
-  let offset name =
-    let rec find i = function
-      | [] -> raise Not_compilable
-      | (c : Schema.column) :: rest ->
-          if String.equal c.Schema.col_name name then i else find (i + 1) rest
-    in
-    find 0 sch.Schema.tbl_columns
-  in
-  let rec go e : compiled_expr =
-    match e with
-    | Lit v -> fun _ -> v
-    | Col (qual, name) when qual = None || qual = Some tname ->
-        let i = offset name in
-        fun row -> row.(i)
-    | Binop (And, a, b) ->
-        let ca = go a and cb = go b in
-        fun row ->
-          if not (Value.to_bool (ca row)) then Value.Bool false
-          else Value.Bool (Value.to_bool (cb row))
-    | Binop (Or, a, b) ->
-        let ca = go a and cb = go b in
-        fun row ->
-          if Value.to_bool (ca row) then Value.Bool true
-          else Value.Bool (Value.to_bool (cb row))
-    | Binop (op, a, b) ->
-        let ca = go a and cb = go b in
-        let f =
-          match op with
-          | Add -> Value.add
-          | Sub -> Value.sub
-          | Mul -> Value.mul
-          | Div -> Value.div
-          | Mod -> Value.modulo
-          | Eq -> fun x y -> cmp_value x y (fun c -> c = 0)
-          | Neq -> fun x y -> cmp_value x y (fun c -> c <> 0)
-          | Lt -> fun x y -> cmp_value x y (fun c -> c < 0)
-          | Le -> fun x y -> cmp_value x y (fun c -> c <= 0)
-          | Gt -> fun x y -> cmp_value x y (fun c -> c > 0)
-          | Ge -> fun x y -> cmp_value x y (fun c -> c >= 0)
-          | And | Or -> assert false
-        in
-        fun row -> f (ca row) (cb row)
-    | Unop (Not, a) ->
-        let ca = go a in
-        fun row -> Value.Bool (not (Value.to_bool (ca row)))
-    | Unop (Neg, a) ->
-        let ca = go a in
-        fun row -> Value.sub (Value.Int 0) (ca row)
-    | Is_null (a, positive) ->
-        let ca = go a in
-        fun row -> Value.Bool (Value.is_null (ca row) = positive)
-    | Between (a, lo, hi) ->
-        let ca = go a and cl = go lo and ch = go hi in
-        fun row ->
-          let v = ca row in
-          let l = cl row and h = ch row in
-          if Value.is_null v || Value.is_null l || Value.is_null h then
-            Value.Null
-          else
-            Value.Bool (Value.compare_sql v l >= 0 && Value.compare_sql v h <= 0)
-    | In_list (a, items) ->
-        let ca = go a in
-        let citems = List.map go items in
-        fun row ->
-          let v = ca row in
-          Value.Bool (List.exists (fun ci -> Value.equal_sql v (ci row)) citems)
-    | Col _ | Var _ | Fun_call _ | Subselect _ | Exists _ ->
-        raise Not_compilable
-  in
-  go e
-
 (* The [index_probe] restriction that stays valid without an engine: an
    AND-reachable [col = literal] conjunct. *)
 let rec probe_of tname (w : expr) =
@@ -1642,16 +1553,10 @@ let row_filter (sch : Schema.table) (w : expr) =
   let tname = sch.Schema.tbl_name in
   let probe =
     Option.bind (probe_of tname w) (fun (col, v) ->
-        let rec find i = function
-          | [] -> None
-          | (c : Schema.column) :: rest ->
-              if String.equal c.Schema.col_name col then Some (i, v)
-              else find (i + 1) rest
-        in
-        find 0 sch.Schema.tbl_columns)
+        Option.map (fun i -> (i, v)) (Schema.column_index sch col))
   in
   let full =
-    lazy (try Some (compile_expr sch tname w) with Not_compilable -> None)
+    lazy (Compile_row.compile_opt ~vars:(Hashtbl.create 1) sch tname w)
   in
   fun row ->
     (match probe with
@@ -1665,6 +1570,21 @@ let row_filter (sch : Schema.table) (w : expr) =
         with Sql_error _ | Invalid_argument _ | Failure _ | Division_by_zero ->
           true)
     | None -> true
+
+let vars_table vars =
+  let h = Hashtbl.create 8 in
+  List.iter (fun (k, v) -> Hashtbl.replace h k v) vars;
+  h
+
+let interpret t ~vars ~prefix sch e row =
+  let bind = mk_binder ~qualified_first:true prefix (Schema.column_names sch) in
+  eval t { vars = vars_table vars; bindings = bind row } e
+
+let compile_cursor ~vars ~prefix sch e =
+  Compile_cur.compile_opt ~vars:(vars_table vars) sch prefix e
+
+let compile_row ~vars ~prefix sch e =
+  Compile_row.compile_opt ~vars:(vars_table vars) sch prefix e
 
 (* ------------------------------------------------------------------ *)
 (* Top-level entry points                                               *)

@@ -98,11 +98,51 @@ val row_filter : Schema.table -> Ast.expr -> Value.t array -> bool
     [schema]'s rows is [w] select [row]? False only where {!exec}'s
     evaluation of [w] on that row image is not true: an AND-reachable
     [column = literal] conjunct does not hold, or the whole of [w]
-    evaluates to false or NULL. The whole of [w] is tested only when it
-    stays within the pure subset (columns of [schema], literals,
-    arithmetic, comparisons, AND/OR, NOT, IS NULL, BETWEEN, IN over pure
-    items); otherwise only the conjunct is. [w] must not read other rows
-    (no subqueries). *)
+    evaluates to false or NULL. The whole of [w] is tested with the
+    scan's compiled evaluator ({!compile_row}) when it is in the
+    compilable subset; otherwise only the conjunct is. A cell past the
+    row's width reads as NULL, as ALTER TABLE ADD COLUMN fills it. [w]
+    must not read other rows (no subqueries). *)
+
+(** {2 The evaluators}
+
+    {!exec} filters a base table's rows with one evaluator compiled over
+    how a cell is read: the typed columns in a scan, a boxed row image in
+    {!row_filter}. It covers column references, literals, bound
+    variables, arithmetic, comparisons, AND/OR, NOT, negation, IS NULL,
+    BETWEEN and IN; anything else (function calls, subqueries, EXISTS,
+    other tables' columns) goes through the interpreter. Both compiled
+    instances must give the interpreter's value; these entry points let
+    a test check it. *)
+
+val interpret :
+  t ->
+  vars:(string * Value.t) list ->
+  prefix:string ->
+  Schema.table ->
+  Ast.expr ->
+  Value.t array ->
+  Value.t
+(** The interpreter's value of an expression on one row of the table,
+    its columns named plainly and under [prefix] as a SELECT names them,
+    with procedure variables [vars]. Raises [Sql_error]. *)
+
+val compile_cursor :
+  vars:(string * Value.t) list ->
+  prefix:string ->
+  Schema.table ->
+  Ast.expr ->
+  (Storage.Col.cur -> Value.t) option
+(** The expression compiled for a scan's cursor ({!Storage.Col.select}),
+    or [None] outside the compilable subset. *)
+
+val compile_row :
+  vars:(string * Value.t) list ->
+  prefix:string ->
+  Schema.table ->
+  Ast.expr ->
+  (Value.t array -> Value.t) option
+(** The same, compiled for a boxed row image. *)
 
 val exec :
   ?app_txn:string ->

@@ -115,16 +115,8 @@ and index = {
 let locked t f = Uv_util.Rwlock.write t.lock f
 let reading t f = Uv_util.Rwlock.read t.lock f
 
-let schema_offset (schema : Schema.table) col =
-  let rec find i = function
-    | [] -> None
-    | (c : Schema.column) :: rest ->
-        if String.equal c.Schema.col_name col then Some i else find (i + 1) rest
-  in
-  find 0 schema.Schema.tbl_columns
-
 let make_index ~gen schema col =
-  { ix_col = col; ix_offset = schema_offset schema col;
+  { ix_col = col; ix_offset = Schema.column_index schema col;
     ix_ints = Int_map.create ~gen No_posting;
     ix_strs = Key_map.create ~gen No_posting }
 
@@ -963,7 +955,7 @@ let set_schema t schema remap =
      (fresh records so the column offsets are re-resolved against the
      new schema) *)
   let kept =
-    List.filter (fun ix -> schema_offset schema ix.ix_col <> None) t.indexes
+    List.filter (fun ix -> Schema.column_index schema ix.ix_col <> None) t.indexes
   in
   t.indexes <- List.map (fun ix -> make_index ~gen:t.gen schema ix.ix_col) kept;
   (* rebuild the columnar body from the remapped images *)
@@ -1014,13 +1006,7 @@ let indexed_lookup t col v =
 let indexed_columns t =
   reading t (fun () -> List.map (fun ix -> ix.ix_col) t.indexes)
 
-let column_index t col =
-  let rec find i = function
-    | [] -> None
-    | (c : Schema.column) :: rest ->
-        if String.equal c.Schema.col_name col then Some i else find (i + 1) rest
-  in
-  find 0 t.schema.Schema.tbl_columns
+let column_index t col = Schema.column_index t.schema col
 
 let memory_bytes t =
   reading t (fun () ->

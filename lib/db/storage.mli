@@ -170,6 +170,7 @@ val set_schema : t -> Schema.table -> (Value.t array -> Value.t array) -> unit
     hash. *)
 
 val column_index : t -> string -> int option
+(** {!Uv_sql.Schema.column_index} of the table's current schema. *)
 
 type index_key = Int_key of int | Str_key of string
 

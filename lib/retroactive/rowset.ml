@@ -26,15 +26,11 @@ type t = {
   (* bumped per new union-find link; the incremental analyzer re-derives
      its row keys only when this moved *)
   mutable merge_generation : int;
-  (* the checkpoint whose rows seed [alias_map], and the tables whose
-     rows it already holds: a table's are read at its first alias use *)
-  mutable seed_base : Uv_db.Catalog.t option;
-  mutable seeded : string list;
 }
 
 let create config =
   { config; alias_map = Hashtbl.create 256; merge_parent = Hashtbl.create 64;
-    merge_generation = 0; seed_base = None; seeded = [] }
+    merge_generation = 0 }
 
 let merge_generation t = t.merge_generation
 
@@ -42,39 +38,24 @@ let sorted tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let seed_aliases t cat =
-  t.seed_base <- Some cat;
-  t.seeded <- []
+  List.iter
+    (fun (table, acol, rcol) ->
+      match Uv_db.Catalog.table cat table with
+      | None -> ()
+      | Some tbl -> (
+          match
+            ( Uv_db.Storage.column_index tbl acol,
+              Uv_db.Storage.column_index tbl rcol )
+          with
+          | Some ai, Some ri ->
+              Uv_db.Storage.iter tbl (fun _ row ->
+                  Hashtbl.replace t.alias_map
+                    (table, acol, Value.serialize row.(ai))
+                    (Value.serialize row.(ri)))
+          | _ -> ()))
+    t.config.ri_aliases
 
-(* [t.alias_map], holding [table]'s checkpoint rows from now on: they
-   go in at the table's first alias use, before anything learned of it,
-   so what an entry learns overwrites them as it would have. *)
-let alias_map t table =
-  (match t.seed_base with
-  | Some cat when not (List.mem table t.seeded) ->
-      t.seeded <- table :: t.seeded;
-      List.iter
-        (fun (tname, acol, rcol) ->
-          if String.equal tname table then
-            match Uv_db.Catalog.table cat table with
-            | None -> ()
-            | Some tbl -> (
-                match
-                  ( Uv_db.Storage.column_index tbl acol,
-                    Uv_db.Storage.column_index tbl rcol )
-                with
-                | Some ai, Some ri ->
-                    Uv_db.Storage.iter tbl (fun _ row ->
-                        Hashtbl.replace t.alias_map
-                          (table, acol, Value.serialize row.(ai))
-                          (Value.serialize row.(ri)))
-                | _ -> ()))
-        t.config.ri_aliases
-  | _ -> ());
-  t.alias_map
-
-let aliases t =
-  List.iter (fun (table, _, _) -> ignore (alias_map t table)) t.config.ri_aliases;
-  sorted t.alias_map
+let aliases t = sorted t.alias_map
 
 let merge_parents t = sorted t.merge_parent
 
@@ -137,7 +118,7 @@ let value_set v = Vals (Vset.singleton (Value.serialize v))
 
 (* The RI value an alias-column value was last seen with, or [Any]. *)
 let alias_lookup t table acol v =
-  match Hashtbl.find_opt (alias_map t table) (table, acol, Value.serialize v) with
+  match Hashtbl.find_opt t.alias_map (table, acol, Value.serialize v) with
   | Some ri -> Vals (Vset.singleton ri)
   | None -> Any
 
@@ -675,7 +656,7 @@ let insert_plan cx table columns values =
           alias_sources)
       rows values;
     List.iter
-      (fun (acol, av, rv) -> Hashtbl.replace (alias_map t real_table) (real_table, acol, av) rv)
+      (fun (acol, av, rv) -> Hashtbl.replace t.alias_map (real_table, acol, av) rv)
       !learned;
     let access =
       if dims = [] then [| { dr = Any; dw = Any } |]
@@ -743,7 +724,7 @@ let update_plan cx table assigns where =
       (fun (acol, a, r) ->
         match (value a, value r) with
         | Some av, Some rv ->
-            Hashtbl.replace (alias_map t real_table)
+            Hashtbl.replace t.alias_map
               (real_table, acol, Value.serialize av)
               (Value.serialize rv)
         | _ -> ())

@@ -53,10 +53,8 @@ val create : config -> t
 val seed_aliases : t -> Uv_db.Catalog.t -> unit
 (** Learn alias-column mappings from rows already in the database when
     logging began (the checkpoint): for each declared (table, alias_col,
-    ri_col), map every existing row's alias value to its RI value. A
-    table's rows are read at the first use of its aliases (a lookup, a
-    learned alias or {!aliases}), so a history that never uses them
-    never reads them; [cat] must not change until then. *)
+    ri_col), map every existing row's alias value to its RI value. The
+    rows are read when this is called. *)
 
 val ri_dims : t -> Schema_view.t -> string -> string list
 (** The RI dimensions used for a table. *)

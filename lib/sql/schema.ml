@@ -19,6 +19,13 @@ let table tbl_name tbl_columns = { tbl_name; tbl_columns }
 let find_column t name =
   List.find_opt (fun c -> String.equal c.col_name name) t.tbl_columns
 
+let column_index t name =
+  let rec find i = function
+    | [] -> None
+    | c :: rest -> if String.equal c.col_name name then Some i else find (i + 1) rest
+  in
+  find 0 t.tbl_columns
+
 let column_names t = List.map (fun c -> c.col_name) t.tbl_columns
 
 let primary_key_columns t =

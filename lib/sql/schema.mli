@@ -35,6 +35,9 @@ val table : string -> column list -> table
 
 val find_column : table -> string -> column option
 
+val column_index : table -> string -> int option
+(** The offset of the named column in a row of the table. *)
+
 val column_names : table -> string list
 
 val primary_key_columns : table -> string list

@@ -71,6 +71,16 @@ storage_smoke() {
 }
 step "storage smoke: copy isolation, undo re-inserts, scan order, first-write allocation, index keys, hex floats" storage_smoke
 
+# the engine's compiled evaluator against the interpreter: a seeded,
+# shrinking qcheck property over the compilable subset (own columns bare,
+# by table and by alias, bound variables, every operator, NOT, negation,
+# IS NULL, BETWEEN, IN) on NULLs, NaNs of both signs, signed zeros,
+# 2^53±1, 10^15 vs 1e15, bools and numeric texts; both instances (typed
+# columns and boxed rows) must give the interpreter's value, and the row
+# filter must never rule out a row a DELETE's WHERE selects
+step "expression smoke: compiled (cursor, boxed row) == interpreter, row filter never rules out a selected row" \
+  dune exec test/test_db.exe -- test expressions
+
 # the streamed row digest against the string it replaced: a qcheck
 # property over integer extremes, float specials, empty and arbitrary-
 # byte texts, NULLs, bools and rows wider than the scratch buffer, and

@@ -1894,6 +1894,200 @@ let test_undo_fold_live_reinsert () =
         (List.sort compare [ r; r3 ]) (lookup 1)
   | None -> Alcotest.fail "no table"
 
+(* ------------------------------------------------------------------ *)
+(* Compiled expressions == the interpreter                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Property: the scan's compiled evaluator, on the typed columns and on
+   a boxed row image, gives the interpreter's value (NaN signs and
+   signed zeros included), and the row filter built on it never rules
+   out a row that [exec] selects. A case is one row of [expr_schema] and
+   an expression over it from the compilable subset; [alias] names the
+   table "r" instead of "t". *)
+type expr_case = {
+  alias : bool;
+  vars : (string * Value.t) list;
+  row : Value.t array;
+  width : int;
+  e : Ast.expr;
+}
+
+let expr_schema =
+  Schema.table "t"
+    [ Schema.column "a" Value.Tint; Schema.column "b" Value.Tfloat;
+      Schema.column "c" Value.Ttext ]
+
+let expr_values =
+  let b = 1 lsl 53 in
+  Value.
+    [ Null; Float Float.nan; Float (-.Float.nan); Float 0.0; Float (-0.0);
+      Int (b - 1); Int b; Int (b + 1); Float 0x1p53; Int 1_000_000_000_000_000;
+      Float 1e15; Bool true; Bool false; Text "5"; Text "5.0"; Text " 5 ";
+      Text "abc"; Text ""; Int 5; Int 0; Int (-3); Float 2.5; Float Float.infinity ]
+
+let gen_expr_case =
+  let open QCheck.Gen in
+  let value = oneofl expr_values in
+  bool >>= fun alias ->
+  let prefix = if alias then "r" else "t" in
+  let col =
+    map2
+      (fun q n -> Ast.Col ((if q then Some prefix else None), n))
+      bool (oneofl [ "a"; "b"; "c" ])
+  in
+  let leaf =
+    frequency
+      [ (3, col); (3, map (fun v -> Ast.Lit v) value);
+        (1, map (fun x -> Ast.Var x) (oneofl [ "x"; "y" ])) ]
+  in
+  let cmp = oneofl Ast.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let op =
+    oneofl Ast.[ Add; Sub; Mul; Div; Mod; Eq; Neq; Lt; Le; Gt; Ge; And; Or ]
+  in
+  (* the column-vs-literal comparisons, on both sides *)
+  let col_lit =
+    map4
+      (fun o c v flip ->
+        if flip then Ast.Binop (o, Ast.Lit v, c) else Ast.Binop (o, c, Ast.Lit v))
+      cmp col value bool
+  in
+  let expr =
+    fix (fun self n ->
+        if n = 0 then leaf
+        else
+          let sub = self (n / 2) in
+          frequency
+            [ (2, leaf); (3, col_lit);
+              (3, map3 (fun o a b -> Ast.Binop (o, a, b)) op sub sub);
+              (1, map (fun a -> Ast.Unop (Ast.Not, a)) sub);
+              (1, map (fun a -> Ast.Unop (Ast.Neg, a)) sub);
+              (1, map2 (fun a p -> Ast.Is_null (a, p)) sub bool);
+              (1, map3 (fun a l h -> Ast.Between (a, l, h)) sub sub sub);
+              ( 1,
+                map2
+                  (fun a l -> Ast.In_list (a, l))
+                  sub
+                  (list_size (int_range 1 3) sub) ) ])
+  in
+  map4
+    (fun e row (x, y) width ->
+      { alias; vars = [ ("x", x); ("y", y) ]; row; width; e })
+    (sized_size (int_range 0 8) expr)
+    (array_repeat 3 value) (pair value value) (int_range 0 3)
+
+let rec shrink_expr e =
+  let open QCheck.Iter in
+  match e with
+  | Ast.Binop (o, a, b) ->
+      of_list [ a; b ]
+      <+> map (fun a -> Ast.Binop (o, a, b)) (shrink_expr a)
+      <+> map (fun b -> Ast.Binop (o, a, b)) (shrink_expr b)
+  | Ast.Unop (u, a) -> return a <+> map (fun a -> Ast.Unop (u, a)) (shrink_expr a)
+  | Ast.Is_null (a, p) ->
+      return a <+> map (fun a -> Ast.Is_null (a, p)) (shrink_expr a)
+  | Ast.Between (a, l, h) ->
+      of_list [ a; l; h ]
+      <+> map (fun a -> Ast.Between (a, l, h)) (shrink_expr a)
+      <+> map (fun l -> Ast.Between (a, l, h)) (shrink_expr l)
+      <+> map (fun h -> Ast.Between (a, l, h)) (shrink_expr h)
+  | Ast.In_list (a, items) ->
+      of_list (a :: items)
+      <+> map (fun a -> Ast.In_list (a, items)) (shrink_expr a)
+      <+> (match items with
+          | _ :: (_ :: _ as rest) -> return (Ast.In_list (a, rest))
+          | _ -> empty)
+  | Ast.Lit Value.Null -> empty
+  | Ast.Lit _ -> return (Ast.Lit Value.Null)
+  | _ -> empty
+
+let expr_case_arb =
+  QCheck.make gen_expr_case
+    ~shrink:(fun c -> QCheck.Iter.map (fun e -> { c with e }) (shrink_expr c.e))
+    ~print:(fun c ->
+      Printf.sprintf "%s FROM t%s, row (%s), width %d, x = %s, y = %s"
+        (Printer.expr c.e)
+        (if c.alias then " AS r" else "")
+        (String.concat ", " (Array.to_list (Array.map Value.serialize c.row)))
+        c.width
+        (Value.serialize (List.assoc "x" c.vars))
+        (Value.serialize (List.assoc "y" c.vars)))
+
+let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+let show_outcome = function Ok v -> Value.serialize v | Error e -> "raises " ^ e
+
+(* Both compiled instances give the interpreter's value, or all raise. *)
+let check_compiled c =
+  let prefix = if c.alias then "r" else "t" in
+  let vars = c.vars in
+  let compiled what = function
+    | Some f -> f
+    | None -> QCheck.Test.fail_reportf "%s compilation refused the expression" what
+  in
+  let on_row = compiled "row" (Engine.compile_row ~vars ~prefix expr_schema c.e) in
+  let on_cur = compiled "cursor" (Engine.compile_cursor ~vars ~prefix expr_schema c.e) in
+  let interp =
+    outcome (fun () -> Engine.interpret (fresh ()) ~vars ~prefix expr_schema c.e c.row)
+  in
+  let tbl = Storage.create expr_schema in
+  ignore (Storage.insert tbl c.row);
+  let cur = ref (Error "no row scanned") in
+  ignore
+    (Storage.Col.select tbl (fun k ->
+         cur := outcome (fun () -> on_cur k);
+         false));
+  let row = outcome (fun () -> on_row c.row) in
+  let same a b =
+    match (a, b) with
+    | Ok x, Ok y -> Value.equal x y
+    | Error _, Error _ -> true
+    | _ -> false
+  in
+  if not (same interp !cur && same interp row) then
+    QCheck.Test.fail_reportf "interpreter %s, cursor %s, row %s" (show_outcome interp)
+      (show_outcome !cur) (show_outcome row)
+
+(* [row_filter] on the row's first [width] cells never rules out the row
+   that a DELETE with the same WHERE selects, the other cells NULL. The
+   WHERE binds variables as literals and names columns by the table, as
+   a top-level DELETE does. *)
+let check_row_filter c =
+  let rec top = function
+    | Ast.Var x -> Ast.Lit (List.assoc x c.vars)
+    | Ast.Col (Some _, n) -> Ast.Col (Some "t", n)
+    | Ast.Binop (o, a, b) -> Ast.Binop (o, top a, top b)
+    | Ast.Unop (u, a) -> Ast.Unop (u, top a)
+    | Ast.Is_null (a, p) -> Ast.Is_null (top a, p)
+    | Ast.Between (a, l, h) -> Ast.Between (top a, top l, top h)
+    | Ast.In_list (a, items) -> Ast.In_list (top a, List.map top items)
+    | e -> e
+  in
+  let w = top c.e in
+  let cat = Catalog.create () in
+  let tbl = Storage.create expr_schema in
+  ignore
+    (Storage.insert tbl
+       (Array.mapi (fun i v -> if i < c.width then v else Value.Null) c.row));
+  Catalog.add_table cat tbl;
+  let delete = Ast.Delete { table = "t"; where = Some w } in
+  let selected =
+    match Engine.exec (Engine.of_catalog cat) delete with
+    | r -> r.Engine.rows_written = 1
+    | exception Engine.Sql_error _ -> false
+  in
+  if selected && not (Engine.row_filter expr_schema w (Array.sub c.row 0 c.width))
+  then
+    QCheck.Test.fail_reportf "row_filter rules out the row %s selects"
+      (Printer.expr w)
+
+let prop_compiled_eq_interpreter =
+  qtest ~rand:(Random.State.make [| 43 |])
+    (QCheck.Test.make ~name:"compiled == interpreter" ~count:3000 expr_case_arb
+       (fun c ->
+         check_compiled c;
+         check_row_filter c;
+         true))
+
 let () =
   Alcotest.run "uv_db"
     [
@@ -1924,6 +2118,7 @@ let () =
             test_index_probe_numeric_extremes;
           prop_hex_float_matches_printf;
         ] );
+      ("expressions", [ prop_compiled_eq_interpreter ]);
       ( "row digest",
         [
           prop_streamed_digest_matches_serialized;
