@@ -103,9 +103,6 @@ let lint_target ?base log (t : Analyzer.target) =
     | Analyzer.Add s | Analyzer.Change s ->
         List.sort D.compare (Passes.target_stmt sv s)
 
-let lint_procedure ?index ~name body =
-  Passes.coverage_procedure ?index ~name body
-
 type template_ctx = {
   tset : Template_extract.set;
   tmatrix : Template_matrix.t;

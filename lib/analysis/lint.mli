@@ -50,10 +50,6 @@ val lint_target :
     (UVA009), then — for [Add]/[Change] — type-check the statement
     against the schema view as of τ (UVA007/UVA008/UVA010). *)
 
-val lint_procedure :
-  ?index:int -> name:string -> Uv_sql.Ast.pstmt list -> Diagnostic.t list
-(** Coverage-check one transpiled procedure body (UVA006). *)
-
 type template_ctx = {
   tset : Template_extract.set;
   tmatrix : Template_matrix.t;

@@ -71,8 +71,6 @@ let create ?(hooks = default_hooks) ?(seed = 11) () =
   def "Number" (conc (Builtin "Number"));
   { hooks; globals; prng = Uv_util.Prng.create seed; sim_time = 1.7e12 }
 
-let set_global t name v = Hashtbl.replace t.globals name (ref v)
-
 (* ------------------------------------------------------------------ *)
 (* Scope handling                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -640,11 +638,6 @@ let call_function t name argv =
   | Some { contents = { v = Closure _; _ } as f } -> apply t f argv
   | Some _ -> err "%s is not a function" name
   | None -> err "unknown function %s" name
-
-let has_function t name =
-  match lookup [ t.globals ] name with
-  | Some { contents = { v = Closure _; _ } } -> true
-  | _ -> false
 
 let functions t =
   Hashtbl.fold

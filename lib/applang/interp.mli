@@ -44,11 +44,7 @@ val load_source : t -> string -> unit
 val call_function : t -> string -> Value.cv list -> Value.cv
 (** Invoke a top-level function (an application-level transaction). *)
 
-val has_function : t -> string -> bool
-
 val functions : t -> string list
 
 val eval_expr : t -> Ast.expr -> Value.cv
 (** Evaluate an expression in the global scope (tests). *)
-
-val set_global : t -> string -> Value.cv -> unit

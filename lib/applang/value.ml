@@ -31,14 +31,6 @@ let of_scalar = function
   | Uv_symexec.Assignment.Bool b -> Bool b
   | Uv_symexec.Assignment.Null -> Null
 
-let to_scalar = function
-  | Num f -> Uv_symexec.Assignment.Num f
-  | Str s -> Uv_symexec.Assignment.Str s
-  | Bool b -> Uv_symexec.Assignment.Bool b
-  | Null | Undefined -> Uv_symexec.Assignment.Null
-  | Obj _ | Arr _ | Closure _ | Builtin _ | Sym_container _ ->
-      Uv_symexec.Assignment.Str "[object]"
-
 let truthy = function
   | Num f -> f <> 0.0 && not (Float.is_nan f)
   | Str s -> s <> ""
@@ -121,16 +113,6 @@ let segs_to_string segs =
          | S_text s -> s
          | S_hole sym -> "${" ^ Uv_symexec.Sym.to_string sym ^ "}")
        segs)
-
-let sql_value_of = function
-  | Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Uv_sql.Value.Int (int_of_float f)
-      else Uv_sql.Value.Float f
-  | Str s -> Uv_sql.Value.Text s
-  | Bool b -> Uv_sql.Value.Bool b
-  | Null | Undefined -> Uv_sql.Value.Null
-  | Obj _ | Arr _ | Closure _ | Builtin _ | Sym_container _ -> Uv_sql.Value.Null
 
 let of_sql_value = function
   | Uv_sql.Value.Int i -> Num (float_of_int i)

@@ -44,7 +44,6 @@ val null : cv
 val undefined : cv
 
 val of_scalar : Uv_symexec.Assignment.scalar -> t
-val to_scalar : t -> Uv_symexec.Assignment.scalar
 
 val truthy : t -> bool
 val to_num : t -> float
@@ -62,9 +61,5 @@ val segs_of : cv -> seg list
 val segs_concat : cv -> cv -> seg list
 val segs_to_string : seg list -> string
 (** Concrete rendering is impossible for holes; used for debugging. *)
-
-val sql_value_of : t -> Uv_sql.Value.t
-(** Convert a MiniJS scalar into a SQL value (used when the runtime
-    passes application values into the database). *)
 
 val of_sql_value : Uv_sql.Value.t -> t

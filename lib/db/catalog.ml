@@ -57,10 +57,6 @@ let triggers_for t table event =
     t.trigs []
   |> List.sort (fun a b -> compare a.trig_name b.trig_name)
 
-let has_object t name =
-  Hashtbl.mem t.tbls name || Hashtbl.mem t.views name || Hashtbl.mem t.procs name
-  || Hashtbl.mem t.trigs name || Hashtbl.mem t.idxs name
-
 let bump t = t.epoch <- t.epoch + 1
 
 let add_table t tbl =
@@ -120,31 +116,6 @@ let view_names t =
 
 let procedure_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.procs [] |> List.sort compare
-
-let rec select_reads_table (sel : Ast.select) tbl =
-  let from_hit =
-    match sel.Ast.sel_from with Some (t, _) -> String.equal t tbl | None -> false
-  in
-  from_hit
-  || List.exists (fun j -> String.equal j.Ast.join_table tbl) sel.Ast.sel_joins
-  || Option.fold ~none:false ~some:(fun e -> expr_reads_table e tbl) sel.Ast.sel_where
-
-and expr_reads_table (e : Ast.expr) tbl =
-  match e with
-  | Ast.Subselect s | Ast.Exists s -> select_reads_table s tbl
-  | Ast.Binop (_, a, b) -> expr_reads_table a tbl || expr_reads_table b tbl
-  | Ast.Unop (_, a) -> expr_reads_table a tbl
-  | Ast.Fun_call (_, args) -> List.exists (fun a -> expr_reads_table a tbl) args
-  | Ast.In_list (a, items) -> List.exists (fun x -> expr_reads_table x tbl) (a :: items)
-  | Ast.Between (a, b, c) -> List.exists (fun x -> expr_reads_table x tbl) [ a; b; c ]
-  | Ast.Is_null (a, _) -> expr_reads_table a tbl
-  | Ast.Lit _ | Ast.Col _ | Ast.Var _ -> false
-
-let views_reading_table t tbl =
-  Hashtbl.fold
-    (fun name sel acc -> if select_reads_table sel tbl then name :: acc else acc)
-    t.views []
-  |> List.sort compare
 
 let snapshot t =
   let copy = create () in

@@ -38,7 +38,6 @@ val table : t -> string -> Storage.t option
 val view : t -> string -> Ast.select option
 val procedure : t -> string -> procedure option
 val triggers_for : t -> string -> Ast.trigger_event -> trigger list
-val has_object : t -> string -> bool
 
 val add_table : t -> Storage.t -> unit
 val remove_table : t -> string -> unit
@@ -57,9 +56,6 @@ val indexes : t -> (string * (string * string list)) list
 
 val view_names : t -> string list
 val procedure_names : t -> string list
-
-val views_reading_table : t -> string -> string list
-(** Views whose defining query reads the given table (directly). *)
 
 val snapshot : t -> t
 (** Deep copy of the whole catalog including every table's rows. *)

@@ -1092,10 +1092,10 @@ and insert_row t table_name (columns : string list option) (values : Value.t lis
       run_triggers t After Ev_insert table_name ~old_row:None ~new_row:(Some row)
 
 (* Find an AND-reachable equality conjunct [col = value] on an indexed
-   column whose value is computable without row bindings; the index rows
-   are then a sound superset of the matches. *)
-and index_probe t env tbl (w : expr) : Storage.rowid list option =
-  let tbl_name = Storage.name tbl in
+   column, bare or qualified by [prefix] (the name the scan binds the
+   table's columns under), whose value is computable without row
+   bindings; the index rows are then a sound superset of the matches. *)
+and index_probe t env tbl prefix (w : expr) : Storage.rowid list option =
   let try_eq col e =
     match Storage.column_index tbl col with
     | None -> None
@@ -1107,12 +1107,12 @@ and index_probe t env tbl (w : expr) : Storage.rowid list option =
   in
   match w with
   | Binop (And, a, b) -> (
-      match index_probe t env tbl a with
+      match index_probe t env tbl prefix a with
       | Some _ as r -> r
-      | None -> index_probe t env tbl b)
-  | Binop (Eq, Col (qual, col), e) when qual = None || qual = Some tbl_name ->
+      | None -> index_probe t env tbl prefix b)
+  | Binop (Eq, Col (qual, col), e) when qual = None || qual = Some prefix ->
       try_eq col e
-  | Binop (Eq, e, Col (qual, col)) when qual = None || qual = Some tbl_name ->
+  | Binop (Eq, e, Col (qual, col)) when qual = None || qual = Some prefix ->
       try_eq col e
   | _ -> None
 
@@ -1131,7 +1131,9 @@ and matching_rows ?prefix t env tbl where =
         match prefix with Some p -> (true, p) | None -> (false, Storage.name tbl)
       in
       let compiled = Compile_cur.compile_opt ~vars:env.vars sch prefix w in
-      let ids = Option.map (List.sort compare) (index_probe t env tbl w) in
+      let ids =
+        Option.map (List.sort compare) (index_probe t env tbl prefix w)
+      in
       match compiled with
       | Some ce -> (
           (* filtered on the typed columns; only matches box *)

@@ -454,11 +454,6 @@ let to_array t = Array.sub t.items 0 t.len
 
 let copy t = { items = Array.copy t.items; len = t.len }
 
-let of_entries es =
-  let t = create () in
-  List.iter (append t) es;
-  t
-
 let map f t =
   { items = Array.map f (Array.sub t.items 0 t.len); len = t.len }
 

@@ -157,10 +157,6 @@ val to_array : t -> entry array
 
 val copy : t -> t
 
-val of_entries : entry list -> t
-(** Build a log from explicit entries (fixture construction, log
-    surgery). Entries are taken as-is; indexes are not renumbered. *)
-
 val map : (entry -> entry) -> t -> t
 (** A fresh log with [f] applied to every entry — e.g. static-analysis
     fixtures that strip recorded non-determinism from a real history. *)

@@ -101,17 +101,19 @@ type table_rows = {
    row-wise closure: [epoch] for a member of the current
    closure, [-epoch] for an entry kept out of it. [via_col]/[via_row]
    hold a member's parent in that closure, read only for entries whose
-   mark is the current epoch. [opened]/[from] stamp each column slot of
-   [col_shapes] with the epoch it was tainted on and the index it was
-   tainted after; [sh_opened]/[sh_from] stamp each shape id the same way
-   for the cursors opened on its posting, and [r_opened]/[r_from] each
-   slot of the row sweep ([row_sweep]), whose listed slots keep their
-   openers in [r_openers]; [checked] caches a verdict per opener for the
-   index the sweep decides, numbered [batch] (never reused while the
-   scratch lives). Cursor [k] yields
-   [cur_ids.(k).(cur_pos.(k) .. cur_stop.(k) - 1)] and carries the tag
-   [cur_tag.(k)] its sweep gave it; [heap] holds the [n_heap] live
-   cursors of the [n_cur] opened as packed [(next index, k)] keys. *)
+   mark is the current epoch (the column-wise closure stamps only
+   grouped members, see [col_fixpoint]). [opened]/[from] stamp each
+   column slot of [col_shapes] with the epoch it was tainted on and the
+   index it was tainted after; [sh_opened] stamps each shape id the
+   column-wise closure reached, with its opener in [sh_via] and its
+   opening point in [sh_from]. [r_opened]/[r_from] stamp each slot of
+   the row sweep ([row_sweep]), whose listed slots keep their openers in
+   [r_openers]; [checked] caches a verdict per opener for the index the sweep
+   decides, numbered [batch] (never reused while the scratch lives).
+   Cursor [k] yields [cur_ids.(k).(cur_pos.(k) .. cur_stop.(k) - 1)] and
+   carries the tag [cur_tag.(k)] its sweep gave it; [heap] holds the
+   [n_heap] live cursors of the [n_cur] opened as packed
+   [(next index, k)] keys, or the column-wise closure's opening points. *)
 type scratch = {
   mutable mark : int array;
   mutable rmark : int array;
@@ -121,6 +123,7 @@ type scratch = {
   mutable from : int array;
   mutable sh_opened : int array;
   mutable sh_from : int array;
+  mutable sh_via : int array;
   mutable r_opened : int array;
   mutable r_from : int array;
   mutable r_openers : posting array;
@@ -185,12 +188,12 @@ type t = {
   base_hashes : (string * int64) list;
   mutable col_ids : (string, int) Hashtbl.t; (* interned Rwset column keys *)
   mutable shape_count : int; (* shape ids handed out, every generation's *)
+  mutable shape_of_id : shape_sets array; (* shape id -> its shape *)
   mutable col_shapes : shape_sets list array;
       (* column [c]'s shapes, newest first: every shape touching it at
          [2c], the shapes writing it at [2c + 1] *)
-  mutable entry_cols : int array array;
-      (* per entry: [| nw; nw written column ids; the read column ids |],
-         or [||] for an entry that never joins *)
+  mutable entry_shape : int array;
+      (* per entry: its shape's id, or -1 for an entry that never joins *)
   mutable table_ids : (string, int) Hashtbl.t; (* interned [table_of_col] names *)
   mutable table_names : string array; (* table id -> name *)
   mutable col_table : int array; (* column id -> its table's id *)
@@ -369,6 +372,9 @@ let register_shape t sh =
   let cols = cols_row t (Lazy.force sh.s_rw) in
   sh.s_cols <- cols;
   sh.s_id <- t.shape_count;
+  if sh.s_id = Array.length t.shape_of_id then
+    t.shape_of_id <- grow t.shape_of_id sh.s_id sh;
+  t.shape_of_id.(sh.s_id) <- sh;
   t.shape_count <- t.shape_count + 1;
   let file slot =
     match t.col_shapes.(slot) with
@@ -380,17 +386,24 @@ let register_shape t sh =
     if k <= cols.(0) then file ((2 * cols.(k)) + 1)
   done
 
-(* Index entry [i] and return its [entry_cols] row, the one its shape
-   [sh] holds. Only entries that can ever join a closure — they write, or
-   carry an application transaction tag — are indexed: once, on their
-   shape's posting, which is ascending, so a later entry appends. *)
+(* Index entry [i] under its shape [sh]'s id. Only entries that can
+   ever join a closure — they write, or carry an application transaction
+   tag — are indexed: once, on their shape's posting, which is
+   ascending, so a later entry appends. *)
 let index_info t i inf sh =
-  if Rwset.Colset.is_empty inf.rw.Rwset.w && inf.app_txn = None then [||]
-  else begin
-    if sh.s_cols = [||] then register_shape t sh;
-    posting_push sh.s_entries i;
-    sh.s_cols
-  end
+  t.entry_shape.(i - 1) <-
+    (if Rwset.Colset.is_empty inf.rw.Rwset.w && inf.app_txn = None then -1
+     else begin
+       if sh.s_cols = [||] then register_shape t sh;
+       posting_push sh.s_entries i;
+       sh.s_id
+     end)
+
+(* Entry [i]'s [entry_cols] row: its shape's [s_cols], or [||] for an
+   entry that never joins. *)
+let entry_cols t i =
+  let id = t.entry_shape.(i - 1) in
+  if id < 0 then [||] else t.shape_of_id.(id).s_cols
 
 (* File entry [i] under its application transaction tag, if any. *)
 let add_group t i = function
@@ -483,7 +496,7 @@ let key_rows t i =
       t.infos.(i - 1).rows
   in
   t.entry_rows.(i - 1) <- runs;
-  let cols = t.entry_cols.(i - 1) in
+  let cols = entry_cols t i in
   if Array.length cols > 0 then begin
     (* posting [2 * side + read_only] of a key's four *)
     let ro = Bool.to_int (cols.(0) = 0) in
@@ -565,8 +578,9 @@ let create ~config ~obs ?base source =
     base_hashes;
     col_ids = Hashtbl.create 256;
     shape_count = 0;
+    shape_of_id = [||];
     col_shapes = [||];
-    entry_cols = [||];
+    entry_shape = [||];
     table_ids = Hashtbl.create 16;
     table_names = [||];
     col_table = [||];
@@ -599,6 +613,7 @@ let reset t =
   t.head_from <- f.head_from;
   t.col_ids <- f.col_ids;
   t.shape_count <- f.shape_count;
+  t.shape_of_id <- f.shape_of_id;
   t.col_shapes <- f.col_shapes;
   t.table_ids <- f.table_ids;
   t.table_names <- f.table_names;
@@ -631,7 +646,7 @@ let reserve t n =
       b
     in
     t.infos <- resize t.infos no_info;
-    t.entry_cols <- resize t.entry_cols [||];
+    t.entry_shape <- resize t.entry_shape (-1);
     t.entry_rows <- resize t.entry_rows [||]
   end
 
@@ -770,7 +785,7 @@ let pass t ~obs ~lo ~from ~first ~last =
     apply_schema t i stmt;
     let inf = { index = e.Uv_db.Log.index; stmt; rw; rows; app_txn } in
     t.infos.(i - 1) <- inf;
-    t.entry_cols.(i - 1) <- index_info t i inf sh
+    index_info t i inf sh
   in
   Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
       let i = ref (first - 1) in
@@ -959,6 +974,7 @@ let with_scratch t f =
           from = [||];
           sh_opened = [||];
           sh_from = [||];
+          sh_via = [||];
           r_opened = [||];
           r_from = [||];
           r_openers = [||];
@@ -990,8 +1006,10 @@ let with_scratch t f =
     s.from <- Array.make (max np 64) 0
   end;
   if Array.length s.sh_opened < t.shape_count then begin
-    s.sh_opened <- Array.make (max t.shape_count 64) 0;
-    s.sh_from <- Array.make (max t.shape_count 64) 0
+    let size = max t.shape_count 64 in
+    s.sh_opened <- Array.make size 0;
+    s.sh_from <- Array.make size 0;
+    s.sh_via <- Array.make size 0
   end;
   if Array.length s.r_opened < nr then begin
     let size = max 64 (if s.r_opened = [||] then nr else 2 * nr) in
@@ -1013,21 +1031,21 @@ let with_scratch t f =
 let live_in t ~grouped ~tau ~mark ~epoch i =
   i >= tau
   && i <= t.n
-  && (let c = t.entry_cols.(i - 1) in
+  && (let c = entry_cols t i in
       Array.length c > 0 && (grouped || c.(0) > 0))
   &&
   let m = mark.(i - 1) in
   m <> epoch && m <> -epoch
 
 (* ------------------------------------------------------------------ *)
-(* The sweeps' cursor heap                                              *)
+(* The closures' heap                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A sweep merges cursors over ascending postings into one ascending
-   stream of (index, cursor tag) pairs. Heap keys pack a cursor's next
-   index above its cursor number, so keys compare as plain ints and
-   equal indexes order by cursor number — the order the cursors were
-   opened in. *)
+(* The row sweep merges cursors over ascending postings into one
+   ascending stream of (index, cursor tag) pairs. Heap keys pack a
+   cursor's next index above its cursor number, so keys compare as plain
+   ints and equal indexes order by cursor number — the order the cursors
+   were opened in. The column-wise closure's keys are plain indexes. *)
 let cursor_bits = 24
 
 let cursor_mask = (1 lsl cursor_bits) - 1
@@ -1055,6 +1073,19 @@ let rec sift_down h len k =
     end
   end
 
+let heap_push s key =
+  if s.n_heap = Array.length s.heap then s.heap <- grow s.heap s.n_heap 0;
+  s.heap.(s.n_heap) <- key;
+  s.n_heap <- s.n_heap + 1;
+  sift_up s.heap (s.n_heap - 1)
+
+let heap_pop s =
+  let top = s.heap.(0) in
+  s.n_heap <- s.n_heap - 1;
+  s.heap.(0) <- s.heap.(s.n_heap);
+  sift_down s.heap s.n_heap 0;
+  top
+
 (* Open a cursor tagged [tag] on [post]'s entries past [after], if it
    has any. *)
 let open_cursor s post ~after ~tag =
@@ -1073,10 +1104,7 @@ let open_cursor s post ~after ~tag =
     s.cur_stop.(k) <- post.len;
     s.cur_tag.(k) <- tag;
     s.n_cur <- k + 1;
-    if s.n_heap = Array.length s.heap then s.heap <- grow s.heap s.n_heap 0;
-    s.heap.(s.n_heap) <- (post.ids.(pos) lsl cursor_bits) lor k;
-    s.n_heap <- s.n_heap + 1;
-    sift_up s.heap (s.n_heap - 1)
+    heap_push s ((post.ids.(pos) lsl cursor_bits) lor k)
   end
 
 (* Pop the cursors in ascending (index, cursor) order, [f index tag
@@ -1118,43 +1146,78 @@ let seed_cols t (seed_rw : Rwset.rw) =
   let writes = ids_of seed_rw.Rwset.w in
   Array.of_list ((List.length writes :: writes) @ ids_of seed_rw.Rwset.r)
 
-(* The column-wise closure as one ascending sweep over shape postings.
-   Every entry of a shape shares its columns, so column-wise conflict is
-   a relation between shapes. A member (or the seed, just before τ)
-   taints its columns: a written column opens a cursor on every shape
-   that touches it, a read column on every shape that writes it, each
-   starting just past the member; read-only shapes only open when
-   [grouped], as only then can their entries join. A column slot is
-   tainted, and a shape opened, once per question unless a member below
-   its opening point reaches it again — only a group mate joining out of
-   order does, and a second cursor from there is sound because every
-   cursor entry conflicts with the member that opened it. A cursor's
-   tag is its opener; a live candidate joins. So an ungrouped question
-   visits each entry at most once, and every visit joins but those to
-   the excluded target group: O(|C|) shape-posting entries, and
-   ungrouped members join in ascending order. Provenance: each member's
-   parent ([s.via_col]) is the smallest cursor opener that yields it —
-   the earliest member (or the target, 0) it conflicts with column-wise
-   — or, failing any, the group mate it joined with. Returns the members
-   in join order; [s.mark] stamps them with [s.epoch]. *)
-let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
-    ~grouped ~expand =
+(* A computed column-wise closure: its member count, membership of an
+   entry that is live for the question, each member's parent (as
+   [provenance.p_col_via]) and the member list. *)
+type col_closure = {
+  count : int;
+  mem : int -> bool;
+  parent : int -> int;
+  members : unit -> int list;
+}
+
+let group_expand t i =
+  match t.infos.(i - 1).app_txn with
+  | None -> []
+  | Some tag -> group t tag
+
+(* The column-wise closure as a fixpoint over statement shapes. Every
+   entry of a shape shares its columns, so column-wise conflict is a
+   relation between shapes: a written column reaches every shape that
+   touches it, a read column the shapes that write it, and read-only
+   shapes only when [grouped], as only then can their entries join. A
+   reached shape has an opener, the smallest of the seed (0, reaching
+   from just before τ) and the members whose columns reach it, and an
+   opening point, its first entry past the opener that is not kept out.
+   Its entries from the opening point on are members ([covered]), each
+   with the opener as its parent: the earliest member (or the target)
+   it conflicts with.
+
+   The heap holds opening points, and an opened shape's first member
+   taints its slots; each reach costs one binary search. Ungrouped,
+   openers come in ascending order, so each slot is tainted and each
+   shape opened once: O((shapes + slots) log n), nothing per entry.
+   Grouped, a covered entry that joins brings in its transaction group,
+   and a mate taints its slots from its own index, which may lower a
+   shape's opener and opening point (label-correcting). So grouped, a
+   shape's covered entries are walked one pop at a time, in index order
+   with every other shape's, and a walk stops at an entry another walk
+   passed ([s.via_col] holds [max_int] for a walked entry). A mate not
+   covered keeps the walked entry that brought its group in as its
+   parent, in [s.via_col]; grouped members are stamped in [s.mark]. *)
+let col_fixpoint ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
+    ~grouped =
   let n = t.n in
   let epoch = s.epoch and mark = s.mark and via = s.via_col in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
   let live = live_in t ~grouped ~tau ~mark ~epoch in
-  s.n_cur <- 0;
   s.n_heap <- 0;
-  (* open a cursor on shape [sh]'s posting for entries past [after] *)
-  let open_shape ~opener ~after sh =
+  let opened = ref [] and joined = ref [] in
+  (* [sh]'s first entry past [after] that is not kept out, or [max_int] *)
+  let first_past sh after =
+    let p = sh.s_entries in
+    let k = ref (posting_lower_bound p (after + 1)) in
+    while !k < p.len && mark.(p.ids.(!k) - 1) = -epoch do
+      incr k
+    done;
+    if !k < p.len then p.ids.(!k) else max_int
+  in
+  let reach ~opener ~after sh =
     let id = sh.s_id in
-    if
-      (grouped || sh.s_cols.(0) > 0)
-      && (s.sh_opened.(id) <> epoch || s.sh_from.(id) > after)
+    let fresh = s.sh_opened.(id) <> epoch in
+    if (grouped || sh.s_cols.(0) > 0) && (fresh || opener < s.sh_via.(id))
     then begin
-      s.sh_opened.(id) <- epoch;
-      s.sh_from.(id) <- after;
-      open_cursor s sh.s_entries ~after ~tag:opener
+      if fresh then begin
+        s.sh_opened.(id) <- epoch;
+        s.sh_from.(id) <- max_int;
+        opened := sh :: !opened
+      end;
+      s.sh_via.(id) <- opener;
+      let a = first_past sh after in
+      if a < s.sh_from.(id) then begin
+        s.sh_from.(id) <- a;
+        heap_push s a
+      end
     end
   in
   (* taint [cols], in the [entry_cols] layout: slot [2c] of a written
@@ -1166,35 +1229,70 @@ let col_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
       if s.opened.(slot) <> epoch || s.from.(slot) > after then begin
         s.opened.(slot) <- epoch;
         s.from.(slot) <- after;
-        List.iter (open_shape ~opener ~after) t.col_shapes.(slot)
+        List.iter (reach ~opener ~after) t.col_shapes.(slot)
       end
     done
   in
-  let joined = ref [] in
-  let add src i =
+  let add i =
     mark.(i - 1) <- epoch;
     joined := i :: !joined;
-    via.(i - 1) <- src;
-    taint ~opener:i ~after:i t.entry_cols.(i - 1)
-  in
-  let join src i =
-    add src i;
-    List.iter (fun g -> if live g then add (-i) g) (expand i)
+    taint ~opener:i ~after:i (entry_cols t i)
   in
   taint ~opener:0 ~after:(tau - 1) (seed_cols t seed_rw);
-  let visits =
-    drain s (fun i o _ ->
-        if live i then join o i
-        else if mark.(i - 1) = epoch then begin
-          (* already a member: keep the smallest opener, which beats a
-             group-mate parent *)
-          let p = via.(i - 1) in
-          if p < 0 || o < p then via.(i - 1) <- o
-        end)
+  let pops = ref 0 in
+  while s.n_heap > 0 do
+    let e = heap_pop s in
+    incr pops;
+    if not grouped then taint ~opener:e ~after:e (entry_cols t e)
+    else if not (mark.(e - 1) = epoch && via.(e - 1) = max_int) then begin
+      if live e then begin
+        add e;
+        List.iter
+          (fun g ->
+            if live g then begin
+              via.(g - 1) <- e;
+              add g
+            end)
+          (group_expand t e)
+      end;
+      via.(e - 1) <- max_int;
+      let next = first_past t.shape_of_id.(t.entry_shape.(e - 1)) e in
+      if next < max_int then heap_push s next
+    end
+  done;
+  let covered i =
+    let id = t.entry_shape.(i - 1) in
+    id >= 0 && s.sh_opened.(id) = epoch && i >= s.sh_from.(id)
   in
-  Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
-  Uv_obs.Trace.incr obs ~by:visits "analyze.closure_col_visits";
-  !joined
+  (* ungrouped, the only entry kept out is τ, below every opening point:
+     a reached shape's members are its posting from there on *)
+  let suffix sh = posting_lower_bound sh.s_entries s.sh_from.(sh.s_id) in
+  let count =
+    if grouped then List.length !joined
+    else
+      List.fold_left
+        (fun acc sh -> acc + sh.s_entries.len - suffix sh)
+        0 !opened
+  in
+  Uv_obs.Trace.incr obs ~by:count "analyze.closure_iters";
+  Uv_obs.Trace.incr obs ~by:!pops "analyze.closure_col_visits";
+  {
+    count;
+    mem = (if grouped then fun i -> mark.(i - 1) = epoch else covered);
+    parent =
+      (fun i ->
+        if covered i then s.sh_via.(t.entry_shape.(i - 1)) else -via.(i - 1));
+    members =
+      (fun () ->
+        if grouped then !joined
+        else
+          List.concat_map
+            (fun sh ->
+              let lo = suffix sh in
+              List.init (sh.s_entries.len - lo) (fun k ->
+                  sh.s_entries.ids.(lo + k)))
+            !opened);
+  }
 
 (* A schema key ([_S.*]) one side writes and the other reads or writes:
    a conflict over wildcard rows (Table B). *)
@@ -1229,7 +1327,7 @@ let writes_schema t cols =
 
 let writes_schema_key t i =
   require_entry t i;
-  writes_schema t t.entry_cols.(i - 1)
+  writes_schema t (entry_cols t i)
 
 (* Row keys at question time. A target that rewrites an RI value merges
    at question time ([target_rw]); until [extend]'s next batch re-derives
@@ -1259,11 +1357,11 @@ let keyed_now ~local t rows =
   row_runs t (fresh_posting ()) ~table_id ~key rows
 
 (* The row-wise closure as one ascending sweep over row-key postings,
-   on [col_sweep]'s cursor heap. A member (or the seed, just before τ)
-   taints slots, each from just past it: per table it has rows of, its
-   written keys meet the keys' readers and writers (slots [2k] and
-   [2k + 1], over [row_postings]) and the table's wildcard readers and
-   writers, its read keys the writers only;
+   on the cursor heap ([open_cursor], [drain]). A member (or the seed,
+   just before τ) taints slots, each from just past it: per table it has
+   rows of, its written keys meet the keys' readers and writers (slots
+   [2k] and [2k + 1], over [row_postings]) and the table's wildcard
+   readers and writers, its read keys the writers only;
    a wildcard side meets the table's [all] posting of that side instead.
    So does every non-empty side after a question-time merge, when the
    postings are still keyed under the older merge state and a key's
@@ -1276,8 +1374,8 @@ let keyed_now ~local t rows =
    A posting hit decides the conflict on a schema key, and, under
    current keys, on a one-dimension table: the rows overlap. Such a
    slot opens once per question, its cursor tagged with its opener
-   (again only from below its opening point, as in [col_sweep]), and a
-   live candidate joins.
+   (again only from below its opening point, where a group mate joins
+   behind the sweep), and a live candidate joins.
    Elsewhere a candidate that fails against one member may pass against
    a later one that taints the same slot. Such a slot's cursors are
    tagged with the slot, and every member that taints it joins its
@@ -1293,7 +1391,7 @@ let keyed_now ~local t rows =
    conflicts with, else the group mate it joined with. Returns the
    members in join order; [s.rmark] stamps them with [s.epoch]. *)
 let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
-    ~seed_rows ~grouped ~expand =
+    ~seed_rows ~grouped =
   let n = t.n in
   let epoch = s.epoch and mark = s.rmark and via = s.via_row in
   List.iter (fun i -> if i >= 1 && i <= n then mark.(i - 1) <- -epoch) exclude;
@@ -1395,11 +1493,12 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
     mark.(i - 1) <- epoch;
     joined := i :: !joined;
     via.(i - 1) <- src;
-    taint ~opener:i ~after:i t.entry_cols.(i - 1) t.entry_rows.(i - 1)
+    taint ~opener:i ~after:i (entry_cols t i) t.entry_rows.(i - 1)
   in
   let join src i =
     add src i;
-    List.iter (fun g -> if live g then add (-i) g) (expand i)
+    if grouped then
+      List.iter (fun g -> if live g then add (-i) g) (group_expand t i)
   in
   taint ~opener:0 ~after:(tau - 1) seed_cols
     (keyed_now ~local:(Hashtbl.create 8) t seed_rows);
@@ -1411,9 +1510,9 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
       if o = 0 then (seed_rw, seed_rows, seed_writes_schema)
       else
         let m = t.infos.(o - 1) in
-        (m.rw, m.rows, writes_schema t t.entry_cols.(o - 1))
+        (m.rw, m.rows, writes_schema t (entry_cols t o))
     in
-    ((ws || writes_schema t t.entry_cols.(i - 1)) && schema_conflict rw inf)
+    ((ws || writes_schema t (entry_cols t i)) && schema_conflict rw inf)
     || rows_conflict t rows inf
   in
   (* does opener [o] conflict with [i], the index being decided: each
@@ -1485,11 +1584,6 @@ let row_sweep ?(obs = Uv_obs.Trace.disabled) t s ~tau ~exclude ~seed_rw
   Uv_obs.Trace.incr obs ~by:(List.length !joined) "analyze.closure_iters";
   Uv_obs.Trace.incr obs ~by:visits "analyze.closure_row_visits";
   !joined
-
-let group_expand t i =
-  match t.infos.(i - 1).app_txn with
-  | None -> []
-  | Some tag -> group t tag
 
 let classify t ~joined seed_rw =
   let add_tables_of rwsets =
@@ -1565,44 +1659,39 @@ let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
     | Remove -> strip_removed_reads (seed_rw, seed_rows)
     | Add _ | Change _ -> (seed_rw, seed_rows)
   in
-  let expand = if grouped then group_expand t else fun _ -> [] in
   let tau = target.tau in
   with_scratch t @@ fun s ->
   let span name f = Uv_obs.Trace.with_span obs ~cat:"analyze" name f in
-  let col_members () =
-    span "closure.col" (fun () ->
-        col_sweep ~obs t s ~tau ~exclude ~seed_rw ~grouped ~expand)
+  let col =
+    if mode = Row_only then None
+    else
+      Some
+        (span "closure.col" (fun () ->
+             col_fixpoint ~obs t s ~tau ~exclude ~seed_rw ~grouped))
   in
-  let row_members () =
+  let rows () =
     span "closure.row" (fun () ->
-        row_sweep ~obs t s ~tau ~exclude ~seed_rw ~seed_rows ~grouped ~expand)
+        row_sweep ~obs t s ~tau ~exclude ~seed_rw ~seed_rows ~grouped)
   in
   let joined, col_count, row_count =
-    match mode with
-    | Col_only ->
-        let j = col_members () in
-        (j, List.length j, -1)
-    | Row_only ->
-        let j = row_members () in
+    match col with
+    | None ->
+        let j = rows () in
         (j, -1, List.length j)
-    | Cell ->
+    | Some c when mode = Col_only -> (c.members (), c.count, -1)
+    | Some c ->
         (* Theorem E.20: the row closure's joins that the column closure
            also reached *)
-        let jc = col_members () in
-        let jr = row_members () in
-        ( List.filter (fun i -> s.mark.(i - 1) = s.epoch) jr,
-          List.length jc,
-          List.length jr )
+        let jr = rows () in
+        (List.filter c.mem jr, c.count, List.length jr)
   in
   let member_indexes = List.sort Int.compare joined in
-  let parent ran via i = if ran then Some via.(i - 1) else None in
-  let has_col = mode = Col_only || mode = Cell and has_row = mode <> Col_only in
   let provenance =
     List.map
       (fun i ->
         {
-          p_col_via = parent has_col s.via_col i;
-          p_row_via = parent has_row s.via_row i;
+          p_col_via = Option.map (fun c -> c.parent i) col;
+          p_row_via = (if mode = Col_only then None else Some s.via_row.(i - 1));
         })
       member_indexes
   in
@@ -1726,7 +1815,7 @@ let explain_report t (target : target) rs =
    a closure has none: it only reads, and a column that no indexed entry
    interned has no writer, so reading it orders nothing. *)
 let cols_of t i =
-  let row = t.entry_cols.(i - 1) in
+  let row = entry_cols t i in
   if Array.length row > 0 then row
   else
     Array.of_list

@@ -39,7 +39,10 @@ type mode = Col_only | Row_only | Cell
     ([Col_only]), the row-wise closure alone ([Row_only]), or their
     intersection ([Cell], the paper's replay set, Theorem E.20: the row
     closure's members that the column closure also reached). [Cell] is
-    the default; the other two are its constituents, each asked alone. *)
+    the default; the other two are its constituents, each asked alone.
+    The column-wise closure is a relation between statement shapes, so
+    [Cell] tests each row-closure member against it and never lists its
+    members; only [Col_only], whose answer they are, does. *)
 
 type info = {
   index : int;
@@ -271,19 +274,25 @@ val replay_set :
     read-only entry may join with its group.
 
     [obs] records one [closure.col]/[closure.row] span per closure run,
-    counts the members each closure processes in
-    [analyze.closure_iters], and the posting entries the column and the
-    row sweep pop in [analyze.closure_col_visits] and
+    counts each closure's members in [analyze.closure_iters], the
+    column-wise closure's heap pops in [analyze.closure_col_visits] and
+    the posting entries the row sweep pops in
     [analyze.closure_row_visits].
 
-    Cost: the column-wise closure is one ascending sweep over statement
-    shapes, O(|C|) shape-posting entries: each column a member (or the
-    target) writes opens a cursor on every shape touching it, and each
-    column it reads on every shape writing it, once per question and
-    just past that member, so an ungrouped question visits each entry at
-    most once and every visit joins but those to the excluded target
-    group. The row-wise closure is one ascending sweep over the row-key
-    postings at or after τ, on the same cursor heap: under current keys
+    Cost: the column-wise closure is a fixpoint over statement shapes
+    and column slots. A column a member (or the target) writes reaches
+    every shape touching it, and a column it reads every shape writing
+    it; a reached shape opens at its first entry past the smallest such
+    opener, found by one binary search in its posting, and its entries
+    from there on are members, with that opener as their parent. Shapes
+    open in ascending order on a heap, so an ungrouped question costs
+    O((shapes + slots) log n) and nothing per posting entry: one pop per
+    shape with a member. Grouped, members bring in their transaction
+    groups, whose mates reach shapes from their own indexes, so each
+    reached shape's entries are walked one pop at a time (one pop per
+    member, plus one per walk that meets another). The row-wise closure
+    is one ascending sweep over the row-key
+    postings at or after τ, on a heap of posting cursors: under current keys
     a key match decides a conflict on a one-dimension table, and
     {!row_conflict} verifies one on a multi-dimension table (on every
     table after a question-time merge, see {!target_rw}), against the

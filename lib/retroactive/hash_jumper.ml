@@ -40,17 +40,6 @@ let hash_at t ~table ~index =
       done;
       if !best < 0 then initial_hash t table else snd arr.(!best)
 
-let check_hit t cat ~mutated ~index =
-  List.for_all
-    (fun table ->
-      let current =
-        match Uv_db.Catalog.table cat table with
-        | Some tbl -> Uv_db.Storage.hash tbl
-        | None -> 0L
-      in
-      Int64.equal current (hash_at t ~table ~index))
-    mutated
-
 let delta t ~table ~index =
   let after = hash_at t ~table ~index in
   let before = hash_at t ~table ~index:(index - 1) in

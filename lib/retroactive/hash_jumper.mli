@@ -22,13 +22,6 @@ val of_log : ?initial:(string * int64) list -> Uv_db.Log.t -> t
 val hash_at : t -> table:string -> index:int -> int64
 (** The table's hash immediately after original commit [index]. *)
 
-val check_hit : t -> Uv_db.Catalog.t -> mutated:string list -> index:int -> bool
-(** Do all mutated tables in the (temporary) catalog currently hash to
-    their original post-commit-[index] values? Tables missing from the
-    catalog compare as the empty hash. (This is the paper's check for the
-    full-rollback scheme, where the temporary tables really are in their
-    historical state.) *)
-
 val delta : t -> table:string -> index:int -> int64
 (** The incremental-hash contribution of the statement at [index] to the
     table, i.e. [hash_at index - hash_at (index-1)] mod p. *)

@@ -383,8 +383,6 @@ and pstmt_rw active sv (p : pstmt) : rw =
 
 let of_stmt sv s = stmt_rw [] sv s
 
-let of_select sv s = select_reads sv s
-
 let pp fmt rw =
   Format.fprintf fmt "R={%s} W={%s}"
     (String.concat ", " (Colset.elements rw.r))

@@ -30,7 +30,4 @@ val of_stmt : Schema_view.t -> Ast.stmt -> rw
     The schema view is *not* advanced; callers do that with
     [Schema_view.apply] after analysing each log entry. *)
 
-val of_select : Schema_view.t -> Ast.select -> Colset.t
-(** Read set of a standalone SELECT (write set is empty by definition). *)
-
 val pp : Format.formatter -> rw -> unit

@@ -325,75 +325,80 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
         end
         else None)
   in
-  (* members are redone from their journals when the schema holds still
-     and the row keys are current; the removed or changed target must be
-     DML too, as its journal seeds the dirty set *)
-  let tau_entry =
-    match target.Analyzer.op with
-    | (Analyzer.Remove | Analyzer.Change _)
-      when target.Analyzer.tau >= 1
-           && target.Analyzer.tau <= Uv_db.Log.length log ->
-        Some (Uv_db.Log.entry log target.Analyzer.tau)
-    | _ -> None
-  in
-  let dml = dml_only ~analyzer target members in
-  let redo_fits =
-    members <> []
-    && Analyzer.keys_current analyzer
-    && dml
-    && Option.fold ~none:true
-         ~some:(fun e -> not (Uv_sql.Ast.is_ddl e.Uv_db.Log.stmt))
-         tau_entry
-  in
-  let undo_list =
-    List.sort_uniq compare
-      (Option.fold ~none:[] ~some:(fun _ -> [ target.Analyzer.tau ]) tau_entry
-      @ members)
-    |> List.rev
-  in
-  let undo_journals =
-    List.map (fun i -> (Uv_db.Log.entry log i).Uv_db.Log.undo) undo_list
-  in
-  let tau_journal =
-    match tau_entry with Some e -> e.Uv_db.Log.undo | None -> []
-  in
-  let redo =
-    if not redo_fits then None
-    else begin
-      let r = Redo.create analyzer temp_cat in
-      if target.Analyzer.op = Analyzer.Remove then Redo.seed r tau_journal;
-      Some r
-    end
-  in
-  (* A removal whose τ left every row as it found it, with only quiet
-     members, stops before its first member (the wave schedule's exact
-     stop): nothing in the question reads the rollback's rows, so only
-     its counters are set, and the rest waits for the merged history
-     ([Wave_exec.complete]). *)
-  let deferred =
-    match redo with
-    | Some r ->
-        target.Analyzer.op = Analyzer.Remove
-        && (not config.Config.hash_jumper)
-        && Redo.is_empty r
-        && List.for_all
-             (fun i ->
-               let e = Uv_db.Log.entry log i in
-               Redo.quiet r e.Uv_db.Log.stmt e.Uv_db.Log.undo)
-             members
-    | None -> false
-  in
   (* 3. rollback: undo members (and the removed/changed target) newest
      first, folded into one restore per row ([Log.undo_entries]) — or,
      when the engine carries a checkpoint ladder that makes it cheaper,
      jump the affected tables to a rung below the oldest member and redo
-     the non-members forward *)
-  let undone, rollback_strategy, undo_stats =
+     the non-members forward. How members replay is decided here too, as
+     a removal known to stop before its first member defers its row undo:
+     members are redone from their journals when the schema holds still
+     and the row keys are current; the removed or changed target must be
+     DML too, as its journal seeds the dirty set *)
+  let ( (dml, redo, deferred, undo_journals, tau_journal),
+        (undone, rollback_strategy, undo_stats) ) =
     phase "rollback"
-      ~end_args:(fun (_, _, st) ->
+      ~end_args:(fun (_, (_, _, st)) ->
         [ ("records", Uv_obs.Json.Int st.Uv_db.Log.undo_records);
           ("rows", Uv_obs.Json.Int st.Uv_db.Log.rows_restored) ])
       (fun () ->
+        let tau_entry =
+          match target.Analyzer.op with
+          | (Analyzer.Remove | Analyzer.Change _)
+            when target.Analyzer.tau >= 1
+                 && target.Analyzer.tau <= Uv_db.Log.length log ->
+              Some (Uv_db.Log.entry log target.Analyzer.tau)
+          | _ -> None
+        in
+        let dml = dml_only ~analyzer target members in
+        let redo_fits =
+          members <> []
+          && Analyzer.keys_current analyzer
+          && dml
+          && Option.fold ~none:true
+               ~some:(fun e -> not (Uv_sql.Ast.is_ddl e.Uv_db.Log.stmt))
+               tau_entry
+        in
+        (* newest first: τ put into the ascending members *)
+        let undo_list =
+          match tau_entry with
+          | None -> List.rev members
+          | Some _ ->
+              let tau = target.Analyzer.tau in
+              let below, above = List.partition (fun i -> i < tau) members in
+              List.rev_append above (tau :: List.rev below)
+        in
+        let undo_journals =
+          List.map (fun i -> (Uv_db.Log.entry log i).Uv_db.Log.undo) undo_list
+        in
+        let tau_journal =
+          match tau_entry with Some e -> e.Uv_db.Log.undo | None -> []
+        in
+        let redo =
+          if not redo_fits then None
+          else begin
+            let r = Redo.create analyzer temp_cat in
+            if target.Analyzer.op = Analyzer.Remove then Redo.seed r tau_journal;
+            Some r
+          end
+        in
+        (* A removal whose τ left every row as it found it, with only
+           quiet members, stops before its first member (the wave
+           schedule's exact stop): nothing in the question reads the
+           rollback's rows, so only its counters are set, and the rest
+           waits for the merged history ([Wave_exec.complete]). *)
+        let deferred =
+          match redo with
+          | Some r ->
+              target.Analyzer.op = Analyzer.Remove
+              && (not config.Config.hash_jumper)
+              && Redo.is_empty r
+              && List.for_all
+                   (fun i ->
+                     let e = Uv_db.Log.entry log i in
+                     Redo.quiet r e.Uv_db.Log.stmt e.Uv_db.Log.undo)
+                   members
+          | None -> false
+        in
         let jumped =
           match Uv_db.Engine.checkpoints eng with
           | Some ladder when undo_list <> [] && not deferred ->
@@ -408,7 +413,10 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
           end
           else Uv_db.Log.undo_entries temp_cat undo_journals
         in
-        (List.length undo_list, (if jumped then "checkpoint" else "undo"), stats))
+        ( (dml, redo, deferred, undo_journals, tau_journal),
+          ( List.length undo_list,
+            (if jumped then "checkpoint" else "undo"),
+            stats ) ))
   in
   (* 4. replay forward, in commit order or over the replay DAG's waves *)
   let hash_jump_at = ref None in

@@ -16,9 +16,6 @@ type table = { tbl_name : string; tbl_columns : column list }
 
 let table tbl_name tbl_columns = { tbl_name; tbl_columns }
 
-let find_column t name =
-  List.find_opt (fun c -> String.equal c.col_name name) t.tbl_columns
-
 let column_index t name =
   let rec find i = function
     | [] -> None

@@ -33,8 +33,6 @@ type table = {
 
 val table : string -> column list -> table
 
-val find_column : table -> string -> column option
-
 val column_index : table -> string -> int option
 (** The offset of the named column in a row of the table. *)
 

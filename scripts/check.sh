@@ -136,8 +136,8 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # the replay-set closure against a pairwise reference that shares no
 # index with the analyzer: members, counts, touched tables and parents
 # in all three modes (Col_only, Row_only and Cell), grouped and not,
-# with the row sweep's parents as exact as the column sweep's (the
-# smallest valid one); a
+# with the row sweep's parents as exact as the column-wise fixpoint's
+# (the smallest valid one); a
 # hand-built history (an out-of-order group mate, a column no entry
 # has, a schema-key conflict, and, asked of Row_only and Cell,
 # wildcard-dimension rows and a row read meeting another's row write);
@@ -148,16 +148,15 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # RI value, merged at question time (every mode == the pairwise
 # reference with exact parents, each mode's replay DAG == the
 # string-keyed reference); per warm question, equal at 1 008 and
-# 4 008 history entries: shape-posting entries the column sweep visits,
+# 4 008 history entries: heap pops of the column-wise fixpoint,
 # row postings the row sweep pops, and the
 # words allocated straight into the major heap (Cell through the
 # service, grouped Cell directly); a Cell question on a hot row: its
-# members, and the shape postings its column sweep visits, only its
-# members and the excluded target however many column-disjoint writes
-# to the row pad the history; per ungrouped
+# members, and one column-wise pop (the chain's shape) however many
+# column-disjoint writes to the row pad the history; per ungrouped
 # Col_only and Cell question on the padded history and the fixtures,
-# column visits at
-# most the members plus the excluded target; analyzers extended across
+# column visits == the distinct shapes of the reference column closure,
+# at most the members plus the excluded target; analyzers extended across
 # DDL in 3 and 7 batches, whose shapes are registered again after each
 # schema generation bump, == the pairwise reference in every mode; and
 # a generated property over small histories of a one- and a
@@ -174,8 +173,17 @@ step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and 
 # and the replay DAG of one hot read-only key (10, then 1 000 readers
 # and a write): cell visits and minor words grow with the accesses, not
 # 64 steps a read, and stay put behind ten times the history
-step "closure smoke: replay sets and exact provenance of the column and row sweeps == pairwise reference (Col_only, Row_only, Cell), extend across an RI merge == fresh, question-time RI merge == reference in every mode, allocation flat in history, Cell column visits flat on a hot row, column visits <= members plus excluded, extend across DDL == reference, generated row-closure and replay-DAG ordering properties, group mate behind the row sweep, replay DAG cell visits linear on a hot key" \
+step "closure smoke: replay sets and exact provenance of the column-wise fixpoint and the row sweep == pairwise reference (Col_only, Row_only, Cell), extend across an RI merge == fresh, question-time RI merge == reference in every mode, allocation flat in history, Cell column visits flat on a hot row, column visits == member shapes, extend across DDL == reference, generated row-closure and replay-DAG ordering properties, group mate behind the row sweep, replay DAG cell visits linear on a hot key" \
   dune exec test/test_closure.exe
+
+# the column-wise closure as a shape-level fixpoint on its own: the
+# pairwise reference in every mode, grouped and not (question-time RI
+# merges included), the provenance digest over the fixtures' Cell
+# parents (group mates' parents too), the fixpoint's pops against the
+# reference's member shapes and flat from n to 10n on the five
+# workloads, and the generated row-closure and replay-DAG properties
+step "closure smoke: fixpoint == pairwise reference, provenance digest, generated properties" \
+  dune exec test/test_closure.exe -- test '^(reference|question cost|generated)$'
 
 # the analyzer's per-shape memo against direct derivation: every
 # entry's column sets on the five workloads (raw and transpiled, with
@@ -475,10 +483,9 @@ step "store analysis: streamed Cell replay sets, store-replayed == original Cell
 # the replay set's cost tracks the replay set, not the history, on the
 # five workloads' own histories: one Cell removal
 # at n = 250 calls (dependency rate 0.2) and at 10n (0.02), so the hot
-# set stays put; the row sweep's pops per row-closure member grow
-# < 1.25x (the column sweep's visits, which still grow with the
-# history, are printed in the test's output, not gated)
-step "question cost: the closure's row work flat on workload histories and padded ones" \
+# set stays put; the row sweep's pops per row-closure member and the
+# column-wise fixpoint's pops each grow < 1.25x
+step "question cost: the closure's row and column work flat on workload histories and padded ones" \
   dune exec test/test_closure.exe -- test "question cost"
 
 echo "CHECK OK"

@@ -1350,6 +1350,30 @@ let test_index_probe_numeric_extremes () =
     (Engine.exec_sql e "DELETE FROM t WHERE k = 9007199254740992.0").Engine.rows_written;
   check Alcotest.int "left" 1 (qint e "SELECT COUNT(*) FROM t")
 
+(* An aliased SELECT binds its columns by the alias only, and the index
+   probe matches the same name. The invalid [t.id = v] raises "unknown
+   column" whatever the index holds for [v]; the valid [a.id = 1] probes
+   the index, so a conjunct that fails on every other row (it reads a
+   table that does not exist) is never evaluated there. *)
+let test_index_probe_alias () =
+  let e = fresh () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
+  run e "INSERT INTO t VALUES (1, 1)";
+  List.iter
+    (fun sql ->
+      match Engine.query_sql e sql with
+      | _ -> Alcotest.failf "%s: no error" sql
+      | exception Engine.Sql_error msg ->
+          check Alcotest.string sql "unknown column t.id" msg)
+    [ "SELECT * FROM t AS a WHERE t.id = 2"; "SELECT * FROM t AS a WHERE t.id = 1" ];
+  run e "INSERT INTO t VALUES (2, 2)";
+  let count sql = List.length (Engine.query_sql e sql).Engine.rows in
+  check Alcotest.int "by the alias" 1 (count "SELECT * FROM t AS a WHERE a.id = 1");
+  check Alcotest.int "the probe narrows the scan" 1
+    (count
+       "SELECT * FROM t AS a WHERE (a.v = 1 OR (SELECT x FROM nosuch) = 0) AND \
+        a.id = 1")
+
 (* Property: the digest's hex-float writer prints what [%h] prints, on
    the float specials and on arbitrary bit patterns (subnormals, NaN
    payloads of both signs included). *)
@@ -2116,6 +2140,8 @@ let () =
             `Quick test_storage_first_write_flat;
           Alcotest.test_case "index probes at numeric extremes" `Quick
             test_index_probe_numeric_extremes;
+          Alcotest.test_case "index probe under an alias" `Quick
+            test_index_probe_alias;
           prop_hex_float_matches_printf;
         ] );
       ("expressions", [ prop_compiled_eq_interpreter ]);
