@@ -47,7 +47,7 @@ let match_history ~set ~matrix anl =
      unmatched (workload histories carry no DDL) *)
   let has_ddl = ref false in
   for i = 1 to n do
-    if Passes.contains_ddl (Analyzer.info anl i).Analyzer.stmt then
+    if Passes.contains_ddl (Analyzer.info anl i).Analyzer.shape then
       has_ddl := true
   done;
   let assign = Array.make n None in
@@ -55,7 +55,7 @@ let match_history ~set ~matrix anl =
   for i = 1 to n do
     match
       if !has_ddl then None
-      else T.match_entry set (Analyzer.info anl i).Analyzer.stmt
+      else T.match_entry set (Analyzer.stmt (Analyzer.info anl i))
     with
     | Some (tpl, binding) ->
         let tid = tpl.T.id in
@@ -79,7 +79,7 @@ let pairwise_cap = 25
 let template_coverage ~matching anl =
   let uncovered =
     List.filter
-      (fun i -> not (Passes.contains_ddl (Analyzer.info anl i).Analyzer.stmt))
+      (fun i -> not (Passes.contains_ddl (Analyzer.info anl i).Analyzer.shape))
       matching.unmatched
   in
   let shown = List.filteri (fun k _ -> k < coverage_cap) uncovered in
@@ -89,7 +89,7 @@ let template_coverage ~matching anl =
         D.make ~index:i ~code:"UVA014" ~severity:D.Warning
           ~pass:"template-coverage"
           (Printf.sprintf "statement matches no extracted template: %s"
-             (Uv_sql.Printer.stmt_compact (Analyzer.info anl i).Analyzer.stmt)))
+             (Uv_sql.Printer.stmt_compact (Analyzer.stmt (Analyzer.info anl i)))))
       shown
   in
   let total = List.length uncovered in

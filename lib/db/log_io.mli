@@ -89,6 +89,9 @@ val sql : decoded -> int -> string
 val app_txn : decoded -> int -> string option
 (** [(record d k).r_app_txn], without the rest of the record. *)
 
+val nondet : decoded -> int -> Uv_sql.Value.t list
+(** [(record d k).r_nondet], without the rest of the record. *)
+
 val nondet_count : decoded -> int -> int
 (** [List.length (record d k).r_nondet], without deserialising them. *)
 

@@ -57,7 +57,6 @@ type t = {
   fault : Uv_fault.Fault.t;
   fsync : bool option;
   cap : int;
-  mutable epoch : int;
   mutable sealed : iseg list;  (* ascending by seq; only the last row may
                                   hold fewer than [cap] records, and only
                                   while the tail buffer is empty *)
@@ -78,7 +77,6 @@ type t = {
 
 let manifest_name = "MANIFEST"
 let checkpoints_name = "checkpoints.uckp"
-let dump_name = "base.sql"
 let seg_name seq = Printf.sprintf "seg-%06d.ulog" seq
 let seg_path t seq = Filename.concat t.t_dir (seg_name seq)
 let manifest_path dir = Filename.concat dir manifest_name
@@ -280,7 +278,6 @@ let open_ ?(fault = Uv_fault.Fault.disabled) ?fsync ?segment_cap dir =
     fault;
     fsync;
     cap;
-    epoch = 0;
     sealed = List.map (fun s -> { s; valid = None }) segs;
     tail = [];
     tail_count = 0;
@@ -298,7 +295,6 @@ let check_open t = if t.closed then invalid_arg "Log_store: store is closed"
 
 let dir t = t.t_dir
 let segment_cap t = t.cap
-let set_epoch t e = t.epoch <- e
 let resident_peak_bytes t = t.resident_peak
 
 let seg_count i =
@@ -323,7 +319,7 @@ let segments t =
         seg_min = t.tail_min;
         seg_max = t.tail_min + t.tail_count - 1;
         seg_nondet = t.tail_nondet;
-        seg_epoch = t.epoch;
+        seg_epoch = 0;
         seg_bytes = 0;
         seg_crc = "";
       };
@@ -509,7 +505,7 @@ let seal_tail t =
       seg_min = t.tail_min;
       seg_max = t.tail_min + t.tail_count - 1;
       seg_nondet = t.tail_nondet;
-      seg_epoch = t.epoch;
+      seg_epoch = 0;
       seg_bytes = String.length data;
       seg_crc = Uv_util.Crc32.(to_hex (digest data));
     }
@@ -554,7 +550,7 @@ let sync t =
            seg_min = t.tail_min;
            seg_max = t.tail_min + t.tail_count - 1;
            seg_nondet = t.tail_nondet;
-           seg_epoch = t.epoch;
+           seg_epoch = 0;
            seg_bytes = String.length data;
            seg_crc = Uv_util.Crc32.(to_hex (digest data));
          }
@@ -621,21 +617,17 @@ let close t =
 (* Entries and replay                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let named_entry_of_record ~memo ~index (r : Log_io.record) =
-  let template, stmt = Uv_sql.Stmt_memo.parse_named memo r.Log_io.r_sql in
-  ( template,
-    {
-      Log.index;
-      stmt;
-      sql = r.Log_io.r_sql;
-      nondet = r.Log_io.r_nondet;
-      rows_written = 0;
-      written_hashes = [];
-      undo = [];
-      app_txn = r.Log_io.r_app_txn;
-    } )
-
-let entry_of_record ~memo ~index r = snd (named_entry_of_record ~memo ~index r)
+let entry_of_record ~memo ~index (r : Log_io.record) =
+  {
+    Log.index;
+    stmt = Uv_sql.Stmt_memo.parse memo r.Log_io.r_sql;
+    sql = r.Log_io.r_sql;
+    nondet = r.Log_io.r_nondet;
+    rows_written = 0;
+    written_hashes = [];
+    undo = [];
+    app_txn = r.Log_io.r_app_txn;
+  }
 
 let replay ?(align_checkpoints = true) t eng =
   check_open t;
@@ -885,8 +877,7 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
       fault;
       fsync;
       cap;
-      epoch = 0;
-      sealed;
+        sealed;
       tail = [];
       tail_count = 0;
       tail_min = !min_next;
@@ -912,16 +903,8 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
   (t, report)
 
 (* ------------------------------------------------------------------ *)
-(* Attached ladder and dump                                             *)
+(* Attached ladder                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let write_checkpoints t ladder =
-  check_open t;
-  let data = Dump.print_checkpoints ladder in
-  guarded_write ~fault:t.fault ?fsync:t.fsync
-    ~site:Uv_fault.Fault.Site.checkpoint_save ~key:0
-    ~path:(Filename.concat t.t_dir checkpoints_name)
-    data
 
 let read_checkpoints t =
   check_open t;
@@ -932,25 +915,6 @@ let read_checkpoints t =
     try Dump.parse_checkpoints data
     with Dump.Corrupt reason ->
       raise (Error (Store_error.Corrupt_checkpoints { path; reason }))
-
-let write_dump t cat =
-  check_open t;
-  guarded_write ~fault:t.fault ?fsync:t.fsync
-    ~site:Uv_fault.Fault.Site.dump_save ~key:0
-    ~path:(Filename.concat t.t_dir dump_name)
-    (Dump.to_sql cat)
-
-let read_dump t eng =
-  check_open t;
-  let path = Filename.concat t.t_dir dump_name in
-  if not (Sys.file_exists path) then false
-  else begin
-    let data = read_file_or_error path in
-    (try Dump.restore eng data
-     with Engine.Sql_error reason ->
-       raise (Error (Store_error.Corrupt_dump { path; reason })));
-    true
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Single-file helpers (the legacy formats, unified error type)         *)

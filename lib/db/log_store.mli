@@ -20,7 +20,6 @@
     <dir>/seg-000002.ulog   segment 2
     ...
     <dir>/checkpoints.uckp  optional checkpoint ladder (UCKPv1)
-    <dir>/base.sql          optional base-catalog dump
     v}
 
     Every segment except the open tail holds exactly [segment_cap]
@@ -40,8 +39,9 @@
     One [S] line per segment, ascending and contiguous ([min_idx] of
     segment [k+1] is [max_idx] of segment [k] plus one; indexes are
     global 1-based commit indexes). [nondet] counts the segment's
-    recorded non-deterministic draws, [epoch] is the catalog-epoch tag
-    the segment was sealed under ({!set_epoch}), [bytes]/[crc32] cover
+    recorded non-deterministic draws, [epoch] is always written as [0]
+    (the field stays so that the format is unchanged; nothing reads it),
+    [bytes]/[crc32] cover
     the segment file's exact content. The trailing [E] line checksums
     the manifest itself, so truncation at {e any} byte is detected. *)
 
@@ -82,7 +82,7 @@ type segment = {
   seg_min : int;  (** first global commit index covered (1-based) *)
   seg_max : int;  (** last global commit index covered, inclusive *)
   seg_nondet : int;  (** recorded non-deterministic draws in the segment *)
-  seg_epoch : int;  (** catalog-epoch tag the segment was sealed under *)
+  seg_epoch : int;  (** the manifest's epoch field: always [0] *)
   seg_bytes : int;  (** file size; [0] for the unsynced open tail *)
   seg_crc : string;  (** 8 lowercase hex digits; [""] for the open tail *)
 }
@@ -131,10 +131,6 @@ val boundaries : t -> int list
 (** [seg_max] of every {e sealed} (full) segment, ascending — the
     commit indexes where the checkpoint ladder is aligned so rollback
     re-reads at most one segment tail (see {!Checkpoint.set_boundaries}). *)
-
-val set_epoch : t -> int -> unit
-(** Tag segments sealed from now on with this catalog epoch (a DDL
-    generation counter). Defaults to [0]. *)
 
 (** {2 Append} *)
 
@@ -200,11 +196,6 @@ val entry_of_record :
     (undo images, written hashes, row counts) start empty, exactly as
     after a fresh {!Log_io.replay}. *)
 
-val named_entry_of_record :
-  memo:Uv_sql.Stmt_memo.t -> index:int -> Log_io.record -> int * Log.entry
-(** {!entry_of_record}, with the id of the memo template its statement
-    was built from ({!Uv_sql.Stmt_memo.parse_named}). *)
-
 val replay : ?align_checkpoints:bool -> t -> Engine.t -> int list
 (** Stream-replay the whole store into an engine (one segment
     resident), forcing each record's non-determinism; returns 1-based
@@ -261,23 +252,12 @@ val open_salvage :
     returned handle serves exactly the salvaged prefix; {!sync} would
     commit the trim to the manifest. *)
 
-(** {2 Attached checkpoint ladder and base dump} *)
-
-val write_checkpoints : t -> Checkpoint.t -> unit
-(** Persist a ladder as [<dir>/checkpoints.uckp] (UCKPv1, atomic;
-    probes {!Uv_fault.Fault.Site.checkpoint_save}). *)
+(** {2 Attached checkpoint ladder} *)
 
 val read_checkpoints : t -> (int * Catalog.t) list
-(** The attached ladder's rungs, ascending; [[]] when none was written.
-    @raise Error on a corrupt file. *)
-
-val write_dump : t -> Catalog.t -> unit
-(** Persist a base-catalog dump as [<dir>/base.sql] (atomic; probes
-    {!Uv_fault.Fault.Site.dump_save}). *)
-
-val read_dump : t -> Engine.t -> bool
-(** Restore [<dir>/base.sql] into an engine; [false] when none was
-    written. @raise Error on a corrupt file. *)
+(** The rungs of [<dir>/checkpoints.uckp], ascending; [[]] when there
+    is no such file. The store never writes it: {!save_checkpoints_file}
+    does, given that path. @raise Error on a corrupt file. *)
 
 (** {2 Single-file helpers}
 

@@ -94,8 +94,7 @@ module Site : sig
       file receives only a prefix and the rename is skipped. *)
 
   val dump_save : string
-  (** Probed by [Log_store.write_dump] and [Log_store.save_dump_file]
-      ([Torn_write]). *)
+  (** Probed by [Log_store.save_dump_file] ([Torn_write]). *)
 
   val worker : string
   (** Probed on the pool domain about to replay an item
@@ -112,8 +111,7 @@ module Site : sig
       index the rung would cover. *)
 
   val checkpoint_save : string
-  (** Probed by [Log_store.write_checkpoints] and
-      [Log_store.save_checkpoints_file] ([Torn_write]): the checkpoint
+  (** Probed by [Log_store.save_checkpoints_file] ([Torn_write]): the checkpoint
       file receives only a prefix and the rename is skipped, so recovery
       must reject it on CRC and fall back to undo-only rollback. *)
 

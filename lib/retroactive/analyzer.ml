@@ -8,38 +8,45 @@ type mode = Col_only | Row_only | Cell
 
 type info = {
   index : int;
-  stmt : Ast.stmt;
+  shape : Ast.stmt;
+  text : string option;
   rw : Rwset.rw;
   rows : Rowset.entry_rows;
   app_txn : string option;
 }
 
+let stmt inf = match inf.text with None -> inf.shape | Some sql -> Parser.parse_stmt sql
+
 (* Where entries come from: a pull interface so analysis never needs a
    materialized [Log.t] — an in-memory log and a segmented on-disk
-   store are both one-segment-at-a-time folds from here. An entry below
-   the pass's bound may come as [Scanned]: its shape named without its
-   statement, which [entry] builds when the pass needs it. *)
+   store are both one-segment-at-a-time folds from here. A store hands
+   each entry as [Scanned]: its shape named and its literals bound from
+   its bytes, with no statement built; the pass reads its literals by
+   position and builds its statement only where the schema view needs
+   it. *)
 type item =
   | Entry of { template : int; entry : Uv_db.Log.entry }
   | Scanned of {
       template : int;
       shape : Ast.stmt;
+      lits : Stmt_memo.lits;
+      sql : string;
       app_txn : string option;
-      entry : unit -> Uv_db.Log.entry;
+      log : Uv_db.Log_io.decoded;
+      at : int;
     }
 
 type source = {
   src_length : unit -> int;
-  src_iter : int -> int -> below:int -> (item -> unit) -> unit;
-      (* [src_iter lo hi ~below f]: apply [f] to entries [lo..hi] in
-         order, those at or after [below] as [Entry] *)
+  src_iter : int -> int -> (item -> unit) -> unit;
+      (* [src_iter lo hi f]: apply [f] to entries [lo..hi] in order *)
 }
 
 let source_of_fun ~length fetch =
   {
     src_length = length;
     src_iter =
-      (fun lo hi ~below:_ f ->
+      (fun lo hi f ->
         for i = lo to hi do
           f (Entry { template = -1; entry = fetch i })
         done);
@@ -49,33 +56,23 @@ let source_of_log log =
   source_of_fun ~length:(fun () -> Uv_db.Log.length log) (Uv_db.Log.entry log)
 
 let source_of_store store =
-  let memo = Uv_sql.Stmt_memo.create () in
+  let memo = Stmt_memo.create () in
   {
     src_length = (fun () -> Uv_db.Log_store.length store);
     src_iter =
-      (fun lo hi ~below f ->
-        Uv_db.Log_store.iter_decoded store ~lo ~hi (fun index d k ->
-            if index >= below then
-              let template, entry =
-                Uv_db.Log_store.named_entry_of_record ~memo ~index (Uv_db.Log_io.record d k)
-              in
-              f (Entry { template; entry })
-            else
-              let sql = Uv_db.Log_io.sql d k in
-              let template = Uv_sql.Stmt_memo.template memo sql in
-              f
-                (Scanned
-                   {
-                     template;
-                     shape =
-                       (if template >= 0 then Uv_sql.Stmt_memo.template_stmt memo template
-                        else Uv_sql.Stmt_memo.parse memo sql);
-                     app_txn = Uv_db.Log_io.app_txn d k;
-                     entry =
-                       (fun () ->
-                         Uv_db.Log_store.entry_of_record ~memo ~index
-                           (Uv_db.Log_io.record d k));
-                   })));
+      (fun lo hi f ->
+        Uv_db.Log_store.iter_decoded store ~lo ~hi (fun _ log at ->
+            let sql = Uv_db.Log_io.sql log at in
+            let template = Stmt_memo.template memo sql in
+            let shape, lits =
+              if template >= 0 then (Stmt_memo.template_stmt memo template, Stmt_memo.lits memo)
+              else
+                let stmt = Stmt_memo.parse memo sql in
+                (stmt, Stmt_memo.lits_of_stmt stmt)
+            in
+            f
+              (Scanned
+                 { template; shape; lits; sql; app_txn = Uv_db.Log_io.app_txn log at; log; at })));
   }
 
 (* A growable int list, [ids.(0 .. len - 1)]: in every index, ascending
@@ -543,7 +540,8 @@ let rekey_rows t ~lo ~last gen =
 
 (* The slot of an entry not derived in full. *)
 let no_info =
-  { index = 0; stmt = Ast.Transaction []; rw = Rwset.empty; rows = []; app_txn = None }
+  { index = 0; shape = Ast.Transaction []; text = None; rw = Rwset.empty; rows = [];
+    app_txn = None }
 
 let create ~config ~obs ?base source =
   let sv =
@@ -711,16 +709,15 @@ let shape_rw ~derived sh =
   if not (Lazy.is_val sh.s_rw) then incr derived;
   Lazy.force sh.s_rw
 
-(* Apply entry [i]'s statement to the head view; when it starts a new
-   schema generation, keep the view it ends. *)
+(* Apply entry [i]'s statement, of a shape [Schema_view.affects], to
+   the head view; when it starts a new schema generation, keep the view
+   it ends. *)
 let apply_schema t i stmt =
-  if Schema_view.affects stmt then begin
-    let before = Schema_view.copy t.sv and gen = Schema_view.generation t.sv in
-    Schema_view.apply t.sv stmt;
-    if Schema_view.generation t.sv <> gen then begin
-      t.views <- (t.head_from, before) :: t.views;
-      t.head_from <- i + 1
-    end
+  let before = Schema_view.copy t.sv and gen = Schema_view.generation t.sv in
+  Schema_view.apply t.sv stmt;
+  if Schema_view.generation t.sv <> gen then begin
+    t.views <- (t.head_from, before) :: t.views;
+    t.head_from <- i + 1
   end
 
 (* The PRIMARY KEY and UNIQUE guards of [table] under the head's schema
@@ -757,51 +754,73 @@ let intern_guards t =
             | ids -> Some (Array.of_list ids))
           (table_guards t table))
 
+(* What a pass reads of an item beyond its shape: its literals, its
+   recorded non-determinism, and (only for a shape that changes the
+   schema view) its statement. [built] counts the statements built for
+   a store's entries. *)
+let item_lits = function
+  | Entry { entry; _ } -> Stmt_memo.lits_of_stmt entry.Uv_db.Log.stmt
+  | Scanned { lits; _ } -> lits
+
+let item_nondet = function
+  | Entry { entry; _ } -> entry.Uv_db.Log.nondet
+  | Scanned { log; at; _ } -> Uv_db.Log_io.nondet log at
+
+let item_stmt ~built = function
+  | Entry { entry; _ } -> entry.Uv_db.Log.stmt
+  | Scanned { template; shape; sql; _ } ->
+      if template < 0 then shape
+      else begin
+        incr built;
+        Parser.parse_stmt sql
+      end
+
 (* One pass over entries [first .. last]: those at or after [from] are
    derived in full (sets, rows, postings, then keys); those below only
    advance what later entries read: the group tags, the schema view (a
    schema-changing shape's entries) and the RI state (the entries of a
-   shape whose plan teaches aliases or merges). Only those entries need
-   their statement; a [Scanned] one builds it then. Entries [lo ..
-   from - 1] are already derived in full. *)
+   shape whose plan teaches aliases or merges). Rows are run from the
+   entry's literals; only an entry whose shape changes the schema view
+   needs its statement, and a [Scanned] one builds it then. Entries
+   [lo .. from - 1] are already derived in full. *)
 let pass t ~obs ~lo ~from ~first ~last =
-  let derived = ref 0 in
-  let light i sh app_txn entry =
+  let derived = ref 0 and built = ref 0 in
+  let visit i item ~template ~shape ~app_txn =
     add_group t i app_txn;
-    if sh.s_state then begin
-      let e = entry () in
-      let stmt = e.Uv_db.Log.stmt in
-      if Rowset.teaches sh.s_plan then
-        ignore (Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet : Rowset.entry_rows);
-      apply_schema t i stmt
+    let sh = template_sets t template shape in
+    if i >= from then begin
+      let rw = shape_rw ~derived sh in
+      let rows = Rowset.run sh.s_plan (item_lits item) (item_nondet item) in
+      if Schema_view.affects shape then apply_schema t i (item_stmt ~built item);
+      let inf =
+        match item with
+        | Entry { entry; _ } ->
+            { index = entry.Uv_db.Log.index; shape; text = None; rw; rows; app_txn }
+        | Scanned { template; sql; _ } ->
+            { index = i; shape; text = (if template < 0 then None else Some sql); rw; rows; app_txn }
+      in
+      t.infos.(i - 1) <- inf;
+      index_info t i inf sh
     end
-  in
-  let full i template (e : Uv_db.Log.entry) =
-    let stmt = e.Uv_db.Log.stmt and app_txn = e.Uv_db.Log.app_txn in
-    add_group t i app_txn;
-    let sh = template_sets t template stmt in
-    let rw = shape_rw ~derived sh in
-    let rows = Rowset.run sh.s_plan stmt e.Uv_db.Log.nondet in
-    apply_schema t i stmt;
-    let inf = { index = e.Uv_db.Log.index; stmt; rw; rows; app_txn } in
-    t.infos.(i - 1) <- inf;
-    index_info t i inf sh
+    else if sh.s_state then begin
+      if Rowset.teaches sh.s_plan then
+        ignore (Rowset.run sh.s_plan (item_lits item) (item_nondet item) : Rowset.entry_rows);
+      if Schema_view.affects shape then apply_schema t i (item_stmt ~built item)
+    end
   in
   Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.rwsets" (fun () ->
       let i = ref (first - 1) in
-      t.source.src_iter first last ~below:from (fun item ->
+      t.source.src_iter first last (fun item ->
           incr i;
           match item with
           | Entry { template; entry = e } ->
-              if !i >= from then full !i template e
-              else
-                light !i
-                  (template_sets t template e.Uv_db.Log.stmt)
-                  e.Uv_db.Log.app_txn
-                  (fun () -> e)
-          | Scanned { template; shape; app_txn; entry } ->
-              light !i (template_sets t template shape) app_txn entry);
-      Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations");
+              visit !i item ~template ~shape:e.Uv_db.Log.stmt ~app_txn:e.Uv_db.Log.app_txn
+          | Scanned { template; shape; app_txn; _ } ->
+              (* a declined scan's statement was built by the source *)
+              if template < 0 then incr built;
+              visit !i item ~template ~shape ~app_txn);
+      Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations";
+      Uv_obs.Trace.incr obs ~by:!built "analyze.stmts_built");
   Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
       (* row keys are derived under the merge state after the pass *)
       let gen = Rowset.merge_generation t.row_state in
@@ -1803,7 +1822,7 @@ let explain_report t (target : target) rs =
       in
       let reasons = if reasons = [] then [ "seeded" ] else reasons in
       Printf.sprintf "#%d %s <- %s" i
-        (Uv_sql.Ast.stmt_kind inf.stmt)
+        (Uv_sql.Ast.stmt_kind inf.shape)
         (String.concat "; " reasons))
     rs.member_indexes rs.provenance
 
@@ -1866,7 +1885,7 @@ let unkeyed_guards t i =
   let written = write_tables inf.rw in
   List.concat_map
     (fun table ->
-      if deleted_table t inf.stmt = Some table then []
+      if deleted_table t inf.shape = Some table then []
       else
         List.filter_map
           (fun g ->
@@ -1927,7 +1946,7 @@ let replay_dag ?(obs = Uv_obs.Trace.disabled) t ~members =
             t.guard_ids.(tid) <> []
             && t.col_row_keyed.(c)
             && first_keyed t cols tid 1 = k
-            && deleted_table t t.infos.(i - 1).stmt <> Some t.table_names.(tid)
+            && deleted_table t t.infos.(i - 1).shape <> Some t.table_names.(tid)
           then
             List.iter
               (fun g ->
@@ -2087,7 +2106,7 @@ let to_dot t ~members =
   List.iter
     (fun i ->
       let label =
-        let sql = Uv_sql.Printer.stmt_compact t.infos.(i - 1).stmt in
+        let sql = Uv_sql.Printer.stmt_compact (stmt t.infos.(i - 1)) in
         let sql =
           if String.length sql > 48 then String.sub sql 0 45 ^ "..." else sql
         in

@@ -46,28 +46,52 @@ type mode = Col_only | Row_only | Cell
 
 type info = {
   index : int;
-  stmt : Ast.stmt;
+  shape : Ast.stmt;
+      (** {!Uv_sql.Shape.equal} to the entry's statement: the statement
+          itself when [text] is [None], else the statement of the
+          template a store named the entry by *)
+  text : string option;
+      (** the entry's SQL when [shape] is its template's statement *)
   rw : Rwset.rw;
   rows : Rowset.entry_rows;
   app_txn : string option;
 }
+(** What a pass derived for one entry. Every reader in the analyzer and
+    the what-if layer needs only the entry's shape; {!stmt} builds the
+    statement itself on demand. *)
+
+val stmt : info -> Ast.stmt
+(** The entry's statement: [shape], or [text] parsed in full
+    ({!Uv_sql.Parser.parse_stmt}, so it is safe from any domain). *)
 
 type t
 
-(** An entry as a source hands it to a pass. Below the pass's bound a
-    source may hand it [Scanned]: its shape named without its statement
-    (a statement {!Uv_sql.Shape.equal} to the entry's), with [entry]
-    building the whole entry when the pass needs it. [template] numbers
-    the shape's statement among the source's ([-1]: none), so that every
-    entry handed with one template, [Entry] or [Scanned], has one shape:
-    the pass finds that shape's sets by the number. *)
+(** An entry as a source hands it to a pass. [template] numbers the
+    shape's statement among the source's ([-1]: none), so that every
+    entry handed with one template has one shape: the pass finds that
+    shape's sets by the number.
+
+    A store hands every entry [Scanned], named from its bytes
+    ({!Uv_sql.Stmt_memo.template}) with no statement of its own:
+    [shape] is its template's statement ({!Uv_sql.Shape.equal} to the
+    entry's), and [lits] its literals by position
+    ({!Uv_sql.Stmt_memo.lits}), valid while the pass's callback runs.
+    Where the memo's scan declines (a comment, an integer above
+    [max_int]), [template] is [-1] and [shape] is the statement parsed
+    in full. [sql] is the entry's text, parsed only when the pass needs
+    the statement. [log] and [at] are the entry's record in its decoded
+    segment: the pass reads its non-determinism there when it derives
+    the entry's rows. *)
 type item =
   | Entry of { template : int; entry : Uv_db.Log.entry }
   | Scanned of {
       template : int;
       shape : Ast.stmt;
+      lits : Stmt_memo.lits;
+      sql : string;
       app_txn : string option;
-      entry : unit -> Uv_db.Log.entry;
+      log : Uv_db.Log_io.decoded;
+      at : int;
     }
 
 (** Where entries come from. The analyzer pulls its input through this
@@ -76,10 +100,9 @@ type item =
     at a time) and any custom fold all analyse identically. *)
 type source = {
   src_length : unit -> int;  (** entries available right now *)
-  src_iter : int -> int -> below:int -> (item -> unit) -> unit;
-      (** [src_iter lo hi ~below f] applies [f] to entries with 1-based
-          commit indexes [lo..hi], in order, every entry at or after
-          [below] as an [Entry]. Called once per pass. *)
+  src_iter : int -> int -> (item -> unit) -> unit;
+      (** [src_iter lo hi f] applies [f] to entries with 1-based
+          commit indexes [lo..hi], in order. Called once per pass. *)
 }
 
 val source_of_log : Uv_db.Log.t -> source
@@ -90,12 +113,16 @@ val source_of_store : Uv_db.Log_store.t -> source
     memory during a pass is one segment plus the manifest, and every
     segment is decoded and checksum-verified. The source keeps one
     {!Uv_sql.Stmt_memo} across its passes, so it parses each statement
-    shape in full once. An entry at or after [below] gets its record
-    built and its statement built from its bytes, with its template
-    ([named_entry_of_record]). One below it gets only its SQL text and
-    application-transaction tag read from the segment and its template
-    named ({!Uv_sql.Stmt_memo.template}): no record, no AST of its own,
-    no deserialised N values. *)
+    shape in full once. Every entry is handed [Scanned]: its SQL text
+    and application-transaction tag are read from the segment, and its
+    template named and literals bound in one scan
+    ({!Uv_sql.Stmt_memo.template}): no record, no AST of its own. A pass
+    derives its rows from those literals ({!Rowset.run}), reads its N
+    values only when it derives them, and keeps its text for
+    {!stmt}. It builds a statement (parsed in full, counted by the
+    [analyze.stmts_built] counter) only for an entry whose shape changes
+    the schema view; the source parses one only where the scan
+    declines. *)
 
 val source_of_fun : length:(unit -> int) -> (int -> Uv_db.Log.entry) -> source
 (** A source from a random-access fetch function; every entry an
@@ -134,8 +161,10 @@ val require : ?obs:Uv_obs.Trace.t -> t -> from:int -> unit
     transaction groups, the schema view (entries of a shape that may
     change it, {!Schema_view.affects}) and the RI alias and merge state
     (entries of a shape whose row-set plan teaches, {!Rowset.teaches}).
-    Only those entries below [from] get a statement built; a store
-    source names every other one's shape from its bytes. The answers of
+    A teaching entry runs its plan from its literals; only a
+    schema-changing entry needs its statement, so an entry from a store
+    source, below [from] or not, gets one built only then (or where its
+    scan declines). The answers of
     a question whose entries are derived equal those of an analyzer
     derived from 1: closure members, provenance, counts, replay DAG.
 
@@ -189,8 +218,9 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
     it touches, so a shape used again after a schema change is a new
     shape with a posting of its own. Its row sets come from
     [Rowset.run] of the shape's {!Rowset.plan}, which reads the entry's
-    own literals and learns RI aliases and merges from them in commit
-    order. The plan of a CALL or of a DML statement that fires triggers
+    own literals by position (from its AST on a log source, from its
+    bytes on a store source) and learns RI aliases and merges from them
+    in commit order. The plan of a CALL or of a DML statement that fires triggers
     holds the plans of the bodies it runs, so the memo and the schema
     generation (which CREATE/DROP PROCEDURE or TRIGGER bump) cover them
     too. A schema change empties the memo, plans included. Each pass

@@ -223,15 +223,16 @@ let dml_event = function
 
 (* [plan] makes every decision that reads only the statement's
    structure, the schema view and the RI config; running the plan reads
-   the entry's literals and does the rest. The closures below are built
-   on the shape's first statement and are handed the entry's node at the
-   position they were built for: each destructures it to reach the
-   literals it needs, so that path is the only thing they know of the
-   statement.
+   the entry's literals and does the rest. The plan is built on a copy
+   of the shape's first statement whose [k]th [Lit] node, in
+   [Stmt_memo.map_lits]'s order, is [Lit (Int k)], a node of its own
+   ([nodes.(k)]): planning never reads the value of one of the
+   statement's literals, and the closures below read literal [k] of the
+   entry's literals by position, never the entry's statement.
 
    The body of a procedure or trigger is planned once, inside the plan
-   of the CALL or DML statement that runs it, and its closures are
-   handed the body's own nodes. A body's variables live in an
+   of the CALL or DML statement that runs it: its literals are the
+   body's own, constants of the plan. A body's variables live in an
    environment, one slot each: [Some v] when the value is known from the
    call's literals or literal SETs, [None] when it is not (database
    reads, non-determinism). A top-level statement has no variable in
@@ -252,14 +253,20 @@ let slot (scope : scope) name =
       Hashtbl.add scope name i;
       i
 
-type step = stmt -> env -> Value.t list -> entry_rows
+type lits = Stmt_memo.lits
 
-(* What planning reads: the RI state, the schema view, the variables in
-   scope ([None] at top level) and the triggers and procedures whose
-   bodies are being expanded. *)
+let no_lits = Stmt_memo.lits_of_stmt (Transaction [])
+
+type step = lits -> env -> Value.t list -> entry_rows
+
+(* What planning reads: the RI state, the schema view, the numbered
+   [Lit] nodes of the statement being planned ([||] inside a body), the
+   variables in scope ([None] at top level) and the triggers and
+   procedures whose bodies are being expanded. *)
 type cx = {
   t : t;
   sv : Schema_view.t;
+  nodes : expr array;
   scope : scope option;
   active : [ `Trigger of string | `Proc of string ] list;
   learns : bool ref;
@@ -267,63 +274,58 @@ type cx = {
          copy of the statement's [cx] *)
 }
 
-let not_of_shape () =
-  invalid_arg "Rowset.run: the statement is not of the plan's shape"
+(* The statement's literal [k] when [e] is its numbered node [k], else
+   [-1]: a literal of a view or a body, a constant. *)
+let lit_number cx e =
+  match e with
+  | Lit (Value.Int k) when k >= 0 && k < Array.length cx.nodes && cx.nodes.(k) == e -> k
+  | _ -> -1
 
 (* The value of [e], compiled: [None] when it is unknown whatever the
    literals and variables. *)
-let rec value_path scope (e : expr) : (expr -> env -> Value.t option) option =
+let rec value_path cx (e : expr) : (lits -> env -> Value.t option) option =
   match e with
-  | Lit _ -> Some (fun e _ -> match e with Lit v -> Some v | _ -> not_of_shape ())
+  | Lit v -> (
+      match lit_number cx e with
+      | -1 ->
+          let known = Some v in
+          Some (fun _ _ -> known)
+      | k -> Some (fun lits _ -> Some (Stmt_memo.lit lits k)))
   | Var name ->
       Option.map
         (fun scope ->
           let i = slot scope name in
           fun _ (env : env) -> env.(i))
-        scope
+        cx.scope
   | Unop (op, a) ->
       Option.map
-        (fun ga e env ->
-          match e with
-          | Unop (_, a) -> Option.map (peval_unop op) (ga a env)
-          | _ -> not_of_shape ())
-        (value_path scope a)
+        (fun ga lits env -> Option.map (peval_unop op) (ga lits env))
+        (value_path cx a)
   | Binop (op, a, b) -> (
-      match (value_path scope a, value_path scope b) with
+      match (value_path cx a, value_path cx b) with
       | Some ga, Some gb ->
           Some
-            (fun e env ->
-              match e with
-              | Binop (_, a, b) -> (
-                  match (ga a env, gb b env) with
-                  | Some va, Some vb -> Some (peval_binop op va vb)
-                  | _ -> None)
-              | _ -> not_of_shape ())
+            (fun lits env ->
+              match (ga lits env, gb lits env) with
+              | Some va, Some vb -> Some (peval_binop op va vb)
+              | _ -> None)
       | _ -> None)
   | Fun_call ("CONCAT", args) ->
-      let gs = List.map (value_path scope) args in
+      let gs = List.map (value_path cx) args in
       if List.for_all Option.is_some gs then
         let gs = List.map Option.get gs in
-        Some
-          (fun e env ->
-            match e with
-            | Fun_call (_, args) ->
-                peval_concat (List.map2 (fun g a -> g a env) gs args)
-            | _ -> not_of_shape ())
+        Some (fun lits env -> peval_concat (List.map (fun g -> g lits env) gs))
       else None
   | Fun_call ("IF", [ c; a; b ]) -> (
-      let arm g x env = match g with Some g -> g x env | None -> None in
-      match (value_path scope c, value_path scope a, value_path scope b) with
+      let arm g lits env = match g with Some g -> g lits env | None -> None in
+      match (value_path cx c, value_path cx a, value_path cx b) with
       | None, _, _ | _, None, None -> None
       | Some gc, ga, gb ->
           Some
-            (fun e env ->
-              match e with
-              | Fun_call (_, [ c; a; b ]) -> (
-                  match gc c env with
-                  | Some cv -> if Value.to_bool cv then arm ga a env else arm gb b env
-                  | None -> None)
-              | _ -> not_of_shape ()))
+            (fun lits env ->
+              match gc lits env with
+              | Some cv -> if Value.to_bool cv then arm ga lits env else arm gb lits env
+              | None -> None))
   | Col _ | Fun_call _ | Subselect _ | Exists _ | In_list _ | Between _
   | Is_null _ ->
       None
@@ -371,7 +373,7 @@ let join_col sv sources k name = function
    the dimension (or an alias column of it) is found here, so the value
    is read from the other side; an alias is looked up at run time, in the
    alias map as it stands then. *)
-let rec where_pin cx ~is_col table dim (e : expr) : (expr -> env -> riset) option =
+let rec where_pin cx ~is_col table dim (e : expr) : (lits -> env -> riset) option =
   match e with
   | Binop (Eq, lhs, rhs) -> (
       (* [Some None]: the dimension itself; [Some (Some acol)]: an alias *)
@@ -384,7 +386,7 @@ let rec where_pin cx ~is_col table dim (e : expr) : (expr -> env -> riset) optio
               else None)
             (aliases_for cx.t table)
       in
-      let pin ~right alias other =
+      let pin alias other =
         Option.map
           (fun g ->
             let of_value =
@@ -392,58 +394,37 @@ let rec where_pin cx ~is_col table dim (e : expr) : (expr -> env -> riset) optio
               | None -> value_set
               | Some acol -> alias_lookup cx.t table acol
             in
-            fun e env ->
-              match e with
-              | Binop (_, l, r) -> (
-                  match g (if right then r else l) env with
-                  | Some v -> of_value v
-                  | None -> Any)
-              | _ -> not_of_shape ())
-          (value_path cx.scope other)
+            fun lits env ->
+              match g lits env with
+              | Some v -> of_value v
+              | None -> Any)
+          (value_path cx other)
       in
       match (names lhs, names rhs) with
-      | Some alias, _ -> pin ~right:true alias rhs
-      | None, Some alias -> pin ~right:false alias lhs
+      | Some alias, _ -> pin alias rhs
+      | None, Some alias -> pin alias lhs
       | None, None -> None)
   | In_list (c, items) when is_col dim c ->
-      let gs = List.map (value_path cx.scope) items in
+      let gs = List.map (value_path cx) items in
       if List.for_all Option.is_some gs then
         let gs = List.map Option.get gs in
         Some
-          (fun e env ->
-            match e with
-            | In_list (_, items) ->
-                let vals = List.map2 (fun g e -> g e env) gs items in
-                if List.for_all Option.is_some vals then
-                  Vals
-                    (Vset.of_list
-                       (List.map (fun v -> Value.serialize (Option.get v)) vals))
-                else Any
-            | _ -> not_of_shape ())
+          (fun lits env ->
+            let vals = List.map (fun g -> g lits env) gs in
+            if List.for_all Option.is_some vals then
+              Vals (Vset.of_list (List.map (fun v -> Value.serialize (Option.get v)) vals))
+            else Any)
       else None
   | Binop (And, a, b) -> (
       (* [Any] is [rs_inter]'s identity *)
       match (where_pin cx ~is_col table dim a, where_pin cx ~is_col table dim b) with
       | None, None -> None
-      | Some pa, None ->
-          Some (fun e env -> match e with Binop (_, a, _) -> pa a env | _ -> not_of_shape ())
-      | None, Some pb ->
-          Some (fun e env -> match e with Binop (_, _, b) -> pb b env | _ -> not_of_shape ())
-      | Some pa, Some pb ->
-          Some
-            (fun e env ->
-              match e with
-              | Binop (_, a, b) -> rs_inter (pa a env) (pb b env)
-              | _ -> not_of_shape ()))
+      | (Some _ as p), None | None, (Some _ as p) -> p
+      | Some pa, Some pb -> Some (fun lits env -> rs_inter (pa lits env) (pb lits env)))
   | Binop (Or, a, b) -> (
       (* [Any] absorbs [rs_union] *)
       match (where_pin cx ~is_col table dim a, where_pin cx ~is_col table dim b) with
-      | Some pa, Some pb ->
-          Some
-            (fun e env ->
-              match e with
-              | Binop (_, a, b) -> rs_union (pa a env) (pb b env)
-              | _ -> not_of_shape ())
+      | Some pa, Some pb -> Some (fun lits env -> rs_union (pa lits env) (pb lits env))
       | _ -> None)
   | _ -> None
 
@@ -457,16 +438,13 @@ let dim_pins cx ~is_col table where =
 
 let no_rows = Vals Vset.empty
 
-(* The pinned rows of the entry's [where], one access per dimension. *)
-let pinned pins where env access : taccess =
+(* The pinned rows, one access per dimension. *)
+let pinned pins lits env access : taccess =
   let rows = Array.make (Array.length pins) (access Any) in
   for i = 0 to Array.length pins - 1 do
     match pins.(i) with
     | None -> ()
-    | Some pin -> (
-        match where with
-        | Some w -> rows.(i) <- access (pin w env)
-        | None -> not_of_shape ())
+    | Some pin -> rows.(i) <- access (pin lits env)
   done;
   rows
 
@@ -476,7 +454,7 @@ let read_write rs = { dr = rs; dw = rs }
 (* The rows a SELECT's sources read, its subqueries aside: a table's
    under the SELECT's WHERE, a view's base table's under the view's own
    WHERE. In a join each column pins only the source it names. *)
-let select_plan cx (s : select) : select -> env -> entry_rows =
+let select_plan cx (s : select) : lits -> env -> entry_rows =
   let sources =
     Option.to_list s.sel_from
     @ List.map (fun j -> (j.join_table, j.join_alias)) s.sel_joins
@@ -485,32 +463,29 @@ let select_plan cx (s : select) : select -> env -> entry_rows =
     match Schema_view.view cx.sv table with
     | Some { sel_from = Some (parent, _); sel_where = w; _ } ->
         let pins = dim_pins cx ~is_col:(is_col parent) parent w in
-        Some (fun _ env -> (parent, pinned pins w env read_only))
+        Some (fun lits env -> (parent, pinned pins lits env read_only))
     | Some _ -> None
     | None ->
         let is_col =
           match sources with [ _ ] -> is_col table | _ -> join_col cx.sv sources k
         in
         let pins = dim_pins cx ~is_col table s.sel_where in
-        Some (fun (sel : select) env -> (table, pinned pins sel.sel_where env read_only))
+        Some (fun lits env -> (table, pinned pins lits env read_only))
   in
   match List.filter_map Fun.id (List.mapi read sources) with
   | [] -> fun _ _ -> []
-  | [ read ] -> fun sel env -> [ read sel env ]
+  | [ read ] -> fun lits env -> [ read lits env ]
   | reads ->
-      fun sel env ->
-        List.fold_left (fun acc read -> merge_rows acc [ read sel env ]) [] reads
+      fun lits env ->
+        List.fold_left (fun acc read -> merge_rows acc [ read lits env ]) [] reads
 
-(* [step p e env acc] for each planned [p] and its expression [e] of the
-   entry, in turn; [None] when no expression has a plan. *)
+(* [step p lits env acc] for each planned [p], in turn; [None] when none
+   is planned. *)
 let fold_plans plans step =
-  if List.for_all Option.is_none plans then None
-  else
-    Some
-      (fun es env acc ->
-        List.fold_left2
-          (fun acc p e -> match p with Some p -> step p e env acc | None -> acc)
-          acc plans es)
+  match List.filter_map Fun.id plans with
+  | [] -> None
+  | plans ->
+      Some (fun lits env acc -> List.fold_left (fun acc p -> step p lits env acc) acc plans)
 
 let select_exprs (sel : select) =
   Option.to_list sel.sel_where
@@ -519,53 +494,36 @@ let select_exprs (sel : select) =
 
 (* The rows a SELECT reads: its sources', then those of the subqueries
    in its WHERE, HAVING and projection, nested ones included. *)
-let rec select_reads cx (s : select) : select -> env -> entry_rows =
+let rec select_reads cx (s : select) : lits -> env -> entry_rows =
   let rows = select_plan cx s in
   match subqueries cx (select_exprs s) with
   | None -> rows
-  | Some sub -> fun sel env -> sub (select_exprs sel) env (rows sel env)
+  | Some sub -> fun lits env -> sub lits env (rows lits env)
 
 (* The rows the subqueries in [e] read, merged onto [acc] in the order a
    left-to-right walk meets them; [None] when [e] has none. *)
-and walk_plan cx (e : expr) : (expr -> env -> entry_rows -> entry_rows) option =
-  let walk_all es children =
-    Option.map
-      (fun walk e env acc -> walk (children e) env acc)
-      (fold_plans (List.map (walk_plan cx) es) (fun w e env acc -> w e env acc))
-  in
+and walk_plan cx (e : expr) : (lits -> env -> entry_rows -> entry_rows) option =
+  let walk_all es = fold_plans (List.map (walk_plan cx) es) (fun w lits env acc -> w lits env acc) in
   match e with
   | Subselect s | Exists s ->
       let rows = select_reads cx s in
-      Some
-        (fun e env acc ->
-          match e with
-          | Subselect s | Exists s -> merge_rows acc (rows s env)
-          | _ -> not_of_shape ())
-  | Binop (_, a, b) ->
-      walk_all [ a; b ] (function Binop (_, a, b) -> [ a; b ] | _ -> not_of_shape ())
-  | Unop (_, a) | Is_null (a, _) ->
-      walk_all [ a ] (function Unop (_, a) | Is_null (a, _) -> [ a ] | _ -> not_of_shape ())
-  | Fun_call (_, args) ->
-      walk_all args (function Fun_call (_, args) -> args | _ -> not_of_shape ())
-  | In_list (a, items) ->
-      walk_all (a :: items) (function
-        | In_list (a, items) -> a :: items
-        | _ -> not_of_shape ())
-  | Between (a, b, c) ->
-      walk_all [ a; b; c ] (function
-        | Between (a, b, c) -> [ a; b; c ]
-        | _ -> not_of_shape ())
+      Some (fun lits env acc -> merge_rows acc (rows lits env))
+  | Binop (_, a, b) -> walk_all [ a; b ]
+  | Unop (_, a) | Is_null (a, _) -> walk_all [ a ]
+  | Fun_call (_, args) -> walk_all args
+  | In_list (a, items) -> walk_all (a :: items)
+  | Between (a, b, c) -> walk_all [ a; b; c ]
   | Lit _ | Col _ | Var _ -> None
 
 (* Each expression's subquery rows, merged in turn onto the rows so far;
    [None] when none of [es] has a subquery. *)
 and subqueries cx es =
-  fold_plans (List.map (walk_plan cx) es) (fun w e env acc ->
-      merge_rows acc (w e env []))
+  fold_plans (List.map (walk_plan cx) es) (fun w lits env acc ->
+      merge_rows acc (w lits env []))
 
 (* Where each RI dimension's or alias column's value comes from in one
    VALUES row of an INSERT. *)
-type source = Unbound | Drawn | At of int * (expr -> env -> Value.t option)
+type source = Unbound | Drawn | At of (lits -> env -> Value.t option)
 
 (* The rows an INSERT writes: per VALUES row, its draw count and where
    each dimension and declared alias pair reads its value. Aliases are
@@ -583,24 +541,23 @@ let insert_plan cx table columns values =
   let aliases = aliases_for t real_table in
   let row_plan row_exprs =
     (* the columns the row binds: [cols] zipped with its expressions *)
-    let rec bound i cs es =
+    let rec bound cs es =
       match (cs, es) with
-      | c :: cr, e :: er -> (c, i, e) :: bound (i + 1) cr er
+      | c :: cr, e :: er -> (c, e) :: bound cr er
       | _ -> []
     in
-    let bound = bound 0 cols row_exprs in
+    let bound = bound cols row_exprs in
     let draws = List.fold_left (fun a e -> a + count_draws e) 0 row_exprs in
     let drawn =
       match auto_col with
-      | Some ac -> not (List.exists (fun (c, _, _) -> String.equal c ac) bound)
+      | Some ac -> not (List.exists (fun (c, _) -> String.equal c ac) bound)
       | None -> false
     in
     let source col =
       if drawn && Option.equal String.equal auto_col (Some col) then Drawn
       else
-        match List.find_opt (fun (c, _, _) -> String.equal c col) bound with
-        | Some (_, i, e) -> (
-            match value_path cx.scope e with Some g -> At (i, g) | None -> Unbound)
+        match List.assoc_opt col bound with
+        | Some e -> ( match value_path cx e with Some g -> At g | None -> Unbound)
         | None -> Unbound
     in
     ( draws,
@@ -616,12 +573,12 @@ let insert_plan cx table columns values =
   if List.exists (fun (_, _, alias_sources) -> alias_sources <> []) rows then
     cx.learns := true;
   let ndims = max 1 (List.length dims) in
-  fun (values : expr list list) env nondet ->
+  fun lits env nondet ->
     let nondet = ref nondet in
     let per_dim_written = Array.make ndims no_rows in
     let learned = ref [] in
-    List.iter2
-      (fun (draws, dim_sources, alias_sources) row ->
+    List.iter
+      (fun (draws, dim_sources, alias_sources) ->
         (* every row takes one recorded draw after its own [draws] *)
         let rec drop k l =
           if k <= 0 then l else match l with [] -> [] | _ :: r -> drop (k - 1) r
@@ -638,7 +595,7 @@ let insert_plan cx table columns values =
         let value = function
           | Unbound -> None
           | Drawn -> draw
-          | At (i, g) -> g (List.nth row i) env
+          | At g -> g lits env
         in
         Array.iteri
           (fun i src ->
@@ -654,7 +611,7 @@ let insert_plan cx table columns values =
                 learned := (acol, Value.serialize av, Value.serialize rv) :: !learned
             | _ -> ())
           alias_sources)
-      rows values;
+      rows;
     List.iter
       (fun (acol, av, rv) -> Hashtbl.replace t.alias_map (real_table, acol, av) rv)
       !learned;
@@ -672,24 +629,13 @@ let update_plan cx table assigns where =
   let real_table = write_table cx.sv table in
   let dims = ri_dims t cx.sv real_table in
   let pins = dim_pins cx ~is_col:(is_col real_table) real_table where in
-  let assigned col =
-    let rec find i = function
-      | (c, e) :: rest -> if String.equal c col then Some (i, e) else find (i + 1) rest
-      | [] -> None
-    in
-    find 0 assigns
-  in
-  let path_of col =
-    Option.bind (assigned col) (fun (i, e) ->
-        Option.map (fun g -> (i, g)) (value_path cx.scope e))
-  in
+  let path_of col = Option.bind (List.assoc_opt col assigns) (value_path cx) in
   (* the assigned dimensions, each with the path to its new value
      ([None]: unknown whatever the literals) *)
   let rewrites =
-    List.mapi
-      (fun i dim -> Option.map (fun _ -> (i, dim, path_of dim)) (assigned dim))
-      dims
-    |> List.filter_map Fun.id
+    List.mapi (fun i dim -> (i, dim)) dims
+    |> List.filter_map (fun (i, dim) ->
+           if List.mem_assoc dim assigns then Some (i, dim, path_of dim) else None)
   in
   let alias_rewrites =
     List.filter_map
@@ -701,12 +647,11 @@ let update_plan cx table assigns where =
   in
   if List.exists (fun (_, _, path) -> path <> None) rewrites || alias_rewrites <> []
   then cx.learns := true;
-  fun (assigns : (string * expr) list) where env ->
-    let access = pinned pins where env read_write in
-    let value (i, g) = g (snd (List.nth assigns i)) env in
+  fun lits env ->
+    let access = pinned pins lits env read_write in
     List.iter
       (fun (i, dim, path) ->
-        let new_v = Option.bind path value in
+        let new_v = Option.bind path (fun g -> g lits env) in
         (match (new_v, access.(i).dr) with
         | Some nv, Vals olds when Vset.cardinal olds = 1 ->
             merge_values t real_table dim (Vset.choose olds) (Value.serialize nv)
@@ -722,7 +667,7 @@ let update_plan cx table assigns where =
       rewrites;
     List.iter
       (fun (acol, a, r) ->
-        match (value a, value r) with
+        match (a lits env, r lits env) with
         | Some av, Some rv ->
             Hashtbl.replace t.alias_map
               (real_table, acol, Value.serialize av)
@@ -754,55 +699,37 @@ let rec stmt_plan cx (s : stmt) : step =
   match s with
   | Select sel ->
       let rows = select_reads cx sel in
-      fun s env _ ->
-        (match s with Select sel -> rows sel env | _ -> not_of_shape ())
+      fun lits env _ -> rows lits env
   | Insert_select { table; query; _ } ->
       (* the written RI values are data-dependent: a wildcard write on
          the real table, and the query's reads *)
       let real_table = write_table sv table in
       let n = max 1 (List.length (ri_dims t sv real_table)) in
       let rows = select_reads cx query in
-      fun s env _ ->
-        (match s with
-        | Insert_select { query; _ } ->
-            let write_any = Array.make n { dr = no_rows; dw = Any } in
-            merge_rows [ (real_table, write_any) ] (rows query env)
-        | _ -> not_of_shape ())
+      fun lits env _ ->
+        let write_any = Array.make n { dr = no_rows; dw = Any } in
+        merge_rows [ (real_table, write_any) ] (rows lits env)
   | Insert { table; columns; values } -> (
       let rows = insert_plan cx table columns values in
-      let values_of = function Insert i -> i.values | _ -> not_of_shape () in
       match subqueries cx (List.concat values) with
-      | None -> fun s env nondet -> rows (values_of s) env nondet
+      | None -> rows
       | Some sub ->
-          fun s env nondet ->
-            let values = values_of s in
-            let base = rows values env nondet in
-            merge_rows base (sub (List.concat values) env []))
-  | Update { table; assigns; where } ->
+          fun lits env nondet ->
+            let base = rows lits env nondet in
+            merge_rows base (sub lits env []))
+  | Update { table; assigns; where } -> (
       (* the assigned values' subqueries read, then the WHERE's *)
       let rows = update_plan cx table assigns where in
-      let exprs assigns where = List.map snd assigns @ Option.to_list where in
-      let sub = subqueries cx (exprs assigns where) in
-      fun s env _ ->
-        (match s with
-        | Update u -> (
-            let base = rows u.assigns u.where env in
-            match sub with
-            | None -> base
-            | Some sub -> sub (exprs u.assigns u.where) env base)
-        | _ -> not_of_shape ())
-  | Delete { table; where } ->
+      match subqueries cx (List.map snd assigns @ Option.to_list where) with
+      | None -> fun lits env _ -> rows lits env
+      | Some sub -> fun lits env _ -> sub lits env (rows lits env))
+  | Delete { table; where } -> (
       let real_table = write_table sv table in
       let pins = dim_pins cx ~is_col:(is_col real_table) real_table where in
-      let sub = subqueries cx (Option.to_list where) in
-      fun s env _ ->
-        (match s with
-        | Delete d -> (
-            let base = [ (real_table, pinned pins d.where env read_write) ] in
-            match sub with
-            | None -> base
-            | Some sub -> sub (Option.to_list d.where) env base)
-        | _ -> not_of_shape ())
+      let base lits env = [ (real_table, pinned pins lits env read_write) ] in
+      match subqueries cx (Option.to_list where) with
+      | None -> fun lits env _ -> base lits env
+      | Some sub -> fun lits env _ -> sub lits env (base lits env))
   | Call (name, args) -> (
       let body =
         match Schema_view.procedure sv name with
@@ -817,22 +744,14 @@ let rec stmt_plan cx (s : stmt) : step =
       match subqueries cx args with
       | None -> body
       | Some sub ->
-          fun s env nondet ->
-            (match s with
-            | Call (_, args) ->
-                let read = sub args env [] in
-                merge_rows (body s env nondet) read
-            | _ -> not_of_shape ()))
+          fun lits env nondet ->
+            let read = sub lits env [] in
+            merge_rows (body lits env nondet) read)
   | Transaction stmts ->
       (* each statement fires its write table's triggers, as at top level *)
       let plans = List.map (fired_plan cx) stmts in
-      fun s env nondet ->
-        (match s with
-        | Transaction stmts ->
-            List.fold_left2
-              (fun acc p s -> merge_rows acc (p s env nondet))
-              [] plans stmts
-        | _ -> not_of_shape ())
+      fun lits env nondet ->
+        List.fold_left (fun acc p -> merge_rows acc (p lits env nondet)) [] plans
   | Create_table { name; _ }
   | Drop_table { name; _ }
   | Truncate_table name
@@ -853,25 +772,17 @@ and call_plan cx (proc : Uv_db.Catalog.procedure) args : step =
     match (params, args) with
     | (p, _) :: ps, a :: rest ->
         let i = slot scope p in
-        (i, value_path cx.scope a) :: binds ps rest
+        (i, value_path cx a) :: binds ps rest
     | _ -> []
   in
   let binds = binds proc.Uv_db.Catalog.proc_params args in
   let body = body_plan cx scope proc.Uv_db.Catalog.proc_body in
-  fun s env nondet ->
-    (match s with
-    | Call (_, args) ->
-        let callee = Array.make (Hashtbl.length scope) None in
-        let rec bind binds args =
-          match (binds, args) with
-          | (i, path) :: binds, a :: rest ->
-              callee.(i) <- (match path with Some g -> g a env | None -> None);
-              bind binds rest
-          | _ -> ()
-        in
-        bind binds args;
-        body callee nondet
-    | _ -> not_of_shape ())
+  fun lits env nondet ->
+    let callee = Array.make (Hashtbl.length scope) None in
+    List.iter
+      (fun (i, path) -> callee.(i) <- (match path with Some g -> g lits env | None -> None))
+      binds;
+    body callee nondet
 
 (* A statement's rows, then the rows of the triggers it fires: its write
    table's, for its event. *)
@@ -883,8 +794,8 @@ and fired_plan cx s : step =
   with
   | None -> rows
   | Some fire ->
-      fun s env nondet ->
-        let base = rows s env nondet in
+      fun lits env nondet ->
+        let base = rows lits env nondet in
         merge_rows base (fire nondet)
 
 (* The bodies of the triggers a write on [table] fires, merged in turn,
@@ -913,8 +824,10 @@ and triggers_plan cx table event =
         (fun nondet ->
           List.fold_left (fun acc body -> merge_rows acc (body nondet)) [] bodies)
 
+(* A body's statements read no literal of the entry's: theirs are
+   constants, and a step inside is handed [no_lits]. *)
 and body_plan cx scope body : env -> Value.t list -> entry_rows =
-  let cx = { cx with scope = Some scope } in
+  let cx = { cx with nodes = [||]; scope = Some scope } in
   let steps = List.map (pstmt_plan cx scope) body in
   fun env nondet ->
     List.fold_left (fun acc step -> merge_rows acc (step env nondet)) [] steps
@@ -927,34 +840,31 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
     | None -> step
     | Some sub ->
         fun env nondet ->
-          let read = sub es env [] in
+          let read = sub no_lits env [] in
           merge_rows (step env nondet) read
   in
   (* an assignment reads the rows its value's subqueries read *)
   let set v init =
     let i = slot scope v in
-    let value =
-      Option.bind init (fun e -> Option.map (fun g -> g e) (value_path cx.scope e))
-    in
+    let value = Option.bind init (value_path cx) in
     let assign (env : env) =
-      env.(i) <- (match value with Some g -> g env | None -> None)
+      env.(i) <- (match value with Some g -> g no_lits env | None -> None)
     in
-    let es = Option.to_list init in
-    match subqueries cx es with
+    match subqueries cx (Option.to_list init) with
     | None ->
         fun env _ ->
           assign env;
           []
     | Some sub ->
         fun env _ ->
-          let read = sub es env [] in
+          let read = sub no_lits env [] in
           assign env;
           read
   in
   match p with
   | P_stmt s ->
       let rows = fired_plan cx s in
-      fun env nondet -> rows s env nondet
+      fun env nondet -> rows no_lits env nondet
   | P_declare (v, _, init) -> set v init
   | P_set (v, e) -> set v (Some e)
   | P_select_into (s, vars) ->
@@ -963,7 +873,7 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
       let rows = select_reads cx s in
       fun env _ ->
         List.iter (fun i -> env.(i) <- None) slots;
-        rows s env
+        rows no_lits env
   | P_if (branches, else_body) ->
       (* both arms, each on a copy of the environment; a variable the
          arms leave with differing values becomes unknown *)
@@ -1008,16 +918,32 @@ and pstmt_plan cx scope (p : pstmt) : env -> Value.t list -> entry_rows =
         body env nondet
   | P_leave _ | P_signal _ -> fun _ _ -> []
 
-type plan = { step : step; teaches : bool }
+type plan = { step : step; lit_count : int; teaches : bool }
 
 let plan t sv stmt =
+  let nodes = ref [] and count = ref 0 in
+  let numbered =
+    Stmt_memo.map_lits
+      (fun _ ->
+        let e = Lit (Value.Int !count) in
+        incr count;
+        nodes := e :: !nodes;
+        e)
+      stmt
+  in
+  let nodes = Array.of_list (List.rev !nodes) in
   let learns = ref false in
-  let step = fired_plan { t; sv; scope = None; active = []; learns } stmt in
-  { step; teaches = !learns }
+  let step = fired_plan { t; sv; nodes; scope = None; active = []; learns } numbered in
+  { step; lit_count = Array.length nodes; teaches = !learns }
 
 let teaches p = p.teaches
-let run p stmt nondet = p.step stmt no_env nondet
-let of_entry t sv stmt nondet = run (plan t sv stmt) stmt nondet
+
+let run p lits nondet =
+  if Stmt_memo.lit_count lits <> p.lit_count then
+    invalid_arg "Rowset.run: the literals are not of the plan's shape";
+  p.step lits no_env nondet
+
+let of_entry t sv stmt nondet = run (plan t sv stmt) (Stmt_memo.lits_of_stmt stmt) nondet
 
 (* ------------------------------------------------------------------ *)
 (* Overlap predicates                                                   *)

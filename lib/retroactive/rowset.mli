@@ -91,6 +91,11 @@ val plan : t -> Schema_view.t -> Ast.stmt -> plan
     calls itself (directly or through another): that [CALL] reads and
     writes any row of every table the procedure's column sets name.
 
+    Nothing of [stmt]'s literals is read here: the plan reads the
+    literals of each statement it runs by position ({!run}). A literal
+    inside a view's definition or a body is the view's or the body's,
+    a constant of the plan.
+
     A plan belongs to one shape under one schema: it holds while
     {!Schema_view.generation} of [sv] does not move, and only for [t]. It
     reads nothing of [t]'s alias or merge state when it is built. *)
@@ -104,16 +109,22 @@ val teaches : plan -> bool
     running the plan leaves [t]'s alias and merge state as it is, so an
     entry of the shape that nobody reads the rows of can be skipped. *)
 
-val run : plan -> Ast.stmt -> Value.t list -> entry_rows
-(** [run p stmt nondet]: the row-wise access of [stmt], which must have
-    [p]'s shape ([Invalid_argument] otherwise). The [Value.t list] is the
-    entry's recorded non-determinism (AUTO_INCREMENT keys are recovered
-    from it). It reads only [stmt]'s literals and [nondet], then looks
-    aliases up and learns aliases and merges into [t]'s state, so
-    entries must be run in commit order. *)
+val run : plan -> Stmt_memo.lits -> Value.t list -> entry_rows
+(** [run p lits nondet]: the row-wise access of a statement of [p]'s
+    shape, given by its literals alone: [lits] numbers its [Lit] nodes
+    in {!Uv_sql.Stmt_memo.map_lits}'s order, and the plan reads
+    literal [k] where its statement had its [k]th [Lit] node. So the
+    literals may come from an AST ({!Uv_sql.Stmt_memo.lits_of_stmt}) or
+    straight from a statement's bytes ({!Uv_sql.Stmt_memo.lits}), and
+    the statement itself need not exist. [Invalid_argument] when
+    [lits] has another count than the plan's statement. The
+    [Value.t list] is the entry's recorded non-determinism
+    (AUTO_INCREMENT keys are recovered from it). It reads only [lits]
+    and [nondet], then looks aliases up and learns aliases and merges
+    into [t]'s state, so entries must be run in commit order. *)
 
 val of_entry : t -> Schema_view.t -> Ast.stmt -> Value.t list -> entry_rows
-(** [run (plan t sv stmt) stmt nondet]. *)
+(** [run (plan t sv stmt) (Stmt_memo.lits_of_stmt stmt) nondet]. *)
 
 val canonical : t -> string -> string -> string -> string
 (** [canonical t table dim v] resolves a serialized value through the

@@ -115,7 +115,7 @@ let dml_only ~analyzer target members =
   | Analyzer.Remove -> true)
   && List.for_all
        (fun i ->
-         (not (Uv_sql.Ast.is_ddl (Analyzer.info analyzer i).Analyzer.stmt))
+         (not (Uv_sql.Ast.is_ddl (Analyzer.info analyzer i).Analyzer.shape))
          && not (Analyzer.writes_schema_key analyzer i))
        members
 

@@ -293,9 +293,11 @@ type scan = {
   mutable count : int;
   mutable spans : int array;  (* literal [k]: start, stop, kind code at [3k] *)
   mutable key : int;
+  mutable hash : int;  (* while scanning: the hash of the bytes up to [gap] *)
+  mutable gap : int;  (* while scanning: where the bytes after the last literal start *)
 }
 
-let scanner () = { count = 0; spans = Array.make 48 0; key = 0 }
+let scanner () = { count = 0; spans = Array.make 48 0; key = 0; hash = 0; gap = 0 }
 
 let snapshot sc = { sc with spans = Array.sub sc.spans 0 (3 * sc.count) }
 
@@ -314,71 +316,120 @@ let literal_token sc src k =
   | Lit_str -> Str_lit (string_body src (start + 1) (stop - 1))
   | Lit_int | Lit_float -> number_token src start stop
 
-let hash_bytes h src i j =
-  let h = ref h in
-  for k = i to j - 1 do
-    h := (!h * 31) + Char.code (String.unsafe_get src k)
-  done;
-  !h
+(* Digits that always convert: an integer literal fails to only when it
+   is longer. *)
+let safe_digits = String.length (string_of_int max_int) - 1
+
+(* [int_of_digits] would not fail on the digits [i, stop), read so far
+   into [acc]. *)
+let rec digits_fit src i stop acc =
+  i = stop
+  ||
+  let d = Char.code (String.unsafe_get src i) - 48 in
+  acc <= (max_int - d) / 10 && digits_fit src (i + 1) stop ((acc * 10) + d)
+
+let literal_converts sc src k =
+  let start = literal_start sc k and stop = literal_stop sc k in
+  literal_kind sc k <> Lit_int || stop - start <= safe_digits || digits_fit src start stop 0
+
+(* Eight bytes at a time, then byte by byte. Equal byte runs hash
+   equal; the key is never stored, so the host's byte order may show. *)
+let rec hash_bytes h src i j =
+  if i + 8 <= j then
+    hash_bytes ((h * 1_000_003) lxor Int64.to_int (String.get_int64_ne src i)) src (i + 8) j
+  else if i < j then hash_bytes ((h * 31) + Char.code (String.unsafe_get src i)) src (i + 1) j
+  else h
+
+let add_literal sc src start stop code =
+  sc.hash <- (hash_bytes sc.hash src sc.gap start * 31) + 256 + code;
+  sc.gap <- stop;
+  if 3 * (sc.count + 1) > Array.length sc.spans then begin
+    let bigger = Array.make (2 * Array.length sc.spans) 0 in
+    Array.blit sc.spans 0 bigger 0 (3 * sc.count);
+    sc.spans <- bigger
+  end;
+  let at = 3 * sc.count in
+  sc.spans.(at) <- start;
+  sc.spans.(at + 1) <- stop;
+  sc.spans.(at + 2) <- code;
+  sc.count <- sc.count + 1
+
+let next_is src n i c = i + 1 < n && String.unsafe_get src (i + 1) = c
+
+let rec backquote_stop src n i =
+  if i >= n then -1 else if String.unsafe_get src i = '`' then i else backquote_stop src n (i + 1)
+
+(* Each case steps over one token from [i] as [tokenize] would; [false]
+   where [tokenize] would skip a comment or raise. Top-level and
+   tail-recursive, with its state in [sc], so a scan allocates nothing
+   (but a longer span array, once). *)
+let rec scan_from sc src n i =
+  if i >= n then true
+  else
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\n' | '\r' -> scan_from sc src n (i + 1)
+    | '-' when next_is src n i '-' -> false
+    | '/' when next_is src n i '*' -> false
+    | '\'' ->
+        let stop = string_stop src n (i + 1) in
+        stop >= 0
+        && begin
+             add_literal sc src i stop (kind_code Lit_str);
+             scan_from sc src n stop
+           end
+    | '`' ->
+        let j = backquote_stop src n (i + 1) in
+        j >= 0 && scan_from sc src n (j + 1)
+    | '@' ->
+        let j = ident_stop src n (i + 1) in
+        j > i + 1 && scan_from sc src n j
+    | c when is_digit c ->
+        let stop = number_stop src n i in
+        add_literal sc src i stop (kind_code (if is_float src i stop then Lit_float else Lit_int));
+        scan_from sc src n stop
+    | c when is_ident_start c -> scan_from sc src n (ident_stop src n (i + 1))
+    | '(' | ')' | ',' | ';' | '.' | ':' | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' ->
+        scan_from sc src n (i + 1)
+    | '!' when next_is src n i '=' -> scan_from sc src n (i + 2)
+    | _ -> false
 
 let scan sc src =
   let n = String.length src in
   sc.count <- 0;
-  let h = ref 0 and gap = ref 0 in
-  let literal start stop kind =
-    let code = kind_code kind in
-    h := (hash_bytes !h src !gap start * 31) + 256 + code;
-    gap := stop;
-    if 3 * (sc.count + 1) > Array.length sc.spans then begin
-      let bigger = Array.make (2 * Array.length sc.spans) 0 in
-      Array.blit sc.spans 0 bigger 0 (3 * sc.count);
-      sc.spans <- bigger
-    end;
-    let at = 3 * sc.count in
-    sc.spans.(at) <- start;
-    sc.spans.(at + 1) <- stop;
-    sc.spans.(at + 2) <- code;
-    sc.count <- sc.count + 1
-  in
-  let next_is i c = i + 1 < n && String.unsafe_get src (i + 1) = c in
-  (* each case steps over one token as [tokenize] would; [false] where
-     [tokenize] would skip a comment or raise *)
-  let rec go i =
-    if i >= n then true
-    else
-      match String.unsafe_get src i with
-      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
-      | '-' when next_is i '-' -> false
-      | '/' when next_is i '*' -> false
-      | '\'' ->
-          let stop = string_stop src n (i + 1) in
-          stop >= 0
-          && begin
-               literal i stop Lit_str;
-               go stop
-             end
-      | '`' -> (
-          match String.index_from_opt src (i + 1) '`' with
-          | Some j -> go (j + 1)
-          | None -> false)
-      | '@' ->
-          let j = ident_stop src n (i + 1) in
-          j > i + 1 && go j
-      | c when is_digit c ->
-          let stop = number_stop src n i in
-          literal i stop (if is_float src i stop then Lit_float else Lit_int);
-          go stop
-      | c when is_ident_start c -> go (ident_stop src n (i + 1))
-      | '(' | ')' | ',' | ';' | '.' | ':' | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' ->
-          go (i + 1)
-      | '!' when next_is i '=' -> go (i + 2)
-      | _ -> false
-  in
-  go 0
+  sc.hash <- 0;
+  sc.gap <- 0;
+  scan_from sc src n 0
   && begin
-       sc.key <- hash_bytes !h src !gap n land max_int;
+       sc.key <- hash_bytes sc.hash src sc.gap n land max_int;
        true
      end
+
+(* Eight bytes at a time, then byte by byte. *)
+let rec bytes_equal a ai b bi len =
+  if len >= 8 then
+    String.get_int64_ne a ai = String.get_int64_ne b bi
+    && bytes_equal a (ai + 8) b (bi + 8) (len - 8)
+  else
+    len = 0
+    || String.unsafe_get a ai = String.unsafe_get b bi
+       && bytes_equal a (ai + 1) b (bi + 1) (len - 1)
+
+let range_equal a ai aj b bi bj = aj - ai = bj - bi && bytes_equal a ai b bi (aj - ai)
+
+(* From literal [k] on, the bytes before [aprev] and [bprev] being
+   equal: see [same_shape]. *)
+let rec same_from a asrc b bsrc keep k aprev bprev =
+  if k = a.count then range_equal asrc aprev (String.length asrc) bsrc bprev (String.length bsrc)
+  else
+    let at = 3 * k in
+    let astart = a.spans.(at) and bstart = b.spans.(at) in
+    let astop = a.spans.(at + 1) and bstop = b.spans.(at + 1) in
+    a.spans.(at + 2) = b.spans.(at + 2)
+    && range_equal asrc aprev astart bsrc bprev bstart
+    && ((not keep.(k)) || range_equal asrc astart astop bsrc bstart bstop)
+    && same_from a asrc b bsrc keep (k + 1) astop bstop
+
+let same_shape a asrc b bsrc ~keep = a.count = b.count && same_from a asrc b bsrc keep 0 0 0
 
 let show_token = function
   | Ident s -> "identifier " ^ s

@@ -52,7 +52,8 @@ val scan : scan -> string -> bool
     any input [tokenize] rejects with [Lex_error]. After a [false] the
     contents of [sc] are unspecified. An integer literal above
     [max_int] is accepted here; {!literal_token} then raises the
-    [Failure] that [tokenize] raises. *)
+    [Failure] that [tokenize] raises. A scan allocates nothing once
+    [sc] has room for the statement's literals. *)
 
 val key : scan -> int
 (** Non-negative hash of the bytes outside the literal spans and of the
@@ -75,6 +76,18 @@ val literal_token : scan -> string -> int -> token
 (** [literal_token sc src k] is the [Int_lit], [Float_lit] or [Str_lit]
     token [tokenize src] produces for literal [k].
     @raise Failure ["int_of_string"] on an integer above [max_int]. *)
+
+val literal_converts : scan -> string -> int -> bool
+(** [literal_converts sc src k]: {!literal_token} of literal [k] does not
+    raise, i.e. it is not an integer above [max_int]. Allocates
+    nothing. *)
+
+val same_shape : scan -> string -> scan -> string -> keep:bool array -> bool
+(** [same_shape a asrc b bsrc ~keep], for [asrc] scanned into [a] and
+    [bsrc] into [b]: the same literal count and kinds, equal bytes
+    outside the literal spans, and equal bytes inside literal [k]
+    wherever [keep.(k)] ([keep] has a slot per literal of [a]). Compares
+    eight bytes at a time and allocates nothing. *)
 
 val snapshot : scan -> scan
 (** An independent copy, unaffected by later scans. *)

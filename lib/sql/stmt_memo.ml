@@ -4,24 +4,11 @@ open Ast
 
 (* Each function returns its argument itself, physically, when [f]
    changed no literal under it, so a rebuilt statement shares every
-   subtree that holds no substituted literal. Building a template and
-   instantiating it both call [stmt], so they visit the literals in the
-   same order. *)
-
-let rec list g l =
-  match l with
-  | [] -> l
-  | x :: rest ->
-      let x' = g x in
-      let rest' = list g rest in
-      if x' == x && rest' == rest then l else x' :: rest'
-
-let opt g o =
-  match o with
-  | None -> o
-  | Some x ->
-      let x' = g x in
-      if x' == x then o else Some x'
+   subtree that holds no substituted literal. Building a template,
+   instantiating it, numbering a plan's literals and collecting a
+   statement's all call [stmt], so they visit the literals in the same
+   order. Every list has a mapper of its own that takes [f], so a walk
+   that rebuilds nothing allocates nothing but what [f] does. *)
 
 let rec expr f e =
   match e with
@@ -35,7 +22,7 @@ let rec expr f e =
       let a' = expr f a in
       if a' == a then e else Unop (op, a')
   | Fun_call (name, args) ->
-      let args' = list (expr f) args in
+      let args' = exprs f args in
       if args' == args then e else Fun_call (name, args')
   | Subselect s ->
       let s' = select f s in
@@ -45,7 +32,7 @@ let rec expr f e =
       if s' == s then e else Exists s'
   | In_list (a, xs) ->
       let a' = expr f a in
-      let xs' = list (expr f) xs in
+      let xs' = exprs f xs in
       if a' == a && xs' == xs then e else In_list (a', xs')
   | Between (a, lo, hi) ->
       let a' = expr f a in
@@ -56,34 +43,60 @@ let rec expr f e =
       let a' = expr f a in
       if a' == a then e else Is_null (a', positive)
 
-and select f s =
-  let items =
-    list
-      (fun it ->
+and exprs f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = expr f x in
+      let rest' = exprs f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+and expr_opt f o =
+  match o with
+  | None -> o
+  | Some x ->
+      let x' = expr f x in
+      if x' == x then o else Some x'
+
+and items f l =
+  match l with
+  | [] -> l
+  | it :: rest ->
+      let it' =
         match it with
         | Star -> it
         | Item (e, alias) ->
             let e' = expr f e in
-            if e' == e then it else Item (e', alias))
-      s.sel_items
-  in
-  let joins =
-    list
-      (fun j ->
-        let on = expr f j.join_on in
-        if on == j.join_on then j else { j with join_on = on })
-      s.sel_joins
-  in
-  let where = opt (expr f) s.sel_where in
-  let group_by = list (expr f) s.sel_group_by in
-  let having = opt (expr f) s.sel_having in
-  let order_by =
-    list
-      (fun ((e, dir) as o) ->
-        let e' = expr f e in
-        if e' == e then o else (e', dir))
-      s.sel_order_by
-  in
+            if e' == e then it else Item (e', alias)
+      in
+      let rest' = items f rest in
+      if it' == it && rest' == rest then l else it' :: rest'
+
+and joins f l =
+  match l with
+  | [] -> l
+  | j :: rest ->
+      let on = expr f j.join_on in
+      let j' = if on == j.join_on then j else { j with join_on = on } in
+      let rest' = joins f rest in
+      if j' == j && rest' == rest then l else j' :: rest'
+
+and orders f l =
+  match l with
+  | [] -> l
+  | ((e, dir) as o) :: rest ->
+      let e' = expr f e in
+      let o' = if e' == e then o else (e', dir) in
+      let rest' = orders f rest in
+      if o' == o && rest' == rest then l else o' :: rest'
+
+and select f s =
+  let items = items f s.sel_items in
+  let joins = joins f s.sel_joins in
+  let where = expr_opt f s.sel_where in
+  let group_by = exprs f s.sel_group_by in
+  let having = expr_opt f s.sel_having in
+  let order_by = orders f s.sel_order_by in
   if
     items == s.sel_items && joins == s.sel_joins && where == s.sel_where
     && group_by == s.sel_group_by && having == s.sel_having
@@ -100,6 +113,23 @@ and select f s =
       sel_order_by = order_by;
     }
 
+let rec rows f l =
+  match l with
+  | [] -> l
+  | r :: rest ->
+      let r' = exprs f r in
+      let rest' = rows f rest in
+      if r' == r && rest' == rest then l else r' :: rest'
+
+let rec assigns f l =
+  match l with
+  | [] -> l
+  | ((c, e) as a) :: rest ->
+      let e' = expr f e in
+      let a' = if e' == e then a else (c, e') in
+      let rest' = assigns f rest in
+      if a' == a && rest' == rest then l else a' :: rest'
+
 let rec stmt f s =
   match s with
   | Create_table _ | Drop_table _ | Truncate_table _ | Alter_table _ | Drop_view _
@@ -109,40 +139,42 @@ let rec stmt f s =
       let q = select f v.query in
       if q == v.query then s else Create_view { v with query = q }
   | Create_procedure p ->
-      let body = list (pstmt f) p.body in
+      let body = pstmts f p.body in
       if body == p.body then s else Create_procedure { p with body }
   | Create_trigger t ->
-      let body = list (pstmt f) t.body in
+      let body = pstmts f t.body in
       if body == t.body then s else Create_trigger { t with body }
   | Select q ->
       let q' = select f q in
       if q' == q then s else Select q'
   | Insert i ->
-      let values = list (list (expr f)) i.values in
+      let values = rows f i.values in
       if values == i.values then s else Insert { i with values }
   | Insert_select i ->
       let query = select f i.query in
       if query == i.query then s else Insert_select { i with query }
   | Update u ->
-      let assigns =
-        list
-          (fun ((c, e) as a) ->
-            let e' = expr f e in
-            if e' == e then a else (c, e'))
-          u.assigns
-      in
-      let where = opt (expr f) u.where in
+      let assigns = assigns f u.assigns in
+      let where = expr_opt f u.where in
       if assigns == u.assigns && where == u.where then s
       else Update { u with assigns; where }
   | Delete d ->
-      let where = opt (expr f) d.where in
+      let where = expr_opt f d.where in
       if where == d.where then s else Delete { d with where }
   | Call (name, args) ->
-      let args' = list (expr f) args in
+      let args' = exprs f args in
       if args' == args then s else Call (name, args')
   | Transaction ss ->
-      let ss' = list (stmt f) ss in
+      let ss' = stmts f ss in
       if ss' == ss then s else Transaction ss'
+
+and stmts f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = stmt f x in
+      let rest' = stmts f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
 
 and pstmt f p =
   match p with
@@ -150,7 +182,7 @@ and pstmt f p =
       let s' = stmt f s in
       if s' == s then p else P_stmt s'
   | P_declare (v, ty, init) ->
-      let init' = opt (expr f) init in
+      let init' = expr_opt f init in
       if init' == init then p else P_declare (v, ty, init')
   | P_set (v, e) ->
       let e' = expr f e in
@@ -159,21 +191,78 @@ and pstmt f p =
       let q' = select f q in
       if q' == q then p else P_select_into (q', vars)
   | P_if (arms, else_body) ->
-      let arms' =
-        list
-          (fun ((c, body) as arm) ->
-            let c' = expr f c in
-            let body' = list (pstmt f) body in
-            if c' == c && body' == body then arm else (c', body'))
-          arms
-      in
-      let else' = list (pstmt f) else_body in
+      let arms' = branches f arms in
+      let else' = pstmts f else_body in
       if arms' == arms && else' == else_body then p else P_if (arms', else')
   | P_while (c, body) ->
       let c' = expr f c in
-      let body' = list (pstmt f) body in
+      let body' = pstmts f body in
       if c' == c && body' == body then p else P_while (c', body')
   | P_leave _ | P_signal _ -> p
+
+and pstmts f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = pstmt f x in
+      let rest' = pstmts f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+and branches f l =
+  match l with
+  | [] -> l
+  | ((c, body) as arm) :: rest ->
+      let c' = expr f c in
+      let body' = pstmts f body in
+      let arm' = if c' == c && body' == body then arm else (c', body') in
+      let rest' = branches f rest in
+      if arm' == arm && rest' == rest then l else arm' :: rest'
+
+let map_lits = stmt
+
+(* ---- literals, read by position ---- *)
+
+type lits = {
+  mutable values : Value.t array;
+      (* per [Lit] node: its value where [slots] holds no hole *)
+  mutable slots : int array;
+      (* [||], or per [Lit] node: [2 * literal + negated] for a hole of
+         [src]'s scan, [-1] for a node whose value is in [values] *)
+  mutable src : string;
+  scan : Lexer.scan;
+}
+
+(* never scanned into: [lits_of_stmt]'s have no hole *)
+let no_scan = Lexer.scanner ()
+
+let lits_of_stmt s =
+  let n = ref 0 in
+  ignore (stmt (fun e -> incr n; e) s : stmt);
+  let values = Array.make !n Value.Null and k = ref 0 in
+  ignore
+    (stmt
+       (fun e ->
+         (match e with Lit v -> values.(!k) <- v | _ -> ());
+         incr k;
+         e)
+       s
+      : stmt);
+  { values; slots = [||]; src = ""; scan = no_scan }
+
+let lit_count l = Array.length l.values
+
+let value sc src slot =
+  let negated = slot land 1 = 1 in
+  match Lexer.literal_token sc src (slot lsr 1) with
+  | Lexer.Int_lit i -> Value.Int (if negated then -i else i)
+  | Lexer.Float_lit f -> Value.Float (if negated then -.f else f)
+  | Lexer.Str_lit s -> Value.Text s
+  | _ -> assert false
+
+let lit l k =
+  if k < 0 || k >= Array.length l.values then invalid_arg "Stmt_memo.lit";
+  if Array.length l.slots = 0 || l.slots.(k) < 0 then l.values.(k)
+  else value l.scan l.src l.slots.(k)
 
 (* ---- templates ---- *)
 
@@ -186,20 +275,31 @@ type template = {
   slots : int array;
       (* the [k]th [Lit] node [stmt] visits: [2 * literal + negated]
          for a hole, [-1] for a literal that stays as it is *)
+  values : Value.t array;  (* the [k]th [Lit] node's value in [ast] *)
   id : int;  (* its position in [by_id] *)
 }
 
+(* Keyed by [Lexer.key], already a hash. *)
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
 type t = {
   sc : Lexer.scan;
-  shapes : (int, template list) Hashtbl.t;  (* by [Lexer.key] *)
+  shapes : template list Keys.t;
   mutable by_id : template array;  (* the first [templates] are made *)
   mutable templates : int;
   mutable full_parses : int;
+  bound : lits;  (* the last statement [template] named *)
 }
 
 let create () =
-  { sc = Lexer.scanner (); shapes = Hashtbl.create 64; by_id = [||]; templates = 0;
-    full_parses = 0 }
+  let sc = Lexer.scanner () in
+  { sc; shapes = Keys.create 64; by_id = [||]; templates = 0; full_parses = 0;
+    bound = { values = [||]; slots = [||]; src = ""; scan = sc } }
 
 let full_parses m = m.full_parses
 
@@ -219,45 +319,8 @@ let template ~id text lits (ast, holes) =
          e)
        ast
       : stmt);
-  { text; lits; fixed; ast; slots = Array.of_list (List.rev !slots); id }
-
-(* Eight bytes at a time, then byte by byte. *)
-let rec bytes_equal a ai b bi len =
-  if len >= 8 then
-    String.get_int64_ne a ai = String.get_int64_ne b bi
-    && bytes_equal a (ai + 8) b (bi + 8) (len - 8)
-  else
-    len = 0
-    || String.unsafe_get a ai = String.unsafe_get b bi
-       && bytes_equal a (ai + 1) b (bi + 1) (len - 1)
-
-let range_equal a ai aj b bi bj = aj - ai = bj - bi && bytes_equal a ai b bi (aj - ai)
-
-(* [src], just scanned into [sc], has [tpl]'s shape: the same bytes
-   between its literals, the same literal kinds, and the same bytes in
-   every literal that fed no [Lit]. *)
-let matches tpl sc src =
-  let t = tpl.lits and text = tpl.text in
-  let n = Lexer.literals t in
-  let rec go k tprev sprev =
-    if k = n then range_equal text tprev (String.length text) src sprev (String.length src)
-    else
-      let tstart = Lexer.literal_start t k and sstart = Lexer.literal_start sc k in
-      let tstop = Lexer.literal_stop t k and sstop = Lexer.literal_stop sc k in
-      Lexer.literal_kind t k = Lexer.literal_kind sc k
-      && range_equal text tprev tstart src sprev sstart
-      && ((not tpl.fixed.(k)) || range_equal text tstart tstop src sstart sstop)
-      && go (k + 1) tstop sstop
-  in
-  n = Lexer.literals sc && go 0 0 0
-
-let value sc src slot =
-  let negated = slot land 1 = 1 in
-  match Lexer.literal_token sc src (slot lsr 1) with
-  | Lexer.Int_lit i -> Value.Int (if negated then -i else i)
-  | Lexer.Float_lit f -> Value.Float (if negated then -.f else f)
-  | Lexer.Str_lit s -> Value.Text s
-  | _ -> assert false
+  { text; lits; fixed; ast; slots = Array.of_list (List.rev !slots);
+    values = (lits_of_stmt ast).values; id }
 
 let instantiate tpl sc src =
   let k = ref 0 in
@@ -272,19 +335,28 @@ let parse_in_full m src =
   m.full_parses <- m.full_parses + 1;
   Parser.parse_stmt src
 
+(* The first template of the bucket whose shape [src], just scanned into
+   [sc], has: the same bytes between its literals, the same literal
+   kinds, and the same bytes in every literal that fed no [Lit]. *)
+let rec find_in sc src = function
+  | [] -> raise Not_found
+  | tpl :: rest ->
+      if Lexer.same_shape tpl.lits tpl.text sc src ~keep:tpl.fixed then tpl
+      else find_in sc src rest
+
 (* After a scan of [src] that succeeded: the template [src] matches,
    made from [src] (its [text] is then [src] itself) when there was
    none. *)
 let find_template m src =
   let key = Lexer.key m.sc in
-  let bucket = Option.value (Hashtbl.find_opt m.shapes key) ~default:[] in
-  match List.find_opt (fun tpl -> matches tpl m.sc src) bucket with
-  | Some tpl -> tpl
-  | None ->
+  let bucket = match Keys.find m.shapes key with b -> b | exception Not_found -> [] in
+  match find_in m.sc src bucket with
+  | tpl -> tpl
+  | exception Not_found ->
       m.full_parses <- m.full_parses + 1;
       let parsed = Parser.parse_template src in
       let tpl = template ~id:m.templates src (Lexer.snapshot m.sc) parsed in
-      Hashtbl.replace m.shapes key (tpl :: bucket);
+      Keys.replace m.shapes key (tpl :: bucket);
       if m.templates = Array.length m.by_id then
         m.by_id <-
           Array.init (max 16 (2 * m.templates)) (fun k ->
@@ -293,43 +365,37 @@ let find_template m src =
       m.templates <- m.templates + 1;
       tpl
 
-let parse_named m src =
-  if not (Lexer.scan m.sc src) then (-1, parse_in_full m src)
+let parse m src =
+  if not (Lexer.scan m.sc src) then parse_in_full m src
   else
     let tpl = find_template m src in
-    if tpl.text == src then (tpl.id, tpl.ast)
+    if tpl.text == src then tpl.ast
     else
       (* only an integer above [max_int] fails to convert; the full parse
          raises what [parse_stmt] raises on it *)
-      try (tpl.id, instantiate tpl m.sc src) with Failure _ -> (-1, parse_in_full m src)
+      try instantiate tpl m.sc src with Failure _ -> parse_in_full m src
 
-let parse m src = snd (parse_named m src)
-
-(* Digits that always convert: an integer literal fails to only when it
-   is longer. *)
-let safe_digits = String.length (string_of_int max_int) - 1
-
-(* Every hole literal of [src] converts, as [instantiate] needs. *)
-let converts tpl sc src =
-  match
-    Array.iter
-      (fun slot ->
-        let k = slot lsr 1 in
-        if
-          slot >= 0
-          && Lexer.literal_kind sc k = Lexer.Lit_int
-          && Lexer.literal_stop sc k - Lexer.literal_start sc k > safe_digits
-        then ignore (Lexer.literal_token sc src k : Lexer.token))
-      tpl.slots
-  with
-  | () -> true
-  | exception Failure _ -> false
+(* Every hole literal of [src], from the [k]th [Lit] node on, converts,
+   as [instantiate] and reading a bound literal need. *)
+let rec converts tpl sc src k =
+  k = Array.length tpl.slots
+  || (tpl.slots.(k) < 0 || Lexer.literal_converts sc src (tpl.slots.(k) lsr 1))
+     && converts tpl sc src (k + 1)
 
 let template m src =
   if not (Lexer.scan m.sc src) then -1
   else
     let tpl = find_template m src in
-    if tpl.text == src || converts tpl m.sc src then tpl.id else -1
+    if tpl.text == src || converts tpl m.sc src 0 then begin
+      let b = m.bound in
+      b.values <- tpl.values;
+      b.slots <- tpl.slots;
+      b.src <- src;
+      tpl.id
+    end
+    else -1
+
+let lits m = m.bound
 
 let template_stmt m id =
   if id < 0 || id >= m.templates then invalid_arg "Stmt_memo.template_stmt";

@@ -10,7 +10,10 @@
     statement of the shape is scanned once, its hole literals are
     converted, and the template is instantiated: the [Lit] nodes that
     came from holes are replaced and every other subtree is shared with
-    the template (the AST is immutable). A literal token that fed no
+    the template (the AST is immutable). A reader that needs only the
+    statement's shape and literal values names it ({!template}) and
+    reads its literals by position ({!lits}): no AST is built for it.
+    A literal token that fed no
     [Lit] (a LIMIT count, [AUTO_INCREMENT = n], [SIGNAL SQLSTATE '...'],
     a type size) is part of the shape and must match byte for byte.
 
@@ -30,10 +33,6 @@ val create : unit -> t
 val parse : t -> string -> Ast.stmt
 (** Equal to [Parser.parse_stmt src], and raises what it raises. *)
 
-val parse_named : t -> string -> int * Ast.stmt
-(** [parse t src], with the id {!template} gives [src]: the statement
-    and the template it was built from, in one scan. *)
-
 val template : t -> string -> int
 (** The id of the template [parse t src] would instantiate, named from
     [src]'s bytes without building its AST; a template made from [src]
@@ -41,7 +40,13 @@ val template : t -> string -> int
     [parse] would). [-1] where [parse] would not instantiate one: the
     scan declines, or a hole literal fails to convert. Ids count the
     memo's templates from 0. Raises what [parse t src] raises when it
-    makes a template. *)
+    makes a template.
+
+    Naming also binds [src]'s literals: {!lits} then reads them. On a
+    memo that already has [src]'s template, naming and binding allocate
+    nothing: the scan, the hash lookup, the byte match and the check
+    that every hole converts work in place, and binding sets three
+    fields. *)
 
 val template_stmt : t -> int -> Ast.stmt
 (** The statement template [id] was parsed from:
@@ -52,3 +57,40 @@ val full_parses : t -> int
 (** Statements parsed in full so far: one per shape that parsed, plus
     every statement the scan declined, that failed to parse, or whose
     integer literal failed to convert. *)
+
+(** {2 Literals by position}
+
+    A statement's literals are its [Lit] nodes in one fixed visit order,
+    the order {!map_lits} visits them; a plan built from one statement
+    of a {!Shape} reads any other's by position ([Rowset]). *)
+
+type lits
+(** A statement's literal values, numbered from 0 in {!map_lits}'s
+    order. *)
+
+val lits : t -> lits
+(** The literals of the statement the last {!template} call named (one
+    that returned an id): a hole literal is read from that statement's
+    bytes when asked for, converted as [parse] converts it (negated
+    where the parser folded a minus sign in), and every other [Lit]
+    ([TRUE], [NULL], a literal the parser built itself) is the
+    template's. The memo's own buffer: valid until the memo's next
+    call. *)
+
+val lits_of_stmt : Ast.stmt -> lits
+(** The values of the statement's [Lit] nodes, collected by
+    {!map_lits}. After [template t src] names [src],
+    [lit (lits t) k] equals [lit (lits_of_stmt (parse t src)) k] for
+    every [k]. *)
+
+val lit_count : lits -> int
+
+val lit : lits -> int -> Value.t
+(** [lit l k]: literal [k]'s value. A hole literal is converted on each
+    call. @raise Invalid_argument when there is no literal [k]. *)
+
+val map_lits : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
+(** [map_lits f s] applies [f] to every [Lit] node of [s] in the memo's
+    one visit order, and rebuilds only the subtrees that hold a node [f]
+    changed: the rest is shared with [s], physically. Statements of one
+    shape visit their literals in one order. *)

@@ -121,16 +121,25 @@ step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 # AUTO_INCREMENT and hash-colliding texts never share a template; full
 # parses equal the distinct shapes and stay flat on a 4x history; a
 # template named from the bytes alone, without building the statement
-# (the analyzer's path below τ), has parse_stmt's shape on the corpus and
-# on every mutation, and raises what parse_stmt raises. Then
-# the slicing-by-8 CRC-32 kernel against the bytewise reference: every
-# offset and length 0-64, chained updates, the 123456789 check value and
-# golden digests recorded from the bytewise kernel
+# (the analyzer's path for a store's entries), has parse_stmt's shape
+# and binds parse_stmt's literal values by position on the corpus, on
+# every mutation and on hand-picked literals (negated, TRUE/NULL, LIMIT,
+# a comment, an integer above max_int), and raises what parse_stmt
+# raises; naming and binding allocate 0 minor words on a warmed memo
+# over each workload's history. Then each entry a store-sourced pass
+# derives (from its scanned literals, no AST) against the log-sourced
+# pass's: rows, column sets, shape, index and tag on the five workloads
+# at four τ and on hand-picked literals, with no statement built but
+# the declined scans' and the schema changes'. Then the slicing-by-8
+# CRC-32 kernel against the bytewise reference: every offset and
+# length 0-64, chained updates, the 123456789 check value and golden
+# digests recorded from the bytewise kernel
 front_end_memo_smoke() {
   dune exec test/test_sql.exe -- test memo &&
+    dune exec test/test_closure.exe -- test "store entries" &&
     dune exec test/test_util.exe -- test crc32
 }
-step "front-end memo smoke: memo parse == parse_stmt on the workload corpus and near-miss mutations; CRC-32 kernel == bytewise reference" \
+step "front-end memo smoke: memo parse and literal binding == parse_stmt on the workload corpus and near-miss mutations, allocation-free naming; store-sourced entries == log-sourced; CRC-32 kernel == bytewise reference" \
   front_end_memo_smoke
 
 # the replay-set closure against a pairwise reference that shares no

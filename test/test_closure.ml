@@ -46,7 +46,7 @@ let targets anl =
     (fun p ->
       let tau = writers.(p) in
       let other =
-        (Analyzer.info anl writers.((p + (m / 2) + 1) mod m)).Analyzer.stmt
+        Analyzer.stmt (Analyzer.info anl writers.((p + (m / 2) + 1) mod m))
       in
       [
         { Analyzer.tau; op = Analyzer.Remove };
@@ -771,27 +771,13 @@ let warm_service ?obs ?(workers = 1) ?hash_jumper ~pad () =
   in
   (ask (), ask)
 
-(* Words [f] allocates: in the minor heap, and straight into the major
-   heap — where every block over 256 words goes, so a history-length
-   array shows only in the second count. Minor words come from
-   [Gc.minor_words]: on OCaml 5.1 the minor count of [Gc.counters] takes
-   only an eighth of the words in the current minor heap, so it moved by
-   up to a minor heap's worth with where minor collections fell. *)
-let words_of f =
-  let words0 = Gc.minor_words () in
-  let _, promoted0, major0 = Gc.counters () in
-  let r = f () in
-  let words1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  (r, words1 -. words0, major1 -. promoted1 -. (major0 -. promoted0))
-
 (* Ask a warm question of a padded history: (members, minor words,
    direct major words). *)
 let question_words ~pad = function
   | `Service ->
       let warm, ask = warm_service ~pad () in
       let members, minor, major =
-        words_of (fun () -> (ask ()).Whatif.replay.Analyzer.member_indexes)
+        Alloc.words_of (fun () -> (ask ()).Whatif.replay.Analyzer.member_indexes)
       in
       check Alcotest.(list int) "same replay set as the warm-up"
         warm.Whatif.replay.Analyzer.member_indexes members;
@@ -805,7 +791,7 @@ let question_words ~pad = function
           .Analyzer.member_indexes
       in
       let warm = ask () in
-      let members, minor, major = words_of ask in
+      let members, minor, major = Alloc.words_of ask in
       check Alcotest.(list int) "same replay set as the warm-up" warm members;
       (members, minor, major)
 
@@ -875,7 +861,7 @@ let test_col_visits_join () =
         List.iter
           (fun i ->
             Uv_sql.Shape.Tbl.replace shapes
-              (Analyzer.info anl i).Analyzer.stmt ())
+              (Analyzer.info anl i).Analyzer.shape ())
           closure;
         List.iter
           (fun (mode, mode_name) ->
@@ -1055,7 +1041,7 @@ let hot_key_dag ~readers ~pad =
   ignore (Analyzer.replay_dag anl ~members);
   let obs = Uv_obs.Trace.create () in
   let dag, minor, major =
-    words_of (fun () -> Analyzer.replay_dag ~obs anl ~members)
+    Alloc.words_of (fun () -> Analyzer.replay_dag ~obs anl ~members)
   in
   check Alcotest.int
     (Printf.sprintf "the write after %d readers" readers)
@@ -1238,7 +1224,7 @@ let rows_checker ~label ?(config = Rowset.default_config) ?base entries =
       if i > Analyzer.length anl then None
       else begin
         let inf = Analyzer.info anl i in
-        let stmt = inf.Analyzer.stmt in
+        let stmt = Analyzer.stmt inf in
         let expected =
           Rowset_reference.of_entry st sv stmt entries.(i - 1).Log.nondet
         in
@@ -1307,18 +1293,19 @@ let check_direct ~label ?base anl =
   let pairs = Hashtbl.create 64 in
   for i = 1 to Analyzer.length anl do
     let inf = Analyzer.info anl i in
-    let direct = Rwset.of_stmt sv inf.Analyzer.stmt in
+    let stmt = Analyzer.stmt inf in
+    let direct = Rwset.of_stmt sv stmt in
     if
       not
         (Colset.equal direct.Rwset.r inf.Analyzer.rw.Rwset.r
         && Colset.equal direct.Rwset.w inf.Analyzer.rw.Rwset.w)
     then
       Alcotest.failf "%s: #%d %s: memoised %s, derived %s" label i
-        (Uv_sql.Printer.stmt_compact inf.Analyzer.stmt)
+        (Uv_sql.Printer.stmt_compact stmt)
         (Format.asprintf "%a" Rwset.pp inf.Analyzer.rw)
         (Format.asprintf "%a" Rwset.pp direct);
-    Hashtbl.replace pairs (Schema_view.generation sv, erase inf.Analyzer.stmt) ();
-    Schema_view.apply sv inf.Analyzer.stmt
+    Hashtbl.replace pairs (Schema_view.generation sv, erase stmt) ();
+    Schema_view.apply sv stmt
   done;
   Hashtbl.length pairs
 
@@ -2457,6 +2444,138 @@ let test_from_tau_extend () =
       done)
     (W.all ())
 
+(* ------------------------------------------------------------------ *)
+(* Store entries: named and bound from their bytes                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Statements a pass over a store of [log] builds, whatever its τ: one
+   per entry whose scan declines (the source parses it) or whose shape
+   changes the schema view (the pass parses it). Every other entry is
+   named and its rows run from its scanned literals. *)
+let statements_built log =
+  let sc = Uv_sql.Lexer.scanner () in
+  List.length
+    (List.filter
+       (fun (e : Log.entry) ->
+         (not (Uv_sql.Lexer.scan sc e.Log.sql)) || Schema_view.affects e.Log.stmt)
+       (Log.entries log))
+
+(* Each entry from τ on, derived from a store of [log] ([info]'s shape
+   named from the bytes, its rows run from the scanned literals),
+   equals the same entry derived from [log] itself: rows, column sets,
+   shape, index and tag; the statement [Analyzer.stmt] builds on demand
+   is its text's (a logged statement may differ from its text's parse,
+   as a DOUBLE 42 printed as 42). The pass builds no statement but
+   [statements_built]'s. *)
+let check_store_infos ~label ~config ?base log taus =
+  let whole = Analyzer.analyze ~config ?base log in
+  Analyzer.require whole ~from:1;
+  let n = Analyzer.length whole in
+  let built = statements_built log in
+  with_store log @@ fun dir ->
+  List.iter
+    (fun tau ->
+      let obs = Uv_obs.Trace.create () in
+      let anl =
+        Analyzer.of_source ~config ?base ~obs (Analyzer.source_of_store (Log_store.open_ dir))
+      in
+      Analyzer.require anl ~from:tau;
+      check Alcotest.int
+        (Printf.sprintf "%s from %d: statements built" label tau)
+        built
+        (Uv_obs.Trace.counter_value obs "analyze.stmts_built");
+      for i = tau to n do
+        let a = Analyzer.info whole i and b = Analyzer.info anl i in
+        let fail what =
+          Alcotest.failf "%s from %d: #%d %s: %s from the store" label tau i
+            (Uv_sql.Printer.stmt_compact (Analyzer.stmt a))
+            what
+        in
+        if not (rows_equal a.Analyzer.rows b.Analyzer.rows) then
+          fail
+            (Printf.sprintf "rows %s, %s from the log" (pp_rows b.Analyzer.rows)
+               (pp_rows a.Analyzer.rows));
+        if
+          not
+            (Colset.equal a.Analyzer.rw.Rwset.r b.Analyzer.rw.Rwset.r
+            && Colset.equal a.Analyzer.rw.Rwset.w b.Analyzer.rw.Rwset.w)
+        then fail "other column sets";
+        if not (Uv_sql.Shape.equal a.Analyzer.shape b.Analyzer.shape) then fail "another shape";
+        if compare (Uv_sql.Parser.parse_stmt (Log.entry log i).Log.sql) (Analyzer.stmt b) <> 0
+        then fail "another statement than its text's";
+        if a.Analyzer.index <> b.Analyzer.index || a.Analyzer.app_txn <> b.Analyzer.app_txn then
+          fail "another index or tag"
+      done)
+    taus
+
+(* The five workloads' histories, raw and transpiled, from τ at the
+   first entry, a third, two thirds and the last. *)
+let test_store_infos_workloads () =
+  List.iter
+    (fun (w : W.t) ->
+      List.iter
+        (fun (mode, mode_name) ->
+          let eng, base = build w ~mode ~n:60 in
+          let log = Engine.log eng in
+          let n = Log.length log in
+          check_store_infos
+            ~label:(w.W.name ^ " " ^ mode_name)
+            ~config:w.W.ri_config ~base log
+            (List.sort_uniq compare [ 1; max 1 (n / 3); max 1 (2 * n / 3); n ]))
+        [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
+    (W.all ())
+
+(* Hand-written entries whose bytes exercise the binding: a comment
+   (the scan declines), negated literals, TRUE and NULL (literals no
+   hole feeds), LIMIT counts (literals that feed no [Lit]), two
+   byte-different templates of one shape (a sign, a keyword's case, a
+   space), an alias taught and a column added below τ, each logged with
+   its own text. A store record holding an integer above [max_int]
+   makes the pass raise what [Parser.parse_stmt] raises. *)
+let test_store_infos_hand () =
+  let e = Engine.create () in
+  List.iter (run e)
+    [ "CREATE TABLE t (id INT PRIMARY KEY, s VARCHAR(8), v INT, b BOOLEAN)" ];
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  let texts =
+    [
+      "INSERT INTO t VALUES (1, 'a', 10, TRUE)";
+      "INSERT INTO t VALUES (-2, 'b', -20, NULL)";
+      "insert into t values (3, 'c', 30, FALSE)";
+      "UPDATE t SET v = v + 1 WHERE id = -2";
+      "UPDATE t SET v = 5 WHERE id = 1";
+      "UPDATE  t SET v = -5 WHERE id = 3";
+      "UPDATE t SET b = TRUE WHERE s = 'a'";
+      "UPDATE t SET b = NULL WHERE id = -2 OR id = 3";
+      "SELECT v FROM t WHERE id = 1 LIMIT 2";
+      "SELECT v FROM t WHERE id = -2 LIMIT 3";
+      "DELETE FROM t WHERE id = 3 -- the third row";
+      "ALTER TABLE t ADD COLUMN z INT";
+      "UPDATE t SET z = 7 WHERE s = 'b'";
+      "/* again */ UPDATE t SET v = 6 WHERE id = 1";
+      "INSERT INTO t VALUES (4, 'd', -40, TRUE, -4)";
+      "UPDATE t SET z = -1 WHERE id IN (1, -2, 4)";
+    ]
+  in
+  List.iter (fun sql -> ignore (Engine.exec ~sql e (Uv_sql.Parser.parse_stmt sql))) texts;
+  let log = Engine.log e in
+  let config = { Rowset.ri_columns = [ ("t", [ "id" ]) ]; ri_aliases = [ ("t", "s", "id") ] } in
+  check Alcotest.int "two statements decline the scan, one alters the schema" 3
+    (statements_built log);
+  check_store_infos ~label:"hand" ~config ~base log
+    (List.init (Log.length log) (fun i -> i + 1));
+  let huge = "UPDATE t SET v = 1 WHERE id = 99999999999999999999" in
+  let want = match Uv_sql.Parser.parse_stmt huge with _ -> "parsed" | exception Failure m -> m in
+  with_store log @@ fun dir ->
+  let store = Log_store.open_ dir in
+  Log_store.append store { Log_io.r_sql = huge; r_nondet = []; r_app_txn = None };
+  Log_store.close store;
+  let anl = Analyzer.of_source ~config ~base (Analyzer.source_of_store (Log_store.open_ dir)) in
+  match Analyzer.require anl ~from:(Log.length log + 1) with
+  | () -> Alcotest.fail "a record above max_int derived"
+  | exception Failure m -> check Alcotest.string "the pass raises what parse_stmt raises" want m
+
 let () =
   Alcotest.run "closure"
     [
@@ -2523,5 +2642,12 @@ let () =
             test_from_tau_failed_pass;
           Alcotest.test_case "extend past a derived bound" `Quick
             test_from_tau_extend;
+        ] );
+      ( "store entries",
+        [
+          Alcotest.test_case "five workloads: store info == log info" `Quick
+            test_store_infos_workloads;
+          Alcotest.test_case "hand literals: store info == log info" `Quick
+            test_store_infos_hand;
         ] );
     ]

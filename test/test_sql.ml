@@ -787,8 +787,18 @@ let check_memo_template memo src =
   | id -> (
       match want with
       | Ok ast ->
+          let bound = Stmt_memo.lits memo and parsed = Stmt_memo.lits_of_stmt ast in
           if not (Shape.equal (Stmt_memo.template_stmt memo id) ast) then
-            Alcotest.failf "template %d of %S has another shape than parse_stmt's" id src
+            Alcotest.failf "template %d of %S has another shape than parse_stmt's" id src;
+          if Stmt_memo.lit_count bound <> Stmt_memo.lit_count parsed then
+            Alcotest.failf "%S binds %d literals, parse_stmt has %d" src
+              (Stmt_memo.lit_count bound) (Stmt_memo.lit_count parsed);
+          for k = 0 to Stmt_memo.lit_count parsed - 1 do
+            let got = Stmt_memo.lit bound k and want = Stmt_memo.lit parsed k in
+            if compare got want <> 0 then
+              Alcotest.failf "%S binds literal %d as %s, parse_stmt has %s" src k
+                (Value.serialize got) (Value.serialize want)
+          done
       | Error e -> Alcotest.failf "template %d named for %S, which parse_stmt rejects: %s" id src e)
   | exception e -> (
       match want with
@@ -946,8 +956,10 @@ let test_memo_fixed_literals () =
       ("SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b =  1");
       ("SELECT a FROM t WHERE b = 1", "select a FROM t WHERE b = 1");
     ];
-  (* "Ab" and "BC" hash alike (65 * 31 + 98 = 66 * 31 + 67): only the byte
-     comparison keeps these apart, before, between and after literals *)
+  (* "Ab" and "BC" hash alike where the key hashes byte by byte, in the
+     last (length mod 8) bytes of the run between two literals
+     (65 * 31 + 98 = 66 * 31 + 67): only the byte comparison keeps these
+     apart, before, between and after literals *)
   let sc = Lexer.scanner () in
   let key src =
     if not (Lexer.scan sc src) then Alcotest.failf "scan declined %S" src;
@@ -958,8 +970,8 @@ let test_memo_fixed_literals () =
       check Alcotest.int (Printf.sprintf "%S and %S collide" a b) (key a) (key b);
       if shares a b then Alcotest.failf "%S and %S share a template" a b)
     [
-      ("SELECT Ab FROM t WHERE x = 1", "SELECT BC FROM t WHERE x = 1");
-      ("SELECT a FROM t WHERE x = 1 AND Ab = 'y'", "SELECT a FROM t WHERE x = 1 AND BC = 'y'");
+      ("SELECT a, b FROM t WHERE Ab = 1", "SELECT a, b FROM t WHERE BC = 1");
+      ("SELECT a FROM t WHERE x IN (1, Ab, 'y')", "SELECT a FROM t WHERE x IN (1, BC, 'y')");
       ("SELECT a FROM t WHERE x = 1 AND Ab", "SELECT a FROM t WHERE x = 1 AND BC");
     ];
   List.iter
@@ -1024,6 +1036,74 @@ let test_memo_full_parse_count () =
           if distinct_shapes longer <> shapes then
             Alcotest.failf "%s: %d shapes at 40 transactions, %d at 160" name shapes
               (distinct_shapes longer))
+        [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
+    (Uv_workloads.Workload.all ())
+
+(* Literals bound by hand-picked bytes, each named after the one before
+   it through one memo, so that a statement of a shape already seen
+   binds through that shape's template: negated literals, TRUE, FALSE
+   and NULL (literals no hole feeds), LIMIT counts (literals that feed
+   no [Lit]), byte-different templates of one shape (a sign, a keyword's
+   case, a space), a comment and an integer above [max_int] (no
+   template: [-1]). *)
+let test_memo_hand_literals () =
+  let memo = Stmt_memo.create () in
+  List.iter (check_memo_template memo)
+    [
+      "INSERT INTO t VALUES (1, 'a', 10, TRUE)";
+      "INSERT INTO t VALUES (2, 'b', 20, TRUE)";
+      "INSERT INTO t VALUES (-2, 'b', -20, NULL)";
+      "INSERT INTO t VALUES (-3, 'c', -2.5, NULL)";
+      "insert into t values (3, 'c', 30, FALSE)";
+      "UPDATE t SET v = v + 1 WHERE id = -2";
+      "UPDATE t SET v = v + 1 WHERE id = - 7";
+      "UPDATE t SET v = 5 WHERE id = 1";
+      "UPDATE  t SET v = -5 WHERE id = 3";
+      "UPDATE t SET b = NULL WHERE id = -2 OR id = 3";
+      "SELECT v FROM t WHERE id = 1 LIMIT 2";
+      "SELECT v FROM t WHERE id = -2 LIMIT 3";
+      "SELECT v FROM t WHERE id = -4 LIMIT 3";
+      "UPDATE t SET z = -1 WHERE id IN (1, -2, 4) AND s = 'it''s'";
+      "UPDATE t SET z = -1 WHERE id IN (6, -7, 8) AND s = 'a\\nb'";
+    ];
+  List.iter
+    (fun src ->
+      if Stmt_memo.template memo src <> -1 then Alcotest.failf "%S named a template" src)
+    [
+      "DELETE FROM t WHERE id = 3 -- the third row";
+      "UPDATE t SET v = 5 WHERE id = 99999999999999999999";
+      "UPDATE t SET v = 99999999999999999999 WHERE id = 1";
+    ]
+
+(* Naming each statement and binding its literals, as the analyzer's
+   store path does for every entry. *)
+let bind_all memo texts =
+  for k = 0 to Array.length texts - 1 do
+    if Stmt_memo.template memo texts.(k) >= 0 then
+      ignore (Stmt_memo.lit_count (Stmt_memo.lits memo) : int)
+  done
+
+(* On a warmed memo, naming and binding allocate nothing: over each
+   workload's history, raw and transpiled, 0 minor words per statement,
+   counted by [Alloc.words_of]. *)
+let test_memo_binding_allocates_nothing () =
+  let module R = Uv_transpiler.Runtime in
+  List.iter
+    (fun (w : Uv_workloads.Workload.t) ->
+      List.iter
+        (fun (mode, label) ->
+          let name = w.Uv_workloads.Workload.name ^ " " ^ label in
+          let texts = Array.of_list (history_texts w mode ~n:40) in
+          let memo = Stmt_memo.create () in
+          bind_all memo texts;
+          let named = ref 0 in
+          Array.iter (fun src -> if Stmt_memo.template memo src >= 0 then incr named) texts;
+          if !named < Array.length texts then
+            Alcotest.failf "%s: %d of %d statements named" name !named (Array.length texts);
+          let (), words, _ = Alloc.words_of (fun () -> bind_all memo texts) in
+          if words > 0. then
+            Alcotest.failf "%s: naming and binding %d statements allocated %.0f minor words" name
+              (Array.length texts) words)
         [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
     (Uv_workloads.Workload.all ())
 
@@ -1122,6 +1202,10 @@ let () =
             test_memo_full_parse_count;
           Alcotest.test_case "template names parse_stmt's shape" `Quick
             test_memo_templates;
+          Alcotest.test_case "hand literals bind as parse_stmt" `Quick
+            test_memo_hand_literals;
+          Alcotest.test_case "naming and binding allocate nothing" `Quick
+            test_memo_binding_allocates_nothing;
         ] );
       ( "printer",
         [
