@@ -91,16 +91,6 @@ let query =
     & opt (some string) None
     & info [ "query" ] ~doc:"SELECT to run against the resulting database")
 
-let checkpoint_every =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "checkpoint-every" ] ~docv:"K"
-        ~doc:
-          "snapshot the catalog every K committed statements; the rollback \
-           phase can then jump to the nearest checkpoint below τ instead of \
-           undoing the whole tail (0 disables)")
-
 let segment_cap =
   Arg.(
     value

@@ -127,8 +127,6 @@ let cache_json (s : Whatif.Service.stats) =
       ("analyzer_builds", J.Int s.Whatif.Service.analyzer_builds);
       ("analyzer_extends", J.Int s.Whatif.Service.analyzer_extends);
       ("analyzed_entries", J.Int s.Whatif.Service.analyzed_entries);
-      ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
-      ("checkpoint_every", J.Int s.Whatif.Service.checkpoint_every);
     ]
 
 let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
@@ -171,7 +169,7 @@ let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
         J.Obj (List.map (fun (n, ms) -> (n, J.Float ms)) out.Whatif.phases) );
     ]
 
-(* the failure shape of uv.whatif/1: same envelope, [aborted] object
+(* the failure shape of uv.whatif/2: same envelope, [aborted] object
    instead of outcome fields *)
 let whatif_abort_payload ~path ~tau ~op (e : Whatif.Error.t) =
   let module J = Uv_obs.Json in
@@ -191,18 +189,18 @@ let whatif_abort_payload ~path ~tau ~op (e : Whatif.Error.t) =
 
 let whatif_cmd =
   let run path tau op stmt_text hash_jumper workers deadline json query
-      trace metrics checkpoint_every repeat =
+      trace metrics repeat =
     let obs =
       if trace <> None || metrics then Uv_obs.Trace.create ()
       else Uv_obs.Trace.disabled
     in
-    let eng = load_history ~checkpoint_every path in
+    let eng = load_history path in
     let target = { Analyzer.tau; op = parse_op op stmt_text } in
     let config =
-      Whatif.Config.make ~hash_jumper ~workers ?deadline_ms:deadline ~obs ~checkpoint_every ()
+      Whatif.Config.make ~hash_jumper ~workers ?deadline_ms:deadline ~obs ()
     in
-    (* a service so the analyzer and checkpoint ladder amortize across
-       --repeat runs of the same question *)
+    (* a service so the analyzer amortizes across --repeat runs of the
+       same question *)
     let svc = Whatif.Service.create ~config eng in
     let ask () =
       Result.map (fun r -> r.Whatif.Service.outcome) (Whatif.Service.run svc target)
@@ -232,14 +230,14 @@ let whatif_cmd =
     | Error e ->
         if json then
           print_endline
-            (Uv_obs.Report.to_string ~schema:"uv.whatif/1"
+            (Uv_obs.Report.to_string ~schema:"uv.whatif/2"
                (whatif_abort_payload ~path ~tau ~op e))
         else prerr_endline (Whatif.Error.to_string e);
         1
     | Ok out ->
     if json then
       print_endline
-        (Uv_obs.Report.to_string ~schema:"uv.whatif/1"
+        (Uv_obs.Report.to_string ~schema:"uv.whatif/2"
            (whatif_payload ~path ~tau ~op
               ~cache:(cache_json (Whatif.Service.stats svc))
               out))
@@ -251,11 +249,6 @@ let whatif_cmd =
       Printf.printf "rollback strategy %s\n" out.Whatif.rollback_strategy;
       Printf.printf "redone %d of %d members\n"
         out.Whatif.redone out.Whatif.replayed;
-      (let st = Whatif.Service.stats svc in
-       if st.Whatif.Service.checkpoint_rungs > 0 then
-         Printf.printf "checkpoint ladder: %d rung(s), stride %d\n"
-           st.Whatif.Service.checkpoint_rungs
-           st.Whatif.Service.checkpoint_every);
       Printf.printf "serial cost %.2f ms, simulated parallel (%d workers) %.2f ms\n"
         out.Whatif.serial_cost_ms out.Whatif.workers
         out.Whatif.simulated_parallel_ms;
@@ -327,7 +320,7 @@ let whatif_cmd =
     Term.(const run $ Cli_args.history_pos $ Cli_args.tau $ Cli_args.op
           $ Cli_args.stmt_text $ hash_jumper $ Cli_args.workers
           $ Cli_args.deadline $ Cli_args.json $ Cli_args.query $ trace
-          $ metrics $ Cli_args.checkpoint_every $ repeat)
+          $ metrics $ repeat)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                 *)
@@ -675,7 +668,7 @@ let templates_cmd =
 
 let serve_cmd =
   let run path socket host port store_dir sync_every sync_ms pool_workers
-      replay_workers queue_capacity max_clients deadline checkpoint_every json =
+      replay_workers queue_capacity max_clients deadline json =
     match Cli_args.addr_of ~socket ~host ~port with
     | Error msg ->
         prerr_endline msg;
@@ -686,8 +679,6 @@ let serve_cmd =
     | Ok addr ->
         let obs = Uv_obs.Trace.create () in
         let eng = Uv_db.Engine.create () in
-        if checkpoint_every > 0 then
-          Uv_db.Engine.enable_checkpoints eng ~every:checkpoint_every;
         (* with --store, the store is the source of truth: the engine is
            rebuilt from the salvaged acknowledged prefix, and HISTORY.SQL
            only seeds a store that is still empty *)
@@ -730,7 +721,7 @@ let serve_cmd =
               Some dur
         in
         let config =
-          Whatif.Config.make ~workers:replay_workers ~obs ~checkpoint_every ()
+          Whatif.Config.make ~workers:replay_workers ~obs ()
         in
         let service = Whatif.Service.create ~config eng in
         (* analyze the loaded history up front so the first client
@@ -844,8 +835,7 @@ let serve_cmd =
     Term.(const run $ Cli_args.history_pos_opt $ Cli_args.socket
           $ Cli_args.tcp_host $ Cli_args.tcp_port $ store_dir $ sync_every
           $ sync_ms $ pool_workers $ replay_workers $ queue_capacity
-          $ max_clients $ Cli_args.deadline $ Cli_args.checkpoint_every
-          $ Cli_args.json)
+          $ max_clients $ Cli_args.deadline $ Cli_args.json)
 
 let client_cmd =
   let module J = Uv_obs.Json in

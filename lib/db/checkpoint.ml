@@ -1,7 +1,5 @@
 (* Checkpoint ladder: periodic catalog snapshots taken every [every]
-   committed statements. Rollback to a target commit index jumps to the
-   nearest rung at-or-below it and redoes the short non-member tail from
-   journal images, instead of walking the whole undo chain backwards.
+   committed statements, written out as a recovery file (UCKPv1).
 
    Rungs are kept newest-first. The ladder is capped: when it would
    exceed [max_rungs], every other rung (the odd positions, counting
@@ -16,11 +14,9 @@ type rung = { at : int; cat : Catalog.t }
 type t = {
   mutable every : int;
   mutable rungs : rung list; (* descending by [at] *)
-  mutable taken : int; (* rungs ever recorded (thinned ones included) *)
-  mutable skipped : int; (* rungs skipped by fault injection *)
   bounds : (int, unit) Hashtbl.t;
       (* segment boundaries a rung must land on, beyond the stride:
-         aligning rungs with Log_store segment seals means a rollback
+         aligning rungs with Log_store segment seals means a recovery
          re-reads at most one segment tail *)
 }
 
@@ -28,24 +24,13 @@ let max_rungs = 64
 
 let create ~every =
   if every <= 0 then invalid_arg "Checkpoint.create: every must be positive";
-  { every; rungs = []; taken = 0; skipped = 0; bounds = Hashtbl.create 16 }
-
-let every t = t.every
+  { every; rungs = []; bounds = Hashtbl.create 16 }
 
 let count t = List.length t.rungs
-
-let taken t = t.taken
-
-let skipped t = t.skipped
-
-let note_skipped t = t.skipped <- t.skipped + 1
 
 let set_boundaries t idxs =
   Hashtbl.reset t.bounds;
   List.iter (fun i -> if i > 0 then Hashtbl.replace t.bounds i ()) idxs
-
-let boundaries t =
-  List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) t.bounds [])
 
 let due t n =
   n > 0
@@ -64,15 +49,7 @@ let thin t =
 
 let record t cat n =
   t.rungs <- { at = n; cat = Catalog.snapshot cat } :: t.rungs;
-  t.taken <- t.taken + 1;
   if List.length t.rungs > max_rungs then thin t
-
-let nearest t n =
-  let rec find = function
-    | [] -> None
-    | r :: rest -> if r.at <= n then Some (r.at, r.cat) else find rest
-  in
-  find t.rungs
 
 let invalidate_from t n = t.rungs <- List.filter (fun r -> r.at < n) t.rungs
 

@@ -1,13 +1,12 @@
-(** Checkpoint ladder: periodic catalog snapshots for fast rollback.
+(** Checkpoint ladder: periodic catalog snapshots, a recovery file.
 
-    The what-if rollback phase normally walks the undo journal backwards
-    from the log head. With a ladder attached, rolling back to commit
-    index τ instead restores the nearest rung at-or-below τ and redoes
-    the short tail of retained statements forward from their journal
-    images — O(K + tail) instead of O(history). Snapshots share row
-    arrays with live tables (rows are replaced on update, never mutated
-    in place), so a rung is a per-table hashtable copy, not a deep copy
-    of every row. *)
+    [ultraverse dump --checkpoints] records a ladder while it executes a
+    history and writes it as a UCKPv1 file; [fsck] validates that file
+    and [recover --checkpoint] restores a rung from it. The what-if
+    rollback does not read the ladder: it undoes members from the log's
+    own row images. Snapshots share row arrays with live tables (rows are
+    replaced on update, never mutated in place), so a rung is a per-table
+    hashtable copy, not a deep copy of every row. *)
 
 type t
 
@@ -20,18 +19,12 @@ val create : every:int -> t
 (** A ladder recording a rung every [every] committed statements.
     @raise Invalid_argument if [every <= 0]. *)
 
-val every : t -> int
-(** Current stride — the configured value, doubled at each thinning. *)
-
 val set_boundaries : t -> int list -> unit
 (** Declare extra commit indexes where a rung is always due, beyond the
     stride — used to align the ladder with {!Log_store} segment seals so
-    rollback to any sealed-segment prefix re-reads at most one segment
-    tail. Replaces any previous boundary set; non-positive indexes are
-    ignored. *)
-
-val boundaries : t -> int list
-(** The current boundary set, ascending. *)
+    recovery from a rung to any sealed-segment prefix re-reads at most
+    one segment tail. Replaces any previous boundary set; non-positive
+    indexes are ignored. *)
 
 val due : t -> int -> bool
 (** [due t n]: should a rung be recorded after commit [n]? True when [n]
@@ -42,9 +35,6 @@ val record : t -> Catalog.t -> int -> unit
 (** Snapshot the catalog as the rung for commit index [n], thinning the
     ladder if it exceeds {!max_rungs}. *)
 
-val nearest : t -> int -> (int * Catalog.t) option
-(** The highest rung at-or-below the given commit index. *)
-
 val invalidate_from : t -> int -> unit
 (** Drop every rung at index ≥ [n] — called when the log is truncated so
     stale future state can never be restored. *)
@@ -54,12 +44,3 @@ val rungs : t -> (int * Catalog.t) list
 
 val count : t -> int
 (** Live rung count. *)
-
-val taken : t -> int
-(** Rungs ever recorded, including ones later thinned away. *)
-
-val skipped : t -> int
-
-val note_skipped : t -> unit
-(** Count a rung abandoned because fault injection fired at the
-    [engine.checkpoint] site. *)

@@ -39,7 +39,7 @@ type t = {
   (* where a replayed statement's inserts land, identical at every
      worker count *)
   mutable rowid_alloc : rowid_alloc option;
-  (* periodic catalog snapshots for checkpoint-jumping rollback *)
+  (* periodic catalog snapshots, written out by [dump --checkpoints] *)
   mutable checkpoints : Checkpoint.t option;
 }
 
@@ -1669,19 +1669,16 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?history ?sql t stmt =
         }
       in
       Log.append t.log entry;
+      (* a fault at the checkpoint site abandons this rung only: the
+         ladder stays consistent and the next stride multiple tries again *)
       (match t.checkpoints with
-      | Some ladder when Checkpoint.due ladder entry.Log.index -> (
-          (* a fault here abandons this rung only: the ladder stays
-             consistent and the next stride multiple tries again *)
-          match
-            Uv_fault.Fault.check ~key:entry.Log.index t.fault
-              Uv_fault.Fault.Site.checkpoint
-              [ Uv_fault.Fault.Stmt_fail ]
-          with
-          | Some _ -> Checkpoint.note_skipped ladder
-          | None ->
-              Checkpoint.record ladder t.cat entry.Log.index;
-              if traced then Uv_obs.Trace.incr t.obs "db.checkpoints")
+      | Some ladder
+        when Checkpoint.due ladder entry.Log.index
+             && Option.is_none
+                  (Uv_fault.Fault.check ~key:entry.Log.index t.fault
+                     Uv_fault.Fault.Site.checkpoint [ Uv_fault.Fault.Stmt_fail ]) ->
+          Checkpoint.record ladder t.cat entry.Log.index;
+          if traced then Uv_obs.Trace.incr t.obs "db.checkpoints"
       | _ -> ());
       {
         r with

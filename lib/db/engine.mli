@@ -198,8 +198,9 @@ val enable_checkpoints : t -> every:int -> unit
 (** Attach a {!Checkpoint} ladder recording a catalog snapshot every
     [every] committed statements (at the [engine.checkpoint] fault site;
     an injected [Stmt_fail] skips that rung gracefully). [every <= 0]
-    detaches the ladder. The what-if rollback phase uses the ladder to
-    jump near the rollback target instead of undoing the whole tail. *)
+    detaches the ladder. [ultraverse dump --checkpoints] writes the
+    ladder out as a recovery file; the what-if rollback does not read
+    it. *)
 
 val checkpoints : t -> Checkpoint.t option
 

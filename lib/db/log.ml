@@ -306,19 +306,13 @@ type redone = {
 
 (* Re-derive an entry's forward effect from its journal: the row images
    carried for rollback determine the redo exactly, so a statement can be
-   reenacted without re-executing its SQL. Two callers share it:
-
-   - checkpoint-jumping rollback redoes non-member entries from the
-     nearest snapshot. A non-member shares no cell with a member (the
-     closure's W-W rule), so the cells its update left unchanged hold
-     their historical value there, and writing only the changed cells is
-     exact. AUTO_INCREMENT counters are pinned by that caller afterwards;
-   - member redo ([Redo]) reenacts a replay-set member whose reads meet
-     no changed cell. There a cell the statement assigned may have been
-     changed by the replay, so each [assigned] column takes its
-     after-image even when history left it unchanged (a blind write).
-     It passes the journal ordered as the statement's own execution
-     would visit its rows, which sit at their historical rowids.
+   reenacted without re-executing its SQL. Member redo ([Redo]) calls
+   it for a replay-set member whose reads meet no changed cell. A cell
+   the statement assigned may have been changed by the replay, so each
+   [assigned] column takes its after-image even when history left it
+   unchanged (a blind write). Redo passes the journal ordered as the
+   statement's own execution would visit its rows, which sit at their
+   historical rowids.
 
    Each row record reads its before-image from [cat], so the fresh
    journal is the one executing the statement over [cat] would have
@@ -339,7 +333,7 @@ let bump_auto tbl row =
       | _ -> ())
   | None -> ()
 
-let apply_redo ?(assigned = []) cat undos =
+let apply_redo ~assigned cat undos =
   let journal = ref [] and rows = ref 0 and written = ref [] in
   let delta name =
     match List.assoc_opt name !written with

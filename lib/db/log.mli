@@ -108,25 +108,20 @@ type redone = {
           redo applied (like [Engine.result.hash_deltas]) *)
 }
 
-val apply_redo : ?assigned:int list -> Catalog.t -> undo list -> redone
+val apply_redo : assigned:int list -> Catalog.t -> undo list -> redone
 (** Reenact one entry's forward row effect from its journal images
     (insert the inserted rows, delete the deleted ones, write each
     update's after-image to the cells it changed and to every column
-    position in [assigned], default none). Entries must be redone in
+    position in [assigned]). Entries must be redone in
     commit order. An AUTO_INCREMENT record journals the table's current
     counter and the next insert into the table raises the counter past
     the inserted key, as executing the insert does. Tables absent from
     the catalog, missing rows and already-deleted rows are skipped.
 
-    [assigned] matters for a statement whose cells may have been changed
+    [assigned] matters because the entry's cells may have been changed
     since history (what-if member redo): an UPDATE that wrote a value
     equal to the one it found journalled its column as unchanged, yet
-    redone over a changed cell it must write it. Without [assigned] only
-    the changed cells are written, which is exact for an entry outside
-    the replay set (checkpoint-jumping rollback): such an entry shares no
-    cell with a member — a write to a member's cell would have pulled it
-    into the set through the write-write rule — so its unchanged cells
-    already hold the values history had.
+    redone over a changed cell it must write it.
     @raise Invalid_argument on DDL records, which carry before-images
     only. *)
 

@@ -629,12 +629,11 @@ let entry_of_record ~memo ~index (r : Log_io.record) =
     app_txn = r.Log_io.r_app_txn;
   }
 
-let replay ?(align_checkpoints = true) t eng =
+let replay t eng =
   check_open t;
-  (if align_checkpoints then
-     match Engine.checkpoints eng with
-     | Some ladder -> Checkpoint.set_boundaries ladder (boundaries t)
-     | None -> ());
+  Option.iter
+    (fun ladder -> Checkpoint.set_boundaries ladder (boundaries t))
+    (Engine.checkpoints eng);
   let skipped =
     fold_range t ~lo:1 ~hi:(length t) ~init:[] ~f:(fun acc i r ->
         try

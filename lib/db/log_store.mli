@@ -196,14 +196,14 @@ val entry_of_record :
     (undo images, written hashes, row counts) start empty, exactly as
     after a fresh {!Log_io.replay}. *)
 
-val replay : ?align_checkpoints:bool -> t -> Engine.t -> int list
+val replay : t -> Engine.t -> int list
 (** Stream-replay the whole store into an engine (one segment
     resident), forcing each record's non-determinism; returns 1-based
     global indexes of records skipped on SQL errors. When the engine
-    has a checkpoint ladder and [align_checkpoints] is true (default),
-    the ladder is aligned to the store's segment boundaries first, so
-    every sealed segment ends on a rung and a later rollback re-reads
-    at most one segment tail. *)
+    has a checkpoint ladder, the ladder is aligned to the store's
+    segment boundaries first, so every sealed segment ends on a rung
+    and a later recovery from a rung re-reads at most one segment
+    tail. *)
 
 (** {2 Memory accounting} *)
 

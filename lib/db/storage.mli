@@ -91,9 +91,10 @@ val next_rowid : t -> rowid
 (** The rowid the next plain [insert] would use. *)
 
 val set_rowid_floor : t -> rowid -> unit
-(** Raise [next_rowid] to at least [v]. Checkpoint-jumping rollback uses
-    this to pin the allocator to the value plain undo would have left,
-    so replayed inserts draw identical rowids under either strategy. *)
+(** Raise [next_rowid] to at least [v]. Redo and the undo fold's
+    counter rule use it so a reenacted insert leaves the allocator where
+    executing it would, and a stopped replay's universe takes the
+    floors its skipped members would leave. *)
 
 val delete : ?delta:Uv_util.Table_hash.t -> t -> rowid -> Value.t array
 (** Remove a row; returns the removed image. Raises [Not_found]. *)

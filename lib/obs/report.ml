@@ -1,7 +1,7 @@
 let tool = "ultraverse"
 let version = "1.4.0"
 let schemas =
-  [ "uv.whatif/1"; "uv.lint/1"; "uv.metrics/1"; "uv.bench/1"; "uv.templates/1";
+  [ "uv.whatif/2"; "uv.lint/1"; "uv.metrics/1"; "uv.bench/1"; "uv.templates/1";
     "uv.serve/1" ]
 
 let envelope ~schema payload =

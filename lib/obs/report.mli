@@ -18,7 +18,7 @@ val version : string
 (** Tool version stamped into every envelope (matches the CLI's). *)
 
 val schemas : string list
-(** The registry: [uv.whatif/1], [uv.lint/1], [uv.metrics/1],
+(** The registry: [uv.whatif/2], [uv.lint/1], [uv.metrics/1],
     [uv.bench/1], [uv.templates/1], [uv.serve/1]. *)
 
 val envelope : schema:string -> Json.t -> Json.t

@@ -119,7 +119,7 @@ let config_with_deadline base deadline_ms =
   C.make ~mode:(C.mode base) ~workers:(C.workers base)
     ~hash_jumper:(C.hash_jumper base) ~grouped:(C.grouped base)
     ~obs:(C.obs base) ?deadline_ms
-    ~fault:(C.fault base) ~checkpoint_every:(C.checkpoint_every base) ()
+    ~fault:(C.fault base) ()
 
 let whatif_result (r : Whatif.Service.reply) =
   let o = r.Whatif.Service.outcome in
@@ -241,7 +241,6 @@ let stats_json t =
             ("analyzer_builds", J.Int s.Whatif.Service.analyzer_builds);
             ("analyzer_extends", J.Int s.Whatif.Service.analyzer_extends);
             ("analyzed_entries", J.Int s.Whatif.Service.analyzed_entries);
-            ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
             ("ingested", J.Int s.Whatif.Service.ingested);
             ("publishes", J.Int s.Whatif.Service.publishes);
           ] );

@@ -7,13 +7,11 @@ module Config = struct
     obs : Uv_obs.Trace.t;
     deadline_ms : float option;
     fault : Uv_fault.Fault.t;
-    checkpoint_every : int;
   }
 
   let make ?(mode = Analyzer.Cell) ?(workers = 8) ?(hash_jumper = false)
       ?(grouped = false) ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
-      ?(fault = Uv_fault.Fault.disabled) ?(checkpoint_every = 0)
-      ?plans:_ () =
+      ?(fault = Uv_fault.Fault.disabled) ?plans:_ () =
     (* [?plans] is inert; see whatif.mli *)
     {
       mode;
@@ -23,7 +21,6 @@ module Config = struct
       obs;
       deadline_ms;
       fault;
-      checkpoint_every = max 0 checkpoint_every;
     }
 
   let default = make ()
@@ -34,7 +31,6 @@ module Config = struct
   let obs c = c.obs
   let deadline_ms c = c.deadline_ms
   let fault c = c.fault
-  let checkpoint_every c = c.checkpoint_every
 end
 
 module Error = struct
@@ -118,98 +114,6 @@ let dml_only ~analyzer target members =
          (not (Uv_sql.Ast.is_ddl (Analyzer.info analyzer i).Analyzer.shape))
          && not (Analyzer.writes_schema_key analyzer i))
        members
-
-(* Checkpoint-jumping rollback (strategy B): instead of undoing every
-   member newest-first, jump each affected table back to the nearest
-   checkpoint rung below the oldest undone entry and redo the
-   non-members' row effects forward from their journal images. Chosen
-   only when it is applicable — no DDL records anywhere in the redo
-   window, every affected table present in the rung — and cheaper:
-   fewer redo records than undo records.
-
-   Equivalence with selective undo: every entry in (c, n] is either
-   undone (skipped here, its cells revert to the rung's values plus
-   non-member redo) or redone from its per-cell before/after images.
-   A non-member writing the same *cell* as a member would have joined
-   the replay set through the W∩W rule in both closures, so per-cell
-   merges commute and both strategies leave identical cell values.
-   AUTO_INCREMENT counters are set from the live ones as the undo path
-   sets them ([Log.undo_counters]), and the rowid allocator is raised
-   back to its live watermark, as undo leaves it. *)
-let checkpoint_rollback ladder log temp_cat undo_list undo_journals =
-  match List.rev undo_list with
-  | [] -> false
-  | oldest :: _ -> (
-      match Uv_db.Checkpoint.nearest ladder (oldest - 1) with
-      | None -> false
-      | Some (c, rung_cat) ->
-          let n = Uv_db.Log.length log in
-          (* [undo_list] is newest first: walk it oldest first alongside
-             each pass over (c, n], so the rung path costs O(n - c) *)
-          let ascending = List.rev undo_list in
-          let walk f =
-            let rest = ref ascending in
-            for i = c + 1 to n do
-              let undone =
-                match !rest with
-                | j :: tl when j = i ->
-                    rest := tl;
-                    true
-                | _ -> false
-              in
-              f i undone
-            done
-          in
-          let row_only =
-            List.for_all (function
-              | Uv_db.Log.U_row_insert _ | Uv_db.Log.U_row_delete _
-              | Uv_db.Log.U_row_update _ | Uv_db.Log.U_auto_value _ ->
-                  true
-              | _ -> false)
-          in
-          let ok = ref true in
-          let redo_cost = ref 0 and undo_cost = ref 0 in
-          walk (fun i undone ->
-              let e = Uv_db.Log.entry log i in
-              if not (row_only e.Uv_db.Log.undo) then ok := false
-              else if undone then
-                undo_cost := !undo_cost + List.length e.Uv_db.Log.undo
-              else redo_cost := !redo_cost + List.length e.Uv_db.Log.undo);
-          let temp_tables = Uv_db.Catalog.tables temp_cat in
-          if !ok then
-            ok :=
-              List.for_all
-                (fun (name, _) -> Uv_db.Catalog.table rung_cat name <> None)
-                temp_tables;
-          if not (!ok && !redo_cost < !undo_cost) then false
-          else begin
-            List.iter
-              (fun (name, _) ->
-                match Uv_db.Catalog.table rung_cat name with
-                | Some rung_tbl ->
-                    Uv_db.Catalog.add_table temp_cat
-                      (Uv_db.Storage.copy rung_tbl)
-                | None -> ())
-              temp_tables;
-            walk (fun i undone ->
-                if not undone then
-                  ignore
-                    (Uv_db.Log.apply_redo temp_cat
-                       (Uv_db.Log.entry log i).Uv_db.Log.undo
-                      : Uv_db.Log.redone));
-            List.iter
-              (fun (name, live_tbl) ->
-                match Uv_db.Catalog.table temp_cat name with
-                | None -> ()
-                | Some tbl ->
-                    Uv_db.Storage.set_auto_value tbl
-                      (Uv_db.Storage.next_auto_value live_tbl);
-                    Uv_db.Storage.set_rowid_floor tbl
-                      (Uv_db.Storage.next_rowid live_tbl))
-              temp_tables;
-            Uv_db.Log.undo_counters temp_cat undo_journals;
-            true
-          end)
 
 (* The first entry of [tau]'s application transaction group: [tau]
    itself when it has no tag or no mate before it. *)
@@ -326,18 +230,15 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
         else None)
   in
   (* 3. rollback: undo members (and the removed/changed target) newest
-     first, folded into one restore per row ([Log.undo_entries]) — or,
-     when the engine carries a checkpoint ladder that makes it cheaper,
-     jump the affected tables to a rung below the oldest member and redo
-     the non-members forward. How members replay is decided here too, as
-     a removal known to stop before its first member defers its row undo:
+     first, folded into one restore per row ([Log.undo_entries]). How
+     members replay is decided here too, as a removal known to stop
+     before its first member defers its row undo:
      members are redone from their journals when the schema holds still
      and the row keys are current; the removed or changed target must be
      DML too, as its journal seeds the dirty set *)
-  let ( (dml, redo, deferred, undo_journals, tau_journal),
-        (undone, rollback_strategy, undo_stats) ) =
+  let dml, redo, deferred, undo_journals, tau_journal, undone, undo_stats =
     phase "rollback"
-      ~end_args:(fun (_, (_, _, st)) ->
+      ~end_args:(fun (_, _, _, _, _, _, st) ->
         [ ("records", Uv_obs.Json.Int st.Uv_db.Log.undo_records);
           ("rows", Uv_obs.Json.Int st.Uv_db.Log.rows_restored) ])
       (fun () ->
@@ -399,24 +300,14 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
                    members
           | None -> false
         in
-        let jumped =
-          match Uv_db.Engine.checkpoints eng with
-          | Some ladder when undo_list <> [] && not deferred ->
-              checkpoint_rollback ladder log temp_cat undo_list undo_journals
-          | _ -> false
-        in
         let stats =
-          if jumped || deferred then begin
-            if jumped then Uv_obs.Trace.incr obs "whatif.checkpoint_jumps"
-            else Uv_db.Log.undo_counters temp_cat undo_journals;
+          if deferred then begin
+            Uv_db.Log.undo_counters temp_cat undo_journals;
             { Uv_db.Log.undo_records = 0; rows_restored = 0 }
           end
           else Uv_db.Log.undo_entries temp_cat undo_journals
         in
-        ( (dml, redo, deferred, undo_journals, tau_journal),
-          ( List.length undo_list,
-            (if jumped then "checkpoint" else "undo"),
-            stats ) ))
+        (dml, redo, deferred, undo_journals, tau_journal, List.length undo_list, stats))
   in
   (* 4. replay forward, in commit order or over the replay DAG's waves *)
   let hash_jump_at = ref None in
@@ -687,7 +578,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     retries = res.Wave_exec.retries;
     temp_catalog = universe;
     merge;
-    rollback_strategy;
+    rollback_strategy = (if deferred then "deferred" else "undo");
     plans_used = 0;
     redone = res.Wave_exec.redone;
   }
@@ -797,8 +688,6 @@ module Service = struct
     analyzer_extends : int;
     analyzed_entries : int;
     plan_cache_hits : int; (* always 0; see whatif.mli *)
-    checkpoint_rungs : int;
-    checkpoint_every : int;
     ingested : int;
     publishes : int;
   }
@@ -845,12 +734,6 @@ module Service = struct
     }
 
   let create ?(config = Config.default) ?rowset ?base eng =
-    if
-      Config.checkpoint_every config > 0
-      && Option.is_none (Uv_db.Engine.checkpoints eng)
-    then
-      Uv_db.Engine.enable_checkpoints eng
-        ~every:(Config.checkpoint_every config);
     make_t ~config ~rowset ~base ~pinned:false ~state:empty_snapshot eng
 
   (* Internal: the one-shot [Whatif.run]/[run_exn] path. The given
@@ -984,11 +867,6 @@ module Service = struct
         guarded cur_phase (fun () -> run_with t config cur_phase snap target))
 
   let stats t =
-    let rungs, every =
-      match Uv_db.Engine.checkpoints t.eng with
-      | Some l -> (Uv_db.Checkpoint.count l, Uv_db.Checkpoint.every l)
-      | None -> (0, 0)
-    in
     let snap = Atomic.get t.state in
     {
       runs = Atomic.get t.runs;
@@ -996,8 +874,6 @@ module Service = struct
       analyzer_extends = Atomic.get t.analyzer_extends;
       analyzed_entries = snap.analyzed_len;
       plan_cache_hits = 0;
-      checkpoint_rungs = rungs;
-      checkpoint_every = every;
       ingested = Atomic.get t.ingested;
       publishes = Atomic.get t.publishes;
     }

@@ -44,7 +44,6 @@ module Config : sig
     ?obs:Uv_obs.Trace.t ->
     ?deadline_ms:float ->
     ?fault:Uv_fault.Fault.t ->
-    ?checkpoint_every:int ->
     ?plans:bool ->
     unit ->
     t
@@ -60,12 +59,7 @@ module Config : sig
       engine is never touched mid-run, so there is nothing to undo);
       [fault = Uv_fault.Fault.disabled] — a fault-injection plan
       ({!Uv_fault.Fault}) threaded into the temporary engines, the wave
-      executor and the domain pool; [checkpoint_every = 0] — when
-      positive, a {!Service} attaches a checkpoint ladder to the engine
-      snapshotting the catalog every that many commits, and the rollback
-      phase may jump to the nearest rung instead of undoing the whole
-      member tail (the ladder only ever amortizes: outcomes are
-      bitwise-identical with it off). [plans] is inert: it is accepted
+      executor and the domain pool. [plans] is inert: it is accepted
       and ignored, since every replayed statement that is not redone
       runs through the interpreter. It is removed by the next benchmark
       change (ROADMAP item 1). *)
@@ -80,7 +74,6 @@ module Config : sig
   val obs : t -> Uv_obs.Trace.t
   val deadline_ms : t -> float option
   val fault : t -> Uv_fault.Fault.t
-  val checkpoint_every : t -> int
 end
 
 (** Why a what-if run could not produce an outcome. *)
@@ -173,11 +166,12 @@ type outcome = {
   temp_catalog : Uv_db.Catalog.t;  (** the new universe *)
   merge : merge;  (** what {!new_log} is built from *)
   rollback_strategy : string;
-      (** how the rollback phase reached the pre-τ state: ["undo"] —
-          selective inverse operations newest-first; ["checkpoint"] —
-          jumped the affected tables to a checkpoint rung below the
-          oldest member and redid the non-member tail from journal
-          images (only when an attached ladder made that cheaper) *)
+      (** when the rollback phase applied the members' inverse
+          operations (newest first, folded per row): ["undo"] — during
+          the phase; ["deferred"] — not in the phase, for a removal known
+          to stop before its first member: the replay applies them if it
+          runs a member after all, and {!new_log} applies them to its
+          copy otherwise *)
   plans_used : int;
       (** inert, always 0: compiled statement plans are gone. It is
           removed by the next benchmark change (ROADMAP item 1). *)
@@ -252,9 +246,7 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
 
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows (DML only); a shrunk log, a catalog epoch change or new
-      DDL rebuilds it from scratch;
-    - with [Config.checkpoint_every > 0] the engine records periodic
-      catalog snapshots that let the rollback phase jump near τ.
+      DDL rebuilds it from scratch.
 
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently
@@ -290,8 +282,6 @@ module Service : sig
     plan_cache_hits : int;
         (** inert, always 0: compiled statement plans are gone. It is
             removed by the next benchmark change (ROADMAP item 1). *)
-    checkpoint_rungs : int;  (** live rungs on the engine's ladder *)
-    checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
     ingested : int;  (** statements applied through {!ingest} *)
     publishes : int;  (** snapshot swaps *)
   }
@@ -302,9 +292,7 @@ module Service : sig
     ?base:Uv_db.Catalog.t ->
     Uv_db.Engine.t ->
     t
-  (** Attach a service to an engine. When the config asks for
-      checkpoints and the engine has no ladder yet, one is enabled.
-      [rowset] and [base] are handed to every analyzer build — pass the
+  (** Attach a service to an engine. [rowset] and [base] are handed to every analyzer build — pass the
       same values a one-shot caller would give [Analyzer.analyze],
       or the replay sets will differ. The engine must not be mutated
       behind the service's back once serving starts: route committed

@@ -263,6 +263,8 @@ let deserialize s =
 let to_literal = function
   | Null -> "NULL"
   | Int i -> string_of_int i
+  (* an integral float keeps a fraction, so its text lexes as a float *)
+  | Float f when Float.is_integer f -> Printf.sprintf "%.1f" f
   | Float f -> float_repr f
   | Bool b -> if b then "TRUE" else "FALSE"
   | Text s ->

@@ -79,6 +79,8 @@ val deserialize : string -> t
     @raise Failure on a malformed wire form. *)
 
 val to_literal : t -> string
-(** SQL literal syntax ('quoted' text, NULL, TRUE/FALSE). *)
+(** SQL literal syntax ('quoted' text, NULL, TRUE/FALSE). An integral
+    float keeps a fraction ([42.0]), so the lexer reads it back as a
+    float; {!to_string} prints [42]. *)
 
 val pp : Format.formatter -> t -> unit

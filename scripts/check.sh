@@ -293,23 +293,22 @@ step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE
 # the five workloads' what-if at workers 1/2/4/8 must end in the serial
 # run's universe hash, merged log and AUTO_INCREMENT records (and the
 # full-replay oracle), and the DAG's waves must replay the whole history
-# as commit order does; a service's cached answers (incremental
-# analyzer, checkpoint ladder every 32 commits), primed and repeated at
-# workers 1 and 4, must carry a cold analyzer's and uncached run's hash
+# as commit order does; a service's cached answers (its incremental
+# analyzer), primed and repeated at workers 1 and 4, must carry a cold
+# analyzer's and uncached run's hash
 step "parallel replay determinism and cached == cold" \
   dune exec test/test_parallel.exe -- test 'determinism|cached == cold'
 
 # caching must never change the answer: the same what-if runs once,
-# uncached and without a checkpoint ladder, and then repeatedly through
-# one service (incremental analyzer + checkpoint ladder); the final
-# universe hashes must be bitwise-identical
+# uncached, and then repeatedly through one service (incremental
+# analyzer); the final universe hashes must be bitwise-identical
 cache_smoke() {
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   dune exec bin/ultraverse.exe -- whatif examples/histories/lint_demo.sql \
     --tau 2 --op remove --json > "$out/cold.json" &&
   dune exec bin/ultraverse.exe -- whatif examples/histories/lint_demo.sql \
-    --tau 2 --op remove --checkpoint-every 4 --repeat 3 --json \
+    --tau 2 --op remove --repeat 3 --json \
     > "$out/warm.json" &&
   cold="$(grep -o '"final_db_hash":"[0-9a-f]*"' "$out/cold.json")" &&
   warm="$(grep -o '"final_db_hash":"[0-9a-f]*"' "$out/warm.json")" &&

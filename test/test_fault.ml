@@ -344,8 +344,8 @@ let test_uckp_roundtrip () =
      rung's SQL dump *)
   List.iter
     (fun (at, cat) ->
-      match Checkpoint.nearest ladder at with
-      | Some (at', live) when at' = at ->
+      match List.assoc_opt at (Checkpoint.rungs ladder) with
+      | Some live ->
           let a = Engine.create () and b = Engine.create () in
           Dump.restore a (Dump.to_sql cat);
           Dump.restore b (Dump.to_sql live);
@@ -481,12 +481,12 @@ let log_digest log =
 
 let seeds_per_workload = 40
 
-(* [checkpoint_every > 0] runs the same schedules with a checkpoint
-   ladder attached (recorded while the history commits, exactly as a
-   live deployment would): rung recording, skip-on-fault accounting and
-   the rollback phase's jump-vs-undo decision all run under fire, and
-   every outcome must still be bitwise-identical to the fault-free run.
-   The target then sits late in the history so the jump gate is live. *)
+(* [checkpoint_every > 0] runs the same schedules over a history that
+   committed with a checkpoint ladder attached, as [dump --checkpoints]
+   records one, and a target late in the history, where the rungs lie
+   between τ and the head. The what-if neither reads nor disturbs the
+   ladder: every outcome is bitwise-identical to the fault-free run, and
+   the engine keeps every rung it recorded. *)
 let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
     () =
   let eng, rt = W.setup ~mode:R.Transpiled w in
@@ -505,6 +505,11 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
   in
   let pristine = Engine.db_hash eng in
   let pristine_log = log_digest (Engine.log eng) in
+  let rungs () =
+    Option.fold ~none:[] ~some:(fun l -> List.map fst (Checkpoint.rungs l))
+      (Engine.checkpoints eng)
+  in
+  let pristine_rungs = rungs () in
   let baseline = Whatif.run_exn ~analyzer eng target in
   let want_hash = baseline.Whatif.final_db_hash in
   let want_log = log_digest (Whatif.new_log baseline) in
@@ -543,7 +548,11 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
     check Alcotest.string
       (Printf.sprintf "%s seed %d: original log untouched" w.W.name seed)
       pristine_log
-      (log_digest (Engine.log eng))
+      (log_digest (Engine.log eng));
+    check
+      Alcotest.(list int)
+      (Printf.sprintf "%s seed %d: ladder untouched" w.W.name seed)
+      pristine_rungs (rungs ())
   done;
   (* the schedule rates are mild: most runs must survive via retry and
      degradation rather than abort *)

@@ -185,8 +185,8 @@ let test_report_roundtrip () =
   | Error e -> Alcotest.failf "expect parse failed: %s" e
 
 let test_report_envelope_fields () =
-  let j = Report.envelope ~schema:"uv.whatif/1" Json.Null in
-  check (Alcotest.option json) "schema" (Some (Json.Str "uv.whatif/1"))
+  let j = Report.envelope ~schema:"uv.whatif/2" Json.Null in
+  check (Alcotest.option json) "schema" (Some (Json.Str "uv.whatif/2"))
     (Json.member "schema" j);
   check (Alcotest.option json) "tool" (Some (Json.Str "ultraverse"))
     (Json.member "tool" j);
@@ -227,7 +227,7 @@ let test_report_rejects_malformed () =
   reject {|{"schema":"uv.lint/1","version":"0","payload":{}}|};
   (* expect mismatch between two registered schemas *)
   let s = Report.to_string ~schema:"uv.lint/1" (Json.Obj []) in
-  match Report.parse ~expect:"uv.whatif/1" s with
+  match Report.parse ~expect:"uv.whatif/2" s with
   | Ok _ -> Alcotest.fail "expect mismatch accepted"
   | Error _ -> ()
 

@@ -1511,10 +1511,10 @@ let test_stop_noop_tau () =
   List.iter
     (fun workers ->
       let obs = Uv_obs.Trace.create () in
-      ignore
-        (Whatif.run_exn ~config:(Whatif.Config.make ~workers ~obs ()) ~analyzer
-           e (remove 1)
-          : Whatif.outcome);
+      let out =
+        Whatif.run_exn ~config:(Whatif.Config.make ~workers ~obs ()) ~analyzer
+          e (remove 1)
+      in
       let counter name = Uv_obs.Trace.counter_value obs name in
       let where = Printf.sprintf "workers=%d: " workers in
       check Alcotest.int (where ^ "no replay-DAG edge") 0 (counter "replay.edges");
@@ -1522,8 +1522,13 @@ let test_stop_noop_tau () =
       check Alcotest.int (where ^ "two members skipped") 2
         (counter "replay.stop_skipped");
       check Alcotest.int (where ^ "rollback deferred") 0
-        (counter "rollback.undo_records"))
+        (counter "rollback.undo_records");
+      check Alcotest.string (where ^ "reported deferred") "deferred"
+        out.Whatif.rollback_strategy)
     [ 1; 2 ];
+  (* removing #2, which changed both rows, rolls back in the phase *)
+  check Alcotest.string "a rolling-back removal reports undo" "undo"
+    (Whatif.run_exn ~analyzer e (remove 2)).Whatif.rollback_strategy;
   let setup =
     [
       "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)";
@@ -1849,33 +1854,24 @@ let test_redo_generated (w : W.t) () =
   QCheck.Test.check_exn ~rand:(Random.State.make [| 5 |]) prop;
   check Alcotest.bool (w.W.name ^ ": some member was redone") true (!redone > 0)
 
-(* The session caches (incremental analyzer, checkpoint ladder) are
-   accelerators only: through a service whose engine recorded a ladder
-   every 32 commits, the first answer and two repeated ones carry the
-   final hash a cold analyzer and an uncached run give, at workers 1
-   and 4. *)
+(* The session's incremental analyzer is an accelerator only: through
+   a service, the first answer and two repeated ones carry the final
+   hash a cold analyzer and an uncached run give, at workers 1 and 4. *)
 let test_cached_equals_cold (w : W.t) () =
-  let history ~checkpoints =
-    let eng, rt = W.setup ~mode:R.Raw w in
-    let base = Engine.snapshot eng in
-    if checkpoints then Engine.enable_checkpoints eng ~every:32;
-    let prng = Uv_util.Prng.create 92 in
-    let calls =
-      w.W.target_call :: w.W.generate prng ~scale:1 ~n:150 ~dep_rate:0.3
-    in
-    ignore (W.run_history rt ~mode:R.Raw calls);
-    (eng, base)
+  let eng, rt = W.setup ~mode:R.Raw w in
+  let base = Engine.snapshot eng in
+  let prng = Uv_util.Prng.create 92 in
+  let calls =
+    w.W.target_call :: w.W.generate prng ~scale:1 ~n:150 ~dep_rate:0.3
   in
-  let eng_cold, base_cold = history ~checkpoints:false in
-  let eng_warm, base_warm = history ~checkpoints:true in
+  ignore (W.run_history rt ~mode:R.Raw calls);
   let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
   let cold workers =
     let analyzer =
-      Analyzer.analyze ~config:w.W.ri_config ~base:base_cold
-        (Engine.log eng_cold)
+      Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng)
     in
-    (Whatif.run_exn ~config:(Whatif.Config.make ~workers ()) ~analyzer
-       eng_cold target)
+    (Whatif.run_exn ~config:(Whatif.Config.make ~workers ()) ~analyzer eng
+       target)
       .Whatif.final_db_hash
   in
   let want = cold 1 in
@@ -1885,8 +1881,8 @@ let test_cached_equals_cold (w : W.t) () =
     (fun workers ->
       let s =
         Whatif.Service.create
-          ~config:(Whatif.Config.make ~workers ~checkpoint_every:32 ())
-          ~rowset:w.W.ri_config ~base:base_warm eng_warm
+          ~config:(Whatif.Config.make ~workers ())
+          ~rowset:w.W.ri_config ~base eng
       in
       List.iter
         (fun run ->
@@ -1900,9 +1896,7 @@ let test_cached_equals_cold (w : W.t) () =
         [ "primed"; "repeated"; "repeated again" ];
       let st = Whatif.Service.stats s in
       check Alcotest.bool (w.W.name ^ ": one analyzer build") true
-        (st.Whatif.Service.analyzer_builds = 1);
-      check Alcotest.bool (w.W.name ^ ": the ladder holds rungs") true
-        (st.Whatif.Service.checkpoint_rungs > 0))
+        (st.Whatif.Service.analyzer_builds = 1))
     [ 1; 4 ]
 
 let workload_cases (w : W.t) =

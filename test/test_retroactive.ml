@@ -1664,39 +1664,6 @@ let test_session_plans_and_invalidate () =
   check Alcotest.int "recompute was a fresh build" 2
     (Whatif.Service.stats s).Whatif.Service.analyzer_builds
 
-let test_session_checkpoint_jump_matches_undo () =
-  let history e =
-    for i = 1 to 40 do
-      run e (Printf.sprintf "UPDATE acct SET bal = bal + %d WHERE id = 1" i)
-    done
-  in
-  (* ladder engine: the session enables checkpointing, rungs accumulate
-     as the history commits *)
-  let e1, base1 = session_base () in
-  let s =
-    Whatif.Service.create
-      ~config:(Whatif.Config.make ~checkpoint_every:8 ())
-      ~base:base1 e1
-  in
-  history e1;
-  let target = { Analyzer.tau = 10; op = Analyzer.Remove } in
-  let o_jump = ok_run s target in
-  (* plain engine, same statements, no ladder *)
-  let e2, base2 = session_base () in
-  history e2;
-  let o_undo = fresh_run e2 base2 target in
-  check Alcotest.string "ladder rollback jumped" "checkpoint"
-    o_jump.Whatif.rollback_strategy;
-  check Alcotest.string "plain rollback undid" "undo"
-    o_undo.Whatif.rollback_strategy;
-  check Alcotest.int64 "identical universes" o_undo.Whatif.final_db_hash
-    o_jump.Whatif.final_db_hash;
-  check Alcotest.bool "the ladder recorded rungs" true
-    ((Whatif.Service.stats s).Whatif.Service.checkpoint_rungs > 0);
-  let again = ok_run s target in
-  check Alcotest.int64 "jump reproduces across runs"
-    o_jump.Whatif.final_db_hash again.Whatif.final_db_hash
-
 (* ------------------------------------------------------------------ *)
 (* Service: shared snapshots under concurrent what-ifs and ingest       *)
 (* ------------------------------------------------------------------ *)
@@ -1945,8 +1912,6 @@ let () =
             test_session_truncation_rebuilds;
           Alcotest.test_case "plan cache & invalidate" `Quick
             test_session_plans_and_invalidate;
-          Alcotest.test_case "checkpoint jump == undo" `Quick
-            test_session_checkpoint_jump_matches_undo;
         ] );
       ( "service",
         [

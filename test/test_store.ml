@@ -209,6 +209,53 @@ let test_roundtrip_matches_single_file () =
     (Engine.db_hash e_store);
   Log_store.close store
 
+(* A logged statement's persisted text reparses to the statement's own
+   literals, equal in kind and value, through the parser and through the
+   store's memoised decode: an analyzer over the store then keys rows by
+   the values the live log's analyzer sees. Every workload's history,
+   raw and transpiled. *)
+let literals stmt =
+  List.rev
+    (Uv_sql.Visit.fold_stmt_exprs
+       (fun acc -> function Uv_sql.Ast.Lit v -> v :: acc | _ -> acc)
+       [] stmt)
+
+let test_logged_text_reparses () =
+  let show vs = String.concat ", " (List.map Uv_sql.Value.serialize vs) in
+  let same a b =
+    List.length a = List.length b && List.for_all2 Uv_sql.Value.equal a b
+  in
+  let memo = Uv_sql.Stmt_memo.create () in
+  List.iter
+    (fun (mode, mode_name) ->
+      List.iter
+        (fun (w : W.t) ->
+          let eng, rt = W.setup ~mode w in
+          let calls =
+            w.W.target_call
+            :: w.W.generate (Uv_util.Prng.create 61) ~scale:1 ~n:60 ~dep_rate:0.3
+          in
+          ignore (W.run_history rt ~mode calls);
+          let log = Engine.log eng in
+          List.iteri
+            (fun i (r : Log_io.record) ->
+              let index = i + 1 in
+              let want = literals (Log.entry log index).Log.stmt in
+              List.iter
+                (fun (path, stmt) ->
+                  let got = literals stmt in
+                  if not (same want got) then
+                    Alcotest.failf "%s %s #%d, %s: %S has [%s], logged [%s]"
+                      w.W.name mode_name index path r.Log_io.r_sql (show got)
+                      (show want))
+                [
+                  ("parser", Uv_sql.Parser.parse_stmt r.Log_io.r_sql);
+                  ("store", (Log_store.entry_of_record ~memo ~index r).Log.stmt);
+                ])
+            (Log_io.records_of_log log))
+        (W.all ()))
+    [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ]
+
 (* ------------------------------------------------------------------ *)
 (* Damage: verify flags it, salvage keeps the longest clean prefix      *)
 (* ------------------------------------------------------------------ *)
@@ -742,6 +789,8 @@ let () =
             test_checkpoint_rung_at_boundary;
           Alcotest.test_case "round-trip vs single file" `Quick
             test_roundtrip_matches_single_file;
+          Alcotest.test_case "logged text reparses to its literals" `Quick
+            test_logged_text_reparses;
         ] );
       ( "integrity",
         [
