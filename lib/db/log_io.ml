@@ -111,11 +111,13 @@ type decoded =
   | Text of {
       text : string;
       count : int;
-      recs : int array;
-          (* per record, [stride] ints: SQL payload offset and length
-             code, tag payload offset ([-1]: no A line) and length code,
-             first N line and N line count *)
-      nvals : int array;  (* per N line: payload offset and length code *)
+      offs : int array;
+          (* per record [k], [stride] ints from [k * stride]: SQL payload
+             offset and length code, tag payload offset ([-1]: no A
+             line) and length code, first N value and N value count; per
+             N value [v], its payload offset and length code from
+             [nbase + 2 * v] *)
+      nbase : int;
     }
   | Records of record array
 
@@ -130,28 +132,40 @@ let payload text off code =
 
 let sql d k =
   match d with
-  | Text d -> payload d.text d.recs.(k * stride) d.recs.((k * stride) + 1)
+  | Text d -> payload d.text d.offs.(k * stride) d.offs.((k * stride) + 1)
   | Records a -> a.(k).r_sql
+
+let text = function Text d -> d.text | Records _ -> ""
+
+let sql_offset d k =
+  match d with
+  | Text d when d.offs.((k * stride) + 1) >= 0 -> d.offs.(k * stride)
+  | Text _ | Records _ -> -1
+
+let sql_length d k =
+  match d with
+  | Text d -> d.offs.((k * stride) + 1)
+  | Records a -> String.length a.(k).r_sql
 
 let app_txn d k =
   match d with
   | Text d ->
-      let off = d.recs.((k * stride) + 2) in
-      if off < 0 then None else Some (payload d.text off d.recs.((k * stride) + 3))
+      let off = d.offs.((k * stride) + 2) in
+      if off < 0 then None else Some (payload d.text off d.offs.((k * stride) + 3))
   | Records a -> a.(k).r_app_txn
 
 let nondet_count d k =
   match d with
-  | Text d -> d.recs.((k * stride) + 5)
+  | Text d -> d.offs.((k * stride) + 5)
   | Records a -> List.length a.(k).r_nondet
 
 let nondet d k =
   match d with
   | Text d ->
-      let first = d.recs.((k * stride) + 4) in
-      List.init d.recs.((k * stride) + 5) (fun j ->
-          let v = first + j in
-          Uv_sql.Value.deserialize (payload d.text d.nvals.(2 * v) d.nvals.((2 * v) + 1)))
+      let first = d.nbase + (2 * d.offs.((k * stride) + 4)) in
+      List.init d.offs.((k * stride) + 5) (fun j ->
+          let at = first + (2 * j) in
+          Uv_sql.Value.deserialize (payload d.text d.offs.(at) d.offs.(at + 1)))
   | Records a -> a.(k).r_nondet
 
 let record d k =
@@ -161,207 +175,222 @@ let record d k =
 
 let records d = List.init (length d) (record d)
 
-(* The end of the line at [i] (its newline, or [n]); [esc] gets the
-   offset of its first backslash, if any. Eight bytes at a time while
-   they hold neither byte, then byte by byte. *)
-let ones = 0x0101010101010101L
-let highs = 0x8080808080808080L
-let newlines = 0x0a0a0a0a0a0a0a0aL
-let backslashes = 0x5c5c5c5c5c5c5c5cL
-
-let rec line_end text i n esc =
-  if i + 8 <= n then begin
-    let w = String.get_int64_le text i in
-    let a = Int64.logxor w newlines and b = Int64.logxor w backslashes in
-    if
-      Int64.equal
-        (Int64.logand
-           (Int64.logor
-              (Int64.logand (Int64.sub a ones) (Int64.lognot a))
-              (Int64.logand (Int64.sub b ones) (Int64.lognot b)))
-           highs)
-        0L
-    then line_end text (i + 8) n esc
-    else bytes_end text i (i + 8) n esc
-  end
-  else bytes_end text i n n esc
-
-and bytes_end text i stop n esc =
-  if i >= stop then if stop >= n then n else line_end text stop n esc
+(* The first malformed escape in [s.[i .. stop - 1]], or [-1]: where
+   {!unescape_sub} would raise, without building the string. *)
+let rec bad_escape s i stop =
+  if i >= stop then -1
+  else if String.unsafe_get s i <> '\\' then bad_escape s (i + 1) stop
+  else if i + 1 >= stop then i
   else
-    match String.unsafe_get text i with
-    | '\n' -> i
-    | '\\' when !esc < 0 ->
-        esc := i;
-        bytes_end text (i + 1) stop n esc
-    | _ -> bytes_end text (i + 1) stop n esc
+    match String.unsafe_get s (i + 1) with
+    | '\\' | 'n' | 'r' -> bad_escape s (i + 2) stop
+    | _ -> i
 
-(* Escapes in [s.[i .. stop - 1]] are well formed: the check
-   {!unescape_sub} makes, without building the string. *)
-let rec check_escapes s i stop =
-  if i < stop then
-    if String.unsafe_get s i <> '\\' then check_escapes s (i + 1) stop
-    else if i + 1 >= stop then corrupt "dangling escape"
-    else
-      match s.[i + 1] with
-      | '\\' | 'n' | 'r' -> check_escapes s (i + 2) stop
-      | c -> corrupt "unknown escape \\%c" c
+(* [unescape_sub]'s message for the bad escape at [i] *)
+let escape_reason s i stop =
+  if i + 1 >= stop then "dangling escape" else Printf.sprintf "unknown escape \\%c" s.[i + 1]
 
-let grow a need =
-  if need <= Array.length a then a
-  else begin
-    let b = Array.make (max need (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
+(* [text.[off + i .. off + String.length h - 1]] is [h]'s from [i] *)
+let rec same_from text off h i =
+  i = String.length h || (text.[off + i] = h.[i] && same_from text off h (i + 1))
 
-(* Single forward pass with byte offsets. A record counts only once its
-   whole block — Q line through E, checksum verified on v2 — parses; the
-   scan stops at the first damaged record, keeping the valid prefix
-   (replaying past a damaged record would silently reorder history).
-   No record is built: a record is kept as the offsets of its payloads,
-   each checked as building it would check it (escapes, N values), and
-   its body checksum runs over the text itself, one call per run of
-   adjacent body lines. Blank lines are skipped. *)
-let salvage text =
+(* [text.[off .. stop - 1]] is [h] *)
+let is_line text off stop h = stop - off = String.length h && same_from text off h 0
+
+(* [salvage]'s offsets [a], room for [cap] records with N values from
+   [stride * cap], holding [count] records and [nv] N values, moved to
+   an array with room for [cap'] records and [room] N values. *)
+let regrow a ~count ~nv ~cap ~cap' ~room =
+  let b = Array.make ((stride * cap') + (2 * room)) 0 in
+  Array.blit a 0 b 0 (stride * count);
+  Array.blit a (stride * cap) b (stride * cap') (2 * nv);
+  b
+
+(* One forward pass with byte offsets, one loop iteration a line, its
+   state in local variables (no closure captures them, so none is
+   allocated). A record counts only once its whole block — Q line
+   through E, checksum verified on v2 — parses; the scan stops at the
+   first damaged record, keeping the valid prefix (replaying past a
+   damaged record would silently reorder history), and records the
+   damage as a reason and the record's offset. No record is built: a
+   record is kept as the offsets of its payloads, each checked as
+   building it would check it (escapes, N values), and its body
+   checksum runs over the text itself, one call per run of adjacent body
+   lines. Line ends are found by [memchr]. Blank lines are skipped. *)
+let salvage ?(count = 64) text =
   let n = String.length text in
+  let reason = ref "" and cut = ref 0 and version = ref 0 in
+  (* the header: the first non-empty line *)
   let pos = ref 0 in
-  let l_off = ref 0 and l_len = ref 0 and l_esc = ref (-1) in
-  (* the next non-empty line into [l_off], [l_len] and [l_esc] *)
-  let rec next_line () =
-    !pos < n
-    &&
-    let start = !pos in
-    l_esc := -1;
-    let nl = line_end text start n l_esc in
-    pos := if nl < n then nl + 1 else n;
-    if nl = start then next_line ()
-    else begin
-      l_off := start;
-      l_len := nl - start;
-      true
-    end
+  while !pos < n && String.unsafe_get text !pos = '\n' do incr pos done;
+  let hdr_end =
+    if !pos >= n then -1
+    else
+      let nl = Uv_util.Memchr.index text '\n' !pos (n - !pos) in
+      if nl < 0 then n else nl
   in
-  let count = ref 0 and recs = ref (Array.make (stride * 64) 0) in
-  let nv = ref 0 and nvals = ref (Array.make 32 0) in
-  let finish version cut reason =
-    ( Text { text; count = !count; recs = !recs; nvals = !nvals },
-      { version; total_bytes = n; valid_records = !count; cut_at = cut; reason } )
-  in
-  let fail_at off reason version = finish version (Some off) (Some reason) in
-  if not (next_line ()) then fail_at 0 "empty file" 0
-  else
-    let h = String.sub text !l_off !l_len in
-    if h <> header_v1 && h <> header_v2 then
-      fail_at !l_off
-        (Printf.sprintf "bad header %S (want %S or %S)" h header_v1 header_v2)
-        0
-    else begin
-      let version = if String.equal h header_v2 then 2 else 1 in
-      let line off len = String.sub text off len in
-      (* the current line's payload, checked: its length code *)
-      let payload_code () =
-        let off = !l_off and len = !l_len in
-        if len < 2 then corrupt "short line %S" (line off len);
-        if !l_esc < 0 then len - 2
-        else begin
-          check_escapes text (max (off + 2) !l_esc) (off + len);
-          lnot (len - 2)
-        end
-      in
-      (* the body checksum: [crc] over every finished run of adjacent
-         body lines, newlines included, then the open run *)
-      let crc = ref 0 and run_off = ref 0 and run_end = ref (-1) in
-      let flush () =
-        if !run_end >= 0 then begin
-          crc := Uv_util.Crc32.update_sub !crc text !run_off (!run_end - !run_off);
-          run_end := -1
-        end
-      in
-      let add_to_body () =
-        if !l_off <> !run_end then begin
-          flush ();
-          run_off := !l_off
-        end;
-        run_end := !l_off + !l_len + 1
-      in
-      (* parse one record from the current line, appending it to the
-         record offsets, or raise [Corrupt reason] *)
-      let parse_record () =
-        crc := 0;
-        run_end := -1;
-        let q_off = ref (-1) and q_code = ref 0 in
-        let a_off = ref (-1) and a_code = ref 0 in
-        let n_first = !nv in
-        let crc_ok = ref (version = 1) in
-        let rec step () =
-          let off = !l_off and len = !l_len in
-          match String.unsafe_get text off with
-          | 'Q' ->
-              if !q_off >= 0 then corrupt "Q line inside an open record";
-              q_code := payload_code ();
-              q_off := off + 2;
-              add_to_body ();
-              continue_ ()
-          | 'N' ->
-              if !q_off < 0 then corrupt "N line outside a record";
-              let code = payload_code () in
-              (try ignore (Uv_sql.Value.deserialize (payload text (off + 2) code) : Uv_sql.Value.t)
-               with Failure m -> corrupt "bad value: %s" m);
-              nvals := grow !nvals ((2 * !nv) + 2);
-              !nvals.(2 * !nv) <- off + 2;
-              !nvals.((2 * !nv) + 1) <- code;
-              incr nv;
-              add_to_body ();
-              continue_ ()
-          | 'A' ->
-              if !q_off < 0 then corrupt "A line outside a record";
-              a_code := payload_code ();
-              a_off := off + 2;
-              add_to_body ();
-              continue_ ()
-          | 'C' ->
-              if !q_off < 0 then corrupt "C line outside a record";
-              if version = 1 then corrupt "checksum line in a v1 log";
-              if len < 2 then corrupt "short line %S" (line off len);
-              (match Uv_util.Crc32.of_hex_sub text (off + 2) (len - 2) with
-              | None -> corrupt "malformed checksum %S" (line off len)
-              | Some c ->
-                  flush ();
-                  if c <> !crc then
-                    corrupt "checksum mismatch (stored %s, computed %s)"
-                      (Uv_util.Crc32.to_hex c) (Uv_util.Crc32.to_hex !crc);
-                  crc_ok := true);
-              continue_ ()
-          | 'E' ->
-              if !q_off < 0 then corrupt "record end without a Q line";
-              if not !crc_ok then corrupt "record without a checksum";
-              let at = !count * stride in
-              recs := grow !recs (at + stride);
-              let r = !recs in
-              r.(at) <- !q_off;
-              r.(at + 1) <- !q_code;
-              r.(at + 2) <- !a_off;
-              r.(at + 3) <- !a_code;
-              r.(at + 4) <- n_first;
-              r.(at + 5) <- !nv - n_first;
-              incr count
-          | c -> corrupt "unknown line tag %C" c
-        and continue_ () =
-          if next_line () then step () else corrupt "truncated final record"
+  if hdr_end < 0 then reason := "empty file"
+  else if is_line text !pos hdr_end header_v2 then version := 2
+  else if is_line text !pos hdr_end header_v1 then version := 1
+  else begin
+    cut := !pos;
+    reason :=
+      Printf.sprintf "bad header %S (want %S or %S)"
+        (String.sub text !pos (hdr_end - !pos))
+        header_v1 header_v2
+  end;
+  (* room for [cap] records, N values from [stride * cap] *)
+  let cap = ref (max 1 count) in
+  let offs = ref (Array.make ((stride + 2) * !cap) 0) in
+  let records = ref 0 and nv = ref 0 in
+  if !version > 0 then begin
+    pos := if hdr_end < n then hdr_end + 1 else n;
+    let rec_start = ref !pos in
+    (* the open record: its Q payload ([q_off < 0]: none yet), A payload,
+       first N value, and whether a C line vouched for it *)
+    let q_off = ref (-1) and q_code = ref 0 and a_off = ref (-1) and a_code = ref 0 in
+    let n_first = ref 0 and crc_ok = ref false in
+    (* its body checksum: [crc] over every finished run of adjacent body
+       lines, newlines included, then the open run [run_off, run_end) *)
+    let crc = ref 0 and run_off = ref 0 and run_end = ref (-1) in
+    while !reason = "" && (!pos < n || !q_off >= 0) do
+      while !pos < n && String.unsafe_get text !pos = '\n' do incr pos done;
+      if !pos >= n then begin
+        (* end of file inside a record (one outside ends the loop) *)
+        if !q_off >= 0 then reason := "truncated final record"
+      end
+      else begin
+        let off = !pos in
+        let nl = Uv_util.Memchr.index text '\n' off (n - off) in
+        let nl = if nl < 0 then n else nl in
+        pos := if nl < n then nl + 1 else n;
+        let len = nl - off and tag = String.unsafe_get text off in
+        (* a body line's payload: [len - 2] bytes at [off + 2], its
+           length code in [code], or the damage in [reason] *)
+        let code =
+          match tag with
+          | 'Q' | 'N' | 'A' ->
+              if tag = 'Q' && !q_off >= 0 then begin
+                reason := "Q line inside an open record";
+                0
+              end
+              else if tag <> 'Q' && !q_off < 0 then begin
+                reason := Printf.sprintf "%c line outside a record" tag;
+                0
+              end
+              else if len < 2 then begin
+                reason := Printf.sprintf "short line %S" (String.sub text off len);
+                0
+              end
+              else
+                let esc = Uv_util.Memchr.index text '\\' (off + 2) (len - 2) in
+                if esc < 0 then len - 2
+                else
+                  let bad = bad_escape text esc nl in
+                  if bad >= 0 then begin
+                    reason := escape_reason text bad nl;
+                    0
+                  end
+                  else lnot (len - 2)
+          | _ -> 0
         in
-        step ()
-      in
-      let rec loop () =
-        let rec_start = !pos in
-        if not (next_line ()) then finish version None None (* clean end of file *)
-        else
-          match parse_record () with
-          | () -> loop ()
-          | exception Corrupt reason -> fail_at rec_start reason version
-      in
-      loop ()
-    end
+        if !reason = "" then
+          match tag with
+          | 'Q' | 'N' | 'A' ->
+              if tag = 'N' then begin
+                match
+                  if code >= 0 then Uv_sql.Value.deserialize_error text (off + 2) code
+                  else
+                    let v = unescape_sub text (off + 2) (lnot code) in
+                    Uv_sql.Value.deserialize_error v 0 (String.length v)
+                with
+                | Some m -> reason := "bad value: " ^ m
+                | None ->
+                    let at = (stride * !cap) + (2 * !nv) in
+                    if at + 2 > Array.length !offs then begin
+                      let room = (Array.length !offs - (stride * !cap)) / 2 in
+                      offs :=
+                        regrow !offs ~count:!records ~nv:!nv ~cap:!cap ~cap':!cap ~room:(2 * room)
+                    end;
+                    !offs.(at) <- off + 2;
+                    !offs.(at + 1) <- code;
+                    incr nv
+              end
+              else if tag = 'Q' then begin
+                q_off := off + 2;
+                q_code := code;
+                a_off := -1;
+                n_first := !nv;
+                crc_ok := !version = 1;
+                crc := 0;
+                run_end := -1
+              end
+              else begin
+                a_off := off + 2;
+                a_code := code
+              end;
+              if !reason = "" then begin
+                if off <> !run_end then begin
+                  if !run_end >= 0 then
+                    crc := Uv_util.Crc32.update_sub !crc text !run_off (!run_end - !run_off);
+                  run_off := off
+                end;
+                run_end := nl + 1
+              end
+          | 'C' ->
+              if !q_off < 0 then reason := "C line outside a record"
+              else if !version = 1 then reason := "checksum line in a v1 log"
+              else if len < 2 then
+                reason := Printf.sprintf "short line %S" (String.sub text off len)
+              else begin
+                let c = Uv_util.Crc32.parse_hex_sub text (off + 2) (len - 2) in
+                if c < 0 then
+                  reason := Printf.sprintf "malformed checksum %S" (String.sub text off len)
+                else begin
+                  if !run_end >= 0 then begin
+                    crc := Uv_util.Crc32.update_sub !crc text !run_off (!run_end - !run_off);
+                    run_end := -1
+                  end;
+                  if c <> !crc then
+                    reason :=
+                      Printf.sprintf "checksum mismatch (stored %s, computed %s)"
+                        (Uv_util.Crc32.to_hex c) (Uv_util.Crc32.to_hex !crc)
+                  else crc_ok := true
+                end
+              end
+          | 'E' ->
+              if !q_off < 0 then reason := "record end without a Q line"
+              else if not !crc_ok then reason := "record without a checksum"
+              else begin
+                if !records = !cap then begin
+                  let room = (Array.length !offs - (stride * !cap)) / 2 in
+                  offs := regrow !offs ~count:!records ~nv:!nv ~cap:!cap ~cap':(2 * !cap) ~room;
+                  cap := 2 * !cap
+                end;
+                let at = !records * stride and r = !offs in
+                r.(at) <- !q_off;
+                r.(at + 1) <- !q_code;
+                r.(at + 2) <- !a_off;
+                r.(at + 3) <- !a_code;
+                r.(at + 4) <- !n_first;
+                r.(at + 5) <- !nv - !n_first;
+                incr records;
+                q_off := -1;
+                rec_start := !pos
+              end
+          | c -> reason := Printf.sprintf "unknown line tag %C" c
+      end
+    done;
+    cut := !rec_start
+  end;
+  ( Text { text; count = !records; offs = !offs; nbase = stride * !cap },
+    {
+      version = !version;
+      total_bytes = n;
+      valid_records = !records;
+      cut_at = (if !reason = "" then None else Some !cut);
+      reason = (if !reason = "" then None else Some !reason);
+    } )
 
 let parse text =
   let d, diag = salvage text in

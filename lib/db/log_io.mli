@@ -67,7 +67,7 @@ type decoded
     its fields, is built from the offsets only when asked for. Indexes
     are 0-based positions among the valid records. *)
 
-val salvage : string -> decoded * diagnosis
+val salvage : ?count:int -> string -> decoded * diagnosis
 (** The decoder. Best-effort parse that never raises: keeps the longest
     valid record {e prefix} (a record counts only when its whole block
     parses and, on v2, its checksum matches) plus a diagnosis of the
@@ -75,7 +75,19 @@ val salvage : string -> decoded * diagnosis
     record — replaying records past a hole would silently reorder
     history. A kept record's payloads are checked as building them
     checks them (escapes, N values), so every accessor below succeeds
-    on it. *)
+    on it.
+
+    One loop over the text's lines, its state in local variables: no
+    closure, ref cell or exception handler per record; the first damage
+    is recorded as a reason and the damaged record's offset. Line ends
+    and backslashes are found with [memchr] ({!Uv_util.Memchr}), a
+    record's checksum runs over its body bytes in place (the C CRC-32
+    kernel, {!Uv_util.Crc32}), and an N value in a form the writer
+    produces, but a float, is checked in place
+    ({!Uv_sql.Value.deserialize_error}). [count] (default 64), the
+    records the caller expects, presizes the offsets; on a clean text of
+    at most [count] records, the non-float N values and checksums
+    allocate nothing per record. *)
 
 val length : decoded -> int
 (** Valid records ([valid_records] of the diagnosis). *)
@@ -85,6 +97,18 @@ val records : decoded -> record list
 
 val sql : decoded -> int -> string
 (** [(record d k).r_sql], without the rest of the record. *)
+
+val text : decoded -> string
+(** The text a {!salvage} result decoded; [""] for {!of_records}. *)
+
+val sql_offset : decoded -> int -> int
+(** Where record [k]'s SQL lies in {!text} as it is, escape-free: its
+    offset, or [-1] when it must be unescaped ({!sql} builds it) or the
+    records were built ({!of_records}). *)
+
+val sql_length : decoded -> int -> int
+(** The length of record [k]'s SQL in {!text} when {!sql_offset} is not
+    [-1]. *)
 
 val app_txn : decoded -> int -> string option
 (** [(record d k).r_app_txn], without the rest of the record. *)

@@ -360,7 +360,7 @@ let seg_decoded t (i : iseg) =
       let path = Filename.concat t.t_dir i.s.seg_file in
       let bytes = read_file_or_error path in
       t.resident_peak <- max t.resident_peak (String.length bytes);
-      let d, diag = Log_io.salvage bytes in
+      let d, diag = Log_io.salvage ~count:(seg_count i) bytes in
       let found = Log_io.length d in
       (match i.valid with
       | Some v ->
@@ -685,7 +685,7 @@ let verify ?segment t =
               }
         | bytes ->
             t.resident_peak <- max t.resident_peak (String.length bytes);
-            let d, diag = Log_io.salvage bytes in
+            let d, diag = Log_io.salvage ~count:(seg_count i) bytes in
             let crc_ok =
               String.equal Uv_util.Crc32.(to_hex (digest bytes)) i.s.seg_crc
             in

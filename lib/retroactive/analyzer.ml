@@ -30,7 +30,6 @@ type item =
       template : int;
       shape : Ast.stmt;
       lits : Stmt_memo.lits;
-      sql : string;
       app_txn : string option;
       log : Uv_db.Log_io.decoded;
       at : int;
@@ -62,17 +61,24 @@ let source_of_store store =
     src_iter =
       (fun lo hi f ->
         Uv_db.Log_store.iter_decoded store ~lo ~hi (fun _ log at ->
-            let sql = Uv_db.Log_io.sql log at in
-            let template = Stmt_memo.template memo sql in
+            let off = Uv_db.Log_io.sql_offset log at in
+            let template =
+              if off >= 0 then
+                Stmt_memo.template memo (Uv_db.Log_io.text log) off
+                  (Uv_db.Log_io.sql_length log at)
+              else
+                let sql = Uv_db.Log_io.sql log at in
+                Stmt_memo.template memo sql 0 (String.length sql)
+            in
             let shape, lits =
               if template >= 0 then (Stmt_memo.template_stmt memo template, Stmt_memo.lits memo)
               else
-                let stmt = Stmt_memo.parse memo sql in
+                let stmt = Stmt_memo.parse memo (Uv_db.Log_io.sql log at) in
                 (stmt, Stmt_memo.lits_of_stmt stmt)
             in
             f
               (Scanned
-                 { template; shape; lits; sql; app_txn = Uv_db.Log_io.app_txn log at; log; at })));
+                 { template; shape; lits; app_txn = Uv_db.Log_io.app_txn log at; log; at })));
   }
 
 (* A growable int list, [ids.(0 .. len - 1)]: in every index, ascending
@@ -768,11 +774,11 @@ let item_nondet = function
 
 let item_stmt ~built = function
   | Entry { entry; _ } -> entry.Uv_db.Log.stmt
-  | Scanned { template; shape; sql; _ } ->
+  | Scanned { template; shape; log; at; _ } ->
       if template < 0 then shape
       else begin
         incr built;
-        Parser.parse_stmt sql
+        Parser.parse_stmt (Uv_db.Log_io.sql log at)
       end
 
 (* One pass over entries [first .. last]: those at or after [from] are
@@ -796,8 +802,9 @@ let pass t ~obs ~lo ~from ~first ~last =
         match item with
         | Entry { entry; _ } ->
             { index = entry.Uv_db.Log.index; shape; text = None; rw; rows; app_txn }
-        | Scanned { template; sql; _ } ->
-            { index = i; shape; text = (if template < 0 then None else Some sql); rw; rows; app_txn }
+        | Scanned { template; log; at; _ } ->
+            let text = if template < 0 then None else Some (Uv_db.Log_io.sql log at) in
+            { index = i; shape; text; rw; rows; app_txn }
       in
       t.infos.(i - 1) <- inf;
       index_info t i inf sh

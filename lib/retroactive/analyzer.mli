@@ -78,17 +78,16 @@ type t
     ({!Uv_sql.Stmt_memo.lits}), valid while the pass's callback runs.
     Where the memo's scan declines (a comment, an integer above
     [max_int]), [template] is [-1] and [shape] is the statement parsed
-    in full. [sql] is the entry's text, parsed only when the pass needs
-    the statement. [log] and [at] are the entry's record in its decoded
+    in full. [log] and [at] are the entry's record in its decoded
     segment: the pass reads its non-determinism there when it derives
-    the entry's rows. *)
+    the entry's rows, and copies its text out ({!Uv_db.Log_io.sql}) only
+    where it needs the statement or keeps the text ([info.text]). *)
 type item =
   | Entry of { template : int; entry : Uv_db.Log.entry }
   | Scanned of {
       template : int;
       shape : Ast.stmt;
       lits : Stmt_memo.lits;
-      sql : string;
       app_txn : string option;
       log : Uv_db.Log_io.decoded;
       at : int;
@@ -113,10 +112,12 @@ val source_of_store : Uv_db.Log_store.t -> source
     memory during a pass is one segment plus the manifest, and every
     segment is decoded and checksum-verified. The source keeps one
     {!Uv_sql.Stmt_memo} across its passes, so it parses each statement
-    shape in full once. Every entry is handed [Scanned]: its SQL text
-    and application-transaction tag are read from the segment, and its
-    template named and literals bound in one scan
-    ({!Uv_sql.Stmt_memo.template}): no record, no AST of its own. A pass
+    shape in full once. Every entry is handed [Scanned]: its template
+    is named and its literals bound in one scan of its SQL where it lies
+    in the segment's text ({!Uv_sql.Stmt_memo.template} over the span;
+    a payload with escapes is unescaped first), and its
+    application-transaction tag is read from the segment: no record, no
+    AST and no copy of its text of its own. A pass
     derives its rows from those literals ({!Rowset.run}), reads its N
     values only when it derives them, and keeps its text for
     {!stmt}. It builds a statement (parsed in full, counted by the

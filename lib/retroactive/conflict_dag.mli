@@ -13,8 +13,9 @@
       the what-if cost model's simulated parallel replay time.
 
     A what-if question's DAG comes from [Analyzer.replay_dag]; the wave
-    executor and the cost model read that same value. [Cc_schedule]
-    builds one from its pairwise planner over uncommitted statements. *)
+    executor and the cost model read that same value. The paper's §6
+    scheduling experiment ([abl-cc] in [bench/main.ml]) asks it of a
+    batch of planned statements that never ran. *)
 
 type edge = int * int
 (** [(later, earlier)]: [later] conflicts with, and must run after,

@@ -114,11 +114,23 @@ let rec ident_stop src n i =
   else i
 
 (* The end of the number whose first digit is at [i]: its digits, then a
-   fraction when a '.' is followed by a digit. *)
+   fraction when a '.' is followed by a digit, then an exponent when an
+   'e' or 'E' is followed by at least one digit, after an optional sign.
+   A bare [2e] ends at the [2]. *)
 let number_stop src n i =
   let j = digits_stop src n i in
-  if j + 1 < n && String.unsafe_get src j = '.' && is_digit (String.unsafe_get src (j + 1))
-  then digits_stop src n (j + 2)
+  let j =
+    if j + 1 < n && String.unsafe_get src j = '.' && is_digit (String.unsafe_get src (j + 1))
+    then digits_stop src n (j + 2)
+    else j
+  in
+  if j < n && (String.unsafe_get src j = 'e' || String.unsafe_get src j = 'E') then
+    let k =
+      if j + 1 < n && (String.unsafe_get src (j + 1) = '+' || String.unsafe_get src (j + 1) = '-')
+      then j + 2
+      else j + 1
+    in
+    if k < n && is_digit (String.unsafe_get src k) then digits_stop src n (k + 1) else j
   else j
 
 (* a number is a float exactly when its integer digits stop short of its end *)
@@ -295,11 +307,20 @@ type scan = {
   mutable key : int;
   mutable hash : int;  (* while scanning: the hash of the bytes up to [gap] *)
   mutable gap : int;  (* while scanning: where the bytes after the last literal start *)
+  mutable first : int;  (* the scanned span: [first, last) *)
+  mutable last : int;
 }
 
-let scanner () = { count = 0; spans = Array.make 48 0; key = 0; hash = 0; gap = 0 }
+let scanner () =
+  { count = 0; spans = Array.make 48 0; key = 0; hash = 0; gap = 0; first = 0; last = 0 }
 
-let snapshot sc = { sc with spans = Array.sub sc.spans 0 (3 * sc.count) }
+let snapshot sc =
+  let spans = Array.sub sc.spans 0 (3 * sc.count) in
+  for k = 0 to sc.count - 1 do
+    spans.(3 * k) <- spans.(3 * k) - sc.first;
+    spans.((3 * k) + 1) <- spans.((3 * k) + 1) - sc.first
+  done;
+  { sc with spans; first = 0; last = sc.last - sc.first; gap = sc.gap - sc.first }
 
 let literals sc = sc.count
 
@@ -309,6 +330,8 @@ let literal_start sc k = check sc k; sc.spans.(3 * k)
 let literal_stop sc k = check sc k; sc.spans.((3 * k) + 1)
 let literal_kind sc k = check sc k; kind_of_code sc.spans.((3 * k) + 2)
 let key sc = sc.key
+let span_start sc = sc.first
+let span_length sc = sc.last - sc.first
 
 let literal_token sc src k =
   let start = literal_start sc k and stop = literal_stop sc k in
@@ -393,14 +416,17 @@ let rec scan_from sc src n i =
     | '!' when next_is src n i '=' -> scan_from sc src n (i + 2)
     | _ -> false
 
-let scan sc src =
-  let n = String.length src in
+let scan sc src off len =
+  if off < 0 || len < 0 || off > String.length src - len then invalid_arg "Lexer.scan";
+  let stop = off + len in
   sc.count <- 0;
   sc.hash <- 0;
-  sc.gap <- 0;
-  scan_from sc src n 0
+  sc.gap <- off;
+  sc.first <- off;
+  sc.last <- stop;
+  scan_from sc src stop off
   && begin
-       sc.key <- hash_bytes sc.hash src sc.gap n land max_int;
+       sc.key <- hash_bytes sc.hash src sc.gap stop land max_int;
        true
      end
 
@@ -419,7 +445,7 @@ let range_equal a ai aj b bi bj = aj - ai = bj - bi && bytes_equal a ai b bi (aj
 (* From literal [k] on, the bytes before [aprev] and [bprev] being
    equal: see [same_shape]. *)
 let rec same_from a asrc b bsrc keep k aprev bprev =
-  if k = a.count then range_equal asrc aprev (String.length asrc) bsrc bprev (String.length bsrc)
+  if k = a.count then range_equal asrc aprev a.last bsrc bprev b.last
   else
     let at = 3 * k in
     let astart = a.spans.(at) and bstart = b.spans.(at) in
@@ -429,7 +455,8 @@ let rec same_from a asrc b bsrc keep k aprev bprev =
     && ((not keep.(k)) || range_equal asrc astart astop bsrc bstart bstop)
     && same_from a asrc b bsrc keep (k + 1) astop bstop
 
-let same_shape a asrc b bsrc ~keep = a.count = b.count && same_from a asrc b bsrc keep 0 0 0
+let same_shape a asrc b bsrc ~keep =
+  a.count = b.count && same_from a asrc b bsrc keep 0 a.first b.first
 
 let show_token = function
   | Ident s -> "identifier " ^ s

@@ -46,26 +46,36 @@ type scan
 
 val scanner : unit -> scan
 
-val scan : scan -> string -> bool
-(** [scan sc src] scans [src] into [sc]. It declines ([false]) wherever
-    it cannot vouch for agreeing with [tokenize]: on a comment, and on
-    any input [tokenize] rejects with [Lex_error]. After a [false] the
-    contents of [sc] are unspecified. An integer literal above
-    [max_int] is accepted here; {!literal_token} then raises the
-    [Failure] that [tokenize] raises. A scan allocates nothing once
-    [sc] has room for the statement's literals. *)
+val scan : scan -> string -> int -> int -> bool
+(** [scan sc src off len] scans the statement [String.sub src off len]
+    into [sc], in place: its literal spans are offsets in [src]. It
+    declines ([false]) wherever it cannot vouch for agreeing with
+    [tokenize] on that statement: on a comment, and on any input
+    [tokenize] rejects with [Lex_error]. After a [false] the contents of
+    [sc] are unspecified. An integer literal above [max_int] is accepted
+    here; {!literal_token} then raises the [Failure] that [tokenize]
+    raises. A scan allocates nothing once [sc] has room for the
+    statement's literals.
+    @raise Invalid_argument if [off, len] is not a range of [src]. *)
 
 val key : scan -> int
 (** Non-negative hash of the bytes outside the literal spans and of the
     literals' kinds. Equal shapes hash equal; the converse needs a byte
     comparison. *)
 
+val span_start : scan -> int
+(** The scanned span's offset in its string ([off] of {!scan}). *)
+
+val span_length : scan -> int
+(** The scanned span's length ([len] of {!scan}). *)
+
 val literals : scan -> int
 (** Literal tokens found, in source order. *)
 
 val literal_start : scan -> int -> int
-(** Byte offset of literal [k] (from 0), its opening quote included for
-    a string. @raise Invalid_argument when there is no literal [k]. *)
+(** Byte offset of literal [k] (from 0) in the scanned string, its
+    opening quote included for a string.
+    @raise Invalid_argument when there is no literal [k]. *)
 
 val literal_stop : scan -> int -> int
 (** One past literal [k]'s last byte, its closing quote included. *)
@@ -83,13 +93,16 @@ val literal_converts : scan -> string -> int -> bool
     nothing. *)
 
 val same_shape : scan -> string -> scan -> string -> keep:bool array -> bool
-(** [same_shape a asrc b bsrc ~keep], for [asrc] scanned into [a] and
-    [bsrc] into [b]: the same literal count and kinds, equal bytes
-    outside the literal spans, and equal bytes inside literal [k]
-    wherever [keep.(k)] ([keep] has a slot per literal of [a]). Compares
-    eight bytes at a time and allocates nothing. *)
+(** [same_shape a asrc b bsrc ~keep], for a span of [asrc] scanned into
+    [a] and one of [bsrc] into [b]: the same literal count and kinds,
+    equal bytes outside the literal spans within the two spans, and
+    equal bytes inside literal [k] wherever [keep.(k)] ([keep] has a
+    slot per literal of [a]). Compares eight bytes at a time and
+    allocates nothing. *)
 
 val snapshot : scan -> scan
-(** An independent copy, unaffected by later scans. *)
+(** An independent copy, unaffected by later scans, of a scan of
+    [src]'s span at [off]: a scan of [String.sub src off len], its
+    offsets counted from the span's start. *)
 
 val show_token : token -> string

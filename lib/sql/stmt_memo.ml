@@ -344,9 +344,9 @@ let rec find_in sc src = function
       if Lexer.same_shape tpl.lits tpl.text sc src ~keep:tpl.fixed then tpl
       else find_in sc src rest
 
-(* After a scan of [src] that succeeded: the template [src] matches,
-   made from [src] (its [text] is then [src] itself) when there was
-   none. *)
+(* After a scan of a span of [src] that succeeded: the template the span
+   matches, made from the span (its [text] is then [src] itself when the
+   span is the whole of it, else the span's copy) when there was none. *)
 let find_template m src =
   let key = Lexer.key m.sc in
   let bucket = match Keys.find m.shapes key with b -> b | exception Not_found -> [] in
@@ -354,8 +354,11 @@ let find_template m src =
   | tpl -> tpl
   | exception Not_found ->
       m.full_parses <- m.full_parses + 1;
-      let parsed = Parser.parse_template src in
-      let tpl = template ~id:m.templates src (Lexer.snapshot m.sc) parsed in
+      let off = Lexer.span_start m.sc and len = Lexer.span_length m.sc in
+      let text = if len = String.length src then src else String.sub src off len in
+      let lits = Lexer.snapshot m.sc in
+      let parsed = Parser.parse_template text in
+      let tpl = template ~id:m.templates text lits parsed in
       Keys.replace m.shapes key (tpl :: bucket);
       if m.templates = Array.length m.by_id then
         m.by_id <-
@@ -366,7 +369,7 @@ let find_template m src =
       tpl
 
 let parse m src =
-  if not (Lexer.scan m.sc src) then parse_in_full m src
+  if not (Lexer.scan m.sc src 0 (String.length src)) then parse_in_full m src
   else
     let tpl = find_template m src in
     if tpl.text == src then tpl.ast
@@ -382,11 +385,11 @@ let rec converts tpl sc src k =
   || (tpl.slots.(k) < 0 || Lexer.literal_converts sc src (tpl.slots.(k) lsr 1))
      && converts tpl sc src (k + 1)
 
-let template m src =
-  if not (Lexer.scan m.sc src) then -1
+let template m src off len =
+  if not (Lexer.scan m.sc src off len) then -1
   else
     let tpl = find_template m src in
-    if tpl.text == src || converts tpl m.sc src 0 then begin
+    if converts tpl m.sc src 0 then begin
       let b = m.bound in
       b.values <- tpl.values;
       b.slots <- tpl.slots;

@@ -33,20 +33,23 @@ val create : unit -> t
 val parse : t -> string -> Ast.stmt
 (** Equal to [Parser.parse_stmt src], and raises what it raises. *)
 
-val template : t -> string -> int
-(** The id of the template [parse t src] would instantiate, named from
-    [src]'s bytes without building its AST; a template made from [src]
-    itself when the memo has none of its shape yet (parsed in full, as
-    [parse] would). [-1] where [parse] would not instantiate one: the
-    scan declines, or a hole literal fails to convert. Ids count the
-    memo's templates from 0. Raises what [parse t src] raises when it
-    makes a template.
+val template : t -> string -> int -> int -> int
+(** [template t text off len]: for the statement [src = String.sub text
+    off len], the id of the template [parse t src] would instantiate,
+    named from [text]'s bytes in place, without copying [src] or
+    building its AST; a template made from [src] when the memo has none
+    of its shape yet (copied out of [text] unless it is the whole of it,
+    and parsed in full, as [parse] would). [-1] where [parse] would not
+    instantiate one: the scan declines, or a hole literal fails to
+    convert. Ids count the memo's templates from 0. Raises what
+    [parse t src] raises when it makes a template, and
+    [Invalid_argument] if [off, len] is not a range of [text].
 
-    Naming also binds [src]'s literals: {!lits} then reads them. On a
-    memo that already has [src]'s template, naming and binding allocate
-    nothing: the scan, the hash lookup, the byte match and the check
-    that every hole converts work in place, and binding sets three
-    fields. *)
+    Naming also binds [src]'s literals: {!lits} then reads them from
+    [text]. On a memo that already has [src]'s template, naming and
+    binding allocate nothing: the scan, the hash lookup, the byte match
+    and the check that every hole converts work in place, and binding
+    sets three fields. *)
 
 val template_stmt : t -> int -> Ast.stmt
 (** The statement template [id] was parsed from:

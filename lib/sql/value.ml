@@ -260,6 +260,46 @@ let deserialize s =
         | None -> failwith "Value.deserialize: missing text length")
     | _ -> failwith "Value.deserialize: unknown tag"
 
+(* The end of the decimal digits of [s] from [i], before [stop], and
+   their value (at most 18 digits: no overflow) *)
+let rec digits_end s i stop =
+  if i < stop && s.[i] >= '0' && s.[i] <= '9' then digits_end s (i + 1) stop else i
+
+let rec digits_value s i stop acc =
+  if i = stop then acc else digits_value s (i + 1) stop ((acc * 10) + Char.code s.[i] - 48)
+
+(* [s.[off .. off + len - 1]] is a form [serialize] writes for a value
+   other than a float: [N], [B0], [B1], [I] with an optional [-] and 1
+   to 18 digits, or [T] with 1 to 18 digits, a colon and exactly that
+   many bytes. Each deserializes. *)
+let written_form s off len =
+  let stop = off + len in
+  len > 0
+  &&
+  match s.[off] with
+  | 'N' -> len = 1
+  | 'B' -> len = 2 && (s.[off + 1] = '0' || s.[off + 1] = '1')
+  | 'I' ->
+      let first = if len > 1 && s.[off + 1] = '-' then off + 2 else off + 1 in
+      stop > first && stop - first <= 18 && digits_end s first stop = stop
+  | 'T' ->
+      let colon = digits_end s (off + 1) stop in
+      colon > off + 1
+      && colon - off - 1 <= 18
+      && colon < stop
+      && s.[colon] = ':'
+      && digits_value s (off + 1) colon 0 = stop - colon - 1
+  | _ -> false
+
+let deserialize_error s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Value.deserialize_error";
+  if written_form s off len then None
+  else
+    match deserialize (String.sub s off len) with
+    | (_ : t) -> None
+    | exception Failure m -> Some m
+
 let to_literal = function
   | Null -> "NULL"
   | Int i -> string_of_int i

@@ -78,6 +78,15 @@ val deserialize : string -> t
 (** Inverse of {!serialize}.
     @raise Failure on a malformed wire form. *)
 
+val deserialize_error : string -> int -> int -> string option
+(** [deserialize_error s off len]: [None] when {!deserialize} accepts
+    [String.sub s off len], else [Some] of the message it fails with.
+    The forms {!serialize} writes, but a float's, are checked in place
+    and allocate nothing: [N], [B0], [B1], [I] with an optional [-] and
+    at most 18 digits, and [T<len>:] with exactly [len] bytes after the
+    colon. Any other goes through {!deserialize}.
+    @raise Invalid_argument if [off, len] is not a range of [s]. *)
+
 val to_literal : t -> string
 (** SQL literal syntax ('quoted' text, NULL, TRUE/FALSE). An integral
     float keeps a fraction ([42.0]), so the lexer reads it back as a

@@ -1,13 +1,17 @@
 (** CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
 
-    The kernel reads eight bytes per step through eight 256-entry
-    tables built once at module initialisation (slicing-by-8), and
-    finishes a tail shorter than eight bytes one byte at a time. Its
-    values are bit-identical to the classic one-table bytewise loop.
+    The kernel is C ([uv_bytes_stubs.c], called [noalloc] with untagged
+    integers): slicing-by-8, eight bytes per step through eight
+    256-entry tables built once when this module initialises, then a
+    tail shorter than eight bytes one byte at a time. It assembles each
+    step's words from single bytes, so its values are the same on either
+    byte order, and bit-identical to the classic one-table bytewise
+    loop.
 
-    Used by the durable log format (ULOGv2) to detect torn or corrupted
-    records. The digest is returned as a non-negative OCaml [int] in
-    [0, 2^32); [to_hex] renders the canonical 8-digit lowercase form. *)
+    Used by the durable log format (ULOGv2), the segment manifest and
+    the sealed files to detect torn or corrupted records. The digest is
+    returned as a non-negative OCaml [int] in [0, 2^32); [to_hex]
+    renders the canonical 8-digit lowercase form. *)
 
 val digest : string -> int
 (** CRC-32 of the whole string, with the conventional pre/post
@@ -32,3 +36,6 @@ val of_hex : string -> int option
 val of_hex_sub : string -> int -> int -> int option
 (** [of_hex_sub s off len] is [of_hex (String.sub s off len)] without
     the copy; [None] when [off, len] is not a range of [s]. *)
+
+val parse_hex_sub : string -> int -> int -> int
+(** {!of_hex_sub} with [-1] for [None]: allocates nothing. *)

@@ -126,20 +126,30 @@ step "sql front-end smoke: lexer and parser == reference" sql_front_end_smoke
 # every mutation and on hand-picked literals (negated, TRUE/NULL, LIMIT,
 # a comment, an integer above max_int), and raises what parse_stmt
 # raises; naming and binding allocate 0 minor words on a warmed memo
-# over each workload's history. Then each entry a store-sourced pass
-# derives (from its scanned literals, no AST) against the log-sourced
-# pass's: rows, column sets, shape, index and tag on the five workloads
-# at four τ and on hand-picked literals, with no statement built but
-# the declined scans' and the schema changes'. Then the slicing-by-8
-# CRC-32 kernel against the bytewise reference: every offset and
-# length 0-64, chained updates, the 123456789 check value and golden
-# digests recorded from the bytewise kernel
+# over each workload's history, from each statement's string and from
+# its span in the history persisted as a segment, and decoding a clean
+# segment allocates the same minor words at 64 and 256 records; float
+# literals with an exponent reparse. Then each entry a store-sourced
+# pass derives (from its scanned literals, no AST) against the
+# log-sourced pass's: rows, column sets, shape, index and tag on the
+# five workloads at four τ and on hand-picked literals, with no
+# statement built but the declined scans' and the schema changes'.
+# Then the segment decoder (one loop a segment, memchr line ends, N
+# values checked in place) against test/salvage_reference.ml on
+# workload segments, at every cut and at every byte flip (records and
+# diagnosis, reason text included), and Corrupt_segment on the read
+# path. Then the C slicing-by-8 CRC-32 kernel (uv_bytes_stubs.c, under
+# every record, segment and seal checksum) against the bytewise
+# reference: every offset and length 0-64, chained updates, the
+# 123456789 check value and golden digests recorded from the bytewise
+# kernel
 front_end_memo_smoke() {
   dune exec test/test_sql.exe -- test memo &&
     dune exec test/test_closure.exe -- test "store entries" &&
+    dune exec test/test_store.exe -- test integrity &&
     dune exec test/test_util.exe -- test crc32
 }
-step "front-end memo smoke: memo parse and literal binding == parse_stmt on the workload corpus and near-miss mutations, allocation-free naming; store-sourced entries == log-sourced; CRC-32 kernel == bytewise reference" \
+step "front-end memo smoke: memo parse and literal binding == parse_stmt on the workload corpus and near-miss mutations, allocation-free naming from spans and decode; store-sourced entries == log-sourced; segment decode == reference at every cut and flip; C CRC-32 kernel == bytewise reference" \
   front_end_memo_smoke
 
 # the replay-set closure against a pairwise reference that shares no

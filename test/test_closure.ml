@@ -2457,7 +2457,7 @@ let statements_built log =
   List.length
     (List.filter
        (fun (e : Log.entry) ->
-         (not (Uv_sql.Lexer.scan sc e.Log.sql)) || Schema_view.affects e.Log.stmt)
+         (not (Uv_sql.Lexer.scan sc e.Log.sql 0 (String.length e.Log.sql))) || Schema_view.affects e.Log.stmt)
        (Log.entries log))
 
 (* Each entry from τ on, derived from a store of [log] ([info]'s shape

@@ -1464,6 +1464,30 @@ let cc_base () =
   run e "INSERT INTO acct VALUES (1, 100), (2, 100), (3, 100), (4, 100)";
   e
 
+(* A planned batch's schedule (§6): the analyzer's replay DAG over the
+   batch as entries 1 .. n of a history on [base] that never ran, its
+   waves as 0-based batch positions. *)
+let cc_plan base stmts =
+  let batch = Array.of_list stmts in
+  let n = Array.length batch in
+  let entry i =
+    { Log.index = i; stmt = batch.(i - 1); sql = ""; nondet = []; rows_written = 0;
+      written_hashes = []; undo = []; app_txn = None }
+  in
+  let analyzer =
+    Analyzer.of_source ~base (Analyzer.source_of_fun ~length:(fun () -> n) entry)
+  in
+  let dag = Analyzer.replay_dag analyzer ~members:(List.init n succ) in
+  (dag, List.map (List.map pred) (Conflict_dag.waves dag))
+
+(* Execute the batch wave by wave, skipping statements that fail. *)
+let cc_execute eng stmts waves =
+  let batch = Array.of_list stmts in
+  List.iter
+    (List.iter (fun i ->
+         try ignore (Engine.exec eng batch.(i)) with Engine.Sql_error _ | Engine.Signal_raised _ -> ()))
+    waves
+
 let test_cc_disjoint_rows_one_wave () =
   let e = cc_base () in
   let stmts =
@@ -1474,9 +1498,9 @@ let test_cc_disjoint_rows_one_wave () =
         "UPDATE acct SET bal = bal + 1 WHERE id = 3";
       ]
   in
-  let plan = Cc_schedule.plan ~base:(Engine.catalog e) stmts in
-  check Alcotest.int "single wave" 1 (Cc_schedule.wave_count plan);
-  check Alcotest.int "no conflicts" 0 plan.Cc_schedule.conflict_edges
+  let dag, _ = cc_plan (Engine.catalog e) stmts in
+  check Alcotest.int "single wave" 1 (Conflict_dag.wave_count dag);
+  check Alcotest.int "no conflicts" 0 (Conflict_dag.edge_count dag)
 
 let test_cc_same_row_serialises () =
   let e = cc_base () in
@@ -1488,9 +1512,9 @@ let test_cc_same_row_serialises () =
         "UPDATE acct SET bal = bal + 5 WHERE id = 2";
       ]
   in
-  let plan = Cc_schedule.plan ~base:(Engine.catalog e) stmts in
-  check Alcotest.int "two waves" 2 (Cc_schedule.wave_count plan);
-  (match plan.Cc_schedule.waves with
+  let dag, waves = cc_plan (Engine.catalog e) stmts in
+  check Alcotest.int "two waves" 2 (Conflict_dag.wave_count dag);
+  (match waves with
   | [ w1; w2 ] ->
       Alcotest.(check (list int)) "first wave" [ 0; 2 ] w1;
       Alcotest.(check (list int)) "second wave" [ 1 ] w2
@@ -1498,7 +1522,7 @@ let test_cc_same_row_serialises () =
   (* executing the plan preserves serial semantics *)
   let plan_exec_hash =
     let e2 = cc_base () in
-    ignore (Cc_schedule.execute e2 stmts plan);
+    cc_execute e2 stmts waves;
     Engine.table_hash e2 "acct"
   in
   let serial_hash =
@@ -1518,8 +1542,8 @@ let test_cc_ddl_serialises_everything () =
         "UPDATE acct SET bal = 0 WHERE id = 2";
       ]
   in
-  let plan = Cc_schedule.plan ~base:(Engine.catalog e) stmts in
-  Alcotest.(check bool) "ddl forces ordering" true (Cc_schedule.wave_count plan >= 2)
+  let dag, _ = cc_plan (Engine.catalog e) stmts in
+  Alcotest.(check bool) "ddl forces ordering" true (Conflict_dag.wave_count dag >= 2)
 
 let prop_cc_plan_equals_serial =
   QCheck.Test.make ~name:"wave execution == serial execution" ~count:50
@@ -1542,10 +1566,10 @@ let prop_cc_plan_equals_serial =
                     (10 + Uv_util.Prng.int prng 1000)
                     (Uv_util.Prng.int prng 100)))
       in
-      let plan = Cc_schedule.plan ~base:(Engine.catalog e) stmts in
+      let _, waves = cc_plan (Engine.catalog e) stmts in
       let h_plan =
         let e2 = cc_base () in
-        ignore (Cc_schedule.execute e2 stmts plan);
+        cc_execute e2 stmts waves;
         Engine.table_hash e2 "acct"
       in
       let h_serial =

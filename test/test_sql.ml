@@ -94,6 +94,54 @@ let test_deserialize_rejects_garbage () =
       | v -> Alcotest.failf "accepted %S as %s" s (Value.to_string v))
     [ ""; "Ix"; "F-"; "B2"; "T9:short"; "T-1:"; "Z"; "N5" ]
 
+(* [Value.deserialize_error], whatever form it checks in place and
+   whatever it sends through [deserialize], fails exactly where
+   [deserialize] fails, with its message; checked at offset 0 and inside
+   a longer string, on every prefix of the input. *)
+let deserialize_outcome s =
+  match Value.deserialize s with (_ : Value.t) -> None | exception Failure m -> Some m
+
+let check_deserialize_error s =
+  for len = 0 to String.length s do
+    let want = deserialize_outcome (String.sub s 0 len) in
+    let padded = "T9:" ^ String.sub s 0 len ^ "\n" in
+    if Value.deserialize_error s 0 len <> want || Value.deserialize_error padded 3 len <> want
+    then Alcotest.failf "deserialize_error disagrees with deserialize on %S" (String.sub s 0 len)
+  done
+
+let prop_deserialize_error_agrees =
+  let binary = QCheck.(string_gen_of_size Gen.(0 -- 12) Gen.char) in
+  QCheck.Test.make ~name:"in-place check == deserialize" ~count:1000
+    QCheck.(
+      oneof
+        [
+          always Value.Null;
+          map (fun b -> Value.Bool b) bool;
+          map (fun i -> Value.Int i) int;
+          map (fun i -> Value.Int i) (oneofl [ 0; -1; 1; max_int; min_int; max_int - 1; min_int + 1 ]);
+          map
+            (fun i -> Value.Int i)
+            (oneofl
+               [ 999_999_999_999_999_999; -999_999_999_999_999_999; 1_000_000_000_000_000_000 ]);
+          map (fun f -> Value.Float f) float;
+          map (fun f -> Value.Float f)
+            (oneofl [ nan; -.nan; infinity; neg_infinity; 0.0; -0.0; 5e-324; max_float; 1e-05 ]);
+          always (Value.Text "");
+          map (fun s -> Value.Text s) binary;
+          map (fun s -> Value.Text s) string;
+        ])
+    (fun v ->
+      check_deserialize_error (Value.serialize v);
+      true)
+
+let test_deserialize_error_mutations () =
+  List.iter check_deserialize_error
+    [
+      "I"; "I-"; "I0x1f"; "I1_000"; "I1234567890123456789"; "I-1234567890123456789";
+      "I123456789012345678"; "I9999999999999999999"; "I+5"; "I007"; "T3:ab"; "T3:abcd"; "T:";
+      "T03:abc"; "T0:"; "T2:a:"; "Tx:"; "B2"; "B"; "B11"; "F1e5"; "F"; "Fnan"; "N5"; "Z"; "";
+    ]
+
 let test_ty_of_name () =
   let expect name ty = Alcotest.(check bool) name true (Value.ty_of_name name = ty) in
   expect "VARCHAR(32)" (Some Value.Ttext);
@@ -469,9 +517,21 @@ module Ref_lexer = struct
       in
       if is_float then begin
         incr pos;
-        while !pos < n && is_digit src.[!pos] do incr pos done;
+        while !pos < n && is_digit src.[!pos] do incr pos done
+      end;
+      (* an exponent: e or E, an optional sign, at least one digit *)
+      let exp_digits =
+        match (peek 0, peek 1, peek 2) with
+        | Some ('e' | 'E'), Some ('+' | '-'), Some c when is_digit c -> 2
+        | Some ('e' | 'E'), Some c, _ when is_digit c -> 1
+        | _ -> 0
+      in
+      if exp_digits > 0 then begin
+        pos := !pos + exp_digits;
+        while !pos < n && is_digit src.[!pos] do incr pos done
+      end;
+      if is_float || exp_digits > 0 then
         Float_lit (float_of_string (String.sub src start (!pos - start)))
-      end
       else Int_lit (int_of_string (String.sub src start (!pos - start)))
     in
     let read_ident () =
@@ -707,7 +767,9 @@ let test_keyword_named_columns () =
    message — digested in order. The digest was recorded from the parser
    as it stood before the keyword table, token array and match-based
    token tests, so any change in an AST or in an error message's wording
-   or token shows here. *)
+   or token shows here. It was recorded again when numbers took an
+   exponent: exactly two outcomes moved, [2e5] and [2E5] (the '.' of
+   [2.5] mutated), from "expected ')'" to a parsed float. *)
 let parse_outcome src =
   match Parser.parse_stmt src with
   | ast -> "ok " ^ Marshal.to_string ast [ Marshal.No_sharing ]
@@ -724,9 +786,9 @@ let test_parse_errors_reference () =
       Buffer.add_string ctx o;
       Buffer.add_char ctx '\000');
   let count k = Option.value (Hashtbl.find_opt counts k) ~default:0 in
-  check Alcotest.(triple int int int) "ok / error / raised" (8054, 79754, 0)
+  check Alcotest.(triple int int int) "ok / error / raised" (8056, 79752, 0)
     (count "ok", count "error", count "raised");
-  check Alcotest.string "outcome digest" "8ab8a8f2ba287f20317f26d9dbffc4d9"
+  check Alcotest.string "outcome digest" "92f8f840b178b10c3c06f79bbc369e3c"
     (Digest.to_hex (Digest.string (Buffer.contents ctx)))
 
 (* ------------------------------------------------------------------ *)
@@ -782,7 +844,7 @@ let test_memo_mutations () =
    would leave it, so [check_memo_parse] still holds after it. *)
 let check_memo_template memo src =
   let want = try Ok (Parser.parse_stmt src) with e -> Error (Printexc.to_string e) in
-  match Stmt_memo.template memo src with
+  match Stmt_memo.template memo src 0 (String.length src) with
   | -1 -> ()
   | id -> (
       match want with
@@ -840,7 +902,7 @@ let test_memo_templates () =
    declines only on comments and where [tokenize] fails. *)
 let check_scan_like_tokenize sc src =
   let lexed = lex_outcome (fun s -> Array.to_list (Lexer.tokenize s)) src in
-  if Lexer.scan sc src then begin
+  if Lexer.scan sc src 0 (String.length src) then begin
     let want =
       match lexed with
       | Ok toks ->
@@ -962,7 +1024,7 @@ let test_memo_fixed_literals () =
      apart, before, between and after literals *)
   let sc = Lexer.scanner () in
   let key src =
-    if not (Lexer.scan sc src) then Alcotest.failf "scan declined %S" src;
+    if not (Lexer.scan sc src 0 (String.length src)) then Alcotest.failf "scan declined %S" src;
     Lexer.key sc
   in
   List.iter
@@ -994,7 +1056,7 @@ let distinct_shapes texts =
   let keys = Hashtbl.create 64 in
   List.iter
     (fun src ->
-      if not (Lexer.scan sc src) then Alcotest.failf "scan declined %S" src;
+      if not (Lexer.scan sc src 0 (String.length src)) then Alcotest.failf "scan declined %S" src;
       let _, holes = Parser.parse_template src in
       let buf = Buffer.create 128 and prev = ref 0 in
       for k = 0 to Lexer.literals sc - 1 do
@@ -1068,24 +1130,87 @@ let test_memo_hand_literals () =
     ];
   List.iter
     (fun src ->
-      if Stmt_memo.template memo src <> -1 then Alcotest.failf "%S named a template" src)
+      if Stmt_memo.template memo src 0 (String.length src) <> -1 then Alcotest.failf "%S named a template" src)
     [
       "DELETE FROM t WHERE id = 3 -- the third row";
       "UPDATE t SET v = 5 WHERE id = 99999999999999999999";
       "UPDATE t SET v = 99999999999999999999 WHERE id = 1";
     ]
 
+(* A number takes an exponent: [e] or [E], an optional sign, at least
+   one digit. [Value.to_literal] of a float that prints with one
+   ([1e-05]), or of a large integral one, reparses to that float through
+   [parse_stmt], through a memo's [parse] and through a memo's template
+   and bound literals; a bare [2e] still ends the number at [2]. *)
+let test_float_exponents () =
+  let memo = Stmt_memo.create () in
+  let values l = List.init (Stmt_memo.lit_count l) (fun k -> Value.serialize (Stmt_memo.lit l k)) in
+  List.iter
+    (fun f ->
+      let lit = Value.to_literal (Value.Float f) in
+      let src = Printf.sprintf "UPDATE t SET x = %s WHERE id = 1" lit in
+      let want = [ Value.serialize (Value.Float f); Value.serialize (Value.Int 1) ] in
+      check Alcotest.(list string) (lit ^ ": parse_stmt") want
+        (values (Stmt_memo.lits_of_stmt (Parser.parse_stmt src)));
+      check Alcotest.(list string) (lit ^ ": memo parse") want
+        (values (Stmt_memo.lits_of_stmt (Stmt_memo.parse memo src)));
+      if Stmt_memo.template memo src 0 (String.length src) < 0 then
+        Alcotest.failf "%S named no template" src;
+      check Alcotest.(list string) (lit ^ ": memo template") want (values (Stmt_memo.lits memo)))
+    [ 1e-05; 2.5e+20; 1.5e-300; 6.02214076e23; 1.25e-7; 1e300 ];
+  List.iter
+    (fun (src, want) ->
+      check Alcotest.(list string) src want (List.map Lexer.show_token (Array.to_list (Lexer.tokenize src))))
+    [
+      ("2e", [ "integer 2"; "identifier e"; "end of input" ]);
+      ("2e+", [ "integer 2"; "identifier e"; "operator +"; "end of input" ]);
+      ("2E-x", [ "integer 2"; "identifier E"; "operator -"; "identifier x"; "end of input" ]);
+      ("2e5", [ "float 200000."; "end of input" ]);
+      ("2.5E+3x", [ "float 2500."; "identifier x"; "end of input" ]);
+      ("1e-05", [ "float 1e-05"; "end of input" ]);
+    ]
+
 (* Naming each statement and binding its literals, as the analyzer's
    store path does for every entry. *)
 let bind_all memo texts =
   for k = 0 to Array.length texts - 1 do
-    if Stmt_memo.template memo texts.(k) >= 0 then
+    if Stmt_memo.template memo texts.(k) 0 (String.length texts.(k)) >= 0 then
       ignore (Stmt_memo.lit_count (Stmt_memo.lits memo) : int)
   done
 
+(* Naming each record's SQL where it lies in a decoded segment's text,
+   as the analyzer's store source does, and binding its literals; the
+   records whose SQL has an escape are left out. *)
+let bind_spans memo d =
+  let text = Uv_db.Log_io.text d in
+  for k = 0 to Uv_db.Log_io.length d - 1 do
+    let off = Uv_db.Log_io.sql_offset d k in
+    if off >= 0 && Stmt_memo.template memo text off (Uv_db.Log_io.sql_length d k) >= 0 then
+      ignore (Stmt_memo.lit_count (Stmt_memo.lits memo) : int)
+  done
+
+(* A clean ULOGv2 text of [count] records, each with an N value of every
+   form the decoder checks in place (integers at both signs, a text
+   holding a colon, NULL, a bool) and an A line on every third. *)
+let clean_segment count =
+  Uv_db.Log_io.print
+    (List.init count (fun k ->
+         {
+           Uv_db.Log_io.r_sql = Printf.sprintf "UPDATE t SET v = %d WHERE id = %d" k (k mod 7);
+           r_nondet =
+             [ Value.Int ((k * 1_000_003) - 5); Value.Int (-k); Value.Text "a:b"; Value.Null;
+               Value.Bool (k mod 2 = 0) ];
+           r_app_txn = (if k mod 3 = 0 then Some "txn" else None);
+         }))
+
 (* On a warmed memo, naming and binding allocate nothing: over each
    workload's history, raw and transpiled, 0 minor words per statement,
-   counted by [Alloc.words_of]. *)
+   counted by [Alloc.words_of], from each statement's own string and
+   from its span in the history persisted as one segment. Decoding a
+   clean segment, given its record count, allocates the same minor
+   words at 64 records as at 256: its offsets go straight to the major
+   heap, and the lines, the checksums and the in-place N values
+   allocate nothing per record. *)
 let test_memo_binding_allocates_nothing () =
   let module R = Uv_transpiler.Runtime in
   List.iter
@@ -1097,15 +1222,48 @@ let test_memo_binding_allocates_nothing () =
           let memo = Stmt_memo.create () in
           bind_all memo texts;
           let named = ref 0 in
-          Array.iter (fun src -> if Stmt_memo.template memo src >= 0 then incr named) texts;
+          Array.iter
+            (fun src -> if Stmt_memo.template memo src 0 (String.length src) >= 0 then incr named)
+            texts;
           if !named < Array.length texts then
             Alcotest.failf "%s: %d of %d statements named" name !named (Array.length texts);
           let (), words, _ = Alloc.words_of (fun () -> bind_all memo texts) in
           if words > 0. then
             Alcotest.failf "%s: naming and binding %d statements allocated %.0f minor words" name
-              (Array.length texts) words)
+              (Array.length texts) words;
+          let segment =
+            Uv_db.Log_io.print
+              (Array.to_list
+                 (Array.map
+                    (fun sql -> { Uv_db.Log_io.r_sql = sql; r_nondet = []; r_app_txn = None })
+                    texts))
+          in
+          let d, _ = Uv_db.Log_io.salvage segment in
+          let spans = ref 0 in
+          for k = 0 to Uv_db.Log_io.length d - 1 do
+            if Uv_db.Log_io.sql_offset d k >= 0 then incr spans
+          done;
+          if !spans < Array.length texts / 2 then
+            Alcotest.failf "%s: %d of %d statements lie in place" name !spans (Array.length texts);
+          bind_spans memo d;
+          let (), words, _ = Alloc.words_of (fun () -> bind_spans memo d) in
+          if words > 0. then
+            Alcotest.failf "%s: naming and binding %d spans allocated %.0f minor words" name !spans
+              words)
         [ (R.Raw, "raw"); (R.Transpiled, "transpiled") ])
-    (Uv_workloads.Workload.all ())
+    (Uv_workloads.Workload.all ());
+  let salvage_words count =
+    let text = clean_segment count in
+    let (d, diag), words, _ = Alloc.words_of (fun () -> Uv_db.Log_io.salvage ~count text) in
+    if diag.Uv_db.Log_io.cut_at <> None || Uv_db.Log_io.length d <> count then
+      Alcotest.failf "the clean %d-record segment decoded to %d records" count
+        (Uv_db.Log_io.length d);
+    words
+  in
+  ignore (salvage_words 64 : float);
+  let small = salvage_words 64 and large = salvage_words 256 in
+  if small <> large then
+    Alcotest.failf "decoding allocated %.0f minor words at 64 records, %.0f at 256" small large
 
 (* ------------------------------------------------------------------ *)
 (* Schema helpers                                                       *)
@@ -1144,6 +1302,9 @@ let () =
           Alcotest.test_case "literals" `Quick test_value_literals;
           Alcotest.test_case "type names" `Quick test_ty_of_name;
           qtest prop_serialize_injective;
+          qtest prop_deserialize_error_agrees;
+          Alcotest.test_case "in-place check == deserialize on mutations" `Quick
+            test_deserialize_error_mutations;
           qtest prop_deserialize_roundtrip;
           qtest prop_parser_total;
           qtest prop_parser_total_mutated;
@@ -1206,6 +1367,7 @@ let () =
             test_memo_hand_literals;
           Alcotest.test_case "naming and binding allocate nothing" `Quick
             test_memo_binding_allocates_nothing;
+          Alcotest.test_case "float exponents reparse" `Quick test_float_exponents;
         ] );
       ( "printer",
         [
