@@ -43,6 +43,7 @@ let owner_of_cell key = key land 0xFFFFFF
 type t = {
   analyzer : Analyzer.t;
   catalog : Catalog.t;
+  facts : Analyzer.catalog_facts;
   infos : table option array;  (* by [tid]; [None]: not a base table *)
   known : bool array;  (* by [tid]: [infos] filled *)
   rows : row Itbl.t;  (* [row_key tid rowid] *)
@@ -73,6 +74,7 @@ let create analyzer catalog =
   {
     analyzer;
     catalog;
+    facts = Analyzer.catalog_facts analyzer catalog;
     infos = Array.make ntables None;
     known = Array.make ntables false;
     rows = Itbl.create 16;
@@ -89,27 +91,20 @@ let create analyzer catalog =
     fresh_spans = Itbl.create 8;
   }
 
+(* The table's facts are the analyzer's, shared by every question of
+   the catalog's epoch; only the dirty rows are the question's. *)
 let describe t tid name =
   Option.map
     (fun st ->
-      let sch = Storage.schema st in
-      let layout = Analyzer.row_cells t.analyzer sch in
-      let dim0 = layout.Analyzer.dim0 and pk = layout.Analyzer.pk in
-      let keyed_pk = List.mem dim0 pk in
-      let guard =
-        List.filter_map
-          (fun (p, keyed) ->
-            let id = layout.Analyzer.column p in
-            if id < 0 then None else Some (id, keyed))
-          (List.map (fun p -> (p, keyed_pk)) pk
-          @ List.map (fun p -> (p, p = dim0)) layout.Analyzer.uniques)
-      in
-      let triggered =
-        List.exists
-          (fun ev -> Catalog.triggers_for t.catalog name ev <> [])
-          [ Ast.Ev_insert; Ast.Ev_update; Ast.Ev_delete ]
-      in
-      { tid; schema = sch; layout; guard; triggered; dirty_rows = Itbl.create 4 })
+      let f = Analyzer.table_facts t.analyzer t.facts tid name st in
+      {
+        tid;
+        schema = f.Analyzer.tf_schema;
+        layout = f.Analyzer.tf_layout;
+        guard = f.Analyzer.tf_guard;
+        triggered = f.Analyzer.tf_triggered;
+        dirty_rows = Itbl.create 4;
+      })
     (Catalog.table t.catalog name)
 
 (* A table no analysed entry names a column of has no info: no member
@@ -183,8 +178,14 @@ let row_marks info hist cur =
   let row_mark img = (2 * cell info.tid (lay.Analyzer.key img)) + 1 in
   match (hist, cur) with
   | Some h, Some c when Array.length h = Array.length c ->
-      let k = lay.Analyzer.key h in
-      if k <> lay.Analyzer.key c then [ row_mark h; row_mark c ]
+      let k = lay.Analyzer.key h and d = lay.Analyzer.dim0 in
+      (* the key is the first dimension's: one value, one key *)
+      if
+        d >= 0
+        && d < Array.length h
+        && (not (Value.equal h.(d) c.(d)))
+        && k <> lay.Analyzer.key c
+      then [ row_mark h; row_mark c ]
       else begin
         let acc = ref [] in
         Array.iteri
