@@ -39,8 +39,8 @@ let canonical_guard_values anl matrix ~tid binding =
     (M.guards matrix tid)
 
 let match_history ~set ~matrix anl =
-  (* every entry is matched against the templates *)
-  Analyzer.require anl ~from:1;
+  (* every entry is matched against the templates, read-only ones too *)
+  Analyzer.require ~grouped:true anl ~from:1;
   let n = Analyzer.length anl in
   (* DDL anywhere in the history invalidates the statically computed
      template sets for entries after it: leave the whole history
@@ -116,7 +116,7 @@ let template_coverage ~matching anl =
      direction. *)
 let matrix_soundness ~set ~matrix ~matching anl =
   (* every entry's sets are checked *)
-  Analyzer.require anl ~from:1;
+  Analyzer.require ~grouped:true anl ~from:1;
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let matched = ref [] in

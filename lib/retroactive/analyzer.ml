@@ -22,15 +22,14 @@ let stmt inf = match inf.text with None -> inf.shape | Some sql -> Parser.parse_
    store are both one-segment-at-a-time folds from here. A store hands
    each entry as [Scanned]: its shape named and its literals bound from
    its bytes, with no statement built; the pass reads its literals by
-   position and builds its statement only where the schema view needs
-   it. *)
+   position, its tag only when it keeps the groups, and builds its
+   statement only where the schema view needs it. *)
 type item =
   | Entry of { template : int; entry : Uv_db.Log.entry }
   | Scanned of {
       template : int;
       shape : Ast.stmt;
       lits : Stmt_memo.lits;
-      app_txn : string option;
       log : Uv_db.Log_io.decoded;
       at : int;
     }
@@ -76,9 +75,7 @@ let source_of_store store =
                 let stmt = Stmt_memo.parse memo (Uv_db.Log_io.sql log at) in
                 (stmt, Stmt_memo.lits_of_stmt stmt)
             in
-            f
-              (Scanned
-                 { template; shape; lits; app_txn = Uv_db.Log_io.app_txn log at; log; at })));
+            f (Scanned { template; shape; lits; log; at })));
   }
 
 (* A growable int list, [ids.(0 .. len - 1)]: in every index, ascending
@@ -197,6 +194,11 @@ type t = {
   lo : int Atomic.t;
       (* the lowest entry derived in full, or [max_int] before the first
          pass: every reader of an entry below it derives again *)
+  tier : bool Atomic.t;
+      (* the read-only tier: passes derive the read-only entries after
+         their bound and keep the transaction groups, which only a
+         grouped question reads (Prop. E.7); raised at the first one and
+         never lowered *)
   lock : Mutex.t; (* held while a pass derives *)
   mutable pristine : bool; (* no pass has touched the derived state *)
   obs : Uv_obs.Trace.t; (* [of_source]'s, for passes a reader starts *)
@@ -239,7 +241,8 @@ type t = {
       (* Rowset merge generation the row keys were derived under *)
   runs_buf : posting; (* the passes' buffer for [row_runs] *)
   mutable groups : (string, int list ref) Hashtbl.t;
-      (* app_txn tag -> entry indexes, descending, below [lo] too *)
+      (* app_txn tag -> entry indexes, descending, below [lo] too; empty
+         until the tier is raised *)
   mutable last_group : (string * int list ref) option;
       (* the group the last tagged entry joined: a transaction's entries
          are mostly adjacent, so most entries skip hashing their tag *)
@@ -530,16 +533,29 @@ let iter_runs runs f =
     p := !p + 1 + nr + nw
   done
 
+(* The slot of an entry not derived in full: below [lo], or left
+   underived ([deferred]). *)
+let no_info =
+  { index = 0; shape = Ast.Transaction []; text = None; rw = Rwset.empty; rows = [];
+    app_txn = None }
+
+(* Entry [i], at or above [lo], is one a pass without the tier left
+   underived: a read-only entry, which joins no ungrouped closure. *)
+let deferred t i = t.infos.(i - 1) == no_info
+
 (* Key entry [i]'s rows into [entry_rows] and, if it can ever join a
    closure, post it under each key (a wildcard side under its table's
    wildcard posting), and each non-empty side under its table's [all]:
    writes, then reads unless the same key's (or [wild]'s, [all]'s)
    writers already hold [i] — whoever meets a key's readers also meets
-   its writers. Postings are ascending, so a later entry appends. *)
+   its writers. Postings are ascending, so a later entry appends. A
+   deferred entry has no rows and no key. *)
 let key_rows t i =
   let runs =
-    row_runs t t.runs_buf ~table_id:(intern_table t) ~key:(intern_row t)
-      t.infos.(i - 1).rows
+    if deferred t i then [||]
+    else
+      row_runs t t.runs_buf ~table_id:(intern_table t) ~key:(intern_row t)
+        t.infos.(i - 1).rows
   in
   t.entry_rows.(i - 1) <- runs;
   let cols = entry_cols t i in
@@ -587,11 +603,6 @@ let rekey_rows t ~lo ~last gen =
   done;
   t.keyed_generation <- gen
 
-(* The slot of an entry not derived in full. *)
-let no_info =
-  { index = 0; shape = Ast.Transaction []; text = None; rw = Rwset.empty; rows = [];
-    app_txn = None }
-
 let create ~config ~obs ?base source =
   let sv =
     match base with
@@ -612,6 +623,7 @@ let create ~config ~obs ?base source =
     infos = [||];
     n = source.src_length ();
     lo = Atomic.make max_int;
+    tier = Atomic.make false;
     lock = Mutex.create ();
     pristine = true;
     obs;
@@ -828,20 +840,43 @@ let item_stmt ~built = function
         Parser.parse_stmt (Uv_db.Log_io.sql log at)
       end
 
+(* The item's application transaction tag: read (from a store, copied
+   out of its segment) only by a pass with the tier. *)
+let item_app_txn = function
+  | Entry { entry; _ } -> entry.Uv_db.Log.app_txn
+  | Scanned { log; at; _ } -> Uv_db.Log_io.app_txn log at
+
+(* Can a pass without the tier leave an entry of shape [sh] underived? A
+   read-only entry joins no ungrouped closure (Prop. E.7), unless its
+   shape changes the schema view or teaches the RI state, which later
+   entries read. Its column sets are the shape's, derived here if they
+   are not yet. *)
+let read_only ~derived sh =
+  (not sh.s_state) && (not sh.s_schema)
+  && Rwset.Colset.is_empty (shape_rw ~derived sh).Rwset.w
+
 (* One pass over entries [first .. last]: those at or after [from] are
    derived in full (sets, rows, postings, then keys); those below only
-   advance what later entries read: the group tags, the schema view (a
-   schema-changing shape's entries) and the RI state (the entries of a
-   shape whose plan teaches aliases or merges). Rows are run from the
-   entry's literals; only an entry whose shape changes the schema view
-   needs its statement, and a [Scanned] one builds it then. Entries
-   [lo .. from - 1] are already derived in full. *)
+   advance what later entries read: the schema view (a schema-changing
+   shape's entries) and the RI state (the entries of a shape whose plan
+   teaches aliases or merges). Rows are run from the entry's literals;
+   only an entry whose shape changes the schema view needs its
+   statement, and a [Scanned] one builds it then. Entries
+   [lo .. from - 1] are already derived in full.
+
+   With the tier (grouped questions), every entry's tag is read and
+   filed under its group. Without it, no tag is read, and a read-only
+   entry after [from] is deferred: it keeps [no_info], no shape id and
+   no row keys, as it can join no ungrouped closure. Entry [from] and
+   every writer are derived in full either way. *)
 let pass t ~obs ~lo ~from ~first ~last =
-  let derived = ref 0 and built = ref 0 in
-  let visit i item ~template ~shape ~app_txn =
+  let tier = Atomic.get t.tier in
+  let derived = ref 0 and built = ref 0 and deferrals = ref 0 in
+  let visit i item ~template ~shape =
+    let app_txn = if tier then item_app_txn item else None in
     add_group t i app_txn;
     let sh = template_sets t template shape in
-    if i >= from then begin
+    if i >= from && (tier || i = from || not (read_only ~derived sh)) then begin
       let rw = shape_rw ~derived sh in
       let rows = Rowset.run sh.s_plan (item_lits item) (item_nondet item) in
       if Schema_view.affects shape then apply_schema t i (item_stmt ~built item);
@@ -856,6 +891,11 @@ let pass t ~obs ~lo ~from ~first ~last =
       t.infos.(i - 1) <- inf;
       index_info t i inf sh
     end
+    else if i >= from then begin
+      incr deferrals;
+      t.infos.(i - 1) <- no_info;
+      t.entry_shape.(i - 1) <- -1
+    end
     else if sh.s_state then begin
       if Rowset.teaches sh.s_plan then
         ignore (Rowset.run sh.s_plan (item_lits item) (item_nondet item) : Rowset.entry_rows);
@@ -867,14 +907,14 @@ let pass t ~obs ~lo ~from ~first ~last =
       t.source.src_iter first last (fun item ->
           incr i;
           match item with
-          | Entry { template; entry = e } ->
-              visit !i item ~template ~shape:e.Uv_db.Log.stmt ~app_txn:e.Uv_db.Log.app_txn
-          | Scanned { template; shape; app_txn; _ } ->
+          | Entry { template; entry = e } -> visit !i item ~template ~shape:e.Uv_db.Log.stmt
+          | Scanned { template; shape; _ } ->
               (* a declined scan's statement was built by the source *)
               if template < 0 then incr built;
-              visit !i item ~template ~shape ~app_txn);
+              visit !i item ~template ~shape);
       Uv_obs.Trace.incr obs ~by:!derived "analyze.rw_derivations";
-      Uv_obs.Trace.incr obs ~by:!built "analyze.stmts_built");
+      Uv_obs.Trace.incr obs ~by:!built "analyze.stmts_built";
+      Uv_obs.Trace.incr obs ~by:!deferrals "analyze.readonly_deferred");
   Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
       (* row keys are derived under the merge state after the pass *)
       let gen = Rowset.merge_generation t.row_state in
@@ -887,11 +927,16 @@ let pass t ~obs ~lo ~from ~first ~last =
   Atomic.set t.cells_memo [];
   Atomic.set t.facts None
 
-(* Derive anew from the base, entries [from ..] in full. While a pass
-   runs [lo] reads [max_int], so one that raises leaves the analyzer to
-   derive again, from a state it resets. *)
-let derive t ~obs ~from =
+(* Derive anew from the base, entries [from ..] in full, raising the
+   tier first when [tier] asks for it. While a pass runs [lo] reads
+   [max_int], so one that raises leaves the analyzer to derive again,
+   from a state it resets. *)
+let derive t ~obs ~tier ~from =
   Atomic.set t.lo max_int;
+  if tier && not (Atomic.get t.tier) then begin
+    Atomic.set t.tier true;
+    Uv_obs.Trace.incr obs "analyze.grouped_derivations"
+  end;
   if not t.pristine then reset t;
   t.pristine <- false;
   reserve t t.n;
@@ -899,12 +944,27 @@ let derive t ~obs ~from =
   pass t ~obs ~lo ~from:lo ~first:1 ~last:t.n;
   Atomic.set t.lo lo
 
-let require ?obs t ~from =
+(* Would [require] derive nothing? Entries [from ..] are derived, with
+   the tier when [grouped], and entry [from] is not deferred. The tier is
+   read before [lo], which a pass sets to [max_int] before it raises the
+   tier. *)
+let covers t ~grouped ~from =
   let from = max 1 from in
-  if from < Atomic.get t.lo then
+  let tier = Atomic.get t.tier in
+  let lo = Atomic.get t.lo in
+  from >= lo && (tier || not grouped) && (from > t.n || not (deferred t from))
+
+let require ?obs ?(grouped = false) t ~from =
+  let from = max 1 from in
+  if not (covers t ~grouped ~from) then
     Mutex.protect t.lock (fun () ->
-        if from < Atomic.get t.lo then
-          derive t ~obs:(Option.value obs ~default:t.obs) ~from)
+        if not (covers t ~grouped ~from) then begin
+          let lo = Atomic.get t.lo in
+          (* derived from [lo] already, a question lacks the tier or needs
+             a deferred entry: either way the tier is raised *)
+          let tier = grouped || Atomic.get t.tier || from >= lo in
+          derive t ~obs:(Option.value obs ~default:t.obs) ~tier ~from:(min from lo)
+        end)
 
 let derived_from t = Atomic.get t.lo
 
@@ -912,14 +972,32 @@ let derived_from t = Atomic.get t.lo
    history is derived. *)
 let require_entry t i =
   if i < 1 || i > t.n then invalid_arg "index out of bounds";
-  if i < Atomic.get t.lo then require t ~from:1
+  if i < Atomic.get t.lo then require t ~from:1;
+  if deferred t i then require t ~grouped:true ~from:i
 
 (* A reader of the analysed head's state: some pass has run. *)
 let require_head t = if Atomic.get t.lo = max_int then require t ~from:1
 
-let info t i =
+(* Entry [i]'s record as derived: its tag is read only with the tier. *)
+let derived_info t i =
   require_entry t i;
   t.infos.(i - 1)
+
+(* Below [lo], the whole history is derived in one pass, with the tier.
+   Without the tier, a writer's tag is read from the source, one entry,
+   and nothing is derived again. *)
+let info t i =
+  if i < 1 || i > t.n then invalid_arg "index out of bounds";
+  if i < Atomic.get t.lo then require t ~grouped:true ~from:1;
+  let inf = derived_info t i in
+  if Atomic.get t.tier then inf
+  else begin
+    let tag = ref None in
+    t.source.src_iter i i (fun item -> tag := item_app_txn item);
+    { inf with app_txn = !tag }
+  end
+
+let written_tables t i = write_tables (derived_info t i).rw
 
 let extend ?obs t =
   Mutex.protect t.lock @@ fun () ->
@@ -971,9 +1049,10 @@ let target_group_indexes t tau =
    τ's transaction-group mates, whose sets seed it. A mate below τ is
    found only once τ is derived, so it may take a second pass. *)
 let require_target ?obs t ~grouped (target : target) =
-  require ?obs t ~from:target.tau;
+  require ?obs ~grouped t ~from:target.tau;
   if grouped then
-    require ?obs t ~from:(List.fold_left min target.tau (target_group_indexes t target.tau))
+    require ?obs ~grouped t
+      ~from:(List.fold_left min target.tau (target_group_indexes t target.tau))
 
 let target_rw_derived t (target : target) =
   (* a new statement's sets are taken against the schema as of τ; the
@@ -1705,9 +1784,11 @@ let strip_removed_reads (seed_rw, seed_rows) =
             access ))
       seed_rows )
 
-let replay_set ?(obs = Uv_obs.Trace.disabled) ?(mode = Cell) ?(grouped = false)
-    t (target : target) =
-  require_target ~obs t ~grouped target;
+let replay_set ?obs ?(mode = Cell) ?(grouped = false) t (target : target) =
+  (* a pass the question starts reports to [of_source]'s [obs] unless
+     the question has its own *)
+  require_target ?obs t ~grouped target;
+  let obs = Option.value obs ~default:Uv_obs.Trace.disabled in
   let seed_rw, seed_rows = target_rw_derived t target in
   (* at transaction granularity the retroactive target is the whole
      application-level transaction: seed with the union of its entries'
@@ -1830,9 +1911,9 @@ let shared_columns (a : Rwset.rw) (b : Rwset.rw) =
     (inter a.Rwset.w b.Rwset.r @ inter a.Rwset.r b.Rwset.w
     @ inter a.Rwset.w b.Rwset.w)
 
-let conflict_columns t i j = shared_columns (info t i).rw (info t j).rw
+let conflict_columns t i j = shared_columns (derived_info t i).rw (derived_info t j).rw
 
-let conflict_tables t i j = shared_tables t (info t i).rows (info t j).rows
+let conflict_tables t i j = shared_tables t (derived_info t i).rows (derived_info t j).rows
 
 let explain_report t (target : target) rs =
   let seed_rw, seed_rows = target_rw t target in
@@ -1937,7 +2018,7 @@ let deleted_table t (stmt : Ast.stmt) =
   | _ -> None
 
 let unkeyed_guards t i =
-  let inf = info t i in
+  let inf = derived_info t i in
   let written = write_tables inf.rw in
   List.concat_map
     (fun table ->

@@ -80,7 +80,9 @@ type t
     [max_int]), [template] is [-1] and [shape] is the statement parsed
     in full. [log] and [at] are the entry's record in its decoded
     segment: the pass reads its non-determinism there when it derives
-    the entry's rows, and copies its text out ({!Uv_db.Log_io.sql}) only
+    the entry's rows, reads its application-transaction tag
+    ({!Uv_db.Log_io.app_txn}) only with the read-only tier (see
+    {!require}), and copies its text out ({!Uv_db.Log_io.sql}) only
     where it needs the statement or keeps the text ([info.text]). *)
 type item =
   | Entry of { template : int; entry : Uv_db.Log.entry }
@@ -88,7 +90,6 @@ type item =
       template : int;
       shape : Ast.stmt;
       lits : Stmt_memo.lits;
-      app_txn : string option;
       log : Uv_db.Log_io.decoded;
       at : int;
     }
@@ -115,9 +116,10 @@ val source_of_store : Uv_db.Log_store.t -> source
     shape in full once. Every entry is handed [Scanned]: its template
     is named and its literals bound in one scan of its SQL where it lies
     in the segment's text ({!Uv_sql.Stmt_memo.template} over the span;
-    a payload with escapes is unescaped first), and its
-    application-transaction tag is read from the segment: no record, no
-    AST and no copy of its text of its own. A pass
+    a payload with escapes is unescaped first): no record, no AST, no
+    tag and no copy of its text of its own. A pass with the read-only
+    tier reads each entry's application-transaction tag from the
+    segment; one without reads none. A pass
     derives its rows from those literals ({!Rowset.run}), reads its N
     values only when it derives them, and keeps its text for
     {!stmt}. It builds a statement (parsed in full, counted by the
@@ -151,17 +153,36 @@ val analyze :
   t
 (** [of_source] over [source_of_log]. *)
 
-val require : ?obs:Uv_obs.Trace.t -> t -> from:int -> unit
+val require : ?obs:Uv_obs.Trace.t -> ?grouped:bool -> t -> from:int -> unit
 (** [require t ~from]: entries [from..length t] are derived in full —
     each entry's column-wise and row-wise sets, its shape posting, its
     row keys and their postings, as {!extend} derives new entries. A
-    no-op when they already are ({!derived_from} [<= from]). Otherwise
-    one pass over the whole source starts again from the [base]: it
-    derives the entries at or after [from] in full, and below [from]
-    advances only what later entries depend on — the application
-    transaction groups, the schema view (entries of a shape that may
-    change it, {!Schema_view.affects}) and the RI alias and merge state
-    (entries of a shape whose row-set plan teaches, {!Rowset.teaches}).
+    no-op when they already are ({!covers}). Otherwise one pass over
+    the whole source starts again from the [base]: it derives the
+    entries at or after [from] in full, and below [from] advances only
+    what later entries depend on — the schema view (entries of a shape
+    that may change it, {!Schema_view.affects}) and the RI alias and
+    merge state (entries of a shape whose row-set plan teaches,
+    {!Rowset.teaches}).
+
+    {b The read-only tier.} A read-only entry joins a replay set only
+    through its transaction group (Prop. E.7, and Table A's BEGIN
+    TRANSACTION rule), so only a grouped question reads it. Until the
+    first [grouped] (default [false]) call, passes go without the tier:
+    they read no application-transaction tag, keep no transaction
+    groups, and leave each read-only entry after [from] underived — no
+    row sets, no {!info} record, no shape posting, no row keys — unless
+    its shape changes the schema view or teaches the RI state. Entry
+    [from] and every writer are always derived in full. The first
+    [grouped] call, or one whose entry [from] a pass left underived,
+    raises the tier: one pass derives again from the [base], from
+    [min from (derived_from t)], with the tier on, and every later pass
+    ({!extend} included) keeps it. The tier is raised by deriving
+    again, not by catching up: a row set is run on the aliases learned
+    before its entry. Ungrouped answers are the same with and without
+    it. The pass with the tier counts in
+    [analyze.grouped_derivations]; the entries a pass leaves underived
+    count in [analyze.readonly_deferred].
     A teaching entry runs its plan from its literals; only a
     schema-changing entry needs its statement, so an entry from a store
     source, below [from] or not, gets one built only then (or where its
@@ -170,24 +191,31 @@ val require : ?obs:Uv_obs.Trace.t -> t -> from:int -> unit
     derived from 1: closure members, provenance, counts, replay DAG.
 
     Every question entry point ({!replay_set}, {!target_rw},
-    {!explain_report}) requires from its own bound: τ, or τ's first
-    transaction-group mate when grouped. Every other reader of an entry
-    below {!derived_from} ({!info}, {!replay_dag}, {!exists_cell} …) and
-    every reader of the head's state ({!row_state}, {!row_cells},
-    {!table_id} …) before the first pass requires from 1; readers that
-    take the whole history ([Template_lint]) call [require ~from:1]
-    themselves.
+    {!explain_report}) requires from its own bound: τ, or, grouped, τ's
+    first transaction-group mate with the tier. Every other reader of an
+    entry below {!derived_from} ({!info}, {!replay_dag}, {!exists_cell}
+    …) and every reader of the head's state ({!row_state},
+    {!row_cells}, {!table_id} …) before the first pass requires from 1;
+    a reader of an entry left underived raises the tier; readers that
+    take the whole history ([Template_lint]) call
+    [require ~grouped:true ~from:1] themselves.
 
     Concurrency: a pass runs under the analyzer's lock, and a question
     that needs an entry below {!derived_from} derives again from its own
     bound under that lock. Questions that run concurrently must not
     share an analyzer that may still derive: the what-if service
     derives from 1 at publish ([Whatif.Service.publish]), under its
-    write lock, so its questions, under the read lock, never write the
-    analyzer. A pass that raises leaves nothing counted as derived, so
-    the next reader derives again. [obs] (default: [of_source]'s) gets
+    write lock, and raises the tier there too before the first question
+    that needs it ({!covers}), so its questions, under the read lock,
+    never write the analyzer. A pass that raises leaves nothing counted
+    as derived, so the next reader derives again. [obs] (default: [of_source]'s) gets
     the pass's [analyze.rwsets]/[analyze.index] spans and the
     [analyze.rw_derivations] counter. *)
+
+val covers : t -> grouped:bool -> from:int -> bool
+(** Would {!require}[ ~grouped t ~from] derive nothing: entries [from ..]
+    derived, with the tier when [grouped], and entry [from] not left
+    underived? *)
 
 val derived_from : t -> int
 (** The lowest entry derived in full ([length t + 1] when none is), or
@@ -197,9 +225,10 @@ val extend : ?obs:Uv_obs.Trace.t -> t -> int
 (** Fold entries committed to the source since the analyzer was opened
     (or last extended) into the per-entry sets and value indexes,
     without re-scanning the analysed prefix; returns the number of new
-    entries. New entries are derived in full (they are above
-    {!derived_from}); before the first pass, [extend] only moves the
-    length the next pass covers. Equivalent to a fresh [of_source] of
+    entries. New entries are derived as a pass from {!derived_from}
+    derives them: in full, but for the read-only entries a pass without
+    the tier leaves underived (see {!require}); before the first pass,
+    [extend] only moves the length the next pass covers. Equivalent to a fresh [of_source] of
     the grown history required from the same bound: the evolving schema
     view and RI merge state are carried in the analyzer. Row keys — each
     (table, canonical first-RI-dimension value) interned once as an
@@ -244,7 +273,17 @@ val length : t -> int
 
 val info : t -> int -> info
 (** 1-based commit index. Below {!derived_from}, derives the whole
-    history first ({!require}[ ~from:1]). *)
+    history first, with the read-only tier ({!require}[ ~grouped:true
+    ~from:1]); an entry a pass left underived raises the tier first.
+    Without the tier, a writer's record is the one derived, with its tag
+    read from the source for the call (one entry; a store decodes its
+    segment), so nothing is derived again and no question-time RI merge
+    is lost. Every record equals the one an analyzer derived from 1
+    gives. *)
+
+val written_tables : t -> int -> string list
+(** [write_tables (info t i).rw] without reading the entry's tag, so
+    a writer's never raises the read-only tier. *)
 
 val target_rw : t -> target -> Rwset.rw * Rowset.entry_rows
 (** Combined sets of the retroactive target (for [Change], the union of
@@ -302,7 +341,10 @@ val replay_set :
     [grouped] (default [false]) is the transaction granularity of the
     non-transpiled (D) system: the target is its whole [app_txn] group,
     entries sharing a tag join or stay out of 𝕀 as a unit, and a tagged
-    read-only entry may join with its group.
+    read-only entry may join with its group. Only a grouped question
+    reads the read-only tier, and its first raises it ({!require});
+    an ungrouped question never does unless τ is a read-only entry a
+    pass left underived.
 
     [obs] records one [closure.col]/[closure.row] span per closure run,
     counts each closure's members in [analyze.closure_iters], the

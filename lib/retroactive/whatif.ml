@@ -185,11 +185,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     r
   in
   (* 1. replay-set computation, on entries derived from τ (or, grouped,
-     from τ's first transaction-group mate) *)
+     from τ's first transaction-group mate, with the read-only tier) *)
   let rs =
     phase "analyze" (fun () ->
         let grouped = config.Config.grouped in
-        Analyzer.require ~obs analyzer
+        Analyzer.require ~obs ~grouped analyzer
           ~from:(if grouped then first_mate log target.Analyzer.tau else target.Analyzer.tau);
         Analyzer.replay_set ~obs ~mode:config.Config.mode ~grouped analyzer target)
   in
@@ -372,7 +372,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
               structural_tables <> []
               && List.exists
                    (fun t -> List.mem t structural_tables)
-                   (Analyzer.write_tables (Analyzer.info analyzer i).Analyzer.rw);
+                   (Analyzer.written_tables analyzer i);
             journal = entry.Uv_db.Log.undo;
           })
         members
@@ -727,6 +727,10 @@ module Service = struct
     pinned : bool;
         (* one-shot wrapper mode: trust the caller's prebuilt analyzer
            and never refresh (the one-shot [Whatif.run] contract) *)
+    tier : bool Atomic.t;
+        (* a question needed the analyzer's read-only tier
+           ([Analyzer.require]): every publish from then on derives it,
+           rebuilds included *)
     runs : int Atomic.t;
     analyzer_builds : int Atomic.t;
     analyzer_extends : int Atomic.t;
@@ -749,6 +753,7 @@ module Service = struct
       lock = Uv_util.Rwlock.create ~writer_priority:true ();
       state = Atomic.make state;
       pinned;
+      tier = Atomic.make false;
       runs = Atomic.make 0;
       analyzer_builds = Atomic.make 0;
       analyzer_extends = Atomic.make 0;
@@ -791,7 +796,8 @@ module Service = struct
      Caller must hold the write lock. New DML-only entries extend the
      analyzer in O(Δ); a shrunk
      log, a catalog epoch change (DDL, restore) or DDL among the new
-     entries rebuilds from scratch. *)
+     entries rebuilds from scratch. Once a question needed the read-only
+     tier, the analyzer published has it. *)
   let publish_locked t =
     let obs = Config.obs t.config in
     let log = Uv_db.Engine.log t.eng in
@@ -806,6 +812,7 @@ module Service = struct
       in
       go (snap.analyzed_len + 1)
     in
+    let grouped = Atomic.get t.tier in
     let fresh =
       match snap.analyzer with
       | Some a when n >= snap.analyzed_len && ep = snap.epoch && not (new_ddl ()) ->
@@ -814,6 +821,8 @@ module Service = struct
             Atomic.incr t.analyzer_extends;
             Uv_obs.Trace.incr obs "whatif.service.analyzer_extends"
           end;
+          (* a no-op unless the tier is newly asked for *)
+          Analyzer.require ~obs ~grouped a ~from:1;
           { analyzer = Some a; analyzed_len = n; epoch = ep }
       | _ ->
           let a =
@@ -822,7 +831,7 @@ module Service = struct
           in
           (* derived from 1 here, under the write lock: the questions
              that share it never derive *)
-          Analyzer.require ~obs a ~from:1;
+          Analyzer.require ~obs ~grouped a ~from:1;
           Atomic.incr t.analyzer_builds;
           Uv_obs.Trace.incr obs "whatif.service.analyzer_builds";
           { analyzer = Some a; analyzed_len = n; epoch = ep }
@@ -851,21 +860,36 @@ module Service = struct
 
   let ingest_sql t sql = ingest t (Uv_sql.Parser.parse_script sql)
 
-  (* Run [f] over a snapshot that is current w.r.t. the engine's head,
-     holding the read side of the lock for the whole evaluation so no
-     ingest can extend the analyzer mid-run. The pull-refresh retry loop
-     means a what-if issued after the log grew sees the grown history. *)
-  let rec run_fresh t f =
+  (* Run [f], a question about [target], over a snapshot that is
+     current w.r.t. the engine's head, holding the read side of the lock
+     for the whole evaluation so no ingest can extend the analyzer
+     mid-run. The pull-refresh retry loop means a what-if issued after
+     the log grew sees the grown history. The question must derive
+     nothing under the read lock ([Analyzer.covers]; the analyzer is
+     derived from 1): one that needs the read-only tier (grouped, or a τ
+     a pass left underived) first has it raised under the write lock. *)
+  let rec run_fresh t (config : Config.t) (target : Analyzer.target) f =
+    let ready snap =
+      match snap.analyzer with
+      | Some a -> Analyzer.covers a ~grouped:config.Config.grouped ~from:target.Analyzer.tau
+      | None -> false
+    in
     match
       Uv_util.Rwlock.read t.lock (fun () ->
           let snap = Atomic.get t.state in
-          if (not t.pinned) && stale t snap then None else Some (f snap))
+          if (not t.pinned) && (stale t snap || not (ready snap)) then None
+          else Some (f snap))
     with
     | Some v -> v
     | None ->
         Uv_util.Rwlock.write t.lock (fun () ->
-            if stale t (Atomic.get t.state) then publish_locked t);
-        run_fresh t f
+            let snap = Atomic.get t.state in
+            if stale t snap then publish_locked t
+            else if not (ready snap) then begin
+              Atomic.set t.tier true;
+              publish_locked t
+            end);
+        run_fresh t config target f
 
   let run_with t config cur_phase snap target =
     Atomic.incr t.runs;
@@ -879,13 +903,13 @@ module Service = struct
 
   let run_unguarded ?config t target =
     let config = Option.value config ~default:t.config in
-    run_fresh t (fun snap ->
+    run_fresh t config target (fun snap ->
         let cur_phase = ref "init" in
         run_with t config cur_phase snap target)
 
   let run ?config t target =
     let config = Option.value config ~default:t.config in
-    run_fresh t (fun snap ->
+    run_fresh t config target (fun snap ->
         let cur_phase = ref "init" in
         guarded cur_phase (fun () -> run_with t config cur_phase snap target))
 

@@ -246,7 +246,11 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
 
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows (DML only); a shrunk log, a catalog epoch change or new
-      DDL rebuilds it from scratch.
+      DDL rebuilds it from scratch. It is built without the read-only
+      tier ({!Analyzer.require}); the first question that needs it (a
+      grouped one, or one whose τ was left underived) raises it under
+      the write lock, through the same refresh, and every later build
+      keeps it.
 
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently

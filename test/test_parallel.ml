@@ -2229,6 +2229,138 @@ let test_cached_equals_cold (w : W.t) () =
         (st.Whatif.Service.analyzer_builds = 1))
     [ 1; 4 ]
 
+(* The read-only tier through a warm service: ungrouped questions leave
+   it down; a grouped question asked while ungrouped ones run on another
+   domain raises it once, under the write lock; after an ingest the
+   service keeps it, and a rebuild (DDL ingested) derives with it. At
+   workers 1/2/4/8 every answer equals a fresh service's and the
+   full-replay oracle without τ, and the same question answers with the
+   same hash at every worker count. The grouped τ is the last writer of
+   a group, one that holds a read-only entry where a workload has one: a
+   grouped removal replays none of τ's group mates and undoes none,
+   which the oracle matches when the mates after τ only read. *)
+let test_service_tier (w : W.t) () =
+  let hashes = Hashtbl.create 16 in
+  List.iter
+    (fun workers ->
+      let eng, base = build ~mode:R.Raw w ~n:40 ~dep_rate:0.3 in
+      let log = Engine.log eng and rowset = w.W.ri_config in
+      let anl = Analyzer.analyze ~config:rowset ~base log in
+      let n = Log.length log in
+      let writes i = (Analyzer.info anl i).Analyzer.rw.Rwset.w <> Rwset.Colset.empty in
+      let tag i = (Log.entry log i).Log.app_txn in
+      let mates i =
+        List.filter (fun j -> tag j = tag i) (List.init n (fun j -> j + 1))
+      in
+      let writers = List.filter writes (List.init n (fun i -> i + 1)) in
+      let last_writer i =
+        tag i <> None && List.for_all (fun j -> j <= i || not (writes j)) (mates i)
+      in
+      let tau_g =
+        match
+          List.find_opt (fun i -> last_writer i && List.exists (fun j -> not (writes j)) (mates i))
+            writers
+        with
+        | Some i -> i
+        | None -> (
+            (* Epinions' groups only write *)
+            match List.find_opt last_writer writers with
+            | Some i -> i
+            | None -> Alcotest.failf "%s: no tagged writer" w.W.name)
+      in
+      let taus = [ List.hd writers; List.nth writers (List.length writers / 2); tau_g ] in
+      let obs = Uv_obs.Trace.create () in
+      let plain = Whatif.Config.make ~workers ~obs () in
+      let grouped = Whatif.Config.make ~workers ~grouped:true ~obs () in
+      let svc = Whatif.Service.create ~config:plain ~rowset ~base eng in
+      Whatif.Service.publish svc;
+      let ask ~config svc tau =
+        match Whatif.Service.run ~config svc { Analyzer.tau; op = Analyzer.Remove } with
+        | Ok r -> r.Whatif.Service.outcome
+        | Error e -> Alcotest.fail (Whatif.Error.to_string e)
+      in
+      let check_answer ~phase ~config tau (out : Whatif.outcome) =
+        let is_grouped = Whatif.Config.grouped config in
+        let label =
+          Printf.sprintf "%s workers=%d %s: remove@%d%s" w.W.name workers phase tau
+            (if is_grouped then " grouped" else "")
+        in
+        (* untraced, so that the counters stay the warm service's *)
+        let config = Whatif.Config.make ~workers ~grouped:is_grouped () in
+        let fresh = Whatif.Service.create ~config ~rowset ~base eng in
+        check Alcotest.int64 (label ^ ": == a fresh service")
+          (ask ~config fresh tau).Whatif.final_db_hash out.Whatif.final_db_hash;
+        let want = Engine.of_catalog (Catalog.snapshot base) in
+        Log.iter (Engine.log eng) (fun entry ->
+            if entry.Log.index <> tau then
+              try
+                ignore
+                  (Engine.exec ~nondet:entry.Log.nondet ?app_txn:entry.Log.app_txn want
+                     entry.Log.stmt)
+              with Engine.Sql_error _ | Engine.Signal_raised _ -> ());
+        let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog eng)) in
+        Whatif.commit merged out;
+        check
+          Alcotest.(list (pair string int64))
+          (label ^ ": universe == full-replay oracle")
+          (table_hashes (Engine.catalog want))
+          (table_hashes (Engine.catalog merged));
+        let key = (phase, tau, is_grouped) in
+        match Hashtbl.find_opt hashes key with
+        | None -> Hashtbl.replace hashes key out.Whatif.final_db_hash
+        | Some h -> check Alcotest.int64 (label ^ ": == workers=1") h out.Whatif.final_db_hash
+      in
+      let raised () = Uv_obs.Trace.counter_value obs "analyze.grouped_derivations" in
+      List.iter
+        (fun tau -> check_answer ~phase:"warm" ~config:plain tau (ask ~config:plain svc tau))
+        taus;
+      check Alcotest.int (w.W.name ^ ": ungrouped questions leave the tier down") 0 (raised ());
+      if Uv_obs.Trace.counter_value obs "analyze.readonly_deferred" = 0 then
+        Alcotest.failf "%s: the service derived every read-only entry" w.W.name;
+      let others =
+        Domain.spawn (fun () ->
+            List.concat_map
+              (fun _ -> List.map (fun tau -> (tau, ask ~config:plain svc tau)) taus)
+              [ 1; 2; 3 ])
+      in
+      let publishes () = (Whatif.Service.stats svc).Whatif.Service.publishes in
+      let before = publishes () in
+      let g = ask ~config:grouped svc tau_g in
+      let ungrouped = Domain.join others in
+      check Alcotest.int (w.W.name ^ ": the tier is raised by a publish, under the write lock")
+        (before + 1) (publishes ());
+      check_answer ~phase:"concurrent" ~config:grouped tau_g g;
+      List.iter (fun (tau, out) -> check_answer ~phase:"warm" ~config:plain tau out) ungrouped;
+      check Alcotest.int (w.W.name ^ ": one grouped question raised the tier") 1 (raised ());
+      let updates =
+        List.filter_map
+          (fun i ->
+            let sql = (Log.entry log i).Log.sql in
+            if String.starts_with ~prefix:"UPDATE" sql then Some sql else None)
+          writers
+      in
+      let batch = List.filteri (fun k _ -> k < 3) updates in
+      if batch = [] then Alcotest.failf "%s: no UPDATE to ingest" w.W.name;
+      ignore (Whatif.Service.ingest_sql svc (String.concat ";\n" batch ^ ";") : int * int);
+      let grown = Log.length (Engine.log eng) in
+      List.iter
+        (fun tau ->
+          check_answer ~phase:"ingested" ~config:plain tau (ask ~config:plain svc tau);
+          check_answer ~phase:"ingested" ~config:grouped tau (ask ~config:grouped svc tau))
+        (grown :: taus);
+      check Alcotest.int (w.W.name ^ ": the service keeps the tier") 1 (raised ());
+      (* DDL rebuilds the analyzer, with the tier from its first pass *)
+      ignore
+        (Whatif.Service.ingest_sql svc "CREATE TABLE uv_tier_probe (id INT PRIMARY KEY);"
+          : int * int);
+      check Alcotest.int (w.W.name ^ ": a rebuild derives with the tier") 2 (raised ());
+      let before = publishes () in
+      check_answer ~phase:"rebuilt" ~config:grouped tau_g (ask ~config:grouped svc tau_g);
+      check_answer ~phase:"rebuilt" ~config:plain tau_g (ask ~config:plain svc tau_g);
+      check Alcotest.int (w.W.name ^ ": no question publishes after the rebuild") before
+        (publishes ()))
+    [ 1; 2; 4; 8 ]
+
 let workload_cases (w : W.t) =
   ( "determinism: " ^ w.W.name,
     [
@@ -2247,6 +2379,12 @@ let () =
             (fun (w : W.t) ->
               Alcotest.test_case (w.W.name ^ ": service answers == cold run")
                 `Quick (test_cached_equals_cold w))
+            (W.all ()) );
+        ( "service tier",
+          List.map
+            (fun (w : W.t) ->
+              Alcotest.test_case (w.W.name ^ ": grouped beside ungrouped, then ingest") `Quick
+                (test_service_tier w))
             (W.all ()) );
         ( "merged history",
           [
