@@ -25,7 +25,8 @@ type t
 
 val create : Analyzer.t -> Uv_db.Catalog.t -> t
 (** [create analyzer catalog] over the question's temporary catalog. The
-    analyzer's row keys must be current ({!Analyzer.keys_current}). *)
+    dirty set is keyed by the analyzer's row keys, which no question
+    moves ({!Analyzer.target_rw}). *)
 
 val seed : t -> Uv_db.Log.undo list -> unit
 (** The removed (or changed) target's historical journal, which rollback

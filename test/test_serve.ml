@@ -271,6 +271,47 @@ let test_ingest_visible_to_later_whatifs () =
           check Alcotest.int "the later run sees the longer history"
             (len_of before + 2) (len_of after)))
 
+(* DDL ingested through the daemon extends the service's analyzer, and
+   later answers equal a fresh service's on the grown history. *)
+let test_ddl_ingest_extends () =
+  with_server ~history:20 (fun _srv addr svc ->
+      let c = Serve.Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let r =
+            expect_result
+              (Serve.Client.ingest c
+                 "CREATE TABLE audit (k INT PRIMARY KEY, v INT); INSERT INTO audit \
+                  VALUES (1, 0); ALTER TABLE acct ADD COLUMN note INT; UPDATE acct \
+                  SET note = 1, bal = bal + 1 WHERE id = 2;")
+          in
+          check Alcotest.bool "all applied" true (member_exn "applied" r = J.Int 4);
+          let st = Whatif.Service.stats svc in
+          check Alcotest.int "one full build" 1 st.Whatif.Service.analyzer_builds;
+          check Alcotest.bool "the DDL was an extend" true
+            (st.Whatif.Service.analyzer_extends >= 1);
+          let fresh = Whatif.Service.create ~config:svc_config (Whatif.Service.engine svc) in
+          let n = Whatif.Service.history_len svc in
+          List.iter
+            (fun tau ->
+              let served =
+                match
+                  member_exn "final_db_hash"
+                    (expect_result (Serve.Client.whatif ~tau ~op:"remove" c ()))
+                with
+                | J.Str h -> h
+                | j -> Alcotest.failf "hash not a string: %s" (J.to_string j)
+              in
+              match Whatif.Service.run fresh { Analyzer.tau; op = Analyzer.Remove } with
+              | Ok r ->
+                  check Alcotest.string
+                    (Printf.sprintf "remove@%d: served == a fresh service" tau)
+                    (Printf.sprintf "%Lx" r.outcome.Whatif.final_db_hash)
+                    served
+              | Error e -> Alcotest.failf "fresh: %s" (Whatif.Error.to_string e))
+            [ 3; n - 3; n - 1; n ]))
+
 (* ------------------------------------------------------------------ *)
 (* Durability: acked ingest on disk, restart recovery, health, retry    *)
 (* ------------------------------------------------------------------ *)
@@ -545,6 +586,7 @@ let () =
             test_roundtrip_and_hash_identity;
           Alcotest.test_case "ingest visible to later runs" `Quick
             test_ingest_visible_to_later_whatifs;
+          Alcotest.test_case "DDL ingest extends" `Quick test_ddl_ingest_extends;
         ] );
       ( "typed errors",
         [
