@@ -94,7 +94,7 @@ let analyze_cmd =
     (match dot with
     | Some out_path ->
         let oc = open_out out_path in
-        output_string oc (Analyzer.to_dot analyzer ~members:rs.Analyzer.member_indexes);
+        output_string oc (Analyzer.to_dot analyzer rs);
         close_out oc;
         Printf.printf "conflict graph written to %s\n" out_path
     | None -> ());
