@@ -100,11 +100,11 @@ let run_t (b : built) : cost =
 (* Systems D and T+D: dependency-analysed replay via the what-if driver. *)
 (* ------------------------------------------------------------------ *)
 
-let run_dep ?(hash_jumper = false) ?(workers = 8) ~grouped (b : built) : cost =
+let run_dep ?(hash_jumper = false) ?(workers = 8) (b : built) : cost =
   let analyzer =
     Analyzer.analyze ~config:b.workload.W.ri_config ~base:b.base (Engine.log b.eng)
   in
-  let config = Whatif.Config.make ~grouped ~hash_jumper ~workers () in
+  let config = Whatif.Config.make ~hash_jumper ~workers () in
   let out =
     Whatif.run_exn ~config ~analyzer b.eng { Analyzer.tau = 1; op = Analyzer.Remove }
   in

@@ -93,7 +93,7 @@ let bench_t4 () =
           | None ->
               (* SEATS: strings everywhere; run its app history for ours *)
               let b = S.build ~mode:R.Transpiled ~n:(n / 4) ~dep_rate:0.5 w in
-              let td = S.run_dep ~grouped:false b in
+              let td = S.run_dep b in
               let bb = S.run_b b in
               srow := !srow @ [ fmt td.S.with_rtt; fmt bb.S.with_rtt; "x" ];
               rrow := !rrow @ [ "-"; "x" ])
@@ -125,7 +125,7 @@ let bench_t5 () =
         (fun scale ->
           let b = S.build ~scale ~mode:R.Transpiled ~n ~dep_rate:0.3 w in
           let dbsize = Catalog.memory_bytes (Engine.catalog b.S.eng) in
-          let td = S.run_dep ~grouped:false b in
+          let td = S.run_dep b in
           let bb = S.run_b b in
           row := !row @ [ G.fmt_bytes dbsize; fmt td.S.with_rtt; fmt bb.S.with_rtt ])
         scales;
@@ -155,7 +155,7 @@ let bench_f8a () =
       (* transpiled-mode history drives T and T+D *)
       let btr = S.build ~mode:R.Transpiled ~n ~dep_rate:0.3 w in
       let tt = S.run_t btr in
-      let td = S.run_dep ~grouped:false btr in
+      let td = S.run_dep btr in
       G.add_row t
         [
           w.W.name;
@@ -456,7 +456,7 @@ let bench_t8a () =
           let d = S.run_d braw in
           let btr = S.build ~mode:R.Transpiled ~n ~dep_rate:0.3 w in
           let tt = S.run_t btr in
-          let td = S.run_dep ~grouped:false btr in
+          let td = S.run_dep btr in
           row :=
             !row
             @ [ fmt b.S.with_rtt; fmt tt.S.with_rtt; fmt d.S.with_rtt; fmt td.S.with_rtt ])
@@ -490,7 +490,7 @@ let bench_t8b () =
           let d = S.run_d braw in
           let btr = S.build ~scale ~mode:R.Transpiled ~n ~dep_rate:0.3 w in
           let tt = S.run_t btr in
-          let td = S.run_dep ~grouped:false btr in
+          let td = S.run_dep btr in
           let sp (c : S.cost) = G.fmt_speedup (b.S.with_rtt /. c.S.with_rtt) in
           row := !row @ [ sp tt; sp d; sp td ])
         scales;
@@ -523,7 +523,7 @@ let bench_t8c () =
           let d = S.run_d braw in
           let btr = S.build ~mode:R.Transpiled ~n ~dep_rate:rate w in
           let tt = S.run_t btr in
-          let td = S.run_dep ~grouped:false btr in
+          let td = S.run_dep btr in
           let sp (c : S.cost) = G.fmt_speedup (b.S.with_rtt /. c.S.with_rtt) in
           row := !row @ [ sp tt; sp d; sp td ])
         rates;
@@ -570,9 +570,9 @@ let bench_abl_parallel () =
     (fun (w : W.t) ->
       let b = S.build ~mode:R.Transpiled ~n ~dep_rate:0.3 w in
       let cost workers =
-        (S.run_dep ~workers ~grouped:false b).S.with_rtt
+        (S.run_dep ~workers b).S.with_rtt
       in
-      let serial = (S.run_dep ~workers:1 ~grouped:false b).S.with_rtt in
+      let serial = (S.run_dep ~workers:1 b).S.with_rtt in
       G.add_row t
         [
           w.W.name;

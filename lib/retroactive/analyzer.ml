@@ -302,10 +302,7 @@ let named_tables s =
          else acc)
        s [])
 
-let dim0_of (config : Rowset.config) table =
-  match List.assoc_opt table config.Rowset.ri_columns with
-  | Some (d :: _) -> d
-  | _ -> "#0"
+let dim0_of config table = Rowset.dim_name config table 0
 
 (* filler for the slots of [t.row_postings] nothing was posted to yet;
    never pushed to *)
@@ -942,17 +939,18 @@ let derive t ~obs ~tier ~from =
    the tier when [grouped], and entry [from] is not deferred. The tier is
    read before [lo], which a pass sets to [max_int] before it raises the
    tier. *)
-let covers t ~grouped ~from =
-  let from = max 1 from in
+let covered t ~grouped ~from =
   let tier = Atomic.get t.tier in
   let lo = Atomic.get t.lo in
   from >= lo && (tier || not grouped) && (from > t.n || not (deferred t from))
 
+let covers t ~from = covered t ~grouped:false ~from:(max 1 from)
+
 let require ?obs ?(grouped = false) t ~from =
   let from = max 1 from in
-  if not (covers t ~grouped ~from) then
+  if not (covered t ~grouped ~from) then
     Mutex.protect t.lock (fun () ->
-        if not (covers t ~grouped ~from) then begin
+        if not (covered t ~grouped ~from) then begin
           let lo = Atomic.get t.lo in
           (* derived from [lo] already, a question lacks the tier or needs
              a deferred entry: either way the tier is raised *)

@@ -167,8 +167,14 @@ val require : ?obs:Uv_obs.Trace.t -> ?grouped:bool -> t -> from:int -> unit
 
     {b The read-only tier.} A read-only entry joins a replay set only
     through its transaction group (Prop. E.7, and Table A's BEGIN
-    TRANSACTION rule), so only a grouped question reads it. Until the
-    first [grouped] (default [false]) call, passes go without the tier:
+    TRANSACTION rule), so only a grouped question reads it. Grouped
+    calls are the D system's ([Uv_workloads.Dsystem], through
+    {!replay_set}[ ~grouped:true]) and the whole-history readers'
+    ([Template_lint], {!info} below {!derived_from}); a what-if
+    question ([Whatif]) is never grouped, and raises the tier only when
+    its τ is an entry a pass left underived, through {!replay_set} or,
+    in the what-if service, under its write lock. Until the first
+    [grouped] (default [false]) call, passes go without the tier:
     they read no application-transaction tag, keep no transaction
     groups, and leave each read-only entry after [from] underived — no
     row sets, no {!info} record, no shape posting, no row keys — unless
@@ -205,17 +211,18 @@ val require : ?obs:Uv_obs.Trace.t -> ?grouped:bool -> t -> from:int -> unit
     bound under that lock. Questions that run concurrently must not
     share an analyzer that may still derive: the what-if service
     derives from 1 at publish ([Whatif.Service.publish]), under its
-    write lock, and raises the tier there too before the first question
-    that needs it ({!covers}), so its questions, under the read lock,
-    never write the analyzer. A pass that raises leaves nothing counted
+    write lock, and for a question it does not {!covers} requires from
+    τ under the same lock, raising the tier, so its questions, under the
+    read lock, never write the analyzer. A pass that raises leaves nothing counted
     as derived, so the next reader derives again. [obs] (default: [of_source]'s) gets
     the pass's [analyze.rwsets]/[analyze.index] spans and the
     [analyze.rw_derivations] counter. *)
 
-val covers : t -> grouped:bool -> from:int -> bool
-(** Would {!require}[ ~grouped t ~from] derive nothing: entries [from ..]
-    derived, with the tier when [grouped], and entry [from] not left
-    underived? *)
+val covers : t -> from:int -> bool
+(** Would {!require}[ t ~from] derive nothing: entries [from ..] derived,
+    and entry [from] not left underived? Once a pass derived from 1, it
+    is false only for a read-only [from] a pass without the tier left
+    underived. *)
 
 val derived_from : t -> int
 (** The lowest entry derived in full ([length t + 1] when none is), or

@@ -87,6 +87,13 @@ let ri_dims t sv table =
           | [] -> [])
       | None -> [])
 
+(* The name dimension [i] of [table] goes by in the merge state: its
+   configured RI column, or ["#i"] under the PRIMARY KEY fallback. *)
+let dim_name config table i =
+  match List.assoc_opt table config.ri_columns with
+  | Some ds when i < List.length ds -> List.nth ds i
+  | _ -> "#" ^ string_of_int i
+
 let aliases_for t table =
   List.filter_map
     (fun (tbl, acol, rcol) ->
@@ -125,15 +132,15 @@ let alias_lookup t table acol v =
 let rs_is_empty = function Any -> false | Vals s -> Vset.is_empty s
 
 (* Canonicalising keeps a set empty or not, so only two value sets
-   need it, and only once some value was merged; [dim_name i] names
-   their dimension. *)
-let rs_overlap t table dim_name i a b =
+   need it, and only once some value was merged; they are values of
+   dimension [i] of [table]. *)
+let rs_overlap t table i a b =
   match (a, b) with
   | Any, x | x, Any -> not (rs_is_empty x)
   | Vals x, Vals y ->
       if Hashtbl.length t.merge_parent = 0 then not (Vset.disjoint x y)
       else
-        let dim = dim_name i in
+        let dim = dim_name t.config table i in
         let canon s = Vset.map (fun v -> canonical t table dim v) s in
         not (Vset.disjoint (canon x) (canon y))
 
@@ -630,12 +637,14 @@ let update_plan cx table assigns where =
   let dims = ri_dims t cx.sv real_table in
   let pins = dim_pins cx ~is_col:(is_col real_table) real_table where in
   let path_of col = Option.bind (List.assoc_opt col assigns) (value_path cx) in
-  (* the assigned dimensions, each with the path to its new value
-     ([None]: unknown whatever the literals) *)
+  (* the assigned dimensions, each with its name in the merge state and
+     the path to its new value ([None]: unknown whatever the literals) *)
   let rewrites =
     List.mapi (fun i dim -> (i, dim)) dims
     |> List.filter_map (fun (i, dim) ->
-           if List.mem_assoc dim assigns then Some (i, dim, path_of dim) else None)
+           if List.mem_assoc dim assigns then
+             Some (i, dim_name t.config real_table i, path_of dim)
+           else None)
   in
   let alias_rewrites =
     List.filter_map
@@ -967,15 +976,10 @@ let overlaps t table (earlier : taccess) kind (later : taccess) =
   let dims = Array.length earlier in
   if dims <> Array.length later then true (* shape mismatch: be conservative *)
   else begin
-    let dim_name i =
-      match List.assoc_opt table t.config.ri_columns with
-      | Some ds when List.length ds = dims -> List.nth ds i
-      | _ -> "#" ^ string_of_int i
-    in
     (* every dimension of [a]'s side of [earlier] meets [b]'s of [later] *)
     let rec pair a b i =
       i >= dims
-      || rs_overlap t table dim_name i (a earlier.(i)) (b later.(i))
+      || rs_overlap t table i (a earlier.(i)) (b later.(i))
          && pair a b (i + 1)
     in
     let dr d = d.dr and dw d = d.dw in

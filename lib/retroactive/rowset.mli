@@ -57,7 +57,14 @@ val seed_aliases : t -> Uv_db.Catalog.t -> unit
     rows are read when this is called. *)
 
 val ri_dims : t -> Schema_view.t -> string -> string list
-(** The RI dimensions used for a table. *)
+(** The RI dimensions used for a table: its configured RI columns, or
+    else its first PRIMARY KEY column. *)
+
+val dim_name : config -> string -> int -> string
+(** [dim_name config table i]: the name dimension [i] of [table]'s row
+    values goes by in the merge state ({!merge_parents}, {!canonical}):
+    its configured RI column, or ["#i"] when [table] has none (the
+    PRIMARY KEY fallback of {!ri_dims}). *)
 
 val merge_rows : entry_rows -> entry_rows -> entry_rows
 (** Per-table, per-dimension union of two accesses. *)
@@ -134,7 +141,9 @@ val of_question :
     itself. With its rows come the merges it made, as
     [(table, dim, v, root)]: [v] joined the class of [root], both
     canonical under [t]. [UPDATE t SET id = 2 WHERE id = 3] reads row
-    3, writes rows 2 and 3, and merges [("t", "id", "2", "3")]. *)
+    3, writes rows 2 and 3, and merges [("t", "id", "2", "3")] when
+    [id] is [t]'s configured RI column ([("t", "#0", "2", "3")] under
+    the PRIMARY KEY fallback, {!dim_name}). *)
 
 val canonical : t -> string -> string -> string -> string
 (** [canonical t table dim v] resolves a serialized value through the

@@ -117,7 +117,7 @@ let send conn payload =
 let config_with_deadline base deadline_ms =
   let module C = Whatif.Config in
   C.make ~mode:(C.mode base) ~workers:(C.workers base)
-    ~hash_jumper:(C.hash_jumper base) ~grouped:(C.grouped base)
+    ~hash_jumper:(C.hash_jumper base)
     ~obs:(C.obs base) ?deadline_ms
     ~fault:(C.fault base) ()
 

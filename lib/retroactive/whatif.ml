@@ -3,21 +3,19 @@ module Config = struct
     mode : Analyzer.mode;
     workers : int;
     hash_jumper : bool;
-    grouped : bool;
     obs : Uv_obs.Trace.t;
     deadline_ms : float option;
     fault : Uv_fault.Fault.t;
   }
 
   let make ?(mode = Analyzer.Cell) ?(workers = 8) ?(hash_jumper = false)
-      ?(grouped = false) ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
+      ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
       ?(fault = Uv_fault.Fault.disabled) ?plans:_ () =
     (* [?plans] is inert; see whatif.mli *)
     {
       mode;
       workers = max 1 workers;
       hash_jumper;
-      grouped;
       obs;
       deadline_ms;
       fault;
@@ -27,7 +25,6 @@ module Config = struct
   let mode c = c.mode
   let workers c = c.workers
   let hash_jumper c = c.hash_jumper
-  let grouped c = c.grouped
   let obs c = c.obs
   let deadline_ms c = c.deadline_ms
   let fault c = c.fault
@@ -111,20 +108,6 @@ let dml_only ~analyzer target members =
   | Analyzer.Remove -> true)
   && not (List.exists (Analyzer.changes_schema analyzer) members)
 
-(* The first entry of [tau]'s application transaction group: [tau]
-   itself when it has no tag or no mate before it. *)
-let first_mate log tau =
-  if tau < 1 || tau > Uv_db.Log.length log then tau
-  else
-    match (Uv_db.Log.entry log tau).Uv_db.Log.app_txn with
-    | None -> tau
-    | Some _ as tag ->
-        let rec go i =
-          if i >= tau || (Uv_db.Log.entry log i).Uv_db.Log.app_txn = tag then i
-          else go (i + 1)
-        in
-        go 1
-
 let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     (target : Analyzer.target) =
   let obs = config.Config.obs in
@@ -184,14 +167,10 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     phases := (name, Uv_util.Clock.now_ms () -. s) :: !phases;
     r
   in
-  (* 1. replay-set computation, on entries derived from τ (or, grouped,
-     from τ's first transaction-group mate, with the read-only tier) *)
+  (* 1. replay-set computation, on entries derived from τ *)
   let rs =
     phase "analyze" (fun () ->
-        let grouped = config.Config.grouped in
-        Analyzer.require ~obs ~grouped analyzer
-          ~from:(if grouped then first_mate log target.Analyzer.tau else target.Analyzer.tau);
-        Analyzer.replay_set ~obs ~mode:config.Config.mode ~grouped analyzer target)
+        Analyzer.replay_set ~obs ~mode:config.Config.mode analyzer target)
   in
   let analysis_ms = List.assoc "analyze" !phases in
   let members = rs.Analyzer.member_indexes in
@@ -706,11 +685,6 @@ module Service = struct
 
   let empty_snapshot = { analyzer = None; analyzed_len = 0; last = None; epoch = -1 }
 
-  (* The snapshot of an analyzer that covers [log]'s first [n] entries. *)
-  let covering analyzer log n ~epoch =
-    let last = if n = 0 then None else Some (Uv_db.Log.entry log n) in
-    { analyzer; analyzed_len = n; last; epoch }
-
   (* Does [log] still hold the prefix [snap] analysed? *)
   let intact snap log =
     Uv_db.Log.length log >= snap.analyzed_len
@@ -738,13 +712,6 @@ module Service = struct
     base : Uv_db.Catalog.t option;
     lock : Uv_util.Rwlock.t;
     state : snapshot Atomic.t;
-    pinned : bool;
-        (* one-shot wrapper mode: trust the caller's prebuilt analyzer
-           and never refresh (the one-shot [Whatif.run] contract) *)
-    tier : bool Atomic.t;
-        (* a question needed the analyzer's read-only tier
-           ([Analyzer.require]): every publish from then on derives it,
-           rebuilds included *)
     runs : int Atomic.t;
     analyzer_builds : int Atomic.t;
     analyzer_extends : int Atomic.t;
@@ -752,7 +719,7 @@ module Service = struct
     publishes : int Atomic.t;
   }
 
-  let make_t ~config ~rowset ~base ~pinned ~state eng =
+  let create ?(config = Config.default) ?rowset ?base eng =
     {
       eng;
       config;
@@ -765,29 +732,13 @@ module Service = struct
          exactly once; the engine's own storage locks are separate,
          reader-preferring instances). *)
       lock = Uv_util.Rwlock.create ~writer_priority:true ();
-      state = Atomic.make state;
-      pinned;
-      tier = Atomic.make false;
+      state = Atomic.make empty_snapshot;
       runs = Atomic.make 0;
       analyzer_builds = Atomic.make 0;
       analyzer_extends = Atomic.make 0;
       ingested = Atomic.make 0;
       publishes = Atomic.make 0;
     }
-
-  let create ?(config = Config.default) ?rowset ?base eng =
-    make_t ~config ~rowset ~base ~pinned:false ~state:empty_snapshot eng
-
-  (* Internal: the one-shot [Whatif.run]/[run_exn] path. The given
-     analyzer is trusted as covering the engine's current log, exactly
-     as the historical contract stated. *)
-  let of_analyzer ~config ~analyzer eng =
-    let log = Uv_db.Engine.log eng in
-    let state =
-      covering (Some analyzer) log (Uv_db.Log.length log)
-        ~epoch:(Uv_db.Catalog.epoch (Uv_db.Engine.catalog eng))
-    in
-    make_t ~config ~rowset:None ~base:None ~pinned:true ~state eng
 
   let engine t = t.eng
   let config t = t.config
@@ -811,8 +762,9 @@ module Service = struct
      O(Δ), DDL among them too: each steps the schema view a generation. A
      log rewritten in place (shrunk, or another entry at the analysed
      length) rebuilds from scratch, and so does a catalog epoch that
-     moved while no new entry is DDL (a restore). Once a question needed
-     the read-only tier, the analyzer published has it. *)
+     moved while no new entry is DDL (a restore). An extended analyzer
+     keeps the read-only tier a question raised; a rebuilt one starts
+     without it. *)
   let publish_locked t =
     let obs = Config.obs t.config in
     let log = Uv_db.Engine.log t.eng in
@@ -839,11 +791,11 @@ module Service = struct
           Analyzer.of_source ?config:t.rowset ?base:t.base ~obs (Analyzer.source_of_log log)
     in
     (* derived from 1 here, under the write lock, so the questions that
-       share it never derive: after an extend, a no-op unless the tier is
-       newly asked for *)
-    Analyzer.require ~obs ~grouped:(Atomic.get t.tier) a ~from:1;
+       share it never derive: a no-op after an extend *)
+    Analyzer.require ~obs a ~from:1;
     Atomic.incr t.publishes;
-    Atomic.set t.state (covering (Some a) log n ~epoch:ep)
+    let last = if n = 0 then None else Some (Uv_db.Log.entry log n) in
+    Atomic.set t.state { analyzer = Some a; analyzed_len = n; last; epoch = ep }
 
   let publish t = Uv_util.Rwlock.write t.lock (fun () -> publish_locked t)
 
@@ -866,58 +818,41 @@ module Service = struct
 
   let ingest_sql t sql = ingest t (Uv_sql.Parser.parse_script sql)
 
-  (* Run [f], a question about [target], over a snapshot that is
-     current w.r.t. the engine's head, holding the read side of the lock
+  (* Run [f snap analyzer], a question about [target], over a snapshot
+     that is current w.r.t. the engine's head, holding the read side of the lock
      for the whole evaluation so no ingest can extend the analyzer
      mid-run. The pull-refresh retry loop means a what-if issued after
      the log grew sees the grown history. The question must derive
      nothing under the read lock ([Analyzer.covers]; the analyzer is
-     derived from 1): one that needs the read-only tier (grouped, or a τ
-     a pass left underived) first has it raised under the write lock. *)
-  let rec run_fresh t (config : Config.t) (target : Analyzer.target) f =
-    let ready snap =
-      match snap.analyzer with
-      | Some a -> Analyzer.covers a ~grouped:config.Config.grouped ~from:target.Analyzer.tau
-      | None -> false
-    in
+     derived from 1): one whose τ is a read-only entry a pass left
+     underived first raises the analyzer's read-only tier under the
+     write lock, without a publish. *)
+  let rec run_fresh t (target : Analyzer.target) f =
+    let tau = target.Analyzer.tau in
     match
       Uv_util.Rwlock.read t.lock (fun () ->
           let snap = Atomic.get t.state in
-          if (not t.pinned) && (stale t snap || not (ready snap)) then None
-          else Some (f snap))
+          match snap.analyzer with
+          | Some a when (not (stale t snap)) && Analyzer.covers a ~from:tau -> Some (f snap a)
+          | _ -> None)
     with
     | Some v -> v
     | None ->
         Uv_util.Rwlock.write t.lock (fun () ->
             let snap = Atomic.get t.state in
-            if stale t snap then publish_locked t
-            else if not (ready snap) then begin
-              Atomic.set t.tier true;
-              publish_locked t
-            end);
-        run_fresh t config target f
-
-  let run_with t config cur_phase snap target =
-    Atomic.incr t.runs;
-    let analyzer =
-      match snap.analyzer with
-      | Some a -> a
-      | None -> invalid_arg "Whatif.Service.run: no published analyzer"
-    in
-    let outcome = run_inner ~config ~cur_phase ~analyzer t.eng target in
-    { outcome; history_len = snap.analyzed_len }
-
-  let run_unguarded ?config t target =
-    let config = Option.value config ~default:t.config in
-    run_fresh t config target (fun snap ->
-        let cur_phase = ref "init" in
-        run_with t config cur_phase snap target)
+            match snap.analyzer with
+            | Some a when not (stale t snap) -> Analyzer.require a ~from:tau
+            | _ -> publish_locked t);
+        run_fresh t target f
 
   let run ?config t target =
     let config = Option.value config ~default:t.config in
-    run_fresh t config target (fun snap ->
+    run_fresh t target (fun snap analyzer ->
+        Atomic.incr t.runs;
         let cur_phase = ref "init" in
-        guarded cur_phase (fun () -> run_with t config cur_phase snap target))
+        guarded cur_phase (fun () ->
+            let outcome = run_inner ~config ~cur_phase ~analyzer t.eng target in
+            { outcome; history_len = snap.analyzed_len }))
 
   let stats t =
     let snap = Atomic.get t.state in
@@ -933,14 +868,11 @@ module Service = struct
 end
 
 let run_exn ?(config = Config.default) ~analyzer eng target =
-  let svc = Service.of_analyzer ~config ~analyzer eng in
-  (Service.run_unguarded svc target).Service.outcome
+  run_inner ~config ~cur_phase:(ref "init") ~analyzer eng target
 
 let run ?(config = Config.default) ~analyzer eng target =
-  let svc = Service.of_analyzer ~config ~analyzer eng in
-  match Service.run svc target with
-  | Ok r -> Ok r.Service.outcome
-  | Error e -> Error e
+  let cur_phase = ref "init" in
+  guarded cur_phase (fun () -> run_inner ~config ~cur_phase ~analyzer eng target)
 
 let commit eng outcome =
   if outcome.changed then begin

@@ -32,7 +32,11 @@
 open Uv_sql
 
 (** What-if driver knobs, built with {!Config.make} so future options
-    don't break existing call sites. *)
+    don't break existing call sites. A what-if is statement-granular: a
+    transpiled history's transaction is one [CALL] entry, and a
+    transaction-granular what-if over a raw history is the D system's
+    ([Uv_workloads.Dsystem]), which replays the member application
+    functions. *)
 module Config : sig
   type t
 
@@ -40,7 +44,6 @@ module Config : sig
     ?mode:Analyzer.mode ->
     ?workers:int ->
     ?hash_jumper:bool ->
-    ?grouped:bool ->
     ?obs:Uv_obs.Trace.t ->
     ?deadline_ms:float ->
     ?fault:Uv_fault.Fault.t ->
@@ -48,8 +51,7 @@ module Config : sig
     unit ->
     t
   (** Defaults: [mode = Cell]; [workers = 8] (the paper's testbed width;
-      clamped to at least 1); [hash_jumper = false]; [grouped = false]
-      (transaction-granularity closure, the non-transpiled "D" system);
+      clamped to at least 1); [hash_jumper = false];
       [obs = Uv_obs.Trace.disabled] — pass a live
       collector to trace the run (root [whatif] span, per-phase spans,
       and every instrumented layer underneath); [deadline_ms = None] —
@@ -70,7 +72,6 @@ module Config : sig
   val mode : t -> Analyzer.mode
   val workers : t -> int
   val hash_jumper : t -> bool
-  val grouped : t -> bool
   val obs : t -> Uv_obs.Trace.t
   val deadline_ms : t -> float option
   val fault : t -> Uv_fault.Fault.t
@@ -189,7 +190,11 @@ val run :
 (** The analyzer must have been built over the engine's current log
     (Ultraverse derives R/W sets asynchronously during regular service;
     analysis construction is therefore not part of what-if latency).
-    [final_db_hash] and {!new_log} are invariant under [workers].
+    [final_db_hash] and {!new_log} are invariant under [workers]. It
+    runs the code a {!Service} question runs, without a service's lock
+    or snapshot: the question derives the analyzer's entries from τ if
+    they are not yet ({!Analyzer.require}), so questions asked
+    concurrently of one analyzer need a {!Service}.
 
     Returns [Error] instead of raising when the run aborts: the deadline
     expired, an injected fault persisted after retry and degradation, or
@@ -205,9 +210,9 @@ val run_exn :
   Uv_db.Engine.t ->
   Analyzer.target ->
   outcome
-(** Exception-style variant of {!run} for callers that configure neither
-    deadlines nor fault injection: exceptions propagate raw (an abort
-    surfaces as {!Abort}). *)
+(** {!run} without the conversion to [Error], for callers that configure
+    neither deadlines nor fault injection: exceptions propagate raw (an
+    abort surfaces as {!Abort}). *)
 
 val new_log : outcome -> Uv_db.Log.t
 (** The new universe's committed history: non-members keep their
@@ -247,11 +252,12 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows, DDL included; a log rewritten in place (shrunk, or
       holding another entry at the analysed length), or a catalog epoch
-      change with no new DDL entry, rebuilds it from scratch. It is built
-      without the read-only tier ({!Analyzer.require}); the first
-      question that needs it (a grouped one, or one whose τ was left
-      underived) raises it under the write lock, through the same
-      refresh, and every later extend or build keeps it.
+      change with no new DDL entry, rebuilds it from scratch. Each
+      publish derives it from 1 without the read-only tier
+      ({!Analyzer.require}); a question whose τ a pass left underived
+      (a read-only entry) raises the analyzer's tier under the write
+      lock, without a publish. An extend keeps the tier; a rebuild
+      starts without it.
 
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently

@@ -216,16 +216,18 @@ step "closure smoke: fixpoint == pairwise reference, provenance digest, generate
 # provenance digest is unchanged when the tier is raised by the first
 # grouped question. Then the allocation gate: one history stored with
 # 8-byte and with 64-byte tags costs a cold ungrouped derivation the
-# same minor words. Then a warm service: a grouped question beside
-# ungrouped ones on another domain raises the tier through one publish,
-# an ingest keeps it, and every answer equals a fresh service's and the
-# full-replay oracle at workers 1/2/4/8
+# same minor words. Then a warm service: a Remove and a Change at a
+# read-only τ, asked beside removals of writers on another domain, raise
+# the analyzer's tier once under the write lock without a publish; DML
+# and DDL ingests keep it; the log rewritten in place rebuilds without
+# it and the next such question raises it again; every answer equals a
+# fresh service's and the full-replay oracle at workers 1/2/4/8
 read_only_tier_smoke() {
   dune exec test/test_closure.exe -- test '^read-only$' &&
     dune exec test/test_closure.exe -- test '^tag bytes$' &&
     dune exec test/test_parallel.exe -- test 'service tier'
 }
-step "read-only tier smoke: answers and infos agree with and without the tier, tag bytes cost an ungrouped pass nothing, the service raises the tier under its write lock" \
+step "read-only tier smoke: answers and infos agree with and without the tier, tag bytes cost an ungrouped pass nothing, a read-only tau raises the tier under the service's write lock without a publish" \
   read_only_tier_smoke
 
 # a question leaves the analyzer as it was: the RI merges and aliases a

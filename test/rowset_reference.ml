@@ -445,7 +445,8 @@ let update_rows_access t env sv table assigns where : entry_rows =
           let old_rs = access.(i).dr in
           (match (new_v, old_rs) with
           | Some nv, Vals olds when Vset.cardinal olds = 1 ->
-              merge_values t real_table dim (Vset.choose olds) (Value.serialize nv)
+              merge_values t real_table (Rowset.dim_name t.config real_table i)
+                (Vset.choose olds) (Value.serialize nv)
           | _ -> ());
           (* the write now also covers the new value *)
           access.(i) <-

@@ -1880,6 +1880,44 @@ let test_redo_key_move () =
         (query_ints out "SELECT id, v FROM t"))
     (check_redo ~label:"key move" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
+(* (s) A key rewritten on a table with no configured RI column: under
+   the PRIMARY KEY fallback, the merge of 3 and 5 is named as the row
+   keys and the overlap test read it, so removing the first UPDATE of
+   row 3 reaches the later update of row 5. At every worker count the
+   answer equals the full-replay oracle's and the answer with [id]
+   configured as [p]'s RI column. *)
+let test_redo_pk_dimension () =
+  let e = Engine.create () in
+  List.iter (run e) [ "CREATE TABLE p (id INT PRIMARY KEY, v INT)"; "INSERT INTO p VALUES (3, 0)" ];
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  List.iter (run e)
+    [
+      "UPDATE p SET v = 1 WHERE id = 3";
+      "UPDATE p SET id = 5 WHERE id = 3";
+      "UPDATE p SET v = v + 1 WHERE id = 5";
+    ];
+  let want = oracle_hashes e base ~skip:1 in
+  let answers config label =
+    let analyzer = Analyzer.analyze ~config ~base (Engine.log e) in
+    List.map
+      (fun out ->
+        let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog e)) in
+        Whatif.commit merged out;
+        check
+          Alcotest.(list (pair string int64))
+          (label ^ ": universe == full-replay oracle")
+          want
+          (table_hashes (Engine.catalog merged));
+        check Alcotest.(list (list int)) (label ^ ": rows") [ [ 5; 1 ] ]
+          (query_ints out "SELECT id, v FROM p");
+        out.Whatif.final_db_hash)
+      (check_redo ~label e analyzer (remove 1) [ 1; 2; 4; 8 ])
+  in
+  check Alcotest.(list int64) "PRIMARY KEY fallback == configured RI column"
+    (answers { Rowset.default_config with Rowset.ri_columns = [ ("p", [ "id" ]) ] } "configured")
+    (answers Rowset.default_config "fallback")
+
 (* (o) A table's facts are kept per catalog epoch, and follow its
    trigger DDL: through one warm service, a removal whose one member is
    a plain UPDATE of [t] redoes it; after an INSERT trigger on [t] is
@@ -2356,16 +2394,16 @@ let test_cached_equals_cold (w : W.t) () =
         (st.Whatif.Service.analyzer_builds = 1))
     [ 1; 4 ]
 
-(* The read-only tier through a warm service: ungrouped questions leave
-   it down; a grouped question asked while ungrouped ones run on another
-   domain raises it once, under the write lock; after an ingest the
-   service keeps it, DDL ingested too, which extends the analyzer. At
-   workers 1/2/4/8 every answer equals a fresh service's and the
-   full-replay oracle without τ, and the same question answers with the
-   same hash at every worker count. The grouped τ is the last writer of
-   a group, one that holds a read-only entry where a workload has one: a
-   grouped removal replays none of τ's group mates and undoes none,
-   which the oracle matches when the mates after τ only read. *)
+(* The read-only tier through a warm service. Removals of writers leave
+   it down. A [Remove] and a [Change] at a read-only τ, an entry the
+   service's pass left underived, asked while removals run on another
+   domain, raise the analyzer's own tier once, under the write lock and
+   without a publish. DML and DDL ingests extend the analyzer, which
+   keeps it; the history rewritten in place rebuilds the analyzer
+   without it, and the next question at a read-only τ raises it again.
+   At workers 1/2/4/8 every answer equals a fresh service's and the
+   full-replay oracle's, and each question answers with the same hash
+   at every worker count. *)
 let test_service_tier (w : W.t) () =
   let hashes = Hashtbl.create 16 in
   List.iter
@@ -2374,110 +2412,84 @@ let test_service_tier (w : W.t) () =
       let log = Engine.log eng and rowset = w.W.ri_config in
       let anl = Analyzer.analyze ~config:rowset ~base log in
       let n = Log.length log in
+      let history = List.init n (fun i -> Log.entry log (i + 1)) in
       let writes i = (Analyzer.info anl i).Analyzer.rw.Rwset.w <> Rwset.Colset.empty in
-      let tag i = (Log.entry log i).Log.app_txn in
-      let mates i =
-        List.filter (fun j -> tag j = tag i) (List.init n (fun j -> j + 1))
+      let writers, readers = List.partition writes (List.init (n - 1) (fun i -> i + 2)) in
+      if readers = [] then Alcotest.failf "%s: no read-only entry after the first" w.W.name;
+      let tau_ro = List.nth readers (List.length readers / 2) in
+      let updates =
+        List.filter
+          (fun i -> String.starts_with ~prefix:"UPDATE" (Log.entry log i).Log.sql)
+          writers
       in
-      let writers = List.filter writes (List.init n (fun i -> i + 1)) in
-      let last_writer i =
-        tag i <> None && List.for_all (fun j -> j <= i || not (writes j)) (mates i)
+      if updates = [] then Alcotest.failf "%s: no UPDATE" w.W.name;
+      let writer_qs = List.map remove [ List.hd writers; List.nth writers (List.length writers / 2) ] in
+      let read_only_qs =
+        [ remove tau_ro;
+          { Analyzer.tau = tau_ro; op = Analyzer.Change (Log.entry log (List.hd updates)).Log.stmt } ]
       in
-      let tau_g =
-        match
-          List.find_opt (fun i -> last_writer i && List.exists (fun j -> not (writes j)) (mates i))
-            writers
-        with
-        | Some i -> i
-        | None -> (
-            (* Epinions' groups only write *)
-            match List.find_opt last_writer writers with
-            | Some i -> i
-            | None -> Alcotest.failf "%s: no tagged writer" w.W.name)
-      in
-      let taus = [ List.hd writers; List.nth writers (List.length writers / 2); tau_g ] in
       let obs = Uv_obs.Trace.create () in
-      let plain = Whatif.Config.make ~workers ~obs () in
-      let grouped = Whatif.Config.make ~workers ~grouped:true ~obs () in
-      let svc = Whatif.Service.create ~config:plain ~rowset ~base eng in
+      let config = Whatif.Config.make ~workers ~obs () in
+      let svc = Whatif.Service.create ~config ~rowset ~base eng in
       Whatif.Service.publish svc;
-      let ask ~config svc tau =
-        match Whatif.Service.run ~config svc { Analyzer.tau; op = Analyzer.Remove } with
+      let ask svc target =
+        match Whatif.Service.run svc target with
         | Ok r -> r.Whatif.Service.outcome
         | Error e -> Alcotest.fail (Whatif.Error.to_string e)
       in
-      let check_answer ~phase ~config tau (out : Whatif.outcome) =
-        let is_grouped = Whatif.Config.grouped config in
-        let label =
-          Printf.sprintf "%s workers=%d %s: remove@%d%s" w.W.name workers phase tau
-            (if is_grouped then " grouped" else "")
+      let check_answer ~phase (target : Analyzer.target) (out : Whatif.outcome) =
+        let question =
+          Printf.sprintf "%s@%d"
+            (match target.Analyzer.op with Analyzer.Remove -> "remove" | _ -> "change")
+            target.Analyzer.tau
         in
+        let label = Printf.sprintf "%s workers=%d %s: %s" w.W.name workers phase question in
         (* untraced, so that the counters stay the warm service's *)
-        let config = Whatif.Config.make ~workers ~grouped:is_grouped () in
-        let fresh = Whatif.Service.create ~config ~rowset ~base eng in
+        let fresh =
+          Whatif.Service.create ~config:(Whatif.Config.make ~workers ()) ~rowset ~base eng
+        in
         check Alcotest.int64 (label ^ ": == a fresh service")
-          (ask ~config fresh tau).Whatif.final_db_hash out.Whatif.final_db_hash;
-        let want = Engine.of_catalog (Catalog.snapshot base) in
-        Log.iter (Engine.log eng) (fun entry ->
-            if entry.Log.index <> tau then
-              try
-                ignore
-                  (Engine.exec ~nondet:entry.Log.nondet ?app_txn:entry.Log.app_txn want
-                     entry.Log.stmt)
-              with Engine.Sql_error _ | Engine.Signal_raised _ -> ());
+          (ask fresh target).Whatif.final_db_hash out.Whatif.final_db_hash;
         let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog eng)) in
         Whatif.commit merged out;
         check
           Alcotest.(list (pair string int64))
           (label ^ ": universe == full-replay oracle")
-          (table_hashes (Engine.catalog want))
+          (table_hashes (Engine.catalog (target_oracle eng base target)))
           (table_hashes (Engine.catalog merged));
-        let key = (phase, tau, is_grouped) in
-        match Hashtbl.find_opt hashes key with
-        | None -> Hashtbl.replace hashes key out.Whatif.final_db_hash
+        match Hashtbl.find_opt hashes (phase, question) with
+        | None -> Hashtbl.replace hashes (phase, question) out.Whatif.final_db_hash
         | Some h -> check Alcotest.int64 (label ^ ": == workers=1") h out.Whatif.final_db_hash
       in
+      let ask_all ~phase qs = List.iter (fun q -> check_answer ~phase q (ask svc q)) qs in
       let raised () = Uv_obs.Trace.counter_value obs "analyze.grouped_derivations" in
-      List.iter
-        (fun tau -> check_answer ~phase:"warm" ~config:plain tau (ask ~config:plain svc tau))
-        taus;
-      check Alcotest.int (w.W.name ^ ": ungrouped questions leave the tier down") 0 (raised ());
-      if Uv_obs.Trace.counter_value obs "analyze.readonly_deferred" = 0 then
+      let deferred () = Uv_obs.Trace.counter_value obs "analyze.readonly_deferred" in
+      let stats () = Whatif.Service.stats svc in
+      let publishes () = (stats ()).Whatif.Service.publishes in
+      ask_all ~phase:"warm" writer_qs;
+      check Alcotest.int (w.W.name ^ ": removals of writers leave the tier down") 0 (raised ());
+      if deferred () = 0 then
         Alcotest.failf "%s: the service derived every read-only entry" w.W.name;
       let others =
         Domain.spawn (fun () ->
-            List.concat_map
-              (fun _ -> List.map (fun tau -> (tau, ask ~config:plain svc tau)) taus)
-              [ 1; 2; 3 ])
+            List.concat_map (fun _ -> List.map (fun q -> (q, ask svc q)) writer_qs) [ 1; 2; 3 ])
       in
-      let publishes () = (Whatif.Service.stats svc).Whatif.Service.publishes in
       let before = publishes () in
-      let g = ask ~config:grouped svc tau_g in
-      let ungrouped = Domain.join others in
-      check Alcotest.int (w.W.name ^ ": the tier is raised by a publish, under the write lock")
-        (before + 1) (publishes ());
-      check_answer ~phase:"concurrent" ~config:grouped tau_g g;
-      List.iter (fun (tau, out) -> check_answer ~phase:"warm" ~config:plain tau out) ungrouped;
-      check Alcotest.int (w.W.name ^ ": one grouped question raised the tier") 1 (raised ());
-      let updates =
-        List.filter_map
-          (fun i ->
-            let sql = (Log.entry log i).Log.sql in
-            if String.starts_with ~prefix:"UPDATE" sql then Some sql else None)
-          writers
-      in
+      let answers = List.map (fun q -> (q, ask svc q)) read_only_qs in
+      let concurrent = Domain.join others in
+      check Alcotest.int (w.W.name ^ ": the tier is raised without a publish") before
+        (publishes ());
+      check Alcotest.int (w.W.name ^ ": a read-only tau raised the tier once") 1 (raised ());
+      List.iter (fun (q, out) -> check_answer ~phase:"concurrent" q out) answers;
+      List.iter (fun (q, out) -> check_answer ~phase:"warm" q out) concurrent;
       let batch = List.filteri (fun k _ -> k < 3) updates in
-      if batch = [] then Alcotest.failf "%s: no UPDATE to ingest" w.W.name;
-      ignore (Whatif.Service.ingest_sql svc (String.concat ";\n" batch ^ ";") : int * int);
-      let grown = Log.length (Engine.log eng) in
-      List.iter
-        (fun tau ->
-          check_answer ~phase:"ingested" ~config:plain tau (ask ~config:plain svc tau);
-          check_answer ~phase:"ingested" ~config:grouped tau (ask ~config:grouped svc tau))
-        (grown :: taus);
-      check Alcotest.int (w.W.name ^ ": the service keeps the tier") 1 (raised ());
+      ignore
+        (Whatif.Service.ingest_sql svc
+           (String.concat ";\n" (List.map (fun i -> (Log.entry log i).Log.sql) batch) ^ ";")
+          : int * int);
+      ask_all ~phase:"ingested" ((remove (Log.length log) :: writer_qs) @ read_only_qs);
+      check Alcotest.int (w.W.name ^ ": a DML ingest keeps the tier") 1 (raised ());
       (* DDL extends the analyzer, which keeps the tier *)
-      let stats () = Whatif.Service.stats svc in
       let extends = (stats ()).Whatif.Service.analyzer_extends in
       ignore
         (Whatif.Service.ingest_sql svc "CREATE TABLE uv_tier_probe (id INT PRIMARY KEY);"
@@ -2486,12 +2498,29 @@ let test_service_tier (w : W.t) () =
         (stats ()).Whatif.Service.analyzer_builds;
       check Alcotest.int (w.W.name ^ ": DDL is an extend") (extends + 1)
         (stats ()).Whatif.Service.analyzer_extends;
-      check Alcotest.int (w.W.name ^ ": the extend keeps the tier") 1 (raised ());
       let before = publishes () in
-      check_answer ~phase:"ddl" ~config:grouped tau_g (ask ~config:grouped svc tau_g);
-      check_answer ~phase:"ddl" ~config:plain tau_g (ask ~config:plain svc tau_g);
+      ask_all ~phase:"ddl" read_only_qs;
+      check Alcotest.int (w.W.name ^ ": a DDL ingest keeps the tier") 1 (raised ());
       check Alcotest.int (w.W.name ^ ": no question publishes after the DDL") before
-        (publishes ()))
+        (publishes ());
+      (* the history rewritten in place: the original entries again, from
+         the base *)
+      Engine.restore eng base;
+      Engine.reset_log eng;
+      List.iter
+        (fun (e : Log.entry) ->
+          try ignore (Engine.exec ~nondet:e.Log.nondet ?app_txn:e.Log.app_txn eng e.Log.stmt)
+          with Engine.Sql_error _ | Engine.Signal_raised _ -> ())
+        history;
+      let deferred_before = deferred () in
+      ask_all ~phase:"rewritten" writer_qs;
+      check Alcotest.int (w.W.name ^ ": the rewrite rebuilds") 2
+        (stats ()).Whatif.Service.analyzer_builds;
+      check Alcotest.int (w.W.name ^ ": the rebuild is without the tier") 1 (raised ());
+      check Alcotest.bool (w.W.name ^ ": the rebuild defers read-only entries again") true
+        (deferred () > deferred_before);
+      ask_all ~phase:"rewritten" read_only_qs;
+      check Alcotest.int (w.W.name ^ ": a read-only tau raises the tier again") 2 (raised ()))
     [ 1; 2; 4; 8 ]
 
 let workload_cases (w : W.t) =
@@ -2520,7 +2549,7 @@ let () =
         ( "service tier",
           List.map
             (fun (w : W.t) ->
-              Alcotest.test_case (w.W.name ^ ": grouped beside ungrouped, then ingest") `Quick
+              Alcotest.test_case (w.W.name ^ ": read-only tau, ingest, rewrite") `Quick
                 (test_service_tier w))
             (W.all ()) );
         ( "merged history",
@@ -2568,6 +2597,8 @@ let () =
             Alcotest.test_case "(q) a removed key move" `Quick test_redo_key_move;
             Alcotest.test_case "(r) two questions remove different triggers" `Quick
               test_facts_two_ddl_questions;
+            Alcotest.test_case "(s) a key rewritten under the PRIMARY KEY fallback" `Quick
+              test_redo_pk_dimension;
           ]
           @ List.map
               (fun (w : W.t) ->

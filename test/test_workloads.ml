@@ -53,43 +53,67 @@ let test_whatif_cell (w : W.t) () =
 let test_whatif_col_only (w : W.t) () =
   ignore (whatif_vs_oracle w ~mode:R.Transpiled ~analysis_mode:Analyzer.Col_only)
 
+(* The D system replays application functions; the oracle is the whole
+   application rerun from the checkpoint skipping the target invocation,
+   with the same recorded blackbox draws. Targets: the first, a middle
+   and the last invocation, and the first whose transaction writes after
+   its first entry, so that the whole transaction is removed, not its
+   first statement (Epinions' transactions are one statement each). *)
 let test_dsystem_app_oracle (w : W.t) () =
-  (* the D system replays application functions; the oracle is the whole
-     application rerun from the checkpoint skipping the target invocation
-     with the same recorded blackbox draws *)
   let eng, rt, base, _ = build w ~mode:R.Raw ~n:60 ~dep_rate:0.3 in
-  let analyzer = Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng) in
+  let log = Engine.log eng in
+  let analyzer = Analyzer.analyze ~config:w.W.ri_config ~base log in
   let invocations = R.invocations rt in
-  let target_tag = Uv_workloads.Dsystem.tag_of_invocation (List.hd invocations) in
-  let out = Uv_workloads.Dsystem.run ~analyzer ~runtime:rt eng ~target_tag in
-  (* app-level oracle: rerun everything but the target, forcing each
-     transaction's recorded statement-level non-determinism so past
-     AUTO_INCREMENT keys are reused (the paper's replay semantics) *)
-  let nondet_of_tag tag =
+  let tag = Uv_workloads.Dsystem.tag_of_invocation in
+  (* each transaction's entries, in commit order *)
+  let entries t =
     let acc = ref [] in
-    Log.iter (Engine.log eng) (fun e ->
-        if e.Log.app_txn = Some tag then acc := e.Log.nondet :: !acc);
+    Log.iter log (fun e -> if e.Log.app_txn = Some t then acc := e :: !acc);
     List.rev !acc
   in
-  let oracle_eng = Engine.of_catalog (Catalog.snapshot base) in
-  let oracle_rt = R.create_from_program oracle_eng (R.program rt) in
+  let writes_late inv =
+    match entries (tag inv) with
+    | _ :: rest -> List.exists (fun e -> e.Log.undo <> []) rest
+    | [] -> false
+  in
+  let late = List.find_opt writes_late invocations in
+  (* only a workload whose transactions are one statement each has none *)
+  if late = None && List.exists (fun inv -> List.length (entries (tag inv)) > 1) invocations
+  then Alcotest.failf "%s: no transaction writes after its first entry" w.W.name;
+  let n = List.length invocations in
+  let targets =
+    List.sort_uniq compare
+      (List.map tag
+         (Option.to_list late
+         @ [ List.hd invocations; List.nth invocations (n / 2); List.nth invocations (n - 1) ]))
+  in
   List.iter
-    (fun inv ->
-      let tag = Uv_workloads.Dsystem.tag_of_invocation inv in
-      if tag <> target_tag then
-        ignore
-          (R.replay_invocation ~stmt_nondet:(nondet_of_tag tag) oracle_rt
-             ~mode:R.Raw inv))
-    invocations;
-  (* merge D's temporary tables into a copy of the live database *)
-  let merged = Catalog.snapshot (Engine.catalog eng) in
-  Catalog.copy_tables_into out.Uv_workloads.Dsystem.temp_catalog ~into:merged
-    (List.map fst (Catalog.tables out.Uv_workloads.Dsystem.temp_catalog));
-  check
-    Alcotest.(list (pair string int64))
-    (w.W.name ^ " D matches app-level oracle")
-    (all_hashes (Engine.catalog oracle_eng))
-    (all_hashes merged)
+    (fun target_tag ->
+      let out = Uv_workloads.Dsystem.run ~analyzer ~runtime:rt eng ~target_tag in
+      (* app-level oracle: rerun everything but the target, forcing each
+         transaction's recorded statement-level non-determinism so past
+         AUTO_INCREMENT keys are reused (the paper's replay semantics) *)
+      let oracle_eng = Engine.of_catalog (Catalog.snapshot base) in
+      let oracle_rt = R.create_from_program oracle_eng (R.program rt) in
+      List.iter
+        (fun inv ->
+          let t = tag inv in
+          if t <> target_tag then
+            ignore
+              (R.replay_invocation
+                 ~stmt_nondet:(List.map (fun e -> e.Log.nondet) (entries t))
+                 oracle_rt ~mode:R.Raw inv))
+        invocations;
+      (* merge D's temporary tables into a copy of the live database *)
+      let merged = Catalog.snapshot (Engine.catalog eng) in
+      Catalog.copy_tables_into out.Uv_workloads.Dsystem.temp_catalog ~into:merged
+        (List.map fst (Catalog.tables out.Uv_workloads.Dsystem.temp_catalog));
+      check
+        Alcotest.(list (pair string int64))
+        (Printf.sprintf "%s D without %s matches app-level oracle" w.W.name target_tag)
+        (all_hashes (Engine.catalog oracle_eng))
+        (all_hashes merged))
+    targets
 
 let test_transpilation (w : W.t) () =
   let eng, rt = W.setup ~mode:R.Raw w in
