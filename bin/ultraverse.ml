@@ -266,7 +266,7 @@ let whatif_cmd =
       (match out.Whatif.stop_at with
       | Some (ran, skipped) ->
           Printf.printf
-            "stopped after %d of %d members: nothing left differs from history\n"
+            "stopped after %d of %d members: the rest only repeat history\n"
             ran (ran + skipped)
       | None -> ());
       Printf.printf "alternate universe %s the original\n"

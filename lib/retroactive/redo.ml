@@ -56,6 +56,14 @@ type t = {
   wide : int Itbl.t;  (* [cell tid k] -> row marks *)
   tab_marks : int array;  (* [tid] -> its row marks *)
   mutable marked : int;
+  mutable version : int;  (* moves at every change of the set *)
+  mutable grown : int;  (* moves where a row enters the set or changes in it *)
+  mutable history_side : bool;
+      (* the catalog still holds history's side of the seeded rows: their
+         rollback is deferred *)
+  verdicts : (int * int * bool) Itbl.t;
+      (* member -> ([version], [grown], its [clean] verdict then) *)
+  mutable computed : int;  (* [clean] verdicts computed, not served *)
   mutable settled : int;
   mutable first_empty : int;  (* [settled] when the set first emptied *)
   mutable ever_dirty : bool;
@@ -65,7 +73,12 @@ type t = {
       (* [reconcile]'s scratch *)
 }
 
-type stats = { fallbacks : int; dirty_cells : int; dirty_emptied : bool }
+type stats = {
+  fallbacks : int;
+  dirty_cells : int;
+  dirty_emptied : bool;
+  verdicts : int;
+}
 
 let at a i = if i >= 0 && i < Array.length a then a.(i) else 0
 
@@ -83,6 +96,11 @@ let create analyzer catalog =
     wide = Itbl.create 8;
     tab_marks = Array.make ntables 0;
     marked = 0;
+    version = 0;
+    grown = 0;
+    history_side = false;
+    verdicts = Itbl.create 16;
+    computed = 0;
     settled = 0;
     first_empty = max_int;
     ever_dirty = false;
@@ -205,9 +223,12 @@ let set_row t key info hist cur =
   | Some old ->
       List.iter (unmark t) old.marks;
       Itbl.remove t.rows key;
-      Itbl.remove info.dirty_rows key
+      Itbl.remove info.dirty_rows key;
+      t.version <- t.version + 1
   | None -> ());
   if not (same_image hist cur) then begin
+    t.version <- t.version + 1;
+    t.grown <- t.grown + 1;
     let marks = row_marks info hist cur in
     List.iter (mark t) marks;
     let row = { table = info; hist; cur; marks } in
@@ -236,6 +257,19 @@ let spans t h journal =
       | _ -> ())
     journal
 
+(* Does the journal touch a row of the set? *)
+let names_dirty t journal =
+  Itbl.length t.rows > 0
+  && List.exists
+       (function
+         | Log.U_row_insert (tb, r, _)
+         | Log.U_row_update (tb, r, _, _)
+         | Log.U_row_delete (tb, r, _) ->
+             let tid = Analyzer.table_id t.analyzer tb in
+             tid >= 0 && Itbl.mem t.rows (row_key tid r)
+         | _ -> false)
+       journal
+
 (* Carry every row [hist] (history's journal of a statement) or [fresh]
    (the replay's) touches from before the statement to after it: a row
    outside the set is clean, so either journal's before-image is both
@@ -243,18 +277,7 @@ let spans t h journal =
    clean and only rows already in the set change; its fresh journal names
    the rows its historical one does. *)
 let reconcile t ~redone ~hist ~fresh =
-  let touches_dirty () =
-    List.exists
-      (function
-        | Log.U_row_insert (tb, r, _)
-        | Log.U_row_update (tb, r, _, _)
-        | Log.U_row_delete (tb, r, _) ->
-            let tid = Analyzer.table_id t.analyzer tb in
-            tid >= 0 && Itbl.mem t.rows (row_key tid r)
-        | _ -> false)
-      fresh
-  in
-  if not (redone && (Itbl.length t.rows = 0 || not (touches_dirty ()))) then begin
+  if not (redone && not (names_dirty t fresh)) then begin
     let h = t.hist_spans and n = t.fresh_spans in
     spans t h hist;
     spans t n fresh;
@@ -285,7 +308,10 @@ let reconcile t ~redone ~hist ~fresh =
 
 let seed t journal =
   reconcile t ~redone:false ~hist:journal ~fresh:[];
+  t.history_side <- true;
   if not (is_empty t) then t.ever_dirty <- true
+
+let rolled_back t = t.history_side <- false
 
 let settle t ~redone ~hist ~fresh =
   reconcile t ~redone ~hist ~fresh;
@@ -342,19 +368,21 @@ let scope_of info stmt =
 
 (* A dirty row's two images at the current point of the replay: the row
    as the catalog holds it now, and that row with the columns where
-   [hist] and [cur] differ at their history values. [hist] and [cur] were
-   recorded when the row last settled; a non-member since may have
-   rewritten its clean columns on both sides. *)
-let images_now storage key r =
+   [hist] and [cur] differ at the other side's values. The catalog holds
+   the replay's side, or history's while the seeded rows' rollback is
+   deferred. [hist] and [cur] were recorded when the row last settled; a
+   non-member since may have rewritten its clean columns on both
+   sides. *)
+let images_now t storage key r =
   let now = Option.bind storage (fun st -> Storage.get st (rowid_of_row key)) in
-  let hist_now =
-    match (r.hist, r.cur, now) with
-    | Some h, Some c, Some n
-      when Array.length h = Array.length c && Array.length c = Array.length n ->
-        Some (Array.mapi (fun p v -> if Value.equal h.(p) c.(p) then v else h.(p)) n)
-    | h, _, _ -> h
+  let other held other =
+    match (held, other, now) with
+    | Some h, Some o, Some n
+      when Array.length h = Array.length o && Array.length o = Array.length n ->
+        Some (Array.mapi (fun p v -> if Value.equal h.(p) o.(p) then v else o.(p)) n)
+    | _, o, _ -> o
   in
-  (hist_now, now)
+  if t.history_side then (now, other r.hist r.cur) else (other r.cur r.hist, now)
 
 (* Does the statement read a dirty row of its own table — one its WHERE
    selects on either side that appeared, vanished or moved, or whose
@@ -367,7 +395,7 @@ let reads_dirty_row t idx info scope hist =
     try
       Itbl.iter
         (fun key r ->
-          let h, c = images_now storage key r in
+          let h, c = images_now t storage key r in
           if p r h c then raise_notrace Exit)
         info.dirty_rows;
       false
@@ -458,6 +486,9 @@ let reads_dirty t idx info kind stmt hist =
   | Delete where -> by_rows (every_row where)
   | Update where -> by_rows (every_row where) || guarded ()
 
+(* A verdict holds while the set does not change, and a clean one while
+   no row enters it or changes in it: a row that leaves the set takes
+   only reads away. *)
 let clean t idx stmt hist =
   match target stmt with
   | None -> false
@@ -466,7 +497,15 @@ let clean t idx stmt hist =
       | None -> false
       | Some info ->
           (not info.triggered)
-          && (is_empty t || not (reads_dirty t idx info kind stmt hist)))
+          && (is_empty t
+             ||
+             match Itbl.find_opt t.verdicts idx with
+             | Some (v, g, ok) when v = t.version || (ok && g = t.grown) -> ok
+             | _ ->
+                 let ok = not (reads_dirty t idx info kind stmt hist) in
+                 t.computed <- t.computed + 1;
+                 Itbl.replace t.verdicts idx (t.version, t.grown, ok);
+                 ok))
 
 (* The closure reads nothing of [t] but its fallback counter, so it may
    run on any domain, and later, over a copy of the replay state. *)
@@ -528,9 +567,32 @@ let quiet t stmt hist =
             hist
       | _ -> false)
 
+let repeats t idx stmt hist =
+  quiet t stmt hist
+  && (is_empty t || ((not (names_dirty t hist)) && clean t idx stmt hist))
+
+let grown t = t.grown
+
+let replay_rows t =
+  Array.fold_right
+    (fun info acc ->
+      match info with
+      | Some info when Itbl.length info.dirty_rows > 0 ->
+          let name = info.schema.Schema.tbl_name in
+          let st = Catalog.table t.catalog name in
+          let rows =
+            Itbl.fold
+              (fun key r acc -> (rowid_of_row key, snd (images_now t st key r)) :: acc)
+              info.dirty_rows []
+          in
+          (name, List.sort (fun (a, _) (b, _) -> Int.compare a b) rows) :: acc
+      | _ -> acc)
+    t.infos []
+
 let stats (t : t) =
   {
     fallbacks = Atomic.get t.fallbacks;
     dirty_cells = t.marked;
     dirty_emptied = t.first_empty < t.settled;
+    verdicts = t.computed;
   }

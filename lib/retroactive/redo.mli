@@ -29,8 +29,21 @@ val create : Analyzer.t -> Uv_db.Catalog.t -> t
     moves ({!Analyzer.target_rw}). *)
 
 val seed : t -> Uv_db.Log.undo list -> unit
-(** The removed (or changed) target's historical journal, which rollback
-    undid and nothing replays: its rows now differ from history. *)
+(** The removed target's historical journal, which rollback undoes and
+    nothing replays: its rows now differ from history. Until
+    {!rolled_back}, the catalog holds history's side of those rows, and
+    {!clean}'s row test derives the replay's side from it: the row with
+    the columns that differ at their replay values, or absent where the
+    target inserted it. That holds while no member's journal names one
+    of those rows ({!names_dirty}): the rollback then writes them as
+    undoing the target alone would. *)
+
+val names_dirty : t -> Uv_db.Log.undo list -> bool
+(** Does the journal touch a row of the set? *)
+
+val rolled_back : t -> unit
+(** The rollback {!seed} was taken before is now applied to the
+    catalog. *)
 
 val clean : t -> int -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
 (** [clean t idx stmt journal]: may member [idx], whose historical
@@ -55,7 +68,12 @@ val clean : t -> int -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
       dimension, else at every key — the constraint check reads them;
     - without a row-decided scope and without a WHERE clause, the
       columns an UPDATE or DELETE writes meet no dirty cell at any key
-      (it visits every row). *)
+      (it visits every row).
+
+    Verdicts are memoised per member: one is served while the set has
+    not changed since it was computed, and a clean one also while no row
+    entered the set or changed in it (a row leaving the set only takes
+    reads away). *)
 
 val reenactment :
   t ->
@@ -76,14 +94,25 @@ val reenactment :
 val is_empty : t -> bool
 (** No cell differs from history at this point of the replay. *)
 
-val quiet : t -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
-(** [quiet t stmt journal]: would the member, met with the set empty,
-    be redone and leave the set empty? True for a plain INSERT, UPDATE
-    or DELETE on a base table without triggers ({!clean}'s first test)
-    whose historical journal holds only row records and AUTO_INCREMENT
-    records of that table ({!reenactment}'s fit test): it is reenacted
-    record for record, so each row it touches takes, at its historical
-    rowid, the image it took in history. *)
+val repeats : t -> int -> Uv_sql.Ast.stmt -> Uv_db.Log.undo list -> bool
+(** [repeats t idx stmt journal]: would the member, met at this point,
+    be redone and leave the set as it is? True for a plain INSERT,
+    UPDATE or DELETE on a base table without triggers whose historical
+    journal holds only row and AUTO_INCREMENT records of that table
+    ({!reenactment}'s fit test: it is reenacted record for record), and
+    that, unless the set is empty, is {!clean} and whose journal names
+    no row of the set: its reenactment
+    writes history's images over rows that hold them, and {!settle}
+    passes over it. The verdict holds until a row enters the set or
+    changes in it ({!grown} moves). *)
+
+val grown : t -> int
+(** Moves each time a row enters the set or changes its images in it. *)
+
+val replay_rows : t -> (string * (int * Uv_sql.Value.t array option) list) list
+(** Each row of the set with its replay image at this point ([None]:
+    absent), per table, by ascending rowid: what the replay holds where
+    it differs from history. *)
 
 val settle :
   t -> redone:bool -> hist:Uv_db.Log.undo list -> fresh:Uv_db.Log.undo list -> unit
@@ -98,6 +127,7 @@ type stats = {
   dirty_emptied : bool;
       (** the set emptied before the last {!settle}: cell-level
           convergence (the Hash-jumper's, §4.5, per cell) *)
+  verdicts : int;  (** {!clean} verdicts computed, not served from the memo *)
 }
 
 val stats : t -> stats

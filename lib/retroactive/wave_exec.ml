@@ -273,7 +273,7 @@ type schedule =
 exception Stop
 
 let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
-    ?(check = fun () -> ()) ?redo ?undo ?quiet ~schedule ~rtt_ms ~catalog ~head
+    ?(check = fun () -> ()) ?redo ?undo ?repeating ~schedule ~rtt_ms ~catalog ~head
     ~items () =
   let t0 = Uv_util.Clock.now_ms () in
   (* on the caller lane, before a batch runs; the head, not a member,
@@ -350,42 +350,63 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     let subwaves = ref 0 in
     let degraded = ref false in
     (* The exact stop (DESIGN.md §5, "Exact stop"). Before a batch of
-       members, stop when the dirty set is empty, no statement run so far
-       inserted a row at a private rowid, and every member left is quiet
-       ({!Redo.quiet}): each of those would be redone to its historical
-       images and keep the set empty, so the rest can only repeat
-       history. [stoppable] drops for good at the first private insert.
-       Every member ahead of [pending] has run or is quiet, and quietness
-       never changes, so the cursor passes each member once. The
-       caller's [quiet] verdict starts the cursor past the members it
-       found quiet. *)
+       members, stop when no statement run so far inserted a row at a
+       private rowid and every member left repeats history
+       ({!Redo.repeats}): each would be redone to its historical images
+       over rows outside the set, and leave the set as it is, so the rest
+       can only repeat history. [stoppable] drops for good at the first
+       private insert. Every member ahead of [pending] has run or
+       repeats, which holds until the set grows; then the cursor starts
+       again at the first member not run ([unrun]). So the cursor passes
+       each member once between two growths. The caller's [repeating]
+       verdict starts the cursor past the members it found to repeat. *)
     let stoppable = ref (redo <> None) in
+    let unrun = ref items in
     let pending =
       ref
-        (match quiet with
+        (match repeating with
         | None -> items
         | Some n -> List.filteri (fun k _ -> k >= n) items)
     in
-    let rec all_quiet r =
+    let grown = ref (Option.fold ~none:0 ~some:Redo.grown redo) in
+    let ran it = Hashtbl.mem durations it.idx in
+    let rec all_repeat r =
       match !pending with
       | [] -> true
       | it :: rest ->
-          (Hashtbl.mem durations it.idx || Redo.quiet r it.stmt it.journal)
+          (ran it || Redo.repeats r it.idx it.stmt it.journal)
           && begin
                pending := rest;
-               all_quiet r
+               all_repeat r
              end
     in
     let stop_here () =
       !stoppable
-      && match redo with Some r -> Redo.is_empty r && all_quiet r | None -> false
+      &&
+      match redo with
+      | Some r ->
+          if Redo.grown r <> !grown then begin
+            grown := Redo.grown r;
+            let rec past_run = function
+              | it :: rest when ran it -> past_run rest
+              | l -> l
+            in
+            unrun := past_run !unrun;
+            pending := !unrun
+          end;
+          all_repeat r
+      | None -> false
     in
     (* [undo] is applied before anything runs, unless the replay stops
        before its first member *)
     let undo =
       if head = None && items <> [] && stop_here () then undo
       else begin
-        Option.iter (fun u -> u catalog) undo;
+        Option.iter
+          (fun u ->
+            u catalog;
+            Option.iter Redo.rolled_back redo)
+          undo;
         None
       end
     in

@@ -104,7 +104,7 @@ val execute :
   ?check:(unit -> unit) ->
   ?redo:Redo.t ->
   ?undo:(Uv_db.Catalog.t -> unit) ->
-  ?quiet:int ->
+  ?repeating:int ->
   schedule:schedule ->
   rtt_ms:float ->
   catalog:Uv_db.Catalog.t ->
@@ -117,12 +117,13 @@ val execute :
     [idx], on [schedule]. The catalog is mutated in place. In commit
     order the result has [wave_count = 0].
 
-    [quiet = n] is the caller's verdict that the first [n] items are
-    quiet ({!Redo.quiet}) against [redo]; the replay tests no item the
-    verdict covers. [undo], a rollback not yet applied to [catalog],
-    comes only with [quiet] covering every item: it is applied before
-    anything runs, unless the replay stops before its first member; then
-    {!complete} applies it to its copy.
+    [repeating = n] is the caller's verdict that the first [n] items repeat
+    history ({!Redo.repeats}) against [redo] as it is passed; the replay
+    tests no item the verdict covers until the set grows. [undo], a
+    rollback not yet applied to [catalog], comes only with [repeating]
+    covering every item: it is applied before anything runs (and
+    {!Redo.rolled_back} called), unless the replay stops before its
+    first member; then {!complete} applies it to its copy.
 
     [check] runs before every item in commit order and at every wave
     boundary on the DAG schedule; whatever it raises stops the replay
@@ -141,18 +142,21 @@ val execute :
     always executes.
 
     On the DAG schedule with [redo], the replay stops before a batch of
-    members once the rest can only repeat history: the dirty set is
-    empty ({!Redo.is_empty}), no statement run so far (the head
-    included) inserted a row at a private rowid (at or above its
-    [rowid_base]), and every member not yet run is {!Redo.quiet}. Each
-    of those would be redone to its historical images and leave the set
-    empty, so the replay ends there with [stop] set: the catalog is left
+    members once the rest can only repeat history: no statement run so
+    far (the head included) inserted a row at a private rowid (at or
+    above its [rowid_base]), and every member not yet run repeats
+    history ({!Redo.repeats}). Each of those would be redone to its
+    historical images over rows outside the set and leave the set as it
+    is, so the replay ends there with [stop] set: the catalog is left
     as the stop found it (the caller must not mutate it afterwards;
-    {!complete} copies it), [entries] holds the run statements' entries
+    {!complete} copies it; the rows still in the set are
+    {!Redo.replay_rows}), [entries] holds the run statements' entries
     before the restamp, and [redone], [executed] and [wave_count] count
     what ran. Each test is O(1) amortized: the private-insert test is a
     flag, and a cursor over [items] passes each member once, when it has
-    run or is quiet, and tests each member's quietness at most once.
+    run or repeats history, until the set grows ({!Redo.grown}); then it
+    starts again at the first member not run. {!Redo.clean}'s memo
+    serves the batch's decisions the verdicts the test found.
     When a stop is possible, or [items] is one member, the first member
     runs alone before [dag] is forced (no member precedes it), and [dag]
     is forced only while a member has not run: a replay that stops

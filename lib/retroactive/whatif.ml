@@ -211,7 +211,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
      members are redone from their journals when the schema holds still;
      the removed or changed target must be DML too, as its journal seeds
      the dirty set *)
-  let dml, fixed_objects, redo, quiet, deferred, undo_journals, tau_journal, undone,
+  let dml, fixed_objects, redo, repeating, deferred, undo_journals, tau_journal, undone,
       undo_stats =
     phase "rollback"
       ~end_args:(fun (_, _, _, _, _, _, _, _, st) ->
@@ -256,36 +256,48 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
             Some r
           end
         in
-        (* A removal whose τ left every row as it found it, with only
-           quiet members, stops before its first member (the wave
-           schedule's exact stop): nothing in the question reads the
-           rollback's rows, so only its counters are set, and the rest
-           waits for the merged history ([Wave_exec.complete]). The
-           members' quiet prefix is tested here, once: the replay's
-           stop cursor starts where it ends. *)
-        let quiet =
+        (* A removal whose members all repeat history over the rows τ
+           left dirty ([Redo.repeats]: each would be redone over rows
+           outside the set, and leave the set as it is) stops before its
+           first member (the wave schedule's exact stop): no statement of
+           the question reads a rolled-back row, so only the counters are
+           set, and the row undo waits for the merged history
+           ([Wave_exec.complete]). The test runs before the rollback, so
+           the set's rows are read on history's side, which only undoing
+           τ moves while no member names one of them. The prefix of
+           members that repeat is found here, once: the replay's stop
+           cursor starts where it ends. *)
+        let repeating =
           match redo with
           | Some r
             when target.Analyzer.op = Analyzer.Remove
                  && (not config.Config.hash_jumper)
-                 && Redo.is_empty r ->
+                 && (Redo.is_empty r
+                    || not
+                         (List.exists
+                            (fun i -> Redo.names_dirty r (Uv_db.Log.entry log i).Uv_db.Log.undo)
+                            members)) ->
               let rec lead n = function
                 | i :: rest
                   when let e = Uv_db.Log.entry log i in
-                       Redo.quiet r e.Uv_db.Log.stmt e.Uv_db.Log.undo ->
+                       Redo.repeats r i e.Uv_db.Log.stmt e.Uv_db.Log.undo ->
                     lead (n + 1) rest
                 | _ -> n
               in
               Some (lead 0 members)
           | _ -> None
         in
-        let deferred = quiet = Some (List.length members) in
+        let deferred = repeating = Some (List.length members) in
         let stats =
           if deferred then begin
             Uv_db.Log.undo_counters temp_cat undo_journals;
             { Uv_db.Log.undo_records = 0; rows_restored = 0 }
           end
-          else Uv_db.Log.undo_entries temp_cat undo_journals
+          else begin
+            let st = Uv_db.Log.undo_entries temp_cat undo_journals in
+            Option.iter Redo.rolled_back redo;
+            st
+          end
         in
         (* no view, procedure, trigger or index changes unless a
            statement the question runs or undoes is DDL or writes a
@@ -296,7 +308,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
                (Option.is_some tau_entry
                && Analyzer.changes_schema analyzer target.Analyzer.tau),
           redo,
-          quiet,
+          repeating,
           deferred,
           undo_journals,
           tau_journal,
@@ -305,7 +317,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
   in
   (* 4. replay forward, in commit order or over the replay DAG's waves *)
   let hash_jump_at = ref None in
-  let dag, res, universe =
+  let dag, res, universe, stop_rows =
     phase "replay" @@ fun () ->
     let stride = 1 lsl 20 in
     let head_stmt =
@@ -405,7 +417,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     let res =
       (* a statement fault that survives its one retry ends the run *)
       try
-        Wave_exec.execute ~obs ~fault ~check:check_deadline ?redo ?quiet
+        Wave_exec.execute ~obs ~fault ~check:check_deadline ?redo ?repeating
           ?undo:
             (if deferred then
                Some
@@ -424,18 +436,33 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
                message = fault_message inj ^ " persisted after retry";
              })
     in
-    let universe =
+    let universe, stop_rows =
       if Option.is_some !hash_jump_at || Option.is_some res.Wave_exec.stop then begin
         (* on a hash-hit or a stop the original tables are retained
            (§4.5): the outcome's universe takes the original's affected
            tables, the original timeline retained wholesale, schema
-           objects included. A stop leaves the replay catalog as it was,
-           for [new_log]. The counters and rowid floors are the full
-           replay's: the replay's (rollback resets an inserting τ's
-           counter), raised by each skipped member's inserts as redoing
-           it would. A hit that skipped DDL keeps the original's. *)
+           objects included. At a stop, the rows still dirty take the
+           replay's image at their rowids: no member left touches them,
+           and every other row ends as history left it. A stop leaves
+           the replay catalog as it was, for [new_log]. The counters and
+           rowid floors are the full replay's: the replay's (rollback
+           resets an inserting τ's counter), raised by each skipped
+           member's inserts as redoing it would. A hit that skipped DDL
+           keeps the original's. *)
         let u =
           Uv_db.Catalog.snapshot_tables (Uv_db.Engine.catalog eng) affected
+        in
+        let stop_rows =
+          match redo with
+          | Some r when Option.is_some res.Wave_exec.stop ->
+              List.fold_left
+                (fun n (name, rows) ->
+                  Option.iter
+                    (fun st -> Uv_db.Storage.restore_many st rows)
+                    (Uv_db.Catalog.table u name);
+                  n + List.length rows)
+                0 (Redo.replay_rows r)
+          | _ -> 0
         in
         let skipped =
           List.filter_map
@@ -458,11 +485,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
             (Uv_db.Catalog.tables u);
           List.iter (fun e -> Uv_db.Log.redo_counters u e.Uv_db.Log.undo) skipped
         end;
-        u
+        (u, stop_rows)
       end
-      else temp_cat
+      else (temp_cat, 0)
     in
-    (dag, res, universe)
+    (dag, res, universe, stop_rows)
   in
   let stop_at = Option.map Wave_exec.stop_point res.Wave_exec.stop in
   if Uv_obs.Trace.enabled obs then begin
@@ -475,13 +502,19 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
     let stat f = Option.fold ~none:0 ~some:(fun r -> f (Redo.stats r)) redo in
     count "replay.redo_fallbacks" (stat (fun s -> s.Redo.fallbacks));
     count "replay.dirty_cells" (stat (fun s -> s.Redo.dirty_cells));
-    (* a stopped replay's set emptied before the members it skipped *)
+    count "replay.verdicts" (stat (fun s -> s.Redo.verdicts));
+    (* a replay that stopped over an empty set emptied it before the
+       members it skipped *)
     count "replay.dirty_emptied"
       (stat (fun s ->
            Bool.to_int
-             (s.Redo.dirty_emptied || (stop_at <> None && s.Redo.dirty_cells > 0))));
+             (s.Redo.dirty_emptied
+             || stop_at <> None
+                && s.Redo.dirty_cells > 0
+                && Option.fold ~none:false ~some:Redo.is_empty redo)));
     count "replay.stops" (Bool.to_int (stop_at <> None));
     count "replay.stop_skipped" (Option.fold ~none:0 ~some:snd stop_at);
+    count "replay.stop_rows" stop_rows;
     (* a replay that built no DAG ordered nothing *)
     count "replay.edges" 0;
     count "replay.cell_visits" 0
@@ -525,21 +558,20 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
             op_weight
             +. Conflict_dag.makespan dag ~weight ~workers:config.Config.workers
         in
+        (* a stop's universe holds the original's objects *)
         let changed =
-          match (!hash_jump_at, stop_at) with
-          | Some _, _ | _, Some _ -> false
-          | None, None ->
-              (not
+          Option.is_none !hash_jump_at
+          && ((not
                  (Int64.equal
-                    (Uv_db.Catalog.db_hash temp_cat)
+                    (Uv_db.Catalog.db_hash universe)
                     (Uv_db.Catalog.tables_hash (Uv_db.Engine.catalog eng)
                        affected)))
-              || (not fixed_objects)
-                 && not
-                      (String.equal
-                         (Uv_db.Catalog.objects_signature temp_cat)
-                         (Uv_db.Catalog.objects_signature
-                            (Uv_db.Engine.catalog eng)))
+             || (not fixed_objects)
+                && not
+                     (String.equal
+                        (Uv_db.Catalog.objects_signature universe)
+                        (Uv_db.Catalog.objects_signature
+                           (Uv_db.Engine.catalog eng))))
         in
         (serial_cost_ms, simulated_parallel_ms, changed))
   in

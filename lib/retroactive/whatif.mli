@@ -19,9 +19,10 @@
     + optionally runs the Hash-jumper after every replayed entry and
       early-terminates on a hash-hit (it selects commit order);
     + on the DAG's waves, stops exactly where the replay rejoins
-      history: once member redo's dirty set is empty and nothing left
-      can move a row to a new rowid, the remaining members could only
-      repeat history ([stop_at]);
+      history: once nothing left can move a row to a new rowid and
+      every member left would be redone over rows outside member
+      redo's dirty set, the remaining members could only repeat
+      history ([stop_at]);
     + reports three cost views: measured serial-sum time, the simulated
       makespan over the replay conflict DAG (the serial sum at one lane),
       and — when the DAG's waves ran — their measured wall time.
@@ -128,11 +129,13 @@ type outcome = {
       (** original commit index at which the Hash-jumper fired *)
   stop_at : (int * int) option;
       (** (members run, members skipped) when the replay stopped where it
-          rejoined history: member redo's dirty set was empty, nothing
-          replayed had inserted a row, and every member left would be
-          redone without inserting one (DESIGN.md §5, "Exact stop").
-          The universe then holds the original affected tables with the
-          replay's AUTO_INCREMENT counters, [changed] is false, and
+          rejoined history: nothing replayed had inserted a row at a
+          private rowid, and every member left would be redone over rows
+          outside member redo's dirty set and leave the set as it is
+          (DESIGN.md §5, "Exact stop"). The universe then holds the
+          original affected tables with each row still in the set at
+          its replay image and the replay's AUTO_INCREMENT counters,
+          [changed] compares its hash with the original's, and
           {!new_log} reenacts the skipped members when it is built. *)
   real_ms : float;  (** measured wall time of the whole operation *)
   serial_cost_ms : float;
@@ -157,7 +160,9 @@ type outcome = {
           built by {!new_log}, outside the run. *)
   final_db_hash : int64;  (** hash of the temporary universe *)
   changed : bool;
-      (** false when the Hash-jumper or the stop proved no effect *)
+      (** the universe's tables differ from the original's (their hash,
+          or the objects where the question can change one); false when
+          the Hash-jumper proved no effect *)
   degraded : bool;
       (** the parallel replay lost its worker domains and finished on the
           caller lane; results are identical, only parallelism was lost *)

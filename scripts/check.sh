@@ -358,6 +358,19 @@ step "replay executor smoke: commit order == DAG waves at workers 1/2/4/8, Hash-
 step "replay redo smoke: redo == execute at workers 1/2/4/8, blind write, UNIQUE/FK guards, historical rowids, exact stop, table facts follow trigger DDL" \
   dune exec test/test_parallel.exe -- test redo
 
+# the exact stop over a dirty set no remaining member meets, cases
+# (t)-(x) of the redo group (indices 22-26): a row τ left dirty that no
+# member touches (stop before the first member, deferred rollback,
+# replay.stops 1 and replay.stop_rows 1), a row τ inserted or deleted
+# (absent, or present at its rowid), a WHERE that selects the dirty row
+# on the replay's side only (no stop before it, no deferral), rows that
+# executed members left dirty, and a clean verdict that must not be
+# served after an executed member changed the set; each universe,
+# merged history (rowids, AUTO_INCREMENT counters, written hashes) and
+# the full-replay oracle agree at workers 1/2/4/8
+step "exact stop over a dirty set: universe, merged history and counters == full replay" \
+  dune exec test/test_parallel.exe -- test '^redo$' '22-26'
+
 # small replays, which build only what they run (no DAG, pool, start
 # state or restamp they do not use): on the five workloads, the latest
 # removals with 0 and 1 members, and a removed CREATE VIEW no member

@@ -727,6 +727,43 @@ let test_hand_built () =
     (Analyzer.Add p_row1) [ 13; 14; 15; 16; 17 ];
   row_case "wildcard-dimension rows meet" 11 Analyzer.Remove [ 12; 17 ]
 
+(* A row-closure bridge into Cell: τ writes [t.x] of row 1; #2 reads
+   row 1's [y], which τ does not write, and writes [s] row 1; #3 reads
+   [t.x] of row 2 and writes [s] row 1 too. #3 meets τ by column only,
+   and by row only through #2, which the column closure never reaches:
+   Cell keeps #3, so a pass that derived row sets only for the column
+   closure's writers would lose it. *)
+let test_cell_row_bridge () =
+  let e = Engine.create () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT)";
+  run e "CREATE TABLE s (id INT PRIMARY KEY, u INT, w INT)";
+  run e "INSERT INTO t VALUES (1, 0, 5)";
+  run e "INSERT INTO t VALUES (2, 7, 0)";
+  run e "INSERT INTO s VALUES (1, 0, 0)";
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  List.iter (run e)
+    [
+      "UPDATE t SET x = 1 WHERE id = 1";
+      "UPDATE s SET w = (SELECT y FROM t WHERE id = 1) WHERE id = 1";
+      "UPDATE s SET u = (SELECT x FROM t WHERE id = 2) WHERE id = 1";
+    ];
+  let anl = Analyzer.analyze ~base (Engine.log e) in
+  let group_of = groups anl in
+  let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
+  check_question ~label:"row bridge" anl ~group_of target;
+  List.iter
+    (fun (mode, mode_name) ->
+      check
+        Alcotest.(list int)
+        ("row bridge " ^ mode_name)
+        (match mode with
+        | Analyzer.Col_only -> [ 3 ]
+        | Analyzer.Row_only -> [ 2; 3 ]
+        | Analyzer.Cell -> [ 3 ])
+        (Analyzer.replay_set ~mode anl target).Analyzer.member_indexes)
+    modes
+
 (* ------------------------------------------------------------------ *)
 (* A warm question's cost does not follow the history length            *)
 (* ------------------------------------------------------------------ *)
@@ -1072,6 +1109,52 @@ let test_dag_visits_hot_key () =
       minor1k minor_padded;
   check (Alcotest.float 0.) "direct major words behind 10x the history"
     major1k major_padded
+
+(* The exact stop's test costs one [clean] verdict per member while
+   the dirty set does not grow. τ leaves row 1 of [t] dirty; the members
+   update the other rows of its RI group, and each would be redone over
+   clean rows, except #(n + 2), whose count of [t] reads the dirty cell
+   at every row: it executes, and writes what history wrote. The stop
+   test passes the members before it once, the replay decides them from
+   the verdicts the test found, and stops right after it. *)
+let test_stop_verdicts_per_member () =
+  let n = 40 in
+  let e = Engine.create () in
+  run e "CREATE TABLE t (id INT PRIMARY KEY, grp INT, x INT)";
+  run e "CREATE TABLE s (id INT PRIMARY KEY, c INT)";
+  for i = 1 to (2 * n) + 1 do
+    run e (Printf.sprintf "INSERT INTO t VALUES (%d, 1, 0)" i)
+  done;
+  let base = Engine.snapshot e in
+  Engine.reset_log e;
+  run e "UPDATE t SET x = 5 WHERE id = 1";
+  for i = 2 to n + 1 do
+    run e (Printf.sprintf "UPDATE t SET x = x + 1 WHERE id = %d" i)
+  done;
+  run e "INSERT INTO s VALUES (1, (SELECT COUNT(*) FROM t WHERE x > 100))";
+  for i = n + 2 to (2 * n) + 1 do
+    run e (Printf.sprintf "UPDATE t SET x = x + 1 WHERE id = %d" i)
+  done;
+  let config = { Rowset.default_config with Rowset.ri_columns = [ ("t", [ "grp" ]) ] } in
+  let anl = Analyzer.analyze ~config ~base (Engine.log e) in
+  List.iter
+    (fun workers ->
+      let where = Printf.sprintf "workers=%d" workers in
+      let obs = Uv_obs.Trace.create () in
+      let out =
+        Whatif.run_exn ~config:(Whatif.Config.make ~workers ~obs ()) ~analyzer:anl e
+          { Analyzer.tau = 1; op = Analyzer.Remove }
+      in
+      let members = out.Whatif.replay.Analyzer.member_count in
+      check Alcotest.int (where ^ ": members") ((2 * n) + 1) members;
+      check
+        Alcotest.(option (pair int int))
+        (where ^ ": stopped after the executed member")
+        (Some (n + 1, n))
+        out.Whatif.stop_at;
+      check Alcotest.int (where ^ ": one verdict per member") members
+        (Uv_obs.Trace.counter_value obs "replay.verdicts"))
+    [ 1; 2 ]
 
 (* Minor words may vary a little between runs (the Service's phases
    allocate timestamps, the trace its records); direct major words come
@@ -2853,6 +2936,8 @@ let () =
               test_question_leaves_analyzer;
             Alcotest.test_case "group mate behind the row sweep" `Quick
               test_group_mate_behind_sweep;
+            Alcotest.test_case "Cell keeps a row-closure bridge" `Quick
+              test_cell_row_bridge;
           ] );
       ( "question cost",
         [
@@ -2872,6 +2957,8 @@ let () =
             test_cell_visits_hot_row;
           Alcotest.test_case "replay DAG cell visits linear on a hot key"
             `Quick test_dag_visits_hot_key;
+          Alcotest.test_case "exact stop: one verdict per member while the set holds"
+            `Quick test_stop_verdicts_per_member;
         ] );
       ( "shape memo",
         [

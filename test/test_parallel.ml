@@ -2070,7 +2070,8 @@ let replay_counters =
   [
     "replay.redone"; "replay.executed"; "replay.redo_fallbacks";
     "replay.dirty_cells"; "replay.dirty_emptied"; "replay.stops";
-    "replay.stop_skipped"; "replay.edges"; "replay.cell_visits";
+    "replay.stop_skipped"; "replay.stop_rows"; "replay.verdicts"; "replay.edges";
+    "replay.cell_visits";
   ]
 
 let recorded obs name =
@@ -2111,6 +2112,222 @@ let check_small ~label eng analyzer target =
         (Uv_obs.Trace.counter_value obs "replay.edges");
       check Alcotest.int (label ^ ": replay.cell_visits") 0
         (Uv_obs.Trace.counter_value obs "replay.cell_visits")
+
+(* ---- the exact stop over a dirty set: rows no member left meets ---- *)
+
+(* One RI group: every row of [t] shares the key [grp], so a statement
+   on one row meets every other row's cells. *)
+let grp_config = { Rowset.default_config with Rowset.ri_columns = [ ("t", [ "grp" ]) ] }
+
+let grp_rows =
+  [
+    "CREATE TABLE t (id INT PRIMARY KEY, grp INT, x INT)";
+    "INSERT INTO t VALUES (1, 1, 0)";
+    "INSERT INTO t VALUES (2, 1, 0)";
+    "INSERT INTO t VALUES (3, 1, 0)";
+  ]
+
+(* [redo_history] and the base state, for the full-replay oracle. *)
+let stop_history ?config setup history =
+  let e, analyzer = redo_history ?config setup history in
+  let b = Engine.create () in
+  List.iter (run b) setup;
+  (e, Engine.snapshot b, analyzer)
+
+(* The original with [out] committed holds the full-replay oracle's
+   tables: the universe's rows, and [changed] where they differ. *)
+let check_oracle ~label e base tau out =
+  let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog e)) in
+  Whatif.commit merged out;
+  check
+    Alcotest.(list (pair string int64))
+    (label ^ ": universe == full-replay oracle")
+    (oracle_hashes e base ~skip:tau)
+    (table_hashes (Engine.catalog merged))
+
+(* Remove [tau] traced at one lane: the outcome and its counters. *)
+let traced_remove ~analyzer e tau =
+  let obs = Uv_obs.Trace.create () in
+  let out =
+    Whatif.run_exn ~config:(Whatif.Config.make ~workers:1 ~obs ()) ~analyzer e
+      (remove tau)
+  in
+  (out, Uv_obs.Trace.counter_value obs)
+
+(* (t) τ leaves row 1 dirty, and the members update rows 2 and 3 of its
+   RI group: each would be redone over clean rows and leave the set as
+   it is, so the replay stops before its first member, and the universe
+   takes row 1 at its replay image. No member reads a rolled-back row,
+   so the rollback is deferred. *)
+let test_stop_over_dirty_row () =
+  let e, base, analyzer =
+    stop_history ~config:grp_config grp_rows
+      [
+        "UPDATE t SET x = 5 WHERE id = 1";
+        "UPDATE t SET x = x + 1 WHERE id = 2";
+        "UPDATE t SET x = x + 2 WHERE id = 3";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped before the first member" (Some (0, 2))
+        out.Whatif.stop_at;
+      check Alcotest.string "rollback" "deferred" out.Whatif.rollback_strategy;
+      check Alcotest.bool "changed" true out.Whatif.changed;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 0 ]; [ 2; 1 ]; [ 3; 2 ] ]
+        (query_ints out "SELECT id, x FROM t");
+      check_oracle ~label:"dirty row" e base 1 out)
+    (check_redo ~label:"dirty row" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  let _, counter = traced_remove ~analyzer e 1 in
+  check Alcotest.int "one stop" 1 (counter "replay.stops");
+  check Alcotest.int "two members skipped" 2 (counter "replay.stop_skipped");
+  check Alcotest.int "one row written at the stop" 1 (counter "replay.stop_rows");
+  check Alcotest.int "the set did not empty" 0 (counter "replay.dirty_emptied");
+  check Alcotest.int "rollback deferred" 0 (counter "rollback.undo_records")
+
+(* (u) τ inserted row 4, or deleted row 3, of the member's RI group: the
+   universe has the row absent, or present again at its rowid, as the
+   full replay leaves it (check_redo compares rowids and counters). *)
+let test_stop_row_presence () =
+  List.iter
+    (fun (label, tau_sql, want) ->
+      let e, base, analyzer =
+        stop_history ~config:grp_config grp_rows
+          [ tau_sql; "UPDATE t SET x = x + 1 WHERE id = 2" ]
+      in
+      List.iter
+        (fun out ->
+          check stop_at (label ^ ": stopped before the member") (Some (0, 1))
+            out.Whatif.stop_at;
+          check Alcotest.string (label ^ ": rollback") "deferred"
+            out.Whatif.rollback_strategy;
+          check
+            Alcotest.(list (list int))
+            (label ^ ": rows") want
+            (query_ints out "SELECT id, x FROM t");
+          check_oracle ~label e base 1 out)
+        (check_redo ~label e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+      let _, counter = traced_remove ~analyzer e 1 in
+      check Alcotest.int (label ^ ": one row written at the stop") 1
+        (counter "replay.stop_rows"))
+    [
+      ( "inserted row",
+        "INSERT INTO t VALUES (4, 1, 9)",
+        [ [ 1; 0 ]; [ 2; 1 ]; [ 3; 0 ] ] );
+      ("deleted row", "DELETE FROM t WHERE id = 3", [ [ 1; 0 ]; [ 2; 1 ]; [ 3; 0 ] ]);
+    ]
+
+(* (v) τ set row 1's [x] from 3 to 7, and #2's WHERE selects the row only
+   on the replay's side: #2 reads the dirty row, so nothing stops before
+   it and the rollback is not deferred. #2 then writes row 1's [y] in the
+   replay only; #3 updates row 2, and the replay stops before it with
+   row 1 written at the replay's image. *)
+let test_stop_replay_side_where () =
+  let e, base, analyzer =
+    stop_history ~config:grp_config
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY, grp INT, x INT, y INT)";
+        "INSERT INTO t VALUES (1, 1, 3, 0)";
+        "INSERT INTO t VALUES (2, 1, 0, 0)";
+      ]
+      [
+        "UPDATE t SET x = 7 WHERE id = 1";
+        "UPDATE t SET y = 1 WHERE x = 3";
+        "UPDATE t SET x = x + 1 WHERE id = 2";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped after #2" (Some (1, 1)) out.Whatif.stop_at;
+      check Alcotest.int "#2 executed" 0 out.Whatif.redone;
+      check Alcotest.string "rollback" "undo" out.Whatif.rollback_strategy;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 3; 1 ]; [ 2; 1; 0 ] ]
+        (query_ints out "SELECT id, x, y FROM t");
+      check_oracle ~label:"replay-side WHERE" e base 1 out)
+    (check_redo ~label:"replay-side WHERE" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  let _, counter = traced_remove ~analyzer e 1 in
+  check Alcotest.int "one row written at the stop" 1 (counter "replay.stop_rows")
+
+(* (w) Executed #2 leaves row 2 dirty (its subquery reads τ's row); #3
+   rewrites row 1, which τ left dirty, and cleans it; #4 updates row 3
+   over clean rows. The replay stops before #4 with row 2, a row of #2's,
+   still dirty, and the universe takes it at the replay's image. *)
+let test_stop_after_executed () =
+  let e, base, analyzer =
+    stop_history ~config:grp_config grp_rows
+      [
+        "UPDATE t SET x = 5 WHERE id = 1";
+        "UPDATE t SET x = (SELECT x FROM t WHERE id = 1) + 1 WHERE id = 2";
+        "UPDATE t SET x = 7 WHERE id = 1";
+        "UPDATE t SET x = x + 1 WHERE id = 3";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.(list int) "members" [ 2; 3; 4 ]
+        out.Whatif.replay.Analyzer.member_indexes;
+      check stop_at "stopped before #4" (Some (2, 1)) out.Whatif.stop_at;
+      check
+        Alcotest.(list (list int))
+        "rows" [ [ 1; 7 ]; [ 2; 1 ]; [ 3; 1 ] ]
+        (query_ints out "SELECT id, x FROM t");
+      check_oracle ~label:"after executed" e base 1 out)
+    (check_redo ~label:"after executed" e analyzer (remove 1) [ 1; 2; 4; 8 ]);
+  let _, counter = traced_remove ~analyzer e 1 in
+  check Alcotest.int "one row written at the stop" 1 (counter "replay.stop_rows");
+  check Alcotest.int "the set did not empty" 0 (counter "replay.dirty_emptied")
+
+(* (x) A clean verdict is not served once the set changed under it. τ
+   dirties [x] and [y] of rows 1 and 2 (one RI group). #3's WHERE
+   selects neither image of row 1, so #3 is clean. Executed #2 then
+   moves row 1's history side ([y] from 5 to 10) under marks that row 2
+   holds too, so no mark enters the set; #3 now selects row 1 on
+   history's side, and must execute. *)
+let test_redo_verdict_memo () =
+  let e, base, analyzer =
+    stop_history ~config:grp_config
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY, grp INT, x INT, y INT)";
+        "INSERT INTO t VALUES (1, 1, 0, 0)";
+        "INSERT INTO t VALUES (2, 1, 0, 0)";
+      ]
+      [
+        "UPDATE t SET x = 5, y = 5 WHERE grp = 1";
+        "UPDATE t SET y = y + x WHERE id = 1";
+        "UPDATE t SET x = 1 WHERE y = 10 AND id = 1";
+      ]
+  in
+  let log = Engine.log e in
+  let journal i = (Log.entry log i).Log.undo in
+  let cat = Catalog.snapshot (Engine.catalog e) in
+  ignore (Log.undo_entries cat [ journal 3; journal 2; journal 1 ] : Log.undo_stats);
+  let r = Redo.create analyzer cat in
+  Redo.seed r (journal 1);
+  Redo.rolled_back r;
+  let clean3 () = Redo.clean r 3 (Log.entry log 3).Log.stmt (journal 3) in
+  check Alcotest.bool "#3 is clean before #2" true (clean3 ());
+  let marked = (Redo.stats r).Redo.dirty_cells in
+  let eng = Engine.of_catalog cat in
+  ignore
+    (Engine.exec ~history:(journal 2) eng (Log.entry log 2).Log.stmt
+      : Engine.result);
+  Redo.settle r ~redone:false ~hist:(journal 2)
+    ~fresh:(Log.entry (Engine.log eng) 1).Log.undo;
+  check Alcotest.int "no mark entered the set" marked (Redo.stats r).Redo.dirty_cells;
+  check Alcotest.bool "#3 reads the dirty row after #2" false (clean3 ());
+  List.iter
+    (fun out ->
+      check Alcotest.int "nothing redone" 0 out.Whatif.redone;
+      check_oracle ~label:"verdict memo" e base 1 out)
+    (check_redo ~label:"verdict memo" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
 (* On each workload's plain-SQL history, the latest removals whose
    replay sets have no member and one member. *)
@@ -2599,6 +2816,16 @@ let () =
               test_facts_two_ddl_questions;
             Alcotest.test_case "(s) a key rewritten under the PRIMARY KEY fallback" `Quick
               test_redo_pk_dimension;
+            Alcotest.test_case "(t) stop over a row no member meets" `Quick
+              test_stop_over_dirty_row;
+            Alcotest.test_case "(u) stop over a row tau inserted or deleted" `Quick
+              test_stop_row_presence;
+            Alcotest.test_case "(v) a WHERE selecting the dirty row on the replay's side"
+              `Quick test_stop_replay_side_where;
+            Alcotest.test_case "(w) stop over rows executed members left dirty" `Quick
+              test_stop_after_executed;
+            Alcotest.test_case "(x) a clean verdict after the set changed" `Quick
+              test_redo_verdict_memo;
           ]
           @ List.map
               (fun (w : W.t) ->
