@@ -41,6 +41,8 @@ type t = {
   mutable rowid_alloc : rowid_alloc option;
   (* periodic catalog snapshots, written out by [dump --checkpoints] *)
   mutable checkpoints : Checkpoint.t option;
+  (* the templates of the statements given as text, made on first use *)
+  mutable memo : Stmt_memo.t option;
 }
 
 (* An insert into a table takes the first rowid left in [hist] (the
@@ -74,6 +76,7 @@ let of_catalog ?(seed = 42) ?(rtt_ms = 1.0) ?(enforce_fk = false)
     trigger_depth = 0;
     rowid_alloc = None;
     checkpoints = None;
+    memo = None;
   }
 
 let create ?seed ?rtt_ms ?enforce_fk ?obs ?fault () =
@@ -1708,8 +1711,19 @@ let exec ?app_txn ?(nondet = []) ?rowid_base ?history ?sql t stmt =
           raise (Sql_error (msg ^ error_context t (stmt_text ?sql stmt)))
       | _ -> raise exn)
 
-let exec_sql ?app_txn ?nondet t sql = exec ?app_txn ?nondet t (Parser.parse_stmt sql)
+let memo t =
+  match t.memo with
+  | Some m -> m
+  | None ->
+      let m = Stmt_memo.create () in
+      t.memo <- Some m;
+      m
 
+let exec_sql ?app_txn ?nondet t sql =
+  let stmt, text = Stmt_memo.parse_logged (memo t) sql in
+  exec ?app_txn ?nondet ~sql:text t stmt
+
+(* A script's statements are found by parsing it whole. *)
 let exec_script t sql = List.map (fun s -> exec t s) (Parser.parse_script sql)
 
 let query t sel =
@@ -1717,6 +1731,6 @@ let query t sel =
   run_select t (empty_env ()) sel
 
 let query_sql t sql =
-  match Parser.parse_stmt sql with
+  match Stmt_memo.parse (memo t) sql with
   | Select sel -> query t sel
   | _ -> sql_error "query_sql expects a SELECT"

@@ -170,15 +170,28 @@ val exec :
     rendered again. *)
 
 val exec_sql : ?app_txn:string -> ?nondet:Value.t list -> t -> string -> result
-(** [exec] after parsing. *)
+(** [exec] after parsing, through the engine's {!memo}: a statement of a
+    template the engine has seen is instantiated from it, and its log
+    text spliced into the template's rendering
+    ({!Uv_sql.Stmt_memo.parse_logged}), equal to
+    [exec t (Parser.parse_stmt sql)]. *)
 
 val exec_script : t -> string -> result list
+(** [exec] of each statement of a [';']-separated script, parsed whole
+    (its statement boundaries come from the parse), so not through the
+    memo. *)
 
 val query : t -> Ast.select -> result
 (** Evaluate a SELECT without logging it or charging a round trip (used
     internally and by tests to inspect state). *)
 
 val query_sql : t -> string -> result
+(** [query] of a SELECT, parsed through the engine's {!memo}. *)
+
+val memo : t -> Stmt_memo.t
+(** The templates of the statements {!exec_sql} and {!query_sql} parsed,
+    made on the first call: an engine given only ASTs (a replayed
+    statement's) never makes one. Not safe to share between domains. *)
 
 val table_hash : t -> string -> int64
 (** Raises [Sql_error] for an unknown table. *)

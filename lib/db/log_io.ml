@@ -15,18 +15,6 @@ let header_v2 = "ULOGv2"
 (* Escaping                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Unescape the [len] bytes of [s] at [off]; an escape-free range is one
    substring. *)
 let unescape_sub s off len =
@@ -64,33 +52,122 @@ let records_of_log log =
       { r_sql = e.Log.sql; r_nondet = e.Log.nondet; r_app_txn = e.Log.app_txn })
     (Log.entries log)
 
-(* A record's body: the Q/N/A lines, newlines included — exactly the
-   bytes the C line's CRC-32 covers. *)
-let record_body r =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf ("Q " ^ escape r.r_sql ^ "\n");
-  List.iter
-    (fun v ->
-      Buffer.add_string buf ("N " ^ escape (Uv_sql.Value.serialize v) ^ "\n"))
-    r.r_nondet;
-  (match r.r_app_txn with
-  | Some tag -> Buffer.add_string buf ("A " ^ escape tag ^ "\n")
-  | None -> ());
-  Buffer.contents buf
+(* [s] holds no byte [escape] rewrites: [escape s] is [s] *)
+let plain s =
+  let n = String.length s in
+  Uv_util.Memchr.index s '\\' 0 n < 0
+  && Uv_util.Memchr.index s '\n' 0 n < 0
+  && Uv_util.Memchr.index s '\r' 0 n < 0
 
+(* [String.length (escape s)] *)
+let escaped_length s =
+  if plain s then String.length s
+  else begin
+    let n = ref (String.length s) in
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with '\\' | '\n' | '\r' -> incr n | _ -> ()
+    done;
+    !n
+  end
+
+let digits n =
+  let rec go n d = if n < 10 then d else go (n / 10) (d + 1) in
+  go n 1
+
+(* [String.length (escape (Value.serialize v))]; a text's is counted
+   without building it *)
+let value_length (v : Uv_sql.Value.t) =
+  match v with
+  | Text s -> 2 + digits (String.length s) + escaped_length s
+  | _ -> escaped_length (Uv_sql.Value.serialize v)
+
+(* a line [tag payload\n] around a payload of [len] escaped bytes *)
+let line len = len + 3
+
+let record_length r =
+  line (escaped_length r.r_sql)
+  + List.fold_left (fun n v -> n + line (value_length v)) 0 r.r_nondet
+  + (match r.r_app_txn with Some tag -> line (escaped_length tag) | None -> 0)
+  + String.length "C 01234567\nE\n"
+
+let blit_string b at s =
+  Bytes.blit_string s 0 b at (String.length s);
+  at + String.length s
+
+(* [escape s] written at [at]; the position after it *)
+let blit_escaped b at s =
+  if plain s then blit_string b at s
+  else begin
+    let j = ref at in
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
+      | ('\\' | '\n' | '\r') as c ->
+          Bytes.unsafe_set b !j '\\';
+          Bytes.unsafe_set b (!j + 1) (match c with '\n' -> 'n' | '\r' -> 'r' | c -> c);
+          j := !j + 2
+      | c ->
+          Bytes.unsafe_set b !j c;
+          incr j
+    done;
+    !j
+  end
+
+let escape s =
+  if plain s then s
+  else begin
+    let b = Bytes.create (escaped_length s) in
+    ignore (blit_escaped b 0 s : int);
+    Bytes.unsafe_to_string b
+  end
+
+let blit_char b at c =
+  Bytes.set b at c;
+  at + 1
+
+(* the line [tag payload\n], the payload escaped *)
+let blit_line b at tag payload =
+  let at = blit_char b (blit_char b at tag) ' ' in
+  blit_char b (blit_escaped b at payload) '\n'
+
+(* the N line of [v]; a text's bytes are copied once, into the segment *)
+let blit_value b at (v : Uv_sql.Value.t) =
+  match v with
+  | Text s ->
+      let at = blit_string b at "N T" in
+      let at = blit_string b at (string_of_int (String.length s)) in
+      let at = blit_escaped b (blit_char b at ':') s in
+      blit_char b at '\n'
+  | _ -> blit_line b at 'N' (Uv_sql.Value.serialize v)
+
+let blit_hex b at c =
+  for k = 0 to 7 do
+    Bytes.set b (at + k) "0123456789abcdef".[(c lsr (28 - (4 * k))) land 0xf]
+  done;
+  at + 8
+
+(* The segment is measured first, then written into one buffer of
+   exactly its size, which becomes the result without a copy: each
+   record's body (the Q/N/A lines, newlines included), then the C line
+   with the CRC-32 of the body's bytes, computed where they lie, and E. *)
 let print records =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf header_v2;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun r ->
-      let body = record_body r in
-      Buffer.add_string buf body;
-      Buffer.add_string buf
-        ("C " ^ Uv_util.Crc32.to_hex (Uv_util.Crc32.digest body) ^ "\n");
-      Buffer.add_string buf "E\n")
-    records;
-  Buffer.contents buf
+  let size =
+    List.fold_left (fun n r -> n + record_length r) (String.length header_v2 + 1) records
+  in
+  let b = Bytes.create size in
+  let at = blit_char b (blit_string b 0 header_v2) '\n' in
+  let at =
+    List.fold_left
+      (fun at r ->
+        let body = at in
+        let at = blit_line b at 'Q' r.r_sql in
+        let at = List.fold_left (blit_value b) at r.r_nondet in
+        let at = match r.r_app_txn with Some tag -> blit_line b at 'A' tag | None -> at in
+        let crc = Uv_util.Crc32.update_bytes_sub 0 b body (at - body) in
+        blit_string b (blit_hex b (blit_string b at "C ") crc) "\nE\n")
+      at records
+  in
+  assert (at = size);
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* Parsing & salvage                                                    *)

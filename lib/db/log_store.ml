@@ -57,7 +57,7 @@ type t = {
   fault : Uv_fault.Fault.t;
   fsync : bool option;
   cap : int;
-  mutable sealed : iseg list;  (* ascending by seq; only the last row may
+  mutable sealed : iseg list;  (* newest first; only the newest row may
                                   hold fewer than [cap] records, and only
                                   while the tail buffer is empty *)
   mutable tail : Log_io.record list;  (* open tail, newest first *)
@@ -235,7 +235,7 @@ let parse_manifest path text =
   (cap, List.rev !segs)
 
 let write_manifest t ~tail_row =
-  let rows = List.map (fun i -> i.s) t.sealed @ tail_row in
+  let rows = List.rev_map (fun i -> i.s) t.sealed @ tail_row in
   let data = manifest_text ~cap:t.cap rows in
   guarded_write ~fault:t.fault ?fsync:t.fsync
     ~site:Uv_fault.Fault.Site.log_save ~key:0 ~path:(manifest_path t.t_dir)
@@ -278,7 +278,7 @@ let open_ ?(fault = Uv_fault.Fault.disabled) ?fsync ?segment_cap dir =
     fault;
     fsync;
     cap;
-    sealed = List.map (fun s -> { s; valid = None }) segs;
+    sealed = List.rev_map (fun s -> { s; valid = None }) segs;
     tail = [];
     tail_count = 0;
     tail_min = last_max + 1;
@@ -303,19 +303,21 @@ let seg_count i =
 let length t =
   if t.tail_count > 0 then t.tail_min + t.tail_count - 1
   else
-    match List.rev t.sealed with
+    match t.sealed with
     | i :: _ -> i.s.seg_min + seg_count i - 1
     | [] -> 0
 
+let next_seq t = match t.sealed with i :: _ -> i.s.seg_seq + 1 | [] -> 1
+
 let segments t =
-  List.map (fun i -> i.s) t.sealed
+  List.rev_map (fun i -> i.s) t.sealed
   @
   if t.tail_count = 0 then []
   else
     [
       {
-        seg_seq = (match List.rev t.sealed with i :: _ -> i.s.seg_seq + 1 | [] -> 1);
-        seg_file = seg_name (match List.rev t.sealed with i :: _ -> i.s.seg_seq + 1 | [] -> 1);
+        seg_seq = next_seq t;
+        seg_file = seg_name (next_seq t);
         seg_min = t.tail_min;
         seg_max = t.tail_min + t.tail_count - 1;
         seg_nondet = t.tail_nondet;
@@ -335,12 +337,11 @@ let segment_of_index t i =
   | None -> invalid_arg "Log_store.segment_of_index: index in a salvaged hole"
 
 let boundaries t =
-  List.filter_map
-    (fun i ->
-      if i.valid = None && i.s.seg_max - i.s.seg_min + 1 = t.cap then
-        Some i.s.seg_max
-      else None)
-    t.sealed
+  List.fold_left
+    (fun acc i ->
+      if i.valid = None && i.s.seg_max - i.s.seg_min + 1 = t.cap then i.s.seg_max :: acc
+      else acc)
+    [] t.sealed
 
 (* ------------------------------------------------------------------ *)
 (* Segment reads                                                        *)
@@ -403,7 +404,7 @@ let iter_decoded t ~lo ~hi f =
           f idx d (idx - i.s.seg_min)
         done
       end)
-    t.sealed;
+    (List.rev t.sealed);
   if t.tail_count > 0 && hi >= t.tail_min then begin
     let d = tail_decoded t in
     for idx = max lo t.tail_min to hi do
@@ -474,90 +475,92 @@ let records t =
 (* Append                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let next_seq t = match List.rev t.sealed with i :: _ -> i.s.seg_seq + 1 | [] -> 1
-
 (* If the store ended in a partial segment on disk, re-open it as the
    in-memory tail so appends keep filling it (one segment resident). *)
 let adopt_tail t =
   if t.tail_count = 0 then
-    match List.rev t.sealed with
-    | i :: _ when seg_count i < t.cap ->
+    match t.sealed with
+    | i :: older when seg_count i < t.cap ->
         let d = seg_decoded t i in
         let count = seg_count i in
         t.tail <- List.rev (List.init count (Log_io.record d));
         t.tail_count <- count;
         t.tail_min <- i.s.seg_min;
         t.tail_nondet <- i.s.seg_nondet;
-        t.sealed <- List.filter (fun j -> j != i) t.sealed;
+        t.sealed <- older;
         t.cache <- None
     | _ -> t.tail_min <- length t + 1
 
-let seal_tail t =
-  let records = List.rev t.tail in
+(* The tail written as the next segment file: its manifest row. A file
+   written at a truncated sequence number is live again, so [sync] must
+   not unlink it. *)
+let write_tail t =
   let seq = next_seq t in
-  let data = Log_io.print records in
+  let data = Log_io.print (List.rev t.tail) in
   guarded_write ~fault:t.fault ?fsync:t.fsync
     ~site:Uv_fault.Fault.Site.log_save ~key:seq ~path:(seg_path t seq) data;
-  let s =
-    {
-      seg_seq = seq;
-      seg_file = seg_name seq;
-      seg_min = t.tail_min;
-      seg_max = t.tail_min + t.tail_count - 1;
-      seg_nondet = t.tail_nondet;
-      seg_epoch = 0;
-      seg_bytes = String.length data;
-      seg_crc = Uv_util.Crc32.(to_hex (digest data));
-    }
-  in
-  t.sealed <- t.sealed @ [ { s; valid = None } ];
+  t.orphans <- List.filter (fun o -> o <> seq) t.orphans;
+  {
+    seg_seq = seq;
+    seg_file = seg_name seq;
+    seg_min = t.tail_min;
+    seg_max = t.tail_min + t.tail_count - 1;
+    seg_nondet = t.tail_nondet;
+    seg_epoch = 0;
+    seg_bytes = String.length data;
+    seg_crc = Uv_util.Crc32.(to_hex (digest data));
+  }
+
+(* The full tail written and listed in memory; the manifest does not
+   list it yet. *)
+let seal_tail t =
+  let s = write_tail t in
+  t.sealed <- { s; valid = None } :: t.sealed;
   t.tail <- [];
   t.tail_min <- s.seg_max + 1;
   t.tail_count <- 0;
   t.tail_nondet <- 0;
-  t.cache <- None;
-  write_manifest t ~tail_row:[]
+  t.cache <- None
 
-let append t (r : Log_io.record) =
-  check_open t;
+(* Buffer [r] into the tail; [true] when the tail is then full. *)
+let push t (r : Log_io.record) =
   adopt_tail t;
   t.tail <- r :: t.tail;
   t.tail_count <- t.tail_count + 1;
   t.tail_nondet <- t.tail_nondet + List.length r.Log_io.r_nondet;
   t.dirty <- true;
-  if t.tail_count >= t.cap then begin
+  t.tail_count >= t.cap
+
+(* after sealing: the manifest lists every sealed segment *)
+let list_sealed t =
+  write_manifest t ~tail_row:[];
+  t.dirty <- t.tail_count > 0
+
+let append t r =
+  check_open t;
+  if push t r then begin
     seal_tail t;
-    t.dirty <- false
+    list_sealed t
   end
 
 let append_log t log =
-  List.iter (fun r -> append t r) (Log_io.records_of_log log)
+  check_open t;
+  let sealed =
+    List.fold_left
+      (fun sealed r ->
+        if push t r then begin
+          seal_tail t;
+          true
+        end
+        else sealed)
+      false (Log_io.records_of_log log)
+  in
+  if sealed then list_sealed t
 
 let sync t =
   check_open t;
   if t.dirty then begin
-    (if t.tail_count > 0 then begin
-       let records = List.rev t.tail in
-       let seq = next_seq t in
-       let data = Log_io.print records in
-       guarded_write ~fault:t.fault ?fsync:t.fsync
-         ~site:Uv_fault.Fault.Site.log_save ~key:seq ~path:(seg_path t seq)
-         data;
-       let row =
-         {
-           seg_seq = seq;
-           seg_file = seg_name seq;
-           seg_min = t.tail_min;
-           seg_max = t.tail_min + t.tail_count - 1;
-           seg_nondet = t.tail_nondet;
-           seg_epoch = 0;
-           seg_bytes = String.length data;
-           seg_crc = Uv_util.Crc32.(to_hex (digest data));
-         }
-       in
-       write_manifest t ~tail_row:[ row ]
-     end
-     else write_manifest t ~tail_row:[]);
+    write_manifest t ~tail_row:(if t.tail_count > 0 then [ write_tail t ] else []);
     (* the shrunk manifest is durable; truncated chunk files can go *)
     List.iter
       (fun seq -> try Sys.remove (seg_path t seq) with Sys_error _ -> ())
@@ -585,15 +588,15 @@ let truncate t n =
        let keep, drop = List.partition (fun i -> i.s.seg_min <= n) t.sealed in
        t.sealed <- keep;
        t.orphans <-
-         t.orphans @ List.map (fun i -> i.s.seg_seq) drop;
-       match List.rev keep with
-       | i :: _ when i.s.seg_min + seg_count i - 1 > n ->
+         t.orphans @ List.rev_map (fun i -> i.s.seg_seq) drop;
+       match keep with
+       | i :: older when i.s.seg_min + seg_count i - 1 > n ->
            (* boundary segment straddles the cut: re-open it as the
               trimmed tail so appends keep filling it *)
            let d = seg_decoded t i in
            let keep_n = n - i.s.seg_min + 1 in
            let kept = List.init keep_n (Log_io.record d) in
-           t.sealed <- List.filter (fun j -> j != i) t.sealed;
+           t.sealed <- older;
            t.tail <- List.rev kept;
            t.tail_count <- keep_n;
            t.tail_min <- i.s.seg_min;
@@ -715,7 +718,7 @@ let verify ?segment t =
                 chk_crc_ok = crc_ok;
                 chk_diag = diag;
               })
-    t.sealed
+    (List.rev t.sealed)
 
 type salvage_report = {
   sr_records : int;
@@ -868,8 +871,7 @@ let open_salvage ?(fault = Uv_fault.Fault.disabled) ?fsync dir =
              if trimmed then raise Exit)
        rows
    with Exit -> ());
-  let sealed = List.rev !kept in
-  let sealed = List.filter (fun i -> seg_count i > 0) sealed in
+  let sealed = List.filter (fun i -> seg_count i > 0) !kept in
   let t =
     {
       t_dir = dir;

@@ -142,7 +142,10 @@ val append : t -> Log_io.record -> unit
 
 val append_log : t -> Log.t -> unit
 (** {!append} the durable projection of every entry of an in-memory
-    log, in order. *)
+    log, in order, but with the manifest written once, at the end, if a
+    segment was sealed: a crash or torn write during the call leaves
+    the store at its previous manifest, and after the call what is
+    sealed and listed is what the appends would have left. *)
 
 val truncate : t -> int -> unit
 (** [truncate t n] drops every record with a global index above [n]

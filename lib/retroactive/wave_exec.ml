@@ -20,8 +20,8 @@ type stop = {
   ran : int;  (* members run *)
   skipped : (item * (Uv_db.Catalog.t -> (unit -> Uv_db.Log.redone) option)) list;
   at : Uv_db.Catalog.t;  (* the replay catalog at the stop, read-only *)
-  undo : (Uv_db.Catalog.t -> unit) option;
-      (* the rollback [at] still lacks *)
+  undo : Uv_db.Log.undo list list option;
+      (* the rollback [at] still lacks: journals, newest first *)
   rtt_ms : float;
   head : item option;
   items : item list;
@@ -43,6 +43,7 @@ type t = {
   redone : int;
   executed : int;
   stop : stop option;
+  undone : int;
 }
 
 (* A table's AUTO_INCREMENT counter as the restamp walks the replayed
@@ -250,7 +251,9 @@ let stop_point s = (s.ran, List.length s.skipped)
 
 let complete s =
   let catalog = Uv_db.Catalog.snapshot s.at in
-  Option.iter (fun undo -> undo catalog) s.undo;
+  Option.iter
+    (fun journals -> ignore (Uv_db.Log.undo_entries catalog journals : Uv_db.Log.undo_stats))
+    s.undo;
   let base, autos =
     match s.start with Some st -> st | None -> start_state catalog
   in
@@ -314,6 +317,12 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
      the caller — one atomic counter covers both *)
   let retries = Atomic.make 0 in
   let on_retry () = Atomic.incr retries in
+  (* the deferred rollback, applied here: the entries it undid *)
+  let undone = ref 0 in
+  let roll_back journals =
+    ignore (Uv_db.Log.undo_entries catalog journals : Uv_db.Log.undo_stats);
+    undone := List.length journals
+  in
   let finish_item it ran =
     Hashtbl.replace durations it.idx ran.ms;
     if it.idx > 0 then incr (if ran.redone then redone else executed);
@@ -328,7 +337,7 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
      its predecessors left, so its raw entry already logs its table
      hashes in commit order and needs no restamp *)
   let in_commit_order stop_after =
-    Option.iter (fun u -> u catalog) undo;
+    Option.iter roll_back undo;
     let run it =
       check ();
       finish_item it
@@ -403,8 +412,8 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
       if head = None && items <> [] && stop_here () then undo
       else begin
         Option.iter
-          (fun u ->
-            u catalog;
+          (fun journals ->
+            roll_back journals;
             Option.iter Redo.rolled_back redo)
           undo;
         None
@@ -680,4 +689,5 @@ let execute ?(obs = Uv_obs.Trace.disabled) ?(fault = Uv_fault.Fault.disabled)
     redone = !redone;
     executed = !executed;
     stop;
+    undone = !undone;
   }

@@ -75,6 +75,10 @@ type t = {
       (** the replay stopped where it rejoined history; [entries] then
           holds the run statements' entries before the restamp, and
           {!complete} gives every entry *)
+  undone : int;
+      (** entries the [undo] passed to {!execute} undid on [catalog]: all
+          of its journals, or 0 when the replay stopped before its first
+          member and left it to {!complete} *)
 }
 
 val stop_point : stop -> int * int
@@ -103,7 +107,7 @@ val execute :
   ?fault:Uv_fault.Fault.t ->
   ?check:(unit -> unit) ->
   ?redo:Redo.t ->
-  ?undo:(Uv_db.Catalog.t -> unit) ->
+  ?undo:Uv_db.Log.undo list list ->
   ?repeating:int ->
   schedule:schedule ->
   rtt_ms:float ->
@@ -120,8 +124,9 @@ val execute :
     [repeating = n] is the caller's verdict that the first [n] items repeat
     history ({!Redo.repeats}) against [redo] as it is passed; the replay
     tests no item the verdict covers until the set grows. [undo], a
-    rollback not yet applied to [catalog], comes only with [repeating]
-    covering every item: it is applied before anything runs (and
+    rollback not yet applied to [catalog] (the journals to undo, newest
+    first, as {!Uv_db.Log.undo_entries} takes them), comes only with
+    [repeating] covering every item: it is applied before anything runs (and
     {!Redo.rolled_back} called), unless the replay stops before its
     first member; then {!complete} applies it to its copy.
 

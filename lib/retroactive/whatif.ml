@@ -211,7 +211,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
      members are redone from their journals when the schema holds still;
      the removed or changed target must be DML too, as its journal seeds
      the dirty set *)
-  let dml, fixed_objects, redo, repeating, deferred, undo_journals, tau_journal, undone,
+  let dml, fixed_objects, redo, repeating, deferred, undo_journals, tau_journal, undo_count,
       undo_stats =
     phase "rollback"
       ~end_args:(fun (_, _, _, _, _, _, _, _, st) ->
@@ -418,14 +418,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
       (* a statement fault that survives its one retry ends the run *)
       try
         Wave_exec.execute ~obs ~fault ~check:check_deadline ?redo ?repeating
-          ?undo:
-            (if deferred then
-               Some
-                 (fun cat ->
-                   ignore
-                     (Uv_db.Log.undo_entries cat undo_journals
-                       : Uv_db.Log.undo_stats))
-             else None)
+          ?undo:(if deferred then Some undo_journals else None)
           ~schedule ~rtt_ms:rtt ~catalog:temp_cat ~head ~items ()
       with Uv_fault.Fault.Injected inj ->
         raise
@@ -593,7 +586,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
   {
     replay = rs;
     replayed = List.length replayed_members;
-    undone;
+    (* a deferred rollback counts only where the replay applied it *)
+    undone = (if deferred then res.Wave_exec.undone else undo_count);
     failed_replays = res.Wave_exec.failed;
     hash_jump_at = !hash_jump_at;
     stop_at;

@@ -122,7 +122,11 @@ type outcome = {
   replayed : int;
       (** members actually replayed: those after a hash-hit or skipped
           by a stop are not counted *)
-  undone : int;  (** entries rolled back *)
+  undone : int;
+      (** entries the question rolled back: in the rollback phase, or,
+          for a deferred rollback, where the replay applied it; 0 when
+          the replay stopped before its first member and left the
+          rollback to the merged history *)
   failed_replays : int;
       (** replays that signalled or errored (aborted app transactions) *)
   hash_jump_at : int option;

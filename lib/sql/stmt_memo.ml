@@ -277,7 +277,18 @@ type template = {
          for a hole, [-1] for a literal that stays as it is *)
   values : Value.t array;  (* the [k]th [Lit] node's value in [ast] *)
   id : int;  (* its position in [by_id] *)
+  mutable render : render;  (* how its statements are logged *)
 }
+
+(* A template's log text, cut at its holes: [Printer.stmt_compact] of
+   its AST with the [k]th [Lit] node, for every hole [k], replaced by a
+   marker that renders as itself ([marker k]). *)
+and render =
+  | Unrendered  (* no statement of the template was rendered from it yet *)
+  | Spliced of { pieces : string array; holes : int array }
+      (* the text is [pieces.(0)], then for every [j] the literal of
+         [Lit] node [holes.(j)] and [pieces.(j + 1)] *)
+  | Whole  (* the markers did not come back one each: render in full *)
 
 (* Keyed by [Lexer.key], already a hash. *)
 module Keys = Hashtbl.Make (struct
@@ -294,14 +305,20 @@ type t = {
   mutable templates : int;
   mutable full_parses : int;
   bound : lits;  (* the last statement [template] named *)
+  mutable hole_values : Value.t array;
+      (* per [Lit] node of the last statement [instantiate] built: its
+         value where it is a hole *)
+  text : Buffer.t;  (* where [parse_logged] splices a log text *)
 }
 
 let create () =
   let sc = Lexer.scanner () in
   { sc; shapes = Keys.create 64; by_id = [||]; templates = 0; full_parses = 0;
-    bound = { values = [||]; slots = [||]; src = ""; scan = sc } }
+    bound = { values = [||]; slots = [||]; src = ""; scan = sc };
+    hole_values = [||]; text = Buffer.create 256 }
 
 let full_parses m = m.full_parses
+let templates m = m.templates
 
 let template ~id text lits (ast, holes) =
   let fixed = Array.make (Lexer.literals lits) true in
@@ -320,15 +337,24 @@ let template ~id text lits (ast, holes) =
        ast
       : stmt);
   { text; lits; fixed; ast; slots = Array.of_list (List.rev !slots);
-    values = (lits_of_stmt ast).values; id }
+    values = (lits_of_stmt ast).values; id; render = Unrendered }
 
-let instantiate tpl sc src =
-  let k = ref 0 in
+(* The statement of [tpl]'s shape [src] holds, just scanned into [sc];
+   each hole's value is left in [m.hole_values] too. *)
+let instantiate m tpl sc src =
+  if Array.length m.hole_values < Array.length tpl.slots then
+    m.hole_values <- Array.make (Array.length tpl.slots) Value.Null;
+  let values = m.hole_values and k = ref 0 in
   stmt
     (fun e ->
       let slot = tpl.slots.(!k) in
       incr k;
-      if slot < 0 then e else Lit (value sc src slot))
+      if slot < 0 then e
+      else begin
+        let v = value sc src slot in
+        values.(!k - 1) <- v;
+        Lit v
+      end)
     tpl.ast
 
 let parse_in_full m src =
@@ -345,28 +371,42 @@ let rec find_in sc src = function
       else find_in sc src rest
 
 (* After a scan of a span of [src] that succeeded: the template the span
-   matches, made from the span (its [text] is then [src] itself when the
-   span is the whole of it, else the span's copy) when there was none. *)
-let find_template m src =
+   matches, or [Not_found]. *)
+let lookup m src =
+  let bucket = match Keys.find m.shapes (Lexer.key m.sc) with b -> b | exception Not_found -> [] in
+  find_in m.sc src bucket
+
+(* The span of the last scan as its own statement: [src] itself when it
+   is the whole of it, else the span's copy. *)
+let span_text m src =
+  let off = Lexer.span_start m.sc and len = Lexer.span_length m.sc in
+  if len = String.length src then src else String.sub src off len
+
+(* [text], just scanned and found in no bucket, parsed in full into the
+   template of its shape, which is filed unless [keep] declines its
+   AST. *)
+let make_template ?(keep = fun _ -> true) m text =
+  m.full_parses <- m.full_parses + 1;
   let key = Lexer.key m.sc in
-  let bucket = match Keys.find m.shapes key with b -> b | exception Not_found -> [] in
-  match find_in m.sc src bucket with
-  | tpl -> tpl
-  | exception Not_found ->
-      m.full_parses <- m.full_parses + 1;
-      let off = Lexer.span_start m.sc and len = Lexer.span_length m.sc in
-      let text = if len = String.length src then src else String.sub src off len in
-      let lits = Lexer.snapshot m.sc in
-      let parsed = Parser.parse_template text in
-      let tpl = template ~id:m.templates text lits parsed in
-      Keys.replace m.shapes key (tpl :: bucket);
-      if m.templates = Array.length m.by_id then
-        m.by_id <-
-          Array.init (max 16 (2 * m.templates)) (fun k ->
-              if k < m.templates then m.by_id.(k) else tpl);
-      m.by_id.(m.templates) <- tpl;
-      m.templates <- m.templates + 1;
-      tpl
+  let lits = Lexer.snapshot m.sc in
+  let parsed = Parser.parse_template text in
+  let tpl = template ~id:m.templates text lits parsed in
+  if keep tpl.ast then begin
+    let bucket = match Keys.find m.shapes key with b -> b | exception Not_found -> [] in
+    Keys.replace m.shapes key (tpl :: bucket);
+    if m.templates = Array.length m.by_id then
+      m.by_id <-
+        Array.init (max 16 (2 * m.templates)) (fun k ->
+            if k < m.templates then m.by_id.(k) else tpl);
+    m.by_id.(m.templates) <- tpl;
+    m.templates <- m.templates + 1
+  end;
+  tpl
+
+(* The template the last scan's span matches, made from the span when
+   there was none. *)
+let find_template m src =
+  match lookup m src with tpl -> tpl | exception Not_found -> make_template m (span_text m src)
 
 let parse m src =
   if not (Lexer.scan m.sc src 0 (String.length src)) then parse_in_full m src
@@ -376,7 +416,115 @@ let parse m src =
     else
       (* only an integer above [max_int] fails to convert; the full parse
          raises what [parse_stmt] raises on it *)
-      try instantiate tpl m.sc src with Failure _ -> parse_in_full m src
+      try instantiate m tpl m.sc src with Failure _ -> parse_in_full m src
+
+(* ---- log texts, spliced into a template's rendering ---- *)
+
+(* A hole's marker: a column name no lexed statement holds, which
+   [Printer] renders as it is. *)
+let marker k = "\000" ^ string_of_int k ^ "\000"
+
+(* [Printer.stmt_compact] of [tpl]'s AST with every hole's [Lit] a
+   marker, cut at the markers; [Whole] unless each comes back once. *)
+let render_of tpl =
+  let k = ref 0 in
+  let marked =
+    stmt
+      (fun e ->
+        let slot = tpl.slots.(!k) in
+        incr k;
+        if slot < 0 then e else Col (None, marker (!k - 1)))
+      tpl.ast
+  in
+  let text = Printer.stmt_compact marked in
+  let expect = Array.fold_left (fun n slot -> if slot < 0 then n else n + 1) 0 tpl.slots in
+  match String.split_on_char '\000' text with
+  | first :: rest when List.length rest = 2 * expect ->
+      let rec cut pieces holes = function
+        | [] -> Some (Array.of_list (List.rev pieces), Array.of_list (List.rev holes))
+        | k :: piece :: rest -> (
+            match int_of_string_opt k with
+            | Some k when k >= 0 && k < Array.length tpl.slots && tpl.slots.(k) >= 0
+                          && not (List.mem k holes) ->
+                cut (piece :: pieces) (k :: holes) rest
+            | _ -> None)
+        | [ _ ] -> None
+      in
+      (match cut [ first ] [] rest with
+      | Some (pieces, holes) -> Spliced { pieces; holes }
+      | None -> Whole)
+  | _ -> Whole
+
+(* [Printer.stmt_compact] splits its rendering into lines and trims
+   each: a literal spliced where its marker was leaves the lines and
+   their trims as they are when it has no newline and starts and ends
+   with no blank. *)
+let spliceable l =
+  let n = String.length l in
+  let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+  n > 0 && (not (blank l.[0])) && (not (blank l.[n - 1])) && not (String.contains l '\n')
+
+let has s c = Uv_util.Memchr.index s c 0 (String.length s) >= 0
+
+(* [Value.to_literal v] added to [b] where it splices, else [false]. An
+   integer never holds a blank; a text is quoted, so only a newline
+   inside it keeps it out, and one without a quote is its own body. *)
+let add_literal b (v : Value.t) =
+  match v with
+  | Int i ->
+      Buffer.add_string b (string_of_int i);
+      true
+  | Text s when has s '\n' -> false
+  | Text s when not (has s '\'') ->
+      Buffer.add_char b '\'';
+      Buffer.add_string b s;
+      Buffer.add_char b '\'';
+      true
+  | _ ->
+      let l = Value.to_literal v in
+      spliceable l
+      && begin
+           Buffer.add_string b l;
+           true
+         end
+
+(* The log text of [tpl]'s statement whose hole values are in
+   [m.hole_values]: its rendering spliced, or [None] where a literal does not
+   splice. *)
+let splice m tpl =
+  if tpl.render = Unrendered then tpl.render <- render_of tpl;
+  match tpl.render with
+  | Spliced { pieces; holes } ->
+      let b = m.text in
+      Buffer.clear b;
+      Buffer.add_string b pieces.(0);
+      let rec go j =
+        j = Array.length holes
+        || add_literal b m.hole_values.(holes.(j))
+           && begin
+                Buffer.add_string b pieces.(j + 1);
+                go (j + 1)
+              end
+      in
+      if go 0 then Some (Buffer.contents b) else None
+  | Unrendered | Whole -> None
+
+let logged ast = (ast, Printer.stmt_compact ast)
+
+let parse_logged m src =
+  if not (Lexer.scan m.sc src 0 (String.length src)) then logged (parse_in_full m src)
+  else
+    match lookup m src with
+    | exception Not_found ->
+        (* DDL, views, procedures and triggers do not repeat: no template *)
+        logged (make_template ~keep:(fun s -> not (Ast.is_ddl s)) m (span_text m src)).ast
+    | tpl -> (
+        match instantiate m tpl m.sc src with
+        | exception Failure _ -> logged (parse_in_full m src)
+        | ast -> (
+            match splice m tpl with
+            | Some text -> (ast, text)
+            | None -> logged ast))
 
 (* Every hole literal of [src], from the [k]th [Lit] node on, converts,
    as [instantiate] and reading a bound literal need. *)

@@ -24,7 +24,8 @@
 
     A memo is mutable and not safe to share between domains. It keeps
     one template per shape it has seen, so its lifetime should be one
-    pass over a history (the analyzer makes one per build). *)
+    pass over a history (the analyzer makes one per build), or one live
+    engine, whose memo files no DDL ({!parse_logged}). *)
 
 type t
 
@@ -60,6 +61,30 @@ val full_parses : t -> int
 (** Statements parsed in full so far: one per shape that parsed, plus
     every statement the scan declined, that failed to parse, or whose
     integer literal failed to convert. *)
+
+val templates : t -> int
+(** Templates the memo keeps. *)
+
+(** {2 Live statements}
+
+    A live engine parses each client statement and logs its rendering.
+    Both are done once per template: a template's rendering is made
+    once, from its AST with a marker where each hole's [Lit] is, and cut
+    at the markers; a later statement of the template has
+    {!Uv_sql.Value.to_literal} of each hole spliced between the pieces.
+    The splice gives exactly [Printer.stmt_compact] of the statement,
+    which splits the rendering into lines and trims each: where a
+    literal's rendering holds a newline or starts or ends with a blank,
+    or the markers do not come back one each, the statement is rendered
+    in full instead. *)
+
+val parse_logged : t -> string -> Ast.stmt * string
+(** [(s, Printer.stmt_compact s)] for [s = Parser.parse_stmt src], and
+    raises what [Parser.parse_stmt src] raises. A statement of a known
+    template is instantiated and its text spliced, neither parsed nor
+    rendered in full. DDL (tables, views, indexes, procedures, triggers)
+    is parsed and rendered in full and files no template: it does not
+    repeat, so the memo's size follows the history's DML shapes only. *)
 
 (** {2 Literals by position}
 

@@ -7,7 +7,17 @@ external unsafe_update_sub :
   = "uv_crc32_update_byte" "uv_crc32_update"
 [@@noalloc]
 
+external unsafe_update_bytes_sub :
+  (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "uv_crc32_update_byte" "uv_crc32_update"
+[@@noalloc]
+
 let () = init ()
+
+let update_bytes_sub crc b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Crc32.update_bytes_sub";
+  unsafe_update_bytes_sub crc b off len
 
 let update_sub crc s off len =
   if off < 0 || len < 0 || off > String.length s - len then

@@ -26,6 +26,10 @@ val update_sub : int -> string -> int -> int -> int
     without the copy.
     @raise Invalid_argument if [off, len] is not a range of [s]. *)
 
+val update_bytes_sub : int -> Bytes.t -> int -> int -> int
+(** {!update_sub} over a range of a byte buffer, in place.
+    @raise Invalid_argument if [off, len] is not a range of the buffer. *)
+
 val to_hex : int -> string
 (** 8 lowercase hex digits, zero-padded. *)
 

@@ -152,6 +152,26 @@ front_end_memo_smoke() {
 step "front-end memo smoke: memo parse and literal binding == parse_stmt on the workload corpus and near-miss mutations, allocation-free naming from spans and decode; store-sourced entries == log-sourced; segment decode == reference at every cut and flip; C CRC-32 kernel == bytewise reference" \
   front_end_memo_smoke
 
+# live statements: an engine parses and renders each statement through
+# its memo (Stmt_memo.parse_logged). On the front-end corpus and its
+# mutations, on generated literals the splice must refuse or keep
+# (newlines, carriage returns, tabs, backslashes, blanks at a literal's
+# edge, folded negatives, floats printed with an exponent) and on the
+# five apps' Raw histories at two seeds, the AST is parse_stmt's and the
+# logged text Printer.stmt_compact's, and an engine executing
+# parse_stmt of each text logs the same entries and hash; 5 000
+# distinct CREATE TABLE file no template; a statement of a known
+# template allocates under 0.6 of a full parse and render. Then the
+# write path behind it: three records printed byte for byte, one
+# manifest per append_log, and a tear at its manifest write or at any
+# of its segment writes reopens the store at the pre-call length
+live_statement_smoke() {
+  dune exec test/test_sql.exe -- test memo '10-14' &&
+    dune exec test/test_store.exe -- test segments '4-6'
+}
+step "live statements parse and render once per template: logged text == Printer.stmt_compact on five workloads" \
+  live_statement_smoke
+
 # the replay-set closure against a pairwise reference that shares no
 # index with the analyzer: members, counts, touched tables and parents
 # in all three modes (Col_only, Row_only and Cell), grouped and not,

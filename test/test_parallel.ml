@@ -2329,6 +2329,85 @@ let test_redo_verdict_memo () =
       check_oracle ~label:"verdict memo" e base 1 out)
     (check_redo ~label:"verdict memo" e analyzer (remove 1) [ 1; 2; 4; 8 ])
 
+(* (y) [undone] counts the entries the question's rollback undid. (t)'s
+   removal defers its rollback and stops before its first member: the
+   question undoes nothing, and the merged history applies the rollback.
+   (v)'s removal rolls back #3, #2 and τ in the phase. A deferred
+   rollback that the replay applies (commit order, or a head that runs
+   before any stop) counts every journal it undid. *)
+let test_undone_counts_the_rollback_run () =
+  let e, _, analyzer =
+    stop_history ~config:grp_config grp_rows
+      [
+        "UPDATE t SET x = 5 WHERE id = 1";
+        "UPDATE t SET x = x + 1 WHERE id = 2";
+        "UPDATE t SET x = x + 2 WHERE id = 3";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.string "(t): rollback" "deferred" out.Whatif.rollback_strategy;
+      check Alcotest.int "(t): nothing undone" 0 out.Whatif.undone)
+    (check_redo ~label:"undone (t)" e analyzer (remove 1) [ 1; 2 ]);
+  let log = Engine.log e in
+  let journals = List.map (fun i -> (Log.entry log i).Log.undo) [ 3; 2; 1 ] in
+  let head =
+    let stmt = Uv_sql.Parser.parse_stmt "UPDATE t SET x = 7 WHERE id = 1" in
+    {
+      Wave_exec.idx = 0;
+      stmt;
+      sql = Uv_sql.Printer.stmt_compact stmt;
+      nondet = [];
+      app_txn = None;
+      sim_time = 1_700_000_001;
+      rowid_base = 1 lsl 30;
+      structural = true;
+      journal = (Log.entry log 1).Log.undo;
+    }
+  in
+  List.iter
+    (fun (label, schedule, head, want) ->
+      let cat = Catalog.snapshot (Engine.catalog e) in
+      let _, items = replay_items ~analyzer ~catalog:cat log [ 2; 3 ] in
+      let res = Wave_exec.execute ~undo:journals ~schedule ~rtt_ms:0.0 ~catalog:cat ~head ~items () in
+      check Alcotest.int (label ^ ": every journal undone") 3 res.Wave_exec.undone;
+      let eng = Engine.of_catalog cat in
+      check
+        Alcotest.(list (list int))
+        (label ^ ": rows") want
+        (List.map
+           (fun row -> Array.to_list (Array.map Uv_sql.Value.to_int row))
+           (Engine.query_sql eng "SELECT id, x FROM t").Engine.rows))
+    [
+      ( "commit order",
+        Wave_exec.Commit_order { stop_after = (fun _ _ -> false) },
+        None,
+        [ [ 1; 0 ]; [ 2; 1 ]; [ 3; 2 ] ] );
+      ( "waves after a head",
+        Wave_exec.Waves
+          { dag = lazy (Analyzer.replay_dag analyzer ~members:[ 2; 3 ]); workers = 1 },
+        Some head,
+        [ [ 1; 7 ]; [ 2; 1 ]; [ 3; 2 ] ] );
+    ];
+  let e, _, analyzer =
+    stop_history ~config:grp_config
+      [
+        "CREATE TABLE t (id INT PRIMARY KEY, grp INT, x INT, y INT)";
+        "INSERT INTO t VALUES (1, 1, 3, 0)";
+        "INSERT INTO t VALUES (2, 1, 0, 0)";
+      ]
+      [
+        "UPDATE t SET x = 7 WHERE id = 1";
+        "UPDATE t SET y = 1 WHERE x = 3";
+        "UPDATE t SET x = x + 1 WHERE id = 2";
+      ]
+  in
+  List.iter
+    (fun out ->
+      check Alcotest.string "(v): rollback" "undo" out.Whatif.rollback_strategy;
+      check Alcotest.int "(v): #3, #2 and tau undone" 3 out.Whatif.undone)
+    (check_redo ~label:"undone (v)" e analyzer (remove 1) [ 1; 2 ])
+
 (* On each workload's plain-SQL history, the latest removals whose
    replay sets have no member and one member. *)
 let test_small_replays (w : W.t) () =
@@ -2826,6 +2905,8 @@ let () =
               test_stop_after_executed;
             Alcotest.test_case "(x) a clean verdict after the set changed" `Quick
               test_redo_verdict_memo;
+            Alcotest.test_case "(y) undone counts the rollback the question ran" `Quick
+              test_undone_counts_the_rollback_run;
           ]
           @ List.map
               (fun (w : W.t) ->

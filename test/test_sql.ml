@@ -1266,6 +1266,198 @@ let test_memo_binding_allocates_nothing () =
     Alcotest.failf "decoding allocated %.0f minor words at 64 records, %.0f at 256" small large
 
 (* ------------------------------------------------------------------ *)
+(* Live statements: parsed and rendered once per template               *)
+(* ------------------------------------------------------------------ *)
+
+let logged_outcome parse_logged src =
+  match parse_logged src with
+  | ast, text -> "ok " ^ Marshal.to_string ast [ Marshal.No_sharing ] ^ "\000" ^ text
+  | exception Parser.Parse_error m -> "error " ^ m
+  | exception e -> "raised " ^ Printexc.to_string e
+
+(* [Stmt_memo.parse_logged] gives [parse_stmt]'s AST, exactly, and
+   [Printer.stmt_compact] of it, byte for byte, or raises what
+   [parse_stmt] raises. *)
+let check_memo_logged memo src =
+  let want =
+    logged_outcome (fun src -> let s = Parser.parse_stmt src in (s, Printer.stmt_compact s)) src
+  and got = logged_outcome (Stmt_memo.parse_logged memo) src in
+  if not (String.equal got want) then
+    Alcotest.failf "logged outcome differs on %S:\n  got  %s\n  want %s" src (String.escaped got)
+      (String.escaped want)
+
+let test_logged_corpus () =
+  let memo = Stmt_memo.create () in
+  let corpus = Lazy.force front_end_corpus @ roundtrip_cases in
+  List.iter (check_memo_logged memo) corpus;
+  List.iter (check_memo_logged memo) corpus;
+  List.iter
+    (fun base ->
+      let memo = Stmt_memo.create () in
+      check_memo_logged memo base;
+      for pos = 0 to String.length base - 1 do
+        List.iter
+          (fun c ->
+            let b = Bytes.of_string base in
+            Bytes.set b pos c;
+            check_memo_logged memo (Bytes.to_string b))
+          [ '0'; '9'; '-'; '\''; ' '; '\n'; '\\'; 'e'; '.'; 'x'; '(' ]
+      done)
+    mutation_bases
+
+(* Literals whose rendering the splice must refuse or keep: strings with
+   newlines, carriage returns, tabs, backslash escapes and surrounding
+   blanks, negative numbers (folded and parenthesised), and floats that
+   render with an exponent. The first statement makes the template, the
+   second takes it. *)
+let gen_logged_pair =
+  let open QCheck.Gen in
+  let str_text =
+    map
+      (fun parts -> "'" ^ String.concat "" parts ^ "'")
+      (list_size (0 -- 4)
+         (oneofl [ "a"; "''"; "\\\\"; "\\n"; "\n"; "\r"; "\t"; " "; "  x  "; "\n "; "\\'"; "-" ]))
+  in
+  let float_text =
+    oneof
+      [
+        map2 (fun a b -> Printf.sprintf "%d.%d" a b) small_nat small_nat;
+        oneofl [ "1e300"; "2.5e-7"; "1.5E+20"; "6.02214076e23"; "1e-05"; "0.1"; "1e15"; "1e16" ];
+      ]
+  in
+  let int_text = oneof [ map string_of_int small_nat; return (string_of_int max_int) ] in
+  let number text =
+    map3
+      (fun (pre, post) a b -> (pre ^ a ^ post, pre ^ b ^ post))
+      (oneofl [ ("", ""); ("-", ""); ("- -", ""); ("-(", ")"); ("- ", "") ])
+      text text
+  in
+  oneof [ number int_text; number float_text; map2 (fun a b -> (a, b)) str_text str_text ]
+
+let prop_logged_literals =
+  QCheck.Test.make ~name:"generated literals: logged == stmt_compact" ~count:500
+    QCheck.(make Gen.(list_repeat 3 gen_logged_pair))
+    (fun lits ->
+      let render pick =
+        match List.map pick lits with
+        | [ a; b; c ] ->
+            Printf.sprintf
+              "BEGIN TRANSACTION; UPDATE t SET a = %s WHERE b = %s; INSERT INTO u VALUES (%s, 1); COMMIT"
+              a b c
+        | _ -> assert false
+      in
+      let memo = Stmt_memo.create () in
+      List.iter (check_memo_logged memo) [ render fst; render snd; render fst ];
+      true)
+
+(* Every statement of the five apps' Raw histories, at two seeds, as
+   [Engine.exec_sql] takes it: the entry it logs holds [parse_stmt]'s
+   AST, exactly, and [Printer.stmt_compact] of it; an engine executing
+   [parse_stmt] of each logged text, with its recorded draws, logs the
+   same entries and ends at the same hash as one executing the texts
+   through [exec_sql]. *)
+let test_logged_histories () =
+  let module W = Uv_workloads.Workload in
+  let module R = Uv_transpiler.Runtime in
+  let module Log = Uv_db.Log in
+  let module Engine = Uv_db.Engine in
+  let entry_text (e : Log.entry) =
+    Marshal.to_string e.Log.stmt [ Marshal.No_sharing ] ^ "\000" ^ e.Log.sql
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (w : W.t) ->
+          let name = Printf.sprintf "%s seed %d" w.W.name seed in
+          let eng, rt = W.setup ~seed ~mode:R.Raw w in
+          let base = Engine.snapshot eng in
+          let prng = Uv_util.Prng.create (seed * 31) in
+          while Log.length (Engine.log eng) < 300 do
+            ignore (W.run_history rt ~mode:R.Raw (w.W.generate prng ~scale:1 ~n:20 ~dep_rate:0.3))
+          done;
+          let entries = Log.entries (Engine.log eng) in
+          List.iter
+            (fun (e : Log.entry) ->
+              let s = Parser.parse_stmt e.Log.sql in
+              if Marshal.to_string s [ Marshal.No_sharing ] <> Marshal.to_string e.Log.stmt [ Marshal.No_sharing ]
+              then Alcotest.failf "%s: entry %d's AST is not parse_stmt's" name e.Log.index;
+              if Printer.stmt_compact e.Log.stmt <> e.Log.sql then
+                Alcotest.failf "%s: entry %d's text is not stmt_compact" name e.Log.index)
+            entries;
+          let replay exec =
+            let r = Engine.of_catalog (Uv_db.Catalog.snapshot base) in
+            List.iter
+              (fun (e : Log.entry) ->
+                try ignore (exec ?app_txn:e.Log.app_txn ~nondet:e.Log.nondet r e.Log.sql)
+                with Engine.Sql_error _ | Engine.Signal_raised _ -> ())
+              entries;
+            (List.map entry_text (Log.entries (Engine.log r)), Engine.db_hash r)
+          in
+          let live = replay (fun ?app_txn ~nondet r sql -> Engine.exec_sql ?app_txn ~nondet r sql) in
+          let parsed =
+            replay (fun ?app_txn ~nondet r sql -> Engine.exec ?app_txn ~nondet r (Parser.parse_stmt sql))
+          in
+          if fst live <> fst parsed then Alcotest.failf "%s: exec_sql logged other entries" name;
+          check Alcotest.int64 (name ^ ": hash") (snd parsed) (snd live);
+          check Alcotest.int64 (name ^ ": the original's hash") (Engine.db_hash eng) (snd live))
+        (W.all ()))
+    [ 3; 17 ]
+
+(* A live engine's memo holds DML templates only: 5 000 distinct
+   CREATE TABLE statements file none, and a repeated DML shape is parsed
+   in full once. *)
+let test_live_memo_files_no_ddl () =
+  let module Engine = Uv_db.Engine in
+  let e = Engine.create () in
+  for k = 0 to 4_999 do
+    ignore (Engine.exec_sql e (Printf.sprintf "CREATE TABLE t%d (id INT PRIMARY KEY, v INT)" k))
+  done;
+  let memo = Engine.memo e in
+  check Alcotest.int "no DDL template" 0 (Stmt_memo.templates memo);
+  check Alcotest.int "every CREATE TABLE parsed in full" 5_000 (Stmt_memo.full_parses memo);
+  for k = 0 to 99 do
+    ignore (Engine.exec_sql e (Printf.sprintf "INSERT INTO t7 VALUES (%d, %d)" k (-k - 1)))
+  done;
+  check Alcotest.int "one DML template" 1 (Stmt_memo.templates memo);
+  check Alcotest.int "the DML shape parsed in full once" 5_001 (Stmt_memo.full_parses memo);
+  check Alcotest.int "rows" 100
+    (match (Engine.query_sql e "SELECT COUNT(*) FROM t7").Engine.rows with
+    | [ [| Value.Int n |] ] -> n
+    | _ -> -1)
+
+(* A statement of a template the memo knows is neither parsed nor
+   rendered in full: over each workload's Raw history, each statement's
+   minor words through a warmed memo ([Alloc.words_of]), its AST
+   instantiated and its text spliced, stay below 0.6 times the words of
+   [Parser.parse_stmt] and [Printer.stmt_compact] of it (at most 0.54 on
+   these histories, 0.29 on average), and [full_parses] does not move.
+   A float literal's rendering alone ([Value.to_literal] through
+   [Printf]) can outweigh a short statement's parse, so the bound is on
+   the pair. *)
+let test_known_template_allocates_no_full_parse () =
+  let module R = Uv_transpiler.Runtime in
+  List.iter
+    (fun (w : Uv_workloads.Workload.t) ->
+      let texts = history_texts w R.Raw ~n:40 in
+      let memo = Stmt_memo.create () in
+      (* twice: a template is rendered for its second statement *)
+      List.iter (fun src -> ignore (Stmt_memo.parse_logged memo src)) (texts @ texts);
+      let full = Stmt_memo.full_parses memo in
+      List.iter
+        (fun src ->
+          let _, live, _ = Alloc.words_of (fun () -> Stmt_memo.parse_logged memo src) in
+          let _, full, _ =
+            Alloc.words_of (fun () -> Printer.stmt_compact (Parser.parse_stmt src))
+          in
+          if live >= 0.6 *. full then
+            Alcotest.failf "%s: %S took %.0f minor words through the memo, %.0f to parse and render"
+              w.Uv_workloads.Workload.name src live full)
+        texts;
+      check Alcotest.int (w.Uv_workloads.Workload.name ^ ": no full parse") full
+        (Stmt_memo.full_parses memo))
+    (Uv_workloads.Workload.all ())
+
+(* ------------------------------------------------------------------ *)
 (* Schema helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1368,6 +1560,14 @@ let () =
           Alcotest.test_case "naming and binding allocate nothing" `Quick
             test_memo_binding_allocates_nothing;
           Alcotest.test_case "float exponents reparse" `Quick test_float_exponents;
+          Alcotest.test_case "logged == stmt_compact: corpus, mutations" `Quick
+            test_logged_corpus;
+          qtest prop_logged_literals;
+          Alcotest.test_case "logged == stmt_compact: five Raw histories" `Quick
+            test_logged_histories;
+          Alcotest.test_case "a live memo files no DDL" `Quick test_live_memo_files_no_ddl;
+          Alcotest.test_case "a known template: no full parse or render" `Quick
+            test_known_template_allocates_no_full_parse;
         ] );
       ( "printer",
         [

@@ -726,6 +726,116 @@ let test_truncate_unlinks_orphans_after_manifest () =
   check Alcotest.int "reopened at the cut" 2 (Log_store.length back);
   Log_store.close back
 
+(* A truncate cuts whole segments away; a seal before the next sync
+   writes a segment file at a truncated sequence number again, which the
+   sync must not unlink with the orphans. *)
+let test_truncate_then_seal_keeps_files () =
+  with_store_dir @@ fun dir ->
+  let r k = { Log_io.r_sql = Printf.sprintf "INSERT INTO t VALUES (%d)" k; r_nondet = []; r_app_txn = None } in
+  let store = Log_store.open_ ~segment_cap:4 dir in
+  for k = 1 to 12 do Log_store.append store (r k) done;
+  Log_store.sync store;
+  Log_store.truncate store 4;
+  for k = 5 to 9 do Log_store.append store (r k) done;
+  Log_store.sync store;
+  Log_store.close store;
+  let back = Log_store.open_ dir in
+  check Alcotest.int "length" 9 (Log_store.length back);
+  check Alcotest.(list string) "records"
+    (List.init 9 (fun k -> (r (k + 1)).Log_io.r_sql))
+    (sqls back);
+  Log_store.close back
+
+(* ------------------------------------------------------------------ *)
+(* One manifest per append_log                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A store of two full segments (cap 4), then [append_log] of a 41-entry
+   history: segments 3 to 12 sealed, one record left in the tail. *)
+let pre_records =
+  List.init 8 (fun k ->
+      { Log_io.r_sql = Printf.sprintf "INSERT INTO pre VALUES (%d)" k; r_nondet = []; r_app_txn = None })
+
+let pre_store ?fault dir =
+  let store = Log_store.open_ ~segment_cap:4 dir in
+  List.iter (Log_store.append store) pre_records;
+  Log_store.close store;
+  Log_store.open_ ?fault dir
+
+let torn ~key ~hit =
+  F.script [ { F.site = F.Site.log_save; key; hit; kind = F.Torn_write; arg = 0.5 } ]
+
+(* The manifest is written once, at the end of the call: a tear aimed
+   at its second write (key 0) does not fire inside the call, and the
+   close that lists the tail is that second write. *)
+let test_append_log_lists_once () =
+  with_store_dir @@ fun dir ->
+  let e = build_history ~txns:12 () in
+  check Alcotest.int "history" 41 (Log.length (Engine.log e));
+  let fault = torn ~key:0 ~hit:2 in
+  let store = pre_store ~fault dir in
+  Log_store.append_log store (Engine.log e);
+  check Alcotest.int "every record" 49 (Log_store.length store);
+  check Alcotest.int "sealed segments" 12 (List.length (Log_store.boundaries store));
+  (match Log_store.close store with
+  | () -> Alcotest.fail "the close's manifest write was the first after the call's"
+  | exception F.Injected inj -> check Alcotest.int "its second manifest write" 2 inj.F.hit);
+  let back = Log_store.open_ dir in
+  check Alcotest.int "listed: every sealed segment" 48 (Log_store.length back);
+  Log_store.close back
+
+(* A tear at any segment write of an [append_log], or at its manifest
+   write, leaves the store at its previous manifest: it reopens at the
+   pre-call length with the pre-call records. Without a fault it lists
+   every sealed segment. *)
+let test_append_log_fault_keeps_store () =
+  let e = build_history ~txns:12 () in
+  let want_pre = List.map (fun r -> r.Log_io.r_sql) pre_records in
+  List.iter
+    (fun (label, fault) ->
+      with_store_dir @@ fun dir ->
+      let store = pre_store ~fault dir in
+      (match Log_store.append_log store (Engine.log e) with
+      | () -> Alcotest.failf "%s: the tear did not fire" label
+      | exception F.Injected _ -> ());
+      let back = Log_store.open_ dir in
+      check Alcotest.int (label ^ ": pre-call length") 8 (Log_store.length back);
+      check Alcotest.(list string) (label ^ ": pre-call records") want_pre (sqls back);
+      Log_store.close back)
+    (("manifest write", torn ~key:0 ~hit:1)
+    :: List.init 10 (fun k ->
+           (Printf.sprintf "segment %d write" (k + 3), torn ~key:(k + 3) ~hit:1)));
+  with_store_dir @@ fun dir ->
+  let store = pre_store dir in
+  Log_store.append_log store (Engine.log e);
+  let back = Log_store.open_ dir in
+  check Alcotest.int "no fault: every sealed segment listed" 48 (Log_store.length back);
+  check Alcotest.(list string) "no fault: records"
+    (want_pre @ List.filteri (fun k _ -> k < 40)
+                  (List.map (fun r -> r.Log_io.r_sql) (Log_io.records_of_log (Engine.log e))))
+    (sqls back);
+  Log_store.close back;
+  Log_store.close store
+
+(* Three records printed byte for byte: escapes in the SQL, every N
+   value form, a tag, and each body's CRC-32. *)
+let test_golden_segment () =
+  let open Uv_sql.Value in
+  check Alcotest.string "segment"
+    "ULOGv2\nQ INSERT INTO t VALUES (1, 'a')\nC a0cd146d\nE\nQ UPDATE t SET v = \
+     'x\\\\y\\nz\\r' WHERE id = 2\nN I7\nN T4:p\\nq\\\\\nN F0x1p-1\nN N\nN B1\nN I-3\nA \
+     txn\\\\1\nC 3fe411d5\nE\nQ SELECT 1\nA t\nC 59af83e9\nE\n"
+    (Log_io.print
+       [
+         { Log_io.r_sql = "INSERT INTO t VALUES (1, 'a')"; r_nondet = []; r_app_txn = None };
+         {
+           Log_io.r_sql = "UPDATE t SET v = 'x\\y\nz\r' WHERE id = 2";
+           r_nondet = [ Int 7; Text "p\nq\\"; Float 0.5; Null; Bool true; Int (-3) ];
+           r_app_txn = Some "txn\\1";
+         };
+         { Log_io.r_sql = "SELECT 1"; r_nondet = []; r_app_txn = Some "t" };
+       ])
+
 (* ------------------------------------------------------------------ *)
 (* The Cell replay-set path over a streamed store                       *)
 (* ------------------------------------------------------------------ *)
@@ -802,6 +912,12 @@ let () =
             test_roundtrip_matches_single_file;
           Alcotest.test_case "logged text reparses to its literals" `Quick
             test_logged_text_reparses;
+          Alcotest.test_case "three records printed byte for byte" `Quick
+            test_golden_segment;
+          Alcotest.test_case "append_log lists its segments once" `Quick
+            test_append_log_lists_once;
+          Alcotest.test_case "a tear in append_log keeps the old manifest" `Quick
+            test_append_log_fault_keeps_store;
         ] );
       ( "integrity",
         [
@@ -824,6 +940,8 @@ let () =
           Alcotest.test_case "truncate records" `Quick test_truncate_records;
           Alcotest.test_case "truncate unlinks orphans after manifest" `Quick
             test_truncate_unlinks_orphans_after_manifest;
+          Alcotest.test_case "truncate, then seal before a sync" `Quick
+            test_truncate_then_seal_keeps_files;
         ] );
       ( "analysis",
         [
